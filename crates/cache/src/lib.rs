@@ -17,7 +17,7 @@
 //!   delegated filter-at-owner path.
 //! * [`ChannelPool`] — cross-query probe coalescing. The first probe to a
 //!   partition routes normally (the overlay's
-//!   [`retrieve_multi`](sqo_overlay::Network::retrieve_multi) shape) and
+//!   [`retrieve_multi_lists`](sqo_overlay::Network::retrieve_multi_lists) shape) and
 //!   leaves the exchange open for a small virtual-time window; probes from
 //!   other in-flight tasks arriving within it ride the open channel — one
 //!   direct request/reply instead of a routed chain, the overlay charged

@@ -31,7 +31,7 @@ use sqo_overlay::key::Key;
 use sqo_overlay::peer::PeerId;
 use sqo_overlay::PostingList;
 use sqo_storage::posting::Posting;
-use sqo_strsim::filters::{length_filter, position_filter, FilterConfig};
+use sqo_strsim::filters::{char_len, length_filter, position_filter, FilterConfig};
 
 /// The per-query gram-posting filter as plain data, so it can run wherever
 /// the posting list happens to be: at the owning peer (delegated probes),
@@ -52,30 +52,47 @@ pub struct ProbeFilter<'a> {
 }
 
 impl ProbeFilter<'_> {
-    /// The "a == ξ(t′, 2)" guard of Algorithm 2 plus the position and
-    /// length filters.
-    pub fn matches(&self, p: &Posting) -> bool {
-        let (gram, pos, len) = match (self.attr, p) {
-            (Some(a), Posting::InstanceGram { triple, gram, pos, .. }) => {
-                if triple.attr.as_str() != a {
-                    return false;
+    /// The postings among `items` that pass the "a == ξ(t′, 2)" guard of
+    /// Algorithm 2 plus the position and length filters — still borrowed,
+    /// so the caller copies survivors only. Postings stored under one key
+    /// carry one gram, so its query positions are looked up when the gram
+    /// changes, not once per posting.
+    pub fn survivors<'p>(
+        &'p self,
+        items: impl Iterator<Item = &'p Posting> + 'p,
+    ) -> impl Iterator<Item = &'p Posting> + 'p {
+        let mut probed: Option<(&str, &[u32])> = None;
+        items.filter(move |p| {
+            let (gram, pos, source) = match (self.attr, *p) {
+                (Some(a), Posting::InstanceGram { triple, gram, pos, .. }) => {
+                    if triple.attr.as_str() != a {
+                        return false;
+                    }
+                    let Some(text) = triple.value.as_str() else { return false };
+                    (&**gram, *pos, text)
                 }
-                let Some(text) = triple.value.as_str() else { return false };
-                (gram, *pos, text.chars().count())
+                (None, Posting::SchemaGram { triple, gram, pos }) => {
+                    (&**gram, *pos, triple.attr.as_str())
+                }
+                _ => return false,
+            };
+            let q_positions = match probed {
+                Some((g, qp)) if g == gram => qp,
+                _ => {
+                    let Some(qp) = self.gram_positions.get(gram) else {
+                        return false; // not a probed gram (shouldn't happen: exact keys)
+                    };
+                    probed = Some((gram, qp));
+                    qp.as_slice()
+                }
+            };
+            if self.filters.position
+                && !q_positions.iter().any(|&qp| position_filter(pos, qp, self.d))
+            {
+                return false;
             }
-            (None, Posting::SchemaGram { triple, gram, pos }) => {
-                (gram, *pos, triple.attr.as_str().chars().count())
-            }
-            _ => return false,
-        };
-        let Some(q_positions) = self.gram_positions.get(gram.as_str()) else {
-            return false; // not a probed gram (shouldn't happen: exact keys)
-        };
-        if self.filters.position && !q_positions.iter().any(|&qp| position_filter(pos, qp, self.d))
-        {
-            return false;
-        }
-        !self.filters.length || length_filter(len, self.s_len, self.d)
+            !self.filters.length || length_filter(char_len(source), self.s_len, self.d)
+        })
     }
 }
 

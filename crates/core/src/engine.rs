@@ -10,7 +10,7 @@ use sqo_cache::{BrokerConfig, BrokerCounters, CacheBatchBroker};
 use sqo_overlay::key::Key;
 use sqo_overlay::network::{KeyedLists, Network, NetworkConfig};
 use sqo_overlay::peer::{Item, PeerId};
-use sqo_overlay::{Metrics, PostingList, TraceEvent, TraceTrack};
+use sqo_overlay::{run_items, Metrics, PostingList, TraceEvent, TraceTrack};
 use sqo_storage::posting::{Object, Posting};
 use sqo_storage::publish::{postings_for_rows, PublishConfig, PublishStats};
 use sqo_storage::triple::Row;
@@ -270,6 +270,10 @@ pub struct SimilarityEngine {
     pub(crate) legs_answered: u64,
     pub(crate) leg_retries: u64,
 }
+
+/// One object-fetch branch: the oids of one partition, each with its
+/// `key(oid)` (hashed once, at planning).
+pub(crate) type FetchBranch = Vec<(String, Key)>;
 
 /// Counter snapshot opening a stats window (see
 /// [`SimilarityEngine::begin_query`]).
@@ -673,24 +677,20 @@ impl SimilarityEngine {
         parts
     }
 
-    /// [`Self::plan_probe_parts`] without the partition tags.
-    pub(crate) fn plan_probe_branches(&self, keys: &[Key]) -> Vec<Vec<Key>> {
-        self.plan_probe_parts(keys).into_iter().map(|(_, ks)| ks).collect()
-    }
-
     /// One probe branch (see [`Self::probe_keys`] for the cost model): with
     /// delegation, one routed query chain to the keys' partition, local
     /// scans + filtering there, one combined reply carrying only survivors;
     /// without, a full independent `Retrieve` per key with the filter at the
-    /// initiator.
+    /// initiator. Either way the filter reads the stored postings in place
+    /// and only survivors are copied.
     pub(crate) fn probe_branch(
         &mut self,
         from: PeerId,
         keys: &[Key],
-        local_filter: &dyn Fn(&Posting) -> bool,
+        filter: &ProbeFilter<'_>,
     ) -> Vec<Posting> {
+        let mut out = Vec::new();
         if !self.cfg.query.delegation {
-            let mut out = Vec::new();
             for k in keys {
                 // `failed0` is re-snapshotted per attempt, so the shower
                 // accounting below reflects only the attempt that answered.
@@ -704,8 +704,8 @@ impl SimilarityEngine {
                         let failed = self.net.metrics().failed_routes - failed0;
                         self.legs_addressed += lists.len() as u64 + failed;
                         self.legs_answered += lists.len() as u64;
-                        for list in lists {
-                            out.extend(list.iter().filter(|p| local_filter(p)).cloned());
+                        for list in &lists {
+                            out.extend(filter.survivors(list.iter()).cloned());
                         }
                     }
                     Err(_) => self.legs_addressed += 1,
@@ -714,26 +714,40 @@ impl SimilarityEngine {
             return out;
         }
         self.legs_addressed += 1;
-        let Ok(owner) = self.with_leg_retry(|e| e.net.route(from, &keys[0])) else {
-            return Vec::new();
-        };
-        self.legs_answered += 1;
-        let mut batch: Vec<Posting> = Vec::new();
+        if let Ok(owner) = self.with_leg_retry(|e| e.net.route(from, &keys[0])) {
+            self.legs_answered += 1;
+            self.scan_filter_reply(owner, from, keys, filter, &mut out);
+        }
+        out
+    }
+
+    /// The owner-side half of a delegated probe: prefix-scan every key at
+    /// `owner`, run the query's filter over the stored postings where they
+    /// lie, and send `from` one combined reply carrying — and copying into
+    /// `out` — only the survivors.
+    fn scan_filter_reply(
+        &mut self,
+        owner: PeerId,
+        from: PeerId,
+        keys: &[Key],
+        filter: &ProbeFilter<'_>,
+        out: &mut Vec<Posting>,
+    ) {
+        let mut payload = 0usize;
         for k in keys {
-            batch.extend(
-                self.net.local_prefix_scan(owner, k).into_iter().filter(|p| local_filter(p)),
-            );
+            for p in filter.survivors(run_items(self.net.local_prefix_run(owner, k))) {
+                payload += p.size_bytes();
+                out.push(p.clone());
+            }
         }
         if owner != from {
-            let payload: usize = batch.iter().map(Item::size_bytes).sum();
             self.net.send_direct(owner, from, payload);
         }
-        batch
     }
 
     /// Probe a set of exact index keys and return the postings stored under
     /// them (prefix-extension semantics, matching `Retrieve`) that pass
-    /// `local_filter`.
+    /// `filter`.
     ///
     /// With delegation on, probes are grouped per responsible partition,
     /// each partition is contacted exactly once ("we collect the calls to
@@ -754,16 +768,16 @@ impl SimilarityEngine {
         &mut self,
         from: PeerId,
         keys: &[Key],
-        local_filter: &dyn Fn(&Posting) -> bool,
+        filter: &ProbeFilter<'_>,
     ) -> Vec<Posting> {
-        let branches = self.plan_probe_branches(keys);
+        let branches = self.plan_probe_parts(keys);
         let mut out = Vec::new();
         // Per-partition probes are independent sub-requests: each branch
         // routes, scans and replies on its own timeline.
         self.net.sim_fork();
-        for keys in branches {
+        for (_part, keys) in branches {
             self.net.sim_branch();
-            out.extend(self.probe_branch(from, &keys, local_filter));
+            out.extend(self.probe_branch(from, &keys, filter));
         }
         self.net.sim_join();
         out
@@ -802,8 +816,7 @@ impl SimilarityEngine {
             _ => (false, false),
         };
         if !cache_on && !batch_on {
-            return self
-                .charged(acc, at_us, |e| e.probe_branch(from, keys, &|p| filter.matches(p)));
+            return self.charged(acc, at_us, |e| e.probe_branch(from, keys, filter));
         }
 
         let epoch = self.net.cache_epoch();
@@ -815,7 +828,7 @@ impl SimilarityEngine {
                 match broker.cache_get(from, k, at_us, epoch) {
                     Some(list) => {
                         acc.cache_hits += 1;
-                        postings.extend(list.iter().filter(|p| filter.matches(p)).cloned());
+                        postings.extend(filter.survivors(list.iter()).cloned());
                     }
                     None => {
                         acc.cache_misses += 1;
@@ -856,9 +869,20 @@ impl SimilarityEngine {
                     if owner != from {
                         e.net.send_direct(from, owner, 0);
                     }
-                    Self::scan_and_reply(e, owner, from, &missing, cache_on, filter)
+                    // Cache on: the reply carries the **full** per-key lists
+                    // (shared handles onto the stored runs) so the initiator
+                    // can filter locally and fill its cache — the price of
+                    // making every later probe of these keys free. Cache
+                    // off: the owner filters and only survivors travel,
+                    // byte-for-byte the legacy delegated payload.
+                    if cache_on {
+                        e.net.scan_keys_and_reply_lists(owner, from, &missing)
+                    } else {
+                        e.scan_filter_reply(owner, from, &missing, filter, &mut postings);
+                        Vec::new()
+                    }
                 });
-                self.absorb_probe_lists(acc, from, filter, lists, end, epoch, &mut postings);
+                self.absorb_full_lists(from, filter, lists, end, epoch, &mut postings);
                 (postings, end)
             }
             None => {
@@ -876,7 +900,8 @@ impl SimilarityEngine {
                         e.with_leg_retry(|e| e.net.retrieve_multi_lists(from, &missing)).ok()
                     } else {
                         e.with_leg_retry(|e| e.net.route(from, &missing[0])).ok().map(|owner| {
-                            (owner, Self::scan_and_reply(e, owner, from, &missing, false, filter))
+                            e.scan_filter_reply(owner, from, &missing, filter, &mut postings);
+                            (owner, Vec::new())
                         })
                     };
                     if got.is_some() {
@@ -890,53 +915,18 @@ impl SimilarityEngine {
                         let broker = self.broker.as_mut().expect("batch_on implies a broker");
                         broker.channel_record(part, owner, hops, end, epoch);
                     }
-                    self.absorb_probe_lists(acc, from, filter, lists, end, epoch, &mut postings);
+                    self.absorb_full_lists(from, filter, lists, end, epoch, &mut postings);
                 }
                 (postings, end)
             }
         }
     }
 
-    /// The owner-side half of a brokered probe: prefix-scan every key at
-    /// `owner` and send one combined reply to `from`. With the cache on,
-    /// the reply carries the **full** per-key lists (so the initiator can
-    /// filter locally and fill its cache — the price of making every later
-    /// probe of these keys free) as shared handles onto the stored runs —
-    /// zero copies; with it off, the owner applies the query's filter and
-    /// only survivors travel, byte-for-byte the legacy delegated payload.
-    fn scan_and_reply(
-        e: &mut Self,
-        owner: PeerId,
-        from: PeerId,
-        keys: &[Key],
-        full_lists: bool,
-        filter: &ProbeFilter<'_>,
-    ) -> KeyedLists<Posting> {
-        let mut lists: KeyedLists<Posting> = Vec::with_capacity(keys.len());
-        let mut payload = 0usize;
-        for k in keys {
-            let mut list = e.net.local_prefix_list(owner, k);
-            if !full_lists {
-                list = Arc::new(list.iter().filter(|p| filter.matches(p)).cloned().collect());
-            }
-            payload += list.iter().map(Item::size_bytes).sum::<usize>();
-            lists.push((k.clone(), list));
-        }
-        if owner != from {
-            e.net.send_direct(owner, from, payload);
-        }
-        lists
-    }
-
-    /// Fold a brokered probe's reply into the caller: filter every list
-    /// into `postings` and fill the initiator's cache (full lists only —
-    /// with the cache off the lists are already owner-filtered survivors,
-    /// and re-filtering them is a no-op). The cache fill moves the shared
-    /// handle: the cache entry *is* the stored run, not a copy of it.
-    #[allow(clippy::too_many_arguments)]
-    fn absorb_probe_lists(
+    /// Fold a cache-filling reply into the caller: filter every full list
+    /// into `postings` and move its shared handle into the initiator's
+    /// cache — the cache entry *is* the stored run, not a copy of it.
+    fn absorb_full_lists(
         &mut self,
-        _acc: &mut QueryStats,
         from: PeerId,
         filter: &ProbeFilter<'_>,
         lists: KeyedLists<Posting>,
@@ -944,13 +934,10 @@ impl SimilarityEngine {
         epoch: u64,
         postings: &mut Vec<Posting>,
     ) {
-        let cache_on = self.broker.as_ref().is_some_and(|b| b.cache_enabled());
         for (k, list) in lists {
-            postings.extend(list.iter().filter(|p| filter.matches(p)).cloned());
-            if cache_on {
-                let broker = self.broker.as_mut().expect("cache_on implies a broker");
-                broker.cache_put(from, &k, list, now_us, epoch);
-            }
+            postings.extend(filter.survivors(list.iter()).cloned());
+            let broker = self.broker.as_mut().expect("full lists only travel to fill a cache");
+            broker.cache_put(from, &k, list, now_us, epoch);
         }
     }
 
@@ -996,50 +983,53 @@ impl SimilarityEngine {
     }
 
     /// Group object fetches into fan-out branches (per owning partition
-    /// with delegation, per oid without). `oids` must be sorted for
-    /// determinism.
-    pub(crate) fn plan_fetch_branches(&self, oids: &[String]) -> Vec<Vec<String>> {
+    /// with delegation, per oid without), hashing each oid's key exactly
+    /// once. `oids` must be sorted for determinism.
+    pub(crate) fn plan_fetch_branches(&self, oids: &[&str]) -> Vec<FetchBranch> {
+        let keyed = oids.iter().map(|o| (o.to_string(), sqo_storage::keys::oid_key(o)));
         if !self.cfg.query.delegation {
-            return oids.iter().map(|o| vec![o.clone()]).collect();
+            return keyed.map(|ok| vec![ok]).collect();
         }
-        let mut by_part: FxHashMap<usize, Vec<String>> = FxHashMap::default();
-        for oid in oids {
-            let key = sqo_storage::keys::oid_key(oid);
-            by_part.entry(self.net.partition_of(&key)).or_default().push(oid.clone());
+        let mut by_part: FxHashMap<usize, FetchBranch> = FxHashMap::default();
+        for (oid, key) in keyed {
+            by_part.entry(self.net.partition_of(&key)).or_default().push((oid, key));
         }
-        let mut parts: Vec<(usize, Vec<String>)> = by_part.into_iter().collect();
+        let mut parts: Vec<(usize, FetchBranch)> = by_part.into_iter().collect();
         parts.sort_by_key(|(p, _)| *p);
         parts.into_iter().map(|(_, os)| os).collect()
     }
 
     /// One object-fetch branch: route to the oids' partition, assemble the
-    /// objects from the postings stored there, one reply with the payload.
-    pub(crate) fn fetch_branch(&mut self, from: PeerId, oids: &[String]) -> Vec<(String, Object)> {
+    /// objects from the postings stored there (read in place), one reply
+    /// with the payload.
+    pub(crate) fn fetch_branch(
+        &mut self,
+        from: PeerId,
+        oids: FetchBranch,
+    ) -> Vec<(String, Object)> {
         let mut out = Vec::with_capacity(oids.len());
         if !self.cfg.query.delegation {
-            for oid in oids {
-                let key = sqo_storage::keys::oid_key(oid);
+            for (oid, key) in oids {
                 self.legs_addressed += 1;
                 if let Ok(postings) = self.with_leg_retry(|e| e.net.retrieve_list(from, &key)) {
                     self.legs_answered += 1;
-                    out.push((oid.clone(), Object::from_postings(oid, &postings)));
+                    let obj = Object::from_postings(&oid, postings.iter());
+                    out.push((oid, obj));
                 }
             }
             return out;
         }
-        let first_key = sqo_storage::keys::oid_key(&oids[0]);
         self.legs_addressed += 1;
-        let Ok(owner) = self.with_leg_retry(|e| e.net.route(from, &first_key)) else {
+        let Ok(owner) = self.with_leg_retry(|e| e.net.route(from, &oids[0].1)) else {
             return out;
         };
         self.legs_answered += 1;
         let mut payload = 0usize;
-        for oid in oids {
-            let key = sqo_storage::keys::oid_key(oid);
-            let postings = self.net.local_prefix_list(owner, &key);
-            let obj = Object::from_postings(oid, &postings);
+        for (oid, key) in oids {
+            let obj =
+                Object::from_postings(&oid, run_items(self.net.local_prefix_run(owner, &key)));
             payload += obj.repr_len();
-            out.push((oid.clone(), obj));
+            out.push((oid, obj));
         }
         if owner != from {
             self.net.send_direct(owner, from, payload);
@@ -1058,24 +1048,25 @@ impl SimilarityEngine {
         from: PeerId,
         oids: &FxHashSet<String>,
     ) -> FxHashMap<String, Object> {
-        let mut sorted: Vec<String> = oids.iter().cloned().collect();
+        let mut sorted: Vec<&str> = oids.iter().map(String::as_str).collect();
         sorted.sort_unstable(); // determinism
         let branches = self.plan_fetch_branches(&sorted);
         let mut result: FxHashMap<String, Object> = FxHashMap::default();
         self.net.sim_fork();
         for oids in branches {
             self.net.sim_branch();
-            result.extend(self.fetch_branch(from, &oids));
+            result.extend(self.fetch_branch(from, oids));
         }
         self.net.sim_join();
         result
     }
 
     /// Distributed prefix scan (shower fan-out), e.g. "all values of
-    /// attribute A". Thin wrapper over `Network::retrieve_lists`, with
+    /// attribute A": the answering partitions' shared lists, for the caller
+    /// to read in place. Thin wrapper over `Network::retrieve_lists`, with
     /// per-partition leg accounting: silenced shower siblings surface as
     /// addressed-but-unanswered legs instead of vanishing.
-    pub(crate) fn scan_prefix(&mut self, from: PeerId, prefix: &Key) -> Vec<Posting> {
+    pub(crate) fn scan_prefix(&mut self, from: PeerId, prefix: &Key) -> Vec<PostingList<Posting>> {
         let mut failed0 = 0u64;
         let got = self.with_leg_retry(|e| {
             failed0 = e.net.metrics().failed_routes;
@@ -1086,7 +1077,7 @@ impl SimilarityEngine {
                 let failed = self.net.metrics().failed_routes - failed0;
                 self.legs_addressed += lists.len() as u64 + failed;
                 self.legs_answered += lists.len() as u64;
-                lists.iter().flat_map(|l| l.iter().cloned()).collect()
+                lists
             }
             Err(_) => {
                 self.legs_addressed += 1;
@@ -1356,13 +1347,30 @@ mod tests {
         assert_eq!(stats.matches, 0);
     }
 
+    /// The filter a `Similar(s, attr, d)` query would carry, with its
+    /// sorted distinct probe keys.
+    fn probe_plan(s: &str, attr: &str, q: usize) -> (FxHashMap<String, Vec<u32>>, Vec<Key>) {
+        let mut gram_positions: FxHashMap<String, Vec<u32>> = FxHashMap::default();
+        for g in sqo_strsim::qgram::qgrams(s, q) {
+            gram_positions.entry(g.gram).or_default().push(g.pos);
+        }
+        let mut keys: Vec<Key> =
+            gram_positions.keys().map(|g| sqo_storage::keys::instance_gram_key(attr, g)).collect();
+        keys.sort_unstable();
+        (gram_positions, keys)
+    }
+
     #[test]
     fn probe_keys_batched_vs_unbatched_same_results_fewer_messages() {
         let rows = cars();
-        let keys: Vec<Key> = ["BMW", "MW ", "W 3", " 32", "320"]
-            .iter()
-            .map(|g| sqo_storage::keys::instance_gram_key("name", g))
-            .collect();
+        let (gram_positions, keys) = probe_plan("BMW 320", "name", 3);
+        let filter = ProbeFilter {
+            attr: Some("name"),
+            gram_positions: &gram_positions,
+            s_len: 7,
+            d: 1,
+            filters: FilterConfig::none(),
+        };
 
         let run = |delegation: bool| {
             let mut e = EngineBuilder::new()
@@ -1372,7 +1380,7 @@ mod tests {
                 .build_with_rows(&rows);
             let from = e.random_peer();
             let snap = e.begin_query();
-            let mut got = e.probe_keys(from, &keys, &|_| true);
+            let mut got = e.probe_keys(from, &keys, &filter);
             got.sort_by(|a, b| a.oid().cmp(b.oid()));
             let stats = e.finish_query(&snap);
             (got.len(), stats.traffic.messages)
@@ -1385,6 +1393,107 @@ mod tests {
             msgs_del <= msgs_raw,
             "batching should not cost more messages ({msgs_del} vs {msgs_raw})"
         );
+    }
+
+    /// The probe pipeline reads stored postings in place and copies only
+    /// survivors; what it returns and what it charges must not depend on
+    /// that. Postings and `Metrics` for delegation on/off × broker on/off
+    /// are pinned to the values the cloning pipeline produced (parent of
+    /// the borrow-filter-copy change), two probe rounds each so the second
+    /// exercises cache hits and channel rides.
+    #[test]
+    fn probe_postings_and_traffic_match_the_pinned_cloning_pipeline() {
+        let rows: Vec<Row> = (0..600u32)
+            .map(|i| {
+                let syl = ["an", "ba", "na", "ra", "ma", "ta", "in", "on"];
+                let w: String =
+                    (0..4).map(|k| syl[((i >> (3 * k)) & 7) as usize]).collect::<String>();
+                Row::new(format!("w:{i}"), [("word", Value::from(w))])
+            })
+            .collect();
+        let (gram_positions, keys) = probe_plan("bananara", "word", 3);
+        let filter = ProbeFilter {
+            attr: Some("word"),
+            gram_positions: &gram_positions,
+            s_len: 8,
+            d: 1,
+            filters: FilterConfig::default(),
+        };
+        let digest = |mut got: Vec<Posting>| {
+            let mut rows: Vec<String> = got
+                .drain(..)
+                .map(|p| match &p {
+                    Posting::InstanceGram { triple, gram, pos, .. } => {
+                        format!("{}|{gram}|{pos}", triple.oid)
+                    }
+                    other => panic!("probe returned a non-gram posting: {other:?}"),
+                })
+                .collect();
+            rows.sort_unstable();
+            // FNV-1a over the sorted rows.
+            let hash = rows
+                .iter()
+                .flat_map(|r| r.bytes().chain([b'\n']))
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+            (rows.len(), hash)
+        };
+        let build = |delegation: bool, broker: bool| {
+            let cache = if broker { BrokerConfig::enabled() } else { BrokerConfig::default() };
+            EngineBuilder::new()
+                .peers(64)
+                .seed(11)
+                .delegation(delegation)
+                .cache_config(cache)
+                .build_with_rows(&rows)
+        };
+        let run = |delegation: bool, broker: bool, rounds: usize| {
+            let mut e = build(delegation, broker);
+            let from = e.random_peer();
+            let snap = e.begin_query();
+            let mut acc = QueryStats::default();
+            let mut answers = Vec::new();
+            for _ in 0..rounds {
+                let mut got = Vec::new();
+                for (part, branch) in e.plan_probe_parts(&keys) {
+                    got.extend(e.probe_issue(&mut acc, from, part, &branch, &filter, 0).0);
+                }
+                answers.push(digest(got));
+            }
+            assert!(answers.iter().all(|a| *a == answers[0]), "a warm cache changed the answer");
+            (answers[0], e.finish_query(&snap).traffic)
+        };
+        let m =
+            |messages, bytes, route_hops, result_msgs, result_bytes, local_items_scanned| Metrics {
+                messages,
+                bytes,
+                route_hops,
+                result_msgs,
+                result_bytes,
+                local_items_scanned,
+                ..Metrics::default()
+            };
+        let pinned_postings = (276usize, 5_956_332_389_502_805_529u64);
+        for (delegation, broker, pinned) in [
+            (true, false, m(32, 16_700, 24, 8, 15_164, 10)),
+            (true, true, m(16, 16_998, 12, 4, 16_230, 5)),
+            (false, false, m(41, 34_428, 31, 10, 32_460, 10)),
+            (false, true, m(41, 34_428, 31, 10, 32_460, 10)),
+        ] {
+            let (postings, traffic) = run(delegation, broker, 2);
+            assert_eq!(postings, pinned_postings, "delegation {delegation}, broker {broker}");
+            assert_eq!(traffic, pinned, "delegation {delegation}, broker {broker}");
+        }
+        // The synchronous form is the same branches back to back.
+        for delegation in [true, false] {
+            let mut e = build(delegation, false);
+            let from = e.random_peer();
+            let snap = e.begin_query();
+            let got = e.probe_keys(from, &keys, &filter);
+            assert_eq!(digest(got), pinned_postings);
+            assert_eq!(e.finish_query(&snap).traffic, run(delegation, false, 1).1);
+        }
     }
 
     #[test]

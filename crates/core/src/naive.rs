@@ -18,6 +18,7 @@ use crate::engine::SimilarityEngine;
 use crate::similar::Candidate;
 use sqo_overlay::key::Key;
 use sqo_overlay::peer::PeerId;
+use sqo_overlay::run_items;
 use sqo_storage::posting::Posting;
 use sqo_strsim::edit::levenshtein_bounded;
 
@@ -52,26 +53,23 @@ impl SimilarityEngine {
             p
         };
         self.legs_answered += 1;
-        let postings = self.net.local_prefix_scan(responder, prefix);
-        // Local comparison at the data peer.
+        // Local comparison at the data peer, over the stored postings where
+        // they lie: only matches are copied out.
         let mut local_matches: Vec<Candidate> = Vec::new();
         let mut payload = 0usize;
+        let mut comparisons = 0u64;
         let mut seen_attr_names: Vec<&str> = Vec::new();
-        for p in &postings {
+        for p in run_items(self.net.local_prefix_run(responder, prefix)) {
             match (attr, p) {
                 (Some(a), Posting::Base { triple, .. } | Posting::ShortValue { triple }) => {
                     if triple.attr.as_str() != a {
                         continue;
                     }
                     let Some(text) = triple.value.as_str() else { continue };
-                    self.count_comparison();
+                    comparisons += 1;
                     if levenshtein_bounded(s, text, d).is_some() {
                         payload += triple.repr_len();
-                        local_matches.push(Candidate {
-                            oid: triple.oid.clone(),
-                            attr: a.to_string(),
-                            text: text.to_string(),
-                        });
+                        local_matches.push(Candidate::new(&triple.oid, a, text));
                     }
                 }
                 (None, Posting::Base { triple, .. } | Posting::ShortAttr { triple }) => {
@@ -80,20 +78,17 @@ impl SimilarityEngine {
                     // implementation would actually do it.
                     if !seen_attr_names.contains(&name) {
                         seen_attr_names.push(name);
-                        self.count_comparison();
+                        comparisons += 1;
                     }
                     if levenshtein_bounded(s, name, d).is_some() {
                         payload += triple.repr_len();
-                        local_matches.push(Candidate {
-                            oid: triple.oid.clone(),
-                            attr: name.to_string(),
-                            text: name.to_string(),
-                        });
+                        local_matches.push(Candidate::new(&triple.oid, name, name));
                     }
                 }
                 _ => {}
             }
         }
+        self.edit_comparisons += comparisons;
         if responder != from && !local_matches.is_empty() {
             self.net.send_direct(responder, from, payload);
         }

@@ -2,7 +2,7 @@
 //! the similarity operators compose with (already present in the paper's
 //! prior work \[10\]; VQL needs them for its non-similarity predicates).
 
-use crate::engine::{finalize_stats, ExecStep, FanOut, SimilarityEngine, StepOutcome};
+use crate::engine::{finalize_stats, ExecStep, FanOut, FetchBranch, SimilarityEngine, StepOutcome};
 use crate::stats::QueryStats;
 use rustc_hash::FxHashMap;
 use sqo_overlay::peer::PeerId;
@@ -93,7 +93,7 @@ enum SelectKind {
 
 enum SelState {
     Scan,
-    Fetch { fan: FanOut<Vec<String>> },
+    Fetch { fan: FanOut<FetchBranch> },
     Assemble,
     Finished,
 }
@@ -187,7 +187,8 @@ impl SelectTask {
             SelectKind::All { attr } => {
                 let mut matched = Vec::new();
                 for prefix in [keys::attr_scan_prefix(attr), keys::short_value_prefix(attr)] {
-                    for p in e.scan_prefix(from, &prefix) {
+                    let lists = e.scan_prefix(from, &prefix);
+                    for p in lists.iter().flat_map(|l| l.iter()) {
                         match p {
                             Posting::Base { triple, .. } | Posting::ShortValue { triple }
                                 if triple.attr.as_str() == attr =>
@@ -250,15 +251,15 @@ impl ExecStep for SelectTask {
                     self.stats = acc;
                     matched.sort_by(|a, b| (&a.0, format_val(&a.1)).cmp(&(&b.0, format_val(&b.1))));
                     matched.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
-                    let mut oids: Vec<String> = matched.iter().map(|(o, _)| o.clone()).collect();
+                    let mut oids: Vec<&str> = matched.iter().map(|(o, _)| o.as_str()).collect();
                     oids.sort_unstable();
                     oids.dedup();
+                    let branches = engine.plan_fetch_branches(&oids);
                     self.matched = matched;
-                    if oids.is_empty() {
+                    if branches.is_empty() {
                         self.state = SelState::Assemble;
                         continue;
                     }
-                    let branches = engine.plan_fetch_branches(&oids);
                     self.state = SelState::Fetch { fan: FanOut::new(branches, end) };
                     return StepOutcome::Yield { at_us: end };
                 }
@@ -271,7 +272,7 @@ impl ExecStep for SelectTask {
                     let from = self.from;
                     let mut acc = self.stats;
                     let (got, end) =
-                        engine.charged(&mut acc, fan.fork_us, |e| e.fetch_branch(from, &oids));
+                        engine.charged(&mut acc, fan.fork_us, |e| e.fetch_branch(from, oids));
                     self.stats = acc;
                     self.objects.extend(got);
                     fan.record_end(end);

@@ -29,7 +29,7 @@
 //! harness records achieved recall per run.
 
 use crate::broker::ProbeFilter;
-use crate::engine::{finalize_stats, ExecStep, FanOut, SimilarityEngine, StepOutcome};
+use crate::engine::{finalize_stats, ExecStep, FanOut, FetchBranch, SimilarityEngine, StepOutcome};
 use crate::stats::QueryStats;
 use rustc_hash::FxHashMap;
 use sqo_overlay::key::Key;
@@ -38,7 +38,7 @@ use sqo_storage::keys;
 use sqo_storage::posting::{Object, Posting};
 use sqo_storage::triple::AttrName;
 use sqo_strsim::edit::levenshtein_bounded;
-use sqo_strsim::filters::{count_filter_threshold, length_filter};
+use sqo_strsim::filters::{char_len, count_filter_threshold, length_filter};
 use sqo_strsim::qgram::{qgrams, PositionalQGram};
 use sqo_strsim::qsample::qsamples;
 
@@ -90,6 +90,14 @@ pub(crate) struct Candidate {
     pub oid: String,
     pub attr: String,
     pub text: String,
+}
+
+impl Candidate {
+    /// The one place candidate strings are copied out of stored postings —
+    /// call it for survivors, not for everything scanned.
+    pub(crate) fn new(oid: &str, attr: &str, text: &str) -> Self {
+        Self { oid: oid.to_string(), attr: attr.to_string(), text: text.to_string() }
+    }
 }
 
 impl SimilarityEngine {
@@ -206,7 +214,7 @@ enum SimState {
     },
     /// One object-fetch branch per step (stage 2a).
     Fetch {
-        fan: FanOut<Vec<String>>,
+        fan: FanOut<FetchBranch>,
     },
     /// Final edit-distance verification at the initiator (stage 2b).
     Verify {
@@ -269,7 +277,7 @@ impl SimilarTask {
                     self.deadline_at =
                         engine.config().query.degrade.deadline_us.map(|d| at_us.saturating_add(d));
                     let q = engine.q();
-                    self.s_len = self.s.chars().count();
+                    self.s_len = char_len(&self.s);
                     // No grams exist for |s| < q: the gram index is blind,
                     // fall back to the naive scan (see module docs).
                     if self.strategy == Strategy::Naive || self.s_len < q {
@@ -459,36 +467,38 @@ impl SimilarTask {
                         // counting distinct grams would under-count
                         // candidates whose grams repeat ("aaaa") — an
                         // unsound prune.
-                        let mut shared_grams: FxHashMap<Candidate, usize> = FxHashMap::default();
+                        // The map is keyed by strings borrowed from the
+                        // postings; only count-filter survivors become owned
+                        // `Candidate`s.
+                        let mut shared_grams: FxHashMap<(&str, &str, &str), usize> =
+                            FxHashMap::with_capacity_and_hasher(postings.len(), Default::default());
                         for p in &postings {
                             let cand = match (attr, p) {
-                                (Some(a), Posting::InstanceGram { triple, .. }) => Candidate {
-                                    oid: triple.oid.clone(),
-                                    attr: a.clone(),
-                                    text: triple.value.as_str().unwrap_or_default().to_string(),
-                                },
-                                (None, Posting::SchemaGram { triple, .. }) => Candidate {
-                                    oid: triple.oid.clone(),
-                                    attr: triple.attr.as_str().to_string(),
-                                    text: triple.attr.as_str().to_string(),
-                                },
+                                (Some(a), Posting::InstanceGram { triple, .. }) => (
+                                    triple.oid.as_str(),
+                                    a.as_str(),
+                                    triple.value.as_str().unwrap_or_default(),
+                                ),
+                                (None, Posting::SchemaGram { triple, .. }) => (
+                                    triple.oid.as_str(),
+                                    triple.attr.as_str(),
+                                    triple.attr.as_str(),
+                                ),
                                 _ => continue,
                             };
                             *shared_grams.entry(cand).or_default() += 1;
                         }
                         // Count filter — meaningful only when all grams were
                         // probed.
+                        let count_filter = filters.count && strategy == Strategy::QGrams;
                         let mut candidates: Vec<Candidate> = shared_grams
                             .into_iter()
-                            .filter(|(cand, shared)| {
-                                if !(filters.count && strategy == Strategy::QGrams) {
-                                    return true;
-                                }
-                                let threshold =
-                                    count_filter_threshold(s_len, cand.text.chars().count(), q, d);
-                                *shared as i64 >= threshold
+                            .filter(|((_, _, text), shared)| {
+                                !count_filter
+                                    || *shared as i64
+                                        >= count_filter_threshold(s_len, char_len(text), q, d)
                             })
-                            .map(|(cand, _)| cand)
+                            .map(|((oid, attr, text), _)| Candidate::new(oid, attr, text))
                             .collect();
 
                         // ---- Short-string supplement ---------------------
@@ -500,32 +510,29 @@ impl SimilarTask {
                                 Some(a) => keys::short_value_prefix(a),
                                 None => keys::short_attr_prefix(),
                             };
-                            for p in e.scan_prefix(from, &prefix) {
-                                let cand = match (attr, &p) {
+                            let lists = e.scan_prefix(from, &prefix);
+                            for p in lists.iter().flat_map(|l| l.iter()) {
+                                let (triple, text) = match (attr, p) {
                                     (Some(a), Posting::ShortValue { triple }) => {
                                         if triple.attr.as_str() != a.as_str() {
                                             continue;
                                         }
                                         let Some(text) = triple.value.as_str() else { continue };
-                                        Candidate {
-                                            oid: triple.oid.clone(),
-                                            attr: a.clone(),
-                                            text: text.to_string(),
-                                        }
+                                        (triple, text)
                                     }
-                                    (None, Posting::ShortAttr { triple }) => Candidate {
-                                        oid: triple.oid.clone(),
-                                        attr: triple.attr.as_str().to_string(),
-                                        text: triple.attr.as_str().to_string(),
-                                    },
+                                    (None, Posting::ShortAttr { triple }) => {
+                                        (triple, triple.attr.as_str())
+                                    }
                                     _ => continue,
                                 };
-                                if filters.length
-                                    && !length_filter(cand.text.chars().count(), s_len, d)
-                                {
+                                if filters.length && !length_filter(char_len(text), s_len, d) {
                                     continue;
                                 }
-                                candidates.push(cand);
+                                candidates.push(Candidate::new(
+                                    &triple.oid,
+                                    triple.attr.as_str(),
+                                    text,
+                                ));
                             }
                         }
                         candidates.sort_by(|a, b| {
@@ -571,11 +578,11 @@ impl SimilarTask {
                         self.stats.candidates = self.candidates.len();
                         self.stats.probes = self.partitions_contacted;
                     }
-                    let mut missing: Vec<String> = self
+                    let mut missing: Vec<&str> = self
                         .candidates
                         .iter()
-                        .map(|c| c.oid.clone())
-                        .filter(|oid| !cache.contains_key(oid))
+                        .map(|c| c.oid.as_str())
+                        .filter(|oid| !cache.contains_key(*oid))
                         .collect();
                     missing.sort_unstable();
                     missing.dedup();
@@ -601,7 +608,7 @@ impl SimilarTask {
                     let from = self.from;
                     let mut acc = self.stats;
                     let (got, end) =
-                        engine.charged(&mut acc, fan.fork_us, |e| e.fetch_branch(from, &oids));
+                        engine.charged(&mut acc, fan.fork_us, |e| e.fetch_branch(from, oids));
                     self.stats = acc;
                     cache.extend(got);
                     fan.record_end(end);

@@ -242,33 +242,35 @@ impl ExecStep for JoinTask {
                     // Line 1: L = Retrieve(key(ln)) — every triple of the
                     // left attribute, via prefix fan-out (plus the
                     // short-value side family).
-                    let (ln, from) = (self.ln.clone(), self.from);
+                    let (ln, from) = (&self.ln, self.from);
                     let mut acc = self.stats;
-                    let (mut left, end) = engine.charged(&mut acc, at_us, |e| {
-                        let mut left: Vec<(String, String)> = Vec::new();
-                        for prefix in [keys::attr_scan_prefix(&ln), keys::short_value_prefix(&ln)] {
-                            for p in e.scan_prefix(from, &prefix) {
-                                match p {
-                                    Posting::Base { triple, .. }
-                                    | Posting::ShortValue { triple }
-                                        if triple.attr.as_str() == ln =>
-                                    {
-                                        if let Some(s) = triple.value.as_str() {
-                                            left.push((triple.oid.clone(), s.to_string()));
-                                        }
-                                    }
-                                    _ => {}
-                                }
-                            }
-                        }
-                        left
+                    let (lists, end) = engine.charged(&mut acc, at_us, |e| {
+                        let mut lists = e.scan_prefix(from, &keys::attr_scan_prefix(ln));
+                        lists.extend(e.scan_prefix(from, &keys::short_value_prefix(ln)));
+                        lists
                     });
                     self.stats = acc;
+                    // Sort, dedup and sample the replies where they lie;
+                    // only the pairs that will be joined are copied out.
+                    let mut left: Vec<(&str, &str)> = lists
+                        .iter()
+                        .flat_map(|l| l.iter())
+                        .filter_map(|p| match p {
+                            Posting::Base { triple, .. } | Posting::ShortValue { triple }
+                                if triple.attr.as_str() == ln =>
+                            {
+                                triple.value.as_str().map(|s| (triple.oid.as_str(), s))
+                            }
+                            _ => None,
+                        })
+                        .collect();
                     left.sort_unstable();
                     left.dedup();
                     if let Some(limit) = self.left_limit {
                         left = stratified_sample(left, limit);
                     }
+                    let left: Vec<(String, String)> =
+                        left.into_iter().map(|(oid, v)| (oid.to_string(), v.to_string())).collect();
                     self.left_size = left.len();
                     self.left = left;
                     // Lines 3–6: per-left similarity selections, up to

@@ -29,6 +29,7 @@ use crate::similar::Strategy;
 use crate::stats::QueryStats;
 use rustc_hash::{FxHashMap, FxHashSet};
 use sqo_overlay::peer::PeerId;
+use sqo_overlay::run_items;
 use sqo_storage::keys;
 use sqo_storage::posting::Object;
 use sqo_storage::triple::Value;
@@ -121,7 +122,7 @@ impl SimilarityEngine {
                 self.net.forward_to(entry, p);
                 p
             };
-            for p in self.net.local_prefix_scan(responder, &prefix) {
+            for p in run_items(self.net.local_prefix_run(responder, &prefix)) {
                 let Some(t) = p.as_base() else { continue };
                 if t.attr.as_str() != attr {
                     continue;

@@ -47,4 +47,4 @@ pub use network::{
 };
 pub use peer::{Item, Peer, PeerId};
 pub use snapshot::NetworkState;
-pub use store::{KeyTable, PartitionStore, PostingList, SharedKey, SortedStore};
+pub use store::{run_items, KeyTable, PartitionStore, PostingList, Run, SharedKey, SortedStore};

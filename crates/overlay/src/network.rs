@@ -15,7 +15,7 @@ use crate::clock::{EventSink, MsgKind, SharedTraceSink, SimLatency, TraceEvent, 
 use crate::key::Key;
 use crate::metrics::{Metrics, PeerLoad};
 use crate::peer::{Item, Peer, PeerId};
-use crate::store::{KeyTable, PartitionStore, PostingList, SortedStore};
+use crate::store::{run_items, KeyTable, PartitionStore, PostingList, Run, SortedStore};
 use crate::trie::{build_partitions, find_partition, subtree_range};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -135,9 +135,6 @@ impl RepairReport {
     }
 }
 
-/// Per-key item lists, as returned by [`Network::retrieve_multi`].
-pub type KeyedItems<T> = Vec<(Key, Vec<T>)>;
-
 /// Per-key *shared* posting lists, as returned by the zero-copy retrieval
 /// surface ([`Network::retrieve_multi_lists`]). A reply references the
 /// stored lists instead of copying them; inserts and churn never mutate a
@@ -230,6 +227,9 @@ pub struct Network<T> {
     /// above the overlay key their entries by this epoch so nothing fetched
     /// before such an event is ever served after it.
     pub(crate) cache_epoch: u64,
+    /// The one empty posting list every prefix miss replies with (a
+    /// handle clone, not a fresh allocation per miss).
+    pub(crate) empty: PostingList<T>,
     pub(crate) rng: StdRng,
 }
 
@@ -334,6 +334,7 @@ impl<T: Item> Network<T> {
             trace_query: None,
             next_trace_query: 0,
             cache_epoch: 0,
+            empty: PostingList::default(),
             rng: StdRng::seed_from_u64(0), // replaced below, after cfg move
         };
         net.rng = StdRng::seed_from_u64(net.cfg.seed);
@@ -680,9 +681,17 @@ impl<T: Item> Network<T> {
         self.charge(MsgKind::Result, from, to, payload);
     }
 
-    fn charge_scan(&mut self, peer: PeerId, touched: u64) {
-        self.metrics.local_items_scanned += touched;
-        if let Some(s) = &mut self.sink {
+    /// Local scan work at `peer`. Takes the two fields it charges instead
+    /// of `&mut self`, so a scan can be charged while its run is still
+    /// borrowed from the peer table.
+    fn charge_scan(
+        metrics: &mut Metrics,
+        sink: &mut Option<Box<dyn EventSink>>,
+        peer: PeerId,
+        touched: u64,
+    ) {
+        metrics.local_items_scanned += touched;
+        if let Some(s) = sink {
             s.local_work(peer, touched);
         }
     }
@@ -1082,7 +1091,7 @@ impl<T: Item> Network<T> {
     pub fn retrieve_list(&mut self, from: PeerId, key: &Key) -> Result<PostingList<T>, RouteError> {
         let mut lists = self.retrieve_lists(from, key)?;
         Ok(match lists.len() {
-            0 => PostingList::default(),
+            0 => Arc::clone(&self.empty),
             1 => lists.pop().expect("len checked"),
             _ => Arc::new(lists.iter().flat_map(|l| l.iter().cloned()).collect()),
         })
@@ -1135,18 +1144,14 @@ impl<T: Item> Network<T> {
     /// Prefix-scan one key at `responder`, returning a shared list. When
     /// the prefix matches exactly one stored run entry (the common case:
     /// probes use exact gram/attribute keys) the reply *is* the stored
-    /// list — an `Arc` clone, no item copies; only multi-entry prefix hits
-    /// flatten into a fresh list.
+    /// list and a miss is the network's one empty list — handle clones, no
+    /// allocation; only multi-entry prefix hits flatten into a fresh list.
     fn scan_prefix_list(&mut self, responder: PeerId, key: &Key) -> PostingList<T> {
-        let run = self.peers[responder.index()].store.prefix_entries(key);
-        let touched = run.len() as u64;
-        let list = match run {
-            [] => PostingList::default(),
+        match self.local_prefix_run(responder, key) {
+            [] => Arc::clone(&self.empty),
             [(_, only)] => Arc::clone(only),
-            many => Arc::new(many.iter().flat_map(|(_, l)| l.iter().cloned()).collect()),
-        };
-        self.charge_scan(responder, touched);
-        list
+            many => Arc::new(run_items(many).cloned().collect()),
+        }
     }
 
     /// The owner-side half of every multi-key retrieve shape: prefix-scan
@@ -1154,9 +1159,11 @@ impl<T: Item> Network<T> {
     /// combined per-key lists to `from` as **one** reply message carrying
     /// the summed payload. [`Self::retrieve_lists`]'s shower branches call
     /// it with a single key per responder; [`Self::retrieve_multi_lists`]
-    /// with the whole coalesced batch at one owner. Replies share the
-    /// stored lists (zero-copy; see [`Self::scan_prefix_list`]).
-    fn scan_keys_and_reply_lists(
+    /// with the whole coalesced batch at one owner; an operator that already
+    /// knows the owner (a probe riding an open channel) calls it directly.
+    /// Replies share the stored lists: a single-entry hit *is* the stored
+    /// list and a miss the network's one empty list (handle clones).
+    pub fn scan_keys_and_reply_lists(
         &mut self,
         responder: PeerId,
         from: PeerId,
@@ -1213,7 +1220,7 @@ impl<T: Item> Network<T> {
                 }
             };
             let (items, touched) = self.peers[responder.index()].scan_range(lo, hi);
-            self.charge_scan(responder, touched);
+            Self::charge_scan(&mut self.metrics, &mut self.sink, responder, touched);
             let payload: usize = items.iter().map(Item::size_bytes).sum();
             if responder != from {
                 self.charge_result(responder, from, payload);
@@ -1244,26 +1251,15 @@ impl<T: Item> Network<T> {
 
     /// Multi-key retrieve: one routed query chain carrying several exact
     /// keys that all map to the **same partition**, answered by one
-    /// combined reply with the per-key item lists (prefix-extension
-    /// semantics per key, matching [`Self::retrieve`]). This is the wire
-    /// primitive behind cross-query probe coalescing: `n` probes to the
-    /// same partition cost one route and one reply instead of `n` of each.
-    /// Returns the answering peer so callers can fan the payload onward.
+    /// combined reply with the per-key lists (prefix-extension semantics
+    /// per key, matching [`Self::retrieve`]; shared references to the
+    /// stored runs, not copies). This is the wire primitive behind
+    /// cross-query probe coalescing: `n` probes to the same partition cost
+    /// one route and one reply instead of `n` of each. Returns the answering
+    /// peer so callers can fan the payload onward.
     ///
     /// # Panics
     /// Debug-asserts that every key lands in the partition of `keys[0]`.
-    pub fn retrieve_multi(
-        &mut self,
-        from: PeerId,
-        keys: &[Key],
-    ) -> Result<(PeerId, KeyedItems<T>), RouteError> {
-        let (owner, lists) = self.retrieve_multi_lists(from, keys)?;
-        Ok((owner, lists.into_iter().map(|(k, l)| (k, l.as_slice().to_vec())).collect()))
-    }
-
-    /// Zero-copy form of [`Self::retrieve_multi`]: the per-key lists are
-    /// shared references to the stored runs ([`Self::retrieve_multi`] is a
-    /// copying wrapper for callers that need owned vectors).
     pub fn retrieve_multi_lists(
         &mut self,
         from: PeerId,
@@ -1280,24 +1276,13 @@ impl<T: Item> Network<T> {
     }
 
     /// Local prefix scan at `peer` — free of messages, but accounted as
-    /// local work (and as CPU occupancy on the virtual clock).
-    pub fn local_prefix_scan(&mut self, peer: PeerId, key: &Key) -> Vec<T> {
-        let (items, touched) = self.peers[peer.index()].scan_prefix(key);
-        self.charge_scan(peer, touched);
-        items
-    }
-
-    /// Zero-copy local prefix scan: the shared list under `key` at `peer`
-    /// (same accounting as [`Self::local_prefix_scan`]).
-    pub fn local_prefix_list(&mut self, peer: PeerId, key: &Key) -> PostingList<T> {
-        self.scan_prefix_list(peer, key)
-    }
-
-    /// Local range scan at `peer`.
-    pub fn local_range_scan(&mut self, peer: PeerId, lo: &Key, hi: &Key) -> Vec<T> {
-        let (items, touched) = self.peers[peer.index()].scan_range(lo, hi);
-        self.charge_scan(peer, touched);
-        items
+    /// local work (and as CPU occupancy on the virtual clock). The stored
+    /// entries are lent, not copied: callers filter the borrowed items
+    /// ([`run_items`]) and clone only the survivors.
+    pub fn local_prefix_run(&mut self, peer: PeerId, key: &Key) -> &Run<T> {
+        let run = self.peers[peer.index()].prefix_entries(key);
+        Self::charge_scan(&mut self.metrics, &mut self.sink, peer, run.len() as u64);
+        run
     }
 
     /// Alive member of a partition (for fan-out planning by operators).
@@ -1584,7 +1569,7 @@ mod tests {
             .unwrap();
 
         net.reset_metrics();
-        let (_owner, multi) = net.retrieve_multi(from, &keys).expect("route");
+        let (_owner, multi) = net.retrieve_multi_lists(from, &keys).expect("route");
         let multi_msgs = net.metrics().messages;
 
         net.reset_metrics();
@@ -1596,7 +1581,7 @@ mod tests {
 
         for ((mk, mv), (sk, sv)) in multi.iter().zip(&singles) {
             assert_eq!(mk, sk);
-            assert_eq!(mv, sv, "multi-key retrieve must return per-key lists verbatim");
+            assert_eq!(**mv, *sv, "multi-key retrieve must return per-key lists verbatim");
         }
         assert!(
             multi_msgs < single_msgs,

@@ -18,7 +18,7 @@
 //! megabytes, not gigabytes.
 
 use crate::key::Key;
-use crate::store::{PartitionStore, PostingList, SharedKey};
+use crate::store::{run_items, PartitionStore, Run, SharedKey};
 use std::sync::Arc;
 
 /// Dense peer identifier (index into the network's peer table).
@@ -75,39 +75,23 @@ impl<T: Item> Peer<T> {
         self.store.insert(key, item);
     }
 
-    /// All items whose key has `key` as a prefix (the `key(d) ⊇ key` match
-    /// of Algorithm 1, line 2). Returns the number of store entries touched
-    /// alongside the items, for local-scan accounting.
-    pub fn scan_prefix(&self, key: &Key) -> (Vec<T>, u64) {
-        let run = self.store.prefix_entries(key);
-        let out = run.iter().flat_map(|(_, l)| l.iter().cloned()).collect();
-        (out, run.len() as u64)
-    }
-
-    /// Zero-copy prefix scan: the matching sub-run of `(key, list)` pairs.
-    pub fn prefix_entries(&self, key: &Key) -> &[(SharedKey, PostingList<T>)] {
+    /// The stored entries whose key has `key` as a prefix (the `key(d) ⊇
+    /// key` match of Algorithm 1, line 2), lent out uncopied; the entry
+    /// count is what local-scan accounting charges as touched.
+    pub fn prefix_entries(&self, key: &Key) -> &Run<T> {
         self.store.prefix_entries(key)
     }
 
     /// Number of items whose key has `key` as a prefix, without cloning
     /// them — free local introspection for cardinality estimation.
     pub fn count_prefix(&self, key: &Key) -> usize {
-        self.store.prefix_entries(key).iter().map(|(_, l)| l.len()).sum()
+        run_items(self.store.prefix_entries(key)).count()
     }
 
     /// All items with `lo <= key <= hi`.
     pub fn scan_range(&self, lo: &Key, hi: &Key) -> (Vec<T>, u64) {
         let run = self.store.range_entries(lo, hi);
-        let out = run.iter().flat_map(|(_, l)| l.iter().cloned()).collect();
-        (out, run.len() as u64)
-    }
-
-    /// Exact-key items.
-    pub fn scan_exact(&self, key: &Key) -> (Vec<T>, u64) {
-        match self.store.exact_entry(key) {
-            Some(list) => (list.as_slice().to_vec(), 1),
-            None => (Vec::new(), 0),
-        }
+        (run_items(run).cloned().collect(), run.len() as u64)
     }
 
     /// Number of stored (key, item) pairs.
@@ -145,18 +129,17 @@ mod tests {
     #[test]
     fn prefix_scan_matches_extension_semantics() {
         let p = peer();
-        let (hits, touched) = p.scan_prefix(&hash_str("alp"));
-        let mut names: Vec<_> = hits.iter().map(|s| s.0).collect();
-        names.sort_unstable();
+        let run = p.prefix_entries(&hash_str("alp"));
+        let names: Vec<_> = run_items(run).map(|s| s.0).collect();
         assert_eq!(names, vec!["alp", "alpha", "alpine"]);
-        assert_eq!(touched, 3);
+        assert_eq!(run.len(), 3);
     }
 
     #[test]
     fn exact_scan() {
         let p = peer();
-        assert_eq!(p.scan_exact(&hash_str("beta")).0, vec![S("beta")]);
-        assert!(p.scan_exact(&hash_str("delta")).0.is_empty());
+        assert_eq!(**p.store.exact_entry(&hash_str("beta")).unwrap(), vec![S("beta")]);
+        assert!(p.store.exact_entry(&hash_str("delta")).is_none());
     }
 
     #[test]
@@ -172,7 +155,7 @@ mod tests {
     fn multiple_items_same_key() {
         let mut p = peer();
         p.insert(hash_str("beta"), S("beta"));
-        assert_eq!(p.scan_exact(&hash_str("beta")).0.len(), 2);
+        assert_eq!(p.store.exact_entry(&hash_str("beta")).unwrap().len(), 2);
         assert_eq!(p.item_count(), 6);
     }
 

@@ -196,6 +196,7 @@ impl<T: Item> Network<T> {
             trace_query: None,
             next_trace_query,
             cache_epoch,
+            empty: PostingList::default(),
             rng: StdRng::from_state_words(rng),
         }
     }

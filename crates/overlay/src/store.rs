@@ -36,6 +36,15 @@ pub type SharedKey = Arc<Key>;
 /// hold clones of the `Arc`, never copies of the items.
 pub type PostingList<T> = Arc<Vec<T>>;
 
+/// A contiguous stretch of a [`SortedStore`]: what the scans lend out.
+pub type Run<T> = [(SharedKey, PostingList<T>)];
+
+/// The items of `run` in scan order (key order, publication order within
+/// a key), borrowed — callers filter first and clone only what they keep.
+pub fn run_items<T>(run: &Run<T>) -> impl Iterator<Item = &T> {
+    run.iter().flat_map(|(_, list)| list.iter())
+}
+
 /// One sorted run of `(key, posting-list)` entries — the store of one
 /// partition, shared by all of its structural replicas.
 ///
@@ -70,7 +79,7 @@ impl<T: Item> SortedStore<T> {
     }
 
     /// The full sorted run.
-    pub fn entries(&self) -> &[(SharedKey, PostingList<T>)] {
+    pub fn entries(&self) -> &Run<T> {
         &self.entries
     }
 
@@ -100,14 +109,14 @@ impl<T: Item> SortedStore<T> {
 
     /// The contiguous sub-run of entries whose key has `key` as a prefix.
     /// Zero-copy: the caller clones the `Arc`s it wants to keep.
-    pub fn prefix_entries(&self, key: &Key) -> &[(SharedKey, PostingList<T>)] {
+    pub fn prefix_entries(&self, key: &Key) -> &Run<T> {
         let s = self.lower_bound(key);
         let e = s + self.entries[s..].partition_point(|(k, _)| key.is_prefix_of(k));
         &self.entries[s..e]
     }
 
     /// The contiguous sub-run with `lo <= key <= hi` (both inclusive).
-    pub fn range_entries(&self, lo: &Key, hi: &Key) -> &[(SharedKey, PostingList<T>)] {
+    pub fn range_entries(&self, lo: &Key, hi: &Key) -> &Run<T> {
         let s = self.lower_bound(lo);
         let e = s + self.entries[s..].partition_point(|(k, _)| **k <= *hi);
         &self.entries[s..e]
@@ -125,7 +134,7 @@ impl<T: Item> SortedStore<T> {
 
     /// Total payload bytes, for storage-overhead accounting.
     pub fn stored_bytes(&self) -> u64 {
-        self.entries.iter().flat_map(|(_, l)| l.iter()).map(|i| i.size_bytes() as u64).sum()
+        run_items(&self.entries).map(|i| i.size_bytes() as u64).sum()
     }
 }
 

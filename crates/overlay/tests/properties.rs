@@ -5,8 +5,11 @@ use proptest::prelude::*;
 use sqo_overlay::hash::{hash_i64, hash_str};
 use sqo_overlay::key::Key;
 use sqo_overlay::network::{Network, NetworkConfig};
-use sqo_overlay::peer::Item;
+use sqo_overlay::peer::{Item, PeerId};
 use sqo_overlay::trie::{build_partitions, find_partition, is_complete_cover};
+use sqo_overlay::{run_items, EventSink, MsgKind, SimLatency};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct S(String);
@@ -14,6 +17,32 @@ impl Item for S {
     fn size_bytes(&self) -> usize {
         self.0.len()
     }
+}
+
+/// An event sink that only logs what it is charged.
+#[derive(Default)]
+struct ChargeLog {
+    local_work: Rc<RefCell<Vec<(PeerId, u64)>>>,
+    messages: Rc<RefCell<u64>>,
+}
+impl EventSink for ChargeLog {
+    fn begin_query(&mut self) {}
+    fn end_query(&mut self) -> SimLatency {
+        SimLatency::default()
+    }
+    fn deliver(&mut self, _from: PeerId, _to: PeerId, _bytes: usize, _kind: MsgKind) {
+        *self.messages.borrow_mut() += 1;
+    }
+    fn local_work(&mut self, peer: PeerId, items: u64) {
+        self.local_work.borrow_mut().push((peer, items));
+    }
+    fn fork(&mut self) {}
+    fn branch(&mut self) {}
+    fn join(&mut self) {}
+    fn now_us(&self) -> u64 {
+        0
+    }
+    fn reset_to_us(&mut self, _t_us: u64) {}
 }
 
 fn bits() -> impl Strategy<Value = Vec<bool>> {
@@ -113,6 +142,43 @@ proptest! {
             let got = net.retrieve(from, &hash_str(w)).expect("routing failed");
             prop_assert!(got.contains(&S(w.clone())), "missing {w}");
         }
+    }
+
+    /// The borrowing local scan lends out exactly what the store holds
+    /// under the prefix — same items, same order — and charges exactly one
+    /// local scan of `touched = entries` to the metrics and to the sink,
+    /// with no message.
+    #[test]
+    fn local_prefix_run_lends_the_stored_entries_and_charges_one_scan(
+        words in prop::collection::vec("[a-c]{1,5}", 1..80),
+        prefix in "[a-c]{0,3}",
+        peers in 1usize..40,
+        replication in 1usize..4,
+        seed in 0u64..50,
+        at in any::<u32>(),
+    ) {
+        let data: Vec<(Key, S)> = words.iter().map(|w| (hash_str(w), S(w.clone()))).collect();
+        let cfg = NetworkConfig { peers, replication, seed, ..Default::default() };
+        let mut net = Network::build(cfg, data);
+        let log = ChargeLog::default();
+        let (work, messages) = (Rc::clone(&log.local_work), Rc::clone(&log.messages));
+        net.set_event_sink(Box::new(log));
+        let peer = PeerId(at % net.peer_count() as u32);
+        let key = hash_str(&prefix);
+
+        let stored = net.peer(peer).store.prefix_entries(&key);
+        let touched = stored.len() as u64;
+        let expect: Vec<S> = stored.iter().flat_map(|(_, list)| list.iter().cloned()).collect();
+        prop_assert!(expect.iter().all(|s| s.0.starts_with(&prefix)));
+
+        let before = *net.metrics();
+        let lent: Vec<S> = run_items(net.local_prefix_run(peer, &key)).cloned().collect();
+        prop_assert_eq!(lent, expect);
+        let delta = net.metrics().delta(&before);
+        prop_assert_eq!(delta.local_items_scanned, touched);
+        prop_assert_eq!((delta.messages, delta.bytes), (0, 0));
+        prop_assert_eq!(&*work.borrow(), &vec![(peer, touched)]);
+        prop_assert_eq!(*messages.borrow(), 0);
     }
 
     /// Replica fallback under heavy churn: kill up to all-but-one member of

@@ -160,9 +160,11 @@ impl<'a> Dec<'a> {
         let n = self.usize()?;
         self.take(n)
     }
+    pub fn str(&mut self) -> R<&'a str> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| SnapError::Corrupt("invalid utf-8"))
+    }
     pub fn string(&mut self) -> R<String> {
-        let b = self.bytes()?;
-        String::from_utf8(b.to_vec()).map_err(|_| SnapError::Corrupt("invalid utf-8"))
+        self.str().map(str::to_string)
     }
     /// Sequence length with a sanity bound: a sequence of `len` elements
     /// needs at least `len` bytes of input, so a corrupt length can never
@@ -329,11 +331,11 @@ fn de_posting(d: &mut Dec<'_>, table: &[TripleRef]) -> R<Posting> {
         },
         1 => Posting::InstanceGram {
             triple,
-            gram: d.string()?,
+            gram: d.str()?.into(),
             pos: d.u32()?,
             carries_value: d.bool()?,
         },
-        2 => Posting::SchemaGram { triple, gram: d.string()?, pos: d.u32()? },
+        2 => Posting::SchemaGram { triple, gram: d.str()?.into(), pos: d.u32()? },
         3 => Posting::ShortValue { triple },
         4 => Posting::ShortAttr { triple },
         _ => return Err(SnapError::Corrupt("posting tag out of range")),

@@ -1,14 +1,17 @@
 //! Index postings — what actually gets stored in the overlay.
 //!
 //! All postings referencing the same logical triple share one allocation
-//! (`TripleRef = Arc<Triple>`); a q-gram posting adds only the gram text and
-//! its position. Size accounting follows the paper's wire format: an
+//! (`TripleRef = Arc<Triple>`); a q-gram posting adds only the gram text
+//! (a shared `Arc<str>`) and its position, so cloning any posting is a
+//! couple of reference-count bumps and never allocates. Size accounting follows the paper's wire format: an
 //! instance-gram posting ships `(oid, A, q)` (Algorithm 2 reads the gram
 //! from component 3), a schema-gram posting ships `(oid, q_A, v)` (the gram
 //! in component 2, the full value retained).
 
-use crate::triple::{Triple, TripleRef, Value};
+use crate::triple::{AttrName, Triple, TripleRef, Value};
 use sqo_overlay::peer::Item;
+use sqo_strsim::filters::char_len;
+use std::sync::Arc;
 
 /// Which base index a base posting belongs to (useful for storage-overhead
 /// accounting; retrieval tells them apart by key family already).
@@ -30,10 +33,10 @@ pub enum Posting {
     /// (§4's "storing complete strings together with q-grams" suggestion:
     /// bigger postings, but candidates can be verified before any object
     /// fetch).
-    InstanceGram { triple: TripleRef, gram: String, pos: u32, carries_value: bool },
+    InstanceGram { triple: TripleRef, gram: Arc<str>, pos: u32, carries_value: bool },
     /// Schema-level gram posting under `key(gram)`: conceptually
     /// `(oid, gram_of_A, v)` plus the position of the gram in the name.
-    SchemaGram { triple: TripleRef, gram: String, pos: u32 },
+    SchemaGram { triple: TripleRef, gram: Arc<str>, pos: u32 },
     /// String value shorter than q, under the short-value family.
     ShortValue { triple: TripleRef },
     /// Attribute name shorter than q, under the short-attr family.
@@ -62,10 +65,8 @@ impl Posting {
     /// instance grams, the attribute name for schema grams.
     pub fn source_len(&self) -> Option<usize> {
         match self {
-            Posting::InstanceGram { triple, .. } => {
-                triple.value.as_str().map(|s| s.chars().count())
-            }
-            Posting::SchemaGram { triple, .. } => Some(triple.attr.as_str().chars().count()),
+            Posting::InstanceGram { triple, .. } => triple.value.as_str().map(char_len),
+            Posting::SchemaGram { triple, .. } => Some(char_len(triple.attr.as_str())),
             _ => None,
         }
     }
@@ -129,14 +130,16 @@ impl PartialEq for Posting {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Object {
     pub oid: String,
-    pub fields: Vec<(crate::triple::AttrName, Value)>,
+    pub fields: Vec<(AttrName, Value)>,
 }
 
 impl Object {
-    /// Assemble from oid-index postings. Postings for other oids are
-    /// ignored; duplicate (attr, value) pairs (replica returns) collapse.
-    pub fn from_postings(oid: &str, postings: &[Posting]) -> Object {
-        let mut fields: Vec<(crate::triple::AttrName, Value)> = Vec::new();
+    /// Assemble from oid-index postings — borrowed, so callers hand over
+    /// a stored run as-is instead of a flattened copy. Postings for other
+    /// oids are ignored; duplicate (attr, value) pairs (replica returns)
+    /// collapse.
+    pub fn from_postings<'a>(oid: &str, postings: impl IntoIterator<Item = &'a Posting>) -> Object {
+        let mut fields: Vec<(AttrName, Value)> = Vec::new();
         for p in postings {
             if let Posting::Base { triple, .. } = p {
                 if triple.oid == oid

@@ -15,7 +15,7 @@ use crate::posting::{BaseKind, Posting};
 use crate::triple::{Row, Triple, Value};
 use sqo_overlay::key::Key;
 use sqo_overlay::peer::Item;
-use sqo_strsim::qgram::qgrams;
+use sqo_strsim::qgram::qgram_slices;
 use std::sync::Arc;
 
 /// Indexing parameters.
@@ -77,6 +77,13 @@ impl PublishStats {
     }
 }
 
+/// The positional q-grams of `s` in the form postings hold them. Collected
+/// before any key is built so the grams of one string — and then its keys,
+/// which the bulk-load sort walks — are allocated back to back.
+fn shared_grams(s: &str, q: usize) -> Vec<(Arc<str>, u32)> {
+    qgram_slices(s, q).map(|(gram, pos)| (gram.into(), pos)).collect()
+}
+
 /// All (key, posting) pairs for one triple.
 pub fn postings_for_triple(triple: &Triple, cfg: &PublishConfig) -> Vec<(Key, Posting)> {
     let tr = Arc::new(triple.clone());
@@ -98,7 +105,7 @@ pub fn postings_for_triple(triple: &Triple, cfg: &PublishConfig) -> Vec<(Key, Po
     // Instance-level grams for string values (§4).
     if cfg.instance_grams {
         if let Value::Str(s) = &tr.value {
-            let grams = qgrams(s, cfg.q);
+            let grams = shared_grams(s, cfg.q);
             if grams.is_empty() {
                 // |v| < q: the gram index cannot see it; the short-value
                 // family keeps similarity search complete.
@@ -106,18 +113,17 @@ pub fn postings_for_triple(triple: &Triple, cfg: &PublishConfig) -> Vec<(Key, Po
                     keys::short_value_key(tr.attr.as_str(), s),
                     Posting::ShortValue { triple: tr.clone() },
                 ));
-            } else {
-                for g in grams {
-                    out.push((
-                        keys::instance_gram_key(tr.attr.as_str(), &g.gram),
-                        Posting::InstanceGram {
-                            triple: tr.clone(),
-                            gram: g.gram,
-                            pos: g.pos,
-                            carries_value: cfg.grams_carry_value,
-                        },
-                    ));
-                }
+            }
+            for (gram, pos) in grams {
+                out.push((
+                    keys::instance_gram_key(tr.attr.as_str(), &gram),
+                    Posting::InstanceGram {
+                        triple: tr.clone(),
+                        gram,
+                        pos,
+                        carries_value: cfg.grams_carry_value,
+                    },
+                ));
             }
         }
     }
@@ -125,16 +131,15 @@ pub fn postings_for_triple(triple: &Triple, cfg: &PublishConfig) -> Vec<(Key, Po
     // Schema-level grams of the attribute name (§4).
     if cfg.schema_grams {
         let name = tr.attr.as_str();
-        let grams = qgrams(name, cfg.q);
+        let grams = shared_grams(name, cfg.q);
         if grams.is_empty() {
             out.push((keys::short_attr_key(name), Posting::ShortAttr { triple: tr.clone() }));
-        } else {
-            for g in grams {
-                out.push((
-                    keys::schema_gram_key(&g.gram),
-                    Posting::SchemaGram { triple: tr.clone(), gram: g.gram, pos: g.pos },
-                ));
-            }
+        }
+        for (gram, pos) in grams {
+            out.push((
+                keys::schema_gram_key(&gram),
+                Posting::SchemaGram { triple: tr.clone(), gram, pos },
+            ));
         }
     }
 

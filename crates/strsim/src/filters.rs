@@ -52,6 +52,18 @@ pub fn count_filter_threshold(len1: usize, len2: usize, q: usize, d: usize) -> i
     m - q as i64 + 1 - (d as i64) * (q as i64)
 }
 
+/// Length of `s` in characters, the unit the filters and edit distances
+/// count in. ASCII — the common case on the per-posting path — needs no
+/// decoding.
+#[inline]
+pub fn char_len(s: &str) -> usize {
+    if s.is_ascii() {
+        s.len()
+    } else {
+        s.chars().count()
+    }
+}
+
 /// Length filter: strings within edit distance `d` differ in length by at
 /// most `d`.
 #[inline]

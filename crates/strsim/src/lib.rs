@@ -37,7 +37,7 @@ pub mod qgram;
 pub mod qsample;
 
 pub use edit::{levenshtein, levenshtein_bounded, within_distance};
-pub use filters::{count_filter_threshold, length_filter, position_filter, FilterConfig};
+pub use filters::{char_len, count_filter_threshold, length_filter, position_filter, FilterConfig};
 pub use numeric::NumericInterval;
-pub use qgram::{padded_qgrams, qgrams, PositionalQGram};
+pub use qgram::{padded_qgrams, qgram_slices, qgrams, PositionalQGram};
 pub use qsample::{qsamples, MIN_SAMPLABLE_FACTOR};

@@ -42,16 +42,16 @@ impl PositionalQGram {
 /// assert!(qgrams("a", 2).is_empty());
 /// ```
 pub fn qgrams(s: &str, q: usize) -> Vec<PositionalQGram> {
+    qgram_slices(s, q).map(|(gram, pos)| PositionalQGram::new(gram, pos)).collect()
+}
+
+/// [`qgrams`] without the copies: each gram as a slice of `s` with its
+/// character offset, for callers that store grams in a form of their own.
+pub fn qgram_slices(s: &str, q: usize) -> impl Iterator<Item = (&str, u32)> {
     assert!(q >= 1, "q must be at least 1");
-    let chars: Vec<char> = s.chars().collect();
-    if chars.len() < q {
-        return Vec::new();
-    }
-    let mut out = Vec::with_capacity(chars.len() - q + 1);
-    for i in 0..=chars.len() - q {
-        out.push(PositionalQGram { gram: chars[i..i + q].iter().collect(), pos: i as u32 });
-    }
-    out
+    // Byte offset of every character boundary, the end of `s` included.
+    let bounds: Vec<usize> = s.char_indices().map(|(i, _)| i).chain([s.len()]).collect();
+    (0..bounds.len().saturating_sub(q)).map(move |i| (&s[bounds[i]..bounds[i + q]], i as u32))
 }
 
 /// Padded positional q-grams: the string is conceptually extended with

@@ -1,0 +1,91 @@
+//! Allocation budget for the operator hot path.
+//!
+//! The probe → aggregate → fetch pipeline reads stored postings where
+//! they lie and copies only what survives the filters (see
+//! `docs/PERFORMANCE.md`). Wall-clock benchmarks show the effect; this
+//! test guards the cause with an exact counter: a q-gram `similar` and a
+//! windowed `sim_join` on a fixed world must stay under a pinned number of
+//! heap allocations. The budgets sit ~25 % above what the borrowing
+//! pipeline needs (137 and 1 309) and far below what the cloning pipeline
+//! it replaced needed (784 and 12 087, 4.5× and 7.3× the budgets), so
+//! re-introducing a per-posting copy fails here before anyone has to read
+//! a profile.
+//!
+//! One `#[test]` only, and a per-thread counter: nothing else allocates on
+//! the counted thread, so the counts are exact and repeat.
+
+use sqo::core::EngineBuilder;
+use sqo::datasets::{bible_words, string_rows};
+use sqo::plan::{Query, Session};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAllocator;
+
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread's locals are torn
+    // down; a `Cell<u64>` has no destructor, but never panic in here.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the added counter bump neither
+// allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's `layout` obligations pass through as-is.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
+        // `layout`; the caller guarantees `new_size` is valid.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Heap allocations (incl. reallocations) `f` makes on this thread.
+fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let r = f();
+    (r, ALLOCATIONS.with(Cell::get) - before)
+}
+
+const SIMILAR_BUDGET: u64 = 175;
+const SIM_JOIN_BUDGET: u64 = 1_650;
+
+#[test]
+fn similar_and_sim_join_stay_within_their_allocation_budgets() {
+    let words = bible_words(2_000, 7);
+    let rows = string_rows("word", &words, "w");
+    let mut engine = EngineBuilder::new().peers(128).seed(11).q(2).build_with_rows(&rows);
+    let from = engine.random_peer();
+    let mut session = Session::new(&mut engine, from);
+
+    let similar = Query::similar(words[17].clone(), Some("word"), 1);
+    let (res, n) = allocations(|| session.run(&similar).expect("a valid plan"));
+    assert!(!res.rows.is_empty(), "the query string itself is stored");
+    assert!(n <= SIMILAR_BUDGET, "similar d=1 made {n} allocations, budget {SIMILAR_BUDGET}");
+
+    let join = Query::join_scan("word", Some("word"), 1).left_limit(Some(8)).window(8);
+    let (res, n) = allocations(|| session.run(&join).expect("a valid plan"));
+    assert!(res.rows.len() >= 8, "every left value joins at least itself");
+    assert!(n <= SIM_JOIN_BUDGET, "sim_join d=1 made {n} allocations, budget {SIM_JOIN_BUDGET}");
+}
