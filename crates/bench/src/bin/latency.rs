@@ -1,7 +1,7 @@
 //! CLI wrapper for the latency/throughput trajectory bench.
 //!
 //! ```text
-//! latency [--smoke] [--warm-checkpoint] [--out PATH] [--metrics PATH] [--trace PATH]
+//! latency [--smoke] [--out PATH] [--metrics PATH] [--trace PATH]
 //! ```
 //!
 //! Writes the artifact envelope (`schema_version`, `generated` metadata,
@@ -15,11 +15,9 @@
 //! blame profiler to every workload and dumps the Chrome `trace_event`
 //! export of the slowest retained query exemplar — open it in Perfetto to
 //! see exactly where the sweep's worst query spent its virtual time.
-//! `--warm-checkpoint` builds and publishes the world once, freezes it
-//! with `sqo-snap`, and forks every sweep cell off the warm checkpoint —
-//! the artifact is byte-identical to the cold rebuild-per-cell path
-//! (pinned by the bench tests); the logged engine-setup wall clock shows
-//! what the fork path saves.
+//! The world is built and published once, frozen with `sqo-snap`, and
+//! every sweep cell forks off that checkpoint; the engine-setup wall clock
+//! is logged to stderr.
 
 use sqo_bench::latency::{render, run_latency_sweep, LatencyBenchConfig, LatencyPoint};
 use sqo_bench::meta::{GenMeta, SCHEMA_VERSION};
@@ -34,9 +32,7 @@ struct LatencyArtifact {
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: latency [--smoke] [--warm-checkpoint] [--out PATH] [--metrics PATH] [--trace PATH]"
-    );
+    eprintln!("usage: latency [--smoke] [--out PATH] [--metrics PATH] [--trace PATH]");
     std::process::exit(2);
 }
 
@@ -60,13 +56,7 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--smoke" => {
-                cfg = LatencyBenchConfig {
-                    warm_checkpoint: cfg.warm_checkpoint,
-                    ..LatencyBenchConfig::smoke()
-                }
-            }
-            "--warm-checkpoint" => cfg.warm_checkpoint = true,
+            "--smoke" => cfg = LatencyBenchConfig::smoke(),
             "--out" => out = path_arg(&args, &mut i, "--out"),
             "--metrics" => metrics_out = Some(path_arg(&args, &mut i, "--metrics")),
             "--trace" => trace_out = Some(path_arg(&args, &mut i, "--trace")),
@@ -83,13 +73,8 @@ fn main() {
     print!("{}", render(&sweep.points));
     let cells = cfg.models.len() * cfg.client_counts.len() * cfg.combos.len();
     eprintln!(
-        "engine setup: {:.1} ms across {cells} cells ({})",
-        sweep.setup_wall_us as f64 / 1e3,
-        if cfg.warm_checkpoint {
-            "warm checkpoint: one build, forked per cell"
-        } else {
-            "cold: rebuilt per cell"
-        }
+        "engine setup: {:.1} ms across {cells} cells (one build, forked per cell)",
+        sweep.setup_wall_us as f64 / 1e3
     );
 
     let total_queries: usize = cfg.models.len()

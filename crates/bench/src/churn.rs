@@ -18,8 +18,8 @@ use sqo_core::{DegradePolicy, EngineBuilder, JoinWindow, SimilarityEngine, Strat
 use sqo_datasets::{bible_words, string_rows};
 use sqo_overlay::ReplicationPolicy;
 use sqo_sim::{
-    run_driver, ApiMode, Arrival, DriverConfig, DriverReport, FaultPlan, LatencyModel,
-    PhaseSummary, QueryKind, SimConfig,
+    run_driver, Arrival, DriverConfig, DriverReport, FaultPlan, LatencyModel, PhaseSummary,
+    QueryKind, SimConfig,
 };
 
 /// Sweep configuration.
@@ -213,7 +213,6 @@ pub fn run_churn_bench(cfg: &ChurnBenchConfig) -> Vec<ChurnPoint> {
                 faults: faults.clone(),
                 repair: repair.then_some(ReplicationPolicy { min_alive: cfg.min_alive }),
                 sticky_initiators: true,
-                api: ApiMode::Plan,
                 seed: cfg.seed,
                 ..DriverConfig::default()
             };

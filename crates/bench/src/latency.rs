@@ -1,35 +1,30 @@
 //! The latency/throughput trajectory bench: the §6 query mix driven as a
 //! concurrent workload under every latency model, at increasing client
 //! counts — swept over the hot-path services (`sqo-cache` off/on, Zipf-
-//! skewed workload), the query surface (legacy task construction vs the
-//! `sqo-plan` shim), and since the adaptive-execution work the **join
-//! window** (static 1 and 8 vs AIMD `auto`). Emits one JSON point per
-//! (model × clients × combo × operator), with per-operator overlay
-//! messages **and per-operator queue time** next to the percentiles, so
-//! both the "messages saved" by caching and the congestion response of
-//! the adaptive window are visible in the artifact. The
-//! `BENCH_latency.json` at the repository root is a committed run of the
-//! default configuration; the acceptance tests pin its claims.
+//! skewed workload) and the **join window** (static 1 and 8 vs AIMD
+//! `auto`). Emits one JSON point per (model × clients × combo ×
+//! operator), with per-operator overlay messages **and per-operator
+//! queue time** next to the percentiles, so both the "messages saved" by
+//! caching and the congestion response of the adaptive window are visible
+//! in the artifact. The `BENCH_latency.json` at the repository root is a
+//! committed run of the default configuration; the acceptance tests pin
+//! its claims.
 
 use serde::Serialize;
-use sqo_core::{BrokerConfig, EngineBuilder, JoinWindow, SimilarityEngine, Strategy};
+use sqo_core::{BrokerConfig, EngineBuilder, JoinWindow, Strategy};
 use sqo_datasets::{bible_words, string_rows};
 use sqo_obs::MetricsRegistry;
 use sqo_sim::{
-    run_driver, ApiMode, Arrival, DriverConfig, DriverReport, LatencyModel, QueryKind, SimConfig,
+    run_driver, Arrival, DriverConfig, DriverReport, LatencyModel, QueryKind, SimConfig,
 };
 
-/// One sweep cell: service configuration × query surface × join window.
+/// One sweep cell: service configuration × join window.
 #[derive(Debug, Clone)]
 pub struct SweepCombo {
     /// Hot-path service mode label ("off" / "on").
     pub cache_label: &'static str,
     /// Hot-path service configuration.
     pub cache: BrokerConfig,
-    /// Query-surface label ("legacy" / "plan").
-    pub api_label: &'static str,
-    /// Query-surface dispatch mode.
-    pub api: ApiMode,
     /// Join-window label ("w1" / "w8" / "auto").
     pub window_label: &'static str,
     /// Join-window mode the mix's simjoin template runs with.
@@ -39,10 +34,9 @@ pub struct SweepCombo {
 impl SweepCombo {
     fn new(
         (cache_label, cache): (&'static str, BrokerConfig),
-        (api_label, api): (&'static str, ApiMode),
         (window_label, window): (&'static str, JoinWindow),
     ) -> Self {
-        Self { cache_label, cache, api_label, api, window_label, window }
+        Self { cache_label, cache, window_label, window }
     }
 }
 
@@ -56,7 +50,7 @@ pub struct LatencyBenchConfig {
     pub queries_per_client: usize,
     pub mean_interarrival_us: u64,
     pub models: Vec<LatencyModel>,
-    /// The (cache, api, window) cells swept per model × client count.
+    /// The (cache, window) cells swept per model × client count.
     pub combos: Vec<SweepCombo>,
     /// Query-string skew: `0.0` picks uniformly from the pool; `> 0.0`
     /// draws string ranks from a Zipf distribution with this exponent —
@@ -72,32 +66,18 @@ pub struct LatencyBenchConfig {
     /// exemplar across the whole sweep ([`LatencySweep::slowest_trace`]).
     /// Off by default: the sweep runs sink-free and pays nothing.
     pub trace: bool,
-    /// Build and publish the world **once**, freeze it with
-    /// [`sqo_snap::Snapshot::capture`], and fork every sweep cell's engine
-    /// off the warm checkpoint instead of rebuilding per cell. The sweep
-    /// artifact is byte-identical either way (a restored world continues
-    /// the build's RNG stream exactly — `sqo-snap`'s round-trip suite pins
-    /// it, and this module's tests pin the sweep equality); only the
-    /// wall-clock setup cost changes ([`LatencySweep::setup_wall_us`]).
-    pub warm_checkpoint: bool,
 }
 
-/// The default sweep cells: the legacy-vs-plan A/B at the w1 baseline
-/// (pinning the plan shim's zero overhead), plus the window sweep
-/// (w1 / w8 / auto) on the plan surface — each crossed with cache off/on.
+/// The default sweep cells: the window sweep (w1 / w8 / auto) crossed with
+/// cache off/on.
 fn default_combos() -> Vec<SweepCombo> {
     let caches = [("off", BrokerConfig::default()), ("on", BrokerConfig::enabled())];
-    let w1 = ("w1", JoinWindow::Fixed(1));
-    let w8 = ("w8", JoinWindow::Fixed(8));
-    let auto = ("auto", JoinWindow::auto());
-    let mut combos = Vec::new();
-    for cache in caches {
-        combos.push(SweepCombo::new(cache, ("legacy", ApiMode::Legacy), w1));
-        for window in [w1, w8, auto] {
-            combos.push(SweepCombo::new(cache, ("plan", ApiMode::Plan), window));
-        }
-    }
-    combos
+    let windows =
+        [("w1", JoinWindow::Fixed(1)), ("w8", JoinWindow::Fixed(8)), ("auto", JoinWindow::auto())];
+    caches
+        .into_iter()
+        .flat_map(|cache| windows.into_iter().map(move |window| SweepCombo::new(cache, window)))
+        .collect()
 }
 
 impl Default for LatencyBenchConfig {
@@ -120,7 +100,6 @@ impl Default for LatencyBenchConfig {
             strategy: Strategy::QGrams,
             seed: 73,
             trace: false,
-            warm_checkpoint: false,
         }
     }
 }
@@ -149,9 +128,6 @@ pub struct LatencyPoint {
     pub clients: usize,
     /// Hot-path service mode label ("off" / "on").
     pub cache: String,
-    /// Query-surface label ("legacy" = direct task construction, "plan" =
-    /// dispatch through prepared logical plans).
-    pub api: String,
     /// Join-window label ("w1" / "w8" = static, "auto" = AIMD).
     pub window: String,
     pub operator: String,
@@ -183,11 +159,6 @@ pub struct LatencyPoint {
     pub messages_saved: u64,
 }
 
-fn fresh_engine(cfg: &LatencyBenchConfig, words: &[String]) -> SimilarityEngine {
-    let rows = string_rows("word", words, "w");
-    EngineBuilder::new().peers(cfg.peers).q(2).seed(cfg.seed).build_with_rows(&rows)
-}
-
 fn points_of(
     report: &DriverReport,
     model: &LatencyModel,
@@ -201,7 +172,6 @@ fn points_of(
             model: model.label().to_string(),
             clients,
             cache: combo.cache_label.to_string(),
-            api: combo.api_label.to_string(),
             window: combo.window_label.to_string(),
             operator: op.operator.clone(),
             count: op.summary.count,
@@ -235,11 +205,8 @@ pub struct LatencySweep {
     /// across the sweep (`Some` only when
     /// [`LatencyBenchConfig::trace`] is set and at least one query ran).
     pub slowest_trace: Option<String>,
-    /// Wall-clock µs spent acquiring engines across the sweep: per-cell
-    /// rebuilds in cold mode, or the one-time build + capture plus
-    /// per-cell restores in warm-checkpoint mode. The cold/warm delta is
-    /// what `--warm-checkpoint` buys (the driven workloads themselves are
-    /// identical byte for byte).
+    /// Wall-clock µs spent acquiring engines across the sweep: the
+    /// one-time build + capture plus the per-cell restores.
     pub setup_wall_us: u64,
 }
 
@@ -249,25 +216,23 @@ pub fn run_latency_sweep(cfg: &LatencyBenchConfig) -> LatencySweep {
     let mut out = Vec::new();
     let mut metrics = MetricsRegistry::new();
     let mut slowest: Option<(u64, String)> = None;
-    let mut setup_wall = std::time::Duration::ZERO;
-    // Warm-checkpoint mode: one build, one capture, then every cell is a
-    // fork of the frozen world instead of a from-scratch publication.
-    let template = cfg.warm_checkpoint.then(|| {
-        let t = std::time::Instant::now();
-        let engine = fresh_engine(cfg, &words);
-        let snap = sqo_snap::Snapshot::capture(&engine);
-        let engine_cfg = engine.config().clone();
-        setup_wall += t.elapsed();
-        (snap, engine_cfg)
-    });
+    // One build, one capture, then every cell is a fork of the frozen
+    // world instead of a from-scratch publication (a restored world
+    // continues the build's RNG stream exactly — `sqo-snap`'s round-trip
+    // suite pins it).
+    let t = std::time::Instant::now();
+    let (snap, engine_cfg) = {
+        let rows = string_rows("word", &words, "w");
+        let template =
+            EngineBuilder::new().peers(cfg.peers).q(2).seed(cfg.seed).build_with_rows(&rows);
+        (sqo_snap::Snapshot::capture(&template), template.config().clone())
+    };
+    let mut setup_wall = t.elapsed();
     for model in &cfg.models {
         for &clients in &cfg.client_counts {
             for combo in &cfg.combos {
                 let t = std::time::Instant::now();
-                let mut engine = match &template {
-                    Some((snap, engine_cfg)) => snap.restore_engine(engine_cfg),
-                    None => fresh_engine(cfg, &words),
-                };
+                let mut engine = snap.restore_engine(&engine_cfg);
                 setup_wall += t.elapsed();
                 let profiler = cfg.trace.then(|| sqo_obs::BlameProfiler::shared(3));
                 if let Some(p) = &profiler {
@@ -291,8 +256,6 @@ pub fn run_latency_sweep(cfg: &LatencyBenchConfig) -> LatencySweep {
                     cache: combo.cache,
                     zipf_s: cfg.zipf_s,
                     sticky_initiators: cfg.sticky_initiators,
-                    api: combo.api,
-                    shards: 1,
                     seed: cfg.seed,
                 };
                 let report = run_driver(&mut engine, "word", &words, &driver_cfg);
@@ -330,17 +293,15 @@ pub fn run_latency_bench(cfg: &LatencyBenchConfig) -> Vec<LatencyPoint> {
 /// Human-readable table of a sweep.
 pub fn render(points: &[LatencyPoint]) -> String {
     let mut s = String::from(
-        "model      clients cache api    window operator  count   p50(ms)   p95(ms)   p99(ms)   \
-         msgs  queue(ms)  hit%\n",
+        "model      clients cache window operator  count   p50(ms)   p95(ms)   p99(ms)   msgs  \
+         queue(ms)  hit%\n",
     );
     for p in points {
         s.push_str(&format!(
-            "{:<10} {:>7} {:<5} {:<6} {:<6} {:<9} {:>5} {:>9.2} {:>9.2} {:>9.2} {:>6} {:>10.1} \
-             {:>5.1}\n",
+            "{:<10} {:>7} {:<5} {:<6} {:<9} {:>5} {:>9.2} {:>9.2} {:>9.2} {:>6} {:>10.1} {:>5.1}\n",
             p.model,
             p.clients,
             p.cache,
-            p.api,
             p.window,
             p.operator,
             p.count,
@@ -375,8 +336,8 @@ mod tests {
             ..LatencyBenchConfig::default()
         };
         let a = run_latency_bench(&cfg);
-        // 2 models x 1 client count x 8 combos x 4 operators.
-        assert_eq!(a.len(), 64);
+        // 2 models x 1 client count x 6 combos x 4 operators.
+        assert_eq!(a.len(), 48);
         for p in &a {
             assert!(p.count > 0);
             assert!(p.p50_us <= p.p99_us);
@@ -397,38 +358,12 @@ mod tests {
         );
         // Queue time is per-operator now: rows of one run must not all
         // carry the same figure (the old run-wide duplication).
-        let c = |p: &&LatencyPoint| p.model == "constant" && p.cache == "off" && p.api == "plan";
+        let c = |p: &&LatencyPoint| p.model == "constant" && p.cache == "off";
         let queue: Vec<u64> = a.iter().filter(c).map(|p| p.queue_us).collect();
         assert!(
             queue.iter().any(|q| q != &queue[0]),
             "per-operator queue attribution must differ across operators: {queue:?}"
         );
-        // The plan column must sit on top of the legacy-shim column at the
-        // shared w1 baseline: dispatching through prepared plans adds no
-        // virtual-time overhead (pinned at 0 by construction — both
-        // surfaces drive identical stepped tasks).
-        for p in a.iter().filter(|p| p.api == "plan" && p.window == "w1") {
-            let legacy = a
-                .iter()
-                .find(|l| {
-                    l.api == "legacy"
-                        && l.window == "w1"
-                        && l.model == p.model
-                        && l.clients == p.clients
-                        && l.cache == p.cache
-                        && l.operator == p.operator
-                })
-                .expect("matching legacy point");
-            let tolerance = (legacy.p50_us as f64 * 0.02).max(1.0);
-            assert!(
-                (p.p50_us as f64 - legacy.p50_us as f64).abs() <= tolerance,
-                "plan p50 {} vs legacy p50 {} for {}/{}",
-                p.p50_us,
-                legacy.p50_us,
-                p.model,
-                p.operator
-            );
-        }
         let b = run_latency_bench(&cfg);
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
@@ -436,27 +371,5 @@ mod tests {
             "bench sweep must be deterministic"
         );
         assert!(!render(&a).is_empty());
-    }
-
-    /// `--warm-checkpoint` is a pure wall-clock optimization: forking every
-    /// sweep cell off one frozen world must emit the byte-identical point
-    /// list of the cold rebuild-per-cell path.
-    #[test]
-    fn warm_checkpoint_sweep_is_byte_identical_to_cold() {
-        let cfg = LatencyBenchConfig {
-            words: 200,
-            peers: 24,
-            client_counts: vec![2],
-            queries_per_client: 4,
-            models: vec![LatencyModel::Uniform { min_us: 100, max_us: 2_000 }],
-            ..LatencyBenchConfig::default()
-        };
-        let cold = run_latency_bench(&cfg);
-        let warm = run_latency_bench(&LatencyBenchConfig { warm_checkpoint: true, ..cfg });
-        assert_eq!(
-            serde_json::to_string(&cold).unwrap(),
-            serde_json::to_string(&warm).unwrap(),
-            "forked cells must reproduce the cold sweep byte for byte"
-        );
     }
 }

@@ -4,7 +4,7 @@
 //! Two artifact kinds are understood, recognised by shape:
 //!
 //! * **latency** (`{schema_version, generated, points: [...]}`) — points
-//!   keyed on `(model, clients, cache, api, window, operator)`; `p50_us`
+//!   keyed on `(model, clients, cache, window, operator)`; `p50_us`
 //!   and `p99_us` regress when the current value exceeds the baseline by
 //!   more than [`GateConfig::rel_latency`] *and* an absolute floor
 //!   ([`GateConfig::abs_floor_us`] — sub-floor jitter on microsecond-scale
@@ -125,15 +125,14 @@ fn str_of<'a>(j: &'a Json, key: &str) -> &'a str {
     j.get(key).and_then(Json::as_str).unwrap_or("")
 }
 
-/// `(model, clients, cache, api, window, operator)` — the latency sweep's
+/// `(model, clients, cache, window, operator)` — the latency sweep's
 /// point identity.
 fn latency_key(p: &Json) -> String {
     format!(
-        "{}/{}c/cache={}/{}/{}/{}",
+        "{}/{}c/cache={}/{}/{}",
         str_of(p, "model"),
         u64_of(p, "clients"),
         str_of(p, "cache"),
-        str_of(p, "api"),
         str_of(p, "window"),
         str_of(p, "operator"),
     )
@@ -430,12 +429,10 @@ mod tests {
               "generated": {"seed": 73, "peers": 256, "queries": 288,
                             "toolchain": "rustc 1.0", "workload": {"words": 2000}},
               "points": [
-                {"model": "constant", "clients": 1, "cache": "off", "api": "plan",
-                 "window": "w1", "operator": "similar",
-                 "p50_us": 10000, "p99_us": 20000, "messages": 100},
-                {"model": "constant", "clients": 16, "cache": "on", "api": "plan",
-                 "window": "auto", "operator": "simjoin",
-                 "p50_us": 40000, "p99_us": 90000, "messages": 400}
+                {"model": "constant", "clients": 1, "cache": "off", "window": "w1",
+                 "operator": "similar", "p50_us": 10000, "p99_us": 20000, "messages": 100},
+                {"model": "constant", "clients": 16, "cache": "on", "window": "auto",
+                 "operator": "simjoin", "p50_us": 40000, "p99_us": 90000, "messages": 400}
               ]
             }"#,
         )

@@ -39,11 +39,6 @@ pub struct QueryDefaults {
     pub join_window: JoinWindow,
     /// Default cap on a join's left side (`None` joins everything).
     pub join_left_limit: Option<usize>,
-    /// Let the planner (`sqo-plan`) apply cost-based rewrites — cheapest-
-    /// first conjunction ordering, join build-side selection — where the
-    /// decision is the planner's to make. Off restores pure author order
-    /// (the A/B baseline cost-rewrite tests measure against).
-    pub cost_rewrites: bool,
     /// Hot-path services: initiator-side posting cache + cross-query probe
     /// batching (`sqo-cache`). Both default to off, which keeps the engine
     /// byte-identical to the broker-less pipeline.
@@ -63,7 +58,6 @@ impl Default for QueryDefaults {
             strategy: crate::similar::Strategy::QGrams,
             join_window: JoinWindow::Fixed(1),
             join_left_limit: None,
-            cost_rewrites: true,
             cache: BrokerConfig::default(),
             degrade: DegradePolicy::default(),
         }
@@ -156,13 +150,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Force uniform-random reference selection even when a virtual-time
-    /// sink is installed (the A/B baseline for load-aware routing).
-    pub fn uniform_refs(mut self, on: bool) -> Self {
-        self.cfg.network.uniform_refs = on;
-        self
-    }
-
     /// q-gram length used for indexing and probing.
     pub fn q(mut self, q: usize) -> Self {
         assert!(q >= 1);
@@ -187,13 +174,6 @@ impl EngineBuilder {
     /// window) or a [`JoinWindow`].
     pub fn join_window(mut self, w: impl Into<JoinWindow>) -> Self {
         self.cfg.query.join_window = w.into();
-        self
-    }
-
-    /// Toggle the planner's cost-based rewrites (see
-    /// [`QueryDefaults::cost_rewrites`]).
-    pub fn cost_rewrites(mut self, on: bool) -> Self {
-        self.cfg.query.cost_rewrites = on;
         self
     }
 
@@ -1287,30 +1267,6 @@ impl<B> FanOut<B> {
 
     pub(crate) fn is_done(&self) -> bool {
         self.queue.is_empty()
-    }
-}
-
-/// One of the engine's physical operators as a resumable task — the unit a
-/// workload driver schedules on its event queue. Construction is pure
-/// (planning happens lazily on the first step, when the engine is
-/// available), so drivers can build tasks at arrival-event time.
-pub enum QueryTask {
-    Similar(crate::similar::SimilarTask),
-    Select(crate::select::SelectTask),
-    Join(crate::simjoin::JoinTask),
-    Multi(crate::multi::MultiTask),
-    TopN(crate::topn::TopNTask),
-}
-
-impl ExecStep for QueryTask {
-    fn step(&mut self, engine: &mut SimilarityEngine, at_us: u64) -> StepOutcome {
-        match self {
-            QueryTask::Similar(t) => t.step(engine, at_us),
-            QueryTask::Select(t) => t.step(engine, at_us),
-            QueryTask::Join(t) => t.step(engine, at_us),
-            QueryTask::Multi(t) => t.step(engine, at_us),
-            QueryTask::TopN(t) => t.step(engine, at_us),
-        }
     }
 }
 

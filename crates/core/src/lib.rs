@@ -34,7 +34,7 @@ pub use adaptive::{AimdWindow, JoinWindow};
 pub use broker::{ProbeBroker, ProbeFilter};
 pub use engine::{
     finalize_stats, CardEstimate, CardSource, DegradePolicy, EngineBuilder, EngineConfig, ExecStep,
-    QueryDefaults, QueryTask, SimilarityEngine, StepOutcome,
+    QueryDefaults, SimilarityEngine, StepOutcome,
 };
 pub use multi::{AttrPredicate, MultiMatch, MultiResult, MultiStrategy, MultiTask};
 pub use ranking::Rank;

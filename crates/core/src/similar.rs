@@ -112,33 +112,8 @@ impl SimilarityEngine {
         from: PeerId,
         strategy: Strategy,
     ) -> SimilarResult {
-        let mut cache = FxHashMap::default();
-        self.similar_cached(s, attr, d, from, strategy, &mut cache)
-    }
-
-    /// `Similar` with an initiator-local object cache, letting iterative
-    /// callers (top-N distance shells, join loops) avoid re-fetching
-    /// objects they already hold.
-    pub(crate) fn similar_cached(
-        &mut self,
-        s: &str,
-        attr: Option<&str>,
-        d: usize,
-        from: PeerId,
-        strategy: Strategy,
-        object_cache: &mut FxHashMap<String, Object>,
-    ) -> SimilarResult {
         let mut task = SimilarTask::new(s, attr, d, from, strategy);
-        let trace_q = self.trace_query_begin();
-        let start = self.net.sim_now_us().unwrap_or(0);
-        let mut at = start;
-        let stats = loop {
-            match task.step_with(self, object_cache, at) {
-                StepOutcome::Yield { at_us } => at = at_us,
-                StepOutcome::Done(stats) => break stats,
-            }
-        };
-        self.trace_query_end(trace_q, &stats, start);
+        let stats = self.run_task(&mut task);
         SimilarResult { matches: task.take_matches(), stats }
     }
 }

@@ -38,26 +38,11 @@ pub struct NetworkConfig {
     pub msg_header_bytes: usize,
     /// RNG seed for deterministic simulation.
     pub seed: u64,
-    /// A/B switch for load-aware selection: when `true`, routing always
-    /// picks uniformly at random among equivalent references/replicas (the
-    /// paper's behavior). When `false` (the default) **and** a virtual-time
-    /// sink is installed, routing prefers the candidate with the smallest
-    /// service backlog ([`crate::clock::EventSink::busy_until_us`]), which
-    /// flattens tail latency under concurrent load. Without a sink there is
-    /// no backlog signal and selection stays uniform either way.
-    pub uniform_refs: bool,
 }
 
 impl Default for NetworkConfig {
     fn default() -> Self {
-        Self {
-            peers: 64,
-            replication: 1,
-            refs_per_level: 2,
-            msg_header_bytes: 48,
-            seed: 42,
-            uniform_refs: false,
-        }
+        Self { peers: 64, replication: 1, refs_per_level: 2, msg_header_bytes: 48, seed: 42 }
     }
 }
 
@@ -957,9 +942,12 @@ impl<T: Item> Network<T> {
     }
 
     /// True when routing should consult the sink's per-peer backlog when
-    /// choosing among equivalent peers (load-aware reference selection).
+    /// choosing among equivalent peers (load-aware reference selection):
+    /// whenever a virtual-time sink is installed. Without one there is no
+    /// backlog signal and selection is uniform random (the paper's
+    /// behavior).
     fn load_aware(&self) -> bool {
-        !self.cfg.uniform_refs && self.sink.is_some()
+        self.sink.is_some()
     }
 
     /// Choose among equally-good candidates: smallest service backlog when
@@ -967,10 +955,9 @@ impl<T: Item> Network<T> {
     /// otherwise.
     fn pick_among(&mut self, cands: &[PeerId]) -> PeerId {
         debug_assert!(!cands.is_empty());
-        if !self.load_aware() {
+        let Some(sink) = self.sink.as_ref() else {
             return cands[self.rng.gen_range(0..cands.len())];
-        }
-        let sink = self.sink.as_ref().expect("load_aware implies a sink");
+        };
         let backlogs: SmallVec<[u64; 8]> = cands.iter().map(|p| sink.busy_until_us(*p)).collect();
         let min = *backlogs.iter().min().expect("non-empty");
         let tied: SmallVec<[PeerId; 8]> =
@@ -980,8 +967,8 @@ impl<T: Item> Network<T> {
 
     /// Select an alive reference of `peer` at level `l`, falling back to
     /// alive structural replicas of the referenced partitions. Uniform
-    /// random by default; shortest-backlog when load-aware selection is
-    /// active (see [`NetworkConfig::uniform_refs`]).
+    /// random by default; shortest-backlog when a virtual-time sink is
+    /// installed.
     fn pick_alive_ref(&mut self, peer: PeerId, l: usize) -> Option<PeerId> {
         // Arena lookups are by (peer, level, index) — no slice borrow held
         // across the RNG draws, so nothing needs cloning.

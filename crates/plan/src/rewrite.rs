@@ -3,14 +3,13 @@
 //!
 //! Passes, in order:
 //!
-//! 1. **Cost-based rewrites** (when a [`CostModel`] is supplied and
-//!    [`QueryDefaults::cost_rewrites`] is on) — conjunction legs of
-//!    planner-owned `Multi` nodes are ordered cheapest-first by estimated
-//!    stage-1 candidate volume (and the pipelined lead pinned to the
-//!    cheapest), and a scan-side `SimJoin` whose right attribute is
-//!    estimated markedly smaller swaps its build side (the executor
-//!    transposes the pairs back). Every estimate lands in the `explain()`
-//!    notes.
+//! 1. **Cost-based rewrites** (when a [`CostModel`] is supplied) —
+//!    conjunction legs of planner-owned `Multi` nodes are ordered
+//!    cheapest-first by estimated stage-1 candidate volume (and the
+//!    pipelined lead pinned to the cheapest), and a scan-side `SimJoin`
+//!    whose right attribute is estimated markedly smaller swaps its build
+//!    side (the executor transposes the pairs back). Every estimate lands
+//!    in the `explain()` notes.
 //! 2. **Resolve** — every `None` option inherits the engine's
 //!    [`QueryDefaults`]; `Multi` conjunctions without a pinned strategy get
 //!    a **broker-aware** choice (Intersect when the posting cache is
@@ -64,8 +63,8 @@ pub(crate) fn resolve(
     notes: &mut Vec<String>,
 ) -> Result<PlanNode, PlanError> {
     let node = match cost {
-        Some(cm) if env.defaults.cost_rewrites => cost_rewrites(node, cm, env, notes),
-        _ => node,
+        Some(cm) => cost_rewrites(node, cm, env, notes),
+        None => node,
     };
     let node = fill_defaults(node, env, notes)?;
     let node = pushdown_filters(node, env, notes);

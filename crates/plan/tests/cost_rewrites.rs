@@ -6,6 +6,11 @@
 //!   pairs back to author orientation, and costs fewer messages,
 //! * the estimates and decisions are recorded in `explain()` (golden).
 //!
+//! Both sides of every comparison run on identically built engines: the
+//! author-order baseline plans rule-based through
+//! [`PreparedQuery::with_env`] (no cost model), the costed plan through
+//! [`Session::prepare`].
+//!
 //! The skew is engineered so the estimates actually discriminate: the
 //! initiator owns the popular attribute's partition (exact local counts),
 //! while the rare attribute falls to the structural trie-depth fallback.
@@ -13,7 +18,7 @@
 use sqo_core::{AttrPredicate, EngineBuilder, SimilarityEngine};
 use sqo_overlay::key::Key;
 use sqo_overlay::PeerId;
-use sqo_plan::{Query, Session};
+use sqo_plan::{PlannerEnv, PreparedQuery, Query, Session};
 use sqo_storage::{keys, Row, Value};
 
 /// 100 objects carry `big` (values sharing grams with the probe string);
@@ -38,13 +43,19 @@ fn skewed_rows() -> Vec<Row> {
     rows
 }
 
-fn build(cost_rewrites: bool, seed: u64) -> SimilarityEngine {
-    EngineBuilder::new()
-        .peers(64)
-        .q(2)
-        .seed(seed)
-        .cost_rewrites(cost_rewrites)
-        .build_with_rows(&skewed_rows())
+fn build(rows: &[Row], seed: u64) -> SimilarityEngine {
+    EngineBuilder::new().peers(64).q(2).seed(seed).build_with_rows(rows)
+}
+
+/// Plan `q` from `from`: costed through the session, or rule-based in
+/// author order.
+fn prepare(e: &mut SimilarityEngine, q: &Query, from: PeerId, costed: bool) -> PreparedQuery {
+    if costed {
+        Session::new(e, from).prepare(q)
+    } else {
+        PreparedQuery::with_env(q, &PlannerEnv::of(e), from)
+    }
+    .expect("plannable")
 }
 
 /// A peer that stores `key`'s partition, so its estimates for that key
@@ -62,13 +73,12 @@ fn cost_ordered_conjunction_reduces_messages_vs_author_order() {
     let preds =
         vec![AttrPredicate::new("big", "bigvalue001x", 1), AttrPredicate::new("small", "smol1", 1)];
     let probe = keys::instance_gram_key("big", "bi");
-    let run = |cost: bool| {
-        let mut e = build(cost, 31);
+    let run = |costed: bool| {
+        let mut e = build(&skewed_rows(), 31);
         let from = owner_of(&mut e, &probe);
-        let mut session = Session::new(&mut e, from);
         let q = Query::similar_multi(preds.clone(), None);
-        let prepared = session.prepare(&q).expect("plannable");
-        let result = session.run_prepared(&prepared);
+        let prepared = prepare(&mut e, &q, from, costed);
+        let result = Session::new(&mut e, from).run_prepared(&prepared);
         let mut oids: Vec<String> = result.rows.iter().map(|r| r.oid.clone()).collect();
         oids.sort_unstable();
         (oids, result.stats.traffic.messages, prepared.notes().join("\n"))
@@ -85,7 +95,10 @@ fn cost_ordered_conjunction_reduces_messages_vs_author_order() {
         notes_cost.contains("cost: conjunction legs ordered cheapest-first"),
         "the decision must be recorded: {notes_cost}"
     );
-    assert!(!notes_author.contains("cost:"), "cost_rewrites=false plans silently: {notes_author}");
+    assert!(
+        !notes_author.contains("cost:"),
+        "rule-based planning records no cost note: {notes_author}"
+    );
 }
 
 #[test]
@@ -106,14 +119,12 @@ fn join_build_side_swap_scans_smaller_side_and_transposes_back() {
         ));
     }
     let probe = keys::attr_scan_prefix("bigside");
-    let run = |cost: bool| {
-        let mut e =
-            EngineBuilder::new().peers(64).q(2).seed(33).cost_rewrites(cost).build_with_rows(&rows);
+    let run = |costed: bool| {
+        let mut e = build(&rows, 33);
         let from = owner_of(&mut e, &probe);
-        let mut session = Session::new(&mut e, from);
         let q = Query::join_scan("bigside", Some("smallside"), 1);
-        let prepared = session.prepare(&q).expect("plannable");
-        let result = session.run_prepared(&prepared);
+        let prepared = prepare(&mut e, &q, from, costed);
+        let result = Session::new(&mut e, from).run_prepared(&prepared);
         // Author orientation: left = bigside, row (right) = smallside.
         let mut pairs: Vec<(String, String, String)> = result
             .rows
@@ -143,8 +154,7 @@ fn join_build_side_swap_scans_smaller_side_and_transposes_back() {
     assert!(explain_swap.contains("cost: simjoin build side swapped"), "{explain_swap}");
     assert!(!explain_plain.contains("swapped"), "{explain_plain}");
     // Row objects in author orientation carry the smallside objects.
-    let mut e =
-        EngineBuilder::new().peers(64).q(2).seed(33).cost_rewrites(true).build_with_rows(&rows);
+    let mut e = build(&rows, 33);
     let from = owner_of(&mut e, &probe);
     let mut session = Session::new(&mut e, from);
     let result = session.run(&Query::join_scan("bigside", Some("smallside"), 1)).unwrap();
@@ -160,7 +170,7 @@ fn join_build_side_swap_scans_smaller_side_and_transposes_back() {
 
 #[test]
 fn cost_notes_are_recorded_for_unswapped_joins_too() {
-    let mut e = build(true, 35);
+    let mut e = build(&skewed_rows(), 35);
     let from = e.random_peer();
     let session = Session::new(&mut e, from);
     // A self-join: sides tie, no swap — but the estimate is still pinned
@@ -178,7 +188,7 @@ fn equivalence_guard_cost_rewrites_leave_pinned_plans_alone() {
     // plan/legacy equivalence proptests byte-identical).
     let preds =
         vec![AttrPredicate::new("big", "bigvalue001x", 1), AttrPredicate::new("small", "smol1", 1)];
-    let mut e = build(true, 37);
+    let mut e = build(&skewed_rows(), 37);
     let from = e.random_peer();
     let session = Session::new(&mut e, from);
     let q = Query::similar_multi(preds.clone(), Some(sqo_core::MultiStrategy::Pipelined));

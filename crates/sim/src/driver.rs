@@ -6,7 +6,7 @@
 //! Queries execute as **interleaved steps on the event queue**: every query
 //! is a resumable [`ExecStep`] task (`sqo-core`'s stepped operators), and
 //! the driver pops task steps, arrivals and churn events off one
-//! [`ShardedQueue`] in global virtual-time order. A step is one bounded chunk
+//! [`EventQueue`] in virtual-time order. A step is one bounded chunk
 //! of operator work — typically a single routed sub-request (a probe
 //! branch, an object-fetch branch, one hop sequence) — charged against the
 //! shared per-peer service queues of [`NetSim`](crate::NetSim). Because
@@ -19,21 +19,21 @@
 //!
 //! Everything is deterministic: the driver installs a fresh `NetSim`, seeds
 //! every stream from [`DriverConfig::seed`], and schedules all events on
-//! one [`ShardedQueue`] with FIFO tie-breaking (a task re-enqueueing a step
+//! one [`EventQueue`] with FIFO tie-breaking (a task re-enqueueing a step
 //! at the current timestamp goes behind already-queued same-time events).
 //! Two runs with the same inputs produce byte-identical reports.
 
+use crate::events::{EventQueue, QueueState};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::netsim::{install, set_installed_loss, SimConfig};
 use crate::report::{LatencySummary, OperatorLatency};
 use crate::seed;
-use crate::shard::ShardedQueue;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use sqo_core::{
-    BrokerConfig, BrokerCounters, CacheBatchBroker, ExecStep, JoinOptions, JoinTask, JoinWindow,
-    QueryStats, QueryTask, SimilarTask, SimilarityEngine, StepOutcome, Strategy, TopNTask,
+    BrokerConfig, BrokerCounters, CacheBatchBroker, ExecStep, JoinWindow, QueryStats,
+    SimilarityEngine, StepOutcome, Strategy,
 };
 use sqo_datasets::ZipfSampler;
 use sqo_obs::{LogHistogram, MetricsRegistry};
@@ -99,8 +99,7 @@ pub enum QueryKind {
     /// A multi-operator plan pipeline — prefix-range select over the
     /// workload attribute (the drawn string's first two characters), its
     /// rows joined against the attribute at distance `d`, best `n` pairs
-    /// kept. Expressible only through the plan API, so it always compiles
-    /// through `sqo-plan` regardless of [`ApiMode`].
+    /// kept.
     Pipeline { d: usize, n: usize, left_limit: Option<usize>, window: JoinWindow },
 }
 
@@ -115,23 +114,6 @@ impl QueryKind {
             QueryKind::Pipeline { .. } => "pipeline",
         }
     }
-}
-
-/// Which surface the driver dispatches [`QueryKind`]s through.
-///
-/// `Plan` (the default) compiles every template into a `sqo-plan` logical
-/// plan prepared against the engine's planner environment — the driver's
-/// dispatch is a thin shim over the unified IR. `Legacy` constructs the
-/// per-operator core tasks directly, exactly as the pre-IR driver did; it
-/// exists as the A/B baseline the latency bench uses to pin that the plan
-/// path adds no overhead. Both modes execute the identical stepped tasks,
-/// so reports are byte-identical for plan-expressible mixes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ApiMode {
-    /// Dispatch through prepared logical plans (`sqo-plan`).
-    Plan,
-    /// Construct the legacy per-operator tasks directly.
-    Legacy,
 }
 
 /// Workload-driver configuration.
@@ -173,16 +155,6 @@ pub struct DriverConfig {
     /// caches meaningful); `false` draws a fresh random initiator per
     /// query (the PR 2 baseline behavior).
     pub sticky_initiators: bool,
-    /// Which query surface dispatches the mix (plan shims vs direct legacy
-    /// task construction — the bench's A/B axis).
-    pub api: ApiMode,
-    /// Event-queue lanes ([`ShardedQueue`]): each client's arrivals and
-    /// task steps live on one of `shards` per-lane heaps, popped globally
-    /// in `(time, push-sequence)` order. Every setting produces a
-    /// byte-identical report (the sequence counter is global — pinned by a
-    /// property test); larger values bound per-lane heap depth under very
-    /// wide client counts. `0` is treated as `1`.
-    pub shards: usize,
     pub seed: u64,
 }
 
@@ -205,8 +177,6 @@ impl Default for DriverConfig {
             cache: BrokerConfig::default(),
             zipf_s: 0.0,
             sticky_initiators: false,
-            api: ApiMode::Plan,
-            shards: 1,
             seed: 7,
         }
     }
@@ -363,7 +333,7 @@ struct LoopState {
     client_rngs: Vec<StdRng>,
     issued: Vec<usize>,
     initiators: Option<Vec<PeerId>>,
-    q: ShardedQueue<Ev>,
+    q: EventQueue<Ev>,
     flights: Vec<Option<InFlight>>,
     free_slots: Vec<usize>,
     by_operator: BTreeMap<&'static str, (LogHistogram, QueryStats)>,
@@ -393,19 +363,16 @@ impl LoopState {
         let initiators: Option<Vec<PeerId>> =
             cfg.sticky_initiators.then(|| (0..cfg.clients).map(|_| engine.random_peer()).collect());
 
-        // Client `c`'s arrivals and steps live on lane `c % shards`; pops
-        // are in global `(time, push-sequence)` order, so the report is
-        // invariant in the lane count.
-        let mut q: ShardedQueue<Ev> = ShardedQueue::new(cfg.shards.max(1));
+        let mut q: EventQueue<Ev> = EventQueue::new();
         for (idx, ev) in cfg.churn.iter().enumerate() {
-            q.push(ev.at_us, 0, Ev::Churn { idx });
+            q.push(ev.at_us, Ev::Churn { idx });
         }
         // Fault script: each event at its time; a loss spike additionally
         // schedules the restore of the baseline model.
         for (idx, ev) in cfg.faults.events.iter().enumerate() {
-            q.push(ev.at_us, 0, Ev::Fault { idx });
+            q.push(ev.at_us, Ev::Fault { idx });
             if let FaultKind::LossSpike { duration_us, .. } = ev.kind {
-                q.push(ev.at_us.saturating_add(duration_us), 0, Ev::FaultClear { idx });
+                q.push(ev.at_us.saturating_add(duration_us), Ev::FaultClear { idx });
             }
         }
         // First arrivals.
@@ -415,7 +382,7 @@ impl LoopState {
                 Arrival::Closed { .. } => 0,
                 Arrival::Explicit { offsets_us } => offsets_us[c % offsets_us.len()],
             };
-            q.push(t, c, Ev::Arrive { client: c });
+            q.push(t, Ev::Arrive { client: c });
         }
 
         Self {
@@ -445,22 +412,17 @@ impl LoopState {
             .queue
             .entries
             .into_iter()
-            .map(|(at, seq, lane, ev)| {
+            .map(|(at, seq, ev)| {
                 let ev = match ev {
                     EvSnap::Arrive { client } => Ev::Arrive { client: client as usize },
                     EvSnap::Churn { idx } => Ev::Churn { idx: idx as usize },
                     EvSnap::Fault { idx } => Ev::Fault { idx: idx as usize },
                     EvSnap::FaultClear { idx } => Ev::FaultClear { idx: idx as usize },
                 };
-                (at, seq, lane, ev)
+                (at, seq, ev)
             })
             .collect();
-        let queue = crate::shard::QueueState {
-            lanes: ckpt.queue.lanes,
-            seq: ckpt.queue.seq,
-            now_us: ckpt.queue.now_us,
-            entries,
-        };
+        let queue = QueueState { seq: ckpt.queue.seq, now_us: ckpt.queue.now_us, entries };
         let by_operator = ckpt
             .by_operator
             .into_iter()
@@ -475,7 +437,7 @@ impl LoopState {
             client_rngs: ckpt.client_rngs.into_iter().map(StdRng::from_state_words).collect(),
             issued: ckpt.issued.into_iter().map(|n| n as usize).collect(),
             initiators: ckpt.initiators,
-            q: ShardedQueue::from_state(queue),
+            q: EventQueue::from_state(queue),
             flights: Vec::new(),
             free_slots: Vec::new(),
             by_operator,
@@ -504,7 +466,7 @@ impl LoopState {
         let entries = qs
             .entries
             .into_iter()
-            .map(|(at, seq, lane, ev)| {
+            .map(|(at, seq, ev)| {
                 let ev = match ev {
                     Ev::Arrive { client } => EvSnap::Arrive { client: client as u32 },
                     Ev::Churn { idx } => EvSnap::Churn { idx: idx as u32 },
@@ -512,16 +474,11 @@ impl LoopState {
                     Ev::FaultClear { idx } => EvSnap::FaultClear { idx: idx as u32 },
                     Ev::Step { .. } => unreachable!("no steps pending at a quiesce boundary"),
                 };
-                (at, seq, lane, ev)
+                (at, seq, ev)
             })
             .collect();
         DriverCheckpoint {
-            queue: crate::shard::QueueState {
-                lanes: qs.lanes,
-                seq: qs.seq,
-                now_us: qs.now_us,
-                entries,
-            },
+            queue: QueueState { seq: qs.seq, now_us: qs.now_us, entries },
             issued: self.issued.iter().map(|&n| n as u64).collect(),
             initiators: self.initiators.clone(),
             client_rngs: self.client_rngs.iter().map(StdRng::state_words).collect(),
@@ -576,7 +533,7 @@ pub enum EvSnap {
 /// again, and `sqo-snap`'s artifact bundles the world alongside.
 #[derive(Debug, Clone)]
 pub struct DriverCheckpoint {
-    pub queue: crate::shard::QueueState<EvSnap>,
+    pub queue: QueueState<EvSnap>,
     /// Queries issued so far, per client.
     pub issued: Vec<u64>,
     /// Sticky initiator peers (when [`DriverConfig::sticky_initiators`]).
@@ -682,7 +639,7 @@ pub fn resume_driver(
         .queue
         .entries
         .iter()
-        .filter_map(|(_, _, _, ev)| match ev {
+        .filter_map(|(_, _, ev)| match ev {
             EvSnap::Fault { idx } => Some(*idx as usize),
             _ => None,
         })
@@ -691,7 +648,7 @@ pub fn resume_driver(
         .queue
         .entries
         .iter()
-        .filter_map(|(_, _, _, ev)| match ev {
+        .filter_map(|(_, _, ev)| match ev {
             EvSnap::FaultClear { idx } if !still_scheduled.contains(&(*idx as usize)) => {
                 Some(*idx as usize)
             }
@@ -897,17 +854,17 @@ fn run_loop(
                             if issued[client] < cfg.queries_per_client {
                                 let next =
                                     t + exp_sample(&mut client_rngs[client], *mean_interarrival_us);
-                                q.push(next, client, Ev::Arrive { client });
+                                q.push(next, Ev::Arrive { client });
                             }
                         }
                         Arrival::Closed { think_us } => {
                             if issued[client] < cfg.queries_per_client {
-                                q.push(t + (*think_us).max(1), client, Ev::Arrive { client });
+                                q.push(t + (*think_us).max(1), Ev::Arrive { client });
                             }
                         }
                         Arrival::Explicit { .. } => {
                             if issued[client] < cfg.queries_per_client {
-                                q.push(t + 1, client, Ev::Arrive { client });
+                                q.push(t + 1, Ev::Arrive { client });
                             }
                         }
                     }
@@ -918,7 +875,7 @@ fn run_loop(
                     .has_trace_sink()
                     .then(|| engine.network_mut().next_trace_query_id());
                 let flight = InFlight {
-                    task: build_task(&planner_env, attr, &s, from, &kind, cfg.strategy, cfg.api),
+                    task: build_task(&planner_env, attr, &s, from, &kind, cfg.strategy),
                     label: kind.label(),
                     client,
                     arrival_us: t,
@@ -936,13 +893,13 @@ fn run_loop(
                 };
                 // The task's first step runs at the arrival time; steps of
                 // other in-flight queries interleave with it from then on.
-                q.push(t, client, Ev::Step { slot });
+                q.push(t, Ev::Step { slot });
 
                 // Open-loop arrivals are independent of completions.
                 if let Arrival::Poisson { mean_interarrival_us } = &cfg.arrival {
                     if issued[client] < cfg.queries_per_client {
                         let next = t + exp_sample(&mut client_rngs[client], *mean_interarrival_us);
-                        q.push(next, client, Ev::Arrive { client });
+                        q.push(next, Ev::Arrive { client });
                     }
                 }
             }
@@ -959,10 +916,7 @@ fn run_loop(
                     engine.network_mut().set_trace_query(None);
                 }
                 match outcome {
-                    StepOutcome::Yield { at_us } => {
-                        let client = flights[slot].as_ref().expect("still in flight").client;
-                        q.push(at_us, client, Ev::Step { slot });
-                    }
+                    StepOutcome::Yield { at_us } => q.push(at_us, Ev::Step { slot }),
                     StepOutcome::Done(stats) => {
                         let flight = flights[slot].take().expect("checked above");
                         free_slots.push(slot);
@@ -1017,11 +971,7 @@ fn run_loop(
                         };
                         if let Some(think_us) = think {
                             if issued[flight.client] < cfg.queries_per_client {
-                                q.push(
-                                    sim.end_us + think_us,
-                                    flight.client,
-                                    Ev::Arrive { client: flight.client },
-                                );
+                                q.push(sim.end_us + think_us, Ev::Arrive { client: flight.client });
                             }
                         }
                     }
@@ -1150,12 +1100,9 @@ fn exp_sample(rng: &mut StdRng, mean_us: u64) -> u64 {
 
 /// Construct the resumable task for one query of the mix.
 ///
-/// With [`ApiMode::Plan`] every template becomes a `sqo-plan` [`Query`]
-/// prepared against the engine's planner environment — the legacy
-/// `QueryKind` dispatch is a thin shim over the unified IR. With
-/// [`ApiMode::Legacy`] the per-operator core tasks are constructed
-/// directly (the A/B baseline); `Pipeline` templates and VQL go through
-/// their own planners in both modes, being expressible only there.
+/// Every template becomes a `sqo-plan` [`Query`](sqo_plan::Query) prepared
+/// against the engine's planner environment — `QueryKind` dispatch is a
+/// thin shim over the unified IR; VQL goes through its own planner.
 fn build_task(
     env: &PlannerEnv,
     attr: &str,
@@ -1163,7 +1110,6 @@ fn build_task(
     from: sqo_overlay::PeerId,
     kind: &QueryKind,
     strategy: Strategy,
-    api: ApiMode,
 ) -> Box<dyn ExecStep> {
     use sqo_plan::Query;
 
@@ -1180,32 +1126,6 @@ fn build_task(
             // A parse/plan error costs nothing on the wire: an
             // immediately-done task with empty stats.
             Err(_) => Box::new(NullTask),
-        };
-    }
-
-    if api == ApiMode::Legacy {
-        return match kind {
-            QueryKind::Similar { d } => {
-                Box::new(QueryTask::Similar(SimilarTask::new(s, Some(attr), *d, from, strategy)))
-            }
-            QueryKind::TopN { n, d_max } => Box::new(QueryTask::TopN(TopNTask::nearest(
-                Some(attr),
-                *n,
-                s,
-                *d_max,
-                from,
-                strategy,
-            ))),
-            QueryKind::SimJoin { d, left_limit, window } => {
-                let opts = JoinOptions { strategy, left_limit: *left_limit, window: *window };
-                Box::new(QueryTask::Join(JoinTask::new(attr, Some(attr), *d, from, &opts)))
-            }
-            // Pipelines have no legacy construction; fall through to the
-            // plan path below.
-            QueryKind::Pipeline { .. } => {
-                build_task(env, attr, s, from, kind, strategy, ApiMode::Plan)
-            }
-            QueryKind::Vql { .. } => unreachable!("handled above"),
         };
     }
 

@@ -4,7 +4,7 @@
 //! replays at their virtual times, interleaved with arrivals and query
 //! steps on the same event queue: random crash waves, targeted partition
 //! wipes, revivals of previously-dead peers, and transient loss spikes on
-//! the installed [`LossModel`](crate::LossModel). Everything is a pure
+//! the installed [`LossModel`]. Everything is a pure
 //! function of the plan and the driver seed — two runs of the same plan
 //! produce byte-identical reports, which is what makes fault scenarios
 //! regression-testable.

@@ -9,15 +9,12 @@
 //! concurrent workloads whose tail latency reflects contention.
 //!
 //! * [`events`] — the virtual clock + event queue (deterministic
-//!   tie-breaking).
+//!   tie-breaking, exportable for checkpoints).
 //! * [`latency`] — [`LatencyModel`] (constant / uniform jitter / log-normal
 //!   WAN / per-link asymmetric) and [`LossModel`] (timeout + retry).
 //! * [`netsim`] — [`NetSim`], the [`sqo_overlay::clock::EventSink`]
 //!   implementation: critical-path fork/join accounting and per-peer serial
 //!   queues.
-//! * [`shard`] — [`ShardedQueue`]: the driver's event queue split over
-//!   per-client lanes with a global tie-breaking sequence, so any shard
-//!   count pops — and reports — identically.
 //! * [`driver`] — the concurrent-workload driver: N clients, Poisson /
 //!   closed-loop / explicit arrivals, churn schedules, per-operator
 //!   p50/p95/p99. Queries run as **interleaved steps on the event queue**
@@ -82,14 +79,13 @@ pub mod netsim;
 pub mod report;
 pub mod scale;
 pub mod seed;
-pub mod shard;
 
 pub use driver::{
-    resume_driver, run_driver, run_driver_until, ApiMode, Arrival, CacheReport, ChurnEvent,
+    resume_driver, run_driver, run_driver_until, Arrival, CacheReport, ChurnEvent,
     DriverCheckpoint, DriverConfig, DriverPhase, DriverReport, PhaseReport, PhaseSummary,
     QueryKind, RepairTotals,
 };
-pub use events::EventQueue;
+pub use events::{EventQueue, QueueState};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use latency::{LatencyModel, LossModel};
 pub use netsim::{install, install_restored, set_installed_loss, NetSim, NetSimState, SimConfig};
@@ -98,6 +94,5 @@ pub use scale::{
     resume_serial, resume_sharded, rss_now_bytes, rss_peak_bytes, run_serial, run_serial_until,
     run_sharded, ScaleCheckpoint, ScaleConfig, ScaleOutcome, ScalePhase, ScaleRun, Topology,
 };
-pub use shard::{QueueState, ShardedQueue};
 pub use sqo_obs::{LogHistogram, MetricsRegistry, TraceCollector};
 pub use sqo_overlay::SimLatency;

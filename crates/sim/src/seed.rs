@@ -7,7 +7,7 @@
 //! driver, a cousin in the scale core); this module is the single,
 //! documented home for that mixing.
 //!
-//! [`derive`] is intentionally bit-exact with the old inline formula —
+//! [`derive()`] is intentionally bit-exact with the old inline formula —
 //! every pinned artifact (latency sweeps, regress baselines, snapshot
 //! round-trips) depends on client streams staying put. The heavy stateless
 //! per-event hash used by the million-peer scale core lives here too as
@@ -51,7 +51,7 @@ pub fn derive(seed: u64, stream: u64, idx: u64) -> u64 {
 
 /// Stateless per-event hash used by the million-peer scale core: a
 /// SplitMix64-style finalizer over `(seed, qid, step, salt)`. Unlike
-/// [`derive`] its output is consumed *directly* (link jitter, key choice,
+/// [`derive()`] its output is consumed *directly* (link jitter, key choice,
 /// arrival offsets), so it needs full 64-bit avalanche.
 ///
 /// Bit-exact with the former private `mix` in `scale.rs` — the `ScaleOutcome`

@@ -1,52 +1,10 @@
-//! The driver's plan-shim contract: dispatching the workload mix through
-//! prepared `sqo-plan` queries (the default) produces a byte-identical
-//! report to the legacy per-operator task construction — the plan layer
-//! adds zero virtual-time overhead — and plan-only pipelines run
-//! end-to-end interleaved with everything else on the event queue.
+//! The driver dispatches its mix through prepared `sqo-plan` queries:
+//! multi-operator pipelines run end-to-end interleaved with everything
+//! else on the event queue.
 
 use sqo_core::{EngineBuilder, JoinWindow};
 use sqo_datasets::{bible_words, string_rows};
-use sqo_sim::{
-    run_driver, ApiMode, Arrival, DriverConfig, DriverReport, LatencyModel, QueryKind, SimConfig,
-};
-
-fn engine(words: &[String]) -> sqo_core::SimilarityEngine {
-    EngineBuilder::new().peers(64).q(2).seed(41).build_with_rows(&string_rows("word", words, "w"))
-}
-
-fn run(words: &[String], api: ApiMode, mix: Vec<QueryKind>) -> DriverReport {
-    let cfg = DriverConfig {
-        clients: 4,
-        queries_per_client: 4,
-        arrival: Arrival::Poisson { mean_interarrival_us: 8_000 },
-        mix,
-        sim: SimConfig { latency: LatencyModel::Constant { us: 800 }, ..SimConfig::default() },
-        api,
-        seed: 99,
-        ..DriverConfig::default()
-    };
-    let mut e = engine(words);
-    run_driver(&mut e, "word", words, &cfg)
-}
-
-#[test]
-fn plan_dispatch_matches_legacy_dispatch_byte_identically() {
-    let words = bible_words(300, 5);
-    let mix = vec![
-        QueryKind::Similar { d: 1 },
-        QueryKind::SimJoin { d: 1, left_limit: Some(6), window: JoinWindow::Fixed(2) },
-        QueryKind::TopN { n: 4, d_max: 3 },
-        QueryKind::Vql { d: 1 },
-    ];
-    let plan = run(&words, ApiMode::Plan, mix.clone());
-    let legacy = run(&words, ApiMode::Legacy, mix);
-    assert_eq!(
-        serde_json::to_string(&plan).unwrap(),
-        serde_json::to_string(&legacy).unwrap(),
-        "plan shims must add zero virtual-time overhead"
-    );
-    assert!(plan.queries_run > 0);
-}
+use sqo_sim::{run_driver, Arrival, DriverConfig, LatencyModel, QueryKind, SimConfig};
 
 #[test]
 fn pipeline_kind_runs_interleaved_on_the_event_queue() {
@@ -55,7 +13,21 @@ fn pipeline_kind_runs_interleaved_on_the_event_queue() {
         QueryKind::Pipeline { d: 1, n: 5, left_limit: Some(6), window: JoinWindow::Fixed(2) },
         QueryKind::Similar { d: 1 },
     ];
-    let report = run(&words, ApiMode::Plan, mix);
+    let cfg = DriverConfig {
+        clients: 4,
+        queries_per_client: 4,
+        arrival: Arrival::Poisson { mean_interarrival_us: 8_000 },
+        mix,
+        sim: SimConfig { latency: LatencyModel::Constant { us: 800 }, ..SimConfig::default() },
+        seed: 99,
+        ..DriverConfig::default()
+    };
+    let mut e = EngineBuilder::new()
+        .peers(64)
+        .q(2)
+        .seed(41)
+        .build_with_rows(&string_rows("word", &words, "w"));
+    let report = run_driver(&mut e, "word", &words, &cfg);
     let pipeline = report
         .per_operator
         .iter()

@@ -3,21 +3,14 @@
 //! * a 10⁵-peer overlay snapshot drives a full `ScaleSim` workload inside
 //!   the RSS-per-peer and wall-clock budgets,
 //! * the sharded windowed core is **bit-identical** to the serial heap
-//!   baseline at integration scale and under a property sweep of seeds,
-//! * the driver's [`ShardedQueue`](sqo_sim::ShardedQueue) lane count
-//!   never changes a [`DriverReport`] — serialized reports are
-//!   byte-for-byte equal for every `shards` setting.
+//!   baseline at integration scale and under a property sweep of seeds.
 
 use proptest::prelude::*;
-use sqo_core::EngineBuilder;
-use sqo_datasets::{bible_words, string_rows};
 use sqo_overlay::hash::hash_str;
 use sqo_overlay::key::Key;
 use sqo_overlay::network::{Network, NetworkConfig};
 use sqo_overlay::peer::Item;
-use sqo_sim::{
-    rss_now_bytes, run_driver, run_serial, run_sharded, DriverConfig, ScaleConfig, Topology,
-};
+use sqo_sim::{rss_now_bytes, run_serial, run_sharded, ScaleConfig, Topology};
 use std::sync::OnceLock;
 
 #[derive(Debug, Clone)]
@@ -131,26 +124,5 @@ proptest! {
         let (sharded, _) = run_sharded(topo, &cfg);
         prop_assert_eq!(serial, sharded);
         prop_assert_eq!(serial.queries_done, queries as u64);
-    }
-}
-
-/// The driver's event queue is sharded into per-client lanes; the global
-/// sequence counter makes pop order — and therefore the whole report —
-/// independent of the lane count. Serialized reports must be
-/// byte-identical for every `shards` setting.
-#[test]
-fn driver_report_is_byte_identical_for_any_shard_count() {
-    let words = bible_words(300, 9);
-    let rows = string_rows("word", &words, "w");
-    let report_for = |shards: usize| {
-        let mut engine = EngineBuilder::new().peers(48).q(2).seed(5).build_with_rows(&rows);
-        let cfg =
-            DriverConfig { clients: 4, queries_per_client: 3, shards, ..DriverConfig::default() };
-        let report = run_driver(&mut engine, "word", &words, &cfg);
-        serde_json::to_string(&report).expect("serialize report")
-    };
-    let baseline = report_for(1);
-    for shards in [2, 3, 8, 64] {
-        assert_eq!(report_for(shards), baseline, "DriverReport changed under shards={shards}");
     }
 }

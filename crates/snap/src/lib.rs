@@ -96,7 +96,11 @@ use std::fmt;
 /// `gave_up`), driver checkpoints carry the early/late phase
 /// accumulators, repair totals and diagnostics, and pending fault /
 /// fault-clear events serialize alongside arrivals and churn.
-pub const SCHEMA_VERSION: u32 = 2;
+///
+/// v3: `NetworkConfig` lost its uniform-reference-selection bool and the
+/// driver queue its lane count and per-entry lane (the options behind
+/// them are gone; see `docs/SNAPSHOT.md`).
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Artifact magic: "SQO SNapshot".
 pub const MAGIC: [u8; 4] = *b"SQSN";

@@ -451,7 +451,6 @@ pub fn network_state(e: &mut Enc, t: &mut TripleTable, s: &NetworkState<Posting>
     e.usize(c.refs_per_level);
     e.usize(c.msg_header_bytes);
     e.u64(c.seed);
-    e.bool(c.uniform_refs);
     e.seq(&s.paths, key);
     e.seq(&s.part_peers, |e, ps| e.seq(ps, |e, p| e.u32(p.0)));
     e.seq(&s.peer_partition, |e, v| e.u32(*v));
@@ -491,7 +490,6 @@ pub fn de_network_state(d: &mut Dec<'_>, table: &[TripleRef]) -> R<NetworkState<
         refs_per_level: d.usize()?,
         msg_header_bytes: d.usize()?,
         seed: d.u64()?,
-        uniform_refs: d.bool()?,
     };
     Ok(NetworkState {
         cfg,
@@ -738,13 +736,11 @@ fn de_netsim_state(d: &mut Dec<'_>) -> R<NetSimState> {
 
 pub fn driver_checkpoint(e: &mut Enc, c: &DriverCheckpoint) {
     let q = &c.queue;
-    e.u32(q.lanes);
     e.u64(q.seq);
     e.u64(q.now_us);
-    e.seq(&q.entries, |e, (at, seq, lane, ev)| {
+    e.seq(&q.entries, |e, (at, seq, ev)| {
         e.u64(*at);
         e.u64(*seq);
-        e.u32(*lane);
         match ev {
             EvSnap::Arrive { client } => {
                 e.u8(0);
@@ -787,28 +783,42 @@ pub fn driver_checkpoint(e: &mut Enc, c: &DriverCheckpoint) {
 }
 
 pub fn de_driver_checkpoint(d: &mut Dec<'_>) -> R<DriverCheckpoint> {
-    let lanes = d.u32()?;
     let seq = d.u64()?;
     let now_us = d.u64()?;
+    // `EventQueue::from_state` asserts these two invariants; a damaged
+    // artifact must fail here, not panic inside `resume_driver`.
     let entries = d.seq(|d| {
-        Ok((
-            d.u64()?,
-            d.u64()?,
-            d.u32()?,
-            match d.u8()? {
-                0 => EvSnap::Arrive { client: d.u32()? },
-                1 => EvSnap::Churn { idx: d.u32()? },
-                2 => EvSnap::Fault { idx: d.u32()? },
-                3 => EvSnap::FaultClear { idx: d.u32()? },
-                _ => return Err(SnapError::Corrupt("event tag out of range")),
-            },
-        ))
+        let (at, entry_seq) = (d.u64()?, d.u64()?);
+        if entry_seq >= seq {
+            return Err(SnapError::Corrupt("pending event seq at or past the queue counter"));
+        }
+        if at < now_us {
+            return Err(SnapError::Corrupt("pending event earlier than the queue clock"));
+        }
+        let ev = match d.u8()? {
+            0 => EvSnap::Arrive { client: d.u32()? },
+            1 => EvSnap::Churn { idx: d.u32()? },
+            2 => EvSnap::Fault { idx: d.u32()? },
+            3 => EvSnap::FaultClear { idx: d.u32()? },
+            _ => return Err(SnapError::Corrupt("event tag out of range")),
+        };
+        Ok((at, entry_seq, ev))
     })?;
+    let issued = d.seq(|d| d.u64())?;
+    let initiators = d.opt(|d| d.seq(|d| Ok(PeerId(d.u32()?))))?;
+    let client_rngs = d.seq(|d| de_rng_words(d))?;
+    let clients = client_rngs.len();
+    if entries
+        .iter()
+        .any(|(_, _, ev)| matches!(ev, EvSnap::Arrive { client } if *client as usize >= clients))
+    {
+        return Err(SnapError::Corrupt("arrival for a client the checkpoint has no stream for"));
+    }
     Ok(DriverCheckpoint {
-        queue: QueueState { lanes, seq, now_us, entries },
-        issued: d.seq(|d| d.u64())?,
-        initiators: d.opt(|d| d.seq(|d| Ok(PeerId(d.u32()?))))?,
-        client_rngs: d.seq(|d| de_rng_words(d))?,
+        queue: QueueState { seq, now_us, entries },
+        issued,
+        initiators,
+        client_rngs,
         by_operator: d.seq(|d| Ok((d.string()?, de_hist(d)?, de_query_stats(d)?)))?,
         all_latencies: de_hist(d)?,
         total: de_query_stats(d)?,

@@ -1,7 +1,7 @@
 //! The correctness bar of `sqo-snap`: checkpoint → serialize → restore →
 //! run-to-end must be **byte-identical** to the run that never stopped —
-//! across operators, cache on/off, and queue shard counts — and forks of
-//! one warm world must be mutually byte-identical.
+//! across operators and cache on/off — and forks of one warm world must
+//! be mutually byte-identical.
 
 use sqo_cache::BrokerConfig;
 use sqo_core::{EngineBuilder, SimilarityEngine};
@@ -24,7 +24,7 @@ fn build(words: &[String]) -> SimilarityEngine {
     EngineBuilder::new().peers(64).q(2).seed(3).build_with_rows(&rows)
 }
 
-fn workload(cache: BrokerConfig, shards: usize) -> DriverConfig {
+fn workload(cache: BrokerConfig) -> DriverConfig {
     DriverConfig {
         clients: 4,
         queries_per_client: 3,
@@ -44,7 +44,6 @@ fn workload(cache: BrokerConfig, shards: usize) -> DriverConfig {
         churn: vec![ChurnEvent::kill(150_000, 0.05), ChurnEvent::kill(10_000_000, 0.01)],
         cache,
         sticky_initiators: true,
-        shards,
         seed: 7,
         ..DriverConfig::default()
     }
@@ -56,49 +55,46 @@ fn json(r: &DriverReport) -> String {
 
 /// The tentpole pin: pause at a quiesce boundary, freeze the whole world
 /// to bytes, thaw in a fresh engine, resume — the final report matches
-/// the uninterrupted run byte for byte. Pinned across the cache axis and
-/// every queue shard count (the default mix already spans `similar`,
-/// `topn`, and `simjoin`).
+/// the uninterrupted run byte for byte. Pinned across the cache axis (the
+/// default mix already spans `similar`, `topn`, and `simjoin`).
 #[test]
 fn paused_run_resumes_to_a_byte_identical_report() {
     let words = words();
     for cache in [BrokerConfig::default(), BrokerConfig::enabled()] {
-        for shards in [1usize, 2, 8] {
-            let cfg = workload(cache, shards);
+        let cfg = workload(cache);
 
-            let mut uninterrupted = build(&words);
-            let report = run_driver(&mut uninterrupted, "word", &words, &cfg);
-            // Cut a third of the way into the measured span: with sparse
-            // arrivals the driver quiesces between queries, so a boundary
-            // at/after any mid-run instant exists.
-            let stop = report.virtual_span_us / 3;
-            let baseline = json(&report);
+        let mut uninterrupted = build(&words);
+        let report = run_driver(&mut uninterrupted, "word", &words, &cfg);
+        // Cut a third of the way into the measured span: with sparse
+        // arrivals the driver quiesces between queries, so a boundary
+        // at/after any mid-run instant exists.
+        let stop = report.virtual_span_us / 3;
+        let baseline = json(&report);
 
-            let mut paused = build(&words);
-            let ckpt = match run_driver_until(&mut paused, "word", &words, &cfg, stop) {
-                DriverPhase::Paused(ck) => ck,
-                DriverPhase::Done(_) => panic!("a cut at span/3 must land mid-run"),
-            };
-            assert!(ckpt.queries_run < 12, "the pause split the workload");
-            assert!(ckpt.queries_run > 0, "some queries completed before the cut");
+        let mut paused = build(&words);
+        let ckpt = match run_driver_until(&mut paused, "word", &words, &cfg, stop) {
+            DriverPhase::Paused(ck) => ck,
+            DriverPhase::Done(_) => panic!("a cut at span/3 must land mid-run"),
+        };
+        assert!(ckpt.queries_run < 12, "the pause split the workload");
+        assert!(ckpt.queries_run > 0, "some queries completed before the cut");
 
-            let bytes = Snapshot::capture_paused(&paused, ckpt).to_bytes();
-            let snap = Snapshot::from_bytes(&bytes).expect("artifact decodes");
-            let mut thawed = snap.restore_engine(paused.config());
-            let resumed = resume_driver(
-                &mut thawed,
-                "word",
-                &words,
-                &cfg,
-                snap.driver.clone().expect("driver image rides along"),
-            );
-            assert_eq!(
-                json(&resumed),
-                baseline,
-                "cache={:?} shards={shards}: resume diverged from the uninterrupted run",
-                cache.any_enabled()
-            );
-        }
+        let bytes = Snapshot::capture_paused(&paused, ckpt).to_bytes();
+        let snap = Snapshot::from_bytes(&bytes).expect("artifact decodes");
+        let mut thawed = snap.restore_engine(paused.config());
+        let resumed = resume_driver(
+            &mut thawed,
+            "word",
+            &words,
+            &cfg,
+            snap.driver.clone().expect("driver image rides along"),
+        );
+        assert_eq!(
+            json(&resumed),
+            baseline,
+            "cache={:?}: resume diverged from the uninterrupted run",
+            cache.any_enabled()
+        );
     }
 }
 
@@ -112,7 +108,7 @@ fn paused_run_resumes_to_a_byte_identical_report() {
 #[test]
 fn checkpoint_mid_fault_plan_resumes_byte_identically() {
     let words = words();
-    let mut cfg = workload(BrokerConfig::default(), 2);
+    let mut cfg = workload(BrokerConfig::default());
     cfg.repair = Some(sqo_overlay::ReplicationPolicy::default());
     cfg.faults = FaultPlan {
         events: vec![
@@ -143,14 +139,14 @@ fn checkpoint_mid_fault_plan_resumes_byte_identically() {
         DriverPhase::Done(_) => panic!("a cut at 1s must land mid-run"),
     };
     let pending_clear =
-        ckpt.queue.entries.iter().any(|(_, _, _, ev)| matches!(ev, EvSnap::FaultClear { .. }));
+        ckpt.queue.entries.iter().any(|(_, _, ev)| matches!(ev, EvSnap::FaultClear { .. }));
     assert!(pending_clear, "the cut landed inside the loss spike");
     assert!(
         !ckpt
             .queue
             .entries
             .iter()
-            .any(|(at, _, _, ev)| matches!(ev, EvSnap::Fault { .. }) && *at < 1_000_000),
+            .any(|(at, _, ev)| matches!(ev, EvSnap::Fault { .. }) && *at < 1_000_000),
         "all scripted faults before the cut have fired"
     );
 
@@ -176,14 +172,13 @@ fn forks_of_one_warm_world_are_mutually_byte_identical() {
     let mut template = build(&words);
     // Warm it: a completed run advances the network RNG, counters, and
     // leaves a populated broker installed.
-    let warm_cfg = workload(BrokerConfig::enabled(), 1);
-    run_driver(&mut template, "word", &words, &warm_cfg);
+    let cfg = workload(BrokerConfig::enabled());
+    run_driver(&mut template, "word", &words, &cfg);
 
     let bytes = Snapshot::capture(&template).to_bytes();
     let snap = Snapshot::from_bytes(&bytes).expect("artifact decodes");
     assert!(snap.world.broker.is_some(), "the warm broker is part of the world");
 
-    let cfg = workload(BrokerConfig::enabled(), 2);
     let reports: Vec<String> = snap
         .fork(template.config(), 3)
         .iter_mut()
@@ -250,6 +245,13 @@ fn envelope_is_versioned_and_decode_is_total() {
         SnapError::SchemaMismatch { found: SCHEMA_VERSION + 1, expected: SCHEMA_VERSION }
     );
     assert_eq!(err.exit_code(), 3, "parity with the bench regress gate's EXIT_MISMATCH");
+    // An artifact written before the lane and uniform-selection bytes
+    // left the wire is refused by its header, never mis-decoded.
+    skewed[4..8].copy_from_slice(&2u32.to_le_bytes());
+    assert_eq!(
+        Snapshot::from_bytes(&skewed).unwrap_err(),
+        SnapError::SchemaMismatch { found: 2, expected: 3 }
+    );
 
     // Truncations and trailing garbage fail with an error, never a panic.
     for cut in [bytes.len() / 2, bytes.len() - 3] {
@@ -258,6 +260,52 @@ fn envelope_is_versioned_and_decode_is_total() {
     let mut trailing = bytes.clone();
     trailing.push(0);
     assert!(matches!(trailing, ref b if Snapshot::from_bytes(b).is_err()));
+}
+
+/// A damaged driver queue fails at decode time instead of decoding
+/// cleanly and tripping `EventQueue::from_state`'s asserts inside
+/// `resume_driver`: a pending entry whose sequence number is not below the
+/// counter, one scheduled before the queue clock, and an arrival for a
+/// client the checkpoint carries no RNG stream for are all `Corrupt`.
+#[test]
+fn damaged_driver_queue_is_corrupt_not_a_resume_panic() {
+    let words = words();
+    let cfg = workload(BrokerConfig::default());
+    let mut paused = build(&words);
+    let ckpt = match run_driver_until(&mut paused, "word", &words, &cfg, 1_000_000) {
+        DriverPhase::Paused(ck) => ck,
+        DriverPhase::Done(_) => panic!("a cut at 1s must land mid-run"),
+    };
+    let arrive = ckpt
+        .queue
+        .entries
+        .iter()
+        .position(|(_, _, ev)| matches!(ev, EvSnap::Arrive { .. }))
+        .expect("a mid-run cut leaves arrivals pending");
+    // The driver image follows the world: a driver-less artifact of the
+    // same world ends in two `None` tags, so its length locates the
+    // driver's `Some` tag. Then: seq u64, now_us u64, entry count u64,
+    // and 21-byte entries (at u64, seq u64, tag u8, index u32).
+    let tag = Snapshot::capture(&paused).to_bytes().len() - 2;
+    let bytes = Snapshot::capture_paused(&paused, ckpt).to_bytes();
+    assert_eq!(bytes[tag], 1, "driver image present");
+    assert!(Snapshot::from_bytes(&bytes).is_ok());
+    let (seq_at, now_at) = (tag + 1, tag + 9);
+    let client_at = tag + 25 + arrive * 21 + 17;
+
+    let patched = |at: usize, with: &[u8]| {
+        let mut b = bytes.clone();
+        b[at..at + with.len()].copy_from_slice(with);
+        Snapshot::from_bytes(&b).map(|_| ()).unwrap_err()
+    };
+    for (what, err) in [
+        ("seq counter below its entries", patched(seq_at, &0u64.to_le_bytes())),
+        ("clock past its entries", patched(now_at, &u64::MAX.to_le_bytes())),
+        ("arrival for an unknown client", patched(client_at, &u32::MAX.to_le_bytes())),
+    ] {
+        assert!(matches!(err, SnapError::Corrupt(_)), "{what}: got {err:?}");
+        assert_eq!(err.exit_code(), 2);
+    }
 }
 
 /// A restored world continues the original's RNG stream and counters: the
@@ -270,7 +318,7 @@ fn restored_world_continues_the_original_stream() {
     let snap = Snapshot::capture(&a);
     let mut b = snap.restore_engine(a.config());
 
-    let cfg = workload(BrokerConfig::default(), 1);
+    let cfg = workload(BrokerConfig::default());
     let ra = json(&run_driver(&mut a, "word", &words, &cfg));
     let rb = json(&run_driver(&mut b, "word", &words, &cfg));
     assert_eq!(ra, rb, "capture is an observationally silent operation");

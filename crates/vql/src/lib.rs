@@ -8,7 +8,7 @@
 //! three example queries; this crate makes it executable:
 //!
 //! * [`lexer`] / [`parser`] / [`ast`] — text → AST (round-trip printable);
-//! * [`plan`] — AST → per-subject access paths (exact / range / numeric- or
+//! * [`mod@plan`] — AST → per-subject access paths (exact / range / numeric- or
 //!   string-similarity / schema-similarity / scans) plus join predicates;
 //! * [`exec`] — materialize-and-join execution over the `sqo-core`
 //!   operators, with full message accounting.

@@ -1,6 +1,6 @@
 //! Lowering parsed VQL onto the shared logical-plan IR (`sqo-plan`).
 //!
-//! The VQL planner ([`crate::plan`]) picks one [`AccessPath`] per subject
+//! The VQL planner ([`mod@crate::plan`]) picks one [`AccessPath`] per subject
 //! variable; this module maps each access path onto the corresponding
 //! [`PlanNode`] leaf, so VQL materialization runs through the same planner
 //! and physical compiler as the builder API — one IR for every query

@@ -14,93 +14,35 @@
 //! configuration (`cargo run --release -p sqo-bench --bin latency`);
 //! regenerate it whenever execution economics change.
 
+use sqo::obs::{parse_json, Json};
 use std::collections::BTreeMap;
 
-/// One bench row, extracted from the committed JSON (the generated file
-/// is one scalar field per line, so a full JSON parser is not needed —
-/// the vendored serde_json stand-in is serialize-only).
-#[derive(Debug, Default, Clone)]
-struct Point {
-    model: String,
-    clients: u64,
-    cache: String,
-    api: String,
-    window: String,
-    operator: String,
-    p50_us: u64,
-    p99_us: u64,
-    queue_us: u64,
+fn load() -> Json {
+    let path = format!("{}/BENCH_latency.json", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    parse_json(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"))
 }
 
-fn load_points() -> Vec<Point> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_latency.json");
-    let text = std::fs::read_to_string(path).expect("committed BENCH_latency.json");
-    let mut points = Vec::new();
-    let mut cur = Point::default();
-    let mut in_obj = false;
-    // The artifact is an envelope since the regression-gate work:
-    // `{schema_version, generated: {...}, points: [...]}`. Only the
-    // objects inside the `points` array are bench rows — the `generated`
-    // block's nested closes must not push spurious points.
-    let mut in_points = false;
-    let mut schema_version = 0u64;
-    for line in text.lines() {
-        let line = line.trim();
-        if !in_points {
-            if let Some((key, value)) = line.split_once(':') {
-                if key.trim().trim_matches('"') == "schema_version" {
-                    schema_version = value.trim().trim_end_matches(',').parse().unwrap_or(0);
-                }
-            }
-            if line.starts_with("\"points\"") {
-                in_points = true;
-            }
-            continue;
-        }
-        if line.starts_with(']') {
-            break;
-        }
-        if line.starts_with('{') {
-            in_obj = true;
-            cur = Point::default();
-            continue;
-        }
-        if line.starts_with('}') {
-            if in_obj {
-                points.push(cur.clone());
-            }
-            in_obj = false;
-            continue;
-        }
-        let Some((key, value)) = line.split_once(':') else { continue };
-        let key = key.trim().trim_matches('"');
-        let value = value.trim().trim_end_matches(',');
-        let as_str = || value.trim_matches('"').to_string();
-        let as_u64 = || value.parse::<f64>().unwrap_or(0.0) as u64;
-        match key {
-            "model" => cur.model = as_str(),
-            "clients" => cur.clients = as_u64(),
-            "cache" => cur.cache = as_str(),
-            "api" => cur.api = as_str(),
-            "window" => cur.window = as_str(),
-            "operator" => cur.operator = as_str(),
-            "p50_us" => cur.p50_us = as_u64(),
-            "p99_us" => cur.p99_us = as_u64(),
-            "queue_us" => cur.queue_us = as_u64(),
-            _ => {}
-        }
-    }
-    assert_eq!(schema_version, 1, "artifact must carry schema_version 1 (envelope shape)");
-    assert!(!points.is_empty(), "no points parsed from {path}");
+fn points(artifact: &Json) -> &[Json] {
+    let points = artifact.get("points").and_then(Json::as_array).expect("points array");
+    assert!(!points.is_empty(), "no points in the artifact");
     points
+}
+
+fn u(p: &Json, key: &str) -> u64 {
+    p.get(key).and_then(Json::as_u64).unwrap_or_else(|| panic!("point field {key}"))
+}
+
+fn s<'a>(p: &'a Json, key: &str) -> &'a str {
+    p.get(key).and_then(Json::as_str).unwrap_or_else(|| panic!("point field {key}"))
 }
 
 #[test]
 fn committed_bench_carries_the_window_sweep() {
-    let points = load_points();
+    let a = load();
     for w in ["w1", "w8", "auto"] {
         assert!(
-            points.iter().any(|p| p.window == w && p.operator == "simjoin"),
+            points(&a).iter().any(|p| s(p, "window") == w && s(p, "operator") == "simjoin"),
             "window column {w} missing from the committed artifact"
         );
     }
@@ -110,23 +52,24 @@ fn committed_bench_carries_the_window_sweep() {
 /// it matters.
 #[test]
 fn auto_window_meets_or_beats_best_static_at_1_and_16_clients() {
-    let points = load_points();
-    let find = |model: &str, clients: u64, cache: &str, window: &str| -> &Point {
-        points
+    let a = load();
+    let points = points(&a);
+    let find = |model: &str, clients: u64, cache: &str, window: &str| -> (u64, u64) {
+        let p = points
             .iter()
             .find(|p| {
-                p.model == model
-                    && p.clients == clients
-                    && p.cache == cache
-                    && p.api == "plan"
-                    && p.window == window
-                    && p.operator == "simjoin"
+                s(p, "model") == model
+                    && u(p, "clients") == clients
+                    && s(p, "cache") == cache
+                    && s(p, "window") == window
+                    && s(p, "operator") == "simjoin"
             })
-            .unwrap_or_else(|| panic!("missing point {model}/{clients}/{cache}/{window}"))
+            .unwrap_or_else(|| panic!("missing point {model}/{clients}/{cache}/{window}"));
+        (u(p, "p50_us"), u(p, "p99_us"))
     };
-    let models: Vec<String> = {
-        let mut m: Vec<String> = points.iter().map(|p| p.model.clone()).collect();
-        m.sort();
+    let models: Vec<&str> = {
+        let mut m: Vec<&str> = points.iter().map(|p| s(p, "model")).collect();
+        m.sort_unstable();
         m.dedup();
         m
     };
@@ -135,22 +78,20 @@ fn auto_window_meets_or_beats_best_static_at_1_and_16_clients() {
     for model in &models {
         for clients in [1, 16] {
             for cache in ["off", "on"] {
-                let w1 = find(model, clients, cache, "w1");
-                let w8 = find(model, clients, cache, "w8");
-                let auto = find(model, clients, cache, "auto");
-                let best_p50 = w1.p50_us.min(w8.p50_us);
-                let best_p99 = w1.p99_us.min(w8.p99_us);
+                let (w1_p50, w1_p99) = find(model, clients, cache, "w1");
+                let (w8_p50, w8_p99) = find(model, clients, cache, "w8");
+                let (auto_p50, auto_p99) = find(model, clients, cache, "auto");
+                let best_p50 = w1_p50.min(w8_p50);
+                let best_p99 = w1_p99.min(w8_p99);
                 assert!(
-                    auto.p50_us <= best_p50,
-                    "{model}/{clients}c/{cache}: auto p50 {} vs best static {best_p50}",
-                    auto.p50_us
+                    auto_p50 <= best_p50,
+                    "{model}/{clients}c/{cache}: auto p50 {auto_p50} vs best static {best_p50}"
                 );
                 assert!(
-                    auto.p99_us <= best_p99,
-                    "{model}/{clients}c/{cache}: auto p99 {} vs best static {best_p99}",
-                    auto.p99_us
+                    auto_p99 <= best_p99,
+                    "{model}/{clients}c/{cache}: auto p99 {auto_p99} vs best static {best_p99}"
                 );
-                if auto.p50_us < w1.p50_us {
+                if auto_p50 < w1_p50 {
                     auto_strictly_beat_w1 = true;
                 }
             }
@@ -160,18 +101,18 @@ fn auto_window_meets_or_beats_best_static_at_1_and_16_clients() {
 }
 
 /// Queue time must be per-operator: within one run (a fixed
-/// model/clients/cache/api/window cell) the operators' queue figures must
+/// model/clients/cache/window cell) the operators' queue figures must
 /// not all be identical — the old artifact duplicated the run-wide total
 /// into every row.
 #[test]
 fn queue_time_is_attributed_per_operator() {
-    let points = load_points();
-    let mut by_run: BTreeMap<(String, u64, String, String, String), Vec<u64>> = BTreeMap::new();
-    for p in &points {
+    let a = load();
+    let mut by_run: BTreeMap<(&str, u64, &str, &str), Vec<u64>> = BTreeMap::new();
+    for p in points(&a) {
         by_run
-            .entry((p.model.clone(), p.clients, p.cache.clone(), p.api.clone(), p.window.clone()))
+            .entry((s(p, "model"), u(p, "clients"), s(p, "cache"), s(p, "window")))
             .or_default()
-            .push(p.queue_us);
+            .push(u(p, "queue_us"));
     }
     let mut differentiated = 0usize;
     for (run, queues) in &by_run {

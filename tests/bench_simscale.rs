@@ -13,167 +13,90 @@
 //! `cargo run --release -p sqo-bench --bin simscale`; regenerate it
 //! whenever overlay state or event-core economics change.
 
-/// One `builds[]` entry.
-#[derive(Debug, Default, Clone)]
-struct Build {
-    peers: u64,
-    rss_per_peer_bytes: u64,
+use sqo::obs::{parse_json, Json};
+
+fn load() -> Json {
+    let path = format!("{}/BENCH_simscale.json", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    parse_json(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"))
 }
 
-/// One `scale[]` entry.
-#[derive(Debug, Default, Clone)]
-struct Scale {
-    mode: String,
-    shards: u64,
-    threads: bool,
-    queries: u64,
-    queries_done: u64,
-    events_per_sec: f64,
-    checksum: String,
+fn points<'a>(artifact: &'a Json, list: &str) -> &'a [Json] {
+    let points = artifact.get(list).and_then(Json::as_array).unwrap_or_else(|| panic!("{list}[]"));
+    assert!(!points.is_empty(), "no {list} points in the artifact");
+    points
 }
 
-/// Top-level scalars plus the two point lists, extracted line-wise (the
-/// generated file keeps one scalar field per line, so a full JSON parser
-/// is unnecessary — the vendored serde_json stand-in is serialize-only).
-#[derive(Debug, Default)]
-struct Report {
-    schema_version: u64,
-    seed_rss_per_peer_bytes: u64,
-    deterministic: bool,
-    builds: Vec<Build>,
-    scale: Vec<Scale>,
-    /// Every `sim.*` metric name in the registry (gauges, counters and
-    /// histogram keys alike).
-    gauges: Vec<String>,
+fn u(p: &Json, key: &str) -> u64 {
+    p.get(key).and_then(Json::as_u64).unwrap_or_else(|| panic!("field {key}"))
 }
 
-fn load_report() -> Report {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_simscale.json");
-    let text = std::fs::read_to_string(path).expect("committed BENCH_simscale.json");
-    let mut r = Report::default();
-    let mut depth = 0i32;
-    let mut build = Build::default();
-    let mut scale = Scale::default();
-    let mut is_scale = false;
-    // The `generated` metadata block (regression-gate envelope) carries
-    // `peers`/`queries` keys of its own at object depth 2 — everything
-    // inside it must be skipped, or it would masquerade as a build point.
-    let mut skip_until: Option<i32> = None;
-    for line in text.lines() {
-        let line = line.trim();
-        if line.ends_with('{') {
-            depth += 1;
-            if skip_until.is_none() && line.starts_with("\"generated\"") {
-                skip_until = Some(depth);
-            }
-            // Histogram entries open objects keyed by metric name.
-            if let Some((key, _)) = line.split_once(':') {
-                let key = key.trim().trim_matches('"');
-                if skip_until.is_none() && key.starts_with("sim.") {
-                    r.gauges.push(key.to_string());
-                }
-            }
-            if depth == 2 && skip_until.is_none() {
-                build = Build::default();
-                scale = Scale::default();
-                is_scale = false;
-            }
-            continue;
-        }
-        if line.starts_with('}') || line.starts_with("},") {
-            if let Some(d) = skip_until {
-                if depth == d {
-                    skip_until = None;
-                }
-            } else if depth == 2 {
-                if is_scale {
-                    r.scale.push(scale.clone());
-                } else if build.peers > 0 {
-                    r.builds.push(build.clone());
-                }
-            }
-            depth -= 1;
-            continue;
-        }
-        if skip_until.is_some() {
-            continue;
-        }
-        let Some((key, value)) = line.split_once(':') else { continue };
-        let key = key.trim().trim_matches('"');
-        let value = value.trim().trim_end_matches(',');
-        let as_u64 = || value.parse::<f64>().unwrap_or(0.0) as u64;
-        match (depth, key) {
-            (1, "schema_version") => r.schema_version = as_u64(),
-            (1, "seed_rss_per_peer_bytes") => r.seed_rss_per_peer_bytes = as_u64(),
-            (1, "deterministic") => r.deterministic = value == "true",
-            (2, "peers") => build.peers = as_u64(),
-            (2, "rss_per_peer_bytes") => build.rss_per_peer_bytes = as_u64(),
-            (2, "mode") => {
-                scale.mode = value.trim_matches('"').to_string();
-                is_scale = true;
-            }
-            (2, "shards") => scale.shards = as_u64(),
-            (2, "threads") => scale.threads = value == "true",
-            (2, "queries") => scale.queries = as_u64(),
-            (2, "queries_done") => scale.queries_done = as_u64(),
-            (2, "events_per_sec") => scale.events_per_sec = value.parse().unwrap_or(0.0),
-            (2, "checksum") => scale.checksum = value.to_string(),
-            (d, _) if d >= 3 && key.starts_with("sim.") => r.gauges.push(key.to_string()),
-            _ => {}
-        }
-    }
-    assert_eq!(r.schema_version, 1, "artifact must carry schema_version 1 (envelope shape)");
-    assert!(!r.builds.is_empty() && !r.scale.is_empty(), "no points parsed from {path}");
-    r
+fn f(p: &Json, key: &str) -> f64 {
+    p.get(key).and_then(Json::as_f64).unwrap_or_else(|| panic!("field {key}"))
+}
+
+fn is(p: &Json, key: &str, want: &str) -> bool {
+    p.get(key).and_then(Json::as_str) == Some(want)
 }
 
 /// The headline RSS claim: 10⁵ peers on board, and the arena overlay
 /// holds at most a third of the seed's per-peer resident footprint.
 #[test]
 fn overlay_rss_per_peer_beats_seed_by_3x() {
-    let r = load_report();
-    let big = r.builds.iter().find(|b| b.peers >= 100_000).expect("a 10^5-peer build point");
-    assert_eq!(r.seed_rss_per_peer_bytes, 5_649, "seed baseline recorded in the artifact");
-    assert!(
-        big.rss_per_peer_bytes <= r.seed_rss_per_peer_bytes / 3,
-        "rss {} B/peer exceeds a third of the {} B/peer seed",
-        big.rss_per_peer_bytes,
-        r.seed_rss_per_peer_bytes
-    );
+    let a = load();
+    let big = points(&a, "builds")
+        .iter()
+        .find(|b| u(b, "peers") >= 100_000)
+        .expect("a 10^5-peer build point");
+    let seed = u(&a, "seed_rss_per_peer_bytes");
+    assert_eq!(seed, 5_649, "seed baseline recorded in the artifact");
+    let rss = u(big, "rss_per_peer_bytes");
+    assert!(rss <= seed / 3, "rss {rss} B/peer exceeds a third of the {seed} B/peer seed");
 }
 
 /// The headline throughput claim: on one core, the windowed sharded core
 /// beats the serial heap baseline by ≥ 1.5× events/sec at shards ≥ 2.
 #[test]
 fn sharded_core_beats_serial_by_1_5x() {
-    let r = load_report();
-    let serial = r.scale.iter().find(|s| s.mode == "serial").expect("a serial baseline point");
-    assert_eq!(serial.queries, 1_000, "the 10^3-query sweep");
-    assert!(serial.events_per_sec > 0.0);
-    let sharded: Vec<_> =
-        r.scale.iter().filter(|s| s.mode == "sharded" && s.shards >= 2 && !s.threads).collect();
+    let a = load();
+    let scale = points(&a, "scale");
+    let serial = scale.iter().find(|s| is(s, "mode", "serial")).expect("a serial baseline point");
+    assert_eq!(u(serial, "queries"), 1_000, "the 10^3-query sweep");
+    let serial_eps = f(serial, "events_per_sec");
+    assert!(serial_eps > 0.0);
+    let sharded: Vec<&Json> = scale
+        .iter()
+        .filter(|s| {
+            is(s, "mode", "sharded")
+                && u(s, "shards") >= 2
+                && s.get("threads").and_then(Json::as_bool) == Some(false)
+        })
+        .collect();
     assert!(sharded.len() >= 2, "sharded sweep covers at least two shard counts");
-    for s in &sharded {
-        assert!(
-            s.events_per_sec >= 1.5 * serial.events_per_sec,
-            "shards={} only reached {:.2}x serial",
-            s.shards,
-            s.events_per_sec / serial.events_per_sec
-        );
+    for s in sharded {
+        let ratio = f(s, "events_per_sec") / serial_eps;
+        assert!(ratio >= 1.5, "shards={} only reached {ratio:.2}x serial", u(s, "shards"));
     }
 }
 
 /// Determinism: the artifact's engines all agreed, every query completed,
-/// and all configurations carry the same outcome checksum.
+/// and all configurations carry the same outcome checksum (compared as
+/// parsed — `f64`-rounded — numbers; the exact `u64` comparison is the
+/// bench's own `deterministic` flag).
 #[test]
 fn all_engines_agreed_and_completed() {
-    let r = load_report();
-    assert!(r.deterministic, "engines diverged in the committed run");
-    let first = &r.scale[0];
-    assert_eq!(first.queries_done, first.queries, "all queries completed");
-    for s in &r.scale {
-        assert_eq!(s.queries_done, first.queries_done);
-        assert_eq!(s.checksum, first.checksum, "outcome checksum differs for {s:?}");
+    let a = load();
+    assert_eq!(
+        a.get("deterministic").and_then(Json::as_bool),
+        Some(true),
+        "engines diverged in the committed run"
+    );
+    let scale = points(&a, "scale");
+    let first = &scale[0];
+    assert_eq!(u(first, "queries_done"), u(first, "queries"), "all queries completed");
+    for s in scale {
+        assert_eq!(u(s, "queries_done"), u(first, "queries_done"));
+        assert_eq!(s.get("checksum"), first.get("checksum"), "outcome checksum differs for {s:?}");
     }
 }
 
@@ -183,7 +106,10 @@ fn all_engines_agreed_and_completed() {
 /// events-per-shard histogram).
 #[test]
 fn sim_metrics_are_exported() {
-    let r = load_report();
+    let a = load();
+    let metrics = a.get("metrics").and_then(Json::as_object).expect("metrics registry");
+    // Gauges, counters and histograms are sections keyed by metric name.
+    let exported = |name: &str| metrics.values().any(|section| section.get(name).is_some());
     for g in [
         "sim.events_per_sec",
         "sim.rss_peak_bytes",
@@ -198,6 +124,6 @@ fn sim_metrics_are_exported() {
         "sim.shard.mailbox_events",
         "sim.shard.events",
     ] {
-        assert!(r.gauges.iter().any(|x| x == g), "metric {g} missing from registry");
+        assert!(exported(g), "metric {g} missing from registry");
     }
 }

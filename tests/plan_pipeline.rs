@@ -5,7 +5,7 @@
 
 use sqo::core::{EngineBuilder, JoinWindow};
 use sqo::plan::{Query, RankBy, Session};
-use sqo::sim::{run_driver, ApiMode, Arrival, DriverConfig, LatencyModel, QueryKind, SimConfig};
+use sqo::sim::{run_driver, Arrival, DriverConfig, LatencyModel, QueryKind, SimConfig};
 use sqo::storage::{Row, Value};
 use sqo::strsim::edit::levenshtein;
 
@@ -113,7 +113,6 @@ fn pipeline_runs_on_the_event_driven_simulator() {
             QueryKind::Similar { d: 1 },
         ],
         sim: SimConfig { latency: LatencyModel::Constant { us: 700 }, ..SimConfig::default() },
-        api: ApiMode::Plan,
         seed: 3,
         ..DriverConfig::default()
     };

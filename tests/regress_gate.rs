@@ -65,7 +65,7 @@ fn artifacts_carry_the_generation_envelope() {
         let a = load(name);
         assert_eq!(
             a.get("schema_version").and_then(Json::as_u64),
-            Some(1),
+            Some(u64::from(sqo_bench::meta::SCHEMA_VERSION)),
             "{name}: schema_version"
         );
         let g = a.get("generated").unwrap_or_else(|| panic!("{name}: generated block"));
