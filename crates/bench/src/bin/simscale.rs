@@ -7,7 +7,7 @@
 //!
 //! Writes `BENCH_simscale.json` (default): the build points (RSS per
 //! peer at 10⁴ and 10⁵ peers), the event-core sweep at the largest build
-//! (serial baseline, windowed core at shards 2 and 4, threaded at 4), a
+//! (serial baseline, windowed core at shards 2 and 4), a
 //! `deterministic` flag asserting every engine produced the same
 //! `ScaleOutcome`, and the `sim.*` metrics gauges. The committed file at
 //! the repository root is the baseline the tier-1 acceptance test
@@ -110,23 +110,17 @@ fn main() {
     let topo = Topology::of_network(&net);
     drop(net);
     let cfg = ScaleConfig { queries, arrival_spread_us: 20_000, ..ScaleConfig::default() };
-    let (scale, deterministic, best_run) = measure_throughput(&topo, &cfg, &[2, 4], true, repeats);
+    let (scale, deterministic, best_run) = measure_throughput(&topo, &cfg, &[2, 4], repeats);
     for t in &scale {
         println!(
-            "{:>8} shards={} threads={:<5} events={:>9} elapsed={:>8.1}ms  {:>12.0} ev/s  x{:.2}",
-            t.mode,
-            t.shards,
-            t.threads,
-            t.events,
-            t.elapsed_ms,
-            t.events_per_sec,
-            t.speedup_vs_serial
+            "{:>8} shards={} events={:>9} elapsed={:>8.1}ms  {:>12.0} ev/s  x{:.2}",
+            t.mode, t.shards, t.events, t.elapsed_ms, t.events_per_sec, t.speedup_vs_serial
         );
     }
     println!("deterministic across engines: {deterministic}");
 
     // The fastest sharded run's export carries the per-shard telemetry
-    // (`sim.shard.*` occupancy, imbalance, window stalls, mailbox depths)
+    // (`sim.shard.*` occupancy, imbalance, window stalls)
     // into the artifact's registry next to the run-level gauges.
     let mut metrics = MetricsRegistry::default();
     if let Some(run) = &best_run {

@@ -13,7 +13,7 @@ use serde::Serialize;
 /// shape of the points or the meaning of a compared metric changes; the
 /// regression gate exits with [`crate::regress::EXIT_MISMATCH`] on any
 /// version difference.
-pub const SCHEMA_VERSION: u32 = 2;
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// `rustc -V` of the toolchain that produced an artifact, or `"unknown"`
 /// when the compiler is not on `PATH` (the artifact stays usable; the

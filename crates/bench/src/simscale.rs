@@ -10,15 +10,16 @@
 //!    sharded event core (`sqo_sim::scale`) at several shard counts and
 //!    report wall-clock events/sec, serial vs sharded.
 //!
-//! RSS is read from `/proc/self/status` (Linux-only, zero dependencies);
-//! on other platforms the RSS fields report 0 and the bench still runs.
+//! RSS is read from `/proc/self/status` ([`sqo_sim::rss_now_bytes`],
+//! Linux-only); on other platforms the RSS fields report 0 and the bench
+//! still runs.
 
 use serde::Serialize;
 use sqo_overlay::hash::hash_str;
 use sqo_overlay::key::Key;
 use sqo_overlay::network::{Network, NetworkConfig};
 use sqo_overlay::peer::Item;
-use sqo_sim::{run_serial, run_sharded, ScaleConfig, ScaleRun, Topology};
+use sqo_sim::{rss_now_bytes, run_serial, run_sharded, ScaleConfig, ScaleRun, Topology};
 
 /// Synthetic corpus item: the word itself, as stored payload.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -28,30 +29,6 @@ impl Item for WordItem {
     fn size_bytes(&self) -> usize {
         self.0.len()
     }
-}
-
-/// Read a field of `/proc/self/status` given its label, in bytes.
-fn proc_status_bytes(label: &str) -> u64 {
-    let Ok(s) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in s.lines() {
-        if let Some(rest) = line.strip_prefix(label) {
-            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().unwrap_or(0);
-            return kb * 1024;
-        }
-    }
-    0
-}
-
-/// Current resident set size in bytes (0 off-Linux).
-pub fn rss_now_bytes() -> u64 {
-    proc_status_bytes("VmRSS:")
-}
-
-/// Peak resident set size (high-water mark) in bytes (0 off-Linux).
-pub fn rss_peak_bytes() -> u64 {
-    proc_status_bytes("VmHWM:")
 }
 
 /// Deterministic synthetic corpus: `n` distinct words, keyed by the
@@ -82,12 +59,12 @@ pub struct BuildPoint {
 /// synthetic words and measure the RSS delta.
 pub fn measure_build(peers: usize, k: usize, items: usize) -> (Network<WordItem>, BuildPoint) {
     let data = synth_corpus(items);
-    let rss_before = rss_now_bytes();
+    let rss_before = rss_now_bytes().unwrap_or(0);
     let t0 = std::time::Instant::now();
     let cfg = NetworkConfig { peers, replication: k, seed: 7, ..NetworkConfig::default() };
     let net = Network::build(cfg, data);
     let build_ms = t0.elapsed().as_millis() as u64;
-    let rss_after = rss_now_bytes();
+    let rss_after = rss_now_bytes().unwrap_or(0);
     let delta = rss_after.saturating_sub(rss_before);
     let point = BuildPoint {
         peers,
@@ -110,7 +87,6 @@ pub struct ThroughputPoint {
     /// `"serial"` (global binary heap) or `"sharded"` (windowed core).
     pub mode: String,
     pub shards: usize,
-    pub threads: bool,
     pub queries: usize,
     pub events: u64,
     pub elapsed_ms: f64,
@@ -127,15 +103,12 @@ pub struct ThroughputPoint {
     pub windows_swept: u64,
     /// Swept windows with an empty bucket — lookahead stalls.
     pub empty_windows: u64,
-    /// Events exchanged through cross-shard mailboxes (threaded only).
-    pub mailbox_events: u64,
 }
 
 fn point_of(run: &ScaleRun, out: &sqo_sim::ScaleOutcome, cfg: &ScaleConfig) -> ThroughputPoint {
     ThroughputPoint {
         mode: run.mode.clone(),
         shards: run.shards,
-        threads: run.threads,
         queries: cfg.queries,
         events: run.events,
         elapsed_ms: run.elapsed_ms,
@@ -147,13 +120,11 @@ fn point_of(run: &ScaleRun, out: &sqo_sim::ScaleOutcome, cfg: &ScaleConfig) -> T
         shard_events_min: run.events_per_shard.iter().copied().min().unwrap_or(0),
         windows_swept: run.windows_swept,
         empty_windows: run.empty_windows,
-        mailbox_events: run.mailbox_events,
     }
 }
 
 /// Run the event-core sweep over `topo`: the serial baseline, then the
-/// windowed core at each of `shard_counts` (and, when `threaded`, a
-/// threaded run at the largest shard count). Each engine configuration is
+/// windowed core at each of `shard_counts`. Each engine configuration is
 /// timed `repeats` times and the fastest run reported — one-core CI boxes
 /// are noisy. Returns the points (serial first), whether every engine
 /// produced the same [`ScaleOutcome`](sqo_sim::ScaleOutcome), and the
@@ -163,7 +134,6 @@ pub fn measure_throughput(
     topo: &Topology,
     base: &ScaleConfig,
     shard_counts: &[usize],
-    threaded: bool,
     repeats: usize,
 ) -> (Vec<ThroughputPoint>, bool, Option<ScaleRun>) {
     let repeats = repeats.max(1);
@@ -178,7 +148,7 @@ pub fn measure_throughput(
         best.expect("repeats >= 1")
     };
 
-    let serial_cfg = ScaleConfig { shards: 1, threads: false, ..*base };
+    let serial_cfg = ScaleConfig { shards: 1, ..*base };
     let (serial_out, serial_run) = best(&serial_cfg, false);
     let serial_eps = serial_run.events_per_sec;
     let mut points = vec![point_of(&serial_run, &serial_out, &serial_cfg)];
@@ -197,11 +167,7 @@ pub fn measure_throughput(
         p
     };
     for &s in shard_counts {
-        points.push(sweep(ScaleConfig { shards: s, threads: false, ..*base }));
-    }
-    if threaded {
-        let s = shard_counts.iter().copied().max().unwrap_or(2);
-        points.push(sweep(ScaleConfig { shards: s, threads: true, ..*base }));
+        points.push(sweep(ScaleConfig { shards: s, ..*base }));
     }
     (points, deterministic, best_sharded)
 }

@@ -1,5 +1,5 @@
 //! The combined cache + batcher façade the engine's probe pipeline talks
-//! to (via `sqo-core`'s `ProbeBroker` trait).
+//! to.
 
 use crate::batch::{ChannelPool, ChannelPoolState, PartitionChannel};
 use crate::lru::{LruCache, LruState};

@@ -24,10 +24,9 @@
 //!   for routing once per window.
 //!
 //! [`CacheBatchBroker`] combines both behind one façade; `sqo-core`'s
-//! `ProbeBroker` trait is implemented for it, wiring the services into the
-//! engine's stepped probe pipeline. The broker itself is pure bookkeeping —
-//! it never touches the network, so the engine stays the single place where
-//! messages are charged.
+//! engine holds one and calls it from its stepped probe pipeline. The
+//! broker itself is pure bookkeeping — it never touches the network, so
+//! the engine stays the single place where messages are charged.
 
 pub mod batch;
 pub mod broker;

@@ -1,10 +1,11 @@
-//! The probe-broker seam: how the engine's stepped probe pipeline talks to
-//! the hot-path services of `sqo-cache`.
+//! How the engine's stepped probe pipeline talks to the hot-path services
+//! of `sqo-cache`.
 //!
 //! Every gram-probe branch of every operator (`similar` directly; `select`,
 //! `sim_join`, `similar_multi` and string `top_n` through their child
-//! [`SimilarTask`](crate::similar::SimilarTask)s) flows through a
-//! [`ProbeBroker`] when one is installed on the engine:
+//! [`SimilarTask`](crate::similar::SimilarTask)s) flows through the
+//! [`CacheBatchBroker`](sqo_cache::CacheBatchBroker) when one is installed
+//! on the engine:
 //!
 //! 1. **Cache consult** — each probe key is first looked up in the
 //!    initiator's posting cache (full, unfiltered lists, validated by TTL
@@ -21,15 +22,11 @@
 //! broker-less delegated path (filter at the owner, survivors travel) —
 //! the equivalence suite pins this, churn included.
 //!
-//! The trait is bookkeeping-only: the broker never touches the network, so
-//! the engine remains the single place where messages are charged and the
+//! The broker is bookkeeping-only: it never touches the network, so the
+//! engine remains the single place where messages are charged and the
 //! simulation stays deterministic.
 
 use rustc_hash::FxHashMap;
-use sqo_cache::{BrokerCounters, CacheBatchBroker, PartitionChannel};
-use sqo_overlay::key::Key;
-use sqo_overlay::peer::PeerId;
-use sqo_overlay::PostingList;
 use sqo_storage::posting::Posting;
 use sqo_strsim::filters::{char_len, length_filter, position_filter, FilterConfig};
 
@@ -93,153 +90,5 @@ impl ProbeFilter<'_> {
             }
             !self.filters.length || length_filter(char_len(source), self.s_len, self.d)
         })
-    }
-}
-
-/// Bookkeeping interface of the hot-path services (see module docs). The
-/// canonical implementation is [`sqo_cache::CacheBatchBroker`]; tests may
-/// install counting or fault-injecting stand-ins.
-pub trait ProbeBroker {
-    fn cache_enabled(&self) -> bool;
-    fn batch_enabled(&self) -> bool;
-
-    /// Cache lookup of `from`'s copy of `key`'s full posting list. The
-    /// returned list is a shared handle (an `Arc` clone of the cached
-    /// entry), so hits copy no postings.
-    fn cache_get(
-        &mut self,
-        from: PeerId,
-        key: &Key,
-        now_us: u64,
-        epoch: u64,
-    ) -> Option<PostingList<Posting>>;
-
-    /// Fill `from`'s cache (no-op when the cache is disabled). The broker
-    /// stores the handle as-is — caller and cache share one allocation.
-    fn cache_put(
-        &mut self,
-        from: PeerId,
-        key: &Key,
-        list: PostingList<Posting>,
-        now_us: u64,
-        epoch: u64,
-    );
-
-    /// Size of `from`'s cached copy of `key`'s posting list, if a valid
-    /// one is held — a side-effect-free peek (no hit/miss counting, no LRU
-    /// touch) used by cost-based planning for exact cardinalities the
-    /// initiator already paid for. Default: unknown.
-    fn cache_peek_len(
-        &self,
-        _from: PeerId,
-        _key: &Key,
-        _now_us: u64,
-        _epoch: u64,
-    ) -> Option<usize> {
-        None
-    }
-
-    /// The open coalescing channel for `part`, if one was routed within
-    /// the window. `n_keys` probe keys will ride it on success (the
-    /// broker's `probes_coalesced` counter is key-granular, matching the
-    /// per-query `QueryStats` attribution).
-    fn channel_lookup(
-        &mut self,
-        part: usize,
-        now_us: u64,
-        epoch: u64,
-        n_keys: u64,
-    ) -> Option<PartitionChannel>;
-
-    /// Record a freshly routed exchange as `part`'s open channel.
-    fn channel_record(
-        &mut self,
-        part: usize,
-        owner: PeerId,
-        route_hops: u64,
-        now_us: u64,
-        epoch: u64,
-    );
-
-    /// Record overlay messages a coalesced probe avoided.
-    fn count_messages_saved(&mut self, n: u64);
-
-    /// Lifetime service counters.
-    fn counters(&self) -> BrokerCounters;
-
-    /// Owned checkpoint image of the broker, if the implementation
-    /// supports checkpointing. The canonical [`CacheBatchBroker`] does;
-    /// test stand-ins keep the default `None` (a checkpoint then simply
-    /// records "no broker state" and a restore builds a fresh one).
-    fn export_state(&self) -> Option<sqo_cache::BrokerState> {
-        None
-    }
-}
-
-impl ProbeBroker for CacheBatchBroker {
-    fn cache_enabled(&self) -> bool {
-        CacheBatchBroker::cache_enabled(self)
-    }
-
-    fn batch_enabled(&self) -> bool {
-        CacheBatchBroker::batch_enabled(self)
-    }
-
-    fn cache_get(
-        &mut self,
-        from: PeerId,
-        key: &Key,
-        now_us: u64,
-        epoch: u64,
-    ) -> Option<PostingList<Posting>> {
-        CacheBatchBroker::cache_get(self, from, key, now_us, epoch)
-    }
-
-    fn cache_put(
-        &mut self,
-        from: PeerId,
-        key: &Key,
-        list: PostingList<Posting>,
-        now_us: u64,
-        epoch: u64,
-    ) {
-        CacheBatchBroker::cache_put(self, from, key, list, now_us, epoch)
-    }
-
-    fn cache_peek_len(&self, from: PeerId, key: &Key, now_us: u64, epoch: u64) -> Option<usize> {
-        CacheBatchBroker::cache_peek_len(self, from, key, now_us, epoch)
-    }
-
-    fn channel_lookup(
-        &mut self,
-        part: usize,
-        now_us: u64,
-        epoch: u64,
-        n_keys: u64,
-    ) -> Option<PartitionChannel> {
-        CacheBatchBroker::channel_lookup(self, part, now_us, epoch, n_keys)
-    }
-
-    fn channel_record(
-        &mut self,
-        part: usize,
-        owner: PeerId,
-        route_hops: u64,
-        now_us: u64,
-        epoch: u64,
-    ) {
-        CacheBatchBroker::channel_record(self, part, owner, route_hops, now_us, epoch)
-    }
-
-    fn count_messages_saved(&mut self, n: u64) {
-        CacheBatchBroker::count_messages_saved(self, n)
-    }
-
-    fn counters(&self) -> BrokerCounters {
-        CacheBatchBroker::counters(self)
-    }
-
-    fn export_state(&self) -> Option<sqo_cache::BrokerState> {
-        Some(CacheBatchBroker::export_state(self))
     }
 }

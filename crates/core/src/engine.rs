@@ -3,7 +3,7 @@
 //! physical operators are built on.
 
 use crate::adaptive::JoinWindow;
-use crate::broker::{ProbeBroker, ProbeFilter};
+use crate::broker::ProbeFilter;
 use crate::stats::QueryStats;
 use rustc_hash::{FxHashMap, FxHashSet};
 use sqo_cache::{BrokerConfig, BrokerCounters, CacheBatchBroker};
@@ -213,10 +213,8 @@ impl EngineBuilder {
     pub fn build_with_rows(self, rows: &[Row]) -> SimilarityEngine {
         let (postings, publish_stats) = postings_for_rows(rows, &self.cfg.publish);
         let net = Network::build(self.cfg.network.clone(), postings);
-        let broker: Option<Box<dyn ProbeBroker>> =
-            self.cfg.query.cache.any_enabled().then(|| {
-                Box::new(CacheBatchBroker::new(self.cfg.query.cache)) as Box<dyn ProbeBroker>
-            });
+        let broker =
+            self.cfg.query.cache.any_enabled().then(|| CacheBatchBroker::new(self.cfg.query.cache));
         SimilarityEngine {
             net,
             cfg: self.cfg,
@@ -241,7 +239,7 @@ pub struct SimilarityEngine {
     pub(crate) edit_comparisons: u64,
     /// Hot-path services (posting cache + probe batcher); `None` keeps the
     /// probe pipeline on the broker-less delegated path.
-    broker: Option<Box<dyn ProbeBroker>>,
+    broker: Option<CacheBatchBroker>,
     /// Monotone remote-leg counters backing the degraded-answer signal
     /// ([`QueryStats::completeness`]): legs addressed, legs that answered,
     /// and retries spent. Snapshotted/delta'd per stats window exactly
@@ -356,13 +354,13 @@ impl SimilarityEngine {
 
     /// Install (or replace) the hot-path probe broker. Workload drivers use
     /// this to own a fresh broker per run.
-    pub fn set_broker(&mut self, broker: Box<dyn ProbeBroker>) {
+    pub fn set_broker(&mut self, broker: CacheBatchBroker) {
         self.broker = Some(broker);
     }
 
     /// Remove the broker, returning the probe pipeline to the broker-less
     /// delegated path.
-    pub fn clear_broker(&mut self) -> Option<Box<dyn ProbeBroker>> {
+    pub fn clear_broker(&mut self) -> Option<CacheBatchBroker> {
         self.broker.take()
     }
 
@@ -398,15 +396,14 @@ impl SimilarityEngine {
         self.edit_comparisons
     }
 
-    /// The installed broker's checkpoint image, if a broker is installed
-    /// and it supports checkpointing (see [`ProbeBroker::export_state`]).
+    /// The installed broker's checkpoint image, if a broker is installed.
     pub fn broker_state(&self) -> Option<sqo_cache::BrokerState> {
-        self.broker.as_ref().and_then(|b| b.export_state())
+        self.broker.as_ref().map(CacheBatchBroker::export_state)
     }
 
     /// Reassemble an engine from checkpointed parts: a restored network
     /// (see `sqo_overlay::Network::import_state`), the original config and
-    /// counters, and optionally a restored broker image. The engine
+    /// counters, and optionally a restored broker. The engine
     /// behaves identically to the one the parts were exported from —
     /// `sqo-snap`'s round-trip suite pins report byte-identity on top.
     pub fn from_parts(
@@ -414,10 +411,8 @@ impl SimilarityEngine {
         net: Network<Posting>,
         publish_stats: PublishStats,
         edit_comparisons: u64,
-        broker: Option<sqo_cache::BrokerState>,
+        broker: Option<CacheBatchBroker>,
     ) -> Self {
-        let broker: Option<Box<dyn ProbeBroker>> =
-            broker.map(|s| Box::new(CacheBatchBroker::from_state(s)) as Box<dyn ProbeBroker>);
         // Leg counters restart at zero: stats windows only ever read
         // deltas, and checkpoints cut at quiesce (no open windows).
         SimilarityEngine {
@@ -455,7 +450,7 @@ impl SimilarityEngine {
     pub fn estimate_key_cardinality(&self, from: PeerId, key: &Key) -> CardEstimate {
         let (ps, pe) = self.net.subtree_of(key);
         let me = self.net.peer(from);
-        let own = me.partition as usize;
+        let own = self.net.peer_partition(from);
         let total =
             self.net.total_stored_items() as u64 / self.cfg.network.replication.max(1) as u64;
         let structural = |p: usize| total >> (self.net.partition_depth(p).min(63) as u32);

@@ -13,9 +13,9 @@
 //! * [`select`] — exact, range, keyword and numeric-similarity selections;
 //! * [`engine`] — the façade owning the network, with the §4 delegation and
 //!   batched-retrieval optimizations;
-//! * [`broker`] — the hot-path seam: probe branches flow through a
-//!   [`ProbeBroker`] (initiator-side posting cache + cross-query probe
-//!   batching, implemented by `sqo-cache`) when one is installed;
+//! * [`broker`] — the hot path: probe branches flow through the
+//!   `sqo-cache` broker (initiator-side posting cache + cross-query probe
+//!   batching) when one is installed, filtered by a [`ProbeFilter`];
 //! * [`stats`] — per-query message/bandwidth/work accounting.
 
 pub mod adaptive;
@@ -31,7 +31,7 @@ pub mod stats;
 pub mod topn;
 
 pub use adaptive::{AimdWindow, JoinWindow};
-pub use broker::{ProbeBroker, ProbeFilter};
+pub use broker::ProbeFilter;
 pub use engine::{
     finalize_stats, CardEstimate, CardSource, DegradePolicy, EngineBuilder, EngineConfig, ExecStep,
     QueryDefaults, SimilarityEngine, StepOutcome,

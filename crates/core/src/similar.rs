@@ -369,7 +369,7 @@ impl SimilarTask {
                     self.stats = acc;
                     match routed {
                         Some(entry) => {
-                            let entry_part = engine.net.peer(entry).partition as usize;
+                            let entry_part = engine.net.peer_partition(entry);
                             self.state = SimState::NaiveFan {
                                 prefixes,
                                 idx,
@@ -828,7 +828,7 @@ mod tests {
         assert_eq!(healthy.stats.gave_up, 0);
         // Kill a partition the query addresses; the initiator must survive.
         let parts = e.network().partition_count();
-        let home = e.network().peer(from).partition as usize;
+        let home = e.network().peer_partition(from);
         for part in (0..parts).filter(|&p| p != home).take(parts / 2) {
             e.network_mut().fail_partition(part);
         }
@@ -856,7 +856,7 @@ mod tests {
         let mut e = build(2);
         let from = e.random_peer();
         let parts = e.network().partition_count();
-        let home = e.network().peer(from).partition as usize;
+        let home = e.network().peer_partition(from);
         for part in (0..parts).filter(|&p| p != home) {
             e.network_mut().fail_partition(part);
         }
@@ -866,7 +866,7 @@ mod tests {
         let mut e0 = build(0);
         let from0 = e0.random_peer();
         let parts0 = e0.network().partition_count();
-        let home0 = e0.network().peer(from0).partition as usize;
+        let home0 = e0.network().peer_partition(from0);
         for part in (0..parts0).filter(|&p| p != home0) {
             e0.network_mut().fail_partition(part);
         }

@@ -111,7 +111,7 @@ impl SimilarityEngine {
         // case walk towards the data — one forward message per extra
         // partition probed — so the estimate (and, for MAX/MIN, the global
         // extremum) comes from real postings.
-        let entry_part = self.net.peer(entry).partition as usize;
+        let entry_part = self.net.peer_partition(entry);
         let mut domain: Option<NumDomain> = None;
         let mut local: Vec<f64> = Vec::new();
         for part in probe_order(&rank, ps, pe, entry_part) {

@@ -167,10 +167,10 @@ fn route_failures_are_not_negative_cached() {
     let baseline = e.select_exact("hp", &target, from).hits.len();
     assert_eq!(baseline, 1, "sanity: the row exists");
 
-    let my_part = e.network().peer(from).partition;
+    let my_part = e.network().peer_partition(from);
     let victims: Vec<sqo_overlay::PeerId> = (0..16u32)
         .map(sqo_overlay::PeerId)
-        .filter(|p| e.network().peer(*p).partition != my_part)
+        .filter(|p| e.network().peer_partition(*p) != my_part)
         .collect();
     for &v in &victims {
         e.network_mut().fail_peer(v);

@@ -13,13 +13,14 @@
 //! * [`key`] — arbitrary-length binary keys with the prefix algebra.
 //! * [`hash`] — order- and prefix-preserving hashing of strings and numbers.
 //! * [`trie`] — construction of a load-balanced partition cover.
-//! * [`peer`] — compact per-peer state (id, partition, shared store
-//!   handle); the paper's π(p)/ρ(p,l)/σ(p) live in network-level tables.
+//! * [`peer`] — compact per-peer state (id, churn flag, shared store
+//!   handle).
+//! * [`topology`] — the paper's π(p)/ρ(p,l)/σ(p) for the whole network in
+//!   one structure, and Algorithm 1's per-hop decision over it.
 //! * [`store`] — structurally-shared partition stores: sorted runs of
 //!   `Arc`-shared posting lists, plus the key interner.
-//! * [`network`] — the simulator: routing (with the flattened
-//!   [`network::RoutingArena`]), retrieval, range queries, delegation
-//!   primitives, churn.
+//! * [`network`] — the simulator: routing, retrieval, range queries,
+//!   delegation primitives, churn.
 //! * [`metrics`] — message/bandwidth accounting.
 //! * [`clock`] — the virtual-time hook: an [`EventSink`] installed on the
 //!   network turns hop counts into simulated latency (implemented by
@@ -34,6 +35,7 @@ pub mod network;
 pub mod peer;
 pub mod snapshot;
 pub mod store;
+pub mod topology;
 pub mod trie;
 
 pub use bootstrap::{bootstrap, BootstrapConfig, BootstrapOutcome};
@@ -42,9 +44,8 @@ pub use clock::{
 };
 pub use key::Key;
 pub use metrics::{Metrics, PeerLoad};
-pub use network::{
-    Network, NetworkConfig, RepairReport, ReplicationPolicy, RouteError, RoutingArena,
-};
+pub use network::{Network, NetworkConfig, RepairReport, ReplicationPolicy, RouteError};
 pub use peer::{Item, Peer, PeerId};
 pub use snapshot::NetworkState;
 pub use store::{run_items, KeyTable, PartitionStore, PostingList, Run, SharedKey, SortedStore};
+pub use topology::{RoutingArena, Topology};

@@ -16,7 +16,8 @@ use crate::key::Key;
 use crate::metrics::{Metrics, PeerLoad};
 use crate::peer::{Item, Peer, PeerId};
 use crate::store::{run_items, KeyTable, PartitionStore, PostingList, Run, SortedStore};
-use crate::trie::{build_partitions, find_partition, subtree_range};
+use crate::topology::Topology;
+use crate::trie::{build_partitions, find_partition};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use smallvec::SmallVec;
@@ -126,64 +127,13 @@ impl RepairReport {
 /// published list (copy-on-write, see [`crate::store`]).
 pub type KeyedLists<T> = Vec<(Key, PostingList<T>)>;
 
-/// Flattened routing tables of the whole network: ρ(p, l) for every peer
-/// and level as slices of one arena, replacing the seed's per-peer
-/// `Vec<SmallVec<PeerId>>` (two heap blocks per peer) with three flat
-/// vectors for the entire network.
-///
-/// Layout: `refs` concatenates every level's references in (peer, level)
-/// order. `slice_off[peer_first_level(p) + l]` is the start of ρ(p, l) in
-/// `refs` (with a trailing sentinel), and `peer_off[p]` is peer `p`'s
-/// first level index, so a peer at trie depth `d` contributes `d`
-/// consecutive level slices.
-#[derive(Debug, Clone, Default)]
-pub struct RoutingArena {
-    pub(crate) refs: Vec<PeerId>,
-    pub(crate) slice_off: Vec<u32>,
-    pub(crate) peer_off: Vec<u32>,
-}
-
-impl RoutingArena {
-    /// Number of routing levels (trie depth) of peer `p`.
-    pub fn levels(&self, p: PeerId) -> usize {
-        (self.peer_off[p.index() + 1] - self.peer_off[p.index()]) as usize
-    }
-
-    /// ρ(p, l): the reference slice of peer `p` at level `l`.
-    pub fn refs(&self, p: PeerId, l: usize) -> &[PeerId] {
-        let base = self.peer_off[p.index()] as usize + l;
-        &self.refs[self.slice_off[base] as usize..self.slice_off[base + 1] as usize]
-    }
-
-    /// Number of references of peer `p` at level `l`.
-    pub fn level_len(&self, p: PeerId, l: usize) -> usize {
-        let base = self.peer_off[p.index()] as usize + l;
-        (self.slice_off[base + 1] - self.slice_off[base]) as usize
-    }
-
-    /// The `i`-th reference of peer `p` at level `l` (no slice borrow, so
-    /// callers can interleave lookups with RNG draws on the same struct).
-    pub fn get(&self, p: PeerId, l: usize, i: usize) -> PeerId {
-        let base = self.peer_off[p.index()] as usize + l;
-        self.refs[self.slice_off[base] as usize + i]
-    }
-
-    /// Total references stored (diagnostics / memory accounting).
-    pub fn total_refs(&self) -> usize {
-        self.refs.len()
-    }
-}
-
 /// The simulated P-Grid network holding items of type `T`.
 pub struct Network<T> {
     pub(crate) cfg: NetworkConfig,
-    /// Sorted, prefix-free, complete partition paths.
-    pub(crate) paths: Vec<Key>,
-    /// Peers per partition (structural replicas).
-    pub(crate) part_peers: Vec<SmallVec<[PeerId; 4]>>,
+    /// Partition cover, membership and routing references — the one copy
+    /// (see [`Topology`]).
+    pub(crate) topo: Topology,
     pub(crate) peers: Vec<Peer<T>>,
-    /// Flattened ρ(p, l) for every peer (see [`RoutingArena`]).
-    pub(crate) routing: RoutingArena,
     /// Interned published keys: equal keys share one allocation across
     /// partitions, replicas, replies and caches.
     pub(crate) interner: KeyTable,
@@ -301,16 +251,15 @@ impl<T: Item> Network<T> {
         for (i, &part) in assignment.iter().enumerate() {
             let id = PeerId(i as u32);
             part_peers[part].push(id);
-            peers.push(Peer::new(id, part as u32));
+            peers.push(Peer::new(id));
         }
+        let part_of = assignment.into_iter().map(|part| part as u32).collect();
 
         let n_peers = peers.len();
         let mut net = Network {
             cfg,
-            paths,
-            part_peers,
+            topo: Topology { paths, part_peers, part_of, routing: Default::default() },
             peers,
-            routing: RoutingArena::default(),
             interner: KeyTable::new(),
             metrics: Metrics::default(),
             peer_load: vec![PeerLoad::default(); n_peers],
@@ -323,45 +272,9 @@ impl<T: Item> Network<T> {
             rng: StdRng::seed_from_u64(0), // replaced below, after cfg move
         };
         net.rng = StdRng::seed_from_u64(net.cfg.seed);
-        net.wire_routing_tables();
+        net.topo.wire_routing(net.cfg.refs_per_level, &mut net.rng);
         net.bulk_load(data);
         net
-    }
-
-    fn wire_routing_tables(&mut self) {
-        let refs_per_level = self.cfg.refs_per_level;
-        let mut arena = RoutingArena {
-            refs: Vec::new(),
-            slice_off: vec![0],
-            peer_off: Vec::with_capacity(self.peers.len() + 1),
-        };
-        for pid in 0..self.peers.len() {
-            arena.peer_off.push((arena.slice_off.len() - 1) as u32);
-            let path = &self.paths[self.peers[pid].partition as usize];
-            for l in 0..path.len() {
-                let comp = path.complement_at(l);
-                let (s, e) = subtree_range(&self.paths, &comp);
-                debug_assert!(e > s, "complete cover guarantees a complementary subtree");
-                let mut level_refs: SmallVec<[PeerId; 4]> = SmallVec::new();
-                let mut guard = 0;
-                while level_refs.len() < refs_per_level && guard < refs_per_level * 8 {
-                    guard += 1;
-                    let part = self.rng.gen_range(s..e);
-                    let members = &self.part_peers[part];
-                    if members.is_empty() {
-                        continue; // peerless gap partition (bootstrap tries)
-                    }
-                    let peer = members[self.rng.gen_range(0..members.len())];
-                    if !level_refs.contains(&peer) {
-                        level_refs.push(peer);
-                    }
-                }
-                arena.refs.extend_from_slice(&level_refs);
-                arena.slice_off.push(arena.refs.len() as u32);
-            }
-        }
-        arena.peer_off.push((arena.slice_off.len() - 1) as u32);
-        self.routing = arena;
     }
 
     /// Load the full publication batch: sort once, intern each distinct
@@ -376,7 +289,7 @@ impl<T: Item> Network<T> {
         // Stable sort: items under the same key keep publication order.
         data.sort_by(|a, b| a.0.cmp(&b.0));
         let mut runs: Vec<SortedStore<T>> =
-            std::iter::repeat_with(SortedStore::new).take(self.paths.len()).collect();
+            std::iter::repeat_with(SortedStore::new).take(self.topo.paths.len()).collect();
         let mut iter = data.into_iter().peekable();
         while let Some((key, item)) = iter.next() {
             let mut items = vec![item];
@@ -386,7 +299,7 @@ impl<T: Item> Network<T> {
                 }
                 items.push(iter.next().expect("peeked").1);
             }
-            let (s, e) = subtree_range(&self.paths, &key);
+            let (s, e) = self.topo.subtree_of(&key);
             debug_assert!(e > s, "complete cover guarantees an owner for every key");
             let shared_key = self.interner.intern_owned(key);
             let list: PostingList<T> = Arc::new(items);
@@ -396,7 +309,7 @@ impl<T: Item> Network<T> {
         }
         for (part, run) in runs.into_iter().enumerate() {
             let store = PartitionStore::from_store(run);
-            for &p in &self.part_peers[part] {
+            for &p in &self.topo.part_peers[part] {
                 self.peers[p.index()].store = store.share();
             }
         }
@@ -414,14 +327,14 @@ impl<T: Item> Network<T> {
     /// Posting lists already handed out to readers are never mutated.
     pub fn insert_item(&mut self, key: Key, item: T) {
         self.cache_epoch += 1;
-        let (s, e) = subtree_range(&self.paths, &key);
+        let (s, e) = self.topo.subtree_of(&key);
         debug_assert!(e > s, "complete cover guarantees an owner for every key");
         let shared_key = self.interner.intern_owned(key);
         for part in s..e {
-            if self.part_peers[part].is_empty() {
+            if self.topo.part_peers[part].is_empty() {
                 continue; // peerless gap partition (bootstrap tries)
             }
-            let members = &self.part_peers[part];
+            let members = &self.topo.part_peers[part];
             let mut store = self.peers[members[0].index()].store.share();
             for &p in members {
                 self.peers[p.index()].store = PartitionStore::default();
@@ -446,29 +359,32 @@ impl<T: Item> Network<T> {
     }
 
     pub fn partition_count(&self) -> usize {
-        self.paths.len()
+        self.topo.paths.len()
     }
 
-    /// Sorted partition paths (the global trie's leaves). Peer `p`'s path
-    /// π(p) is `paths()[peer(p).partition]` — paths live once per
-    /// partition, not once per peer.
+    /// The network's structure: partition cover, membership, routing
+    /// references (what message-level simulators clone).
+    pub fn topology(&self) -> &Topology {
+        &self.topo
+    }
+
+    /// Sorted partition paths (the global trie's leaves).
     pub fn paths(&self) -> &[Key] {
-        &self.paths
+        &self.topo.paths
     }
 
     pub fn peer(&self, id: PeerId) -> &Peer<T> {
         &self.peers[id.index()]
     }
 
-    /// The flattened routing tables (snapshot surface for external
-    /// simulators).
-    pub fn routing_arena(&self) -> &RoutingArena {
-        &self.routing
+    /// Index of the partition peer `id` belongs to.
+    pub fn peer_partition(&self, id: PeerId) -> usize {
+        self.topo.partition_of(id)
     }
 
     /// The structural replicas of partition `part`.
     pub fn partition_members(&self, part: usize) -> &[PeerId] {
-        &self.part_peers[part]
+        &self.topo.part_peers[part]
     }
 
     pub fn metrics(&self) -> &Metrics {
@@ -793,8 +709,11 @@ impl<T: Item> Network<T> {
     /// remains, repair cannot recover it — only a revival can). Returns the
     /// victims.
     pub fn fail_partition(&mut self, part: usize) -> Vec<PeerId> {
-        let victims: Vec<PeerId> =
-            self.part_peers[part].iter().copied().filter(|p| self.peers[p.index()].alive).collect();
+        let victims: Vec<PeerId> = self.topo.part_peers[part]
+            .iter()
+            .copied()
+            .filter(|p| self.peers[p.index()].alive)
+            .collect();
         for &p in &victims {
             self.peers[p.index()].alive = false;
         }
@@ -809,7 +728,7 @@ impl<T: Item> Network<T> {
 
     /// Number of alive structural replicas of partition `part`.
     pub fn partition_alive(&self, part: usize) -> usize {
-        self.part_peers[part].iter().filter(|p| self.peers[p.index()].alive).count()
+        self.topo.part_peers[part].iter().filter(|p| self.peers[p.index()].alive).count()
     }
 
     // ------------------------------------------------------------------
@@ -836,12 +755,13 @@ impl<T: Item> Network<T> {
         let target = policy.min_alive.max(1);
         let mut report = RepairReport::default();
         let mut alive_count: Vec<usize> = self
+            .topo
             .part_peers
             .iter()
             .map(|m| m.iter().filter(|p| self.peers[p.index()].alive).count())
             .collect();
-        for part in 0..self.paths.len() {
-            if self.part_peers[part].is_empty() {
+        for part in 0..self.topo.paths.len() {
+            if self.topo.part_peers[part].is_empty() {
                 continue; // peerless gap partition (bootstrap tries)
             }
             report.scanned += 1;
@@ -857,29 +777,29 @@ impl<T: Item> Network<T> {
                 // Donor: the partition with the largest alive surplus (ties
                 // to the lowest index); recruiting never pushes a donor
                 // below the target itself.
-                let donor = (0..self.paths.len())
+                let donor = (0..self.topo.paths.len())
                     .filter(|&d| d != part && alive_count[d] > target)
                     .max_by_key(|&d| (alive_count[d], std::cmp::Reverse(d)));
                 let Some(donor) = donor else {
                     report.unfilled += 1;
                     break;
                 };
-                let recruit = self.part_peers[donor]
+                let recruit = self.topo.part_peers[donor]
                     .iter()
                     .copied()
                     .filter(|p| self.peers[p.index()].alive)
                     .max()
                     .expect("donor has alive surplus");
-                let source = self.part_peers[part]
+                let source = self.topo.part_peers[part]
                     .iter()
                     .copied()
                     .find(|p| self.peers[p.index()].alive)
                     .expect("deficient partitions have an alive source");
-                self.part_peers[donor].retain(|p| *p != recruit);
+                self.topo.part_peers[donor].retain(|p| *p != recruit);
                 alive_count[donor] -= 1;
-                self.part_peers[part].push(recruit);
+                self.topo.part_peers[part].push(recruit);
                 alive_count[part] += 1;
-                self.peers[recruit.index()].partition = part as u32;
+                self.topo.part_of[recruit.index()] = part as u32;
                 let store = self.peers[source.index()].store.share();
                 let bytes = store.stored_bytes();
                 self.peers[recruit.index()].store = store;
@@ -901,7 +821,7 @@ impl<T: Item> Network<T> {
             // Membership moved: remotely cached data may be stale, and the
             // routing arena references peers whose trie depth changed.
             self.cache_epoch += 1;
-            self.wire_routing_tables();
+            self.topo.wire_routing(self.cfg.refs_per_level, &mut self.rng);
         }
         report
     }
@@ -922,15 +842,7 @@ impl<T: Item> Network<T> {
         // bug, not a simulation condition.
         let max_hops = 2 * crate::trie::MAX_PATH_BITS + 2;
         for _ in 0..max_hops {
-            let l = {
-                let path = &self.paths[self.peers[cur.index()].partition as usize];
-                if path.is_prefix_of(key) || key.is_prefix_of(path) {
-                    return Ok(cur);
-                }
-                let l = path.common_prefix_len(key);
-                debug_assert!(l < path.len());
-                l
-            };
+            let Some(l) = self.topo.route_level(cur, key) else { return Ok(cur) };
             let Some(next) = self.pick_alive_ref(cur, l) else {
                 self.metrics.failed_routes += 1;
                 return Err(RouteError::NoAliveReference);
@@ -972,7 +884,7 @@ impl<T: Item> Network<T> {
     fn pick_alive_ref(&mut self, peer: PeerId, l: usize) -> Option<PeerId> {
         // Arena lookups are by (peer, level, index) — no slice borrow held
         // across the RNG draws, so nothing needs cloning.
-        let n = self.routing.level_len(peer, l);
+        let n = self.topo.refs(peer, l).len();
         if n == 0 {
             return None;
         }
@@ -982,15 +894,15 @@ impl<T: Item> Network<T> {
             // are equivalent next hops; prefer the least-loaded.
             let mut cands: SmallVec<[PeerId; 8]> = SmallVec::new();
             for i in 0..n {
-                let cand = self.routing.get(peer, l, i);
+                let cand = self.topo.refs(peer, l)[i];
                 if self.peers[cand.index()].alive {
                     if !cands.contains(&cand) {
                         cands.push(cand);
                     }
                     continue;
                 }
-                let part = self.peers[cand.index()].partition as usize;
-                for &rep in &self.part_peers[part] {
+                let part = self.topo.partition_of(cand);
+                for &rep in &self.topo.part_peers[part] {
                     if self.peers[rep.index()].alive && !cands.contains(&rep) {
                         cands.push(rep);
                     }
@@ -1003,13 +915,13 @@ impl<T: Item> Network<T> {
         }
         let start = self.rng.gen_range(0..n);
         for i in 0..n {
-            let cand = self.routing.get(peer, l, (start + i) % n);
+            let cand = self.topo.refs(peer, l)[(start + i) % n];
             if self.peers[cand.index()].alive {
                 return Some(cand);
             }
             // Dead reference: its structural replicas share the path, so any
             // alive one makes the same routing progress.
-            let part = self.peers[cand.index()].partition as usize;
+            let part = self.topo.partition_of(cand);
             if let Some(rep) = self.alive_member(part) {
                 return Some(rep);
             }
@@ -1020,7 +932,7 @@ impl<T: Item> Network<T> {
     /// Some alive peer of partition `part` — uniform random, or the one
     /// with the shortest backlog when load-aware selection is active.
     fn alive_member(&mut self, part: usize) -> Option<PeerId> {
-        let members = &self.part_peers[part];
+        let members = &self.topo.part_peers[part];
         let alive: SmallVec<[PeerId; 4]> =
             members.iter().copied().filter(|p| self.peers[p.index()].alive).collect();
         if alive.is_empty() {
@@ -1038,19 +950,19 @@ impl<T: Item> Network<T> {
 
     /// Index of the partition responsible for `key`.
     pub fn partition_of(&self, key: &Key) -> usize {
-        find_partition(&self.paths, key)
+        find_partition(&self.topo.paths, key)
     }
 
     /// Contiguous partition-index range `[s, e)` of the subtree under `key`.
     pub fn subtree_of(&self, key: &Key) -> (usize, usize) {
-        subtree_range(&self.paths, key)
+        self.topo.subtree_of(key)
     }
 
     /// Trie depth (path bit length) of partition `part` — the granularity
     /// signal cardinality heuristics key off: a partition at depth `d`
     /// covers a `2^-d` share of the key space.
     pub fn partition_depth(&self, part: usize) -> usize {
-        self.paths[part].len()
+        self.topo.paths[part].len()
     }
 
     // ------------------------------------------------------------------
@@ -1094,8 +1006,8 @@ impl<T: Item> Network<T> {
         key: &Key,
     ) -> Result<Vec<PostingList<T>>, RouteError> {
         let entry = self.route(from, key)?;
-        let (s, e) = subtree_range(&self.paths, key);
-        let entry_part = self.peers[entry.index()].partition as usize;
+        let (s, e) = self.topo.subtree_of(key);
+        let entry_part = self.topo.partition_of(entry);
         let mut out = Vec::new();
         // The shower branches run in parallel in a deployment: each starts
         // from the moment the query reached `entry` and the initiator is
@@ -1180,14 +1092,16 @@ impl<T: Item> Network<T> {
         // items whose key is a prefix of its path — in particular an item
         // with key exactly hi (sorted order puts such extensions directly
         // after hi, so the predicate stays monotone).
-        let s =
-            self.paths.partition_point(|p| p.cmp_extended(true, lo) == std::cmp::Ordering::Less);
-        let e = self.paths.partition_point(|p| p <= hi || hi.is_prefix_of(p)).max(s);
+        let s = self
+            .topo
+            .paths
+            .partition_point(|p| p.cmp_extended(true, lo) == std::cmp::Ordering::Less);
+        let e = self.topo.paths.partition_point(|p| p <= hi || hi.is_prefix_of(p)).max(s);
         if s == e {
             return Ok(Vec::new());
         }
         let entry = self.route(from, lo)?;
-        let entry_part = self.peers[entry.index()].partition as usize;
+        let entry_part = self.topo.partition_of(entry);
         let mut out = Vec::new();
         self.sim_fork();
         for part in s..e {
@@ -1221,13 +1135,6 @@ impl<T: Item> Network<T> {
     // ------------------------------------------------------------------
     // Delegation primitives (the §4 optimizations are built on these)
     // ------------------------------------------------------------------
-
-    /// Route a *query* to the owner of `key` and return that peer without
-    /// fetching anything; the caller then scans locally and decides where
-    /// results travel next (delegation instead of request/response).
-    pub fn delegate_to(&mut self, from: PeerId, key: &Key) -> Result<PeerId, RouteError> {
-        self.route(from, key)
-    }
 
     /// A direct message of `payload_bytes` between two known peers
     /// (delegation step or result return). One message, charged to the
@@ -1552,7 +1459,7 @@ mod tests {
         // Initiator outside the partition, so messages actually flow.
         let from = (0..net.peer_count() as u32)
             .map(PeerId)
-            .find(|p| net.peer(*p).partition as usize != part)
+            .find(|p| net.peer_partition(*p) != part)
             .unwrap();
 
         net.reset_metrics();

@@ -1,16 +1,17 @@
-//! Peer state: a dense id, a partition index, and a shared store handle.
+//! Peer state: a dense id, a churn flag, and a shared store handle.
 //!
 //! The seed kept the full P-Grid state — path π(p), routing table ρ(p, l),
 //! replica set σ(p), store δ(p) — as owned fields of every peer, which at
 //! replication `k` materialized every partition's data and path `k` times.
-//! The compact layout moves everything shareable out of the peer:
+//! The compact layout moves everything shareable out of the peer; the
+//! structural part lives in the network's [`Topology`](crate::Topology):
 //!
-//! * π(p) lives once per *partition* in the network's sorted path table
-//!   (`Network::paths`) — a peer's path is `paths[partition]`.
-//! * ρ(p, l) lives in the network's [`RoutingArena`](crate::network::RoutingArena)
-//!   as flat slices indexed by peer id.
-//! * σ(p) is implicit: the members of `part_peers[partition]` other than
-//!   the peer itself.
+//! * π(p) is [`Topology::path`](crate::Topology::path) — one path per
+//!   *partition*, found through the peer → partition table.
+//! * ρ(p, l) is [`Topology::refs`](crate::Topology::refs) — flat slices of
+//!   one routing arena, indexed by peer id.
+//! * σ(p) is [`Topology::members`](crate::Topology::members) of the peer's
+//!   partition, other than the peer itself.
 //! * δ(p) is a [`PartitionStore`] — an `Arc` handle onto the partition's
 //!   sorted run, shared by all structural replicas (see [`crate::store`]).
 //!
@@ -50,9 +51,6 @@ pub trait Item: Clone {
 #[derive(Debug, Clone)]
 pub struct Peer<T> {
     pub id: PeerId,
-    /// Index of the peer's key-space partition (π(p) is
-    /// `network.paths()[partition]`).
-    pub partition: u32,
     /// δ(p): handle onto the partition's shared sorted run.
     pub store: PartitionStore<T>,
     /// Churn flag; dead peers neither answer nor forward.
@@ -60,8 +58,8 @@ pub struct Peer<T> {
 }
 
 impl<T: Item> Peer<T> {
-    pub fn new(id: PeerId, partition: u32) -> Self {
-        Self { id, partition, store: PartitionStore::default(), alive: true }
+    pub fn new(id: PeerId) -> Self {
+        Self { id, store: PartitionStore::default(), alive: true }
     }
 
     /// Insert an item under `key` into δ(p) (copy-on-write; the network
@@ -119,7 +117,7 @@ mod tests {
     }
 
     fn peer() -> Peer<S> {
-        let mut p = Peer::new(PeerId(0), 0);
+        let mut p = Peer::new(PeerId(0));
         for w in ["alpha", "alpine", "beta", "alp", "gamma"] {
             p.insert(hash_str(w), S(Box::leak(w.to_string().into_boxed_str())));
         }

@@ -19,9 +19,10 @@
 
 use crate::key::Key;
 use crate::metrics::{Metrics, PeerLoad};
-use crate::network::{Network, NetworkConfig, RoutingArena};
+use crate::network::{Network, NetworkConfig};
 use crate::peer::{Item, Peer, PeerId};
 use crate::store::{KeyTable, PartitionStore, PostingList, SharedKey, SortedStore};
+use crate::topology::{RoutingArena, Topology};
 use rand::rngs::StdRng;
 use smallvec::SmallVec;
 use std::collections::HashMap;
@@ -76,8 +77,9 @@ impl<T: Item> Network<T> {
         };
         let mut lists: Vec<Vec<T>> = Vec::new();
         let mut list_index: HashMap<*const Vec<T>, u32> = HashMap::new();
-        let mut stores: Vec<Vec<StoreEntry>> = Vec::with_capacity(self.paths.len());
-        for members in &self.part_peers {
+        let topo = &self.topo;
+        let mut stores: Vec<Vec<StoreEntry>> = Vec::with_capacity(topo.paths.len());
+        for members in &topo.part_peers {
             let Some(&first) = members.first() else {
                 stores.push(Vec::new());
                 continue;
@@ -101,13 +103,13 @@ impl<T: Item> Network<T> {
         }
         NetworkState {
             cfg: self.cfg.clone(),
-            paths: self.paths.clone(),
-            part_peers: self.part_peers.iter().map(|m| m.to_vec()).collect(),
-            peer_partition: self.peers.iter().map(|p| p.partition).collect(),
+            paths: topo.paths.clone(),
+            part_peers: topo.part_peers.iter().map(|m| m.to_vec()).collect(),
+            peer_partition: topo.part_of.clone(),
             alive: self.peers.iter().map(|p| p.alive).collect(),
-            routing_refs: self.routing.refs.clone(),
-            routing_slice_off: self.routing.slice_off.clone(),
-            routing_peer_off: self.routing.peer_off.clone(),
+            routing_refs: topo.routing.refs.clone(),
+            routing_slice_off: topo.routing.slice_off.clone(),
+            routing_peer_off: topo.routing.peer_off.clone(),
             interned_keys,
             lists,
             stores,
@@ -151,13 +153,11 @@ impl<T: Item> Network<T> {
         let shared_lists: Vec<PostingList<T>> = lists.into_iter().map(Arc::new).collect();
         let part_peers: Vec<SmallVec<[PeerId; 4]>> =
             part_peers.into_iter().map(SmallVec::from_vec).collect();
-        let mut peers: Vec<Peer<T>> = peer_partition
+        let mut peers: Vec<Peer<T>> = alive
             .iter()
-            .zip(&alive)
             .enumerate()
-            .map(|(i, (&partition, &alive))| Peer {
+            .map(|(i, &alive)| Peer {
                 id: PeerId(i as u32),
-                partition,
                 store: PartitionStore::default(),
                 alive,
             })
@@ -180,14 +180,17 @@ impl<T: Item> Network<T> {
         }
         Network {
             cfg,
-            paths,
-            part_peers,
-            peers,
-            routing: RoutingArena {
-                refs: routing_refs,
-                slice_off: routing_slice_off,
-                peer_off: routing_peer_off,
+            topo: Topology {
+                paths,
+                part_peers,
+                part_of: peer_partition,
+                routing: RoutingArena {
+                    refs: routing_refs,
+                    slice_off: routing_slice_off,
+                    peer_off: routing_peer_off,
+                },
             },
+            peers,
             interner,
             metrics,
             peer_load,
@@ -244,7 +247,7 @@ mod tests {
         for p in 0..net.peer_count() as u32 {
             let id = PeerId(p);
             assert_eq!(restored.peer(id).alive, net.peer(id).alive);
-            assert_eq!(restored.peer(id).partition, net.peer(id).partition);
+            assert_eq!(restored.peer_partition(id), net.peer_partition(id));
         }
         // Replicas still share one run per partition.
         for part in 0..restored.partition_count() {

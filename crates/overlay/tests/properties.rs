@@ -215,7 +215,7 @@ proptest! {
             match got {
                 Ok(p) => {
                     prop_assert!(net.peer(p).alive, "routed to a corpse");
-                    prop_assert_eq!(net.peer(p).partition as usize, part,
+                    prop_assert_eq!(net.peer_partition(p), part,
                         "routed to the wrong partition");
                 }
                 Err(e) => prop_assert!(false, "partition {part} unreachable: {e}"),
@@ -241,7 +241,7 @@ proptest! {
             // honest failure; a success must land on an alive owner.
             if let Ok(p) = net.route(from, &key) {
                 prop_assert!(net.peer(p).alive);
-                prop_assert_eq!(net.peer(p).partition as usize, part);
+                prop_assert_eq!(net.peer_partition(p), part);
                 prop_assert!(net.partition_alive(part) >= 1);
             }
         }

@@ -4,7 +4,7 @@
 //! Estimates come from [`SimilarityEngine::estimate_key_cardinality`],
 //! which consults (in order of reliability) the initiator's **own
 //! partitions** (exact local counts), the posting cache's **valid cached
-//! lists** (exact sizes already paid for, via the `ProbeBroker` seam), and
+//! lists** (exact sizes already paid for, via the `sqo-cache` broker), and
 //! a **trie-depth heuristic** (a partition at depth `d` holds an expected
 //! `2^-d` share of the stored volume). No source touches the wire, so
 //! planning stays free of messages and virtual time.

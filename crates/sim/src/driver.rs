@@ -104,15 +104,19 @@ pub enum QueryKind {
 }
 
 impl QueryKind {
+    /// Every operator label — the closed set [`Self::label`] draws from
+    /// (checkpoint decoders validate against it).
+    pub const LABELS: [&'static str; 5] = ["similar", "topn", "simjoin", "vql", "pipeline"];
+
     /// Operator family, the grouping key of the latency report.
     pub fn label(&self) -> &'static str {
-        match self {
-            QueryKind::Similar { .. } => "similar",
-            QueryKind::TopN { .. } => "topn",
-            QueryKind::SimJoin { .. } => "simjoin",
-            QueryKind::Vql { .. } => "vql",
-            QueryKind::Pipeline { .. } => "pipeline",
-        }
+        Self::LABELS[match self {
+            QueryKind::Similar { .. } => 0,
+            QueryKind::TopN { .. } => 1,
+            QueryKind::SimJoin { .. } => 2,
+            QueryKind::Vql { .. } => 3,
+            QueryKind::Pipeline { .. } => 4,
+        }]
     }
 }
 
@@ -427,7 +431,7 @@ impl LoopState {
             .by_operator
             .into_iter()
             .map(|(op, (c, s, mn, mx, buckets), stats)| {
-                (static_label(&op), (LogHistogram::from_parts(c, s, mn, mx, buckets), stats))
+                (op, (LogHistogram::from_parts(c, s, mn, mx, buckets), stats))
             })
             .collect();
         let (c, s, mn, mx, buckets) = ckpt.all_latencies;
@@ -485,7 +489,7 @@ impl LoopState {
             by_operator: self
                 .by_operator
                 .iter()
-                .map(|(&op, (lats, stats))| (op.to_string(), lats.export_parts(), *stats))
+                .map(|(&op, (lats, stats))| (op, lats.export_parts(), *stats))
                 .collect(),
             all_latencies: self.all_latencies.export_parts(),
             total: self.total,
@@ -499,19 +503,6 @@ impl LoopState {
             netsim: crate::netsim::export_installed(engine)
                 .expect("the driver installed a NetSim on this engine"),
         }
-    }
-}
-
-/// Operator labels are `&'static str` inside the loop (they come from
-/// [`QueryKind::label`]); a restored checkpoint maps them back.
-fn static_label(op: &str) -> &'static str {
-    match op {
-        "similar" => "similar",
-        "topn" => "topn",
-        "simjoin" => "simjoin",
-        "vql" => "vql",
-        "pipeline" => "pipeline",
-        other => panic!("unknown operator label in checkpoint: {other}"),
     }
 }
 
@@ -540,9 +531,10 @@ pub struct DriverCheckpoint {
     pub initiators: Option<Vec<PeerId>>,
     /// xoshiro256++ state words of each client stream.
     pub client_rngs: Vec<[u64; 4]>,
-    /// Per-operator accumulators: label, latency-histogram parts
-    /// ([`LogHistogram::export_parts`]), absorbed stats.
-    pub by_operator: Vec<(String, HistParts, QueryStats)>,
+    /// Per-operator accumulators: label (one of [`QueryKind::LABELS`]),
+    /// latency-histogram parts ([`LogHistogram::export_parts`]), absorbed
+    /// stats.
+    pub by_operator: Vec<(&'static str, HistParts, QueryStats)>,
     pub all_latencies: HistParts,
     pub total: QueryStats,
     pub queries_run: u64,
@@ -684,7 +676,7 @@ fn drive(
     // The driver owns the run's broker: fresh state per run, stale brokers
     // from a previous run removed.
     if cfg.cache.any_enabled() {
-        engine.set_broker(Box::new(CacheBatchBroker::new(cfg.cache)));
+        engine.set_broker(CacheBatchBroker::new(cfg.cache));
     } else {
         engine.clear_broker();
     }

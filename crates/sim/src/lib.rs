@@ -20,11 +20,12 @@
 //!   p50/p95/p99. Queries run as **interleaved steps on the event queue**
 //!   (`sqo-core`'s resumable operator tasks), so contention between
 //!   in-flight queries is symmetric at step granularity.
-//! * [`scale`] — `ScaleSim`, the sharded parallel event core: retrieval
-//!   decomposed into true per-message events against a read-only
-//!   [`Topology`] snapshot, executed in conservative lookahead windows
-//!   (width = minimum link latency) per peer shard — deterministic for
-//!   every shard count, threaded or not, and sized for 10⁵–10⁶ peers.
+//! * [`scale`] — `ScaleSim`, the sharded event core: retrieval decomposed
+//!   into true per-message events routed by a clone of the overlay's own
+//!   topology ([`Topology`]), executed by one window loop in conservative
+//!   lookahead windows (width = minimum service + link latency) per peer
+//!   shard — deterministic for every shard count, and sized for 10⁵–10⁶
+//!   peers.
 //! * [`report`] — latency summaries.
 //!
 //! ## Quickstart

@@ -1,12 +1,13 @@
-//! `ScaleSim` — the sharded parallel event core for very large overlays.
+//! `ScaleSim` — the sharded, windowed event core for very large overlays.
 //!
 //! [`NetSim`](crate::NetSim) charges virtual time *analytically*: a whole
 //! `Retrieve` (route chain, shower fan-out, replies) is folded into the
 //! clock inside one engine call. That is exact for latency accounting but
 //! serializes everything through one event loop and one mutable network.
 //! `ScaleSim` decomposes retrieval into **true per-message events** — every
-//! route hop, shower forward and result reply is its own event against a
-//! read-only [`Topology`] snapshot — and executes them on a
+//! route hop, shower forward and result reply is its own event, routed by
+//! a clone of the overlay's own [`sqo_overlay::Topology`] (same tables,
+//! same Algorithm-1 decision as `Network::route`) — and executes them on a
 //! **conservatively windowed, sharded core** that scales to 10⁵–10⁶ peers.
 //!
 //! ## The lookahead invariant
@@ -26,61 +27,46 @@
 //! arrival = service_completion + link_latency ≥ t + service + link_min ≥ (k+1)W
 //! ```
 //!
-//! i.e. strictly after the current window. In threaded execution,
-//! emissions cross shards through per-destination mailboxes exchanged at
-//! the window barrier; single-threaded, they insert directly into the
-//! destination ring (legal for the same reason: they can only land in
-//! windows not yet swept). This is the classic conservative
-//! (Chandy–Misra-style) lookahead argument with the minimum
-//! service-plus-link time as the safety window; a `debug_assert` enforces
-//! it on every emission.
+//! i.e. strictly after the current window. The one window loop sweeps the
+//! shards in turn and inserts emissions directly into the destination
+//! shard's ring (legal for the same reason: they can only land in windows
+//! not yet swept). This is the classic conservative (Chandy–Misra-style)
+//! lookahead argument with the minimum service-plus-link time as the
+//! safety window; a `debug_assert` enforces it on every emission.
 //!
 //! ## Determinism
 //!
 //! Within a window each shard sorts its bucket by the global event key
 //! `(at_us, qid, step)` — `(qid, step)` is unique per message, so the key
 //! is total; every per-decision random draw is a **stateless hash** of
-//! `(seed, qid, step)` rather than a shared RNG stream. A peer's event sequence — and therefore its `busy_until`
-//! evolution — is thus identical for *any* shard count and for threaded
-//! or single-threaded execution, and the run's [`ScaleOutcome`] (event
-//! count, completion times, checksum) is bit-identical across all of them
-//! (pinned by the `scale_smoke` tests). The serial baseline
-//! ([`run_serial`]) executes the same events on one global binary heap
-//! ordered by the same key, so it produces the same outcome by
-//! construction — what differs is wall-clock: windowed bucket sorting
-//! beats per-event heap churn even on one core, and threads parallelize
-//! shards on many.
+//! `(seed, qid, step)` rather than a shared RNG stream. A peer's event
+//! sequence — and therefore its `busy_until` evolution — is thus identical
+//! for *any* shard count, and the run's [`ScaleOutcome`] (event count,
+//! completion times, checksum) is bit-identical across all of them (pinned
+//! by the root `scale_core` tests). The serial baseline ([`run_serial`])
+//! executes the same events on one global binary heap ordered by the same
+//! key, so it produces the same outcome by construction — what differs is
+//! wall-clock: windowed bucket sorting beats per-event heap churn on one
+//! core.
 
+use crate::seed::mix;
 use serde::Serialize;
 use sqo_obs::MetricsRegistry;
 use sqo_overlay::peer::Item;
 use sqo_overlay::{Key, Network, PeerId};
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Barrier, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 // ----------------------------------------------------------------------
-// Topology: the read-only overlay snapshot
+// Topology: the overlay's structure plus the scan-cost input
 // ----------------------------------------------------------------------
 
-/// An immutable snapshot of an overlay network's structure: partition
-/// paths, peer→partition assignment, the flattened routing arena and the
-/// per-partition member lists — everything message-level simulation needs,
-/// nothing it can mutate. Snapshotting decouples the event core from the
-/// network's interior mutability (metrics, RNG), which is what lets shards
-/// share one topology across threads without locks.
+/// What message-level simulation reads of a network: a clone of its
+/// [`sqo_overlay::Topology`] — partition paths, membership, routing
+/// references, nothing re-derived — plus the stored-entry count per
+/// partition. Cloning decouples a run from the network's later mutation
+/// (churn repair, inserts); nothing here can be mutated.
 pub struct Topology {
-    paths: Vec<Key>,
-    /// Peer → partition index.
-    part_of: Vec<u32>,
-    /// Flattened routing tables, the same three-vector layout as
-    /// [`RoutingArena`](sqo_overlay::RoutingArena).
-    refs: Vec<u32>,
-    slice_off: Vec<u32>,
-    peer_off: Vec<u32>,
-    /// Flattened partition member lists.
-    members: Vec<u32>,
-    member_off: Vec<u32>,
+    overlay: sqo_overlay::Topology,
     /// Stored (key, item) pairs per partition — the local-scan cost input.
     items_per_part: Vec<u32>,
 }
@@ -88,74 +74,21 @@ pub struct Topology {
 impl Topology {
     /// Snapshot `net`'s structure.
     pub fn of_network<T: Item>(net: &Network<T>) -> Self {
-        let peers = net.peer_count();
-        let parts = net.partition_count();
-        let arena = net.routing_arena();
-
-        let mut part_of = vec![0u32; peers];
-        let mut members = Vec::with_capacity(peers);
-        let mut member_off = Vec::with_capacity(parts + 1);
-        let mut items_per_part = Vec::with_capacity(parts);
-        member_off.push(0u32);
-        for part in 0..parts {
-            let ms = net.partition_members(part);
-            for &m in ms {
-                part_of[m.index()] = part as u32;
-                members.push(m.0);
-            }
-            member_off.push(members.len() as u32);
-            items_per_part.push(ms.first().map(|&m| net.peer(m).item_count() as u32).unwrap_or(0));
-        }
-
-        let mut refs = Vec::with_capacity(arena.total_refs());
-        let mut slice_off = vec![0u32];
-        let mut peer_off = vec![0u32];
-        for p in 0..peers {
-            let pid = PeerId(p as u32);
-            for l in 0..arena.levels(pid) {
-                refs.extend(arena.refs(pid, l).iter().map(|r| r.0));
-                slice_off.push(refs.len() as u32);
-            }
-            peer_off.push(slice_off.len() as u32 - 1);
-        }
-
-        Self {
-            paths: net.paths().to_vec(),
-            part_of,
-            refs,
-            slice_off,
-            peer_off,
-            members,
-            member_off,
-            items_per_part,
-        }
+        let overlay = net.topology().clone();
+        let items_per_part = (0..overlay.partition_count())
+            .map(|part| {
+                overlay.members(part).first().map_or(0, |&m| net.peer(m).item_count() as u32)
+            })
+            .collect();
+        Self { overlay, items_per_part }
     }
 
     pub fn peer_count(&self) -> usize {
-        self.part_of.len()
+        self.overlay.peer_count()
     }
 
     pub fn partition_count(&self) -> usize {
-        self.paths.len()
-    }
-
-    fn level_refs(&self, p: u32, l: usize) -> &[u32] {
-        let base = self.peer_off[p as usize] as usize + l;
-        if base >= self.peer_off[p as usize + 1] as usize {
-            return &[];
-        }
-        &self.refs[self.slice_off[base] as usize..self.slice_off[base + 1] as usize]
-    }
-
-    fn part_members(&self, part: u32) -> &[u32] {
-        &self.members
-            [self.member_off[part as usize] as usize..self.member_off[part as usize + 1] as usize]
-    }
-
-    /// Contiguous partition range `[s, e)` whose paths `key` covers.
-    fn subtree_of(&self, key: &Key) -> (u32, u32) {
-        let (s, e) = sqo_overlay::trie::subtree_range(&self.paths, key);
-        (s as u32, e as u32)
+        self.overlay.partition_count()
     }
 }
 
@@ -170,10 +103,6 @@ pub struct ScaleConfig {
     pub queries: usize,
     /// Shard count of the windowed core ([`run_sharded`]); clamped to ≥ 1.
     pub shards: usize,
-    /// Execute shards on OS threads (one per shard, barrier-synchronized).
-    /// The outcome is identical either way; wall-clock gains require
-    /// multiple cores.
-    pub threads: bool,
     /// Stateless-randomness seed (initiators, targets, jitter draws).
     pub seed: u64,
     /// Minimum link latency — together with `service_us` it bounds the
@@ -198,7 +127,6 @@ impl Default for ScaleConfig {
         Self {
             queries: 1_000,
             shards: 2,
-            threads: false,
             seed: 7,
             link_min_us: 500,
             link_jitter_us: 1_500,
@@ -210,21 +138,22 @@ impl Default for ScaleConfig {
     }
 }
 
-/// One in-flight message. The event key `(at_us, qid, step, peer)` is the
+/// One in-flight message. The event key `(at_us, qid, step)` is the
 /// global deterministic order; `step` is unique per message within a query
 /// by construction (route hops count up; a shower's forwards take the
 /// `fanout` steps after the owner's, forward replies shift past both).
-#[derive(Debug, Clone, Copy)]
-struct Ev {
-    at_us: u64,
-    qid: u32,
-    step: u32,
-    peer: u32,
-    kind: EvKind,
+/// Public because a [`ScaleCheckpoint`] holds the pending ones as they are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ev {
+    pub at_us: u64,
+    pub qid: u32,
+    pub step: u32,
+    pub peer: u32,
+    pub kind: EvKind,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum EvKind {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EvKind {
     /// A routed query message arriving at a peer.
     Query,
     /// A shower forward into a sibling partition; the receiver scans
@@ -237,15 +166,8 @@ enum EvKind {
 }
 
 impl Ev {
-    #[inline]
-    fn key(&self) -> (u64, u32, u32, u32) {
-        (self.at_us, self.qid, self.step, self.peer)
-    }
-
-    /// [`Ev::key`] packed into one `u128`. `(qid, step)` is unique per
-    /// message, so dropping `peer` loses nothing and the window sort
-    /// compares branchlessly. Orders identically to [`Ev::key`] — the
-    /// serial heap and the windowed core must agree on event order.
+    /// The event key packed into one `u128`, so the window sort and the
+    /// serial heap compare branchlessly — and agree on event order.
     #[inline]
     fn key128(&self) -> u128 {
         ((self.at_us as u128) << 64) | ((self.qid as u128) << 32) | self.step as u128
@@ -264,20 +186,14 @@ struct QInfo {
 
 /// Mutable per-query progress, owned by the initiator's shard.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct QState {
+pub struct QState {
     /// Expected result count, 0 until the owner's reply announces it.
-    expected: u32,
+    pub expected: u32,
     /// Results received so far.
-    got: u32,
+    pub got: u32,
     /// Virtual completion time (0 = not complete).
-    done_us: u64,
+    pub done_us: u64,
 }
-
-/// Stateless draw from `(seed, qid, step, salt)` — identical for every
-/// shard count and execution order by construction. Lives in the shared
-/// [`crate::seed`] module (its output is pinned by the `ScaleOutcome`
-/// checksum).
-use crate::seed::mix;
 
 // ----------------------------------------------------------------------
 // The event handler (identical for every execution engine)
@@ -314,7 +230,8 @@ impl RunCtx<'_> {
     /// ahead — the lookahead invariant).
     fn handle<S: SimState>(&self, ev: Ev, st: &mut S, emit: &mut impl FnMut(Ev)) {
         let cfg = self.cfg;
-        let topo = self.topo;
+        let topo = &self.topo.overlay;
+        let peer = PeerId(ev.peer);
         let q = &self.qinfo[ev.qid as usize];
         // One borrow of the peer's slot for the whole event: the sharded
         // state's stride indexing is paid once, not per touch.
@@ -324,14 +241,26 @@ impl RunCtx<'_> {
             EvKind::Query => {
                 let done = start + cfg.service_us;
                 *busy = done;
-                let path = &topo.paths[topo.part_of[ev.peer as usize] as usize];
-                if path.is_prefix_of(&q.key) || q.key.is_prefix_of(path) {
-                    // Owner: shower over the covered subtree. The own
-                    // partition scans inline; every sibling partition gets
-                    // one forward.
+                if let Some(l) = topo.route_level(peer, &q.key) {
+                    // Route hop: the first differing level picks the next
+                    // reference (Algorithm 1, stateless draw).
+                    let refs = topo.refs(peer, l);
+                    debug_assert!(!refs.is_empty(), "complete cover wires every level");
+                    let next = refs[mix(cfg.seed, ev.qid, ev.step, 0x11) as usize % refs.len()];
+                    emit(Ev {
+                        at_us: done + self.latency(ev.qid, ev.step + 1),
+                        qid: ev.qid,
+                        step: ev.step + 1,
+                        peer: next.0,
+                        kind: EvKind::Query,
+                    });
+                } else {
+                    // Responsible: shower over the covered subtree. The
+                    // own partition scans inline; every sibling partition
+                    // gets one forward.
                     let (s, e) = topo.subtree_of(&q.key);
-                    let own = topo.part_of[ev.peer as usize];
-                    let fanout = e - s;
+                    let own = topo.partition_of(peer);
+                    let fanout = (e - s) as u32;
                     debug_assert!(
                         (s..e).contains(&own),
                         "owner's partition lies in its own subtree"
@@ -342,18 +271,18 @@ impl RunCtx<'_> {
                     for part in s..e {
                         if part == own {
                             scan_done +=
-                                cfg.scan_us_per_item * topo.items_per_part[part as usize] as u64;
+                                cfg.scan_us_per_item * self.topo.items_per_part[part] as u64;
                             continue;
                         }
                         let fstep = ev.step + 1 + j;
                         j += 1;
-                        let ms = topo.part_members(part);
+                        let ms = topo.members(part);
                         let responder = ms[mix(cfg.seed, ev.qid, fstep, 0xF0) as usize % ms.len()];
                         emit(Ev {
                             at_us: done + self.latency(ev.qid, fstep),
                             qid: ev.qid,
                             step: fstep,
-                            peer: responder,
+                            peer: responder.0,
                             kind: EvKind::Forward,
                         });
                     }
@@ -368,27 +297,13 @@ impl RunCtx<'_> {
                         peer: q.initiator,
                         kind: EvKind::Result { of: fanout },
                     });
-                } else {
-                    // Route hop: the first differing level picks the next
-                    // reference (Algorithm 1, stateless draw).
-                    let l = path.common_prefix_len(&q.key);
-                    let refs = topo.level_refs(ev.peer, l);
-                    debug_assert!(!refs.is_empty(), "complete cover wires every level");
-                    let next = refs[mix(cfg.seed, ev.qid, ev.step, 0x11) as usize % refs.len()];
-                    emit(Ev {
-                        at_us: done + self.latency(ev.qid, ev.step + 1),
-                        qid: ev.qid,
-                        step: ev.step + 1,
-                        peer: next,
-                        kind: EvKind::Query,
-                    });
                 }
             }
             EvKind::Forward => {
-                let part = topo.part_of[ev.peer as usize];
                 let done = start
                     + cfg.service_us
-                    + cfg.scan_us_per_item * topo.items_per_part[part as usize] as u64;
+                    + cfg.scan_us_per_item
+                        * self.topo.items_per_part[topo.partition_of(peer)] as u64;
                 *busy = done;
                 let rstep = ev.step + REPLY_STEP_SHIFT;
                 emit(Ev {
@@ -421,8 +336,7 @@ impl RunCtx<'_> {
 // ----------------------------------------------------------------------
 
 /// The deterministic half of a run: bit-identical for the serial baseline
-/// and every sharded/threaded configuration — the invariant the
-/// determinism tests pin.
+/// and every shard count — the invariant the determinism tests pin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ScaleOutcome {
     /// Queries that saw all their expected results.
@@ -440,14 +354,13 @@ pub struct ScaleOutcome {
 /// The performance half: wall-clock measurements of one engine run, plus
 /// the per-shard telemetry of the windowed core (how evenly the event
 /// load spread, how often the conservative lookahead swept an empty
-/// window, how much crossed shards through mailboxes). None of it feeds
-/// back into the simulation — [`ScaleOutcome`] stays bit-identical.
+/// window). None of it feeds back into the simulation — [`ScaleOutcome`]
+/// stays bit-identical.
 #[derive(Debug, Clone, Serialize)]
 pub struct ScaleRun {
     /// `"serial"` (global binary heap) or `"sharded"` (windowed core).
     pub mode: String,
     pub shards: usize,
-    pub threads: bool,
     pub events: u64,
     pub elapsed_ms: f64,
     pub events_per_sec: f64,
@@ -457,20 +370,37 @@ pub struct ScaleRun {
     /// Conservative windows swept, summed over shards (0 for serial).
     pub windows_swept: u64,
     /// Swept windows whose bucket was empty — the conservative lookahead's
-    /// stall counter: barriers crossed with nothing to do.
+    /// stall counter: windows crossed with nothing to do.
     pub empty_windows: u64,
-    /// Events that crossed shards through mailboxes (threaded runs only;
-    /// the single-threaded core inserts directly into destination rings).
-    pub mailbox_events: u64,
-    /// Deepest single mailbox drain observed (threaded runs only).
-    pub mailbox_peak: u64,
 }
 
 impl ScaleRun {
+    /// The one place a run's measurements are assembled; `events_per_shard`
+    /// has one entry per shard (a single one for the serial engine).
+    fn new(
+        mode: &str,
+        events: u64,
+        elapsed: Duration,
+        events_per_shard: Vec<u64>,
+        windows_swept: u64,
+        empty_windows: u64,
+    ) -> Self {
+        ScaleRun {
+            mode: mode.into(),
+            shards: events_per_shard.len(),
+            events,
+            elapsed_ms: elapsed.as_secs_f64() * 1e3,
+            events_per_sec: events as f64 / elapsed.as_secs_f64().max(1e-9),
+            events_per_shard,
+            windows_swept,
+            empty_windows,
+        }
+    }
+
     /// Fold this run into a metrics registry under the `sim.*` schema:
     /// throughput and RSS gauges, plus the `sim.shard.*` occupancy /
-    /// imbalance gauges, window-stall counters, mailbox depths and the
-    /// events-per-shard histogram.
+    /// imbalance gauges, window-stall counters and the events-per-shard
+    /// histogram.
     pub fn export_metrics(&self, m: &mut MetricsRegistry) {
         m.gauge_set("sim.events_per_sec", self.events_per_sec);
         if let Some(rss) = rss_peak_bytes() {
@@ -486,10 +416,8 @@ impl ScaleRun {
         m.gauge_set("sim.shard.events_max", max as f64);
         m.gauge_set("sim.shard.events_min", min as f64);
         m.gauge_set("sim.shard.imbalance", if mean > 0.0 { max as f64 / mean } else { 1.0 });
-        m.gauge_set("sim.shard.mailbox_peak", self.mailbox_peak as f64);
         m.counter_add("sim.shard.windows_swept", self.windows_swept);
         m.counter_add("sim.shard.empty_windows", self.empty_windows);
-        m.counter_add("sim.shard.mailbox_events", self.mailbox_events);
         for &e in &self.events_per_shard {
             m.record("sim.shard.events", e);
         }
@@ -503,7 +431,7 @@ fn build_ctx<'a>(topo: &'a Topology, cfg: &'a ScaleConfig) -> RunCtx<'a> {
         .map(|qid| {
             let initiator = mix(cfg.seed, qid, 0, 0x1111).wrapping_rem(peers) as u32;
             let part = mix(cfg.seed, qid, 0, 0x2222).wrapping_rem(parts) as usize;
-            let path = &topo.paths[part];
+            let path = &topo.overlay.paths()[part];
             let trim = (mix(cfg.seed, qid, 0, 0x3333).wrapping_rem(cfg.shower_trim_bits as u64 + 1))
                 as usize;
             let key = path.prefix(path.len().saturating_sub(trim).max(1));
@@ -554,7 +482,7 @@ struct HeapEv(Ev);
 
 impl PartialEq for HeapEv {
     fn eq(&self, other: &Self) -> bool {
-        self.0.key() == other.0.key()
+        self.0.key128() == other.0.key128()
     }
 }
 impl Eq for HeapEv {}
@@ -565,7 +493,7 @@ impl PartialOrd for HeapEv {
 }
 impl Ord for HeapEv {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.0.key().cmp(&self.0.key())
+        other.0.key128().cmp(&self.0.key128())
     }
 }
 
@@ -586,83 +514,66 @@ impl SimState for GlobalState {
     }
 }
 
+/// The one heap loop: pop the globally earliest event, handle it, push
+/// what it emitted — until the heap drains (`Done`) or, with a `stop_us`,
+/// until the earliest pending event is at or past the bound (`Paused`;
+/// the boundary event itself belongs to the resumed half). `events` is
+/// the count processed before this call (non-zero when resuming).
+fn serial_core(
+    ctx: &RunCtx<'_>,
+    mut st: GlobalState,
+    pending: impl IntoIterator<Item = Ev>,
+    mut events: u64,
+    stop_us: Option<u64>,
+) -> ScalePhase {
+    let t0 = Instant::now();
+    let mut heap: std::collections::BinaryHeap<HeapEv> = pending.into_iter().map(HeapEv).collect();
+    let mut emitted: Vec<Ev> = Vec::new();
+    loop {
+        if let Some(stop_us) = stop_us {
+            if heap.peek().is_some_and(|h| h.0.at_us >= stop_us) {
+                let mut pending: Vec<Ev> = heap.into_iter().map(|HeapEv(e)| e).collect();
+                pending.sort_unstable_by_key(Ev::key128);
+                return ScalePhase::Paused(ScaleCheckpoint {
+                    stop_us,
+                    pending,
+                    busy: st.busy,
+                    qstate: st.qstate,
+                    events,
+                });
+            }
+        }
+        let Some(HeapEv(ev)) = heap.pop() else { break };
+        events += 1;
+        ctx.handle(ev, &mut st, &mut |e| emitted.push(e));
+        heap.extend(emitted.drain(..).map(HeapEv));
+    }
+    let run = ScaleRun::new("serial", events, t0.elapsed(), vec![events], 0, 0);
+    ScalePhase::Done(finish(ctx, &st.qstate, events), run)
+}
+
+/// A fresh run on the heap loop, to the end or to `stop_us`.
+fn serial_start(topo: &Topology, cfg: &ScaleConfig, stop_us: Option<u64>) -> ScalePhase {
+    let ctx = build_ctx(topo, cfg);
+    let st = GlobalState {
+        busy: vec![0u64; topo.peer_count()],
+        qstate: vec![QState::default(); cfg.queries],
+    };
+    let pending = initial_events(&ctx);
+    serial_core(&ctx, st, pending, 0, stop_us)
+}
+
 /// The serial baseline: every event on **one global binary heap** ordered
 /// by the event key — the direct analogue of the classic single event
 /// loop. Same [`ScaleOutcome`] as the sharded core by construction;
 /// measured for the wall-clock comparison.
 pub fn run_serial(topo: &Topology, cfg: &ScaleConfig) -> (ScaleOutcome, ScaleRun) {
-    let ctx = build_ctx(topo, cfg);
-    let mut st = GlobalState {
-        busy: vec![0u64; topo.peer_count()],
-        qstate: vec![QState::default(); cfg.queries],
-    };
-    let mut events = 0u64;
-
-    let t0 = Instant::now();
-    let mut heap: std::collections::BinaryHeap<HeapEv> =
-        initial_events(&ctx).into_iter().map(HeapEv).collect();
-    let mut emitted: Vec<Ev> = Vec::new();
-    while let Some(HeapEv(ev)) = heap.pop() {
-        events += 1;
-        ctx.handle(ev, &mut st, &mut |e| emitted.push(e));
-        heap.extend(emitted.drain(..).map(HeapEv));
-    }
-    let elapsed = t0.elapsed();
-    let outcome = finish(&ctx, &st.qstate, events);
-    let run = ScaleRun {
-        mode: "serial".into(),
-        shards: 1,
-        threads: false,
-        events,
-        elapsed_ms: elapsed.as_secs_f64() * 1e3,
-        events_per_sec: events as f64 / elapsed.as_secs_f64().max(1e-9),
-        events_per_shard: vec![events],
-        windows_swept: 0,
-        empty_windows: 0,
-        mailbox_events: 0,
-        mailbox_peak: 0,
-    };
-    (outcome, run)
+    serial_start(topo, cfg, None).done()
 }
 
 // ----------------------------------------------------------------------
 // Checkpoint / resume
 // ----------------------------------------------------------------------
-
-/// A pending scale event in serializable form. `kind`: 0 = `Query`,
-/// 1 = `Forward`, 2 = `Result` (with its `of` payload).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScaleEv {
-    pub at_us: u64,
-    pub qid: u32,
-    pub step: u32,
-    pub peer: u32,
-    pub kind: u8,
-    pub of: u32,
-}
-
-impl From<Ev> for ScaleEv {
-    fn from(e: Ev) -> Self {
-        let (kind, of) = match e.kind {
-            EvKind::Query => (0, 0),
-            EvKind::Forward => (1, 0),
-            EvKind::Result { of } => (2, of),
-        };
-        Self { at_us: e.at_us, qid: e.qid, step: e.step, peer: e.peer, kind, of }
-    }
-}
-
-impl ScaleEv {
-    fn to_ev(self) -> Ev {
-        let kind = match self.kind {
-            0 => EvKind::Query,
-            1 => EvKind::Forward,
-            2 => EvKind::Result { of: self.of },
-            other => panic!("corrupt scale checkpoint: event kind {other}"),
-        };
-        Ev { at_us: self.at_us, qid: self.qid, step: self.step, peer: self.peer, kind }
-    }
-}
 
 /// The owned image of a paused scale run. The scale core has no in-flight
 /// task machinery — every event is a plain message — so any event boundary
@@ -676,11 +587,11 @@ pub struct ScaleCheckpoint {
     /// The stop bound the pause was requested at (informational).
     pub stop_us: u64,
     /// Pending events, sorted by the global event key.
-    pub pending: Vec<ScaleEv>,
+    pub pending: Vec<Ev>,
     /// `busy_until` per peer.
     pub busy: Vec<u64>,
-    /// `(expected, got, done_us)` per query, dense by qid.
-    pub qstate: Vec<(u32, u32, u64)>,
+    /// Per-query progress, dense by qid.
+    pub qstate: Vec<QState>,
     /// Events processed before the pause.
     pub events: u64,
 }
@@ -691,61 +602,26 @@ pub enum ScalePhase {
     Paused(ScaleCheckpoint),
 }
 
+impl ScalePhase {
+    /// The finished run of a phase that had no stop bound to pause at.
+    fn done(self) -> (ScaleOutcome, ScaleRun) {
+        match self {
+            ScalePhase::Done(outcome, run) => (outcome, run),
+            ScalePhase::Paused(_) => unreachable!("only a stop bound pauses a run"),
+        }
+    }
+}
+
 /// [`run_serial`], paused at the first event boundary at or after
 /// `stop_us`: events strictly before the bound are processed, everything
 /// still pending is walked into a [`ScaleCheckpoint`]. A workload that
 /// drains before the bound completes normally.
 ///
 /// Resuming — serially ([`resume_serial`]) or on the windowed core
-/// ([`resume_sharded`], any shard count, threaded or not) — produces the
-/// uninterrupted run's [`ScaleOutcome`] bit for bit.
+/// ([`resume_sharded`], any shard count) — produces the uninterrupted
+/// run's [`ScaleOutcome`] bit for bit.
 pub fn run_serial_until(topo: &Topology, cfg: &ScaleConfig, stop_us: u64) -> ScalePhase {
-    let ctx = build_ctx(topo, cfg);
-    let mut st = GlobalState {
-        busy: vec![0u64; topo.peer_count()],
-        qstate: vec![QState::default(); cfg.queries],
-    };
-    let mut events = 0u64;
-
-    let t0 = Instant::now();
-    let mut heap: std::collections::BinaryHeap<HeapEv> =
-        initial_events(&ctx).into_iter().map(HeapEv).collect();
-    let mut emitted: Vec<Ev> = Vec::new();
-    loop {
-        // Pause check BEFORE popping: the boundary event itself belongs to
-        // the resumed half.
-        if heap.peek().is_some_and(|h| h.0.at_us >= stop_us) {
-            let mut pending: Vec<Ev> = heap.into_iter().map(|HeapEv(e)| e).collect();
-            pending.sort_unstable_by_key(Ev::key128);
-            return ScalePhase::Paused(ScaleCheckpoint {
-                stop_us,
-                pending: pending.into_iter().map(ScaleEv::from).collect(),
-                busy: st.busy,
-                qstate: st.qstate.iter().map(|q| (q.expected, q.got, q.done_us)).collect(),
-                events,
-            });
-        }
-        let Some(HeapEv(ev)) = heap.pop() else { break };
-        events += 1;
-        ctx.handle(ev, &mut st, &mut |e| emitted.push(e));
-        heap.extend(emitted.drain(..).map(HeapEv));
-    }
-    let elapsed = t0.elapsed();
-    let outcome = finish(&ctx, &st.qstate, events);
-    let run = ScaleRun {
-        mode: "serial".into(),
-        shards: 1,
-        threads: false,
-        events,
-        elapsed_ms: elapsed.as_secs_f64() * 1e3,
-        events_per_sec: events as f64 / elapsed.as_secs_f64().max(1e-9),
-        events_per_shard: vec![events],
-        windows_swept: 0,
-        empty_windows: 0,
-        mailbox_events: 0,
-        mailbox_peak: 0,
-    };
-    ScalePhase::Done(outcome, run)
+    serial_start(topo, cfg, Some(stop_us))
 }
 
 /// Resume a paused run on the serial engine. `topo` and `cfg` must equal
@@ -758,41 +634,8 @@ pub fn resume_serial(
     assert_eq!(ckpt.busy.len(), topo.peer_count(), "checkpoint from a different topology");
     assert_eq!(ckpt.qstate.len(), cfg.queries, "checkpoint from a different workload");
     let ctx = build_ctx(topo, cfg);
-    let mut st = GlobalState {
-        busy: ckpt.busy.clone(),
-        qstate: ckpt
-            .qstate
-            .iter()
-            .map(|&(expected, got, done_us)| QState { expected, got, done_us })
-            .collect(),
-    };
-    let mut events = ckpt.events;
-
-    let t0 = Instant::now();
-    let mut heap: std::collections::BinaryHeap<HeapEv> =
-        ckpt.pending.iter().map(|&e| HeapEv(e.to_ev())).collect();
-    let mut emitted: Vec<Ev> = Vec::new();
-    while let Some(HeapEv(ev)) = heap.pop() {
-        events += 1;
-        ctx.handle(ev, &mut st, &mut |e| emitted.push(e));
-        heap.extend(emitted.drain(..).map(HeapEv));
-    }
-    let elapsed = t0.elapsed();
-    let outcome = finish(&ctx, &st.qstate, events);
-    let run = ScaleRun {
-        mode: "serial".into(),
-        shards: 1,
-        threads: false,
-        events,
-        elapsed_ms: elapsed.as_secs_f64() * 1e3,
-        events_per_sec: events as f64 / elapsed.as_secs_f64().max(1e-9),
-        events_per_shard: vec![events],
-        windows_swept: 0,
-        empty_windows: 0,
-        mailbox_events: 0,
-        mailbox_peak: 0,
-    };
-    (outcome, run)
+    let st = GlobalState { busy: ckpt.busy.clone(), qstate: ckpt.qstate.clone() };
+    serial_core(&ctx, st, ckpt.pending.iter().copied(), ckpt.events, None).done()
 }
 
 // ----------------------------------------------------------------------
@@ -813,8 +656,6 @@ struct Shard {
     /// Telemetry (never read by the handler — pure observation).
     windows_swept: u64,
     empty_windows: u64,
-    mailbox_events: u64,
-    mailbox_peak: u64,
 }
 
 /// One shard's **calendar ring** of pending events: slot `w & mask`
@@ -826,7 +667,7 @@ struct Shard {
 /// spread and by `service + max_scan + link_min + jitter`) lands within
 /// `mask + 1` windows of the cursor; `insert` asserts it.
 ///
-/// Kept apart from [`Shard`] so the single-threaded loop can borrow one
+/// Kept apart from [`Shard`] so the window loop can borrow one
 /// shard's state mutably while inserting emissions into **any** shard's
 /// ring — the lookahead invariant makes that safe (every emission lands
 /// in a later window).
@@ -904,15 +745,8 @@ impl Ring {
     }
 }
 
-/// The shard's mutable state viewed through [`SimState`] (stride-indexed
-/// peer slots).
-struct ShardState<'a> {
-    busy: &'a mut [u64],
-    qstate: &'a mut [QState],
-    shards: usize,
-}
-
-impl SimState for ShardState<'_> {
+/// Stride-indexed peer slots.
+impl SimState for Shard {
     #[inline]
     fn busy_mut(&mut self, peer: u32) -> &mut u64 {
         &mut self.busy[peer as usize / self.shards]
@@ -924,30 +758,27 @@ impl SimState for ShardState<'_> {
 }
 
 impl Shard {
-    /// Process one sorted window bucket. Safe to run concurrently with
-    /// other shards' buckets of the same window: the lookahead invariant
-    /// guarantees no emission lands inside it.
+    /// Process one sorted window bucket. Independent of the other shards'
+    /// buckets of the same window: the lookahead invariant guarantees no
+    /// emission lands inside it.
     fn run_evs(&mut self, evs: &[Ev], ctx: &RunCtx<'_>, emit: &mut impl FnMut(Ev)) {
         self.events += evs.len() as u64;
-        let mut st =
-            ShardState { busy: &mut self.busy, qstate: &mut self.qstate, shards: self.shards };
         for &ev in evs {
             debug_assert_eq!(ev.peer as usize % self.shards, self.id, "event on wrong shard");
-            ctx.handle(ev, &mut st, emit);
+            ctx.handle(ev, self, emit);
         }
     }
 }
 
-/// The sharded windowed core. `cfg.threads` selects barrier-synchronized
-/// OS threads (one per shard) over the single-threaded shard loop; the
-/// [`ScaleOutcome`] is identical either way.
+/// The sharded windowed core; the [`ScaleOutcome`] is identical for every
+/// shard count.
 pub fn run_sharded(topo: &Topology, cfg: &ScaleConfig) -> (ScaleOutcome, ScaleRun) {
     sharded_core(topo, cfg, None)
 }
 
 /// Resume a paused run ([`run_serial_until`]) on the windowed core — any
-/// shard count, threaded or not; the [`ScaleOutcome`] matches the
-/// uninterrupted serial run bit for bit. The checkpoint's global state is
+/// shard count; the [`ScaleOutcome`] matches the uninterrupted serial run
+/// bit for bit. The checkpoint's global state is
 /// strided back onto the shards (`busy_until` of peer `p` to shard
 /// `p % shards`); per-query progress is replicated to every shard and
 /// collected, as always, from the initiator's.
@@ -972,7 +803,7 @@ fn sharded_core(
     // so any width ≤ `service_us + link_min_us` is conservative. Take the
     // largest power of two under the bound — window arithmetic in the
     // insert hot path becomes a shift, and wider windows mean fewer
-    // sweeps and barriers for the same guarantee.
+    // sweeps for the same guarantee.
     let bound_us = cfg.service_us + cfg.link_min_us.max(1);
     let shift = bound_us.ilog2();
     let window_us = 1u64 << shift;
@@ -991,7 +822,7 @@ fn sharded_core(
     // match, or the horizon assertion would reject far-future arrivals).
     let pending: Vec<Ev> = match resume {
         None => initial_events(&ctx),
-        Some(ck) => ck.pending.iter().map(|&e| e.to_ev()).collect(),
+        Some(ck) => ck.pending.clone(),
     };
     let w0 = match resume {
         None => 0,
@@ -1015,11 +846,7 @@ fn sharded_core(
     let ring_len = (horizon as usize).next_power_of_two();
     let base_qstate: Vec<QState> = match resume {
         None => vec![QState::default(); cfg.queries],
-        Some(ck) => ck
-            .qstate
-            .iter()
-            .map(|&(expected, got, done_us)| QState { expected, got, done_us })
-            .collect(),
+        Some(ck) => ck.qstate.clone(),
     };
     let mut shards: Vec<Shard> = (0..shards_n)
         .map(|id| Shard {
@@ -1030,8 +857,6 @@ fn sharded_core(
             events: 0,
             windows_swept: 0,
             empty_windows: 0,
-            mailbox_events: 0,
-            mailbox_peak: 0,
         })
         .collect();
     if let Some(ck) = resume {
@@ -1053,11 +878,7 @@ fn sharded_core(
     }
 
     let t0 = Instant::now();
-    if cfg.threads && shards_n > 1 {
-        run_windows_threaded(&ctx, &mut shards, &mut rings, w0);
-    } else {
-        run_windows_serial(&ctx, &mut shards, &mut rings, w0);
-    }
+    run_windows(&ctx, &mut shards, &mut rings, w0);
     let elapsed = t0.elapsed();
 
     // Each query's progress lives on its initiator's shard; collect from
@@ -1069,30 +890,24 @@ fn sharded_core(
     let qstate: Vec<QState> = (0..cfg.queries)
         .map(|q| shards[ctx.qinfo[q].initiator as usize % shards_n].qstate[q])
         .collect();
-    let outcome = finish(&ctx, &qstate, events);
-    let run = ScaleRun {
-        mode: "sharded".into(),
-        shards: shards_n,
-        threads: cfg.threads && shards_n > 1,
+    let run = ScaleRun::new(
+        "sharded",
         events,
-        elapsed_ms: elapsed.as_secs_f64() * 1e3,
-        events_per_sec: events as f64 / elapsed.as_secs_f64().max(1e-9),
-        events_per_shard: shards.iter().map(|s| s.events).collect(),
-        windows_swept: shards.iter().map(|s| s.windows_swept).sum(),
-        empty_windows: shards.iter().map(|s| s.empty_windows).sum(),
-        mailbox_events: shards.iter().map(|s| s.mailbox_events).sum(),
-        mailbox_peak: shards.iter().map(|s| s.mailbox_peak).max().unwrap_or(0),
-    };
-    (outcome, run)
+        elapsed,
+        shards.iter().map(|s| s.events).collect(),
+        shards.iter().map(|s| s.windows_swept).sum(),
+        shards.iter().map(|s| s.empty_windows).sum(),
+    );
+    (finish(&ctx, &qstate, events), run)
 }
 
-/// Single-threaded window loop: sweep the calendars window by window
-/// (empty slots cost one `take` of an empty vector), stop when no ring
-/// has pending events. Emissions insert **directly** into the destination
+/// The window loop: sweep the calendars window by window (empty slots
+/// cost one `take` of an empty vector), stop when no ring has pending
+/// events. Emissions insert **directly** into the destination
 /// shard's ring — no outbox, no second pass — which is legal mid-window
 /// because the lookahead invariant puts every emission in a later window
 /// than any bucket still to be processed this sweep.
-fn run_windows_serial(ctx: &RunCtx<'_>, shards: &mut [Shard], rings: &mut [Ring], w0: u64) {
+fn run_windows(ctx: &RunCtx<'_>, shards: &mut [Shard], rings: &mut [Ring], w0: u64) {
     let n = shards.len();
     let shift = rings[0].shift;
     let mut w = w0;
@@ -1117,81 +932,6 @@ fn run_windows_serial(ctx: &RunCtx<'_>, shards: &mut [Shard], rings: &mut [Ring]
         }
         w += 1;
     }
-}
-
-/// Threaded window loop: one OS thread per shard, barrier-synchronized.
-/// Mailbox `m[i][j]` carries shard `i`'s emissions for shard `j`; writers
-/// fill between the first and second barrier, owners drain between the
-/// second and third — no mailbox is read while written.
-fn run_windows_threaded(ctx: &RunCtx<'_>, shards: &mut [Shard], rings: &mut [Ring], w0: u64) {
-    let n = shards.len();
-    let barrier = Barrier::new(n);
-    let pendings: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let mailboxes: Vec<Vec<Mutex<Vec<Ev>>>> =
-        (0..n).map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect()).collect();
-
-    std::thread::scope(|scope| {
-        for (sh, ring) in shards.iter_mut().zip(rings.iter_mut()) {
-            let (barrier, pendings, mailboxes) = (&barrier, &pendings, &mailboxes);
-            scope.spawn(move || {
-                let id = sh.id;
-                let shift = ring.shift;
-                let mut out: Vec<Vec<Ev>> = vec![Vec::new(); n];
-                let mut w = w0;
-                loop {
-                    pendings[id].store(ring.pending as u64, AtomicOrdering::Relaxed);
-                    barrier.wait();
-                    // Every thread computes the same sum, so all break on
-                    // the same window.
-                    let total: u64 = pendings.iter().map(|p| p.load(AtomicOrdering::Relaxed)).sum();
-                    if total == 0 {
-                        break;
-                    }
-                    let mut evs = ring.take(w);
-                    sh.windows_swept += 1;
-                    if evs.is_empty() {
-                        sh.empty_windows += 1;
-                    }
-                    if !evs.is_empty() {
-                        evs.sort_unstable_by_key(Ev::key128);
-                        sh.run_evs(&evs, ctx, &mut |e| {
-                            debug_assert!(
-                                e.at_us >> shift > w,
-                                "lookahead violation: emission into the current window"
-                            );
-                            let dest = e.peer as usize % n;
-                            // Own-shard emissions skip the mailbox.
-                            if dest == id {
-                                ring.insert(e);
-                            } else {
-                                out[dest].push(e);
-                            }
-                        });
-                        ring.put_back(w, evs);
-                    }
-                    for (dest, lane) in out.iter_mut().enumerate() {
-                        if !lane.is_empty() {
-                            mailboxes[id][dest].lock().expect("mailbox").append(lane);
-                        }
-                    }
-                    barrier.wait();
-                    for row in mailboxes {
-                        let mut lane = row[id].lock().expect("mailbox");
-                        let depth = lane.len() as u64;
-                        if depth > 0 {
-                            sh.mailbox_events += depth;
-                            sh.mailbox_peak = sh.mailbox_peak.max(depth);
-                        }
-                        for ev in lane.drain(..) {
-                            ring.insert(ev);
-                        }
-                    }
-                    barrier.wait();
-                    w += 1;
-                }
-            });
-        }
-    });
 }
 
 // ----------------------------------------------------------------------
@@ -1246,12 +986,9 @@ mod tests {
         let (serial, _) = run_serial(&topo, &cfg);
         assert_eq!(serial.queries_done, 64, "all queries complete: {serial:?}");
         for shards in [1usize, 2, 3, 4] {
-            for threads in [false, true] {
-                let c = ScaleConfig { shards, threads, ..cfg };
-                let (out, run) = run_sharded(&topo, &c);
-                assert_eq!(out, serial, "shards={shards} threads={threads} diverged");
-                assert_eq!(run.shards, shards);
-            }
+            let (out, run) = run_sharded(&topo, &ScaleConfig { shards, ..cfg });
+            assert_eq!(out, serial, "shards={shards} diverged");
+            assert_eq!(run.shards, shards);
         }
     }
 
@@ -1277,12 +1014,9 @@ mod tests {
         assert_eq!(resumed, full, "serial resume diverged");
 
         for shards in [1usize, 2, 4] {
-            for threads in [false, true] {
-                let c = ScaleConfig { shards, threads, ..cfg };
-                let (out, run) = resume_sharded(&topo, &c, &ckpt);
-                assert_eq!(out, full, "shards={shards} threads={threads} resume diverged");
-                assert_eq!(run.events_per_shard.iter().sum::<u64>(), run.events - ckpt.events);
-            }
+            let (out, run) = resume_sharded(&topo, &ScaleConfig { shards, ..cfg }, &ckpt);
+            assert_eq!(out, full, "shards={shards} resume diverged");
+            assert_eq!(run.events_per_shard.iter().sum::<u64>(), run.events - ckpt.events);
         }
     }
 
@@ -1319,53 +1053,28 @@ mod tests {
     }
 
     #[test]
-    fn topology_subtree_matches_network() {
-        let net = small_net();
-        let topo = Topology::of_network(&net);
-        for part in 0..topo.partition_count() {
-            let key = topo.paths[part].clone();
-            let (s, e) = topo.subtree_of(&key);
-            assert_eq!((s as usize, e as usize), net.subtree_of(&key));
-            if key.len() > 1 {
-                let shallow = key.prefix(key.len() - 1);
-                let (s, e) = topo.subtree_of(&shallow);
-                assert_eq!((s as usize, e as usize), net.subtree_of(&shallow));
-            }
-        }
-    }
-
-    #[test]
     fn per_shard_telemetry_accounts_for_every_event() {
         let net = small_net();
         let topo = Topology::of_network(&net);
-        let cfg = ScaleConfig {
-            queries: 64,
-            shards: 4,
-            threads: true,
-            arrival_spread_us: 5_000,
-            ..Default::default()
-        };
+        let cfg =
+            ScaleConfig { queries: 64, shards: 4, arrival_spread_us: 5_000, ..Default::default() };
         let (out, run) = run_sharded(&topo, &cfg);
         assert_eq!(run.events_per_shard.len(), 4);
         assert_eq!(run.events_per_shard.iter().sum::<u64>(), run.events);
         assert!(run.windows_swept > 0, "windows were swept");
         assert!(run.windows_swept >= run.empty_windows);
-        assert!(run.mailbox_events > 0, "threaded run crossed shards through mailboxes");
-        assert!(run.mailbox_peak > 0 && run.mailbox_peak <= run.mailbox_events);
 
         // The telemetry is observation only: the deterministic outcome
         // still matches the serial baseline.
         let (serial, serial_run) = run_serial(&topo, &cfg);
         assert_eq!(out, serial);
         assert_eq!(serial_run.events_per_shard, vec![serial_run.events]);
-        assert_eq!(serial_run.mailbox_events, 0);
 
         let mut m = MetricsRegistry::default();
         run.export_metrics(&mut m);
         assert_eq!(m.gauge("sim.shard.count"), Some(4.0));
         assert!(m.gauge("sim.shard.imbalance").unwrap() >= 1.0);
         assert_eq!(m.counter("sim.shard.windows_swept"), run.windows_swept);
-        assert_eq!(m.counter("sim.shard.mailbox_events"), run.mailbox_events);
         let h = m.histogram("sim.shard.events").expect("events-per-shard histogram");
         assert_eq!(h.count(), 4);
     }

@@ -21,12 +21,9 @@
 //!   engines off it. Same-config forks are mutually byte-identical;
 //!   diverging forks re-seed their workloads with
 //!   [`sqo_sim::seed::derive`]`(seed, `[`FORK_STREAM`](sqo_sim::seed::FORK_STREAM)`, i)`.
-//!   The `latency` bench's `--warm-checkpoint` mode sweeps a parameter
-//!   grid this way without rebuilding the network per cell.
 //! * **Replay** — the scale core's event-level image
-//!   ([`ScaleCheckpoint`]) rides along, so a
-//!   paused million-peer run resumes on *any* shard count or threading
-//!   mode and still lands on the uninterrupted
+//!   ([`ScaleCheckpoint`]) rides along, so a paused million-peer run
+//!   resumes on *any* shard count and still lands on the uninterrupted
 //!   [`ScaleOutcome`](sqo_sim::ScaleOutcome).
 //!
 //! ## Artifact format
@@ -80,7 +77,7 @@
 
 pub mod wire;
 
-use sqo_cache::BrokerState;
+use sqo_cache::{BrokerState, CacheBatchBroker};
 use sqo_core::{EngineConfig, SimilarityEngine};
 use sqo_overlay::{Network, NetworkState};
 use sqo_sim::driver::DriverCheckpoint;
@@ -158,7 +155,7 @@ pub struct WorldState {
     /// Lifetime edit-distance comparison counter.
     pub edit_comparisons: u64,
     /// The installed probe broker's image (posting cache + channel
-    /// pool), when one is installed and checkpointable.
+    /// pool), when one is installed.
     pub broker: Option<BrokerState>,
 }
 
@@ -223,7 +220,7 @@ impl Snapshot {
             Network::import_state(self.world.net.clone()),
             self.world.publish,
             self.world.edit_comparisons,
-            self.world.broker.clone(),
+            self.world.broker.clone().map(CacheBatchBroker::from_state),
         )
     }
 

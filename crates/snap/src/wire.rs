@@ -32,8 +32,8 @@ use sqo_cache::{
 };
 use sqo_overlay::{Key, Metrics, NetworkConfig, NetworkState, PeerId, PeerLoad, SimLatency};
 use sqo_sim::driver::{DriverCheckpoint, EvSnap, HistParts, RepairTotals};
-use sqo_sim::scale::{ScaleCheckpoint, ScaleEv};
-use sqo_sim::{NetSimState, QueueState};
+use sqo_sim::scale::{Ev, EvKind, QState, ScaleCheckpoint};
+use sqo_sim::{NetSimState, QueryKind, QueueState};
 use sqo_storage::{BaseKind, Posting, Triple, TripleRef, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -819,7 +819,16 @@ pub fn de_driver_checkpoint(d: &mut Dec<'_>) -> R<DriverCheckpoint> {
         issued,
         initiators,
         client_rngs,
-        by_operator: d.seq(|d| Ok((d.string()?, de_hist(d)?, de_query_stats(d)?)))?,
+        by_operator: d.seq(|d| {
+            // The driver keys its accumulators by the static label set; a
+            // foreign label has no accumulator to restore into.
+            let label = d.str()?;
+            let label = QueryKind::LABELS
+                .into_iter()
+                .find(|l| *l == label)
+                .ok_or(SnapError::Corrupt("unknown operator label"))?;
+            Ok((label, de_hist(d)?, de_query_stats(d)?))
+        })?,
         all_latencies: de_hist(d)?,
         total: de_query_stats(d)?,
         queries_run: d.u64()?,
@@ -844,14 +853,20 @@ pub fn scale_checkpoint(e: &mut Enc, c: &ScaleCheckpoint) {
         e.u32(ev.qid);
         e.u32(ev.step);
         e.u32(ev.peer);
-        e.u8(ev.kind);
-        e.u32(ev.of);
+        // Kind tag, then the `of` payload (zero unless a `Result`).
+        let (kind, of) = match ev.kind {
+            EvKind::Query => (0, 0),
+            EvKind::Forward => (1, 0),
+            EvKind::Result { of } => (2, of),
+        };
+        e.u8(kind);
+        e.u32(of);
     });
     e.seq(&c.busy, |e, v| e.u64(*v));
-    e.seq(&c.qstate, |e, (expected, got, done)| {
-        e.u32(*expected);
-        e.u32(*got);
-        e.u64(*done);
+    e.seq(&c.qstate, |e, q| {
+        e.u32(q.expected);
+        e.u32(q.got);
+        e.u64(q.done_us);
     });
     e.u64(c.events);
 }
@@ -860,17 +875,21 @@ pub fn de_scale_checkpoint(d: &mut Dec<'_>) -> R<ScaleCheckpoint> {
     Ok(ScaleCheckpoint {
         stop_us: d.u64()?,
         pending: d.seq(|d| {
-            Ok(ScaleEv {
+            Ok(Ev {
                 at_us: d.u64()?,
                 qid: d.u32()?,
                 step: d.u32()?,
                 peer: d.u32()?,
-                kind: d.u8()?,
-                of: d.u32()?,
+                kind: match (d.u8()?, d.u32()?) {
+                    (0, 0) => EvKind::Query,
+                    (1, 0) => EvKind::Forward,
+                    (2, of) => EvKind::Result { of },
+                    _ => return Err(SnapError::Corrupt("scale event kind out of range")),
+                },
             })
         })?,
         busy: d.seq(|d| d.u64())?,
-        qstate: d.seq(|d| Ok((d.u32()?, d.u32()?, d.u64()?)))?,
+        qstate: d.seq(|d| Ok(QState { expected: d.u32()?, got: d.u32()?, done_us: d.u64()? }))?,
         events: d.u64()?,
     })
 }

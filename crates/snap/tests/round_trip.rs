@@ -194,8 +194,8 @@ fn forks_of_one_warm_world_are_mutually_byte_identical() {
 }
 
 /// The scale core's image rides the same artifact: a paused serial run
-/// resumes — serial, sharded, or threaded — onto the exact outcome of
-/// the uninterrupted run, with the topology re-derived from the restored
+/// resumes — serial or sharded — onto the exact outcome of the
+/// uninterrupted run, with the topology re-derived from the restored
 /// world.
 #[test]
 fn scale_checkpoint_rides_the_artifact_and_resumes_exactly() {
@@ -217,9 +217,20 @@ fn scale_checkpoint_rides_the_artifact_and_resumes_exactly() {
     let topo2 = Topology::of_network(thawed.network());
     let (serial, _) = resume_serial(&topo2, &cfg, ckpt);
     assert_eq!(serial, full, "serial resume diverged");
-    let sharded_cfg = ScaleConfig { shards: 2, threads: true, ..cfg };
+    let sharded_cfg = ScaleConfig { shards: 2, ..cfg };
     let (sharded, _) = resume_sharded(&topo2, &sharded_cfg, ckpt);
-    assert_eq!(sharded, full, "threaded sharded resume diverged");
+    assert_eq!(sharded, full, "sharded resume diverged");
+
+    // A pending event whose kind tag names no `EvKind` is refused at
+    // decode time. The scale image follows the world and the driver's
+    // `None` tag: stop_us u64, count u64, then 25-byte events (at u64,
+    // qid/step/peer u32, kind u8, of u32).
+    let kind_at = Snapshot::capture(&engine).to_bytes().len() + 16 + 20;
+    let mut damaged = bytes.clone();
+    assert!(damaged[kind_at] <= 2, "a kind tag sits where the layout says");
+    damaged[kind_at] = 3;
+    let err = Snapshot::from_bytes(&damaged).map(|_| ()).unwrap_err();
+    assert!(matches!(err, SnapError::Corrupt(_)), "kind 3: got {err:?}");
 }
 
 /// The artifact is a fixed point of decode→encode, and the envelope
@@ -265,8 +276,9 @@ fn envelope_is_versioned_and_decode_is_total() {
 /// A damaged driver queue fails at decode time instead of decoding
 /// cleanly and tripping `EventQueue::from_state`'s asserts inside
 /// `resume_driver`: a pending entry whose sequence number is not below the
-/// counter, one scheduled before the queue clock, and an arrival for a
-/// client the checkpoint carries no RNG stream for are all `Corrupt`.
+/// counter, one scheduled before the queue clock, an arrival for a client
+/// the checkpoint carries no RNG stream for, and a per-operator
+/// accumulator under a label no `QueryKind` has are all `Corrupt`.
 #[test]
 fn damaged_driver_queue_is_corrupt_not_a_resume_panic() {
     let words = words();
@@ -282,6 +294,7 @@ fn damaged_driver_queue_is_corrupt_not_a_resume_panic() {
         .iter()
         .position(|(_, _, ev)| matches!(ev, EvSnap::Arrive { .. }))
         .expect("a mid-run cut leaves arrivals pending");
+    let label = ckpt.by_operator.first().expect("a query completed before the cut").0;
     // The driver image follows the world: a driver-less artifact of the
     // same world ends in two `None` tags, so its length locates the
     // driver's `Some` tag. Then: seq u64, now_us u64, entry count u64,
@@ -292,6 +305,11 @@ fn damaged_driver_queue_is_corrupt_not_a_resume_panic() {
     assert!(Snapshot::from_bytes(&bytes).is_ok());
     let (seq_at, now_at) = (tag + 1, tag + 9);
     let client_at = tag + 25 + arrive * 21 + 17;
+    // Labels travel length-prefixed; the first one in the driver image.
+    let prefixed = [&(label.len() as u64).to_le_bytes()[..], label.as_bytes()].concat();
+    let label_at = tag
+        + 8
+        + bytes[tag..].windows(prefixed.len()).position(|w| w == prefixed).expect("label bytes");
 
     let patched = |at: usize, with: &[u8]| {
         let mut b = bytes.clone();
@@ -302,6 +320,7 @@ fn damaged_driver_queue_is_corrupt_not_a_resume_panic() {
         ("seq counter below its entries", patched(seq_at, &0u64.to_le_bytes())),
         ("clock past its entries", patched(now_at, &u64::MAX.to_le_bytes())),
         ("arrival for an unknown client", patched(client_at, &u32::MAX.to_le_bytes())),
+        ("operator label outside the driver's set", patched(label_at, b"?")),
     ] {
         assert!(matches!(err, SnapError::Corrupt(_)), "{what}: got {err:?}");
         assert_eq!(err.exit_code(), 2);

@@ -1,0 +1,116 @@
+//! Tier-1 pins on the scale core (`sqo::sim::scale`), small enough for
+//! the root test run:
+//!
+//! * the windowed sharded core equals the serial heap baseline bit for
+//!   bit — at fixed shard counts and under a property sweep of seeds,
+//!   workload shapes and shard counts,
+//! * a run paused at `stop_us` and resumed — on the heap or on the
+//!   windowed core — lands on the uninterrupted `ScaleOutcome`,
+//! * the snapshot artifact of a fixed world and cut is byte-stable.
+
+use proptest::prelude::*;
+use sqo::core::{EngineBuilder, SimilarityEngine};
+use sqo::datasets::{bible_words, string_rows};
+use sqo::sim::scale::{
+    resume_serial, resume_sharded, run_serial_until, ScaleCheckpoint, ScalePhase,
+};
+use sqo::sim::{run_serial, run_sharded, ScaleConfig, Topology};
+use sqo::snap::Snapshot;
+use std::sync::OnceLock;
+
+fn engine() -> SimilarityEngine {
+    let rows = string_rows("word", &bible_words(260, 7), "w");
+    EngineBuilder::new().peers(64).q(2).seed(3).build_with_rows(&rows)
+}
+
+fn topology() -> &'static Topology {
+    static TOPO: OnceLock<Topology> = OnceLock::new();
+    TOPO.get_or_init(|| Topology::of_network(engine().network()))
+}
+
+fn workload() -> ScaleConfig {
+    ScaleConfig { queries: 48, arrival_spread_us: 4_000, ..ScaleConfig::default() }
+}
+
+/// The fixed cut every pause test uses: 2 ms into a 4 ms arrival spread.
+fn paused(topo: &Topology) -> ScaleCheckpoint {
+    match run_serial_until(topo, &workload(), 2_000) {
+        ScalePhase::Paused(ck) => ck,
+        ScalePhase::Done(..) => panic!("a 2ms cut must land mid-run"),
+    }
+}
+
+#[test]
+fn sharded_is_bit_identical_to_serial() {
+    let cfg = workload();
+    let (serial, _) = run_serial(topology(), &cfg);
+    assert_eq!(serial.queries_done, cfg.queries as u64);
+    for shards in [1, 2, 4] {
+        let (out, run) = run_sharded(topology(), &ScaleConfig { shards, ..cfg });
+        assert_eq!(out, serial, "shards={shards} diverged from serial");
+        assert_eq!(run.events_per_shard.len(), shards);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+    /// For any seed, workload shape and shard count, the windowed core's
+    /// outcome equals the serial baseline's — the determinism invariant
+    /// the whole measurement methodology rests on.
+    #[test]
+    fn any_seed_any_shards_matches_serial(
+        seed in 0u64..1_000,
+        shards in 1usize..6,
+        queries in 8usize..48,
+        trim in 0u32..4,
+    ) {
+        let cfg = ScaleConfig {
+            queries,
+            seed,
+            shards,
+            shower_trim_bits: trim,
+            arrival_spread_us: 10_000,
+            ..ScaleConfig::default()
+        };
+        let (serial, _) = run_serial(topology(), &cfg);
+        let (sharded, _) = run_sharded(topology(), &cfg);
+        prop_assert_eq!(serial, sharded);
+        prop_assert_eq!(serial.queries_done, queries as u64);
+    }
+}
+
+#[test]
+fn pause_then_resume_equals_the_uninterrupted_run() {
+    let (topo, cfg) = (topology(), workload());
+    let (full, _) = run_serial(topo, &cfg);
+    let ckpt = paused(topo);
+    assert!(ckpt.events > 0 && ckpt.events < full.events, "the cut lands mid-run");
+
+    let (serial, _) = resume_serial(topo, &cfg, &ckpt);
+    assert_eq!(serial, full, "serial resume diverged");
+    for shards in [1, 2, 4] {
+        let (sharded, run) = resume_sharded(topo, &ScaleConfig { shards, ..cfg }, &ckpt);
+        assert_eq!(sharded, full, "shards={shards} resume diverged");
+        assert_eq!(run.events_per_shard.iter().sum::<u64>(), run.events - ckpt.events);
+    }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ *b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Wire-compatibility pin: overlay structure and pending scale events
+/// reach the artifact byte for byte as they did before the topology
+/// became the overlay's own and the checkpoint started holding the core's
+/// own event type. The constant is the digest this same test body
+/// printed on the parent commit (afab129, schema v3); re-measure it only
+/// together with a `sqo_snap::SCHEMA_VERSION` bump.
+#[test]
+fn snapshot_bytes_of_a_fixed_world_and_cut_are_pinned() {
+    let engine = engine();
+    let ckpt = paused(&Topology::of_network(engine.network()));
+    let bytes = Snapshot::capture(&engine).with_scale(ckpt).to_bytes();
+    assert_eq!(sqo::snap::SCHEMA_VERSION, 3);
+    assert_eq!(fnv1a(&bytes), 0xd1f0_7c36_af7f_a59c, "artifact is {} bytes", bytes.len());
+}
