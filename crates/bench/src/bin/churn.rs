@@ -1,41 +1,30 @@
 //! CLI wrapper for the replication-payoff churn study.
 //!
 //! ```text
-//! churn [--smoke] [--out PATH]
+//! churn [--out PATH]
 //! ```
 //!
-//! Writes the artifact envelope (`schema_version`, `generated` metadata,
-//! one point per crash level × repair mode) to `PATH` (default
-//! `BENCH_churn.json`) and prints a table to stdout. The committed
-//! `BENCH_churn.json` at the repository root is the default-configuration
-//! baseline: `tests/bench_churn.rs` pins the repair payoff it shows and
-//! the regression gate (`regress`) diffs fresh runs against it.
+//! Writes [`sqo_bench::churn::artifact`] of the default sweep (the
+//! `generated` metadata, then one point per crash level × repair mode) to
+//! `PATH` (default `BENCH_churn.json`) and prints a table to stdout. The
+//! committed `BENCH_churn.json` at the repository root is this output,
+//! byte for byte; `tests/bench_churn.rs` fails when it is not, then pins
+//! the repair payoff the file shows.
 
-use sqo_bench::churn::{render, run_churn_bench, ChurnBenchConfig, ChurnPoint};
-use sqo_bench::meta::{GenMeta, SCHEMA_VERSION};
-
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct ChurnArtifact {
-    schema_version: u32,
-    generated: GenMeta,
-    churn_grid: Vec<ChurnPoint>,
-}
+use sqo_bench::churn::{artifact, render, run_churn_bench, ChurnBenchConfig};
 
 fn usage() -> ! {
-    eprintln!("usage: churn [--smoke] [--out PATH]");
+    eprintln!("usage: churn [--out PATH]");
     std::process::exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = ChurnBenchConfig::default();
+    let cfg = ChurnBenchConfig::default();
     let mut out = String::from("BENCH_churn.json");
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--smoke" => cfg = ChurnBenchConfig::smoke(),
             "--out" => {
                 i += 1;
                 match args.get(i) {
@@ -57,19 +46,6 @@ fn main() {
     let points = run_churn_bench(&cfg);
     print!("{}", render(&points));
 
-    let total_queries = cfg.crash_permilles.len() * 2 * cfg.clients * cfg.queries_per_client;
-    let generated = GenMeta::new(cfg.seed, cfg.peers, total_queries)
-        .workload("words", cfg.words as u64)
-        .workload("replication", cfg.replication as u64)
-        .workload("clients", cfg.clients as u64)
-        .workload("queries_per_client", cfg.queries_per_client as u64)
-        .workload("crash_levels", cfg.crash_permilles.len() as u64)
-        .workload("period_us", cfg.period_us)
-        .workload("horizon_us", cfg.horizon_us)
-        .workload("min_alive", cfg.min_alive as u64);
-    let n_points = points.len();
-    let artifact = ChurnArtifact { schema_version: SCHEMA_VERSION, generated, churn_grid: points };
-    std::fs::write(&out, serde_json::to_string_pretty(&artifact).expect("serialize"))
-        .expect("write output");
-    eprintln!("wrote {n_points} points to {out}");
+    std::fs::write(&out, artifact(&cfg, &points)).expect("write output");
+    eprintln!("wrote {} points to {out}", points.len());
 }

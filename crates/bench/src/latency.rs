@@ -6,10 +6,12 @@
 //! operator), with per-operator overlay messages **and per-operator
 //! queue time** next to the percentiles, so both the "messages saved" by
 //! caching and the congestion response of the adaptive window are visible
-//! in the artifact. The `BENCH_latency.json` at the repository root is a
-//! committed run of the default configuration; the acceptance tests pin
-//! its claims.
+//! in the artifact. The `BENCH_latency.json` at the repository root is the
+//! **golden file** of the default configuration: `tests/bench_adaptive.rs`
+//! rebuilds [`artifact`] in-process and demands the committed bytes, then
+//! pins the claims the file makes.
 
+use crate::meta::GenMeta;
 use serde::Serialize;
 use sqo_core::{BrokerConfig, EngineBuilder, JoinWindow, Strategy};
 use sqo_datasets::{bible_words, string_rows};
@@ -104,23 +106,6 @@ impl Default for LatencyBenchConfig {
     }
 }
 
-impl LatencyBenchConfig {
-    /// A seconds-scale configuration for tests.
-    pub fn smoke() -> Self {
-        Self {
-            words: 400,
-            peers: 48,
-            client_counts: vec![1, 4],
-            queries_per_client: 3,
-            models: vec![
-                LatencyModel::Constant { us: 1_000 },
-                LatencyModel::LogNormal { median_us: 1_500.0, sigma: 0.8 },
-            ],
-            ..Self::default()
-        }
-    }
-}
-
 /// One (model, clients, combo, operator) measurement.
 #[derive(Debug, Clone, Serialize)]
 pub struct LatencyPoint {
@@ -205,9 +190,6 @@ pub struct LatencySweep {
     /// across the sweep (`Some` only when
     /// [`LatencyBenchConfig::trace`] is set and at least one query ran).
     pub slowest_trace: Option<String>,
-    /// Wall-clock µs spent acquiring engines across the sweep: the
-    /// one-time build + capture plus the per-cell restores.
-    pub setup_wall_us: u64,
 }
 
 /// Run the sweep. Deterministic for a given configuration.
@@ -220,20 +202,16 @@ pub fn run_latency_sweep(cfg: &LatencyBenchConfig) -> LatencySweep {
     // world instead of a from-scratch publication (a restored world
     // continues the build's RNG stream exactly — `sqo-snap`'s round-trip
     // suite pins it).
-    let t = std::time::Instant::now();
     let (snap, engine_cfg) = {
         let rows = string_rows("word", &words, "w");
         let template =
             EngineBuilder::new().peers(cfg.peers).q(2).seed(cfg.seed).build_with_rows(&rows);
         (sqo_snap::Snapshot::capture(&template), template.config().clone())
     };
-    let mut setup_wall = t.elapsed();
     for model in &cfg.models {
         for &clients in &cfg.client_counts {
             for combo in &cfg.combos {
-                let t = std::time::Instant::now();
                 let mut engine = snap.restore_engine(&engine_cfg);
-                setup_wall += t.elapsed();
                 let profiler = cfg.trace.then(|| sqo_obs::BlameProfiler::shared(3));
                 if let Some(p) = &profiler {
                     engine.network_mut().set_trace_sink(sqo_obs::BlameProfiler::as_sink(p));
@@ -275,19 +253,31 @@ pub fn run_latency_sweep(cfg: &LatencyBenchConfig) -> LatencySweep {
             }
         }
     }
-    LatencySweep {
-        points: out,
-        metrics,
-        slowest_trace: slowest.map(|(_, chrome)| chrome),
-        setup_wall_us: setup_wall.as_micros() as u64,
-    }
+    LatencySweep { points: out, metrics, slowest_trace: slowest.map(|(_, chrome)| chrome) }
 }
 
-/// Run the sweep and keep only the point list (the committed
-/// `BENCH_latency.json` shape; see [`run_latency_sweep`] for the
-/// registry too).
-pub fn run_latency_bench(cfg: &LatencyBenchConfig) -> Vec<LatencyPoint> {
-    run_latency_sweep(cfg).points
+/// The `BENCH_latency.json` text for a sweep of `cfg` that produced
+/// `points`: the `generated` block, then the points. A pure function of
+/// its arguments — the same configuration yields the same bytes on any
+/// host and in any build profile.
+pub fn artifact(cfg: &LatencyBenchConfig, points: &[LatencyPoint]) -> String {
+    #[derive(Serialize)]
+    struct Artifact {
+        generated: GenMeta,
+        points: Vec<LatencyPoint>,
+    }
+    let queries = cfg.models.len()
+        * cfg.combos.len()
+        * cfg.queries_per_client
+        * cfg.client_counts.iter().sum::<usize>();
+    let generated = GenMeta::new(cfg.seed, cfg.peers, queries)
+        .workload("words", cfg.words as u64)
+        .workload("queries_per_client", cfg.queries_per_client as u64)
+        .workload("clients_max", cfg.client_counts.iter().copied().max().unwrap_or(0) as u64)
+        .workload("combos", cfg.combos.len() as u64)
+        .workload("models", cfg.models.len() as u64);
+    serde_json::to_string_pretty(&Artifact { generated, points: points.to_vec() })
+        .expect("serialize")
 }
 
 /// Human-readable table of a sweep.
@@ -335,7 +325,7 @@ mod tests {
             ],
             ..LatencyBenchConfig::default()
         };
-        let a = run_latency_bench(&cfg);
+        let a = run_latency_sweep(&cfg).points;
         // 2 models x 1 client count x 6 combos x 4 operators.
         assert_eq!(a.len(), 48);
         for p in &a {
@@ -364,7 +354,7 @@ mod tests {
             queue.iter().any(|q| q != &queue[0]),
             "per-operator queue attribution must differ across operators: {queue:?}"
         );
-        let b = run_latency_bench(&cfg);
+        let b = run_latency_sweep(&cfg).points;
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap(),

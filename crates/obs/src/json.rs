@@ -2,7 +2,7 @@
 //!
 //! The vendored `serde_json` stand-in is serialize-only, so tests that
 //! assert the exporters emit *well-formed* JSON need a checker, and the
-//! bench regression comparator needs to *read* the committed artifacts.
+//! acceptance pins need to *read* the committed `BENCH_*.json` artifacts.
 //! Both are strict recursive descent over RFC 8259: [`validate_json`]
 //! accepts exactly valid JSON texts and reports the byte offset of the
 //! first violation; [`parse_json`] additionally builds a [`Json`] value

@@ -27,7 +27,7 @@
 //!   watchdog) to one network.
 //! * [`validate_json`] / [`parse_json`] — a strict JSON checker and a small
 //!   DOM parser (the vendored `serde_json` is serialize-only), used by the
-//!   export tests and the bench regression gate.
+//!   export tests and the pins on the committed bench artifacts.
 //!
 //! See `docs/TRACING.md` for the event schema, the cause-tag vocabulary,
 //! blame-tree semantics, and the SLO spec format.

@@ -6,8 +6,8 @@
 //! wipes, revivals of previously-dead peers, and transient loss spikes on
 //! the installed [`LossModel`]. Everything is a pure
 //! function of the plan and the driver seed — two runs of the same plan
-//! produce byte-identical reports, which is what makes fault scenarios
-//! regression-testable.
+//! produce byte-identical reports, which is what lets `BENCH_churn.json`
+//! be a golden file.
 //!
 //! Plans compose with the driver's repair hook
 //! ([`DriverConfig::repair`](crate::DriverConfig)): after every churn and

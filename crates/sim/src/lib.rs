@@ -92,8 +92,8 @@ pub use latency::{LatencyModel, LossModel};
 pub use netsim::{install, install_restored, set_installed_loss, NetSim, NetSimState, SimConfig};
 pub use report::{percentile_us, LatencySummary, OperatorLatency};
 pub use scale::{
-    resume_serial, resume_sharded, rss_now_bytes, rss_peak_bytes, run_serial, run_serial_until,
-    run_sharded, ScaleCheckpoint, ScaleConfig, ScaleOutcome, ScalePhase, ScaleRun, Topology,
+    resume_serial, resume_sharded, rss_now_bytes, run_serial, run_serial_until, run_sharded,
+    ScaleCheckpoint, ScaleConfig, ScaleOutcome, ScalePhase, ScaleRun, Topology,
 };
 pub use sqo_obs::{LogHistogram, MetricsRegistry, TraceCollector};
 pub use sqo_overlay::SimLatency;

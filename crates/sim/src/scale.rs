@@ -51,10 +51,8 @@
 
 use crate::seed::mix;
 use serde::Serialize;
-use sqo_obs::MetricsRegistry;
 use sqo_overlay::peer::Item;
 use sqo_overlay::{Key, Network, PeerId};
-use std::time::{Duration, Instant};
 
 // ----------------------------------------------------------------------
 // Topology: the overlay's structure plus the scan-cost input
@@ -351,19 +349,15 @@ pub struct ScaleOutcome {
     pub checksum: u64,
 }
 
-/// The performance half: wall-clock measurements of one engine run, plus
-/// the per-shard telemetry of the windowed core (how evenly the event
-/// load spread, how often the conservative lookahead swept an empty
-/// window). None of it feeds back into the simulation — [`ScaleOutcome`]
-/// stays bit-identical.
+/// The telemetry half of one engine run: how evenly the event load spread
+/// over the shards and how often the conservative lookahead swept an
+/// empty window. None of it feeds back into the simulation —
+/// [`ScaleOutcome`] stays bit-identical. (Wall-clock speed is measured by
+/// the `scale-core` workload of `benchmark/`, around the call.)
 #[derive(Debug, Clone, Serialize)]
 pub struct ScaleRun {
-    /// `"serial"` (global binary heap) or `"sharded"` (windowed core).
-    pub mode: String,
     pub shards: usize,
     pub events: u64,
-    pub elapsed_ms: f64,
-    pub events_per_sec: f64,
     /// Events processed by each shard (one entry per shard; the serial
     /// engine reports a single entry).
     pub events_per_shard: Vec<u64>,
@@ -372,56 +366,6 @@ pub struct ScaleRun {
     /// Swept windows whose bucket was empty — the conservative lookahead's
     /// stall counter: windows crossed with nothing to do.
     pub empty_windows: u64,
-}
-
-impl ScaleRun {
-    /// The one place a run's measurements are assembled; `events_per_shard`
-    /// has one entry per shard (a single one for the serial engine).
-    fn new(
-        mode: &str,
-        events: u64,
-        elapsed: Duration,
-        events_per_shard: Vec<u64>,
-        windows_swept: u64,
-        empty_windows: u64,
-    ) -> Self {
-        ScaleRun {
-            mode: mode.into(),
-            shards: events_per_shard.len(),
-            events,
-            elapsed_ms: elapsed.as_secs_f64() * 1e3,
-            events_per_sec: events as f64 / elapsed.as_secs_f64().max(1e-9),
-            events_per_shard,
-            windows_swept,
-            empty_windows,
-        }
-    }
-
-    /// Fold this run into a metrics registry under the `sim.*` schema:
-    /// throughput and RSS gauges, plus the `sim.shard.*` occupancy /
-    /// imbalance gauges, window-stall counters and the events-per-shard
-    /// histogram.
-    pub fn export_metrics(&self, m: &mut MetricsRegistry) {
-        m.gauge_set("sim.events_per_sec", self.events_per_sec);
-        if let Some(rss) = rss_peak_bytes() {
-            m.gauge_set("sim.rss_peak_bytes", rss as f64);
-        }
-        if self.events_per_shard.is_empty() {
-            return;
-        }
-        let max = self.events_per_shard.iter().copied().max().unwrap_or(0);
-        let min = self.events_per_shard.iter().copied().min().unwrap_or(0);
-        let mean = self.events as f64 / self.events_per_shard.len() as f64;
-        m.gauge_set("sim.shard.count", self.events_per_shard.len() as f64);
-        m.gauge_set("sim.shard.events_max", max as f64);
-        m.gauge_set("sim.shard.events_min", min as f64);
-        m.gauge_set("sim.shard.imbalance", if mean > 0.0 { max as f64 / mean } else { 1.0 });
-        m.counter_add("sim.shard.windows_swept", self.windows_swept);
-        m.counter_add("sim.shard.empty_windows", self.empty_windows);
-        for &e in &self.events_per_shard {
-            m.record("sim.shard.events", e);
-        }
-    }
 }
 
 fn build_ctx<'a>(topo: &'a Topology, cfg: &'a ScaleConfig) -> RunCtx<'a> {
@@ -526,7 +470,6 @@ fn serial_core(
     mut events: u64,
     stop_us: Option<u64>,
 ) -> ScalePhase {
-    let t0 = Instant::now();
     let mut heap: std::collections::BinaryHeap<HeapEv> = pending.into_iter().map(HeapEv).collect();
     let mut emitted: Vec<Ev> = Vec::new();
     loop {
@@ -548,7 +491,13 @@ fn serial_core(
         ctx.handle(ev, &mut st, &mut |e| emitted.push(e));
         heap.extend(emitted.drain(..).map(HeapEv));
     }
-    let run = ScaleRun::new("serial", events, t0.elapsed(), vec![events], 0, 0);
+    let run = ScaleRun {
+        shards: 1,
+        events,
+        events_per_shard: vec![events],
+        windows_swept: 0,
+        empty_windows: 0,
+    };
     ScalePhase::Done(finish(ctx, &st.qstate, events), run)
 }
 
@@ -877,9 +826,7 @@ fn sharded_core(
         rings[ev.peer as usize % shards_n].insert(ev);
     }
 
-    let t0 = Instant::now();
     run_windows(&ctx, &mut shards, &mut rings, w0);
-    let elapsed = t0.elapsed();
 
     // Each query's progress lives on its initiator's shard; collect from
     // there.
@@ -890,14 +837,13 @@ fn sharded_core(
     let qstate: Vec<QState> = (0..cfg.queries)
         .map(|q| shards[ctx.qinfo[q].initiator as usize % shards_n].qstate[q])
         .collect();
-    let run = ScaleRun::new(
-        "sharded",
+    let run = ScaleRun {
+        shards: shards_n,
         events,
-        elapsed,
-        shards.iter().map(|s| s.events).collect(),
-        shards.iter().map(|s| s.windows_swept).sum(),
-        shards.iter().map(|s| s.empty_windows).sum(),
-    );
+        events_per_shard: shards.iter().map(|s| s.events).collect(),
+        windows_swept: shards.iter().map(|s| s.windows_swept).sum(),
+        empty_windows: shards.iter().map(|s| s.empty_windows).sum(),
+    };
     (finish(&ctx, &qstate, events), run)
 }
 
@@ -935,24 +881,16 @@ fn run_windows(ctx: &RunCtx<'_>, shards: &mut [Shard], rings: &mut [Ring], w0: u
 }
 
 // ----------------------------------------------------------------------
-// RSS helpers (Linux, dependency-free)
+// RSS helper (Linux, dependency-free)
 // ----------------------------------------------------------------------
 
-/// Peak resident set size of this process (`VmHWM` from
-/// `/proc/self/status`); `None` off Linux.
-pub fn rss_peak_bytes() -> Option<u64> {
-    proc_status_kib("VmHWM:").map(|k| k * 1024)
-}
-
-/// Current resident set size (`VmRSS`); `None` off Linux.
+/// Current resident set size (`VmRSS` from `/proc/self/status`); `None`
+/// off Linux.
 pub fn rss_now_bytes() -> Option<u64> {
-    proc_status_kib("VmRSS:").map(|k| k * 1024)
-}
-
-fn proc_status_kib(label: &str) -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with(label))?;
-    line.split_whitespace().nth(1)?.parse().ok()
+    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
+    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib * 1024)
 }
 
 #[cfg(test)]
@@ -1059,7 +997,7 @@ mod tests {
         let cfg =
             ScaleConfig { queries: 64, shards: 4, arrival_spread_us: 5_000, ..Default::default() };
         let (out, run) = run_sharded(&topo, &cfg);
-        assert_eq!(run.events_per_shard.len(), 4);
+        assert_eq!((run.shards, run.events_per_shard.len()), (4, 4));
         assert_eq!(run.events_per_shard.iter().sum::<u64>(), run.events);
         assert!(run.windows_swept > 0, "windows were swept");
         assert!(run.windows_swept >= run.empty_windows);
@@ -1069,20 +1007,12 @@ mod tests {
         let (serial, serial_run) = run_serial(&topo, &cfg);
         assert_eq!(out, serial);
         assert_eq!(serial_run.events_per_shard, vec![serial_run.events]);
-
-        let mut m = MetricsRegistry::default();
-        run.export_metrics(&mut m);
-        assert_eq!(m.gauge("sim.shard.count"), Some(4.0));
-        assert!(m.gauge("sim.shard.imbalance").unwrap() >= 1.0);
-        assert_eq!(m.counter("sim.shard.windows_swept"), run.windows_swept);
-        let h = m.histogram("sim.shard.events").expect("events-per-shard histogram");
-        assert_eq!(h.count(), 4);
     }
 
     #[test]
-    fn rss_helpers_report_on_linux() {
-        if let (Some(now), Some(peak)) = (rss_now_bytes(), rss_peak_bytes()) {
-            assert!(now > 0 && peak >= now / 2, "peak {peak} vs now {now}");
+    fn rss_helper_reports_on_linux() {
+        if let Some(now) = rss_now_bytes() {
+            assert!(now > 0);
         }
     }
 }

@@ -8,7 +8,7 @@
 //! documented home for that mixing.
 //!
 //! [`derive()`] is intentionally bit-exact with the old inline formula —
-//! every pinned artifact (latency sweeps, regress baselines, snapshot
+//! every pinned artifact (the `BENCH_*.json` golden files, snapshot
 //! round-trips) depends on client streams staying put. The heavy stateless
 //! per-event hash used by the million-peer scale core lives here too as
 //! [`mix`]; it needs stronger diffusion than `derive` because its outputs

@@ -1,7 +1,7 @@
 //! Scale smoke tests for the sharded parallel event core:
 //!
 //! * a 10⁵-peer overlay snapshot drives a full `ScaleSim` workload inside
-//!   the RSS-per-peer and wall-clock budgets,
+//!   the RSS-per-peer budget,
 //! * the sharded windowed core is **bit-identical** to the serial heap
 //!   baseline at integration scale (the small-topology determinism cases
 //!   and the property sweep live in the root `tests/scale_core.rs`).
@@ -33,15 +33,12 @@ fn big_topology() -> &'static (Topology, u64) {
     TOPO.get_or_init(|| {
         let peers = 100_000;
         let rss_before = rss_now_bytes().unwrap_or(0);
-        let t0 = std::time::Instant::now();
         let net = Network::build(
             NetworkConfig { peers, replication: 3, seed: 7, ..NetworkConfig::default() },
             corpus(100_000),
         );
-        let build = t0.elapsed();
         let rss_after = rss_now_bytes().unwrap_or(0);
         let per_peer = rss_after.saturating_sub(rss_before) / peers as u64;
-        assert!(build.as_secs() < 180, "10^5-peer build took {build:?}, over the smoke budget");
         let topo = Topology::of_network(&net);
         (topo, per_peer)
     })

@@ -36,9 +36,8 @@
 //! [`SnapError::BadMagic`], a version skew is
 //! [`SnapError::SchemaMismatch`], and every decoder is bounds-checked so
 //! corrupt input fails with an error, never a panic or a huge
-//! allocation. [`SnapError::exit_code`] mirrors the bench regress gate's
-//! convention (schema/format mismatches exit 3, distinct from "the run
-//! diverged").
+//! allocation. [`SnapError::exit_code`] keeps schema/format mismatches
+//! (exit 3) distinct from damaged input (exit 2).
 //!
 //! What is **not** in the artifact: static configuration. The caller
 //! that restores a snapshot supplies the same [`EngineConfig`] (and
@@ -132,10 +131,9 @@ impl fmt::Display for SnapError {
 impl std::error::Error for SnapError {}
 
 impl SnapError {
-    /// Process exit code for CLI consumers, aligned with the bench
-    /// regress gate's convention (`sqo_bench::regress::EXIT_MISMATCH`):
-    /// a schema/format mismatch exits `3` so CI can tell "incompatible
-    /// artifact" from "the run itself failed" (`2`).
+    /// Process exit code for CLI consumers: a schema/format mismatch
+    /// exits `3` so CI can tell "incompatible artifact" from "damaged
+    /// artifact" (`2`).
     pub fn exit_code(&self) -> i32 {
         match self {
             SnapError::SchemaMismatch { .. } | SnapError::BadMagic => 3,

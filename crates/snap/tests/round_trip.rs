@@ -255,7 +255,7 @@ fn envelope_is_versioned_and_decode_is_total() {
         err,
         SnapError::SchemaMismatch { found: SCHEMA_VERSION + 1, expected: SCHEMA_VERSION }
     );
-    assert_eq!(err.exit_code(), 3, "parity with the bench regress gate's EXIT_MISMATCH");
+    assert_eq!(err.exit_code(), 3, "a version skew is a mismatch, not damage");
     // An artifact written before the lane and uniform-selection bytes
     // left the wire is refused by its header, never mis-decoded.
     skewed[4..8].copy_from_slice(&2u32.to_le_bytes());

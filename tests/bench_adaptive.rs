@@ -1,4 +1,6 @@
-//! Acceptance pins on the committed `BENCH_latency.json`:
+//! `BENCH_latency.json` is the golden file of the default latency sweep:
+//! the first test rebuilds it in-process and demands the committed bytes,
+//! so the pins below read a file that is tied to the code:
 //!
 //! * the artifact carries the window sweep (w1 / w8 / auto columns),
 //! * `window=auto` simjoin p50 **and** p99 are no worse than the best
@@ -10,17 +12,22 @@
 //! * queue time is attributed per operator (not one run-wide figure
 //!   duplicated into every row).
 //!
-//! The committed file is a deterministic run of the default bench
-//! configuration (`cargo run --release -p sqo-bench --bin latency`);
-//! regenerate it whenever execution economics change.
+//! Regenerate with `cargo run --release -p sqo-bench --bin latency` from
+//! the repository root whenever execution economics change, and review the
+//! diff.
 
 use sqo::obs::{parse_json, Json};
+use sqo_bench::latency::{artifact, run_latency_sweep, LatencyBenchConfig};
+use sqo_bench::meta::golden_mismatch;
 use std::collections::BTreeMap;
 
-fn load() -> Json {
+fn committed() -> String {
     let path = format!("{}/BENCH_latency.json", env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    parse_json(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"))
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
+}
+
+fn load() -> Json {
+    parse_json(&committed()).unwrap_or_else(|e| panic!("parse BENCH_latency.json: {e}"))
 }
 
 fn points(artifact: &Json) -> &[Json] {
@@ -35,6 +42,17 @@ fn u(p: &Json, key: &str) -> u64 {
 
 fn s<'a>(p: &'a Json, key: &str) -> &'a str {
     p.get(key).and_then(Json::as_str).unwrap_or_else(|| panic!("point field {key}"))
+}
+
+/// Any drift in the driver, the simulator or an operator, a reseeded or
+/// resized sweep, and a stale or hand-edited file all fail here.
+#[test]
+fn committed_artifact_is_what_the_default_sweep_generates() {
+    let cfg = LatencyBenchConfig::default();
+    let fresh = artifact(&cfg, &run_latency_sweep(&cfg).points);
+    if let Some(msg) = golden_mismatch("BENCH_latency.json", "latency", &committed(), &fresh) {
+        panic!("{msg}");
+    }
 }
 
 #[test]

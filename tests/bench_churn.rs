@@ -1,5 +1,7 @@
-//! Long-horizon churn pins over the committed `BENCH_churn.json`
-//! replication-payoff artifact (PR 10 acceptance):
+//! `BENCH_churn.json` is the golden file of the default replication-payoff
+//! sweep: the first test rebuilds it in-process and demands the committed
+//! bytes, so the long-horizon pins below (PR 10 acceptance) read a file
+//! that is tied to the code:
 //!
 //! * with repair **on**, the churned cell keeps late-horizon completeness
 //!   ≥ 0.999 with zero lost partitions and stationary tail latency,
@@ -8,15 +10,20 @@
 //! * the fault-free control rows are identical between repair off/on
 //!   (zero-fault equivalence, pinned in the artifact itself).
 //!
-//! The artifact is regenerated by `cargo run --release --bin churn`; the
-//! regression gate (`tests/regress_gate.rs`) diffs fresh runs against it.
+//! Regenerate with `cargo run --release -p sqo-bench --bin churn` from the
+//! repository root, and review the diff.
 
+use sqo_bench::churn::{artifact, run_churn_bench, ChurnBenchConfig};
+use sqo_bench::meta::golden_mismatch;
 use sqo_obs::{parse_json, Json};
 
-fn load() -> Json {
+fn committed() -> String {
     let path = format!("{}/BENCH_churn.json", env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    parse_json(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"))
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
+}
+
+fn load() -> Json {
+    parse_json(&committed()).unwrap_or_else(|e| panic!("parse BENCH_churn.json: {e}"))
 }
 
 fn grid(artifact: &Json) -> &[Json] {
@@ -36,6 +43,19 @@ fn find<'a>(points: &'a [Json], churned: bool, repair: &str) -> &'a Json {
         .iter()
         .find(|p| (u(p, "churn_permille") > 0) == churned && s(p, "repair") == repair)
         .unwrap_or_else(|| panic!("no churned={churned} repair={repair} point"))
+}
+
+/// Any drift in the fault plan, the repair loop or the driver, a resized
+/// sweep, and a stale or hand-edited file all fail here. Running the
+/// sweep here is also its determinism check: it must land on bytes
+/// another process wrote.
+#[test]
+fn committed_artifact_is_what_the_default_sweep_generates() {
+    let cfg = ChurnBenchConfig::default();
+    let fresh = artifact(&cfg, &run_churn_bench(&cfg));
+    if let Some(msg) = golden_mismatch("BENCH_churn.json", "churn", &committed(), &fresh) {
+        panic!("{msg}");
+    }
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! End-to-end smoke of the full evaluation pipeline: datasets → engine →
 //! §6 workload → figure-shape sanity. A miniature of `figure1 --smoke`
-//! living in the test suite so regressions in any layer surface here.
+//! living in the test suite so a break in any layer surfaces here.
 
 use sqo::core::Strategy;
 use sqo::datasets::{bible_words, painting_titles, run_workload, string_rows, WorkloadSpec};
