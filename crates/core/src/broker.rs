@@ -29,6 +29,7 @@
 use rustc_hash::FxHashMap;
 use sqo_storage::posting::Posting;
 use sqo_strsim::filters::{char_len, length_filter, position_filter, FilterConfig};
+use std::sync::Arc;
 
 /// The per-query gram-posting filter as plain data, so it can run wherever
 /// the posting list happens to be: at the owning peer (delegated probes),
@@ -51,32 +52,30 @@ pub struct ProbeFilter<'a> {
 impl ProbeFilter<'_> {
     /// The postings among `items` that pass the "a == ξ(t′, 2)" guard of
     /// Algorithm 2 plus the position and length filters — still borrowed,
-    /// so the caller copies survivors only. Postings stored under one key
-    /// carry one gram, so its query positions are looked up when the gram
-    /// changes, not once per posting.
+    /// so the caller copies survivors only.
+    ///
+    /// The conjunction is pure, so it runs cheapest first: the gram and the
+    /// position filter need only what the posting holds inline, and a
+    /// posting they reject never touches its triple. Postings stored under
+    /// one key carry one gram — one shared string, for those of one batch —
+    /// so its query positions are looked up when the gram changes, not once
+    /// per posting. The guard cannot be skipped for the key's sake: keys
+    /// truncate, so two attributes can share one.
     pub fn survivors<'p>(
         &'p self,
         items: impl Iterator<Item = &'p Posting> + 'p,
     ) -> impl Iterator<Item = &'p Posting> + 'p {
-        let mut probed: Option<(&str, &[u32])> = None;
+        let mut probed: Option<(&Arc<str>, &[u32])> = None;
         items.filter(move |p| {
-            let (gram, pos, source) = match (self.attr, *p) {
-                (Some(a), Posting::InstanceGram { triple, gram, pos, .. }) => {
-                    if triple.attr.as_str() != a {
-                        return false;
-                    }
-                    let Some(text) = triple.value.as_str() else { return false };
-                    (&**gram, *pos, text)
-                }
-                (None, Posting::SchemaGram { triple, gram, pos }) => {
-                    (&**gram, *pos, triple.attr.as_str())
-                }
+            let (triple, gram, pos) = match (self.attr, *p) {
+                (Some(_), Posting::InstanceGram { triple, gram, pos, .. })
+                | (None, Posting::SchemaGram { triple, gram, pos }) => (triple, gram, *pos),
                 _ => return false,
             };
             let q_positions = match probed {
-                Some((g, qp)) if g == gram => qp,
+                Some((g, qp)) if Arc::ptr_eq(g, gram) || g == gram => qp,
                 _ => {
-                    let Some(qp) = self.gram_positions.get(gram) else {
+                    let Some(qp) = self.gram_positions.get(&**gram) else {
                         return false; // not a probed gram (shouldn't happen: exact keys)
                     };
                     probed = Some((gram, qp));
@@ -88,7 +87,70 @@ impl ProbeFilter<'_> {
             {
                 return false;
             }
+            let source = match self.attr {
+                Some(a) => {
+                    if triple.attr.as_str() != a {
+                        return false;
+                    }
+                    let Some(text) = triple.value.as_str() else { return false };
+                    text
+                }
+                None => triple.attr.as_str(),
+            };
             !self.filters.length || length_filter(char_len(source), self.s_len, self.d)
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::EngineBuilder;
+    use crate::similar::Strategy;
+    use sqo_storage::keys::instance_gram_key;
+    use sqo_storage::publish::{postings_for_rows, PublishConfig};
+    use sqo_storage::triple::{Row, Value};
+
+    /// Keys hold 32 bytes of an attribute name, so two names equal that far
+    /// store their grams under the same keys and the owner's list mixes
+    /// them: the attribute guard, checked after the inline filters now, is
+    /// all that tells them apart.
+    #[test]
+    fn attributes_sharing_a_truncated_key_are_separated_by_the_guard() {
+        let stem = "an_attribute_name_32_bytes_long__";
+        let (left, right) = (format!("{stem}left"), format!("{stem}right"));
+        assert_eq!(instance_gram_key(&left, "pai"), instance_gram_key(&right, "pai"));
+        let rows = [
+            Row::new("o:1", [(left.as_str(), Value::from("painting"))]),
+            Row::new("o:2", [(right.as_str(), Value::from("painting"))]),
+            Row::new("o:3", [(right.as_str(), Value::from(7))]),
+        ];
+
+        let (postings, _) = postings_for_rows(&rows, &PublishConfig::default());
+        let key = instance_gram_key(&left, "pai");
+        let list: Vec<&Posting> =
+            postings.iter().filter(|(k, _)| *k == key).map(|(_, p)| p).collect();
+        assert_eq!(list.len(), 2, "both attributes post `pai` under one key");
+        let gram_positions: FxHashMap<String, Vec<u32>> =
+            [("pai".to_string(), vec![0])].into_iter().collect();
+        for (attr, oid) in [(&left, "o:1"), (&right, "o:2")] {
+            let filter = ProbeFilter {
+                attr: Some(attr),
+                gram_positions: &gram_positions,
+                s_len: 8,
+                d: 1,
+                filters: FilterConfig::default(),
+            };
+            let kept: Vec<&str> =
+                filter.survivors(list.iter().copied()).map(Posting::oid).collect();
+            assert_eq!(kept, [oid], "only {attr}'s posting survives");
+        }
+
+        // And end to end, through routing, delegation and verification.
+        let mut e = EngineBuilder::new().peers(16).seed(3).build_with_rows(&rows);
+        let from = e.random_peer();
+        let res = e.similar("painting", Some(&right), 1, from, Strategy::QGrams);
+        let oids: Vec<&str> = res.matches.iter().map(|m| m.oid.as_str()).collect();
+        assert_eq!(oids, ["o:2"]);
     }
 }

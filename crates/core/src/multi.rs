@@ -32,7 +32,7 @@ use crate::stats::QueryStats;
 use rustc_hash::FxHashMap;
 use sqo_overlay::peer::PeerId;
 use sqo_storage::posting::Object;
-use sqo_strsim::edit::levenshtein_bounded;
+use sqo_strsim::edit::BoundedLevenshtein;
 
 /// One per-attribute similarity predicate: `dist(attr, query) <= d`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -260,6 +260,11 @@ impl ExecStep for MultiTask {
                     // The lead's objects are fully materialized: verify the
                     // remaining predicates locally at the initiator.
                     let (preds, lead_idx) = (&self.preds, self.lead_idx);
+                    // One prepared check per predicate, not one per value.
+                    let mut verifiers: Vec<BoundedLevenshtein<'_>> = preds
+                        .iter()
+                        .map(|p| BoundedLevenshtein::new(p.query.as_str(), p.d))
+                        .collect();
                     let mut acc = self.stats;
                     let (matches, _end) = engine.charged(&mut acc, at, |e| {
                         let mut matches: Vec<MultiMatch> = Vec::new();
@@ -282,7 +287,7 @@ impl ExecStep for MultiTask {
                                     }
                                     let Some(text) = value.as_str() else { continue };
                                     e.count_comparison();
-                                    if let Some(dist) = levenshtein_bounded(&p.query, text, p.d) {
+                                    if let Some(dist) = verifiers[i].distance(text) {
                                         if found.as_ref().is_none_or(|(_, best)| dist < *best) {
                                             found = Some((text.to_string(), dist));
                                         }

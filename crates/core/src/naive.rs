@@ -20,14 +20,15 @@ use sqo_overlay::key::Key;
 use sqo_overlay::peer::PeerId;
 use sqo_overlay::run_items;
 use sqo_storage::posting::Posting;
-use sqo_strsim::edit::levenshtein_bounded;
+use sqo_strsim::edit::BoundedLevenshtein;
 
 impl SimilarityEngine {
     /// One branch of the naive broadcast: forward into partition `part`
     /// (unless it is the routing entry's own partition), compare the query
-    /// string against everything stored there, and reply with the matching
-    /// triples. Returns `None` when the partition has no alive member —
-    /// the branch silently drops, exactly like a dead responder would.
+    /// string — prepared once per query in `verifier` — against everything
+    /// stored there, and reply with the matching triples. Returns `None`
+    /// when the partition has no alive member — the branch silently drops,
+    /// exactly like a dead responder would.
     ///
     /// This is the per-partition body the stepped
     /// [`SimilarTask`](crate::similar::SimilarTask) schedules one event at
@@ -35,9 +36,8 @@ impl SimilarityEngine {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn naive_branch(
         &mut self,
-        s: &str,
+        verifier: &mut BoundedLevenshtein<'_>,
         attr: Option<&str>,
-        d: usize,
         from: PeerId,
         entry: PeerId,
         entry_part: usize,
@@ -67,7 +67,7 @@ impl SimilarityEngine {
                     }
                     let Some(text) = triple.value.as_str() else { continue };
                     comparisons += 1;
-                    if levenshtein_bounded(s, text, d).is_some() {
+                    if verifier.distance(text).is_some() {
                         payload += triple.repr_len();
                         local_matches.push(Candidate::new(&triple.oid, a, text));
                     }
@@ -80,7 +80,7 @@ impl SimilarityEngine {
                         seen_attr_names.push(name);
                         comparisons += 1;
                     }
-                    if levenshtein_bounded(s, name, d).is_some() {
+                    if verifier.distance(name).is_some() {
                         payload += triple.repr_len();
                         local_matches.push(Candidate::new(&triple.oid, name, name));
                     }

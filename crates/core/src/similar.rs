@@ -37,7 +37,7 @@ use sqo_overlay::peer::PeerId;
 use sqo_storage::keys;
 use sqo_storage::posting::{Object, Posting};
 use sqo_storage::triple::AttrName;
-use sqo_strsim::edit::levenshtein_bounded;
+use sqo_strsim::edit::BoundedLevenshtein;
 use sqo_strsim::filters::{char_len, count_filter_threshold, length_filter};
 use sqo_strsim::qgram::{qgrams, PositionalQGram};
 use sqo_strsim::qsample::qsamples;
@@ -123,7 +123,9 @@ impl SimilarityEngine {
 /// driver can interleave its progress with other queries at message
 /// granularity (see [`crate::engine::ExecStep`]).
 pub struct SimilarTask {
-    s: String,
+    /// The search string, prepared with `d` for the edit-distance checks
+    /// of every naive branch and both verification stages.
+    verifier: BoundedLevenshtein<'static>,
     attr: Option<String>,
     d: usize,
     from: PeerId,
@@ -201,7 +203,7 @@ enum SimState {
 impl SimilarTask {
     pub fn new(s: &str, attr: Option<&str>, d: usize, from: PeerId, strategy: Strategy) -> Self {
         Self {
-            s: s.to_string(),
+            verifier: BoundedLevenshtein::new(s.to_string(), d),
             attr: attr.map(str::to_string),
             d,
             from,
@@ -252,7 +254,7 @@ impl SimilarTask {
                     self.deadline_at =
                         engine.config().query.degrade.deadline_us.map(|d| at_us.saturating_add(d));
                     let q = engine.q();
-                    self.s_len = char_len(&self.s);
+                    self.s_len = char_len(self.verifier.query());
                     // No grams exist for |s| < q: the gram index is blind,
                     // fall back to the naive scan (see module docs).
                     if self.strategy == Strategy::Naive || self.s_len < q {
@@ -267,9 +269,10 @@ impl SimilarTask {
                         continue;
                     }
                     // ---- Stage 1 plan: distinct gram keys ----------------
+                    let s = self.verifier.query();
                     let probes: Vec<PositionalQGram> = match self.strategy {
-                        Strategy::QGrams => qgrams(&self.s, q),
-                        Strategy::QSamples => qsamples(&self.s, q, self.d),
+                        Strategy::QGrams => qgrams(s, q),
+                        Strategy::QSamples => qsamples(s, q, self.d),
                         Strategy::Naive => unreachable!("handled above"),
                     };
                     for g in probes {
@@ -398,13 +401,12 @@ impl SimilarTask {
                             SimState::NaiveRoute { prefixes, idx: idx + 1, at_us: fan.max_end_us };
                         continue;
                     };
-                    let (s, attr, d, from) = (&self.s, &self.attr, self.d, self.from);
+                    let (verifier, attr, from) = (&mut self.verifier, &self.attr, self.from);
                     let mut acc = self.stats;
                     let (got, end) = engine.charged(&mut acc, fan.fork_us, |e| {
                         e.naive_branch(
-                            s,
+                            verifier,
                             attr.as_deref(),
-                            d,
                             from,
                             entry,
                             entry_part,
@@ -430,8 +432,9 @@ impl SimilarTask {
                     let filters = engine.config().query.filters;
                     let grams_carry =
                         engine.config().publish.grams_carry_value && self.attr.is_some();
-                    let (s, attr, s_len, d, strategy, from) =
-                        (&self.s, &self.attr, self.s_len, self.d, self.strategy, self.from);
+                    let (attr, s_len, d, strategy, from) =
+                        (&self.attr, self.s_len, self.d, self.strategy, self.from);
+                    let verifier = &mut self.verifier;
                     let mut acc = self.stats;
                     let ((candidates, n_candidates), end) = engine.charged(&mut acc, at, |e| {
                         // ---- Stage 1.5: aggregation + count filter -------
@@ -527,7 +530,7 @@ impl SimilarTask {
                             let mut surviving = Vec::with_capacity(candidates.len());
                             for cand in candidates {
                                 e.count_comparison();
-                                if sqo_strsim::edit::within_distance(s, &cand.text, d) {
+                                if verifier.distance(&cand.text).is_some() {
                                     surviving.push(cand);
                                 }
                             }
@@ -594,14 +597,14 @@ impl SimilarTask {
 
                 SimState::Verify { at_us: at } => {
                     let candidates = std::mem::take(&mut self.candidates);
-                    let (s, d) = (&self.s, self.d);
+                    let verifier = &mut self.verifier;
                     let mut acc = self.stats;
                     let (matches, _end) = engine.charged(&mut acc, at, |e| {
                         let mut matches = Vec::new();
                         for cand in candidates {
                             let Some(object) = cache.get(&cand.oid) else { continue };
                             e.count_comparison();
-                            if let Some(distance) = levenshtein_bounded(s, &cand.text, d) {
+                            if let Some(distance) = verifier.distance(&cand.text) {
                                 matches.push(SimilarMatch {
                                     oid: cand.oid,
                                     attr: AttrName::new(cand.attr),

@@ -252,14 +252,18 @@ impl ExecStep for JoinTask {
                     self.stats = acc;
                     // Sort, dedup and sample the replies where they lie;
                     // only the pairs that will be joined are copied out.
-                    let mut left: Vec<(&str, &str)> = lists
+                    // Each pair carries its oid's head inline, which settles
+                    // nearly every comparison of the sort without reading
+                    // either heap string; the order is that of the pairs.
+                    let mut left: Vec<(u64, (&str, &str))> = lists
                         .iter()
                         .flat_map(|l| l.iter())
                         .filter_map(|p| match p {
                             Posting::Base { triple, .. } | Posting::ShortValue { triple }
                                 if triple.attr.as_str() == ln =>
                             {
-                                triple.value.as_str().map(|s| (triple.oid.as_str(), s))
+                                let oid = triple.oid.as_str();
+                                triple.value.as_str().map(|s| (oid_head(oid), (oid, s)))
                             }
                             _ => None,
                         })
@@ -269,8 +273,10 @@ impl ExecStep for JoinTask {
                     if let Some(limit) = self.left_limit {
                         left = stratified_sample(left, limit);
                     }
-                    let left: Vec<(String, String)> =
-                        left.into_iter().map(|(oid, v)| (oid.to_string(), v.to_string())).collect();
+                    let left: Vec<(String, String)> = left
+                        .into_iter()
+                        .map(|(_, (oid, v))| (oid.to_string(), v.to_string()))
+                        .collect();
                     self.left_size = left.len();
                     self.left = left;
                     // Lines 3–6: per-left similarity selections, up to
@@ -406,6 +412,16 @@ fn trace_window_change(engine: &SimilarityEngine, at_us: u64, before: usize, aft
     }
 }
 
+/// The first eight bytes of `oid` as a big-endian integer, zero-padded:
+/// wherever two heads differ they order like the strings, and equal heads
+/// leave the decision to the strings.
+fn oid_head(oid: &str) -> u64 {
+    let mut head = [0u8; 8];
+    let n = oid.len().min(8);
+    head[..n].copy_from_slice(&oid.as_bytes()[..n]);
+    u64::from_be_bytes(head)
+}
+
 /// Every k-th element so samples spread across the key-ordered input.
 fn stratified_sample<T>(items: Vec<T>, limit: usize) -> Vec<T> {
     if items.len() <= limit || limit == 0 {
@@ -506,6 +522,23 @@ mod tests {
         let s = stratified_sample((0..100).collect::<Vec<_>>(), 4);
         assert_eq!(s, vec![0, 25, 50, 75]);
         assert_eq!(stratified_sample(vec![1, 2], 5), vec![1, 2]);
+    }
+
+    #[test]
+    fn sorting_behind_the_oid_head_is_sorting_the_pairs() {
+        // Heads that tie (shared 8-byte prefix, zero padding vs a real NUL),
+        // heads that decide, oids shorter than a head, multi-byte chars.
+        let oids = ["w:10", "", "w:1", "a\0", "a", "longer-than-a-head", "longer-t", "é", "w:2"];
+        let pairs: Vec<(&str, &str)> = oids
+            .iter()
+            .flat_map(|oid| [(*oid, "y"), (*oid, "x"), ("longer-than-8", *oid)])
+            .collect();
+        let mut plain = pairs.clone();
+        plain.sort_unstable();
+        let mut keyed: Vec<(u64, (&str, &str))> =
+            pairs.into_iter().map(|p| (oid_head(p.0), p)).collect();
+        keyed.sort_unstable();
+        assert_eq!(keyed.into_iter().map(|(_, p)| p).collect::<Vec<_>>(), plain);
     }
 
     #[test]

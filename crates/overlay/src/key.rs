@@ -130,11 +130,19 @@ impl Key {
         k
     }
 
-    /// Concatenation `self · other`.
+    /// Concatenation `self · other`. Byte-aligned keys — every fragment the
+    /// storage key families join — append as a slice.
     pub fn concat(&self, other: &Key) -> Key {
-        let mut k = self.clone();
-        for i in 0..other.len {
-            k.push_bit(other.bit(i));
+        let mut bytes = Vec::with_capacity((self.len + other.len).div_ceil(8));
+        bytes.extend_from_slice(&self.bytes);
+        let mut k = Key { bytes, len: self.len };
+        if self.len.is_multiple_of(8) {
+            k.bytes.extend_from_slice(&other.bytes);
+            k.len += other.len;
+        } else {
+            for i in 0..other.len {
+                k.push_bit(other.bit(i));
+            }
         }
         k
     }
@@ -147,19 +155,24 @@ impl Key {
     /// Length of the longest common prefix of `self` and `other`.
     pub fn common_prefix_len(&self, other: &Key) -> usize {
         let max = self.len.min(other.len);
-        let full_bytes = max / 8;
-        for i in 0..full_bytes {
-            let diff = self.bytes[i] ^ other.bytes[i];
+        let n = max.div_ceil(8);
+        let (a, b) = (&self.bytes[..n], &other.bytes[..n]);
+        // First differing bit, a word and then a byte at a time. In the last
+        // byte it may fall into the shorter key's zero padding, past `max`.
+        for (i, (x, y)) in a.chunks_exact(8).zip(b.chunks_exact(8)).enumerate() {
+            let diff = u64::from_be_bytes(x.try_into().expect("8-byte chunk"))
+                ^ u64::from_be_bytes(y.try_into().expect("8-byte chunk"));
             if diff != 0 {
-                return i * 8 + diff.leading_zeros() as usize;
+                return (i * 64 + diff.leading_zeros() as usize).min(max);
             }
         }
-        // Tail bits.
-        let mut l = full_bytes * 8;
-        while l < max && self.bit(l) == other.bit(l) {
-            l += 1;
+        for i in n / 8 * 8..n {
+            let diff = a[i] ^ b[i];
+            if diff != 0 {
+                return (i * 8 + diff.leading_zeros() as usize).min(max);
+            }
         }
-        l
+        max
     }
 
     /// The *complementary* path at level `l`: the first `l` bits of `self`

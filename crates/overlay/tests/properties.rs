@@ -70,6 +70,38 @@ proptest! {
         prop_assert_eq!(k.common_prefix_len(&p), l);
     }
 
+    /// concat, common_prefix_len and is_prefix_of equal their bit-string
+    /// definitions on keys long enough for the word-wise compare, sharing a
+    /// long prefix, with byte-aligned and unaligned operands.
+    #[test]
+    fn key_algebra_matches_the_bit_string_reference(
+        shared in prop::collection::vec(any::<bool>(), 0..160),
+        ta in prop::collection::vec(any::<bool>(), 0..40),
+        tb in prop::collection::vec(any::<bool>(), 0..40),
+        align in any::<bool>(),
+    ) {
+        let mut shared = shared;
+        if align {
+            shared.truncate(shared.len() / 8 * 8);
+        }
+        let (a, b) = ([&shared[..], &ta[..]].concat(), [&shared[..], &tb[..]].concat());
+        let key = |bits: &[bool]| Key::from_bits(bits.iter().copied());
+        let (ka, kb) = (key(&a), key(&b));
+
+        prop_assert_eq!(key(&shared).concat(&key(&ta)), ka.clone());
+        prop_assert_eq!(ka.concat(&kb), key(&[&a[..], &b[..]].concat()));
+
+        let common = a.iter().zip(&b).take_while(|(x, y)| x == y).count();
+        prop_assert_eq!(ka.common_prefix_len(&kb), common);
+        prop_assert_eq!(kb.common_prefix_len(&ka), common);
+        prop_assert_eq!(ka.is_prefix_of(&kb), b.starts_with(&a));
+        prop_assert!(key(&shared).is_prefix_of(&ka));
+        if !a.is_empty() {
+            // a with its last bit flipped differs from a in the padded byte.
+            prop_assert!(!ka.complement_at(a.len() - 1).is_prefix_of(&ka));
+        }
+    }
+
     /// common_prefix_len is symmetric and bounded by both lengths.
     #[test]
     fn common_prefix_symmetric(a in bits(), b in bits()) {

@@ -262,11 +262,11 @@ impl Snapshot {
         if found != SCHEMA_VERSION {
             return Err(SnapError::SchemaMismatch { found, expected: SCHEMA_VERSION });
         }
-        let table = wire::decode_triple_table(&mut d)?;
-        let net = wire::de_network_state(&mut d, &table)?;
+        let mut table = wire::decode_triple_table(&mut d)?;
+        let net = wire::de_network_state(&mut d, &mut table)?;
         let publish = wire::de_publish_stats(&mut d)?;
         let edit_comparisons = d.u64()?;
-        let broker = d.opt(|d| wire::de_broker_state(d, &table))?;
+        let broker = d.opt(|d| wire::de_broker_state(d, &mut table))?;
         let driver = d.opt(wire::de_driver_checkpoint)?;
         let scale = d.opt(wire::de_scale_checkpoint)?;
         if !d.is_empty() {

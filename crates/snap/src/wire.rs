@@ -23,7 +23,10 @@
 //! pointer identity, into a table up front. Postings then reference the
 //! table by index, so a decoded world re-shares the allocations — the
 //! artifact stays near the *deduplicated* size of the store, and restored
-//! memory footprints match the original's.
+//! memory footprints match the original's. Attribute names and gram texts
+//! are spelled out per triple and per posting and re-shared while decoding,
+//! one allocation per distinct string, which is how `postings_for_rows`
+//! lays out a built world.
 
 use crate::SnapError;
 use sqo_cache::{
@@ -34,7 +37,7 @@ use sqo_overlay::{Key, Metrics, NetworkConfig, NetworkState, PeerId, PeerLoad, S
 use sqo_sim::driver::{DriverCheckpoint, EvSnap, HistParts, RepairTotals};
 use sqo_sim::scale::{Ev, EvKind, QState, ScaleCheckpoint};
 use sqo_sim::{NetSimState, QueryKind, QueueState};
-use sqo_storage::{BaseKind, Posting, Triple, TripleRef, Value};
+use sqo_storage::{AttrName, BaseKind, Posting, SharedStrs, Triple, TripleRef, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -244,8 +247,18 @@ impl Default for TripleTable {
     }
 }
 
-pub fn decode_triple_table(d: &mut Dec<'_>) -> R<Vec<TripleRef>> {
-    d.seq(|d| Ok(Arc::new(de_triple(d)?)))
+/// Decode-side twin of [`TripleTable`]: the triples postings refer to by
+/// index, and the attribute names and gram texts decoded so far, so equal
+/// strings of one artifact become one allocation.
+pub struct DecodedTriples {
+    triples: Vec<TripleRef>,
+    strs: SharedStrs,
+}
+
+pub fn decode_triple_table(d: &mut Dec<'_>) -> R<DecodedTriples> {
+    let mut strs = SharedStrs::default();
+    let triples = d.seq(|d| Ok(Arc::new(de_triple(d, &mut strs)?)))?;
+    Ok(DecodedTriples { triples, strs })
 }
 
 fn triple(e: &mut Enc, t: &Triple) {
@@ -267,16 +280,16 @@ fn triple(e: &mut Enc, t: &Triple) {
     }
 }
 
-fn de_triple(d: &mut Dec<'_>) -> R<Triple> {
+fn de_triple(d: &mut Dec<'_>, strs: &mut SharedStrs) -> R<Triple> {
     let oid = d.string()?;
-    let attr = d.string()?;
+    let attr = AttrName::new(strs.share(d.str()?));
     let value = match d.u8()? {
         0 => Value::Str(d.string()?),
         1 => Value::Int(d.i64()?),
         2 => Value::Float(d.f64()?),
         _ => return Err(SnapError::Corrupt("value tag out of range")),
     };
-    Ok(Triple::new(oid, attr, value))
+    Ok(Triple { oid, attr, value })
 }
 
 fn posting(e: &mut Enc, t: &mut TripleTable, p: &Posting) {
@@ -314,11 +327,12 @@ fn posting(e: &mut Enc, t: &mut TripleTable, p: &Posting) {
     }
 }
 
-fn de_posting(d: &mut Dec<'_>, table: &[TripleRef]) -> R<Posting> {
+fn de_posting(d: &mut Dec<'_>, table: &mut DecodedTriples) -> R<Posting> {
     let tag = d.u8()?;
     let idx = d.u32()? as usize;
-    let triple =
-        TripleRef::clone(table.get(idx).ok_or(SnapError::Corrupt("triple index out of range"))?);
+    let triple = TripleRef::clone(
+        table.triples.get(idx).ok_or(SnapError::Corrupt("triple index out of range"))?,
+    );
     Ok(match tag {
         0 => Posting::Base {
             kind: match d.u8()? {
@@ -331,11 +345,11 @@ fn de_posting(d: &mut Dec<'_>, table: &[TripleRef]) -> R<Posting> {
         },
         1 => Posting::InstanceGram {
             triple,
-            gram: d.str()?.into(),
+            gram: table.strs.share(d.str()?),
             pos: d.u32()?,
             carries_value: d.bool()?,
         },
-        2 => Posting::SchemaGram { triple, gram: d.str()?.into(), pos: d.u32()? },
+        2 => Posting::SchemaGram { triple, gram: table.strs.share(d.str()?), pos: d.u32()? },
         3 => Posting::ShortValue { triple },
         4 => Posting::ShortAttr { triple },
         _ => return Err(SnapError::Corrupt("posting tag out of range")),
@@ -483,7 +497,7 @@ pub fn network_state(e: &mut Enc, t: &mut TripleTable, s: &NetworkState<Posting>
     rng_words(e, &s.rng);
 }
 
-pub fn de_network_state(d: &mut Dec<'_>, table: &[TripleRef]) -> R<NetworkState<Posting>> {
+pub fn de_network_state(d: &mut Dec<'_>, table: &mut DecodedTriples) -> R<NetworkState<Posting>> {
     let cfg = NetworkConfig {
         peers: d.usize()?,
         replication: d.usize()?,
@@ -577,7 +591,7 @@ pub fn broker_state(e: &mut Enc, t: &mut TripleTable, b: &BrokerState) {
     e.u64(ch.rides);
 }
 
-pub fn de_broker_state(d: &mut Dec<'_>, table: &[TripleRef]) -> R<BrokerState> {
+pub fn de_broker_state(d: &mut Dec<'_>, table: &mut DecodedTriples) -> R<BrokerState> {
     let cfg = BrokerConfig {
         cache: d.bool()?,
         cache_capacity: d.usize()?,

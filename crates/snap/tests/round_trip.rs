@@ -14,6 +14,7 @@ use sqo_sim::{
     ScaleConfig, SimConfig, Topology,
 };
 use sqo_snap::{SnapError, Snapshot, SCHEMA_VERSION};
+use sqo_storage::{Posting, Row};
 
 fn words() -> Vec<String> {
     bible_words(260, 7)
@@ -341,4 +342,49 @@ fn restored_world_continues_the_original_stream() {
     let ra = json(&run_driver(&mut a, "word", &words, &cfg));
     let rb = json(&run_driver(&mut b, "word", &words, &cfg));
     assert_eq!(ra, rb, "capture is an observationally silent operation");
+}
+
+/// Distinct contents and distinct allocations among the attribute names
+/// and among the gram texts of every stored posting.
+fn string_sharing(engine: &SimilarityEngine) -> [(usize, usize); 2] {
+    use std::collections::HashSet;
+    let (mut attrs, mut attr_ptrs) = (HashSet::new(), HashSet::new());
+    let (mut grams, mut gram_ptrs) = (HashSet::new(), HashSet::new());
+    let state = engine.network().export_state();
+    for p in state.lists.iter().flatten() {
+        let attr = p.triple().attr.as_str();
+        attr_ptrs.insert(attr.as_ptr());
+        attrs.insert(attr);
+        if let Posting::InstanceGram { gram, .. } | Posting::SchemaGram { gram, .. } = p {
+            gram_ptrs.insert(gram.as_ptr());
+            grams.insert(&**gram);
+        }
+    }
+    [(attrs.len(), attr_ptrs.len()), (grams.len(), gram_ptrs.len())]
+}
+
+/// Attribute names and gram texts are one allocation per distinct string,
+/// in a built world and — the layout every benchmark workload measures —
+/// in one thawed from bytes, although the artifact spells each out per
+/// triple and per posting.
+#[test]
+fn built_and_thawed_worlds_share_attribute_and_gram_strings() {
+    let words = words();
+    let rows: Vec<Row> = words
+        .iter()
+        .enumerate()
+        .map(|(i, w)| Row::new(format!("w:{i}"), [("word", w.as_str()), ("again", w.as_str())]))
+        .collect();
+    let built = EngineBuilder::new().peers(64).q(2).seed(3).build_with_rows(&rows);
+    let bytes = Snapshot::capture(&built).to_bytes();
+    let thawed = Snapshot::from_bytes(&bytes).expect("decodes").restore_engine(built.config());
+
+    for (what, engine) in [("built", &built), ("thawed", &thawed)] {
+        let [(attrs, attr_allocs), (grams, gram_allocs)] = string_sharing(engine);
+        assert_eq!(attrs, 2, "{what}");
+        assert!(grams > 100, "{what}: {grams} distinct grams");
+        assert_eq!(attr_allocs, attrs, "{what}: one allocation per attribute name");
+        assert_eq!(gram_allocs, grams, "{what}: one allocation per gram");
+    }
+    assert_eq!(Snapshot::capture(&thawed).to_bytes(), bytes, "sharing moves no byte");
 }

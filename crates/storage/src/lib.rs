@@ -6,7 +6,7 @@
 //! keyword index, and (for similarity support) one posting per q-gram of
 //! string values (instance level) and of attribute names (schema level).
 //!
-//! * [`triple`] — `Triple`, `Row`, `AttrName`, `Value`.
+//! * [`triple`] — `Triple`, `Row`, `AttrName`, `Value`, `SharedStrs`.
 //! * [`keys`] — the key families and their order/prefix guarantees.
 //! * [`posting`] — stored index entries and object reassembly.
 //! * [`publish`] — the row → postings pipeline with overhead accounting.
@@ -19,4 +19,4 @@ pub mod triple;
 pub use keys::IndexFamily;
 pub use posting::{BaseKind, Object, Posting};
 pub use publish::{postings_for_rows, postings_for_triple, PublishConfig, PublishStats};
-pub use triple::{AttrName, Row, Triple, TripleRef, Value};
+pub use triple::{AttrName, Row, SharedStrs, Triple, TripleRef, Value};

@@ -12,7 +12,7 @@
 
 use crate::keys;
 use crate::posting::{BaseKind, Posting};
-use crate::triple::{Row, Triple, Value};
+use crate::triple::{AttrName, Row, SharedStrs, Triple, TripleRef, Value};
 use sqo_overlay::key::Key;
 use sqo_overlay::peer::Item;
 use sqo_strsim::qgram::qgram_slices;
@@ -77,18 +77,21 @@ impl PublishStats {
     }
 }
 
-/// The positional q-grams of `s` in the form postings hold them. Collected
-/// before any key is built so the grams of one string — and then its keys,
-/// which the bulk-load sort walks — are allocated back to back.
-fn shared_grams(s: &str, q: usize) -> Vec<(Arc<str>, u32)> {
-    qgram_slices(s, q).map(|(gram, pos)| (gram.into(), pos)).collect()
-}
-
 /// All (key, posting) pairs for one triple.
 pub fn postings_for_triple(triple: &Triple, cfg: &PublishConfig) -> Vec<(Key, Posting)> {
-    let tr = Arc::new(triple.clone());
     let mut out = Vec::new();
+    push_postings(&mut out, Arc::new(triple.clone()), cfg, &mut SharedStrs::default());
+    out
+}
 
+/// Append the (key, posting) pairs of `tr` to `out`, drawing gram text from
+/// `strs` so equal grams of one batch are one allocation.
+fn push_postings(
+    out: &mut Vec<(Key, Posting)>,
+    tr: TripleRef,
+    cfg: &PublishConfig,
+    strs: &mut SharedStrs,
+) {
     // The three base insertions of §3.
     out.push((keys::oid_key(&tr.oid), Posting::Base { kind: BaseKind::Oid, triple: tr.clone() }));
     out.push((
@@ -105,8 +108,8 @@ pub fn postings_for_triple(triple: &Triple, cfg: &PublishConfig) -> Vec<(Key, Po
     // Instance-level grams for string values (§4).
     if cfg.instance_grams {
         if let Value::Str(s) = &tr.value {
-            let grams = shared_grams(s, cfg.q);
-            if grams.is_empty() {
+            let mut grams = qgram_slices(s, cfg.q).peekable();
+            if grams.peek().is_none() {
                 // |v| < q: the gram index cannot see it; the short-value
                 // family keeps similarity search complete.
                 out.push((
@@ -116,10 +119,10 @@ pub fn postings_for_triple(triple: &Triple, cfg: &PublishConfig) -> Vec<(Key, Po
             }
             for (gram, pos) in grams {
                 out.push((
-                    keys::instance_gram_key(tr.attr.as_str(), &gram),
+                    keys::instance_gram_key(tr.attr.as_str(), gram),
                     Posting::InstanceGram {
                         triple: tr.clone(),
-                        gram,
+                        gram: strs.share(gram),
                         pos,
                         carries_value: cfg.grams_carry_value,
                     },
@@ -131,31 +134,39 @@ pub fn postings_for_triple(triple: &Triple, cfg: &PublishConfig) -> Vec<(Key, Po
     // Schema-level grams of the attribute name (§4).
     if cfg.schema_grams {
         let name = tr.attr.as_str();
-        let grams = shared_grams(name, cfg.q);
-        if grams.is_empty() {
+        let mut grams = qgram_slices(name, cfg.q).peekable();
+        if grams.peek().is_none() {
             out.push((keys::short_attr_key(name), Posting::ShortAttr { triple: tr.clone() }));
         }
         for (gram, pos) in grams {
             out.push((
-                keys::schema_gram_key(&gram),
-                Posting::SchemaGram { triple: tr.clone(), gram, pos },
+                keys::schema_gram_key(gram),
+                Posting::SchemaGram { triple: tr.clone(), gram: strs.share(gram), pos },
             ));
         }
     }
-
-    out
 }
 
-/// Postings for a batch of rows, with accounting.
+/// Postings for a batch of rows, with accounting. Every triple of an
+/// attribute shares one [`AttrName`] allocation, and every posting of a gram
+/// one gram string.
 pub fn postings_for_rows(rows: &[Row], cfg: &PublishConfig) -> (Vec<(Key, Posting)>, PublishStats) {
     let mut stats = PublishStats { rows: rows.len(), ..Default::default() };
+    let mut strs = SharedStrs::default();
     // Typical fan-out: 3 base + ~len grams per string triple.
     let mut out = Vec::with_capacity(rows.len() * 8);
     for row in rows {
-        for triple in row.triples() {
+        for (attr, value) in &row.fields {
             stats.triples += 1;
-            for (key, posting) in postings_for_triple(&triple, cfg) {
-                match &posting {
+            let triple = Triple {
+                oid: row.oid.clone(),
+                attr: AttrName::new(strs.share(attr.as_str())),
+                value: value.clone(),
+            };
+            let first = out.len();
+            push_postings(&mut out, Arc::new(triple), cfg, &mut strs);
+            for (_, posting) in &out[first..] {
+                match posting {
                     Posting::Base { .. } => stats.base_postings += 1,
                     Posting::InstanceGram { .. } => stats.instance_gram_postings += 1,
                     Posting::SchemaGram { .. } => stats.schema_gram_postings += 1,
@@ -164,7 +175,6 @@ pub fn postings_for_rows(rows: &[Row], cfg: &PublishConfig) -> (Vec<(Key, Postin
                     }
                 }
                 stats.total_bytes += posting.size_bytes() as u64;
-                out.push((key, posting));
             }
         }
     }

@@ -8,15 +8,21 @@
 //! global data dictionary — and users may extend a tuple's schema by adding
 //! triples.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
 /// Attribute name, optionally namespace-qualified (`ns:name`).
+///
+/// A relation has a handful of attribute names and a triple per cell, so
+/// the name is a shared string: a clone bumps a count, and whoever builds
+/// triples in bulk (the publication pipeline, the snapshot decoder) hands
+/// every triple of an attribute the same allocation through [`SharedStrs`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct AttrName(String);
+pub struct AttrName(Arc<str>);
 
 impl AttrName {
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>) -> Self {
         Self(name.into())
     }
 
@@ -44,13 +50,47 @@ impl fmt::Display for AttrName {
 
 impl From<&str> for AttrName {
     fn from(s: &str) -> Self {
-        Self(s.to_string())
+        Self::new(s)
     }
 }
 
 impl From<String> for AttrName {
     fn from(s: String) -> Self {
-        Self(s)
+        Self::new(s)
+    }
+}
+
+/// One allocation per distinct string of a batch. Attribute names and
+/// q-grams are low-cardinality — a few hundred distinct strings behind
+/// 10⁵ postings — so sharing them keeps the per-posting guards of the
+/// operators comparing against memory that is already in cache.
+#[derive(Debug, Default)]
+pub struct SharedStrs {
+    all: HashSet<Arc<str>>,
+    /// The string handed out last. Equal strings come in runs — the gram
+    /// of one posting list, the name of one column — and a run needs no
+    /// hashing.
+    last: Option<Arc<str>>,
+}
+
+impl SharedStrs {
+    /// The batch's shared copy of `s`.
+    pub fn share(&mut self, s: &str) -> Arc<str> {
+        if let Some(last) = &self.last {
+            if **last == *s {
+                return Arc::clone(last);
+            }
+        }
+        let shared = match self.all.get(s) {
+            Some(shared) => Arc::clone(shared),
+            None => {
+                let shared: Arc<str> = s.into();
+                self.all.insert(Arc::clone(&shared));
+                shared
+            }
+        };
+        self.last = Some(Arc::clone(&shared));
+        shared
     }
 }
 

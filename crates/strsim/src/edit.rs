@@ -1,17 +1,27 @@
 //! Levenshtein edit distance.
 //!
-//! Two entry points are provided:
-//!
 //! * [`levenshtein`] — the exact distance, two-row dynamic program,
-//!   `O(|a|·|b|)` time and `O(min(|a|,|b|))` space.
-//! * [`levenshtein_bounded`] — banded variant that only fills the diagonal
-//!   band of width `2d + 1` and gives up early once the distance provably
-//!   exceeds `d`. This is the verifier used in the final step of the
-//!   `Similar` operator (Algorithm 2, line 23 of the paper), where `d` is
-//!   small (the paper's workload uses `d ≤ 5`).
+//!   `O(|a|·|b|)` time and `O(min(|a|,|b|))` space. The reference the
+//!   property tests compare against.
+//! * [`BoundedLevenshtein`] — the verifier of the final step of the
+//!   `Similar` operator (Algorithm 2, line 23 of the paper) and of the naive
+//!   baseline's "compare the queried string to the data available locally".
+//!   Both compare **one** query against many stored strings with a small
+//!   bound (the paper's workload uses `d ≤ 5`), so everything that depends
+//!   only on `(query, d)` is prepared once: the query's char length, whether
+//!   it is ASCII, its decoded form, and the DP row and decode scratch, which
+//!   the verifier owns. [`BoundedLevenshtein::distance`] then allocates
+//!   nothing per candidate. It fills only the diagonal band of width
+//!   `2d + 1` and gives up once the distance provably exceeds `d`.
+//! * [`levenshtein_bounded`] / [`within_distance`] — one-shot wrappers over
+//!   a throw-away verifier, for callers with a single pair.
 //!
 //! Distances are computed over Unicode scalar values, not bytes, so that a
-//! multi-byte character counts as a single edit.
+//! multi-byte character counts as a single edit. Two ASCII strings have one
+//! byte per scalar value, so that (common) case runs on the bytes as they
+//! lie and takes its length gate from `len()`.
+
+use std::borrow::Cow;
 
 /// Exact Levenshtein distance between `a` and `b`.
 ///
@@ -50,46 +60,107 @@ fn levenshtein_chars(a: &[char], b: &[char]) -> usize {
     row[short.len()]
 }
 
-/// Banded Levenshtein: returns `Some(dist)` if `dist(a, b) <= d`, else `None`.
-///
-/// Runs in `O(d · min(|a|,|b|))` time. The band exploits that any cell
-/// `(i, j)` with `|i - j| > d` cannot lie on a path of cost `≤ d`.
+/// Bounded Levenshtein distance from one prepared query to many candidates.
 ///
 /// ```
-/// use sqo_strsim::levenshtein_bounded;
-/// assert_eq!(levenshtein_bounded("kitten", "sitting", 3), Some(3));
-/// assert_eq!(levenshtein_bounded("kitten", "sitting", 2), None);
-/// assert_eq!(levenshtein_bounded("abc", "abc", 0), Some(0));
+/// use sqo_strsim::BoundedLevenshtein;
+/// let mut v = BoundedLevenshtein::new("kitten", 3);
+/// assert_eq!(v.distance("sitting"), Some(3));
+/// assert_eq!(v.distance("kitchen"), Some(2));
+/// assert_eq!(v.distance("kindergarten"), None);
 /// ```
-pub fn levenshtein_bounded(a: &str, b: &str, d: usize) -> Option<usize> {
-    // Length filter before any allocation: the distance is at least the
-    // character-count difference. This is the hot path of the naive
-    // baseline, which compares the query against *every* stored value.
-    let alen = a.chars().count();
-    let blen = b.chars().count();
-    if alen.abs_diff(blen) > d {
-        return None;
-    }
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let (short, long) = if a.len() <= b.len() { (&a, &b) } else { (&b, &a) };
-    if long.len() - short.len() > d {
-        return None;
-    }
-    if short.is_empty() {
-        return Some(long.len());
-    }
-    if d == 0 {
-        return if short == long { Some(0) } else { None };
+#[derive(Debug, Clone)]
+pub struct BoundedLevenshtein<'q> {
+    query: Cow<'q, str>,
+    d: usize,
+    /// Length of the query in chars (= bytes when `ascii`).
+    len: usize,
+    ascii: bool,
+    /// The query decoded to scalar values, filled by the first comparison
+    /// that cannot run on bytes.
+    chars: Vec<char>,
+    /// Decode scratch for such a comparison's candidate.
+    scratch: Vec<char>,
+    /// The DP row, one cell per query position, sized by the first
+    /// comparison that reaches the DP.
+    row: Vec<usize>,
+}
+
+impl<'q> BoundedLevenshtein<'q> {
+    /// Prepare the verifier for `query` and bound `d`. Borrowing the query
+    /// allocates nothing here; a long-lived verifier takes a `String`.
+    pub fn new(query: impl Into<Cow<'q, str>>, d: usize) -> Self {
+        let query = query.into();
+        let ascii = query.is_ascii();
+        let len = if ascii { query.len() } else { query.chars().count() };
+        Self { query, d, len, ascii, chars: Vec::new(), scratch: Vec::new(), row: Vec::new() }
     }
 
+    /// The query this verifier was prepared for.
+    pub fn query(&self) -> &str {
+        &self.query
+    }
+
+    /// `Some(dist)` if `dist(query, candidate) <= d`, else `None`.
+    ///
+    /// Runs in `O(d · |candidate|)` time: any cell `(i, j)` with
+    /// `|i - j| > d` cannot lie on a path of cost `≤ d`.
+    pub fn distance(&mut self, candidate: &str) -> Option<usize> {
+        // A string has at most one char per byte: too few bytes are too few
+        // chars, known before the candidate's bytes are read (in a scan over
+        // stored values, a cache miss each).
+        if self.len.saturating_sub(candidate.len()) > self.d {
+            return None;
+        }
+        let cand_ascii = candidate.is_ascii();
+        let cand_len = if cand_ascii { candidate.len() } else { candidate.chars().count() };
+        // The distance is at least the length difference…
+        if self.len.abs_diff(cand_len) > self.d {
+            return None;
+        }
+        // …and at most the longer length, so a larger bound buys nothing;
+        // clamping it keeps `i + d` below from overflowing.
+        let d = self.d.min(self.len.max(cand_len));
+        if d == 0 {
+            return (*self.query == *candidate).then_some(0);
+        }
+        if self.ascii && cand_ascii {
+            return banded(self.query.as_bytes(), candidate.as_bytes(), d, &mut self.row);
+        }
+        if self.chars.is_empty() {
+            self.chars.extend(self.query.chars());
+        }
+        self.scratch.clear();
+        self.scratch.extend(candidate.chars());
+        banded(&self.chars, &self.scratch, d, &mut self.row)
+    }
+}
+
+/// The banded DP over `query` (columns) and `cand` (rows), for
+/// `1 <= d <= max(|query|, |cand|)` and `||query| - |cand|| <= d`. `row`
+/// is scratch: grown to `|query| + 1` cells on demand, and only the cells
+/// the band reads are (re)initialised, so it carries nothing over between
+/// calls.
+fn banded<T: Copy + PartialEq>(
+    query: &[T],
+    cand: &[T],
+    d: usize,
+    row: &mut Vec<usize>,
+) -> Option<usize> {
     const INF: usize = usize::MAX / 2;
-    let n = short.len();
-    let mut row = vec![INF; n + 1];
+    let n = query.len();
+    if row.len() <= n {
+        row.resize(n + 1, INF);
+    }
+    // Row 0 of the band: columns 0..=d, and the cell right of it, which
+    // row 1 reads as its `up`.
     for (j, slot) in row.iter_mut().enumerate().take(d.min(n) + 1) {
         *slot = j;
     }
-    for (i, &lc) in long.iter().enumerate() {
+    if d < n {
+        row[d + 1] = INF;
+    }
+    for (i, &cc) in cand.iter().enumerate() {
         let i1 = i + 1;
         // Band for this row: columns j with |i1 - j| <= d.
         let lo = i1.saturating_sub(d);
@@ -103,8 +174,7 @@ pub fn levenshtein_bounded(a: &str, b: &str, d: usize) -> Option<usize> {
             row_min = i1;
         }
         for j in lo.max(1)..=hi {
-            let sc = short[j - 1];
-            let cost = usize::from(lc != sc);
+            let cost = usize::from(cc != query[j - 1]);
             let up = row[j];
             let next = (prev_diag + cost).min(left + 1).min(up + 1);
             prev_diag = up;
@@ -113,7 +183,7 @@ pub fn levenshtein_bounded(a: &str, b: &str, d: usize) -> Option<usize> {
             row_min = row_min.min(next);
         }
         // Invalidate the cell just right of the band so the next row does not
-        // read a stale value from two rows ago.
+        // read a stale value from two rows (or a previous call) ago.
         if hi < n {
             row[hi + 1] = INF;
         }
@@ -123,6 +193,19 @@ pub fn levenshtein_bounded(a: &str, b: &str, d: usize) -> Option<usize> {
     }
     let dist = row[n];
     (dist <= d).then_some(dist)
+}
+
+/// One-shot [`BoundedLevenshtein`]: `Some(dist)` if `dist(a, b) <= d`, else
+/// `None`.
+///
+/// ```
+/// use sqo_strsim::levenshtein_bounded;
+/// assert_eq!(levenshtein_bounded("kitten", "sitting", 3), Some(3));
+/// assert_eq!(levenshtein_bounded("kitten", "sitting", 2), None);
+/// assert_eq!(levenshtein_bounded("abc", "abc", 0), Some(0));
+/// ```
+pub fn levenshtein_bounded(a: &str, b: &str, d: usize) -> Option<usize> {
+    BoundedLevenshtein::new(a, d).distance(b)
 }
 
 /// `true` iff `dist(a, b) <= d`. Convenience wrapper over
@@ -195,6 +278,18 @@ mod tests {
     #[test]
     fn length_gap_short_circuits() {
         assert_eq!(levenshtein_bounded("a", "abcdefgh", 3), None);
+    }
+
+    #[test]
+    fn bounds_beyond_the_longer_string_are_clamped() {
+        // Unclamped, `i + d` overflows for these bounds: a panic in debug, a
+        // wrapped band and `Some(6)` in release. The distance is 3.
+        for d in [usize::MAX, usize::MAX / 2, "sitting".len()] {
+            assert_eq!(levenshtein_bounded("kitten", "sitting", d), Some(3), "d={d}");
+            assert_eq!(levenshtein_bounded("", "sitting", d), Some(7), "d={d}");
+        }
+        assert_eq!(levenshtein_bounded("kitten", "sitting", 0), None);
+        assert_eq!(levenshtein_bounded("kitten", "kitten", 0), Some(0));
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod numeric;
 pub mod qgram;
 pub mod qsample;
 
-pub use edit::{levenshtein, levenshtein_bounded, within_distance};
+pub use edit::{levenshtein, levenshtein_bounded, within_distance, BoundedLevenshtein};
 pub use filters::{char_len, count_filter_threshold, length_filter, position_filter, FilterConfig};
 pub use numeric::NumericInterval;
 pub use qgram::{padded_qgrams, qgram_slices, qgrams, PositionalQGram};

@@ -6,7 +6,7 @@
 //! index.
 
 use proptest::prelude::*;
-use sqo_strsim::edit::{levenshtein, levenshtein_bounded};
+use sqo_strsim::edit::{levenshtein, levenshtein_bounded, BoundedLevenshtein};
 use sqo_strsim::filters::{count_filter_threshold, length_filter, position_filter};
 use sqo_strsim::qgram::{padded_qgrams, qgram_count, qgrams};
 use sqo_strsim::qsample::{is_complete_sample, qsamples};
@@ -56,6 +56,31 @@ proptest! {
                 prop_assert_eq!(got, exact);
             }
             None => prop_assert!(exact > d),
+        }
+    }
+
+    /// One prepared verifier, reused over several candidates, answers each
+    /// with the exact distance clipped at `d`: on bytes (ASCII × ASCII) and
+    /// on decoded chars, for empty strings and strings past 64 chars, for
+    /// `d = 0` and `d` beyond either length, and for near misses (the query
+    /// itself, minus its first char, plus one char).
+    #[test]
+    fn verifier_matches_exact_clipped(
+        query in prop_oneof!["[ab]{0,80}", "[abé日]{0,80}"],
+        random in prop::collection::vec(prop_oneof!["[ab]{0,80}", "[abé日]{0,80}"], 1..6),
+        d in prop_oneof![0usize..4, 0usize..100],
+    ) {
+        let mut candidates = random;
+        candidates.push(query.clone());
+        candidates.push(query.chars().skip(1).collect());
+        candidates.push(format!("{query}é"));
+        let mut verifier = BoundedLevenshtein::new(query.as_str(), d);
+        for c in &candidates {
+            let exact = levenshtein(&query, c);
+            prop_assert_eq!(
+                verifier.distance(c), (exact <= d).then_some(exact),
+                "query={:?} candidate={:?} d={}", query, c, d
+            );
         }
     }
 

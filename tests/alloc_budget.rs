@@ -5,16 +5,22 @@
 //! `docs/PERFORMANCE.md`). Wall-clock benchmarks show the effect; this
 //! test guards the cause with an exact counter: a q-gram `similar` and a
 //! windowed `sim_join` on a fixed world must stay under a pinned number of
-//! heap allocations. The budgets sit ~25 % above what the borrowing
-//! pipeline needs (137 and 1 309) and far below what the cloning pipeline
-//! it replaced needed (784 and 12 087, 4.5× and 7.3× the budgets), so
+//! heap allocations. The budgets sit above what the borrowing pipeline
+//! needs (117 and 1 073) and far below what the cloning pipeline it
+//! replaced needed (784 and 12 087, 4.5× and 7.3× the budgets), so
 //! re-introducing a per-posting copy fails here before anyone has to read
 //! a profile.
+//!
+//! The naive scan has a budget for the same reason. It edit-verifies every
+//! stored value of the attribute against a verifier prepared once per
+//! query, so its allocations follow its matches (52 here), not its
+//! comparisons: a one-shot `levenshtein_bounded` per stored value, which
+//! decodes both strings every time, takes 8 061.
 //!
 //! One `#[test]` only, and a per-thread counter: nothing else allocates on
 //! the counted thread, so the counts are exact and repeat.
 
-use sqo::core::EngineBuilder;
+use sqo::core::{EngineBuilder, Strategy};
 use sqo::datasets::{bible_words, string_rows};
 use sqo::plan::{Query, Session};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -69,6 +75,7 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
 }
 
 const SIMILAR_BUDGET: u64 = 175;
+const NAIVE_BUDGET: u64 = 65;
 const SIM_JOIN_BUDGET: u64 = 1_650;
 
 #[test]
@@ -83,6 +90,11 @@ fn similar_and_sim_join_stay_within_their_allocation_budgets() {
     let (res, n) = allocations(|| session.run(&similar).expect("a valid plan"));
     assert!(!res.rows.is_empty(), "the query string itself is stored");
     assert!(n <= SIMILAR_BUDGET, "similar d=1 made {n} allocations, budget {SIMILAR_BUDGET}");
+
+    let naive = Query::similar(words[17].clone(), Some("word"), 1).strategy(Strategy::Naive);
+    let (res, n) = allocations(|| session.run(&naive).expect("a valid plan"));
+    assert!(!res.rows.is_empty(), "the query string itself is stored");
+    assert!(n <= NAIVE_BUDGET, "naive similar d=1 made {n} allocations, budget {NAIVE_BUDGET}");
 
     let join = Query::join_scan("word", Some("word"), 1).left_limit(Some(8)).window(8);
     let (res, n) = allocations(|| session.run(&join).expect("a valid plan"));
