@@ -488,9 +488,7 @@ impl SimilarityEngine {
     /// [`Self::publish_rows_traced`] to measure publication cost.
     pub fn publish_rows(&mut self, rows: &[Row]) {
         let (postings, stats) = postings_for_rows(rows, &self.cfg.publish);
-        for (key, posting) in postings {
-            self.net.insert_item(key, posting);
-        }
+        self.net.insert_batch(postings);
         self.absorb_publish_stats(&stats);
     }
 
@@ -521,13 +519,14 @@ impl SimilarityEngine {
                     if owner != from {
                         self.net.send_direct(from, owner, payload);
                     }
-                    for (key, posting) in batch {
-                        self.net.insert_item(key, posting);
-                    }
+                    self.net.insert_batch(batch);
                 }
             }
             self.net.sim_join();
         } else {
+            // Routed and charged one by one; what arrived is stored as one
+            // batch (a store changes nothing a later route looks at).
+            let mut arrived = Vec::with_capacity(postings.len());
             self.net.sim_fork();
             for (key, posting) in postings {
                 self.net.sim_branch();
@@ -535,10 +534,11 @@ impl SimilarityEngine {
                     if owner != from {
                         self.net.send_direct(from, owner, posting.size_bytes());
                     }
-                    self.net.insert_item(key, posting);
+                    arrived.push((key, posting));
                 }
             }
             self.net.sim_join();
+            self.net.insert_batch(arrived);
         }
         let mut out = self.finish_query(&snap);
         out.matches = stats.total_postings();

@@ -249,7 +249,7 @@ impl ExecStep for SelectTask {
                     acc.cache_hits += hits;
                     acc.cache_misses += misses;
                     self.stats = acc;
-                    matched.sort_by(|a, b| (&a.0, format_val(&a.1)).cmp(&(&b.0, format_val(&b.1))));
+                    sort_matches(&mut matched);
                     matched.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
                     let mut oids: Vec<&str> = matched.iter().map(|(o, _)| o.as_str()).collect();
                     oids.sort_unstable();
@@ -312,14 +312,58 @@ impl ExecStep for SelectTask {
     }
 }
 
-fn format_val(v: &Value) -> String {
-    v.to_string()
+/// Order `(oid, value)` matches by oid, then by the value as it prints —
+/// each value formatted once, not once per comparison.
+fn sort_matches(matched: &mut [(String, Value)]) {
+    matched.sort_by_cached_key(|(oid, v)| (oid.clone(), v.to_string()));
 }
 
 #[cfg(test)]
 mod tests {
+    use super::sort_matches;
     use crate::engine::EngineBuilder;
     use sqo_storage::triple::{Row, Value};
+
+    #[test]
+    fn matches_sort_by_oid_then_by_printed_value_and_stay_stable() {
+        let m = |oid: &str, v: Value| (oid.to_string(), v);
+        let mut matched = vec![
+            m("b:2", Value::from("pear")),
+            m("a:1", Value::Int(9)),
+            m("b:2", Value::Int(10)),
+            m("a:1", Value::Float(10.5)),
+            m("b:2", Value::Float(-3.0)),
+            m("a:1", Value::from("10")),
+            m("a:1", Value::Int(10)),
+            m("b:2", Value::from("apple")),
+            m("a:1", Value::Int(9)),
+        ];
+        // The order the comparator `(oid, value.to_string())` gave, which
+        // formatted both sides of every comparison.
+        let mut want = matched.clone();
+        want.sort_by(|a, b| (&a.0, a.1.to_string()).cmp(&(&b.0, b.1.to_string())));
+        sort_matches(&mut matched);
+        assert_eq!(matched, want);
+        let printed: Vec<_> = matched.iter().map(|(o, v)| format!("{o}={v}")).collect();
+        assert_eq!(
+            printed,
+            [
+                "a:1=10",
+                "a:1=10",
+                "a:1=10.5",
+                "a:1=9",
+                "a:1=9",
+                "b:2=-3",
+                "b:2=10",
+                "b:2=apple",
+                "b:2=pear"
+            ]
+        );
+        // Equal prints keep their arrival order: the string "10" came
+        // before the integer 10.
+        assert_eq!(matched[0].1, Value::from("10"));
+        assert_eq!(matched[1].1, Value::Int(10));
+    }
 
     fn rows() -> Vec<Row> {
         (0..30)

@@ -47,6 +47,29 @@ pub fn hash_u64(v: u64) -> Key {
     Key::from_bytes(&v.to_be_bytes())
 }
 
+/// `i64` → `u64`, order preserving (offset binary); [`hash_i64`]'s bits.
+pub fn order_bits_i64(v: i64) -> u64 {
+    (v as u64) ^ (1 << 63)
+}
+
+/// Non-NaN `f64` → `u64`, order preserving (`-0.0` directly before `+0.0`);
+/// [`hash_f64`]'s bits.
+///
+/// # Panics
+/// Panics on NaN — NaN has no place in an ordered key space; callers must
+/// reject it at ingestion.
+pub fn order_bits_f64(v: f64) -> u64 {
+    assert!(!v.is_nan(), "cannot hash NaN into an ordered key space");
+    let bits = v.to_bits();
+    // Negative floats reverse order when read as sign-magnitude integers,
+    // so flip all their bits; non-negative ones just get the sign bit set.
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | (1 << 63)
+    }
+}
+
 /// Hash a signed integer via offset-binary encoding. Order preserving on
 /// `i64`:
 ///
@@ -57,23 +80,13 @@ pub fn hash_u64(v: u64) -> Key {
 /// assert!(hash_i64(i64::MIN) < hash_i64(i64::MAX));
 /// ```
 pub fn hash_i64(v: i64) -> Key {
-    hash_u64((v as u64) ^ (1 << 63))
+    hash_u64(order_bits_i64(v))
 }
 
 /// Hash an IEEE-754 double order-preservingly (total order over non-NaN
-/// values; `-0.0` and `+0.0` map to adjacent keys with `-0.0` first).
-///
-/// # Panics
-/// Panics on NaN — NaN has no place in an ordered key space; callers must
-/// reject it at ingestion.
+/// values; panics on NaN, see [`order_bits_f64`]).
 pub fn hash_f64(v: f64) -> Key {
-    assert!(!v.is_nan(), "cannot hash NaN into an ordered key space");
-    let bits = v.to_bits();
-    // Standard monotone fold: negative floats reverse order when viewed as
-    // sign-magnitude integers, so flip all bits; non-negative just get the
-    // sign bit set.
-    let folded = if bits >> 63 == 1 { !bits } else { bits | (1 << 63) };
-    hash_u64(folded)
+    hash_u64(order_bits_f64(v))
 }
 
 #[cfg(test)]

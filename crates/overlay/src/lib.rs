@@ -17,9 +17,11 @@
 //!   handle).
 //! * [`topology`] — the paper's π(p)/ρ(p,l)/σ(p) for the whole network in
 //!   one structure, and Algorithm 1's per-hop decision over it.
-//! * [`store`] — structurally-shared partition stores: sorted runs of
-//!   `Arc`-shared posting lists, plus the key interner.
-//! * [`network`] — the simulator: routing, retrieval, range queries,
+//! * [`store`] — structurally-shared partition stores: sorted runs that
+//!   own their keys and hold `Arc`-shared posting lists; a write is one
+//!   merge of a key-sorted batch.
+//! * [`network`] — the simulator: the one write path
+//!   ([`Network::insert_batch`]), routing, retrieval, range queries,
 //!   delegation primitives, churn.
 //! * [`metrics`] — message/bandwidth accounting.
 //! * [`clock`] — the virtual-time hook: an [`EventSink`] installed on the
@@ -47,5 +49,5 @@ pub use metrics::{Metrics, PeerLoad};
 pub use network::{Network, NetworkConfig, RepairReport, ReplicationPolicy, RouteError};
 pub use peer::{Item, Peer, PeerId};
 pub use snapshot::NetworkState;
-pub use store::{run_items, KeyTable, PartitionStore, PostingList, Run, SharedKey, SortedStore};
+pub use store::{run_items, PartitionStore, PostingList, Run, SortedStore};
 pub use topology::{RoutingArena, Topology};

@@ -15,7 +15,7 @@ use crate::clock::{EventSink, MsgKind, SharedTraceSink, SimLatency, TraceEvent, 
 use crate::key::Key;
 use crate::metrics::{Metrics, PeerLoad};
 use crate::peer::{Item, Peer, PeerId};
-use crate::store::{run_items, KeyTable, PartitionStore, PostingList, Run, SortedStore};
+use crate::store::{run_items, PartitionStore, PostingList, Run};
 use crate::topology::Topology;
 use crate::trie::{build_partitions, find_partition};
 use rand::rngs::StdRng;
@@ -134,9 +134,6 @@ pub struct Network<T> {
     /// (see [`Topology`]).
     pub(crate) topo: Topology,
     pub(crate) peers: Vec<Peer<T>>,
-    /// Interned published keys: equal keys share one allocation across
-    /// partitions, replicas, replies and caches.
-    pub(crate) interner: KeyTable,
     pub(crate) metrics: Metrics,
     /// Per-peer sent/received traffic (reset together with `metrics`).
     pub(crate) peer_load: Vec<PeerLoad>,
@@ -158,7 +155,7 @@ pub struct Network<T> {
     /// Monotone invalidation counter: bumped by every event that can make
     /// remotely cached data stale — churn ([`Self::fail_peer`],
     /// [`Self::revive_peer`], [`Self::fail_random_fraction`]) *and* data
-    /// insertion ([`Self::insert_item`], i.e. publications). Caches layered
+    /// insertion ([`Self::insert_batch`], i.e. publications). Caches layered
     /// above the overlay key their entries by this epoch so nothing fetched
     /// before such an event is ever served after it.
     pub(crate) cache_epoch: u64,
@@ -248,10 +245,13 @@ impl<T: Item> Network<T> {
                 }
             }
         }
+        // The members of a partition share one store from the start.
+        let stores: Vec<PartitionStore<T>> =
+            std::iter::repeat_with(PartitionStore::default).take(paths.len()).collect();
         for (i, &part) in assignment.iter().enumerate() {
             let id = PeerId(i as u32);
             part_peers[part].push(id);
-            peers.push(Peer::new(id));
+            peers.push(Peer { id, store: stores[part].clone(), alive: true });
         }
         let part_of = assignment.into_iter().map(|part| part as u32).collect();
 
@@ -260,7 +260,6 @@ impl<T: Item> Network<T> {
             cfg,
             topo: Topology { paths, part_peers, part_of, routing: Default::default() },
             peers,
-            interner: KeyTable::new(),
             metrics: Metrics::default(),
             peer_load: vec![PeerLoad::default(); n_peers],
             sink: None,
@@ -273,76 +272,130 @@ impl<T: Item> Network<T> {
         };
         net.rng = StdRng::seed_from_u64(net.cfg.seed);
         net.topo.wire_routing(net.cfg.refs_per_level, &mut net.rng);
-        net.bulk_load(data);
+        net.insert_batch(data);
         net
     }
 
-    /// Load the full publication batch: sort once, intern each distinct
-    /// key, build one shared [`SortedStore`] run per partition and hand
-    /// every structural replica a handle onto it. Equivalent to
-    /// [`Self::insert_item`] per element (same stores, same per-key item
-    /// order, same total epoch advance) at a fraction of the cost: the
-    /// seed's per-item path re-cloned every key and list once per replica.
-    fn bulk_load(&mut self, mut data: Vec<(Key, T)>) {
-        // Epoch parity with the per-item path: one bump per publication.
-        self.cache_epoch += data.len() as u64;
-        // Stable sort: items under the same key keep publication order.
-        data.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut runs: Vec<SortedStore<T>> =
-            std::iter::repeat_with(SortedStore::new).take(self.topo.paths.len()).collect();
-        let mut iter = data.into_iter().peekable();
-        while let Some((key, item)) = iter.next() {
-            let mut items = vec![item];
-            while let Some((k, _)) = iter.peek() {
-                if *k != key {
-                    break;
+    /// Publish a batch — the network's one write path. The batch is
+    /// stable-sorted by key (publications under one key keep their order)
+    /// and walked against the sorted partition cover: a key still prefixed
+    /// by its predecessor's partition path needs no lookup, and the keys
+    /// between two lookups go to their partition as **one** merge — one
+    /// detach and re-share of its replica handles, however many postings.
+    /// Equal to [`Self::insert_item`] per element, in order: same runs
+    /// entry for entry, same epoch advance (one step per publication —
+    /// lists fetched before it no longer reflect the stored data). Posting
+    /// lists already handed out to readers are never mutated.
+    pub fn insert_batch(&mut self, mut batch: Vec<(Key, T)>) {
+        self.cache_epoch += batch.len() as u64;
+        batch.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut part = 0;
+        // The sub-batch of `part`: one entry per distinct key, ascending.
+        let mut pending: Vec<(Key, PostingList<T>)> = Vec::new();
+        let mut batch = batch.into_iter();
+        while let Some((key, item)) = batch.next() {
+            let more = batch.as_slice().iter().take_while(|(k, _)| *k == key).count();
+            let rest = batch.by_ref().take(more).map(|(_, item)| item);
+            let items: Vec<T> = std::iter::once(item).chain(rest).collect();
+            if !self.topo.paths[part].is_prefix_of(&key) {
+                self.merge_into(part, &mut pending, false);
+                let (s, e) = self.topo.subtree_of(&key);
+                debug_assert!(e > s, "complete cover guarantees an owner for every key");
+                part = s;
+                if e - s > 1 {
+                    self.insert_short(key, items, s..e);
+                    continue;
                 }
-                items.push(iter.next().expect("peeked").1);
             }
-            let (s, e) = self.topo.subtree_of(&key);
-            debug_assert!(e > s, "complete cover guarantees an owner for every key");
-            let shared_key = self.interner.intern_owned(key);
-            let list: PostingList<T> = Arc::new(items);
-            for run in &mut runs[s..e] {
-                run.push_sorted(Arc::clone(&shared_key), Arc::clone(&list));
-            }
+            pending.push((key, Arc::new(items)));
         }
-        for (part, run) in runs.into_iter().enumerate() {
-            let store = PartitionStore::from_store(run);
-            for &p in &self.topo.part_peers[part] {
-                self.peers[p.index()].store = store.share();
-            }
+        self.merge_into(part, &mut pending, false);
+    }
+
+    /// A key shorter than the local trie depth is stored by every partition
+    /// of its subtree, and they share one list: extend it once, then hand
+    /// each covering run the same handle.
+    fn insert_short(&mut self, key: Key, items: Vec<T>, cover: std::ops::Range<usize>) {
+        let stored = cover
+            .clone()
+            .find_map(|part| self.topo.part_peers[part].first())
+            .and_then(|p| self.peers[p.index()].store.exact_entry(&key));
+        let list: PostingList<T> = Arc::new(match stored {
+            Some(old) => old.iter().cloned().chain(items).collect(),
+            None => items,
+        });
+        for part in cover {
+            self.merge_into(part, &mut vec![(key.clone(), Arc::clone(&list))], true);
         }
     }
 
-    /// Insert an item, replicating it into every partition its key covers
-    /// (one partition in the common case; several only when the key is
-    /// shorter than the local trie depth) and onto every structural replica.
-    /// Bumps the cache epoch: posting lists fetched before the insert no
-    /// longer reflect the stored data.
-    ///
-    /// Replicas share one store: the insert briefly detaches the sibling
-    /// handles so the copy-on-write edit lands in place, then re-shares —
-    /// `k`-fold replication costs one list edit, not `k` item copies.
-    /// Posting lists already handed out to readers are never mutated.
+    /// Drain a key-sorted sub-batch into the run of `part`. Replicas share
+    /// one store: the siblings' handles are detached so the copy-on-write
+    /// merge lands in place, then re-shared — `k`-fold replication costs
+    /// one merge, not `k`.
+    fn merge_into(&mut self, part: usize, batch: &mut Vec<(Key, PostingList<T>)>, replace: bool) {
+        // No members: a peerless gap partition (bootstrap tries).
+        let Some((first, rest)) = self.topo.part_peers[part].split_first() else {
+            return batch.clear();
+        };
+        if batch.is_empty() {
+            return;
+        }
+        for p in rest {
+            self.peers[p.index()].store = PartitionStore::default();
+        }
+        self.peers[first.index()].store.merge(batch.drain(..), replace);
+        let store = self.peers[first.index()].store.clone();
+        for p in rest {
+            self.peers[p.index()].store = store.clone();
+        }
+        debug_assert_eq!(self.check_partition(part), Ok(()));
+    }
+
+    /// Publish one item: a batch of one.
     pub fn insert_item(&mut self, key: Key, item: T) {
-        self.cache_epoch += 1;
-        let (s, e) = self.topo.subtree_of(&key);
-        debug_assert!(e > s, "complete cover guarantees an owner for every key");
-        let shared_key = self.interner.intern_owned(key);
-        for part in s..e {
-            if self.topo.part_peers[part].is_empty() {
-                continue; // peerless gap partition (bootstrap tries)
+        self.insert_batch(vec![(key, item)]);
+    }
+
+    /// The structural invariants, `Err` naming the first breach: every
+    /// partition's members point back at it and share one store, whose run
+    /// ascends strictly, holds no empty list and only keys prefix-related
+    /// to the partition's path; and every peer is a member of exactly the
+    /// partition it points at.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        (0..self.topo.paths.len()).try_for_each(|part| self.check_partition(part))?;
+        let placed: usize = self.topo.part_peers.iter().map(|m| m.len()).sum();
+        let lost = self.peers.iter().find(|p| {
+            let part = self.topo.part_of[p.id.index()] as usize;
+            !self.topo.part_peers.get(part).is_some_and(|m| m.contains(&p.id))
+        });
+        match lost {
+            Some(p) => Err(format!("{} is not a member of the partition it points at", p.id)),
+            None if placed != self.peers.len() => Err(format!("{placed} memberships")),
+            None => Ok(()),
+        }
+    }
+
+    /// The per-partition half of [`Self::check_invariants`].
+    fn check_partition(&self, part: usize) -> Result<(), String> {
+        let (path, members) = (&self.topo.paths[part], &self.topo.part_peers[part]);
+        let Some(first) = members.first() else { return Ok(()) };
+        let store = &self.peers[first.index()].store;
+        let stray = members.iter().find(|p| {
+            self.topo.part_of[p.index()] as usize != part
+                || !self.peers[p.index()].store.shares_with(store)
+        });
+        let run = store.entries();
+        let misplaced = run
+            .iter()
+            .find(|(k, l)| l.is_empty() || !(path.is_prefix_of(k) || k.is_prefix_of(path)));
+        match (stray, misplaced) {
+            (Some(p), _) => Err(format!("{p} points or stores away from partition {part}")),
+            (_, Some((k, _))) => Err(format!("{k} is empty or misplaced in partition {part}")),
+            _ if !run.windows(2).all(|w| w[0].0 < w[1].0) => {
+                Err(format!("the run of partition {part} does not ascend strictly"))
             }
-            let members = &self.topo.part_peers[part];
-            let mut store = self.peers[members[0].index()].store.share();
-            for &p in members {
-                self.peers[p.index()].store = PartitionStore::default();
-            }
-            store.insert(Arc::clone(&shared_key), item.clone());
-            for &p in members {
-                self.peers[p.index()].store = store.share();
-            }
+            _ => Ok(()),
         }
     }
 
@@ -628,12 +681,12 @@ impl<T: Item> Network<T> {
 
     /// Total stored (key, item) pairs across all peers (replicas included).
     pub fn total_stored_items(&self) -> usize {
-        self.peers.iter().map(Peer::item_count).sum()
+        self.peers.iter().map(|p| p.store.item_count()).sum()
     }
 
     /// Total stored payload bytes across all peers (replicas included).
     pub fn total_stored_bytes(&self) -> u64 {
-        self.peers.iter().map(Peer::stored_bytes).sum()
+        self.peers.iter().map(|p| p.store.stored_bytes()).sum()
     }
 
     // ------------------------------------------------------------------
@@ -800,7 +853,7 @@ impl<T: Item> Network<T> {
                 self.topo.part_peers[part].push(recruit);
                 alive_count[part] += 1;
                 self.topo.part_of[recruit.index()] = part as u32;
-                let store = self.peers[source.index()].store.share();
+                let store = self.peers[source.index()].store.clone();
                 let bytes = store.stored_bytes();
                 self.peers[recruit.index()].store = store;
                 self.charge_result(source, recruit, bytes as usize);
@@ -822,6 +875,7 @@ impl<T: Item> Network<T> {
             // routing arena references peers whose trie depth changed.
             self.cache_epoch += 1;
             self.topo.wire_routing(self.cfg.refs_per_level, &mut self.rng);
+            debug_assert_eq!(self.check_invariants(), Ok(()));
         }
         report
     }
@@ -1174,7 +1228,7 @@ impl<T: Item> Network<T> {
     /// entries are lent, not copied: callers filter the borrowed items
     /// ([`run_items`]) and clone only the survivors.
     pub fn local_prefix_run(&mut self, peer: PeerId, key: &Key) -> &Run<T> {
-        let run = self.peers[peer.index()].prefix_entries(key);
+        let run = self.peers[peer.index()].store.prefix_entries(key);
         Self::charge_scan(&mut self.metrics, &mut self.sink, peer, run.len() as u64);
         run
     }

@@ -13,14 +13,15 @@
 //! * σ(p) is [`Topology::members`](crate::Topology::members) of the peer's
 //!   partition, other than the peer itself.
 //! * δ(p) is a [`PartitionStore`] — an `Arc` handle onto the partition's
-//!   sorted run, shared by all structural replicas (see [`crate::store`]).
+//!   sorted run, shared by all structural replicas (see [`crate::store`]);
+//!   the run owns its keys, and the network writes it one merge per batch
+//!   ([`Network::insert_batch`](crate::Network::insert_batch)).
 //!
 //! What remains per peer is a few machine words, so 10⁶ peers cost
 //! megabytes, not gigabytes.
 
 use crate::key::Key;
-use crate::store::{run_items, PartitionStore, Run, SharedKey};
-use std::sync::Arc;
+use crate::store::{run_items, PartitionStore};
 
 /// Dense peer identifier (index into the network's peer table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -58,28 +59,6 @@ pub struct Peer<T> {
 }
 
 impl<T: Item> Peer<T> {
-    pub fn new(id: PeerId) -> Self {
-        Self { id, store: PartitionStore::default(), alive: true }
-    }
-
-    /// Insert an item under `key` into δ(p) (copy-on-write; the network
-    /// re-shares the handle across replicas afterwards).
-    pub fn insert(&mut self, key: Key, item: T) {
-        self.store.insert(Arc::new(key), item);
-    }
-
-    /// Insert under an already-interned key.
-    pub fn insert_shared(&mut self, key: SharedKey, item: T) {
-        self.store.insert(key, item);
-    }
-
-    /// The stored entries whose key has `key` as a prefix (the `key(d) ⊇
-    /// key` match of Algorithm 1, line 2), lent out uncopied; the entry
-    /// count is what local-scan accounting charges as touched.
-    pub fn prefix_entries(&self, key: &Key) -> &Run<T> {
-        self.store.prefix_entries(key)
-    }
-
     /// Number of items whose key has `key` as a prefix, without cloning
     /// them — free local introspection for cardinality estimation.
     pub fn count_prefix(&self, key: &Key) -> usize {
@@ -91,22 +70,13 @@ impl<T: Item> Peer<T> {
         let run = self.store.range_entries(lo, hi);
         (run_items(run).cloned().collect(), run.len() as u64)
     }
-
-    /// Number of stored (key, item) pairs.
-    pub fn item_count(&self) -> usize {
-        self.store.item_count()
-    }
-
-    /// Total payload bytes stored, for storage-overhead accounting.
-    pub fn stored_bytes(&self) -> u64 {
-        self.store.stored_bytes()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hash::hash_str;
+    use std::sync::Arc;
 
     #[derive(Debug, Clone, PartialEq)]
     struct S(&'static str);
@@ -116,10 +86,14 @@ mod tests {
         }
     }
 
+    fn insert(p: &mut Peer<S>, w: &'static str) {
+        p.store.merge(vec![(hash_str(w), Arc::new(vec![S(w)]))], false);
+    }
+
     fn peer() -> Peer<S> {
-        let mut p = Peer::new(PeerId(0));
+        let mut p = Peer { id: PeerId(0), store: PartitionStore::default(), alive: true };
         for w in ["alpha", "alpine", "beta", "alp", "gamma"] {
-            p.insert(hash_str(w), S(Box::leak(w.to_string().into_boxed_str())));
+            insert(&mut p, w);
         }
         p
     }
@@ -127,7 +101,7 @@ mod tests {
     #[test]
     fn prefix_scan_matches_extension_semantics() {
         let p = peer();
-        let run = p.prefix_entries(&hash_str("alp"));
+        let run = p.store.prefix_entries(&hash_str("alp"));
         let names: Vec<_> = run_items(run).map(|s| s.0).collect();
         assert_eq!(names, vec!["alp", "alpha", "alpine"]);
         assert_eq!(run.len(), 3);
@@ -152,16 +126,16 @@ mod tests {
     #[test]
     fn multiple_items_same_key() {
         let mut p = peer();
-        p.insert(hash_str("beta"), S("beta"));
+        insert(&mut p, "beta");
         assert_eq!(p.store.exact_entry(&hash_str("beta")).unwrap().len(), 2);
-        assert_eq!(p.item_count(), 6);
+        assert_eq!(p.store.item_count(), 6);
     }
 
     #[test]
     fn stored_bytes_sums_payloads() {
         let p = peer();
         assert_eq!(
-            p.stored_bytes(),
+            p.store.stored_bytes(),
             ("alpha".len() + "alpine".len() + "beta".len() + "alp".len() + "gamma".len()) as u64
         );
     }

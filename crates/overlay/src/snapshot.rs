@@ -21,7 +21,7 @@ use crate::key::Key;
 use crate::metrics::{Metrics, PeerLoad};
 use crate::network::{Network, NetworkConfig};
 use crate::peer::{Item, Peer, PeerId};
-use crate::store::{KeyTable, PartitionStore, PostingList, SharedKey, SortedStore};
+use crate::store::{PartitionStore, PostingList, SortedStore};
 use crate::topology::{RoutingArena, Topology};
 use rand::rngs::StdRng;
 use smallvec::SmallVec;
@@ -48,8 +48,9 @@ pub struct NetworkState<T> {
     pub routing_refs: Vec<PeerId>,
     pub routing_slice_off: Vec<u32>,
     pub routing_peer_off: Vec<u32>,
-    /// The interner's sorted distinct keys; store entries reference them
-    /// by index so equal keys re-share one allocation on import.
+    /// The sorted distinct stored keys, derived at capture; store entries
+    /// reference them by index, so a key that several partitions cover is
+    /// written once.
     pub interned_keys: Vec<Key>,
     /// Deduplicated posting lists: lists shared across partitions (keys
     /// shorter than the trie depth replicate into sibling runs) appear
@@ -70,10 +71,17 @@ pub struct NetworkState<T> {
 impl<T: Item> Network<T> {
     /// Walk the live network into an owned [`NetworkState`].
     pub fn export_state(&self) -> NetworkState<T> {
-        let interned_keys: Vec<Key> = self.interner.export_keys();
-        let key_index = |k: &Key| -> u32 {
-            interned_keys.binary_search(k).expect("every stored key is interned by construction")
-                as u32
+        // Runs in partition order are in key order: a key no earlier run
+        // held sorts behind everything seen so far and takes the next index.
+        // Only a key shorter than the trie depth comes again, once per
+        // further partition it covers, and is looked up.
+        let mut interned_keys: Vec<Key> = Vec::new();
+        let mut key_index = |k: &Key| -> u32 {
+            if interned_keys.last().is_none_or(|last| last < k) {
+                interned_keys.push(k.clone());
+                return (interned_keys.len() - 1) as u32;
+            }
+            interned_keys.binary_search(k).expect("a short key is in every run it covers") as u32
         };
         let mut lists: Vec<Vec<T>> = Vec::new();
         let mut list_index: HashMap<*const Vec<T>, u32> = HashMap::new();
@@ -84,12 +92,6 @@ impl<T: Item> Network<T> {
                 stores.push(Vec::new());
                 continue;
             };
-            debug_assert!(
-                members.iter().all(|m| self.peers[m.index()]
-                    .store
-                    .shares_with(&self.peers[first.index()].store)),
-                "structural replicas must share one store"
-            );
             let run = self.peers[first.index()].store.entries();
             let mut entries = Vec::with_capacity(run.len());
             for (key, list) in run {
@@ -149,7 +151,6 @@ impl<T: Item> Network<T> {
         } = state;
         assert_eq!(peer_partition.len(), alive.len(), "per-peer tables must align");
         assert_eq!(stores.len(), paths.len(), "one store per partition");
-        let (interner, shared_keys) = KeyTable::from_sorted_keys(interned_keys);
         let shared_lists: Vec<PostingList<T>> = lists.into_iter().map(Arc::new).collect();
         let part_peers: Vec<SmallVec<[PeerId; 4]>> =
             part_peers.into_iter().map(SmallVec::from_vec).collect();
@@ -166,19 +167,18 @@ impl<T: Item> Network<T> {
             if part_peers[part].is_empty() {
                 continue;
             }
-            let mut run = SortedStore::new();
-            for (kid, lid) in entries {
-                run.push_sorted(
-                    SharedKey::clone(&shared_keys[kid as usize]),
-                    PostingList::clone(&shared_lists[lid as usize]),
-                );
-            }
-            let store = PartitionStore::from_store(run);
+            let run = entries
+                .into_iter()
+                .map(|(kid, lid)| {
+                    (interned_keys[kid as usize].clone(), Arc::clone(&shared_lists[lid as usize]))
+                })
+                .collect();
+            let store = PartitionStore::from_store(SortedStore::from_sorted(run));
             for &p in &part_peers[part] {
-                peers[p.index()].store = store.share();
+                peers[p.index()].store = store.clone();
             }
         }
-        Network {
+        let net = Network {
             cfg,
             topo: Topology {
                 paths,
@@ -191,7 +191,6 @@ impl<T: Item> Network<T> {
                 },
             },
             peers,
-            interner,
             metrics,
             peer_load,
             sink: None,
@@ -201,7 +200,9 @@ impl<T: Item> Network<T> {
             cache_epoch,
             empty: PostingList::default(),
             rng: StdRng::from_state_words(rng),
-        }
+        };
+        debug_assert_eq!(net.check_invariants(), Ok(()));
+        net
     }
 }
 

@@ -1,0 +1,185 @@
+//! Property tests for the overlay's one write path: `SortedStore::merge`
+//! against a `BTreeMap` reference, and `Network::insert_batch` against the
+//! same publications made one at a time and against a network built on all
+//! of them at once.
+
+use proptest::prelude::*;
+use sqo_overlay::key::Key;
+use sqo_overlay::network::{Network, NetworkConfig};
+use sqo_overlay::peer::Item;
+use sqo_overlay::{run_items, PostingList, Run, SortedStore};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct S(u32);
+impl Item for S {
+    fn size_bytes(&self) -> usize {
+        4
+    }
+}
+
+/// Keys of 0 to 9 bits: short enough to collide often, to be prefixes of
+/// one another, and to fall short of a trie a few levels deep.
+fn key() -> impl Strategy<Value = Key> {
+    prop::collection::vec(any::<bool>(), 0..10).prop_map(Key::from_bits)
+}
+
+/// Publications numbered from `first`, so every item is distinct and the
+/// order within a key is checkable.
+fn numbered(keys: Vec<Key>, first: usize) -> Vec<(Key, S)> {
+    keys.into_iter().enumerate().map(|(i, k)| (k, S((first + i) as u32))).collect()
+}
+
+fn flat(run: &Run<S>) -> Vec<(Key, Vec<S>)> {
+    run.iter().map(|(k, list)| (k.clone(), list.to_vec())).collect()
+}
+
+/// Everything a snapshot would write, and so everything two networks can
+/// differ in: cover, membership, routing, the runs entry for entry, which
+/// lists are shared, epoch, counters, RNG position.
+fn image(net: &Network<S>) -> String {
+    format!("{:?}", net.export_state())
+}
+
+fn replicas_share_one_store(net: &Network<S>) -> bool {
+    (0..net.partition_count()).all(|part| {
+        let members = net.partition_members(part);
+        members.iter().all(|m| net.peer(*m).store.shares_with(&net.peer(members[0]).store))
+    })
+}
+
+proptest! {
+    /// Merging batch after batch equals extending a `BTreeMap<Key, Vec>`:
+    /// same entries in the same order, publication order within a key —
+    /// and after every merge the three scans delimit exactly what the map
+    /// holds, for hits of no, one and many entries, in the middle of the
+    /// run and running to its end. A reader holding a list from before a
+    /// merge still sees the list as it was.
+    #[test]
+    fn merge_equals_a_btreemap_and_scans_delimit_exactly(
+        batches in prop::collection::vec(prop::collection::vec((key(), 1usize..4), 0..12), 1..8),
+        probes in prop::collection::vec(key(), 1..12),
+    ) {
+        let mut run: SortedStore<S> = SortedStore::from_sorted(Vec::new());
+        let mut map: BTreeMap<Key, Vec<S>> = BTreeMap::new();
+        let mut next = 0u32;
+        for batch in batches {
+            // One entry per distinct key, ascending: what `merge` takes.
+            let mut grouped: BTreeMap<Key, Vec<S>> = BTreeMap::new();
+            for (k, n) in batch {
+                for _ in 0..n {
+                    grouped.entry(k.clone()).or_default().push(S(next));
+                    next += 1;
+                }
+            }
+            let held: Vec<(PostingList<S>, Vec<S>)> =
+                run.entries().iter().map(|(_, l)| (Arc::clone(l), l.to_vec())).collect();
+            for (k, items) in &grouped {
+                map.entry(k.clone()).or_default().extend(items.iter().cloned());
+            }
+            run.merge(grouped.into_iter().map(|(k, items)| (k, Arc::new(items))), false);
+
+            let want: Vec<(Key, Vec<S>)> = map.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+            prop_assert_eq!(flat(run.entries()), want.clone());
+            prop_assert!(held.iter().all(|(list, was)| **list == *was), "a reader's list changed");
+
+            let stored = want.iter().map(|(k, _)| k.clone());
+            for p in probes.iter().cloned().chain(stored).chain([Key::empty()]) {
+                let under: Vec<_> = want.iter().filter(|(k, _)| p.is_prefix_of(k)).cloned().collect();
+                prop_assert_eq!(flat(run.prefix_entries(&p)), under, "prefix {}", &p);
+                prop_assert_eq!(run.exact_entry(&p).map(|l| l.to_vec()), map.get(&p).cloned());
+                for q in &probes {
+                    let (lo, hi) = if p <= *q { (&p, q) } else { (q, &p) };
+                    let within: Vec<_> =
+                        map.range(lo..=hi).map(|(k, v)| (k.clone(), v.clone())).collect();
+                    prop_assert_eq!(flat(run.range_entries(lo, hi)), within, "range {}..={}", lo, hi);
+                }
+            }
+        }
+    }
+
+    /// A batch equals its publications made one by one, and equals having
+    /// been there from the build: the same snapshot image — runs, shared
+    /// lists, epoch — with duplicate keys, keys shorter than the trie depth
+    /// (stored by every partition of their subtree, sharing one list) and
+    /// one to four replicas per partition.
+    #[test]
+    fn a_batch_equals_its_items_one_by_one_and_the_build_on_all_of_them(
+        base in prop::collection::vec(key(), 0..60),
+        batch in prop::collection::vec(key(), 0..60),
+        partitions in 1usize..12,
+        replication in 1usize..5,
+        seed in 0u64..50,
+    ) {
+        let (base, batch) = (numbered(base.clone(), 0), numbered(batch, base.len()));
+        let cfg = NetworkConfig { peers: partitions * replication, replication, seed, ..Default::default() };
+        let built = Network::build(cfg.clone(), [base.clone(), batch.clone()].concat());
+        // The same cover for all three: the one the full data set grew.
+        let grown = || Network::build_with_paths(cfg.clone(), built.paths().to_vec(), None, base.clone());
+
+        let mut batched = grown();
+        batched.insert_batch(batch.clone());
+        let mut one_by_one = grown();
+        for (k, item) in batch {
+            one_by_one.insert_item(k, item);
+        }
+
+        prop_assert_eq!(image(&batched), image(&built));
+        prop_assert_eq!(image(&one_by_one), image(&built));
+        for net in [&built, &batched, &one_by_one] {
+            prop_assert_eq!(net.check_invariants(), Ok(()));
+            prop_assert!(replicas_share_one_store(net));
+            prop_assert_eq!(net.cache_epoch(), built.cache_epoch());
+        }
+        // Redundant coverage is structural sharing, not copies: every
+        // partition under a short key holds the same list.
+        for (k, _) in &base {
+            let (s, e) = built.subtree_of(k);
+            let lists: Vec<_> = (s..e)
+                .map(|p| built.peer(built.partition_members(p)[0]).store.exact_entry(k).expect("stored"))
+                .collect();
+            prop_assert!(lists.iter().all(|l| Arc::ptr_eq(l, lists[0])));
+        }
+    }
+
+    /// The same equivalence on a cover with a peerless gap partition (what
+    /// a bootstrapped trie can leave behind): publications whose subtree
+    /// is, or includes, the gap skip it and land everywhere else.
+    #[test]
+    fn a_peerless_gap_partition_takes_nothing_and_breaks_nothing(
+        base in prop::collection::vec(key(), 0..40),
+        batch in prop::collection::vec(key(), 0..40),
+        seed in 0u64..50,
+    ) {
+        let paths: Vec<Key> = ["000", "001", "01", "10", "11"].map(Key::parse).to_vec();
+        // One peer each, none for "01", and so no spare to fill it.
+        let placed: Vec<Key> = ["000", "001", "10", "11"].map(Key::parse).to_vec();
+        let cfg = NetworkConfig { peers: placed.len(), seed, ..Default::default() };
+        let (base, batch) = (numbered(base.clone(), 0), numbered(batch, base.len()));
+        let on = |data: Vec<(Key, S)>| {
+            Network::build_with_paths(cfg.clone(), paths.clone(), Some(placed.clone()), data)
+        };
+
+        let built = on([base.clone(), batch.clone()].concat());
+        prop_assert!(built.partition_members(2).is_empty(), "the gap stayed peerless");
+        let mut batched = on(base.clone());
+        batched.insert_batch(batch.clone());
+        let mut one_by_one = on(base);
+        for (k, item) in batch.clone() {
+            one_by_one.insert_item(k, item);
+        }
+        prop_assert_eq!(image(&batched), image(&built));
+        prop_assert_eq!(image(&one_by_one), image(&built));
+        prop_assert_eq!(built.check_invariants(), Ok(()));
+
+        // Every publication is stored by every peered partition it covers.
+        for (k, item) in &batch {
+            let (s, e) = built.subtree_of(k);
+            for part in (s..e).filter(|p| *p != 2) {
+                let store = &built.peer(built.partition_members(part)[0]).store;
+                prop_assert!(run_items(store.prefix_entries(k)).any(|x| x == item));
+            }
+        }
+    }
+}

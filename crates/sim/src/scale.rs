@@ -75,7 +75,7 @@ impl Topology {
         let overlay = net.topology().clone();
         let items_per_part = (0..overlay.partition_count())
             .map(|part| {
-                overlay.members(part).first().map_or(0, |&m| net.peer(m).item_count() as u32)
+                overlay.members(part).first().map_or(0, |&m| net.peer(m).store.item_count() as u32)
             })
             .collect();
         Self { overlay, items_per_part }

@@ -388,3 +388,65 @@ fn built_and_thawed_worlds_share_attribute_and_gram_strings() {
     }
     assert_eq!(Snapshot::capture(&thawed).to_bytes(), bytes, "sharing moves no byte");
 }
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ *b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The write path's wire pin: a replicated world grown after its build —
+/// a traced publish, an untraced one, a second traced one from another
+/// peer — reaches the artifact byte for byte as it did when every posting
+/// was a store insert of its own and the artifact's key table was a live,
+/// network-wide structure every insert went through. The constants are the digests this same test body printed on the parent
+/// commit (4e80e82, schema v3), with delegation on and off; re-measure
+/// them only together with a `sqo_snap::SCHEMA_VERSION` bump.
+#[test]
+fn a_world_grown_by_publishes_reaches_the_bytes_the_per_posting_path_wrote() {
+    let rows = string_rows("word", &bible_words(420, 7), "w");
+    for (delegation, digest) in [(true, 0x6681_0c84_6a93_ed9c), (false, 0xbd20_bc3c_efe4_92dc)] {
+        let mut engine = EngineBuilder::new()
+            .peers(64)
+            .replication(2)
+            .q(2)
+            .seed(3)
+            .delegation(delegation)
+            .build_with_rows(&rows[..260]);
+        let from = engine.random_peer();
+        engine.publish_rows_traced(&rows[260..340], from);
+        engine.publish_rows(&rows[340..380]);
+        let from = engine.random_peer();
+        engine.publish_rows_traced(&rows[380..], from);
+        let bytes = Snapshot::capture(&engine).to_bytes();
+        assert_eq!(SCHEMA_VERSION, 3);
+        assert_eq!(
+            fnv1a(&bytes),
+            digest,
+            "delegation {delegation}: artifact is {} bytes",
+            bytes.len()
+        );
+    }
+}
+
+/// The artifact's key table is derived at capture: exactly the distinct
+/// stored keys, in key order, each run entry pointing at its own key.
+#[test]
+fn the_key_table_is_the_sorted_distinct_set_of_stored_keys() {
+    let words = words();
+    let mut engine = build(&words);
+    let from = engine.random_peer();
+    engine.publish_rows_traced(&string_rows("word", &bible_words(60, 99), "x"), from);
+    let net = engine.network();
+    let mut stored: Vec<_> = (0..net.partition_count())
+        .filter_map(|part| net.partition_members(part).first())
+        .flat_map(|p| net.peer(*p).store.entries().iter().map(|(k, _)| k.clone()))
+        .collect();
+    stored.sort();
+    stored.dedup();
+    let state = net.export_state();
+    assert_eq!(state.interned_keys, stored);
+    for (part, run) in state.stores.iter().enumerate() {
+        let Some(p) = net.partition_members(part).first() else { continue };
+        let keys = net.peer(*p).store.entries().iter().map(|(k, _)| k);
+        assert!(run.iter().map(|(kid, _)| &state.interned_keys[*kid as usize]).eq(keys));
+    }
+}

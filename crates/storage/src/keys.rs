@@ -24,7 +24,7 @@
 //! `sqo-core::similar`).
 
 use crate::triple::Value;
-use sqo_overlay::hash::{hash_f64, hash_i64, hash_str};
+use sqo_overlay::hash::{order_bits_f64, order_bits_i64, MAX_STRING_KEY_BITS};
 use sqo_overlay::key::Key;
 
 /// Index-family tags (first byte of every key).
@@ -54,22 +54,84 @@ const VT_INT: u8 = 0x01;
 const VT_FLOAT: u8 = 0x02;
 const VT_STR: u8 = 0x03;
 
-fn tag_key(family: IndexFamily) -> Key {
-    Key::from_bytes(&[family as u8])
+/// Terminates an attribute name inside a key.
+const END: &[u8] = &[0x00];
+
+/// The key made of `parts` end to end. Every fragment of every family is
+/// whole bytes, so a key is one buffer, sized up front.
+fn key_of(parts: &[&[u8]]) -> Key {
+    let mut bytes = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
+    for part in parts {
+        bytes.extend_from_slice(part);
+    }
+    let bits = bytes.len() * 8;
+    Key::from_raw_parts(bytes, bits)
+}
+
+/// The bytes a string contributes to a key — those of `hash_str`: its
+/// first [`MAX_STRING_KEY_BITS`] bits.
+fn str_bytes(s: &str) -> &[u8] {
+    &s.as_bytes()[..s.len().min(MAX_STRING_KEY_BITS / 8)]
+}
+
+/// The value-type tag of `v` and its order-preserving bytes (a number's
+/// eight are written to `num`).
+fn value_parts<'a>(v: &'a Value, num: &'a mut [u8; 8]) -> ([u8; 1], &'a [u8]) {
+    match v {
+        Value::Int(i) => {
+            *num = order_bits_i64(*i).to_be_bytes();
+            ([VT_INT], num)
+        }
+        Value::Float(f) => {
+            *num = order_bits_f64(*f).to_be_bytes();
+            ([VT_FLOAT], num)
+        }
+        Value::Str(s) => ([VT_STR], str_bytes(s)),
+    }
+}
+
+/// `head` followed by the fragment of `v`.
+fn key_with_value(head: &[u8], v: &Value) -> Key {
+    let mut num = [0; 8];
+    let (tag, bytes) = value_parts(v, &mut num);
+    key_of(&[head, &tag, bytes])
 }
 
 /// Order-preserving key fragment for a value.
 pub fn value_fragment(v: &Value) -> Key {
-    match v {
-        Value::Int(i) => Key::from_bytes(&[VT_INT]).concat(&hash_i64(*i)),
-        Value::Float(f) => Key::from_bytes(&[VT_FLOAT]).concat(&hash_f64(*f)),
-        Value::Str(s) => Key::from_bytes(&[VT_STR]).concat(&hash_str(s)),
-    }
+    key_with_value(&[], v)
 }
 
-/// Key fragment for an attribute name, `0x00`-terminated.
-fn attr_fragment(attr: &str) -> Key {
-    hash_str(attr).concat(&Key::from_bytes(&[0x00]))
+/// The `tag · A · 0x00` prefixes of the three families keyed by attribute,
+/// spelled out once per attribute and batch by the publication pipeline: a
+/// key under one of them is the prefix and a value or gram, in one buffer.
+pub(crate) struct AttrPrefixes {
+    attr_value: Vec<u8>,
+    instance_gram: Vec<u8>,
+    short_value: Vec<u8>,
+}
+
+impl AttrPrefixes {
+    pub(crate) fn new(attr: &str) -> Self {
+        let under = |family: IndexFamily| [&[family as u8], str_bytes(attr), END].concat();
+        Self {
+            attr_value: under(IndexFamily::AttrValue),
+            instance_gram: under(IndexFamily::InstanceGram),
+            short_value: under(IndexFamily::ShortValue),
+        }
+    }
+
+    pub(crate) fn attr_value_key(&self, v: &Value) -> Key {
+        key_with_value(&self.attr_value, v)
+    }
+
+    pub(crate) fn instance_gram_key(&self, gram: &str) -> Key {
+        key_of(&[&self.instance_gram, str_bytes(gram)])
+    }
+
+    pub(crate) fn short_value_key(&self, v: &str) -> Key {
+        key_of(&[&self.short_value, str_bytes(v)])
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -78,7 +140,7 @@ fn attr_fragment(attr: &str) -> Key {
 
 /// `key(oid)`.
 pub fn oid_key(oid: &str) -> Key {
-    tag_key(IndexFamily::Oid).concat(&hash_str(oid))
+    key_of(&[&[IndexFamily::Oid as u8], str_bytes(oid)])
 }
 
 // ---------------------------------------------------------------------
@@ -87,25 +149,26 @@ pub fn oid_key(oid: &str) -> Key {
 
 /// `key(A # v)`.
 pub fn attr_value_key(attr: &str, v: &Value) -> Key {
-    tag_key(IndexFamily::AttrValue).concat(&attr_fragment(attr)).concat(&value_fragment(v))
+    let mut num = [0; 8];
+    let (tag, bytes) = value_parts(v, &mut num);
+    key_of(&[&[IndexFamily::AttrValue as u8], str_bytes(attr), END, &tag, bytes])
 }
 
 /// Prefix covering **all** values of attribute `A` — the scan the
 /// schema-level operations and full-attribute fetches (similarity join left
 /// sides) use.
 pub fn attr_scan_prefix(attr: &str) -> Key {
-    tag_key(IndexFamily::AttrValue).concat(&attr_fragment(attr))
+    key_of(&[&[IndexFamily::AttrValue as u8], str_bytes(attr), END])
 }
 
 /// Inclusive key range for `v ∈ [lo, hi]` of attribute `A`. `lo` and `hi`
 /// must be of the same value kind.
 pub fn attr_value_range(attr: &str, lo: &Value, hi: &Value) -> (Key, Key) {
-    let base = attr_scan_prefix(attr);
-    let klo = base.concat(&value_fragment(lo));
+    let klo = attr_value_key(attr, lo);
     // Extend the upper bound so that string keys *starting with* hi are
     // included (range semantics on truncated string keys), by appending
     // 1-bits up to the string-key capacity.
-    let mut khi = base.concat(&value_fragment(hi));
+    let mut khi = attr_value_key(attr, hi);
     if matches!(hi, Value::Str(_)) {
         for _ in 0..8 {
             khi.push_bit(true);
@@ -120,7 +183,7 @@ pub fn attr_value_range(attr: &str, lo: &Value, hi: &Value) -> (Key, Key) {
 
 /// `key(v)` — the "any attribute = v" index.
 pub fn value_key(v: &Value) -> Key {
-    tag_key(IndexFamily::Value).concat(&value_fragment(v))
+    key_with_value(&[IndexFamily::Value as u8], v)
 }
 
 // ---------------------------------------------------------------------
@@ -129,13 +192,13 @@ pub fn value_key(v: &Value) -> Key {
 
 /// `key(A # q)` for a q-gram `q` of a value of attribute `A`.
 pub fn instance_gram_key(attr: &str, gram: &str) -> Key {
-    tag_key(IndexFamily::InstanceGram).concat(&attr_fragment(attr)).concat(&hash_str(gram))
+    key_of(&[&[IndexFamily::InstanceGram as u8], str_bytes(attr), END, str_bytes(gram)])
 }
 
 /// Prefix covering all instance grams of attribute `A` (naive-baseline
 /// fan-out never uses this — it scans family 2 — but tests do).
 pub fn instance_gram_prefix(attr: &str) -> Key {
-    tag_key(IndexFamily::InstanceGram).concat(&attr_fragment(attr))
+    key_of(&[&[IndexFamily::InstanceGram as u8], str_bytes(attr), END])
 }
 
 // ---------------------------------------------------------------------
@@ -144,7 +207,7 @@ pub fn instance_gram_prefix(attr: &str) -> Key {
 
 /// `key(q_A)` for a q-gram of the attribute name.
 pub fn schema_gram_key(gram: &str) -> Key {
-    tag_key(IndexFamily::SchemaGram).concat(&hash_str(gram))
+    key_of(&[&[IndexFamily::SchemaGram as u8], str_bytes(gram)])
 }
 
 // ---------------------------------------------------------------------
@@ -153,29 +216,29 @@ pub fn schema_gram_key(gram: &str) -> Key {
 
 /// `key(A # v)` in the short-value family.
 pub fn short_value_key(attr: &str, v: &str) -> Key {
-    tag_key(IndexFamily::ShortValue).concat(&attr_fragment(attr)).concat(&hash_str(v))
+    key_of(&[&[IndexFamily::ShortValue as u8], str_bytes(attr), END, str_bytes(v)])
 }
 
 /// Prefix covering all short values of attribute `A`.
 pub fn short_value_prefix(attr: &str) -> Key {
-    tag_key(IndexFamily::ShortValue).concat(&attr_fragment(attr))
+    key_of(&[&[IndexFamily::ShortValue as u8], str_bytes(attr), END])
 }
 
 /// `key(A)` in the short-attr family (schema level).
 pub fn short_attr_key(attr: &str) -> Key {
-    tag_key(IndexFamily::ShortAttr).concat(&hash_str(attr))
+    key_of(&[&[IndexFamily::ShortAttr as u8], str_bytes(attr)])
 }
 
 /// Prefix covering the whole short-attr family.
 pub fn short_attr_prefix() -> Key {
-    tag_key(IndexFamily::ShortAttr)
+    key_of(&[&[IndexFamily::ShortAttr as u8]])
 }
 
 /// Prefix covering the **entire** attribute-value family (every stored
 /// `(A, v)` posting) — the fan-out set of the naive baseline's schema-level
 /// scan, which must visit every peer holding any attribute data.
 pub fn attr_value_family_prefix() -> Key {
-    tag_key(IndexFamily::AttrValue)
+    key_of(&[&[IndexFamily::AttrValue as u8]])
 }
 
 #[cfg(test)]

@@ -10,12 +10,13 @@
 //! `storage_overhead` bench regenerates that accounting from
 //! [`PublishStats`].
 
-use crate::keys;
+use crate::keys::{self, AttrPrefixes};
 use crate::posting::{BaseKind, Posting};
 use crate::triple::{AttrName, Row, SharedStrs, Triple, TripleRef, Value};
 use sqo_overlay::key::Key;
 use sqo_overlay::peer::Item;
 use sqo_strsim::qgram::qgram_slices;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Indexing parameters.
@@ -80,22 +81,25 @@ impl PublishStats {
 /// All (key, posting) pairs for one triple.
 pub fn postings_for_triple(triple: &Triple, cfg: &PublishConfig) -> Vec<(Key, Posting)> {
     let mut out = Vec::new();
-    push_postings(&mut out, Arc::new(triple.clone()), cfg, &mut SharedStrs::default());
+    let under = AttrPrefixes::new(triple.attr.as_str());
+    push_postings(&mut out, Arc::new(triple.clone()), &under, cfg, &mut SharedStrs::default());
     out
 }
 
 /// Append the (key, posting) pairs of `tr` to `out`, drawing gram text from
-/// `strs` so equal grams of one batch are one allocation.
+/// `strs` so equal grams of one batch are one allocation, and the key
+/// prefixes of its attribute from `under`.
 fn push_postings(
     out: &mut Vec<(Key, Posting)>,
     tr: TripleRef,
+    under: &AttrPrefixes,
     cfg: &PublishConfig,
     strs: &mut SharedStrs,
 ) {
     // The three base insertions of §3.
     out.push((keys::oid_key(&tr.oid), Posting::Base { kind: BaseKind::Oid, triple: tr.clone() }));
     out.push((
-        keys::attr_value_key(tr.attr.as_str(), &tr.value),
+        under.attr_value_key(&tr.value),
         Posting::Base { kind: BaseKind::AttrValue, triple: tr.clone() },
     ));
     if cfg.keyword_index {
@@ -112,14 +116,11 @@ fn push_postings(
             if grams.peek().is_none() {
                 // |v| < q: the gram index cannot see it; the short-value
                 // family keeps similarity search complete.
-                out.push((
-                    keys::short_value_key(tr.attr.as_str(), s),
-                    Posting::ShortValue { triple: tr.clone() },
-                ));
+                out.push((under.short_value_key(s), Posting::ShortValue { triple: tr.clone() }));
             }
             for (gram, pos) in grams {
                 out.push((
-                    keys::instance_gram_key(tr.attr.as_str(), gram),
+                    under.instance_gram_key(gram),
                     Posting::InstanceGram {
                         triple: tr.clone(),
                         gram: strs.share(gram),
@@ -148,23 +149,23 @@ fn push_postings(
 }
 
 /// Postings for a batch of rows, with accounting. Every triple of an
-/// attribute shares one [`AttrName`] allocation, and every posting of a gram
-/// one gram string.
+/// attribute shares one [`AttrName`] allocation and one set of key
+/// prefixes, and every posting of a gram one gram string.
 pub fn postings_for_rows(rows: &[Row], cfg: &PublishConfig) -> (Vec<(Key, Posting)>, PublishStats) {
     let mut stats = PublishStats { rows: rows.len(), ..Default::default() };
     let mut strs = SharedStrs::default();
+    let mut prefixes: HashMap<Arc<str>, AttrPrefixes> = HashMap::new();
     // Typical fan-out: 3 base + ~len grams per string triple.
     let mut out = Vec::with_capacity(rows.len() * 8);
     for row in rows {
         for (attr, value) in &row.fields {
             stats.triples += 1;
-            let triple = Triple {
-                oid: row.oid.clone(),
-                attr: AttrName::new(strs.share(attr.as_str())),
-                value: value.clone(),
-            };
+            let name = strs.share(attr.as_str());
+            let under = prefixes.entry(name.clone()).or_insert_with(|| AttrPrefixes::new(&name));
+            let triple =
+                Triple { oid: row.oid.clone(), attr: AttrName::new(name), value: value.clone() };
             let first = out.len();
-            push_postings(&mut out, Arc::new(triple), cfg, &mut strs);
+            push_postings(&mut out, Arc::new(triple), under, cfg, &mut strs);
             for (_, posting) in &out[first..] {
                 match posting {
                     Posting::Base { .. } => stats.base_postings += 1,

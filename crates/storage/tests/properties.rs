@@ -2,6 +2,8 @@
 //! posting inventories, and object reassembly.
 
 use proptest::prelude::*;
+use sqo_overlay::hash::{hash_f64, hash_i64, hash_str};
+use sqo_overlay::Key;
 use sqo_storage::keys;
 use sqo_storage::posting::{BaseKind, Object, Posting};
 use sqo_storage::publish::{postings_for_rows, postings_for_triple, PublishConfig};
@@ -16,7 +18,95 @@ fn value_strategy() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// The key families as chains of `Key::concat` over one fragment `Key` per
+/// component — how they were built before a key became one buffer.
+mod chained {
+    use super::*;
+
+    pub fn tag(family: u8) -> Key {
+        Key::from_bytes(&[family])
+    }
+
+    pub fn value(v: &Value) -> Key {
+        match v {
+            Value::Int(i) => Key::from_bytes(&[0x01]).concat(&hash_i64(*i)),
+            Value::Float(f) => Key::from_bytes(&[0x02]).concat(&hash_f64(*f)),
+            Value::Str(s) => Key::from_bytes(&[0x03]).concat(&hash_str(s)),
+        }
+    }
+
+    pub fn attr(family: u8, attr: &str) -> Key {
+        tag(family).concat(&hash_str(attr).concat(&Key::from_bytes(&[0x00])))
+    }
+}
+
 proptest! {
+    /// Every family's key and prefix is bit for bit (bytes and length) the
+    /// `concat` chain of its fragments — for attribute names and strings
+    /// past the 32-byte hash cut, cut inside a multi-byte character, and
+    /// for the empty gram — and the publication pipeline, which spells an
+    /// attribute's prefixes out once per batch, builds the same keys.
+    #[test]
+    fn every_key_family_equals_its_concat_chain(
+        oid in "[a-z:é日]{0,40}",
+        attr in "[a-zé√日 ]{0,48}",
+        s in "[a-zé日 ]{0,40}",
+        gram in "[a-zé]{0,4}",
+        i in any::<i64>(),
+        f in -1e12f64..1e12,
+    ) {
+        use chained::{tag, value};
+        let same = |built: Key, chain: Key| {
+            built.as_bytes() == chain.as_bytes() && built.len() == chain.len()
+        };
+        prop_assert!(same(keys::oid_key(&oid), tag(0x01).concat(&hash_str(&oid))));
+        for v in [Value::Int(i), Value::Float(f), Value::from(s.clone())] {
+            prop_assert!(same(keys::value_fragment(&v), value(&v)));
+            prop_assert!(same(
+                keys::attr_value_key(&attr, &v),
+                chained::attr(0x02, &attr).concat(&value(&v)),
+            ));
+            prop_assert!(same(keys::value_key(&v), tag(0x03).concat(&value(&v))));
+        }
+        prop_assert!(same(keys::attr_scan_prefix(&attr), chained::attr(0x02, &attr)));
+        prop_assert!(same(
+            keys::instance_gram_key(&attr, &gram),
+            chained::attr(0x04, &attr).concat(&hash_str(&gram)),
+        ));
+        prop_assert!(same(keys::instance_gram_prefix(&attr), chained::attr(0x04, &attr)));
+        prop_assert!(same(keys::schema_gram_key(&gram), tag(0x05).concat(&hash_str(&gram))));
+        prop_assert!(same(
+            keys::short_value_key(&attr, &s),
+            chained::attr(0x06, &attr).concat(&hash_str(&s)),
+        ));
+        prop_assert!(same(keys::short_value_prefix(&attr), chained::attr(0x06, &attr)));
+        prop_assert!(same(keys::short_attr_key(&attr), tag(0x07).concat(&hash_str(&attr))));
+        prop_assert!(same(keys::short_attr_prefix(), tag(0x07)));
+        prop_assert!(same(keys::attr_value_family_prefix(), tag(0x02)));
+
+        let rows = [
+            Row::new(oid.clone(), [(attr.clone(), Value::from(s.clone()))]),
+            Row::new(oid.clone(), [(attr.clone(), Value::Int(i)), (attr.clone(), Value::from("é"))]),
+        ];
+        for (key, posting) in postings_for_rows(&rows, &PublishConfig::default()).0 {
+            let chain = match &posting {
+                Posting::Base { kind: BaseKind::Oid, .. } => continue,
+                Posting::Base { kind: BaseKind::AttrValue, triple } => {
+                    chained::attr(0x02, &attr).concat(&value(&triple.value))
+                }
+                Posting::Base { kind: BaseKind::Value, .. }
+                | Posting::SchemaGram { .. }
+                | Posting::ShortAttr { .. } => continue,
+                Posting::InstanceGram { gram, .. } => {
+                    chained::attr(0x04, &attr).concat(&hash_str(gram))
+                }
+                Posting::ShortValue { triple } => chained::attr(0x06, &attr)
+                    .concat(&hash_str(triple.value.as_str().expect("a short string"))),
+            };
+            prop_assert!(same(key, chain), "{posting:?}");
+        }
+    }
+
     /// Every posting's key starts with the tag of the family it belongs to,
     /// and instance postings' keys extend the attribute's scan prefix.
     #[test]

@@ -5,6 +5,7 @@
 
 use sqo::core::{EngineBuilder, Strategy};
 use sqo::datasets::{bible_words, string_rows};
+use sqo::overlay::ReplicationPolicy;
 
 #[test]
 fn similarity_queries_survive_moderate_churn() {
@@ -91,4 +92,43 @@ fn failed_routes_are_accounted() {
         e.network().metrics().failed_routes > 0,
         "heavy churn with single refs must produce observable routing failures"
     );
+}
+
+/// Churn, repair and publication interleaved: after every step the runs
+/// still ascend, every key sits in a partition whose path it is
+/// prefix-related to, the members of a partition — recruits included —
+/// share one store, and peer → partition agrees with partition → peers.
+#[test]
+fn invariants_hold_through_churn_repair_and_publication() {
+    let words = bible_words(700, 31);
+    let rows = string_rows("word", &words, "w");
+    let mut e = EngineBuilder::new()
+        .peers(96)
+        .replication(4)
+        .refs_per_level(3)
+        .q(2)
+        .seed(15)
+        .build_with_rows(&rows[..400]);
+    assert_eq!(e.network().check_invariants(), Ok(()));
+
+    let policy = ReplicationPolicy::at_least(3);
+    let mut recruited = 0;
+    for wave in rows[400..].chunks(100) {
+        e.network_mut().fail_random_fraction(0.2);
+        recruited += e.network_mut().repair_epoch(&policy).recruited;
+        assert_eq!(e.network().check_invariants(), Ok(()), "after repair");
+        let from = e.random_peer();
+        e.publish_rows_traced(wave, from);
+        assert_eq!(e.network().check_invariants(), Ok(()), "after a publish into the repaired net");
+        e.network_mut().revive_random_fraction(0.1);
+        assert_eq!(e.network().check_invariants(), Ok(()), "after revivals");
+    }
+    assert!(recruited > 0, "three 20 % waves must leave something to repair");
+    // A recruit holds what was published after it moved: same store.
+    let net = e.network();
+    for part in 0..net.partition_count() {
+        let members = net.partition_members(part);
+        let items = net.peer(members[0]).store.item_count();
+        assert!(members.iter().all(|m| net.peer(*m).store.item_count() == items));
+    }
 }
