@@ -485,11 +485,14 @@ impl SimilarityEngine {
     /// Publish additional rows into the running network (schema evolution:
     /// "users can extend the schema to their needs by simply adding new
     /// triples", §3). Free of message accounting — use
-    /// [`Self::publish_rows_traced`] to measure publication cost.
-    pub fn publish_rows(&mut self, rows: &[Row]) {
+    /// [`Self::publish_rows_traced`] to measure publication cost. Returns
+    /// the number of postings **no peer stored** (their whole subtree is a
+    /// peerless gap partition, see [`Network::insert_batch`]): 0 on any
+    /// network whose every partition has a member.
+    pub fn publish_rows(&mut self, rows: &[Row]) -> usize {
         let (postings, stats) = postings_for_rows(rows, &self.cfg.publish);
-        self.net.insert_batch(postings);
         self.absorb_publish_stats(&stats);
+        self.net.insert_batch(postings)
     }
 
     /// Publish rows *from a peer*, paying overlay messages for every index
@@ -499,35 +502,55 @@ impl SimilarityEngine {
     /// path; with delegation off, every posting is routed independently,
     /// which is the per-posting cost model behind the §8 claim that
     /// publication messages are "linear in the number of attribute columns".
+    /// Either way what arrived is stored as one batch (a store changes
+    /// nothing a later route looks at), and `matches` of the returned stats
+    /// is the number of postings the overlay **stored**: those generated,
+    /// less the ones whose route failed and the ones no peer stores
+    /// ([`Self::publish_rows`]).
     pub fn publish_rows_traced(&mut self, rows: &[Row], from: PeerId) -> QueryStats {
         let snap = self.begin_query();
         let (postings, stats) = postings_for_rows(rows, &self.cfg.publish);
         self.absorb_publish_stats(&stats);
+        let mut arrived = Vec::with_capacity(postings.len());
+        self.net.sim_fork();
         if self.cfg.query.delegation {
-            // Group by destination partition (determinism via sort).
-            let mut by_part: FxHashMap<usize, Vec<(Key, Posting)>> = FxHashMap::default();
-            for (key, posting) in postings {
-                by_part.entry(self.net.partition_of(&key)).or_default().push((key, posting));
-            }
-            let mut parts: Vec<_> = by_part.into_iter().collect();
-            parts.sort_by_key(|(p, _)| *p);
-            self.net.sim_fork();
-            for (_part, batch) in parts {
+            // Group by destination partition: sort by key once — a
+            // partition's keys are then one stretch, and the stretches come
+            // in partition order — and walk the sorted partition cover
+            // beside them. The tag keeps generation order within a key, and
+            // names the posting a partition's batch is routed by: the first
+            // one generated for it.
+            let mut sorted: Vec<(Key, u32, Posting)> =
+                postings.into_iter().zip(0..).map(|((k, p), tag)| (k, tag, p)).collect();
+            sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+            const LOST: u32 = u32::MAX;
+            let mut at = 0;
+            while at < sorted.len() {
+                let part = self.net.partition_of(&sorted[at].0);
+                let path = &self.net.paths()[part];
+                // A key shorter than the path is stored by the whole subtree
+                // and travels with the subtree's first partition.
+                let len = sorted[at..]
+                    .iter()
+                    .take_while(|(k, ..)| path.is_prefix_of(k) || self.net.partition_of(k) == part)
+                    .count();
+                let batch = &mut sorted[at..at + len];
+                at += len;
                 self.net.sim_branch();
-                if let Ok(owner) = self.net.route(from, &batch[0].0) {
-                    let payload: usize = batch.iter().map(|(_, p)| p.size_bytes()).sum();
+                let lead = batch.iter().min_by_key(|(_, tag, _)| *tag).expect("not empty");
+                if let Ok(owner) = self.net.route(from, &lead.0) {
+                    let payload: usize = batch.iter().map(|(.., p)| p.size_bytes()).sum();
                     if owner != from {
                         self.net.send_direct(from, owner, payload);
                     }
-                    self.net.insert_batch(batch);
+                } else {
+                    batch.iter_mut().for_each(|(_, tag, _)| *tag = LOST);
                 }
             }
-            self.net.sim_join();
+            let reached = sorted.into_iter().filter(|(_, tag, _)| *tag != LOST);
+            arrived.extend(reached.map(|(key, _, posting)| (key, posting)));
         } else {
-            // Routed and charged one by one; what arrived is stored as one
-            // batch (a store changes nothing a later route looks at).
-            let mut arrived = Vec::with_capacity(postings.len());
-            self.net.sim_fork();
+            // Routed and charged one by one.
             for (key, posting) in postings {
                 self.net.sim_branch();
                 if let Ok(owner) = self.net.route(from, &key) {
@@ -537,11 +560,11 @@ impl SimilarityEngine {
                     arrived.push((key, posting));
                 }
             }
-            self.net.sim_join();
-            self.net.insert_batch(arrived);
         }
+        self.net.sim_join();
+        let stored = arrived.len() - self.net.insert_batch(arrived);
         let mut out = self.finish_query(&snap);
-        out.matches = stats.total_postings();
+        out.matches = stored;
         out
     }
 

@@ -6,6 +6,7 @@ use crate::engine::{finalize_stats, ExecStep, FanOut, FetchBranch, SimilarityEng
 use crate::stats::QueryStats;
 use rustc_hash::FxHashMap;
 use sqo_overlay::peer::PeerId;
+use sqo_overlay::run_items;
 use sqo_storage::keys;
 use sqo_storage::posting::{Object, Posting};
 use sqo_storage::triple::Value;
@@ -228,8 +229,7 @@ impl SelectTask {
                 _ => false,
             },
         };
-        postings
-            .iter()
+        run_items(&postings)
             .filter_map(Posting::as_base)
             .filter(|t| t.attr.as_str() == attr && in_bounds(t))
             .map(|t| (t.oid.clone(), t.value.clone()))

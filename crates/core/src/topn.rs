@@ -189,7 +189,7 @@ impl SimilarityEngine {
             let (klo, khi) = keys::attr_value_range(attr, &dom.value(fr), &dom.value(to));
             // Query both numeric subdomains when the type is still unknown.
             let postings = self.net.range_query(from, &klo, &khi).unwrap_or_default();
-            for p in &postings {
+            for p in run_items(&postings) {
                 let Some(t) = p.as_base() else { continue };
                 if t.attr.as_str() != attr {
                     continue;

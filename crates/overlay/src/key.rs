@@ -10,6 +10,12 @@
 //!   in [`crate::hash`], and
 //! * the prefix algebra (`is_prefix_of`, `common_prefix_len`,
 //!   `complement_at`) that Algorithm 1's prefix routing is defined on.
+//!
+//! [`KeyRef`] is the same bit string borrowed: packed bytes that live
+//! somewhere else — in a [`Key`], in a partition's key arena
+//! ([`crate::store`]), in a snapshot artifact being decoded — plus a bit
+//! length. Order and the prefix test are defined on the view, and `Key`'s
+//! are the view's, so a stored key compares without being materialized.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -45,20 +51,20 @@ impl Key {
         k
     }
 
-    /// Rebuild a key from its packed representation ([`Self::as_bytes`] +
-    /// [`Self::len`]) — the snapshot/restore constructor.
+    /// A key from its packed representation ([`Self::as_bytes`] +
+    /// [`Self::len`]), taking the buffer — how the storage key builders hand
+    /// over what they packed. (Bytes from outside the program go through
+    /// [`KeyRef::new`], which refuses instead of panicking.)
     ///
     /// # Panics
     /// Panics when `bytes` is not exactly `len.div_ceil(8)` bytes or the
     /// unused trailing bits of the last byte are nonzero (the invariant
     /// `Ord` and `Hash` rely on).
     pub fn from_raw_parts(bytes: Vec<u8>, len: usize) -> Self {
-        assert_eq!(bytes.len(), len.div_ceil(8), "byte count must match bit length");
-        if !len.is_multiple_of(8) {
-            let mask = 0xFFu8 << (8 - (len % 8));
-            let last = *bytes.last().expect("len > 0 here");
-            assert_eq!(last & !mask, 0, "unused trailing bits must be zero");
-        }
+        assert!(
+            KeyRef::new(&bytes, len).is_some(),
+            "byte count must match bit length and unused trailing bits must be zero"
+        );
         Self { bytes, len }
     }
 
@@ -91,8 +97,7 @@ impl Key {
     /// Panics if `i >= len()`.
     #[inline]
     pub fn bit(&self, i: usize) -> bool {
-        assert!(i < self.len, "bit index {i} out of range (len {})", self.len);
-        (self.bytes[i / 8] >> (7 - (i % 8))) & 1 == 1
+        self.as_ref().bit(i)
     }
 
     /// Append one bit.
@@ -147,32 +152,20 @@ impl Key {
         k
     }
 
+    /// The key as a borrowed view (what stored keys are compared through).
+    #[inline]
+    pub fn as_ref(&self) -> KeyRef<'_> {
+        KeyRef { bytes: &self.bytes, len: self.len }
+    }
+
     /// `true` iff `self` is a (non-strict) prefix of `other`.
     pub fn is_prefix_of(&self, other: &Key) -> bool {
-        self.len <= other.len && self.common_prefix_len(other) == self.len
+        self.as_ref().is_prefix_of(other.as_ref())
     }
 
     /// Length of the longest common prefix of `self` and `other`.
     pub fn common_prefix_len(&self, other: &Key) -> usize {
-        let max = self.len.min(other.len);
-        let n = max.div_ceil(8);
-        let (a, b) = (&self.bytes[..n], &other.bytes[..n]);
-        // First differing bit, a word and then a byte at a time. In the last
-        // byte it may fall into the shorter key's zero padding, past `max`.
-        for (i, (x, y)) in a.chunks_exact(8).zip(b.chunks_exact(8)).enumerate() {
-            let diff = u64::from_be_bytes(x.try_into().expect("8-byte chunk"))
-                ^ u64::from_be_bytes(y.try_into().expect("8-byte chunk"));
-            if diff != 0 {
-                return (i * 64 + diff.leading_zeros() as usize).min(max);
-            }
-        }
-        for i in n / 8 * 8..n {
-            let diff = a[i] ^ b[i];
-            if diff != 0 {
-                return (i * 8 + diff.leading_zeros() as usize).min(max);
-            }
-        }
-        max
+        self.as_ref().common_prefix_len(other.as_ref())
     }
 
     /// The *complementary* path at level `l`: the first `l` bits of `self`
@@ -242,13 +235,7 @@ impl Key {
 
 impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Packed-byte comparison is bit-lexicographic thanks to the
-        // zero-padding invariant; ties (equal bytes) break by length.
-        let n = self.bytes.len().min(other.bytes.len());
-        match self.bytes[..n].cmp(&other.bytes[..n]) {
-            Ordering::Equal => self.len.cmp(&other.len),
-            ord => ord,
-        }
+        self.as_ref().cmp(&other.as_ref())
     }
 }
 
@@ -267,6 +254,128 @@ impl fmt::Debug for Key {
 impl fmt::Display for Key {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.to_bit_string())
+    }
+}
+
+/// A borrowed [`Key`]: packed bytes owned elsewhere and a bit length, under
+/// the same invariant (exactly `len.div_ceil(8)` bytes, unused trailing
+/// bits zero) and with the same order and prefix test.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct KeyRef<'a> {
+    bytes: &'a [u8],
+    len: usize,
+}
+
+impl<'a> KeyRef<'a> {
+    /// A view of `len` bits packed into `bytes`, or `None` when `bytes` is
+    /// not exactly `len.div_ceil(8)` bytes or the unused trailing bits of
+    /// the last byte are nonzero — the check for bytes from outside the
+    /// program (a snapshot artifact).
+    pub fn new(bytes: &'a [u8], len: usize) -> Option<Self> {
+        let padding = if len.is_multiple_of(8) { 0 } else { 0xFF >> (len % 8) };
+        let clean = bytes.last().is_none_or(|last| last & padding == 0);
+        (bytes.len() == len.div_ceil(8) && clean).then_some(KeyRef { bytes, len })
+    }
+
+    /// A view of bytes this crate packed itself (a stored key's stretch of
+    /// its run's arena): the invariant holds by construction.
+    #[inline]
+    pub(crate) fn trusted(bytes: &'a [u8], len: usize) -> Self {
+        debug_assert!(KeyRef::new(bytes, len).is_some(), "a stored key keeps the invariant");
+        KeyRef { bytes, len }
+    }
+
+    /// Number of bits.
+    #[inline]
+    pub fn len(self) -> usize {
+        self.len
+    }
+
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// The packed bytes (last byte zero-padded).
+    #[inline]
+    pub fn as_bytes(self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// Bit at position `i` (0-based from the most significant end).
+    ///
+    /// # Panics
+    /// Panics if `i >= len()`.
+    #[inline]
+    pub fn bit(self, i: usize) -> bool {
+        assert!(i < self.len, "bit index {i} out of range (len {})", self.len);
+        (self.bytes[i / 8] >> (7 - (i % 8))) & 1 == 1
+    }
+
+    /// An owned copy.
+    pub fn to_key(self) -> Key {
+        Key { bytes: self.bytes.to_vec(), len: self.len }
+    }
+
+    /// `true` iff `self` is a (non-strict) prefix of `other`.
+    #[inline]
+    pub fn is_prefix_of(self, other: KeyRef<'_>) -> bool {
+        self.len <= other.len && self.common_prefix_len(other) == self.len
+    }
+
+    /// Length of the longest common prefix of `self` and `other`.
+    pub fn common_prefix_len(self, other: KeyRef<'_>) -> usize {
+        let max = self.len.min(other.len);
+        let n = max.div_ceil(8);
+        let (a, b) = (&self.bytes[..n], &other.bytes[..n]);
+        // First differing bit, a word and then a byte at a time. In the last
+        // byte it may fall into the shorter key's zero padding, past `max`.
+        for (i, (x, y)) in a.chunks_exact(8).zip(b.chunks_exact(8)).enumerate() {
+            let diff = u64::from_be_bytes(x.try_into().expect("8-byte chunk"))
+                ^ u64::from_be_bytes(y.try_into().expect("8-byte chunk"));
+            if diff != 0 {
+                return (i * 64 + diff.leading_zeros() as usize).min(max);
+            }
+        }
+        for i in n / 8 * 8..n {
+            let diff = a[i] ^ b[i];
+            if diff != 0 {
+                return (i * 8 + diff.leading_zeros() as usize).min(max);
+            }
+        }
+        max
+    }
+}
+
+impl Ord for KeyRef<'_> {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Packed-byte comparison is bit-lexicographic thanks to the
+        // zero-padding invariant; ties (equal bytes) break by length.
+        let n = self.bytes.len().min(other.bytes.len());
+        match self.bytes[..n].cmp(&other.bytes[..n]) {
+            Ordering::Equal => self.len.cmp(&other.len),
+            ord => ord,
+        }
+    }
+}
+
+impl PartialOrd for KeyRef<'_> {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl fmt::Debug for KeyRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Key({self})")
+    }
+}
+
+impl fmt::Display for KeyRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (0..self.len).try_for_each(|i| f.write_str(if self.bit(i) { "1" } else { "0" }))
     }
 }
 

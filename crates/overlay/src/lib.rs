@@ -17,9 +17,11 @@
 //!   handle).
 //! * [`topology`] — the paper's π(p)/ρ(p,l)/σ(p) for the whole network in
 //!   one structure, and Algorithm 1's per-hop decision over it.
-//! * [`store`] — structurally-shared partition stores: sorted runs that
-//!   own their keys and hold `Arc`-shared posting lists; a write is one
-//!   merge of a key-sorted batch.
+//! * [`store`] — structurally-shared partition stores: sorted runs laid
+//!   out as flat arrays (one key arena, one span and one `Arc`-shared
+//!   posting list per key); a write is one merge of a key-sorted batch.
+//! * [`snapshot`] — the network's image: small state copied, one run
+//!   handle per partition.
 //! * [`network`] — the simulator: the one write path
 //!   ([`Network::insert_batch`]), routing, retrieval, range queries,
 //!   delegation primitives, churn.
@@ -44,10 +46,10 @@ pub use bootstrap::{bootstrap, BootstrapConfig, BootstrapOutcome};
 pub use clock::{
     EventSink, MsgKind, SharedTraceSink, SimLatency, TraceEvent, TraceSink, TraceTrack, TraceValue,
 };
-pub use key::Key;
+pub use key::{Key, KeyRef};
 pub use metrics::{Metrics, PeerLoad};
 pub use network::{Network, NetworkConfig, RepairReport, ReplicationPolicy, RouteError};
 pub use peer::{Item, Peer, PeerId};
-pub use snapshot::NetworkState;
+pub use snapshot::{NetworkState, StoreTables};
 pub use store::{run_items, PartitionStore, PostingList, Run, SortedStore};
 pub use topology::{RoutingArena, Topology};

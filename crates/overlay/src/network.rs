@@ -12,7 +12,7 @@
 //! RNG.
 
 use crate::clock::{EventSink, MsgKind, SharedTraceSink, SimLatency, TraceEvent, TraceTrack};
-use crate::key::Key;
+use crate::key::{Key, KeyRef};
 use crate::metrics::{Metrics, PeerLoad};
 use crate::peer::{Item, Peer, PeerId};
 use crate::store::{run_items, PartitionStore, PostingList, Run};
@@ -169,7 +169,7 @@ impl<T: Item> Network<T> {
     /// Construct a network of `cfg.peers` peers, build the trie adapted to
     /// the data keys, wire routing tables, and insert all items.
     pub fn build(cfg: NetworkConfig, data: Vec<(Key, T)>) -> Self {
-        let mut keys: Vec<Key> = data.iter().map(|(k, _)| k.clone()).collect();
+        let mut keys: Vec<KeyRef<'_>> = data.iter().map(|(k, _)| k.as_ref()).collect();
         let target_partitions = (cfg.peers / cfg.replication).max(1);
         let paths = build_partitions(&mut keys, target_partitions);
         drop(keys);
@@ -286,9 +286,15 @@ impl<T: Item> Network<T> {
     /// entry for entry, same epoch advance (one step per publication —
     /// lists fetched before it no longer reflect the stored data). Posting
     /// lists already handed out to readers are never mutated.
-    pub fn insert_batch(&mut self, mut batch: Vec<(Key, T)>) {
+    ///
+    /// Returns how many of the batch's items **no peer stored**: those whose
+    /// whole subtree is a peerless gap partition (a bootstrapped trie can
+    /// leave one behind). An item under a key that some peered partition
+    /// covers is stored there and not counted.
+    pub fn insert_batch(&mut self, mut batch: Vec<(Key, T)>) -> usize {
         self.cache_epoch += batch.len() as u64;
         batch.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut unstored = 0;
         let mut part = 0;
         // The sub-batch of `part`: one entry per distinct key, ascending.
         let mut pending: Vec<(Key, PostingList<T>)> = Vec::new();
@@ -298,24 +304,26 @@ impl<T: Item> Network<T> {
             let rest = batch.by_ref().take(more).map(|(_, item)| item);
             let items: Vec<T> = std::iter::once(item).chain(rest).collect();
             if !self.topo.paths[part].is_prefix_of(&key) {
-                self.merge_into(part, &mut pending, false);
+                unstored += self.merge_into(part, &mut pending, false);
                 let (s, e) = self.topo.subtree_of(&key);
                 debug_assert!(e > s, "complete cover guarantees an owner for every key");
                 part = s;
                 if e - s > 1 {
-                    self.insert_short(key, items, s..e);
+                    unstored += self.insert_short(key, items, s..e);
                     continue;
                 }
             }
             pending.push((key, Arc::new(items)));
         }
-        self.merge_into(part, &mut pending, false);
+        unstored + self.merge_into(part, &mut pending, false)
     }
 
     /// A key shorter than the local trie depth is stored by every partition
     /// of its subtree, and they share one list: extend it once, then hand
-    /// each covering run the same handle.
-    fn insert_short(&mut self, key: Key, items: Vec<T>, cover: std::ops::Range<usize>) {
+    /// each covering run the same handle. Returns the number of items left
+    /// unstored: all of them when no partition of the cover has a peer.
+    fn insert_short(&mut self, key: Key, items: Vec<T>, cover: std::ops::Range<usize>) -> usize {
+        let published = items.len();
         let stored = cover
             .clone()
             .find_map(|part| self.topo.part_peers[part].first())
@@ -324,22 +332,34 @@ impl<T: Item> Network<T> {
             Some(old) => old.iter().cloned().chain(items).collect(),
             None => items,
         });
+        let peered = cover.clone().any(|part| !self.topo.part_peers[part].is_empty());
         for part in cover {
             self.merge_into(part, &mut vec![(key.clone(), Arc::clone(&list))], true);
+        }
+        if peered {
+            0
+        } else {
+            published
         }
     }
 
     /// Drain a key-sorted sub-batch into the run of `part`. Replicas share
     /// one store: the siblings' handles are detached so the copy-on-write
     /// merge lands in place, then re-shared — `k`-fold replication costs
-    /// one merge, not `k`.
-    fn merge_into(&mut self, part: usize, batch: &mut Vec<(Key, PostingList<T>)>, replace: bool) {
+    /// one merge, not `k`. Returns the number of items dropped because the
+    /// partition has no member to store them.
+    fn merge_into(
+        &mut self,
+        part: usize,
+        batch: &mut Vec<(Key, PostingList<T>)>,
+        replace: bool,
+    ) -> usize {
         // No members: a peerless gap partition (bootstrap tries).
         let Some((first, rest)) = self.topo.part_peers[part].split_first() else {
-            return batch.clear();
+            return batch.drain(..).map(|(_, list)| list.len()).sum();
         };
         if batch.is_empty() {
-            return;
+            return 0;
         }
         for p in rest {
             self.peers[p.index()].store = PartitionStore::default();
@@ -350,11 +370,13 @@ impl<T: Item> Network<T> {
             self.peers[p.index()].store = store.clone();
         }
         debug_assert_eq!(self.check_partition(part), Ok(()));
+        0
     }
 
-    /// Publish one item: a batch of one.
-    pub fn insert_item(&mut self, key: Key, item: T) {
-        self.insert_batch(vec![(key, item)]);
+    /// Publish one item: a batch of one (and its count of unstored items,
+    /// 0 or 1).
+    pub fn insert_item(&mut self, key: Key, item: T) -> usize {
+        self.insert_batch(vec![(key, item)])
     }
 
     /// The structural invariants, `Err` naming the first breach: every
@@ -385,14 +407,16 @@ impl<T: Item> Network<T> {
             self.topo.part_of[p.index()] as usize != part
                 || !self.peers[p.index()].store.shares_with(store)
         });
-        let run = store.entries();
-        let misplaced = run
+        // Stored keys are compared where they lie: the walk allocates
+        // nothing, so debug builds keep the release build's allocation counts.
+        let path = path.as_ref();
+        let misplaced = store
             .iter()
-            .find(|(k, l)| l.is_empty() || !(path.is_prefix_of(k) || k.is_prefix_of(path)));
+            .find(|(k, l)| l.is_empty() || !(path.is_prefix_of(*k) || k.is_prefix_of(path)));
         match (stray, misplaced) {
             (Some(p), _) => Err(format!("{p} points or stores away from partition {part}")),
             (_, Some((k, _))) => Err(format!("{k} is empty or misplaced in partition {part}")),
-            _ if !run.windows(2).all(|w| w[0].0 < w[1].0) => {
+            _ if !store.keys().zip(store.keys().skip(1)).all(|(a, b)| a < b) => {
                 Err(format!("the run of partition {part} does not ascend strictly"))
             }
             _ => Ok(()),
@@ -1102,7 +1126,7 @@ impl<T: Item> Network<T> {
     fn scan_prefix_list(&mut self, responder: PeerId, key: &Key) -> PostingList<T> {
         match self.local_prefix_run(responder, key) {
             [] => Arc::clone(&self.empty),
-            [(_, only)] => Arc::clone(only),
+            [only] => Arc::clone(only),
             many => Arc::new(run_items(many).cloned().collect()),
         }
     }
@@ -1138,8 +1162,16 @@ impl<T: Item> Network<T> {
     /// Range query over `[lo, hi]` (both inclusive), shower-style: route to
     /// the partition containing `lo`, then forward across the partitions
     /// intersecting the range; each responder replies directly to the
-    /// initiator (Datta et al. \[6\]).
-    pub fn range_query(&mut self, from: PeerId, lo: &Key, hi: &Key) -> Result<Vec<T>, RouteError> {
+    /// initiator (Datta et al. \[6\]). The answer is the stored lists
+    /// themselves, in partition and then key order — handle clones, no item
+    /// is copied ([`run_items`] walks them); the reply messages are charged
+    /// the items' payload bytes all the same.
+    pub fn range_query(
+        &mut self,
+        from: PeerId,
+        lo: &Key,
+        hi: &Key,
+    ) -> Result<Vec<PostingList<T>>, RouteError> {
         assert!(lo <= hi, "empty range: lo > hi");
         // Partitions intersecting [lo, hi]: sup(path) >= lo and path <= hi.
         // A partition whose path *extends* hi also qualifies: it stores
@@ -1174,13 +1206,13 @@ impl<T: Item> Network<T> {
                     }
                 }
             };
-            let (items, touched) = self.peers[responder.index()].scan_range(lo, hi);
-            Self::charge_scan(&mut self.metrics, &mut self.sink, responder, touched);
-            let payload: usize = items.iter().map(Item::size_bytes).sum();
+            let run = self.peers[responder.index()].store.range_entries(lo, hi);
+            Self::charge_scan(&mut self.metrics, &mut self.sink, responder, run.len() as u64);
+            let payload: usize = run_items(run).map(Item::size_bytes).sum();
+            out.extend(run.iter().cloned());
             if responder != from {
                 self.charge_result(responder, from, payload);
             }
-            out.extend(items);
         }
         self.sim_join();
         Ok(out)
@@ -1334,7 +1366,7 @@ mod tests {
         let hi = hash_str("word00149");
         let from = net.random_peer();
         let mut got: Vec<String> =
-            net.range_query(from, &lo, &hi).unwrap().into_iter().map(|w| w.0).collect();
+            run_items(&net.range_query(from, &lo, &hi).unwrap()).map(|w| w.0.clone()).collect();
         got.sort_unstable();
         let expect: Vec<String> = words
             .iter()
@@ -1712,7 +1744,7 @@ mod bootstrap_integration_tests {
         let mut net = Network::build_bootstrapped(cfg, data, &BootstrapConfig::default());
         let from = net.random_peer();
         let got = net.range_query(from, &hash_str("k100"), &hash_str("k199")).expect("route");
-        let mut names: Vec<String> = got.into_iter().map(|w| w.0).collect();
+        let mut names: Vec<String> = run_items(&got).map(|w| w.0.clone()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 100);

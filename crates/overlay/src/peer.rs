@@ -13,9 +13,10 @@
 //! * σ(p) is [`Topology::members`](crate::Topology::members) of the peer's
 //!   partition, other than the peer itself.
 //! * δ(p) is a [`PartitionStore`] — an `Arc` handle onto the partition's
-//!   sorted run, shared by all structural replicas (see [`crate::store`]);
-//!   the run owns its keys, and the network writes it one merge per batch
-//!   ([`Network::insert_batch`](crate::Network::insert_batch)).
+//!   sorted run, shared by all structural replicas and by every snapshot
+//!   taken of the network (see [`crate::store`]); the run holds its keys
+//!   in one buffer of its own, and the network writes it one merge per
+//!   batch ([`Network::insert_batch`](crate::Network::insert_batch)).
 //!
 //! What remains per peer is a few machine words, so 10⁶ peers cost
 //! megabytes, not gigabytes.
@@ -64,12 +65,6 @@ impl<T: Item> Peer<T> {
     pub fn count_prefix(&self, key: &Key) -> usize {
         run_items(self.store.prefix_entries(key)).count()
     }
-
-    /// All items with `lo <= key <= hi`.
-    pub fn scan_range(&self, lo: &Key, hi: &Key) -> (Vec<T>, u64) {
-        let run = self.store.range_entries(lo, hi);
-        (run_items(run).cloned().collect(), run.len() as u64)
-    }
 }
 
 #[cfg(test)]
@@ -117,8 +112,8 @@ mod tests {
     #[test]
     fn range_scan_inclusive() {
         let p = peer();
-        let (hits, _) = p.scan_range(&hash_str("alpha"), &hash_str("beta"));
-        let mut names: Vec<_> = hits.iter().map(|s| s.0).collect();
+        let hits = p.store.range_entries(&hash_str("alpha"), &hash_str("beta"));
+        let mut names: Vec<_> = run_items(hits).map(|s| s.0).collect();
         names.sort_unstable();
         assert_eq!(names, vec!["alpha", "alpine", "beta"]);
     }

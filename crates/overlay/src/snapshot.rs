@@ -1,13 +1,25 @@
-//! Checkpointable overlay state: a flat, owned image of a [`Network`].
+//! Checkpointable overlay state: an image of a [`Network`] that is a set
+//! of handles.
 //!
-//! [`Network::export_state`] walks the live structure into a
-//! [`NetworkState`] — plain vectors with the `Arc` sharing factored out
-//! into dedup tables — and [`Network::import_state`] rebuilds a network
-//! that behaves **identically**: same stores (replicas re-share one run
-//! per partition, posting lists keep their sharing structure), same
+//! [`Network::export_state`] copies what is small — configuration, the
+//! partition cover, membership, the routing arena, counters, churn flags,
+//! the RNG position — and takes **one [`PartitionStore`] handle per
+//! partition** for what is large. Nothing stored is copied: capture costs
+//! O(partitions + peers), the image shares every run with the live network,
+//! and either side's next write to a run copies that run's arrays first
+//! (copy-on-write, see [`crate::store`]), so an image never changes and
+//! forks never see one another. [`Network::import_state`] rebuilds a
+//! network that behaves **identically**: same stores (replicas re-share one
+//! run per partition, posting lists keep their sharing structure), same
 //! routing arena, same traffic counters, same cache epoch, and the *same
-//! RNG stream position*, so a restored network makes exactly the draws
-//! the original would have made next.
+//! RNG stream position*, so a restored network makes exactly the draws the
+//! original would have made next.
+//!
+//! A serialized image factors the sharing out into index tables — every
+//! distinct key once, every distinct list once, runs as index pairs.
+//! [`NetworkState::store_tables`] derives them from the handles; it is the
+//! one such derivation, used by the `sqo-snap` encoder and by the tests
+//! that compare two networks' sharing structure.
 //!
 //! Import deliberately bypasses [`Network::build_with_paths`]: the build
 //! path re-seeds the RNG and consumes draws wiring routing tables, which
@@ -17,22 +29,22 @@
 //! with their own capture surfaces (the simulator snapshots its `NetSim`
 //! separately and re-installs it after import).
 
-use crate::key::Key;
+use crate::key::{Key, KeyRef};
 use crate::metrics::{Metrics, PeerLoad};
 use crate::network::{Network, NetworkConfig};
 use crate::peer::{Item, Peer, PeerId};
-use crate::store::{PartitionStore, PostingList, SortedStore};
+use crate::store::{PartitionStore, PostingList};
 use crate::topology::{RoutingArena, Topology};
 use rand::rngs::StdRng;
+use rustc_hash::FxHashMap;
 use smallvec::SmallVec;
-use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One store entry: indices into [`NetworkState::interned_keys`] and
-/// [`NetworkState::lists`].
+/// One serialized store entry: indices into [`StoreTables::keys`] and
+/// [`StoreTables::lists`].
 pub type StoreEntry = (u32, u32);
 
-/// The complete owned image of a [`Network`] (see the module docs).
+/// The complete image of a [`Network`] (see the module docs).
 #[derive(Debug, Clone)]
 pub struct NetworkState<T> {
     pub cfg: NetworkConfig,
@@ -48,18 +60,9 @@ pub struct NetworkState<T> {
     pub routing_refs: Vec<PeerId>,
     pub routing_slice_off: Vec<u32>,
     pub routing_peer_off: Vec<u32>,
-    /// The sorted distinct stored keys, derived at capture; store entries
-    /// reference them by index, so a key that several partitions cover is
-    /// written once.
-    pub interned_keys: Vec<Key>,
-    /// Deduplicated posting lists: lists shared across partitions (keys
-    /// shorter than the trie depth replicate into sibling runs) appear
-    /// once and are referenced by index, preserving the sharing — and the
-    /// memory footprint — of the live network.
-    pub lists: Vec<Vec<T>>,
-    /// One sorted run per partition (entries of the members' shared
-    /// store; empty for peerless gap partitions).
-    pub stores: Vec<Vec<StoreEntry>>,
+    /// One handle per partition onto the run its members share (the empty
+    /// run for a peerless gap partition).
+    pub stores: Vec<PartitionStore<T>>,
     pub metrics: Metrics,
     pub peer_load: Vec<PeerLoad>,
     pub next_trace_query: u64,
@@ -68,41 +71,65 @@ pub struct NetworkState<T> {
     pub rng: [u64; 4],
 }
 
-impl<T: Item> Network<T> {
-    /// Walk the live network into an owned [`NetworkState`].
-    pub fn export_state(&self) -> NetworkState<T> {
+/// The stores of a [`NetworkState`] with their sharing factored out, as a
+/// serialized image spells them (see [`NetworkState::store_tables`]).
+#[derive(Debug)]
+pub struct StoreTables<'a, T> {
+    /// The sorted distinct stored keys; a key that several partitions
+    /// cover appears once.
+    pub keys: Vec<KeyRef<'a>>,
+    /// The distinct posting lists, in the order the runs first reach them:
+    /// a list shared across partitions (keys shorter than the trie depth
+    /// replicate into sibling runs) appears once, which preserves the
+    /// sharing — and the memory footprint — of the live network.
+    pub lists: Vec<&'a PostingList<T>>,
+    /// One run per partition, as `(key index, list index)` pairs.
+    pub stores: Vec<Vec<StoreEntry>>,
+}
+
+impl<T> NetworkState<T> {
+    /// Walk the runs once, in partition order, and index their keys and
+    /// lists.
+    pub fn store_tables(&self) -> StoreTables<'_, T> {
         // Runs in partition order are in key order: a key no earlier run
         // held sorts behind everything seen so far and takes the next index.
         // Only a key shorter than the trie depth comes again, once per
         // further partition it covers, and is looked up.
-        let mut interned_keys: Vec<Key> = Vec::new();
-        let mut key_index = |k: &Key| -> u32 {
-            if interned_keys.last().is_none_or(|last| last < k) {
-                interned_keys.push(k.clone());
-                return (interned_keys.len() - 1) as u32;
-            }
-            interned_keys.binary_search(k).expect("a short key is in every run it covers") as u32
-        };
-        let mut lists: Vec<Vec<T>> = Vec::new();
-        let mut list_index: HashMap<*const Vec<T>, u32> = HashMap::new();
-        let topo = &self.topo;
-        let mut stores: Vec<Vec<StoreEntry>> = Vec::with_capacity(topo.paths.len());
-        for members in &topo.part_peers {
-            let Some(&first) = members.first() else {
-                stores.push(Vec::new());
-                continue;
-            };
-            let run = self.peers[first.index()].store.entries();
-            let mut entries = Vec::with_capacity(run.len());
-            for (key, list) in run {
-                let lid = *list_index.entry(Arc::as_ptr(list)).or_insert_with(|| {
-                    lists.push(list.as_slice().to_vec());
-                    (lists.len() - 1) as u32
+        let mut keys: Vec<KeyRef<'_>> = Vec::new();
+        let mut lists: Vec<&PostingList<T>> = Vec::new();
+        let mut list_index: FxHashMap<*const Vec<T>, u32> = FxHashMap::default();
+        let index = |n: usize| u32::try_from(n).expect("a snapshot indexes its tables in 32 bits");
+        let stores = self
+            .stores
+            .iter()
+            .map(|store| {
+                let run = store.iter().map(|(key, list)| {
+                    let kid = if keys.last().is_none_or(|last| *last < key) {
+                        keys.push(key);
+                        keys.len() - 1
+                    } else {
+                        keys.binary_search(&key).expect("a short key is in every run it covers")
+                    };
+                    let lid = *list_index.entry(Arc::as_ptr(list)).or_insert_with(|| {
+                        lists.push(list);
+                        index(lists.len() - 1)
+                    });
+                    (index(kid), lid)
                 });
-                entries.push((key_index(key), lid));
-            }
-            stores.push(entries);
-        }
+                run.collect()
+            })
+            .collect();
+        StoreTables { keys, lists, stores }
+    }
+}
+
+impl<T: Item> Network<T> {
+    /// The network's image: small state copied, one handle per run.
+    pub fn export_state(&self) -> NetworkState<T> {
+        let topo = &self.topo;
+        let run_of = |members: &SmallVec<[PeerId; 4]>| {
+            members.first().map(|p| self.peers[p.index()].store.clone()).unwrap_or_default()
+        };
         NetworkState {
             cfg: self.cfg.clone(),
             paths: topo.paths.clone(),
@@ -112,9 +139,7 @@ impl<T: Item> Network<T> {
             routing_refs: topo.routing.refs.clone(),
             routing_slice_off: topo.routing.slice_off.clone(),
             routing_peer_off: topo.routing.peer_off.clone(),
-            interned_keys,
-            lists,
-            stores,
+            stores: topo.part_peers.iter().map(run_of).collect(),
             metrics: self.metrics,
             peer_load: self.peer_load.clone(),
             next_trace_query: self.next_trace_query,
@@ -123,83 +148,56 @@ impl<T: Item> Network<T> {
         }
     }
 
-    /// Rebuild a network from an exported image. No sinks are installed;
-    /// callers re-attach their event/trace sinks afterwards.
+    /// Rebuild a network from an image. The network shares the image's runs
+    /// until it writes to them. No sinks are installed; callers re-attach
+    /// their event/trace sinks afterwards.
     ///
     /// # Panics
-    /// Panics on internally inconsistent state (out-of-range indices,
-    /// unsorted runs) — a corrupt or hand-edited snapshot, not a runtime
-    /// condition.
-    pub fn import_state(state: NetworkState<T>) -> Self {
-        let NetworkState {
-            cfg,
-            paths,
-            part_peers,
-            peer_partition,
-            alive,
-            routing_refs,
-            routing_slice_off,
-            routing_peer_off,
-            interned_keys,
-            lists,
-            stores,
-            metrics,
-            peer_load,
-            next_trace_query,
-            cache_epoch,
-            rng,
-        } = state;
-        assert_eq!(peer_partition.len(), alive.len(), "per-peer tables must align");
-        assert_eq!(stores.len(), paths.len(), "one store per partition");
-        let shared_lists: Vec<PostingList<T>> = lists.into_iter().map(Arc::new).collect();
-        let part_peers: Vec<SmallVec<[PeerId; 4]>> =
-            part_peers.into_iter().map(SmallVec::from_vec).collect();
-        let mut peers: Vec<Peer<T>> = alive
-            .iter()
-            .enumerate()
-            .map(|(i, &alive)| Peer {
-                id: PeerId(i as u32),
-                store: PartitionStore::default(),
-                alive,
-            })
+    /// Panics on an internally inconsistent hand-built state: per-peer or
+    /// per-partition tables of different lengths, a member out of range
+    /// and, in debug builds, anything [`Network::check_invariants`] names.
+    pub fn import_state(state: &NetworkState<T>) -> Self {
+        let parts = state.paths.len();
+        assert_eq!(state.peer_partition.len(), state.alive.len(), "per-peer tables must align");
+        assert_eq!(state.stores.len(), parts, "one store per partition");
+        assert_eq!(state.part_peers.len(), parts, "one member list per partition");
+        // Every peer is a member of one partition and takes its handle
+        // below; until then they all hold the same empty run.
+        let unplaced = PartitionStore::default();
+        let mut peers: Vec<Peer<T>> = (state.alive.iter().zip(0..))
+            .map(|(&alive, id)| Peer { id: PeerId(id), store: unplaced.clone(), alive })
             .collect();
-        for (part, entries) in stores.into_iter().enumerate() {
-            if part_peers[part].is_empty() {
-                continue;
-            }
-            let run = entries
-                .into_iter()
-                .map(|(kid, lid)| {
-                    (interned_keys[kid as usize].clone(), Arc::clone(&shared_lists[lid as usize]))
-                })
-                .collect();
-            let store = PartitionStore::from_store(SortedStore::from_sorted(run));
-            for &p in &part_peers[part] {
+        for (members, store) in state.part_peers.iter().zip(&state.stores) {
+            for &p in members {
                 peers[p.index()].store = store.clone();
             }
         }
         let net = Network {
-            cfg,
+            cfg: state.cfg.clone(),
             topo: Topology {
-                paths,
-                part_peers,
-                part_of: peer_partition,
+                paths: state.paths.clone(),
+                part_peers: state
+                    .part_peers
+                    .iter()
+                    .map(|m| SmallVec::from_vec(m.clone()))
+                    .collect(),
+                part_of: state.peer_partition.clone(),
                 routing: RoutingArena {
-                    refs: routing_refs,
-                    slice_off: routing_slice_off,
-                    peer_off: routing_peer_off,
+                    refs: state.routing_refs.clone(),
+                    slice_off: state.routing_slice_off.clone(),
+                    peer_off: state.routing_peer_off.clone(),
                 },
             },
             peers,
-            metrics,
-            peer_load,
+            metrics: state.metrics,
+            peer_load: state.peer_load.clone(),
             sink: None,
             tracer: None,
             trace_query: None,
-            next_trace_query,
-            cache_epoch,
+            next_trace_query: state.next_trace_query,
+            cache_epoch: state.cache_epoch,
             empty: PostingList::default(),
-            rng: StdRng::from_state_words(rng),
+            rng: StdRng::from_state_words(state.rng),
         };
         debug_assert_eq!(net.check_invariants(), Ok(()));
         net
@@ -237,7 +235,7 @@ mod tests {
         }
         net.fail_random_fraction(0.1);
 
-        let mut restored = Network::import_state(net.export_state());
+        let mut restored = Network::import_state(&net.export_state());
         assert_eq!(restored.peer_count(), net.peer_count());
         assert_eq!(restored.partition_count(), net.partition_count());
         assert_eq!(restored.paths(), net.paths());
@@ -278,7 +276,7 @@ mod tests {
         // only coincide by accident. Draw from both to check.
         let (net, _) = word_net(32, 100, 1);
         let mut a = net;
-        let mut b = Network::import_state(a.export_state());
+        let mut b = Network::import_state(&a.export_state());
         let mut rng_probe = StdRng::seed_from_u64(1);
         for _ in 0..20 {
             let _ = rng_probe.gen_range(0..5usize); // unrelated stream, just churn the test
@@ -289,14 +287,44 @@ mod tests {
     #[test]
     fn posting_list_sharing_survives_the_round_trip() {
         // Keys shorter than the trie depth replicate one list into several
-        // sibling partitions; the export dedups those by pointer identity
-        // and the import re-shares them.
-        let (net, _) = word_net(64, 400, 1);
+        // sibling partitions; the image holds the runs as they are, the
+        // index tables name each shared list once, and a network imported
+        // from the image shares what the original shares.
+        let (mut net, _) = word_net(64, 400, 1);
+        net.insert_item(Key::parse("0"), W("short".into()));
         let state = net.export_state();
-        let total_entries: usize = state.stores.iter().map(Vec::len).sum();
-        assert!(state.lists.len() <= total_entries, "dedup table cannot exceed entry count");
-        let restored = Network::import_state(state);
+        let tables = state.store_tables();
+        let total_entries: usize = tables.stores.iter().map(Vec::len).sum();
+        let covering = net.subtree_of(&Key::parse("0"));
+        assert!(covering.1 - covering.0 > 1, "the short key is stored by several partitions");
+        assert_eq!(tables.lists.len(), total_entries - (covering.1 - covering.0 - 1));
+        assert!(tables.keys.windows(2).all(|w| w[0] < w[1]), "each distinct key once, in order");
+        let restored = Network::import_state(&state);
+        assert_eq!(format!("{:?}", restored.export_state().store_tables()), format!("{tables:?}"));
         assert_eq!(restored.total_stored_items(), net.total_stored_items());
         assert_eq!(restored.total_stored_bytes(), net.total_stored_bytes());
+    }
+
+    #[test]
+    fn an_image_is_a_set_of_handles_and_a_write_leaves_it_as_it_was() {
+        let (mut net, _) = word_net(32, 200, 2);
+        let state = net.export_state();
+        for (part, store) in state.stores.iter().enumerate() {
+            let first = net.partition_members(part)[0];
+            assert!(store.shares_with(&net.peer(first).store), "capture copies no run");
+        }
+        let before = format!("{:?}", state.store_tables());
+        let key = hash_str("word00007");
+        let part = net.partition_of(&key);
+        net.insert_item(key.clone(), W("again".into()));
+        let first = net.partition_members(part)[0];
+        assert!(!state.stores[part].shares_with(&net.peer(first).store), "the write copied");
+        assert_eq!(net.peer(first).store.exact_entry(&key).map(|l| l.len()), Some(2));
+        assert_eq!(state.stores[part].exact_entry(&key).map(|l| l.len()), Some(1));
+        assert_eq!(format!("{:?}", state.store_tables()), before);
+        let untouched = (0..net.partition_count())
+            .filter(|p| *p != part)
+            .all(|p| state.stores[p].shares_with(&net.peer(net.partition_members(p)[0]).store));
+        assert!(untouched, "only the written run was copied");
     }
 }

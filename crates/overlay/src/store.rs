@@ -7,38 +7,48 @@
 //! size. This module replaces it with two pieces:
 //!
 //! * [`SortedStore`] — one sorted run of `(key, posting-list)` pairs per
-//!   *partition*. The run owns its [`Key`]s — a lookup compares against
-//!   what the run itself holds, one hop from the entry — and lists are
-//!   [`PostingList`]s (`Arc<Vec<T>>`), so replicas, query replies and
-//!   caches all reference the same immutable allocations. A run changes in
-//!   one way only: [`SortedStore::merge`] folds a key-sorted batch into it
-//!   in a single pass.
+//!   *partition*, held as three flat arrays: every key's packed bytes back
+//!   to back in one buffer, one `(byte offset, bit length)` span per key,
+//!   one [`PostingList`] handle per key. A lookup bisects the spans and
+//!   compares [`KeyRef`] views into the buffer, so what a search touches
+//!   is two dense arrays whose layout does not depend on the order the
+//!   keys were allocated in — a run built by a bulk load, one grown a
+//!   publish at a time and one decoded from a snapshot read alike. Lists
+//!   are `Arc<Vec<T>>`, so replicas, query replies, caches and snapshots
+//!   all reference the same immutable allocations. A run changes in one
+//!   way only: [`SortedStore::merge`] folds a key-sorted batch into it in
+//!   a single pass.
 //! * [`PartitionStore`] — the per-peer handle: an `Arc<SortedStore>`
-//!   shared by every structural replica of a partition. Mutation goes
-//!   through copy-on-write ([`Arc::make_mut`]); the network re-shares the
-//!   handle after each merge so replication factor `k` costs `k` pointer
-//!   copies, not `k` data copies.
+//!   shared by every structural replica of a partition *and by every
+//!   snapshot taken of it* ([`crate::snapshot`]). Mutation goes through
+//!   copy-on-write ([`Arc::make_mut`]); the network re-shares the handle
+//!   after each merge so replication factor `k` costs `k` pointer copies,
+//!   not `k` data copies, and a write into a run a snapshot or a fork
+//!   still holds copies that run's arrays once (never its lists' items)
+//!   and leaves the other holder's untouched.
 //!
 //! Scan semantics (prefix, inclusive range, exact) and the reported
 //! `touched` counts are bit-compatible with the seed's `BTreeMap` walk:
 //! the run is sorted by the same total [`Key`] order, a "map entry" is one
 //! run entry, and within a key items keep insertion order.
 
-use crate::key::Key;
+use crate::key::{Key, KeyRef};
 use crate::peer::Item;
+use std::fmt;
 use std::sync::Arc;
 
 /// An immutable, shareable posting list. Replies, caches and replicas
 /// hold clones of the `Arc`, never copies of the items.
 pub type PostingList<T> = Arc<Vec<T>>;
 
-/// A contiguous stretch of a [`SortedStore`]: what the scans lend out.
-pub type Run<T> = [(Key, PostingList<T>)];
+/// A contiguous stretch of a [`SortedStore`], as the scans lend it out:
+/// the posting lists of its entries, in key order.
+pub type Run<T> = [PostingList<T>];
 
 /// The items of `run` in scan order (key order, publication order within
 /// a key), borrowed — callers filter first and clone only what they keep.
 pub fn run_items<T>(run: &Run<T>) -> impl Iterator<Item = &T> {
-    run.iter().flat_map(|(_, list)| list.iter())
+    run.iter().flat_map(|list| list.iter())
 }
 
 /// The partition point of `run` under `pred`, found by doubling from the
@@ -54,78 +64,118 @@ fn gallop<E>(run: &[E], pred: impl Fn(&E) -> bool) -> usize {
     lo + run[lo..hi].partition_point(pred)
 }
 
+/// Where one key lies in its run's byte buffer.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    /// Offset of the key's first byte.
+    off: u32,
+    /// The key's length in bits; it occupies `bits.div_ceil(8)` bytes.
+    bits: u32,
+}
+
+impl Span {
+    /// An offset or a length as a span holds it.
+    ///
+    /// # Panics
+    /// Panics past `u32::MAX`: the keys of one run stay under 4 GiB.
+    fn word(v: usize) -> u32 {
+        u32::try_from(v).expect("the keys of one run stay under 4 GiB")
+    }
+
+    /// The span of `key` written at byte `off` of a run's buffer.
+    fn at(off: usize, key: KeyRef<'_>) -> Span {
+        Span { off: Span::word(off), bits: Span::word(key.len()) }
+    }
+}
+
 /// One sorted run of `(key, posting-list)` entries — the store of one
 /// partition, shared by all of its structural replicas.
 ///
-/// Invariant: entries are strictly sorted by key (no duplicates); the
-/// per-key item order is publication order, matching the seed's
-/// `BTreeMap<Key, SmallVec<T>>` semantics entry for entry.
-#[derive(Debug, Clone)]
+/// Invariant: `spans` and `lists` are parallel, the spans tile `bytes` in
+/// order without gaps, and the keys they delimit are strictly ascending
+/// (no duplicates); the per-key item order is publication order, matching
+/// the seed's `BTreeMap<Key, SmallVec<T>>` semantics entry for entry.
+#[derive(Clone)]
 pub struct SortedStore<T> {
-    entries: Vec<(Key, PostingList<T>)>,
+    bytes: Vec<u8>,
+    spans: Vec<Span>,
+    lists: Vec<PostingList<T>>,
 }
 
-impl<T: Item> SortedStore<T> {
-    /// A run from entries already in order (snapshot import).
-    ///
-    /// # Panics
-    /// Panics when the keys are not strictly ascending.
-    pub fn from_sorted(entries: Vec<(Key, PostingList<T>)>) -> Self {
-        assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "a run is strictly ascending");
-        Self { entries }
+impl<T> Default for SortedStore<T> {
+    fn default() -> Self {
+        Self { bytes: Vec::new(), spans: Vec::new(), lists: Vec::new() }
+    }
+}
+
+/// The run as the map it stands for: `{key: [items]}` in key order.
+impl<T: fmt::Debug> fmt::Debug for SortedStore<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl<T> SortedStore<T> {
+    /// A run from entries already in order (snapshot decoding), or `None`
+    /// when the keys are not strictly ascending.
+    pub fn from_sorted<'k>(
+        entries: impl IntoIterator<Item = (KeyRef<'k>, PostingList<T>)>,
+    ) -> Option<Self> {
+        let entries = entries.into_iter();
+        let mut run = Self::default();
+        run.spans.reserve_exact(entries.size_hint().0);
+        run.lists.reserve_exact(entries.size_hint().0);
+        let mut last: Option<KeyRef<'k>> = None;
+        for (key, list) in entries {
+            if last.is_some_and(|last| last >= key) {
+                return None;
+            }
+            last = Some(key);
+            run.spans.push(Span::at(run.bytes.len(), key));
+            run.bytes.extend_from_slice(key.as_bytes());
+            run.lists.push(list);
+        }
+        Some(run)
+    }
+
+    /// Number of entries (distinct keys).
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
     }
 
     /// The full sorted run.
     pub fn entries(&self) -> &Run<T> {
-        &self.entries
+        &self.lists
     }
 
-    /// Fold a batch with strictly ascending keys into the run — the one way
-    /// a run changes. A key the run lacks takes the batch's list handle as
-    /// is; a key it has gets the batch's items appended copy-on-write
-    /// (readers holding the old list keep it) or, with `replace`, takes the
-    /// batch's handle in place of its own — how the network keeps one list
-    /// under a key that several partitions cover. New entries are spliced
-    /// in one backward pass that moves only what lies behind the first of
-    /// them, each entry once.
-    pub fn merge(&mut self, batch: impl IntoIterator<Item = (Key, PostingList<T>)>, replace: bool) {
-        // New keys, each with the index of the entry it goes in front of.
-        let mut fresh: Vec<(usize, Key, PostingList<T>)> = Vec::new();
-        let mut at = 0;
-        for (key, list) in batch {
-            at += gallop(&self.entries[at..], |(k, _)| *k < key);
-            debug_assert!(
-                fresh.last().is_none_or(|(_, k, _)| *k < key)
-                    && (at == 0 || self.entries[at - 1].0 < key),
-                "a batch ascends strictly"
-            );
-            match self.entries.get_mut(at) {
-                Some((k, old)) if *k == key && replace => *old = list,
-                Some((k, old)) if *k == key => {
-                    Arc::make_mut(old).extend(Arc::unwrap_or_clone(list));
-                }
-                _ => fresh.push((at, key, list)),
-            }
-        }
-        let Some((_, _, any)) = fresh.first() else { return };
-        // Open one slot per new key at the end, then walk backwards: the
-        // entries between two insertion points swap past the slots still
-        // open, and the new key drops into the last of them.
-        let slot = (Key::empty(), Arc::clone(any));
-        let mut end = self.entries.len();
-        self.entries.resize(end + fresh.len(), slot);
-        for (open, (at, key, list)) in fresh.into_iter().enumerate().rev() {
-            for i in (at..end).rev() {
-                self.entries.swap(i, i + open + 1);
-            }
-            self.entries[at + open] = (key, list);
-            end = at;
-        }
+    /// The stored keys, ascending — views into the run's buffer.
+    pub fn keys(&self) -> impl ExactSizeIterator<Item = KeyRef<'_>> {
+        self.spans.iter().map(|s| self.view(*s))
+    }
+
+    /// The entries in key order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (KeyRef<'_>, &PostingList<T>)> {
+        self.keys().zip(&self.lists)
+    }
+
+    #[inline]
+    fn view(&self, span: Span) -> KeyRef<'_> {
+        let (off, bits) = (span.off as usize, span.bits as usize);
+        KeyRef::trusted(&self.bytes[off..off + bits.div_ceil(8)], bits)
+    }
+
+    /// The key of entry `i`, if the run is that long.
+    fn key_at(&self, i: usize) -> Option<KeyRef<'_>> {
+        self.spans.get(i).map(|span| self.view(*span))
     }
 
     /// Index of the first entry whose key is `>= key`.
-    fn lower_bound(&self, key: &Key) -> usize {
-        self.entries.partition_point(|(k, _)| k < key)
+    fn lower_bound(&self, key: KeyRef<'_>) -> usize {
+        self.spans.partition_point(|s| self.view(*s) < key)
     }
 
     /// The contiguous sub-run of entries whose key has `key` as a prefix.
@@ -134,58 +184,124 @@ impl<T: Item> SortedStore<T> {
     /// attribute key hits one entry, and delimiting it costs two
     /// comparisons, not a bisection of the rest of the run.
     pub fn prefix_entries(&self, key: &Key) -> &Run<T> {
-        let tail = &self.entries[self.lower_bound(key)..];
-        &tail[..gallop(tail, |(k, _)| key.is_prefix_of(k))]
+        let key = key.as_ref();
+        let s = self.lower_bound(key);
+        let e = s + gallop(&self.spans[s..], |span| key.is_prefix_of(self.view(*span)));
+        &self.lists[s..e]
     }
 
     /// The contiguous sub-run with `lo <= key <= hi` (both inclusive).
     pub fn range_entries(&self, lo: &Key, hi: &Key) -> &Run<T> {
-        let s = self.lower_bound(lo);
-        let e = s + self.entries[s..].partition_point(|(k, _)| k <= hi);
-        &self.entries[s..e]
+        let s = self.lower_bound(lo.as_ref());
+        let e = s + self.spans[s..].partition_point(|span| self.view(*span) <= hi.as_ref());
+        &self.lists[s..e]
     }
 
     /// The posting list stored under exactly `key`, if any.
     pub fn exact_entry(&self, key: &Key) -> Option<&PostingList<T>> {
-        self.entries.binary_search_by(|(k, _)| k.cmp(key)).ok().map(|i| &self.entries[i].1)
+        let at = self.lower_bound(key.as_ref());
+        (self.key_at(at) == Some(key.as_ref())).then(|| &self.lists[at])
     }
 
     /// Total stored (key, item) pairs.
     pub fn item_count(&self) -> usize {
-        self.entries.iter().map(|(_, l)| l.len()).sum()
+        self.lists.iter().map(|l| l.len()).sum()
+    }
+}
+
+impl<T: Item> SortedStore<T> {
+    /// Fold a batch with strictly ascending keys into the run — the one way
+    /// a run changes. A key the run lacks takes the batch's list handle as
+    /// is; a key it has gets the batch's items appended copy-on-write
+    /// (readers holding the old list keep it) or, with `replace`, takes the
+    /// batch's handle in place of its own — how the network keeps one list
+    /// under a key that several partitions cover. New entries are spliced
+    /// into the three arrays in one backward pass that moves only what
+    /// lies behind the first of them, each entry and each key byte once —
+    /// a batch of one shifts half a run on average, a bulk load into the
+    /// empty run writes its keys straight into place.
+    pub fn merge(&mut self, batch: impl IntoIterator<Item = (Key, PostingList<T>)>, replace: bool) {
+        // New keys, each with the index of the entry it goes in front of.
+        let batch = batch.into_iter();
+        let mut fresh: Vec<(usize, Key, PostingList<T>)> = Vec::with_capacity(batch.size_hint().0);
+        let mut at = 0;
+        for (key, list) in batch {
+            let k = key.as_ref();
+            at += gallop(&self.spans[at..], |s| self.view(*s) < k);
+            debug_assert!(
+                fresh.last().is_none_or(|(_, last, _)| last.as_ref() < k)
+                    && (at == 0 || self.view(self.spans[at - 1]) < k),
+                "a batch ascends strictly"
+            );
+            if self.key_at(at) != Some(k) {
+                fresh.push((at, key, list));
+            } else if replace {
+                self.lists[at] = list;
+            } else {
+                Arc::make_mut(&mut self.lists[at]).extend(Arc::unwrap_or_clone(list));
+            }
+        }
+        let Some((_, _, any)) = fresh.first() else { return };
+        // Open room for the new keys at the end of all three arrays, then
+        // walk backwards: the entries between two insertion points move up
+        // past the slots still open (their bytes by the bytes still to be
+        // written in front of them), and the new key drops in below them.
+        let (entries, old_bytes) = (self.spans.len(), self.bytes.len());
+        let mut shift: usize = fresh.iter().map(|(_, key, _)| key.as_bytes().len()).sum();
+        // The new end fits a span's offset, and so does every offset below.
+        self.bytes.resize(Span::word(old_bytes + shift) as usize, 0);
+        self.spans.resize(entries + fresh.len(), Span::default());
+        self.lists.resize(entries + fresh.len(), Arc::clone(any));
+        let (mut end, mut byte_end) = (entries, old_bytes);
+        for (open, (at, key, list)) in fresh.into_iter().enumerate().rev() {
+            let byte_at = if at == end { byte_end } else { self.spans[at].off as usize };
+            self.bytes.copy_within(byte_at..byte_end, byte_at + shift);
+            for i in (at..end).rev() {
+                let Span { off, bits } = self.spans[i];
+                self.spans[i + open + 1] = Span { off: off + shift as u32, bits };
+                self.lists.swap(i, i + open + 1);
+            }
+            shift -= key.as_bytes().len();
+            let off = byte_at + shift;
+            self.bytes[off..off + key.as_bytes().len()].copy_from_slice(key.as_bytes());
+            self.spans[at + open] = Span::at(off, key.as_ref());
+            self.lists[at + open] = list;
+            (end, byte_end) = (at, byte_at);
+        }
     }
 
     /// Total payload bytes, for storage-overhead accounting.
     pub fn stored_bytes(&self) -> u64 {
-        run_items(&self.entries).map(|i| i.size_bytes() as u64).sum()
+        run_items(&self.lists).map(|i| i.size_bytes() as u64).sum()
     }
 }
 
-/// A peer's handle onto its partition's [`SortedStore`].
+/// A handle onto a partition's [`SortedStore`].
 ///
 /// All structural replicas of a partition hold clones of one `Arc`; the
 /// network's write path briefly detaches the siblings, merges into the run
 /// in place (`Arc::make_mut` sees a unique reference), and re-shares the
 /// handle — so a `k`-replicated batch costs one merge plus `k` pointer
-/// writes.
+/// writes. A snapshot of the network holds one more clone per partition;
+/// the first merge after it copies the run's arrays and goes on from there.
 #[derive(Debug)]
 pub struct PartitionStore<T>(Arc<SortedStore<T>>);
 
 impl<T> Default for PartitionStore<T> {
     fn default() -> Self {
-        Self(Arc::new(SortedStore { entries: Vec::new() }))
+        Self(Arc::default())
     }
 }
 
-/// Another handle onto the same run (what replicas hold).
+/// Another handle onto the same run (what replicas and snapshots hold).
 impl<T> Clone for PartitionStore<T> {
     fn clone(&self) -> Self {
         Self(Arc::clone(&self.0))
     }
 }
 
-impl<T: Item> PartitionStore<T> {
-    /// Wrap a freshly-built run (snapshot import).
+impl<T> PartitionStore<T> {
+    /// Wrap a freshly-built run (snapshot decoding).
     pub fn from_store(store: SortedStore<T>) -> Self {
         Self(Arc::new(store))
     }
@@ -194,7 +310,9 @@ impl<T: Item> PartitionStore<T> {
     pub fn shares_with(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
     }
+}
 
+impl<T: Item> PartitionStore<T> {
     /// Copy-on-write [`SortedStore::merge`]; in place when this is the
     /// only handle.
     pub fn merge(&mut self, batch: impl IntoIterator<Item = (Key, PostingList<T>)>, replace: bool) {
@@ -224,7 +342,7 @@ mod tests {
 
     /// One single-item merge per word, in the order given.
     fn merged(words: &[&'static str]) -> SortedStore<S> {
-        let mut s = SortedStore::from_sorted(Vec::new());
+        let mut s = SortedStore::default();
         for w in words {
             s.merge(vec![(hash_str(w), Arc::new(vec![S(w)]))], false);
         }
@@ -239,13 +357,24 @@ mod tests {
         run_items(run).map(|x| x.0).collect()
     }
 
+    /// The layout invariant: the spans tile the key buffer in order.
+    fn tiled(s: &SortedStore<S>) -> bool {
+        let mut end = 0;
+        let in_order = s.spans.iter().all(|span| {
+            let fits = span.off == end;
+            end += span.bits.div_ceil(8);
+            fits
+        });
+        in_order && end as usize == s.bytes.len() && s.spans.len() == s.lists.len()
+    }
+
     #[test]
     fn insert_keeps_the_run_sorted_and_prefix_scans_match() {
         let s = store();
         let hits = s.prefix_entries(&hash_str("alp"));
         assert_eq!(hits.len(), 3);
         assert_eq!(names(hits), vec!["alp", "alpha", "alpine"]);
-        assert!(s.entries().windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(s.keys().zip(s.keys().skip(1)).all(|(a, b)| a < b));
     }
 
     #[test]
@@ -266,6 +395,27 @@ mod tests {
             ["alpha", "beta", "beta", "cat", "cow", "delta", "gamma", "zeta"]
         );
         assert_eq!(s.entries().len(), 7);
+        assert!(tiled(&s) && tiled(&one_by_one));
+        let words: Vec<Key> = ["alpha", "beta", "cat", "cow", "delta", "gamma", "zeta"]
+            .into_iter()
+            .map(hash_str)
+            .collect();
+        assert!(s.keys().eq(words.iter().map(Key::as_ref)), "each key's bytes moved with it");
+    }
+
+    #[test]
+    fn a_run_from_sorted_entries_is_that_run_and_disorder_is_refused() {
+        let s = store();
+        let entries = || s.iter().map(|(k, l)| (k, Arc::clone(l)));
+        let copy = SortedStore::from_sorted(entries()).expect("a run's own entries ascend");
+        assert!(tiled(&copy));
+        assert!(copy.keys().eq(s.keys()));
+        assert!(copy.entries().iter().zip(s.entries()).all(|(a, b)| Arc::ptr_eq(a, b)));
+        let reversed: Vec<_> = entries().collect::<Vec<_>>().into_iter().rev().collect();
+        assert!(SortedStore::from_sorted(reversed).is_none(), "descending");
+        let twice = entries().take(1).chain(entries().take(1));
+        assert!(SortedStore::from_sorted(twice).is_none(), "a key twice");
+        assert!(SortedStore::<S>::from_sorted([]).expect("no entries").is_empty());
     }
 
     #[test]
@@ -285,9 +435,7 @@ mod tests {
         }
         assert_eq!(s.prefix_entries(&hash_str("zi")).len(), 1, "the last entry alone");
         assert_eq!(s.prefix_entries(&Key::empty()).len(), words.len(), "the whole run");
-        assert!(SortedStore::<S>::from_sorted(Vec::new())
-            .prefix_entries(&hash_str("a"))
-            .is_empty());
+        assert!(SortedStore::<S>::default().prefix_entries(&hash_str("a")).is_empty());
     }
 
     #[test]

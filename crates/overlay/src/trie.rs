@@ -15,7 +15,7 @@
 //! further). The resulting leaf paths form a complete prefix-free cover of
 //! the key space — the invariant Algorithm 1's termination proof relies on.
 
-use crate::key::Key;
+use crate::key::{Key, KeyRef};
 use std::collections::BinaryHeap;
 
 /// Upper bound on partition path depth — a safety net only. Real splitting
@@ -57,7 +57,10 @@ impl PartialOrd for Candidate {
 ///
 /// The returned paths are sorted lexicographically, which (because they are
 /// prefix-free and complete) is also their key-space order.
-pub fn build_partitions(keys: &mut [Key], target: usize) -> Vec<Key> {
+///
+/// The keys are read where they lie — a bulk load splits on views of the
+/// keys it is about to store, not on copies — and sorted in place.
+pub fn build_partitions(keys: &mut [KeyRef<'_>], target: usize) -> Vec<Key> {
     assert!(target >= 1, "at least one partition required");
     keys.sort_unstable();
 
@@ -86,7 +89,7 @@ pub fn build_partitions(keys: &mut [Key], target: usize) -> Vec<Key> {
         // depth+1 bits sort before both children's data; attribute them to
         // the 0-child (they are replicated into all covered partitions at
         // insert time anyway, this only steers the split heuristic).
-        let split = partition_point(&keys[lo..hi], |k| k.len() <= depth || !k.bit(depth)) + lo;
+        let split = keys[lo..hi].partition_point(|k| k.len() <= depth || !k.bit(depth)) + lo;
         let child0 = top.path.child(false);
         let child1 = top.path.child(true);
         heap.push(Candidate {
@@ -106,10 +109,6 @@ pub fn build_partitions(keys: &mut [Key], target: usize) -> Vec<Key> {
     let mut paths: Vec<Key> = done.into_iter().chain(heap.into_iter().map(|c| c.path)).collect();
     paths.sort_unstable();
     paths
-}
-
-fn partition_point(slice: &[Key], pred: impl Fn(&Key) -> bool) -> usize {
-    slice.partition_point(pred)
 }
 
 /// Check that `paths` is a complete prefix-free cover of the key space:
@@ -204,10 +203,14 @@ mod tests {
         words.iter().map(|w| hash_str(w)).collect()
     }
 
+    fn views(keys: &[Key]) -> Vec<KeyRef<'_>> {
+        keys.iter().map(Key::as_ref).collect()
+    }
+
     #[test]
     fn single_partition_is_root() {
-        let mut keys = keys_of(&["a", "b", "c"]);
-        let paths = build_partitions(&mut keys, 1);
+        let keys = keys_of(&["a", "b", "c"]);
+        let paths = build_partitions(&mut views(&keys), 1);
         assert_eq!(paths, vec![Key::empty()]);
         assert!(is_complete_cover(&paths));
     }
@@ -215,9 +218,9 @@ mod tests {
     #[test]
     fn splits_reach_target_and_cover() {
         let words: Vec<String> = (0..200).map(|i| format!("word{i:03}")).collect();
-        let mut keys: Vec<Key> = words.iter().map(|w| hash_str(w)).collect();
+        let keys: Vec<Key> = words.iter().map(|w| hash_str(w)).collect();
         for target in [1, 2, 3, 7, 16, 64] {
-            let paths = build_partitions(&mut keys, target);
+            let paths = build_partitions(&mut views(&keys), target);
             assert_eq!(paths.len(), target, "target {target}");
             assert!(is_complete_cover(&paths), "cover violated at target {target}");
         }
@@ -227,8 +230,8 @@ mod tests {
     fn saturates_when_data_cannot_split() {
         // Two distinct keys can support at most a few meaningful partitions;
         // the builder must stop instead of looping.
-        let mut keys = keys_of(&["aaaa", "zzzz"]);
-        let paths = build_partitions(&mut keys, 64);
+        let keys = keys_of(&["aaaa", "zzzz"]);
+        let paths = build_partitions(&mut views(&keys), 64);
         assert!(paths.len() <= 64);
         assert!(is_complete_cover(&paths));
         // It still made *some* progress beyond the root.
@@ -246,11 +249,10 @@ mod tests {
                 words.push(format!("{head}{j:04}"));
             }
         }
-        let mut keys: Vec<Key> = words.iter().map(|w| hash_str(w)).collect();
-        let max_load = |target: usize, keys: &mut Vec<Key>| {
-            let paths = build_partitions(keys, target);
+        let keys: Vec<Key> = words.iter().map(|w| hash_str(w)).collect();
+        let max_load = |target: usize, keys: &[Key]| {
+            let paths = build_partitions(&mut views(keys), target);
             assert!(is_complete_cover(&paths), "cover violated at target {target}");
-            keys.sort_unstable();
             paths.iter().map(|p| keys.iter().filter(|k| p.is_prefix_of(k)).count()).max().unwrap()
         };
         // The splitter must *adapt*: quadrupling the partition budget has to
@@ -258,8 +260,8 @@ mod tests {
         // data dependent — order-preserving hashing wastes splits on shared
         // ASCII prefixes, an imbalance the paper explicitly accepts in §2 —
         // but adaptivity is the contract.)
-        let coarse = max_load(32, &mut keys);
-        let fine = max_load(256, &mut keys);
+        let coarse = max_load(32, &keys);
+        let fine = max_load(256, &keys);
         assert!(
             fine * 3 <= coarse,
             "splitting budget 32→256 only improved max load {coarse} → {fine}"
@@ -276,8 +278,8 @@ mod tests {
         // cover, the requested partition count, termination.
         let mut words: Vec<String> = (0..900).map(|i| format!("aaa{i:04}")).collect();
         words.extend((0..100).map(|i| format!("z{i:03}")));
-        let mut keys: Vec<Key> = words.iter().map(|w| hash_str(w)).collect();
-        let paths = build_partitions(&mut keys, 32);
+        let keys: Vec<Key> = words.iter().map(|w| hash_str(w)).collect();
+        let paths = build_partitions(&mut views(&keys), 32);
         assert_eq!(paths.len(), 32);
         assert!(is_complete_cover(&paths));
         let max_depth = paths.iter().map(Key::len).max().unwrap();
@@ -286,8 +288,8 @@ mod tests {
 
     #[test]
     fn find_partition_locates_prefix_owner() {
-        let mut keys: Vec<Key> = (0..64).map(|i| hash_str(&format!("k{i:02}"))).collect();
-        let paths = build_partitions(&mut keys, 8);
+        let keys: Vec<Key> = (0..64).map(|i| hash_str(&format!("k{i:02}"))).collect();
+        let paths = build_partitions(&mut views(&keys), 8);
         for k in &keys {
             let idx = find_partition(&paths, k);
             assert!(paths[idx].is_prefix_of(k), "partition {} does not own key {}", paths[idx], k);

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use sqo_overlay::hash::{hash_i64, hash_str};
-use sqo_overlay::key::Key;
+use sqo_overlay::key::{Key, KeyRef};
 use sqo_overlay::network::{Network, NetworkConfig};
 use sqo_overlay::peer::{Item, PeerId};
 use sqo_overlay::trie::{build_partitions, find_partition, is_complete_cover};
@@ -102,6 +102,60 @@ proptest! {
         }
     }
 
+    /// A borrowed view orders, equals and prefix-tests as the bit strings
+    /// do — and so as `Key` does — when its bytes lie in a buffer shared
+    /// with other keys, back to back as a run stores them: unaligned
+    /// lengths, proper prefixes and the empty key included. A view is
+    /// refused when the byte count is off or a padding bit is set.
+    #[test]
+    fn key_views_into_a_shared_buffer_agree_with_the_bit_strings(
+        shared in prop::collection::vec(any::<bool>(), 0..100),
+        tails in prop::collection::vec(prop::collection::vec(any::<bool>(), 0..20), 2..6),
+        cut in 0usize..100,
+    ) {
+        // The shared prefix alone, a proper prefix of it, and extensions.
+        let mut strings: Vec<Vec<bool>> =
+            tails.iter().map(|t| [&shared[..], &t[..]].concat()).collect();
+        strings.push(shared.clone());
+        strings.push(shared[..cut.min(shared.len())].to_vec());
+        let keys: Vec<Key> = strings.iter().map(|b| Key::from_bits(b.iter().copied())).collect();
+        let mut buffer = Vec::new();
+        let spans: Vec<(usize, usize)> = keys
+            .iter()
+            .map(|k| {
+                buffer.extend_from_slice(k.as_bytes());
+                (buffer.len() - k.as_bytes().len(), k.len())
+            })
+            .collect();
+        let view = |i: usize| {
+            let (off, bits) = spans[i];
+            KeyRef::new(&buffer[off..off + bits.div_ceil(8)], bits).expect("a packed key")
+        };
+        for (i, a) in strings.iter().enumerate() {
+            prop_assert_eq!(view(i), keys[i].as_ref());
+            prop_assert_eq!(view(i).to_key(), keys[i].clone());
+            prop_assert_eq!(view(i).to_string(), keys[i].to_string());
+            for (j, b) in strings.iter().enumerate() {
+                prop_assert_eq!(view(i).cmp(&view(j)), a.cmp(b));
+                prop_assert_eq!(view(i) == view(j), a == b);
+                prop_assert_eq!(view(i).is_prefix_of(view(j)), b.starts_with(a));
+                let common = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+                prop_assert_eq!(view(i).common_prefix_len(view(j)), common);
+                // …which is what the owned keys answer.
+                prop_assert_eq!(keys[i].cmp(&keys[j]), a.cmp(b));
+                prop_assert_eq!(keys[i].is_prefix_of(&keys[j]), b.starts_with(a));
+            }
+            let (off, bits) = spans[i];
+            let bytes = &buffer[off..off + bits.div_ceil(8)];
+            prop_assert!(KeyRef::new(bytes, bits + 8).is_none(), "a byte short");
+            if bits % 8 != 0 {
+                let mut dirty = bytes.to_vec();
+                *dirty.last_mut().expect("bits > 0") |= 1;
+                prop_assert!(KeyRef::new(&dirty, bits).is_none(), "a padding bit set");
+            }
+        }
+    }
+
     /// common_prefix_len is symmetric and bounded by both lengths.
     #[test]
     fn common_prefix_symmetric(a in bits(), b in bits()) {
@@ -144,8 +198,8 @@ proptest! {
         target in 1usize..40,
     ) {
         let words: Vec<String> = words.into_iter().collect();
-        let mut keys: Vec<Key> = words.iter().map(|w| hash_str(w)).collect();
-        let paths = build_partitions(&mut keys, target);
+        let keys: Vec<Key> = words.iter().map(|w| hash_str(w)).collect();
+        let paths = build_partitions(&mut keys.iter().map(Key::as_ref).collect::<Vec<_>>(), target);
         prop_assert!(paths.len() <= target);
         prop_assert!(is_complete_cover(&paths));
         for k in &keys {
@@ -200,7 +254,7 @@ proptest! {
 
         let stored = net.peer(peer).store.prefix_entries(&key);
         let touched = stored.len() as u64;
-        let expect: Vec<S> = stored.iter().flat_map(|(_, list)| list.iter().cloned()).collect();
+        let expect: Vec<S> = run_items(stored).cloned().collect();
         prop_assert!(expect.iter().all(|s| s.0.starts_with(&prefix)));
 
         let before = *net.metrics();
@@ -295,7 +349,7 @@ proptest! {
         let mut net = Network::build(cfg, data);
         let from = net.random_peer();
         let mut got: Vec<String> =
-            net.range_query(from, &klo, &khi).unwrap().into_iter().map(|s| s.0).collect();
+            run_items(&net.range_query(from, &klo, &khi).unwrap()).map(|s| s.0.clone()).collect();
         got.sort_unstable();
         got.dedup();
         let mut expect: Vec<String> = words

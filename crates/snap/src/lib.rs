@@ -34,9 +34,10 @@
 //! hand-rolled — and therefore versionable byte by byte).
 //! [`Snapshot::from_bytes`] refuses anything else: wrong magic is
 //! [`SnapError::BadMagic`], a version skew is
-//! [`SnapError::SchemaMismatch`], and every decoder is bounds-checked so
-//! corrupt input fails with an error, never a panic or a huge
-//! allocation. [`SnapError::exit_code`] keeps schema/format mismatches
+//! [`SnapError::SchemaMismatch`], and every decoder is bounds-checked —
+//! and builds the stores it decodes, so an index out of range or a run out
+//! of order is caught there — so corrupt input fails with an error, never
+//! a panic or a huge allocation. [`SnapError::exit_code`] keeps schema/format mismatches
 //! (exit 3) distinct from damaged input (exit 2).
 //!
 //! What is **not** in the artifact: static configuration. The caller
@@ -146,7 +147,8 @@ impl SnapError {
 /// query can observe. Captured by [`Snapshot::capture`].
 #[derive(Debug, Clone)]
 pub struct WorldState {
-    /// The overlay image (stores, routing, counters, churn flags, RNG).
+    /// The overlay image: routing, counters, churn flags, RNG, and one
+    /// handle per partition onto the live run (nothing stored is copied).
     pub net: NetworkState<Posting>,
     /// Storage-overhead accounting of the initial publication.
     pub publish: PublishStats,
@@ -169,7 +171,10 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Freeze the engine's world. Use after building (a warm template to
-    /// [`fork`](Snapshot::fork) from) or after a completed run.
+    /// [`fork`](Snapshot::fork) from) or after a completed run. Costs
+    /// O(partitions + peers): the snapshot shares the engine's runs, and
+    /// whichever of the two writes to a run first copies it
+    /// ([`sqo_overlay::store`]), so the snapshot stays what it was.
     pub fn capture(engine: &SimilarityEngine) -> Self {
         Snapshot {
             world: WorldState {
@@ -203,7 +208,9 @@ impl Snapshot {
     /// Rebuild a live engine from the world image. `cfg` must be the
     /// original build's config — the embedded network config is
     /// cross-checked, and publish/query defaults come from the caller
-    /// (static configuration is not part of the artifact).
+    /// (static configuration is not part of the artifact). The engine takes
+    /// handles onto the snapshot's runs, O(partitions + peers), and copies
+    /// a run when it first writes to it.
     ///
     /// # Panics
     /// Panics if `cfg.network` differs from the network config the world
@@ -215,7 +222,7 @@ impl Snapshot {
         );
         SimilarityEngine::from_parts(
             cfg.clone(),
-            Network::import_state(self.world.net.clone()),
+            Network::import_state(&self.world.net),
             self.world.publish,
             self.world.edit_comparisons,
             self.world.broker.clone().map(CacheBatchBroker::from_state),
@@ -223,10 +230,11 @@ impl Snapshot {
     }
 
     /// Branch `n` independent engines off one warm world. Each fork is a
-    /// full restore: same stores (sharing preserved), same RNG position,
-    /// same broker contents — so forks driven with the same workload
-    /// config produce byte-identical reports, and forks meant to diverge
-    /// re-seed their workloads with
+    /// full restore: same stores (shared with the snapshot and with one
+    /// another until a fork writes, which the others never see), same RNG
+    /// position, same broker contents — so forks driven with the same
+    /// workload config produce byte-identical reports, and forks meant to
+    /// diverge re-seed their workloads with
     /// [`sqo_sim::seed::derive`]`(seed, FORK_STREAM, i)`.
     pub fn fork(&self, cfg: &EngineConfig, n: usize) -> Vec<SimilarityEngine> {
         (0..n).map(|_| self.restore_engine(cfg)).collect()
@@ -237,16 +245,18 @@ impl Snapshot {
         let mut e = wire::Enc::new();
         e.buf.extend_from_slice(&MAGIC);
         e.u32(SCHEMA_VERSION);
+        // The image holds the live runs; the key and list tables the
+        // artifact spells them through are derived here, in one walk.
+        let tables = self.world.net.store_tables();
         // The triple intern table spans the whole artifact (network lists
         // and broker-cached lists share allocations), so it is collected
         // up front and written before anything that references it.
-        let mut triples = wire::TripleTable::new();
-        triples.collect(&self.world);
+        let triples = wire::TripleTable::collect(&tables.lists, self.world.broker.as_ref());
         triples.encode(&mut e);
-        wire::network_state(&mut e, &mut triples, &self.world.net);
+        wire::network_state(&mut e, &triples, &self.world.net, &tables);
         wire::publish_stats(&mut e, &self.world.publish);
         e.u64(self.world.edit_comparisons);
-        e.opt(self.world.broker.as_ref(), |e, b| wire::broker_state(e, &mut triples, b));
+        e.opt(self.world.broker.as_ref(), |e, b| wire::broker_state(e, &triples, b));
         e.opt(self.driver.as_ref(), wire::driver_checkpoint);
         e.opt(self.scale.as_ref(), wire::scale_checkpoint);
         e.buf

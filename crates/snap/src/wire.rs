@@ -27,18 +27,27 @@
 //! are spelled out per triple and per posting and re-shared while decoding,
 //! one allocation per distinct string, which is how `postings_for_rows`
 //! lays out a built world.
+//!
+//! The stores are written through two more tables — distinct keys, distinct
+//! lists — that exist only on the wire: the encoder takes them from
+//! [`NetworkState::store_tables`], derived in one walk of the live runs the
+//! image holds handles to, and the decoder builds each run straight from
+//! the key table where it lies in the input.
 
 use crate::SnapError;
+use rustc_hash::FxHashMap;
 use sqo_cache::{
     BrokerConfig, BrokerCounters, BrokerState, ChannelPoolState, LruEntryState, LruState,
     PartitionChannel, SketchState,
 };
-use sqo_overlay::{Key, Metrics, NetworkConfig, NetworkState, PeerId, PeerLoad, SimLatency};
+use sqo_overlay::{
+    Key, KeyRef, Metrics, NetworkConfig, NetworkState, PartitionStore, PeerId, PeerLoad,
+    PostingList, SimLatency, SortedStore, StoreTables,
+};
 use sqo_sim::driver::{DriverCheckpoint, EvSnap, HistParts, RepairTotals};
 use sqo_sim::scale::{Ev, EvKind, QState, ScaleCheckpoint};
 use sqo_sim::{NetSimState, QueryKind, QueueState};
 use sqo_storage::{AttrName, BaseKind, Posting, SharedStrs, Triple, TripleRef, Value};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use sqo_core::QueryStats;
@@ -200,50 +209,41 @@ impl<'a> Dec<'a> {
 // Triple interning
 // ---------------------------------------------------------------------
 
-/// Encode-side triple intern table: distinct `Arc<Triple>` allocations in
-/// discovery order, deduplicated by pointer identity.
-pub struct TripleTable {
-    order: Vec<TripleRef>,
-    index: HashMap<*const Triple, u32>,
+/// Encode-side triple intern table: the distinct `Arc<Triple>` allocations
+/// of the world being written, in discovery order, deduplicated by pointer
+/// identity. It borrows the triples — the snapshot outlives its encoding.
+#[derive(Default)]
+pub struct TripleTable<'a> {
+    order: Vec<&'a Triple>,
+    index: FxHashMap<*const Triple, u32>,
 }
 
-impl TripleTable {
-    pub fn new() -> Self {
-        TripleTable { order: Vec::new(), index: HashMap::new() }
-    }
-
-    fn intern(&mut self, t: &TripleRef) -> u32 {
-        *self.index.entry(Arc::as_ptr(t)).or_insert_with(|| {
-            self.order.push(TripleRef::clone(t));
-            (self.order.len() - 1) as u32
-        })
-    }
-
-    /// Walk every posting reachable from the world image (network lists
-    /// and broker-cached lists) so the table is complete before encoding.
-    pub fn collect(&mut self, world: &crate::WorldState) {
-        for list in &world.net.lists {
-            for p in list {
-                self.intern(p.triple());
+impl<'a> TripleTable<'a> {
+    /// Walk every posting reachable from the world (the network's distinct
+    /// lists, then the broker-cached ones) so the table is complete before
+    /// anything that refers to it is encoded.
+    pub fn collect(lists: &[&'a PostingList<Posting>], broker: Option<&'a BrokerState>) -> Self {
+        let mut table = Self::default();
+        let cached = broker.iter().flat_map(|b| &b.cache.entries).map(|e| &e.value);
+        for list in lists.iter().copied().chain(cached) {
+            for t in list.iter().map(Posting::triple) {
+                table.index.entry(Arc::as_ptr(t)).or_insert_with(|| {
+                    table.order.push(t);
+                    (table.order.len() - 1) as u32
+                });
             }
         }
-        if let Some(b) = &world.broker {
-            for e in &b.cache.entries {
-                for p in e.value.iter() {
-                    self.intern(p.triple());
-                }
-            }
-        }
+        table
+    }
+
+    /// The index a posting refers to `t` by. The table was collected from
+    /// every list the artifact holds, so the triple is in it.
+    fn index_of(&self, t: &TripleRef) -> u32 {
+        self.index[&Arc::as_ptr(t)]
     }
 
     pub fn encode(&self, e: &mut Enc) {
         e.seq(&self.order, |e, t| triple(e, t));
-    }
-}
-
-impl Default for TripleTable {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -292,11 +292,11 @@ fn de_triple(d: &mut Dec<'_>, strs: &mut SharedStrs) -> R<Triple> {
     Ok(Triple { oid, attr, value })
 }
 
-fn posting(e: &mut Enc, t: &mut TripleTable, p: &Posting) {
+fn posting(e: &mut Enc, t: &TripleTable<'_>, p: &Posting) {
     match p {
         Posting::Base { kind, triple } => {
             e.u8(0);
-            e.u32(t.intern(triple));
+            e.u32(t.index_of(triple));
             e.u8(match kind {
                 BaseKind::Oid => 0,
                 BaseKind::AttrValue => 1,
@@ -305,24 +305,24 @@ fn posting(e: &mut Enc, t: &mut TripleTable, p: &Posting) {
         }
         Posting::InstanceGram { triple, gram, pos, carries_value } => {
             e.u8(1);
-            e.u32(t.intern(triple));
+            e.u32(t.index_of(triple));
             e.str(gram);
             e.u32(*pos);
             e.bool(*carries_value);
         }
         Posting::SchemaGram { triple, gram, pos } => {
             e.u8(2);
-            e.u32(t.intern(triple));
+            e.u32(t.index_of(triple));
             e.str(gram);
             e.u32(*pos);
         }
         Posting::ShortValue { triple } => {
             e.u8(3);
-            e.u32(t.intern(triple));
+            e.u32(t.index_of(triple));
         }
         Posting::ShortAttr { triple } => {
             e.u8(4);
-            e.u32(t.intern(triple));
+            e.u32(t.index_of(triple));
         }
     }
 }
@@ -360,18 +360,20 @@ fn de_posting(d: &mut Dec<'_>, table: &mut DecodedTriples) -> R<Posting> {
 // Small overlay pieces
 // ---------------------------------------------------------------------
 
-fn key(e: &mut Enc, k: &Key) {
+fn key(e: &mut Enc, k: KeyRef<'_>) {
     e.bytes(k.as_bytes());
     e.usize(k.len());
 }
 
+/// A key where it lies in the artifact.
+fn de_key_ref<'a>(d: &mut Dec<'a>) -> R<KeyRef<'a>> {
+    let bytes = d.bytes()?;
+    KeyRef::new(bytes, d.usize()?)
+        .ok_or(SnapError::Corrupt("key bytes do not match bit length, or padding bits are set"))
+}
+
 fn de_key(d: &mut Dec<'_>) -> R<Key> {
-    let bytes = d.bytes()?.to_vec();
-    let len = d.usize()?;
-    if bytes.len() != len.div_ceil(8) {
-        return Err(SnapError::Corrupt("key byte count does not match bit length"));
-    }
-    Ok(Key::from_raw_parts(bytes, len))
+    de_key_ref(d).map(KeyRef::to_key)
 }
 
 fn metrics(e: &mut Enc, m: &Metrics) {
@@ -458,29 +460,37 @@ fn de_rng_words(d: &mut Dec<'_>) -> R<[u64; 4]> {
 // Network image
 // ---------------------------------------------------------------------
 
-pub fn network_state(e: &mut Enc, t: &mut TripleTable, s: &NetworkState<Posting>) {
+/// The network image. `tables` are `s.store_tables()`, derived by the
+/// caller because the triple table, which precedes the image in the
+/// artifact, is collected from the same lists.
+pub fn network_state(
+    e: &mut Enc,
+    t: &TripleTable<'_>,
+    s: &NetworkState<Posting>,
+    tables: &StoreTables<'_, Posting>,
+) {
     let c = &s.cfg;
     e.usize(c.peers);
     e.usize(c.replication);
     e.usize(c.refs_per_level);
     e.usize(c.msg_header_bytes);
     e.u64(c.seed);
-    e.seq(&s.paths, key);
+    e.seq(&s.paths, |e, k| key(e, k.as_ref()));
     e.seq(&s.part_peers, |e, ps| e.seq(ps, |e, p| e.u32(p.0)));
     e.seq(&s.peer_partition, |e, v| e.u32(*v));
     e.seq(&s.alive, |e, v| e.bool(*v));
     e.seq(&s.routing_refs, |e, p| e.u32(p.0));
     e.seq(&s.routing_slice_off, |e, v| e.u32(*v));
     e.seq(&s.routing_peer_off, |e, v| e.u32(*v));
-    e.seq(&s.interned_keys, key);
-    e.usize(s.lists.len());
-    for list in &s.lists {
+    e.seq(&tables.keys, |e, k| key(e, *k));
+    e.usize(tables.lists.len());
+    for list in &tables.lists {
         e.usize(list.len());
-        for p in list {
+        for p in list.iter() {
             posting(e, t, p);
         }
     }
-    e.seq(&s.stores, |e, run| {
+    e.seq(&tables.stores, |e, run| {
         e.seq(run, |e, (k, l)| {
             e.u32(*k);
             e.u32(*l);
@@ -505,18 +515,40 @@ pub fn de_network_state(d: &mut Dec<'_>, table: &mut DecodedTriples) -> R<Networ
         msg_header_bytes: d.usize()?,
         seed: d.u64()?,
     };
+    let paths = d.seq(de_key)?;
+    let part_peers = d.seq(|d| d.seq(|d| Ok(PeerId(d.u32()?))))?;
+    let peer_partition = d.seq(|d| d.u32())?;
+    let alive = d.seq(|d| d.bool())?;
+    let routing_refs = d.seq(|d| Ok(PeerId(d.u32()?)))?;
+    let routing_slice_off = d.seq(|d| d.u32())?;
+    let routing_peer_off = d.seq(|d| d.u32())?;
+    // The key table stays in the artifact; each run copies its keys from
+    // there into its own buffer, and shares the lists it names.
+    let keys = d.seq(de_key_ref)?;
+    let lists: Vec<PostingList<Posting>> =
+        d.seq(|d| Ok(Arc::new(d.seq(|d| de_posting(d, table))?)))?;
+    let stores = d.seq(|d| {
+        let entries = d.seq(|d| {
+            let key =
+                keys.get(d.u32()? as usize).ok_or(SnapError::Corrupt("key index out of range"));
+            let list =
+                lists.get(d.u32()? as usize).ok_or(SnapError::Corrupt("list index out of range"));
+            Ok((*key?, Arc::clone(list?)))
+        })?;
+        SortedStore::from_sorted(entries)
+            .map(PartitionStore::from_store)
+            .ok_or(SnapError::Corrupt("store keys do not ascend strictly"))
+    })?;
     Ok(NetworkState {
         cfg,
-        paths: d.seq(de_key)?,
-        part_peers: d.seq(|d| d.seq(|d| Ok(PeerId(d.u32()?))))?,
-        peer_partition: d.seq(|d| d.u32())?,
-        alive: d.seq(|d| d.bool())?,
-        routing_refs: d.seq(|d| Ok(PeerId(d.u32()?)))?,
-        routing_slice_off: d.seq(|d| d.u32())?,
-        routing_peer_off: d.seq(|d| d.u32())?,
-        interned_keys: d.seq(de_key)?,
-        lists: d.seq(|d| d.seq(|d| de_posting(d, table)))?,
-        stores: d.seq(|d| d.seq(|d| Ok((d.u32()?, d.u32()?))))?,
+        paths,
+        part_peers,
+        peer_partition,
+        alive,
+        routing_refs,
+        routing_slice_off,
+        routing_peer_off,
+        stores,
         metrics: de_metrics(d)?,
         peer_load: d.seq(|d| {
             Ok(PeerLoad {
@@ -536,7 +568,7 @@ pub fn de_network_state(d: &mut Dec<'_>, table: &mut DecodedTriples) -> R<Networ
 // Broker image
 // ---------------------------------------------------------------------
 
-pub fn broker_state(e: &mut Enc, t: &mut TripleTable, b: &BrokerState) {
+pub fn broker_state(e: &mut Enc, t: &TripleTable<'_>, b: &BrokerState) {
     let c = &b.cfg;
     e.bool(c.cache);
     e.usize(c.cache_capacity);
@@ -562,7 +594,7 @@ pub fn broker_state(e: &mut Enc, t: &mut TripleTable, b: &BrokerState) {
     e.u64(l.rejected);
     e.seq(&l.entries, |e, ent| {
         e.u32(ent.key.0 .0);
-        key(e, &ent.key.1);
+        key(e, ent.key.1.as_ref());
         e.usize(ent.value.len());
         for p in ent.value.iter() {
             posting(e, t, p);

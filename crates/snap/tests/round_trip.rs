@@ -328,6 +328,111 @@ fn damaged_driver_queue_is_corrupt_not_a_resume_panic() {
     }
 }
 
+/// A store entry that names a key or a list the artifact does not hold, or
+/// a run whose keys do not ascend, fails at decode time: runs are built
+/// while decoding, so there is no inconsistent image for `restore_engine`
+/// to die on.
+#[test]
+fn a_store_entry_out_of_range_or_out_of_order_is_corrupt_not_a_restore_panic() {
+    let engine = build(&words());
+    let snap = Snapshot::capture(&engine);
+    let bytes = snap.to_bytes();
+    // The stores section as the codec spells it: a count of runs, then per
+    // run a count of entries and `(key index, list index)` pairs of `u32`s.
+    let tables = snap.world.net.store_tables();
+    let mut section = (tables.stores.len() as u64).to_le_bytes().to_vec();
+    for run in &tables.stores {
+        section.extend((run.len() as u64).to_le_bytes());
+        section.extend(run.iter().flat_map(|(k, l)| [k.to_le_bytes(), l.to_le_bytes()].concat()));
+    }
+    let at = bytes.windows(section.len()).position(|w| w == section).expect("the stores section");
+    let run = tables.stores.iter().position(|run| run.len() >= 2).expect("a run of two entries");
+    let skipped: usize = tables.stores[..run].iter().map(|run| 8 + 8 * run.len()).sum();
+    let entry = at + 8 + skipped + 8;
+
+    let damaged = |edit: &dyn Fn(&mut [u8])| {
+        let mut b = bytes.clone();
+        edit(&mut b[entry..entry + 16]);
+        Snapshot::from_bytes(&b).map(|_| ()).unwrap_err()
+    };
+    for (what, err) in [
+        ("key index", damaged(&|e| e[..4].copy_from_slice(&u32::MAX.to_le_bytes()))),
+        ("list index", damaged(&|e| e[4..8].copy_from_slice(&u32::MAX.to_le_bytes()))),
+        ("two entries swapped", damaged(&|e| e.rotate_left(8))),
+        ("an entry twice", damaged(&|e| e.copy_within(..8, 8))),
+    ] {
+        assert!(matches!(err, SnapError::Corrupt(_)), "{what}: got {err:?}");
+        assert_eq!(err.exit_code(), 2);
+    }
+}
+
+/// Every stored list with a copy of what it held.
+fn held_lists(engine: &SimilarityEngine) -> Vec<(sqo_overlay::PostingList<Posting>, String)> {
+    let state = engine.network().export_state();
+    let tables = state.store_tables();
+    tables.lists.iter().map(|l| (sqo_overlay::PostingList::clone(l), format!("{l:?}"))).collect()
+}
+
+/// A snapshot is a set of handles onto the live runs, and stays what it
+/// was: a publish into the engine it was captured from, and one into an
+/// engine forked from it, each copy the runs they write first. The
+/// snapshot encodes to the bytes taken before either write, a second fork
+/// answers as before, and a reader holding a list from before sees it
+/// unchanged.
+#[test]
+fn a_fork_is_isolated_from_its_source() {
+    let words = words();
+    let mut live = build(&words);
+    let snap = Snapshot::capture(&live);
+    let before = snap.to_bytes();
+    let held = held_lists(&live);
+    // The same words again under new oids: every gram and value list of
+    // the world is appended to, and `w:0` gains a field.
+    let mut extra = string_rows("word", &words, "again");
+    extra.push(Row::new("w:0", [("note", "added later")]));
+    let with_note = |engine: &mut SimilarityEngine| {
+        let from = engine.random_peer();
+        let object = engine.lookup_object(from, "w:0").0.expect("w:0 is stored");
+        object.fields.iter().any(|(attr, _)| attr.as_str() == "note")
+    };
+
+    let from = live.random_peer();
+    let stats = live.publish_rows_traced(&extra, from);
+    assert!(stats.matches > extra.len(), "several postings per row were stored");
+    assert!(with_note(&mut live));
+    assert_ne!(Snapshot::capture(&live).to_bytes(), before, "the live engine moved on");
+    assert_eq!(snap.to_bytes(), before, "the snapshot did not");
+
+    let [mut written, mut untouched]: [SimilarityEngine; 2] =
+        snap.fork(live.config(), 2).try_into().ok().expect("two forks");
+    assert_eq!(written.publish_rows(&extra), 0, "every partition has a peer");
+    assert!(with_note(&mut written));
+    assert_eq!(snap.to_bytes(), before, "a fork's write stays in the fork");
+    assert_eq!(Snapshot::capture(&untouched).to_bytes(), before, "and out of its sibling");
+    assert!(!with_note(&mut untouched));
+    assert!(!with_note(&mut snap.restore_engine(live.config())));
+
+    assert!(held.iter().all(|(list, was)| format!("{list:?}") == *was), "a reader's list changed");
+    assert_eq!(held.len(), held_lists(&untouched).len());
+    // Lists of `b` that are the very allocations `a` holds.
+    let shared = |a: &SimilarityEngine, b: &SimilarityEngine| {
+        let of_a: std::collections::HashSet<_> =
+            held_lists(a).iter().map(|(list, _)| std::sync::Arc::as_ptr(list)).collect();
+        held_lists(b)
+            .iter()
+            .filter(|(list, _)| of_a.contains(&std::sync::Arc::as_ptr(list)))
+            .count()
+    };
+    assert_eq!(shared(&untouched, &snap.restore_engine(live.config())), held.len());
+    let kept = shared(&untouched, &written);
+    assert!(
+        0 < kept && kept < held.len(),
+        "a write copies the handles of the runs it touches and the lists it appends to, \
+         nothing else: {kept} of {} lists still shared",
+        held.len()
+    );
+}
+
 /// A restored world continues the original's RNG stream and counters: the
 /// next queries on both engines are identical, which is what makes warm
 /// templates equivalent to cold rebuilds.
@@ -351,7 +456,7 @@ fn string_sharing(engine: &SimilarityEngine) -> [(usize, usize); 2] {
     let (mut attrs, mut attr_ptrs) = (HashSet::new(), HashSet::new());
     let (mut grams, mut gram_ptrs) = (HashSet::new(), HashSet::new());
     let state = engine.network().export_state();
-    for p in state.lists.iter().flatten() {
+    for p in state.store_tables().lists.into_iter().flat_map(|list| list.iter()) {
         let attr = p.triple().attr.as_str();
         attr_ptrs.insert(attr.as_ptr());
         attrs.insert(attr);
@@ -427,8 +532,9 @@ fn a_world_grown_by_publishes_reaches_the_bytes_the_per_posting_path_wrote() {
     }
 }
 
-/// The artifact's key table is derived at capture: exactly the distinct
-/// stored keys, in key order, each run entry pointing at its own key.
+/// The artifact's key table is derived while encoding: exactly the
+/// distinct stored keys, in key order, each run entry pointing at its own
+/// key.
 #[test]
 fn the_key_table_is_the_sorted_distinct_set_of_stored_keys() {
     let words = words();
@@ -438,15 +544,18 @@ fn the_key_table_is_the_sorted_distinct_set_of_stored_keys() {
     let net = engine.network();
     let mut stored: Vec<_> = (0..net.partition_count())
         .filter_map(|part| net.partition_members(part).first())
-        .flat_map(|p| net.peer(*p).store.entries().iter().map(|(k, _)| k.clone()))
+        .flat_map(|p| net.peer(*p).store.keys())
         .collect();
     stored.sort();
     stored.dedup();
     let state = net.export_state();
-    assert_eq!(state.interned_keys, stored);
-    for (part, run) in state.stores.iter().enumerate() {
+    let tables = state.store_tables();
+    assert_eq!(tables.keys, stored);
+    for (part, run) in tables.stores.iter().enumerate() {
         let Some(p) = net.partition_members(part).first() else { continue };
-        let keys = net.peer(*p).store.entries().iter().map(|(k, _)| k);
-        assert!(run.iter().map(|(kid, _)| &state.interned_keys[*kid as usize]).eq(keys));
+        assert!(run
+            .iter()
+            .map(|(kid, _)| tables.keys[*kid as usize])
+            .eq(net.peer(*p).store.keys()));
     }
 }
