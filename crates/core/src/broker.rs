@@ -27,9 +27,9 @@
 //! simulation stays deterministic.
 
 use rustc_hash::FxHashMap;
-use sqo_storage::posting::Posting;
-use sqo_strsim::filters::{char_len, length_filter, position_filter, FilterConfig};
-use std::sync::Arc;
+use sqo_storage::posting::{Posting, PostingKind};
+use sqo_storage::slab::AttrGuard;
+use sqo_strsim::filters::{length_filter, position_filter, FilterConfig};
 
 /// The per-query gram-posting filter as plain data, so it can run wherever
 /// the posting list happens to be: at the owning peer (delegated probes),
@@ -54,50 +54,45 @@ impl ProbeFilter<'_> {
     /// Algorithm 2 plus the position and length filters — still borrowed,
     /// so the caller copies survivors only.
     ///
-    /// The conjunction is pure, so it runs cheapest first: the gram and the
-    /// position filter need only what the posting holds inline, and a
-    /// posting they reject never touches its triple. Postings stored under
-    /// one key carry one gram — one shared string, for those of one batch —
-    /// so its query positions are looked up when the gram changes, not once
-    /// per posting. The guard cannot be skipped for the key's sake: keys
-    /// truncate, so two attributes can share one.
+    /// The conjunction is pure, so it runs cheapest first, and none of it
+    /// reads text: gram and position are inline in the posting, the
+    /// attribute is an id of the posting's slab, the length a stored count.
+    /// Postings stored under one key carry one gram — one span, for those
+    /// of one batch — so its query positions are looked up when the gram
+    /// changes, not once per posting. The guard cannot be skipped for the
+    /// key's sake: keys truncate, so two attributes can share one.
     pub fn survivors<'p>(
         &'p self,
         items: impl Iterator<Item = &'p Posting> + 'p,
     ) -> impl Iterator<Item = &'p Posting> + 'p {
-        let mut probed: Option<(&Arc<str>, &[u32])> = None;
-        items.filter(move |p| {
-            let (triple, gram, pos) = match (self.attr, *p) {
-                (Some(_), Posting::InstanceGram { triple, gram, pos, .. })
-                | (None, Posting::SchemaGram { triple, gram, pos }) => (triple, gram, *pos),
+        let mut probed: Option<(&Posting, &[u32])> = None;
+        let mut queried = AttrGuard::new(self.attr.unwrap_or_default());
+        items.filter(move |&p| {
+            match (self.attr, p.kind()) {
+                (Some(_), PostingKind::InstanceGram { .. }) | (None, PostingKind::SchemaGram) => {}
                 _ => return false,
-            };
+            }
             let q_positions = match probed {
-                Some((g, qp)) if Arc::ptr_eq(g, gram) || g == gram => qp,
+                Some((last, qp)) if last.same_gram(p) => qp,
                 _ => {
-                    let Some(qp) = self.gram_positions.get(&**gram) else {
+                    let Some(qp) = self.gram_positions.get(p.gram()) else {
                         return false; // not a probed gram (shouldn't happen: exact keys)
                     };
-                    probed = Some((gram, qp));
+                    probed = Some((p, qp));
                     qp.as_slice()
                 }
             };
             if self.filters.position
-                && !q_positions.iter().any(|&qp| position_filter(pos, qp, self.d))
+                && !q_positions.iter().any(|&qp| position_filter(p.pos(), qp, self.d))
             {
                 return false;
             }
-            let source = match self.attr {
-                Some(a) => {
-                    if triple.attr.as_str() != a {
-                        return false;
-                    }
-                    let Some(text) = triple.value.as_str() else { return false };
-                    text
-                }
-                None => triple.attr.as_str(),
-            };
-            !self.filters.length || length_filter(char_len(source), self.s_len, self.d)
+            if self.attr.is_some() && !queried.admits(p.triple()) {
+                return false;
+            }
+            // `None`: an instance gram of a value that is no string.
+            let Some(source_len) = p.source_len() else { return false };
+            !self.filters.length || length_filter(source_len, self.s_len, self.d)
         })
     }
 }

@@ -1291,6 +1291,7 @@ impl<B> FanOut<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqo_storage::posting::PostingKind;
     use sqo_storage::triple::Value;
 
     fn cars() -> Vec<Row> {
@@ -1396,11 +1397,11 @@ mod tests {
         let digest = |mut got: Vec<Posting>| {
             let mut rows: Vec<String> = got
                 .drain(..)
-                .map(|p| match &p {
-                    Posting::InstanceGram { triple, gram, pos, .. } => {
-                        format!("{}|{gram}|{pos}", triple.oid)
+                .map(|p| match p.kind() {
+                    PostingKind::InstanceGram { .. } => {
+                        format!("{}|{}|{}", p.oid(), p.gram(), p.pos())
                     }
-                    other => panic!("probe returned a non-gram posting: {other:?}"),
+                    _ => panic!("probe returned a non-gram posting: {p:?}"),
                 })
                 .collect();
             rows.sort_unstable();

@@ -19,7 +19,8 @@ use crate::similar::Candidate;
 use sqo_overlay::key::Key;
 use sqo_overlay::peer::PeerId;
 use sqo_overlay::run_items;
-use sqo_storage::posting::Posting;
+use sqo_storage::posting::PostingKind;
+use sqo_storage::slab::AttrGuard;
 use sqo_strsim::edit::BoundedLevenshtein;
 
 impl SimilarityEngine {
@@ -59,21 +60,25 @@ impl SimilarityEngine {
         let mut payload = 0usize;
         let mut comparisons = 0u64;
         let mut seen_attr_names: Vec<&str> = Vec::new();
+        // Keys truncate, so the scanned prefix may hold another attribute's
+        // postings too.
+        let mut queried = AttrGuard::new(attr.unwrap_or_default());
         for p in run_items(self.net.local_prefix_run(responder, prefix)) {
-            match (attr, p) {
-                (Some(a), Posting::Base { triple, .. } | Posting::ShortValue { triple }) => {
-                    if triple.attr.as_str() != a {
+            let triple = p.triple();
+            match (attr, p.kind()) {
+                (Some(a), PostingKind::Base(_) | PostingKind::ShortValue) => {
+                    if !queried.admits(triple) {
                         continue;
                     }
-                    let Some(text) = triple.value.as_str() else { continue };
+                    let Some(text) = triple.value_str() else { continue };
                     comparisons += 1;
                     if verifier.distance(text).is_some() {
                         payload += triple.repr_len();
-                        local_matches.push(Candidate::new(&triple.oid, a, text));
+                        local_matches.push(Candidate::new(triple.oid(), a, text));
                     }
                 }
-                (None, Posting::Base { triple, .. } | Posting::ShortAttr { triple }) => {
-                    let name = triple.attr.as_str();
+                (None, PostingKind::Base(_) | PostingKind::ShortAttr) => {
+                    let name = triple.attr().as_str();
                     // One comparison per distinct local name, the way an
                     // implementation would actually do it.
                     if !seen_attr_names.contains(&name) {
@@ -82,7 +87,7 @@ impl SimilarityEngine {
                     }
                     if verifier.distance(name).is_some() {
                         payload += triple.repr_len();
-                        local_matches.push(Candidate::new(&triple.oid, name, name));
+                        local_matches.push(Candidate::new(triple.oid(), name, name));
                     }
                 }
                 _ => {}

@@ -8,8 +8,9 @@ use rustc_hash::FxHashMap;
 use sqo_overlay::peer::PeerId;
 use sqo_overlay::run_items;
 use sqo_storage::keys;
-use sqo_storage::posting::{Object, Posting};
-use sqo_storage::triple::Value;
+use sqo_storage::posting::{Object, Posting, PostingKind};
+use sqo_storage::slab::AttrGuard;
+use sqo_storage::triple::{Value, ValueRef};
 use sqo_strsim::numeric::NumericInterval;
 
 /// A selection hit: the value that satisfied the predicate plus its object.
@@ -159,8 +160,8 @@ impl SelectTask {
                 postings
                     .iter()
                     .filter_map(Posting::as_base)
-                    .filter(|t| t.attr.as_str() == attr && t.value == *v)
-                    .map(|t| (t.oid.clone(), t.value.clone()))
+                    .filter(|t| t.attr().as_str() == attr && t.value() == *v)
+                    .map(|t| (t.oid().to_string(), t.value().to_value()))
                     .collect()
             }
             SelectKind::Range { attr, lo, hi } => Self::range_scan(attr, lo, hi, from, e),
@@ -181,22 +182,21 @@ impl SelectTask {
                 postings
                     .iter()
                     .filter_map(Posting::as_base)
-                    .filter(|t| t.value == *v)
-                    .map(|t| (t.oid.clone(), t.value.clone()))
+                    .filter(|t| t.value() == *v)
+                    .map(|t| (t.oid().to_string(), t.value().to_value()))
                     .collect()
             }
             SelectKind::All { attr } => {
                 let mut matched = Vec::new();
                 for prefix in [keys::attr_scan_prefix(attr), keys::short_value_prefix(attr)] {
                     let lists = e.scan_prefix(from, &prefix);
+                    let mut queried = AttrGuard::new(attr);
                     for p in lists.iter().flat_map(|l| l.iter()) {
-                        match p {
-                            Posting::Base { triple, .. } | Posting::ShortValue { triple }
-                                if triple.attr.as_str() == attr =>
-                            {
-                                matched.push((triple.oid.clone(), triple.value.clone()));
-                            }
-                            _ => {}
+                        let t = p.triple();
+                        if matches!(p.kind(), PostingKind::Base(_) | PostingKind::ShortValue)
+                            && queried.admits(t)
+                        {
+                            matched.push((t.oid().to_string(), t.value().to_value()));
                         }
                     }
                 }
@@ -219,20 +219,20 @@ impl SelectTask {
         } else {
             Vec::new()
         };
-        let in_bounds = |t: &sqo_storage::triple::Triple| match (lo.as_float(), hi.as_float()) {
-            (Some(l), Some(h)) => t.value.as_float().map(|x| l <= x && x <= h).unwrap_or(false),
-            _ => match (&t.value, lo, hi) {
-                (Value::Str(s), Value::Str(l), Value::Str(h)) => {
-                    s.as_str() >= l.as_str()
-                        && (s.as_str() <= h.as_str() || s.starts_with(h.as_str()))
+        let in_bounds = |v: ValueRef<'_>| match (lo.as_float(), hi.as_float()) {
+            (Some(l), Some(h)) => v.as_float().map(|x| l <= x && x <= h).unwrap_or(false),
+            _ => match (v, lo, hi) {
+                (ValueRef::Str(s), Value::Str(l), Value::Str(h)) => {
+                    s >= l.as_str() && (s <= h.as_str() || s.starts_with(h.as_str()))
                 }
                 _ => false,
             },
         };
+        let mut queried = AttrGuard::new(attr);
         run_items(&postings)
             .filter_map(Posting::as_base)
-            .filter(|t| t.attr.as_str() == attr && in_bounds(t))
-            .map(|t| (t.oid.clone(), t.value.clone()))
+            .filter(|t| queried.admits(*t) && in_bounds(t.value()))
+            .map(|t| (t.oid().to_string(), t.value().to_value()))
             .collect()
     }
 }

@@ -35,7 +35,8 @@ use rustc_hash::FxHashMap;
 use sqo_overlay::key::Key;
 use sqo_overlay::peer::PeerId;
 use sqo_storage::keys;
-use sqo_storage::posting::{Object, Posting};
+use sqo_storage::posting::{Object, Posting, PostingKind};
+use sqo_storage::slab::AttrGuard;
 use sqo_storage::triple::AttrName;
 use sqo_strsim::edit::BoundedLevenshtein;
 use sqo_strsim::filters::{char_len, count_filter_threshold, length_filter};
@@ -451,17 +452,14 @@ impl SimilarTask {
                         let mut shared_grams: FxHashMap<(&str, &str, &str), usize> =
                             FxHashMap::with_capacity_and_hasher(postings.len(), Default::default());
                         for p in &postings {
-                            let cand = match (attr, p) {
-                                (Some(a), Posting::InstanceGram { triple, .. }) => (
-                                    triple.oid.as_str(),
-                                    a.as_str(),
-                                    triple.value.as_str().unwrap_or_default(),
-                                ),
-                                (None, Posting::SchemaGram { triple, .. }) => (
-                                    triple.oid.as_str(),
-                                    triple.attr.as_str(),
-                                    triple.attr.as_str(),
-                                ),
+                            let t = p.triple();
+                            let cand = match (attr, p.kind()) {
+                                (Some(a), PostingKind::InstanceGram { .. }) => {
+                                    (t.oid(), a.as_str(), t.value_str().unwrap_or_default())
+                                }
+                                (None, PostingKind::SchemaGram) => {
+                                    (t.oid(), t.attr().as_str(), t.attr().as_str())
+                                }
                                 _ => continue,
                             };
                             *shared_grams.entry(cand).or_default() += 1;
@@ -489,28 +487,26 @@ impl SimilarTask {
                                 None => keys::short_attr_prefix(),
                             };
                             let lists = e.scan_prefix(from, &prefix);
+                            let mut queried = AttrGuard::new(attr.as_deref().unwrap_or_default());
                             for p in lists.iter().flat_map(|l| l.iter()) {
-                                let (triple, text) = match (attr, p) {
-                                    (Some(a), Posting::ShortValue { triple }) => {
-                                        if triple.attr.as_str() != a.as_str() {
+                                let t = p.triple();
+                                let (text, chars) = match (attr, p.kind()) {
+                                    (Some(_), PostingKind::ShortValue) => {
+                                        if !queried.admits(t) {
                                             continue;
                                         }
-                                        let Some(text) = triple.value.as_str() else { continue };
-                                        (triple, text)
+                                        let Some(text) = t.value_str() else { continue };
+                                        (text, t.char_len().unwrap_or_default())
                                     }
-                                    (None, Posting::ShortAttr { triple }) => {
-                                        (triple, triple.attr.as_str())
+                                    (None, PostingKind::ShortAttr) => {
+                                        (t.attr().as_str(), t.attr_char_len())
                                     }
                                     _ => continue,
                                 };
-                                if filters.length && !length_filter(char_len(text), s_len, d) {
+                                if filters.length && !length_filter(chars, s_len, d) {
                                     continue;
                                 }
-                                candidates.push(Candidate::new(
-                                    &triple.oid,
-                                    triple.attr.as_str(),
-                                    text,
-                                ));
+                                candidates.push(Candidate::new(t.oid(), t.attr().as_str(), text));
                             }
                         }
                         candidates.sort_by(|a, b| {

@@ -38,7 +38,8 @@ use crate::stats::QueryStats;
 use rustc_hash::FxHashMap;
 use sqo_overlay::peer::PeerId;
 use sqo_storage::keys;
-use sqo_storage::posting::{Object, Posting};
+use sqo_storage::posting::{Object, PostingKind};
+use sqo_storage::slab::AttrGuard;
 
 /// One joined pair.
 #[derive(Debug, Clone)]
@@ -255,17 +256,17 @@ impl ExecStep for JoinTask {
                     // Each pair carries its oid's head inline, which settles
                     // nearly every comparison of the sort without reading
                     // either heap string; the order is that of the pairs.
+                    let mut queried = AttrGuard::new(ln);
                     let mut left: Vec<(u64, (&str, &str))> = lists
                         .iter()
                         .flat_map(|l| l.iter())
-                        .filter_map(|p| match p {
-                            Posting::Base { triple, .. } | Posting::ShortValue { triple }
-                                if triple.attr.as_str() == ln =>
-                            {
-                                let oid = triple.oid.as_str();
-                                triple.value.as_str().map(|s| (oid_head(oid), (oid, s)))
-                            }
-                            _ => None,
+                        .filter(|p| {
+                            matches!(p.kind(), PostingKind::Base(_) | PostingKind::ShortValue)
+                                && queried.admits(p.triple())
+                        })
+                        .filter_map(|p| {
+                            let oid = p.oid();
+                            p.triple().value_str().map(|s| (oid_head(oid), (oid, s)))
                         })
                         .collect();
                     left.sort_unstable();

@@ -124,12 +124,12 @@ impl SimilarityEngine {
             };
             for p in run_items(self.net.local_prefix_run(responder, &prefix)) {
                 let Some(t) = p.as_base() else { continue };
-                if t.attr.as_str() != attr {
+                if t.attr().as_str() != attr {
                     continue;
                 }
-                if let Some(x) = t.value.as_float() {
+                if let Some(x) = t.value().as_float() {
                     if domain.is_none() {
-                        domain = NumDomain::of(&t.value);
+                        domain = NumDomain::of(&t.value().to_value());
                     }
                     local.push(x);
                 }
@@ -191,15 +191,16 @@ impl SimilarityEngine {
             let postings = self.net.range_query(from, &klo, &khi).unwrap_or_default();
             for p in run_items(&postings) {
                 let Some(t) = p.as_base() else { continue };
-                if t.attr.as_str() != attr {
+                if t.attr().as_str() != attr {
                     continue;
                 }
-                let Some(x) = t.value.as_float() else { continue };
+                let Some(x) = t.value().as_float() else { continue };
+                let value = t.value().to_value(); // a number: nothing is copied
                 if domain.is_none() {
-                    domain = NumDomain::of(&t.value);
+                    domain = NumDomain::of(&value);
                 }
-                let Some(score) = rank.score(&t.value) else { continue };
-                results.insert((t.oid.clone(), x.to_bits()), (t.value.clone(), score));
+                let Some(score) = rank.score(&value) else { continue };
+                results.insert((t.oid().to_string(), x.to_bits()), (value, score));
             }
             if results.len() >= n {
                 break;

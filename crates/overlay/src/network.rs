@@ -162,6 +162,9 @@ pub struct Network<T> {
     /// The one empty posting list every prefix miss replies with (a
     /// handle clone, not a fresh allocation per miss).
     pub(crate) empty: PostingList<T>,
+    /// Items published into this network that no peer stored
+    /// ([`Self::unstored_items`]).
+    pub(crate) unstored: u64,
     pub(crate) rng: StdRng,
 }
 
@@ -268,6 +271,7 @@ impl<T: Item> Network<T> {
             next_trace_query: 0,
             cache_epoch: 0,
             empty: PostingList::default(),
+            unstored: 0,
             rng: StdRng::seed_from_u64(0), // replaced below, after cfg move
         };
         net.rng = StdRng::seed_from_u64(net.cfg.seed);
@@ -290,7 +294,8 @@ impl<T: Item> Network<T> {
     /// Returns how many of the batch's items **no peer stored**: those whose
     /// whole subtree is a peerless gap partition (a bootstrapped trie can
     /// leave one behind). An item under a key that some peered partition
-    /// covers is stored there and not counted.
+    /// covers is stored there and not counted. The network keeps the
+    /// running total ([`Self::unstored_items`]), the build's share included.
     pub fn insert_batch(&mut self, mut batch: Vec<(Key, T)>) -> usize {
         self.cache_epoch += batch.len() as u64;
         batch.sort_by(|a, b| a.0.cmp(&b.0));
@@ -315,7 +320,17 @@ impl<T: Item> Network<T> {
             }
             pending.push((key, Arc::new(items)));
         }
-        unstored + self.merge_into(part, &mut pending, false)
+        unstored += self.merge_into(part, &mut pending, false);
+        self.unstored += unstored as u64;
+        unstored
+    }
+
+    /// How many items published into this network — by its build or by any
+    /// [`Self::insert_batch`] since — no peer stored. 0 on any network
+    /// whose every partition has a member; a network restored from an image
+    /// counts from the restore.
+    pub fn unstored_items(&self) -> u64 {
+        self.unstored
     }
 
     /// A key shorter than the local trie depth is stored by every partition

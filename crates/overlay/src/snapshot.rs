@@ -197,6 +197,7 @@ impl<T: Item> Network<T> {
             next_trace_query: state.next_trace_query,
             cache_epoch: state.cache_epoch,
             empty: PostingList::default(),
+            unstored: 0,
             rng: StdRng::from_state_words(state.rng),
         };
         debug_assert_eq!(net.check_invariants(), Ok(()));

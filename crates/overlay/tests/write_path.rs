@@ -158,7 +158,8 @@ proptest! {
     /// a bootstrapped trie can leave behind): publications whose subtree
     /// is, or includes, the gap skip it and land everywhere else — and a
     /// publication whose *whole* subtree is the gap, which no peer stores,
-    /// is counted out to the caller instead of vanishing.
+    /// is counted out to the caller, and kept by the network, instead of
+    /// vanishing.
     #[test]
     fn a_peerless_gap_partition_takes_nothing_and_breaks_nothing(
         base in prop::collection::vec(key(), 0..40),
@@ -176,12 +177,18 @@ proptest! {
 
         let built = on([base.clone(), batch.clone()].concat());
         prop_assert!(built.partition_members(2).is_empty(), "the gap stayed peerless");
-        let lost = batch.iter().filter(|(k, _)| built.subtree_of(k) == (2, 3)).count();
+        let swallowed = |data: &[(Key, S)]| data.iter().filter(|(k, _)| built.subtree_of(k) == (2, 3)).count();
+        let lost = swallowed(&batch);
         let mut batched = on(base.clone());
         prop_assert_eq!(batched.insert_batch(batch.clone()), lost);
-        let mut one_by_one = on(base);
+        let mut one_by_one = on(base.clone());
         let singly: usize = batch.iter().cloned().map(|(k, item)| one_by_one.insert_item(k, item)).sum();
         prop_assert_eq!(singly, lost);
+        // The network keeps the count, the build's share included: exactly
+        // what the gap swallowed, however the postings came in.
+        for net in [&built, &batched, &one_by_one] {
+            prop_assert_eq!(net.unstored_items(), (swallowed(&base) + lost) as u64);
+        }
         prop_assert_eq!(image(&batched), image(&built));
         prop_assert_eq!(image(&one_by_one), image(&built));
         prop_assert_eq!(built.check_invariants(), Ok(()));

@@ -248,9 +248,9 @@ impl Snapshot {
         // The image holds the live runs; the key and list tables the
         // artifact spells them through are derived here, in one walk.
         let tables = self.world.net.store_tables();
-        // The triple intern table spans the whole artifact (network lists
-        // and broker-cached lists share allocations), so it is collected
-        // up front and written before anything that references it.
+        // The triple table spans the whole artifact (network lists and
+        // broker-cached lists share triples): it is collected up front and
+        // written before anything that references it.
         let triples = wire::TripleTable::collect(&tables.lists, self.world.broker.as_ref());
         triples.encode(&mut e);
         wire::network_state(&mut e, &triples, &self.world.net, &tables);

@@ -17,16 +17,16 @@
 //! * options are a `u8` tag (0 = none, 1 = some),
 //! * enums are a `u8` discriminant followed by the variant's fields.
 //!
-//! Triples are interned: postings share `Arc<Triple>` allocations in the
-//! live engine (one triple backs its base posting and every gram posting
-//! cut from it), and the codec writes each distinct triple once, by
-//! pointer identity, into a table up front. Postings then reference the
-//! table by index, so a decoded world re-shares the allocations — the
-//! artifact stays near the *deduplicated* size of the store, and restored
-//! memory footprints match the original's. Attribute names and gram texts
-//! are spelled out per triple and per posting and re-shared while decoding,
-//! one allocation per distinct string, which is how `postings_for_rows`
-//! lays out a built world.
+//! Triples are numbered: in the live engine a triple is a record of its
+//! batch's [`TripleSlab`], which backs its base posting and every gram
+//! posting cut from it, and the codec writes each stored triple once, in
+//! the order the walk of the lists first meets it, into a table up front.
+//! Postings reference the table by index. The decoder builds **one slab**
+//! straight from that table and every decoded posting is a handle on it,
+//! so a restored world allocates nothing per triple. Names are spelled out
+//! per triple and gram texts per posting; the slab holds each name once,
+//! and a gram is found where it lies in its value (or name) and becomes a
+//! span of the slab's text — how `postings_for_rows` lays out a built world.
 //!
 //! The stores are written through two more tables — distinct keys, distinct
 //! lists — that exist only on the wire: the encoder takes them from
@@ -47,7 +47,9 @@ use sqo_overlay::{
 use sqo_sim::driver::{DriverCheckpoint, EvSnap, HistParts, RepairTotals};
 use sqo_sim::scale::{Ev, EvKind, QState, ScaleCheckpoint};
 use sqo_sim::{NetSimState, QueryKind, QueueState};
-use sqo_storage::{AttrName, BaseKind, Posting, SharedStrs, Triple, TripleRef, Value};
+use sqo_storage::{
+    BaseKind, GramInterner, Posting, PostingKind, SlabBuilder, TripleRef, TripleSlab, ValueRef,
+};
 use std::sync::Arc;
 
 use sqo_core::QueryStats;
@@ -206,16 +208,18 @@ impl<'a> Dec<'a> {
 }
 
 // ---------------------------------------------------------------------
-// Triple interning
+// Triple numbering
 // ---------------------------------------------------------------------
 
-/// Encode-side triple intern table: the distinct `Arc<Triple>` allocations
-/// of the world being written, in discovery order, deduplicated by pointer
-/// identity. It borrows the triples — the snapshot outlives its encoding.
+/// Encode-side triple table: the distinct stored triples of the world
+/// being written, in discovery order. A stored triple is a record of a
+/// slab, so "met before" is a look into that slab's array of wire indices.
+/// The table borrows the slabs — the snapshot outlives its encoding.
 #[derive(Default)]
 pub struct TripleTable<'a> {
-    order: Vec<&'a Triple>,
-    index: FxHashMap<*const Triple, u32>,
+    order: Vec<TripleRef<'a>>,
+    /// Per slab met: the wire index of each record, `u32::MAX` until met.
+    remap: FxHashMap<*const TripleSlab, Vec<u32>>,
 }
 
 impl<'a> TripleTable<'a> {
@@ -225,135 +229,127 @@ impl<'a> TripleTable<'a> {
     pub fn collect(lists: &[&'a PostingList<Posting>], broker: Option<&'a BrokerState>) -> Self {
         let mut table = Self::default();
         let cached = broker.iter().flat_map(|b| &b.cache.entries).map(|e| &e.value);
-        for list in lists.iter().copied().chain(cached) {
-            for t in list.iter().map(Posting::triple) {
-                table.index.entry(Arc::as_ptr(t)).or_insert_with(|| {
-                    table.order.push(t);
-                    (table.order.len() - 1) as u32
-                });
+        for p in lists.iter().copied().chain(cached).flat_map(|list| list.iter()) {
+            let (slab, index) = p.triple_id();
+            let of_slab =
+                table.remap.entry(Arc::as_ptr(slab)).or_insert_with(|| vec![u32::MAX; slab.len()]);
+            let wire = &mut of_slab[index as usize];
+            if *wire == u32::MAX {
+                *wire = table.order.len() as u32;
+                table.order.push(slab.triple(index));
             }
         }
         table
     }
 
-    /// The index a posting refers to `t` by. The table was collected from
-    /// every list the artifact holds, so the triple is in it.
-    fn index_of(&self, t: &TripleRef) -> u32 {
-        self.index[&Arc::as_ptr(t)]
+    /// The index `p` refers to its triple by; `collect` met every posting.
+    fn index_of(&self, p: &Posting) -> u32 {
+        let (slab, index) = p.triple_id();
+        self.remap[&Arc::as_ptr(slab)][index as usize]
     }
 
     pub fn encode(&self, e: &mut Enc) {
-        e.seq(&self.order, |e, t| triple(e, t));
+        e.seq(&self.order, |e, t| triple(e, *t));
     }
 }
 
-/// Decode-side twin of [`TripleTable`]: the triples postings refer to by
-/// index, and the attribute names and gram texts decoded so far, so equal
-/// strings of one artifact become one allocation.
-pub struct DecodedTriples {
-    triples: Vec<TripleRef>,
-    strs: SharedStrs,
+/// Decode-side twin of [`TripleTable`]: the one slab the triple table
+/// became, and one span of its text per distinct gram met so far.
+pub struct DecodedTriples<'a> {
+    slab: Arc<TripleSlab>,
+    grams: GramInterner<'a>,
 }
 
-pub fn decode_triple_table(d: &mut Dec<'_>) -> R<DecodedTriples> {
-    let mut strs = SharedStrs::default();
-    let triples = d.seq(|d| Ok(Arc::new(de_triple(d, &mut strs)?)))?;
-    Ok(DecodedTriples { triples, strs })
+pub fn decode_triple_table<'a>(d: &mut Dec<'a>) -> R<DecodedTriples<'a>> {
+    const FULL: SnapError = SnapError::Corrupt("triple table exceeds 4 GiB of text");
+    let n = d.seq_len()?;
+    let mut slab = SlabBuilder::with_capacity(n, 0, 0);
+    for _ in 0..n {
+        let (oid, attr) = (d.str()?, d.str()?);
+        let value = match d.u8()? {
+            0 => ValueRef::Str(d.str()?),
+            1 => ValueRef::Int(d.i64()?),
+            2 => ValueRef::Float(d.f64()?),
+            _ => return Err(SnapError::Corrupt("value tag out of range")),
+        };
+        slab.push(oid, attr, value).map_err(|_| FULL)?;
+    }
+    Ok(DecodedTriples { slab: slab.finish().map_err(|_| FULL)?, grams: GramInterner::default() })
 }
 
-fn triple(e: &mut Enc, t: &Triple) {
-    e.str(&t.oid);
-    e.str(t.attr.as_str());
-    match &t.value {
-        Value::Str(s) => {
+fn triple(e: &mut Enc, t: TripleRef<'_>) {
+    e.str(t.oid());
+    e.str(t.attr().as_str());
+    match t.value() {
+        ValueRef::Str(s) => {
             e.u8(0);
             e.str(s);
         }
-        Value::Int(i) => {
+        ValueRef::Int(i) => {
             e.u8(1);
-            e.i64(*i);
+            e.i64(i);
         }
-        Value::Float(f) => {
+        ValueRef::Float(f) => {
             e.u8(2);
-            e.f64(*f);
+            e.f64(f);
         }
     }
-}
-
-fn de_triple(d: &mut Dec<'_>, strs: &mut SharedStrs) -> R<Triple> {
-    let oid = d.string()?;
-    let attr = AttrName::new(strs.share(d.str()?));
-    let value = match d.u8()? {
-        0 => Value::Str(d.string()?),
-        1 => Value::Int(d.i64()?),
-        2 => Value::Float(d.f64()?),
-        _ => return Err(SnapError::Corrupt("value tag out of range")),
-    };
-    Ok(Triple { oid, attr, value })
 }
 
 fn posting(e: &mut Enc, t: &TripleTable<'_>, p: &Posting) {
-    match p {
-        Posting::Base { kind, triple } => {
-            e.u8(0);
-            e.u32(t.index_of(triple));
-            e.u8(match kind {
-                BaseKind::Oid => 0,
-                BaseKind::AttrValue => 1,
-                BaseKind::Value => 2,
-            });
+    let kind = p.kind();
+    e.u8(match kind {
+        PostingKind::Base(_) => 0,
+        PostingKind::InstanceGram { .. } => 1,
+        PostingKind::SchemaGram => 2,
+        PostingKind::ShortValue => 3,
+        PostingKind::ShortAttr => 4,
+    });
+    e.u32(t.index_of(p));
+    match kind {
+        PostingKind::Base(BaseKind::Oid) => e.u8(0),
+        PostingKind::Base(BaseKind::AttrValue) => e.u8(1),
+        PostingKind::Base(BaseKind::Value) => e.u8(2),
+        PostingKind::InstanceGram { .. } | PostingKind::SchemaGram => {
+            e.str(p.gram());
+            e.u32(p.pos());
+            if let PostingKind::InstanceGram { carries_value } = kind {
+                e.bool(carries_value);
+            }
         }
-        Posting::InstanceGram { triple, gram, pos, carries_value } => {
-            e.u8(1);
-            e.u32(t.index_of(triple));
-            e.str(gram);
-            e.u32(*pos);
-            e.bool(*carries_value);
-        }
-        Posting::SchemaGram { triple, gram, pos } => {
-            e.u8(2);
-            e.u32(t.index_of(triple));
-            e.str(gram);
-            e.u32(*pos);
-        }
-        Posting::ShortValue { triple } => {
-            e.u8(3);
-            e.u32(t.index_of(triple));
-        }
-        Posting::ShortAttr { triple } => {
-            e.u8(4);
-            e.u32(t.index_of(triple));
-        }
+        PostingKind::ShortValue | PostingKind::ShortAttr => {}
     }
 }
 
-fn de_posting(d: &mut Dec<'_>, table: &mut DecodedTriples) -> R<Posting> {
-    let tag = d.u8()?;
-    let idx = d.u32()? as usize;
-    let triple = TripleRef::clone(
-        table.triples.get(idx).ok_or(SnapError::Corrupt("triple index out of range"))?,
-    );
-    Ok(match tag {
-        0 => Posting::Base {
-            kind: match d.u8()? {
+fn de_posting<'a>(d: &mut Dec<'a>, table: &mut DecodedTriples<'a>) -> R<Posting> {
+    const STRAY: SnapError = SnapError::Corrupt("gram is not in its source at its position");
+    let (tag, index) = (d.u8()?, d.u32()?);
+    let DecodedTriples { slab, grams } = table;
+    let (kind, gram) = match tag {
+        0 => {
+            let kind = match d.u8()? {
                 0 => BaseKind::Oid,
                 1 => BaseKind::AttrValue,
                 2 => BaseKind::Value,
                 _ => return Err(SnapError::Corrupt("base-kind tag out of range")),
-            },
-            triple,
-        },
-        1 => Posting::InstanceGram {
-            triple,
-            gram: table.strs.share(d.str()?),
-            pos: d.u32()?,
-            carries_value: d.bool()?,
-        },
-        2 => Posting::SchemaGram { triple, gram: table.strs.share(d.str()?), pos: d.u32()? },
-        3 => Posting::ShortValue { triple },
-        4 => Posting::ShortAttr { triple },
+            };
+            (PostingKind::Base(kind), None)
+        }
+        1 | 2 => {
+            let (text, pos) = (d.str()?, d.u32()?);
+            let (kind, span) = if tag == 1 {
+                let kind = PostingKind::InstanceGram { carries_value: d.bool()? };
+                (kind, grams.share(text, || slab.value_gram(index, pos, text)))
+            } else {
+                (PostingKind::SchemaGram, grams.share(text, || slab.name_gram(index, pos, text)))
+            };
+            (kind, Some((span.ok_or(STRAY)?, pos)))
+        }
+        3 => (PostingKind::ShortValue, None),
+        4 => (PostingKind::ShortAttr, None),
         _ => return Err(SnapError::Corrupt("posting tag out of range")),
-    })
+    };
+    Posting::new(kind, slab, index, gram).ok_or(SnapError::Corrupt("triple index out of range"))
 }
 
 // ---------------------------------------------------------------------
@@ -507,7 +503,10 @@ pub fn network_state(
     rng_words(e, &s.rng);
 }
 
-pub fn de_network_state(d: &mut Dec<'_>, table: &mut DecodedTriples) -> R<NetworkState<Posting>> {
+pub fn de_network_state<'a>(
+    d: &mut Dec<'a>,
+    table: &mut DecodedTriples<'a>,
+) -> R<NetworkState<Posting>> {
     let cfg = NetworkConfig {
         peers: d.usize()?,
         replication: d.usize()?,
@@ -623,7 +622,7 @@ pub fn broker_state(e: &mut Enc, t: &TripleTable<'_>, b: &BrokerState) {
     e.u64(ch.rides);
 }
 
-pub fn de_broker_state(d: &mut Dec<'_>, table: &mut DecodedTriples) -> R<BrokerState> {
+pub fn de_broker_state<'a>(d: &mut Dec<'a>, table: &mut DecodedTriples<'a>) -> R<BrokerState> {
     let cfg = BrokerConfig {
         cache: d.bool()?,
         cache_capacity: d.usize()?,

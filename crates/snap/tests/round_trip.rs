@@ -14,7 +14,7 @@ use sqo_sim::{
     ScaleConfig, SimConfig, Topology,
 };
 use sqo_snap::{SnapError, Snapshot, SCHEMA_VERSION};
-use sqo_storage::{Posting, Row};
+use sqo_storage::{Posting, PostingKind, Row};
 
 fn words() -> Vec<String> {
     bible_words(260, 7)
@@ -366,6 +366,124 @@ fn a_store_entry_out_of_range_or_out_of_order_is_corrupt_not_a_restore_panic() {
     }
 }
 
+/// A small world with every section in it — two attributes, non-ASCII
+/// text, a value shorter than q, a number, a warm broker cache, a paused
+/// driver — as an artifact.
+fn a_whole_artifact() -> Vec<u8> {
+    let words = bible_words(48, 7);
+    let mut rows: Vec<Row> = words
+        .iter()
+        .enumerate()
+        .map(|(i, w)| Row::new(format!("w:{i}"), [("word", w.as_str()), ("again", w.as_str())]))
+        .collect();
+    rows.push(Row::new("w:é", [("word", "naïve日本")]));
+    rows.push(Row::new("w:short", [("word", "a")]));
+    rows.push(Row::new("w:seven", [("n", 7)]));
+    let cfg = workload(BrokerConfig::enabled());
+    let mut engine =
+        EngineBuilder::new().peers(16).q(2).seed(3).cache_config(cfg.cache).build_with_rows(&rows);
+    let ckpt = match run_driver_until(&mut engine, "word", &words, &cfg, 1_000_000) {
+        DriverPhase::Paused(ck) => ck,
+        DriverPhase::Done(_) => panic!("a cut at 1s must land mid-run"),
+    };
+    let snap = Snapshot::capture_paused(&engine, ckpt);
+    assert!(snap.world.broker.as_ref().is_some_and(|b| !b.cache.entries.is_empty()));
+    snap.to_bytes()
+}
+
+/// The decoder is total: whatever is done to an artifact — a bit flipped,
+/// the tail cut off, a stretch overwritten with another stretch of the
+/// same artifact or with noise — `from_bytes` returns, and an artifact it
+/// accepts encodes again; it never panics and never asks for more memory
+/// than the input could describe. (A flip inside a counter still decodes,
+/// which is why the outcome is not asserted to be an error each time.)
+#[test]
+fn no_mutant_of_an_artifact_panics_the_decoder() {
+    let bytes = a_whole_artifact();
+    assert!(Snapshot::from_bytes(&bytes).is_ok());
+    // xorshift64*: the mutants are the same on every run.
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut below = move |n: usize| {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % n
+    };
+    const MUTANTS: usize = 2_400;
+    let mut refused = 0;
+    for i in 0..MUTANTS {
+        let mut mutant = bytes.clone();
+        // Past the envelope, which `envelope_is_versioned…` covers.
+        let at = 8 + below(bytes.len() - 8);
+        let what = match i % 4 {
+            0 => {
+                mutant[at] ^= 1 << below(8);
+                "flip"
+            }
+            1 => {
+                mutant.truncate(at);
+                "truncate"
+            }
+            2 => {
+                let len = 1 + below(64.min(bytes.len() - at));
+                let from = below(bytes.len() - len);
+                mutant[at..at + len].copy_from_slice(&bytes[from..from + len]);
+                "splice"
+            }
+            _ => {
+                let len = 1 + below(8.min(bytes.len() - at));
+                mutant[at..at + len].iter_mut().for_each(|b| *b = below(256) as u8);
+                "noise"
+            }
+        };
+        let outcome = std::panic::catch_unwind(|| {
+            Snapshot::from_bytes(&mutant).map(|snap| snap.to_bytes().len())
+        });
+        match outcome {
+            Ok(decoded) => refused += usize::from(decoded.is_err()),
+            Err(_) => panic!("mutant {i} ({what} at byte {at} of {}) panicked", bytes.len()),
+        }
+    }
+    assert!(refused > MUTANTS / 2, "only {refused} of {MUTANTS} mutants were refused");
+}
+
+/// Damage to the triple table or to what a posting says of its triple is
+/// `Corrupt` at decode time: the one slab a decoded world reads through is
+/// built from the table, and every posting is checked against it — its
+/// triple's index, and its gram, which must lie in the triple's value at
+/// the position the posting gives.
+#[test]
+fn a_posting_that_does_not_fit_its_triple_is_corrupt() {
+    let bytes = a_whole_artifact();
+    // The one posting of the gram `日本`: tag, triple index, then the gram
+    // length-prefixed, its position (character 5 of `naïve日本`) and the
+    // carries-value flag.
+    let gram = "日本".as_bytes();
+    let tail = [&6u64.to_le_bytes()[..], gram, &5u32.to_le_bytes(), &[0]].concat();
+    let len_at = bytes.windows(tail.len()).position(|w| w == tail).expect("the gram's posting");
+    let (index_at, text_at, pos_at) = (len_at - 4, len_at + 8, len_at + 8 + gram.len());
+    assert_eq!(bytes[index_at - 1], 1, "an instance-gram posting");
+    // The first triple of the table: its oid, length-prefixed, follows the
+    // envelope and the table's length.
+    let oid_at = 8 + 8 + 8;
+
+    let patched = |at: usize, with: &[u8]| {
+        let mut b = bytes.clone();
+        b[at..at + with.len()].copy_from_slice(with);
+        Snapshot::from_bytes(&b).map(|_| ()).unwrap_err()
+    };
+    for (what, err) in [
+        ("a triple index past the table", patched(index_at, &u32::MAX.to_le_bytes())),
+        ("a gram at another position", patched(pos_at, &4u32.to_le_bytes())),
+        ("a gram its value does not hold", patched(text_at, "日月".as_bytes())),
+        ("a gram cut inside a character", patched(text_at + gram.len() - 1, b"x")),
+        ("an oid that is not UTF-8", patched(oid_at, &[0xff])),
+    ] {
+        assert!(matches!(err, SnapError::Corrupt(_)), "{what}: got {err:?}");
+        assert_eq!(err.exit_code(), 2);
+    }
+}
+
 /// Every stored list with a copy of what it held.
 fn held_lists(engine: &SimilarityEngine) -> Vec<(sqo_overlay::PostingList<Posting>, String)> {
     let state = engine.network().export_state();
@@ -457,12 +575,12 @@ fn string_sharing(engine: &SimilarityEngine) -> [(usize, usize); 2] {
     let (mut grams, mut gram_ptrs) = (HashSet::new(), HashSet::new());
     let state = engine.network().export_state();
     for p in state.store_tables().lists.into_iter().flat_map(|list| list.iter()) {
-        let attr = p.triple().attr.as_str();
+        let attr = p.triple().attr().as_str();
         attr_ptrs.insert(attr.as_ptr());
         attrs.insert(attr);
-        if let Posting::InstanceGram { gram, .. } | Posting::SchemaGram { gram, .. } = p {
-            gram_ptrs.insert(gram.as_ptr());
-            grams.insert(&**gram);
+        if matches!(p.kind(), PostingKind::InstanceGram { .. } | PostingKind::SchemaGram) {
+            gram_ptrs.insert(p.gram().as_ptr());
+            grams.insert(p.gram());
         }
     }
     [(attrs.len(), attr_ptrs.len()), (grams.len(), gram_ptrs.len())]

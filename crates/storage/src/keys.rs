@@ -23,7 +23,7 @@
 //! the query's match-length window dips below `q` (completeness — see
 //! `sqo-core::similar`).
 
-use crate::triple::Value;
+use crate::triple::{Value, ValueRef};
 use sqo_overlay::hash::{order_bits_f64, order_bits_i64, MAX_STRING_KEY_BITS};
 use sqo_overlay::key::Key;
 
@@ -76,22 +76,22 @@ fn str_bytes(s: &str) -> &[u8] {
 
 /// The value-type tag of `v` and its order-preserving bytes (a number's
 /// eight are written to `num`).
-fn value_parts<'a>(v: &'a Value, num: &'a mut [u8; 8]) -> ([u8; 1], &'a [u8]) {
+fn value_parts<'a>(v: ValueRef<'a>, num: &'a mut [u8; 8]) -> ([u8; 1], &'a [u8]) {
     match v {
-        Value::Int(i) => {
-            *num = order_bits_i64(*i).to_be_bytes();
+        ValueRef::Int(i) => {
+            *num = order_bits_i64(i).to_be_bytes();
             ([VT_INT], num)
         }
-        Value::Float(f) => {
-            *num = order_bits_f64(*f).to_be_bytes();
+        ValueRef::Float(f) => {
+            *num = order_bits_f64(f).to_be_bytes();
             ([VT_FLOAT], num)
         }
-        Value::Str(s) => ([VT_STR], str_bytes(s)),
+        ValueRef::Str(s) => ([VT_STR], str_bytes(s)),
     }
 }
 
 /// `head` followed by the fragment of `v`.
-fn key_with_value(head: &[u8], v: &Value) -> Key {
+fn key_with_value(head: &[u8], v: ValueRef<'_>) -> Key {
     let mut num = [0; 8];
     let (tag, bytes) = value_parts(v, &mut num);
     key_of(&[head, &tag, bytes])
@@ -99,7 +99,7 @@ fn key_with_value(head: &[u8], v: &Value) -> Key {
 
 /// Order-preserving key fragment for a value.
 pub fn value_fragment(v: &Value) -> Key {
-    key_with_value(&[], v)
+    key_with_value(&[], v.as_ref())
 }
 
 /// The `tag · A · 0x00` prefixes of the three families keyed by attribute,
@@ -121,7 +121,7 @@ impl AttrPrefixes {
         }
     }
 
-    pub(crate) fn attr_value_key(&self, v: &Value) -> Key {
+    pub(crate) fn attr_value_key(&self, v: ValueRef<'_>) -> Key {
         key_with_value(&self.attr_value, v)
     }
 
@@ -150,7 +150,7 @@ pub fn oid_key(oid: &str) -> Key {
 /// `key(A # v)`.
 pub fn attr_value_key(attr: &str, v: &Value) -> Key {
     let mut num = [0; 8];
-    let (tag, bytes) = value_parts(v, &mut num);
+    let (tag, bytes) = value_parts(v.as_ref(), &mut num);
     key_of(&[&[IndexFamily::AttrValue as u8], str_bytes(attr), END, &tag, bytes])
 }
 
@@ -183,6 +183,11 @@ pub fn attr_value_range(attr: &str, lo: &Value, hi: &Value) -> (Key, Key) {
 
 /// `key(v)` — the "any attribute = v" index.
 pub fn value_key(v: &Value) -> Key {
+    value_key_of(v.as_ref())
+}
+
+/// [`value_key`] of a value where it lies.
+pub(crate) fn value_key_of(v: ValueRef<'_>) -> Key {
     key_with_value(&[IndexFamily::Value as u8], v)
 }
 

@@ -6,17 +6,23 @@
 //! keyword index, and (for similarity support) one posting per q-gram of
 //! string values (instance level) and of attribute names (schema level).
 //!
-//! * [`triple`] — `Triple`, `Row`, `AttrName`, `Value`, `SharedStrs`.
+//! * [`triple`] — `Triple`, `Row`, `AttrName`, `Value`: triples outside
+//!   the store.
+//! * [`slab`] — `TripleSlab`, `TripleRef`: the triples of one batch as
+//!   stored, fixed-width records over one text arena.
 //! * [`keys`] — the key families and their order/prefix guarantees.
-//! * [`posting`] — stored index entries and object reassembly.
+//! * [`posting`] — stored index entries (24 bytes each) and object
+//!   reassembly.
 //! * [`publish`] — the row → postings pipeline with overhead accounting.
 
 pub mod keys;
 pub mod posting;
 pub mod publish;
+pub mod slab;
 pub mod triple;
 
 pub use keys::IndexFamily;
-pub use posting::{BaseKind, Object, Posting};
+pub use posting::{BaseKind, Object, Posting, PostingKind};
 pub use publish::{postings_for_rows, postings_for_triple, PublishConfig, PublishStats};
-pub use triple::{AttrName, Row, SharedStrs, Triple, TripleRef, Value};
+pub use slab::{AttrGuard, GramInterner, GramSpan, SlabBuilder, SlabFull, TripleRef, TripleSlab};
+pub use triple::{AttrName, Row, Triple, Value, ValueRef};

@@ -1,16 +1,21 @@
 //! Index postings — what actually gets stored in the overlay.
 //!
-//! All postings referencing the same logical triple share one allocation
-//! (`TripleRef = Arc<Triple>`); a q-gram posting adds only the gram text
-//! (a shared `Arc<str>`) and its position, so cloning any posting is a
-//! couple of reference-count bumps and never allocates. Size accounting follows the paper's wire format: an
+//! A posting is a fixed-width record of 24 bytes: the `Arc` of its batch's
+//! [`TripleSlab`], the index of its triple there, and — for a q-gram
+//! posting — the gram as a span of the slab's text arena plus its position.
+//! It owns nothing else, so a clone or a drop is one reference-count step,
+//! on a counter every posting of the batch shares, and a posting taken out
+//! of its list (a query reply, a cache entry, a free-standing
+//! `postings_for_rows` result) still reads everything it needs through
+//! itself. Size accounting follows the paper's wire format: an
 //! instance-gram posting ships `(oid, A, q)` (Algorithm 2 reads the gram
 //! from component 3), a schema-gram posting ships `(oid, q_A, v)` (the gram
 //! in component 2, the full value retained).
 
-use crate::triple::{AttrName, Triple, TripleRef, Value};
+use crate::slab::{GramSpan, TripleRef, TripleSlab};
+use crate::triple::{AttrName, Value};
 use sqo_overlay::peer::Item;
-use sqo_strsim::filters::char_len;
+use std::fmt;
 use std::sync::Arc;
 
 /// Which base index a base posting belongs to (useful for storage-overhead
@@ -22,105 +27,177 @@ pub enum BaseKind {
     Value,
 }
 
-/// One stored index entry.
-#[derive(Debug, Clone)]
-pub enum Posting {
+/// What a posting is an entry of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PostingKind {
     /// Full triple under `key(oid)`, `key(A#v)` or `key(v)`.
-    Base { kind: BaseKind, triple: TripleRef },
+    Base(BaseKind),
     /// Instance-level gram posting under `key(A # gram)`: conceptually
     /// `(oid, A, gram)` plus the positional-filter payload. With
     /// `carries_value` the posting additionally ships the complete value
     /// (§4's "storing complete strings together with q-grams" suggestion:
     /// bigger postings, but candidates can be verified before any object
     /// fetch).
-    InstanceGram { triple: TripleRef, gram: Arc<str>, pos: u32, carries_value: bool },
+    InstanceGram { carries_value: bool },
     /// Schema-level gram posting under `key(gram)`: conceptually
     /// `(oid, gram_of_A, v)` plus the position of the gram in the name.
-    SchemaGram { triple: TripleRef, gram: Arc<str>, pos: u32 },
+    SchemaGram,
     /// String value shorter than q, under the short-value family.
-    ShortValue { triple: TripleRef },
+    ShortValue,
     /// Attribute name shorter than q, under the short-attr family.
-    ShortAttr { triple: TripleRef },
+    ShortAttr,
 }
 
+/// One stored index entry.
+#[derive(Clone)]
+pub struct Posting {
+    pub(crate) slab: Arc<TripleSlab>,
+    pub(crate) index: u32,
+    /// Character offset of the gram in its source; 0 without a gram.
+    pub(crate) pos: u32,
+    /// The gram's [`GramSpan`], for the two gram kinds; empty otherwise.
+    /// Spelled out so the posting packs into 24 bytes.
+    pub(crate) gram_off: u32,
+    pub(crate) gram_len: u16,
+    pub(crate) kind: PostingKind,
+}
+
+const _: () = assert!(std::mem::size_of::<Posting>() <= 24);
+
 impl Posting {
-    /// The underlying triple.
-    pub fn triple(&self) -> &TripleRef {
-        match self {
-            Posting::Base { triple, .. }
-            | Posting::InstanceGram { triple, .. }
-            | Posting::SchemaGram { triple, .. }
-            | Posting::ShortValue { triple }
-            | Posting::ShortAttr { triple } => triple,
+    /// A posting of `kind` for triple `index` of `slab`; the two gram
+    /// kinds take their gram and its position. `None` when the index is
+    /// out of range, a gram is missing or uncalled for, or its span is not
+    /// a stretch of this slab's text.
+    pub fn new(
+        kind: PostingKind,
+        slab: &Arc<TripleSlab>,
+        index: u32,
+        gram: Option<(GramSpan, u32)>,
+    ) -> Option<Posting> {
+        slab.get(index)?;
+        let is_gram = matches!(kind, PostingKind::InstanceGram { .. } | PostingKind::SchemaGram);
+        if is_gram != gram.is_some() {
+            return None;
         }
+        let (gram, pos) = gram.unwrap_or_default();
+        slab.gram_text(gram)?;
+        Some(Posting::at(kind, slab, index, gram, pos))
+    }
+
+    /// [`Posting::new`] for a caller that read `index` and `gram` off
+    /// `slab` itself.
+    pub(crate) fn at(
+        kind: PostingKind,
+        slab: &Arc<TripleSlab>,
+        index: u32,
+        gram: GramSpan,
+        pos: u32,
+    ) -> Posting {
+        debug_assert!(slab.get(index).is_some() && slab.gram_text(gram).is_some());
+        Posting { slab: Arc::clone(slab), index, pos, gram_off: gram.off, gram_len: gram.len, kind }
+    }
+
+    fn gram_span(&self) -> GramSpan {
+        GramSpan { off: self.gram_off, len: self.gram_len }
+    }
+
+    pub fn kind(&self) -> PostingKind {
+        self.kind
+    }
+
+    /// The underlying triple.
+    pub fn triple(&self) -> TripleRef<'_> {
+        self.slab.triple(self.index)
+    }
+
+    /// The slab the triple lies in, and its index there: the identity of
+    /// the stored triple, which postings cut from one triple share.
+    pub fn triple_id(&self) -> (&Arc<TripleSlab>, u32) {
+        (&self.slab, self.index)
     }
 
     /// Object id of the underlying triple.
     pub fn oid(&self) -> &str {
-        &self.triple().oid
+        self.triple().oid()
+    }
+
+    /// The gram's text; empty for a posting without one.
+    pub fn gram(&self) -> &str {
+        self.slab.gram_text(self.gram_span()).expect("checked when the posting was made")
+    }
+
+    /// Character offset of the gram in the string it was cut from.
+    pub fn pos(&self) -> u32 {
+        self.pos
+    }
+
+    /// Whether `other` carries the same gram. Postings of one slab settle
+    /// that on their spans; only across slabs is text compared.
+    pub fn same_gram(&self, other: &Posting) -> bool {
+        (Arc::ptr_eq(&self.slab, &other.slab) && self.gram_span() == other.gram_span())
+            || self.gram() == other.gram()
     }
 
     /// Length in characters of the string this posting's gram was drawn
     /// from (the `l(q')` of Algorithm 2's length filter): the value for
-    /// instance grams, the attribute name for schema grams.
+    /// instance grams, the attribute name for schema grams. Stored — no
+    /// text is read.
     pub fn source_len(&self) -> Option<usize> {
-        match self {
-            Posting::InstanceGram { triple, .. } => triple.value.as_str().map(char_len),
-            Posting::SchemaGram { triple, .. } => Some(char_len(triple.attr.as_str())),
+        match self.kind {
+            PostingKind::InstanceGram { .. } => self.triple().char_len(),
+            PostingKind::SchemaGram => Some(self.triple().attr_char_len()),
             _ => None,
         }
     }
 
     /// Convenience: the base triple if this is a base posting.
-    pub fn as_base(&self) -> Option<&Triple> {
-        match self {
-            Posting::Base { triple, .. } => Some(triple),
-            _ => None,
-        }
+    pub fn as_base(&self) -> Option<TripleRef<'_>> {
+        matches!(self.kind, PostingKind::Base(_)).then(|| self.triple())
     }
 }
 
 impl Item for Posting {
     fn size_bytes(&self) -> usize {
-        match self {
-            Posting::Base { triple, .. } => triple.repr_len(),
+        let t = self.triple();
+        match self.kind {
+            PostingKind::Base(_) | PostingKind::ShortValue | PostingKind::ShortAttr => t.repr_len(),
             // (oid, A, q) + pos [+ the full value when carried]
-            Posting::InstanceGram { triple, gram, carries_value, .. } => {
-                triple.oid.len()
-                    + triple.attr.as_str().len()
-                    + gram.len()
+            PostingKind::InstanceGram { carries_value } => {
+                let value = t.value_repr_len();
+                t.repr_len() - value
+                    + self.gram_len as usize
                     + 4
-                    + 12
-                    + if *carries_value { triple.value.repr_len() } else { 0 }
+                    + if carries_value { value } else { 0 }
             }
             // (oid, q_A, v) + pos
-            Posting::SchemaGram { triple, gram, .. } => {
-                triple.oid.len() + gram.len() + triple.value.repr_len() + 4 + 12
+            PostingKind::SchemaGram => {
+                t.oid_len() + self.gram_len as usize + t.value_repr_len() + 4 + 12
             }
-            Posting::ShortValue { triple } | Posting::ShortAttr { triple } => triple.repr_len(),
         }
     }
 }
 
-/// Equality on the logical content (used by tests; `Arc` pointers differ).
+/// Equality on the logical content: postings of different slabs — a built
+/// world's and its decoded twin's — are equal when kind, position, gram and
+/// triple read the same.
 impl PartialEq for Posting {
     fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Posting::Base { kind: k1, triple: t1 }, Posting::Base { kind: k2, triple: t2 }) => {
-                k1 == k2 && t1 == t2
-            }
-            (
-                Posting::InstanceGram { triple: t1, gram: g1, pos: p1, .. },
-                Posting::InstanceGram { triple: t2, gram: g2, pos: p2, .. },
-            )
-            | (
-                Posting::SchemaGram { triple: t1, gram: g1, pos: p1 },
-                Posting::SchemaGram { triple: t2, gram: g2, pos: p2 },
-            ) => t1 == t2 && g1 == g2 && p1 == p2,
-            (Posting::ShortValue { triple: t1 }, Posting::ShortValue { triple: t2 })
-            | (Posting::ShortAttr { triple: t1 }, Posting::ShortAttr { triple: t2 }) => t1 == t2,
-            _ => false,
+        self.kind == other.kind
+            && self.pos == other.pos
+            && self.same_gram(other)
+            && self.triple() == other.triple()
+    }
+}
+
+impl fmt::Debug for Posting {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut s = f.debug_struct("Posting");
+        s.field("kind", &self.kind).field("triple", &self.triple());
+        if !self.gram().is_empty() {
+            s.field("gram", &self.gram()).field("pos", &self.pos);
         }
+        s.finish()
     }
 }
 
@@ -140,13 +217,9 @@ impl Object {
     /// collapse.
     pub fn from_postings<'a>(oid: &str, postings: impl IntoIterator<Item = &'a Posting>) -> Object {
         let mut fields: Vec<(AttrName, Value)> = Vec::new();
-        for p in postings {
-            if let Posting::Base { triple, .. } = p {
-                if triple.oid == oid
-                    && !fields.iter().any(|(a, v)| *a == triple.attr && *v == triple.value)
-                {
-                    fields.push((triple.attr.clone(), triple.value.clone()));
-                }
+        for t in postings.into_iter().filter_map(Posting::as_base) {
+            if t.oid() == oid && !fields.iter().any(|(a, v)| a == t.attr() && t.value() == *v) {
+                fields.push((t.attr().clone(), t.value().to_value()));
             }
         }
         fields.sort_by(|(a, _), (b, _)| a.cmp(b));
@@ -169,62 +242,86 @@ impl Object {
 mod tests {
     use super::*;
     use crate::triple::Triple;
-    use std::sync::Arc;
 
-    fn t(oid: &str, attr: &str, v: impl Into<Value>) -> TripleRef {
-        Arc::new(Triple::new(oid, attr, v))
+    fn slab(oid: &str, attr: &str, v: impl Into<Value>) -> Arc<TripleSlab> {
+        TripleSlab::of(&[Triple::new(oid, attr, v)])
+    }
+
+    fn base(slab: &Arc<TripleSlab>, index: u32) -> Posting {
+        Posting::new(PostingKind::Base(BaseKind::Oid), slab, index, None).expect("in range")
     }
 
     #[test]
     fn posting_sizes_reflect_payload() {
-        let tr = t("car:1", "name", "BMW 320d");
-        let base = Posting::Base { kind: BaseKind::Oid, triple: tr.clone() };
-        assert_eq!(base.size_bytes(), tr.repr_len());
-        let gram = Posting::InstanceGram {
-            triple: tr.clone(),
-            gram: "320".into(),
-            pos: 4,
-            carries_value: false,
-        };
+        let tr = slab("car:1", "name", "BMW 320d");
+        assert_eq!(base(&tr, 0).size_bytes(), tr.triple(0).repr_len());
+        let at = Some((tr.value_gram(0, 4, "320").expect("the gram"), 4));
+        let gram =
+            Posting::new(PostingKind::InstanceGram { carries_value: false }, &tr, 0, at).unwrap();
         // oid(5) + attr(4) + gram(3) + 4 + 12
         assert_eq!(gram.size_bytes(), 5 + 4 + 3 + 4 + 12);
-        let carrying = Posting::InstanceGram {
-            triple: tr.clone(),
-            gram: "320".into(),
-            pos: 4,
-            carries_value: true,
-        };
+        let carrying =
+            Posting::new(PostingKind::InstanceGram { carries_value: true }, &tr, 0, at).unwrap();
         // + the full value ("BMW 320d" = 8 bytes)
         assert_eq!(carrying.size_bytes(), gram.size_bytes() + 8);
-        let sg = Posting::SchemaGram { triple: tr.clone(), gram: "nam".into(), pos: 0 };
+        let at = Some((tr.name_gram(0, 0, "nam").expect("the gram"), 0));
+        let sg = Posting::new(PostingKind::SchemaGram, &tr, 0, at).unwrap();
         // oid(5) + gram(3) + value(8) + 4 + 12
         assert_eq!(sg.size_bytes(), 5 + 3 + 8 + 4 + 12);
+        assert_eq!((sg.gram(), sg.pos()), ("nam", 0));
     }
 
     #[test]
     fn source_len_is_value_for_instance_and_name_for_schema() {
-        let tr = t("o", "name", "abcdef");
-        let ig = Posting::InstanceGram {
-            triple: tr.clone(),
-            gram: "abc".into(),
-            pos: 0,
-            carries_value: false,
-        };
+        let tr = slab("o", "name", "abcdef");
+        let at = Some((tr.value_gram(0, 0, "abc").unwrap(), 0));
+        let ig =
+            Posting::new(PostingKind::InstanceGram { carries_value: false }, &tr, 0, at).unwrap();
         assert_eq!(ig.source_len(), Some(6));
-        let sg = Posting::SchemaGram { triple: tr.clone(), gram: "nam".into(), pos: 0 };
+        let at = Some((tr.name_gram(0, 0, "nam").unwrap(), 0));
+        let sg = Posting::new(PostingKind::SchemaGram, &tr, 0, at).unwrap();
         assert_eq!(sg.source_len(), Some(4));
-        let b = Posting::Base { kind: BaseKind::Oid, triple: tr };
-        assert_eq!(b.source_len(), None);
+        assert_eq!(base(&tr, 0).source_len(), None);
+    }
+
+    #[test]
+    fn the_constructor_refuses_what_does_not_fit_the_slab() {
+        let tr = slab("o", "name", "日本語");
+        let gram = tr.value_gram(0, 1, "本").unwrap();
+        let instance = PostingKind::InstanceGram { carries_value: false };
+        assert!(Posting::new(instance, &tr, 0, Some((gram, 1))).is_some());
+        assert!(Posting::new(instance, &tr, 1, Some((gram, 1))).is_none(), "no such triple");
+        assert!(Posting::new(instance, &tr, 0, None).is_none(), "a gram posting has a gram");
+        assert!(Posting::new(PostingKind::ShortAttr, &tr, 0, Some((gram, 1))).is_none());
+        let split = GramSpan { off: gram.off + 1, len: gram.len };
+        assert!(Posting::new(instance, &tr, 0, Some((split, 1))).is_none(), "off a boundary");
+    }
+
+    #[test]
+    fn equality_reads_through_the_slab_and_sees_every_field() {
+        let (a, b) = (slab("o", "name", "abcdef"), slab("o", "name", "abcdef"));
+        let instance = |slab: &Arc<TripleSlab>, pos: u32, gram: &str, carries_value: bool| {
+            let at = Some((slab.value_gram(0, pos, gram).unwrap(), pos));
+            Posting::new(PostingKind::InstanceGram { carries_value }, slab, 0, at).unwrap()
+        };
+        assert_eq!(instance(&a, 1, "bcd", false), instance(&b, 1, "bcd", false));
+        assert_ne!(instance(&a, 1, "bcd", false), instance(&b, 1, "bcd", true), "the flag");
+        assert_ne!(instance(&a, 1, "bcd", false), instance(&b, 2, "cde", false));
+        assert_ne!(instance(&a, 1, "bcd", false), instance(&b, 1, "bc", false), "the gram");
+        assert_ne!(base(&a, 0), base(&slab("o", "name", "abcdeg"), 0), "the triple");
+        let short = Posting::new(PostingKind::ShortValue, &a, 0, None).unwrap();
+        assert_ne!(base(&a, 0), short, "the kind");
     }
 
     #[test]
     fn object_assembly_dedups_and_filters() {
-        let ps = vec![
-            Posting::Base { kind: BaseKind::Oid, triple: t("car:1", "name", "BMW") },
-            Posting::Base { kind: BaseKind::Oid, triple: t("car:1", "hp", 190) },
-            Posting::Base { kind: BaseKind::Oid, triple: t("car:1", "name", "BMW") }, // replica dup
-            Posting::Base { kind: BaseKind::Oid, triple: t("car:2", "name", "Audi") }, // other oid
-        ];
+        let slab = TripleSlab::of(&[
+            Triple::new("car:1", "name", "BMW"),
+            Triple::new("car:1", "hp", 190),
+            Triple::new("car:1", "name", "BMW"),  // replica dup
+            Triple::new("car:2", "name", "Audi"), // other oid
+        ]);
+        let ps: Vec<Posting> = (0..4).map(|i| base(&slab, i)).collect();
         let o = Object::from_postings("car:1", &ps);
         assert_eq!(o.fields.len(), 2);
         assert_eq!(o.get("name"), Some(&Value::from("BMW")));
@@ -235,10 +332,9 @@ mod tests {
     #[test]
     fn multivalued_attributes_survive_assembly() {
         // The vertical scheme allows several triples with the same attribute.
-        let ps = vec![
-            Posting::Base { kind: BaseKind::Oid, triple: t("o", "tag", "red") },
-            Posting::Base { kind: BaseKind::Oid, triple: t("o", "tag", "fast") },
-        ];
+        let slab =
+            TripleSlab::of(&[Triple::new("o", "tag", "red"), Triple::new("o", "tag", "fast")]);
+        let ps = [base(&slab, 0), base(&slab, 1)];
         let o = Object::from_postings("o", &ps);
         assert_eq!(o.fields.len(), 2);
     }

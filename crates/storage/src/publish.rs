@@ -9,14 +9,26 @@
 //! computers" and "linear in the number of attribute columns" — the
 //! `storage_overhead` bench regenerates that accounting from
 //! [`PublishStats`].
+//!
+//! A batch is published in two passes. The first sorts the batch's triples
+//! by (attribute, value) — the order the `A#v` family stores them in — and
+//! lays them out as one [`TripleSlab`]: what an attribute scan reads next
+//! is what lies next. The second walks the rows in the order given and
+//! emits each triple's keys and postings, every posting a handle on the
+//! slab; the output is, posting for posting, what publishing the triples
+//! one at a time gives ([`postings_for_triple`] is a batch of one). Per
+//! triple nothing is allocated; per posting, its key.
 
 use crate::keys::{self, AttrPrefixes};
-use crate::posting::{BaseKind, Posting};
-use crate::triple::{AttrName, Row, SharedStrs, Triple, TripleRef, Value};
+use crate::posting::{BaseKind, Posting, PostingKind};
+use crate::slab::{GramInterner, GramSpan, SlabBuilder, TripleSlab};
+use crate::triple::{Row, Triple, ValueRef};
+use sqo_overlay::hash::order_bits_f64;
 use sqo_overlay::key::Key;
 use sqo_overlay::peer::Item;
-use sqo_strsim::qgram::qgram_slices;
-use std::collections::HashMap;
+use sqo_strsim::qgram::qgram_spans;
+use std::cmp::Ordering;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Indexing parameters.
@@ -78,105 +90,160 @@ impl PublishStats {
     }
 }
 
-/// All (key, posting) pairs for one triple.
+/// All (key, posting) pairs for one triple: a batch of one.
 pub fn postings_for_triple(triple: &Triple, cfg: &PublishConfig) -> Vec<(Key, Posting)> {
     let mut out = Vec::new();
+    let slab = TripleSlab::of([triple]);
     let under = AttrPrefixes::new(triple.attr.as_str());
-    push_postings(&mut out, Arc::new(triple.clone()), &under, cfg, &mut SharedStrs::default());
+    push_postings(&mut out, &slab, 0, &under, cfg, &mut GramInterner::default());
     out
 }
 
-/// Append the (key, posting) pairs of `tr` to `out`, drawing gram text from
-/// `strs` so equal grams of one batch are one allocation, and the key
-/// prefixes of its attribute from `under`.
-fn push_postings(
+/// Append the (key, posting) pairs of triple `index` of `slab` to `out`,
+/// taking the span of each gram from `grams` so equal grams of one batch
+/// are one span, and the key prefixes of its attribute from `under`.
+fn push_postings<'s>(
     out: &mut Vec<(Key, Posting)>,
-    tr: TripleRef,
+    slab: &'s Arc<TripleSlab>,
+    index: u32,
     under: &AttrPrefixes,
     cfg: &PublishConfig,
-    strs: &mut SharedStrs,
+    grams: &mut GramInterner<'s>,
 ) {
+    let tr = slab.triple(index);
+    let value = tr.value();
+    let mut push = |key: Key, kind: PostingKind, gram: GramSpan, pos: u32| {
+        out.push((key, Posting::at(kind, slab, index, gram, pos)));
+    };
+    let none = GramSpan::default();
+    // The span of the gram at `bytes` of a string that starts at `base`.
+    let mut span_of = |gram: &'s str, base: u32, bytes: std::ops::Range<usize>| {
+        grams.share(gram, || GramSpan::at(base, bytes)).expect("a q-gram stays under 64 KiB")
+    };
+
     // The three base insertions of §3.
-    out.push((keys::oid_key(&tr.oid), Posting::Base { kind: BaseKind::Oid, triple: tr.clone() }));
-    out.push((
-        under.attr_value_key(&tr.value),
-        Posting::Base { kind: BaseKind::AttrValue, triple: tr.clone() },
-    ));
+    push(keys::oid_key(tr.oid()), PostingKind::Base(BaseKind::Oid), none, 0);
+    push(under.attr_value_key(value), PostingKind::Base(BaseKind::AttrValue), none, 0);
     if cfg.keyword_index {
-        out.push((
-            keys::value_key(&tr.value),
-            Posting::Base { kind: BaseKind::Value, triple: tr.clone() },
-        ));
+        push(keys::value_key_of(value), PostingKind::Base(BaseKind::Value), none, 0);
     }
 
     // Instance-level grams for string values (§4).
     if cfg.instance_grams {
-        if let Value::Str(s) = &tr.value {
-            let mut grams = qgram_slices(s, cfg.q).peekable();
-            if grams.peek().is_none() {
+        if let ValueRef::Str(s) = value {
+            let mut spans = qgram_spans(s, cfg.q).peekable();
+            if spans.peek().is_none() {
                 // |v| < q: the gram index cannot see it; the short-value
                 // family keeps similarity search complete.
-                out.push((under.short_value_key(s), Posting::ShortValue { triple: tr.clone() }));
+                push(under.short_value_key(s), PostingKind::ShortValue, none, 0);
             }
-            for (gram, pos) in grams {
-                out.push((
-                    under.instance_gram_key(gram),
-                    Posting::InstanceGram {
-                        triple: tr.clone(),
-                        gram: strs.share(gram),
-                        pos,
-                        carries_value: cfg.grams_carry_value,
-                    },
-                ));
+            let kind = PostingKind::InstanceGram { carries_value: cfg.grams_carry_value };
+            for (bytes, pos) in spans {
+                let gram = &s[bytes.clone()];
+                let span = span_of(gram, tr.value_offset(), bytes);
+                push(under.instance_gram_key(gram), kind, span, pos);
             }
         }
     }
 
     // Schema-level grams of the attribute name (§4).
     if cfg.schema_grams {
-        let name = tr.attr.as_str();
-        let mut grams = qgram_slices(name, cfg.q).peekable();
-        if grams.peek().is_none() {
-            out.push((keys::short_attr_key(name), Posting::ShortAttr { triple: tr.clone() }));
+        let name = tr.attr().as_str();
+        let mut spans = qgram_spans(name, cfg.q).peekable();
+        if spans.peek().is_none() {
+            push(keys::short_attr_key(name), PostingKind::ShortAttr, none, 0);
         }
-        for (gram, pos) in grams {
-            out.push((
-                keys::schema_gram_key(gram),
-                Posting::SchemaGram { triple: tr.clone(), gram: strs.share(gram), pos },
-            ));
+        for (bytes, pos) in spans {
+            let gram = &name[bytes.clone()];
+            let span = span_of(gram, tr.attr_offset(), bytes);
+            push(keys::schema_gram_key(gram), PostingKind::SchemaGram, span, pos);
         }
     }
 }
 
-/// Postings for a batch of rows, with accounting. Every triple of an
-/// attribute shares one [`AttrName`] allocation and one set of key
-/// prefixes, and every posting of a gram one gram string.
+/// The slab of a batch: its triples in (attribute, value) order — the
+/// order the `A#v` family stores them in, so an attribute scan reads
+/// records and text front to back — and, per triple in row order, its
+/// index there. The sort is stable: equal pairs keep row order, as the
+/// postings of one key do.
+fn slab_of_rows(rows: &[Row]) -> (Arc<TripleSlab>, Vec<u32>) {
+    // Equal names become one `&str`, the first seen, so the sort compares
+    // names in a few hot bytes instead of in every row's own allocation.
+    let mut names: HashSet<&str> = HashSet::new();
+    let triples: Vec<(&str, ValueRef<'_>, &Row)> = rows
+        .iter()
+        .flat_map(|row| row.fields.iter().map(move |(attr, value)| (row, attr, value)))
+        .map(|(row, attr, value)| {
+            let name = match names.get(attr.as_str()) {
+                Some(name) => *name,
+                None => {
+                    names.insert(attr.as_str());
+                    attr.as_str()
+                }
+            };
+            (name, value.as_ref(), row)
+        })
+        .collect();
+    let count = u32::try_from(triples.len()).expect("a batch stays under 2^32 triples");
+    let mut order: Vec<u32> = (0..count).collect();
+    order.sort_by(|&a, &b| {
+        let ((name_a, value_a, _), (name_b, value_b, _)) =
+            (triples[a as usize], triples[b as usize]);
+        name_a.cmp(name_b).then_with(|| key_order(value_a, value_b))
+    });
+
+    let (value_bytes, oid_bytes) = triples.iter().fold((0, 0), |(v, o), (_, value, row)| {
+        (v + value.as_str().map_or(0, str::len), o + row.oid.len())
+    });
+    let mut slab = SlabBuilder::with_capacity(triples.len(), value_bytes, oid_bytes);
+    let mut index_of = vec![0; triples.len()];
+    for at in order {
+        let (name, value, row) = triples[at as usize];
+        index_of[at as usize] =
+            slab.push(&row.oid, name, value).expect("a batch stays under 4 GiB of text");
+    }
+    (slab.finish().expect("a batch stays under 4 GiB of text"), index_of)
+}
+
+/// The order of the value fragments of the keys: ints, floats, strings,
+/// each domain in its own order.
+fn key_order(a: ValueRef<'_>, b: ValueRef<'_>) -> Ordering {
+    let domain = |v: ValueRef<'_>| match v {
+        ValueRef::Int(_) => 0,
+        ValueRef::Float(_) => 1,
+        ValueRef::Str(_) => 2,
+    };
+    match (a, b) {
+        (ValueRef::Int(a), ValueRef::Int(b)) => a.cmp(&b),
+        (ValueRef::Float(a), ValueRef::Float(b)) => order_bits_f64(a).cmp(&order_bits_f64(b)),
+        (ValueRef::Str(a), ValueRef::Str(b)) => a.cmp(b),
+        _ => domain(a).cmp(&domain(b)),
+    }
+}
+
+/// Postings for a batch of rows, with accounting. The batch's triples are
+/// one slab, which every posting holds a handle on; per triple the
+/// pipeline allocates nothing, per posting its key.
 pub fn postings_for_rows(rows: &[Row], cfg: &PublishConfig) -> (Vec<(Key, Posting)>, PublishStats) {
     let mut stats = PublishStats { rows: rows.len(), ..Default::default() };
-    let mut strs = SharedStrs::default();
-    let mut prefixes: HashMap<Arc<str>, AttrPrefixes> = HashMap::new();
+    let (slab, index_of) = slab_of_rows(rows);
+    let prefixes: Vec<AttrPrefixes> = slab.names().map(|n| AttrPrefixes::new(n.as_str())).collect();
+    let mut grams = GramInterner::default();
     // Typical fan-out: 3 base + ~len grams per string triple.
     let mut out = Vec::with_capacity(rows.len() * 8);
-    for row in rows {
-        for (attr, value) in &row.fields {
-            stats.triples += 1;
-            let name = strs.share(attr.as_str());
-            let under = prefixes.entry(name.clone()).or_insert_with(|| AttrPrefixes::new(&name));
-            let triple =
-                Triple { oid: row.oid.clone(), attr: AttrName::new(name), value: value.clone() };
-            let first = out.len();
-            push_postings(&mut out, Arc::new(triple), under, cfg, &mut strs);
-            for (_, posting) in &out[first..] {
-                match posting {
-                    Posting::Base { .. } => stats.base_postings += 1,
-                    Posting::InstanceGram { .. } => stats.instance_gram_postings += 1,
-                    Posting::SchemaGram { .. } => stats.schema_gram_postings += 1,
-                    Posting::ShortValue { .. } | Posting::ShortAttr { .. } => {
-                        stats.short_postings += 1
-                    }
-                }
-                stats.total_bytes += posting.size_bytes() as u64;
+    for index in index_of {
+        stats.triples += 1;
+        let under = &prefixes[slab.triple(index).attr_id() as usize];
+        let first = out.len();
+        push_postings(&mut out, &slab, index, under, cfg, &mut grams);
+        for (_, posting) in &out[first..] {
+            match posting.kind() {
+                PostingKind::Base(_) => stats.base_postings += 1,
+                PostingKind::InstanceGram { .. } => stats.instance_gram_postings += 1,
+                PostingKind::SchemaGram => stats.schema_gram_postings += 1,
+                PostingKind::ShortValue | PostingKind::ShortAttr => stats.short_postings += 1,
             }
+            stats.total_bytes += posting.size_bytes() as u64;
         }
     }
     (out, stats)
@@ -185,48 +252,53 @@ pub fn postings_for_rows(rows: &[Row], cfg: &PublishConfig) -> (Vec<(Key, Postin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::triple::Row;
+    use crate::triple::Value;
 
     fn cfg() -> PublishConfig {
         PublishConfig::default()
     }
 
+    fn count(ps: &[(Key, Posting)], of: fn(PostingKind) -> bool) -> usize {
+        ps.iter().filter(|(_, p)| of(p.kind())).count()
+    }
+
+    const BASE: fn(PostingKind) -> bool = |k| matches!(k, PostingKind::Base(_));
+    const INSTANCE_GRAM: fn(PostingKind) -> bool =
+        |k| matches!(k, PostingKind::InstanceGram { .. });
+    const SCHEMA_GRAM: fn(PostingKind) -> bool = |k| k == PostingKind::SchemaGram;
+    const SHORT_VALUE: fn(PostingKind) -> bool = |k| k == PostingKind::ShortValue;
+    const SHORT_ATTR: fn(PostingKind) -> bool = |k| k == PostingKind::ShortAttr;
+
     #[test]
     fn string_triple_posting_inventory() {
         let t = Triple::new("car:1", "name", "bmw320");
         let ps = postings_for_triple(&t, &cfg());
-        let bases = ps.iter().filter(|(_, p)| matches!(p, Posting::Base { .. })).count();
-        let igrams = ps.iter().filter(|(_, p)| matches!(p, Posting::InstanceGram { .. })).count();
-        let sgrams = ps.iter().filter(|(_, p)| matches!(p, Posting::SchemaGram { .. })).count();
-        assert_eq!(bases, 3, "the three §3 insertions");
-        assert_eq!(igrams, "bmw320".len() - 3 + 1, "one per value q-gram");
-        assert_eq!(sgrams, "name".len() - 3 + 1, "one per attr-name q-gram");
+        assert_eq!(count(&ps, BASE), 3, "the three §3 insertions");
+        assert_eq!(count(&ps, INSTANCE_GRAM), "bmw320".len() - 3 + 1, "one per value q-gram");
+        assert_eq!(count(&ps, SCHEMA_GRAM), "name".len() - 3 + 1, "one per attr-name q-gram");
     }
 
     #[test]
     fn numeric_triple_has_no_instance_grams() {
         let t = Triple::new("car:1", "horsepower", 190);
         let ps = postings_for_triple(&t, &cfg());
-        assert!(ps.iter().all(|(_, p)| !matches!(p, Posting::InstanceGram { .. })));
-        assert!(ps.iter().all(|(_, p)| !matches!(p, Posting::ShortValue { .. })));
+        assert_eq!(count(&ps, INSTANCE_GRAM) + count(&ps, SHORT_VALUE), 0);
         // Schema grams still exist: attribute names are strings.
-        assert!(ps.iter().any(|(_, p)| matches!(p, Posting::SchemaGram { .. })));
+        assert!(count(&ps, SCHEMA_GRAM) > 0);
     }
 
     #[test]
     fn short_value_goes_to_side_family() {
         let t = Triple::new("o", "name", "ab"); // |v| = 2 < q = 3
         let ps = postings_for_triple(&t, &cfg());
-        assert!(ps.iter().any(|(_, p)| matches!(p, Posting::ShortValue { .. })));
-        assert!(ps.iter().all(|(_, p)| !matches!(p, Posting::InstanceGram { .. })));
+        assert_eq!((count(&ps, SHORT_VALUE), count(&ps, INSTANCE_GRAM)), (1, 0));
     }
 
     #[test]
     fn short_attr_goes_to_side_family() {
         let t = Triple::new("o", "hp", 10); // |A| = 2 < q = 3
         let ps = postings_for_triple(&t, &cfg());
-        assert!(ps.iter().any(|(_, p)| matches!(p, Posting::ShortAttr { .. })));
-        assert!(ps.iter().all(|(_, p)| !matches!(p, Posting::SchemaGram { .. })));
+        assert_eq!((count(&ps, SHORT_ATTR), count(&ps, SCHEMA_GRAM)), (1, 0));
     }
 
     #[test]

@@ -7,17 +7,21 @@
 //! values are simply not represented. The scheme is self-describing — no
 //! global data dictionary — and users may extend a tuple's schema by adding
 //! triples.
+//!
+//! The types here are what a triple looks like **outside** the store: rows
+//! going in, objects coming out, values in predicates. Stored triples are
+//! fixed-width records of a [`TripleSlab`](crate::slab::TripleSlab), read
+//! through [`TripleRef`](crate::slab::TripleRef); [`ValueRef`] is a value
+//! as either side lends it.
 
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
 /// Attribute name, optionally namespace-qualified (`ns:name`).
 ///
 /// A relation has a handful of attribute names and a triple per cell, so
-/// the name is a shared string: a clone bumps a count, and whoever builds
-/// triples in bulk (the publication pipeline, the snapshot decoder) hands
-/// every triple of an attribute the same allocation through [`SharedStrs`].
+/// the name is a shared string: a clone bumps a count, and a slab holds
+/// each of its names once, whatever the number of triples that carry it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AttrName(Arc<str>);
 
@@ -60,40 +64,6 @@ impl From<String> for AttrName {
     }
 }
 
-/// One allocation per distinct string of a batch. Attribute names and
-/// q-grams are low-cardinality — a few hundred distinct strings behind
-/// 10⁵ postings — so sharing them keeps the per-posting guards of the
-/// operators comparing against memory that is already in cache.
-#[derive(Debug, Default)]
-pub struct SharedStrs {
-    all: HashSet<Arc<str>>,
-    /// The string handed out last. Equal strings come in runs — the gram
-    /// of one posting list, the name of one column — and a run needs no
-    /// hashing.
-    last: Option<Arc<str>>,
-}
-
-impl SharedStrs {
-    /// The batch's shared copy of `s`.
-    pub fn share(&mut self, s: &str) -> Arc<str> {
-        if let Some(last) = &self.last {
-            if **last == *s {
-                return Arc::clone(last);
-            }
-        }
-        let shared = match self.all.get(s) {
-            Some(shared) => Arc::clone(shared),
-            None => {
-                let shared: Arc<str> = s.into();
-                self.all.insert(Arc::clone(&shared));
-                shared
-            }
-        };
-        self.last = Some(Arc::clone(&shared));
-        shared
-    }
-}
-
 /// Attribute values: strings, integers, floats. (The paper's `dist` measure
 /// is edit distance for strings, Euclidean distance for numerics.)
 #[derive(Debug, Clone, PartialEq)]
@@ -121,19 +91,72 @@ impl Value {
 
     /// Numeric view: ints widen to floats.
     pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Int(i) => Some(*i as f64),
-            Value::Float(f) => Some(*f),
-            Value::Str(_) => None,
-        }
+        self.as_ref().as_float()
     }
 
     /// Approximate serialized size in bytes (data-volume accounting).
     pub fn repr_len(&self) -> usize {
+        self.as_ref().repr_len()
+    }
+
+    /// The value, lent.
+    pub fn as_ref(&self) -> ValueRef<'_> {
         match self {
-            Value::Str(s) => s.len(),
-            Value::Int(_) | Value::Float(_) => 8,
+            Value::Str(s) => ValueRef::Str(s),
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(f) => ValueRef::Float(*f),
         }
+    }
+}
+
+/// A [`Value`] whose string, if it is one, lies somewhere else: in a row
+/// about to be published, in a slab's text arena, in a snapshot artifact.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ValueRef<'a> {
+    Str(&'a str),
+    Int(i64),
+    Float(f64),
+}
+
+impl<'a> ValueRef<'a> {
+    /// String content if this is a string value.
+    pub fn as_str(self) -> Option<&'a str> {
+        match self {
+            ValueRef::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Numeric view: ints widen to floats.
+    pub fn as_float(self) -> Option<f64> {
+        match self {
+            ValueRef::Int(i) => Some(i as f64),
+            ValueRef::Float(f) => Some(f),
+            ValueRef::Str(_) => None,
+        }
+    }
+
+    /// Approximate serialized size in bytes (data-volume accounting).
+    pub fn repr_len(self) -> usize {
+        match self {
+            ValueRef::Str(s) => s.len(),
+            ValueRef::Int(_) | ValueRef::Float(_) => 8,
+        }
+    }
+
+    /// An owned copy.
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Str(s) => Value::Str(s.to_string()),
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Float(f) => Value::Float(f),
+        }
+    }
+}
+
+impl PartialEq<Value> for ValueRef<'_> {
+    fn eq(&self, other: &Value) -> bool {
+        *self == other.as_ref()
     }
 }
 
@@ -173,7 +196,9 @@ impl From<f64> for Value {
     }
 }
 
-/// One vertical fact: `(oid, attribute, value)`.
+/// One vertical fact: `(oid, attribute, value)`, owned — the form rows
+/// decompose into and tests spell triples in. The store keeps
+/// [`TripleSlab`](crate::slab::TripleSlab) records instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Triple {
     pub oid: String,
@@ -191,9 +216,6 @@ impl Triple {
         self.oid.len() + self.attr.as_str().len() + self.value.repr_len() + 12
     }
 }
-
-/// Shared-ownership triple, as stored in index postings.
-pub type TripleRef = Arc<Triple>;
 
 /// A horizontal row to be published: an oid plus its attribute/value pairs.
 /// Convenience constructor for examples, tests and dataset loaders.

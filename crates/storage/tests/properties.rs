@@ -3,10 +3,11 @@
 
 use proptest::prelude::*;
 use sqo_overlay::hash::{hash_f64, hash_i64, hash_str};
+use sqo_overlay::peer::Item;
 use sqo_overlay::Key;
 use sqo_storage::keys;
-use sqo_storage::posting::{BaseKind, Object, Posting};
-use sqo_storage::publish::{postings_for_rows, postings_for_triple, PublishConfig};
+use sqo_storage::posting::{BaseKind, Object, Posting, PostingKind};
+use sqo_storage::publish::{postings_for_rows, postings_for_triple, PublishConfig, PublishStats};
 use sqo_storage::triple::{Row, Triple, Value};
 use sqo_strsim::qgram::qgram_count;
 
@@ -89,19 +90,20 @@ proptest! {
             Row::new(oid.clone(), [(attr.clone(), Value::Int(i)), (attr.clone(), Value::from("é"))]),
         ];
         for (key, posting) in postings_for_rows(&rows, &PublishConfig::default()).0 {
-            let chain = match &posting {
-                Posting::Base { kind: BaseKind::Oid, .. } => continue,
-                Posting::Base { kind: BaseKind::AttrValue, triple } => {
-                    chained::attr(0x02, &attr).concat(&value(&triple.value))
+            let triple = posting.triple();
+            let chain = match posting.kind() {
+                PostingKind::Base(BaseKind::Oid) => continue,
+                PostingKind::Base(BaseKind::AttrValue) => {
+                    chained::attr(0x02, &attr).concat(&value(&triple.value().to_value()))
                 }
-                Posting::Base { kind: BaseKind::Value, .. }
-                | Posting::SchemaGram { .. }
-                | Posting::ShortAttr { .. } => continue,
-                Posting::InstanceGram { gram, .. } => {
-                    chained::attr(0x04, &attr).concat(&hash_str(gram))
+                PostingKind::Base(BaseKind::Value)
+                | PostingKind::SchemaGram
+                | PostingKind::ShortAttr => continue,
+                PostingKind::InstanceGram { .. } => {
+                    chained::attr(0x04, &attr).concat(&hash_str(posting.gram()))
                 }
-                Posting::ShortValue { triple } => chained::attr(0x06, &attr)
-                    .concat(&hash_str(triple.value.as_str().expect("a short string"))),
+                PostingKind::ShortValue => chained::attr(0x06, &attr)
+                    .concat(&hash_str(triple.value_str().expect("a short string"))),
             };
             prop_assert!(same(key, chain), "{posting:?}");
         }
@@ -119,31 +121,33 @@ proptest! {
         let t = Triple::new(oid.clone(), attr.clone(), value);
         let cfg = PublishConfig { q, ..PublishConfig::default() };
         for (key, posting) in postings_for_triple(&t, &cfg) {
-            match &posting {
-                Posting::Base { kind: BaseKind::Oid, .. } => {
+            let (triple, gram) = (posting.triple(), posting.gram());
+            prop_assert_eq!(triple, t.clone());
+            match posting.kind() {
+                PostingKind::Base(BaseKind::Oid) => {
                     prop_assert_eq!(&key, &keys::oid_key(&oid));
                 }
-                Posting::Base { kind: BaseKind::AttrValue, triple } => {
+                PostingKind::Base(BaseKind::AttrValue) => {
                     prop_assert!(keys::attr_scan_prefix(&attr).is_prefix_of(&key));
-                    prop_assert_eq!(&key, &keys::attr_value_key(&attr, &triple.value));
+                    prop_assert_eq!(&key, &keys::attr_value_key(&attr, &t.value));
                 }
-                Posting::Base { kind: BaseKind::Value, triple } => {
-                    prop_assert_eq!(&key, &keys::value_key(&triple.value));
+                PostingKind::Base(BaseKind::Value) => {
+                    prop_assert_eq!(&key, &keys::value_key(&t.value));
                 }
-                Posting::InstanceGram { gram, .. } => {
+                PostingKind::InstanceGram { .. } => {
                     prop_assert_eq!(&key, &keys::instance_gram_key(&attr, gram));
                     prop_assert_eq!(gram.chars().count(), q);
                 }
-                Posting::SchemaGram { gram, .. } => {
+                PostingKind::SchemaGram => {
                     prop_assert_eq!(&key, &keys::schema_gram_key(gram));
                     prop_assert_eq!(gram.chars().count(), q);
                 }
-                Posting::ShortValue { triple } => {
-                    let s = triple.value.as_str().expect("short postings are strings");
+                PostingKind::ShortValue => {
+                    let s = triple.value_str().expect("short postings are strings");
                     prop_assert!(s.chars().count() < q);
                     prop_assert!(keys::short_value_prefix(&attr).is_prefix_of(&key));
                 }
-                Posting::ShortAttr { .. } => {
+                PostingKind::ShortAttr => {
                     prop_assert!(attr.chars().count() < q);
                     prop_assert!(keys::short_attr_prefix().is_prefix_of(&key));
                 }
@@ -166,10 +170,11 @@ proptest! {
         let t = Triple::new(oid, attr.clone(), Value::from(s.clone()));
         let cfg = PublishConfig { q, keyword_index: keyword, ..PublishConfig::default() };
         let ps = postings_for_triple(&t, &cfg);
-        let base = ps.iter().filter(|(_, p)| matches!(p, Posting::Base { .. })).count();
+        let count = |of: fn(PostingKind) -> bool| ps.iter().filter(|(_, p)| of(p.kind())).count();
+        let base = count(|k| matches!(k, PostingKind::Base(_)));
         prop_assert_eq!(base, if keyword { 3 } else { 2 });
-        let igrams = ps.iter().filter(|(_, p)| matches!(p, Posting::InstanceGram { .. })).count();
-        let shorts = ps.iter().filter(|(_, p)| matches!(p, Posting::ShortValue { .. })).count();
+        let igrams = count(|k| matches!(k, PostingKind::InstanceGram { .. }));
+        let shorts = count(|k| k == PostingKind::ShortValue);
         let n = s.chars().count();
         if n >= q {
             prop_assert_eq!(igrams, qgram_count(n, q));
@@ -178,9 +183,76 @@ proptest! {
             prop_assert_eq!(igrams, 0);
             prop_assert_eq!(shorts, 1);
         }
-        let sgrams = ps.iter().filter(|(_, p)| matches!(p, Posting::SchemaGram { .. })).count();
+        let sgrams = count(|k| k == PostingKind::SchemaGram);
         let na = attr.chars().count();
         prop_assert_eq!(sgrams, qgram_count(na, q));
+    }
+
+    /// A batch is one slab laid out in (attribute, value) order, but what
+    /// comes out is what publishing its triples one at a time would give,
+    /// posting for posting: the same keys in the same order, equal postings
+    /// of equal size, the same accounting — for non-ASCII text, values
+    /// shorter than q, numbers, repeated rows, and attribute names that
+    /// share their 32-byte truncated key.
+    #[test]
+    fn a_batch_equals_its_triples_published_one_by_one(
+        rows in prop::collection::vec(
+            (
+                "[a-c]{1,3}",
+                prop::collection::vec(
+                    (
+                        prop_oneof![
+                            "[a-c]{1,4}",
+                            "[a-c]{0,2}".prop_map(|tail| format!("{}{tail}", "long-attribute-".repeat(3))),
+                            "[é日]{1,3}",
+                        ],
+                        prop_oneof![
+                            "[a-c é日]{0,9}".prop_map(Value::from),
+                            (-3i64..3).prop_map(Value::Int),
+                            (-2f64..2.0).prop_map(Value::Float),
+                        ],
+                    ),
+                    0..5,
+                ),
+            ),
+            0..8,
+        ),
+        q in 1usize..4,
+        keyword_index in any::<bool>(),
+        grams_carry_value in any::<bool>(),
+    ) {
+        let cfg = PublishConfig { q, keyword_index, grams_carry_value, ..PublishConfig::default() };
+        let rows: Vec<Row> = rows.into_iter().map(|(oid, fields)| Row::new(oid, fields)).collect();
+        let (batch, stats) = postings_for_rows(&rows, &cfg);
+        let single: Vec<(Key, Posting)> = rows
+            .iter()
+            .flat_map(Row::triples)
+            .flat_map(|t| postings_for_triple(&t, &cfg))
+            .collect();
+        prop_assert_eq!(batch.len(), single.len());
+        let mut expected = PublishStats { rows: rows.len(), ..PublishStats::default() };
+        expected.triples = rows.iter().map(|r| r.fields.len()).sum();
+        for ((key, posting), (single_key, single_posting)) in batch.iter().zip(&single) {
+            prop_assert_eq!(key, single_key);
+            prop_assert_eq!(posting, single_posting);
+            prop_assert_eq!(posting.size_bytes(), single_posting.size_bytes());
+            prop_assert_eq!(posting.source_len(), single_posting.source_len());
+            match posting.kind() {
+                PostingKind::Base(_) => expected.base_postings += 1,
+                PostingKind::InstanceGram { carries_value } => {
+                    prop_assert_eq!(carries_value, grams_carry_value);
+                    expected.instance_gram_postings += 1;
+                }
+                PostingKind::SchemaGram => expected.schema_gram_postings += 1,
+                PostingKind::ShortValue | PostingKind::ShortAttr => expected.short_postings += 1,
+            }
+            expected.total_bytes += single_posting.size_bytes() as u64;
+        }
+        prop_assert_eq!(stats, expected);
+        // One slab, and in it one span per distinct gram.
+        for (_, a) in &batch {
+            prop_assert!(std::sync::Arc::ptr_eq(a.triple_id().0, batch[0].1.triple_id().0));
+        }
     }
 
     /// Object reassembly from oid postings is lossless for a row's fields

@@ -12,6 +12,8 @@
 //! Offsets are expressed in Unicode scalar values (characters), consistent
 //! with [`crate::edit`].
 
+use std::ops::Range;
+
 /// A q-gram together with the character offset at which it starts.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PositionalQGram {
@@ -48,10 +50,19 @@ pub fn qgrams(s: &str, q: usize) -> Vec<PositionalQGram> {
 /// [`qgrams`] without the copies: each gram as a slice of `s` with its
 /// character offset, for callers that store grams in a form of their own.
 pub fn qgram_slices(s: &str, q: usize) -> impl Iterator<Item = (&str, u32)> {
+    qgram_spans(s, q).map(move |(bytes, pos)| (&s[bytes], pos))
+}
+
+/// The byte range of each q-gram of `s` with its character offset, for
+/// callers that keep `s` in a buffer of their own and store grams as
+/// stretches of it.
+pub fn qgram_spans(s: &str, q: usize) -> impl Iterator<Item = (Range<usize>, u32)> + '_ {
     assert!(q >= 1, "q must be at least 1");
-    // Byte offset of every character boundary, the end of `s` included.
-    let bounds: Vec<usize> = s.char_indices().map(|(i, _)| i).chain([s.len()]).collect();
-    (0..bounds.len().saturating_sub(q)).map(move |i| (&s[bounds[i]..bounds[i + q]], i as u32))
+    // Two walks of the character boundaries, the second `q` ahead and
+    // counting the end of `s` as one.
+    let starts = s.char_indices().map(|(i, _)| i);
+    let ends = s.char_indices().map(|(i, _)| i).chain([s.len()]).skip(q);
+    starts.zip(ends).zip(0..).map(|((start, end), pos)| (start..end, pos))
 }
 
 /// Padded positional q-grams: the string is conceptually extended with

@@ -24,13 +24,23 @@
 //! themselves where it used to flatten them into a vector (5 679 → 5 671,
 //! most of them the rows the fetch assembles).
 //!
-//! The write path has a budget too: one traced publish of 100 rows (1 133
-//! postings) allocates for the postings' triples, keys and lists and for
-//! one sub-batch per partition reached — not per posting. When every
-//! posting was a store insert of its own behind a network-wide key
-//! interner, and every key was the end of a chain of `Key::concat`s, the
-//! same call made 9 362 allocations; it made 3 328 with one hash-map group
-//! per partition and makes 3 182 grouped by one sort.
+//! The write path has budgets too. `postings_for_rows` on 100 rows (1 133
+//! postings) allocates per *batch and key*: one buffer per key (1 133) and
+//! 33 more for the batch's slab, the sort that lays it out, the gram
+//! spans and the output — nothing per triple, where every triple once
+//! cost three allocations and the offsets of its grams about six more
+//! (2 032 in all). One traced
+//! publish of the same rows adds the lists and one sub-batch per partition
+//! reached — not per posting. When every posting was a store insert of its
+//! own behind a network-wide key interner, and every key was the end of a
+//! chain of `Key::concat`s, that call made 9 362 allocations; it made 3 328
+//! with one hash-map group per partition, 3 182 grouped by one sort, and
+//! makes 2 316 with the batch's triples in one slab.
+//!
+//! Top-N, the multi-attribute conjunction and a VQL plan run the same
+//! probe → aggregate → fetch pipeline under more machinery (expanding
+//! shells, one child task per predicate, parse and lowering); their
+//! budgets are here so that machinery stays off the per-posting path too.
 //!
 //! A checkpoint has one as well: `Snapshot::capture` + `restore_engine`
 //! take handles onto the live runs, so on this world (128 partitions, 128
@@ -45,11 +55,11 @@
 //! after every merge compare stored keys where they lie — and CI runs this
 //! test both ways.
 
-use sqo::core::{EngineBuilder, Strategy};
+use sqo::core::{AttrPredicate, EngineBuilder, Strategy};
 use sqo::datasets::{bible_words, string_rows};
 use sqo::plan::{Query, Session};
 use sqo::snap::Snapshot;
-use sqo::storage::Value;
+use sqo::storage::{postings_for_rows, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -105,7 +115,11 @@ const SIMILAR_BUDGET: u64 = 175;
 const NAIVE_BUDGET: u64 = 65;
 const SIM_JOIN_BUDGET: u64 = 1_650;
 const SELECT_RANGE_BUDGET: u64 = 6_450;
-const PUBLISH_BUDGET: u64 = 3_850;
+const TOP_N_BUDGET: u64 = 2_150;
+const MULTI_BUDGET: u64 = 175;
+const VQL_BUDGET: u64 = 225;
+const POSTINGS_BUDGET: u64 = 1_400;
+const PUBLISH_BUDGET: u64 = 2_800;
 const CHECKPOINT_BUDGET: u64 = 600;
 
 #[test]
@@ -139,7 +153,30 @@ fn similar_and_sim_join_stay_within_their_allocation_budgets() {
     assert_eq!(res.rows.len(), 432, "every word from \"s\" up to those starting with \"t\"");
     measured.push(("select_range, 432 rows", n, SELECT_RANGE_BUDGET));
 
+    let top_n = Query::top_n_similar(Some("word"), 5, words[17].clone(), 3);
+    let (res, n) = allocations(|| session.run(&top_n).expect("a valid plan"));
+    assert_eq!(res.rows.len(), 5, "the five nearest strings");
+    measured.push(("top_n_similar, 5 within d=3", n, TOP_N_BUDGET));
+
+    let both = |d| AttrPredicate::new("word", words[17].clone(), d);
+    let multi = Query::similar_multi(vec![both(1), both(2)], None);
+    let (res, n) = allocations(|| session.run(&multi).expect("a valid plan"));
+    assert!(!res.rows.is_empty(), "the query string satisfies both predicates");
+    measured.push(("similar_multi, 2 predicates", n, MULTI_BUDGET));
+
+    let text = format!("SELECT ?o WHERE {{ (?o,word,?v) FILTER (dist(?v,'{}') < 2) }}", words[17]);
+    let options = sqo::vql::ExecOptions::default();
+    let (out, n) = allocations(|| sqo::vql::run(&mut engine, from, &text, &options));
+    assert!(!out.expect("a valid query").rows.is_empty(), "the query string itself is stored");
+    measured.push(("vql, one similarity filter", n, VQL_BUDGET));
+
     let fresh = string_rows("word", &bible_words(100, 99), "x");
+    let publish = engine.config().publish.clone();
+    let ((postings, _), n) = allocations(|| postings_for_rows(&fresh, &publish));
+    assert_eq!(postings.len(), 1_133);
+    drop(postings);
+    measured.push(("postings_for_rows, 100 rows", n, POSTINGS_BUDGET));
+
     let (stats, n) = allocations(|| engine.publish_rows_traced(&fresh, from));
     assert_eq!(stats.matches, 1_133, "postings published");
     measured.push(("publish_rows_traced, 100 rows", n, PUBLISH_BUDGET));
@@ -155,5 +192,6 @@ fn similar_and_sim_join_stay_within_their_allocation_budgets() {
             format!("{call}: {n} allocations, budget {budget} — {verdict}")
         })
         .collect();
+    println!("{}", table.join("\n"));
     assert!(measured.iter().all(|(_, n, budget)| n <= budget), "\n{}", table.join("\n"));
 }
