@@ -156,14 +156,14 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Rebuild a cache from an exported image.
     ///
     /// # Panics
-    /// Panics on internally inconsistent state (zero capacity, more
-    /// entries than capacity, an entry tick beyond the cache tick) — a
-    /// corrupt snapshot, not a runtime condition.
+    /// Panics on internally inconsistent state ([`LruState::check`]) — a
+    /// decoder checks first, so this is a bug, not a runtime condition.
     pub fn from_state(state: LruState<K, V>) -> Self {
-        assert!(state.capacity > 0, "zero-capacity cache");
+        if let Err(breach) = state.check() {
+            panic!("{breach}");
+        }
         let mut map = FxHashMap::default();
         for e in state.entries {
-            assert!(e.last_used <= state.tick, "entry used after the cache's own tick");
             map.insert(
                 e.key,
                 Entry {
@@ -174,7 +174,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
                 },
             );
         }
-        assert!(map.len() <= state.capacity as usize, "more entries than capacity");
         Self {
             map,
             capacity: state.capacity as usize,
@@ -241,6 +240,23 @@ pub struct LruState<K, V> {
     /// Entries sorted by `last_used`, oldest first.
     pub entries: Vec<LruEntryState<K, V>>,
     pub sketch: Option<SketchState>,
+}
+
+impl<K, V> LruState<K, V> {
+    /// What [`LruCache::from_state`] requires of an image, `Err` naming the
+    /// first breach — for a decoder to refuse what a restore would die on.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.capacity == 0 {
+            return Err("zero-capacity cache");
+        }
+        if self.entries.len() as u64 > self.capacity {
+            return Err("more cache entries than capacity");
+        }
+        if self.entries.iter().any(|e| e.last_used > self.tick) {
+            return Err("cache entry used after the cache's own tick");
+        }
+        self.sketch.as_ref().map_or(Ok(()), SketchState::check)
+    }
 }
 
 #[cfg(test)]

@@ -136,16 +136,15 @@ impl FrequencySketch {
     /// Rebuild a sketch from an exported image.
     ///
     /// # Panics
-    /// Panics on internally inconsistent state (non-power-of-two slot
-    /// count, table size mismatch) — a corrupt snapshot, not a runtime
-    /// condition.
+    /// Panics on internally inconsistent state ([`SketchState::check`]) —
+    /// a decoder checks first, so this is a bug, not a runtime condition.
     pub fn from_state(state: SketchState) -> Self {
-        let slots = state.slots as usize;
-        assert!(slots.is_power_of_two(), "slot count must be a power of two");
-        assert_eq!(state.table.len(), slots / 2, "two 4-bit counters per table byte");
+        if let Err(breach) = state.check() {
+            panic!("{breach}");
+        }
         Self {
             table: state.table,
-            slots,
+            slots: state.slots as usize,
             doorkeeper: state.doorkeeper.into_iter().collect(),
             recorded: state.recorded,
             reset_at: state.reset_at,
@@ -162,6 +161,19 @@ pub struct SketchState {
     pub doorkeeper: Vec<u64>,
     pub recorded: u64,
     pub reset_at: u64,
+}
+
+impl SketchState {
+    /// What [`FrequencySketch::from_state`] requires of an image.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.slots < 2 || !self.slots.is_power_of_two() {
+            return Err("sketch slot count must be a power of two, and at least one byte's worth");
+        }
+        if self.table.len() as u64 != self.slots / 2 {
+            return Err("sketch table is not two 4-bit counters per byte");
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

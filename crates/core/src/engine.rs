@@ -449,14 +449,14 @@ impl SimilarityEngine {
     ///    subtree.
     pub fn estimate_key_cardinality(&self, from: PeerId, key: &Key) -> CardEstimate {
         let (ps, pe) = self.net.subtree_of(key);
-        let me = self.net.peer(from);
         let own = self.net.peer_partition(from);
         let total =
             self.net.total_stored_items() as u64 / self.cfg.network.replication.max(1) as u64;
         let structural = |p: usize| total >> (self.net.partition_depth(p).min(63) as u32);
         if (ps..pe).contains(&own) {
-            let local =
-                CardEstimate { rows: me.count_prefix(key) as u64, source: CardSource::LocalExact };
+            // Free local introspection: the peer's own run, no message.
+            let rows = run_items(self.net.partition_store(own).prefix_entries(key)).count() as u64;
+            let local = CardEstimate { rows, source: CardSource::LocalExact };
             // Sibling partitions of the subtree are invisible locally:
             // estimate them structurally instead of extrapolating the
             // initiator's slice across data it cannot see.
@@ -848,7 +848,7 @@ impl SimilarityEngine {
             // A channel whose owner has since died is useless; the epoch
             // check already closes it (churn bumps the epoch), this is
             // belt-and-braces for direct `fail_peer` surgery mid-window.
-            c.filter(|c| self.net.peer(c.owner).alive)
+            c.filter(|c| self.net.peer_alive(c.owner))
         } else {
             None
         };

@@ -13,16 +13,17 @@
 //! * [`key`] — arbitrary-length binary keys with the prefix algebra.
 //! * [`hash`] — order- and prefix-preserving hashing of strings and numbers.
 //! * [`trie`] — construction of a load-balanced partition cover.
-//! * [`peer`] — compact per-peer state (id, churn flag, shared store
-//!   handle).
+//! * [`peer`] — [`PeerId`] and the [`Item`] trait.
 //! * [`topology`] — the paper's π(p)/ρ(p,l)/σ(p) for the whole network in
 //!   one structure, and Algorithm 1's per-hop decision over it.
-//! * [`store`] — structurally-shared partition stores: sorted runs laid
-//!   out as flat arrays (one key arena, one span and one `Arc`-shared
-//!   posting list per key); a write is one merge of a key-sorted batch.
-//! * [`snapshot`] — the network's image: small state copied, one run
-//!   handle per partition.
-//! * [`network`] — the simulator: the one write path
+//! * [`store`] — δ(p), one per partition: sorted runs laid out as flat
+//!   arrays (one key arena, one span and one `Arc`-shared posting list per
+//!   key); a write is one merge of a key-sorted batch.
+//! * [`snapshot`] — [`NetworkState`], the network's data: configuration,
+//!   topology, churn flags, stores, counters, RNG. What a checkpoint
+//!   clones, and valid whenever it exists.
+//! * [`network`] — the simulator, a [`NetworkState`] plus its observers:
+//!   the one write path
 //!   ([`Network::insert_batch`]), routing, retrieval, range queries,
 //!   delegation primitives, churn.
 //! * [`metrics`] — message/bandwidth accounting.
@@ -30,7 +31,6 @@
 //!   network turns hop counts into simulated latency (implemented by
 //!   `sqo-sim`).
 
-pub mod bootstrap;
 pub mod clock;
 pub mod hash;
 pub mod key;
@@ -42,14 +42,13 @@ pub mod store;
 pub mod topology;
 pub mod trie;
 
-pub use bootstrap::{bootstrap, BootstrapConfig, BootstrapOutcome};
 pub use clock::{
     EventSink, MsgKind, SharedTraceSink, SimLatency, TraceEvent, TraceSink, TraceTrack, TraceValue,
 };
 pub use key::{Key, KeyRef};
 pub use metrics::{Metrics, PeerLoad};
 pub use network::{Network, NetworkConfig, RepairReport, ReplicationPolicy, RouteError};
-pub use peer::{Item, Peer, PeerId};
+pub use peer::{Item, PeerId};
 pub use snapshot::{NetworkState, StoreTables};
 pub use store::{run_items, PartitionStore, PostingList, Run, SortedStore};
 pub use topology::{RoutingArena, Topology};

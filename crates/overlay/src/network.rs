@@ -14,13 +14,13 @@
 use crate::clock::{EventSink, MsgKind, SharedTraceSink, SimLatency, TraceEvent, TraceTrack};
 use crate::key::{Key, KeyRef};
 use crate::metrics::{Metrics, PeerLoad};
-use crate::peer::{Item, Peer, PeerId};
+use crate::peer::{Item, PeerId};
+use crate::snapshot::NetworkState;
 use crate::store::{run_items, PartitionStore, PostingList, Run};
 use crate::topology::Topology;
 use crate::trie::{build_partitions, find_partition};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use smallvec::SmallVec;
 use std::sync::Arc;
 
 /// Static parameters of a simulated network.
@@ -44,6 +44,20 @@ pub struct NetworkConfig {
 impl Default for NetworkConfig {
     fn default() -> Self {
         Self { peers: 64, replication: 1, refs_per_level: 2, msg_header_bytes: 48, seed: 42 }
+    }
+}
+
+impl NetworkConfig {
+    /// What a network can be built from, `Err` naming what it cannot.
+    pub(crate) fn check(&self) -> Result<(), &'static str> {
+        if self.peers == 0 || self.replication == 0 || self.refs_per_level == 0 {
+            return Err("need at least one peer, one replica and one reference per level");
+        }
+        // Every byte counter grows by the header; one of 4 GiB overflows them.
+        if self.msg_header_bytes > u32::MAX as usize {
+            return Err("a message header past 4 GiB");
+        }
+        Ok(())
     }
 }
 
@@ -127,16 +141,11 @@ impl RepairReport {
 /// published list (copy-on-write, see [`crate::store`]).
 pub type KeyedLists<T> = Vec<(Key, PostingList<T>)>;
 
-/// The simulated P-Grid network holding items of type `T`.
+/// The simulated P-Grid network holding items of type `T`: its data (the
+/// [`NetworkState`] a snapshot freezes) and its observers.
 pub struct Network<T> {
-    pub(crate) cfg: NetworkConfig,
-    /// Partition cover, membership and routing references — the one copy
-    /// (see [`Topology`]).
-    pub(crate) topo: Topology,
-    pub(crate) peers: Vec<Peer<T>>,
-    pub(crate) metrics: Metrics,
-    /// Per-peer sent/received traffic (reset together with `metrics`).
-    pub(crate) peer_load: Vec<PeerLoad>,
+    /// Everything a checkpoint keeps — see [`crate::snapshot`].
+    pub(crate) image: NetworkState<T>,
     /// Optional virtual-time charger; every wire interaction is mirrored
     /// into it (see [`crate::clock`]). `None` keeps the network a pure
     /// message counter with zero behavior change.
@@ -150,25 +159,21 @@ pub struct Network<T> {
     /// The query track currently attributed on message instants; set by the
     /// executor around each charged step of a traced query.
     pub(crate) trace_query: Option<u64>,
-    /// Monotone allocator backing [`Self::next_trace_query_id`].
-    pub(crate) next_trace_query: u64,
-    /// Monotone invalidation counter: bumped by every event that can make
-    /// remotely cached data stale — churn ([`Self::fail_peer`],
-    /// [`Self::revive_peer`], [`Self::fail_random_fraction`]) *and* data
-    /// insertion ([`Self::insert_batch`], i.e. publications). Caches layered
-    /// above the overlay key their entries by this epoch so nothing fetched
-    /// before such an event is ever served after it.
-    pub(crate) cache_epoch: u64,
     /// The one empty posting list every prefix miss replies with (a
     /// handle clone, not a fresh allocation per miss).
     pub(crate) empty: PostingList<T>,
     /// Items published into this network that no peer stored
     /// ([`Self::unstored_items`]).
     pub(crate) unstored: u64,
-    pub(crate) rng: StdRng,
 }
 
 impl<T: Item> Network<T> {
+    /// A network on `image`, with no observer installed.
+    pub(crate) fn on(image: NetworkState<T>) -> Self {
+        let empty = PostingList::default();
+        Network { image, sink: None, tracer: None, trace_query: None, empty, unstored: 0 }
+    }
+
     /// Construct a network of `cfg.peers` peers, build the trie adapted to
     /// the data keys, wire routing tables, and insert all items.
     pub fn build(cfg: NetworkConfig, data: Vec<(Key, T)>) -> Self {
@@ -176,106 +181,43 @@ impl<T: Item> Network<T> {
         let target_partitions = (cfg.peers / cfg.replication).max(1);
         let paths = build_partitions(&mut keys, target_partitions);
         drop(keys);
-        Self::build_with_paths(cfg, paths, None, data)
+        Self::build_with_paths(cfg, paths, data)
     }
 
-    /// Construct a network whose trie emerged from the decentralized
-    /// construction protocol ([`mod@crate::bootstrap`]) instead of the
-    /// centralized splitter.
-    pub fn build_bootstrapped(
-        cfg: NetworkConfig,
-        data: Vec<(Key, T)>,
-        boot: &crate::bootstrap::BootstrapConfig,
-    ) -> Self {
-        let keys: Vec<Key> = data.iter().map(|(k, _)| k.clone()).collect();
-        let outcome = crate::bootstrap::bootstrap(&keys, cfg.peers, boot);
-        Self::build_with_paths(cfg, outcome.paths, Some(outcome.peer_paths), data)
-    }
-
-    /// Construct from an explicit partition cover. `peer_paths`, when
-    /// given, assigns each peer to the partition with that exact path
-    /// (partitions left empty fall back to round-robin assignment).
-    pub fn build_with_paths(
-        cfg: NetworkConfig,
-        paths: Vec<Key>,
-        peer_paths: Option<Vec<Key>>,
-        data: Vec<(Key, T)>,
-    ) -> Self {
-        assert!(cfg.peers >= 1, "need at least one peer");
-        assert!(cfg.replication >= 1, "replication factor must be >= 1");
-        assert!(cfg.refs_per_level >= 1, "need at least one reference per level");
+    /// Construct from an explicit partition cover. Peers are dealt to the
+    /// partitions round-robin: surplus peers become structural replicas,
+    /// and a cover with more partitions than peers leaves its trailing
+    /// partitions without one.
+    pub fn build_with_paths(cfg: NetworkConfig, paths: Vec<Key>, data: Vec<(Key, T)>) -> Self {
+        if let Err(unbuildable) = cfg.check() {
+            panic!("{unbuildable}");
+        }
         assert!(
             crate::trie::is_complete_cover(&paths),
             "partition paths must form a complete prefix-free cover"
         );
         debug_assert!(paths.windows(2).all(|w| w[0] < w[1]), "paths must be sorted");
 
-        // Assign peers to partitions: honor explicit placements, then
-        // round-robin so every partition gets at least one peer and surplus
-        // peers become structural replicas.
-        let mut part_peers: Vec<SmallVec<[PeerId; 4]>> = vec![SmallVec::new(); paths.len()];
-        let mut peers: Vec<Peer<T>> = Vec::with_capacity(cfg.peers);
-        let explicit: Vec<Option<usize>> = match &peer_paths {
-            Some(pp) => {
-                assert_eq!(pp.len(), cfg.peers, "one path per peer expected");
-                pp.iter().map(|p| paths.binary_search(p).ok()).collect()
-            }
-            None => vec![None; cfg.peers],
-        };
-        // First pass: empty partitions claim unplaced or redundant peers.
-        let mut assignment: Vec<usize> =
-            (0..cfg.peers).map(|i| explicit[i].unwrap_or(i % paths.len())).collect();
-        {
-            let mut coverage = vec![0usize; paths.len()];
-            for &part in &assignment {
-                coverage[part] += 1;
-            }
-            let mut spare: Vec<usize> =
-                (0..cfg.peers).filter(|&i| coverage[assignment[i]] > 1).collect();
-            for part in 0..paths.len() {
-                if coverage[part] > 0 {
-                    continue;
-                }
-                // Pop spares until one whose donor partition still has
-                // redundancy (an earlier pop may have drained it).
-                while let Some(peer) = spare.pop() {
-                    if coverage[assignment[peer]] > 1 {
-                        coverage[assignment[peer]] -= 1;
-                        assignment[peer] = part;
-                        coverage[part] += 1;
-                        break;
-                    }
-                }
-            }
+        let mut part_peers: Vec<Vec<PeerId>> = vec![Vec::new(); paths.len()];
+        let part_of: Vec<u32> = (0..cfg.peers).map(|i| (i % paths.len()) as u32).collect();
+        for (i, &part) in part_of.iter().enumerate() {
+            part_peers[part as usize].push(PeerId(i as u32));
         }
-        // The members of a partition share one store from the start.
-        let stores: Vec<PartitionStore<T>> =
-            std::iter::repeat_with(PartitionStore::default).take(paths.len()).collect();
-        for (i, &part) in assignment.iter().enumerate() {
-            let id = PeerId(i as u32);
-            part_peers[part].push(id);
-            peers.push(Peer { id, store: stores[part].clone(), alive: true });
-        }
-        let part_of = assignment.into_iter().map(|part| part as u32).collect();
-
-        let n_peers = peers.len();
-        let mut net = Network {
+        let stores = std::iter::repeat_with(PartitionStore::default).take(paths.len()).collect();
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut topo = Topology { paths, part_peers, part_of, routing: Default::default() };
+        topo.wire_routing(cfg.refs_per_level, &mut rng);
+        let mut net = Self::on(NetworkState {
+            alive: vec![true; cfg.peers],
+            peer_load: vec![PeerLoad::default(); cfg.peers],
             cfg,
-            topo: Topology { paths, part_peers, part_of, routing: Default::default() },
-            peers,
+            topo,
+            stores,
             metrics: Metrics::default(),
-            peer_load: vec![PeerLoad::default(); n_peers],
-            sink: None,
-            tracer: None,
-            trace_query: None,
             next_trace_query: 0,
             cache_epoch: 0,
-            empty: PostingList::default(),
-            unstored: 0,
-            rng: StdRng::seed_from_u64(0), // replaced below, after cfg move
-        };
-        net.rng = StdRng::seed_from_u64(net.cfg.seed);
-        net.topo.wire_routing(net.cfg.refs_per_level, &mut net.rng);
+            rng,
+        });
         net.insert_batch(data);
         net
     }
@@ -284,20 +226,21 @@ impl<T: Item> Network<T> {
     /// stable-sorted by key (publications under one key keep their order)
     /// and walked against the sorted partition cover: a key still prefixed
     /// by its predecessor's partition path needs no lookup, and the keys
-    /// between two lookups go to their partition as **one** merge — one
-    /// detach and re-share of its replica handles, however many postings.
+    /// between two lookups go to their partition as **one** merge of the
+    /// run its replicas hold in common, however many postings.
     /// Equal to [`Self::insert_item`] per element, in order: same runs
     /// entry for entry, same epoch advance (one step per publication —
     /// lists fetched before it no longer reflect the stored data). Posting
     /// lists already handed out to readers are never mutated.
     ///
     /// Returns how many of the batch's items **no peer stored**: those whose
-    /// whole subtree is a peerless gap partition (a bootstrapped trie can
-    /// leave one behind). An item under a key that some peered partition
-    /// covers is stored there and not counted. The network keeps the
-    /// running total ([`Self::unstored_items`]), the build's share included.
+    /// whole subtree is a peerless gap partition (a cover with more
+    /// partitions than peers has some). An item under a key that some
+    /// peered partition covers is stored there and not counted. The network
+    /// keeps the running total ([`Self::unstored_items`]), the build's
+    /// share included.
     pub fn insert_batch(&mut self, mut batch: Vec<(Key, T)>) -> usize {
-        self.cache_epoch += batch.len() as u64;
+        self.image.cache_epoch += batch.len() as u64;
         batch.sort_by(|a, b| a.0.cmp(&b.0));
         let mut unstored = 0;
         let mut part = 0;
@@ -308,9 +251,9 @@ impl<T: Item> Network<T> {
             let more = batch.as_slice().iter().take_while(|(k, _)| *k == key).count();
             let rest = batch.by_ref().take(more).map(|(_, item)| item);
             let items: Vec<T> = std::iter::once(item).chain(rest).collect();
-            if !self.topo.paths[part].is_prefix_of(&key) {
+            if !self.image.topo.paths[part].is_prefix_of(&key) {
                 unstored += self.merge_into(part, &mut pending, false);
-                let (s, e) = self.topo.subtree_of(&key);
+                let (s, e) = self.image.topo.subtree_of(&key);
                 debug_assert!(e > s, "complete cover guarantees an owner for every key");
                 part = s;
                 if e - s > 1 {
@@ -339,52 +282,38 @@ impl<T: Item> Network<T> {
     /// unstored: all of them when no partition of the cover has a peer.
     fn insert_short(&mut self, key: Key, items: Vec<T>, cover: std::ops::Range<usize>) -> usize {
         let published = items.len();
-        let stored = cover
-            .clone()
-            .find_map(|part| self.topo.part_peers[part].first())
-            .and_then(|p| self.peers[p.index()].store.exact_entry(&key));
+        let peered = cover.clone().find(|part| !self.image.topo.part_peers[*part].is_empty());
+        let stored = peered.and_then(|part| self.image.stores[part].exact_entry(&key));
         let list: PostingList<T> = Arc::new(match stored {
             Some(old) => old.iter().cloned().chain(items).collect(),
             None => items,
         });
-        let peered = cover.clone().any(|part| !self.topo.part_peers[part].is_empty());
         for part in cover {
             self.merge_into(part, &mut vec![(key.clone(), Arc::clone(&list))], true);
         }
-        if peered {
+        if peered.is_some() {
             0
         } else {
             published
         }
     }
 
-    /// Drain a key-sorted sub-batch into the run of `part`. Replicas share
-    /// one store: the siblings' handles are detached so the copy-on-write
-    /// merge lands in place, then re-shared — `k`-fold replication costs
-    /// one merge, not `k`. Returns the number of items dropped because the
-    /// partition has no member to store them.
+    /// Drain a key-sorted sub-batch into the run of `part` — one merge,
+    /// whatever the replication. Returns the number of items dropped
+    /// because the partition has no member to store them.
     fn merge_into(
         &mut self,
         part: usize,
         batch: &mut Vec<(Key, PostingList<T>)>,
         replace: bool,
     ) -> usize {
-        // No members: a peerless gap partition (bootstrap tries).
-        let Some((first, rest)) = self.topo.part_peers[part].split_first() else {
+        if self.image.topo.part_peers[part].is_empty() {
             return batch.drain(..).map(|(_, list)| list.len()).sum();
-        };
-        if batch.is_empty() {
-            return 0;
         }
-        for p in rest {
-            self.peers[p.index()].store = PartitionStore::default();
+        if !batch.is_empty() {
+            self.image.stores[part].merge(batch.drain(..), replace);
+            debug_assert_eq!(self.image.check_store(part), Ok(()));
         }
-        self.peers[first.index()].store.merge(batch.drain(..), replace);
-        let store = self.peers[first.index()].store.clone();
-        for p in rest {
-            self.peers[p.index()].store = store.clone();
-        }
-        debug_assert_eq!(self.check_partition(part), Ok(()));
         0
     }
 
@@ -394,48 +323,18 @@ impl<T: Item> Network<T> {
         self.insert_batch(vec![(key, item)])
     }
 
-    /// The structural invariants, `Err` naming the first breach: every
-    /// partition's members point back at it and share one store, whose run
+    /// The structural invariants, `Err` naming the first breach — the
+    /// check a decoded image passes before it exists
+    /// ([`NetworkState::new`]): `cfg` names at least one peer, replica and
+    /// reference per level; the per-peer tables have `cfg.peers` entries and
+    /// there is one store per partition; the paths are a sorted complete
+    /// cover; every peer is a member of exactly the partition it points at;
+    /// the routing offsets stay inside their tables and every ρ(p, l) names
+    /// peers of the complementary subtree at level `l`; and every run
     /// ascends strictly, holds no empty list and only keys prefix-related
-    /// to the partition's path; and every peer is a member of exactly the
-    /// partition it points at.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        (0..self.topo.paths.len()).try_for_each(|part| self.check_partition(part))?;
-        let placed: usize = self.topo.part_peers.iter().map(|m| m.len()).sum();
-        let lost = self.peers.iter().find(|p| {
-            let part = self.topo.part_of[p.id.index()] as usize;
-            !self.topo.part_peers.get(part).is_some_and(|m| m.contains(&p.id))
-        });
-        match lost {
-            Some(p) => Err(format!("{} is not a member of the partition it points at", p.id)),
-            None if placed != self.peers.len() => Err(format!("{placed} memberships")),
-            None => Ok(()),
-        }
-    }
-
-    /// The per-partition half of [`Self::check_invariants`].
-    fn check_partition(&self, part: usize) -> Result<(), String> {
-        let (path, members) = (&self.topo.paths[part], &self.topo.part_peers[part]);
-        let Some(first) = members.first() else { return Ok(()) };
-        let store = &self.peers[first.index()].store;
-        let stray = members.iter().find(|p| {
-            self.topo.part_of[p.index()] as usize != part
-                || !self.peers[p.index()].store.shares_with(store)
-        });
-        // Stored keys are compared where they lie: the walk allocates
-        // nothing, so debug builds keep the release build's allocation counts.
-        let path = path.as_ref();
-        let misplaced = store
-            .iter()
-            .find(|(k, l)| l.is_empty() || !(path.is_prefix_of(*k) || k.is_prefix_of(path)));
-        match (stray, misplaced) {
-            (Some(p), _) => Err(format!("{p} points or stores away from partition {part}")),
-            (_, Some((k, _))) => Err(format!("{k} is empty or misplaced in partition {part}")),
-            _ if !store.keys().zip(store.keys().skip(1)).all(|(a, b)| a < b) => {
-                Err(format!("the run of partition {part} does not ascend strictly"))
-            }
-            _ => Ok(()),
-        }
+    /// to its partition's path.
+    pub fn check_invariants(&self) -> Result<(), &'static str> {
+        self.image.check()
     }
 
     // ------------------------------------------------------------------
@@ -443,60 +342,61 @@ impl<T: Item> Network<T> {
     // ------------------------------------------------------------------
 
     pub fn config(&self) -> &NetworkConfig {
-        &self.cfg
+        &self.image.cfg
     }
 
     pub fn peer_count(&self) -> usize {
-        self.peers.len()
+        self.image.alive.len()
     }
 
     pub fn partition_count(&self) -> usize {
-        self.topo.paths.len()
+        self.image.topo.paths.len()
     }
 
     /// The network's structure: partition cover, membership, routing
     /// references (what message-level simulators clone).
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        &self.image.topo
     }
 
     /// Sorted partition paths (the global trie's leaves).
     pub fn paths(&self) -> &[Key] {
-        &self.topo.paths
+        &self.image.topo.paths
     }
 
-    pub fn peer(&self, id: PeerId) -> &Peer<T> {
-        &self.peers[id.index()]
+    /// δ: the run of partition `part`, which its members hold in common.
+    pub fn partition_store(&self, part: usize) -> &PartitionStore<T> {
+        &self.image.stores[part]
     }
 
     /// Index of the partition peer `id` belongs to.
     pub fn peer_partition(&self, id: PeerId) -> usize {
-        self.topo.partition_of(id)
+        self.image.topo.partition_of(id)
     }
 
     /// The structural replicas of partition `part`.
     pub fn partition_members(&self, part: usize) -> &[PeerId] {
-        &self.topo.part_peers[part]
+        &self.image.topo.part_peers[part]
     }
 
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.image.metrics
     }
 
     /// Reset the global and per-peer traffic counters.
     pub fn reset_metrics(&mut self) {
-        self.metrics = Metrics::default();
-        self.peer_load = vec![PeerLoad::default(); self.peers.len()];
+        self.image.metrics = Metrics::default();
+        self.image.peer_load = vec![PeerLoad::default(); self.image.alive.len()];
     }
 
     /// Traffic counters of one peer.
     pub fn peer_load(&self, id: PeerId) -> PeerLoad {
-        self.peer_load[id.index()]
+        self.image.peer_load[id.index()]
     }
 
     /// Traffic counters of every peer, indexed by [`PeerId`].
     pub fn peer_loads(&self) -> &[PeerLoad] {
-        &self.peer_load
+        &self.image.peer_load
     }
 
     // ------------------------------------------------------------------
@@ -507,15 +407,6 @@ impl<T: Item> Network<T> {
     /// to it. Replaces any previous sink.
     pub fn set_event_sink(&mut self, sink: Box<dyn EventSink>) {
         self.sink = Some(sink);
-    }
-
-    /// Remove and return the installed sink, if any.
-    pub fn take_event_sink(&mut self) -> Option<Box<dyn EventSink>> {
-        self.sink.take()
-    }
-
-    pub fn has_event_sink(&self) -> bool {
-        self.sink.is_some()
     }
 
     /// Mutable access to the installed sink (checkpointing: callers
@@ -585,11 +476,6 @@ impl<T: Item> Network<T> {
         self.tracer = Some(tracer);
     }
 
-    /// Remove and return the installed trace sink, if any.
-    pub fn take_trace_sink(&mut self) -> Option<SharedTraceSink> {
-        self.tracer.take()
-    }
-
     /// A clone of the installed trace-sink handle, if any.
     pub fn trace_sink(&self) -> Option<SharedTraceSink> {
         self.tracer.clone()
@@ -602,8 +488,8 @@ impl<T: Item> Network<T> {
     /// Allocate the next per-query trace id (the key of that query's
     /// [`TraceTrack::Query`] track). Monotone from 1.
     pub fn next_trace_query_id(&mut self) -> u64 {
-        self.next_trace_query += 1;
-        self.next_trace_query
+        self.image.next_trace_query += 1;
+        self.image.next_trace_query
     }
 
     /// Set (or clear) the query track attributed on subsequently charged
@@ -634,15 +520,15 @@ impl<T: Item> Network<T> {
     /// load accounts and virtual time all charged together. `payload` is
     /// nonzero only for result-bearing messages.
     fn charge(&mut self, kind: MsgKind, from: PeerId, to: PeerId, payload: usize) {
-        let hb = self.cfg.msg_header_bytes;
+        let hb = self.image.cfg.msg_header_bytes;
         match kind {
-            MsgKind::Route => self.metrics.count_hop(hb),
-            MsgKind::Forward => self.metrics.count_forward(hb),
-            MsgKind::Result => self.metrics.count_result(hb, payload),
+            MsgKind::Route => self.image.metrics.count_hop(hb),
+            MsgKind::Forward => self.image.metrics.count_forward(hb),
+            MsgKind::Result => self.image.metrics.count_result(hb, payload),
         }
         let bytes = hb + payload;
-        self.peer_load[from.index()].count_sent(bytes as u64);
-        self.peer_load[to.index()].count_recv(bytes as u64);
+        self.image.peer_load[from.index()].count_sent(bytes as u64);
+        self.image.peer_load[to.index()].count_recv(bytes as u64);
         if let Some(s) = &mut self.sink {
             s.deliver(from, to, bytes, kind);
         }
@@ -662,21 +548,9 @@ impl<T: Item> Network<T> {
         }
     }
 
-    fn charge_hop(&mut self, from: PeerId, to: PeerId) {
-        self.charge(MsgKind::Route, from, to, 0);
-    }
-
-    fn charge_forward(&mut self, from: PeerId, to: PeerId) {
-        self.charge(MsgKind::Forward, from, to, 0);
-    }
-
-    fn charge_result(&mut self, from: PeerId, to: PeerId, payload: usize) {
-        self.charge(MsgKind::Result, from, to, payload);
-    }
-
     /// Local scan work at `peer`. Takes the two fields it charges instead
     /// of `&mut self`, so a scan can be charged while its run is still
-    /// borrowed from the peer table.
+    /// borrowed from the stores.
     fn charge_scan(
         metrics: &mut Metrics,
         sink: &mut Option<Box<dyn EventSink>>,
@@ -691,19 +565,19 @@ impl<T: Item> Network<T> {
 
     /// True when `id` is currently alive (not churned out).
     pub fn peer_alive(&self, id: PeerId) -> bool {
-        self.peers[id.index()].alive
+        self.image.alive[id.index()]
     }
 
     /// A uniformly random alive peer, or `None` when every peer is dead.
     /// Consumes exactly the draws [`Self::random_peer`] would, so swapping
     /// a call site between the two never shifts the RNG stream.
     pub fn random_alive_peer(&mut self) -> Option<PeerId> {
-        if !self.peers.iter().any(|p| p.alive) {
+        if !self.image.alive.contains(&true) {
             return None;
         }
         loop {
-            let id = PeerId(self.rng.gen_range(0..self.peers.len()) as u32);
-            if self.peers[id.index()].alive {
+            let id = PeerId(self.image.rng.gen_range(0..self.image.alive.len()) as u32);
+            if self.image.alive[id.index()] {
                 return Some(id);
             }
         }
@@ -718,14 +592,19 @@ impl<T: Item> Network<T> {
         self.random_alive_peer().expect("all peers dead")
     }
 
+    /// Each partition's run with the number of replicas holding it.
+    fn replicated(&self) -> impl Iterator<Item = (usize, &PartitionStore<T>)> {
+        self.image.topo.part_peers.iter().map(Vec::len).zip(&self.image.stores)
+    }
+
     /// Total stored (key, item) pairs across all peers (replicas included).
     pub fn total_stored_items(&self) -> usize {
-        self.peers.iter().map(|p| p.store.item_count()).sum()
+        self.replicated().map(|(members, store)| members * store.item_count()).sum()
     }
 
     /// Total stored payload bytes across all peers (replicas included).
     pub fn total_stored_bytes(&self) -> u64 {
-        self.peers.iter().map(|p| p.store.stored_bytes()).sum()
+        self.replicated().map(|(members, store)| members as u64 * store.stored_bytes()).sum()
     }
 
     // ------------------------------------------------------------------
@@ -734,66 +613,57 @@ impl<T: Item> Network<T> {
 
     /// Current cache-invalidation epoch; see the `cache_epoch` field docs.
     pub fn cache_epoch(&self) -> u64 {
-        self.cache_epoch
+        self.image.cache_epoch
     }
 
     pub fn fail_peer(&mut self, id: PeerId) {
-        self.peers[id.index()].alive = false;
-        self.cache_epoch += 1;
+        self.image.alive[id.index()] = false;
+        self.image.cache_epoch += 1;
     }
 
     pub fn revive_peer(&mut self, id: PeerId) {
-        self.peers[id.index()].alive = true;
-        self.cache_epoch += 1;
+        self.image.alive[id.index()] = true;
+        self.image.cache_epoch += 1;
     }
 
-    /// Kill a random `fraction` of all peers. Returns the victims.
+    /// Kill a random `fraction` of all peers. Returns the victims. The
+    /// fraction is of *all* peers, but only alive peers can die, and one
+    /// peer always survives — repeated churn (a driver schedule) must
+    /// neither spin forever hunting victims that no longer exist nor leave
+    /// the network unable to choose an initiator. Use `fail_peer` to kill a
+    /// specific peer unconditionally.
     pub fn fail_random_fraction(&mut self, fraction: f64) -> Vec<PeerId> {
-        assert!((0.0..=1.0).contains(&fraction));
-        // The fraction is of *all* peers, but only alive peers can die, and
-        // one peer always survives — repeated churn (a driver schedule) must
-        // neither spin forever hunting victims that no longer exist nor
-        // leave the network unable to choose an initiator. Use `fail_peer`
-        // to kill a specific peer unconditionally.
-        let alive = self.peers.iter().filter(|p| p.alive).count();
-        let n =
-            (((self.peers.len() as f64) * fraction).round() as usize).min(alive.saturating_sub(1));
-        // Even a zero-victim wave is a membership event: caches must not
-        // outlive the *schedule point*, or two runs differing only in the
-        // wave size would invalidate at different times.
-        self.cache_epoch += 1;
-        let mut victims = Vec::with_capacity(n);
-        while victims.len() < n {
-            let id = PeerId(self.rng.gen_range(0..self.peers.len()) as u32);
-            if self.peers[id.index()].alive {
-                self.peers[id.index()].alive = false;
-                victims.push(id);
-            }
-        }
-        victims
+        self.flip_random_fraction(fraction, true, 1)
     }
 
     /// Revive a random `fraction` of all peers — the recovery mirror of
     /// [`Self::fail_random_fraction`]. Returns the revived peers. Churn is
-    /// crash-stop: a dead peer keeps its store handle, so a revival brings
-    /// its replica's data back online as-is.
+    /// crash-stop: a dead peer stays a member of its partition, so a revival
+    /// brings its replica back online with the partition's run.
     pub fn revive_random_fraction(&mut self, fraction: f64) -> Vec<PeerId> {
+        self.flip_random_fraction(fraction, false, 0)
+    }
+
+    /// Flip the churn flag of a random `fraction` of all peers, drawn from
+    /// those whose flag is `from` and leaving `spare` of them as they are.
+    fn flip_random_fraction(&mut self, fraction: f64, from: bool, spare: usize) -> Vec<PeerId> {
         assert!((0.0..=1.0).contains(&fraction));
-        let dead = self.peers.iter().filter(|p| !p.alive).count();
-        let n = (((self.peers.len() as f64) * fraction).round() as usize).min(dead);
-        // Even a zero-revival wave is a membership event (epoch parity with
-        // `fail_random_fraction`: caches must not outlive the schedule
-        // point).
-        self.cache_epoch += 1;
-        let mut revived = Vec::with_capacity(n);
-        while revived.len() < n {
-            let id = PeerId(self.rng.gen_range(0..self.peers.len()) as u32);
-            if !self.peers[id.index()].alive {
-                self.peers[id.index()].alive = true;
-                revived.push(id);
+        let peers = self.image.alive.len();
+        let eligible = self.image.alive.iter().filter(|alive| **alive == from).count();
+        let n = ((peers as f64 * fraction).round() as usize).min(eligible.saturating_sub(spare));
+        // Even an empty wave is a membership event: caches must not outlive
+        // the *schedule point*, or two runs differing only in the wave size
+        // would invalidate at different times.
+        self.image.cache_epoch += 1;
+        let mut flipped = Vec::with_capacity(n);
+        while flipped.len() < n {
+            let id = PeerId(self.image.rng.gen_range(0..peers) as u32);
+            if self.image.alive[id.index()] == from {
+                self.image.alive[id.index()] = !from;
+                flipped.push(id);
             }
         }
-        revived
+        flipped
     }
 
     /// Kill every alive member of partition `part` (a targeted wipe: the
@@ -801,26 +671,26 @@ impl<T: Item> Network<T> {
     /// remains, repair cannot recover it — only a revival can). Returns the
     /// victims.
     pub fn fail_partition(&mut self, part: usize) -> Vec<PeerId> {
-        let victims: Vec<PeerId> = self.topo.part_peers[part]
+        let victims: Vec<PeerId> = self.image.topo.part_peers[part]
             .iter()
             .copied()
-            .filter(|p| self.peers[p.index()].alive)
+            .filter(|p| self.image.alive[p.index()])
             .collect();
         for &p in &victims {
-            self.peers[p.index()].alive = false;
+            self.image.alive[p.index()] = false;
         }
-        self.cache_epoch += 1;
+        self.image.cache_epoch += 1;
         victims
     }
 
     /// Number of currently alive peers.
     pub fn alive_peers(&self) -> usize {
-        self.peers.iter().filter(|p| p.alive).count()
+        self.image.alive.iter().filter(|alive| **alive).count()
     }
 
     /// Number of alive structural replicas of partition `part`.
     pub fn partition_alive(&self, part: usize) -> usize {
-        self.topo.part_peers[part].iter().filter(|p| self.peers[p.index()].alive).count()
+        self.image.topo.part_peers[part].iter().filter(|p| self.image.alive[p.index()]).count()
     }
 
     // ------------------------------------------------------------------
@@ -830,8 +700,8 @@ impl<T: Item> Network<T> {
     /// One failure-detection + re-replication pass: every partition whose
     /// alive replica count fell below `policy.min_alive` (but still has an
     /// alive copy) recruits alive peers out of partitions holding surplus
-    /// replicas, hands each recruit a shared handle onto the partition's
-    /// store, and charges the copy as real wire traffic (one result-class
+    /// replicas — a recruit holds the partition's run from then on — and
+    /// charges the copy as real wire traffic (one result-class
     /// transfer of the partition payload per recruit, visible to metrics,
     /// per-peer load, the virtual clock and — blame-tagged
     /// `cause:"repair"` — the trace stream).
@@ -846,15 +716,11 @@ impl<T: Item> Network<T> {
     pub fn repair_epoch(&mut self, policy: &ReplicationPolicy) -> RepairReport {
         let target = policy.min_alive.max(1);
         let mut report = RepairReport::default();
-        let mut alive_count: Vec<usize> = self
-            .topo
-            .part_peers
-            .iter()
-            .map(|m| m.iter().filter(|p| self.peers[p.index()].alive).count())
-            .collect();
-        for part in 0..self.topo.paths.len() {
-            if self.topo.part_peers[part].is_empty() {
-                continue; // peerless gap partition (bootstrap tries)
+        let parts = self.image.topo.paths.len();
+        let mut alive_count: Vec<usize> = (0..parts).map(|p| self.partition_alive(p)).collect();
+        for part in 0..parts {
+            if self.image.topo.part_peers[part].is_empty() {
+                continue; // a cover with more partitions than peers
             }
             report.scanned += 1;
             if alive_count[part] == 0 {
@@ -869,33 +735,31 @@ impl<T: Item> Network<T> {
                 // Donor: the partition with the largest alive surplus (ties
                 // to the lowest index); recruiting never pushes a donor
                 // below the target itself.
-                let donor = (0..self.topo.paths.len())
+                let donor = (0..parts)
                     .filter(|&d| d != part && alive_count[d] > target)
                     .max_by_key(|&d| (alive_count[d], std::cmp::Reverse(d)));
                 let Some(donor) = donor else {
                     report.unfilled += 1;
                     break;
                 };
-                let recruit = self.topo.part_peers[donor]
+                let recruit = self.image.topo.part_peers[donor]
                     .iter()
                     .copied()
-                    .filter(|p| self.peers[p.index()].alive)
+                    .filter(|p| self.image.alive[p.index()])
                     .max()
                     .expect("donor has alive surplus");
-                let source = self.topo.part_peers[part]
+                let source = self.image.topo.part_peers[part]
                     .iter()
                     .copied()
-                    .find(|p| self.peers[p.index()].alive)
+                    .find(|p| self.image.alive[p.index()])
                     .expect("deficient partitions have an alive source");
-                self.topo.part_peers[donor].retain(|p| *p != recruit);
+                self.image.topo.part_peers[donor].retain(|p| *p != recruit);
                 alive_count[donor] -= 1;
-                self.topo.part_peers[part].push(recruit);
+                self.image.topo.part_peers[part].push(recruit);
                 alive_count[part] += 1;
-                self.topo.part_of[recruit.index()] = part as u32;
-                let store = self.peers[source.index()].store.clone();
-                let bytes = store.stored_bytes();
-                self.peers[recruit.index()].store = store;
-                self.charge_result(source, recruit, bytes as usize);
+                self.image.topo.part_of[recruit.index()] = part as u32;
+                let bytes = self.image.stores[part].stored_bytes();
+                self.send_direct(source, recruit, bytes as usize);
                 let ts = self.sink.as_ref().map(|s| s.now_us()).unwrap_or(0);
                 self.trace_with(|| {
                     TraceEvent::instant(ts, TraceTrack::Control, "repair", "run")
@@ -912,8 +776,8 @@ impl<T: Item> Network<T> {
         if report.recruited > 0 {
             // Membership moved: remotely cached data may be stale, and the
             // routing arena references peers whose trie depth changed.
-            self.cache_epoch += 1;
-            self.topo.wire_routing(self.cfg.refs_per_level, &mut self.rng);
+            self.image.cache_epoch += 1;
+            self.image.topo.wire_routing(self.image.cfg.refs_per_level, &mut self.image.rng);
             debug_assert_eq!(self.check_invariants(), Ok(()));
         }
         report
@@ -927,32 +791,23 @@ impl<T: Item> Network<T> {
     /// path is a prefix of `key` (or extended by `key`). Each hop is one
     /// message.
     pub fn route(&mut self, from: PeerId, key: &Key) -> Result<PeerId, RouteError> {
-        if !self.peers[from.index()].alive {
+        if !self.image.alive[from.index()] {
             return Err(RouteError::InitiatorDead);
         }
         let mut cur = from;
-        // The hop bound is the trie depth; a cycle would indicate a wiring
-        // bug, not a simulation condition.
-        let max_hops = 2 * crate::trie::MAX_PATH_BITS + 2;
-        for _ in 0..max_hops {
-            let Some(l) = self.topo.route_level(cur, key) else { return Ok(cur) };
+        // Every reference of level `l` leads into the complementary
+        // subtree ([`Self::check_invariants`]), so each hop agrees with
+        // `key` in at least one more bit than the last.
+        for _ in 0..=key.len() {
+            let Some(l) = self.image.topo.route_level(cur, key) else { return Ok(cur) };
             let Some(next) = self.pick_alive_ref(cur, l) else {
-                self.metrics.failed_routes += 1;
+                self.image.metrics.failed_routes += 1;
                 return Err(RouteError::NoAliveReference);
             };
-            self.charge_hop(cur, next);
+            self.charge(MsgKind::Route, cur, next, 0);
             cur = next;
         }
-        unreachable!("routing must converge within the trie depth");
-    }
-
-    /// True when routing should consult the sink's per-peer backlog when
-    /// choosing among equivalent peers (load-aware reference selection):
-    /// whenever a virtual-time sink is installed. Without one there is no
-    /// backlog signal and selection is uniform random (the paper's
-    /// behavior).
-    fn load_aware(&self) -> bool {
-        self.sink.is_some()
+        unreachable!("a hop made no progress towards the key");
     }
 
     /// Choose among equally-good candidates: smallest service backlog when
@@ -961,13 +816,13 @@ impl<T: Item> Network<T> {
     fn pick_among(&mut self, cands: &[PeerId]) -> PeerId {
         debug_assert!(!cands.is_empty());
         let Some(sink) = self.sink.as_ref() else {
-            return cands[self.rng.gen_range(0..cands.len())];
+            return cands[self.image.rng.gen_range(0..cands.len())];
         };
-        let backlogs: SmallVec<[u64; 8]> = cands.iter().map(|p| sink.busy_until_us(*p)).collect();
+        let backlogs: Vec<u64> = cands.iter().map(|p| sink.busy_until_us(*p)).collect();
         let min = *backlogs.iter().min().expect("non-empty");
-        let tied: SmallVec<[PeerId; 8]> =
+        let tied: Vec<PeerId> =
             cands.iter().zip(&backlogs).filter(|(_, b)| **b == min).map(|(p, _)| *p).collect();
-        tied[self.rng.gen_range(0..tied.len())]
+        tied[self.image.rng.gen_range(0..tied.len())]
     }
 
     /// Select an alive reference of `peer` at level `l`, falling back to
@@ -977,26 +832,26 @@ impl<T: Item> Network<T> {
     fn pick_alive_ref(&mut self, peer: PeerId, l: usize) -> Option<PeerId> {
         // Arena lookups are by (peer, level, index) — no slice borrow held
         // across the RNG draws, so nothing needs cloning.
-        let n = self.topo.refs(peer, l).len();
+        let n = self.image.topo.refs(peer, l).len();
         if n == 0 {
             return None;
         }
-        if self.load_aware() {
+        if self.sink.is_some() {
             // All alive references — and, for dead ones, the alive
             // structural replicas that make identical routing progress —
             // are equivalent next hops; prefer the least-loaded.
-            let mut cands: SmallVec<[PeerId; 8]> = SmallVec::new();
+            let mut cands: Vec<PeerId> = Vec::new();
             for i in 0..n {
-                let cand = self.topo.refs(peer, l)[i];
-                if self.peers[cand.index()].alive {
+                let cand = self.image.topo.refs(peer, l)[i];
+                if self.image.alive[cand.index()] {
                     if !cands.contains(&cand) {
                         cands.push(cand);
                     }
                     continue;
                 }
-                let part = self.topo.partition_of(cand);
-                for &rep in &self.topo.part_peers[part] {
-                    if self.peers[rep.index()].alive && !cands.contains(&rep) {
+                let part = self.image.topo.partition_of(cand);
+                for &rep in &self.image.topo.part_peers[part] {
+                    if self.image.alive[rep.index()] && !cands.contains(&rep) {
                         cands.push(rep);
                     }
                 }
@@ -1006,16 +861,16 @@ impl<T: Item> Network<T> {
             }
             return Some(self.pick_among(&cands));
         }
-        let start = self.rng.gen_range(0..n);
+        let start = self.image.rng.gen_range(0..n);
         for i in 0..n {
-            let cand = self.topo.refs(peer, l)[(start + i) % n];
-            if self.peers[cand.index()].alive {
+            let cand = self.image.topo.refs(peer, l)[(start + i) % n];
+            if self.image.alive[cand.index()] {
                 return Some(cand);
             }
             // Dead reference: its structural replicas share the path, so any
             // alive one makes the same routing progress.
-            let part = self.topo.partition_of(cand);
-            if let Some(rep) = self.alive_member(part) {
+            let part = self.image.topo.partition_of(cand);
+            if let Some(rep) = self.partition_member(part) {
                 return Some(rep);
             }
         }
@@ -1023,11 +878,12 @@ impl<T: Item> Network<T> {
     }
 
     /// Some alive peer of partition `part` — uniform random, or the one
-    /// with the shortest backlog when load-aware selection is active.
-    fn alive_member(&mut self, part: usize) -> Option<PeerId> {
-        let members = &self.topo.part_peers[part];
-        let alive: SmallVec<[PeerId; 4]> =
-            members.iter().copied().filter(|p| self.peers[p.index()].alive).collect();
+    /// with the shortest backlog when load-aware selection is active. For
+    /// shower fan-out, here and planned by operators.
+    pub fn partition_member(&mut self, part: usize) -> Option<PeerId> {
+        let members = &self.image.topo.part_peers[part];
+        let alive: Vec<PeerId> =
+            members.iter().copied().filter(|p| self.image.alive[p.index()]).collect();
         if alive.is_empty() {
             None
         } else {
@@ -1035,27 +891,21 @@ impl<T: Item> Network<T> {
         }
     }
 
-    /// Service backlog of `peer` as reported by the installed sink
-    /// (`None` without a sink).
-    pub fn peer_backlog_us(&self, peer: PeerId) -> Option<u64> {
-        self.sink.as_ref().map(|s| s.busy_until_us(peer))
-    }
-
     /// Index of the partition responsible for `key`.
     pub fn partition_of(&self, key: &Key) -> usize {
-        find_partition(&self.topo.paths, key)
+        find_partition(&self.image.topo.paths, key)
     }
 
     /// Contiguous partition-index range `[s, e)` of the subtree under `key`.
     pub fn subtree_of(&self, key: &Key) -> (usize, usize) {
-        self.topo.subtree_of(key)
+        self.image.topo.subtree_of(key)
     }
 
     /// Trie depth (path bit length) of partition `part` — the granularity
     /// signal cardinality heuristics key off: a partition at depth `d`
     /// covers a `2^-d` share of the key space.
     pub fn partition_depth(&self, part: usize) -> usize {
-        self.topo.paths[part].len()
+        self.image.topo.paths[part].len()
     }
 
     // ------------------------------------------------------------------
@@ -1099,8 +949,7 @@ impl<T: Item> Network<T> {
         key: &Key,
     ) -> Result<Vec<PostingList<T>>, RouteError> {
         let entry = self.route(from, key)?;
-        let (s, e) = self.topo.subtree_of(key);
-        let entry_part = self.topo.partition_of(entry);
+        let (s, e) = self.image.topo.subtree_of(key);
         let mut out = Vec::new();
         // The shower branches run in parallel in a deployment: each starts
         // from the moment the query reached `entry` and the initiator is
@@ -1108,21 +957,7 @@ impl<T: Item> Network<T> {
         self.sim_fork();
         for part in s..e {
             self.sim_branch();
-            let responder = if part == entry_part {
-                entry
-            } else {
-                // Shower forward into the sibling partition.
-                match self.alive_member(part) {
-                    Some(p) => {
-                        self.charge_forward(entry, p);
-                        p
-                    }
-                    None => {
-                        self.metrics.failed_routes += 1;
-                        continue;
-                    }
-                }
-            };
+            let Some(responder) = self.shower_into(part, entry) else { continue };
             for (_key, list) in
                 self.scan_keys_and_reply_lists(responder, from, std::slice::from_ref(key))
             {
@@ -1131,6 +966,21 @@ impl<T: Item> Network<T> {
         }
         self.sim_join();
         Ok(out)
+    }
+
+    /// Who answers for `part` in a shower that entered at `entry`: `entry`
+    /// in its own partition, in a sibling an alive member reached by one
+    /// forward — or nobody, a failed route, when the sibling is dead.
+    fn shower_into(&mut self, part: usize, entry: PeerId) -> Option<PeerId> {
+        if part == self.image.topo.partition_of(entry) {
+            return Some(entry);
+        }
+        let member = self.partition_member(part);
+        match member {
+            Some(p) => self.forward_to(entry, p),
+            None => self.image.metrics.failed_routes += 1,
+        }
+        member
     }
 
     /// Prefix-scan one key at `responder`, returning a shared list. When
@@ -1169,7 +1019,7 @@ impl<T: Item> Network<T> {
             out.push((key.clone(), list));
         }
         if responder != from {
-            self.charge_result(responder, from, payload);
+            self.send_direct(responder, from, payload);
         }
         out
     }
@@ -1194,39 +1044,26 @@ impl<T: Item> Network<T> {
         // with key exactly hi (sorted order puts such extensions directly
         // after hi, so the predicate stays monotone).
         let s = self
+            .image
             .topo
             .paths
             .partition_point(|p| p.cmp_extended(true, lo) == std::cmp::Ordering::Less);
-        let e = self.topo.paths.partition_point(|p| p <= hi || hi.is_prefix_of(p)).max(s);
+        let e = self.image.topo.paths.partition_point(|p| p <= hi || hi.is_prefix_of(p)).max(s);
         if s == e {
             return Ok(Vec::new());
         }
         let entry = self.route(from, lo)?;
-        let entry_part = self.topo.partition_of(entry);
         let mut out = Vec::new();
         self.sim_fork();
         for part in s..e {
             self.sim_branch();
-            let responder = if part == entry_part {
-                entry
-            } else {
-                match self.alive_member(part) {
-                    Some(p) => {
-                        self.charge_forward(entry, p);
-                        p
-                    }
-                    None => {
-                        self.metrics.failed_routes += 1;
-                        continue;
-                    }
-                }
-            };
-            let run = self.peers[responder.index()].store.range_entries(lo, hi);
-            Self::charge_scan(&mut self.metrics, &mut self.sink, responder, run.len() as u64);
+            let Some(responder) = self.shower_into(part, entry) else { continue };
+            let run = self.image.stores[part].range_entries(lo, hi);
+            Self::charge_scan(&mut self.image.metrics, &mut self.sink, responder, run.len() as u64);
             let payload: usize = run_items(run).map(Item::size_bytes).sum();
             out.extend(run.iter().cloned());
             if responder != from {
-                self.charge_result(responder, from, payload);
+                self.send_direct(responder, from, payload);
             }
         }
         self.sim_join();
@@ -1241,7 +1078,7 @@ impl<T: Item> Network<T> {
     /// (delegation step or result return). One message, charged to the
     /// sender/receiver load accounts and to the virtual clock.
     pub fn send_direct(&mut self, from: PeerId, to: PeerId, payload_bytes: usize) {
-        self.charge_result(from, to, payload_bytes);
+        self.charge(MsgKind::Result, from, to, payload_bytes);
     }
 
     /// Multi-key retrieve: one routed query chain carrying several exact
@@ -1275,20 +1112,15 @@ impl<T: Item> Network<T> {
     /// entries are lent, not copied: callers filter the borrowed items
     /// ([`run_items`]) and clone only the survivors.
     pub fn local_prefix_run(&mut self, peer: PeerId, key: &Key) -> &Run<T> {
-        let run = self.peers[peer.index()].store.prefix_entries(key);
-        Self::charge_scan(&mut self.metrics, &mut self.sink, peer, run.len() as u64);
+        let run = self.image.stores[self.image.topo.partition_of(peer)].prefix_entries(key);
+        Self::charge_scan(&mut self.image.metrics, &mut self.sink, peer, run.len() as u64);
         run
-    }
-
-    /// Alive member of a partition (for fan-out planning by operators).
-    pub fn partition_member(&mut self, part: usize) -> Option<PeerId> {
-        self.alive_member(part)
     }
 
     /// Charge one forward message `from → to` (operator-driven shower
     /// step).
     pub fn forward_to(&mut self, from: PeerId, to: PeerId) {
-        self.charge_forward(from, to);
+        self.charge(MsgKind::Forward, from, to, 0);
     }
 }
 
@@ -1499,7 +1331,7 @@ mod tests {
         assert_eq!(second, 7, "second wave is capped at alive - 1");
         assert_eq!(net.fail_random_fraction(1.0).len(), 0);
         let survivor = net.random_peer(); // would panic if all were dead
-        assert!(net.peer(survivor).alive);
+        assert!(net.peer_alive(survivor));
     }
 
     #[test]
@@ -1604,7 +1436,7 @@ mod tests {
         let e0 = net.cache_epoch();
         let revived = net.revive_random_fraction(0.25);
         assert_eq!(revived.len(), 5);
-        assert!(revived.iter().all(|p| net.peer(*p).alive));
+        assert!(revived.iter().all(|p| net.peer_alive(*p)));
         assert_eq!(net.alive_peers(), 15);
         assert_eq!(net.cache_epoch(), e0 + 1);
         // Capped at the dead population; a zero wave still bumps the epoch.
@@ -1719,51 +1551,6 @@ mod tests {
         net.reset_metrics();
         assert_eq!(net.peer_load(a).msgs_sent, 0, "reset clears per-peer load");
     }
-}
-
-#[cfg(test)]
-mod bootstrap_integration_tests {
-    use super::*;
-    use crate::bootstrap::BootstrapConfig;
-    use crate::hash::hash_str;
-
-    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-    struct W(String);
-    impl Item for W {
-        fn size_bytes(&self) -> usize {
-            self.0.len()
-        }
-    }
-
-    #[test]
-    fn bootstrapped_network_serves_lookups() {
-        let words: Vec<String> = (0..400).map(|i| format!("word{i:04}x")).collect();
-        let data: Vec<(Key, W)> = words.iter().map(|w| (hash_str(w), W(w.clone()))).collect();
-        let cfg = NetworkConfig { peers: 48, seed: 5, ..Default::default() };
-        let boot = BootstrapConfig { split_threshold: 24, ..Default::default() };
-        let mut net = Network::build_bootstrapped(cfg, data, &boot);
-        assert!(net.partition_count() > 1, "bootstrap should have split");
-        assert!(net.partition_count() <= net.peer_count());
-        for w in words.iter().step_by(7) {
-            let from = net.random_peer();
-            let got = net.retrieve(from, &hash_str(w)).expect("route");
-            assert!(got.contains(&W(w.clone())), "{w} unreachable on emergent trie");
-        }
-    }
-
-    #[test]
-    fn bootstrapped_range_queries_work() {
-        let words: Vec<String> = (0..300).map(|i| format!("k{i:03}")).collect();
-        let data: Vec<(Key, W)> = words.iter().map(|w| (hash_str(w), W(w.clone()))).collect();
-        let cfg = NetworkConfig { peers: 32, seed: 6, ..Default::default() };
-        let mut net = Network::build_bootstrapped(cfg, data, &BootstrapConfig::default());
-        let from = net.random_peer();
-        let got = net.range_query(from, &hash_str("k100"), &hash_str("k199")).expect("route");
-        let mut names: Vec<String> = run_items(&got).map(|w| w.0.clone()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), 100);
-    }
 
     #[test]
     fn explicit_paths_constructor_validates_cover() {
@@ -1771,7 +1558,6 @@ mod bootstrap_integration_tests {
             Network::<W>::build_with_paths(
                 NetworkConfig::default(),
                 vec![Key::parse("0")], // incomplete: misses "1"
-                None,
                 Vec::new(),
             )
         });

@@ -1,19 +1,23 @@
-//! Checkpointable overlay state: an image of a [`Network`] that is a set
-//! of handles.
+//! The network's image: the data half of a [`Network`], as it is.
 //!
-//! [`Network::export_state`] copies what is small — configuration, the
-//! partition cover, membership, the routing arena, counters, churn flags,
-//! the RNG position — and takes **one [`PartitionStore`] handle per
-//! partition** for what is large. Nothing stored is copied: capture costs
-//! O(partitions + peers), the image shares every run with the live network,
-//! and either side's next write to a run copies that run's arrays first
+//! A [`Network`] is a [`NetworkState`] plus its observers. The state is
+//! everything a checkpoint must freeze — configuration, the [`Topology`],
+//! churn flags, **one [`PartitionStore`] per partition**, traffic counters,
+//! the cache epoch and the RNG — and [`Network::export_state`] is a clone
+//! of it: small tables copied, one handle taken per run, O(partitions +
+//! peers). The image shares every run with the live network, and either
+//! side's next write to a run copies that run's arrays first
 //! (copy-on-write, see [`crate::store`]), so an image never changes and
-//! forks never see one another. [`Network::import_state`] rebuilds a
-//! network that behaves **identically**: same stores (replicas re-share one
-//! run per partition, posting lists keep their sharing structure), same
-//! routing arena, same traffic counters, same cache epoch, and the *same
-//! RNG stream position*, so a restored network makes exactly the draws the
-//! original would have made next.
+//! forks never see one another. [`Network::import_state`] wraps a clone of
+//! an image in a network that behaves **identically**, down to the RNG
+//! stream position: it makes exactly the draws the original would have
+//! made next.
+//!
+//! An image is valid by construction: its fields are private, a live
+//! network only ever holds a valid one, and the one way to make one from
+//! parts, [`NetworkState::new`], runs the check a live network runs on
+//! itself ([`Network::check_invariants`]). A decoder that goes through it
+//! cannot hand out an image that panics in restore or routing.
 //!
 //! A serialized image factors the sharing out into index tables — every
 //! distinct key once, every distinct list once, runs as index pairs.
@@ -21,54 +25,50 @@
 //! one such derivation, used by the `sqo-snap` encoder and by the tests
 //! that compare two networks' sharing structure.
 //!
-//! Import deliberately bypasses [`Network::build_with_paths`]: the build
-//! path re-seeds the RNG and consumes draws wiring routing tables, which
-//! would desynchronize every stream a checkpoint is supposed to freeze.
-//!
 //! Event and trace sinks are not part of the image — they are observers
 //! with their own capture surfaces (the simulator snapshots its `NetSim`
 //! separately and re-installs it after import).
 
-use crate::key::{Key, KeyRef};
+use crate::key::KeyRef;
 use crate::metrics::{Metrics, PeerLoad};
 use crate::network::{Network, NetworkConfig};
-use crate::peer::{Item, Peer, PeerId};
+use crate::peer::Item;
 use crate::store::{PartitionStore, PostingList};
-use crate::topology::{RoutingArena, Topology};
+use crate::topology::Topology;
 use rand::rngs::StdRng;
 use rustc_hash::FxHashMap;
-use smallvec::SmallVec;
 use std::sync::Arc;
 
 /// One serialized store entry: indices into [`StoreTables::keys`] and
 /// [`StoreTables::lists`].
 pub type StoreEntry = (u32, u32);
 
-/// The complete image of a [`Network`] (see the module docs).
+/// The data of a [`Network`] (see the module docs).
 #[derive(Debug, Clone)]
 pub struct NetworkState<T> {
-    pub cfg: NetworkConfig,
-    /// Sorted partition paths (the trie leaves).
-    pub paths: Vec<Key>,
-    /// Structural replicas per partition.
-    pub part_peers: Vec<Vec<PeerId>>,
-    /// Per-peer partition index, by [`PeerId`] order.
-    pub peer_partition: Vec<u32>,
-    /// Per-peer churn flag, by [`PeerId`] order.
-    pub alive: Vec<bool>,
-    /// Flattened routing arena, verbatim.
-    pub routing_refs: Vec<PeerId>,
-    pub routing_slice_off: Vec<u32>,
-    pub routing_peer_off: Vec<u32>,
-    /// One handle per partition onto the run its members share (the empty
-    /// run for a peerless gap partition).
-    pub stores: Vec<PartitionStore<T>>,
-    pub metrics: Metrics,
-    pub peer_load: Vec<PeerLoad>,
-    pub next_trace_query: u64,
-    pub cache_epoch: u64,
-    /// xoshiro256++ state words of the network RNG.
-    pub rng: [u64; 4],
+    pub(crate) cfg: NetworkConfig,
+    /// Partition cover, membership and routing references — the one copy.
+    pub(crate) topo: Topology,
+    /// Per-peer churn flag, by [`PeerId`](crate::PeerId) order; dead peers
+    /// neither answer nor forward.
+    pub(crate) alive: Vec<bool>,
+    /// δ: the run of each partition, by partition index. Its members hold
+    /// it in common — structural replication is that, not copies — and a
+    /// partition without members keeps the empty run.
+    pub(crate) stores: Vec<PartitionStore<T>>,
+    pub(crate) metrics: Metrics,
+    /// Per-peer sent/received traffic (reset together with `metrics`).
+    pub(crate) peer_load: Vec<PeerLoad>,
+    /// Monotone allocator backing [`Network::next_trace_query_id`].
+    pub(crate) next_trace_query: u64,
+    /// Monotone invalidation counter: bumped by every event that can make
+    /// remotely cached data stale — churn ([`Network::fail_peer`],
+    /// [`Network::revive_peer`], [`Network::fail_random_fraction`]) *and*
+    /// data insertion ([`Network::insert_batch`], i.e. publications).
+    /// Caches layered above the overlay key their entries by this epoch so
+    /// nothing fetched before such an event is ever served after it.
+    pub(crate) cache_epoch: u64,
+    pub(crate) rng: StdRng,
 }
 
 /// The stores of a [`NetworkState`] with their sharing factored out, as a
@@ -88,6 +88,105 @@ pub struct StoreTables<'a, T> {
 }
 
 impl<T> NetworkState<T> {
+    /// An image from its parts (`rng` as xoshiro256++ state words), or the
+    /// first invariant the parts break — [`Network::check_invariants`]
+    /// lists them.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        cfg: NetworkConfig,
+        topo: Topology,
+        alive: Vec<bool>,
+        stores: Vec<PartitionStore<T>>,
+        metrics: Metrics,
+        peer_load: Vec<PeerLoad>,
+        next_trace_query: u64,
+        cache_epoch: u64,
+        rng: [u64; 4],
+    ) -> Result<Self, &'static str> {
+        let rng = StdRng::from_state_words(rng);
+        let state = Self {
+            cfg,
+            topo,
+            alive,
+            stores,
+            metrics,
+            peer_load,
+            next_trace_query,
+            cache_epoch,
+            rng,
+        };
+        state.check().map(|()| state)
+    }
+
+    /// [`Network::check_invariants`], which lists what is checked; the
+    /// topology's share is `Topology::check`, a run's [`Self::check_store`].
+    pub(crate) fn check(&self) -> Result<(), &'static str> {
+        self.cfg.check()?;
+        let peers = self.cfg.peers;
+        if [self.alive.len(), self.peer_load.len(), self.topo.peer_count()] != [peers; 3] {
+            return Err("the per-peer tables are not one entry per configured peer");
+        }
+        if self.stores.len() != self.topo.partition_count() {
+            return Err("the stores are not one per partition");
+        }
+        self.topo.check()?;
+        (0..self.stores.len()).try_for_each(|part| self.check_store(part))
+    }
+
+    /// The per-partition part of [`Self::check`], and what a write can
+    /// break: the run of `part` ascends strictly, holds no empty list and
+    /// only keys prefix-related to the partition's path.
+    pub(crate) fn check_store(&self, part: usize) -> Result<(), &'static str> {
+        // Stored keys are compared where they lie: the walk allocates
+        // nothing, so debug builds keep the release build's allocation counts.
+        let (path, store) = (self.topo.paths[part].as_ref(), &self.stores[part]);
+        if store
+            .iter()
+            .any(|(k, l)| l.is_empty() || !(path.is_prefix_of(k) || k.is_prefix_of(path)))
+        {
+            return Err("a stored list is empty or lies outside its partition's subtree");
+        }
+        if !store.keys().zip(store.keys().skip(1)).all(|(a, b)| a < b) {
+            return Err("a run does not ascend strictly");
+        }
+        Ok(())
+    }
+
+    pub fn config(&self) -> &NetworkConfig {
+        &self.cfg
+    }
+
+    pub fn topology(&self) -> &Topology {
+        &self.topo
+    }
+
+    /// Per-peer churn flags, by peer id.
+    pub fn alive(&self) -> &[bool] {
+        &self.alive
+    }
+
+    pub fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    /// Per-peer traffic counters, by peer id.
+    pub fn peer_loads(&self) -> &[PeerLoad] {
+        &self.peer_load
+    }
+
+    pub fn next_trace_query(&self) -> u64 {
+        self.next_trace_query
+    }
+
+    pub fn cache_epoch(&self) -> u64 {
+        self.cache_epoch
+    }
+
+    /// xoshiro256++ state words of the network RNG.
+    pub fn rng_words(&self) -> [u64; 4] {
+        self.rng.state_words()
+    }
+
     /// Walk the runs once, in partition order, and index their keys and
     /// lists.
     pub fn store_tables(&self) -> StoreTables<'_, T> {
@@ -126,82 +225,15 @@ impl<T> NetworkState<T> {
 impl<T: Item> Network<T> {
     /// The network's image: small state copied, one handle per run.
     pub fn export_state(&self) -> NetworkState<T> {
-        let topo = &self.topo;
-        let run_of = |members: &SmallVec<[PeerId; 4]>| {
-            members.first().map(|p| self.peers[p.index()].store.clone()).unwrap_or_default()
-        };
-        NetworkState {
-            cfg: self.cfg.clone(),
-            paths: topo.paths.clone(),
-            part_peers: topo.part_peers.iter().map(|m| m.to_vec()).collect(),
-            peer_partition: topo.part_of.clone(),
-            alive: self.peers.iter().map(|p| p.alive).collect(),
-            routing_refs: topo.routing.refs.clone(),
-            routing_slice_off: topo.routing.slice_off.clone(),
-            routing_peer_off: topo.routing.peer_off.clone(),
-            stores: topo.part_peers.iter().map(run_of).collect(),
-            metrics: self.metrics,
-            peer_load: self.peer_load.clone(),
-            next_trace_query: self.next_trace_query,
-            cache_epoch: self.cache_epoch,
-            rng: self.rng.state_words(),
-        }
+        self.image.clone()
     }
 
-    /// Rebuild a network from an image. The network shares the image's runs
-    /// until it writes to them. No sinks are installed; callers re-attach
-    /// their event/trace sinks afterwards.
-    ///
-    /// # Panics
-    /// Panics on an internally inconsistent hand-built state: per-peer or
-    /// per-partition tables of different lengths, a member out of range
-    /// and, in debug builds, anything [`Network::check_invariants`] names.
+    /// A network on a copy of `state`, sharing the image's runs until it
+    /// writes to them. No sinks are installed; callers re-attach their
+    /// event/trace sinks afterwards. Nothing is rebuilt — in particular no
+    /// routing table is rewired, which would consume draws the image froze.
     pub fn import_state(state: &NetworkState<T>) -> Self {
-        let parts = state.paths.len();
-        assert_eq!(state.peer_partition.len(), state.alive.len(), "per-peer tables must align");
-        assert_eq!(state.stores.len(), parts, "one store per partition");
-        assert_eq!(state.part_peers.len(), parts, "one member list per partition");
-        // Every peer is a member of one partition and takes its handle
-        // below; until then they all hold the same empty run.
-        let unplaced = PartitionStore::default();
-        let mut peers: Vec<Peer<T>> = (state.alive.iter().zip(0..))
-            .map(|(&alive, id)| Peer { id: PeerId(id), store: unplaced.clone(), alive })
-            .collect();
-        for (members, store) in state.part_peers.iter().zip(&state.stores) {
-            for &p in members {
-                peers[p.index()].store = store.clone();
-            }
-        }
-        let net = Network {
-            cfg: state.cfg.clone(),
-            topo: Topology {
-                paths: state.paths.clone(),
-                part_peers: state
-                    .part_peers
-                    .iter()
-                    .map(|m| SmallVec::from_vec(m.clone()))
-                    .collect(),
-                part_of: state.peer_partition.clone(),
-                routing: RoutingArena {
-                    refs: state.routing_refs.clone(),
-                    slice_off: state.routing_slice_off.clone(),
-                    peer_off: state.routing_peer_off.clone(),
-                },
-            },
-            peers,
-            metrics: state.metrics,
-            peer_load: state.peer_load.clone(),
-            sink: None,
-            tracer: None,
-            trace_query: None,
-            next_trace_query: state.next_trace_query,
-            cache_epoch: state.cache_epoch,
-            empty: PostingList::default(),
-            unstored: 0,
-            rng: StdRng::from_state_words(state.rng),
-        };
-        debug_assert_eq!(net.check_invariants(), Ok(()));
-        net
+        Self::on(state.clone())
     }
 }
 
@@ -209,6 +241,8 @@ impl<T: Item> Network<T> {
 mod tests {
     use super::*;
     use crate::hash::hash_str;
+    use crate::key::Key;
+    use crate::peer::PeerId;
     use rand::{Rng, SeedableRng};
 
     #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -246,17 +280,12 @@ mod tests {
         assert_eq!(restored.total_stored_items(), net.total_stored_items());
         for p in 0..net.peer_count() as u32 {
             let id = PeerId(p);
-            assert_eq!(restored.peer(id).alive, net.peer(id).alive);
+            assert_eq!(restored.peer_alive(id), net.peer_alive(id));
             assert_eq!(restored.peer_partition(id), net.peer_partition(id));
         }
-        // Replicas still share one run per partition.
+        // The restored network holds the original's runs, not copies.
         for part in 0..restored.partition_count() {
-            let members = restored.partition_members(part).to_vec();
-            if let Some((&first, rest)) = members.split_first() {
-                for &m in rest {
-                    assert!(restored.peer(m).store.shares_with(&restored.peer(first).store));
-                }
-            }
+            assert!(restored.partition_store(part).shares_with(net.partition_store(part)));
         }
         // The restored RNG continues the original's stream exactly: both
         // networks now make identical draws and identical traffic.
@@ -311,21 +340,19 @@ mod tests {
         let (mut net, _) = word_net(32, 200, 2);
         let state = net.export_state();
         for (part, store) in state.stores.iter().enumerate() {
-            let first = net.partition_members(part)[0];
-            assert!(store.shares_with(&net.peer(first).store), "capture copies no run");
+            assert!(store.shares_with(net.partition_store(part)), "capture copies no run");
         }
         let before = format!("{:?}", state.store_tables());
         let key = hash_str("word00007");
         let part = net.partition_of(&key);
         net.insert_item(key.clone(), W("again".into()));
-        let first = net.partition_members(part)[0];
-        assert!(!state.stores[part].shares_with(&net.peer(first).store), "the write copied");
-        assert_eq!(net.peer(first).store.exact_entry(&key).map(|l| l.len()), Some(2));
+        assert!(!state.stores[part].shares_with(net.partition_store(part)), "the write copied");
+        assert_eq!(net.partition_store(part).exact_entry(&key).map(|l| l.len()), Some(2));
         assert_eq!(state.stores[part].exact_entry(&key).map(|l| l.len()), Some(1));
         assert_eq!(format!("{:?}", state.store_tables()), before);
         let untouched = (0..net.partition_count())
             .filter(|p| *p != part)
-            .all(|p| state.stores[p].shares_with(&net.peer(net.partition_members(p)[0]).store));
+            .all(|p| state.stores[p].shares_with(net.partition_store(p)));
         assert!(untouched, "only the written run was copied");
     }
 }

@@ -1,6 +1,6 @@
 //! Compact, structurally-shared partition stores.
 //!
-//! The seed network gave every peer its own `BTreeMap<Key, SmallVec<T>>`:
+//! The seed network gave every peer its own `BTreeMap<Key, Vec<T>>`:
 //! at replication factor `k` each partition's data was materialized `k`
 //! times, and every node of every map was a separate heap allocation. At
 //! 10⁵–10⁶ peers that layout dominates RSS and caps the reachable network
@@ -18,14 +18,14 @@
 //!   all reference the same immutable allocations. A run changes in one
 //!   way only: [`SortedStore::merge`] folds a key-sorted batch into it in
 //!   a single pass.
-//! * [`PartitionStore`] — the per-peer handle: an `Arc<SortedStore>`
-//!   shared by every structural replica of a partition *and by every
-//!   snapshot taken of it* ([`crate::snapshot`]). Mutation goes through
-//!   copy-on-write ([`Arc::make_mut`]); the network re-shares the handle
-//!   after each merge so replication factor `k` costs `k` pointer copies,
-//!   not `k` data copies, and a write into a run a snapshot or a fork
-//!   still holds copies that run's arrays once (never its lists' items)
-//!   and leaves the other holder's untouched.
+//! * [`PartitionStore`] — δ(p), the handle the network keeps per
+//!   *partition*: an `Arc<SortedStore>` that is the store of every
+//!   structural replica of the partition, and that every snapshot taken of
+//!   the network holds a clone of ([`crate::snapshot`]). Mutation goes
+//!   through copy-on-write ([`Arc::make_mut`]): replication factor `k`
+//!   costs one merge, and a write into a run a snapshot or a fork still
+//!   holds copies that run's arrays once (never its lists' items) and
+//!   leaves the other holder's untouched.
 //!
 //! Scan semantics (prefix, inclusive range, exact) and the reported
 //! `touched` counts are bit-compatible with the seed's `BTreeMap` walk:
@@ -89,12 +89,12 @@ impl Span {
 }
 
 /// One sorted run of `(key, posting-list)` entries — the store of one
-/// partition, shared by all of its structural replicas.
+/// partition, and so of all of its structural replicas.
 ///
 /// Invariant: `spans` and `lists` are parallel, the spans tile `bytes` in
 /// order without gaps, and the keys they delimit are strictly ascending
 /// (no duplicates); the per-key item order is publication order, matching
-/// the seed's `BTreeMap<Key, SmallVec<T>>` semantics entry for entry.
+/// the seed's `BTreeMap<Key, Vec<T>>` semantics entry for entry.
 #[derive(Clone)]
 pub struct SortedStore<T> {
     bytes: Vec<u8>,
@@ -278,12 +278,11 @@ impl<T: Item> SortedStore<T> {
 
 /// A handle onto a partition's [`SortedStore`].
 ///
-/// All structural replicas of a partition hold clones of one `Arc`; the
-/// network's write path briefly detaches the siblings, merges into the run
-/// in place (`Arc::make_mut` sees a unique reference), and re-shares the
-/// handle — so a `k`-replicated batch costs one merge plus `k` pointer
-/// writes. A snapshot of the network holds one more clone per partition;
-/// the first merge after it copies the run's arrays and goes on from there.
+/// The network holds one per partition — the store of all its structural
+/// replicas — and merges into the run in place (`Arc::make_mut` sees a
+/// unique reference). A snapshot of the network holds one more clone per
+/// partition; the first merge after it copies the run's arrays and goes on
+/// from there.
 #[derive(Debug)]
 pub struct PartitionStore<T>(Arc<SortedStore<T>>);
 
@@ -293,7 +292,7 @@ impl<T> Default for PartitionStore<T> {
     }
 }
 
-/// Another handle onto the same run (what replicas and snapshots hold).
+/// Another handle onto the same run (what snapshots and forks hold).
 impl<T> Clone for PartitionStore<T> {
     fn clone(&self) -> Self {
         Self(Arc::clone(&self.0))
@@ -306,7 +305,7 @@ impl<T> PartitionStore<T> {
         Self(Arc::new(store))
     }
 
-    /// True when both handles reference the same run (replica check).
+    /// True when both handles reference the same run (fork check).
     pub fn shares_with(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
     }
@@ -487,6 +486,56 @@ mod tests {
         assert_eq!(s.item_count(), 5);
         assert_eq!(
             s.stored_bytes(),
+            ("alpha".len() + "alpine".len() + "beta".len() + "alp".len() + "gamma".len()) as u64
+        );
+    }
+
+    // The scans and counts again, through a handle grown by its own
+    // copy-on-write merges — how the network reads and writes a run.
+
+    fn handle() -> PartitionStore<S> {
+        let mut p = PartitionStore::default();
+        for w in ["alpha", "alpine", "beta", "alp", "gamma"] {
+            p.merge(vec![(hash_str(w), Arc::new(vec![S(w)]))], false);
+        }
+        p
+    }
+
+    #[test]
+    fn prefix_scan_matches_extension_semantics() {
+        let p = handle();
+        let run = p.prefix_entries(&hash_str("alp"));
+        assert_eq!(names(run), vec!["alp", "alpha", "alpine"]);
+        assert_eq!(run.len(), 3);
+    }
+
+    #[test]
+    fn exact_scan() {
+        let p = handle();
+        assert_eq!(**p.exact_entry(&hash_str("beta")).unwrap(), vec![S("beta")]);
+        assert!(p.exact_entry(&hash_str("delta")).is_none());
+    }
+
+    #[test]
+    fn range_scan_inclusive() {
+        let p = handle();
+        let hits = p.range_entries(&hash_str("alpha"), &hash_str("beta"));
+        assert_eq!(names(hits), vec!["alpha", "alpine", "beta"]);
+    }
+
+    #[test]
+    fn multiple_items_same_key() {
+        let mut p = handle();
+        p.merge(vec![(hash_str("beta"), Arc::new(vec![S("beta")]))], false);
+        assert_eq!(p.exact_entry(&hash_str("beta")).unwrap().len(), 2);
+        assert_eq!(p.item_count(), 6);
+    }
+
+    #[test]
+    fn stored_bytes_sums_payloads() {
+        let p = handle();
+        assert_eq!(
+            p.stored_bytes(),
             ("alpha".len() + "alpine".len() + "beta".len() + "alp".len() + "gamma".len()) as u64
         );
     }

@@ -252,7 +252,7 @@ proptest! {
         let peer = PeerId(at % net.peer_count() as u32);
         let key = hash_str(&prefix);
 
-        let stored = net.peer(peer).store.prefix_entries(&key);
+        let stored = net.partition_store(net.peer_partition(peer)).prefix_entries(&key);
         let touched = stored.len() as u64;
         let expect: Vec<S> = run_items(stored).cloned().collect();
         prop_assert!(expect.iter().all(|s| s.0.starts_with(&prefix)));
@@ -300,7 +300,7 @@ proptest! {
             let got = net.route(from, &key);
             match got {
                 Ok(p) => {
-                    prop_assert!(net.peer(p).alive, "routed to a corpse");
+                    prop_assert!(net.peer_alive(p), "routed to a corpse");
                     prop_assert_eq!(net.peer_partition(p), part,
                         "routed to the wrong partition");
                 }
@@ -326,7 +326,7 @@ proptest! {
             // A routing error (NoAliveReference or PartitionDead) is an
             // honest failure; a success must land on an alive owner.
             if let Ok(p) = net.route(from, &key) {
-                prop_assert!(net.peer(p).alive);
+                prop_assert!(net.peer_alive(p));
                 prop_assert_eq!(net.peer_partition(p), part);
                 prop_assert!(net.partition_alive(part) >= 1);
             }

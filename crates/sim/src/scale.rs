@@ -74,9 +74,7 @@ impl Topology {
     pub fn of_network<T: Item>(net: &Network<T>) -> Self {
         let overlay = net.topology().clone();
         let items_per_part = (0..overlay.partition_count())
-            .map(|part| {
-                overlay.members(part).first().map_or(0, |&m| net.peer(m).store.item_count() as u32)
-            })
+            .map(|part| net.partition_store(part).item_count() as u32)
             .collect();
         Self { overlay, items_per_part }
     }

@@ -34,11 +34,12 @@
 //! hand-rolled — and therefore versionable byte by byte).
 //! [`Snapshot::from_bytes`] refuses anything else: wrong magic is
 //! [`SnapError::BadMagic`], a version skew is
-//! [`SnapError::SchemaMismatch`], and every decoder is bounds-checked —
-//! and builds the stores it decodes, so an index out of range or a run out
-//! of order is caught there — so corrupt input fails with an error, never
-//! a panic or a huge allocation. [`SnapError::exit_code`] keeps schema/format mismatches
-//! (exit 3) distinct from damaged input (exit 2).
+//! [`SnapError::SchemaMismatch`], every decoder is bounds-checked, and the
+//! network image is built through [`NetworkState::new`], which runs the
+//! check a live network runs on itself — so corrupt input fails with an
+//! error, never a huge allocation, a panic, or an image that panics later
+//! in restore or routing. [`SnapError::exit_code`] keeps schema/format
+//! mismatches (exit 3) distinct from damaged input (exit 2).
 //!
 //! What is **not** in the artifact: static configuration. The caller
 //! that restores a snapshot supplies the same [`EngineConfig`] (and
@@ -147,8 +148,8 @@ impl SnapError {
 /// query can observe. Captured by [`Snapshot::capture`].
 #[derive(Debug, Clone)]
 pub struct WorldState {
-    /// The overlay image: routing, counters, churn flags, RNG, and one
-    /// handle per partition onto the live run (nothing stored is copied).
+    /// The overlay image: the live network's data half, cloned — one
+    /// handle per partition onto the live run, nothing stored is copied.
     pub net: NetworkState<Posting>,
     /// Storage-overhead accounting of the initial publication.
     pub publish: PublishStats,
@@ -217,7 +218,8 @@ impl Snapshot {
     /// was captured under.
     pub fn restore_engine(&self, cfg: &EngineConfig) -> SimilarityEngine {
         assert_eq!(
-            cfg.network, self.world.net.cfg,
+            &cfg.network,
+            self.world.net.config(),
             "restore config does not match the captured world"
         );
         SimilarityEngine::from_parts(

@@ -42,7 +42,7 @@ use sqo_cache::{
 };
 use sqo_overlay::{
     Key, KeyRef, Metrics, NetworkConfig, NetworkState, PartitionStore, PeerId, PeerLoad,
-    PostingList, SimLatency, SortedStore, StoreTables,
+    PostingList, RoutingArena, SimLatency, SortedStore, StoreTables, Topology,
 };
 use sqo_sim::driver::{DriverCheckpoint, EvSnap, HistParts, RepairTotals};
 use sqo_sim::scale::{Ev, EvKind, QState, ScaleCheckpoint};
@@ -465,19 +465,19 @@ pub fn network_state(
     s: &NetworkState<Posting>,
     tables: &StoreTables<'_, Posting>,
 ) {
-    let c = &s.cfg;
+    let (c, Topology { paths, part_peers, part_of, routing }) = (s.config(), s.topology());
     e.usize(c.peers);
     e.usize(c.replication);
     e.usize(c.refs_per_level);
     e.usize(c.msg_header_bytes);
     e.u64(c.seed);
-    e.seq(&s.paths, |e, k| key(e, k.as_ref()));
-    e.seq(&s.part_peers, |e, ps| e.seq(ps, |e, p| e.u32(p.0)));
-    e.seq(&s.peer_partition, |e, v| e.u32(*v));
-    e.seq(&s.alive, |e, v| e.bool(*v));
-    e.seq(&s.routing_refs, |e, p| e.u32(p.0));
-    e.seq(&s.routing_slice_off, |e, v| e.u32(*v));
-    e.seq(&s.routing_peer_off, |e, v| e.u32(*v));
+    e.seq(paths, |e, k| key(e, k.as_ref()));
+    e.seq(part_peers, |e, ps| e.seq(ps, |e, p| e.u32(p.0)));
+    e.seq(part_of, |e, v| e.u32(*v));
+    e.seq(s.alive(), |e, v| e.bool(*v));
+    e.seq(&routing.refs, |e, p| e.u32(p.0));
+    e.seq(&routing.slice_off, |e, v| e.u32(*v));
+    e.seq(&routing.peer_off, |e, v| e.u32(*v));
     e.seq(&tables.keys, |e, k| key(e, *k));
     e.usize(tables.lists.len());
     for list in &tables.lists {
@@ -492,15 +492,15 @@ pub fn network_state(
             e.u32(*l);
         })
     });
-    metrics(e, &s.metrics);
-    e.seq(&s.peer_load, |e, p| {
+    metrics(e, s.metrics());
+    e.seq(s.peer_loads(), |e, p| {
         for v in [p.msgs_sent, p.msgs_recv, p.bytes_sent, p.bytes_recv] {
             e.u64(v);
         }
     });
-    e.u64(s.next_trace_query);
-    e.u64(s.cache_epoch);
-    rng_words(e, &s.rng);
+    e.u64(s.next_trace_query());
+    e.u64(s.cache_epoch());
+    rng_words(e, &s.rng_words());
 }
 
 pub fn de_network_state<'a>(
@@ -516,11 +516,13 @@ pub fn de_network_state<'a>(
     };
     let paths = d.seq(de_key)?;
     let part_peers = d.seq(|d| d.seq(|d| Ok(PeerId(d.u32()?))))?;
-    let peer_partition = d.seq(|d| d.u32())?;
+    let part_of = d.seq(|d| d.u32())?;
     let alive = d.seq(|d| d.bool())?;
-    let routing_refs = d.seq(|d| Ok(PeerId(d.u32()?)))?;
-    let routing_slice_off = d.seq(|d| d.u32())?;
-    let routing_peer_off = d.seq(|d| d.u32())?;
+    let routing = RoutingArena {
+        refs: d.seq(|d| Ok(PeerId(d.u32()?)))?,
+        slice_off: d.seq(|d| d.u32())?,
+        peer_off: d.seq(|d| d.u32())?,
+    };
     // The key table stays in the artifact; each run copies its keys from
     // there into its own buffer, and shares the lists it names.
     let keys = d.seq(de_key_ref)?;
@@ -538,29 +540,22 @@ pub fn de_network_state<'a>(
             .map(PartitionStore::from_store)
             .ok_or(SnapError::Corrupt("store keys do not ascend strictly"))
     })?;
-    Ok(NetworkState {
-        cfg,
-        paths,
-        part_peers,
-        peer_partition,
-        alive,
-        routing_refs,
-        routing_slice_off,
-        routing_peer_off,
-        stores,
-        metrics: de_metrics(d)?,
-        peer_load: d.seq(|d| {
-            Ok(PeerLoad {
-                msgs_sent: d.u64()?,
-                msgs_recv: d.u64()?,
-                bytes_sent: d.u64()?,
-                bytes_recv: d.u64()?,
-            })
-        })?,
-        next_trace_query: d.u64()?,
-        cache_epoch: d.u64()?,
-        rng: de_rng_words(d)?,
-    })
+    let metrics = de_metrics(d)?;
+    let peer_load = d.seq(|d| {
+        Ok(PeerLoad {
+            msgs_sent: d.u64()?,
+            msgs_recv: d.u64()?,
+            bytes_sent: d.u64()?,
+            bytes_recv: d.u64()?,
+        })
+    })?;
+    let (next_query, epoch, rng) = (d.u64()?, d.u64()?, de_rng_words(d)?);
+    // The image's one constructor checks the tables against each other —
+    // what a live network checks of itself — so an image that decodes is
+    // one that restores and routes.
+    let topo = Topology { paths, part_peers, part_of, routing };
+    NetworkState::new(cfg, topo, alive, stores, metrics, peer_load, next_query, epoch, rng)
+        .map_err(SnapError::Corrupt)
 }
 
 // ---------------------------------------------------------------------
@@ -662,6 +657,7 @@ pub fn de_broker_state<'a>(d: &mut Dec<'a>, table: &mut DecodedTriples<'a>) -> R
         })
     })?;
     let cache = LruState { capacity, ttl_us, tick, rejected, entries, sketch };
+    cache.check().map_err(SnapError::Corrupt)?;
     let channels = ChannelPoolState {
         window_us: d.u64()?,
         channels: d.seq(|d| {

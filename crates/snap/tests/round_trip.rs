@@ -4,8 +4,9 @@
 //! be mutually byte-identical.
 
 use sqo_cache::BrokerConfig;
-use sqo_core::{EngineBuilder, SimilarityEngine};
+use sqo_core::{EngineBuilder, EngineConfig, SimilarityEngine};
 use sqo_datasets::{bible_words, string_rows};
+use sqo_overlay::{Key, PeerId};
 use sqo_sim::driver::EvSnap;
 use sqo_sim::scale::{resume_serial, resume_sharded, run_serial, run_serial_until, ScalePhase};
 use sqo_sim::{
@@ -366,10 +367,67 @@ fn a_store_entry_out_of_range_or_out_of_order_is_corrupt_not_a_restore_panic() {
     }
 }
 
+/// An image whose tables disagree with one another fails at decode time,
+/// by the check a live network runs on itself: there is no image for
+/// `restore_engine` to index out of, and none for `route` to walk in
+/// circles on.
+#[test]
+fn an_image_whose_tables_disagree_is_corrupt_not_a_restore_or_routing_panic() {
+    let engine = build(&words());
+    let bytes = Snapshot::capture(&engine).to_bytes();
+    // The structural tables as the codec spells them, one behind the other:
+    // members per partition, partition per peer, alive flags, then the
+    // routing arena's references and its two offset tables.
+    let topo = engine.network().topology();
+    let (peers, refs) = (topo.peer_count(), topo.routing.refs.len());
+    let mut members = (topo.partition_count() as u64).to_le_bytes().to_vec();
+    for part in 0..topo.partition_count() {
+        members.extend((topo.members(part).len() as u64).to_le_bytes());
+        members.extend(topo.members(part).iter().flat_map(|p| p.0.to_le_bytes()));
+    }
+    let members_at =
+        bytes.windows(members.len()).position(|w| w == members).expect("the membership table");
+    let alive_at = members_at + members.len() + 8 + 4 * peers;
+    let slice_off_at = alive_at + 8 + peers + 8 + 4 * refs;
+    assert_eq!(bytes[alive_at..alive_at + 8], (peers as u64).to_le_bytes());
+    let levels = topo.routing.slice_off.len();
+    assert_eq!(bytes[slice_off_at..slice_off_at + 8], (levels as u64).to_le_bytes());
+
+    let patched = |at: usize, with: &[u8]| {
+        let mut b = bytes.clone();
+        b[at..at + with.len()].copy_from_slice(with);
+        b
+    };
+    // One flag fewer, not a count that lies about the flags that follow.
+    let short = [
+        &bytes[..alive_at],
+        &(peers as u64 - 1).to_le_bytes()[..],
+        &bytes[alive_at + 8..alive_at + 8 + peers - 1],
+        &bytes[alive_at + 8 + peers..],
+    ]
+    .concat();
+    for (what, mutant) in [
+        ("a member out of range", patched(members_at + 16, &4_000_000u32.to_le_bytes())),
+        ("`alive` one short", short),
+        (
+            "a routing offset past the references",
+            patched(slice_off_at + 12, &1_000_287u32.to_le_bytes()),
+        ),
+        (
+            "routing offsets that descend",
+            patched(slice_off_at + 8 + 4 * (levels - 1), &0u32.to_le_bytes()),
+        ),
+    ] {
+        let err = Snapshot::from_bytes(&mutant).map(|_| ()).unwrap_err();
+        assert!(matches!(err, SnapError::Corrupt(_)), "{what}: got {err:?}");
+        assert_eq!(err.exit_code(), 2);
+    }
+}
+
 /// A small world with every section in it — two attributes, non-ASCII
 /// text, a value shorter than q, a number, a warm broker cache, a paused
-/// driver — as an artifact.
-fn a_whole_artifact() -> Vec<u8> {
+/// driver — as an artifact, with the configuration it restores under.
+fn a_whole_artifact() -> (Vec<u8>, EngineConfig) {
     let words = bible_words(48, 7);
     let mut rows: Vec<Row> = words
         .iter()
@@ -388,18 +446,20 @@ fn a_whole_artifact() -> Vec<u8> {
     };
     let snap = Snapshot::capture_paused(&engine, ckpt);
     assert!(snap.world.broker.as_ref().is_some_and(|b| !b.cache.entries.is_empty()));
-    snap.to_bytes()
+    (snap.to_bytes(), engine.config().clone())
 }
 
 /// The decoder is total: whatever is done to an artifact — a bit flipped,
 /// the tail cut off, a stretch overwritten with another stretch of the
 /// same artifact or with noise — `from_bytes` returns, and an artifact it
-/// accepts encodes again; it never panics and never asks for more memory
-/// than the input could describe. (A flip inside a counter still decodes,
-/// which is why the outcome is not asserted to be an error each time.)
+/// accepts encodes again, restores to a network that passes its own
+/// invariant check, and routes from every alive peer; it never panics and
+/// never asks for more memory than the input could describe. (A flip
+/// inside a counter still decodes, which is why the outcome is not
+/// asserted to be an error each time.)
 #[test]
 fn no_mutant_of_an_artifact_panics_the_decoder() {
-    let bytes = a_whole_artifact();
+    let (bytes, cfg) = a_whole_artifact();
     assert!(Snapshot::from_bytes(&bytes).is_ok());
     // xorshift64*: the mutants are the same on every run.
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
@@ -409,6 +469,10 @@ fn no_mutant_of_an_artifact_panics_the_decoder() {
         state ^= state >> 27;
         (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % n
     };
+    // Eight keys, spread over the key space by the same constant.
+    let keys: Vec<Key> = (1..=8u64)
+        .map(|i| Key::from_bytes(&i.wrapping_mul(0x9e37_79b9_7f4a_7c15).to_be_bytes()))
+        .collect();
     const MUTANTS: usize = 2_400;
     let mut refused = 0;
     for i in 0..MUTANTS {
@@ -437,7 +501,23 @@ fn no_mutant_of_an_artifact_panics_the_decoder() {
             }
         };
         let outcome = std::panic::catch_unwind(|| {
-            Snapshot::from_bytes(&mutant).map(|snap| snap.to_bytes().len())
+            Snapshot::from_bytes(&mutant).map(|snap| {
+                // Static configuration is the caller's; the image's own
+                // network half is the one it restores under.
+                let network = snap.world.net.config().clone();
+                let mut engine = snap.restore_engine(&EngineConfig { network, ..cfg.clone() });
+                let net = engine.network_mut();
+                assert_eq!(net.check_invariants(), Ok(()));
+                let peers = (0..net.peer_count() as u32).map(PeerId);
+                let alive: Vec<PeerId> = peers.filter(|p| net.peer_alive(*p)).collect();
+                for from in alive {
+                    for key in &keys {
+                        // Reached or honestly unreachable, never a panic.
+                        let _ = net.route(from, key);
+                    }
+                }
+                snap.to_bytes().len()
+            })
         });
         match outcome {
             Ok(decoded) => refused += usize::from(decoded.is_err()),
@@ -454,7 +534,7 @@ fn no_mutant_of_an_artifact_panics_the_decoder() {
 /// the position the posting gives.
 #[test]
 fn a_posting_that_does_not_fit_its_triple_is_corrupt() {
-    let bytes = a_whole_artifact();
+    let (bytes, _) = a_whole_artifact();
     // The one posting of the gram `日本`: tag, triple index, then the gram
     // length-prefixed, its position (character 5 of `naïve日本`) and the
     // carries-value flag.
@@ -660,20 +740,15 @@ fn the_key_table_is_the_sorted_distinct_set_of_stored_keys() {
     let from = engine.random_peer();
     engine.publish_rows_traced(&string_rows("word", &bible_words(60, 99), "x"), from);
     let net = engine.network();
-    let mut stored: Vec<_> = (0..net.partition_count())
-        .filter_map(|part| net.partition_members(part).first())
-        .flat_map(|p| net.peer(*p).store.keys())
-        .collect();
+    let mut stored: Vec<_> =
+        (0..net.partition_count()).flat_map(|part| net.partition_store(part).keys()).collect();
     stored.sort();
     stored.dedup();
     let state = net.export_state();
     let tables = state.store_tables();
     assert_eq!(tables.keys, stored);
     for (part, run) in tables.stores.iter().enumerate() {
-        let Some(p) = net.partition_members(part).first() else { continue };
-        assert!(run
-            .iter()
-            .map(|(kid, _)| tables.keys[*kid as usize])
-            .eq(net.peer(*p).store.keys()));
+        let keys = run.iter().map(|(kid, _)| tables.keys[*kid as usize]);
+        assert!(keys.eq(net.partition_store(part).keys()));
     }
 }
