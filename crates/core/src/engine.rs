@@ -12,7 +12,7 @@ use sqo_overlay::network::{KeyedLists, Network, NetworkConfig};
 use sqo_overlay::peer::{Item, PeerId};
 use sqo_overlay::{run_items, Metrics, PostingList, TraceEvent, TraceTrack};
 use sqo_storage::posting::{Object, Posting};
-use sqo_storage::publish::{postings_for_rows, PublishConfig, PublishStats};
+use sqo_storage::publish::{batch_for_rows, PublishConfig, PublishStats};
 use sqo_storage::triple::Row;
 use sqo_strsim::filters::FilterConfig;
 use std::sync::Arc;
@@ -211,8 +211,8 @@ impl EngineBuilder {
 
     /// Build the network and publish `rows` into it.
     pub fn build_with_rows(self, rows: &[Row]) -> SimilarityEngine {
-        let (postings, publish_stats) = postings_for_rows(rows, &self.cfg.publish);
-        let net = Network::build(self.cfg.network.clone(), postings);
+        let (batch, publish_stats) = batch_for_rows(rows, &self.cfg.publish);
+        let net = Network::build_groups(self.cfg.network.clone(), batch.into_sorted_groups());
         let broker =
             self.cfg.query.cache.any_enabled().then(|| CacheBatchBroker::new(self.cfg.query.cache));
         SimilarityEngine {
@@ -487,12 +487,12 @@ impl SimilarityEngine {
     /// triples", §3). Free of message accounting — use
     /// [`Self::publish_rows_traced`] to measure publication cost. Returns
     /// the number of postings **no peer stored** (their whole subtree is a
-    /// peerless gap partition, see [`Network::insert_batch`]): 0 on any
+    /// peerless gap partition, see [`Network::insert_groups`]): 0 on any
     /// network whose every partition has a member.
     pub fn publish_rows(&mut self, rows: &[Row]) -> usize {
-        let (postings, stats) = postings_for_rows(rows, &self.cfg.publish);
+        let (batch, stats) = batch_for_rows(rows, &self.cfg.publish);
         self.absorb_publish_stats(&stats);
-        self.net.insert_batch(postings)
+        self.net.insert_groups(batch.into_sorted_groups())
     }
 
     /// Publish rows *from a peer*, paying overlay messages for every index
@@ -502,6 +502,10 @@ impl SimilarityEngine {
     /// path; with delegation off, every posting is routed independently,
     /// which is the per-posting cost model behind the §8 claim that
     /// publication messages are "linear in the number of attribute columns".
+    /// The batch is generated grouped ([`batch_for_rows`]) and only its
+    /// distinct keys are ever sorted: the delegated path walks them beside
+    /// the partition cover and loses or keeps whole groups, the
+    /// per-posting path routes the postings in generation order.
     /// Either way what arrived is stored as one batch (a store changes
     /// nothing a later route looks at), and `matches` of the returned stats
     /// is the number of postings the overlay **stored**: those generated,
@@ -509,60 +513,66 @@ impl SimilarityEngine {
     /// ([`Self::publish_rows`]).
     pub fn publish_rows_traced(&mut self, rows: &[Row], from: PeerId) -> QueryStats {
         let snap = self.begin_query();
-        let (postings, stats) = postings_for_rows(rows, &self.cfg.publish);
+        let (mut batch, stats) = batch_for_rows(rows, &self.cfg.publish);
         self.absorb_publish_stats(&stats);
-        let mut arrived = Vec::with_capacity(postings.len());
+        // The one comparison sort: over the batch's distinct keys.
+        let order = batch.key_order();
         self.net.sim_fork();
         if self.cfg.query.delegation {
-            // Group by destination partition: sort by key once — a
-            // partition's keys are then one stretch, and the stretches come
-            // in partition order — and walk the sorted partition cover
-            // beside them. The tag keeps generation order within a key, and
-            // names the posting a partition's batch is routed by: the first
-            // one generated for it.
-            let mut sorted: Vec<(Key, u32, Posting)> =
-                postings.into_iter().zip(0..).map(|((k, p), tag)| (k, tag, p)).collect();
-            sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-            const LOST: u32 = u32::MAX;
-            let mut at = 0;
-            while at < sorted.len() {
-                let part = self.net.partition_of(&sorted[at].0);
+            // Group by destination partition: in key order a partition's
+            // keys are one stretch, and the stretches come in partition
+            // order — walk the sorted partition cover beside them.
+            let keys = batch.keys();
+            let mut payload = vec![0usize; keys.len()];
+            for (id, posting) in batch.entries() {
+                payload[*id as usize] += posting.size_bytes();
+            }
+            let mut lost = vec![false; keys.len()];
+            let mut rest = order.as_slice();
+            while let Some(&first) = rest.first() {
+                let part = self.net.partition_of(&keys[first as usize]);
                 let path = &self.net.paths()[part];
                 // A key shorter than the path is stored by the whole subtree
                 // and travels with the subtree's first partition.
-                let len = sorted[at..]
-                    .iter()
-                    .take_while(|(k, ..)| path.is_prefix_of(k) || self.net.partition_of(k) == part)
-                    .count();
-                let batch = &mut sorted[at..at + len];
-                at += len;
+                let under = |id: &u32| {
+                    let k = &keys[*id as usize];
+                    path.is_prefix_of(k) || self.net.partition_of(k) == part
+                };
+                let (stretch, after) =
+                    rest.split_at(rest.iter().take_while(|id| under(id)).count());
+                rest = after;
                 self.net.sim_branch();
-                let lead = batch.iter().min_by_key(|(_, tag, _)| *tag).expect("not empty");
-                if let Ok(owner) = self.net.route(from, &lead.0) {
-                    let payload: usize = batch.iter().map(|(.., p)| p.size_bytes()).sum();
+                // A partition's batch is routed by the first posting
+                // generated for it: ids count up in generation order.
+                let lead = *stretch.iter().min().expect("not empty");
+                if let Ok(owner) = self.net.route(from, &keys[lead as usize]) {
                     if owner != from {
-                        self.net.send_direct(from, owner, payload);
+                        let bytes = stretch.iter().map(|id| payload[*id as usize]).sum();
+                        self.net.send_direct(from, owner, bytes);
                     }
                 } else {
-                    batch.iter_mut().for_each(|(_, tag, _)| *tag = LOST);
+                    stretch.iter().for_each(|id| lost[*id as usize] = true);
                 }
             }
-            let reached = sorted.into_iter().filter(|(_, tag, _)| *tag != LOST);
-            arrived.extend(reached.map(|(key, _, posting)| (key, posting)));
+            if lost.contains(&true) {
+                batch.retain(|id, _, _| !lost[id as usize]);
+            }
         } else {
-            // Routed and charged one by one.
-            for (key, posting) in postings {
+            // Routed and charged one by one, in generation order.
+            batch.retain(|_, key, posting| {
                 self.net.sim_branch();
-                if let Ok(owner) = self.net.route(from, &key) {
+                let routed = self.net.route(from, key);
+                if let Ok(owner) = routed {
                     if owner != from {
                         self.net.send_direct(from, owner, posting.size_bytes());
                     }
-                    arrived.push((key, posting));
                 }
-            }
+                routed.is_ok()
+            });
         }
         self.net.sim_join();
-        let stored = arrived.len() - self.net.insert_batch(arrived);
+        let arrived = batch.entries().len();
+        let stored = arrived - self.net.insert_groups(batch.into_groups(&order));
         let mut out = self.finish_query(&snap);
         out.matches = stored;
         out
@@ -1532,6 +1542,122 @@ mod tests {
             m8 < m2 * 8,
             "batched publication should be sublinear in postings per partition ({m2} -> {m8})"
         );
+    }
+
+    /// `publish_rows_traced` as it was when a batch was a flat list of
+    /// (key, posting) pairs: the delegated path sorts the postings into
+    /// (key, generation) order and routes each partition's stretch by its
+    /// first-generated posting, and the network sorts what arrived again.
+    fn publish_flat(e: &mut SimilarityEngine, rows: &[Row], from: PeerId) -> QueryStats {
+        let snap = e.begin_query();
+        let (postings, stats) = sqo_storage::postings_for_rows(rows, &e.cfg.publish);
+        e.absorb_publish_stats(&stats);
+        let mut arrived = Vec::with_capacity(postings.len());
+        e.net.sim_fork();
+        if e.cfg.query.delegation {
+            // In (key, generation) order, each pair with its generation.
+            let mut sorted: Vec<(usize, (Key, Posting))> =
+                postings.into_iter().enumerate().collect();
+            sorted.sort_by(|(_, a), (_, b)| a.0.cmp(&b.0));
+            let mut at = 0;
+            while at < sorted.len() {
+                let part = e.net.partition_of(&sorted[at].1 .0);
+                let path = &e.net.paths()[part];
+                let len = sorted[at..]
+                    .iter()
+                    .take_while(|(_, (k, _))| path.is_prefix_of(k) || e.net.partition_of(k) == part)
+                    .count();
+                let batch = &sorted[at..at + len];
+                at += len;
+                e.net.sim_branch();
+                let (_, (lead, _)) = batch.iter().min_by_key(|(tag, _)| *tag).expect("not empty");
+                if let Ok(owner) = e.net.route(from, lead) {
+                    let payload: usize = batch.iter().map(|(_, (_, p))| p.size_bytes()).sum();
+                    if owner != from {
+                        e.net.send_direct(from, owner, payload);
+                    }
+                    arrived.extend(batch.iter().map(|(_, pair)| pair.clone()));
+                }
+            }
+        } else {
+            for (key, posting) in postings {
+                e.net.sim_branch();
+                if let Ok(owner) = e.net.route(from, &key) {
+                    if owner != from {
+                        e.net.send_direct(from, owner, posting.size_bytes());
+                    }
+                    arrived.push((key, posting));
+                }
+            }
+        }
+        e.net.sim_join();
+        let stored = arrived.len() - e.net.insert_batch(arrived);
+        let mut out = e.finish_query(&snap);
+        out.matches = stored;
+        out
+    }
+
+    /// Everything a snapshot of the engine's network would write.
+    fn image(net: &Network<Posting>) -> String {
+        let state = net.export_state();
+        format!("{state:?} {:?}", state.store_tables())
+    }
+
+    #[test]
+    fn a_grouped_publish_draws_charges_and_stores_what_the_flat_batch_did() {
+        let base: Vec<Row> = (0..120)
+            .map(|i| {
+                Row::new(format!("b:{i}"), [("title", Value::from(format!("seed{i:03}word")))])
+            })
+            .collect();
+        // Repeated grams, a row with two attributes (its oid key repeats),
+        // a value shorter than q and a number.
+        let fresh: Vec<Row> = (0..40)
+            .map(|i| {
+                Row::new(
+                    format!("n:{i}"),
+                    [
+                        ("title", Value::from(format!("word{:02}seed", i % 7))),
+                        ("no", if i % 2 == 0 { Value::from(i) } else { Value::from("ab") }),
+                    ],
+                )
+            })
+            .collect();
+        for delegation in [true, false] {
+            let build = || {
+                EngineBuilder::new().peers(48).seed(9).delegation(delegation).build_with_rows(&base)
+            };
+            // The build took the grouped road too.
+            let grown = build();
+            let flat_base = sqo_storage::postings_for_rows(&base, &grown.cfg.publish).0;
+            let built = Network::build(grown.cfg.network.clone(), flat_base);
+            assert_eq!(image(&grown.net), image(&built));
+
+            let world = || {
+                let mut e = build();
+                // One partition the fresh rows publish into is dead: its
+                // stretch is lost.
+                let dead = e.net.partition_of(&sqo_storage::keys::oid_key("n:3"));
+                for peer in e.net.partition_members(dead).to_vec() {
+                    e.net.fail_peer(peer);
+                }
+                e
+            };
+            let (mut grouped, mut flat) = (world(), world());
+            let from = grouped.random_peer();
+            assert_eq!(flat.random_peer(), from);
+            let stats = grouped.publish_rows_traced(&fresh, from);
+            let reference = publish_flat(&mut flat, &fresh, from);
+            assert_eq!(format!("{stats:?}"), format!("{reference:?}"), "delegation {delegation}");
+            assert!(stats.traffic.messages > 0 && stats.matches > 0);
+            let generated =
+                grouped.publish_stats().total_postings() - grown.publish_stats().total_postings();
+            assert!(stats.matches < generated, "the dead partition's stretch was lost");
+            assert!(stats.completeness() == reference.completeness());
+            assert_eq!(image(&grouped.net), image(&flat.net), "delegation {delegation}");
+            assert_eq!(grouped.publish_stats(), flat.publish_stats());
+            assert_eq!(grouped.net.unstored_items(), flat.net.unstored_items());
+        }
     }
 
     #[test]

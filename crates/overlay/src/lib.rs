@@ -24,7 +24,7 @@
 //!   clones, and valid whenever it exists.
 //! * [`network`] — the simulator, a [`NetworkState`] plus its observers:
 //!   the one write path
-//!   ([`Network::insert_batch`]), routing, retrieval, range queries,
+//!   ([`Network::insert_groups`]), routing, retrieval, range queries,
 //!   delegation primitives, churn.
 //! * [`metrics`] — message/bandwidth accounting.
 //! * [`clock`] — the virtual-time hook: an [`EventSink`] installed on the

@@ -167,6 +167,19 @@ pub struct Network<T> {
     pub(crate) unstored: u64,
 }
 
+/// The groups of a batch sorted by key: one list per distinct key, its items
+/// in batch order. Lazy — each list's buffer and handle are allocated as
+/// the writer reaches its key.
+fn grouped<T>(sorted: Vec<(Key, T)>) -> impl Iterator<Item = (Key, PostingList<T>)> {
+    let mut batch = sorted.into_iter();
+    std::iter::from_fn(move || {
+        let (key, item) = batch.next()?;
+        let more = batch.as_slice().iter().take_while(|(k, _)| *k == key).count();
+        let rest = batch.by_ref().take(more).map(|(_, item)| item);
+        Some((key, Arc::new(std::iter::once(item).chain(rest).collect())))
+    })
+}
+
 impl<T: Item> Network<T> {
     /// A network on `image`, with no observer installed.
     pub(crate) fn on(image: NetworkState<T>) -> Self {
@@ -175,13 +188,38 @@ impl<T: Item> Network<T> {
     }
 
     /// Construct a network of `cfg.peers` peers, build the trie adapted to
-    /// the data keys, wire routing tables, and insert all items.
-    pub fn build(cfg: NetworkConfig, data: Vec<(Key, T)>) -> Self {
-        let mut keys: Vec<KeyRef<'_>> = data.iter().map(|(k, _)| k.as_ref()).collect();
+    /// the data keys, wire routing tables, and insert all items: a batch
+    /// into the empty network.
+    pub fn build(cfg: NetworkConfig, mut data: Vec<(Key, T)>) -> Self {
+        data.sort_by(|a, b| a.0.cmp(&b.0));
+        let keys: Vec<(KeyRef<'_>, usize)> =
+            data.chunk_by(|a, b| a.0 == b.0).map(|g| (g[0].0.as_ref(), g.len())).collect();
+        let mut net = Self::on_partitions_for(cfg, &keys);
+        net.insert_groups(grouped(data));
+        net
+    }
+
+    /// [`Self::build`] on data that is grouped already: one `(key, items)`
+    /// group per distinct key, keys strictly ascending.
+    ///
+    /// # Panics
+    /// Panics when the keys do not ascend strictly: [`build_partitions`]
+    /// refuses them while the cover is grown, as
+    /// [`SortedStore::merge`](crate::store::SortedStore::merge) would
+    /// when they reach a partition.
+    pub fn build_groups(cfg: NetworkConfig, groups: KeyedLists<T>) -> Self {
+        let keys: Vec<(KeyRef<'_>, usize)> =
+            groups.iter().map(|(key, items)| (key.as_ref(), items.len())).collect();
+        let mut net = Self::on_partitions_for(cfg, &keys);
+        net.insert_groups(groups);
+        net
+    }
+
+    /// The empty network on the cover grown for `keys` — the distinct data
+    /// keys ascending, each with its item count.
+    fn on_partitions_for(cfg: NetworkConfig, keys: &[(KeyRef<'_>, usize)]) -> Self {
         let target_partitions = (cfg.peers / cfg.replication).max(1);
-        let paths = build_partitions(&mut keys, target_partitions);
-        drop(keys);
-        Self::build_with_paths(cfg, paths, data)
+        Self::on_paths(cfg, build_partitions(keys, target_partitions))
     }
 
     /// Construct from an explicit partition cover. Peers are dealt to the
@@ -189,6 +227,13 @@ impl<T: Item> Network<T> {
     /// and a cover with more partitions than peers leaves its trailing
     /// partitions without one.
     pub fn build_with_paths(cfg: NetworkConfig, paths: Vec<Key>, data: Vec<(Key, T)>) -> Self {
+        let mut net = Self::on_paths(cfg, paths);
+        net.insert_batch(data);
+        net
+    }
+
+    /// The empty network on the cover `paths`.
+    fn on_paths(cfg: NetworkConfig, paths: Vec<Key>) -> Self {
         if let Err(unbuildable) = cfg.check() {
             panic!("{unbuildable}");
         }
@@ -207,7 +252,7 @@ impl<T: Item> Network<T> {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut topo = Topology { paths, part_peers, part_of, routing: Default::default() };
         topo.wire_routing(cfg.refs_per_level, &mut rng);
-        let mut net = Self::on(NetworkState {
+        Self::on(NetworkState {
             alive: vec![true; cfg.peers],
             peer_load: vec![PeerLoad::default(); cfg.peers],
             cfg,
@@ -217,21 +262,20 @@ impl<T: Item> Network<T> {
             next_trace_query: 0,
             cache_epoch: 0,
             rng,
-        });
-        net.insert_batch(data);
-        net
+        })
     }
 
-    /// Publish a batch — the network's one write path. The batch is
-    /// stable-sorted by key (publications under one key keep their order)
-    /// and walked against the sorted partition cover: a key still prefixed
-    /// by its predecessor's partition path needs no lookup, and the keys
-    /// between two lookups go to their partition as **one** merge of the
-    /// run its replicas hold in common, however many postings.
-    /// Equal to [`Self::insert_item`] per element, in order: same runs
-    /// entry for entry, same epoch advance (one step per publication —
-    /// lists fetched before it no longer reflect the stored data). Posting
-    /// lists already handed out to readers are never mutated.
+    /// Publish a batch of `(key, items)` groups, keys strictly ascending —
+    /// the network's one write path. The groups are walked against the
+    /// sorted partition cover: a key still prefixed by its predecessor's
+    /// partition path needs no lookup, and the keys between two lookups go
+    /// to their partition as **one** merge of the run its replicas hold in
+    /// common, however many postings. Equal to [`Self::insert_item`] per
+    /// item, in order: same runs entry for entry, same epoch advance (one
+    /// step per publication — lists fetched before it no longer reflect
+    /// the stored data). Posting lists already handed out to readers are
+    /// never mutated; a group whose key the network lacks is stored as the
+    /// list handle it came in. A group without items publishes nothing.
     ///
     /// Returns how many of the batch's items **no peer stored**: those whose
     /// whole subtree is a peerless gap partition (a cover with more
@@ -239,18 +283,20 @@ impl<T: Item> Network<T> {
     /// peered partition covers is stored there and not counted. The network
     /// keeps the running total ([`Self::unstored_items`]), the build's
     /// share included.
-    pub fn insert_batch(&mut self, mut batch: Vec<(Key, T)>) -> usize {
-        self.image.cache_epoch += batch.len() as u64;
-        batch.sort_by(|a, b| a.0.cmp(&b.0));
+    ///
+    /// # Panics
+    /// Panics when the keys of one partition do not ascend strictly
+    /// ([`SortedStore::merge`](crate::store::SortedStore::merge)).
+    pub fn insert_groups(
+        &mut self,
+        groups: impl IntoIterator<Item = (Key, PostingList<T>)>,
+    ) -> usize {
         let mut unstored = 0;
         let mut part = 0;
-        // The sub-batch of `part`: one entry per distinct key, ascending.
+        // The sub-batch of `part`.
         let mut pending: Vec<(Key, PostingList<T>)> = Vec::new();
-        let mut batch = batch.into_iter();
-        while let Some((key, item)) = batch.next() {
-            let more = batch.as_slice().iter().take_while(|(k, _)| *k == key).count();
-            let rest = batch.by_ref().take(more).map(|(_, item)| item);
-            let items: Vec<T> = std::iter::once(item).chain(rest).collect();
+        for (key, items) in groups.into_iter().filter(|(_, items)| !items.is_empty()) {
+            self.image.cache_epoch += items.len() as u64;
             if !self.image.topo.paths[part].is_prefix_of(&key) {
                 unstored += self.merge_into(part, &mut pending, false);
                 let (s, e) = self.image.topo.subtree_of(&key);
@@ -261,11 +307,20 @@ impl<T: Item> Network<T> {
                     continue;
                 }
             }
-            pending.push((key, Arc::new(items)));
+            pending.push((key, items));
         }
         unstored += self.merge_into(part, &mut pending, false);
         self.unstored += unstored as u64;
         unstored
+    }
+
+    /// Publish a batch of `(key, item)` pairs: stable-sorted by key
+    /// (publications under one key keep their order), grouped, and handed
+    /// to [`Self::insert_groups`], whose count of unstored items it
+    /// returns.
+    pub fn insert_batch(&mut self, mut batch: Vec<(Key, T)>) -> usize {
+        batch.sort_by(|a, b| a.0.cmp(&b.0));
+        self.insert_groups(grouped(batch))
     }
 
     /// How many items published into this network — by its build or by any
@@ -280,14 +335,19 @@ impl<T: Item> Network<T> {
     /// of its subtree, and they share one list: extend it once, then hand
     /// each covering run the same handle. Returns the number of items left
     /// unstored: all of them when no partition of the cover has a peer.
-    fn insert_short(&mut self, key: Key, items: Vec<T>, cover: std::ops::Range<usize>) -> usize {
+    fn insert_short(
+        &mut self,
+        key: Key,
+        items: PostingList<T>,
+        cover: std::ops::Range<usize>,
+    ) -> usize {
         let published = items.len();
         let peered = cover.clone().find(|part| !self.image.topo.part_peers[*part].is_empty());
         let stored = peered.and_then(|part| self.image.stores[part].exact_entry(&key));
-        let list: PostingList<T> = Arc::new(match stored {
-            Some(old) => old.iter().cloned().chain(items).collect(),
+        let list: PostingList<T> = match stored {
+            Some(old) => Arc::new(old.iter().cloned().chain(Arc::unwrap_or_clone(items)).collect()),
             None => items,
-        });
+        };
         for part in cover {
             self.merge_into(part, &mut vec![(key.clone(), Arc::clone(&list))], true);
         }
@@ -320,7 +380,7 @@ impl<T: Item> Network<T> {
     /// Publish one item: a batch of one (and its count of unstored items,
     /// 0 or 1).
     pub fn insert_item(&mut self, key: Key, item: T) -> usize {
-        self.insert_batch(vec![(key, item)])
+        self.insert_groups([(key, Arc::new(vec![item]))])
     }
 
     /// The structural invariants, `Err` naming the first breach — the

@@ -64,7 +64,7 @@ pub struct NetworkState<T> {
     /// Monotone invalidation counter: bumped by every event that can make
     /// remotely cached data stale — churn ([`Network::fail_peer`],
     /// [`Network::revive_peer`], [`Network::fail_random_fraction`]) *and*
-    /// data insertion ([`Network::insert_batch`], i.e. publications).
+    /// data insertion ([`Network::insert_groups`], i.e. publications).
     /// Caches layered above the overlay key their entries by this epoch so
     /// nothing fetched before such an event is ever served after it.
     pub(crate) cache_epoch: u64,

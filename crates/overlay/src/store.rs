@@ -220,22 +220,37 @@ impl<T: Item> SortedStore<T> {
     /// lies behind the first of them, each entry and each key byte once —
     /// a batch of one shifts half a run on average, a bulk load into the
     /// empty run writes its keys straight into place.
+    ///
+    /// # Panics
+    /// Panics on a batch whose keys do not ascend strictly — in release
+    /// builds too: two equal new keys would become two entries, and the run
+    /// would no longer be the map the scans, `exact_entry` and the snapshot
+    /// codec take it for. The panic leaves a valid run: no new entry has
+    /// been spliced in yet (items of the batch's earlier keys may have been
+    /// appended).
     pub fn merge(&mut self, batch: impl IntoIterator<Item = (Key, PostingList<T>)>, replace: bool) {
         // New keys, each with the index of the entry it goes in front of.
         let batch = batch.into_iter();
         let mut fresh: Vec<(usize, Key, PostingList<T>)> = Vec::with_capacity(batch.size_hint().0);
         let mut at = 0;
+        // The batch's previous key, when it is entry `i` of the run;
+        // otherwise it is the last of `fresh`.
+        let mut stored_prev: Option<usize> = None;
         for (key, list) in batch {
             let k = key.as_ref();
+            let prev = match stored_prev {
+                Some(i) => Some(self.view(self.spans[i])),
+                None => fresh.last().map(|(_, last, _)| last.as_ref()),
+            };
+            assert!(prev.is_none_or(|prev| prev < k), "a batch ascends strictly");
             at += gallop(&self.spans[at..], |s| self.view(*s) < k);
-            debug_assert!(
-                fresh.last().is_none_or(|(_, last, _)| last.as_ref() < k)
-                    && (at == 0 || self.view(self.spans[at - 1]) < k),
-                "a batch ascends strictly"
-            );
             if self.key_at(at) != Some(k) {
                 fresh.push((at, key, list));
-            } else if replace {
+                stored_prev = None;
+                continue;
+            }
+            stored_prev = Some(at);
+            if replace {
                 self.lists[at] = list;
             } else {
                 Arc::make_mut(&mut self.lists[at]).extend(Arc::unwrap_or_clone(list));
@@ -400,6 +415,27 @@ mod tests {
             .map(hash_str)
             .collect();
         assert!(s.keys().eq(words.iter().map(Key::as_ref)), "each key's bytes moved with it");
+    }
+
+    /// `merge` refuses a batch out of order with a real check — this test
+    /// runs in CI's release step too — and the run it leaves is valid.
+    #[test]
+    fn a_batch_that_does_not_ascend_strictly_is_refused_in_release_builds_too() {
+        let one = |w: &'static str| (hash_str(w), Arc::new(vec![S(w)]));
+        for batch in [
+            vec![one("cat"), one("cat")],   // a new key twice
+            vec![one("cow"), one("cat")],   // new keys descending
+            vec![one("delta"), one("cat")], // a new key behind a stored one
+            vec![one("zeta"), one("beta")], // a stored key behind a new one
+        ] {
+            let mut s = merged(&["beta", "delta", "gamma"]);
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                s.merge(batch, false);
+            }));
+            assert!(refused.is_err(), "merged a batch out of order");
+            assert!(tiled(&s) && s.keys().zip(s.keys().skip(1)).all(|(a, b)| a < b));
+            assert_eq!(s.len(), 3, "nothing was spliced in");
+        }
     }
 
     #[test]

@@ -10,10 +10,17 @@
 //!
 //! The simulator reproduces the *outcome* of that process with a
 //! deterministic greedy algorithm: starting from the root partition, always
-//! split the partition currently holding the most data keys, until the
+//! split the partition currently holding the most data items, until the
 //! requested number of partitions is reached (or no partition can be split
 //! further). The resulting leaf paths form a complete prefix-free cover of
 //! the key space — the invariant Algorithm 1's termination proof relies on.
+//!
+//! The splitter works on the *distinct* data keys, each weighing the items
+//! published under it: a partition is a stretch of the sorted distinct
+//! keys, its load a difference of two prefix sums, its split point one
+//! bisection. A world has several times fewer keys than postings (every
+//! row repeats the grams of its attribute's name, values share grams), and
+//! the bulk load that calls this has them grouped already.
 
 use crate::key::{Key, KeyRef};
 use std::collections::BinaryHeap;
@@ -32,7 +39,7 @@ struct Candidate {
     /// Tie-break: prefer splitting shallower partitions (keeps trie compact).
     depth_neg: isize,
     path: Key,
-    /// Range of the sorted key slice covered by this partition.
+    /// Range of the sorted distinct keys covered by this partition.
     range: (usize, usize),
 }
 
@@ -47,26 +54,42 @@ impl PartialOrd for Candidate {
     }
 }
 
-/// Build a complete, prefix-free set of partition paths adapted to `keys`,
-/// with at most `target` partitions.
+/// Build a complete, prefix-free set of partition paths adapted to `keys`
+/// — the distinct data keys, strictly ascending, each with the number of
+/// items published under it — with at most `target` partitions.
+///
+/// A partition's load is the number of items under its keys, so a popular
+/// key weighs what its postings weigh; the split points are found among
+/// the distinct keys, which a world has several times fewer of than
+/// postings.
 ///
 /// Fewer than `target` partitions are returned when splitting further cannot
-/// separate data (every partition holds ≤ 1 key, or [`MAX_PATH_BITS`] is
-/// reached) — the surplus peers become structural replicas instead, exactly
-/// as in P-Grid.
+/// separate data (every partition holds ≤ 1 item or one key, or
+/// [`MAX_PATH_BITS`] is reached) — the surplus peers become structural
+/// replicas instead, exactly as in P-Grid.
 ///
 /// The returned paths are sorted lexicographically, which (because they are
 /// prefix-free and complete) is also their key-space order.
 ///
 /// The keys are read where they lie — a bulk load splits on views of the
-/// keys it is about to store, not on copies — and sorted in place.
-pub fn build_partitions(keys: &mut [KeyRef<'_>], target: usize) -> Vec<Key> {
+/// keys it is about to store, not on copies.
+///
+/// # Panics
+/// Panics when `target` is 0 or the keys do not ascend strictly.
+pub fn build_partitions(keys: &[(KeyRef<'_>, usize)], target: usize) -> Vec<Key> {
     assert!(target >= 1, "at least one partition required");
-    keys.sort_unstable();
+    assert!(keys.windows(2).all(|w| w[0].0 < w[1].0), "distinct keys, ascending");
+    // Items under the keys before each one: a range's load is a difference.
+    let before: Vec<usize> = std::iter::once(0)
+        .chain(keys.iter().scan(0, |sum, (_, items)| {
+            *sum += items;
+            Some(*sum)
+        }))
+        .collect();
 
     let mut heap = BinaryHeap::new();
     heap.push(Candidate {
-        load: keys.len(),
+        load: before[keys.len()],
         depth_neg: 0,
         path: Key::empty(),
         range: (0, keys.len()),
@@ -76,10 +99,10 @@ pub fn build_partitions(keys: &mut [KeyRef<'_>], target: usize) -> Vec<Key> {
     while heap.len() + done.len() < target {
         let Some(top) = heap.pop() else { break };
         let (lo, hi) = top.range;
-        if top.load <= 1 || top.path.len() >= MAX_PATH_BITS || keys[lo] == keys[hi - 1] {
-            // Cannot usefully split (single key, duplicate-only load — e.g.
-            // a popular q-gram posted by thousands of strings — or depth
-            // cap); freeze it. Surplus peers replicate instead.
+        if top.load <= 1 || top.path.len() >= MAX_PATH_BITS || hi - lo == 1 {
+            // Cannot usefully split (single item, one key however loaded —
+            // e.g. a popular q-gram posted by thousands of strings — or
+            // depth cap); freeze it. Surplus peers replicate instead.
             done.push(top.path);
             continue;
         }
@@ -89,17 +112,17 @@ pub fn build_partitions(keys: &mut [KeyRef<'_>], target: usize) -> Vec<Key> {
         // depth+1 bits sort before both children's data; attribute them to
         // the 0-child (they are replicated into all covered partitions at
         // insert time anyway, this only steers the split heuristic).
-        let split = keys[lo..hi].partition_point(|k| k.len() <= depth || !k.bit(depth)) + lo;
+        let split = keys[lo..hi].partition_point(|(k, _)| k.len() <= depth || !k.bit(depth)) + lo;
         let child0 = top.path.child(false);
         let child1 = top.path.child(true);
         heap.push(Candidate {
-            load: split - lo,
+            load: before[split] - before[lo],
             depth_neg: -(child0.len() as isize),
             path: child0,
             range: (lo, split),
         });
         heap.push(Candidate {
-            load: hi - split,
+            load: before[hi] - before[split],
             depth_neg: -(child1.len() as isize),
             path: child1,
             range: (split, hi),
@@ -203,14 +226,17 @@ mod tests {
         words.iter().map(|w| hash_str(w)).collect()
     }
 
-    fn views(keys: &[Key]) -> Vec<KeyRef<'_>> {
-        keys.iter().map(Key::as_ref).collect()
+    /// The distinct keys ascending, each with how often it occurs.
+    fn views(keys: &[Key]) -> Vec<(KeyRef<'_>, usize)> {
+        let mut sorted: Vec<KeyRef<'_>> = keys.iter().map(Key::as_ref).collect();
+        sorted.sort_unstable();
+        sorted.chunk_by(|a, b| a == b).map(|same| (same[0], same.len())).collect()
     }
 
     #[test]
     fn single_partition_is_root() {
         let keys = keys_of(&["a", "b", "c"]);
-        let paths = build_partitions(&mut views(&keys), 1);
+        let paths = build_partitions(&views(&keys), 1);
         assert_eq!(paths, vec![Key::empty()]);
         assert!(is_complete_cover(&paths));
     }
@@ -220,7 +246,7 @@ mod tests {
         let words: Vec<String> = (0..200).map(|i| format!("word{i:03}")).collect();
         let keys: Vec<Key> = words.iter().map(|w| hash_str(w)).collect();
         for target in [1, 2, 3, 7, 16, 64] {
-            let paths = build_partitions(&mut views(&keys), target);
+            let paths = build_partitions(&views(&keys), target);
             assert_eq!(paths.len(), target, "target {target}");
             assert!(is_complete_cover(&paths), "cover violated at target {target}");
         }
@@ -231,7 +257,7 @@ mod tests {
         // Two distinct keys can support at most a few meaningful partitions;
         // the builder must stop instead of looping.
         let keys = keys_of(&["aaaa", "zzzz"]);
-        let paths = build_partitions(&mut views(&keys), 64);
+        let paths = build_partitions(&views(&keys), 64);
         assert!(paths.len() <= 64);
         assert!(is_complete_cover(&paths));
         // It still made *some* progress beyond the root.
@@ -251,7 +277,7 @@ mod tests {
         }
         let keys: Vec<Key> = words.iter().map(|w| hash_str(w)).collect();
         let max_load = |target: usize, keys: &[Key]| {
-            let paths = build_partitions(&mut views(keys), target);
+            let paths = build_partitions(&views(keys), target);
             assert!(is_complete_cover(&paths), "cover violated at target {target}");
             paths.iter().map(|p| keys.iter().filter(|k| p.is_prefix_of(k)).count()).max().unwrap()
         };
@@ -279,7 +305,7 @@ mod tests {
         let mut words: Vec<String> = (0..900).map(|i| format!("aaa{i:04}")).collect();
         words.extend((0..100).map(|i| format!("z{i:03}")));
         let keys: Vec<Key> = words.iter().map(|w| hash_str(w)).collect();
-        let paths = build_partitions(&mut views(&keys), 32);
+        let paths = build_partitions(&views(&keys), 32);
         assert_eq!(paths.len(), 32);
         assert!(is_complete_cover(&paths));
         let max_depth = paths.iter().map(Key::len).max().unwrap();
@@ -289,7 +315,7 @@ mod tests {
     #[test]
     fn find_partition_locates_prefix_owner() {
         let keys: Vec<Key> = (0..64).map(|i| hash_str(&format!("k{i:02}"))).collect();
-        let paths = build_partitions(&mut views(&keys), 8);
+        let paths = build_partitions(&views(&keys), 8);
         for k in &keys {
             let idx = find_partition(&paths, k);
             assert!(paths[idx].is_prefix_of(k), "partition {} does not own key {}", paths[idx], k);

@@ -1,12 +1,15 @@
 //! Property tests for the overlay's one write path: `SortedStore::merge`
-//! against a `BTreeMap` reference, and `Network::insert_batch` against the
-//! same publications made one at a time and against a network built on all
-//! of them at once.
+//! against a `BTreeMap` reference, `Network::insert_groups` against
+//! `insert_batch` of the same publications flattened, against the same
+//! publications made one at a time and against a network built on all of
+//! them at once, and the weighted `build_partitions` against the splitter
+//! that looked at one key per posting.
 
 use proptest::prelude::*;
 use sqo_overlay::key::Key;
 use sqo_overlay::network::{Network, NetworkConfig};
 use sqo_overlay::peer::Item;
+use sqo_overlay::trie::{build_partitions, MAX_PATH_BITS};
 use sqo_overlay::{run_items, PostingList, Run, SortedStore};
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -30,6 +33,45 @@ fn key() -> impl Strategy<Value = Key> {
 /// order within a key is checkable.
 fn numbered(keys: Vec<Key>, first: usize) -> Vec<(Key, S)> {
     keys.into_iter().enumerate().map(|(i, k)| (k, S((first + i) as u32))).collect()
+}
+
+/// The publications as `insert_groups` takes them: one list per distinct
+/// key, keys ascending, publication order within a key.
+fn groups(batch: &[(Key, S)]) -> Vec<(Key, PostingList<S>)> {
+    let mut by_key: BTreeMap<Key, Vec<S>> = BTreeMap::new();
+    for (k, item) in batch {
+        by_key.entry(k.clone()).or_default().push(item.clone());
+    }
+    by_key.into_iter().map(|(k, items)| (k, Arc::new(items))).collect()
+}
+
+/// The splitter as it was when it looked at one key per posting: sort them
+/// all, a partition's load is the length of its stretch.
+fn per_posting_partitions(mut keys: Vec<Key>, target: usize) -> Vec<Key> {
+    keys.sort_unstable();
+    // (load, shallower first, smaller path first) — a max-heap by hand.
+    let mut open: Vec<(Key, usize, usize)> = vec![(Key::empty(), 0, keys.len())];
+    let mut done: Vec<Key> = Vec::new();
+    while open.len() + done.len() < target {
+        let Some(top) = (0..open.len()).max_by(|&a, &b| {
+            let ((pa, la, ha), (pb, lb, hb)) = (&open[a], &open[b]);
+            (ha - la, pb.len(), pb).cmp(&(hb - lb, pa.len(), pa))
+        }) else {
+            break;
+        };
+        let (path, lo, hi) = open.swap_remove(top);
+        if hi - lo <= 1 || path.len() >= MAX_PATH_BITS || keys[lo] == keys[hi - 1] {
+            done.push(path);
+            continue;
+        }
+        let depth = path.len();
+        let split = keys[lo..hi].partition_point(|k| k.len() <= depth || !k.bit(depth)) + lo;
+        open.push((path.child(false), lo, split));
+        open.push((path.child(true), split, hi));
+    }
+    let mut paths: Vec<Key> = done.into_iter().chain(open.into_iter().map(|c| c.0)).collect();
+    paths.sort_unstable();
+    paths
 }
 
 /// A lent stretch of a run, list by list. Items are numbered apart, so the
@@ -103,11 +145,12 @@ proptest! {
         }
     }
 
-    /// A batch equals its publications made one by one, and equals having
-    /// been there from the build: the same snapshot image — runs, shared
-    /// lists, epoch — with duplicate keys, keys shorter than the trie depth
-    /// (stored by every partition of their subtree, sharing one list) and
-    /// one to four replicas per partition.
+    /// A batch of groups equals the flat batch, equals its publications
+    /// made one by one, and equals having been there from the build, flat
+    /// or grouped: the same snapshot image — runs, shared lists, epoch —
+    /// with duplicate keys, keys shorter than the trie depth (stored by
+    /// every partition of their subtree, sharing one list) and one to four
+    /// replicas per partition.
     #[test]
     fn a_batch_equals_its_items_one_by_one_and_the_build_on_all_of_them(
         base in prop::collection::vec(key(), 0..60),
@@ -118,22 +161,28 @@ proptest! {
     ) {
         let (base, batch) = (numbered(base.clone(), 0), numbered(batch, base.len()));
         let cfg = NetworkConfig { peers: partitions * replication, replication, seed, ..Default::default() };
-        let built = Network::build(cfg.clone(), [base.clone(), batch.clone()].concat());
-        // The same cover for all three: the one the full data set grew.
+        let all = [base.clone(), batch.clone()].concat();
+        let built = Network::build(cfg.clone(), all.clone());
+        let built_grouped = Network::build_groups(cfg.clone(), groups(&all));
+        // The same cover for all: the one the full data set grew.
         let grown = || Network::build_with_paths(cfg.clone(), built.paths().to_vec(), base.clone());
 
         let mut batched = grown();
-        batched.insert_batch(batch.clone());
+        prop_assert_eq!(batched.insert_batch(batch.clone()), 0);
+        let mut in_groups = grown();
+        // An empty group publishes nothing, wherever it stands.
+        let with_empty = groups(&batch).into_iter().chain([(Key::empty(), Arc::default())]);
+        prop_assert_eq!(in_groups.insert_groups(with_empty), 0);
         let mut one_by_one = grown();
         for (k, item) in batch {
             one_by_one.insert_item(k, item);
         }
 
-        prop_assert_eq!(image(&batched), image(&built));
-        prop_assert_eq!(image(&one_by_one), image(&built));
-        for net in [&built, &batched, &one_by_one] {
+        for net in [&built_grouped, &batched, &in_groups, &one_by_one] {
+            prop_assert_eq!(image(net), image(&built));
             prop_assert_eq!(net.check_invariants(), Ok(()));
             prop_assert_eq!(net.cache_epoch(), built.cache_epoch());
+            prop_assert_eq!(net.unstored_items(), 0);
         }
         // Redundant coverage is structural sharing, not copies: every
         // partition under a short key holds the same list.
@@ -173,16 +222,18 @@ proptest! {
         let lost = swallowed(&batch);
         let mut batched = on(base.clone());
         prop_assert_eq!(batched.insert_batch(batch.clone()), lost);
+        let mut in_groups = on(base.clone());
+        prop_assert_eq!(in_groups.insert_groups(groups(&batch)), lost);
         let mut one_by_one = on(base.clone());
         let singly: usize = batch.iter().cloned().map(|(k, item)| one_by_one.insert_item(k, item)).sum();
         prop_assert_eq!(singly, lost);
         // The network keeps the count, the build's share included: exactly
         // what the gap swallowed, however the postings came in.
-        for net in [&built, &batched, &one_by_one] {
+        for net in [&built, &batched, &in_groups, &one_by_one] {
             prop_assert_eq!(net.unstored_items(), (swallowed(&base) + lost) as u64);
+            prop_assert_eq!(net.cache_epoch(), built.cache_epoch());
+            prop_assert_eq!(image(net), image(&built));
         }
-        prop_assert_eq!(image(&batched), image(&built));
-        prop_assert_eq!(image(&one_by_one), image(&built));
         prop_assert_eq!(built.check_invariants(), Ok(()));
 
         // Every publication is stored by every peered partition it covers.
@@ -193,5 +244,24 @@ proptest! {
                 prop_assert!(run_items(store.prefix_entries(k)).any(|x| x == item));
             }
         }
+    }
+
+    /// Splitting on the distinct keys, each weighing its postings, grows
+    /// the cover that splitting on one key per posting grew: same loads,
+    /// same split points, same paths — for heavy keys, keys that are
+    /// prefixes of one another and targets past what the data can fill.
+    #[test]
+    fn weighted_partitions_are_the_per_posting_partitions(
+        keys in prop::collection::vec((key(), 1usize..6), 0..40),
+        target in 1usize..24,
+    ) {
+        let mut weight: BTreeMap<Key, usize> = BTreeMap::new();
+        for (k, n) in &keys {
+            *weight.entry(k.clone()).or_default() += n;
+        }
+        let weighted: Vec<_> = weight.iter().map(|(k, n)| (k.as_ref(), *n)).collect();
+        let per_posting: Vec<Key> =
+            keys.iter().flat_map(|(k, n)| std::iter::repeat_n(k.clone(), *n)).collect();
+        prop_assert_eq!(build_partitions(&weighted, target), per_posting_partitions(per_posting, target));
     }
 }

@@ -57,8 +57,14 @@ const VT_STR: u8 = 0x03;
 /// Terminates an attribute name inside a key.
 const END: &[u8] = &[0x00];
 
-/// The key made of `parts` end to end. Every fragment of every family is
-/// whole bytes, so a key is one buffer, sized up front.
+/// A key as the fragments it is made of, end to end. Every fragment of
+/// every family is whole bytes. Each family spells its layout once, as
+/// parts: the builders below join them into a [`Key`], the publication
+/// pipeline into a scratch buffer, where a key it has seen before costs no
+/// allocation ([`crate::publish`]).
+pub(crate) type Parts<'a, const N: usize> = [&'a [u8]; N];
+
+/// The key made of `parts`: one buffer, sized up front.
 fn key_of(parts: &[&[u8]]) -> Key {
     let mut bytes = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
     for part in parts {
@@ -74,37 +80,42 @@ fn str_bytes(s: &str) -> &[u8] {
     &s.as_bytes()[..s.len().min(MAX_STRING_KEY_BITS / 8)]
 }
 
-/// The value-type tag of `v` and its order-preserving bytes (a number's
-/// eight are written to `num`).
-fn value_parts<'a>(v: ValueRef<'a>, num: &'a mut [u8; 8]) -> ([u8; 1], &'a [u8]) {
-    match v {
-        ValueRef::Int(i) => {
-            *num = order_bits_i64(i).to_be_bytes();
-            ([VT_INT], num)
-        }
-        ValueRef::Float(f) => {
-            *num = order_bits_f64(f).to_be_bytes();
-            ([VT_FLOAT], num)
-        }
-        ValueRef::Str(s) => ([VT_STR], str_bytes(s)),
-    }
+/// What a value contributes to a key: its value-type tag, then its
+/// order-preserving bytes.
+pub(crate) struct ValueParts<'a> {
+    tag: [u8; 1],
+    num: [u8; 8],
+    text: Option<&'a [u8]>,
 }
 
-/// `head` followed by the fragment of `v`.
-fn key_with_value(head: &[u8], v: ValueRef<'_>) -> Key {
-    let mut num = [0; 8];
-    let (tag, bytes) = value_parts(v, &mut num);
-    key_of(&[head, &tag, bytes])
+impl<'a> ValueParts<'a> {
+    pub(crate) fn of(v: ValueRef<'a>) -> Self {
+        let (tag, num, text) = match v {
+            ValueRef::Int(i) => (VT_INT, order_bits_i64(i).to_be_bytes(), None),
+            ValueRef::Float(f) => (VT_FLOAT, order_bits_f64(f).to_be_bytes(), None),
+            ValueRef::Str(s) => (VT_STR, [0; 8], Some(str_bytes(s))),
+        };
+        Self { tag: [tag], num, text }
+    }
+
+    fn bytes(&self) -> &[u8] {
+        self.text.unwrap_or(&self.num)
+    }
+
+    /// `head`, then the value's two fragments.
+    fn after<'p>(&'p self, head: &'p [u8]) -> Parts<'p, 3> {
+        [head, &self.tag, self.bytes()]
+    }
 }
 
 /// Order-preserving key fragment for a value.
 pub fn value_fragment(v: &Value) -> Key {
-    key_with_value(&[], v.as_ref())
+    key_of(&ValueParts::of(v.as_ref()).after(&[]))
 }
 
 /// The `tag · A · 0x00` prefixes of the three families keyed by attribute,
 /// spelled out once per attribute and batch by the publication pipeline: a
-/// key under one of them is the prefix and a value or gram, in one buffer.
+/// key under one of them is the prefix and a value or gram.
 pub(crate) struct AttrPrefixes {
     attr_value: Vec<u8>,
     instance_gram: Vec<u8>,
@@ -121,16 +132,19 @@ impl AttrPrefixes {
         }
     }
 
-    pub(crate) fn attr_value_key(&self, v: ValueRef<'_>) -> Key {
-        key_with_value(&self.attr_value, v)
+    /// `key(A # v)`.
+    pub(crate) fn attr_value<'p>(&'p self, v: &'p ValueParts<'_>) -> Parts<'p, 3> {
+        v.after(&self.attr_value)
     }
 
-    pub(crate) fn instance_gram_key(&self, gram: &str) -> Key {
-        key_of(&[&self.instance_gram, str_bytes(gram)])
+    /// `key(A # q)`.
+    pub(crate) fn instance_gram<'p>(&'p self, gram: &'p str) -> Parts<'p, 2> {
+        [&self.instance_gram, str_bytes(gram)]
     }
 
-    pub(crate) fn short_value_key(&self, v: &str) -> Key {
-        key_of(&[&self.short_value, str_bytes(v)])
+    /// `key(A # v)` in the short-value family.
+    pub(crate) fn short_value<'p>(&'p self, v: &'p str) -> Parts<'p, 2> {
+        [&self.short_value, str_bytes(v)]
     }
 }
 
@@ -140,7 +154,11 @@ impl AttrPrefixes {
 
 /// `key(oid)`.
 pub fn oid_key(oid: &str) -> Key {
-    key_of(&[&[IndexFamily::Oid as u8], str_bytes(oid)])
+    key_of(&oid_parts(oid))
+}
+
+pub(crate) fn oid_parts(oid: &str) -> Parts<'_, 2> {
+    [&[IndexFamily::Oid as u8], str_bytes(oid)]
 }
 
 // ---------------------------------------------------------------------
@@ -149,9 +167,8 @@ pub fn oid_key(oid: &str) -> Key {
 
 /// `key(A # v)`.
 pub fn attr_value_key(attr: &str, v: &Value) -> Key {
-    let mut num = [0; 8];
-    let (tag, bytes) = value_parts(v.as_ref(), &mut num);
-    key_of(&[&[IndexFamily::AttrValue as u8], str_bytes(attr), END, &tag, bytes])
+    let v = ValueParts::of(v.as_ref());
+    key_of(&[&[IndexFamily::AttrValue as u8], str_bytes(attr), END, &v.tag, v.bytes()])
 }
 
 /// Prefix covering **all** values of attribute `A` — the scan the
@@ -183,12 +200,11 @@ pub fn attr_value_range(attr: &str, lo: &Value, hi: &Value) -> (Key, Key) {
 
 /// `key(v)` — the "any attribute = v" index.
 pub fn value_key(v: &Value) -> Key {
-    value_key_of(v.as_ref())
+    key_of(&value_parts(&ValueParts::of(v.as_ref())))
 }
 
-/// [`value_key`] of a value where it lies.
-pub(crate) fn value_key_of(v: ValueRef<'_>) -> Key {
-    key_with_value(&[IndexFamily::Value as u8], v)
+pub(crate) fn value_parts<'p>(v: &'p ValueParts<'_>) -> Parts<'p, 3> {
+    v.after(&[IndexFamily::Value as u8])
 }
 
 // ---------------------------------------------------------------------
@@ -212,7 +228,11 @@ pub fn instance_gram_prefix(attr: &str) -> Key {
 
 /// `key(q_A)` for a q-gram of the attribute name.
 pub fn schema_gram_key(gram: &str) -> Key {
-    key_of(&[&[IndexFamily::SchemaGram as u8], str_bytes(gram)])
+    key_of(&schema_gram_parts(gram))
+}
+
+pub(crate) fn schema_gram_parts(gram: &str) -> Parts<'_, 2> {
+    [&[IndexFamily::SchemaGram as u8], str_bytes(gram)]
 }
 
 // ---------------------------------------------------------------------
@@ -231,7 +251,11 @@ pub fn short_value_prefix(attr: &str) -> Key {
 
 /// `key(A)` in the short-attr family (schema level).
 pub fn short_attr_key(attr: &str) -> Key {
-    key_of(&[&[IndexFamily::ShortAttr as u8], str_bytes(attr)])
+    key_of(&short_attr_parts(attr))
+}
+
+pub(crate) fn short_attr_parts(attr: &str) -> Parts<'_, 2> {
+    [&[IndexFamily::ShortAttr as u8], str_bytes(attr)]
 }
 
 /// Prefix covering the whole short-attr family.

@@ -23,6 +23,9 @@ pub mod triple;
 
 pub use keys::IndexFamily;
 pub use posting::{BaseKind, Object, Posting, PostingKind};
-pub use publish::{postings_for_rows, postings_for_triple, PublishConfig, PublishStats};
+pub use publish::{
+    batch_for_rows, postings_for_rows, postings_for_triple, PostingBatch, PublishConfig,
+    PublishStats,
+};
 pub use slab::{AttrGuard, GramInterner, GramSpan, SlabBuilder, SlabFull, TripleRef, TripleSlab};
 pub use triple::{AttrName, Row, Triple, Value, ValueRef};

@@ -29,8 +29,8 @@
 //! holds under 4 GiB of text.
 
 use crate::triple::{AttrName, Triple, ValueRef};
+use rustc_hash::FxHashMap;
 use sqo_strsim::filters::char_len;
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -196,7 +196,7 @@ impl TripleSlab {
 /// A q-gram as postings hold it: a stretch of their slab's text arena.
 /// Made by [`TripleSlab::value_gram`] / [`TripleSlab::name_gram`]; two
 /// postings of one slab with equal spans carry the same gram.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct GramSpan {
     pub(crate) off: u32,
     pub(crate) len: u16,
@@ -216,7 +216,7 @@ impl GramSpan {
 /// needs no hashing.
 #[derive(Debug, Default)]
 pub struct GramInterner<'s> {
-    seen: HashMap<&'s str, GramSpan>,
+    seen: FxHashMap<&'s str, GramSpan>,
     last: Option<(&'s str, GramSpan)>,
 }
 
@@ -255,7 +255,7 @@ pub struct SlabBuilder {
     values: String,
     oids: String,
     names: Vec<Name>,
-    name_ids: HashMap<Arc<str>, u32>,
+    name_ids: FxHashMap<Arc<str>, u32>,
 }
 
 impl SlabBuilder {

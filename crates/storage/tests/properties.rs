@@ -7,7 +7,9 @@ use sqo_overlay::peer::Item;
 use sqo_overlay::Key;
 use sqo_storage::keys;
 use sqo_storage::posting::{BaseKind, Object, Posting, PostingKind};
-use sqo_storage::publish::{postings_for_rows, postings_for_triple, PublishConfig, PublishStats};
+use sqo_storage::publish::{
+    batch_for_rows, postings_for_rows, postings_for_triple, PublishConfig, PublishStats,
+};
 use sqo_storage::triple::{Row, Triple, Value};
 use sqo_strsim::qgram::qgram_count;
 
@@ -188,12 +190,16 @@ proptest! {
         prop_assert_eq!(sgrams, qgram_count(na, q));
     }
 
-    /// A batch is one slab laid out in (attribute, value) order, but what
-    /// comes out is what publishing its triples one at a time would give,
-    /// posting for posting: the same keys in the same order, equal postings
-    /// of equal size, the same accounting — for non-ASCII text, values
-    /// shorter than q, numbers, repeated rows, and attribute names that
-    /// share their 32-byte truncated key.
+    /// A batch is one slab laid out in (attribute, value) order and makes
+    /// each of its keys once, but flattened it is what publishing its
+    /// triples one at a time would give, posting for posting: the same keys
+    /// in the same order, equal postings of equal size, the same accounting
+    /// — for non-ASCII text, values shorter than q, numbers, rows with
+    /// several attributes (their oid key repeats), a row published twice,
+    /// and attribute names that share their 32-byte truncated key (one key,
+    /// which must not get two ids). Its keys are pairwise distinct as
+    /// bytes, ids count up in generation order, and its groups are the
+    /// flat batch stable-sorted by key.
     #[test]
     fn a_batch_equals_its_triples_published_one_by_one(
         rows in prop::collection::vec(
@@ -220,10 +226,53 @@ proptest! {
         q in 1usize..4,
         keyword_index in any::<bool>(),
         grams_carry_value in any::<bool>(),
+        first_row_twice in any::<bool>(),
     ) {
         let cfg = PublishConfig { q, keyword_index, grams_carry_value, ..PublishConfig::default() };
-        let rows: Vec<Row> = rows.into_iter().map(|(oid, fields)| Row::new(oid, fields)).collect();
-        let (batch, stats) = postings_for_rows(&rows, &cfg);
+        let mut rows: Vec<Row> =
+            rows.into_iter().map(|(oid, fields)| Row::new(oid, fields)).collect();
+        if first_row_twice {
+            rows.extend(rows.first().cloned());
+        }
+        let (grouped, stats) = batch_for_rows(&rows, &cfg);
+        let keys = grouped.keys();
+        let distinct: std::collections::HashSet<&[u8]> = keys.iter().map(Key::as_bytes).collect();
+        prop_assert_eq!(distinct.len(), keys.len(), "a key under two ids");
+        prop_assert!(keys.iter().all(|k| k.len() == k.as_bytes().len() * 8), "whole bytes");
+        // Ids are in range and handed out at first sight.
+        let mut next = 0;
+        for (id, _) in grouped.entries() {
+            prop_assert!(*id <= next && (*id as usize) < keys.len());
+            next = next.max(*id + 1);
+        }
+        prop_assert_eq!(next as usize, keys.len(), "a key without a posting");
+        let order = grouped.key_order();
+        prop_assert!(order.windows(2).all(|w| keys[w[0] as usize] < keys[w[1] as usize]));
+
+        let (batch, flat_stats) = postings_for_rows(&rows, &cfg);
+        prop_assert_eq!(flat_stats, stats);
+        let flattened = |groups: Vec<(Key, sqo_overlay::PostingList<Posting>)>| -> Vec<(Key, Posting)> {
+            groups
+                .into_iter()
+                .flat_map(|(k, list)| list.iter().cloned().map(move |p| (k.clone(), p)).collect::<Vec<_>>())
+                .collect()
+        };
+        let mut sorted = batch.clone();
+        sorted.sort_by(|a, b| a.0.cmp(&b.0));
+        prop_assert_eq!(flattened(batch_for_rows(&rows, &cfg).0.into_groups(&order)), sorted);
+        // Dropping postings drops them from their groups, and a key left
+        // without postings has no group.
+        let (mut thinned, _) = batch_for_rows(&rows, &cfg);
+        let mut nth = 0;
+        thinned.retain(|id, key, _| {
+            nth += 1;
+            *key == keys[id as usize] && nth % 3 == 0
+        });
+        let mut kept: Vec<(Key, Posting)> =
+            batch.iter().skip(2).step_by(3).cloned().collect();
+        kept.sort_by(|a, b| a.0.cmp(&b.0));
+        prop_assert_eq!(flattened(thinned.into_groups(&order)), kept);
+        prop_assert_eq!(grouped.flatten(), batch.clone());
         let single: Vec<(Key, Posting)> = rows
             .iter()
             .flat_map(Row::triples)

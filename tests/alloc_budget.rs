@@ -24,18 +24,27 @@
 //! themselves where it used to flatten them into a vector (5 679 → 5 671,
 //! most of them the rows the fetch assembles).
 //!
-//! The write path has budgets too. `postings_for_rows` on 100 rows (1 133
-//! postings) allocates per *batch and key*: one buffer per key (1 133) and
-//! 33 more for the batch's slab, the sort that lays it out, the gram
-//! spans and the output — nothing per triple, where every triple once
-//! cost three allocations and the offsets of its grams about six more
-//! (2 032 in all). One traced
-//! publish of the same rows adds the lists and one sub-batch per partition
-//! reached — not per posting. When every posting was a store insert of its
-//! own behind a network-wide key interner, and every key was the end of a
-//! chain of `Key::concat`s, that call made 9 362 allocations; it made 3 328
-//! with one hash-map group per partition, 3 182 grouped by one sort, and
-//! makes 2 316 with the batch's triples in one slab.
+//! The write path has budgets too. A batch is generated grouped: its
+//! distinct keys, each made once, and its postings with the ids of their
+//! keys. `postings_for_rows` flattens that — on 100 rows (1 133 postings
+//! under 469 keys) one buffer per key the batch made plus one clone for
+//! every posting that is not the last under its key (1 133 in all), and 52
+//! more for the batch's slab, the sort that lays it out, the gram spans,
+//! the key tables and the output — nothing per triple, where every triple
+//! once cost three allocations and the offsets of its grams about six more
+//! (2 032 in all). One traced publish of the same rows never flattens: it
+//! allocates per *distinct key* — its bytes, its list's buffer and handle —
+//! and one sub-batch per partition reached, not per posting. When every
+//! posting was a store insert of its own behind a network-wide key
+//! interner, and every key was the end of a chain of `Key::concat`s, that
+//! call made 9 362 allocations; it made 3 328 with one hash-map group per
+//! partition, 3 182 grouped by one sort, 2 316 with the batch's triples in
+//! one slab, and makes 1 673 with a key made once per batch. The
+//! duplicate-rich row shows the same on data whose postings outnumber its
+//! keys ten times over: 200 painting titles are 8 763 postings under 888
+//! keys, and publishing them — into runs the checkpoint before still
+//! holds, so each run written is copied first — takes 2 785 allocations;
+//! a key per posting alone would be 8 763.
 //!
 //! Top-N, the multi-attribute conjunction and a VQL plan run the same
 //! probe → aggregate → fetch pipeline under more machinery (expanding
@@ -56,7 +65,7 @@
 //! test both ways.
 
 use sqo::core::{AttrPredicate, EngineBuilder, Strategy};
-use sqo::datasets::{bible_words, string_rows};
+use sqo::datasets::{bible_words, painting_titles, string_rows};
 use sqo::plan::{Query, Session};
 use sqo::snap::Snapshot;
 use sqo::storage::{postings_for_rows, Value};
@@ -119,7 +128,8 @@ const TOP_N_BUDGET: u64 = 2_150;
 const MULTI_BUDGET: u64 = 175;
 const VQL_BUDGET: u64 = 225;
 const POSTINGS_BUDGET: u64 = 1_400;
-const PUBLISH_BUDGET: u64 = 2_800;
+const PUBLISH_BUDGET: u64 = 2_000;
+const TITLES_BUDGET: u64 = 3_300;
 const CHECKPOINT_BUDGET: u64 = 600;
 
 #[test]
@@ -184,6 +194,11 @@ fn similar_and_sim_join_stay_within_their_allocation_budgets() {
     let (restored, n) = allocations(|| Snapshot::capture(&engine).restore_engine(engine.config()));
     assert_eq!(restored.network().total_stored_items(), engine.network().total_stored_items());
     measured.push(("Snapshot::capture + restore_engine", n, CHECKPOINT_BUDGET));
+
+    let titles = string_rows("title", &painting_titles(200, 5), "t");
+    let (stats, n) = allocations(|| engine.publish_rows_traced(&titles, from));
+    assert_eq!(stats.matches, 8_763, "postings published, several times the distinct keys");
+    measured.push(("publish_rows_traced, 200 titles", n, TITLES_BUDGET));
 
     let table: Vec<String> = measured
         .iter()
