@@ -7,7 +7,7 @@
 
 use serde::Serialize;
 use sqo_datasets::words::bible_words;
-use sqo_storage::publish::{postings_for_rows, PublishConfig};
+use sqo_storage::publish::{batch_for_rows, PublishConfig};
 use sqo_storage::triple::{Row, Value};
 
 /// One row of the overhead table.
@@ -50,7 +50,7 @@ pub fn run_storage_overhead(
                     Row::new(format!("row:{r}"), fields)
                 })
                 .collect();
-            let (_, stats) = postings_for_rows(&rows, &cfg);
+            let (_, stats) = batch_for_rows(&rows, &cfg);
             OverheadPoint {
                 attributes: n_attrs,
                 rows: stats.rows,

@@ -87,7 +87,7 @@ impl ProbeFilter<'_> {
             {
                 return false;
             }
-            if self.attr.is_some() && !queried.admits(p.triple()) {
+            if self.attr.is_some() && !queried.admits(p) {
                 return false;
             }
             // `None`: an instance gram of a value that is no string.

@@ -33,6 +33,7 @@ use rustc_hash::FxHashMap;
 use sqo_overlay::peer::PeerId;
 use sqo_storage::posting::Object;
 use sqo_strsim::edit::BoundedLevenshtein;
+use sqo_strsim::filters::char_len;
 
 /// One per-attribute similarity predicate: `dist(attr, query) <= d`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -287,7 +288,10 @@ impl ExecStep for MultiTask {
                                     }
                                     let Some(text) = value.as_str() else { continue };
                                     e.count_comparison();
-                                    if let Some(dist) = verifiers[i].distance(text) {
+                                    // An assembled object's values are owned
+                                    // copies: the count is taken here.
+                                    let chars = char_len(text);
+                                    if let Some(dist) = verifiers[i].distance_of(text, chars) {
                                         if found.as_ref().is_none_or(|(_, best)| dist < *best) {
                                             found = Some((text.to_string(), dist));
                                         }

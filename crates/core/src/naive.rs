@@ -13,6 +13,16 @@
 //! messages but charged to [`QueryStats::edit_comparisons`](crate::stats::QueryStats::edit_comparisons), the "enormous
 //! effort incurred by comparing the strings at the peers locally" the paper
 //! remarks on. Only matching triples travel back.
+//!
+//! A peer's comparison is gated on what is stored. At instance level a
+//! posting of the `A#v` family carries its attribute's id and its value's
+//! char count inline, so the attribute guard, "is it a string" and the
+//! length window are answered by the 24-byte posting alone; the record and
+//! the text are read only for a candidate inside the window, which then
+//! runs the band DP. Every string of the queried attribute counts as one
+//! comparison, the window's rejects included. At schema level each distinct
+//! local attribute name is one comparison and is verified once, on its
+//! stored char count; the postings that share it reuse the verdict.
 
 use crate::engine::SimilarityEngine;
 use crate::similar::Candidate;
@@ -59,35 +69,47 @@ impl SimilarityEngine {
         let mut local_matches: Vec<Candidate> = Vec::new();
         let mut payload = 0usize;
         let mut comparisons = 0u64;
-        let mut seen_attr_names: Vec<&str> = Vec::new();
+        // Each distinct local attribute name with its verdict.
+        let mut seen_attr_names: Vec<(&str, bool)> = Vec::new();
         // Keys truncate, so the scanned prefix may hold another attribute's
         // postings too.
         let mut queried = AttrGuard::new(attr.unwrap_or_default());
         for p in run_items(self.net.local_prefix_run(responder, prefix)) {
-            let triple = p.triple();
             match (attr, p.kind()) {
                 (Some(a), PostingKind::Base(_) | PostingKind::ShortValue) => {
-                    if !queried.admits(triple) {
+                    // Guard, string, window: the posting alone answers.
+                    if !queried.admits(p) {
                         continue;
                     }
-                    let Some(text) = triple.value_str() else { continue };
+                    let Some(chars) = p.char_len() else { continue };
                     comparisons += 1;
-                    if verifier.distance(text).is_some() {
+                    if !verifier.admits_len(chars) {
+                        continue;
+                    }
+                    let triple = p.triple();
+                    let Some(text) = triple.value_str() else { continue };
+                    if verifier.distance_of(text, chars).is_some() {
                         payload += triple.repr_len();
-                        local_matches.push(Candidate::new(triple.oid(), a, text));
+                        local_matches.push(Candidate::new(triple.oid(), a, text, chars));
                     }
                 }
                 (None, PostingKind::Base(_) | PostingKind::ShortAttr) => {
-                    let name = triple.attr().as_str();
+                    let triple = p.triple();
+                    let (name, chars) = (triple.attr().as_str(), triple.attr_char_len());
                     // One comparison per distinct local name, the way an
                     // implementation would actually do it.
-                    if !seen_attr_names.contains(&name) {
-                        seen_attr_names.push(name);
-                        comparisons += 1;
-                    }
-                    if verifier.distance(name).is_some() {
+                    let matched = match seen_attr_names.iter().find(|(seen, _)| *seen == name) {
+                        Some(&(_, matched)) => matched,
+                        None => {
+                            comparisons += 1;
+                            let matched = verifier.distance_of(name, chars).is_some();
+                            seen_attr_names.push((name, matched));
+                            matched
+                        }
+                    };
+                    if matched {
                         payload += triple.repr_len();
-                        local_matches.push(Candidate::new(triple.oid(), name, name));
+                        local_matches.push(Candidate::new(triple.oid(), name, name, chars));
                     }
                 }
                 _ => {}
@@ -106,6 +128,7 @@ mod tests {
     use crate::engine::EngineBuilder;
     use crate::similar::Strategy;
     use sqo_storage::triple::{Row, Value};
+    use sqo_strsim::levenshtein;
 
     fn rows() -> Vec<Row> {
         ["painting", "paintxng", "sculpture", "mural", "paint"]
@@ -124,6 +147,104 @@ mod tests {
         found.sort_unstable();
         assert_eq!(found, vec!["painting", "paintxng"]);
     }
+
+    /// A world the scan's gates must all see through: numbers, values
+    /// shorter than q, non-ASCII values, values past 32 bytes, an empty
+    /// string, a non-ASCII and a short attribute name, and two attribute
+    /// names sharing their first 32 bytes (one key family, told apart by
+    /// the attribute guard only).
+    fn gated_world() -> (Vec<Row>, String) {
+        let stem = "an_attribute_name_32_bytes_long__";
+        let (left, right) = (format!("{stem}left"), format!("{stem}right"));
+        let values: [Value; 12] = [
+            "painting".into(),
+            "paintings".into(),
+            "päinting".into(),
+            "日本語の絵画".into(),
+            "pa".into(),
+            "p".into(),
+            "".into(),
+            "a painting of a harbour at dusk, in oil on canvas".into(),
+            "a painting of a harbour at dusk, in oil on canvaz".into(),
+            Value::Int(7),
+            Value::Float(2.5),
+            "paintxng".into(),
+        ];
+        let mut rows: Vec<Row> = values
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| Row::new(format!("o:{i:02}"), [(left.as_str(), v)]))
+            .collect();
+        rows.push(Row::new("o:20", [(right.as_str(), "painting")]));
+        rows.push(Row::new("o:21", [(right.as_str(), Value::Int(8))]));
+        rows.push(Row::new("o:22", [("title", "painting"), ("titel", "x")]));
+        rows.push(Row::new("o:23", [("tïtle", Value::Int(1)), ("hp", Value::Int(190))]));
+        rows.push(Row::new("o:24", [("ti", "pa"), ("title", "")]));
+        (rows, left)
+    }
+
+    /// The gated naive scan answers what a brute-force pass over the rows
+    /// answers, at instance and schema level for d = 0…3, and counts the
+    /// comparisons and charges the traffic the ungated scan did: the
+    /// numbers pinned are those the scan read before it was gated on
+    /// stored counts (`2872312`).
+    #[test]
+    fn the_gated_scan_answers_and_costs_what_the_ungated_one_did() {
+        let (rows, left) = gated_world();
+        let mut e = EngineBuilder::new().peers(16).seed(23).build_with_rows(&rows);
+        let from = e.random_peer();
+        let mut measured = Vec::new();
+        for (query, attr) in
+            [("painting", Some(left.as_str())), ("päinting", Some(&left)), ("title", None)]
+        {
+            for d in 0..=3 {
+                let res = e.similar(query, attr, d, from, Strategy::Naive);
+                let mut got: Vec<(String, String, String, usize)> = res
+                    .matches
+                    .iter()
+                    .map(|m| (m.oid.clone(), m.attr.to_string(), m.matched.clone(), m.distance))
+                    .collect();
+                got.sort();
+                let mut want: Vec<(String, String, String, usize)> = Vec::new();
+                for row in &rows {
+                    for (a, v) in &row.fields {
+                        let text = match attr {
+                            Some(queried) if a.as_str() == queried => v.as_str(),
+                            Some(_) => None,
+                            None => Some(a.as_str()),
+                        };
+                        let Some(text) = text else { continue };
+                        let dist = levenshtein(query, text);
+                        if dist <= d {
+                            want.push((row.oid.clone(), a.to_string(), text.to_string(), dist));
+                        }
+                    }
+                }
+                want.sort();
+                want.dedup();
+                assert_eq!(got, want, "{query:?} at {attr:?}, d = {d}");
+                let t = res.stats.traffic;
+                measured.push((res.stats.edit_comparisons, t.messages, t.bytes));
+            }
+        }
+        assert_eq!(measured, PINNED_COSTS, "edit comparisons, messages, bytes per case");
+    }
+
+    /// `(edit_comparisons, messages, bytes)` of each case above, in order.
+    const PINNED_COSTS: [(u64, u64, u64); 12] = [
+        (14, 5, 358),
+        (17, 5, 716),
+        (17, 5, 716),
+        (17, 5, 716),
+        (14, 5, 360),
+        (15, 5, 478),
+        (17, 5, 716),
+        (17, 5, 716),
+        (11, 5, 358),
+        (12, 5, 432),
+        (13, 5, 454),
+        (14, 6, 542),
+    ];
 
     #[test]
     fn naive_message_cost_grows_with_network() {

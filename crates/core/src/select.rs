@@ -192,10 +192,10 @@ impl SelectTask {
                     let lists = e.scan_prefix(from, &prefix);
                     let mut queried = AttrGuard::new(attr);
                     for p in lists.iter().flat_map(|l| l.iter()) {
-                        let t = p.triple();
                         if matches!(p.kind(), PostingKind::Base(_) | PostingKind::ShortValue)
-                            && queried.admits(t)
+                            && queried.admits(p)
                         {
+                            let t = p.triple();
                             matched.push((t.oid().to_string(), t.value().to_value()));
                         }
                     }
@@ -230,8 +230,9 @@ impl SelectTask {
         };
         let mut queried = AttrGuard::new(attr);
         run_items(&postings)
+            .filter(|p| queried.admits(p))
             .filter_map(Posting::as_base)
-            .filter(|t| queried.admits(*t) && in_bounds(t.value()))
+            .filter(|t| in_bounds(t.value()))
             .map(|t| (t.oid().to_string(), t.value().to_value()))
             .collect()
     }

@@ -86,18 +86,29 @@ pub struct SimilarResult {
 }
 
 /// A stage-1 candidate: a concrete string occurrence on a concrete object.
+///
+/// 72 bytes, as it was with three `String`s: the boxed text makes room for
+/// the count. At 80 bytes the benchmark's `ingest-checkpoint` peak RSS read
+/// +21 % in most runs (the allocator laid the snapshot buffers out anew;
+/// measured, not modelled), so the aggregation map's entry keeps its 56
+/// bytes the same way.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct Candidate {
     pub oid: String,
     pub attr: String,
-    pub text: String,
+    pub text: Box<str>,
+    /// `text`'s length in chars, as stored beside it: what the verifier's
+    /// length gate reads.
+    pub chars: usize,
 }
+
+const _: () = assert!(std::mem::size_of::<Candidate>() == 72);
 
 impl Candidate {
     /// The one place candidate strings are copied out of stored postings —
     /// call it for survivors, not for everything scanned.
-    pub(crate) fn new(oid: &str, attr: &str, text: &str) -> Self {
-        Self { oid: oid.to_string(), attr: attr.to_string(), text: text.to_string() }
+    pub(crate) fn new(oid: &str, attr: &str, text: &str, chars: usize) -> Self {
+        Self { oid: oid.to_string(), attr: attr.to_string(), text: text.into(), chars }
     }
 }
 
@@ -447,9 +458,11 @@ impl SimilarTask {
                         // candidates whose grams repeat ("aaaa") — an
                         // unsound prune.
                         // The map is keyed by strings borrowed from the
-                        // postings; only count-filter survivors become owned
-                        // `Candidate`s.
-                        let mut shared_grams: FxHashMap<(&str, &str, &str), usize> =
+                        // postings; its value is the shared-gram count and
+                        // the string's stored char count, as `u32`s (see
+                        // `Candidate`). Only count-filter survivors become
+                        // owned `Candidate`s.
+                        let mut shared_grams: FxHashMap<(&str, &str, &str), (u32, u32)> =
                             FxHashMap::with_capacity_and_hasher(postings.len(), Default::default());
                         for p in &postings {
                             let t = p.triple();
@@ -462,19 +475,22 @@ impl SimilarTask {
                                 }
                                 _ => continue,
                             };
-                            *shared_grams.entry(cand).or_default() += 1;
+                            let chars = p.source_len().unwrap_or_default() as u32;
+                            shared_grams.entry(cand).or_insert((0, chars)).0 += 1;
                         }
                         // Count filter — meaningful only when all grams were
                         // probed.
                         let count_filter = filters.count && strategy == Strategy::QGrams;
                         let mut candidates: Vec<Candidate> = shared_grams
                             .into_iter()
-                            .filter(|((_, _, text), shared)| {
+                            .filter(|(_, (shared, chars))| {
                                 !count_filter
                                     || *shared as i64
-                                        >= count_filter_threshold(s_len, char_len(text), q, d)
+                                        >= count_filter_threshold(s_len, *chars as usize, q, d)
                             })
-                            .map(|((oid, attr, text), _)| Candidate::new(oid, attr, text))
+                            .map(|((oid, attr, text), (_, chars))| {
+                                Candidate::new(oid, attr, text, chars as usize)
+                            })
                             .collect();
 
                         // ---- Short-string supplement ---------------------
@@ -492,11 +508,11 @@ impl SimilarTask {
                                 let t = p.triple();
                                 let (text, chars) = match (attr, p.kind()) {
                                     (Some(_), PostingKind::ShortValue) => {
-                                        if !queried.admits(t) {
+                                        if !queried.admits(p) {
                                             continue;
                                         }
                                         let Some(text) = t.value_str() else { continue };
-                                        (text, t.char_len().unwrap_or_default())
+                                        (text, p.char_len().unwrap_or_default())
                                     }
                                     (None, PostingKind::ShortAttr) => {
                                         (t.attr().as_str(), t.attr_char_len())
@@ -506,7 +522,12 @@ impl SimilarTask {
                                 if filters.length && !length_filter(chars, s_len, d) {
                                     continue;
                                 }
-                                candidates.push(Candidate::new(t.oid(), t.attr().as_str(), text));
+                                candidates.push(Candidate::new(
+                                    t.oid(),
+                                    t.attr().as_str(),
+                                    text,
+                                    chars,
+                                ));
                             }
                         }
                         candidates.sort_by(|a, b| {
@@ -526,7 +547,7 @@ impl SimilarTask {
                             let mut surviving = Vec::with_capacity(candidates.len());
                             for cand in candidates {
                                 e.count_comparison();
-                                if verifier.distance(&cand.text).is_some() {
+                                if verifier.distance_of(&cand.text, cand.chars).is_some() {
                                     surviving.push(cand);
                                 }
                             }
@@ -600,11 +621,11 @@ impl SimilarTask {
                         for cand in candidates {
                             let Some(object) = cache.get(&cand.oid) else { continue };
                             e.count_comparison();
-                            if let Some(distance) = verifier.distance(&cand.text) {
+                            if let Some(distance) = verifier.distance_of(&cand.text, cand.chars) {
                                 matches.push(SimilarMatch {
                                     oid: cand.oid,
                                     attr: AttrName::new(cand.attr),
-                                    matched: cand.text,
+                                    matched: cand.text.into(),
                                     distance,
                                     object: object.clone(),
                                 });

@@ -262,7 +262,7 @@ impl ExecStep for JoinTask {
                         .flat_map(|l| l.iter())
                         .filter(|p| {
                             matches!(p.kind(), PostingKind::Base(_) | PostingKind::ShortValue)
-                                && queried.admits(p.triple())
+                                && queried.admits(p)
                         })
                         .filter_map(|p| {
                             let oid = p.oid();

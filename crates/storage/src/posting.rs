@@ -1,18 +1,33 @@
 //! Index postings — what actually gets stored in the overlay.
 //!
 //! A posting is a fixed-width record of 24 bytes: the `Arc` of its batch's
-//! [`TripleSlab`], the index of its triple there, and — for a q-gram
-//! posting — the gram as a span of the slab's text arena plus its position.
-//! It owns nothing else, so a clone or a drop is one reference-count step,
-//! on a counter every posting of the batch shares, and a posting taken out
-//! of its list (a query reply, a cache entry, a free-standing
+//! [`TripleSlab`] (8), the index of its triple there (4), two words that
+//! depend on its kind (4 + 4), a gram length (2) and its [`PostingKind`]:
+//!
+//! | kind | first word | second word | gram length |
+//! |---|---|---|---|
+//! | `InstanceGram`, `SchemaGram` | the gram's position | the gram's arena offset | the gram's bytes |
+//! | `Base(_)`, `ShortValue`, `ShortAttr` | the value's length in chars, or none | the attribute's id | 0 |
+//!
+//! A q-gram posting's gram is a span of the slab's text arena. A posting
+//! without a gram keeps inline what a scan over it asks first — is the
+//! attribute the queried one, is the value a string inside the length
+//! window — so the naive baseline's scan rejects a candidate from the
+//! posting alone and reads the record and the text only of those in the
+//! window. Both words are copies of the record's, filled where the
+//! publication pipeline holds it ([`Posting::new`] reads it for any other
+//! caller, the snapshot decoder among them; the codec writes neither).
+//!
+//! A posting owns nothing else, so a clone or a drop is one reference-count
+//! step, on a counter every posting of the batch shares, and a posting taken
+//! out of its list (a query reply, a cache entry, a free-standing
 //! `postings_for_rows` result) still reads everything it needs through
 //! itself. Size accounting follows the paper's wire format: an
 //! instance-gram posting ships `(oid, A, q)` (Algorithm 2 reads the gram
 //! from component 3), a schema-gram posting ships `(oid, q_A, v)` (the gram
 //! in component 2, the full value retained).
 
-use crate::slab::{GramSpan, TripleRef, TripleSlab};
+use crate::slab::{GramSpan, TripleRef, TripleSlab, NO_CHARS};
 use crate::triple::{AttrName, Value};
 use sqo_overlay::peer::Item;
 use std::fmt;
@@ -48,21 +63,30 @@ pub enum PostingKind {
     ShortAttr,
 }
 
-/// One stored index entry.
+impl PostingKind {
+    /// Whether a posting of this kind carries a q-gram.
+    fn has_gram(self) -> bool {
+        matches!(self, PostingKind::InstanceGram { .. } | PostingKind::SchemaGram)
+    }
+}
+
+/// One stored index entry. See the [module docs](self) for the layout.
 #[derive(Clone)]
 pub struct Posting {
     pub(crate) slab: Arc<TripleSlab>,
     pub(crate) index: u32,
-    /// Character offset of the gram in its source; 0 without a gram.
-    pub(crate) pos: u32,
-    /// The gram's [`GramSpan`], for the two gram kinds; empty otherwise.
-    /// Spelled out so the posting packs into 24 bytes.
-    pub(crate) gram_off: u32,
-    pub(crate) gram_len: u16,
-    pub(crate) kind: PostingKind,
+    /// With a gram: the gram's character offset in its source. Without:
+    /// the value's length in characters, [`NO_CHARS`] for a number.
+    pos_or_chars: u32,
+    /// With a gram: where it starts in the arena. Without: the attribute's
+    /// id in the slab's name table.
+    gram_off_or_attr: u32,
+    /// With a gram: its length in bytes. Without: 0.
+    gram_len: u16,
+    kind: PostingKind,
 }
 
-const _: () = assert!(std::mem::size_of::<Posting>() <= 24);
+const _: () = assert!(std::mem::size_of::<Posting>() == 24);
 
 impl Posting {
     /// A posting of `kind` for triple `index` of `slab`; the two gram
@@ -75,31 +99,70 @@ impl Posting {
         index: u32,
         gram: Option<(GramSpan, u32)>,
     ) -> Option<Posting> {
-        slab.get(index)?;
-        let is_gram = matches!(kind, PostingKind::InstanceGram { .. } | PostingKind::SchemaGram);
-        if is_gram != gram.is_some() {
-            return None;
+        let t = slab.get(index)?;
+        match gram {
+            Some((gram, pos)) if kind.has_gram() => {
+                slab.gram_text(gram)?;
+                Some(Posting::with_gram(kind, slab, index, gram, pos))
+            }
+            None if !kind.has_gram() => {
+                Some(Posting::without_gram(kind, slab, index, t.char_len(), t.attr_id()))
+            }
+            _ => None,
         }
-        let (gram, pos) = gram.unwrap_or_default();
-        slab.gram_text(gram)?;
-        Some(Posting::at(kind, slab, index, gram, pos))
     }
 
-    /// [`Posting::new`] for a caller that read `index` and `gram` off
-    /// `slab` itself.
-    pub(crate) fn at(
+    /// [`Posting::new`] for a gram kind, for a caller that read `index`
+    /// and `gram` off `slab` itself.
+    pub(crate) fn with_gram(
         kind: PostingKind,
         slab: &Arc<TripleSlab>,
         index: u32,
         gram: GramSpan,
         pos: u32,
     ) -> Posting {
+        debug_assert!(kind.has_gram());
         debug_assert!(slab.get(index).is_some() && slab.gram_text(gram).is_some());
-        Posting { slab: Arc::clone(slab), index, pos, gram_off: gram.off, gram_len: gram.len, kind }
+        Posting {
+            slab: Arc::clone(slab),
+            index,
+            pos_or_chars: pos,
+            gram_off_or_attr: gram.off,
+            gram_len: gram.len,
+            kind,
+        }
+    }
+
+    /// [`Posting::new`] for a kind without a gram, for a caller that read
+    /// the triple's char count and attribute id off its record itself.
+    pub(crate) fn without_gram(
+        kind: PostingKind,
+        slab: &Arc<TripleSlab>,
+        index: u32,
+        chars: Option<usize>,
+        attr: u32,
+    ) -> Posting {
+        debug_assert!(!kind.has_gram());
+        debug_assert!(slab
+            .get(index)
+            .is_some_and(|t| (t.char_len(), t.attr_id()) == (chars, attr)));
+        Posting {
+            slab: Arc::clone(slab),
+            index,
+            // The record's count, which is below `NO_CHARS`.
+            pos_or_chars: chars.map_or(NO_CHARS, |c| c as u32),
+            gram_off_or_attr: attr,
+            gram_len: 0,
+            kind,
+        }
     }
 
     fn gram_span(&self) -> GramSpan {
-        GramSpan { off: self.gram_off, len: self.gram_len }
+        if self.kind.has_gram() {
+            GramSpan { off: self.gram_off_or_attr, len: self.gram_len }
+        } else {
+            GramSpan::default()
+        }
     }
 
     pub fn kind(&self) -> PostingKind {
@@ -127,9 +190,37 @@ impl Posting {
         self.slab.gram_text(self.gram_span()).expect("checked when the posting was made")
     }
 
-    /// Character offset of the gram in the string it was cut from.
+    /// Character offset of the gram in the string it was cut from; 0
+    /// without a gram.
     pub fn pos(&self) -> u32 {
-        self.pos
+        if self.kind.has_gram() {
+            self.pos_or_chars
+        } else {
+            0
+        }
+    }
+
+    /// Length in characters of the triple's value; `None` for a number. A
+    /// posting without a gram answers from itself, a gram posting from
+    /// its record — no text is read either way.
+    #[inline]
+    pub fn char_len(&self) -> Option<usize> {
+        if self.kind.has_gram() {
+            self.triple().char_len()
+        } else {
+            (self.pos_or_chars != NO_CHARS).then_some(self.pos_or_chars as usize)
+        }
+    }
+
+    /// The id of the triple's attribute in its slab's name table: inline
+    /// in a posting without a gram, its record's for a gram posting.
+    #[inline]
+    pub fn attr_id(&self) -> u32 {
+        if self.kind.has_gram() {
+            self.triple().attr_id()
+        } else {
+            self.gram_off_or_attr
+        }
     }
 
     /// Whether `other` carries the same gram. Postings of one slab settle
@@ -184,7 +275,7 @@ impl Item for Posting {
 impl PartialEq for Posting {
     fn eq(&self, other: &Self) -> bool {
         self.kind == other.kind
-            && self.pos == other.pos
+            && self.pos() == other.pos()
             && self.same_gram(other)
             && self.triple() == other.triple()
     }
@@ -195,7 +286,7 @@ impl fmt::Debug for Posting {
         let mut s = f.debug_struct("Posting");
         s.field("kind", &self.kind).field("triple", &self.triple());
         if !self.gram().is_empty() {
-            s.field("gram", &self.gram()).field("pos", &self.pos);
+            s.field("gram", &self.gram()).field("pos", &self.pos());
         }
         s.finish()
     }
@@ -282,6 +373,26 @@ mod tests {
         let sg = Posting::new(PostingKind::SchemaGram, &tr, 0, at).unwrap();
         assert_eq!(sg.source_len(), Some(4));
         assert_eq!(base(&tr, 0).source_len(), None);
+    }
+
+    #[test]
+    fn a_posting_without_a_gram_answers_count_and_attribute_from_itself() {
+        let slab = TripleSlab::of(&[
+            Triple::new("o", "name", "日本語x"),
+            Triple::new("o", "hp", 190),
+            Triple::new("p", "name", ""),
+        ]);
+        let kinds = [PostingKind::Base(BaseKind::Value), PostingKind::ShortValue];
+        for (index, chars, attr) in [(0, Some(4), 0), (1, None, 1), (2, Some(0), 0)] {
+            for kind in kinds {
+                let p = Posting::new(kind, &slab, index, None).unwrap();
+                assert_eq!((p.char_len(), p.attr_id(), p.pos(), p.gram()), (chars, attr, 0, ""));
+            }
+        }
+        let at = Some((slab.value_gram(0, 1, "本語").unwrap(), 1));
+        let gram =
+            Posting::new(PostingKind::InstanceGram { carries_value: false }, &slab, 0, at).unwrap();
+        assert_eq!((gram.char_len(), gram.attr_id(), gram.pos()), (Some(4), 0, 1));
     }
 
     #[test]

@@ -290,21 +290,22 @@ fn push_postings<'s>(
 ) {
     let tr = slab.triple(index);
     let value = tr.value();
-    let mut push = |key: u32, kind: PostingKind, gram: GramSpan, pos: u32| {
-        out.push((key, Posting::at(kind, slab, index, gram, pos)));
-    };
-    let none = GramSpan::default();
+    let mut push = |key: u32, posting: Posting| out.push((key, posting));
+    // What a posting without a gram keeps inline, read off the record here,
+    // once per triple.
+    let (chars, attr) = (tr.char_len(), tr.attr_id());
+    let plain = |kind| Posting::without_gram(kind, slab, index, chars, attr);
     // The span of the gram at `bytes` of a string that starts at `base`.
     let mut span_of = |gram: &'s str, base: u32, bytes: std::ops::Range<usize>| {
         grams.share(gram, || GramSpan::at(base, bytes)).expect("a q-gram stays under 64 KiB")
     };
 
     // The three base insertions of §3.
-    push(ids.id(&keys::oid_parts(tr.oid())), PostingKind::Base(BaseKind::Oid), none, 0);
+    push(ids.id(&keys::oid_parts(tr.oid())), plain(PostingKind::Base(BaseKind::Oid)));
     let v = ValueParts::of(value);
-    push(ids.id(&under.attr_value(&v)), PostingKind::Base(BaseKind::AttrValue), none, 0);
+    push(ids.id(&under.attr_value(&v)), plain(PostingKind::Base(BaseKind::AttrValue)));
     if cfg.keyword_index {
-        push(ids.id(&keys::value_parts(&v)), PostingKind::Base(BaseKind::Value), none, 0);
+        push(ids.id(&keys::value_parts(&v)), plain(PostingKind::Base(BaseKind::Value)));
     }
 
     // Instance-level grams for string values (§4).
@@ -314,14 +315,14 @@ fn push_postings<'s>(
             if spans.peek().is_none() {
                 // |v| < q: the gram index cannot see it; the short-value
                 // family keeps similarity search complete.
-                push(ids.id(&under.short_value(s)), PostingKind::ShortValue, none, 0);
+                push(ids.id(&under.short_value(s)), plain(PostingKind::ShortValue));
             }
             let kind = PostingKind::InstanceGram { carries_value: cfg.grams_carry_value };
             for (bytes, pos) in spans {
                 let gram = &s[bytes.clone()];
                 let span = span_of(gram, tr.value_offset(), bytes);
-                let key = ids.gram_id(Some(tr.attr_id()), span, &under.instance_gram(gram));
-                push(key, kind, span, pos);
+                let key = ids.gram_id(Some(attr), span, &under.instance_gram(gram));
+                push(key, Posting::with_gram(kind, slab, index, span, pos));
             }
         }
     }
@@ -331,13 +332,13 @@ fn push_postings<'s>(
         let name = tr.attr().as_str();
         let mut spans = qgram_spans(name, cfg.q).peekable();
         if spans.peek().is_none() {
-            push(ids.id(&keys::short_attr_parts(name)), PostingKind::ShortAttr, none, 0);
+            push(ids.id(&keys::short_attr_parts(name)), plain(PostingKind::ShortAttr));
         }
         for (bytes, pos) in spans {
             let gram = &name[bytes.clone()];
             let span = span_of(gram, tr.attr_offset(), bytes);
             let key = ids.gram_id(None, span, &keys::schema_gram_parts(gram));
-            push(key, PostingKind::SchemaGram, span, pos);
+            push(key, Posting::with_gram(PostingKind::SchemaGram, slab, index, span, pos));
         }
     }
 }
@@ -432,7 +433,12 @@ pub fn batch_for_rows(rows: &[Row], cfg: &PublishConfig) -> (PostingBatch, Publi
 }
 
 /// Postings for a batch of rows as (key, posting) pairs in generation
-/// order, with accounting: [`batch_for_rows`], flattened.
+/// order, with accounting: [`batch_for_rows`], flattened — a cloned key per
+/// posting. A caller that wants the accounting, or groups, takes
+/// [`batch_for_rows`]; the flat pairs serve tests and the `benchmark/`
+/// package (its `storage.postings_s` span, its ingest and churn set-up),
+/// the one non-test caller left, which a change that claims a speed-up
+/// may not edit.
 pub fn postings_for_rows(rows: &[Row], cfg: &PublishConfig) -> (Vec<(Key, Posting)>, PublishStats) {
     let (batch, stats) = batch_for_rows(rows, cfg);
     (batch.flatten(), stats)

@@ -28,6 +28,7 @@
 //! Offsets are `u32` behind checked conversions ([`SlabFull`]): a slab
 //! holds under 4 GiB of text.
 
+use crate::posting::Posting;
 use crate::triple::{AttrName, Triple, ValueRef};
 use rustc_hash::FxHashMap;
 use sqo_strsim::filters::char_len;
@@ -82,6 +83,10 @@ struct Record {
 }
 
 const _: () = assert!(std::mem::size_of::<Record>() == 32);
+
+/// A char count no stored string has: a posting's "no string value". The
+/// builder refuses a value that long ([`SlabFull`]).
+pub(crate) const NO_CHARS: u32 = u32::MAX;
 
 impl Record {
     /// Where a string value lies in the arena.
@@ -281,7 +286,11 @@ impl SlabBuilder {
             ValueRef::Str(s) => {
                 let span = [word(self.values.len())?, word(s.len())?];
                 self.values.push_str(s);
-                (Tag::Str, span, char_len(s) as u32)
+                let chars = word(char_len(s))?;
+                if chars == NO_CHARS {
+                    return Err(SlabFull);
+                }
+                (Tag::Str, span, chars)
             }
             ValueRef::Int(i) => (Tag::Int, bits(i as u64), 0),
             ValueRef::Float(f) => (Tag::Float, bits(f.to_bits()), 0),
@@ -401,7 +410,7 @@ impl<'a> TripleRef<'a> {
     }
 
     /// The attribute's id in the slab's name table.
-    pub(crate) fn attr_id(self) -> u32 {
+    pub fn attr_id(self) -> u32 {
         self.rec.attr
     }
 
@@ -443,10 +452,11 @@ impl fmt::Debug for TripleRef<'_> {
     }
 }
 
-/// Algorithm 2's "a == ξ(t′, 2)" guard over a scan: is the triple's
-/// attribute the queried one? Within a slab that is an id comparison; the
-/// name is looked up when the scan crosses into another slab, not once per
-/// candidate.
+/// Algorithm 2's "a == ξ(t′, 2)" guard over a scan: is the posting's
+/// attribute the queried one? Within a slab that is an id comparison — of
+/// the id a posting without a gram carries inline, so the guard reads the
+/// posting and nothing else, or of its record's — and the name is looked up
+/// when the scan crosses into another slab, not once per candidate.
 #[derive(Debug)]
 pub struct AttrGuard<'n, 'p> {
     name: &'n str,
@@ -459,13 +469,14 @@ impl<'n, 'p> AttrGuard<'n, 'p> {
         Self { name, slab: None, id: None }
     }
 
-    pub fn admits(&mut self, t: TripleRef<'p>) -> bool {
-        if !self.slab.is_some_and(|s| std::ptr::eq(s, t.slab)) {
-            self.slab = Some(t.slab);
+    pub fn admits(&mut self, p: &'p Posting) -> bool {
+        let slab: &'p TripleSlab = &p.slab;
+        if !self.slab.is_some_and(|s| std::ptr::eq(s, slab)) {
+            self.slab = Some(slab);
             self.id =
-                t.slab.names.iter().position(|n| n.name.as_str() == self.name).map(|i| i as u32);
+                slab.names.iter().position(|n| n.name.as_str() == self.name).map(|i| i as u32);
         }
-        self.id == Some(t.rec.attr)
+        self.id == Some(p.attr_id())
     }
 }
 
@@ -544,16 +555,23 @@ mod tests {
 
     #[test]
     fn the_guard_compares_ids_and_follows_the_scan_across_slabs() {
+        use crate::posting::{BaseKind, PostingKind};
         let (a, b) = (slab(), TripleSlab::of(&[Triple::new("x", "hp", 1)]));
-        fn all(slab: &TripleSlab) -> impl Iterator<Item = TripleRef<'_>> {
-            (0..slab.len() as u32).map(|i| slab.triple(i))
-        }
+        let base = |slab: &Arc<TripleSlab>| -> Vec<Posting> {
+            let kind = PostingKind::Base(BaseKind::AttrValue);
+            (0..slab.len() as u32).map(|i| Posting::new(kind, slab, i, None).unwrap()).collect()
+        };
+        let (pa, pb) = (base(&a), base(&b));
         let mut guard = AttrGuard::new("hp");
-        let scan = all(&a).chain(all(&b)).chain(all(&a).take(2));
-        let admitted: Vec<bool> = scan.map(|t| guard.admits(t)).collect();
+        let scan = pa.iter().chain(&pb).chain(pa.iter().take(2));
+        let admitted: Vec<bool> = scan.map(|p| guard.admits(p)).collect();
         assert_eq!(admitted, [false, true, false, false, true, false, true]);
         let mut absent = AttrGuard::new("nam");
-        assert!(all(&a).all(|t| !absent.admits(t)), "a name, not a prefix of one");
+        assert!(pa.iter().all(|p| !absent.admits(p)), "a name, not a prefix of one");
+        // A gram posting carries no id inline: the guard reads its record.
+        let at = Some((a.name_gram(1, 0, "hp").unwrap(), 0));
+        let gram = Posting::new(PostingKind::SchemaGram, &a, 1, at).unwrap();
+        assert!(guard.admits(&gram) && !absent.admits(&gram));
     }
 
     #[test]

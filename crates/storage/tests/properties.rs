@@ -13,6 +13,75 @@ use sqo_storage::publish::{
 use sqo_storage::triple::{Row, Triple, Value};
 use sqo_strsim::qgram::qgram_count;
 
+/// Rows `from..from + n` of a world that holds every posting kind: ASCII,
+/// non-ASCII, empty and shorter-than-q values, numbers, attribute names
+/// shorter than q, non-ASCII, and two sharing their first 32 bytes.
+fn layout_rows(from: usize, n: usize) -> Vec<Row> {
+    let stem = "an_attribute_name_32_bytes_long__";
+    (from..from + n)
+        .map(|i| {
+            let text = match i % 5 {
+                0 => format!("painting no. {i}"),
+                1 => format!("päinting {i} 日本"),
+                2 => String::new(),
+                3 => "pa".to_string(),
+                _ => format!("{i}"),
+            };
+            Row::new(
+                format!("o:{i}"),
+                [
+                    ("title".to_string(), Value::from(text)),
+                    (format!("{stem}{}", ["left", "right"][i % 2]), Value::from(format!("v{i}"))),
+                    ("hp".to_string(), Value::Int(i as i64)),
+                    ("tïtel".to_string(), Value::Float(i as f64 / 2.0)),
+                ],
+            )
+        })
+        .collect()
+}
+
+/// A posting without a gram keeps its value's char count and its
+/// attribute's id inline. Every posting of three worlds — one built, one
+/// grown by traced publishes after its build, and the grown one's decoded
+/// twin — reads back the count and id of its record, and `pos()` is 0 for
+/// every kind without a gram.
+#[test]
+fn inline_counts_and_ids_agree_with_the_record_in_every_world() {
+    use sqo_core::EngineBuilder;
+    use sqo_snap::Snapshot;
+    let builder = || EngineBuilder::new().peers(32).replication(2).q(3).seed(5);
+    let built = builder().build_with_rows(&layout_rows(0, 120));
+    let mut grown = builder().build_with_rows(&layout_rows(0, 60));
+    for rows in [layout_rows(60, 40), layout_rows(100, 20)] {
+        let from = grown.random_peer();
+        grown.publish_rows_traced(&rows, from);
+    }
+    let bytes = Snapshot::capture(&grown).to_bytes();
+    let decoded =
+        Snapshot::from_bytes(&bytes).expect("the artifact decodes").restore_engine(grown.config());
+
+    for (what, engine) in [("built", &built), ("grown", &grown), ("decoded", &decoded)] {
+        let state = engine.network().export_state();
+        let tables = state.store_tables();
+        let (mut numbers, mut kinds) = (0, std::collections::HashSet::new());
+        for p in tables.lists.iter().flat_map(|list| list.iter()) {
+            let t = p.triple();
+            assert_eq!(p.char_len(), t.char_len(), "{what}: {p:?}");
+            assert_eq!(p.attr_id(), t.attr_id(), "{what}: {p:?}");
+            match p.kind() {
+                PostingKind::InstanceGram { .. } | PostingKind::SchemaGram => {}
+                kind => {
+                    assert_eq!(p.pos(), 0, "{what}: {p:?}");
+                    numbers += usize::from(p.char_len().is_none());
+                    kinds.insert(format!("{kind:?}"));
+                }
+            }
+        }
+        assert_eq!(kinds.len(), 5, "{what}: three base kinds, short value, short attr");
+        assert!(numbers > 0, "{what}: numbers carry no count");
+    }
+}
+
 fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
         "[a-z ]{0,12}".prop_map(Value::from),

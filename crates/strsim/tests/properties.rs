@@ -84,6 +84,35 @@ proptest! {
         }
     }
 
+    /// The verifier on a stored char count is the verifier on the bare
+    /// string is the reference clipped at `d` — ASCII, non-ASCII, mixed
+    /// and empty strings, `d` from 0 to 5 and unbounded — and the count
+    /// gate admits exactly the length window.
+    #[test]
+    fn a_stored_char_count_changes_no_answer(
+        query in prop_oneof!["[a-c]{0,12}", "[äb日]{0,12}", "[ab é]{0,12}", Just(String::new())],
+        random in prop::collection::vec(
+            prop_oneof!["[a-c]{0,14}", "[äb日]{0,14}", "[ab é]{0,14}", Just(String::new())],
+            1..8,
+        ),
+        d in prop_oneof![0usize..6, Just(usize::MAX)],
+    ) {
+        let mut candidates = random;
+        candidates.push(query.clone());
+        candidates.push(format!("{query}日"));
+        let mut verifier = BoundedLevenshtein::new(query.as_str(), d);
+        let len = query.chars().count();
+        for c in &candidates {
+            let chars = c.chars().count();
+            let exact = (levenshtein(&query, c) <= d).then(|| levenshtein(&query, c));
+            prop_assert_eq!(verifier.distance_of(c, chars), exact, "query={:?} c={:?} d={}", query, c, d);
+            prop_assert_eq!(verifier.distance(c), exact, "query={:?} c={:?} d={}", query, c, d);
+        }
+        for n in 0..len + 8 {
+            prop_assert_eq!(verifier.admits_len(n), len.abs_diff(n) <= d, "len={} n={} d={}", len, n, d);
+        }
+    }
+
     /// Length difference lower-bounds the edit distance, so the length filter
     /// is sound.
     #[test]
