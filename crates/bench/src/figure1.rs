@@ -270,12 +270,18 @@ mod tests {
         // The core claim of Figure 1: the naive method's per-query messages
         // grow ~linearly with the network while the gram methods grow
         // sub-linearly, so the growth *ratio* between small and large
-        // networks must be clearly higher for naive.
+        // networks must be clearly higher for naive. Naive contacts the
+        // partitions that hold strings, not the peers, so the world must be
+        // large enough for those to keep multiplying up to 1 024 peers:
+        // naive grows 33× here against 28× on 3 000 words. Eight
+        // initiations per query kind, since a handful of queries is a small
+        // sample: on this world the ratio read 1.41× with two (four
+        // queries), 1.73× with four, and 1.9× to 2.2× with six to sixteen.
         let cfg = Figure1Config {
             datasets: vec![Dataset::Words],
-            words_size: 3_000,
+            words_size: 10_000,
             peer_counts: vec![64, 1024],
-            spec: WorkloadSpec::smoke(),
+            spec: WorkloadSpec { initiations: 8, ..WorkloadSpec::smoke() },
             ..Figure1Config::default()
         };
         let points = run_figure1(&cfg, |_| {});

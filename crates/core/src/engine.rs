@@ -445,13 +445,14 @@ impl SimilarityEngine {
     ///    length, already paid for.
     /// 3. [`CardSource::TrieDepth`] — the structural fallback: a partition
     ///    at trie depth `d` covers a `2^-d` share of the key space, so its
-    ///    expected load is `total / (replication · 2^d)`, summed over the
-    ///    subtree.
+    ///    expected load is `total / 2^d`, summed over the subtree — `total`
+    ///    counting each partition's run once, however many members hold
+    ///    it. A gap holds nothing and adds nothing.
     pub fn estimate_key_cardinality(&self, from: PeerId, key: &Key) -> CardEstimate {
         let (ps, pe) = self.net.subtree_of(key);
+        let peered = self.net.topology().peered_in(ps, pe).iter().map(|p| *p as usize);
         let own = self.net.peer_partition(from);
-        let total =
-            self.net.total_stored_items() as u64 / self.cfg.network.replication.max(1) as u64;
+        let total = self.net.stored_items() as u64;
         let structural = |p: usize| total >> (self.net.partition_depth(p).min(63) as u32);
         if (ps..pe).contains(&own) {
             // Free local introspection: the peer's own run, no message.
@@ -460,7 +461,7 @@ impl SimilarityEngine {
             // Sibling partitions of the subtree are invisible locally:
             // estimate them structurally instead of extrapolating the
             // initiator's slice across data it cannot see.
-            let siblings = (ps..pe)
+            let siblings = peered
                 .filter(|p| *p != own)
                 .map(|p| CardEstimate { rows: structural(p), source: CardSource::TrieDepth })
                 .fold(
@@ -478,7 +479,7 @@ impl SimilarityEngine {
                 return CardEstimate { rows: n as u64, source: CardSource::CachedList };
             }
         }
-        let rows = (ps..pe).map(structural).sum();
+        let rows = peered.map(structural).sum();
         CardEstimate { rows, source: CardSource::TrieDepth }
     }
 
@@ -1385,7 +1386,9 @@ mod tests {
     /// that. Postings and `Metrics` for delegation on/off × broker on/off
     /// are pinned to the values the cloning pipeline produced (parent of
     /// the borrow-filter-copy change), two probe rounds each so the second
-    /// exercises cache hits and channel rides.
+    /// exercises cache hits and channel rides. The route hops were pinned
+    /// again when peers went where the data is: the routes got shorter
+    /// (24 → 15, 12 → 7, 31 → 20), every reply and scan stayed as it was.
     #[test]
     fn probe_postings_and_traffic_match_the_pinned_cloning_pipeline() {
         let rows: Vec<Row> = (0..600u32)
@@ -1461,10 +1464,10 @@ mod tests {
             };
         let pinned_postings = (276usize, 5_956_332_389_502_805_529u64);
         for (delegation, broker, pinned) in [
-            (true, false, m(32, 16_700, 24, 8, 15_164, 10)),
-            (true, true, m(16, 16_998, 12, 4, 16_230, 5)),
-            (false, false, m(41, 34_428, 31, 10, 32_460, 10)),
-            (false, true, m(41, 34_428, 31, 10, 32_460, 10)),
+            (true, false, m(23, 16_268, 15, 8, 15_164, 10)),
+            (true, true, m(11, 16_758, 7, 4, 16_230, 5)),
+            (false, false, m(30, 33_900, 20, 10, 32_460, 10)),
+            (false, true, m(30, 33_900, 20, 10, 32_460, 10)),
         ] {
             let (postings, traffic) = run(delegation, broker, 2);
             assert_eq!(postings, pinned_postings, "delegation {delegation}, broker {broker}");
@@ -1658,6 +1661,47 @@ mod tests {
             assert_eq!(grouped.publish_stats(), flat.publish_stats());
             assert_eq!(grouped.net.unstored_items(), flat.net.unstored_items());
         }
+    }
+
+    /// The structural estimate reads what the network holds, not how many
+    /// peers hold it: on one cover, four times the peers — surplus replicas
+    /// dealt by load, never `replication` per partition — estimate a remote
+    /// key exactly as before, and a key in a gap as nothing.
+    #[test]
+    fn the_trie_depth_estimate_does_not_scale_with_the_members() {
+        let rows: Vec<Row> = (0..500)
+            .map(|i| Row::new(format!("r:{i}"), [("word", Value::from(format!("w{i:03}rd")))]))
+            .collect();
+        let small = EngineBuilder::new().peers(32).seed(5).build_with_rows(&rows);
+        let mut big = EngineBuilder::new().peers(128).seed(5).build_with_rows(&rows);
+        let postings = sqo_storage::postings_for_rows(&rows, &big.cfg.publish).0;
+        big.net = Network::build_with_paths(
+            big.cfg.network.clone(),
+            small.net.paths().to_vec(),
+            postings,
+        );
+        assert!(big.net.total_stored_items() >= 3 * small.net.total_stored_items());
+        let parts = small.net.partition_count();
+        let held = |part: usize| !small.net.partition_store(part).is_empty();
+        // The shallowest partition with data: the one with most to estimate.
+        let data = (0..parts).filter(|p| held(*p)).min_by_key(|p| small.net.partition_depth(*p));
+        let gap = (0..parts).find(|p| !held(*p));
+        let (Some(data), Some(gap)) = (data, gap) else {
+            panic!("the cover has partitions with and without data");
+        };
+        let estimate = |e: &SimilarityEngine, part: usize| {
+            let key = e.net.paths()[part].child(false);
+            let from = (0..e.net.peer_count() as u32)
+                .map(PeerId)
+                .find(|p| e.net.peer_partition(*p) != part)
+                .expect("a peer elsewhere");
+            e.estimate_key_cardinality(from, &key)
+        };
+        let (was, now) = (estimate(&small, data), estimate(&big, data));
+        assert_eq!((was.source, now.source), (CardSource::TrieDepth, CardSource::TrieDepth));
+        assert!(was.rows > 0);
+        assert_eq!(now.rows, was.rows, "four times the replicas, the same data");
+        assert_eq!(estimate(&big, gap).rows, 0, "a gap holds nothing");
     }
 
     #[test]

@@ -353,12 +353,12 @@ impl SimilarTask {
                     }
                     if self.past_deadline(at) {
                         // Forfeit every partition the remaining prefixes
-                        // would have showered.
+                        // would have showered; gaps are not showered.
                         let skipped: usize = prefixes[idx..]
                             .iter()
                             .map(|p| {
                                 let (ps, pe) = engine.net.subtree_of(p);
-                                pe - ps
+                                engine.net.topology().peered_in(ps, pe).len()
                             })
                             .sum();
                         if skipped > 0 {
@@ -369,7 +369,8 @@ impl SimilarTask {
                     }
                     let prefix = prefixes[idx].clone();
                     let (ps, pe) = engine.net.subtree_of(&prefix);
-                    if ps == pe {
+                    if engine.net.topology().peered_in(ps, pe).is_empty() {
+                        // Nobody holds a part of these strings.
                         self.state = SimState::NaiveRoute { prefixes, idx: idx + 1, at_us: at };
                         continue;
                     }
@@ -391,7 +392,15 @@ impl SimilarTask {
                                 prefix,
                                 entry,
                                 entry_part,
-                                fan: FanOut::new(ps..pe, end),
+                                fan: FanOut::new(
+                                    engine
+                                        .net
+                                        .topology()
+                                        .peered_in(ps, pe)
+                                        .iter()
+                                        .map(|p| *p as usize),
+                                    end,
+                                ),
                             };
                         }
                         None => {

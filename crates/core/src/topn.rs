@@ -91,11 +91,18 @@ impl SimilarityEngine {
         let snap = self.begin_query();
         let prefix = keys::attr_scan_prefix(attr);
         let (ps, pe) = self.net.subtree_of(&prefix);
+        // The partitions of the attribute's interval that hold data; the
+        // gaps between them hold none and are not probed.
+        let peered: Vec<usize> =
+            self.net.topology().peered_in(ps, pe).iter().map(|p| *p as usize).collect();
+        let (Some(&first), Some(&last)) = (peered.first(), peered.last()) else {
+            return TopNResult { items: Vec::new(), stats: self.finish_query(&snap) };
+        };
 
         // --- Lines 1–3: local density estimation at the entry peer -------
         let entry_path = match rank {
-            Rank::Max => self.net.paths()[pe.saturating_sub(1).max(ps)].clone(),
-            Rank::Min => self.net.paths()[ps].clone(),
+            Rank::Max => self.net.paths()[last].clone(),
+            Rank::Min => self.net.paths()[first].clone(),
             Rank::Nn(ref v) => keys::attr_value_key(attr, v),
         };
         let entry = match self.net.route(from, &entry_path) {
@@ -114,7 +121,8 @@ impl SimilarityEngine {
         let entry_part = self.net.peer_partition(entry);
         let mut domain: Option<NumDomain> = None;
         let mut local: Vec<f64> = Vec::new();
-        for part in probe_order(&rank, ps, pe, entry_part) {
+        let entry_at = peered.partition_point(|p| *p < entry_part);
+        for part in probe_order(&rank, peered.len(), entry_at).into_iter().map(|i| peered[i]) {
             let responder = if part == entry_part {
                 entry
             } else {
@@ -403,21 +411,22 @@ impl ExecStep for TopNTask {
     }
 }
 
-/// Partition probe order for density sampling: MAX wants the topmost
+/// Partition probe order for density sampling, as positions among the `n`
+/// peered partitions of the attribute's interval: MAX wants the topmost
 /// populated partition (its local max *is* the global max), MIN the
-/// bottommost, NN spirals outward from the target's partition.
-fn probe_order(rank: &Rank, ps: usize, pe: usize, entry: usize) -> Vec<usize> {
+/// bottommost, NN spirals outward from the entry's position.
+fn probe_order(rank: &Rank, n: usize, entry: usize) -> Vec<usize> {
     match rank {
-        Rank::Max => (ps..pe).rev().collect(),
-        Rank::Min => (ps..pe).collect(),
+        Rank::Max => (0..n).rev().collect(),
+        Rank::Min => (0..n).collect(),
         Rank::Nn(_) => {
-            let entry = entry.clamp(ps, pe.saturating_sub(1).max(ps));
+            let entry = entry.min(n.saturating_sub(1));
             let mut order = vec![entry];
-            for step in 1..(pe - ps).max(1) {
-                if entry >= step && entry - step >= ps {
+            for step in 1..n.max(1) {
+                if entry >= step {
                     order.push(entry - step);
                 }
-                if entry + step < pe {
+                if entry + step < n {
                     order.push(entry + step);
                 }
             }

@@ -233,7 +233,14 @@ fn select_exact_and_keyword_use_the_cache() {
         .seed(29)
         .cache_config(BrokerConfig::cache_only())
         .build_with_rows(&rows);
-    let from = sqo_overlay::PeerId(1);
+    // An initiator that does not hold the index entry itself: the data
+    // sits on few partitions, and peers gather where it is.
+    let index =
+        e.network().partition_of(&sqo_storage::keys::attr_value_key("hp", &Value::Int(117)));
+    let from = (0..e.network().peer_count() as u32)
+        .map(sqo_overlay::PeerId)
+        .find(|p| e.network().peer_partition(*p) != index)
+        .expect("a peer elsewhere");
     let cold = e.select_exact("hp", &Value::Int(117), from);
     assert_eq!(cold.stats.cache_misses, 1);
     let warm = e.select_exact("hp", &Value::Int(117), from);

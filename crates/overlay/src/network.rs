@@ -7,9 +7,18 @@
 //! forwards the query peer-to-peer), one per shower fan-out edge, one per
 //! result transfer, with payload bytes counted for the data-volume measure.
 //!
+//! Peers go where the data is. The cover is grown by the splitter
+//! ([`build_partitions`]), which also reports each partition's load; every
+//! partition that holds data gets `replication` members and the surplus
+//! goes by load per member (`Topology::dealt`, the one dealing rule). A
+//! partition without data has no member — a **gap**. Nothing is sent into
+//! a gap: a lookup whose key lies in one ends at the peer whose routing
+//! level has no reference and answers empty, showers skip it, and a later
+//! publication into it recruits a member first.
+//!
 //! The simulation is fully deterministic for a given seed: routing reference
-//! selection, peer assignment and initiator choice all draw from one seeded
-//! RNG.
+//! selection and initiator choice draw from one seeded RNG; dealing and
+//! recruitment draw nothing.
 
 use crate::clock::{EventSink, MsgKind, SharedTraceSink, SimLatency, TraceEvent, TraceTrack};
 use crate::key::{Key, KeyRef};
@@ -18,7 +27,7 @@ use crate::peer::{Item, PeerId};
 use crate::snapshot::NetworkState;
 use crate::store::{run_items, PartitionStore, PostingList, Run};
 use crate::topology::Topology;
-use crate::trie::{build_partitions, find_partition};
+use crate::trie::{build_partitions, find_partition, partition_loads};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -29,8 +38,9 @@ pub struct NetworkConfig {
     /// Number of peers |P|.
     pub peers: usize,
     /// Target structural-replication factor: the trie is split into about
-    /// `peers / replication` partitions, and all peers of a partition hold
-    /// replicas of its data.
+    /// `peers / replication` partitions, every partition holding data gets
+    /// `replication` members, and the peers left over replicate the
+    /// partitions by load. All members of a partition hold its data.
     pub replication: usize,
     /// Routing references per trie level (redundancy for fault tolerance;
     /// P-Grid keeps several and picks randomly, which also spreads load).
@@ -167,6 +177,11 @@ pub struct Network<T> {
     pub(crate) unstored: u64,
 }
 
+/// The distinct keys of a batch sorted by key, each with its item count.
+fn distinct<T>(sorted: &[(Key, T)]) -> Vec<(KeyRef<'_>, usize)> {
+    sorted.chunk_by(|a, b| a.0 == b.0).map(|g| (g[0].0.as_ref(), g.len())).collect()
+}
+
 /// The groups of a batch sorted by key: one list per distinct key, its items
 /// in batch order. Lazy — each list's buffer and handle are allocated as
 /// the writer reaches its key.
@@ -188,13 +203,11 @@ impl<T: Item> Network<T> {
     }
 
     /// Construct a network of `cfg.peers` peers, build the trie adapted to
-    /// the data keys, wire routing tables, and insert all items: a batch
-    /// into the empty network.
+    /// the data keys, deal the peers by load, wire routing tables, and
+    /// insert all items: a batch into the empty network.
     pub fn build(cfg: NetworkConfig, mut data: Vec<(Key, T)>) -> Self {
         data.sort_by(|a, b| a.0.cmp(&b.0));
-        let keys: Vec<(KeyRef<'_>, usize)> =
-            data.chunk_by(|a, b| a.0 == b.0).map(|g| (g[0].0.as_ref(), g.len())).collect();
-        let mut net = Self::on_partitions_for(cfg, &keys);
+        let mut net = Self::on_partitions_for(cfg, &distinct(&data));
         net.insert_groups(grouped(data));
         net
     }
@@ -219,38 +232,38 @@ impl<T: Item> Network<T> {
     /// keys ascending, each with its item count.
     fn on_partitions_for(cfg: NetworkConfig, keys: &[(KeyRef<'_>, usize)]) -> Self {
         let target_partitions = (cfg.peers / cfg.replication).max(1);
-        Self::on_paths(cfg, build_partitions(keys, target_partitions))
+        let (paths, loads) = build_partitions(keys, target_partitions);
+        Self::on_paths(cfg, paths, &loads)
     }
 
-    /// Construct from an explicit partition cover. Peers are dealt to the
-    /// partitions round-robin: surplus peers become structural replicas,
-    /// and a cover with more partitions than peers leaves its trailing
-    /// partitions without one.
-    pub fn build_with_paths(cfg: NetworkConfig, paths: Vec<Key>, data: Vec<(Key, T)>) -> Self {
-        let mut net = Self::on_paths(cfg, paths);
-        net.insert_batch(data);
-        net
-    }
-
-    /// The empty network on the cover `paths`.
-    fn on_paths(cfg: NetworkConfig, paths: Vec<Key>) -> Self {
-        if let Err(unbuildable) = cfg.check() {
-            panic!("{unbuildable}");
-        }
+    /// Construct from an explicit partition cover, its peers dealt by the
+    /// load `data` puts on each partition — the rule [`Self::build`] deals
+    /// by, so a partition `data` leaves empty is a gap. A cover with more
+    /// bearing partitions than peers leaves its trailing ones without a
+    /// member, and their items unstored.
+    pub fn build_with_paths(cfg: NetworkConfig, paths: Vec<Key>, mut data: Vec<(Key, T)>) -> Self {
+        data.sort_by(|a, b| a.0.cmp(&b.0));
         assert!(
             crate::trie::is_complete_cover(&paths),
             "partition paths must form a complete prefix-free cover"
         );
+        let loads = partition_loads(&paths, &distinct(&data));
+        let mut net = Self::on_paths(cfg, paths, &loads);
+        net.insert_groups(grouped(data));
+        net
+    }
+
+    /// The empty network on the cover `paths`, whose partitions hold
+    /// `loads` items.
+    fn on_paths(cfg: NetworkConfig, paths: Vec<Key>, loads: &[usize]) -> Self {
+        if let Err(unbuildable) = cfg.check() {
+            panic!("{unbuildable}");
+        }
         debug_assert!(paths.windows(2).all(|w| w[0] < w[1]), "paths must be sorted");
 
-        let mut part_peers: Vec<Vec<PeerId>> = vec![Vec::new(); paths.len()];
-        let part_of: Vec<u32> = (0..cfg.peers).map(|i| (i % paths.len()) as u32).collect();
-        for (i, &part) in part_of.iter().enumerate() {
-            part_peers[part as usize].push(PeerId(i as u32));
-        }
         let stores = std::iter::repeat_with(PartitionStore::default).take(paths.len()).collect();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut topo = Topology { paths, part_peers, part_of, routing: Default::default() };
+        let mut topo = Topology::dealt(paths, loads, cfg.peers, cfg.replication);
         topo.wire_routing(cfg.refs_per_level, &mut rng);
         Self::on(NetworkState {
             alive: vec![true; cfg.peers],
@@ -277,12 +290,18 @@ impl<T: Item> Network<T> {
     /// never mutated; a group whose key the network lacks is stored as the
     /// list handle it came in. A group without items publishes nothing.
     ///
-    /// Returns how many of the batch's items **no peer stored**: those whose
-    /// whole subtree is a peerless gap partition (a cover with more
-    /// partitions than peers has some). An item under a key that some
-    /// peered partition covers is stored there and not counted. The network
-    /// keeps the running total ([`Self::unstored_items`]), the build's
-    /// share included.
+    /// A key whose partition — for a key shorter than the trie depth, the
+    /// first of its subtree — is a gap recruits a member into it first
+    /// ([`Self::repair_epoch`]'s rule; see `recruit_into`), so that it is
+    /// stored: a partition gains members when it gains load, which is when
+    /// [`Self::build`] would have dealt it some. Returns how many of the
+    /// batch's items **no peer stored** because no partition could give up
+    /// a member: one with at least two alive members is needed, and at
+    /// build time every gap has one waiting, unless an explicit cover has
+    /// more partitions than there are peers or churn killed the surplus.
+    /// An item under a key that some peered partition covers is stored
+    /// there and not counted. The network keeps the running total
+    /// ([`Self::unstored_items`]), the build's share included.
     ///
     /// # Panics
     /// Panics when the keys of one partition do not ascend strictly
@@ -298,7 +317,7 @@ impl<T: Item> Network<T> {
         for (key, items) in groups.into_iter().filter(|(_, items)| !items.is_empty()) {
             self.image.cache_epoch += items.len() as u64;
             if !self.image.topo.paths[part].is_prefix_of(&key) {
-                unstored += self.merge_into(part, &mut pending, false);
+                unstored += self.merge_into(part, &mut pending);
                 let (s, e) = self.image.topo.subtree_of(&key);
                 debug_assert!(e > s, "complete cover guarantees an owner for every key");
                 part = s;
@@ -309,7 +328,7 @@ impl<T: Item> Network<T> {
             }
             pending.push((key, items));
         }
-        unstored += self.merge_into(part, &mut pending, false);
+        unstored += self.merge_into(part, &mut pending);
         self.unstored += unstored as u64;
         unstored
     }
@@ -324,57 +343,102 @@ impl<T: Item> Network<T> {
     }
 
     /// How many items published into this network — by its build or by any
-    /// [`Self::insert_batch`] since — no peer stored. 0 on any network
-    /// whose every partition has a member; a network restored from an image
+    /// [`Self::insert_batch`] since — no peer stored. 0 on any network that
+    /// could always recruit into a gap; a network restored from an image
     /// counts from the restore.
     pub fn unstored_items(&self) -> u64 {
         self.unstored
     }
 
-    /// A key shorter than the local trie depth is stored by every partition
-    /// of its subtree, and they share one list: extend it once, then hand
-    /// each covering run the same handle. Returns the number of items left
-    /// unstored: all of them when no partition of the cover has a peer.
+    /// A key shorter than the local trie depth is stored by every peered
+    /// partition of its subtree, and they share one list: extend it once,
+    /// then hand each covering run the same handle. The key counts towards
+    /// the first partition of its subtree, as the splitter counts it, so a
+    /// gap there recruits a member first. Returns the number of items left
+    /// unstored: all of them when no partition of the subtree has a member.
     fn insert_short(
         &mut self,
         key: Key,
         items: PostingList<T>,
         cover: std::ops::Range<usize>,
     ) -> usize {
-        let published = items.len();
-        let peered = cover.clone().find(|part| !self.image.topo.part_peers[*part].is_empty());
-        let stored = peered.and_then(|part| self.image.stores[part].exact_entry(&key));
-        let list: PostingList<T> = match stored {
+        let (s, e) = (cover.start, cover.end);
+        if self.image.topo.is_gap(s) {
+            self.recruit_into(s);
+        }
+        if self.image.topo.peered_in(s, e).is_empty() {
+            return items.len();
+        }
+        let first = self.image.topo.peered_in(s, e)[0] as usize;
+        let list: PostingList<T> = match self.image.stores[first].exact_entry(&key) {
             Some(old) => Arc::new(old.iter().cloned().chain(Arc::unwrap_or_clone(items)).collect()),
             None => items,
         };
-        for part in cover {
-            self.merge_into(part, &mut vec![(key.clone(), Arc::clone(&list))], true);
-        }
-        if peered.is_some() {
-            0
-        } else {
-            published
-        }
-    }
-
-    /// Drain a key-sorted sub-batch into the run of `part` — one merge,
-    /// whatever the replication. Returns the number of items dropped
-    /// because the partition has no member to store them.
-    fn merge_into(
-        &mut self,
-        part: usize,
-        batch: &mut Vec<(Key, PostingList<T>)>,
-        replace: bool,
-    ) -> usize {
-        if self.image.topo.part_peers[part].is_empty() {
-            return batch.drain(..).map(|(_, list)| list.len()).sum();
-        }
-        if !batch.is_empty() {
-            self.image.stores[part].merge(batch.drain(..), replace);
+        for &part in self.image.topo.peered_in(s, e) {
+            let part = part as usize;
+            self.image.stores[part].merge([(key.clone(), Arc::clone(&list))], true);
             debug_assert_eq!(self.image.check_store(part), Ok(()));
         }
         0
+    }
+
+    /// Drain a key-sorted sub-batch into the run of `part` — one merge,
+    /// whatever the replication; into a gap, after recruiting a member.
+    /// Returns the number of items dropped because no member could be
+    /// recruited.
+    fn merge_into(&mut self, part: usize, batch: &mut Vec<(Key, PostingList<T>)>) -> usize {
+        if batch.is_empty() {
+            return 0;
+        }
+        if self.image.topo.is_gap(part) && !self.recruit_into(part) {
+            return batch.drain(..).map(|(_, list)| list.len()).sum();
+        }
+        self.image.stores[part].merge(batch.drain(..), false);
+        debug_assert_eq!(self.image.check_store(part), Ok(()));
+        0
+    }
+
+    /// Give the gap `gap` a member, by [`Self::repair_epoch`]'s rule: the
+    /// donor is the partition with the most alive members, at least two
+    /// (ties to the lowest index), and its highest-id alive member moves.
+    /// The routing is rewired incrementally and without a random draw
+    /// (`Topology::recruit`). The recruit's run starts with what a member of
+    /// the gap would have held all along: the keys shorter than its path
+    /// that cover it, shared with the nearest peered partition, which holds
+    /// every one of them. False — nothing moved — when no donor exists.
+    fn recruit_into(&mut self, gap: usize) -> bool {
+        let (topo, alive) = (&self.image.topo, &self.image.alive);
+        let alive_in = |part: usize| topo.members(part).iter().filter(|p| alive[p.index()]).count();
+        let donor = topo
+            .peered_in(0, topo.partition_count())
+            .iter()
+            .map(|&d| (alive_in(d as usize), d as usize))
+            .filter(|(n, _)| *n >= 2)
+            .max_by_key(|&(n, d)| (n, std::cmp::Reverse(d)));
+        let Some((_, donor)) = donor else { return false };
+        let recruit = topo.members(donor).iter().copied().filter(|p| alive[p.index()]).max();
+        let recruit = recruit.expect("a donor has alive members");
+        let path = &topo.paths[gap];
+        let beside =
+            [topo.peered_in(0, gap).last(), topo.peered_in(gap, topo.partition_count()).first()];
+        let nearest = beside
+            .into_iter()
+            .flatten()
+            .map(|&p| p as usize)
+            .max_by_key(|&p| topo.paths[p].common_prefix_len(path));
+        // A run lists the prefixes of its partition's path first, shortest
+        // first; those the gap's path extends are where it starts.
+        let covering: Vec<(Key, PostingList<T>)> = nearest.map_or_else(Vec::new, |near| {
+            let run = self.image.stores[near].iter();
+            let short = run.take_while(|(k, _)| k.is_prefix_of(path.as_ref()));
+            short.map(|(k, list)| (k.to_key(), Arc::clone(list))).collect()
+        });
+        self.image.topo.recruit(recruit, gap, self.image.cfg.refs_per_level);
+        if !covering.is_empty() {
+            self.image.stores[gap].merge(covering, true);
+            debug_assert_eq!(self.image.check_store(gap), Ok(()));
+        }
+        true
     }
 
     /// Publish one item: a batch of one (and its count of unstored items,
@@ -657,6 +721,14 @@ impl<T: Item> Network<T> {
         self.image.topo.part_peers.iter().map(Vec::len).zip(&self.image.stores)
     }
 
+    /// Stored (key, item) pairs counted once per partition, replicas
+    /// excluded — what the network holds however many members hold it (a
+    /// key shorter than the trie depth counts once per partition it is
+    /// stored in).
+    pub fn stored_items(&self) -> usize {
+        self.image.stores.iter().map(|store| store.item_count()).sum()
+    }
+
     /// Total stored (key, item) pairs across all peers (replicas included).
     pub fn total_stored_items(&self) -> usize {
         self.replicated().map(|(members, store)| members * store.item_count()).sum()
@@ -779,8 +851,8 @@ impl<T: Item> Network<T> {
         let parts = self.image.topo.paths.len();
         let mut alive_count: Vec<usize> = (0..parts).map(|p| self.partition_alive(p)).collect();
         for part in 0..parts {
-            if self.image.topo.part_peers[part].is_empty() {
-                continue; // a cover with more partitions than peers
+            if self.image.topo.is_gap(part) {
+                continue; // nothing to keep alive
             }
             report.scanned += 1;
             if alive_count[part] == 0 {
@@ -848,8 +920,10 @@ impl<T: Item> Network<T> {
     // ------------------------------------------------------------------
 
     /// Prefix-route from `from` towards `key`; returns the first peer whose
-    /// path is a prefix of `key` (or extended by `key`). Each hop is one
-    /// message.
+    /// path is a prefix of `key` (or extended by `key`) — or, when `key`
+    /// lies in a gap, the peer whose routing level towards it has no
+    /// reference: its subtree holds nothing, and that peer answers so (its
+    /// own run holds nothing under `key` either). Each hop is one message.
     pub fn route(&mut self, from: PeerId, key: &Key) -> Result<PeerId, RouteError> {
         if !self.image.alive[from.index()] {
             return Err(RouteError::InitiatorDead);
@@ -860,6 +934,11 @@ impl<T: Item> Network<T> {
         // `key` in at least one more bit than the last.
         for _ in 0..=key.len() {
             let Some(l) = self.image.topo.route_level(cur, key) else { return Ok(cur) };
+            if self.image.topo.refs(cur, l).is_empty() {
+                let own = self.image.topo.partition_of(cur);
+                debug_assert!(self.image.stores[own].prefix_entries(key).is_empty());
+                return Ok(cur);
+            }
             let Some(next) = self.pick_alive_ref(cur, l) else {
                 self.image.metrics.failed_routes += 1;
                 return Err(RouteError::NoAliveReference);
@@ -893,9 +972,7 @@ impl<T: Item> Network<T> {
         // Arena lookups are by (peer, level, index) — no slice borrow held
         // across the RNG draws, so nothing needs cloning.
         let n = self.image.topo.refs(peer, l).len();
-        if n == 0 {
-            return None;
-        }
+        debug_assert!(n > 0, "a level towards a gap is not picked from");
         if self.sink.is_some() {
             // All alive references — and, for dead ones, the alive
             // structural replicas that make identical routing progress —
@@ -1013,9 +1090,10 @@ impl<T: Item> Network<T> {
         let mut out = Vec::new();
         // The shower branches run in parallel in a deployment: each starts
         // from the moment the query reached `entry` and the initiator is
-        // done when the *last* result arrives.
+        // done when the *last* result arrives. Gaps get no branch.
         self.sim_fork();
-        for part in s..e {
+        for i in 0..self.image.topo.peered_in(s, e).len() {
+            let part = self.image.topo.peered_in(s, e)[i] as usize;
             self.sim_branch();
             let Some(responder) = self.shower_into(part, entry) else { continue };
             for (_key, list) in
@@ -1028,9 +1106,10 @@ impl<T: Item> Network<T> {
         Ok(out)
     }
 
-    /// Who answers for `part` in a shower that entered at `entry`: `entry`
-    /// in its own partition, in a sibling an alive member reached by one
-    /// forward — or nobody, a failed route, when the sibling is dead.
+    /// Who answers for the peered partition `part` in a shower that entered
+    /// at `entry`: `entry` in its own partition, in a sibling an alive
+    /// member reached by one forward — or nobody, a failed route, when the
+    /// sibling is dead.
     fn shower_into(&mut self, part: usize, entry: PeerId) -> Option<PeerId> {
         if part == self.image.topo.partition_of(entry) {
             return Some(entry);
@@ -1115,7 +1194,8 @@ impl<T: Item> Network<T> {
         let entry = self.route(from, lo)?;
         let mut out = Vec::new();
         self.sim_fork();
-        for part in s..e {
+        for i in 0..self.image.topo.peered_in(s, e).len() {
+            let part = self.image.topo.peered_in(s, e)[i] as usize;
             self.sim_branch();
             let Some(responder) = self.shower_into(part, entry) else { continue };
             let run = self.image.stores[part].range_entries(lo, hi);
@@ -1197,6 +1277,14 @@ mod tests {
         }
     }
 
+    /// Words whose first letters run through the alphabet: their keys part
+    /// after a few shared bits, so a cover of a few dozen partitions has
+    /// many that hold data (the `word…` keys of [`word_net`] share their
+    /// first 32 bits and crowd into few).
+    fn spread_words(n: usize) -> Vec<String> {
+        (0..n).map(|i| format!("{}{i:03}", (b'a' + (i * 7 % 26) as u8) as char)).collect()
+    }
+
     fn word_net(n_peers: usize, n_words: usize) -> (Network<W>, Vec<String>) {
         let words: Vec<String> = (0..n_words).map(|i| format!("word{i:05}")).collect();
         let data: Vec<(Key, W)> = words.iter().map(|w| (hash_str(w), W(w.clone()))).collect();
@@ -1218,7 +1306,9 @@ mod tests {
     fn retrieval_counts_messages() {
         let (mut net, words) = word_net(64, 300);
         net.reset_metrics();
-        let from = net.random_peer();
+        let owner = net.partition_of(&hash_str(&words[0]));
+        let mut peers = (0..net.peer_count() as u32).map(PeerId);
+        let from = peers.rfind(|p| net.peer_partition(*p) != owner).expect("a stranger");
         net.retrieve(from, &hash_str(&words[0])).unwrap();
         let m = net.metrics();
         assert!(m.messages >= 1, "retrieval from a remote peer must cost messages");
@@ -1318,18 +1408,30 @@ mod tests {
 
     #[test]
     fn replication_replicates_data() {
-        let words: Vec<String> = (0..100).map(|i| format!("w{i:03}")).collect();
+        let words = spread_words(100);
         let data: Vec<(Key, W)> = words.iter().map(|w| (hash_str(w), W(w.clone()))).collect();
         let cfg = NetworkConfig { peers: 32, replication: 4, ..Default::default() };
         let net = Network::build(cfg, data);
         assert!(net.partition_count() <= 8);
-        // Every item is stored once per structural replica.
-        assert_eq!(net.total_stored_items(), 100 * 4);
+        assert_eq!(net.stored_items(), 100, "each item once, replicas excluded");
+        // Every item is stored once per structural replica, and a partition
+        // holding data has at least `replication` of them; one holding
+        // nothing has none.
+        let mut replicated = 0;
+        for part in 0..net.partition_count() {
+            let (members, items) =
+                (net.partition_members(part).len(), net.partition_store(part).item_count());
+            assert_eq!(members == 0, items == 0, "partition {part}: {members} members");
+            assert!(items == 0 || members >= 4, "partition {part}: {members} members");
+            replicated += members * items;
+        }
+        assert_eq!(net.total_stored_items(), replicated);
+        assert!(replicated >= 100 * 4);
     }
 
     #[test]
     fn retrieval_survives_churn_with_replication() {
-        let words: Vec<String> = (0..200).map(|i| format!("w{i:03}")).collect();
+        let words = spread_words(200);
         let data: Vec<(Key, W)> = words.iter().map(|w| (hash_str(w), W(w.clone()))).collect();
         let cfg = NetworkConfig {
             peers: 64,
@@ -1507,7 +1609,7 @@ mod tests {
 
     #[test]
     fn fail_partition_kills_every_member_and_keeps_the_data() {
-        let words: Vec<String> = (0..120).map(|i| format!("w{i:03}")).collect();
+        let words = spread_words(120);
         let data: Vec<(Key, W)> = words.iter().map(|w| (hash_str(w), W(w.clone()))).collect();
         let cfg = NetworkConfig { peers: 32, replication: 4, ..Default::default() };
         let mut net = Network::build(cfg, data);
@@ -1527,7 +1629,7 @@ mod tests {
 
     #[test]
     fn repair_epoch_restores_the_replication_target() {
-        let words: Vec<String> = (0..200).map(|i| format!("w{i:03}")).collect();
+        let words = spread_words(200);
         let data: Vec<(Key, W)> = words.iter().map(|w| (hash_str(w), W(w.clone()))).collect();
         let cfg = NetworkConfig { peers: 64, replication: 4, seed: 11, ..Default::default() };
         let mut net = Network::build(cfg, data);
@@ -1567,7 +1669,7 @@ mod tests {
 
     #[test]
     fn repair_epoch_reports_fully_dead_partitions_as_lost() {
-        let words: Vec<String> = (0..120).map(|i| format!("w{i:03}")).collect();
+        let words = spread_words(120);
         let data: Vec<(Key, W)> = words.iter().map(|w| (hash_str(w), W(w.clone()))).collect();
         let cfg = NetworkConfig { peers: 24, replication: 3, ..Default::default() };
         let mut net = Network::build(cfg, data);
@@ -1581,7 +1683,7 @@ mod tests {
     #[test]
     fn repair_is_deterministic_for_a_seed() {
         let run = || {
-            let words: Vec<String> = (0..150).map(|i| format!("w{i:03}")).collect();
+            let words = spread_words(150);
             let data: Vec<(Key, W)> = words.iter().map(|w| (hash_str(w), W(w.clone()))).collect();
             let cfg = NetworkConfig { peers: 48, replication: 4, seed: 13, ..Default::default() };
             let mut net = Network::build(cfg, data);

@@ -325,9 +325,10 @@ mod tests {
         let state = net.export_state();
         let tables = state.store_tables();
         let total_entries: usize = tables.stores.iter().map(Vec::len).sum();
-        let covering = net.subtree_of(&Key::parse("0"));
-        assert!(covering.1 - covering.0 > 1, "the short key is stored by several partitions");
-        assert_eq!(tables.lists.len(), total_entries - (covering.1 - covering.0 - 1));
+        let (s, e) = net.subtree_of(&Key::parse("0"));
+        let covering = net.topology().peered_in(s, e).len();
+        assert!(covering > 1, "the short key is stored by several partitions");
+        assert_eq!(tables.lists.len(), total_entries - (covering - 1));
         assert!(tables.keys.windows(2).all(|w| w[0] < w[1]), "each distinct key once, in order");
         let restored = Network::import_state(&state);
         assert_eq!(format!("{:?}", restored.export_state().store_tables()), format!("{tables:?}"));

@@ -13,6 +13,13 @@
 //! * δ(p) is the partition's run, which the network keeps beside the
 //!   topology, one per partition (see [`crate::store`]).
 //!
+//! Peers go where the data is (`Topology::dealt`): a partition that holds
+//! no key has no member. Such a **gap** is where the topology alone says
+//! "nothing here": [`Topology::peered_in`] lists the partitions of a range
+//! that have members, and a routing level has no reference exactly when
+//! its complementary subtree is all gaps. Routing, showers and the
+//! operators above read gaps there and nowhere else.
+//!
 //! Plus the one decision Algorithm 1 makes at every hop,
 //! [`Topology::route_level`]. The [`Network`](crate::Network) holds one and
 //! routes by it; message-level simulators clone it and route by the same
@@ -23,6 +30,8 @@ use crate::peer::PeerId;
 use crate::trie::{is_complete_cover, subtree_range};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Flattened routing tables of the whole network: ρ(p, l) for every peer
 /// and level as slices of one arena — three flat vectors for the entire
@@ -52,23 +61,127 @@ impl RoutingArena {
 }
 
 /// The structure of an overlay network (see the module docs). The one a
-/// network routes by is written only by its construction and its repair
-/// pass. The tables are plain data so that a codec can spell them; they are
-/// checked, against each other and against the stores, where they enter a
-/// network image ([`NetworkState::new`](crate::NetworkState::new)).
-#[derive(Debug, Clone, Default)]
+/// network routes by is written only by its construction, its repair pass
+/// and a publication's recruitment. The tables are plain data so that a
+/// codec can spell them; they are checked, against each other and against
+/// the stores, where they enter a network image
+/// ([`NetworkState::new`](crate::NetworkState::new)).
+#[derive(Debug, Clone)]
 pub struct Topology {
     /// Sorted, prefix-free, complete partition paths.
     pub paths: Vec<Key>,
-    /// Peers per partition (structural replicas).
+    /// Peers per partition (structural replicas); empty for a gap.
     pub part_peers: Vec<Vec<PeerId>>,
     /// Peer → partition index.
     pub part_of: Vec<u32>,
     /// Flattened ρ(p, l) for every peer.
     pub routing: RoutingArena,
+    /// The partitions with a member, ascending — derived from `part_peers`.
+    peered: Vec<u32>,
+    /// `peered_before[i]`: how many of the partitions before `i` have a
+    /// member, for every `i` up to the partition count.
+    peered_before: Vec<u32>,
+}
+
+/// A bearing partition in the surplus dealing: its load and members so far.
+/// The greatest is the one with the largest load per member (compared
+/// exactly, by cross-multiplication), ties to the lowest index.
+#[derive(PartialEq, Eq)]
+struct Share {
+    load: usize,
+    members: usize,
+    part: usize,
+}
+
+impl Ord for Share {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let (mine, theirs) =
+            (self.load as u128 * other.members as u128, other.load as u128 * self.members as u128);
+        mine.cmp(&theirs).then(other.part.cmp(&self.part))
+    }
+}
+
+impl PartialOrd for Share {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl Topology {
+    /// A topology from its tables; the gap index is derived from
+    /// `part_peers`. Nothing is checked here —
+    /// [`NetworkState::new`](crate::NetworkState::new) checks what it is
+    /// given.
+    pub fn new(
+        paths: Vec<Key>,
+        part_peers: Vec<Vec<PeerId>>,
+        part_of: Vec<u32>,
+        routing: RoutingArena,
+    ) -> Self {
+        let mut topo =
+            Topology { paths, part_peers, part_of, routing, peered: vec![], peered_before: vec![] };
+        topo.reindex();
+        topo
+    }
+
+    /// The one dealing rule: `peers` peers on the sorted cover `paths`
+    /// whose partitions hold `loads` items. Every partition that holds data
+    /// first gets `replication` members, in rounds over the partitions in
+    /// order (fewer only when the peers run out); every further peer goes
+    /// to the partition with the largest load per member, ties to the
+    /// lowest index. A partition without load gets no peer — it is a gap —
+    /// unless no partition holds data, when the first takes them all.
+    /// Peer ids count up in dealing order. No routing is wired.
+    pub(crate) fn dealt(
+        paths: Vec<Key>,
+        loads: &[usize],
+        peers: usize,
+        replication: usize,
+    ) -> Self {
+        debug_assert_eq!(paths.len(), loads.len());
+        let mut bearing: Vec<usize> = (0..loads.len()).filter(|p| loads[*p] > 0).collect();
+        if bearing.is_empty() {
+            bearing.push(0);
+        }
+        let mut part_peers: Vec<Vec<PeerId>> = vec![Vec::new(); paths.len()];
+        let mut part_of: Vec<u32> = Vec::with_capacity(peers);
+        let deal = |part: usize, part_peers: &mut [Vec<PeerId>], part_of: &mut Vec<u32>| {
+            part_peers[part].push(PeerId(part_of.len() as u32));
+            part_of.push(part as u32);
+        };
+        for &part in bearing.iter().cycle().take(peers.min(bearing.len() * replication)) {
+            deal(part, &mut part_peers, &mut part_of);
+        }
+        let mut shares: BinaryHeap<Share> = BinaryHeap::new();
+        if part_of.len() < peers {
+            shares.extend(bearing.iter().map(|&part| Share {
+                load: loads[part],
+                members: part_peers[part].len(),
+                part,
+            }));
+        }
+        while part_of.len() < peers {
+            let mut top = shares.pop().expect("a bearing partition");
+            deal(top.part, &mut part_peers, &mut part_of);
+            top.members += 1;
+            shares.push(top);
+        }
+        Self::new(paths, part_peers, part_of, RoutingArena::default())
+    }
+
+    /// Derive the gap index from `part_peers`, reusing its buffers.
+    fn reindex(&mut self) {
+        self.peered.clear();
+        self.peered_before.clear();
+        self.peered_before.push(0);
+        for (part, members) in self.part_peers.iter().enumerate() {
+            if !members.is_empty() {
+                self.peered.push(part as u32);
+            }
+            self.peered_before.push(self.peered.len() as u32);
+        }
+    }
+
     pub fn peer_count(&self) -> usize {
         self.part_of.len()
     }
@@ -95,17 +208,32 @@ impl Topology {
         &self.paths[self.partition_of(p)]
     }
 
-    /// ρ(p, l): peer `p`'s routing references at trie level `l`.
+    /// ρ(p, l): peer `p`'s routing references at trie level `l`. Empty
+    /// exactly when the complementary subtree at `l` is all gaps.
     #[inline]
     pub fn refs(&self, p: PeerId, l: usize) -> &[PeerId] {
         self.routing.refs(p, l)
     }
 
     /// The structural replicas of partition `part` (σ(p) is this list for
-    /// `p`'s partition, minus `p`).
+    /// `p`'s partition, minus `p`); empty for a gap.
     #[inline]
     pub fn members(&self, part: usize) -> &[PeerId] {
         &self.part_peers[part]
+    }
+
+    /// True when partition `part` has no member: it holds nothing, and
+    /// nothing is sent there.
+    #[inline]
+    pub fn is_gap(&self, part: usize) -> bool {
+        self.part_peers[part].is_empty()
+    }
+
+    /// The partitions of `[s, e)` that have a member, ascending — a range
+    /// with its gaps left out, in O(1).
+    #[inline]
+    pub fn peered_in(&self, s: usize, e: usize) -> &[u32] {
+        &self.peered[self.peered_before[s] as usize..self.peered_before[e] as usize]
     }
 
     /// Contiguous partition-index range `[s, e)` of the subtree under `key`.
@@ -113,10 +241,46 @@ impl Topology {
         subtree_range(&self.paths, key)
     }
 
+    /// The partition range `[s, e)` of the subtree under the first `bits`
+    /// bits of partition `part`'s path: the partitions that share them —
+    /// [`Self::subtree_of`] that prefix, found without building it. In
+    /// sorted paths the common prefix with a fixed path falls monotonically
+    /// on both sides of it, so the partitions sharing `bits` bits with it
+    /// are a run around it, found by bisection.
+    pub fn sharing(&self, part: usize, bits: usize) -> (usize, usize) {
+        let path = self.paths[part].as_ref();
+        let shares = |p: &Key| p.as_ref().common_prefix_len(path) >= bits;
+        let s = self.paths[..part].partition_point(|p| !shares(p));
+        let e = part + 1 + self.paths[part + 1..].partition_point(shares);
+        (s, e)
+    }
+
+    /// The partition range of the complementary subtree of partition
+    /// `part` at level `l`: the partitions whose path agrees with the
+    /// part's in exactly its first `l` bits — those sharing `l` bits less
+    /// those sharing `l + 1`, on the side bit `l` does not take: two
+    /// bisections on that side, as in [`Self::sharing`], where four would
+    /// do both sides. Routing tables are wired and checked by this, once per
+    /// peered partition and level.
+    pub fn complement_of(&self, part: usize, l: usize) -> (usize, usize) {
+        let path = self.paths[part].as_ref();
+        let shares = |p: &Key, bits: usize| p.as_ref().common_prefix_len(path) >= bits;
+        if path.bit(l) {
+            let s = self.paths[..part].partition_point(|p| !shares(p, l));
+            let e = s + self.paths[s..part].partition_point(|p| !shares(p, l + 1));
+            (s, e)
+        } else {
+            let s = part + 1 + self.paths[part + 1..].partition_point(|p| shares(p, l + 1));
+            let e = s + self.paths[s..].partition_point(|p| shares(p, l));
+            (s, e)
+        }
+    }
+
     /// The decision Algorithm 1 makes when a query for `key` reaches
     /// `peer`: `None` when the peer is responsible (its path is a prefix of
     /// `key`, or extended by it), otherwise the first trie level at which
-    /// path and key differ — the level whose references make progress.
+    /// path and key differ — the level whose references make progress, or
+    /// whose empty reference slice says the key lies in a gap.
     #[inline]
     pub fn route_level(&self, peer: PeerId, key: &Key) -> Option<usize> {
         let path = self.path(peer);
@@ -127,9 +291,12 @@ impl Topology {
     }
 
     /// Rebuild the routing arena from the current membership: for every
-    /// peer and level, up to `refs_per_level` distinct random peers from
-    /// the complementary subtree.
+    /// peer and level, up to `refs_per_level` distinct random members of
+    /// the peered partitions of the complementary subtree — none when it
+    /// is all gaps.
     pub(crate) fn wire_routing(&mut self, refs_per_level: usize, rng: &mut StdRng) {
+        self.reindex();
+        let complements = Complements::of(self);
         let mut arena = RoutingArena {
             refs: Vec::new(),
             slice_off: vec![0],
@@ -137,20 +304,16 @@ impl Topology {
         };
         for &part in &self.part_of {
             arena.peer_off.push((arena.slice_off.len() - 1) as u32);
-            let path = &self.paths[part as usize];
-            for l in 0..path.len() {
-                let comp = path.complement_at(l);
-                let (s, e) = subtree_range(&self.paths, &comp);
-                debug_assert!(e > s, "complete cover guarantees a complementary subtree");
+            for &(lo, hi) in complements.levels(part as usize) {
+                let peered = &self.peered[lo as usize..hi as usize];
                 let level = arena.refs.len();
                 let mut guard = 0;
-                while arena.refs.len() - level < refs_per_level && guard < refs_per_level * 8 {
+                while !peered.is_empty()
+                    && arena.refs.len() - level < refs_per_level
+                    && guard < refs_per_level * 8
+                {
                     guard += 1;
-                    let part = rng.gen_range(s..e);
-                    let members = &self.part_peers[part];
-                    if members.is_empty() {
-                        continue; // a cover with more partitions than peers
-                    }
+                    let members = &self.part_peers[peered[rng.gen_range(0..peered.len())] as usize];
                     let peer = members[rng.gen_range(0..members.len())];
                     if !arena.refs[level..].contains(&peer) {
                         arena.refs.push(peer);
@@ -163,10 +326,78 @@ impl Topology {
         self.routing = arena;
     }
 
+    /// Move peer `r` out of its partition, which keeps another member, into
+    /// the gap `to`, and rewire without a random draw — so a publication
+    /// recruits the same way whether it comes alone or in a batch:
+    ///
+    /// * `r`'s own levels name up to `refs_per_level` members of the peered
+    ///   partitions of each complementary subtree, spread evenly over them;
+    /// * a reference to `r` elsewhere becomes a member of its old partition
+    ///   that the slice does not name yet (or goes, when there is none);
+    /// * the one level of each other peer whose complementary subtree holds
+    ///   `to` gains `r` if it had no reference — its subtree was all gaps.
+    pub(crate) fn recruit(&mut self, r: PeerId, to: usize, refs_per_level: usize) {
+        let from = self.partition_of(r);
+        debug_assert!(self.is_gap(to) && self.part_peers[from].len() >= 2, "a donor keeps one");
+        self.part_peers[from].retain(|p| *p != r);
+        self.part_peers[to].push(r);
+        self.part_of[r.index()] = to as u32;
+        self.reindex();
+        let RoutingArena { refs: old_refs, slice_off: old_off, peer_off: mut offs } =
+            std::mem::take(&mut self.routing);
+        let levels = self.paths[to].len();
+        let mut refs = Vec::with_capacity(old_refs.len() + self.part_of.len() + levels);
+        let mut slice_off = Vec::with_capacity(old_off.len() + levels);
+        slice_off.push(0);
+        for p in 0..self.part_of.len() {
+            let first = offs[p] as usize;
+            offs[p] = (slice_off.len() - 1) as u32;
+            let part = self.part_of[p] as usize;
+            if p == r.index() {
+                for l in 0..levels {
+                    let (s, e) = self.complement_of(to, l);
+                    let peered = self.peered_in(s, e);
+                    let level = refs.len();
+                    for k in (0..refs_per_level).filter(|_| !peered.is_empty()) {
+                        let members =
+                            &self.part_peers[peered[k * peered.len() / refs_per_level] as usize];
+                        let peer = members[(p + k) % members.len()];
+                        if !refs[level..].contains(&peer) {
+                            refs.push(peer);
+                        }
+                    }
+                    slice_off.push(refs.len() as u32);
+                }
+                continue;
+            }
+            let meets = self.paths[part].common_prefix_len(&self.paths[to]);
+            for l in 0..self.paths[part].len() {
+                let old = &old_refs[old_off[first + l] as usize..old_off[first + l + 1] as usize];
+                if old.is_empty() && l == meets {
+                    refs.push(r);
+                }
+                for &q in old {
+                    if q != r {
+                        refs.push(q);
+                    } else if let Some(&standin) =
+                        self.part_peers[from].iter().find(|m| !old.contains(m))
+                    {
+                        refs.push(standin);
+                    }
+                }
+                slice_off.push(refs.len() as u32);
+            }
+        }
+        offs[self.part_of.len()] = (slice_off.len() - 1) as u32;
+        self.routing = RoutingArena { refs, slice_off, peer_off: offs };
+    }
+
     /// The topology's share of [`Network::check_invariants`](crate::Network::check_invariants):
-    /// cover, membership, routing. A reference of level `l` into the
-    /// complementary subtree agrees with the key in one more bit than the
-    /// peer holding it, which is why routing ends.
+    /// cover, membership, gap index, routing. A reference of level `l` into
+    /// the complementary subtree agrees with the key in one more bit than
+    /// the peer holding it, which is why routing ends; and a level has no
+    /// reference exactly when that subtree has no member, which is why an
+    /// empty level may answer "nothing here".
     pub(crate) fn check(&self) -> Result<(), &'static str> {
         let peers = self.part_of.len();
         if !self.paths.windows(2).all(|w| w[0] < w[1]) || !is_complete_cover(&self.paths) {
@@ -183,10 +414,22 @@ impl Topology {
         {
             return Err("membership and the peer-to-partition table disagree");
         }
+        let indexed = self.peered_before.len() == self.paths.len() + 1
+            && self.peered_before.last().is_some_and(|n| *n as usize == self.peered.len())
+            && (0..self.paths.len()).all(|part| {
+                let before = self.peered_before[part] as usize;
+                let here = self.peered_before[part + 1] as usize - before;
+                here == usize::from(!self.is_gap(part))
+                    && (here == 0 || self.peered[before] as usize == part)
+            });
+        if !indexed {
+            return Err("the gap index disagrees with the membership");
+        }
         let arena = &self.routing;
         if arena.peer_off.len() != peers + 1 {
             return Err("the routing arena is not one entry per peer");
         }
+        let complements = Complements::of(self);
         for (&first, &part) in arena.peer_off.iter().zip(&self.part_of) {
             let path = &self.paths[part as usize];
             let first = first as usize;
@@ -197,6 +440,10 @@ impl Topology {
                 let Some(refs) = arena.refs.get(level[0] as usize..level[1] as usize) else {
                     return Err("routing offsets descend or overrun the references");
                 };
+                let (lo, hi) = complements.levels(part as usize)[l];
+                if refs.is_empty() != (lo == hi) {
+                    return Err("a routing level is empty over a peered subtree, or names a gap");
+                }
                 let complementary = |q: &PeerId| {
                     let theirs = self.part_of.get(q.index()).map(|p| &self.paths[*p as usize]);
                     theirs.is_some_and(|t| t.len() > l && t.common_prefix_len(path) == l)
@@ -207,5 +454,109 @@ impl Topology {
             }
         }
         Ok(())
+    }
+}
+
+/// The peered partitions of each level's complementary subtree, for every
+/// partition with members, as ranges into [`Topology::peered_in`]'s index:
+/// all members of a partition route by the same levels, so the wiring and
+/// the check, which read them once per peer and level, find them once per
+/// partition.
+struct Complements {
+    /// Where each partition's levels start in `ranges` (a gap has none).
+    first: Vec<usize>,
+    ranges: Vec<(u32, u32)>,
+}
+
+impl Complements {
+    fn of(topo: &Topology) -> Self {
+        let mut first = Vec::with_capacity(topo.paths.len() + 1);
+        let mut ranges = Vec::new();
+        for part in 0..topo.paths.len() {
+            first.push(ranges.len());
+            if !topo.is_gap(part) {
+                ranges.extend((0..topo.paths[part].len()).map(|l| {
+                    let (s, e) = topo.complement_of(part, l);
+                    (topo.peered_before[s], topo.peered_before[e])
+                }));
+            }
+        }
+        first.push(ranges.len());
+        Complements { first, ranges }
+    }
+
+    /// The levels of the peered partition `part`, by level.
+    fn levels(&self, part: usize) -> &[(u32, u32)] {
+        &self.ranges[self.first[part]..self.first[part + 1]]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::SeedableRng;
+
+    fn cover() -> Vec<Key> {
+        ["000", "0010", "0011", "01", "100", "101", "11"].map(Key::parse).to_vec()
+    }
+
+    #[test]
+    fn the_complement_is_found_without_building_its_path() {
+        let paths = cover();
+        let topo = Topology::new(
+            paths.clone(),
+            vec![vec![]; paths.len()],
+            vec![],
+            RoutingArena::default(),
+        );
+        for (part, path) in paths.iter().enumerate() {
+            for l in 0..path.len() {
+                assert_eq!(
+                    topo.complement_of(part, l),
+                    subtree_range(&paths, &path.complement_at(l)),
+                    "{path} at level {l}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn peers_go_where_the_data_is() {
+        let loads = [6, 0, 3, 0, 0, 9, 1];
+        let topo = Topology::dealt(cover(), &loads, 10, 1);
+        let counts: Vec<usize> = (0..7).map(|p| topo.members(p).len()).collect();
+        // One each for the four bearing partitions, then six by load per
+        // member: 9/1, 6/1, 9/2, and then 6/2 = 3/1 = 9/3, served in index
+        // order.
+        assert_eq!(counts, [3, 0, 2, 0, 0, 4, 1]);
+        assert_eq!(topo.peered_in(0, 7), [0, 2, 5, 6]);
+        assert_eq!(topo.peered_in(1, 5), [2]);
+        assert!(topo.peered_in(3, 5).is_empty());
+        assert!(topo.is_gap(1) && !topo.is_gap(6));
+        // Replication first, in rounds; fewer when the peers run out.
+        let few = Topology::dealt(cover(), &loads, 6, 2);
+        let counts: Vec<usize> = (0..7).map(|p| few.members(p).len()).collect();
+        assert_eq!(counts, [2, 0, 2, 0, 0, 1, 1]);
+        // No data at all: the first partition takes every peer.
+        let empty = Topology::dealt(cover(), &[0; 7], 3, 2);
+        assert_eq!(empty.members(0).len(), 3);
+    }
+
+    #[test]
+    fn a_level_is_empty_exactly_over_gaps_and_a_recruit_fills_them() {
+        let loads = [6, 0, 3, 0, 0, 9, 1];
+        let mut topo = Topology::dealt(cover(), &loads, 10, 1);
+        topo.wire_routing(2, &mut StdRng::seed_from_u64(5));
+        assert_eq!(topo.check(), Ok(()));
+        // "01" is a gap and so is all of "10" but "101".
+        for to in [3, 1, 4] {
+            let donor = (0..7).max_by_key(|p| (topo.members(*p).len(), std::cmp::Reverse(*p)));
+            let donor = donor.expect("a partition");
+            let recruit = *topo.members(donor).iter().max().expect("members");
+            topo.recruit(recruit, to, 2);
+            assert_eq!(topo.check(), Ok(()), "after recruiting into {to}");
+            assert_eq!(topo.members(to), [recruit]);
+        }
+        assert_eq!(topo.peered_in(0, 7), [0, 1, 2, 3, 4, 5, 6]);
     }
 }

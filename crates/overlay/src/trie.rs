@@ -21,6 +21,13 @@
 //! bisection. A world has several times fewer keys than postings (every
 //! row repeats the grams of its attribute's name, values share grams), and
 //! the bulk load that calls this has them grouped already.
+//!
+//! The split rule spends a unit of budget on every split, also one whose
+//! sibling receives no key (every key of a family shares its leading bits),
+//! so a cover has leaves that hold nothing. The splitter hands each leaf's
+//! load to the network, which gives peers only to the leaves that hold
+//! data: a leaf with no load becomes a peerless *gap* (see
+//! [`crate::network`]).
 
 use crate::key::{Key, KeyRef};
 use std::collections::BinaryHeap;
@@ -56,27 +63,31 @@ impl PartialOrd for Candidate {
 
 /// Build a complete, prefix-free set of partition paths adapted to `keys`
 /// — the distinct data keys, strictly ascending, each with the number of
-/// items published under it — with at most `target` partitions.
+/// items published under it — with at most `target` partitions, and the
+/// load of each.
 ///
 /// A partition's load is the number of items under its keys, so a popular
 /// key weighs what its postings weigh; the split points are found among
 /// the distinct keys, which a world has several times fewer of than
-/// postings.
+/// postings. A key shorter than a partition's path counts towards the first
+/// partition it covers ([`find_partition`]'s choice). A partition whose
+/// load is 0 holds no key: the network leaves it peerless, a gap.
 ///
 /// Fewer than `target` partitions are returned when splitting further cannot
 /// separate data (every partition holds ≤ 1 item or one key, or
-/// [`MAX_PATH_BITS`] is reached) — the surplus peers become structural
-/// replicas instead, exactly as in P-Grid.
+/// [`MAX_PATH_BITS`] is reached) — the surplus peers replicate the loaded
+/// partitions instead, exactly as in P-Grid.
 ///
 /// The returned paths are sorted lexicographically, which (because they are
-/// prefix-free and complete) is also their key-space order.
+/// prefix-free and complete) is also their key-space order; the loads come
+/// in the same order.
 ///
 /// The keys are read where they lie — a bulk load splits on views of the
 /// keys it is about to store, not on copies.
 ///
 /// # Panics
 /// Panics when `target` is 0 or the keys do not ascend strictly.
-pub fn build_partitions(keys: &[(KeyRef<'_>, usize)], target: usize) -> Vec<Key> {
+pub fn build_partitions(keys: &[(KeyRef<'_>, usize)], target: usize) -> (Vec<Key>, Vec<usize>) {
     assert!(target >= 1, "at least one partition required");
     assert!(keys.windows(2).all(|w| w[0].0 < w[1].0), "distinct keys, ascending");
     // Items under the keys before each one: a range's load is a difference.
@@ -94,7 +105,7 @@ pub fn build_partitions(keys: &[(KeyRef<'_>, usize)], target: usize) -> Vec<Key>
         path: Key::empty(),
         range: (0, keys.len()),
     });
-    let mut done: Vec<Key> = Vec::new();
+    let mut done: Vec<(Key, usize)> = Vec::new();
 
     while heap.len() + done.len() < target {
         let Some(top) = heap.pop() else { break };
@@ -103,7 +114,7 @@ pub fn build_partitions(keys: &[(KeyRef<'_>, usize)], target: usize) -> Vec<Key>
             // Cannot usefully split (single item, one key however loaded —
             // e.g. a popular q-gram posted by thousands of strings — or
             // depth cap); freeze it. Surplus peers replicate instead.
-            done.push(top.path);
+            done.push((top.path, top.load));
             continue;
         }
         let depth = top.path.len();
@@ -129,9 +140,22 @@ pub fn build_partitions(keys: &[(KeyRef<'_>, usize)], target: usize) -> Vec<Key>
         });
     }
 
-    let mut paths: Vec<Key> = done.into_iter().chain(heap.into_iter().map(|c| c.path)).collect();
-    paths.sort_unstable();
-    paths
+    let mut leaves: Vec<(Key, usize)> =
+        done.into_iter().chain(heap.into_iter().map(|c| (c.path, c.load))).collect();
+    leaves.sort_unstable();
+    leaves.into_iter().unzip()
+}
+
+/// The load of each partition of the sorted cover `paths` under `keys` —
+/// the distinct data keys ascending, each with its item count — counted as
+/// [`build_partitions`] counts it: a key towards the partition
+/// [`find_partition`] names. What an explicit cover is dealt its peers by.
+pub fn partition_loads(paths: &[Key], keys: &[(KeyRef<'_>, usize)]) -> Vec<usize> {
+    let mut loads = vec![0; paths.len()];
+    for (key, items) in keys {
+        loads[locate(paths, *key)] += items;
+    }
+    loads
 }
 
 /// Check that `paths` is a complete prefix-free cover of the key space:
@@ -181,20 +205,25 @@ pub fn is_complete_cover(paths: &[Key]) -> bool {
 /// `key` is shorter than the local trie depth — the *first* path extending
 /// `key` (the caller fans out to the remaining ones for subtree queries).
 pub fn find_partition(paths: &[Key], key: &Key) -> usize {
+    locate(paths, key.as_ref())
+}
+
+/// [`find_partition`] on a borrowed key.
+fn locate(paths: &[Key], key: KeyRef<'_>) -> usize {
     debug_assert!(!paths.is_empty());
     // Binary search by the interval order: the responsible partition is the
     // last one whose path, as interval start, is <= key.
-    let idx = paths.partition_point(|p| p <= key);
-    let candidate = idx.saturating_sub(1);
-    if paths[candidate].is_prefix_of(key) || key.is_prefix_of(&paths[candidate]) {
-        return candidate;
+    let idx = paths.partition_point(|p| p.as_ref() <= key);
+    let candidate = paths[idx.saturating_sub(1)].as_ref();
+    if candidate.is_prefix_of(key) || key.is_prefix_of(candidate) {
+        return idx.saturating_sub(1);
     }
     // `key` may sort before its covering partition's path only when key is a
     // proper prefix of a later path ("0" vs partitions "00","01",…): pick the
     // first extension.
-    let ext = paths.partition_point(|p| p < key);
+    let ext = paths.partition_point(|p| p.as_ref() < key);
     debug_assert!(
-        ext < paths.len() && key.is_prefix_of(&paths[ext]),
+        ext < paths.len() && key.is_prefix_of(paths[ext].as_ref()),
         "complete cover violated for key {key}"
     );
     ext.min(paths.len() - 1)
@@ -236,8 +265,9 @@ mod tests {
     #[test]
     fn single_partition_is_root() {
         let keys = keys_of(&["a", "b", "c"]);
-        let paths = build_partitions(&views(&keys), 1);
+        let (paths, loads) = build_partitions(&views(&keys), 1);
         assert_eq!(paths, vec![Key::empty()]);
+        assert_eq!(loads, vec![3]);
         assert!(is_complete_cover(&paths));
     }
 
@@ -246,7 +276,7 @@ mod tests {
         let words: Vec<String> = (0..200).map(|i| format!("word{i:03}")).collect();
         let keys: Vec<Key> = words.iter().map(|w| hash_str(w)).collect();
         for target in [1, 2, 3, 7, 16, 64] {
-            let paths = build_partitions(&views(&keys), target);
+            let (paths, _) = build_partitions(&views(&keys), target);
             assert_eq!(paths.len(), target, "target {target}");
             assert!(is_complete_cover(&paths), "cover violated at target {target}");
         }
@@ -257,7 +287,7 @@ mod tests {
         // Two distinct keys can support at most a few meaningful partitions;
         // the builder must stop instead of looping.
         let keys = keys_of(&["aaaa", "zzzz"]);
-        let paths = build_partitions(&views(&keys), 64);
+        let (paths, _) = build_partitions(&views(&keys), 64);
         assert!(paths.len() <= 64);
         assert!(is_complete_cover(&paths));
         // It still made *some* progress beyond the root.
@@ -277,7 +307,7 @@ mod tests {
         }
         let keys: Vec<Key> = words.iter().map(|w| hash_str(w)).collect();
         let max_load = |target: usize, keys: &[Key]| {
-            let paths = build_partitions(&views(keys), target);
+            let (paths, _) = build_partitions(&views(keys), target);
             assert!(is_complete_cover(&paths), "cover violated at target {target}");
             paths.iter().map(|p| keys.iter().filter(|k| p.is_prefix_of(k)).count()).max().unwrap()
         };
@@ -301,21 +331,29 @@ mod tests {
         // shared prefix — the documented P-Grid behaviour (the trie gets
         // deep, expected search cost stays logarithmic via randomized
         // complementary refs). The invariants that must survive: a complete
-        // cover, the requested partition count, termination.
+        // cover, the requested partition count, termination. The siblings
+        // the descent leaves behind hold nothing, and their load says so:
+        // those are the gaps the network deals no peer.
         let mut words: Vec<String> = (0..900).map(|i| format!("aaa{i:04}")).collect();
         words.extend((0..100).map(|i| format!("z{i:03}")));
         let keys: Vec<Key> = words.iter().map(|w| hash_str(w)).collect();
-        let paths = build_partitions(&views(&keys), 32);
+        let (paths, loads) = build_partitions(&views(&keys), 32);
         assert_eq!(paths.len(), 32);
         assert!(is_complete_cover(&paths));
         let max_depth = paths.iter().map(Key::len).max().unwrap();
         assert!(max_depth >= 24, "splitter should have chased the heavy cluster");
+        assert_eq!(loads.iter().sum::<usize>(), keys.len());
+        for (path, load) in paths.iter().zip(&loads) {
+            assert_eq!(*load, keys.iter().filter(|k| path.is_prefix_of(k)).count(), "{path}");
+        }
+        assert!(loads.contains(&0), "the descent left empty siblings");
+        assert_eq!(loads, partition_loads(&paths, &views(&keys)));
     }
 
     #[test]
     fn find_partition_locates_prefix_owner() {
         let keys: Vec<Key> = (0..64).map(|i| hash_str(&format!("k{i:02}"))).collect();
-        let paths = build_partitions(&views(&keys), 8);
+        let (paths, _) = build_partitions(&views(&keys), 8);
         for k in &keys {
             let idx = find_partition(&paths, k);
             assert!(paths[idx].is_prefix_of(k), "partition {} does not own key {}", paths[idx], k);

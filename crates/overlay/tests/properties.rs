@@ -202,7 +202,7 @@ proptest! {
         // Distinct words, but a word is a prefix-free key only up to the
         // hash's 32-byte cut: here always.
         keys.sort_unstable();
-        let paths = build_partitions(&keys.iter().map(|k| (k.as_ref(), 1)).collect::<Vec<_>>(), target);
+        let (paths, _) = build_partitions(&keys.iter().map(|k| (k.as_ref(), 1)).collect::<Vec<_>>(), target);
         prop_assert!(paths.len() <= target);
         prop_assert!(is_complete_cover(&paths));
         for k in &keys {
@@ -272,9 +272,10 @@ proptest! {
 
     /// Replica fallback under heavy churn: kill up to all-but-one member of
     /// every partition — routing must still reach every partition (the
-    /// surviving replica makes identical routing progress); then make some
-    /// partitions extinct — routing to those must error, never land on a
-    /// wrong peer.
+    /// surviving replica makes identical routing progress), and a gap's
+    /// path still gets its answer, "nothing here", from an alive peer; then
+    /// make some partitions extinct — routing to those must error, never
+    /// land on a wrong peer.
     #[test]
     fn routing_replica_fallback_under_heavy_churn(
         words in prop::collection::hash_set("[a-z]{1,8}", 5..40),
@@ -288,9 +289,24 @@ proptest! {
         let cfg = NetworkConfig { peers, replication: 4, seed, ..Default::default() };
         let mut net = Network::build(cfg, data);
         let parts = net.partition_count();
+        // Where a route may end: at an alive member of the key's partition,
+        // or, for a gap, at an alive peer with nothing under the key.
+        let lands_right = |net: &Network<S>, p: PeerId, part: usize, key: &Key| {
+            let home = net.peer_partition(p);
+            let gap = net.partition_members(part).is_empty();
+            net.peer_alive(p)
+                && if gap {
+                    net.partition_store(home).prefix_entries(key).is_empty()
+                } else {
+                    home == part
+                }
+        };
         // Phase 1: per partition, kill up to all-but-one member.
         for part in 0..parts {
             let members = net.partition_members(part).to_vec();
+            if members.is_empty() {
+                continue; // a gap: nobody to kill
+            }
             let kill = kills[part % kills.len()].min(members.len() - 1);
             for &m in members.iter().take(kill) {
                 net.fail_peer(m);
@@ -302,19 +318,16 @@ proptest! {
             let key = net.paths()[part].clone();
             let got = net.route(from, &key);
             match got {
-                Ok(p) => {
-                    prop_assert!(net.peer_alive(p), "routed to a corpse");
-                    prop_assert_eq!(net.peer_partition(p), part,
-                        "routed to the wrong partition");
-                }
+                Ok(p) => prop_assert!(lands_right(&net, p, part, &key), "{part} routed to {p:?}"),
                 Err(e) => prop_assert!(false, "partition {part} unreachable: {e}"),
             }
         }
         // Phase 2: make some partitions extinct (always sparing at least
         // one); routing to them must error — never return a wrong peer.
         let mut spared_any = false;
-        for part in 0..parts {
-            if part + 1 == parts && !spared_any {
+        let peered: Vec<usize> = (0..parts).filter(|p| !net.partition_members(*p).is_empty()).collect();
+        for (i, &part) in peered.iter().enumerate() {
+            if i + 1 == peered.len() && !spared_any {
                 break;
             }
             if (extinct_mask >> (part % 32)) & 1 == 1 {
@@ -327,11 +340,12 @@ proptest! {
         for part in 0..parts {
             let key = net.paths()[part].clone();
             // A routing error (NoAliveReference or PartitionDead) is an
-            // honest failure; a success must land on an alive owner.
+            // honest failure; a success must land on an alive owner, or on
+            // an alive peer answering for a gap.
             if let Ok(p) = net.route(from, &key) {
-                prop_assert!(net.peer_alive(p));
-                prop_assert_eq!(net.peer_partition(p), part);
-                prop_assert!(net.partition_alive(part) >= 1);
+                prop_assert!(lands_right(&net, p, part, &key), "{part} routed to {p:?}");
+                let gap = net.partition_members(part).is_empty();
+                prop_assert!(gap || net.partition_alive(part) >= 1);
             }
         }
     }

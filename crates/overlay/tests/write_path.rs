@@ -2,14 +2,15 @@
 //! against a `BTreeMap` reference, `Network::insert_groups` against
 //! `insert_batch` of the same publications flattened, against the same
 //! publications made one at a time and against a network built on all of
-//! them at once, and the weighted `build_partitions` against the splitter
-//! that looked at one key per posting.
+//! them at once — with the recruitments a publication into a gap makes —
+//! and the weighted `build_partitions` against the splitter that looked at
+//! one key per posting.
 
 use proptest::prelude::*;
 use sqo_overlay::key::Key;
 use sqo_overlay::network::{Network, NetworkConfig};
 use sqo_overlay::peer::Item;
-use sqo_overlay::trie::{build_partitions, MAX_PATH_BITS};
+use sqo_overlay::trie::{build_partitions, partition_loads, MAX_PATH_BITS};
 use sqo_overlay::{run_items, PostingList, Run, SortedStore};
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -93,6 +94,13 @@ fn image(net: &Network<S>) -> String {
     format!("{state:?} {:?}", state.store_tables())
 }
 
+/// What the network stores, and nothing of who stores it: the runs entry
+/// for entry with their sharing, the epoch and the unstored count.
+fn data(net: &Network<S>) -> String {
+    let state = net.export_state();
+    format!("{:?} {} {}", state.store_tables(), net.cache_epoch(), net.unstored_items())
+}
+
 proptest! {
     /// Merging batch after batch equals extending a `BTreeMap<Key, Vec>`:
     /// same entries in the same order, publication order within a key —
@@ -147,10 +155,17 @@ proptest! {
 
     /// A batch of groups equals the flat batch, equals its publications
     /// made one by one, and equals having been there from the build, flat
-    /// or grouped: the same snapshot image — runs, shared lists, epoch —
-    /// with duplicate keys, keys shorter than the trie depth (stored by
-    /// every partition of their subtree, sharing one list) and one to four
-    /// replicas per partition.
+    /// or grouped — with duplicate keys, keys shorter than the trie depth
+    /// (stored by every peered partition of their subtree, sharing one
+    /// list) and one to four replicas per partition. The base leaves gaps
+    /// the batch publishes into, and each recruits a member.
+    ///
+    /// Who is recruited depends on the order the gaps are reached in, so
+    /// the whole snapshot image — membership and routing included — is
+    /// equal where the publications reach the network in key order: as a
+    /// batch, as groups and one by one in key order. Published one by one in
+    /// any order, or there from the build, the network stores the same:
+    /// the same runs, shared lists, epoch, and nothing unstored.
     #[test]
     fn a_batch_equals_its_items_one_by_one_and_the_build_on_all_of_them(
         base in prop::collection::vec(key(), 0..60),
@@ -173,35 +188,54 @@ proptest! {
         // An empty group publishes nothing, wherever it stands.
         let with_empty = groups(&batch).into_iter().chain([(Key::empty(), Arc::default())]);
         prop_assert_eq!(in_groups.insert_groups(with_empty), 0);
+        let mut in_key_order = grown();
+        let mut sorted = batch.clone();
+        sorted.sort_by(|a, b| a.0.cmp(&b.0));
+        for (k, item) in sorted {
+            in_key_order.insert_item(k, item);
+        }
         let mut one_by_one = grown();
         for (k, item) in batch {
             one_by_one.insert_item(k, item);
         }
 
-        for net in [&built_grouped, &batched, &in_groups, &one_by_one] {
-            prop_assert_eq!(image(net), image(&built));
+        prop_assert_eq!(image(&built_grouped), image(&built));
+        for net in [&in_groups, &in_key_order] {
+            prop_assert_eq!(image(net), image(&batched));
+        }
+        for net in [&built_grouped, &batched, &in_groups, &in_key_order, &one_by_one] {
+            prop_assert_eq!(data(net), data(&built));
             prop_assert_eq!(net.check_invariants(), Ok(()));
-            prop_assert_eq!(net.cache_epoch(), built.cache_epoch());
             prop_assert_eq!(net.unstored_items(), 0);
+            // Every partition the build gave members has some, and no other.
+            for part in 0..built.partition_count() {
+                prop_assert_eq!(
+                    net.partition_members(part).is_empty(),
+                    built.partition_members(part).is_empty()
+                );
+            }
         }
         // Redundant coverage is structural sharing, not copies: every
-        // partition under a short key holds the same list.
+        // peered partition under a short key holds the same list.
         for (k, _) in &base {
             let (s, e) = built.subtree_of(k);
-            let lists: Vec<_> = (s..e)
-                .map(|p| built.partition_store(p).exact_entry(k).expect("stored"))
+            let lists: Vec<_> = built
+                .topology()
+                .peered_in(s, e)
+                .iter()
+                .map(|p| built.partition_store(*p as usize).exact_entry(k).expect("stored"))
                 .collect();
             prop_assert!(lists.iter().all(|l| Arc::ptr_eq(l, lists[0])));
         }
     }
 
-    /// The same equivalence on a cover with a peerless gap partition (a
-    /// cover with more partitions than peers: round-robin placement leaves
-    /// the trailing one empty): publications whose subtree is, or
-    /// includes, the gap skip it and land everywhere else — and a
-    /// publication whose *whole* subtree is the gap, which no peer stores,
-    /// is counted out to the caller, and kept by the network, instead of
-    /// vanishing.
+    /// The same equivalence on a cover with a gap no member can be
+    /// recruited into (a cover with more partitions holding data than
+    /// peers: the dealing runs out before the last one, and no partition
+    /// has a member to spare): publications whose subtree is, or includes,
+    /// the gap skip it and land everywhere else — and a publication whose
+    /// *whole* subtree is the gap, which no peer stores, is counted out to
+    /// the caller, and kept by the network, instead of vanishing.
     #[test]
     fn a_peerless_gap_partition_takes_nothing_and_breaks_nothing(
         base in prop::collection::vec(key(), 0..40),
@@ -209,9 +243,12 @@ proptest! {
         seed in 0u64..50,
     ) {
         let paths: Vec<Key> = ["000", "001", "01", "10", "11"].map(Key::parse).to_vec();
-        // Four peers for five partitions: one each, none left for "11".
+        // Every partition holds data; four peers for five of them: one
+        // each, none left for "11", and none to spare for it later.
         const GAP: usize = 4;
         let cfg = NetworkConfig { peers: paths.len() - 1, seed, ..Default::default() };
+        let mut base = base;
+        base.extend(["0000", "0010", "010", "100", "110"].map(Key::parse));
         let (base, batch) = (numbered(base.clone(), 0), numbered(batch, base.len()));
         let on = |data: Vec<(Key, S)>| Network::build_with_paths(cfg.clone(), paths.clone(), data);
 
@@ -250,6 +287,7 @@ proptest! {
     /// the cover that splitting on one key per posting grew: same loads,
     /// same split points, same paths — for heavy keys, keys that are
     /// prefixes of one another and targets past what the data can fill.
+    /// The loads it reports are the ones an explicit cover is dealt by.
     #[test]
     fn weighted_partitions_are_the_per_posting_partitions(
         keys in prop::collection::vec((key(), 1usize..6), 0..40),
@@ -262,6 +300,9 @@ proptest! {
         let weighted: Vec<_> = weight.iter().map(|(k, n)| (k.as_ref(), *n)).collect();
         let per_posting: Vec<Key> =
             keys.iter().flat_map(|(k, n)| std::iter::repeat_n(k.clone(), *n)).collect();
-        prop_assert_eq!(build_partitions(&weighted, target), per_posting_partitions(per_posting, target));
+        let (paths, loads) = build_partitions(&weighted, target);
+        prop_assert_eq!(&paths, &per_posting_partitions(per_posting, target));
+        prop_assert_eq!(loads.iter().sum::<usize>(), keys.iter().map(|(_, n)| n).sum::<usize>());
+        prop_assert_eq!(loads, partition_loads(&paths, &weighted));
     }
 }

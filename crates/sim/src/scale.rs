@@ -178,6 +178,8 @@ const REPLY_STEP_SHIFT: u32 = 1 << 20;
 struct QInfo {
     initiator: u32,
     key: Key,
+    /// The partitions of the key's subtree, which its owner showers.
+    subtree: (u32, u32),
 }
 
 /// Mutable per-query progress, owned by the initiator's shard.
@@ -237,11 +239,21 @@ impl RunCtx<'_> {
             EvKind::Query => {
                 let done = start + cfg.service_us;
                 *busy = done;
-                if let Some(l) = topo.route_level(peer, &q.key) {
+                let refs = topo.route_level(peer, &q.key).map(|l| topo.refs(peer, l));
+                if refs.is_some_and(<[PeerId]>::is_empty) {
+                    // The key lies in a gap: nothing to forward to, and
+                    // nothing to scan. The peer answers "empty", one result.
+                    let rstep = ev.step + 1;
+                    emit(Ev {
+                        at_us: done + self.latency(ev.qid, rstep),
+                        qid: ev.qid,
+                        step: rstep,
+                        peer: q.initiator,
+                        kind: EvKind::Result { of: 1 },
+                    });
+                } else if let Some(refs) = refs {
                     // Route hop: the first differing level picks the next
                     // reference (Algorithm 1, stateless draw).
-                    let refs = topo.refs(peer, l);
-                    debug_assert!(!refs.is_empty(), "complete cover wires every level");
                     let next = refs[mix(cfg.seed, ev.qid, ev.step, 0x11) as usize % refs.len()];
                     emit(Ev {
                         at_us: done + self.latency(ev.qid, ev.step + 1),
@@ -251,23 +263,25 @@ impl RunCtx<'_> {
                         kind: EvKind::Query,
                     });
                 } else {
-                    // Responsible: shower over the covered subtree. The
-                    // own partition scans inline; every sibling partition
-                    // gets one forward.
-                    let (s, e) = topo.subtree_of(&q.key);
+                    // Responsible: shower over the peered partitions of the
+                    // covered subtree — its gaps get nothing. The own
+                    // partition scans inline; every sibling gets one
+                    // forward, and each of them replies.
+                    let (s, e) = (q.subtree.0 as usize, q.subtree.1 as usize);
                     let own = topo.partition_of(peer);
-                    let fanout = (e - s) as u32;
+                    let peered = topo.peered_in(s, e);
+                    let fanout = peered.len() as u32;
                     debug_assert!(
                         (s..e).contains(&own),
                         "owner's partition lies in its own subtree"
                     );
                     debug_assert!(fanout < REPLY_STEP_SHIFT, "shower fan-out exceeds step space");
                     let mut j = 0u32;
-                    let mut scan_done = done;
-                    for part in s..e {
+                    let scan_done =
+                        done + cfg.scan_us_per_item * self.topo.items_per_part[own] as u64;
+                    for &part in peered {
+                        let part = part as usize;
                         if part == own {
-                            scan_done +=
-                                cfg.scan_us_per_item * self.topo.items_per_part[part] as u64;
                             continue;
                         }
                         let fstep = ev.step + 1 + j;
@@ -376,8 +390,9 @@ fn build_ctx<'a>(topo: &'a Topology, cfg: &'a ScaleConfig) -> RunCtx<'a> {
             let path = &topo.overlay.paths()[part];
             let trim = (mix(cfg.seed, qid, 0, 0x3333).wrapping_rem(cfg.shower_trim_bits as u64 + 1))
                 as usize;
-            let key = path.prefix(path.len().saturating_sub(trim).max(1));
-            QInfo { initiator, key }
+            let bits = path.len().saturating_sub(trim).max(1);
+            let (s, e) = topo.overlay.sharing(part, bits);
+            QInfo { initiator, key: path.prefix(bits), subtree: (s as u32, e as u32) }
         })
         .collect();
     RunCtx { topo, cfg, qinfo }

@@ -465,7 +465,7 @@ pub fn network_state(
     s: &NetworkState<Posting>,
     tables: &StoreTables<'_, Posting>,
 ) {
-    let (c, Topology { paths, part_peers, part_of, routing }) = (s.config(), s.topology());
+    let (c, Topology { paths, part_peers, part_of, routing, .. }) = (s.config(), s.topology());
     e.usize(c.peers);
     e.usize(c.replication);
     e.usize(c.refs_per_level);
@@ -553,7 +553,7 @@ pub fn de_network_state<'a>(
     // The image's one constructor checks the tables against each other —
     // what a live network checks of itself — so an image that decodes is
     // one that restores and routes.
-    let topo = Topology { paths, part_peers, part_of, routing };
+    let topo = Topology::new(paths, part_peers, part_of, routing);
     NetworkState::new(cfg, topo, alive, stores, metrics, peer_load, next_query, epoch, rng)
         .map_err(SnapError::Corrupt)
 }

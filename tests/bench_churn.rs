@@ -74,6 +74,11 @@ fn repair_on_keeps_late_horizon_completeness_while_repair_off_decays() {
     assert_eq!(u(on, "lost_partitions"), 0, "repair must leave no partition dead");
     assert!(u(on, "repair_passes") > 0, "the churned cell must actually run repair");
     assert!(u(on, "recruited") > 0, "repair must recruit replacement replicas");
+    // Peers sit only where the data is, so every partition repair heals
+    // holds some, and every recruit copies it.
+    for p in points.iter().filter(|p| u(p, "recruited") > 0) {
+        assert!(u(p, "repair_bytes") > 0, "{} recruits copied nothing", u(p, "recruited"));
+    }
 
     // Without repair the same fault plan kills partitions' last replicas
     // and late-horizon completeness visibly decays.

@@ -81,14 +81,14 @@ fn explain_analyze_golden_snapshot() {
     let expected = "TopN n=3 by=score [local rank + truncate]
 ~ rows=3 time=0us msgs=0 bytes=0 probes=0
 └─ SimJoin ln=dealer rn=name d=1 window=1 left_limit=∞ strategy=qgrams [left from input rows, per-left Similar]
-   ~ rows=3 time=23140us msgs=22 bytes=1596 probes=22 cmp=3 queue=0us service=1140us blame[link=22000us queue=0us service=1140us stall=0us]
+   ~ rows=3 time=10540us msgs=10 bytes=1020 probes=22 cmp=3 queue=0us service=540us blame[link=10000us queue=0us service=540us stall=0us]
    └─ SelectRange attr=price lo=0 hi=50000 [order-preserving shower scan]
       ~ rows=4 time=16us msgs=0 bytes=0 probes=0 queue=0us service=16us blame[link=0us queue=0us service=16us stall=0us]
--- observed: rows=3 msgs=22 bytes=1596 probes=22 time=23156us";
+-- observed: rows=3 msgs=10 bytes=1020 probes=22 time=10556us";
     assert_eq!(rendered, expected);
     // The per-stage blame rollup is exhaustive: each stage's four blame
     // parts sum to exactly the stage's elapsed virtual time.
-    assert!(rendered.contains("time=23140us") && rendered.contains("link=22000us"));
+    assert!(rendered.contains("time=10540us") && rendered.contains("link=10000us"));
 }
 
 #[test]
