@@ -52,3 +52,47 @@ pub use peer::{Item, PeerId};
 pub use snapshot::{NetworkState, StoreTables};
 pub use store::{run_items, PartitionStore, PostingList, Run, SortedStore};
 pub use topology::{RoutingArena, Topology};
+
+/// The partition point of `run` under `pred`, found by doubling from the
+/// front and bisecting the last stride: twice log₂ of the answer instead of
+/// log₂ of the run, for an answer known to be near the front.
+#[inline]
+pub(crate) fn gallop<E>(run: &[E], pred: impl Fn(&E) -> bool) -> usize {
+    let mut bound = 1;
+    while bound <= run.len() && pred(&run[bound - 1]) {
+        bound *= 2;
+    }
+    // `run[bound / 2 - 1]` passed, `run[bound - 1]` failed or is past the end.
+    let (lo, hi) = (bound / 2, run.len().min(bound - 1));
+    lo + run[lo..hi].partition_point(pred)
+}
+
+/// [`gallop`] from the back: the same partition point, for an answer known
+/// to be near the end.
+#[inline]
+pub(crate) fn gallop_back<E>(run: &[E], pred: impl Fn(&E) -> bool) -> usize {
+    let n = run.len();
+    let mut bound = 1;
+    while bound <= n && !pred(&run[n - bound]) {
+        bound *= 2;
+    }
+    // `run[n - bound / 2]` failed, `run[n - bound]` passed or is before the start.
+    let (lo, hi) = ((n + 1).saturating_sub(bound), n - bound / 2);
+    lo + run[lo..hi].partition_point(pred)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{gallop, gallop_back};
+
+    #[test]
+    fn both_gallops_find_every_partition_point() {
+        for n in 0..70 {
+            let run: Vec<usize> = (0..n).collect();
+            for at in 0..=n {
+                assert_eq!(gallop(&run, |x| *x < at), at, "from the front, {at} of {n}");
+                assert_eq!(gallop_back(&run, |x| *x < at), at, "from the back, {at} of {n}");
+            }
+        }
+    }
+}

@@ -32,6 +32,7 @@
 //! the run is sorted by the same total [`Key`] order, a "map entry" is one
 //! run entry, and within a key items keep insertion order.
 
+use crate::gallop;
 use crate::key::{Key, KeyRef};
 use crate::peer::Item;
 use std::fmt;
@@ -49,19 +50,6 @@ pub type Run<T> = [PostingList<T>];
 /// a key), borrowed — callers filter first and clone only what they keep.
 pub fn run_items<T>(run: &Run<T>) -> impl Iterator<Item = &T> {
     run.iter().flat_map(|list| list.iter())
-}
-
-/// The partition point of `run` under `pred`, found by doubling from the
-/// front and bisecting the last stride: twice log₂ of the answer instead of
-/// log₂ of the run, for an answer known to be near.
-fn gallop<E>(run: &[E], pred: impl Fn(&E) -> bool) -> usize {
-    let mut bound = 1;
-    while bound <= run.len() && pred(&run[bound - 1]) {
-        bound *= 2;
-    }
-    // `run[bound / 2 - 1]` passed, `run[bound - 1]` failed or is past the end.
-    let (lo, hi) = (bound / 2, run.len().min(bound - 1));
-    lo + run[lo..hi].partition_point(pred)
 }
 
 /// Where one key lies in its run's byte buffer.

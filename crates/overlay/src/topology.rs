@@ -28,6 +28,7 @@
 use crate::key::Key;
 use crate::peer::PeerId;
 use crate::trie::{is_complete_cover, subtree_range};
+use crate::{gallop, gallop_back};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::cmp::Ordering;
@@ -246,12 +247,14 @@ impl Topology {
     /// [`Self::subtree_of`] that prefix, found without building it. In
     /// sorted paths the common prefix with a fixed path falls monotonically
     /// on both sides of it, so the partitions sharing `bits` bits with it
-    /// are a run around it, found by bisection.
+    /// are a run around it. A prefix a few bits short of the path covers a
+    /// handful of neighbours, so each end is galloped to outward from
+    /// `part`: a few comparisons, not a bisection of the whole cover.
     pub fn sharing(&self, part: usize, bits: usize) -> (usize, usize) {
         let path = self.paths[part].as_ref();
         let shares = |p: &Key| p.as_ref().common_prefix_len(path) >= bits;
-        let s = self.paths[..part].partition_point(|p| !shares(p));
-        let e = part + 1 + self.paths[part + 1..].partition_point(shares);
+        let s = gallop_back(&self.paths[..part], |p| !shares(p));
+        let e = part + 1 + gallop(&self.paths[part + 1..], shares);
         (s, e)
     }
 
@@ -259,9 +262,9 @@ impl Topology {
     /// `part` at level `l`: the partitions whose path agrees with the
     /// part's in exactly its first `l` bits — those sharing `l` bits less
     /// those sharing `l + 1`, on the side bit `l` does not take: two
-    /// bisections on that side, as in [`Self::sharing`], where four would
-    /// do both sides. Routing tables are wired and checked by this, once per
-    /// peered partition and level.
+    /// bisections on that side, where four would do both sides. Routing
+    /// tables are wired and checked by this, once per peered partition and
+    /// level.
     pub fn complement_of(&self, part: usize, l: usize) -> (usize, usize) {
         let path = self.paths[part].as_ref();
         let shares = |p: &Key, bits: usize| p.as_ref().common_prefix_len(path) >= bits;

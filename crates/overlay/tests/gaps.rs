@@ -2,8 +2,9 @@
 //! nothing a caller sees may depend on it: a lookup answers what a
 //! brute-force scan of every store answers, a key in a gap answers empty at
 //! the cost of its route alone, a publication into a gap recruits a member
-//! and is stored, and every image passes the check a decoder runs — on
-//! covers the splitter grew and on explicit ones.
+//! and is stored, every image passes the check a decoder runs, and a
+//! partition's shower range is the subtree it names — on covers the
+//! splitter grew and on explicit ones.
 
 use proptest::prelude::*;
 use sqo_overlay::key::Key;
@@ -210,6 +211,32 @@ proptest! {
             state.rng_words(),
         );
         prop_assert_eq!(image.err(), Some("a routing level is empty over a peered subtree, or names a gap"));
+    }
+
+    /// A partition's shower range, galloped to from the partition, is the
+    /// subtree under its path's prefix — for every partition and prefix
+    /// length of grown and explicit covers with gaps.
+    #[test]
+    fn sharing_is_the_subtree_of_the_prefix(
+        base in prop::collection::vec(key(), 0..50),
+        explicit in prop::option::of(cover()),
+        peers in 1usize..40,
+    ) {
+        let cfg = NetworkConfig { peers, ..Default::default() };
+        let net = match explicit {
+            Some(paths) => Network::build_with_paths(cfg, paths, numbered(base, 0)),
+            None => Network::build(cfg, numbered(base, 0)),
+        };
+        let topo = net.topology();
+        for (part, path) in topo.paths().iter().enumerate() {
+            for bits in 0..=path.len() {
+                prop_assert_eq!(
+                    topo.sharing(part, bits),
+                    topo.subtree_of(&path.prefix(bits)),
+                    "{} at {} bits", path, bits
+                );
+            }
+        }
     }
 }
 

@@ -36,9 +36,10 @@
 //!
 //! ## Determinism
 //!
-//! Within a window each shard sorts its bucket by the global event key
-//! `(at_us, qid, step)` — `(qid, step)` is unique per message, so the key
-//! is total; every per-decision random draw is a **stateless hash** of
+//! Within a window each shard processes its bucket in the order of the
+//! global event key `(at_us, qid, step)` — `(qid, step)` is unique per
+//! message, so the key is total and the order a bucket was filled in never
+//! shows; every per-decision random draw is a **stateless hash** of
 //! `(seed, qid, step)` rather than a shared RNG stream. A peer's event
 //! sequence — and therefore its `busy_until` evolution — is thus identical
 //! for *any* shard count, and the run's [`ScaleOutcome`] (event count,
@@ -46,8 +47,11 @@
 //! by the root `scale_core` tests). The serial baseline ([`run_serial`])
 //! executes the same events on one global binary heap ordered by the same
 //! key, so it produces the same outcome by construction — what differs is
-//! wall-clock: windowed bucket sorting beats per-event heap churn on one
-//! core.
+//! wall-clock. The heap pays log₂ n comparisons per event; a window pays
+//! about none: every event of window `w` lies in `[wW, (w+1)W)`, so its
+//! offset in the window is a small integer, and a counting pass by that
+//! offset leaves only the few events sharing one to be compared by key
+//! (`order_window`).
 
 use crate::seed::mix;
 use serde::Serialize;
@@ -162,8 +166,9 @@ pub enum EvKind {
 }
 
 impl Ev {
-    /// The event key packed into one `u128`, so the window sort and the
-    /// serial heap compare branchlessly — and agree on event order.
+    /// The event key packed into one `u128`: the serial heap orders by it,
+    /// and a window by its offset and then by it, so both agree on event
+    /// order.
     #[inline]
     fn key128(&self) -> u128 {
         ((self.at_us as u128) << 64) | ((self.qid as u128) << 32) | self.step as u128
@@ -390,7 +395,8 @@ fn build_ctx<'a>(topo: &'a Topology, cfg: &'a ScaleConfig) -> RunCtx<'a> {
             let path = &topo.overlay.paths()[part];
             let trim = (mix(cfg.seed, qid, 0, 0x3333).wrapping_rem(cfg.shower_trim_bits as u64 + 1))
                 as usize;
-            let bits = path.len().saturating_sub(trim).max(1);
+            // ≥ 1 bit where the path has one (a one-partition cover's is empty).
+            let bits = path.len().saturating_sub(trim).max(1).min(path.len());
             let (s, e) = topo.overlay.sharing(part, bits);
             QInfo { initiator, key: path.prefix(bits), subtree: (s as u32, e as u32) }
         })
@@ -663,9 +669,8 @@ impl Ring {
     /// sizing covers the arrival spread plus the largest single hop, but a
     /// resumed backlog (or a deep busy cascade onto one peer) can schedule
     /// past it. Each occupied slot holds exactly one window's events —
-    /// the horizon invariant held before the grow — so re-bucketing whole
-    /// slots by their timestamps preserves per-window insertion order and
-    /// the simulation stays bit-identical.
+    /// the horizon invariant held before the grow — so whole slots move,
+    /// placed by their first event's window.
     #[cold]
     fn grow(&mut self, w: u64) {
         let need = ((w - self.floor) as usize + 1).next_power_of_two();
@@ -681,29 +686,62 @@ impl Ring {
         self.mask = new_len - 1;
     }
 
-    /// Remove and return window `w`'s bucket (possibly empty), advancing
-    /// the floor past it.
+    /// Window `w`'s bucket (possibly empty), ordered by the event key into
+    /// `out` ([`order_window`]). The slot is emptied in place, so the
+    /// ring's next lap reuses its capacity, and the floor advances past
+    /// `w`.
     #[inline]
-    fn take(&mut self, w: u64) -> Vec<Ev> {
+    fn take(&mut self, w: u64, counts: &mut Vec<u32>, out: &mut Vec<Ev>) {
         self.floor = w + 1;
-        let evs = std::mem::take(&mut self.slots[w as usize & self.mask]);
-        self.pending -= evs.len();
-        evs
-    }
-
-    /// Hand a drained bucket vector back to its slot so the next lap of
-    /// the ring reuses its capacity instead of reallocating. The slot may
-    /// have been refilled since `take`: an emission can land exactly one
-    /// ring-length ahead, and a mid-window `grow` remaps `w` to a slot
-    /// another live window now owns — in either case the capacity is
-    /// simply dropped instead of clobbering pending events.
-    #[inline]
-    fn put_back(&mut self, w: u64, mut evs: Vec<Ev>) {
         let slot = &mut self.slots[w as usize & self.mask];
-        if slot.is_empty() {
-            evs.clear();
-            *slot = evs;
+        order_window(slot, w, self.shift, counts, out);
+        self.pending -= slot.len();
+        slot.clear();
+    }
+}
+
+/// A window is ordered by counting on at most this many bits of the
+/// offset inside it, so the count array stays ≤ 1 024 entries for any
+/// window width; a wider window leaves more events per count to compare.
+const COUNT_BITS: u32 = 10;
+
+/// Order window `w`'s bucket `evs` by the event key into `out`. Every
+/// event of the bucket lies in `[w << shift, (w + 1) << shift)` — the
+/// ring's horizon invariant — so the key's order is the offset inside the
+/// window, then `(qid, step)`. One counting pass on the offset's top ≤
+/// [`COUNT_BITS`] bits scatters the bucket into runs, one per count, and
+/// only the few events of one run are compared. `counts` and `out` are
+/// scratch, reused from window to window.
+fn order_window(evs: &[Ev], w: u64, shift: u32, counts: &mut Vec<u32>, out: &mut Vec<Ev>) {
+    out.clear();
+    let Some(&first) = evs.first() else { return };
+    let low = shift.saturating_sub(COUNT_BITS);
+    let digit = |e: &Ev| ((e.at_us & ((1 << shift) - 1)) >> low) as usize;
+    counts.clear();
+    counts.resize((1 << (shift - low)) + 1, 0);
+    for e in evs {
+        debug_assert_eq!(e.at_us >> shift, w, "an event outside its window's bucket");
+        counts[digit(e) + 1] += 1;
+    }
+    counts.iter_mut().fold(0, |sum, c| {
+        *c += sum;
+        *c
+    });
+    // `counts[d]` is where digit `d`'s run starts; the scatter moves it to
+    // where that run ends.
+    out.resize(evs.len(), first);
+    for e in evs {
+        let at = &mut counts[digit(e)];
+        out[*at as usize] = *e;
+        *at += 1;
+    }
+    let mut start = 0;
+    for &end in counts.iter() {
+        let run = &mut out[start..end as usize];
+        if run.len() > 1 {
+            run.sort_unstable_by_key(Ev::key128);
         }
+        start = end as usize;
     }
 }
 
@@ -860,8 +898,8 @@ fn sharded_core(
     (finish(&ctx, &qstate, events), run)
 }
 
-/// The window loop: sweep the calendars window by window (empty slots
-/// cost one `take` of an empty vector), stop when no ring has pending
+/// The window loop: sweep the calendars window by window (an empty slot
+/// costs one `take` of nothing), stop when no ring has pending
 /// events. Emissions insert **directly** into the destination
 /// shard's ring — no outbox, no second pass — which is legal mid-window
 /// because the lookahead invariant puts every emission in a later window
@@ -869,16 +907,18 @@ fn sharded_core(
 fn run_windows(ctx: &RunCtx<'_>, shards: &mut [Shard], rings: &mut [Ring], w0: u64) {
     let n = shards.len();
     let shift = rings[0].shift;
+    // The bucket being processed, in key order, and the counts that
+    // ordered it: one of each for the whole run.
+    let (mut counts, mut evs) = (Vec::new(), Vec::new());
     let mut w = w0;
     while rings.iter().any(|r| r.pending > 0) {
         for i in 0..n {
-            let mut evs = rings[i].take(w);
+            rings[i].take(w, &mut counts, &mut evs);
             shards[i].windows_swept += 1;
             if evs.is_empty() {
                 shards[i].empty_windows += 1;
                 continue;
             }
-            evs.sort_unstable_by_key(Ev::key128);
             let (sh, rings) = (&mut shards[i], &mut *rings);
             sh.run_evs(&evs, ctx, &mut |e| {
                 debug_assert!(
@@ -887,7 +927,6 @@ fn run_windows(ctx: &RunCtx<'_>, shards: &mut [Shard], rings: &mut [Ring], w0: u
                 );
                 rings[e.peer as usize % n].insert(e);
             });
-            rings[i].put_back(w, evs);
         }
         w += 1;
     }
@@ -909,6 +948,7 @@ pub fn rss_now_bytes() -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sqo_overlay::hash::hash_str;
     use sqo_overlay::network::NetworkConfig;
 
@@ -1020,6 +1060,40 @@ mod tests {
         let (serial, serial_run) = run_serial(&topo, &cfg);
         assert_eq!(out, serial);
         assert_eq!(serial_run.events_per_shard, vec![serial_run.events]);
+    }
+
+    proptest! {
+        /// The counting order of a window is the event key's order: on
+        /// buckets of one event to a few hundred, with all offsets equal
+        /// (`same`, or a one-µs window) or spread, and on windows up to
+        /// 2²⁰ µs wide, far past the count array's 2¹⁰ entries. The scratch
+        /// is reused from a previous bucket, as the window loop does.
+        #[test]
+        fn a_window_is_ordered_as_its_keys_sort(
+            draws in prop::collection::vec((0u64..1 << 20, 0u32..24, 0u32..24), 1..400),
+            shift in 0u32..21,
+            w in 0u64..1 << 30,
+            same in any::<bool>(),
+        ) {
+            let mut seen = std::collections::BTreeSet::new();
+            let evs: Vec<Ev> = draws
+                .iter()
+                .filter(|(_, qid, step)| seen.insert((*qid, *step)))
+                .map(|&(offset, qid, step)| Ev {
+                    at_us: (w << shift) | ((if same { draws[0].0 } else { offset }) & ((1 << shift) - 1)),
+                    qid,
+                    step,
+                    peer: step % 5,
+                    kind: EvKind::Query,
+                })
+                .collect();
+            let mut want = evs.clone();
+            want.sort_unstable_by_key(Ev::key128);
+            let (mut counts, mut out) = (Vec::new(), Vec::new());
+            order_window(&want[want.len() / 2..], w, shift, &mut counts, &mut out);
+            order_window(&evs, w, shift, &mut counts, &mut out);
+            prop_assert_eq!(out, want);
+        }
     }
 
     #[test]

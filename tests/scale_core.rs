@@ -96,6 +96,52 @@ fn pause_then_resume_equals_the_uninterrupted_run() {
     }
 }
 
+/// Serial, sharded at 1, 2 and 4 shards, and a cut at `stop_us` resumed on
+/// the heap and on the windows, all complete every query and agree.
+fn every_engine_agrees(topo: &Topology, cfg: &ScaleConfig, stop_us: u64) {
+    let (serial, _) = run_serial(topo, cfg);
+    assert_eq!(serial.queries_done, cfg.queries as u64, "every query completes");
+    let ckpt = match run_serial_until(topo, cfg, stop_us) {
+        ScalePhase::Paused(ck) => ck,
+        ScalePhase::Done(..) => panic!("the cut must land mid-run"),
+    };
+    assert_eq!(resume_serial(topo, cfg, &ckpt).0, serial, "serial resume diverged");
+    for shards in [1, 2, 4] {
+        let cfg = ScaleConfig { shards, ..*cfg };
+        assert_eq!(run_sharded(topo, &cfg).0, serial, "shards={shards} diverged");
+        assert_eq!(resume_sharded(topo, &cfg, &ckpt).0, serial, "shards={shards} resume diverged");
+    }
+}
+
+/// A one-partition network has an empty path: every query's shower is the
+/// whole cover, answered by its one partition.
+#[test]
+fn a_one_partition_world_completes_on_every_engine() {
+    let rows = string_rows("word", &bible_words(40, 7), "w");
+    let engine = EngineBuilder::new().peers(1).q(2).seed(3).build_with_rows(&rows);
+    let topo = Topology::of_network(engine.network());
+    assert_eq!(topo.partition_count(), 1);
+    every_engine_agrees(&topo, &workload(), 2_000);
+}
+
+/// Buckets of thousands of events with heavy ties in `at_us`: 2 000 queries
+/// arrive within 1 ms, no link jitters, and a peer serves in 1 µs and scans
+/// for free, so its busy queue does not spread the load over time. The
+/// window's counting pass then has long runs per offset to order by
+/// `(qid, step)`.
+#[test]
+fn crowded_windows_agree_with_the_heap() {
+    let cfg = ScaleConfig {
+        queries: 2_000,
+        arrival_spread_us: 1_000,
+        link_jitter_us: 0,
+        service_us: 1,
+        scan_us_per_item: 0,
+        ..ScaleConfig::default()
+    };
+    every_engine_agrees(topology(), &cfg, 1_500);
+}
+
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ *b as u64).wrapping_mul(0x100_0000_01b3))
 }
