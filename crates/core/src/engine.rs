@@ -10,8 +10,9 @@ use sqo_cache::{BrokerConfig, BrokerCounters, CacheBatchBroker};
 use sqo_overlay::key::Key;
 use sqo_overlay::network::{KeyedLists, Network, NetworkConfig};
 use sqo_overlay::peer::{Item, PeerId};
+use sqo_overlay::trie::find_partition_from;
 use sqo_overlay::{run_items, Metrics, PostingList, TraceEvent, TraceTrack};
-use sqo_storage::posting::{Object, Posting};
+use sqo_storage::posting::{Object, ObjectPostings, Posting};
 use sqo_storage::publish::{batch_for_rows, PublishConfig, PublishStats};
 use sqo_storage::triple::Row;
 use sqo_strsim::filters::FilterConfig;
@@ -249,8 +250,8 @@ pub struct SimilarityEngine {
     pub(crate) leg_retries: u64,
 }
 
-/// One object-fetch branch: the oids of one partition, each with its
-/// `key(oid)` (hashed once, at planning).
+/// One object-fetch branch: the oids of one partition, ascending, each with
+/// its `key(oid)` (made once, at planning).
 pub(crate) type FetchBranch = Vec<(String, Key)>;
 
 /// Counter snapshot opening a stats window (see
@@ -991,38 +992,50 @@ impl SimilarityEngine {
         (list, 0, 1)
     }
 
-    /// Group object fetches into fan-out branches (per owning partition
-    /// with delegation, per oid without), hashing each oid's key exactly
-    /// once. `oids` must be sorted for determinism.
+    /// Group object fetches into fan-out branches: per owning partition
+    /// with delegation, per oid without. `oids` must ascend strictly
+    /// (sorted and deduplicated): their keys — the family byte and the
+    /// oid's first bytes — then ascend too (a truncated key can repeat), so
+    /// do their partitions, and a partition's branch is one stretch of
+    /// them. Each oid's key is made once, and its partition galloped to
+    /// from the previous one's. Branches come in partition order, the oids
+    /// of each in input order.
     pub(crate) fn plan_fetch_branches(&self, oids: &[&str]) -> Vec<FetchBranch> {
+        debug_assert!(oids.windows(2).all(|w| w[0] < w[1]), "oids ascend strictly");
         let keyed = oids.iter().map(|o| (o.to_string(), sqo_storage::keys::oid_key(o)));
         if !self.cfg.query.delegation {
             return keyed.map(|ok| vec![ok]).collect();
         }
-        let mut by_part: FxHashMap<usize, FetchBranch> = FxHashMap::default();
+        let mut branches: Vec<FetchBranch> = Vec::new();
+        let mut part = None;
         for (oid, key) in keyed {
-            by_part.entry(self.net.partition_of(&key)).or_default().push((oid, key));
+            let at = find_partition_from(self.net.paths(), &key, part.unwrap_or(0));
+            if part != Some(at) {
+                part = Some(at);
+                branches.push(Vec::new());
+            }
+            branches.last_mut().expect("a branch is open").push((oid, key));
         }
-        let mut parts: Vec<(usize, FetchBranch)> = by_part.into_iter().collect();
-        parts.sort_by_key(|(p, _)| *p);
-        parts.into_iter().map(|(_, os)| os).collect()
+        branches
     }
 
-    /// One object-fetch branch: route to the oids' partition, assemble the
-    /// objects from the postings stored there (read in place), one reply
-    /// with the payload.
+    /// One object-fetch branch: route to the oids' partition, gather each
+    /// object's postings where they lie — the branch's keys ascend, so
+    /// each lookup in the owner's run gallops from the one before — and
+    /// send one reply, charged the objects' [`Object::repr_len`]. Ships
+    /// handles: the caller materializes only the objects it keeps.
     pub(crate) fn fetch_branch(
         &mut self,
         from: PeerId,
         oids: FetchBranch,
-    ) -> Vec<(String, Object)> {
+    ) -> Vec<(String, ObjectPostings)> {
         let mut out = Vec::with_capacity(oids.len());
         if !self.cfg.query.delegation {
             for (oid, key) in oids {
                 self.legs_addressed += 1;
                 if let Ok(postings) = self.with_leg_retry(|e| e.net.retrieve_list(from, &key)) {
                     self.legs_answered += 1;
-                    let obj = Object::from_postings(&oid, postings.iter());
+                    let obj = ObjectPostings::gather(&oid, postings.iter());
                     out.push((oid, obj));
                 }
             }
@@ -1034,10 +1047,11 @@ impl SimilarityEngine {
         };
         self.legs_answered += 1;
         let mut payload = 0usize;
+        let mut cursor = 0;
         for (oid, key) in oids {
-            let obj =
-                Object::from_postings(&oid, run_items(self.net.local_prefix_run(owner, &key)));
-            payload += obj.repr_len();
+            let run = self.net.local_prefix_run_from(owner, &key, &mut cursor);
+            let obj = ObjectPostings::gather(&oid, run_items(run));
+            payload += obj.repr_len(&oid);
             out.push((oid, obj));
         }
         if owner != from {
@@ -1058,13 +1072,16 @@ impl SimilarityEngine {
         oids: &FxHashSet<String>,
     ) -> FxHashMap<String, Object> {
         let mut sorted: Vec<&str> = oids.iter().map(String::as_str).collect();
-        sorted.sort_unstable(); // determinism
+        sorted.sort_unstable(); // the plan merges ascending oids
         let branches = self.plan_fetch_branches(&sorted);
         let mut result: FxHashMap<String, Object> = FxHashMap::default();
         self.net.sim_fork();
         for oids in branches {
             self.net.sim_branch();
-            result.extend(self.fetch_branch(from, oids));
+            for (oid, obj) in self.fetch_branch(from, oids) {
+                let object = obj.materialize(&oid);
+                result.insert(oid, object);
+            }
         }
         self.net.sim_join();
         result
@@ -1493,6 +1510,123 @@ mod tests {
         let objs = e.fetch_objects(from, &oids);
         assert_eq!(objs.len(), 3);
         assert_eq!(objs["car:2"].get("hp"), Some(&Value::from(150)));
+    }
+
+    /// `plan_fetch_branches` as it was: one hash-map group per partition,
+    /// the groups sorted by partition.
+    fn hashed_fetch_plan(e: &SimilarityEngine, oids: &[&str]) -> Vec<FetchBranch> {
+        let keyed = oids.iter().map(|o| (o.to_string(), sqo_storage::keys::oid_key(o)));
+        if !e.cfg.query.delegation {
+            return keyed.map(|ok| vec![ok]).collect();
+        }
+        let mut by_part: FxHashMap<usize, FetchBranch> = FxHashMap::default();
+        for (oid, key) in keyed {
+            by_part.entry(e.net.partition_of(&key)).or_default().push((oid, key));
+        }
+        let mut parts: Vec<(usize, FetchBranch)> = by_part.into_iter().collect();
+        parts.sort_by_key(|(p, _)| *p);
+        parts.into_iter().map(|(_, os)| os).collect()
+    }
+
+    /// `fetch_branch` as it was: every key looked up in the owner's run
+    /// afresh, every object assembled owned and charged its `repr_len`.
+    fn owned_fetch(
+        e: &mut SimilarityEngine,
+        from: PeerId,
+        oids: FetchBranch,
+    ) -> Vec<(String, Object)> {
+        let mut out = Vec::new();
+        if !e.cfg.query.delegation {
+            for (oid, key) in oids {
+                e.legs_addressed += 1;
+                if let Ok(postings) = e.with_leg_retry(|e| e.net.retrieve_list(from, &key)) {
+                    e.legs_answered += 1;
+                    let obj = ObjectPostings::gather(&oid, postings.iter()).materialize(&oid);
+                    out.push((oid, obj));
+                }
+            }
+            return out;
+        }
+        e.legs_addressed += 1;
+        let Ok(owner) = e.with_leg_retry(|e| e.net.route(from, &oids[0].1)) else {
+            return out;
+        };
+        e.legs_answered += 1;
+        let mut payload = 0;
+        for (oid, key) in oids {
+            let run = run_items(e.net.local_prefix_run(owner, &key));
+            let obj = ObjectPostings::gather(&oid, run).materialize(&oid);
+            payload += obj.repr_len();
+            out.push((oid, obj));
+        }
+        if owner != from {
+            e.net.send_direct(owner, from, payload);
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config { cases: 32, ..Default::default() })]
+
+        /// Sorted oids planned by merging — each partition galloped to
+        /// from the one before — make the branches the hash-map grouping
+        /// made, and a branch fetched by merging through the owner's run
+        /// ships handles that materialize to the objects fetched afresh,
+        /// at the same legs, messages, bytes and scanned items. Oids share
+        /// prefixes ("w:1", "w:10", …: keys shorter than the trie there),
+        /// some share their first 32 bytes (a key repeats), some are not
+        /// stored; delegation on and off.
+        #[test]
+        fn merged_fetches_are_the_hashed_grouping_and_the_fresh_lookups(
+            ids in proptest::collection::hash_set(0u32..3_000, 1..120),
+            long in proptest::collection::hash_set(0u32..40, 0..10),
+            asked in proptest::collection::hash_set(0u32..3_200, 1..80),
+            peers in 2usize..96,
+            seed in 0u64..40,
+            delegation in proptest::prelude::any::<bool>(),
+        ) {
+            let stem = "an-object-id-of-thirty-two-bytes";
+            let oid_of = |i: &u32| if *i < 40 { format!("{stem}{i}") } else { format!("w:{i}") };
+            let rows: Vec<Row> = ids
+                .iter()
+                .chain(&long)
+                .map(|i| Row::new(oid_of(i), [("word", Value::from(format!("v{i}")))]))
+                .collect();
+            let build = || {
+                EngineBuilder::new()
+                    .peers(peers)
+                    .seed(seed)
+                    .delegation(delegation)
+                    .build_with_rows(&rows)
+            };
+            let (mut merged, mut fresh) = (build(), build());
+            let mut oids: Vec<String> = asked.iter().chain(&ids).chain(&long).map(oid_of).collect();
+            oids.sort_unstable();
+            oids.dedup();
+            let oids: Vec<&str> = oids.iter().map(String::as_str).collect();
+
+            let branches = merged.plan_fetch_branches(&oids);
+            proptest::prop_assert_eq!(&branches, &hashed_fetch_plan(&fresh, &oids));
+            let from = merged.random_peer();
+            proptest::prop_assert_eq!(fresh.random_peer(), from);
+            for branch in branches {
+                let got = merged.fetch_branch(from, branch.clone());
+                let want = owned_fetch(&mut fresh, from, branch);
+                let got: Vec<(String, Object)> = got
+                    .into_iter()
+                    .map(|(oid, obj)| {
+                        let object = obj.materialize(&oid);
+                        (oid, object)
+                    })
+                    .collect();
+                proptest::prop_assert_eq!(got, want);
+            }
+            proptest::prop_assert_eq!(merged.net.metrics(), fresh.net.metrics());
+            proptest::prop_assert_eq!(
+                (merged.legs_addressed, merged.legs_answered),
+                (fresh.legs_addressed, fresh.legs_answered)
+            );
+        }
     }
 
     #[test]

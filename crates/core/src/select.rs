@@ -8,10 +8,11 @@ use rustc_hash::FxHashMap;
 use sqo_overlay::peer::PeerId;
 use sqo_overlay::run_items;
 use sqo_storage::keys;
-use sqo_storage::posting::{Object, Posting, PostingKind};
+use sqo_storage::posting::{Object, ObjectPostings, Posting, PostingKind};
 use sqo_storage::slab::AttrGuard;
 use sqo_storage::triple::{Value, ValueRef};
 use sqo_strsim::numeric::NumericInterval;
+use std::borrow::Cow;
 
 /// A selection hit: the value that satisfied the predicate plus its object.
 #[derive(Debug, Clone)]
@@ -81,7 +82,7 @@ pub struct SelectTask {
     state: SelState,
     stats: QueryStats,
     matched: Vec<(String, Value)>,
-    objects: FxHashMap<String, Object>,
+    objects: FxHashMap<String, ObjectPostings>,
     hits: Vec<SelectHit>,
 }
 
@@ -252,8 +253,8 @@ impl ExecStep for SelectTask {
                     self.stats = acc;
                     sort_matches(&mut matched);
                     matched.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
+                    // Sorted by oid already: deduplicated, they ascend.
                     let mut oids: Vec<&str> = matched.iter().map(|(o, _)| o.as_str()).collect();
-                    oids.sort_unstable();
                     oids.dedup();
                     let branches = engine.plan_fetch_branches(&oids);
                     self.matched = matched;
@@ -287,7 +288,7 @@ impl ExecStep for SelectTask {
                     let mut hits: Vec<SelectHit> = matched
                         .into_iter()
                         .filter_map(|(oid, value)| {
-                            let object = self.objects.get(&oid)?.clone();
+                            let object = self.objects.get(&oid)?.materialize(&oid);
                             Some(SelectHit { oid, value, object })
                         })
                         .collect();
@@ -313,10 +314,18 @@ impl ExecStep for SelectTask {
     }
 }
 
-/// Order `(oid, value)` matches by oid, then by the value as it prints —
-/// each value formatted once, not once per comparison.
+/// Order `(oid, value)` matches by oid, then by the value as it prints,
+/// stably. Both compare where they lie: a string is its print, and a number
+/// is printed only when its oid ties — a sort of distinct objects prints
+/// and copies nothing.
 fn sort_matches(matched: &mut [(String, Value)]) {
-    matched.sort_by_cached_key(|(oid, v)| (oid.clone(), v.to_string()));
+    fn printed(v: &Value) -> Cow<'_, str> {
+        match v {
+            Value::Str(s) => Cow::Borrowed(s),
+            number => Cow::Owned(number.to_string()),
+        }
+    }
+    matched.sort_by(|(a, v), (b, w)| a.cmp(b).then_with(|| printed(v).cmp(&printed(w))));
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@ use rustc_hash::FxHashMap;
 use sqo_overlay::key::Key;
 use sqo_overlay::peer::PeerId;
 use sqo_storage::keys;
-use sqo_storage::posting::{Object, Posting, PostingKind};
+use sqo_storage::posting::{Object, ObjectPostings, Posting, PostingKind};
 use sqo_storage::slab::AttrGuard;
 use sqo_storage::triple::AttrName;
 use sqo_strsim::edit::BoundedLevenshtein;
@@ -144,9 +144,10 @@ pub struct SimilarTask {
     strategy: Strategy,
     state: SimState,
     stats: QueryStats,
-    /// Object cache used when the task runs standalone; iterative parents
-    /// (joins, top-N shells) pass their own via [`Self::step_with`].
-    cache: FxHashMap<String, Object>,
+    /// Object cache — fetched objects as their postings — used when the
+    /// task runs standalone; iterative parents (joins, top-N shells) pass
+    /// their own via [`Self::step_with`].
+    cache: FxHashMap<String, ObjectPostings>,
     s_len: usize,
     /// True when executing the naive broadcast path (strategy or short-`s`
     /// fallback); switches the meaning of `stats.probes` to "partitions
@@ -257,7 +258,7 @@ impl SimilarTask {
     pub(crate) fn step_with(
         &mut self,
         engine: &mut SimilarityEngine,
-        cache: &mut FxHashMap<String, Object>,
+        cache: &mut FxHashMap<String, ObjectPostings>,
         at_us: u64,
     ) -> StepOutcome {
         loop {
@@ -631,12 +632,13 @@ impl SimilarTask {
                             let Some(object) = cache.get(&cand.oid) else { continue };
                             e.count_comparison();
                             if let Some(distance) = verifier.distance_of(&cand.text, cand.chars) {
+                                let object = object.materialize(&cand.oid);
                                 matches.push(SimilarMatch {
                                     oid: cand.oid,
                                     attr: AttrName::new(cand.attr),
                                     matched: cand.text.into(),
                                     distance,
-                                    object: object.clone(),
+                                    object,
                                 });
                             }
                         }

@@ -38,7 +38,7 @@ use crate::stats::QueryStats;
 use rustc_hash::FxHashMap;
 use sqo_overlay::peer::PeerId;
 use sqo_storage::keys;
-use sqo_storage::posting::{Object, PostingKind};
+use sqo_storage::posting::{ObjectPostings, PostingKind};
 use sqo_storage::slab::AttrGuard;
 
 /// One joined pair.
@@ -118,7 +118,7 @@ pub struct JoinTask {
     aimd: Option<AimdWindow>,
     state: JState,
     stats: QueryStats,
-    cache: FxHashMap<String, Object>,
+    cache: FxHashMap<String, ObjectPostings>,
     left: Vec<(String, String)>,
     next_left: usize,
     left_size: usize,

@@ -31,7 +31,7 @@ use rustc_hash::{FxHashMap, FxHashSet};
 use sqo_overlay::peer::PeerId;
 use sqo_overlay::run_items;
 use sqo_storage::keys;
-use sqo_storage::posting::Object;
+use sqo_storage::posting::{Object, ObjectPostings};
 use sqo_storage::triple::Value;
 
 /// One ranked result.
@@ -291,7 +291,7 @@ pub struct TopNTask {
     strategy: Strategy,
     state: NState,
     stats: QueryStats,
-    cache: FxHashMap<String, Object>,
+    cache: FxHashMap<String, ObjectPostings>,
     best: FxHashMap<(String, String, String), (usize, Object)>,
     rounds: usize,
     items: Vec<TopNItem>,

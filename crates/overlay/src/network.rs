@@ -1257,6 +1257,22 @@ impl<T: Item> Network<T> {
         run
     }
 
+    /// [`Self::local_prefix_run`] for ascending keys scanned one after
+    /// another at one peer, each lookup galloping from where the previous
+    /// one started ([`crate::SortedStore::prefix_entries_from`]; start `cursor` at
+    /// 0). Lends the same entries and charges the same scan.
+    pub fn local_prefix_run_from(
+        &mut self,
+        peer: PeerId,
+        key: &Key,
+        cursor: &mut usize,
+    ) -> &Run<T> {
+        let store = &self.image.stores[self.image.topo.partition_of(peer)];
+        let run = store.prefix_entries_from(key, cursor);
+        Self::charge_scan(&mut self.image.metrics, &mut self.sink, peer, run.len() as u64);
+        run
+    }
+
     /// Charge one forward message `from → to` (operator-driven shower
     /// step).
     pub fn forward_to(&mut self, from: PeerId, to: PeerId) {

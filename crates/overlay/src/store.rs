@@ -173,7 +173,31 @@ impl<T> SortedStore<T> {
     /// comparisons, not a bisection of the rest of the run.
     pub fn prefix_entries(&self, key: &Key) -> &Run<T> {
         let key = key.as_ref();
-        let s = self.lower_bound(key);
+        self.prefix_run_at(self.lower_bound(key), key)
+    }
+
+    /// [`Self::prefix_entries`] for a key whose entries start at `*cursor`
+    /// or later — ascending keys looked up one after another, the cursor
+    /// carried from each lookup to the next. The start is galloped to from
+    /// the cursor, which is left there: a key equal to this one, or a
+    /// greater one, starts there or later.
+    ///
+    /// # Panics
+    /// Panics when `*cursor` is past the run's end; debug builds check that
+    /// no entry before it is `>= key`.
+    pub fn prefix_entries_from(&self, key: &Key, cursor: &mut usize) -> &Run<T> {
+        let key = key.as_ref();
+        debug_assert!(
+            self.key_at(cursor.wrapping_sub(1)).is_none_or(|before| before < key),
+            "the cursor lies past the entries of {key}"
+        );
+        *cursor += gallop(&self.spans[*cursor..], |span| self.view(*span) < key);
+        self.prefix_run_at(*cursor, key)
+    }
+
+    /// The entries from `s`, the first `>= key`, whose key has `key` as a
+    /// prefix.
+    fn prefix_run_at(&self, s: usize, key: KeyRef<'_>) -> &Run<T> {
         let e = s + gallop(&self.spans[s..], |span| key.is_prefix_of(self.view(*span)));
         &self.lists[s..e]
     }

@@ -29,6 +29,7 @@
 //! data: a leaf with no load becomes a peerless *gap* (see
 //! [`crate::network`]).
 
+use crate::gallop;
 use crate::key::{Key, KeyRef};
 use std::collections::BinaryHeap;
 
@@ -206,6 +207,30 @@ pub fn is_complete_cover(paths: &[Key]) -> bool {
 /// `key` (the caller fans out to the remaining ones for subtree queries).
 pub fn find_partition(paths: &[Key], key: &Key) -> usize {
     locate(paths, key.as_ref())
+}
+
+/// [`find_partition`] for a key whose partition is `lo` or a later one:
+/// how ascending keys are located one after another, each from the
+/// previous key's partition. The search gallops from `lo`, so a stretch of
+/// keys in one partition costs two comparisons a key, and a step to the
+/// next partition the log of its distance. When the path found is not
+/// prefix-related to the key — a key shorter than the trie, past the
+/// partition before its first extension — the lookup is [`find_partition`]'s.
+///
+/// # Panics
+/// Panics when `lo` is out of range. Debug builds check the answer against
+/// [`find_partition`], which a `lo` past the key's partition fails.
+pub fn find_partition_from(paths: &[Key], key: &Key, lo: usize) -> usize {
+    let key = key.as_ref();
+    let at = lo + gallop(&paths[lo..], |p| p.as_ref() <= key);
+    // The last path at or before the key; `paths[lo]` when even that one
+    // lies after it (the previous key was shorter than the trie).
+    let last = at.saturating_sub(1).max(lo);
+    let path = paths[last].as_ref();
+    let found =
+        if path.is_prefix_of(key) || key.is_prefix_of(path) { last } else { locate(paths, key) };
+    debug_assert_eq!(found, locate(paths, key), "partition {lo} lies past key {key}");
+    found
 }
 
 /// [`find_partition`] on a borrowed key.

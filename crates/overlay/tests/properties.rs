@@ -6,7 +6,7 @@ use sqo_overlay::hash::{hash_i64, hash_str};
 use sqo_overlay::key::{Key, KeyRef};
 use sqo_overlay::network::{Network, NetworkConfig};
 use sqo_overlay::peer::{Item, PeerId};
-use sqo_overlay::trie::{build_partitions, find_partition, is_complete_cover};
+use sqo_overlay::trie::{build_partitions, find_partition, find_partition_from, is_complete_cover};
 use sqo_overlay::{run_items, EventSink, MsgKind, SimLatency};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -43,6 +43,33 @@ impl EventSink for ChargeLog {
         0
     }
     fn reset_to_us(&mut self, _t_us: u64) {}
+}
+
+/// A complete cover split by hand: each path, depth first, splits while the
+/// draws say so and it is shorter than `depth` bits. Sorted.
+fn cover_of(splits: &[bool], depth: usize) -> Vec<Key> {
+    let mut draws = splits.iter();
+    let (mut open, mut leaves) = (vec![Key::empty()], Vec::new());
+    while let Some(path) = open.pop() {
+        if path.len() < depth && draws.next() == Some(&true) {
+            open.extend([path.child(true), path.child(false)]);
+        } else {
+            leaves.push(path);
+        }
+    }
+    leaves.sort_unstable();
+    leaves
+}
+
+/// Locate ascending `keys` one after another, each from the previous one's
+/// partition, and check every answer against `find_partition`.
+fn assert_galloped_lookups(paths: &[Key], keys: &[Key]) {
+    prop_assert!(is_complete_cover(paths));
+    let mut part = 0;
+    for key in keys {
+        part = find_partition_from(paths, key, part);
+        prop_assert_eq!(part, find_partition(paths, key), "key {}", key);
+    }
 }
 
 fn bits() -> impl Strategy<Value = Vec<bool>> {
@@ -211,6 +238,83 @@ proptest! {
                 paths[idx].is_prefix_of(k) || k.is_prefix_of(&paths[idx]),
                 "partition {} does not cover key {}", paths[idx], k
             );
+        }
+    }
+
+    /// Ascending keys located one after another, each galloping from the
+    /// previous key's partition, land where `find_partition` puts them: on
+    /// covers split by hand (down to 8 bits, leaves of every depth — gaps,
+    /// whatever data there is) and on covers grown from words, with keys
+    /// that repeat, keys shorter than the trie (proper prefixes of paths,
+    /// the empty key among them) and keys deeper than it.
+    #[test]
+    fn galloped_partitions_are_find_partitions_of_ascending_keys(
+        splits in prop::collection::vec(any::<bool>(), 0..64),
+        tails in prop::collection::vec(prop::collection::vec(any::<bool>(), 0..14), 0..40),
+        cuts in prop::collection::vec((0usize..256, 0usize..8), 0..12),
+        words in prop::collection::hash_set("[a-c]{1,6}", 1..40),
+        target in 1usize..24,
+    ) {
+        let explicit = cover_of(&splits, 8);
+        let mut keys: Vec<Key> = tails.iter().map(|t| Key::from_bits(t.iter().copied())).collect();
+        keys.extend(cuts.iter().map(|(at, cut)| {
+            let path = &explicit[at % explicit.len()];
+            path.prefix((*cut).min(path.len().saturating_sub(1)))
+        }));
+        keys.extend(keys.clone().into_iter().step_by(3));
+        keys.sort_unstable();
+        assert_galloped_lookups(&explicit, &keys);
+
+        let words: Vec<String> = words.into_iter().collect();
+        let mut data: Vec<Key> = words.iter().map(|w| hash_str(w)).collect();
+        data.sort_unstable();
+        let (grown, _) = build_partitions(&data.iter().map(|k| (k.as_ref(), 1)).collect::<Vec<_>>(), target);
+        let mut keys: Vec<Key> = words
+            .iter()
+            .flat_map(|w| (0..=w.len()).map(move |n| hash_str(&w[..n])))
+            .collect();
+        keys.extend(data.iter().map(|k| k.prefix(k.len() / 2)));
+        keys.sort_unstable();
+        assert_galloped_lookups(&grown, &keys);
+    }
+
+    /// Ascending keys scanned one after another at one peer, the cursor
+    /// carried from each scan to the next, lend the entries a fresh scan
+    /// lends — the very same stretch of the run — and charge the same
+    /// `touched` count, on repeated keys, keys with no entry and keys that
+    /// are prefixes of several.
+    #[test]
+    fn scans_from_a_cursor_lend_and_charge_what_fresh_scans_do(
+        words in prop::collection::vec("[a-c]{1,5}", 1..80),
+        probes in prop::collection::vec("[a-d]{0,4}", 1..30),
+        peers in 1usize..24,
+        seed in 0u64..50,
+        at in any::<u32>(),
+    ) {
+        let data: Vec<(Key, S)> = words.iter().map(|w| (hash_str(w), S(w.clone()))).collect();
+        let cfg = NetworkConfig { peers, seed, ..Default::default() };
+        let mut net = Network::build(cfg, data);
+        let peer = PeerId(at % net.peer_count() as u32);
+        let mut keys: Vec<Key> = probes.iter().map(|p| hash_str(p)).collect();
+        keys.sort_unstable();
+
+        let store = net.partition_store(net.peer_partition(peer)).clone();
+        let mut cursor = 0;
+        for key in &keys {
+            let fresh = store.prefix_entries(key);
+            let carried = store.prefix_entries_from(key, &mut cursor);
+            prop_assert!(std::ptr::eq(fresh, carried), "{key}: another stretch of the run");
+        }
+        let mut cursor = 0;
+        for key in &keys {
+            let before = *net.metrics();
+            let fresh: Vec<S> = run_items(net.local_prefix_run(peer, key)).cloned().collect();
+            let touched = net.metrics().delta(&before).local_items_scanned;
+            let before = *net.metrics();
+            let carried: Vec<S> =
+                run_items(net.local_prefix_run_from(peer, key, &mut cursor)).cloned().collect();
+            prop_assert_eq!(carried, fresh);
+            prop_assert_eq!(net.metrics().delta(&before).local_items_scanned, touched);
         }
     }
 

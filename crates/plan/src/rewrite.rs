@@ -195,11 +195,16 @@ fn fill_defaults(
             PlanNode::Similar(spec)
         }
         PlanNode::Select(spec) => {
-            if let SelectSpec::NumericSimilar { center, .. } = &spec {
+            if let SelectSpec::NumericSimilar { center, eps, .. } = &spec {
                 if center.as_float().is_none() {
                     return Err(PlanError::Invalid(
                         "numeric similarity requires a numeric center value".into(),
                     ));
+                }
+                if !(eps.is_finite() && *eps >= 0.0) {
+                    return Err(PlanError::Invalid(format!(
+                        "numeric similarity requires a finite, non-negative eps, not {eps}"
+                    )));
                 }
             }
             PlanNode::Select(spec)

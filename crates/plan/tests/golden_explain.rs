@@ -5,10 +5,10 @@
 //! strategy choice) and the tree shape — so any planner change that moves
 //! an access path or annotation shows up as a reviewable diff here.
 
-use sqo_core::{AttrPredicate, JoinWindow, QueryDefaults};
+use sqo_core::{AttrPredicate, EngineBuilder, JoinWindow, QueryDefaults};
 use sqo_overlay::PeerId;
-use sqo_plan::{CmpOp, PlannerEnv, PreparedQuery, Query};
-use sqo_storage::Value;
+use sqo_plan::{CmpOp, PlanError, PlannerEnv, PreparedQuery, Query, Session};
+use sqo_storage::{Row, Value};
 
 fn env_plain() -> PlannerEnv {
     PlannerEnv { defaults: QueryDefaults::default(), cache_active: false, delegation: true }
@@ -145,10 +145,6 @@ fn multi_strategy_is_broker_aware() {
 /// here).
 #[test]
 fn costed_join_swap_golden() {
-    use sqo_core::EngineBuilder;
-    use sqo_plan::Session;
-    use sqo_storage::Row;
-
     let mut rows = Vec::new();
     for i in 0..60 {
         rows.push(Row::new(format!("c:{i}"), [("name", Value::from(format!("carname{i:03}")))]));
@@ -185,4 +181,27 @@ fn invalid_plans_are_rejected_not_panicked() {
     assert!(PreparedQuery::with_env(&empty, &env_plain(), PeerId(0)).is_err());
     let bad_nn = Query::top_n_numeric("hp", 3, sqo_core::Rank::Nn(Value::from("not-a-number")));
     assert!(PreparedQuery::with_env(&bad_nn, &env_plain(), PeerId(0)).is_err());
+}
+
+/// A numeric similarity whose `eps` is NaN, infinite or negative is refused
+/// by `Session::run` as an invalid plan — it used to panic inside the
+/// selection — and one with a finite, non-negative `eps` runs.
+#[test]
+fn a_numeric_similarity_with_a_bad_eps_is_refused_by_session_run() {
+    let rows: Vec<Row> =
+        (0..20).map(|i| Row::new(format!("c:{i}"), [("hp", Value::Int(100 + i))])).collect();
+    let mut engine = EngineBuilder::new().peers(16).seed(3).build_with_rows(&rows);
+    let from = engine.random_peer();
+    let mut session = Session::new(&mut engine, from);
+    for eps in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, -f64::MIN_POSITIVE] {
+        let q = Query::select_numeric_similar("hp", Value::Int(105), eps);
+        match session.run(&q) {
+            Err(PlanError::Invalid(m)) => assert!(m.contains("eps"), "{eps}: {m}"),
+            other => panic!("eps {eps}: {:?}", other.map(|r| r.rows.len())),
+        }
+    }
+    for (eps, hits) in [(0.0, 1), (2.0, 5)] {
+        let q = Query::select_numeric_similar("hp", Value::Int(105), eps);
+        assert_eq!(session.run(&q).expect("a valid eps").rows.len(), hits, "eps {eps}");
+    }
 }

@@ -12,7 +12,7 @@
 //!   stored, fixed-width records over one text arena.
 //! * [`keys`] — the key families and their order/prefix guarantees.
 //! * [`posting`] — stored index entries (24 bytes each) and object
-//!   reassembly.
+//!   reassembly: an object's postings as handles, materialized on demand.
 //! * [`publish`] — the row → postings pipeline with overhead accounting.
 
 pub mod keys;
@@ -22,7 +22,7 @@ pub mod slab;
 pub mod triple;
 
 pub use keys::IndexFamily;
-pub use posting::{BaseKind, Object, Posting, PostingKind};
+pub use posting::{BaseKind, Object, ObjectPostings, Posting, PostingKind};
 pub use publish::{
     batch_for_rows, postings_for_rows, postings_for_triple, PostingBatch, PublishConfig,
     PublishStats,

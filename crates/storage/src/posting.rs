@@ -28,7 +28,7 @@
 //! in component 2, the full value retained).
 
 use crate::slab::{GramSpan, TripleRef, TripleSlab, NO_CHARS};
-use crate::triple::{AttrName, Value};
+use crate::triple::{AttrName, Value, ValueRef};
 use sqo_overlay::peer::Item;
 use std::fmt;
 use std::sync::Arc;
@@ -302,21 +302,6 @@ pub struct Object {
 }
 
 impl Object {
-    /// Assemble from oid-index postings — borrowed, so callers hand over
-    /// a stored run as-is instead of a flattened copy. Postings for other
-    /// oids are ignored; duplicate (attr, value) pairs (replica returns)
-    /// collapse.
-    pub fn from_postings<'a>(oid: &str, postings: impl IntoIterator<Item = &'a Posting>) -> Object {
-        let mut fields: Vec<(AttrName, Value)> = Vec::new();
-        for t in postings.into_iter().filter_map(Posting::as_base) {
-            if t.oid() == oid && !fields.iter().any(|(a, v)| a == t.attr() && t.value() == *v) {
-                fields.push((t.attr().clone(), t.value().to_value()));
-            }
-        }
-        fields.sort_by(|(a, _), (b, _)| a.cmp(b));
-        Object { oid: oid.to_string(), fields }
-    }
-
     /// First value of attribute `attr`.
     pub fn get(&self, attr: &str) -> Option<&Value> {
         self.fields.iter().find(|(a, _)| a.as_str() == attr).map(|(_, v)| v)
@@ -326,6 +311,57 @@ impl Object {
     pub fn repr_len(&self) -> usize {
         self.oid.len()
             + self.fields.iter().map(|(a, v)| a.as_str().len() + v.repr_len() + 8).sum::<usize>()
+    }
+}
+
+/// An object as its oid's base postings make it up: one 24-byte handle per
+/// field, no text copied. What an object fetch ships and an operator's
+/// object cache keeps; the owned [`Object`] is built, by
+/// [`Self::materialize`], only for a row the caller keeps. The oid is the
+/// caller's: every cache keys its handles by it.
+#[derive(Debug, Clone)]
+pub struct ObjectPostings(Vec<Posting>);
+
+impl ObjectPostings {
+    /// The fields of `oid` among `postings`, borrowed — a stored run is
+    /// read as it lies. Postings for other oids and postings of no base
+    /// index are ignored; duplicate (attr, value) pairs (replica returns)
+    /// collapse to the first; the fields are ordered by attribute name,
+    /// equal names in arrival order.
+    pub fn gather<'a>(oid: &str, postings: impl IntoIterator<Item = &'a Posting>) -> Self {
+        let mut fields: Vec<Posting> = Vec::new();
+        for p in postings {
+            let Some(t) = p.as_base() else { continue };
+            let seen = |f: &Posting| {
+                let f = f.triple();
+                f.attr() == t.attr() && f.value() == t.value()
+            };
+            if t.oid() == oid && !fields.iter().any(seen) {
+                fields.push(p.clone());
+            }
+        }
+        fields.sort_by(|a, b| a.triple().attr().cmp(b.triple().attr()));
+        Self(fields)
+    }
+
+    /// The fields in order, lent.
+    fn fields(&self) -> impl Iterator<Item = (&AttrName, ValueRef<'_>)> {
+        self.0.iter().map(|p| {
+            let t = p.triple();
+            (t.attr(), t.value())
+        })
+    }
+
+    /// [`Object::repr_len`] of the materialized object — what a reply
+    /// carrying it is charged — without materializing it.
+    pub fn repr_len(&self, oid: &str) -> usize {
+        oid.len() + self.fields().map(|(a, v)| a.as_str().len() + v.repr_len() + 8).sum::<usize>()
+    }
+
+    /// The owned object: the oid and a copy of every field.
+    pub fn materialize(&self, oid: &str) -> Object {
+        let fields = self.fields().map(|(a, v)| (a.clone(), v.to_value())).collect();
+        Object { oid: oid.to_string(), fields }
     }
 }
 
@@ -433,7 +469,7 @@ mod tests {
             Triple::new("car:2", "name", "Audi"), // other oid
         ]);
         let ps: Vec<Posting> = (0..4).map(|i| base(&slab, i)).collect();
-        let o = Object::from_postings("car:1", &ps);
+        let o = ObjectPostings::gather("car:1", &ps).materialize("car:1");
         assert_eq!(o.fields.len(), 2);
         assert_eq!(o.get("name"), Some(&Value::from("BMW")));
         assert_eq!(o.get("hp"), Some(&Value::from(190)));
@@ -446,7 +482,7 @@ mod tests {
         let slab =
             TripleSlab::of(&[Triple::new("o", "tag", "red"), Triple::new("o", "tag", "fast")]);
         let ps = [base(&slab, 0), base(&slab, 1)];
-        let o = Object::from_postings("o", &ps);
+        let o = ObjectPostings::gather("o", &ps).materialize("o");
         assert_eq!(o.fields.len(), 2);
     }
 }

@@ -6,11 +6,12 @@ use sqo_overlay::hash::{hash_f64, hash_i64, hash_str};
 use sqo_overlay::peer::Item;
 use sqo_overlay::Key;
 use sqo_storage::keys;
-use sqo_storage::posting::{BaseKind, Object, Posting, PostingKind};
+use sqo_storage::posting::{BaseKind, Object, ObjectPostings, Posting, PostingKind};
 use sqo_storage::publish::{
     batch_for_rows, postings_for_rows, postings_for_triple, PublishConfig, PublishStats,
 };
-use sqo_storage::triple::{Row, Triple, Value};
+use sqo_storage::slab::TripleSlab;
+use sqo_storage::triple::{AttrName, Row, Triple, Value};
 use sqo_strsim::qgram::qgram_count;
 
 /// Rows `from..from + n` of a world that holds every posting kind: ASCII,
@@ -80,6 +81,20 @@ fn inline_counts_and_ids_agree_with_the_record_in_every_world() {
         assert_eq!(kinds.len(), 5, "{what}: three base kinds, short value, short attr");
         assert!(numbers > 0, "{what}: numbers carry no count");
     }
+}
+
+/// Object assembly as it was before an object was gathered as handles
+/// (`Object::from_postings`): owned fields, each checked against those
+/// kept so far.
+fn owned_assembly(oid: &str, postings: &[Posting]) -> Object {
+    let mut fields: Vec<(AttrName, Value)> = Vec::new();
+    for t in postings.iter().filter_map(Posting::as_base) {
+        if t.oid() == oid && !fields.iter().any(|(a, v)| a == t.attr() && t.value() == *v) {
+            fields.push((t.attr().clone(), t.value().to_value()));
+        }
+    }
+    fields.sort_by(|(a, _), (b, _)| a.cmp(b));
+    Object { oid: oid.to_string(), fields }
 }
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -388,7 +403,7 @@ proptest! {
             .filter(|(k, _)| keys::oid_key(&oid).is_prefix_of(k))
             .map(|(_, p)| p)
             .collect();
-        let obj = Object::from_postings(&oid, &oid_postings);
+        let obj = ObjectPostings::gather(&oid, &oid_postings).materialize(&oid);
         for (attr, value) in &fields {
             prop_assert!(
                 obj.fields.iter().any(|(a, v)| a.as_str() == attr && v == value),
@@ -398,6 +413,47 @@ proptest! {
         // No foreign fields appear.
         for (a, v) in &obj.fields {
             prop_assert!(fields.iter().any(|(fa, fv)| fa == a.as_str() && fv == v));
+        }
+    }
+
+    /// An object's postings, gathered as handles, are the object the owned
+    /// assembly built: the same fields in the same order — by attribute
+    /// name, equal names in arrival order — each (attr, value) pair once
+    /// however often replicas or duplicate triples return it (a NaN, equal
+    /// to nothing, never collapses), other oids and other posting kinds
+    /// ignored, and the same `repr_len`.
+    #[test]
+    fn gathered_handles_are_the_owned_assembly(
+        triples in prop::collection::vec((0usize..3, 0usize..3, 0usize..5), 1..12),
+        picks in prop::collection::vec((0usize..64, 0usize..4), 0..40),
+    ) {
+        let values =
+            [Value::from("x"), Value::from("y"), Value::Int(7), Value::Float(7.0), Value::Float(f64::NAN)];
+        let triples: Vec<Triple> = triples
+            .iter()
+            .map(|(o, a, v)| {
+                Triple::new(["o:1", "o:10", "o:2"][*o], ["name", "hp", "ab"][*a], values[*v].clone())
+            })
+            .collect();
+        let slab = TripleSlab::of(&triples);
+        let kinds = [
+            PostingKind::Base(BaseKind::Oid),
+            PostingKind::Base(BaseKind::AttrValue),
+            PostingKind::Base(BaseKind::Value),
+            PostingKind::ShortValue,
+        ];
+        let postings: Vec<Posting> = picks
+            .iter()
+            .map(|(at, kind)| {
+                let index = (at % triples.len()) as u32;
+                Posting::new(kinds[*kind], &slab, index, None).expect("a triple of the slab")
+            })
+            .collect();
+        for oid in ["o:1", "o:10", "o:2", "o:3"] {
+            let reference = owned_assembly(oid, &postings);
+            let handles = ObjectPostings::gather(oid, &postings);
+            prop_assert_eq!(format!("{:?}", handles.materialize(oid)), format!("{reference:?}"));
+            prop_assert_eq!(handles.repr_len(oid), reference.repr_len());
         }
     }
 

@@ -236,6 +236,24 @@ fn numeric_similarity_filter() {
     assert_eq!(names, vec!["Audi A4", "BMW 320d"]);
 }
 
+/// A numeric distance bound the lexer reads as negative or as infinite (a
+/// float literal past `f64::MAX`) is refused by the planner, not a panic
+/// inside execution; a bound of 0 is a plain equality.
+#[test]
+fn a_negative_or_infinite_numeric_bound_is_an_error() {
+    let mut e = engine();
+    let from = e.random_peer();
+    let huge = format!("1{}.0", "0".repeat(400));
+    for bound in ["-1", "-0.5", huge.as_str()] {
+        let text = format!("SELECT ?h WHERE {{ (?o,hp,?h) FILTER (dist(?h,200) <= {bound}) }}");
+        let err = run(&mut e, from, &text, &ExecOptions::default()).unwrap_err();
+        assert!(matches!(&err, VqlError::Semantic(m) if m.contains("eps")), "{bound}: {err:?}");
+    }
+    let text = "SELECT ?h WHERE { (?o,hp,?h) FILTER (dist(?h,190) <= 0) }";
+    let out = run(&mut e, from, text, &ExecOptions::default()).unwrap();
+    assert_eq!(out.rows, vec![vec![Value::Int(190)]]);
+}
+
 #[test]
 fn conjunctive_semantics_drop_incomplete_objects() {
     let mut e = EngineBuilder::new().peers(16).seed(5).build_with_rows(&[

@@ -6,23 +6,33 @@
 //! test guards the cause with an exact counter: a q-gram `similar` and a
 //! windowed `sim_join` on a fixed world must stay under a pinned number of
 //! heap allocations. The budgets sit above what the borrowing pipeline
-//! needs (117 and 1 073) and far below what the cloning pipeline it
-//! replaced needed (784 and 12 087, 4.5× and 7.3× the budgets), so
-//! re-introducing a per-posting copy fails here before anyone has to read
-//! a profile.
+//! needed (117 and 1 073; 79 and 720 since a fetch ships handles) and far
+//! below what the cloning pipeline it replaced needed (784 and 12 087,
+//! 4.5× and 14.6× the budgets), so re-introducing a per-posting copy fails
+//! here before anyone has to read a profile.
 //!
 //! The naive scan has a budget for the same reason. It edit-verifies every
 //! stored value of the attribute against a verifier prepared once per
-//! query, so its allocations follow its matches (52 here), not its
+//! query, so its allocations follow its matches (36 here), not its
 //! comparisons: a one-shot `levenshtein_bounded` per stored value, which
 //! decodes both strings every time, takes 8 061.
 //!
 //! A range selection sorts its matches by `(oid, printed value)`; it has a
 //! budget because the sort once printed both values of every *comparison*
-//! (13 822 allocations for the 432 rows below) where it now prints each
-//! match once, and `Network::range_query` hands it the answering lists
-//! themselves where it used to flatten them into a vector (5 679 → 5 671,
-//! most of them the rows the fetch assembles).
+//! (13 822 allocations for the 432 rows below), then printed each match
+//! once and copied its oid into a sort key (5 671), and now compares the
+//! rows where they lie, printing a number only when two oids tie.
+//! `Network::range_query` hands it the answering lists themselves where it
+//! used to flatten them into a vector (5 679 → 5 671).
+//!
+//! An object fetch ships handles: each fetched oid is its deduplicated
+//! base postings, one buffer of 24-byte records, and the owned `Object` —
+//! the oid, a field vector, a string per string value — is built only for
+//! a row the caller keeps: a verified match, a selection hit. Before, every
+//! fetched candidate was assembled owned and every kept row cloned that
+//! object once more. Select range fell from 5 671 to 3 941, top-N from
+//! 1 773 to 1 391, `sim_join` from 774 to 720, q-gram `similar` from 83
+//! to 79 and the naive scan from 40 to 36.
 //!
 //! The write path has budgets too. A batch is generated grouped: its
 //! distinct keys, each made once, and its postings with the ids of their
@@ -122,9 +132,9 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
 
 const SIMILAR_BUDGET: u64 = 175;
 const NAIVE_BUDGET: u64 = 65;
-const SIM_JOIN_BUDGET: u64 = 1_650;
-const SELECT_RANGE_BUDGET: u64 = 6_450;
-const TOP_N_BUDGET: u64 = 2_150;
+const SIM_JOIN_BUDGET: u64 = 830;
+const SELECT_RANGE_BUDGET: u64 = 4_550;
+const TOP_N_BUDGET: u64 = 1_600;
 const MULTI_BUDGET: u64 = 175;
 const VQL_BUDGET: u64 = 225;
 const POSTINGS_BUDGET: u64 = 1_400;
