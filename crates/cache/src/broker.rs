@@ -6,9 +6,7 @@ use crate::lru::{LruCache, LruState};
 use serde::Serialize;
 use sqo_overlay::key::Key;
 use sqo_overlay::peer::PeerId;
-use sqo_overlay::PostingList;
 use sqo_storage::posting::Posting;
-use std::sync::Arc;
 
 /// Everything configurable about the hot-path services. Both services
 /// default to **off** — the engine then behaves exactly as without a
@@ -108,7 +106,7 @@ impl BrokerCounters {
 /// per-partition channel pool. Pure bookkeeping — see the crate docs.
 pub struct CacheBatchBroker {
     cfg: BrokerConfig,
-    cache: LruCache<(PeerId, Key), PostingList<Posting>>,
+    cache: LruCache<(PeerId, Key), Vec<Posting>>,
     channels: ChannelPool,
     counters: BrokerCounters,
 }
@@ -147,21 +145,20 @@ impl CacheBatchBroker {
         self.cfg.batch
     }
 
-    /// Cache lookup for `from`'s copy of `key`'s posting list. Hits hand
-    /// back a shared handle onto the cached allocation (`Arc` clone) —
-    /// no posting is copied on the cache fast path.
+    /// Cache lookup for `from`'s copy of `key`'s posting list. Hits lend
+    /// the cached postings — no posting is copied on the cache fast path.
     pub fn cache_get(
         &mut self,
         from: PeerId,
         key: &Key,
         now_us: u64,
         epoch: u64,
-    ) -> Option<PostingList<Posting>> {
+    ) -> Option<&[Posting]> {
         debug_assert!(self.cfg.cache);
         match self.cache.get(&(from, key.clone()), now_us, epoch) {
             Some(list) => {
                 self.counters.cache_hits += 1;
-                Some(Arc::clone(list))
+                Some(list)
             }
             None => {
                 self.counters.cache_misses += 1;
@@ -171,14 +168,13 @@ impl CacheBatchBroker {
     }
 
     /// Fill `from`'s cache with the full list fetched for `key` (subject
-    /// to the admission gate when enabled). The handle is stored as-is:
-    /// cache entry, overlay store and in-flight replies all share one
-    /// allocation.
+    /// to the admission gate when enabled): the reply's copy is kept as it
+    /// arrived.
     pub fn cache_put(
         &mut self,
         from: PeerId,
         key: &Key,
-        list: PostingList<Posting>,
+        list: Vec<Posting>,
         now_us: u64,
         epoch: u64,
     ) {
@@ -241,8 +237,7 @@ impl CacheBatchBroker {
 
     /// Walk the broker into an owned [`BrokerState`]: config, raw
     /// counters, the posting cache (with its admission sketch), and the
-    /// open channel pool. Cached posting lists are exported as shared
-    /// handles (`Arc` clones) — nothing is copied here.
+    /// open channel pool. Cached posting lists are exported as copies.
     pub fn export_state(&self) -> BrokerState {
         BrokerState {
             cfg: self.cfg,
@@ -273,7 +268,7 @@ pub struct BrokerState {
     /// Raw lifetime counters (`channels_opened`/`admission_rejects` are
     /// derived on read and live in the pool/cache states).
     pub counters: BrokerCounters,
-    pub cache: LruState<(PeerId, Key), PostingList<Posting>>,
+    pub cache: LruState<(PeerId, Key), Vec<Posting>>,
     pub channels: ChannelPoolState,
 }
 
@@ -286,7 +281,7 @@ mod tests {
         let mut b = CacheBatchBroker::new(BrokerConfig::cache_only());
         let k = Key::from_bytes(b"k");
         assert!(b.cache_get(PeerId(1), &k, 0, 0).is_none());
-        b.cache_put(PeerId(1), &k, PostingList::default(), 0, 0);
+        b.cache_put(PeerId(1), &k, Vec::new(), 0, 0);
         assert!(b.cache_get(PeerId(1), &k, 10, 0).is_some());
         assert!(b.cache_get(PeerId(2), &k, 10, 0).is_none(), "caches are per initiator");
         let c = b.counters();
@@ -299,7 +294,7 @@ mod tests {
     fn disabled_cache_never_stores() {
         let mut b = CacheBatchBroker::new(BrokerConfig::batch_only());
         let k = Key::from_bytes(b"k");
-        b.cache_put(PeerId(1), &k, PostingList::default(), 0, 0);
+        b.cache_put(PeerId(1), &k, Vec::new(), 0, 0);
         assert!(!b.cache_enabled());
         assert!(b.batch_enabled());
     }
@@ -310,13 +305,13 @@ mod tests {
         let mut b = CacheBatchBroker::new(BrokerConfig::cache_only());
         let k1 = Key::from_bytes(b"k1");
         let k2 = Key::from_bytes(b"k2");
-        b.cache_put(PeerId(1), &k1, PostingList::default(), 0, 5);
+        b.cache_put(PeerId(1), &k1, Vec::new(), 0, 5);
         let checkpoint = b.export_state();
 
         // A diverged branch resumes from it, churns (epoch 5 -> 6), and
         // caches a fresh entry under the new epoch.
         let mut diverged = CacheBatchBroker::from_state(checkpoint.clone());
-        diverged.cache_put(PeerId(1), &k2, PostingList::default(), 10, 6);
+        diverged.cache_put(PeerId(1), &k2, Vec::new(), 10, 6);
         assert!(diverged.cache_get(PeerId(1), &k2, 20, 6).is_some());
 
         // Restoring that branch's state and looking up under the original
@@ -339,7 +334,7 @@ mod tests {
         let mut b = CacheBatchBroker::new(BrokerConfig::enabled());
         let k = Key::from_bytes(b"k");
         b.cache_get(PeerId(1), &k, 0, 0); // miss
-        b.cache_put(PeerId(1), &k, PostingList::default(), 0, 0);
+        b.cache_put(PeerId(1), &k, Vec::new(), 0, 0);
         b.channel_record(4, PeerId(7), 3, 5, 0);
         b.channel_lookup(4, 10, 0, 2);
         b.count_messages_saved(2);
@@ -357,7 +352,7 @@ mod tests {
     fn epoch_bump_is_a_miss() {
         let mut b = CacheBatchBroker::new(BrokerConfig::cache_only());
         let k = Key::from_bytes(b"k");
-        b.cache_put(PeerId(1), &k, PostingList::default(), 0, 3);
+        b.cache_put(PeerId(1), &k, Vec::new(), 0, 3);
         assert!(b.cache_get(PeerId(1), &k, 1, 3).is_some());
         assert!(b.cache_get(PeerId(1), &k, 2, 4).is_none(), "churn epoch invalidates");
     }

@@ -8,15 +8,14 @@ use crate::stats::QueryStats;
 use rustc_hash::{FxHashMap, FxHashSet};
 use sqo_cache::{BrokerConfig, BrokerCounters, CacheBatchBroker};
 use sqo_overlay::key::Key;
-use sqo_overlay::network::{KeyedLists, Network, NetworkConfig};
+use sqo_overlay::network::{KeyedItems, Network, NetworkConfig};
 use sqo_overlay::peer::{Item, PeerId};
 use sqo_overlay::trie::find_partition_from;
-use sqo_overlay::{run_items, Metrics, PostingList, TraceEvent, TraceTrack};
+use sqo_overlay::{Metrics, TraceEvent, TraceTrack};
 use sqo_storage::posting::{Object, ObjectPostings, Posting};
 use sqo_storage::publish::{batch_for_rows, PublishConfig, PublishStats};
 use sqo_storage::triple::Row;
 use sqo_strsim::filters::FilterConfig;
-use std::sync::Arc;
 
 /// Per-query execution defaults, grouped so higher layers (the `sqo-plan`
 /// planner, workload drivers) inherit one coherent block instead of poking
@@ -457,7 +456,7 @@ impl SimilarityEngine {
         let structural = |p: usize| total >> (self.net.partition_depth(p).min(63) as u32);
         if (ps..pe).contains(&own) {
             // Free local introspection: the peer's own run, no message.
-            let rows = run_items(self.net.partition_store(own).prefix_entries(key)).count() as u64;
+            let rows = self.net.partition_store(own).prefix_entries(key).items.len() as u64;
             let local = CardEstimate { rows, source: CardSource::LocalExact };
             // Sibling partitions of the subtree are invisible locally:
             // estimate them structurally instead of extrapolating the
@@ -745,7 +744,7 @@ impl SimilarityEngine {
     ) {
         let mut payload = 0usize;
         for k in keys {
-            for p in filter.survivors(run_items(self.net.local_prefix_run(owner, k))) {
+            for p in filter.survivors(self.net.local_prefix_run(owner, k).iter()) {
                 payload += p.size_bytes();
                 out.push(p.clone());
             }
@@ -880,9 +879,9 @@ impl SimilarityEngine {
                         e.net.send_direct(from, owner, 0);
                     }
                     // Cache on: the reply carries the **full** per-key lists
-                    // (shared handles onto the stored runs) so the initiator
-                    // can filter locally and fill its cache — the price of
-                    // making every later probe of these keys free. Cache
+                    // so the initiator can filter locally and fill its
+                    // cache — the price of making every later probe of
+                    // these keys free. Cache
                     // off: the owner filters and only survivors travel,
                     // byte-for-byte the legacy delegated payload.
                     if cache_on {
@@ -933,13 +932,13 @@ impl SimilarityEngine {
     }
 
     /// Fold a cache-filling reply into the caller: filter every full list
-    /// into `postings` and move its shared handle into the initiator's
-    /// cache — the cache entry *is* the stored run, not a copy of it.
+    /// into `postings` and move the list, as the reply shipped it, into the
+    /// initiator's cache.
     fn absorb_full_lists(
         &mut self,
         from: PeerId,
         filter: &ProbeFilter<'_>,
-        lists: KeyedLists<Posting>,
+        lists: KeyedItems<Posting>,
         now_us: u64,
         epoch: u64,
         postings: &mut Vec<Posting>,
@@ -952,44 +951,46 @@ impl SimilarityEngine {
     }
 
     /// A single-key retrieve answered from the initiator's posting cache
-    /// when possible (exact-match and keyword selections). Returns a
-    /// shared posting list (hit: the cached handle; miss: the stored run
-    /// itself — the cache fill is an `Arc` clone, never a deep copy) plus
-    /// the (hits, misses) counter delta — the caller runs inside a charged
+    /// when possible (exact-match and keyword selections): `read` gets the
+    /// postings where they lie — in the cache on a hit, in the reply on a
+    /// miss, which then fills the cache — and its answer is returned with
+    /// the (hits, misses) counter delta; the caller runs inside a charged
     /// window and folds them into its stats afterwards.
-    pub(crate) fn cached_retrieve(
+    pub(crate) fn cached_retrieve<R>(
         &mut self,
         from: PeerId,
         key: &Key,
-    ) -> (PostingList<Posting>, u64, u64) {
+        read: impl FnOnce(&[Posting]) -> R,
+    ) -> (R, u64, u64) {
         let cache_on = self.broker.as_ref().is_some_and(|b| b.cache_enabled());
         if !cache_on {
             self.legs_addressed += 1;
             return match self.with_leg_retry(|e| e.net.retrieve_list(from, key)) {
                 Ok(list) => {
                     self.legs_answered += 1;
-                    (list, 0, 0)
+                    (read(&list), 0, 0)
                 }
-                Err(_) => (PostingList::default(), 0, 0),
+                Err(_) => (read(&[]), 0, 0),
             };
         }
         let epoch = self.net.cache_epoch();
         let now_us = self.net.sim_now_us().unwrap_or(0);
         let broker = self.broker.as_mut().expect("cache_on implies a broker");
         if let Some(list) = broker.cache_get(from, key, now_us, epoch) {
-            return (list, 1, 0);
+            return (read(list), 1, 0);
         }
         // A routing failure (churn) is transient — the next draw may pick a
         // live replica — so it must not be negative-cached as an empty list.
         self.legs_addressed += 1;
         let Ok(list) = self.with_leg_retry(|e| e.net.retrieve_list(from, key)) else {
-            return (PostingList::default(), 0, 1);
+            return (read(&[]), 0, 1);
         };
         self.legs_answered += 1;
+        let answer = read(&list);
         let now_us = self.net.sim_now_us().unwrap_or(0);
         let broker = self.broker.as_mut().expect("cache_on implies a broker");
-        broker.cache_put(from, key, Arc::clone(&list), now_us, epoch);
-        (list, 0, 1)
+        broker.cache_put(from, key, list, now_us, epoch);
+        (answer, 0, 1)
     }
 
     /// Group object fetches into fan-out branches: per owning partition
@@ -1050,7 +1051,7 @@ impl SimilarityEngine {
         let mut cursor = 0;
         for (oid, key) in oids {
             let run = self.net.local_prefix_run_from(owner, &key, &mut cursor);
-            let obj = ObjectPostings::gather(&oid, run_items(run));
+            let obj = ObjectPostings::gather(&oid, run);
             payload += obj.repr_len(&oid);
             out.push((oid, obj));
         }
@@ -1088,11 +1089,11 @@ impl SimilarityEngine {
     }
 
     /// Distributed prefix scan (shower fan-out), e.g. "all values of
-    /// attribute A": the answering partitions' shared lists, for the caller
-    /// to read in place. Thin wrapper over `Network::retrieve_lists`, with
-    /// per-partition leg accounting: silenced shower siblings surface as
+    /// attribute A": the items each answering partition shipped. Thin
+    /// wrapper over `Network::retrieve_lists`, with per-partition leg
+    /// accounting: silenced shower siblings surface as
     /// addressed-but-unanswered legs instead of vanishing.
-    pub(crate) fn scan_prefix(&mut self, from: PeerId, prefix: &Key) -> Vec<PostingList<Posting>> {
+    pub(crate) fn scan_prefix(&mut self, from: PeerId, prefix: &Key) -> Vec<Vec<Posting>> {
         let mut failed0 = 0u64;
         let got = self.with_leg_retry(|e| {
             failed0 = e.net.metrics().failed_routes;
@@ -1554,7 +1555,7 @@ mod tests {
         e.legs_answered += 1;
         let mut payload = 0;
         for (oid, key) in oids {
-            let run = run_items(e.net.local_prefix_run(owner, &key));
+            let run = e.net.local_prefix_run(owner, &key);
             let obj = ObjectPostings::gather(&oid, run).materialize(&oid);
             payload += obj.repr_len();
             out.push((oid, obj));
@@ -1736,8 +1737,7 @@ mod tests {
 
     /// Everything a snapshot of the engine's network would write.
     fn image(net: &Network<Posting>) -> String {
-        let state = net.export_state();
-        format!("{state:?} {:?}", state.store_tables())
+        format!("{:?}", net.export_state())
     }
 
     #[test]

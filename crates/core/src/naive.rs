@@ -28,7 +28,6 @@ use crate::engine::SimilarityEngine;
 use crate::similar::Candidate;
 use sqo_overlay::key::Key;
 use sqo_overlay::peer::PeerId;
-use sqo_overlay::run_items;
 use sqo_storage::posting::PostingKind;
 use sqo_storage::slab::AttrGuard;
 use sqo_strsim::edit::BoundedLevenshtein;
@@ -74,7 +73,7 @@ impl SimilarityEngine {
         // Keys truncate, so the scanned prefix may hold another attribute's
         // postings too.
         let mut queried = AttrGuard::new(attr.unwrap_or_default());
-        for p in run_items(self.net.local_prefix_run(responder, prefix)) {
+        for p in self.net.local_prefix_run(responder, prefix) {
             match (attr, p.kind()) {
                 (Some(a), PostingKind::Base(_) | PostingKind::ShortValue) => {
                     // Guard, string, window: the posting alone answers.

@@ -6,7 +6,6 @@ use crate::engine::{finalize_stats, ExecStep, FanOut, FetchBranch, SimilarityEng
 use crate::stats::QueryStats;
 use rustc_hash::FxHashMap;
 use sqo_overlay::peer::PeerId;
-use sqo_overlay::run_items;
 use sqo_storage::keys;
 use sqo_storage::posting::{Object, ObjectPostings, Posting, PostingKind};
 use sqo_storage::slab::AttrGuard;
@@ -156,14 +155,16 @@ impl SelectTask {
         let matched = match kind {
             SelectKind::Exact { attr, v } => {
                 let key = keys::attr_value_key(attr, v);
-                let (postings, h, m) = e.cached_retrieve(from, &key);
+                let (matched, h, m) = e.cached_retrieve(from, &key, |postings| {
+                    postings
+                        .iter()
+                        .filter_map(Posting::as_base)
+                        .filter(|t| t.attr().as_str() == attr && t.value() == *v)
+                        .map(|t| (t.oid().to_string(), t.value().to_value()))
+                        .collect()
+                });
                 (hits, misses) = (h, m);
-                postings
-                    .iter()
-                    .filter_map(Posting::as_base)
-                    .filter(|t| t.attr().as_str() == attr && t.value() == *v)
-                    .map(|t| (t.oid().to_string(), t.value().to_value()))
-                    .collect()
+                matched
             }
             SelectKind::Range { attr, lo, hi } => Self::range_scan(attr, lo, hi, from, e),
             SelectKind::NumericSimilar { attr, center, eps } => {
@@ -178,14 +179,16 @@ impl SelectTask {
             }
             SelectKind::Keyword { v } => {
                 let key = keys::value_key(v);
-                let (postings, h, m) = e.cached_retrieve(from, &key);
+                let (matched, h, m) = e.cached_retrieve(from, &key, |postings| {
+                    postings
+                        .iter()
+                        .filter_map(Posting::as_base)
+                        .filter(|t| t.value() == *v)
+                        .map(|t| (t.oid().to_string(), t.value().to_value()))
+                        .collect()
+                });
                 (hits, misses) = (h, m);
-                postings
-                    .iter()
-                    .filter_map(Posting::as_base)
-                    .filter(|t| t.value() == *v)
-                    .map(|t| (t.oid().to_string(), t.value().to_value()))
-                    .collect()
+                matched
             }
             SelectKind::All { attr } => {
                 let mut matched = Vec::new();
@@ -230,7 +233,8 @@ impl SelectTask {
             },
         };
         let mut queried = AttrGuard::new(attr);
-        run_items(&postings)
+        postings
+            .iter()
             .filter(|p| queried.admits(p))
             .filter_map(Posting::as_base)
             .filter(|t| in_bounds(t.value()))

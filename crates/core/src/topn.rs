@@ -29,7 +29,6 @@ use crate::similar::Strategy;
 use crate::stats::QueryStats;
 use rustc_hash::{FxHashMap, FxHashSet};
 use sqo_overlay::peer::PeerId;
-use sqo_overlay::run_items;
 use sqo_storage::keys;
 use sqo_storage::posting::{Object, ObjectPostings};
 use sqo_storage::triple::Value;
@@ -130,7 +129,7 @@ impl SimilarityEngine {
                 self.net.forward_to(entry, p);
                 p
             };
-            for p in run_items(self.net.local_prefix_run(responder, &prefix)) {
+            for p in self.net.local_prefix_run(responder, &prefix) {
                 let Some(t) = p.as_base() else { continue };
                 if t.attr().as_str() != attr {
                     continue;
@@ -197,7 +196,7 @@ impl SimilarityEngine {
             let (klo, khi) = keys::attr_value_range(attr, &dom.value(fr), &dom.value(to));
             // Query both numeric subdomains when the type is still unknown.
             let postings = self.net.range_query(from, &klo, &khi).unwrap_or_default();
-            for p in run_items(&postings) {
+            for p in &postings {
                 let Some(t) = p.as_base() else { continue };
                 if t.attr().as_str() != attr {
                     continue;

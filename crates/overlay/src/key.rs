@@ -190,36 +190,7 @@ impl Key {
     /// `[π·000…, π·111…]`, so e.g. "partition max ≥ lo" is
     /// `cmp_extended(π, true, lo) != Less`.
     pub fn cmp_extended(&self, filler: bool, other: &Key) -> Ordering {
-        let common = self.common_prefix_len(other);
-        if common < self.len && common < other.len {
-            // Differ at a real bit of both keys.
-            return if self.bit(common) { Ordering::Greater } else { Ordering::Less };
-        }
-        if common == other.len {
-            // `other` exhausted: other is a prefix of self·filler^∞.
-            if common < self.len {
-                return Ordering::Greater; // self has real bits beyond other
-            }
-            // self exhausted at the same point: the stream is other·filler^∞.
-            // With filler = 1 that is strictly above `other`; with filler = 0
-            // it is the infimum of the interval starting at `other`, which we
-            // report as Equal (interval semantics, see doc comment).
-            return if filler { Ordering::Greater } else { Ordering::Equal };
-        }
-        // `self` exhausted, other has bits left: compare filler stream
-        // against other's remaining bits.
-        for i in common..other.len {
-            if filler != other.bit(i) {
-                return if filler { Ordering::Greater } else { Ordering::Less };
-            }
-        }
-        // other is a prefix of the filler-extended stream: the stream
-        // continues infinitely, so it is greater unless filler = 0 (infimum).
-        if filler {
-            Ordering::Greater
-        } else {
-            Ordering::Equal
-        }
+        self.as_ref().cmp_extended(filler, other.as_ref())
     }
 
     /// Render as a `"0101"` string.
@@ -344,6 +315,40 @@ impl<'a> KeyRef<'a> {
             }
         }
         max
+    }
+
+    /// [`Key::cmp_extended`] on views.
+    pub fn cmp_extended(self, filler: bool, other: KeyRef<'_>) -> Ordering {
+        let common = self.common_prefix_len(other);
+        if common < self.len && common < other.len {
+            // Differ at a real bit of both keys.
+            return if self.bit(common) { Ordering::Greater } else { Ordering::Less };
+        }
+        if common == other.len {
+            // `other` exhausted: other is a prefix of self·filler^∞.
+            if common < self.len {
+                return Ordering::Greater; // self has real bits beyond other
+            }
+            // self exhausted at the same point: the stream is other·filler^∞.
+            // With filler = 1 that is strictly above `other`; with filler = 0
+            // it is the infimum of the interval starting at `other`, which we
+            // report as Equal (interval semantics, see doc comment).
+            return if filler { Ordering::Greater } else { Ordering::Equal };
+        }
+        // `self` exhausted, other has bits left: compare filler stream
+        // against other's remaining bits.
+        for i in common..other.len {
+            if filler != other.bit(i) {
+                return if filler { Ordering::Greater } else { Ordering::Less };
+            }
+        }
+        // other is a prefix of the filler-extended stream: the stream
+        // continues infinitely, so it is greater unless filler = 0 (infimum).
+        if filler {
+            Ordering::Greater
+        } else {
+            Ordering::Equal
+        }
     }
 }
 

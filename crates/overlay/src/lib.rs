@@ -17,8 +17,9 @@
 //! * [`topology`] — the paper's π(p)/ρ(p,l)/σ(p) for the whole network in
 //!   one structure, and Algorithm 1's per-hop decision over it.
 //! * [`store`] — δ(p), one per partition: sorted runs laid out as flat
-//!   arrays (one key arena, one span and one `Arc`-shared posting list per
-//!   key); a write is one merge of a key-sorted batch.
+//!   arrays (one key arena, a span and an end offset per key, one item
+//!   array in key order); a scan lends a slice of the items, and a write is
+//!   one merge of a batch that is itself a run.
 //! * [`snapshot`] — [`NetworkState`], the network's data: configuration,
 //!   topology, churn flags, stores, counters, RNG. What a checkpoint
 //!   clones, and valid whenever it exists.
@@ -30,6 +31,12 @@
 //! * [`clock`] — the virtual-time hook: an [`EventSink`] installed on the
 //!   network turns hop counts into simulated latency (implemented by
 //!   `sqo-sim`).
+//!
+//! [`Network`] stays generic over its item type. Its one production item is
+//! `sqo_storage::Posting`, but `sqo-storage` depends on this crate for
+//! [`Key`], so this crate cannot name `Posting` without moving crates — a
+//! move that deletes nothing. The other instantiations are the tests' small
+//! items.
 
 pub mod clock;
 pub mod hash;
@@ -49,8 +56,8 @@ pub use key::{Key, KeyRef};
 pub use metrics::{Metrics, PeerLoad};
 pub use network::{Network, NetworkConfig, RepairReport, ReplicationPolicy, RouteError};
 pub use peer::{Item, PeerId};
-pub use snapshot::{NetworkState, StoreTables};
-pub use store::{run_items, PartitionStore, PostingList, Run, SortedStore};
+pub use snapshot::NetworkState;
+pub use store::{PartitionStore, SortedStore, Stretch};
 pub use topology::{RoutingArena, Topology};
 
 /// The partition point of `run` under `pred`, found by doubling from the

@@ -16,6 +16,15 @@
 //! level has no reference and answers empty, showers skip it, and a later
 //! publication into it recruits a member first.
 //!
+//! The one write path, [`Network::insert_groups`], takes a batch that is a
+//! run ([`SortedStore`]): it cuts the batch where its keys leave a
+//! partition and merges each stretch into that partition's run, and a key
+//! shorter than the trie depth into the run of every peered partition of
+//! its subtree — each run keeps its own copy. Reads lend the runs' items
+//! where they lie ([`Network::local_prefix_run`]); a reply that crosses the
+//! simulated wire copies what it ships (a posting's copy is one
+//! reference-count step).
+//!
 //! The simulation is fully deterministic for a given seed: routing reference
 //! selection and initiator choice draw from one seeded RNG; dealing and
 //! recruitment draw nothing.
@@ -25,12 +34,12 @@ use crate::key::{Key, KeyRef};
 use crate::metrics::{Metrics, PeerLoad};
 use crate::peer::{Item, PeerId};
 use crate::snapshot::NetworkState;
-use crate::store::{run_items, PartitionStore, PostingList, Run};
+use crate::store::{PartitionStore, SortedStore};
 use crate::topology::Topology;
-use crate::trie::{build_partitions, find_partition, partition_loads};
+use crate::trie::{build_partitions, find_partition, partition_loads, subtree_range};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::ops::Range;
 
 /// Static parameters of a simulated network.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -145,11 +154,9 @@ impl RepairReport {
     }
 }
 
-/// Per-key *shared* posting lists, as returned by the zero-copy retrieval
-/// surface ([`Network::retrieve_multi_lists`]). A reply references the
-/// stored lists instead of copying them; inserts and churn never mutate a
-/// published list (copy-on-write, see [`crate::store`]).
-pub type KeyedLists<T> = Vec<(Key, PostingList<T>)>;
+/// What one reply ships: per key asked, in the order asked, a copy of the
+/// items stored under it.
+pub type KeyedItems<T> = Vec<(Key, Vec<T>)>;
 
 /// The simulated P-Grid network holding items of type `T`: its data (the
 /// [`NetworkState`] a snapshot freezes) and its observers.
@@ -169,62 +176,33 @@ pub struct Network<T> {
     /// The query track currently attributed on message instants; set by the
     /// executor around each charged step of a traced query.
     pub(crate) trace_query: Option<u64>,
-    /// The one empty posting list every prefix miss replies with (a
-    /// handle clone, not a fresh allocation per miss).
-    pub(crate) empty: PostingList<T>,
     /// Items published into this network that no peer stored
     /// ([`Self::unstored_items`]).
     pub(crate) unstored: u64,
 }
 
-/// The distinct keys of a batch sorted by key, each with its item count.
-fn distinct<T>(sorted: &[(Key, T)]) -> Vec<(KeyRef<'_>, usize)> {
-    sorted.chunk_by(|a, b| a.0 == b.0).map(|g| (g[0].0.as_ref(), g.len())).collect()
-}
-
-/// The groups of a batch sorted by key: one list per distinct key, its items
-/// in batch order. Lazy — each list's buffer and handle are allocated as
-/// the writer reaches its key.
-fn grouped<T>(sorted: Vec<(Key, T)>) -> impl Iterator<Item = (Key, PostingList<T>)> {
-    let mut batch = sorted.into_iter();
-    std::iter::from_fn(move || {
-        let (key, item) = batch.next()?;
-        let more = batch.as_slice().iter().take_while(|(k, _)| *k == key).count();
-        let rest = batch.by_ref().take(more).map(|(_, item)| item);
-        Some((key, Arc::new(std::iter::once(item).chain(rest).collect())))
-    })
+/// The distinct keys of a batch, ascending, each with its item count.
+fn key_loads<T>(batch: &SortedStore<T>) -> Vec<(KeyRef<'_>, usize)> {
+    batch.iter().map(|(key, items)| (key, items.len())).collect()
 }
 
 impl<T: Item> Network<T> {
     /// A network on `image`, with no observer installed.
     pub(crate) fn on(image: NetworkState<T>) -> Self {
-        let empty = PostingList::default();
-        Network { image, sink: None, tracer: None, trace_query: None, empty, unstored: 0 }
+        Network { image, sink: None, tracer: None, trace_query: None, unstored: 0 }
     }
 
     /// Construct a network of `cfg.peers` peers, build the trie adapted to
     /// the data keys, deal the peers by load, wire routing tables, and
     /// insert all items: a batch into the empty network.
-    pub fn build(cfg: NetworkConfig, mut data: Vec<(Key, T)>) -> Self {
-        data.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut net = Self::on_partitions_for(cfg, &distinct(&data));
-        net.insert_groups(grouped(data));
-        net
+    pub fn build(cfg: NetworkConfig, data: Vec<(Key, T)>) -> Self {
+        Self::build_groups(cfg, SortedStore::from_pairs(data))
     }
 
-    /// [`Self::build`] on data that is grouped already: one `(key, items)`
-    /// group per distinct key, keys strictly ascending.
-    ///
-    /// # Panics
-    /// Panics when the keys do not ascend strictly: [`build_partitions`]
-    /// refuses them while the cover is grown, as
-    /// [`SortedStore::merge`](crate::store::SortedStore::merge) would
-    /// when they reach a partition.
-    pub fn build_groups(cfg: NetworkConfig, groups: KeyedLists<T>) -> Self {
-        let keys: Vec<(KeyRef<'_>, usize)> =
-            groups.iter().map(|(key, items)| (key.as_ref(), items.len())).collect();
-        let mut net = Self::on_partitions_for(cfg, &keys);
-        net.insert_groups(groups);
+    /// [`Self::build`] on data that is grouped already: the batch as a run.
+    pub fn build_groups(cfg: NetworkConfig, batch: SortedStore<T>) -> Self {
+        let mut net = Self::on_partitions_for(cfg, &key_loads(&batch));
+        net.insert_groups(batch);
         net
     }
 
@@ -241,15 +219,15 @@ impl<T: Item> Network<T> {
     /// by, so a partition `data` leaves empty is a gap. A cover with more
     /// bearing partitions than peers leaves its trailing ones without a
     /// member, and their items unstored.
-    pub fn build_with_paths(cfg: NetworkConfig, paths: Vec<Key>, mut data: Vec<(Key, T)>) -> Self {
-        data.sort_by(|a, b| a.0.cmp(&b.0));
+    pub fn build_with_paths(cfg: NetworkConfig, paths: Vec<Key>, data: Vec<(Key, T)>) -> Self {
         assert!(
             crate::trie::is_complete_cover(&paths),
             "partition paths must form a complete prefix-free cover"
         );
-        let loads = partition_loads(&paths, &distinct(&data));
+        let batch = SortedStore::from_pairs(data);
+        let loads = partition_loads(&paths, &key_loads(&batch));
         let mut net = Self::on_paths(cfg, paths, &loads);
-        net.insert_groups(grouped(data));
+        net.insert_groups(batch);
         net
     }
 
@@ -278,17 +256,19 @@ impl<T: Item> Network<T> {
         })
     }
 
-    /// Publish a batch of `(key, items)` groups, keys strictly ascending —
-    /// the network's one write path. The groups are walked against the
-    /// sorted partition cover: a key still prefixed by its predecessor's
-    /// partition path needs no lookup, and the keys between two lookups go
-    /// to their partition as **one** merge of the run its replicas hold in
-    /// common, however many postings. Equal to [`Self::insert_item`] per
-    /// item, in order: same runs entry for entry, same epoch advance (one
-    /// step per publication — lists fetched before it no longer reflect
-    /// the stored data). Posting lists already handed out to readers are
-    /// never mutated; a group whose key the network lacks is stored as the
-    /// list handle it came in. A group without items publishes nothing.
+    /// Publish a batch — a run: one entry per distinct key, keys ascending —
+    /// the network's one write path. The batch is cut where its keys leave
+    /// a partition, walking them beside the sorted partition cover: a key
+    /// still under its predecessor's partition path needs no lookup, and the
+    /// keys between two lookups go to their partition as **one** merge of
+    /// the run its replicas hold in common, however many items. A key
+    /// shorter than the trie depth is a stretch of its own, appended to the
+    /// run of every peered partition of its subtree. Equal to
+    /// [`Self::insert_item`] per item, in order: same runs entry for entry,
+    /// same epoch advance (one step per publication — items fetched before
+    /// it no longer reflect the stored data). Items already lent or copied
+    /// out to readers are never touched: a run a reader holds is copied
+    /// before it is written.
     ///
     /// A key whose partition — for a key shorter than the trie depth, the
     /// first of its subtree — is a gap recruits a member into it first
@@ -302,44 +282,44 @@ impl<T: Item> Network<T> {
     /// An item under a key that some peered partition covers is stored
     /// there and not counted. The network keeps the running total
     /// ([`Self::unstored_items`]), the build's share included.
-    ///
-    /// # Panics
-    /// Panics when the keys of one partition do not ascend strictly
-    /// ([`SortedStore::merge`](crate::store::SortedStore::merge)).
-    pub fn insert_groups(
-        &mut self,
-        groups: impl IntoIterator<Item = (Key, PostingList<T>)>,
-    ) -> usize {
-        let mut unstored = 0;
-        let mut part = 0;
-        // The sub-batch of `part`.
-        let mut pending: Vec<(Key, PostingList<T>)> = Vec::new();
-        for (key, items) in groups.into_iter().filter(|(_, items)| !items.is_empty()) {
-            self.image.cache_epoch += items.len() as u64;
-            if !self.image.topo.paths[part].is_prefix_of(&key) {
-                unstored += self.merge_into(part, &mut pending);
-                let (s, e) = self.image.topo.subtree_of(&key);
+    pub fn insert_groups(&mut self, mut batch: SortedStore<T>) -> usize {
+        self.image.cache_epoch += batch.item_count() as u64;
+        // Where each stretch starts, and the partitions it goes to.
+        let mut cuts: Vec<(usize, Range<usize>)> = Vec::new();
+        let paths = &self.image.topo.paths;
+        for (at, key) in batch.keys().enumerate() {
+            let under = |(_, to): &(usize, Range<usize>)| {
+                to.len() == 1 && paths[to.start].as_ref().is_prefix_of(key)
+            };
+            if !cuts.last().is_some_and(under) {
+                let (s, e) = subtree_range(paths, key);
                 debug_assert!(e > s, "complete cover guarantees an owner for every key");
-                part = s;
-                if e - s > 1 {
-                    unstored += self.insert_short(key, items, s..e);
-                    continue;
-                }
+                cuts.push((at, s..e));
             }
-            pending.push((key, items));
         }
-        unstored += self.merge_into(part, &mut pending);
+        // Cut from the back, so each stretch moves once; store from the front.
+        let mut stretches = Vec::with_capacity(cuts.len());
+        for (at, to) in cuts.into_iter().rev() {
+            stretches.push((to, batch.split_off(at)));
+        }
+        let mut unstored = 0;
+        for (to, stretch) in stretches.into_iter().rev() {
+            unstored += if to.len() > 1 {
+                self.insert_short(stretch, to)
+            } else {
+                self.merge_into(to.start, stretch)
+            };
+        }
         self.unstored += unstored as u64;
         unstored
     }
 
     /// Publish a batch of `(key, item)` pairs: stable-sorted by key
-    /// (publications under one key keep their order), grouped, and handed
-    /// to [`Self::insert_groups`], whose count of unstored items it
-    /// returns.
-    pub fn insert_batch(&mut self, mut batch: Vec<(Key, T)>) -> usize {
-        batch.sort_by(|a, b| a.0.cmp(&b.0));
-        self.insert_groups(grouped(batch))
+    /// (publications under one key keep their order), grouped into a run,
+    /// and handed to [`Self::insert_groups`], whose count of unstored items
+    /// it returns.
+    pub fn insert_batch(&mut self, batch: Vec<(Key, T)>) -> usize {
+        self.insert_groups(SortedStore::from_pairs(batch))
     }
 
     /// How many items published into this network — by its build or by any
@@ -350,50 +330,36 @@ impl<T: Item> Network<T> {
         self.unstored
     }
 
-    /// A key shorter than the local trie depth is stored by every peered
-    /// partition of its subtree, and they share one list: extend it once,
-    /// then hand each covering run the same handle. The key counts towards
-    /// the first partition of its subtree, as the splitter counts it, so a
-    /// gap there recruits a member first. Returns the number of items left
-    /// unstored: all of them when no partition of the subtree has a member.
-    fn insert_short(
-        &mut self,
-        key: Key,
-        items: PostingList<T>,
-        cover: std::ops::Range<usize>,
-    ) -> usize {
-        let (s, e) = (cover.start, cover.end);
-        if self.image.topo.is_gap(s) {
-            self.recruit_into(s);
+    /// A key shorter than the local trie depth — `entry`, a run of one — is
+    /// stored by every peered partition of its subtree `cover`, each run
+    /// appending the items to its own. The key counts towards the first
+    /// partition of its subtree, as the splitter counts it, so a gap there
+    /// recruits a member first. Returns the number of items left unstored:
+    /// all of them when no partition of the subtree has a member.
+    fn insert_short(&mut self, entry: SortedStore<T>, cover: Range<usize>) -> usize {
+        if self.image.topo.is_gap(cover.start) {
+            self.recruit_into(cover.start);
         }
-        if self.image.topo.peered_in(s, e).is_empty() {
-            return items.len();
+        let peered = self.image.topo.peered_in(cover.start, cover.end);
+        if peered.is_empty() {
+            return entry.item_count();
         }
-        let first = self.image.topo.peered_in(s, e)[0] as usize;
-        let list: PostingList<T> = match self.image.stores[first].exact_entry(&key) {
-            Some(old) => Arc::new(old.iter().cloned().chain(Arc::unwrap_or_clone(items)).collect()),
-            None => items,
-        };
-        for &part in self.image.topo.peered_in(s, e) {
-            let part = part as usize;
-            self.image.stores[part].merge([(key.clone(), Arc::clone(&list))], true);
-            debug_assert_eq!(self.image.check_store(part), Ok(()));
+        for &part in peered {
+            self.image.stores[part as usize].merge(entry.clone());
+            debug_assert_eq!(self.image.check_store(part as usize), Ok(()));
         }
         0
     }
 
-    /// Drain a key-sorted sub-batch into the run of `part` — one merge,
+    /// Merge a stretch of a batch into the run of `part` — one merge,
     /// whatever the replication; into a gap, after recruiting a member.
     /// Returns the number of items dropped because no member could be
     /// recruited.
-    fn merge_into(&mut self, part: usize, batch: &mut Vec<(Key, PostingList<T>)>) -> usize {
-        if batch.is_empty() {
-            return 0;
-        }
+    fn merge_into(&mut self, part: usize, stretch: SortedStore<T>) -> usize {
         if self.image.topo.is_gap(part) && !self.recruit_into(part) {
-            return batch.drain(..).map(|(_, list)| list.len()).sum();
+            return stretch.item_count();
         }
-        self.image.stores[part].merge(batch.drain(..), false);
+        self.image.stores[part].merge(stretch);
         debug_assert_eq!(self.image.check_store(part), Ok(()));
         0
     }
@@ -404,7 +370,7 @@ impl<T: Item> Network<T> {
     /// The routing is rewired incrementally and without a random draw
     /// (`Topology::recruit`). The recruit's run starts with what a member of
     /// the gap would have held all along: the keys shorter than its path
-    /// that cover it, shared with the nearest peered partition, which holds
+    /// that cover it, copied from the nearest peered partition, which holds
     /// every one of them. False — nothing moved — when no donor exists.
     fn recruit_into(&mut self, gap: usize) -> bool {
         let (topo, alive) = (&self.image.topo, &self.image.alive);
@@ -428,14 +394,15 @@ impl<T: Item> Network<T> {
             .max_by_key(|&p| topo.paths[p].common_prefix_len(path));
         // A run lists the prefixes of its partition's path first, shortest
         // first; those the gap's path extends are where it starts.
-        let covering: Vec<(Key, PostingList<T>)> = nearest.map_or_else(Vec::new, |near| {
-            let run = self.image.stores[near].iter();
-            let short = run.take_while(|(k, _)| k.is_prefix_of(path.as_ref()));
-            short.map(|(k, list)| (k.to_key(), Arc::clone(list))).collect()
+        let covering = nearest.map(|near| {
+            let mut run = SortedStore::clone(&self.image.stores[near]);
+            let short = run.keys().take_while(|k| k.is_prefix_of(path.as_ref())).count();
+            run.split_off(short);
+            run
         });
         self.image.topo.recruit(recruit, gap, self.image.cfg.refs_per_level);
-        if !covering.is_empty() {
-            self.image.stores[gap].merge(covering, true);
+        if let Some(covering) = covering.filter(|run| !run.is_empty()) {
+            self.image.stores[gap].merge(covering);
             debug_assert_eq!(self.image.check_store(gap), Ok(()));
         }
         true
@@ -444,7 +411,7 @@ impl<T: Item> Network<T> {
     /// Publish one item: a batch of one (and its count of unstored items,
     /// 0 or 1).
     pub fn insert_item(&mut self, key: Key, item: T) -> usize {
-        self.insert_groups([(key, Arc::new(vec![item]))])
+        self.insert_batch(vec![(key, item)])
     }
 
     /// The structural invariants, `Err` naming the first breach — the
@@ -455,8 +422,9 @@ impl<T: Item> Network<T> {
     /// cover; every peer is a member of exactly the partition it points at;
     /// the routing offsets stay inside their tables and every ρ(p, l) names
     /// peers of the complementary subtree at level `l`; and every run
-    /// ascends strictly, holds no empty list and only keys prefix-related
-    /// to its partition's path.
+    /// ascends strictly, its ends increase strictly to its item count (no
+    /// entry is empty), and it holds only keys prefix-related to its
+    /// partition's path.
     pub fn check_invariants(&self) -> Result<(), &'static str> {
         self.image.check()
     }
@@ -1049,7 +1017,8 @@ impl<T: Item> Network<T> {
     // Retrieval (Algorithm 1 + shower fan-out)
     // ------------------------------------------------------------------
 
-    /// `Retrieve(key, p)`: all items whose key has `key` as a prefix.
+    /// `Retrieve(key, p)`: all items whose key has `key` as a prefix, in
+    /// partition and then key order.
     ///
     /// Routes to the responsible partition; if `key` is shallower than the
     /// trie, fans out shower-style to every partition of its subtree (one
@@ -1058,33 +1027,15 @@ impl<T: Item> Network<T> {
     /// Items stored redundantly (keys shorter than the trie depth) may be
     /// returned once per covering partition; callers that care deduplicate
     /// by object identity.
-    pub fn retrieve(&mut self, from: PeerId, key: &Key) -> Result<Vec<T>, RouteError> {
-        let lists = self.retrieve_lists(from, key)?;
-        Ok(lists.iter().flat_map(|l| l.iter().cloned()).collect())
-    }
-
-    /// [`Self::retrieve_lists`] flattened into **one** shared list. A
-    /// single-partition answer (the common case: exact gram/attribute
-    /// keys) is returned as-is — an `Arc` clone of the stored run, no item
-    /// copies; only multi-partition showers concatenate into a fresh list.
-    pub fn retrieve_list(&mut self, from: PeerId, key: &Key) -> Result<PostingList<T>, RouteError> {
+    pub fn retrieve_list(&mut self, from: PeerId, key: &Key) -> Result<Vec<T>, RouteError> {
         let mut lists = self.retrieve_lists(from, key)?;
-        Ok(match lists.len() {
-            0 => Arc::clone(&self.empty),
-            1 => lists.pop().expect("len checked"),
-            _ => Arc::new(lists.iter().flat_map(|l| l.iter().cloned()).collect()),
-        })
+        Ok(if lists.len() == 1 { lists.swap_remove(0) } else { lists.concat() })
     }
 
-    /// Zero-copy form of [`Self::retrieve`]: one shared posting list per
-    /// answering partition, referencing the stored lists instead of
-    /// cloning items (identical messages, payload accounting and item
-    /// order — [`Self::retrieve`] is now a flattening wrapper over this).
-    pub fn retrieve_lists(
-        &mut self,
-        from: PeerId,
-        key: &Key,
-    ) -> Result<Vec<PostingList<T>>, RouteError> {
+    /// [`Self::retrieve_list`] answer by answer: the items of each answering
+    /// partition, as its reply shipped them (identical messages, payload
+    /// accounting and item order).
+    pub fn retrieve_lists(&mut self, from: PeerId, key: &Key) -> Result<Vec<Vec<T>>, RouteError> {
         let entry = self.route(from, key)?;
         let (s, e) = self.image.topo.subtree_of(key);
         let mut out = Vec::new();
@@ -1096,10 +1047,10 @@ impl<T: Item> Network<T> {
             let part = self.image.topo.peered_in(s, e)[i] as usize;
             self.sim_branch();
             let Some(responder) = self.shower_into(part, entry) else { continue };
-            for (_key, list) in
+            for (_key, items) in
                 self.scan_keys_and_reply_lists(responder, from, std::slice::from_ref(key))
             {
-                out.push(list);
+                out.push(items);
             }
         }
         self.sim_join();
@@ -1122,19 +1073,6 @@ impl<T: Item> Network<T> {
         member
     }
 
-    /// Prefix-scan one key at `responder`, returning a shared list. When
-    /// the prefix matches exactly one stored run entry (the common case:
-    /// probes use exact gram/attribute keys) the reply *is* the stored
-    /// list and a miss is the network's one empty list — handle clones, no
-    /// allocation; only multi-entry prefix hits flatten into a fresh list.
-    fn scan_prefix_list(&mut self, responder: PeerId, key: &Key) -> PostingList<T> {
-        match self.local_prefix_run(responder, key) {
-            [] => Arc::clone(&self.empty),
-            [only] => Arc::clone(only),
-            many => Arc::new(run_items(many).cloned().collect()),
-        }
-    }
-
     /// The owner-side half of every multi-key retrieve shape: prefix-scan
     /// each key at `responder` (charging local work per key), then send the
     /// combined per-key lists to `from` as **one** reply message carrying
@@ -1142,20 +1080,19 @@ impl<T: Item> Network<T> {
     /// it with a single key per responder; [`Self::retrieve_multi_lists`]
     /// with the whole coalesced batch at one owner; an operator that already
     /// knows the owner (a probe riding an open channel) calls it directly.
-    /// Replies share the stored lists: a single-entry hit *is* the stored
-    /// list and a miss the network's one empty list (handle clones).
+    /// A reply copies the items it ships.
     pub fn scan_keys_and_reply_lists(
         &mut self,
         responder: PeerId,
         from: PeerId,
         keys: &[Key],
-    ) -> KeyedLists<T> {
+    ) -> KeyedItems<T> {
         let mut out = Vec::with_capacity(keys.len());
         let mut payload = 0usize;
         for key in keys {
-            let list = self.scan_prefix_list(responder, key);
-            payload += list.iter().map(Item::size_bytes).sum::<usize>();
-            out.push((key.clone(), list));
+            let items = self.local_prefix_run(responder, key).to_vec();
+            payload += items.iter().map(Item::size_bytes).sum::<usize>();
+            out.push((key.clone(), items));
         }
         if responder != from {
             self.send_direct(responder, from, payload);
@@ -1166,16 +1103,10 @@ impl<T: Item> Network<T> {
     /// Range query over `[lo, hi]` (both inclusive), shower-style: route to
     /// the partition containing `lo`, then forward across the partitions
     /// intersecting the range; each responder replies directly to the
-    /// initiator (Datta et al. \[6\]). The answer is the stored lists
-    /// themselves, in partition and then key order — handle clones, no item
-    /// is copied ([`run_items`] walks them); the reply messages are charged
-    /// the items' payload bytes all the same.
-    pub fn range_query(
-        &mut self,
-        from: PeerId,
-        lo: &Key,
-        hi: &Key,
-    ) -> Result<Vec<PostingList<T>>, RouteError> {
+    /// initiator (Datta et al. \[6\]). The answer is the items the replies
+    /// shipped, in partition and then key order; each reply is charged its
+    /// items' payload bytes.
+    pub fn range_query(&mut self, from: PeerId, lo: &Key, hi: &Key) -> Result<Vec<T>, RouteError> {
         assert!(lo <= hi, "empty range: lo > hi");
         // Partitions intersecting [lo, hi]: sup(path) >= lo and path <= hi.
         // A partition whose path *extends* hi also qualifies: it stores
@@ -1199,9 +1130,10 @@ impl<T: Item> Network<T> {
             self.sim_branch();
             let Some(responder) = self.shower_into(part, entry) else { continue };
             let run = self.image.stores[part].range_entries(lo, hi);
-            Self::charge_scan(&mut self.image.metrics, &mut self.sink, responder, run.len() as u64);
-            let payload: usize = run_items(run).map(Item::size_bytes).sum();
-            out.extend(run.iter().cloned());
+            let touched = run.entries as u64;
+            Self::charge_scan(&mut self.image.metrics, &mut self.sink, responder, touched);
+            let payload: usize = run.items.iter().map(Item::size_bytes).sum();
+            out.extend_from_slice(run.items);
             if responder != from {
                 self.send_direct(responder, from, payload);
             }
@@ -1224,8 +1156,8 @@ impl<T: Item> Network<T> {
     /// Multi-key retrieve: one routed query chain carrying several exact
     /// keys that all map to the **same partition**, answered by one
     /// combined reply with the per-key lists (prefix-extension semantics
-    /// per key, matching [`Self::retrieve`]; shared references to the
-    /// stored runs, not copies). This is the wire primitive behind
+    /// per key, matching [`Self::retrieve_list`]). This is the wire
+    /// primitive behind
     /// cross-query probe coalescing: `n` probes to the same partition cost
     /// one route and one reply instead of `n` of each. Returns the answering
     /// peer so callers can fan the payload onward.
@@ -1236,7 +1168,7 @@ impl<T: Item> Network<T> {
         &mut self,
         from: PeerId,
         keys: &[Key],
-    ) -> Result<(PeerId, KeyedLists<T>), RouteError> {
+    ) -> Result<(PeerId, KeyedItems<T>), RouteError> {
         assert!(!keys.is_empty(), "multi-key retrieve needs at least one key");
         debug_assert!(
             keys.iter().all(|k| self.partition_of(k) == self.partition_of(&keys[0])),
@@ -1248,29 +1180,25 @@ impl<T: Item> Network<T> {
     }
 
     /// Local prefix scan at `peer` — free of messages, but accounted as
-    /// local work (and as CPU occupancy on the virtual clock). The stored
-    /// entries are lent, not copied: callers filter the borrowed items
-    /// ([`run_items`]) and clone only the survivors.
-    pub fn local_prefix_run(&mut self, peer: PeerId, key: &Key) -> &Run<T> {
+    /// local work (and as CPU occupancy on the virtual clock): one unit per
+    /// entry hit, however many items it holds. The stored items are lent,
+    /// not copied: callers filter them where they lie and clone only the
+    /// survivors.
+    pub fn local_prefix_run(&mut self, peer: PeerId, key: &Key) -> &[T] {
         let run = self.image.stores[self.image.topo.partition_of(peer)].prefix_entries(key);
-        Self::charge_scan(&mut self.image.metrics, &mut self.sink, peer, run.len() as u64);
-        run
+        Self::charge_scan(&mut self.image.metrics, &mut self.sink, peer, run.entries as u64);
+        run.items
     }
 
     /// [`Self::local_prefix_run`] for ascending keys scanned one after
     /// another at one peer, each lookup galloping from where the previous
-    /// one started ([`crate::SortedStore::prefix_entries_from`]; start `cursor` at
-    /// 0). Lends the same entries and charges the same scan.
-    pub fn local_prefix_run_from(
-        &mut self,
-        peer: PeerId,
-        key: &Key,
-        cursor: &mut usize,
-    ) -> &Run<T> {
+    /// one started ([`SortedStore::prefix_entries_from`]; start `cursor`
+    /// at 0). Lends the same items and charges the same scan.
+    pub fn local_prefix_run_from(&mut self, peer: PeerId, key: &Key, cursor: &mut usize) -> &[T] {
         let store = &self.image.stores[self.image.topo.partition_of(peer)];
         let run = store.prefix_entries_from(key, cursor);
-        Self::charge_scan(&mut self.image.metrics, &mut self.sink, peer, run.len() as u64);
-        run
+        Self::charge_scan(&mut self.image.metrics, &mut self.sink, peer, run.entries as u64);
+        run.items
     }
 
     /// Charge one forward message `from → to` (operator-driven shower
@@ -1313,7 +1241,7 @@ mod tests {
         let (mut net, words) = word_net(64, 300);
         for w in &words {
             let from = net.random_peer();
-            let got = net.retrieve(from, &hash_str(w)).expect("route");
+            let got = net.retrieve_list(from, &hash_str(w)).expect("route");
             assert!(got.contains(&W(w.clone())), "word {w} not found");
         }
     }
@@ -1325,7 +1253,7 @@ mod tests {
         let owner = net.partition_of(&hash_str(&words[0]));
         let mut peers = (0..net.peer_count() as u32).map(PeerId);
         let from = peers.rfind(|p| net.peer_partition(*p) != owner).expect("a stranger");
-        net.retrieve(from, &hash_str(&words[0])).unwrap();
+        net.retrieve_list(from, &hash_str(&words[0])).unwrap();
         let m = net.metrics();
         assert!(m.messages >= 1, "retrieval from a remote peer must cost messages");
         assert!(m.result_msgs >= 1);
@@ -1340,7 +1268,7 @@ mod tests {
         let owner_part = net.partition_of(&key);
         let owner = net.partition_member(owner_part).unwrap();
         net.reset_metrics();
-        let got = net.retrieve(owner, &key).unwrap();
+        let got = net.retrieve_list(owner, &key).unwrap();
         assert!(got.contains(&W(words[0].clone())));
         assert_eq!(net.metrics().route_hops, 0);
         assert_eq!(net.metrics().result_msgs, 0);
@@ -1368,7 +1296,7 @@ mod tests {
         let from = net.random_peer();
         // All 300 words share the prefix "word0"/"word": query "word" must
         // hit the whole subtree and return everything.
-        let got = net.retrieve(from, &hash_str("word")).unwrap();
+        let got = net.retrieve_list(from, &hash_str("word")).unwrap();
         assert_eq!(got.len(), 300);
     }
 
@@ -1379,7 +1307,7 @@ mod tests {
         let hi = hash_str("word00149");
         let from = net.random_peer();
         let mut got: Vec<String> =
-            run_items(&net.range_query(from, &lo, &hi).unwrap()).map(|w| w.0.clone()).collect();
+            net.range_query(from, &lo, &hi).unwrap().into_iter().map(|w| w.0).collect();
         got.sort_unstable();
         let expect: Vec<String> = words
             .iter()
@@ -1417,7 +1345,7 @@ mod tests {
         let (mut net, words) = word_net(1, 20);
         assert_eq!(net.partition_count(), 1);
         let from = net.random_peer();
-        let got = net.retrieve(from, &hash_str(&words[3])).unwrap();
+        let got = net.retrieve_list(from, &hash_str(&words[3])).unwrap();
         assert_eq!(got, vec![W(words[3].clone())]);
         assert_eq!(net.metrics().messages, 0, "single peer needs no messages");
     }
@@ -1463,7 +1391,7 @@ mod tests {
         for w in &words {
             let from = net.random_peer();
             attempted += 1;
-            if let Ok(items) = net.retrieve(from, &hash_str(w)) {
+            if let Ok(items) = net.retrieve_list(from, &hash_str(w)) {
                 if items.contains(&W(w.clone())) {
                     found += 1;
                 }
@@ -1483,7 +1411,7 @@ mod tests {
             net.reset_metrics();
             for i in 0..50 {
                 let from = net.random_peer();
-                net.retrieve(from, &hash_str(&words[i * 7 % words.len()])).unwrap();
+                net.retrieve_list(from, &hash_str(&words[i * 7 % words.len()])).unwrap();
             }
             *net.metrics()
         };
@@ -1495,7 +1423,7 @@ mod tests {
         let (mut net, words) = word_net(16, 50);
         let from = net.random_peer();
         net.fail_peer(from);
-        assert_eq!(net.retrieve(from, &hash_str(&words[0])), Err(RouteError::InitiatorDead));
+        assert_eq!(net.retrieve_list(from, &hash_str(&words[0])), Err(RouteError::InitiatorDead));
     }
 
     #[test]
@@ -1518,7 +1446,7 @@ mod tests {
         net.reset_metrics();
         for w in words.iter().step_by(11) {
             let from = net.random_peer();
-            net.retrieve(from, &hash_str(w)).unwrap();
+            net.retrieve_list(from, &hash_str(w)).unwrap();
         }
         let m = *net.metrics();
         assert!(m.messages > 0);
@@ -1580,13 +1508,13 @@ mod tests {
         net.reset_metrics();
         let mut singles = Vec::new();
         for k in &keys {
-            singles.push((k.clone(), net.retrieve(from, k).expect("route")));
+            singles.push((k.clone(), net.retrieve_list(from, k).expect("route")));
         }
         let single_msgs = net.metrics().messages;
 
         for ((mk, mv), (sk, sv)) in multi.iter().zip(&singles) {
             assert_eq!(mk, sk);
-            assert_eq!(**mv, *sv, "multi-key retrieve must return per-key lists verbatim");
+            assert_eq!(mv, sv, "multi-key retrieve must return per-key lists verbatim");
         }
         assert!(
             multi_msgs < single_msgs,
@@ -1639,7 +1567,7 @@ mod tests {
         }
         assert_eq!(net.partition_alive(part), victims.len());
         let from = net.random_peer();
-        let got = net.retrieve(from, &hash_str(&words[0])).expect("route after revival");
+        let got = net.retrieve_list(from, &hash_str(&words[0])).expect("route after revival");
         assert!(got.contains(&W(words[0].clone())));
     }
 
@@ -1673,7 +1601,7 @@ mod tests {
         assert_eq!(net.cache_epoch(), e0 + 1);
         // Recruits answer queries for their new partition.
         let from = net.random_peer();
-        let got = net.retrieve(from, &hash_str(&words[0])).expect("route after repair");
+        let got = net.retrieve_list(from, &hash_str(&words[0])).expect("route after repair");
         assert!(got.contains(&W(words[0].clone())));
         // A second pass finds nothing to do and charges nothing.
         net.reset_metrics();

@@ -19,29 +19,22 @@
 //! itself ([`Network::check_invariants`]). A decoder that goes through it
 //! cannot hand out an image that panics in restore or routing.
 //!
-//! A serialized image factors the sharing out into index tables — every
-//! distinct key once, every distinct list once, runs as index pairs.
-//! [`NetworkState::store_tables`] derives them from the handles; it is the
-//! one such derivation, used by the `sqo-snap` encoder and by the tests
-//! that compare two networks' sharing structure.
+//! A serialized image writes each run as the arrays it is — key bytes, bit
+//! lengths, end offsets, items ([`NetworkState::stores`]) — and a decoder
+//! hands them back to [`crate::SortedStore::from_parts`], which refuses
+//! arrays that are not a run. No run refers to another: a key shorter than
+//! the trie depth is stored in each run that covers it.
 //!
 //! Event and trace sinks are not part of the image — they are observers
 //! with their own capture surfaces (the simulator snapshots its `NetSim`
 //! separately and re-installs it after import).
 
-use crate::key::KeyRef;
 use crate::metrics::{Metrics, PeerLoad};
 use crate::network::{Network, NetworkConfig};
 use crate::peer::Item;
-use crate::store::{PartitionStore, PostingList};
+use crate::store::PartitionStore;
 use crate::topology::Topology;
 use rand::rngs::StdRng;
-use rustc_hash::FxHashMap;
-use std::sync::Arc;
-
-/// One serialized store entry: indices into [`StoreTables::keys`] and
-/// [`StoreTables::lists`].
-pub type StoreEntry = (u32, u32);
 
 /// The data of a [`Network`] (see the module docs).
 #[derive(Debug, Clone)]
@@ -69,22 +62,6 @@ pub struct NetworkState<T> {
     /// nothing fetched before such an event is ever served after it.
     pub(crate) cache_epoch: u64,
     pub(crate) rng: StdRng,
-}
-
-/// The stores of a [`NetworkState`] with their sharing factored out, as a
-/// serialized image spells them (see [`NetworkState::store_tables`]).
-#[derive(Debug)]
-pub struct StoreTables<'a, T> {
-    /// The sorted distinct stored keys; a key that several partitions
-    /// cover appears once.
-    pub keys: Vec<KeyRef<'a>>,
-    /// The distinct posting lists, in the order the runs first reach them:
-    /// a list shared across partitions (keys shorter than the trie depth
-    /// replicate into sibling runs) appears once, which preserves the
-    /// sharing — and the memory footprint — of the live network.
-    pub lists: Vec<&'a PostingList<T>>,
-    /// One run per partition, as `(key index, list index)` pairs.
-    pub stores: Vec<Vec<StoreEntry>>,
 }
 
 impl<T> NetworkState<T> {
@@ -134,20 +111,23 @@ impl<T> NetworkState<T> {
     }
 
     /// The per-partition part of [`Self::check`], and what a write can
-    /// break: the run of `part` ascends strictly, holds no empty list and
-    /// only keys prefix-related to the partition's path.
+    /// break: the run of `part` ascends strictly, its ends increase
+    /// strictly to its item count, and it holds only keys prefix-related to
+    /// the partition's path.
     pub(crate) fn check_store(&self, part: usize) -> Result<(), &'static str> {
         // Stored keys are compared where they lie: the walk allocates
         // nothing, so debug builds keep the release build's allocation counts.
         let (path, store) = (self.topo.paths[part].as_ref(), &self.stores[part]);
-        if store
-            .iter()
-            .any(|(k, l)| l.is_empty() || !(path.is_prefix_of(k) || k.is_prefix_of(path)))
-        {
-            return Err("a stored list is empty or lies outside its partition's subtree");
+        if store.keys().any(|k| !(path.is_prefix_of(k) || k.is_prefix_of(path))) {
+            return Err("a stored key lies outside its partition's subtree");
         }
         if !store.keys().zip(store.keys().skip(1)).all(|(a, b)| a < b) {
             return Err("a run does not ascend strictly");
+        }
+        let ends = store.ends();
+        let rising = ends.iter().zip(std::iter::once(&0).chain(ends)).all(|(end, was)| end > was);
+        if !rising || ends.last().map_or(0, |end| *end as usize) != store.item_count() {
+            return Err("a run's ends do not increase strictly to its item count");
         }
         Ok(())
     }
@@ -187,38 +167,9 @@ impl<T> NetworkState<T> {
         self.rng.state_words()
     }
 
-    /// Walk the runs once, in partition order, and index their keys and
-    /// lists.
-    pub fn store_tables(&self) -> StoreTables<'_, T> {
-        // Runs in partition order are in key order: a key no earlier run
-        // held sorts behind everything seen so far and takes the next index.
-        // Only a key shorter than the trie depth comes again, once per
-        // further partition it covers, and is looked up.
-        let mut keys: Vec<KeyRef<'_>> = Vec::new();
-        let mut lists: Vec<&PostingList<T>> = Vec::new();
-        let mut list_index: FxHashMap<*const Vec<T>, u32> = FxHashMap::default();
-        let index = |n: usize| u32::try_from(n).expect("a snapshot indexes its tables in 32 bits");
-        let stores = self
-            .stores
-            .iter()
-            .map(|store| {
-                let run = store.iter().map(|(key, list)| {
-                    let kid = if keys.last().is_none_or(|last| *last < key) {
-                        keys.push(key);
-                        keys.len() - 1
-                    } else {
-                        keys.binary_search(&key).expect("a short key is in every run it covers")
-                    };
-                    let lid = *list_index.entry(Arc::as_ptr(list)).or_insert_with(|| {
-                        lists.push(list);
-                        index(lists.len() - 1)
-                    });
-                    (index(kid), lid)
-                });
-                run.collect()
-            })
-            .collect();
-        StoreTables { keys, lists, stores }
+    /// δ: each partition's run, by partition index.
+    pub fn stores(&self) -> &[PartitionStore<T>] {
+        &self.stores
     }
 }
 
@@ -266,7 +217,7 @@ mod tests {
         // Advance past the pristine build state: traffic, churn, RNG draws.
         for w in words.iter().step_by(13) {
             let from = net.random_peer();
-            net.retrieve(from, &hash_str(w)).unwrap();
+            net.retrieve_list(from, &hash_str(w)).unwrap();
         }
         net.fail_random_fraction(0.1);
 
@@ -293,7 +244,7 @@ mod tests {
             let a = net.random_peer();
             let b = restored.random_peer();
             assert_eq!(a, b, "initiator draws must continue the stream");
-            assert_eq!(net.retrieve(a, &hash_str(w)), restored.retrieve(b, &hash_str(w)));
+            assert_eq!(net.retrieve_list(a, &hash_str(w)), restored.retrieve_list(b, &hash_str(w)));
         }
         assert_eq!(net.metrics(), restored.metrics());
     }
@@ -315,23 +266,28 @@ mod tests {
     }
 
     #[test]
-    fn posting_list_sharing_survives_the_round_trip() {
-        // Keys shorter than the trie depth replicate one list into several
-        // sibling partitions; the image holds the runs as they are, the
-        // index tables name each shared list once, and a network imported
-        // from the image shares what the original shares.
+    fn short_keys_are_stored_per_partition_and_survive_the_round_trip() {
+        // A key shorter than the trie depth is stored by every peered
+        // partition of its subtree, each run holding its own copy of the
+        // items; the image holds the runs as they are, and a network
+        // imported from the image holds and counts what the original does.
         let (mut net, _) = word_net(64, 400, 1);
-        net.insert_item(Key::parse("0"), W("short".into()));
+        let short = Key::parse("0");
+        net.insert_item(short.clone(), W("short".into()));
+        net.insert_item(short.clone(), W("again".into()));
         let state = net.export_state();
-        let tables = state.store_tables();
-        let total_entries: usize = tables.stores.iter().map(Vec::len).sum();
-        let (s, e) = net.subtree_of(&Key::parse("0"));
-        let covering = net.topology().peered_in(s, e).len();
-        assert!(covering > 1, "the short key is stored by several partitions");
-        assert_eq!(tables.lists.len(), total_entries - (covering - 1));
-        assert!(tables.keys.windows(2).all(|w| w[0] < w[1]), "each distinct key once, in order");
+        let (s, e) = net.subtree_of(&short);
+        let covering = net.topology().peered_in(s, e);
+        assert!(covering.len() > 1, "the short key is stored by several partitions");
+        for &part in covering {
+            let items = state.stores()[part as usize].exact_entry(&short);
+            assert_eq!(items, Some(&[W("short".into()), W("again".into())][..]), "{part}");
+        }
+        let stored: usize = state.stores().iter().map(|run| run.item_count()).sum();
+        assert_eq!(stored, net.stored_items());
+        assert_eq!(stored, 400 + 2 * covering.len(), "the short key's items once per run");
         let restored = Network::import_state(&state);
-        assert_eq!(format!("{:?}", restored.export_state().store_tables()), format!("{tables:?}"));
+        assert_eq!(format!("{:?}", restored.export_state()), format!("{state:?}"));
         assert_eq!(restored.total_stored_items(), net.total_stored_items());
         assert_eq!(restored.total_stored_bytes(), net.total_stored_bytes());
     }
@@ -343,14 +299,14 @@ mod tests {
         for (part, store) in state.stores.iter().enumerate() {
             assert!(store.shares_with(net.partition_store(part)), "capture copies no run");
         }
-        let before = format!("{:?}", state.store_tables());
+        let before = format!("{state:?}");
         let key = hash_str("word00007");
         let part = net.partition_of(&key);
         net.insert_item(key.clone(), W("again".into()));
         assert!(!state.stores[part].shares_with(net.partition_store(part)), "the write copied");
         assert_eq!(net.partition_store(part).exact_entry(&key).map(|l| l.len()), Some(2));
         assert_eq!(state.stores[part].exact_entry(&key).map(|l| l.len()), Some(1));
-        assert_eq!(format!("{:?}", state.store_tables()), before);
+        assert_eq!(format!("{state:?}"), before);
         let untouched = (0..net.partition_count())
             .filter(|p| *p != part)
             .all(|p| state.stores[p].shares_with(net.partition_store(p)));

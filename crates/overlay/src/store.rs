@@ -6,54 +6,44 @@
 //! 10⁵–10⁶ peers that layout dominates RSS and caps the reachable network
 //! size. This module replaces it with two pieces:
 //!
-//! * [`SortedStore`] — one sorted run of `(key, posting-list)` pairs per
-//!   *partition*, held as three flat arrays: every key's packed bytes back
+//! * [`SortedStore`] — one sorted run of `(key, items)` entries per
+//!   *partition*, held as four flat arrays: every key's packed bytes back
 //!   to back in one buffer, one `(byte offset, bit length)` span per key,
-//!   one [`PostingList`] handle per key. A lookup bisects the spans and
+//!   one end offset per key, and **one** array of items in key order
+//!   (publication order within a key). A lookup bisects the spans and
 //!   compares [`KeyRef`] views into the buffer, so what a search touches
-//!   is two dense arrays whose layout does not depend on the order the
-//!   keys were allocated in — a run built by a bulk load, one grown a
-//!   publish at a time and one decoded from a snapshot read alike. Lists
-//!   are `Arc<Vec<T>>`, so replicas, query replies, caches and snapshots
-//!   all reference the same immutable allocations. A run changes in one
-//!   way only: [`SortedStore::merge`] folds a key-sorted batch into it in
-//!   a single pass.
+//!   is dense arrays whose layout does not depend on the order the keys
+//!   were allocated in — a run built by a bulk load, one grown a publish
+//!   at a time and one decoded from a snapshot read alike. Keys ascend, so
+//!   whatever a scan hits — a prefix, a range, one key — is one contiguous
+//!   slice of the items, lent as a [`Stretch`]. A run is made from arrays
+//!   in one checked place, [`SortedStore::from_parts`], and changes in one
+//!   way only: [`SortedStore::merge`] folds another run — a publication
+//!   batch is one — into it in a single pass.
 //! * [`PartitionStore`] — δ(p), the handle the network keeps per
 //!   *partition*: an `Arc<SortedStore>` that is the store of every
 //!   structural replica of the partition, and that every snapshot taken of
 //!   the network holds a clone of ([`crate::snapshot`]). Mutation goes
 //!   through copy-on-write ([`Arc::make_mut`]): replication factor `k`
 //!   costs one merge, and a write into a run a snapshot or a fork still
-//!   holds copies that run's arrays once (never its lists' items) and
-//!   leaves the other holder's untouched.
+//!   holds copies that run's arrays once and leaves the other holder's
+//!   untouched.
 //!
 //! Scan semantics (prefix, inclusive range, exact) and the reported
 //! `touched` counts are bit-compatible with the seed's `BTreeMap` walk:
 //! the run is sorted by the same total [`Key`] order, a "map entry" is one
-//! run entry, and within a key items keep insertion order.
+//! run entry — a scan is charged its entries, not its items — and within a
+//! key items keep insertion order.
 
 use crate::gallop;
 use crate::key::{Key, KeyRef};
 use crate::peer::Item;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// An immutable, shareable posting list. Replies, caches and replicas
-/// hold clones of the `Arc`, never copies of the items.
-pub type PostingList<T> = Arc<Vec<T>>;
-
-/// A contiguous stretch of a [`SortedStore`], as the scans lend it out:
-/// the posting lists of its entries, in key order.
-pub type Run<T> = [PostingList<T>];
-
-/// The items of `run` in scan order (key order, publication order within
-/// a key), borrowed — callers filter first and clone only what they keep.
-pub fn run_items<T>(run: &Run<T>) -> impl Iterator<Item = &T> {
-    run.iter().flat_map(|list| list.iter())
-}
-
 /// Where one key lies in its run's byte buffer.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct Span {
     /// Offset of the key's first byte.
     off: u32,
@@ -61,38 +51,58 @@ struct Span {
     bits: u32,
 }
 
-impl Span {
-    /// An offset or a length as a span holds it.
-    ///
-    /// # Panics
-    /// Panics past `u32::MAX`: the keys of one run stay under 4 GiB.
-    fn word(v: usize) -> u32 {
-        u32::try_from(v).expect("the keys of one run stay under 4 GiB")
-    }
+/// An offset, a length or a count as a run holds it.
+///
+/// # Panics
+/// Panics past `u32::MAX`: one run stays under 4 GiB of keys and 2³² items.
+fn word(v: usize) -> u32 {
+    u32::try_from(v).expect("one run stays under 4 GiB of keys and 2^32 items")
+}
 
+impl Span {
     /// The span of `key` written at byte `off` of a run's buffer.
     fn at(off: usize, key: KeyRef<'_>) -> Span {
-        Span { off: Span::word(off), bits: Span::word(key.len()) }
+        Span { off: word(off), bits: word(key.len()) }
     }
 }
 
-/// One sorted run of `(key, posting-list)` entries — the store of one
-/// partition, and so of all of its structural replicas.
+/// What a scan of a run lends: how many entries it hit, and their items —
+/// one contiguous slice, in key order.
+#[derive(Debug)]
+pub struct Stretch<'a, T> {
+    /// The entries (distinct keys) hit: what the scan is charged.
+    pub entries: usize,
+    /// Their items, in key order and publication order within a key.
+    pub items: &'a [T],
+}
+
+impl<T> Stretch<'_, T> {
+    /// True when the scan hit no entry.
+    pub fn is_empty(&self) -> bool {
+        self.entries == 0
+    }
+}
+
+/// One sorted run of `(key, items)` entries — the store of one partition,
+/// and so of all of its structural replicas.
 ///
-/// Invariant: `spans` and `lists` are parallel, the spans tile `bytes` in
-/// order without gaps, and the keys they delimit are strictly ascending
-/// (no duplicates); the per-key item order is publication order, matching
-/// the seed's `BTreeMap<Key, Vec<T>>` semantics entry for entry.
+/// Invariant: `spans` and `ends` are parallel, the spans tile `bytes` in
+/// order without gaps, the keys they delimit are strictly ascending (no
+/// duplicates), and the ends increase strictly up to `items.len()` — every
+/// entry holds at least one item, entry `i` holding
+/// `items[ends[i - 1]..ends[i]]` in publication order, which matches the
+/// seed's `BTreeMap<Key, Vec<T>>` semantics entry for entry.
 #[derive(Clone)]
 pub struct SortedStore<T> {
     bytes: Vec<u8>,
     spans: Vec<Span>,
-    lists: Vec<PostingList<T>>,
+    ends: Vec<u32>,
+    items: Vec<T>,
 }
 
 impl<T> Default for SortedStore<T> {
     fn default() -> Self {
-        Self { bytes: Vec::new(), spans: Vec::new(), lists: Vec::new() }
+        Self { bytes: Vec::new(), spans: Vec::new(), ends: Vec::new(), items: Vec::new() }
     }
 }
 
@@ -104,26 +114,54 @@ impl<T: fmt::Debug> fmt::Debug for SortedStore<T> {
 }
 
 impl<T> SortedStore<T> {
-    /// A run from entries already in order (snapshot decoding), or `None`
-    /// when the keys are not strictly ascending.
-    pub fn from_sorted<'k>(
-        entries: impl IntoIterator<Item = (KeyRef<'k>, PostingList<T>)>,
-    ) -> Option<Self> {
-        let entries = entries.into_iter();
-        let mut run = Self::default();
-        run.spans.reserve_exact(entries.size_hint().0);
-        run.lists.reserve_exact(entries.size_hint().0);
-        let mut last: Option<KeyRef<'k>> = None;
-        for (key, list) in entries {
+    /// A run from its arrays (snapshot decoding): the keys' packed bytes
+    /// back to back, each key's length in bits, each key's end offset into
+    /// `items`. `None` — nothing is trusted — when the keys do not tile
+    /// `bytes` or set a padding bit, do not ascend strictly, or the ends do
+    /// not increase strictly from above 0 to `items.len()`, one per key.
+    pub fn from_parts(bytes: Vec<u8>, bits: &[u32], ends: Vec<u32>, items: Vec<T>) -> Option<Self> {
+        let mut last_end = 0;
+        for &end in &ends {
+            if end <= last_end {
+                return None;
+            }
+            last_end = end;
+        }
+        if ends.len() != bits.len() || last_end as usize != items.len() {
+            return None;
+        }
+        let mut spans = Vec::with_capacity(bits.len());
+        let (mut off, mut last) = (0, None);
+        for &len in bits {
+            let end = off + (len as usize).div_ceil(8);
+            let key = KeyRef::new(bytes.get(off..end)?, len as usize)?;
             if last.is_some_and(|last| last >= key) {
                 return None;
             }
             last = Some(key);
-            run.spans.push(Span::at(run.bytes.len(), key));
-            run.bytes.extend_from_slice(key.as_bytes());
-            run.lists.push(list);
+            spans.push(Span { off: u32::try_from(off).ok()?, bits: len });
+            off = end;
         }
-        Some(run)
+        (off == bytes.len()).then_some(Self { bytes, spans, ends, items })
+    }
+
+    /// The run of `pairs`: stable-sorted by key — the items of one key keep
+    /// their order — one entry per distinct key.
+    pub fn from_pairs(mut pairs: Vec<(Key, T)>) -> Self {
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut run = Self { items: Vec::with_capacity(pairs.len()), ..Self::default() };
+        for (key, item) in pairs {
+            run.items.push(item);
+            let end = word(run.items.len());
+            if run.spans.last().is_some_and(|s| run.view(*s) == key.as_ref()) {
+                *run.ends.last_mut().expect("an end per span") = end;
+            } else {
+                run.spans.push(Span::at(run.bytes.len(), key.as_ref()));
+                run.bytes.extend_from_slice(key.as_bytes());
+                run.ends.push(end);
+            }
+        }
+        run
     }
 
     /// Number of entries (distinct keys).
@@ -135,9 +173,24 @@ impl<T> SortedStore<T> {
         self.spans.is_empty()
     }
 
-    /// The full sorted run.
-    pub fn entries(&self) -> &Run<T> {
-        &self.lists
+    /// Total stored (key, item) pairs.
+    pub fn item_count(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Every item of the run, in key order.
+    pub fn items(&self) -> &[T] {
+        &self.items
+    }
+
+    /// The keys' packed bytes, back to back in key order.
+    pub fn key_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Per entry, the index one past its last item.
+    pub fn ends(&self) -> &[u32] {
+        &self.ends
     }
 
     /// The stored keys, ascending — views into the run's buffer.
@@ -145,9 +198,9 @@ impl<T> SortedStore<T> {
         self.spans.iter().map(|s| self.view(*s))
     }
 
-    /// The entries in key order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = (KeyRef<'_>, &PostingList<T>)> {
-        self.keys().zip(&self.lists)
+    /// The entries in key order, each with its items.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (KeyRef<'_>, &[T])> {
+        (0..self.len()).map(|i| (self.key(i), self.stretch(i..i + 1).items))
     }
 
     #[inline]
@@ -156,9 +209,29 @@ impl<T> SortedStore<T> {
         KeyRef::trusted(&self.bytes[off..off + bits.div_ceil(8)], bits)
     }
 
+    fn key(&self, i: usize) -> KeyRef<'_> {
+        self.view(self.spans[i])
+    }
+
     /// The key of entry `i`, if the run is that long.
     fn key_at(&self, i: usize) -> Option<KeyRef<'_>> {
         self.spans.get(i).map(|span| self.view(*span))
+    }
+
+    /// Index of the first item of entry `i` (the item count for `len()`).
+    fn start(&self, i: usize) -> usize {
+        i.checked_sub(1).map_or(0, |before| self.ends[before] as usize)
+    }
+
+    /// The items of entry `i`, counted.
+    fn count(&self, i: usize) -> usize {
+        self.ends[i] as usize - self.start(i)
+    }
+
+    /// Entries `entries`, as a scan lends them.
+    fn stretch(&self, entries: Range<usize>) -> Stretch<'_, T> {
+        let items = &self.items[self.start(entries.start)..self.start(entries.end)];
+        Stretch { entries: entries.len(), items }
     }
 
     /// Index of the first entry whose key is `>= key`.
@@ -166,12 +239,12 @@ impl<T> SortedStore<T> {
         self.spans.partition_point(|s| self.view(*s) < key)
     }
 
-    /// The contiguous sub-run of entries whose key has `key` as a prefix.
-    /// Zero-copy: the caller clones the `Arc`s it wants to keep. The end
-    /// is galloped to from the start — a probe for an exact gram or
-    /// attribute key hits one entry, and delimiting it costs two
-    /// comparisons, not a bisection of the rest of the run.
-    pub fn prefix_entries(&self, key: &Key) -> &Run<T> {
+    /// The entries whose key has `key` as a prefix. Zero-copy: the caller
+    /// clones the items it wants to keep. The end is galloped to from the
+    /// start — a probe for an exact gram or attribute key hits one entry,
+    /// and delimiting it costs two comparisons, not a bisection of the rest
+    /// of the run.
+    pub fn prefix_entries(&self, key: &Key) -> Stretch<'_, T> {
         let key = key.as_ref();
         self.prefix_run_at(self.lower_bound(key), key)
     }
@@ -185,7 +258,7 @@ impl<T> SortedStore<T> {
     /// # Panics
     /// Panics when `*cursor` is past the run's end; debug builds check that
     /// no entry before it is `>= key`.
-    pub fn prefix_entries_from(&self, key: &Key, cursor: &mut usize) -> &Run<T> {
+    pub fn prefix_entries_from(&self, key: &Key, cursor: &mut usize) -> Stretch<'_, T> {
         let key = key.as_ref();
         debug_assert!(
             self.key_at(cursor.wrapping_sub(1)).is_none_or(|before| before < key),
@@ -197,109 +270,107 @@ impl<T> SortedStore<T> {
 
     /// The entries from `s`, the first `>= key`, whose key has `key` as a
     /// prefix.
-    fn prefix_run_at(&self, s: usize, key: KeyRef<'_>) -> &Run<T> {
+    fn prefix_run_at(&self, s: usize, key: KeyRef<'_>) -> Stretch<'_, T> {
         let e = s + gallop(&self.spans[s..], |span| key.is_prefix_of(self.view(*span)));
-        &self.lists[s..e]
+        self.stretch(s..e)
     }
 
-    /// The contiguous sub-run with `lo <= key <= hi` (both inclusive).
-    pub fn range_entries(&self, lo: &Key, hi: &Key) -> &Run<T> {
+    /// The entries with `lo <= key <= hi` (both inclusive).
+    pub fn range_entries(&self, lo: &Key, hi: &Key) -> Stretch<'_, T> {
         let s = self.lower_bound(lo.as_ref());
         let e = s + self.spans[s..].partition_point(|span| self.view(*span) <= hi.as_ref());
-        &self.lists[s..e]
+        self.stretch(s..e)
     }
 
-    /// The posting list stored under exactly `key`, if any.
-    pub fn exact_entry(&self, key: &Key) -> Option<&PostingList<T>> {
+    /// The items stored under exactly `key`, if any.
+    pub fn exact_entry(&self, key: &Key) -> Option<&[T]> {
         let at = self.lower_bound(key.as_ref());
-        (self.key_at(at) == Some(key.as_ref())).then(|| &self.lists[at])
+        (self.key_at(at) == Some(key.as_ref())).then(|| self.stretch(at..at + 1).items)
     }
 
-    /// Total stored (key, item) pairs.
-    pub fn item_count(&self) -> usize {
-        self.lists.iter().map(|l| l.len()).sum()
+    /// Split the run at entry `at`: the run keeps the entries before it, and
+    /// the entries from it on — their key bytes, spans, ends and items — move
+    /// into the run returned. Nothing is cloned.
+    ///
+    /// # Panics
+    /// Panics when `at > len()`.
+    pub fn split_off(&mut self, at: usize) -> Self {
+        if at == 0 {
+            return std::mem::take(self);
+        }
+        let byte_at = self.spans.get(at).map_or(self.bytes.len(), |s| s.off as usize);
+        let item_at = self.start(at);
+        let spans = self.spans.split_off(at);
+        let ends = self.ends.split_off(at);
+        Self {
+            bytes: self.bytes.split_off(byte_at),
+            spans: spans.into_iter().map(|s| Span { off: s.off - word(byte_at), ..s }).collect(),
+            ends: ends.into_iter().map(|end| end - word(item_at)).collect(),
+            items: self.items.split_off(item_at),
+        }
+    }
+
+    /// Fold `batch` into the run — the one way a run changes. A key the
+    /// run lacks enters with the batch's items; a key it has gets them
+    /// appended behind its own. One forward pass over both runs writes the
+    /// result into arrays reserved at their final size (exactly, for the
+    /// items), moving every key and every item once; a batch into the empty
+    /// run is taken as it is.
+    pub fn merge(&mut self, mut batch: Self) {
+        if self.is_empty() {
+            *self = batch;
+            self.shrink_to_fit();
+            return;
+        }
+        // What is left of both runs once their items are taken out still
+        // answers for their keys and counts.
+        let mut old = std::mem::take(self);
+        let mut old_items = std::mem::take(&mut old.items).into_iter();
+        let mut new_items = std::mem::take(&mut batch.items).into_iter();
+        let entries = old.len() + batch.len();
+        self.bytes.reserve_exact(old.bytes.len() + batch.bytes.len());
+        self.spans.reserve_exact(entries);
+        self.ends.reserve_exact(entries);
+        self.items.reserve_exact(old_items.len() + new_items.len());
+        let mut at = 0;
+        for j in 0..batch.len() {
+            let key = batch.key(j);
+            let before = at + gallop(&old.spans[at..], |s| old.view(*s) < key);
+            for i in at..before {
+                self.push(old.key(i), old_items.by_ref().take(old.count(i)));
+            }
+            at = before;
+            let stored = if old.key_at(at) == Some(key) { old.count(at) } else { 0 };
+            at += usize::from(stored > 0);
+            let items =
+                old_items.by_ref().take(stored).chain(new_items.by_ref().take(batch.count(j)));
+            self.push(key, items);
+        }
+        for i in at..old.len() {
+            self.push(old.key(i), old_items.by_ref().take(old.count(i)));
+        }
+    }
+
+    /// Append an entry whose key sorts behind every key of the run.
+    fn push(&mut self, key: KeyRef<'_>, items: impl Iterator<Item = T>) {
+        self.spans.push(Span::at(self.bytes.len(), key));
+        self.bytes.extend_from_slice(key.as_bytes());
+        self.items.extend(items);
+        self.ends.push(word(self.items.len()));
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
+        self.spans.shrink_to_fit();
+        self.ends.shrink_to_fit();
+        self.items.shrink_to_fit();
     }
 }
 
 impl<T: Item> SortedStore<T> {
-    /// Fold a batch with strictly ascending keys into the run — the one way
-    /// a run changes. A key the run lacks takes the batch's list handle as
-    /// is; a key it has gets the batch's items appended copy-on-write
-    /// (readers holding the old list keep it) or, with `replace`, takes the
-    /// batch's handle in place of its own — how the network keeps one list
-    /// under a key that several partitions cover. New entries are spliced
-    /// into the three arrays in one backward pass that moves only what
-    /// lies behind the first of them, each entry and each key byte once —
-    /// a batch of one shifts half a run on average, a bulk load into the
-    /// empty run writes its keys straight into place.
-    ///
-    /// # Panics
-    /// Panics on a batch whose keys do not ascend strictly — in release
-    /// builds too: two equal new keys would become two entries, and the run
-    /// would no longer be the map the scans, `exact_entry` and the snapshot
-    /// codec take it for. The panic leaves a valid run: no new entry has
-    /// been spliced in yet (items of the batch's earlier keys may have been
-    /// appended).
-    pub fn merge(&mut self, batch: impl IntoIterator<Item = (Key, PostingList<T>)>, replace: bool) {
-        // New keys, each with the index of the entry it goes in front of.
-        let batch = batch.into_iter();
-        let mut fresh: Vec<(usize, Key, PostingList<T>)> = Vec::with_capacity(batch.size_hint().0);
-        let mut at = 0;
-        // The batch's previous key, when it is entry `i` of the run;
-        // otherwise it is the last of `fresh`.
-        let mut stored_prev: Option<usize> = None;
-        for (key, list) in batch {
-            let k = key.as_ref();
-            let prev = match stored_prev {
-                Some(i) => Some(self.view(self.spans[i])),
-                None => fresh.last().map(|(_, last, _)| last.as_ref()),
-            };
-            assert!(prev.is_none_or(|prev| prev < k), "a batch ascends strictly");
-            at += gallop(&self.spans[at..], |s| self.view(*s) < k);
-            if self.key_at(at) != Some(k) {
-                fresh.push((at, key, list));
-                stored_prev = None;
-                continue;
-            }
-            stored_prev = Some(at);
-            if replace {
-                self.lists[at] = list;
-            } else {
-                Arc::make_mut(&mut self.lists[at]).extend(Arc::unwrap_or_clone(list));
-            }
-        }
-        let Some((_, _, any)) = fresh.first() else { return };
-        // Open room for the new keys at the end of all three arrays, then
-        // walk backwards: the entries between two insertion points move up
-        // past the slots still open (their bytes by the bytes still to be
-        // written in front of them), and the new key drops in below them.
-        let (entries, old_bytes) = (self.spans.len(), self.bytes.len());
-        let mut shift: usize = fresh.iter().map(|(_, key, _)| key.as_bytes().len()).sum();
-        // The new end fits a span's offset, and so does every offset below.
-        self.bytes.resize(Span::word(old_bytes + shift) as usize, 0);
-        self.spans.resize(entries + fresh.len(), Span::default());
-        self.lists.resize(entries + fresh.len(), Arc::clone(any));
-        let (mut end, mut byte_end) = (entries, old_bytes);
-        for (open, (at, key, list)) in fresh.into_iter().enumerate().rev() {
-            let byte_at = if at == end { byte_end } else { self.spans[at].off as usize };
-            self.bytes.copy_within(byte_at..byte_end, byte_at + shift);
-            for i in (at..end).rev() {
-                let Span { off, bits } = self.spans[i];
-                self.spans[i + open + 1] = Span { off: off + shift as u32, bits };
-                self.lists.swap(i, i + open + 1);
-            }
-            shift -= key.as_bytes().len();
-            let off = byte_at + shift;
-            self.bytes[off..off + key.as_bytes().len()].copy_from_slice(key.as_bytes());
-            self.spans[at + open] = Span::at(off, key.as_ref());
-            self.lists[at + open] = list;
-            (end, byte_end) = (at, byte_at);
-        }
-    }
-
     /// Total payload bytes, for storage-overhead accounting.
     pub fn stored_bytes(&self) -> u64 {
-        run_items(&self.lists).map(|i| i.size_bytes() as u64).sum()
+        self.items.iter().map(|i| i.size_bytes() as u64).sum()
     }
 }
 
@@ -341,8 +412,8 @@ impl<T> PartitionStore<T> {
 impl<T: Item> PartitionStore<T> {
     /// Copy-on-write [`SortedStore::merge`]; in place when this is the
     /// only handle.
-    pub fn merge(&mut self, batch: impl IntoIterator<Item = (Key, PostingList<T>)>, replace: bool) {
-        Arc::make_mut(&mut self.0).merge(batch, replace);
+    pub fn merge(&mut self, batch: SortedStore<T>) {
+        Arc::make_mut(&mut self.0).merge(batch);
     }
 }
 
@@ -366,11 +437,16 @@ mod tests {
         }
     }
 
+    /// A run of one entry per word, each holding the word.
+    fn batch(words: &[&'static str]) -> SortedStore<S> {
+        SortedStore::from_pairs(words.iter().map(|w| (hash_str(w), S(w))).collect())
+    }
+
     /// One single-item merge per word, in the order given.
     fn merged(words: &[&'static str]) -> SortedStore<S> {
         let mut s = SortedStore::default();
         for w in words {
-            s.merge(vec![(hash_str(w), Arc::new(vec![S(w)]))], false);
+            s.merge(batch(&[w]));
         }
         s
     }
@@ -379,11 +455,12 @@ mod tests {
         merged(&["alpha", "alpine", "beta", "alp", "gamma"])
     }
 
-    fn names(run: &Run<S>) -> Vec<&'static str> {
-        run_items(run).map(|x| x.0).collect()
+    fn names(items: &[S]) -> Vec<&'static str> {
+        items.iter().map(|x| x.0).collect()
     }
 
-    /// The layout invariant: the spans tile the key buffer in order.
+    /// The layout invariant: the spans tile the key buffer in order, and
+    /// the ends rise strictly to the item count, one per key.
     fn tiled(s: &SortedStore<S>) -> bool {
         let mut end = 0;
         let in_order = s.spans.iter().all(|span| {
@@ -391,78 +468,120 @@ mod tests {
             end += span.bits.div_ceil(8);
             fits
         });
-        in_order && end as usize == s.bytes.len() && s.spans.len() == s.lists.len()
+        let rising = s.ends.iter().zip(std::iter::once(&0).chain(&s.ends)).all(|(e, b)| e > b);
+        in_order
+            && end as usize == s.bytes.len()
+            && s.spans.len() == s.ends.len()
+            && rising
+            && s.ends.last().map_or(0, |e| *e as usize) == s.items.len()
+    }
+
+    /// The arrays of `words`' keys, one item each, in the order given.
+    fn parts(words: &[&'static str]) -> (Vec<u8>, Vec<u32>, Vec<u32>, Vec<S>) {
+        let keys: Vec<Key> = words.iter().map(|w| hash_str(w)).collect();
+        let bytes = keys.iter().flat_map(|k| k.as_bytes().to_vec()).collect();
+        let bits = keys.iter().map(|k| k.len() as u32).collect();
+        (bytes, bits, (1..=words.len() as u32).collect(), words.iter().map(|w| S(w)).collect())
     }
 
     #[test]
     fn insert_keeps_the_run_sorted_and_prefix_scans_match() {
         let s = store();
         let hits = s.prefix_entries(&hash_str("alp"));
-        assert_eq!(hits.len(), 3);
-        assert_eq!(names(hits), vec!["alp", "alpha", "alpine"]);
+        assert_eq!(hits.entries, 3);
+        assert_eq!(names(hits.items), vec!["alp", "alpha", "alpine"]);
         assert!(s.keys().zip(s.keys().skip(1)).all(|(a, b)| a < b));
+        assert!(tiled(&s));
     }
 
     #[test]
     fn one_merge_equals_the_same_keys_merged_one_by_one() {
-        // New keys in front of, between and behind the old ones, and two
-        // of them next to each other.
+        // New keys in front of, between and behind the old ones, two of
+        // them next to each other, and one the run holds already.
         let mut s = merged(&["beta", "delta", "gamma"]);
-        let mut batch: Vec<(Key, PostingList<S>)> = ["alpha", "beta", "cat", "cow", "zeta"]
-            .into_iter()
-            .map(|w| (hash_str(w), Arc::new(vec![S(w)])))
-            .collect();
-        batch.sort_by(|a, b| a.0.cmp(&b.0));
-        s.merge(batch, false);
+        s.merge(batch(&["alpha", "beta", "cat", "cow", "zeta"]));
         let one_by_one = merged(&["beta", "delta", "gamma", "alpha", "beta", "cat", "cow", "zeta"]);
-        assert_eq!(names(s.entries()), names(one_by_one.entries()));
+        assert_eq!(names(s.items()), names(one_by_one.items()));
         assert_eq!(
-            names(s.entries()),
+            names(s.items()),
             ["alpha", "beta", "beta", "cat", "cow", "delta", "gamma", "zeta"]
         );
-        assert_eq!(s.entries().len(), 7);
+        assert_eq!(s.len(), 7);
         assert!(tiled(&s) && tiled(&one_by_one));
         let words: Vec<Key> = ["alpha", "beta", "cat", "cow", "delta", "gamma", "zeta"]
             .into_iter()
             .map(hash_str)
             .collect();
         assert!(s.keys().eq(words.iter().map(Key::as_ref)), "each key's bytes moved with it");
+        assert_eq!(s.items.capacity(), s.item_count(), "the items were reserved exactly");
     }
 
-    /// `merge` refuses a batch out of order with a real check — this test
-    /// runs in CI's release step too — and the run it leaves is valid.
+    /// A batch is a run, so no merge ever sees one out of order: the one
+    /// constructor from arrays refuses it with a real check — this test
+    /// runs in CI's release step too — and the run it was meant for stays
+    /// as it was.
     #[test]
     fn a_batch_that_does_not_ascend_strictly_is_refused_in_release_builds_too() {
-        let one = |w: &'static str| (hash_str(w), Arc::new(vec![S(w)]));
-        for batch in [
-            vec![one("cat"), one("cat")],   // a new key twice
-            vec![one("cow"), one("cat")],   // new keys descending
-            vec![one("delta"), one("cat")], // a new key behind a stored one
-            vec![one("zeta"), one("beta")], // a stored key behind a new one
+        let s = merged(&["beta", "delta", "gamma"]);
+        for words in [
+            ["cat", "cat"],   // a new key twice
+            ["cow", "cat"],   // new keys descending
+            ["delta", "cat"], // a new key behind a stored one
+            ["zeta", "beta"], // a stored key behind a new one
         ] {
-            let mut s = merged(&["beta", "delta", "gamma"]);
-            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                s.merge(batch, false);
-            }));
-            assert!(refused.is_err(), "merged a batch out of order");
-            assert!(tiled(&s) && s.keys().zip(s.keys().skip(1)).all(|(a, b)| a < b));
-            assert_eq!(s.len(), 3, "nothing was spliced in");
+            let (bytes, bits, ends, items) = parts(&words);
+            assert!(SortedStore::from_parts(bytes, &bits, ends, items).is_none(), "{words:?}");
+            assert!(tiled(&s) && s.len() == 3);
         }
     }
 
     #[test]
     fn a_run_from_sorted_entries_is_that_run_and_disorder_is_refused() {
         let s = store();
-        let entries = || s.iter().map(|(k, l)| (k, Arc::clone(l)));
-        let copy = SortedStore::from_sorted(entries()).expect("a run's own entries ascend");
+        let own = || (s.key_bytes().to_vec(), s.keys().map(|k| k.len() as u32).collect::<Vec<_>>());
+        let (bytes, bits) = own();
+        let copy = SortedStore::from_parts(bytes, &bits, s.ends().to_vec(), s.items().to_vec())
+            .expect("a run's own arrays are a run");
         assert!(tiled(&copy));
-        assert!(copy.keys().eq(s.keys()));
-        assert!(copy.entries().iter().zip(s.entries()).all(|(a, b)| Arc::ptr_eq(a, b)));
-        let reversed: Vec<_> = entries().collect::<Vec<_>>().into_iter().rev().collect();
-        assert!(SortedStore::from_sorted(reversed).is_none(), "descending");
-        let twice = entries().take(1).chain(entries().take(1));
-        assert!(SortedStore::from_sorted(twice).is_none(), "a key twice");
-        assert!(SortedStore::<S>::from_sorted([]).expect("no entries").is_empty());
+        assert_eq!(format!("{copy:?}"), format!("{s:?}"));
+
+        let refused = |bytes: Vec<u8>, bits: &[u32], ends: Vec<u32>, items: Vec<S>| {
+            SortedStore::from_parts(bytes, bits, ends, items).is_none()
+        };
+        let mut words = ["alp", "alpha", "alpine", "beta", "gamma"];
+        let (bytes, bits, ends, items) = parts(&words);
+        assert!(!refused(bytes.clone(), &bits, ends.clone(), items.clone()), "well formed");
+        words.reverse();
+        let (rb, rbits, rends, ritems) = parts(&words);
+        assert!(refused(rb, &rbits, rends, ritems), "descending");
+        let (tb, tbits, tends, titems) = parts(&["alp", "alp"]);
+        assert!(refused(tb, &tbits, tends, titems), "a key twice");
+        assert!(
+            refused(bytes.clone(), &bits, vec![1, 2, 2, 4, 5], items.clone()),
+            "an empty entry"
+        );
+        assert!(refused(bytes.clone(), &bits, vec![1, 3, 2, 4, 5], items.clone()), "ends descend");
+        assert!(
+            refused(bytes.clone(), &bits, vec![0, 2, 3, 4, 5], items.clone()),
+            "a first end of 0"
+        );
+        assert!(
+            refused(bytes.clone(), &bits, vec![1, 2, 3, 4, 6], items.clone()),
+            "past the items"
+        );
+        assert!(refused(bytes.clone(), &bits, ends[..4].to_vec(), items.clone()), "an end short");
+        assert!(refused(bytes.clone(), &bits[..4], ends.clone(), items.clone()), "a key short");
+        assert!(refused(bytes[1..].to_vec(), &bits, ends.clone(), items.clone()), "a byte short");
+        assert!(
+            refused([&bytes[..], &[0]].concat(), &bits, ends.clone(), items.clone()),
+            "a byte over"
+        );
+        let three = Key::parse("101").as_bytes()[0];
+        assert!(!refused(vec![three], &[3], vec![1], vec![S("x")]), "three bits");
+        assert!(refused(vec![three | 1], &[3], vec![1], vec![S("x")]), "a padding bit");
+        assert!(SortedStore::<S>::from_parts(Vec::new(), &[], Vec::new(), Vec::new())
+            .expect("no entries")
+            .is_empty());
     }
 
     #[test]
@@ -477,11 +596,12 @@ mod tests {
         for (prefix, want) in [("x", 0), ("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5), ("z", 9)]
         {
             let hits = s.prefix_entries(&hash_str(prefix));
-            assert_eq!(hits.len(), want, "prefix {prefix:?}");
-            assert!(names(hits).iter().all(|w| w.starts_with(prefix)));
+            assert_eq!(hits.entries, want, "prefix {prefix:?}");
+            assert_eq!(hits.items.len(), want, "one item per entry");
+            assert!(names(hits.items).iter().all(|w| w.starts_with(prefix)));
         }
-        assert_eq!(s.prefix_entries(&hash_str("zi")).len(), 1, "the last entry alone");
-        assert_eq!(s.prefix_entries(&Key::empty()).len(), words.len(), "the whole run");
+        assert_eq!(s.prefix_entries(&hash_str("zi")).entries, 1, "the last entry alone");
+        assert_eq!(s.prefix_entries(&Key::empty()).entries, words.len(), "the whole run");
         assert!(SortedStore::<S>::default().prefix_entries(&hash_str("a")).is_empty());
     }
 
@@ -489,7 +609,8 @@ mod tests {
     fn range_is_inclusive_and_exact_finds_single_keys() {
         let s = store();
         let hits = s.range_entries(&hash_str("alpha"), &hash_str("beta"));
-        assert_eq!(names(hits), vec!["alpha", "alpine", "beta"]);
+        assert_eq!(names(hits.items), vec!["alpha", "alpine", "beta"]);
+        assert_eq!(hits.entries, 3);
         assert_eq!(s.exact_entry(&hash_str("beta")).unwrap().len(), 1);
         assert!(s.exact_entry(&hash_str("delta")).is_none());
     }
@@ -497,19 +618,28 @@ mod tests {
     #[test]
     fn same_key_items_keep_insertion_order() {
         let mut s = store();
-        s.merge(vec![(hash_str("beta"), Arc::new(vec![S("beta2"), S("beta3")]))], false);
-        let l = s.exact_entry(&hash_str("beta")).unwrap();
-        assert_eq!(l.as_slice(), &[S("beta"), S("beta2"), S("beta3")]);
+        let beta = hash_str("beta");
+        s.merge(SortedStore::from_pairs(vec![
+            (beta.clone(), S("beta2")),
+            (beta.clone(), S("beta3")),
+        ]));
+        assert_eq!(s.exact_entry(&beta).unwrap(), &[S("beta"), S("beta2"), S("beta3")]);
         assert_eq!(s.item_count(), 7);
+        assert_eq!(s.prefix_entries(&hash_str("beta")).entries, 1, "one entry, three items");
+        assert!(tiled(&s));
     }
 
     #[test]
-    fn replace_hands_the_run_the_batch_list_itself() {
-        let mut s = store();
-        let list = Arc::new(vec![S("beta"), S("beta2")]);
-        s.merge(vec![(hash_str("beta"), Arc::clone(&list))], true);
-        assert!(Arc::ptr_eq(s.exact_entry(&hash_str("beta")).unwrap(), &list));
-        assert_eq!(s.item_count(), 6);
+    fn a_run_split_anywhere_merges_back_into_itself() {
+        let s = merged(&["alp", "alpha", "alpine", "beta", "beta", "gamma"]);
+        for at in 0..=s.len() {
+            let mut head = s.clone();
+            let tail = head.split_off(at);
+            assert_eq!((head.len(), tail.len()), (at, s.len() - at));
+            assert!(tiled(&head) && tiled(&tail), "split at {at}");
+            head.merge(tail);
+            assert_eq!(format!("{head:?}"), format!("{s:?}"), "split at {at}");
+        }
     }
 
     #[test]
@@ -517,20 +647,18 @@ mod tests {
         let mut a = PartitionStore::from_store(store());
         let b = a.clone();
         assert!(a.shares_with(&b));
-        // A reader holding the old posting list is unaffected by the COW
-        // merge below.
-        let before = Arc::clone(b.exact_entry(&hash_str("gamma")).unwrap());
-        a.merge(vec![(hash_str("gamma"), Arc::new(vec![S("gamma2")]))], false);
+        // A reader holding the old run is unaffected by the COW merge below.
+        a.merge(batch(&["gamma"]));
         assert!(!a.shares_with(&b));
-        assert_eq!(before.len(), 1);
         assert_eq!(a.exact_entry(&hash_str("gamma")).unwrap().len(), 2);
         assert_eq!(b.exact_entry(&hash_str("gamma")).unwrap().len(), 1);
+        assert_eq!((a.item_count(), b.item_count()), (6, 5));
     }
 
     #[test]
     fn stored_bytes_and_counts_match_the_seed_semantics() {
         let s = store();
-        assert_eq!(s.entries().len(), 5);
+        assert_eq!(s.len(), 5);
         assert_eq!(s.item_count(), 5);
         assert_eq!(
             s.stored_bytes(),
@@ -544,7 +672,7 @@ mod tests {
     fn handle() -> PartitionStore<S> {
         let mut p = PartitionStore::default();
         for w in ["alpha", "alpine", "beta", "alp", "gamma"] {
-            p.merge(vec![(hash_str(w), Arc::new(vec![S(w)]))], false);
+            p.merge(batch(&[w]));
         }
         p
     }
@@ -553,14 +681,14 @@ mod tests {
     fn prefix_scan_matches_extension_semantics() {
         let p = handle();
         let run = p.prefix_entries(&hash_str("alp"));
-        assert_eq!(names(run), vec!["alp", "alpha", "alpine"]);
-        assert_eq!(run.len(), 3);
+        assert_eq!(names(run.items), vec!["alp", "alpha", "alpine"]);
+        assert_eq!(run.entries, 3);
     }
 
     #[test]
     fn exact_scan() {
         let p = handle();
-        assert_eq!(**p.exact_entry(&hash_str("beta")).unwrap(), vec![S("beta")]);
+        assert_eq!(p.exact_entry(&hash_str("beta")).unwrap(), [S("beta")]);
         assert!(p.exact_entry(&hash_str("delta")).is_none());
     }
 
@@ -568,13 +696,13 @@ mod tests {
     fn range_scan_inclusive() {
         let p = handle();
         let hits = p.range_entries(&hash_str("alpha"), &hash_str("beta"));
-        assert_eq!(names(hits), vec!["alpha", "alpine", "beta"]);
+        assert_eq!(names(hits.items), vec!["alpha", "alpine", "beta"]);
     }
 
     #[test]
     fn multiple_items_same_key() {
         let mut p = handle();
-        p.merge(vec![(hash_str("beta"), Arc::new(vec![S("beta")]))], false);
+        p.merge(batch(&["beta"]));
         assert_eq!(p.exact_entry(&hash_str("beta")).unwrap().len(), 2);
         assert_eq!(p.item_count(), 6);
     }

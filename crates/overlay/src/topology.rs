@@ -239,7 +239,7 @@ impl Topology {
 
     /// Contiguous partition-index range `[s, e)` of the subtree under `key`.
     pub fn subtree_of(&self, key: &Key) -> (usize, usize) {
-        subtree_range(&self.paths, key)
+        subtree_range(&self.paths, key.as_ref())
     }
 
     /// The partition range `[s, e)` of the subtree under the first `bits`
@@ -516,7 +516,7 @@ mod tests {
             for l in 0..path.len() {
                 assert_eq!(
                     topo.complement_of(part, l),
-                    subtree_range(&paths, &path.complement_at(l)),
+                    subtree_range(&paths, path.complement_at(l).as_ref()),
                     "{path} at level {l}"
                 );
             }

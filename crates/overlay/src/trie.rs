@@ -257,8 +257,9 @@ fn locate(paths: &[Key], key: KeyRef<'_>) -> usize {
 /// All partitions whose path extends (or equals / is extended by) `key` —
 /// the subtree a prefix query must fan out to. Returns a contiguous index
 /// range into the sorted `paths`.
-pub fn subtree_range(paths: &[Key], key: &Key) -> (usize, usize) {
-    let start = paths.partition_point(|p| p.cmp_extended(true, key) == std::cmp::Ordering::Less);
+pub fn subtree_range(paths: &[Key], key: KeyRef<'_>) -> (usize, usize) {
+    let start =
+        paths.partition_point(|p| p.as_ref().cmp_extended(true, key) == std::cmp::Ordering::Less);
     // The prefix-related block is contiguous: it is either the run of
     // paths extending `key`, or (when `key` is deeper than the trie) the
     // single path that is a prefix of `key` — prefix-freeness rules out a
@@ -266,8 +267,9 @@ pub fn subtree_range(paths: &[Key], key: &Key) -> (usize, usize) {
     // construction calls this once per (peer, level), and at shallow
     // levels the complementary subtree spans a large fraction of all
     // partitions, which made a linear walk quadratic in network size.
-    let end =
-        start + paths[start..].partition_point(|p| key.is_prefix_of(p) || p.is_prefix_of(key));
+    let end = start
+        + paths[start..]
+            .partition_point(|p| key.is_prefix_of(p.as_ref()) || p.as_ref().is_prefix_of(key));
     (start, end)
 }
 
@@ -400,12 +402,12 @@ mod tests {
     #[test]
     fn subtree_range_covers_prefix_queries() {
         let paths = vec![Key::parse("00"), Key::parse("010"), Key::parse("011"), Key::parse("1")];
-        assert_eq!(subtree_range(&paths, &Key::parse("0")), (0, 3));
-        assert_eq!(subtree_range(&paths, &Key::parse("01")), (1, 3));
-        assert_eq!(subtree_range(&paths, &Key::parse("011")), (2, 3));
-        assert_eq!(subtree_range(&paths, &Key::parse("0110")), (2, 3));
-        assert_eq!(subtree_range(&paths, &Key::empty()), (0, 4));
-        assert_eq!(subtree_range(&paths, &Key::parse("1")), (3, 4));
+        assert_eq!(subtree_range(&paths, Key::parse("0").as_ref()), (0, 3));
+        assert_eq!(subtree_range(&paths, Key::parse("01").as_ref()), (1, 3));
+        assert_eq!(subtree_range(&paths, Key::parse("011").as_ref()), (2, 3));
+        assert_eq!(subtree_range(&paths, Key::parse("0110").as_ref()), (2, 3));
+        assert_eq!(subtree_range(&paths, Key::empty().as_ref()), (0, 4));
+        assert_eq!(subtree_range(&paths, Key::parse("1").as_ref()), (3, 4));
     }
 
     #[test]

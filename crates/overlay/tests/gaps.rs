@@ -11,9 +11,8 @@ use sqo_overlay::key::Key;
 use sqo_overlay::network::{Network, NetworkConfig};
 use sqo_overlay::peer::{Item, PeerId};
 use sqo_overlay::trie::partition_loads;
-use sqo_overlay::{run_items, NetworkState};
+use sqo_overlay::NetworkState;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct S(u32);
@@ -49,7 +48,7 @@ fn numbered(keys: Vec<Key>, first: usize) -> Vec<(Key, S)> {
 /// Every item under `key` in any store, partition by partition.
 fn brute(net: &Network<S>, key: &Key) -> Vec<u32> {
     let stores = (0..net.partition_count()).map(|part| net.partition_store(part));
-    stores.flat_map(|store| run_items(store.prefix_entries(key)).map(|s| s.0)).collect()
+    stores.flat_map(|store| store.prefix_entries(key).items.iter().map(|s| s.0)).collect()
 }
 
 /// Every distinct item any store holds.
@@ -79,8 +78,8 @@ fn decoded(net: &Network<S>) -> Result<NetworkState<S>, &'static str> {
 /// key whose subtree is all gaps costs its route and nothing else.
 fn look_up(net: &mut Network<S>, from: PeerId, key: &Key) {
     let before = *net.metrics();
-    let lists = net.retrieve_lists(from, key).expect("nobody is dead");
-    let got: Vec<u32> = run_items(&lists).map(|s| s.0).collect();
+    let got: Vec<u32> =
+        net.retrieve_list(from, key).expect("nobody is dead").iter().map(|s| s.0).collect();
     prop_assert_eq!(&got, &brute(net, key), "retrieve {} from {:?}", key, from);
     let spent = net.metrics().delta(&before);
     prop_assert_eq!(spent.failed_routes, 0);
@@ -245,7 +244,7 @@ proptest! {
 /// take; published, it recruits the highest-id member of "00", which
 /// answers for it from then on. A key shorter than the trie that covers
 /// two gaps recruits into the first of them, and a later recruit into the
-/// second starts with that key's list — the same list, not a copy.
+/// second starts with a copy of that key's items.
 #[test]
 fn a_publication_into_a_gap_recruits_and_is_found() {
     let paths: Vec<Key> = ["00", "01", "10", "11"].map(Key::parse).to_vec();
@@ -255,7 +254,7 @@ fn a_publication_into_a_gap_recruits_and_is_found() {
     assert_eq!(net.partition_members(0).len(), 4, "every peer where the data is");
     let far = Key::parse("1101");
     net.reset_metrics();
-    assert!(net.retrieve(PeerId(0), &far).expect("answered").is_empty());
+    assert!(net.retrieve_list(PeerId(0), &far).expect("answered").is_empty());
     assert_eq!(net.metrics().messages, 0, "level 0 of \"00\" has no reference: \"1\" is all gaps");
 
     assert_eq!(net.insert_item(Key::parse("1"), S(10)), 0);
@@ -263,16 +262,17 @@ fn a_publication_into_a_gap_recruits_and_is_found() {
     assert_eq!(net.insert_item(far.clone(), S(11)), 0);
     assert_eq!(net.partition_members(3), [PeerId(2)], "the next highest-id member of \"00\"");
     assert_eq!(net.check_invariants(), Ok(()));
-    let short = |part: usize| net.partition_store(part).exact_entry(&Key::parse("1")).cloned();
+    let short =
+        |part: usize| net.partition_store(part).exact_entry(&Key::parse("1")).map(<[S]>::to_vec);
     let (ten, eleven) = (short(2).expect("stored"), short(3).expect("copied on recruitment"));
-    assert!(Arc::ptr_eq(&ten, &eleven));
+    assert_eq!((ten.as_slice(), eleven.as_slice()), ([S(10)].as_slice(), [S(10)].as_slice()));
 
     net.reset_metrics();
-    assert_eq!(net.retrieve(PeerId(0), &far).expect("answered"), [S(11)]);
+    assert_eq!(net.retrieve_list(PeerId(0), &far).expect("answered"), [S(11)]);
     // Level 0 of "00" gained the first recruit, in "10", whose level 1
     // names the second.
     assert_eq!(net.metrics().route_hops, 2);
-    assert_eq!(net.retrieve(PeerId(2), &far).expect("answered"), [S(11)]);
+    assert_eq!(net.retrieve_list(PeerId(2), &far).expect("answered"), [S(11)]);
     assert!(net.partition_members(1).is_empty(), "nothing was published under \"01\"");
     assert_eq!(net.unstored_items(), 0);
 }

@@ -7,7 +7,7 @@ use sqo_overlay::key::{Key, KeyRef};
 use sqo_overlay::network::{Network, NetworkConfig};
 use sqo_overlay::peer::{Item, PeerId};
 use sqo_overlay::trie::{build_partitions, find_partition, find_partition_from, is_complete_cover};
-use sqo_overlay::{run_items, EventSink, MsgKind, SimLatency};
+use sqo_overlay::{EventSink, MsgKind, SimLatency};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -303,16 +303,16 @@ proptest! {
         for key in &keys {
             let fresh = store.prefix_entries(key);
             let carried = store.prefix_entries_from(key, &mut cursor);
-            prop_assert!(std::ptr::eq(fresh, carried), "{key}: another stretch of the run");
+            prop_assert!(std::ptr::eq(fresh.items, carried.items), "{key}: another stretch of the run");
+            prop_assert_eq!(fresh.entries, carried.entries);
         }
         let mut cursor = 0;
         for key in &keys {
             let before = *net.metrics();
-            let fresh: Vec<S> = run_items(net.local_prefix_run(peer, key)).cloned().collect();
+            let fresh: Vec<S> = net.local_prefix_run(peer, key).to_vec();
             let touched = net.metrics().delta(&before).local_items_scanned;
             let before = *net.metrics();
-            let carried: Vec<S> =
-                run_items(net.local_prefix_run_from(peer, key, &mut cursor)).cloned().collect();
+            let carried: Vec<S> = net.local_prefix_run_from(peer, key, &mut cursor).to_vec();
             prop_assert_eq!(carried, fresh);
             prop_assert_eq!(net.metrics().delta(&before).local_items_scanned, touched);
         }
@@ -332,7 +332,7 @@ proptest! {
         let mut net = Network::build(cfg, data);
         for w in &words {
             let from = net.random_peer();
-            let got = net.retrieve(from, &hash_str(w)).expect("routing failed");
+            let got = net.retrieve_list(from, &hash_str(w)).expect("routing failed");
             prop_assert!(got.contains(&S(w.clone())), "missing {w}");
         }
     }
@@ -360,12 +360,12 @@ proptest! {
         let key = hash_str(&prefix);
 
         let stored = net.partition_store(net.peer_partition(peer)).prefix_entries(&key);
-        let touched = stored.len() as u64;
-        let expect: Vec<S> = run_items(stored).cloned().collect();
+        let touched = stored.entries as u64;
+        let expect: Vec<S> = stored.items.to_vec();
         prop_assert!(expect.iter().all(|s| s.0.starts_with(&prefix)));
 
         let before = *net.metrics();
-        let lent: Vec<S> = run_items(net.local_prefix_run(peer, &key)).cloned().collect();
+        let lent: Vec<S> = net.local_prefix_run(peer, &key).to_vec();
         prop_assert_eq!(lent, expect);
         let delta = net.metrics().delta(&before);
         prop_assert_eq!(delta.local_items_scanned, touched);
@@ -470,7 +470,7 @@ proptest! {
         let mut net = Network::build(cfg, data);
         let from = net.random_peer();
         let mut got: Vec<String> =
-            run_items(&net.range_query(from, &klo, &khi).unwrap()).map(|s| s.0.clone()).collect();
+            net.range_query(from, &klo, &khi).unwrap().into_iter().map(|s| s.0).collect();
         got.sort_unstable();
         got.dedup();
         let mut expect: Vec<String> = words

@@ -11,10 +11,9 @@ use sqo_overlay::key::Key;
 use sqo_overlay::network::{Network, NetworkConfig};
 use sqo_overlay::peer::Item;
 use sqo_overlay::trie::{build_partitions, partition_loads, MAX_PATH_BITS};
-use sqo_overlay::{run_items, PostingList, Run, SortedStore};
+use sqo_overlay::{PartitionStore, SortedStore, Stretch};
 use std::collections::BTreeMap;
 use std::ops::Bound;
-use std::sync::Arc;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct S(u32);
@@ -36,14 +35,10 @@ fn numbered(keys: Vec<Key>, first: usize) -> Vec<(Key, S)> {
     keys.into_iter().enumerate().map(|(i, k)| (k, S((first + i) as u32))).collect()
 }
 
-/// The publications as `insert_groups` takes them: one list per distinct
-/// key, keys ascending, publication order within a key.
-fn groups(batch: &[(Key, S)]) -> Vec<(Key, PostingList<S>)> {
-    let mut by_key: BTreeMap<Key, Vec<S>> = BTreeMap::new();
-    for (k, item) in batch {
-        by_key.entry(k.clone()).or_default().push(item.clone());
-    }
-    by_key.into_iter().map(|(k, items)| (k, Arc::new(items))).collect()
+/// The publications as `insert_groups` takes them: a run, one entry per
+/// distinct key, keys ascending, publication order within a key.
+fn groups(batch: &[(Key, S)]) -> SortedStore<S> {
+    SortedStore::from_pairs(batch.to_vec())
 }
 
 /// The splitter as it was when it looked at one key per posting: sort them
@@ -75,30 +70,32 @@ fn per_posting_partitions(mut keys: Vec<Key>, target: usize) -> Vec<Key> {
     paths
 }
 
-/// A lent stretch of a run, list by list. Items are numbered apart, so the
-/// lists of a stretch name its entries.
-fn flat(run: &Run<S>) -> Vec<Vec<S>> {
-    run.iter().map(|list| list.to_vec()).collect()
+/// A lent stretch of a run: its entry count and its items. Items are
+/// numbered apart, so the items of a stretch name its entries.
+fn lent(run: Stretch<'_, S>) -> (usize, Vec<S>) {
+    (run.entries, run.items.to_vec())
 }
 
-fn lists<'a>(entries: impl Iterator<Item = (&'a Key, &'a Vec<S>)>) -> Vec<Vec<S>> {
-    entries.map(|(_, list)| list.clone()).collect()
+/// The same of the reference's entries.
+fn want<'a>(entries: impl Iterator<Item = (&'a Key, &'a Vec<S>)>) -> (usize, Vec<S>) {
+    entries.fold((0, Vec::new()), |(n, mut items), (_, more)| {
+        items.extend(more.iter().cloned());
+        (n + 1, items)
+    })
 }
 
 /// Everything a snapshot would write, and so everything two networks can
 /// differ in: cover, membership, routing, the runs entry for entry, epoch,
-/// counters, RNG position — and which lists are shared, which the image's
-/// handles do not show and the index tables a snapshot encodes do.
+/// counters, RNG position.
 fn image(net: &Network<S>) -> String {
-    let state = net.export_state();
-    format!("{state:?} {:?}", state.store_tables())
+    format!("{:?}", net.export_state())
 }
 
 /// What the network stores, and nothing of who stores it: the runs entry
-/// for entry with their sharing, the epoch and the unstored count.
+/// for entry, the epoch and the unstored count.
 fn data(net: &Network<S>) -> String {
     let state = net.export_state();
-    format!("{:?} {} {}", state.store_tables(), net.cache_epoch(), net.unstored_items())
+    format!("{:?} {} {}", state.stores(), net.cache_epoch(), net.unstored_items())
 }
 
 proptest! {
@@ -106,48 +103,46 @@ proptest! {
     /// same entries in the same order, publication order within a key —
     /// and after every merge the three scans delimit exactly what the map
     /// holds, for hits of no, one and many entries, in the middle of the
-    /// run and running to its end. A reader holding a list from before a
-    /// merge still sees the list as it was.
+    /// run and running to its end. A reader holding the run from before a
+    /// merge still sees the run as it was.
     #[test]
     fn merge_equals_a_btreemap_and_scans_delimit_exactly(
         batches in prop::collection::vec(prop::collection::vec((key(), 1usize..4), 0..12), 1..8),
         probes in prop::collection::vec(key(), 1..12),
     ) {
-        let mut run: SortedStore<S> = SortedStore::default();
+        let mut run: PartitionStore<S> = PartitionStore::default();
         let mut map: BTreeMap<Key, Vec<S>> = BTreeMap::new();
         let mut next = 0u32;
         for batch in batches {
-            // One entry per distinct key, ascending: what `merge` takes.
-            let mut grouped: BTreeMap<Key, Vec<S>> = BTreeMap::new();
+            // Every publication numbered apart: what `merge` takes is their run.
+            let mut pairs = Vec::new();
             for (k, n) in batch {
                 for _ in 0..n {
-                    grouped.entry(k.clone()).or_default().push(S(next));
+                    map.entry(k.clone()).or_default().push(S(next));
+                    pairs.push((k.clone(), S(next)));
                     next += 1;
                 }
             }
-            let held: Vec<(PostingList<S>, Vec<S>)> =
-                run.entries().iter().map(|l| (Arc::clone(l), l.to_vec())).collect();
-            for (k, items) in &grouped {
-                map.entry(k.clone()).or_default().extend(items.iter().cloned());
-            }
-            run.merge(grouped.into_iter().map(|(k, items)| (k, Arc::new(items))), false);
+            let held = run.clone();
+            let was = format!("{held:?}");
+            run.merge(SortedStore::from_pairs(pairs));
 
             let stored: Vec<(Key, Vec<S>)> =
-                run.iter().map(|(k, list)| (k.to_key(), list.to_vec())).collect();
-            let want: Vec<(Key, Vec<S>)> = map.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-            prop_assert_eq!(stored, want);
+                run.iter().map(|(k, items)| (k.to_key(), items.to_vec())).collect();
+            let reference: Vec<(Key, Vec<S>)> = map.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+            prop_assert_eq!(stored, reference);
             prop_assert_eq!(run.len(), map.len());
-            prop_assert_eq!(flat(run.entries()), lists(map.iter()));
-            prop_assert!(held.iter().all(|(list, was)| **list == *was), "a reader's list changed");
+            prop_assert_eq!((run.len(), run.items().to_vec()), want(map.iter()));
+            prop_assert_eq!(format!("{held:?}"), was, "a reader's run changed");
 
             for p in probes.iter().chain(map.keys()).chain([&Key::empty()]) {
-                let under = lists(map.iter().filter(|(k, _)| p.is_prefix_of(k)));
-                prop_assert_eq!(flat(run.prefix_entries(p)), under, "prefix {}", p);
-                prop_assert_eq!(run.exact_entry(p).map(|l| l.to_vec()), map.get(p).cloned());
+                let under = want(map.iter().filter(|(k, _)| p.is_prefix_of(k)));
+                prop_assert_eq!(lent(run.prefix_entries(p)), under, "prefix {}", p);
+                prop_assert_eq!(run.exact_entry(p).map(<[S]>::to_vec), map.get(p).cloned());
                 for q in &probes {
                     let (lo, hi) = if p <= q { (p, q) } else { (q, p) };
-                    let within = lists(map.range((Bound::Included(lo), Bound::Included(hi))));
-                    prop_assert_eq!(flat(run.range_entries(lo, hi)), within, "range {}..={}", lo, hi);
+                    let within = want(map.range((Bound::Included(lo), Bound::Included(hi))));
+                    prop_assert_eq!(lent(run.range_entries(lo, hi)), within, "range {}..={}", lo, hi);
                 }
             }
         }
@@ -156,8 +151,8 @@ proptest! {
     /// A batch of groups equals the flat batch, equals its publications
     /// made one by one, and equals having been there from the build, flat
     /// or grouped — with duplicate keys, keys shorter than the trie depth
-    /// (stored by every peered partition of their subtree, sharing one
-    /// list) and one to four replicas per partition. The base leaves gaps
+    /// (stored by every peered partition of their subtree, each run its own
+    /// copy) and one to four replicas per partition. The base leaves gaps
     /// the batch publishes into, and each recruits a member.
     ///
     /// Who is recruited depends on the order the gaps are reached in, so
@@ -165,7 +160,7 @@ proptest! {
     /// equal where the publications reach the network in key order: as a
     /// batch, as groups and one by one in key order. Published one by one in
     /// any order, or there from the build, the network stores the same:
-    /// the same runs, shared lists, epoch, and nothing unstored.
+    /// the same runs, epoch, and nothing unstored.
     #[test]
     fn a_batch_equals_its_items_one_by_one_and_the_build_on_all_of_them(
         base in prop::collection::vec(key(), 0..60),
@@ -185,9 +180,9 @@ proptest! {
         let mut batched = grown();
         prop_assert_eq!(batched.insert_batch(batch.clone()), 0);
         let mut in_groups = grown();
-        // An empty group publishes nothing, wherever it stands.
-        let with_empty = groups(&batch).into_iter().chain([(Key::empty(), Arc::default())]);
-        prop_assert_eq!(in_groups.insert_groups(with_empty), 0);
+        prop_assert_eq!(in_groups.insert_groups(groups(&batch)), 0);
+        // An empty batch publishes nothing, not even an epoch step.
+        prop_assert_eq!(in_groups.insert_groups(SortedStore::default()), 0);
         let mut in_key_order = grown();
         let mut sorted = batch.clone();
         sorted.sort_by(|a, b| a.0.cmp(&b.0));
@@ -215,17 +210,17 @@ proptest! {
                 );
             }
         }
-        // Redundant coverage is structural sharing, not copies: every
-        // peered partition under a short key holds the same list.
+        // Redundant coverage is a copy per run: every peered partition
+        // under a short key holds the same items.
         for (k, _) in &base {
             let (s, e) = built.subtree_of(k);
-            let lists: Vec<_> = built
+            let copies: Vec<_> = built
                 .topology()
                 .peered_in(s, e)
                 .iter()
                 .map(|p| built.partition_store(*p as usize).exact_entry(k).expect("stored"))
                 .collect();
-            prop_assert!(lists.iter().all(|l| Arc::ptr_eq(l, lists[0])));
+            prop_assert!(copies.iter().all(|items| *items == copies[0]));
         }
     }
 
@@ -278,7 +273,7 @@ proptest! {
             let (s, e) = built.subtree_of(k);
             for part in (s..e).filter(|p| *p != GAP) {
                 let store = built.partition_store(part);
-                prop_assert!(run_items(store.prefix_entries(k)).any(|x| x == item));
+                prop_assert!(store.prefix_entries(k).items.contains(item));
             }
         }
     }

@@ -98,7 +98,11 @@ use std::fmt;
 /// v3: `NetworkConfig` lost its uniform-reference-selection bool and the
 /// driver queue its lane count and per-entry lane (the options behind
 /// them are gone; see `docs/SNAPSHOT.md`).
-pub const SCHEMA_VERSION: u32 = 3;
+///
+/// v4: a run travels as its arrays — key bytes, bit lengths, end offsets,
+/// postings — in place of the key table, the list table and the
+/// `(key, list)` index pairs; the triple table is numbered in run order.
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// Artifact magic: "SQO SNapshot".
 pub const MAGIC: [u8; 4] = *b"SQSN";
@@ -247,15 +251,12 @@ impl Snapshot {
         let mut e = wire::Enc::new();
         e.buf.extend_from_slice(&MAGIC);
         e.u32(SCHEMA_VERSION);
-        // The image holds the live runs; the key and list tables the
-        // artifact spells them through are derived here, in one walk.
-        let tables = self.world.net.store_tables();
-        // The triple table spans the whole artifact (network lists and
+        // The triple table spans the whole artifact (network runs and
         // broker-cached lists share triples): it is collected up front and
         // written before anything that references it.
-        let triples = wire::TripleTable::collect(&tables.lists, self.world.broker.as_ref());
+        let triples = wire::TripleTable::collect(&self.world.net, self.world.broker.as_ref());
         triples.encode(&mut e);
-        wire::network_state(&mut e, &triples, &self.world.net, &tables);
+        wire::network_state(&mut e, &triples, &self.world.net);
         wire::publish_stats(&mut e, &self.world.publish);
         e.u64(self.world.edit_comparisons);
         e.opt(self.world.broker.as_ref(), |e, b| wire::broker_state(e, &triples, b));

@@ -20,7 +20,7 @@
 //! Triples are numbered: in the live engine a triple is a record of its
 //! batch's [`TripleSlab`], which backs its base posting and every gram
 //! posting cut from it, and the codec writes each stored triple once, in
-//! the order the walk of the lists first meets it, into a table up front.
+//! the order the walk of the runs first meets it, into a table up front.
 //! Postings reference the table by index. The decoder builds **one slab**
 //! straight from that table and every decoded posting is a handle on it,
 //! so a restored world allocates nothing per triple. Names are spelled out
@@ -28,11 +28,10 @@
 //! and a gram is found where it lies in its value (or name) and becomes a
 //! span of the slab's text — how `postings_for_rows` lays out a built world.
 //!
-//! The stores are written through two more tables — distinct keys, distinct
-//! lists — that exist only on the wire: the encoder takes them from
-//! [`NetworkState::store_tables`], derived in one walk of the live runs the
-//! image holds handles to, and the decoder builds each run straight from
-//! the key table where it lies in the input.
+//! The stores are written run by run, each as the arrays it is: its keys'
+//! packed bytes, their bit lengths, their end offsets and its postings.
+//! The decoder hands each run's arrays to [`SortedStore::from_parts`], the
+//! one constructor that checks them, so a run that decodes is a run.
 
 use crate::SnapError;
 use rustc_hash::FxHashMap;
@@ -42,7 +41,7 @@ use sqo_cache::{
 };
 use sqo_overlay::{
     Key, KeyRef, Metrics, NetworkConfig, NetworkState, PartitionStore, PeerId, PeerLoad,
-    PostingList, RoutingArena, SimLatency, SortedStore, StoreTables, Topology,
+    RoutingArena, SimLatency, SortedStore, Topology,
 };
 use sqo_sim::driver::{DriverCheckpoint, EvSnap, HistParts, RepairTotals};
 use sqo_sim::scale::{Ev, EvKind, QState, ScaleCheckpoint};
@@ -223,13 +222,14 @@ pub struct TripleTable<'a> {
 }
 
 impl<'a> TripleTable<'a> {
-    /// Walk every posting reachable from the world (the network's distinct
-    /// lists, then the broker-cached ones) so the table is complete before
-    /// anything that refers to it is encoded.
-    pub fn collect(lists: &[&'a PostingList<Posting>], broker: Option<&'a BrokerState>) -> Self {
+    /// Walk every posting reachable from the world (the network's runs in
+    /// partition order, then the broker-cached lists) so the table is
+    /// complete before anything that refers to it is encoded.
+    pub fn collect(net: &'a NetworkState<Posting>, broker: Option<&'a BrokerState>) -> Self {
         let mut table = Self::default();
-        let cached = broker.iter().flat_map(|b| &b.cache.entries).map(|e| &e.value);
-        for p in lists.iter().copied().chain(cached).flat_map(|list| list.iter()) {
+        let stored = net.stores().iter().map(|run| run.items());
+        let cached = broker.iter().flat_map(|b| &b.cache.entries).map(|e| e.value.as_slice());
+        for p in stored.chain(cached).flatten() {
             let (slab, index) = p.triple_id();
             let of_slab =
                 table.remap.entry(Arc::as_ptr(slab)).or_insert_with(|| vec![u32::MAX; slab.len()]);
@@ -456,15 +456,8 @@ fn de_rng_words(d: &mut Dec<'_>) -> R<[u64; 4]> {
 // Network image
 // ---------------------------------------------------------------------
 
-/// The network image. `tables` are `s.store_tables()`, derived by the
-/// caller because the triple table, which precedes the image in the
-/// artifact, is collected from the same lists.
-pub fn network_state(
-    e: &mut Enc,
-    t: &TripleTable<'_>,
-    s: &NetworkState<Posting>,
-    tables: &StoreTables<'_, Posting>,
-) {
+/// The network image; `t` is collected from it and written before it.
+pub fn network_state(e: &mut Enc, t: &TripleTable<'_>, s: &NetworkState<Posting>) {
     let (c, Topology { paths, part_peers, part_of, routing, .. }) = (s.config(), s.topology());
     e.usize(c.peers);
     e.usize(c.replication);
@@ -478,19 +471,14 @@ pub fn network_state(
     e.seq(&routing.refs, |e, p| e.u32(p.0));
     e.seq(&routing.slice_off, |e, v| e.u32(*v));
     e.seq(&routing.peer_off, |e, v| e.u32(*v));
-    e.seq(&tables.keys, |e, k| key(e, *k));
-    e.usize(tables.lists.len());
-    for list in &tables.lists {
-        e.usize(list.len());
-        for p in list.iter() {
-            posting(e, t, p);
+    e.seq(s.stores(), |e, run| {
+        e.bytes(run.key_bytes());
+        e.usize(run.len());
+        for k in run.keys() {
+            e.u32(k.len() as u32);
         }
-    }
-    e.seq(&tables.stores, |e, run| {
-        e.seq(run, |e, (k, l)| {
-            e.u32(*k);
-            e.u32(*l);
-        })
+        e.seq(run.ends(), |e, end| e.u32(*end));
+        e.seq(run.items(), |e, p| posting(e, t, p));
     });
     metrics(e, s.metrics());
     e.seq(s.peer_loads(), |e, p| {
@@ -523,22 +511,13 @@ pub fn de_network_state<'a>(
         slice_off: d.seq(|d| d.u32())?,
         peer_off: d.seq(|d| d.u32())?,
     };
-    // The key table stays in the artifact; each run copies its keys from
-    // there into its own buffer, and shares the lists it names.
-    let keys = d.seq(de_key_ref)?;
-    let lists: Vec<PostingList<Posting>> =
-        d.seq(|d| Ok(Arc::new(d.seq(|d| de_posting(d, table))?)))?;
     let stores = d.seq(|d| {
-        let entries = d.seq(|d| {
-            let key =
-                keys.get(d.u32()? as usize).ok_or(SnapError::Corrupt("key index out of range"));
-            let list =
-                lists.get(d.u32()? as usize).ok_or(SnapError::Corrupt("list index out of range"));
-            Ok((*key?, Arc::clone(list?)))
-        })?;
-        SortedStore::from_sorted(entries)
+        let bytes = d.bytes()?.to_vec();
+        let (bits, ends) = (d.seq(|d| d.u32())?, d.seq(|d| d.u32())?);
+        let postings = d.seq(|d| de_posting(d, table))?;
+        SortedStore::from_parts(bytes, &bits, ends, postings)
             .map(PartitionStore::from_store)
-            .ok_or(SnapError::Corrupt("store keys do not ascend strictly"))
+            .ok_or(SnapError::Corrupt("a run's keys do not ascend or its arrays disagree"))
     })?;
     let metrics = de_metrics(d)?;
     let peer_load = d.seq(|d| {
@@ -589,10 +568,7 @@ pub fn broker_state(e: &mut Enc, t: &TripleTable<'_>, b: &BrokerState) {
     e.seq(&l.entries, |e, ent| {
         e.u32(ent.key.0 .0);
         key(e, ent.key.1.as_ref());
-        e.usize(ent.value.len());
-        for p in ent.value.iter() {
-            posting(e, t, p);
-        }
+        e.seq(&ent.value, |e, p| posting(e, t, p));
         e.u64(ent.epoch);
         e.u64(ent.inserted_us);
         e.u64(ent.last_used);
@@ -641,7 +617,7 @@ pub fn de_broker_state<'a>(d: &mut Dec<'a>, table: &mut DecodedTriples<'a>) -> R
     let entries = d.seq(|d| {
         Ok(LruEntryState {
             key: (PeerId(d.u32()?), de_key(d)?),
-            value: Arc::new(d.seq(|d| de_posting(d, table))?),
+            value: d.seq(|d| de_posting(d, table))?,
             epoch: d.u64()?,
             inserted_us: d.u64()?,
             last_used: d.u64()?,

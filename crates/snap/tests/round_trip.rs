@@ -6,7 +6,7 @@
 use sqo_cache::BrokerConfig;
 use sqo_core::{EngineBuilder, EngineConfig, SimilarityEngine};
 use sqo_datasets::{bible_words, string_rows};
-use sqo_overlay::{Key, PeerId};
+use sqo_overlay::{Key, Network, NetworkState, PartitionStore, PeerId, SortedStore};
 use sqo_sim::driver::EvSnap;
 use sqo_sim::scale::{resume_serial, resume_sharded, run_serial, run_serial_until, ScalePhase};
 use sqo_sim::{
@@ -258,13 +258,16 @@ fn envelope_is_versioned_and_decode_is_total() {
         SnapError::SchemaMismatch { found: SCHEMA_VERSION + 1, expected: SCHEMA_VERSION }
     );
     assert_eq!(err.exit_code(), 3, "a version skew is a mismatch, not damage");
-    // An artifact written before the lane and uniform-selection bytes
-    // left the wire is refused by its header, never mis-decoded.
-    skewed[4..8].copy_from_slice(&2u32.to_le_bytes());
-    assert_eq!(
-        Snapshot::from_bytes(&skewed).unwrap_err(),
-        SnapError::SchemaMismatch { found: 2, expected: 3 }
-    );
+    // An artifact written before the lane and uniform-selection bytes left
+    // the wire (v2), or while runs travelled as key and list tables (v3), is
+    // refused by its header, never mis-decoded.
+    for old in [2, 3] {
+        skewed[4..8].copy_from_slice(&u32::to_le_bytes(old));
+        assert_eq!(
+            Snapshot::from_bytes(&skewed).unwrap_err(),
+            SnapError::SchemaMismatch { found: old, expected: 4 }
+        );
+    }
 
     // Truncations and trailing garbage fail with an error, never a panic.
     for cut in [bytes.len() / 2, bytes.len() - 3] {
@@ -329,38 +332,54 @@ fn damaged_driver_queue_is_corrupt_not_a_resume_panic() {
     }
 }
 
-/// A store entry that names a key or a list the artifact does not hold, or
-/// a run whose keys do not ascend, fails at decode time: runs are built
-/// while decoding, so there is no inconsistent image for `restore_engine`
-/// to die on.
+/// A run whose arrays disagree — an end past its postings, ends that do not
+/// rise, keys out of order or twice, a bit length that does not tile the
+/// key bytes — fails at decode time: runs are built while decoding, through
+/// the one constructor that checks them, so there is no inconsistent image
+/// for `restore_engine` to die on.
 #[test]
 fn a_store_entry_out_of_range_or_out_of_order_is_corrupt_not_a_restore_panic() {
     let engine = build(&words());
     let snap = Snapshot::capture(&engine);
     let bytes = snap.to_bytes();
-    // The stores section as the codec spells it: a count of runs, then per
-    // run a count of entries and `(key index, list index)` pairs of `u32`s.
-    let tables = snap.world.net.store_tables();
-    let mut section = (tables.stores.len() as u64).to_le_bytes().to_vec();
-    for run in &tables.stores {
-        section.extend((run.len() as u64).to_le_bytes());
-        section.extend(run.iter().flat_map(|(k, l)| [k.to_le_bytes(), l.to_le_bytes()].concat()));
-    }
-    let at = bytes.windows(section.len()).position(|w| w == section).expect("the stores section");
-    let run = tables.stores.iter().position(|run| run.len() >= 2).expect("a run of two entries");
-    let skipped: usize = tables.stores[..run].iter().map(|run| 8 + 8 * run.len()).sum();
-    let entry = at + 8 + skipped + 8;
+    // A run whose first two keys are as long as each other. The codec
+    // spells a run as its key bytes (length-prefixed), then its keys' bit
+    // lengths and its ends, each a count and `u32`s, then its postings.
+    let stores = snap.world.net.stores();
+    let run = stores
+        .iter()
+        .find(|run| {
+            let lens: Vec<usize> = run.keys().take(2).map(|k| k.len()).collect();
+            lens.len() == 2 && lens[0] == lens[1]
+        })
+        .expect("a run with two keys of one length");
+    let n = (run.len() as u64).to_le_bytes();
+    let words =
+        |of: &mut dyn Iterator<Item = u32>| of.flat_map(u32::to_le_bytes).collect::<Vec<_>>();
+    let bits = words(&mut run.keys().map(|k| k.len() as u32));
+    let ends = words(&mut run.ends().iter().copied());
+    let arrays = [run.key_bytes(), &n[..], &bits[..], &n[..], &ends[..]].concat();
+    let keys_at = bytes.windows(arrays.len()).position(|w| w == arrays).expect("the run's arrays");
+    let key_len = run.keys().next().expect("two keys").as_bytes().len();
+    let bits_at = keys_at + run.key_bytes().len() + 8;
+    let ends_at = bits_at + bits.len() + 8;
 
     let damaged = |edit: &dyn Fn(&mut [u8])| {
         let mut b = bytes.clone();
-        edit(&mut b[entry..entry + 16]);
+        edit(&mut b);
         Snapshot::from_bytes(&b).map(|_| ()).unwrap_err()
     };
+    let last_end = ends_at + ends.len() - 4;
     for (what, err) in [
-        ("key index", damaged(&|e| e[..4].copy_from_slice(&u32::MAX.to_le_bytes()))),
-        ("list index", damaged(&|e| e[4..8].copy_from_slice(&u32::MAX.to_le_bytes()))),
-        ("two entries swapped", damaged(&|e| e.rotate_left(8))),
-        ("an entry twice", damaged(&|e| e.copy_within(..8, 8))),
+        (
+            "an end past the postings",
+            damaged(&|b| b[last_end..last_end + 4].copy_from_slice(&u32::MAX.to_le_bytes())),
+        ),
+        ("two ends swapped", damaged(&|b| b[ends_at..ends_at + 8].rotate_left(4))),
+        ("an empty entry", damaged(&|b| b.copy_within(ends_at..ends_at + 4, ends_at + 4))),
+        ("two keys swapped", damaged(&|b| b[keys_at..keys_at + 2 * key_len].rotate_left(key_len))),
+        ("a key twice", damaged(&|b| b.copy_within(keys_at..keys_at + key_len, keys_at + key_len))),
+        ("a bit length that does not tile", damaged(&|b| b[bits_at] = b[bits_at].wrapping_add(8))),
     ] {
         assert!(matches!(err, SnapError::Corrupt(_)), "{what}: got {err:?}");
         assert_eq!(err.exit_code(), 2);
@@ -576,18 +595,17 @@ fn a_posting_that_does_not_fit_its_triple_is_corrupt() {
     }
 }
 
-/// Every stored list with a copy of what it held.
-fn held_lists(engine: &SimilarityEngine) -> Vec<(sqo_overlay::PostingList<Posting>, String)> {
+/// Every stored run with a copy of what it held.
+fn held_runs(engine: &SimilarityEngine) -> Vec<(PartitionStore<Posting>, String)> {
     let state = engine.network().export_state();
-    let tables = state.store_tables();
-    tables.lists.iter().map(|l| (sqo_overlay::PostingList::clone(l), format!("{l:?}"))).collect()
+    state.stores().iter().map(|run| (run.clone(), format!("{run:?}"))).collect()
 }
 
 /// A snapshot is a set of handles onto the live runs, and stays what it
 /// was: a publish into the engine it was captured from, and one into an
 /// engine forked from it, each copy the runs they write first. The
 /// snapshot encodes to the bytes taken before either write, a second fork
-/// answers as before, and a reader holding a list from before sees it
+/// answers as before, and a reader holding a run from before sees it
 /// unchanged.
 #[test]
 fn a_fork_is_isolated_from_its_source() {
@@ -595,8 +613,8 @@ fn a_fork_is_isolated_from_its_source() {
     let mut live = build(&words);
     let snap = Snapshot::capture(&live);
     let before = snap.to_bytes();
-    let held = held_lists(&live);
-    // The same words again under new oids: every gram and value list of
+    let held = held_runs(&live);
+    // The same words again under new oids: every gram and value entry of
     // the world is appended to, and `w:0` gains a field.
     let mut extra = string_rows("word", &words, "again");
     extra.push(Row::new("w:0", [("note", "added later")]));
@@ -622,23 +640,18 @@ fn a_fork_is_isolated_from_its_source() {
     assert!(!with_note(&mut untouched));
     assert!(!with_note(&mut snap.restore_engine(live.config())));
 
-    assert!(held.iter().all(|(list, was)| format!("{list:?}") == *was), "a reader's list changed");
-    assert_eq!(held.len(), held_lists(&untouched).len());
-    // Lists of `b` that are the very allocations `a` holds.
+    assert!(held.iter().all(|(run, was)| format!("{run:?}") == *was), "a reader's run changed");
+    assert_eq!(held.len(), held_runs(&untouched).len());
+    // Runs of `b` that are the very runs `a` holds.
     let shared = |a: &SimilarityEngine, b: &SimilarityEngine| {
-        let of_a: std::collections::HashSet<_> =
-            held_lists(a).iter().map(|(list, _)| std::sync::Arc::as_ptr(list)).collect();
-        held_lists(b)
-            .iter()
-            .filter(|(list, _)| of_a.contains(&std::sync::Arc::as_ptr(list)))
-            .count()
+        let (of_a, of_b) = (held_runs(a), held_runs(b));
+        of_a.iter().zip(&of_b).filter(|((x, _), (y, _))| x.shares_with(y)).count()
     };
     assert_eq!(shared(&untouched, &snap.restore_engine(live.config())), held.len());
     let kept = shared(&untouched, &written);
     assert!(
         0 < kept && kept < held.len(),
-        "a write copies the handles of the runs it touches and the lists it appends to, \
-         nothing else: {kept} of {} lists still shared",
+        "a write copies the runs it touches, nothing else: {kept} of {} runs still shared",
         held.len()
     );
 }
@@ -666,7 +679,7 @@ fn string_sharing(engine: &SimilarityEngine) -> [(usize, usize); 2] {
     let (mut attrs, mut attr_ptrs) = (HashSet::new(), HashSet::new());
     let (mut grams, mut gram_ptrs) = (HashSet::new(), HashSet::new());
     let state = engine.network().export_state();
-    for p in state.store_tables().lists.into_iter().flat_map(|list| list.iter()) {
+    for p in state.stores().iter().flat_map(|run| run.items()) {
         let attr = p.triple().attr().as_str();
         attr_ptrs.insert(attr.as_ptr());
         attrs.insert(attr);
@@ -716,12 +729,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// digests this same test body printed on the parent commit (4e80e82,
 /// schema v3), with delegation on and off, re-measured once when peers
 /// went where the data is — a new dealing, new routing tables and shorter
-/// publication routes, in the same wire format. Otherwise re-measure them
-/// only together with a `sqo_snap::SCHEMA_VERSION` bump.
+/// publication routes, in the same wire format — and once more at schema
+/// v4, when a run began to travel as its own arrays instead of through
+/// network-wide key and list tables. Otherwise re-measure them only
+/// together with a `sqo_snap::SCHEMA_VERSION` bump.
 #[test]
 fn a_world_grown_by_publishes_reaches_the_bytes_the_per_posting_path_wrote() {
     let rows = string_rows("word", &bible_words(420, 7), "w");
-    for (delegation, digest) in [(true, 0x7bab_aa9f_5600_91e1), (false, 0x09d5_6fbc_141a_dfad)] {
+    for (delegation, digest) in [(true, 0xd6fb_b8a3_f111_45b9), (false, 0x00b7_6aae_df29_7485)] {
         let mut engine = EngineBuilder::new()
             .peers(64)
             .replication(2)
@@ -735,35 +750,99 @@ fn a_world_grown_by_publishes_reaches_the_bytes_the_per_posting_path_wrote() {
         let from = engine.random_peer();
         engine.publish_rows_traced(&rows[380..], from);
         let bytes = Snapshot::capture(&engine).to_bytes();
-        assert_eq!(SCHEMA_VERSION, 3);
+        assert_eq!(SCHEMA_VERSION, 4);
         assert_eq!(
             fnv1a(&bytes),
             digest,
-            "delegation {delegation}: artifact is {} bytes",
-            bytes.len()
+            "delegation {delegation}: artifact is {} bytes, digest {:#018x}",
+            bytes.len(),
+            fnv1a(&bytes)
         );
     }
 }
 
-/// The artifact's key table is derived while encoding: exactly the
-/// distinct stored keys, in key order, each run entry pointing at its own
-/// key.
+/// Each run travels as the arrays it is and decodes to them: the same key
+/// bytes, keys, ends and postings, partition by partition, in a world grown
+/// by a publish after its build.
 #[test]
-fn the_key_table_is_the_sorted_distinct_set_of_stored_keys() {
+fn every_run_decodes_to_the_arrays_it_was_written_from() {
     let words = words();
     let mut engine = build(&words);
     let from = engine.random_peer();
     engine.publish_rows_traced(&string_rows("word", &bible_words(60, 99), "x"), from);
-    let net = engine.network();
-    let mut stored: Vec<_> =
-        (0..net.partition_count()).flat_map(|part| net.partition_store(part).keys()).collect();
-    stored.sort();
-    stored.dedup();
-    let state = net.export_state();
-    let tables = state.store_tables();
-    assert_eq!(tables.keys, stored);
-    for (part, run) in tables.stores.iter().enumerate() {
-        let keys = run.iter().map(|(kid, _)| tables.keys[*kid as usize]);
-        assert!(keys.eq(net.partition_store(part).keys()));
+    let bytes = Snapshot::capture(&engine).to_bytes();
+    let decoded = Snapshot::from_bytes(&bytes).expect("decodes");
+    let (live, thawed) = (engine.network().export_state(), &decoded.world.net);
+    assert_eq!(live.stores().len(), thawed.stores().len());
+    for (part, (a, b)) in live.stores().iter().zip(thawed.stores()).enumerate() {
+        assert_eq!(a.key_bytes(), b.key_bytes(), "partition {part}");
+        assert!(a.keys().eq(b.keys()), "partition {part}");
+        assert_eq!(a.ends(), b.ends(), "partition {part}");
+        assert_eq!(a.items(), b.items(), "partition {part}");
     }
+}
+
+/// A hostile image: a run that lacks a key shorter than the trie depth
+/// which a later sibling under the same short key holds — when the encoder
+/// indexed every run's keys in one network-wide table, the sibling's key
+/// was looked up in it and not found. Each run is written as its own arrays
+/// and no run is looked up in another, so the image encodes, decodes and
+/// restores to itself without a panic.
+#[test]
+fn a_run_that_lacks_a_short_key_its_siblings_hold_round_trips() {
+    let mut engine = build(&words());
+    // A key shorter than the trie under two peered partitions: their
+    // paths' common prefix, published with a posting the world holds.
+    let net = engine.network();
+    let peered = net.topology().peered_in(0, net.partition_count());
+    let (first, later) = (peered[0] as usize, peered[1] as usize);
+    let (a, b) = (&net.paths()[first], &net.paths()[later]);
+    let short = a.prefix(a.common_prefix_len(b));
+    let posting = net.partition_store(first).items()[0].clone();
+    assert_eq!(engine.network_mut().insert_item(short.clone(), posting), 0);
+    let state = engine.network().export_state();
+    let topo = state.topology();
+    // The first run without it, rebuilt from its arrays.
+    assert!(state.stores()[later].exact_entry(&short).is_some(), "the later run holds it");
+    let run = &state.stores()[first];
+    let kept: Vec<_> = run.iter().filter(|(k, _)| *k != short.as_ref()).collect();
+    assert_eq!(kept.len() + 1, run.len(), "the first run held the short key");
+    let mut ends = Vec::new();
+    for (_, items) in &kept {
+        ends.push(ends.last().copied().unwrap_or(0) + items.len() as u32);
+    }
+    let lacking = SortedStore::from_parts(
+        kept.iter().flat_map(|(k, _)| k.as_bytes().to_vec()).collect(),
+        &kept.iter().map(|(k, _)| k.len() as u32).collect::<Vec<_>>(),
+        ends,
+        kept.iter().flat_map(|(_, items)| items.to_vec()).collect(),
+    )
+    .expect("a run less one entry is a run");
+    let mut stores = state.stores().to_vec();
+    stores[first] = PartitionStore::from_store(lacking);
+    let hostile = NetworkState::new(
+        state.config().clone(),
+        topo.clone(),
+        state.alive().to_vec(),
+        stores,
+        *state.metrics(),
+        state.peer_loads().to_vec(),
+        state.next_trace_query(),
+        state.cache_epoch(),
+        state.rng_words(),
+    )
+    .expect("each run is valid on its own");
+    let image = format!("{hostile:?}");
+    let hostile = SimilarityEngine::from_parts(
+        engine.config().clone(),
+        Network::import_state(&hostile),
+        *engine.publish_stats(),
+        0,
+        None,
+    );
+
+    let bytes = Snapshot::capture(&hostile).to_bytes();
+    let restored = Snapshot::from_bytes(&bytes).expect("decodes").restore_engine(engine.config());
+    assert_eq!(format!("{:?}", restored.network().export_state()), image);
+    assert_eq!(Snapshot::capture(&restored).to_bytes(), bytes);
 }

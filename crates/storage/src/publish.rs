@@ -27,9 +27,11 @@
 //! bytes — two attribute names that share their first 32 bytes truncate to
 //! the same key, and a batch must not hold one key under two ids. Ordering
 //! a batch is then a sort of its distinct keys
-//! ([`PostingBatch::key_order`]) and a counting pass over its postings
-//! ([`PostingBatch::into_groups`]): no comparison ever looks at a posting.
-//! Per triple nothing is allocated; per distinct key, its bytes.
+//! ([`PostingBatch::key_order`]) and a counting pass that moves every
+//! posting straight into its place in one key-ordered array
+//! ([`PostingBatch::into_groups`]) — the batch becomes a run, as the
+//! overlay stores it: no comparison ever looks at a posting. Per triple
+//! nothing is allocated; per distinct key, its bytes.
 //!
 //! [`postings_for_rows`] is the same batch flattened — one cloned key per
 //! posting — and, posting for posting, what publishing the triples one at a
@@ -42,8 +44,8 @@ use crate::triple::{Row, Triple, ValueRef};
 use rustc_hash::{FxHashMap, FxHashSet};
 use sqo_overlay::hash::order_bits_f64;
 use sqo_overlay::key::Key;
-use sqo_overlay::network::KeyedLists;
 use sqo_overlay::peer::Item;
+use sqo_overlay::SortedStore;
 use sqo_strsim::qgram::qgram_spans;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -170,42 +172,47 @@ impl PostingBatch {
         order
     }
 
-    /// The batch as the overlay stores it: one `(key, postings)` group per
-    /// key that still has postings, keys ascending, the postings of a key
-    /// in generation order. `order` is [`Self::key_order`] of this batch,
+    /// The batch as the overlay stores it: a run of one entry per key that
+    /// still has postings, keys ascending, the postings of a key in
+    /// generation order. `order` is [`Self::key_order`] of this batch,
     /// taken before or after a [`Self::retain`]; a caller that has no use
     /// for the order itself takes [`Self::into_sorted_groups`]. A counting
-    /// pass: every posting moves once, straight into its list, and each
-    /// list's buffer and handle are allocated back to back, in key order.
+    /// pass: each key's postings start where the keys before it end, and
+    /// every posting moves once, straight into its place in the run's one
+    /// posting array.
     ///
     /// # Panics
-    /// If `order` leaves out the id of a key that has postings.
-    pub fn into_groups(self, order: &[u32]) -> KeyedLists<Posting> {
+    /// If `order` leaves out the id of a key that has postings, or is not
+    /// the ascending order of the keys.
+    pub fn into_groups(self, order: &[u32]) -> SortedStore<Posting> {
         let count = self.postings_per_key();
-        let Self { mut keys, entries } = self;
-        // Where each key's group lies; a key without postings has none.
-        let mut slot = vec![usize::MAX; keys.len()];
-        let mut groups = Vec::with_capacity(order.len());
-        for &id in order {
-            let id = id as usize;
-            if count[id] > 0 {
-                slot[id] = groups.len();
-                groups
-                    .push((std::mem::take(&mut keys[id]), Arc::new(Vec::with_capacity(count[id]))));
-            }
+        let Self { keys, entries } = self;
+        // A run counts its items in `u32`s, and so does `end` below.
+        u32::try_from(entries.len()).expect("a batch stays under 2^32 postings");
+        let (mut bytes, mut bits, mut ends) = (Vec::new(), Vec::new(), Vec::new());
+        // Where the next posting of each key goes.
+        let mut next = vec![0u32; keys.len()];
+        let mut end = 0;
+        for &id in order.iter().filter(|id| count[**id as usize] > 0) {
+            let key = &keys[id as usize];
+            bytes.extend_from_slice(key.as_bytes());
+            bits.push(key.len() as u32);
+            next[id as usize] = end;
+            end += count[id as usize] as u32;
+            ends.push(end);
         }
-        let mut lists: Vec<&mut Vec<Posting>> = groups
-            .iter_mut()
-            .map(|(_, list)| Arc::get_mut(list).expect("made above and not shared yet"))
-            .collect();
+        let mut slots: Vec<Option<Posting>> = vec![None; entries.len()];
         for (id, posting) in entries {
-            lists[slot[id as usize]].push(posting);
+            let at = &mut next[id as usize];
+            slots[*at as usize] = Some(posting);
+            *at += 1;
         }
-        groups
+        let postings = slots.into_iter().map(|p| p.expect("order names every key")).collect();
+        SortedStore::from_parts(bytes, &bits, ends, postings).expect("`order` sorts the keys")
     }
 
     /// [`Self::into_groups`] in the batch's own [`Self::key_order`].
-    pub fn into_sorted_groups(self) -> KeyedLists<Posting> {
+    pub fn into_sorted_groups(self) -> SortedStore<Posting> {
         let order = self.key_order();
         self.into_groups(&order)
     }

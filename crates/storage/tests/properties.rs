@@ -63,9 +63,8 @@ fn inline_counts_and_ids_agree_with_the_record_in_every_world() {
 
     for (what, engine) in [("built", &built), ("grown", &grown), ("decoded", &decoded)] {
         let state = engine.network().export_state();
-        let tables = state.store_tables();
         let (mut numbers, mut kinds) = (0, std::collections::HashSet::new());
-        for p in tables.lists.iter().flat_map(|list| list.iter()) {
+        for p in state.stores().iter().flat_map(|run| run.items()) {
             let t = p.triple();
             assert_eq!(p.char_len(), t.char_len(), "{what}: {p:?}");
             assert_eq!(p.attr_id(), t.attr_id(), "{what}: {p:?}");
@@ -335,10 +334,9 @@ proptest! {
 
         let (batch, flat_stats) = postings_for_rows(&rows, &cfg);
         prop_assert_eq!(flat_stats, stats);
-        let flattened = |groups: Vec<(Key, sqo_overlay::PostingList<Posting>)>| -> Vec<(Key, Posting)> {
-            groups
-                .into_iter()
-                .flat_map(|(k, list)| list.iter().cloned().map(move |p| (k.clone(), p)).collect::<Vec<_>>())
+        let flattened = |run: sqo_overlay::SortedStore<Posting>| -> Vec<(Key, Posting)> {
+            run.iter()
+                .flat_map(|(k, items)| items.iter().map(move |p| (k.to_key(), p.clone())))
                 .collect()
         };
         let mut sorted = batch.clone();

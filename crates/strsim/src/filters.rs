@@ -39,17 +39,21 @@ impl FilterConfig {
 ///
 /// A value `<= 0` means the filter cannot prune anything for these lengths.
 /// See the crate docs for why this deviates from the paper's (typo'd)
-/// formula.
+/// formula. The arithmetic saturates: a distance bound too large to count
+/// with (a query's `dist(..) < 2^62`) prunes nothing instead of
+/// overflowing.
 ///
 /// ```
 /// use sqo_strsim::count_filter_threshold;
 /// // "abcde" vs one substitution: 5 - 2 + 1 - 1*2 = 2 shared bigrams required.
 /// assert_eq!(count_filter_threshold(5, 5, 2, 1), 2);
 /// assert!(count_filter_threshold(4, 4, 3, 2) <= 0);
+/// assert!(count_filter_threshold(4, 4, 3, usize::MAX) <= 0);
 /// ```
 pub fn count_filter_threshold(len1: usize, len2: usize, q: usize, d: usize) -> i64 {
-    let m = len1.max(len2) as i64;
-    m - q as i64 + 1 - (d as i64) * (q as i64)
+    let wide = |v: usize| i64::try_from(v).unwrap_or(i64::MAX);
+    let m = wide(len1.max(len2));
+    m.saturating_sub(wide(q)).saturating_add(1).saturating_sub(wide(d).saturating_mul(wide(q)))
 }
 
 /// Length of `s` in characters, the unit the filters and edit distances

@@ -5,6 +5,11 @@ use crate::error::{Result, VqlError};
 use crate::lexer::{lex, Token};
 use sqo_storage::triple::Value;
 
+/// How deep `dist(..)` may nest in one operand. The parser, the planner and
+/// the executor each recurse once per level, so without a bound a hostile
+/// query could overflow the stack — an abort, not an error.
+pub const MAX_DIST_DEPTH: usize = 32;
+
 /// Parse a VQL query string into its AST.
 pub fn parse(input: &str) -> Result<Query> {
     let tokens = lex(input)?;
@@ -166,7 +171,7 @@ impl Parser {
     }
 
     fn filter_body(&mut self) -> Result<Filter> {
-        let left = self.operand()?;
+        let left = self.operand(0)?;
         let op = match self.next() {
             Some(Token::Lt) => CmpOp::Lt,
             Some(Token::Le) => CmpOp::Le,
@@ -176,22 +181,26 @@ impl Parser {
             Some(Token::Ne) => CmpOp::Ne,
             other => return Err(self.err(format!("expected comparison operator, found {other:?}"))),
         };
-        let right = self.operand()?;
+        let right = self.operand(0)?;
         Ok(Filter { left, op, right })
     }
 
-    fn operand(&mut self) -> Result<Operand> {
+    /// An operand inside `depth` enclosing `dist(..)`s.
+    fn operand(&mut self, depth: usize) -> Result<Operand> {
         match self.next() {
             Some(Token::Var(v)) => Ok(Operand::Var(v)),
             Some(Token::Str(s)) => Ok(Operand::Lit(Value::Str(s))),
             Some(Token::Ident(id)) => Ok(Operand::Lit(Value::Str(id))),
             Some(Token::Int(i)) => Ok(Operand::Lit(Value::Int(i))),
             Some(Token::Float(x)) => Ok(Operand::Lit(Value::Float(x))),
+            Some(Token::Dist) if depth == MAX_DIST_DEPTH => {
+                Err(self.err(format!("dist() nested deeper than {MAX_DIST_DEPTH}")))
+            }
             Some(Token::Dist) => {
                 self.expect(&Token::LParen, "'(' after dist")?;
-                let a = self.operand()?;
+                let a = self.operand(depth + 1)?;
                 self.expect(&Token::Comma, "',' in dist")?;
-                let b = self.operand()?;
+                let b = self.operand(depth + 1)?;
                 self.expect(&Token::RParen, "')' closing dist")?;
                 Ok(Operand::Dist(Box::new(a), Box::new(b)))
             }

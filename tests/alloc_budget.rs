@@ -6,7 +6,8 @@
 //! test guards the cause with an exact counter: a q-gram `similar` and a
 //! windowed `sim_join` on a fixed world must stay under a pinned number of
 //! heap allocations. The budgets sit above what the borrowing pipeline
-//! needed (117 and 1 073; 79 and 720 since a fetch ships handles) and far
+//! needed (117 and 1 073; 79 and 720 since a fetch ships handles, 79 and
+//! 710 since a reply is one plain copy of its items) and far
 //! below what the cloning pipeline it replaced needed (784 and 12 087,
 //! 4.5× and 14.6× the budgets), so re-introducing a per-posting copy fails
 //! here before anyone has to read a profile.
@@ -22,8 +23,9 @@
 //! (13 822 allocations for the 432 rows below), then printed each match
 //! once and copied its oid into a sort key (5 671), and now compares the
 //! rows where they lie, printing a number only when two oids tie.
-//! `Network::range_query` hands it the answering lists themselves where it
-//! used to flatten them into a vector (5 679 → 5 671).
+//! `Network::range_query` once flattened the answering lists into a vector
+//! and then handed the lists over themselves (5 679 → 5 671); a run is one
+//! array now, and its answer one copy of the items in range.
 //!
 //! An object fetch ships handles: each fetched oid is its deduplicated
 //! base postings, one buffer of 24-byte records, and the owned `Object` —
@@ -43,18 +45,20 @@
 //! the key tables and the output — nothing per triple, where every triple
 //! once cost three allocations and the offsets of its grams about six more
 //! (2 032 in all). One traced publish of the same rows never flattens: it
-//! allocates per *distinct key* — its bytes, its list's buffer and handle —
-//! and one sub-batch per partition reached, not per posting. When every
-//! posting was a store insert of its own behind a network-wide key
-//! interner, and every key was the end of a chain of `Key::concat`s, that
-//! call made 9 362 allocations; it made 3 328 with one hash-map group per
-//! partition, 3 182 grouped by one sort, 2 316 with the batch's triples in
-//! one slab, and makes 1 673 with a key made once per batch. The
-//! duplicate-rich row shows the same on data whose postings outnumber its
-//! keys ten times over: 200 painting titles are 8 763 postings under 888
-//! keys, and publishing them — into runs the checkpoint before still
-//! holds, so each run written is copied first — takes 2 785 allocations;
-//! a key per posting alone would be 8 763.
+//! allocates per *distinct key* only the key's bytes, and per partition
+//! reached its stretch of the batch and the merged run — four arrays each
+//! — not per posting. When every posting was a store insert of its own
+//! behind a network-wide key interner, and every key was the end of a
+//! chain of `Key::concat`s, that call made 9 362 allocations; it made
+//! 3 328 with one hash-map group per partition, 3 182 grouped by one sort,
+//! 2 316 with the batch's triples in one slab, 1 676 with a key made once
+//! per batch, and makes 687 now that a batch is one run, its postings in
+//! one array rather than a list per key. The duplicate-rich row shows the
+//! same on data whose postings outnumber its keys ten times over: 200
+//! painting titles are 8 763 postings under 888 keys, and publishing them —
+//! into runs the checkpoint before still holds, so each run written is
+//! copied first — took 2 797 allocations with a list per key and takes
+//! 1 083; a key per posting alone would be 8 763.
 //!
 //! Top-N, the multi-attribute conjunction and a VQL plan run the same
 //! probe → aggregate → fetch pipeline under more machinery (expanding
@@ -65,8 +69,12 @@
 //! take handles onto the live runs, so on this world (128 partitions, 128
 //! peers, 23 996 postings under 6 533 keys once the 100 rows are in) they
 //! allocate per partition and per peer — a path, a member list and a run
-//! handle each way, 531 allocations — where the deep image they replaced
-//! copied every key and every list twice over: 40 078.
+//! handle each way, 314 allocations — where the deep image they replaced
+//! copied every key and every list twice over: 40 078. Decoding the same
+//! world from its artifact (`Snapshot::from_bytes` + `restore_engine`)
+//! allocates per run — its arrays and its handle — and per partition and
+//! peer, 842 allocations, where it took 13 996 while every key's postings
+//! were a list of their own.
 //!
 //! One `#[test]` only, and a per-thread counter: nothing else allocates on
 //! the counted thread, so the counts are exact and repeat. They are the
@@ -138,9 +146,10 @@ const TOP_N_BUDGET: u64 = 1_600;
 const MULTI_BUDGET: u64 = 175;
 const VQL_BUDGET: u64 = 225;
 const POSTINGS_BUDGET: u64 = 1_400;
-const PUBLISH_BUDGET: u64 = 2_000;
-const TITLES_BUDGET: u64 = 3_300;
-const CHECKPOINT_BUDGET: u64 = 600;
+const PUBLISH_BUDGET: u64 = 800;
+const TITLES_BUDGET: u64 = 1_300;
+const CHECKPOINT_BUDGET: u64 = 370;
+const DECODE_BUDGET: u64 = 1_000;
 
 #[test]
 fn similar_and_sim_join_stay_within_their_allocation_budgets() {
@@ -204,6 +213,15 @@ fn similar_and_sim_join_stay_within_their_allocation_budgets() {
     let (restored, n) = allocations(|| Snapshot::capture(&engine).restore_engine(engine.config()));
     assert_eq!(restored.network().total_stored_items(), engine.network().total_stored_items());
     measured.push(("Snapshot::capture + restore_engine", n, CHECKPOINT_BUDGET));
+
+    let bytes = Snapshot::capture(&engine).to_bytes();
+    let (thawed, n) = allocations(|| {
+        Snapshot::from_bytes(&bytes)
+            .expect("an artifact just written")
+            .restore_engine(engine.config())
+    });
+    assert_eq!(thawed.network().total_stored_items(), engine.network().total_stored_items());
+    measured.push(("Snapshot::from_bytes + restore_engine", n, DECODE_BUDGET));
 
     let titles = string_rows("title", &painting_titles(200, 5), "t");
     let (stats, n) = allocations(|| engine.publish_rows_traced(&titles, from));
