@@ -17,6 +17,8 @@
 use serde::Serialize;
 use sqo_core::{EngineBuilder, SimilarityEngine, Strategy};
 use sqo_datasets::{bible_words, string_rows};
+use sqo_plan::{Query, Session};
+use sqo_storage::triple::Value;
 use sqo_strsim::filters::FilterConfig;
 
 /// One ablation measurement.
@@ -87,12 +89,15 @@ impl Fixture {
         let mut total_bytes = 0u64;
         for query in &self.queries {
             let from = engine.random_peer();
-            let res = engine.similar(query, Some("word"), self.d, from, strategy);
+            let q = Query::similar(query.as_str(), Some("word"), self.d).strategy(strategy);
+            let res = Session::new(engine, from).run(&q).expect("a similarity query plans");
             candidates += res.stats.candidates;
             total_msgs += res.stats.traffic.messages;
             total_bytes += res.stats.traffic.bytes;
-            for m in res.matches {
-                matches.push((query.clone(), m.matched));
+            for row in res.rows {
+                if let Value::Str(matched) = row.value {
+                    matches.push((query.clone(), matched));
+                }
             }
         }
         let nq = self.queries.len() as f64;

@@ -14,11 +14,10 @@
 //! reproduces the paper-scale run (106,704 words / 66,349 titles, 40
 //! initiations, up to 131,072 peers).
 
+use crate::workload::{run_workload, WorkloadReport, WorkloadSpec};
 use serde::Serialize;
 use sqo_core::{EngineBuilder, SimilarityEngine, Strategy};
-use sqo_datasets::{
-    bible_words, painting_titles, run_workload, string_rows, WorkloadReport, WorkloadSpec,
-};
+use sqo_datasets::{bible_words, painting_titles, string_rows};
 
 /// Which of the paper's two datasets a run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]

@@ -25,3 +25,4 @@ pub mod latency;
 pub mod meta;
 pub mod routing;
 pub mod storage_overhead;
+pub mod workload;

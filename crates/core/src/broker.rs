@@ -101,6 +101,7 @@ impl ProbeFilter<'_> {
 mod tests {
     use super::*;
     use crate::engine::EngineBuilder;
+    use crate::similar::tests::similar;
     use crate::similar::Strategy;
     use sqo_storage::keys::instance_gram_key;
     use sqo_storage::publish::{postings_for_rows, PublishConfig};
@@ -144,7 +145,7 @@ mod tests {
         // And end to end, through routing, delegation and verification.
         let mut e = EngineBuilder::new().peers(16).seed(3).build_with_rows(&rows);
         let from = e.random_peer();
-        let res = e.similar("painting", Some(&right), 1, from, Strategy::QGrams);
+        let res = similar(&mut e, "painting", Some(&right), 1, from, Strategy::QGrams);
         let oids: Vec<&str> = res.matches.iter().map(|m| m.oid.as_str()).collect();
         assert_eq!(oids, ["o:2"]);
     }

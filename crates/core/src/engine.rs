@@ -177,18 +177,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Default string-similarity strategy for queries that don't pick one.
-    pub fn default_strategy(mut self, s: crate::similar::Strategy) -> Self {
-        self.cfg.query.strategy = s;
-        self
-    }
-
-    /// Replace the whole per-query defaults block at once.
-    pub fn query_defaults(mut self, q: QueryDefaults) -> Self {
-        self.cfg.query = q;
-        self
-    }
-
     /// Full publish configuration (index family toggles).
     pub fn publish_config(mut self, p: PublishConfig) -> Self {
         self.cfg.publish = p;
@@ -373,11 +361,6 @@ impl SimilarityEngine {
     /// on; the broker never overrides a delegation-off A/B baseline).
     pub fn cache_active(&self) -> bool {
         self.cfg.query.delegation && self.broker.as_ref().is_some_and(|b| b.cache_enabled())
-    }
-
-    /// True when an installed broker coalesces cross-query probes.
-    pub fn batching_active(&self) -> bool {
-        self.cfg.query.delegation && self.broker.as_ref().is_some_and(|b| b.batch_enabled())
     }
 
     /// Lifetime service counters of the installed broker (hit rate,
@@ -686,12 +669,17 @@ impl SimilarityEngine {
         parts
     }
 
-    /// One probe branch (see [`Self::probe_keys`] for the cost model): with
-    /// delegation, one routed query chain to the keys' partition, local
-    /// scans + filtering there, one combined reply carrying only survivors;
-    /// without, a full independent `Retrieve` per key with the filter at the
-    /// initiator. Either way the filter reads the stored postings in place
-    /// and only survivors are copied.
+    /// One probe branch: with delegation, one routed query chain to the
+    /// keys' partition — each partition contacted exactly once ("we collect
+    /// the calls to Retrieve() and contact peers only once", §4) — local
+    /// scans, and **the filter run at the owning peer**: the delegated query
+    /// carries the search string and distance, so the owner prunes by
+    /// length/position locally and one combined reply carries only the
+    /// survivors (this is what makes the q-gram methods' data volume
+    /// sublinear). Without delegation, a full independent `Retrieve` per
+    /// key: the whole posting list is charged to the wire and filtered at
+    /// the initiator. Either way the filter reads the stored postings in
+    /// place and only survivors are copied.
     pub(crate) fn probe_branch(
         &mut self,
         from: PeerId,
@@ -752,44 +740,6 @@ impl SimilarityEngine {
         if owner != from {
             self.net.send_direct(owner, from, payload);
         }
-    }
-
-    /// Probe a set of exact index keys and return the postings stored under
-    /// them (prefix-extension semantics, matching `Retrieve`) that pass
-    /// `filter`.
-    ///
-    /// With delegation on, probes are grouped per responsible partition,
-    /// each partition is contacted exactly once ("we collect the calls to
-    /// Retrieve() and contact peers only once", §4), **and the filter runs
-    /// at the owning peer** — the delegated query carries the search string
-    /// and distance, so the owner prunes by length/position locally and
-    /// only surviving postings travel (this is what makes the q-gram
-    /// methods' data volume sublinear; shipping raw posting lists of hot
-    /// grams would dwarf everything else). With delegation off, each key is
-    /// a full independent `Retrieve`: the whole posting list is charged to
-    /// the wire and filtering happens at the initiator.
-    ///
-    /// This is the synchronous form; stepped execution runs the same
-    /// branches one [`ExecStep`] at a time (see [`crate::similar`]), which
-    /// is why only the batching contract tests call it directly.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn probe_keys(
-        &mut self,
-        from: PeerId,
-        keys: &[Key],
-        filter: &ProbeFilter<'_>,
-    ) -> Vec<Posting> {
-        let branches = self.plan_probe_parts(keys);
-        let mut out = Vec::new();
-        // Per-partition probes are independent sub-requests: each branch
-        // routes, scans and replies on its own timeline.
-        self.net.sim_fork();
-        for (_part, keys) in branches {
-            self.net.sim_branch();
-            out.extend(self.probe_branch(from, &keys, filter));
-        }
-        self.net.sim_join();
-        out
     }
 
     // ------------------------------------------------------------------
@@ -1063,10 +1013,11 @@ impl SimilarityEngine {
 
     /// Fetch the complete objects for a set of oids (Algorithm 2's
     /// "build complete object o from T′" step), batched per partition when
-    /// delegation is on. Returns oid → assembled object. Synchronous form
-    /// of the same branches the stepped operators schedule one at a time
-    /// (the plan executor uses it to materialize the scanned side of a
-    /// build-side-swapped join).
+    /// delegation is on. Returns oid → assembled object; an oid nothing is
+    /// stored under maps to an object without fields. Synchronous form of
+    /// the same branches the stepped operators schedule one at a time (the
+    /// plan executor uses it for a lookup by oid, and to materialize the
+    /// scanned side of a build-side-swapped join).
     pub fn fetch_objects(
         &mut self,
         from: PeerId,
@@ -1111,18 +1062,6 @@ impl SimilarityEngine {
                 Vec::new()
             }
         }
-    }
-
-    /// Direct object lookup by oid (public convenience).
-    pub fn lookup_object(&mut self, from: PeerId, oid: &str) -> (Option<Object>, QueryStats) {
-        let snap = self.begin_query();
-        let mut set = FxHashSet::default();
-        set.insert(oid.to_string());
-        let mut objs = self.fetch_objects(from, &set);
-        let obj = objs.remove(oid).filter(|o| !o.fields.is_empty());
-        let mut stats = self.finish_query(&snap);
-        stats.matches = usize::from(obj.is_some());
-        (obj, stats)
     }
 
     // ------------------------------------------------------------------
@@ -1331,24 +1270,41 @@ mod tests {
         ]
     }
 
+    /// Fetch one object by oid: `None` when nothing is stored under it.
+    fn lookup(e: &mut SimilarityEngine, from: PeerId, oid: &str) -> Option<Object> {
+        let mut objects = e.fetch_objects(from, &[oid.to_string()].into_iter().collect());
+        objects.remove(oid).filter(|o| !o.fields.is_empty())
+    }
+
     #[test]
     fn build_and_lookup_object() {
         let mut e = EngineBuilder::new().peers(16).seed(3).build_with_rows(&cars());
         let from = e.random_peer();
-        let (obj, stats) = e.lookup_object(from, "car:1");
-        let obj = obj.expect("object exists");
+        let obj = lookup(&mut e, from, "car:1").expect("object exists");
         assert_eq!(obj.get("name"), Some(&Value::from("BMW 320d")));
         assert_eq!(obj.get("hp"), Some(&Value::from(190)));
-        assert_eq!(stats.matches, 1);
     }
 
     #[test]
     fn lookup_missing_object() {
         let mut e = EngineBuilder::new().peers(16).build_with_rows(&cars());
         let from = e.random_peer();
-        let (obj, stats) = e.lookup_object(from, "car:999");
-        assert!(obj.is_none());
-        assert_eq!(stats.matches, 0);
+        assert!(lookup(&mut e, from, "car:999").is_none());
+    }
+
+    /// Every branch of a probe of `keys`, back to back: what the stepped
+    /// operators issue one branch per step.
+    fn probe_all(
+        e: &mut SimilarityEngine,
+        from: PeerId,
+        keys: &[Key],
+        filter: &ProbeFilter<'_>,
+    ) -> Vec<Posting> {
+        let mut out = Vec::new();
+        for (_part, branch) in e.plan_probe_parts(keys) {
+            out.extend(e.probe_branch(from, &branch, filter));
+        }
+        out
     }
 
     /// The filter a `Similar(s, attr, d)` query would carry, with its
@@ -1384,7 +1340,7 @@ mod tests {
                 .build_with_rows(&rows);
             let from = e.random_peer();
             let snap = e.begin_query();
-            let mut got = e.probe_keys(from, &keys, &filter);
+            let mut got = probe_all(&mut e, from, &keys, &filter);
             got.sort_by(|a, b| a.oid().cmp(b.oid()));
             let stats = e.finish_query(&snap);
             (got.len(), stats.traffic.messages)
@@ -1491,12 +1447,12 @@ mod tests {
             assert_eq!(postings, pinned_postings, "delegation {delegation}, broker {broker}");
             assert_eq!(traffic, pinned, "delegation {delegation}, broker {broker}");
         }
-        // The synchronous form is the same branches back to back.
+        // Without a broker, a brokered branch is the plain one.
         for delegation in [true, false] {
             let mut e = build(delegation, false);
             let from = e.random_peer();
             let snap = e.begin_query();
-            let got = e.probe_keys(from, &keys, &filter);
+            let got = probe_all(&mut e, from, &keys, &filter);
             assert_eq!(digest(got), pinned_postings);
             assert_eq!(e.finish_query(&snap).traffic, run(delegation, false, 1).1);
         }
@@ -1635,7 +1591,7 @@ mod tests {
         let mut e = EngineBuilder::new().peers(16).build_with_rows(&cars());
         e.publish_rows(&[Row::new("car:4", [("name", Value::from("VW Golf"))])]);
         let from = e.random_peer();
-        let (obj, _) = e.lookup_object(from, "car:4");
+        let obj = lookup(&mut e, from, "car:4");
         assert_eq!(obj.expect("published").get("name"), Some(&Value::from("VW Golf")));
         assert_eq!(e.publish_stats().rows, 4);
     }
@@ -1669,7 +1625,7 @@ mod tests {
                 messages += e.publish_rows_traced(&[row], from).traffic.messages;
             }
             // Data must actually be queryable afterwards.
-            let (obj, _) = e.lookup_object(from, "n:0");
+            let obj = lookup(&mut e, from, "n:0");
             assert_eq!(obj.expect("published").fields.len(), n_attrs);
             messages
         };

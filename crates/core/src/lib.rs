@@ -36,11 +36,11 @@ pub use engine::{
     finalize_stats, CardEstimate, CardSource, DegradePolicy, EngineBuilder, EngineConfig, ExecStep,
     QueryDefaults, SimilarityEngine, StepOutcome,
 };
-pub use multi::{AttrPredicate, MultiMatch, MultiResult, MultiStrategy, MultiTask};
+pub use multi::{AttrPredicate, MultiMatch, MultiStrategy, MultiTask};
 pub use ranking::Rank;
-pub use select::{SelectHit, SelectResult, SelectTask};
-pub use similar::{SimilarMatch, SimilarResult, SimilarTask, Strategy};
-pub use simjoin::{JoinOptions, JoinPair, JoinResult, JoinTask};
+pub use select::{SelectHit, SelectTask};
+pub use similar::{SimilarMatch, SimilarTask, Strategy};
+pub use simjoin::{JoinOptions, JoinPair, JoinTask};
 pub use sqo_cache::{BrokerConfig, BrokerCounters, CacheBatchBroker};
 pub use stats::QueryStats;
-pub use topn::{TopNItem, TopNResult, TopNTask};
+pub use topn::{TopNItem, TopNTask};

@@ -69,31 +69,6 @@ pub struct MultiMatch {
     pub bindings: Vec<(String, String, usize)>,
 }
 
-/// Result of a multi-attribute similarity query.
-#[derive(Debug, Clone)]
-pub struct MultiResult {
-    pub matches: Vec<MultiMatch>,
-    pub stats: QueryStats,
-}
-
-impl SimilarityEngine {
-    /// Conjunctive multi-attribute similarity selection — see module docs.
-    ///
-    /// # Panics
-    /// Panics if `preds` is empty.
-    pub fn similar_multi(
-        &mut self,
-        preds: &[AttrPredicate],
-        from: PeerId,
-        strategy: Strategy,
-        multi: MultiStrategy,
-    ) -> MultiResult {
-        let mut task = MultiTask::new(preds.to_vec(), from, strategy, multi);
-        let stats = self.run_task(&mut task);
-        MultiResult { matches: task.take_matches(), stats }
-    }
-}
-
 /// oid → (object, bindings found so far); an oid must appear in every
 /// sub-query's result to survive the intersection.
 type Alive = FxHashMap<String, (Object, Vec<(String, String, usize)>)>;
@@ -346,7 +321,27 @@ impl ExecStep for MultiTask {
 mod tests {
     use super::*;
     use crate::engine::EngineBuilder;
+    use crate::similar::tests::similar;
     use sqo_storage::triple::{Row, Value};
+
+    /// What a finished [`MultiTask`] answered.
+    struct Answer {
+        matches: Vec<MultiMatch>,
+        stats: QueryStats,
+    }
+
+    /// Run the conjunction `preds` from `from` to completion.
+    fn similar_multi(
+        e: &mut SimilarityEngine,
+        preds: &[AttrPredicate],
+        from: PeerId,
+        strategy: Strategy,
+        multi: MultiStrategy,
+    ) -> Answer {
+        let mut task = MultiTask::new(preds.to_vec(), from, strategy, multi);
+        let stats = e.run_task(&mut task);
+        Answer { matches: task.take_matches(), stats }
+    }
 
     fn contact_rows() -> Vec<Row> {
         vec![
@@ -368,10 +363,10 @@ mod tests {
     fn both_strategies_agree() {
         let mut e = EngineBuilder::new().peers(32).q(2).seed(70).build_with_rows(&contact_rows());
         let from = e.random_peer();
-        let a = e.similar_multi(&preds(), from, Strategy::QGrams, MultiStrategy::Intersect);
-        let b = e.similar_multi(&preds(), from, Strategy::QGrams, MultiStrategy::Pipelined);
+        let a = similar_multi(&mut e, &preds(), from, Strategy::QGrams, MultiStrategy::Intersect);
+        let b = similar_multi(&mut e, &preds(), from, Strategy::QGrams, MultiStrategy::Pipelined);
         let oids =
-            |r: &MultiResult| -> Vec<String> { r.matches.iter().map(|m| m.oid.clone()).collect() };
+            |r: &Answer| -> Vec<String> { r.matches.iter().map(|m| m.oid.clone()).collect() };
         assert_eq!(oids(&a), vec!["p:1", "p:2"]);
         assert_eq!(oids(&a), oids(&b));
         // Both carry per-attribute bindings.
@@ -386,8 +381,8 @@ mod tests {
     fn pipelined_never_costs_more() {
         let mut e = EngineBuilder::new().peers(64).q(2).seed(71).build_with_rows(&contact_rows());
         let from = e.random_peer();
-        let a = e.similar_multi(&preds(), from, Strategy::QGrams, MultiStrategy::Intersect);
-        let b = e.similar_multi(&preds(), from, Strategy::QGrams, MultiStrategy::Pipelined);
+        let a = similar_multi(&mut e, &preds(), from, Strategy::QGrams, MultiStrategy::Intersect);
+        let b = similar_multi(&mut e, &preds(), from, Strategy::QGrams, MultiStrategy::Pipelined);
         assert!(
             b.stats.traffic.messages <= a.stats.traffic.messages,
             "pipelined {} vs intersect {}",
@@ -405,9 +400,9 @@ mod tests {
             AttrPredicate::new("first", "zzzzzz", 1), // matches nothing
             AttrPredicate::new("last", "mueller", 1),
         ];
-        let a = e.similar_multi(&preds, from, Strategy::QGrams, MultiStrategy::Intersect);
+        let a = similar_multi(&mut e, &preds, from, Strategy::QGrams, MultiStrategy::Intersect);
         assert!(a.matches.is_empty());
-        let b = e.similar_multi(&preds, from, Strategy::QGrams, MultiStrategy::Pipelined);
+        let b = similar_multi(&mut e, &preds, from, Strategy::QGrams, MultiStrategy::Pipelined);
         assert!(b.matches.is_empty());
     }
 
@@ -416,8 +411,8 @@ mod tests {
         let mut e = EngineBuilder::new().peers(16).q(2).seed(73).build_with_rows(&contact_rows());
         let from = e.random_peer();
         let preds = vec![AttrPredicate::new("last", "mueller", 1)];
-        let multi = e.similar_multi(&preds, from, Strategy::QGrams, MultiStrategy::Pipelined);
-        let plain = e.similar("mueller", Some("last"), 1, from, Strategy::QGrams);
+        let multi = similar_multi(&mut e, &preds, from, Strategy::QGrams, MultiStrategy::Pipelined);
+        let plain = similar(&mut e, "mueller", Some("last"), 1, from, Strategy::QGrams);
         let mut a: Vec<&String> = multi.matches.iter().map(|m| &m.oid).collect();
         let mut b: Vec<&String> = plain.matches.iter().map(|m| &m.oid).collect();
         a.sort_unstable();
@@ -454,7 +449,7 @@ mod tests {
             AttrPredicate::new("c", "charlie", 1),
         ];
         for multi in [MultiStrategy::Intersect, MultiStrategy::Pipelined] {
-            let r = e.similar_multi(&preds, from, Strategy::QGrams, multi);
+            let r = similar_multi(&mut e, &preds, from, Strategy::QGrams, multi);
             assert_eq!(r.matches.len(), 1, "{multi:?}");
             assert_eq!(r.matches[0].oid, "x:1");
             assert_eq!(r.matches[0].bindings.len(), 3);
@@ -466,6 +461,6 @@ mod tests {
     fn empty_predicates_panic() {
         let mut e = EngineBuilder::new().peers(8).build_with_rows(&contact_rows());
         let from = e.random_peer();
-        e.similar_multi(&[], from, Strategy::QGrams, MultiStrategy::Intersect);
+        similar_multi(&mut e, &[], from, Strategy::QGrams, MultiStrategy::Intersect);
     }
 }

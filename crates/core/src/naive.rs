@@ -125,6 +125,7 @@ impl SimilarityEngine {
 #[cfg(test)]
 mod tests {
     use crate::engine::EngineBuilder;
+    use crate::similar::tests::similar;
     use crate::similar::Strategy;
     use sqo_storage::triple::{Row, Value};
     use sqo_strsim::levenshtein;
@@ -141,7 +142,7 @@ mod tests {
     fn naive_matches_are_correct() {
         let mut e = EngineBuilder::new().peers(32).seed(20).build_with_rows(&rows());
         let from = e.random_peer();
-        let res = e.similar("painting", Some("title"), 1, from, Strategy::Naive);
+        let res = similar(&mut e, "painting", Some("title"), 1, from, Strategy::Naive);
         let mut found: Vec<&str> = res.matches.iter().map(|m| m.matched.as_str()).collect();
         found.sort_unstable();
         assert_eq!(found, vec!["painting", "paintxng"]);
@@ -197,7 +198,7 @@ mod tests {
             [("painting", Some(left.as_str())), ("päinting", Some(&left)), ("title", None)]
         {
             for d in 0..=3 {
-                let res = e.similar(query, attr, d, from, Strategy::Naive);
+                let res = similar(&mut e, query, attr, d, from, Strategy::Naive);
                 let mut got: Vec<(String, String, String, usize)> = res
                     .matches
                     .iter()
@@ -253,7 +254,10 @@ mod tests {
         let cost = |peers: usize| {
             let mut e = EngineBuilder::new().peers(peers).seed(21).build_with_rows(&data);
             let from = e.random_peer();
-            e.similar("tok0001en", Some("word"), 1, from, Strategy::Naive).stats.traffic.messages
+            similar(&mut e, "tok0001en", Some("word"), 1, from, Strategy::Naive)
+                .stats
+                .traffic
+                .messages
         };
         let small = cost(16);
         let large = cost(256);
@@ -272,7 +276,7 @@ mod tests {
         ];
         let mut e = EngineBuilder::new().peers(16).seed(22).build_with_rows(&data);
         let from = e.random_peer();
-        let res = e.similar("dealer", None, 1, from, Strategy::Naive);
+        let res = similar(&mut e, "dealer", None, 1, from, Strategy::Naive);
         let mut attrs: Vec<&str> = res.matches.iter().map(|m| m.attr.as_str()).collect();
         attrs.sort_unstable();
         assert_eq!(attrs, vec!["dealer", "dealerx"]);

@@ -21,58 +21,6 @@ pub struct SelectHit {
     pub object: Object,
 }
 
-/// Result of a selection.
-#[derive(Debug, Clone)]
-pub struct SelectResult {
-    pub hits: Vec<SelectHit>,
-    pub stats: QueryStats,
-}
-
-impl SimilarityEngine {
-    /// `σ(A = v)`: exact-match selection via `key(A # v)`.
-    pub fn select_exact(&mut self, attr: &str, v: &Value, from: PeerId) -> SelectResult {
-        self.run_select(SelectTask::exact(attr, v.clone(), from))
-    }
-
-    /// `σ(lo <= A <= hi)`: range selection via the order-preserving keys.
-    pub fn select_range(
-        &mut self,
-        attr: &str,
-        lo: &Value,
-        hi: &Value,
-        from: PeerId,
-    ) -> SelectResult {
-        self.run_select(SelectTask::range(attr, lo.clone(), hi.clone(), from))
-    }
-
-    /// Numeric similarity selection: `dist(A, v) <= eps` mapped to the range
-    /// `[v − eps, v + eps]` and "processed as a range query" (§4).
-    pub fn select_numeric_similar(
-        &mut self,
-        attr: &str,
-        v: &Value,
-        eps: f64,
-        from: PeerId,
-    ) -> SelectResult {
-        self.run_select(SelectTask::numeric_similar(attr, v.clone(), eps, from))
-    }
-
-    /// Keyword selection: "any attribute = v" via the value index `key(v)`.
-    pub fn select_keyword(&mut self, v: &Value, from: PeerId) -> SelectResult {
-        self.run_select(SelectTask::keyword(v.clone(), from))
-    }
-
-    /// All values of an attribute (full attribute scan; the join's line 1).
-    pub fn select_all(&mut self, attr: &str, from: PeerId) -> SelectResult {
-        self.run_select(SelectTask::full_scan(attr, from))
-    }
-
-    fn run_select(&mut self, mut task: SelectTask) -> SelectResult {
-        let stats = self.run_task(&mut task);
-        SelectResult { hits: task.take_hits(), stats }
-    }
-}
-
 /// A selection as a resumable task: scan (retrieve / range fan-out) →
 /// per-partition object fetches → assemble, one step each.
 pub struct SelectTask {
@@ -334,9 +282,15 @@ fn sort_matches(matched: &mut [(String, Value)]) {
 
 #[cfg(test)]
 mod tests {
-    use super::sort_matches;
-    use crate::engine::EngineBuilder;
+    use super::{sort_matches, SelectHit, SelectTask};
+    use crate::engine::{EngineBuilder, SimilarityEngine};
     use sqo_storage::triple::{Row, Value};
+
+    /// Run `task` to completion: its hits.
+    fn run(e: &mut SimilarityEngine, mut task: SelectTask) -> Vec<SelectHit> {
+        e.run_task(&mut task);
+        task.take_hits()
+    }
 
     #[test]
     fn matches_sort_by_oid_then_by_printed_value_and_stay_stable() {
@@ -397,17 +351,17 @@ mod tests {
     fn exact_selection() {
         let mut e = EngineBuilder::new().peers(16).seed(50).build_with_rows(&rows());
         let from = e.random_peer();
-        let res = e.select_exact("hp", &Value::Int(150), from);
-        assert_eq!(res.hits.len(), 1);
-        assert_eq!(res.hits[0].oid, "car:5");
+        let hits = run(&mut e, SelectTask::exact("hp", Value::Int(150), from));
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].oid, "car:5");
     }
 
     #[test]
     fn range_selection_numeric() {
         let mut e = EngineBuilder::new().peers(16).seed(51).build_with_rows(&rows());
         let from = e.random_peer();
-        let res = e.select_range("hp", &Value::Int(150), &Value::Int(200), from);
-        let mut oids: Vec<&str> = res.hits.iter().map(|h| h.oid.as_str()).collect();
+        let hits = run(&mut e, SelectTask::range("hp", Value::Int(150), Value::Int(200), from));
+        let mut oids: Vec<&str> = hits.iter().map(|h| h.oid.as_str()).collect();
         oids.sort_unstable();
         assert_eq!(oids, vec!["car:10", "car:5", "car:6", "car:7", "car:8", "car:9"]);
     }
@@ -416,16 +370,19 @@ mod tests {
     fn range_selection_strings() {
         let mut e = EngineBuilder::new().peers(16).seed(52).build_with_rows(&rows());
         let from = e.random_peer();
-        let res = e.select_range("name", &Value::from("model03"), &Value::from("model06"), from);
-        assert_eq!(res.hits.len(), 4);
+        let hits = run(
+            &mut e,
+            SelectTask::range("name", Value::from("model03"), Value::from("model06"), from),
+        );
+        assert_eq!(hits.len(), 4);
     }
 
     #[test]
     fn numeric_similarity_is_a_ball() {
         let mut e = EngineBuilder::new().peers(16).seed(53).build_with_rows(&rows());
         let from = e.random_peer();
-        let res = e.select_numeric_similar("hp", &Value::Int(200), 25.0, from);
-        let mut hps: Vec<i64> = res.hits.iter().map(|h| h.value.as_int().unwrap()).collect();
+        let hits = run(&mut e, SelectTask::numeric_similar("hp", Value::Int(200), 25.0, from));
+        let mut hps: Vec<i64> = hits.iter().map(|h| h.value.as_int().unwrap()).collect();
         hps.sort_unstable();
         assert_eq!(hps, vec![180, 190, 200, 210, 220]);
     }
@@ -439,8 +396,8 @@ mod tests {
         ];
         let mut e = EngineBuilder::new().peers(16).seed(54).build_with_rows(&data);
         let from = e.random_peer();
-        let res = e.select_keyword(&Value::from("shared"), from);
-        let mut oids: Vec<&str> = res.hits.iter().map(|h| h.oid.as_str()).collect();
+        let hits = run(&mut e, SelectTask::keyword(Value::from("shared"), from));
+        let mut oids: Vec<&str> = hits.iter().map(|h| h.oid.as_str()).collect();
         oids.sort_unstable();
         assert_eq!(oids, vec!["a:1", "a:2"]);
     }
@@ -449,7 +406,7 @@ mod tests {
     fn select_all_returns_every_value() {
         let mut e = EngineBuilder::new().peers(16).seed(55).build_with_rows(&rows());
         let from = e.random_peer();
-        let res = e.select_all("hp", from);
-        assert_eq!(res.hits.len(), 30);
+        let hits = run(&mut e, SelectTask::full_scan("hp", from));
+        assert_eq!(hits.len(), 30);
     }
 }

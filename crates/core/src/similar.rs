@@ -78,13 +78,6 @@ pub struct SimilarMatch {
     pub object: Object,
 }
 
-/// Result of a `Similar` invocation.
-#[derive(Debug, Clone)]
-pub struct SimilarResult {
-    pub matches: Vec<SimilarMatch>,
-    pub stats: QueryStats,
-}
-
 /// A stage-1 candidate: a concrete string occurrence on a concrete object.
 ///
 /// 72 bytes, as it was with three `String`s: the boxed text makes room for
@@ -109,24 +102,6 @@ impl Candidate {
     /// call it for survivors, not for everything scanned.
     pub(crate) fn new(oid: &str, attr: &str, text: &str, chars: usize) -> Self {
         Self { oid: oid.to_string(), attr: attr.to_string(), text: text.into(), chars }
-    }
-}
-
-impl SimilarityEngine {
-    /// `Similar(s, a, d, p)` — see module docs. `attr = None` selects the
-    /// schema level. Synchronous entry point: builds a [`SimilarTask`] and
-    /// drives its steps to completion back to back.
-    pub fn similar(
-        &mut self,
-        s: &str,
-        attr: Option<&str>,
-        d: usize,
-        from: PeerId,
-        strategy: Strategy,
-    ) -> SimilarResult {
-        let mut task = SimilarTask::new(s, attr, d, from, strategy);
-        let stats = self.run_task(&mut task);
-        SimilarResult { matches: task.take_matches(), stats }
     }
 }
 
@@ -670,10 +645,33 @@ impl ExecStep for SimilarTask {
 }
 
 #[cfg(test)]
-mod tests {
-    use crate::engine::EngineBuilder;
+pub(crate) mod tests {
+    use super::{SimilarMatch, SimilarTask};
+    use crate::engine::{EngineBuilder, SimilarityEngine};
     use crate::similar::Strategy;
+    use crate::stats::QueryStats;
+    use sqo_overlay::peer::PeerId;
     use sqo_storage::triple::{Row, Value};
+
+    /// What a finished [`SimilarTask`] answered.
+    pub(crate) struct Answer {
+        pub matches: Vec<SimilarMatch>,
+        pub stats: QueryStats,
+    }
+
+    /// Run `Similar(s, attr, d)` from `from` to completion.
+    pub(crate) fn similar(
+        e: &mut SimilarityEngine,
+        s: &str,
+        attr: Option<&str>,
+        d: usize,
+        from: PeerId,
+        strategy: Strategy,
+    ) -> Answer {
+        let mut task = SimilarTask::new(s, attr, d, from, strategy);
+        let stats = e.run_task(&mut task);
+        Answer { matches: task.take_matches(), stats }
+    }
 
     fn word_rows(words: &[&str]) -> Vec<Row> {
         words
@@ -688,7 +686,7 @@ mod tests {
         let rows = word_rows(&["similar", "simular", "similarity", "dissimilar", "overlay"]);
         let mut e = EngineBuilder::new().peers(32).seed(1).build_with_rows(&rows);
         let from = e.random_peer();
-        let res = e.similar("similar", Some("word"), 1, from, Strategy::QGrams);
+        let res = similar(&mut e, "similar", Some("word"), 1, from, Strategy::QGrams);
         let mut found: Vec<&str> = res.matches.iter().map(|m| m.matched.as_str()).collect();
         found.sort_unstable();
         assert_eq!(found, vec!["similar", "simular"]);
@@ -702,8 +700,8 @@ mod tests {
         let rows = word_rows(&["abcdefghijkl", "abcdefghijkx", "zzzzzzzzzzzz"]);
         let mut e = EngineBuilder::new().peers(32).seed(2).build_with_rows(&rows);
         let from = e.random_peer();
-        let full = e.similar("abcdefghijkl", Some("word"), 1, from, Strategy::QGrams);
-        let sampled = e.similar("abcdefghijkl", Some("word"), 1, from, Strategy::QSamples);
+        let full = similar(&mut e, "abcdefghijkl", Some("word"), 1, from, Strategy::QGrams);
+        let sampled = similar(&mut e, "abcdefghijkl", Some("word"), 1, from, Strategy::QSamples);
         assert!(sampled.stats.probes < full.stats.probes);
         let mut a: Vec<&str> = full.matches.iter().map(|m| m.matched.as_str()).collect();
         let mut b: Vec<&str> = sampled.matches.iter().map(|m| m.matched.as_str()).collect();
@@ -725,8 +723,7 @@ mod tests {
         let mut e = EngineBuilder::new().peers(48).seed(3).build_with_rows(&rows);
         let from = e.random_peer();
         let collect = |e: &mut crate::engine::SimilarityEngine, s: Strategy| {
-            let mut v: Vec<String> = e
-                .similar("paintingblue", Some("word"), 1, from, s)
+            let mut v: Vec<String> = similar(e, "paintingblue", Some("word"), 1, from, s)
                 .matches
                 .into_iter()
                 .map(|m| m.matched)
@@ -749,7 +746,7 @@ mod tests {
         ];
         let mut e = EngineBuilder::new().peers(24).seed(4).build_with_rows(&rows);
         let from = e.random_peer();
-        let res = e.similar("dlrid", None, 1, from, Strategy::QGrams);
+        let res = similar(&mut e, "dlrid", None, 1, from, Strategy::QGrams);
         let mut attrs: Vec<&str> = res.matches.iter().map(|m| m.attr.as_str()).collect();
         attrs.sort_unstable();
         assert_eq!(attrs, vec!["dlrid", "dlrjd"]);
@@ -761,7 +758,7 @@ mod tests {
         let mut e = EngineBuilder::new().peers(16).seed(5).build_with_rows(&rows);
         let from = e.random_peer();
         // |s| = 2 < q = 3: naive fallback, still complete.
-        let res = e.similar("ab", Some("word"), 1, from, Strategy::QGrams);
+        let res = similar(&mut e, "ab", Some("word"), 1, from, Strategy::QGrams);
         let mut found: Vec<&str> = res.matches.iter().map(|m| m.matched.as_str()).collect();
         found.sort_unstable();
         assert_eq!(found, vec!["ab", "ax"]);
@@ -773,7 +770,7 @@ mod tests {
         let rows = word_rows(&["ab", "abc", "zzz"]);
         let mut e = EngineBuilder::new().peers(16).seed(6).build_with_rows(&rows);
         let from = e.random_peer();
-        let res = e.similar("abc", Some("word"), 1, from, Strategy::QGrams);
+        let res = similar(&mut e, "abc", Some("word"), 1, from, Strategy::QGrams);
         let mut found: Vec<&str> = res.matches.iter().map(|m| m.matched.as_str()).collect();
         found.sort_unstable();
         assert_eq!(found, vec!["ab", "abc"], "short-family supplement must fire");
@@ -784,7 +781,7 @@ mod tests {
         let rows = word_rows(&["exact", "exalt"]);
         let mut e = EngineBuilder::new().peers(16).seed(7).build_with_rows(&rows);
         let from = e.random_peer();
-        let res = e.similar("exact", Some("word"), 0, from, Strategy::QGrams);
+        let res = similar(&mut e, "exact", Some("word"), 0, from, Strategy::QGrams);
         assert_eq!(res.matches.len(), 1);
         assert_eq!(res.matches[0].matched, "exact");
         assert_eq!(res.matches[0].distance, 0);
@@ -795,7 +792,7 @@ mod tests {
         let rows = word_rows(&["alpha", "beta"]);
         let mut e = EngineBuilder::new().peers(16).seed(8).build_with_rows(&rows);
         let from = e.random_peer();
-        let res = e.similar("qqqqqqq", Some("word"), 1, from, Strategy::QGrams);
+        let res = similar(&mut e, "qqqqqqq", Some("word"), 1, from, Strategy::QGrams);
         assert!(res.matches.is_empty());
         assert_eq!(res.stats.matches, 0);
     }
@@ -808,7 +805,7 @@ mod tests {
         ];
         let mut e = EngineBuilder::new().peers(16).seed(9).build_with_rows(&rows);
         let from = e.random_peer();
-        let res = e.similar("similar", Some("word"), 0, from, Strategy::QGrams);
+        let res = similar(&mut e, "similar", Some("word"), 0, from, Strategy::QGrams);
         assert_eq!(res.matches.len(), 1);
         assert_eq!(res.matches[0].oid, "o:2");
     }
@@ -818,7 +815,7 @@ mod tests {
         let rows = word_rows(&["one", "two", "three", "four", "five", "sixsix"]);
         let mut e = EngineBuilder::new().peers(16).seed(10).build_with_rows(&rows);
         let from = e.random_peer();
-        let res = e.similar("seven", Some("word"), 1, from, Strategy::Naive);
+        let res = similar(&mut e, "seven", Some("word"), 1, from, Strategy::Naive);
         assert!(
             res.stats.edit_comparisons >= 6,
             "naive must compare against every stored value (got {})",
@@ -832,7 +829,7 @@ mod tests {
             vec![Row::new("car:9", [("name", Value::from("BMW 320d")), ("hp", Value::from(190))])];
         let mut e = EngineBuilder::new().peers(16).seed(11).build_with_rows(&rows);
         let from = e.random_peer();
-        let res = e.similar("BMW 320d", Some("name"), 1, from, Strategy::QGrams);
+        let res = similar(&mut e, "BMW 320d", Some("name"), 1, from, Strategy::QGrams);
         assert_eq!(res.matches.len(), 1);
         let obj = &res.matches[0].object;
         assert_eq!(obj.get("hp"), Some(&Value::from(190)));
@@ -853,7 +850,7 @@ mod tests {
         ]);
         let mut e = EngineBuilder::new().peers(48).replication(1).seed(30).build_with_rows(&rows);
         let from = e.random_peer();
-        let healthy = e.similar("similar", Some("word"), 1, from, Strategy::QGrams);
+        let healthy = similar(&mut e, "similar", Some("word"), 1, from, Strategy::QGrams);
         assert_eq!(healthy.stats.completeness(), 1.0, "healthy network answers every leg");
         assert!(healthy.stats.partitions_addressed > 0);
         assert_eq!(healthy.stats.gave_up, 0);
@@ -863,7 +860,7 @@ mod tests {
         for part in (0..parts).filter(|&p| p != home).take(parts / 2) {
             e.network_mut().fail_partition(part);
         }
-        let degraded = e.similar("similar", Some("word"), 1, from, Strategy::QGrams);
+        let degraded = similar(&mut e, "similar", Some("word"), 1, from, Strategy::QGrams);
         assert!(
             degraded.stats.partitions_answered < degraded.stats.partitions_addressed,
             "silenced partitions must show up as unanswered legs"
@@ -891,7 +888,7 @@ mod tests {
         for part in (0..parts).filter(|&p| p != home) {
             e.network_mut().fail_partition(part);
         }
-        let res = e.similar("similar", Some("word"), 1, from, Strategy::QGrams);
+        let res = similar(&mut e, "similar", Some("word"), 1, from, Strategy::QGrams);
         assert!(res.stats.retries > 0, "failed legs must be re-attempted under the policy");
         // Same carnage without retries: the failure is final on the first try.
         let mut e0 = build(0);
@@ -901,7 +898,7 @@ mod tests {
         for part in (0..parts0).filter(|&p| p != home0) {
             e0.network_mut().fail_partition(part);
         }
-        let res0 = e0.similar("similar", Some("word"), 1, from0, Strategy::QGrams);
+        let res0 = similar(&mut e0, "similar", Some("word"), 1, from0, Strategy::QGrams);
         assert_eq!(res0.stats.retries, 0);
     }
 
@@ -911,7 +908,7 @@ mod tests {
             vec![Row::new("o:1", [("tag", Value::from("redish")), ("tag", Value::from("redisx"))])];
         let mut e = EngineBuilder::new().peers(16).seed(12).build_with_rows(&rows);
         let from = e.random_peer();
-        let res = e.similar("redish", Some("tag"), 1, from, Strategy::QGrams);
+        let res = similar(&mut e, "redish", Some("tag"), 1, from, Strategy::QGrams);
         assert_eq!(res.matches.len(), 2, "both values of the tag attribute match");
     }
 }

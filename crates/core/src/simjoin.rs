@@ -49,16 +49,7 @@ pub struct JoinPair {
     pub right: SimilarMatch,
 }
 
-/// Result of a similarity join.
-#[derive(Debug, Clone)]
-pub struct JoinResult {
-    pub pairs: Vec<JoinPair>,
-    /// Number of left-side values actually joined (after `left_limit`).
-    pub left_size: usize,
-    pub stats: QueryStats,
-}
-
-/// Options for [`SimilarityEngine::sim_join`].
+/// Options for a [`JoinTask`].
 #[derive(Debug, Clone)]
 pub struct JoinOptions {
     pub strategy: Strategy,
@@ -79,23 +70,6 @@ pub struct JoinOptions {
 impl Default for JoinOptions {
     fn default() -> Self {
         Self { strategy: Strategy::QGrams, left_limit: None, window: JoinWindow::Fixed(1) }
-    }
-}
-
-impl SimilarityEngine {
-    /// `SimJoin(ln, rn, d, p)` — see module docs. `rn = None` is the
-    /// schema-level variant.
-    pub fn sim_join(
-        &mut self,
-        ln: &str,
-        rn: Option<&str>,
-        d: usize,
-        from: PeerId,
-        opts: &JoinOptions,
-    ) -> JoinResult {
-        let mut task = JoinTask::new(ln, rn, d, from, opts);
-        let stats = self.run_task(&mut task);
-        JoinResult { pairs: task.take_pairs(), left_size: task.left_size(), stats }
     }
 }
 
@@ -446,6 +420,26 @@ mod tests {
     use crate::engine::EngineBuilder;
     use sqo_storage::triple::{Row, Value};
 
+    /// What a finished [`JoinTask`] answered.
+    struct Joined {
+        pairs: Vec<JoinPair>,
+        left_size: usize,
+    }
+
+    /// Run `SimJoin(ln, rn, d)` from `from` to completion.
+    fn sim_join(
+        e: &mut SimilarityEngine,
+        ln: &str,
+        rn: Option<&str>,
+        d: usize,
+        from: PeerId,
+        opts: &JoinOptions,
+    ) -> Joined {
+        let mut task = JoinTask::new(ln, rn, d, from, opts);
+        e.run_task(&mut task);
+        Joined { pairs: task.take_pairs(), left_size: task.left_size() }
+    }
+
     fn dealer_rows() -> Vec<Row> {
         vec![
             Row::new("car:1", [("dealer", Value::from("mueller"))]),
@@ -460,7 +454,7 @@ mod tests {
     fn joins_across_attributes() {
         let mut e = EngineBuilder::new().peers(32).seed(40).build_with_rows(&dealer_rows());
         let from = e.random_peer();
-        let res = e.sim_join("dealer", Some("dlrname"), 1, from, &JoinOptions::default());
+        let res = sim_join(&mut e, "dealer", Some("dlrname"), 1, from, &JoinOptions::default());
         assert_eq!(res.left_size, 2);
         let mut got: Vec<(String, String)> =
             res.pairs.iter().map(|p| (p.left_value.clone(), p.right.matched.clone())).collect();
@@ -483,7 +477,7 @@ mod tests {
             .collect();
         let mut e = EngineBuilder::new().peers(24).seed(41).build_with_rows(&rows);
         let from = e.random_peer();
-        let res = e.sim_join("fruit", Some("fruit"), 1, from, &JoinOptions::default());
+        let res = sim_join(&mut e, "fruit", Some("fruit"), 1, from, &JoinOptions::default());
         // banana↔banana, banana↔banane, banane↔banana, banane↔banane,
         // cherry↔cherry.
         assert_eq!(res.pairs.len(), 5);
@@ -497,7 +491,7 @@ mod tests {
         let mut e = EngineBuilder::new().peers(16).seed(42).build_with_rows(&rows);
         let from = e.random_peer();
         let opts = JoinOptions { left_limit: Some(5), ..Default::default() };
-        let res = e.sim_join("col", Some("col"), 1, from, &opts);
+        let res = sim_join(&mut e, "col", Some("col"), 1, from, &opts);
         assert_eq!(res.left_size, 5);
         assert!(res.pairs.len() >= 5, "each sampled value matches itself");
     }
@@ -512,7 +506,7 @@ mod tests {
         ];
         let mut e = EngineBuilder::new().peers(16).seed(43).build_with_rows(&rows);
         let from = e.random_peer();
-        let res = e.sim_join("wanted", None, 1, from, &JoinOptions::default());
+        let res = sim_join(&mut e, "wanted", None, 1, from, &JoinOptions::default());
         let mut attrs: Vec<&str> = res.pairs.iter().map(|p| p.right.attr.as_str()).collect();
         attrs.sort_unstable();
         assert_eq!(attrs, vec!["price", "prize"]);
@@ -547,7 +541,8 @@ mod tests {
         let rows = dealer_rows();
         let mut e = EngineBuilder::new().peers(16).seed(44).build_with_rows(&rows);
         let from = e.random_peer();
-        let res = e.sim_join("nonexistent", Some("dlrname"), 2, from, &JoinOptions::default());
+        let res =
+            sim_join(&mut e, "nonexistent", Some("dlrname"), 2, from, &JoinOptions::default());
         assert_eq!(res.left_size, 0);
         assert!(res.pairs.is_empty());
     }

@@ -45,13 +45,6 @@ pub struct TopNItem {
     pub object: Object,
 }
 
-/// Result of a top-N query.
-#[derive(Debug, Clone)]
-pub struct TopNResult {
-    pub items: Vec<TopNItem>,
-    pub stats: QueryStats,
-}
-
 /// Iteration cap for the enlargement loop — a safety net; the loop normally
 /// exits after one or two rounds (that is the point of density estimation).
 const MAX_ROUNDS: usize = 32;
@@ -80,14 +73,16 @@ impl NumDomain {
 }
 
 impl SimilarityEngine {
-    /// Top-N over a **numeric** attribute (Algorithm 4). For `Rank::Nn` the
-    /// target must be numeric; use [`Self::top_n_similar`] for string NN.
-    pub fn top_n_numeric(&mut self, attr: &str, n: usize, rank: Rank, from: PeerId) -> TopNResult {
-        assert!(n >= 1, "top-0 is trivial");
-        if let Rank::Nn(target) = &rank {
-            assert!(target.as_float().is_some(), "numeric top-N requires a numeric NN target");
-        }
-        let snap = self.begin_query();
+    /// Algorithm 4's body over a **numeric** attribute: the ranked items
+    /// and the enlargement rounds spent. [`TopNTask::numeric`] runs it as
+    /// one charged chunk.
+    fn numeric_top_n(
+        &mut self,
+        attr: &str,
+        n: usize,
+        rank: &Rank,
+        from: PeerId,
+    ) -> (Vec<TopNItem>, usize) {
         let prefix = keys::attr_scan_prefix(attr);
         let (ps, pe) = self.net.subtree_of(&prefix);
         // The partitions of the attribute's interval that hold data; the
@@ -95,20 +90,17 @@ impl SimilarityEngine {
         let peered: Vec<usize> =
             self.net.topology().peered_in(ps, pe).iter().map(|p| *p as usize).collect();
         let (Some(&first), Some(&last)) = (peered.first(), peered.last()) else {
-            return TopNResult { items: Vec::new(), stats: self.finish_query(&snap) };
+            return (Vec::new(), 0);
         };
 
         // --- Lines 1–3: local density estimation at the entry peer -------
         let entry_path = match rank {
             Rank::Max => self.net.paths()[last].clone(),
             Rank::Min => self.net.paths()[first].clone(),
-            Rank::Nn(ref v) => keys::attr_value_key(attr, v),
+            Rank::Nn(v) => keys::attr_value_key(attr, v),
         };
-        let entry = match self.net.route(from, &entry_path) {
-            Ok(p) => p,
-            Err(_) => {
-                return TopNResult { items: Vec::new(), stats: self.finish_query(&snap) };
-            }
+        let Ok(entry) = self.net.route(from, &entry_path) else {
+            return (Vec::new(), 0);
         };
 
         // Density sampling. The entry partition is the natural sample, but
@@ -121,7 +113,7 @@ impl SimilarityEngine {
         let mut domain: Option<NumDomain> = None;
         let mut local: Vec<f64> = Vec::new();
         let entry_at = peered.partition_point(|p| *p < entry_part);
-        for part in probe_order(&rank, peered.len(), entry_at).into_iter().map(|i| peered[i]) {
+        for part in probe_order(rank, peered.len(), entry_at).into_iter().map(|i| peered[i]) {
             let responder = if part == entry_part {
                 entry
             } else {
@@ -147,7 +139,7 @@ impl SimilarityEngine {
         }
         if local.is_empty() {
             // No posting of this attribute exists anywhere.
-            return TopNResult { items: Vec::new(), stats: self.finish_query(&snap) };
+            return (Vec::new(), 0);
         }
 
         let (c, local_lo, local_hi) = summarize(&local);
@@ -159,8 +151,8 @@ impl SimilarityEngine {
         // target lies outside the populated key region (or the local sample
         // is a single point, making the density estimate degenerate), grow
         // the initial range to cover the gap to the nearest sampled value.
-        if let Rank::Nn(t) = &rank {
-            let target = t.as_float().expect("checked above");
+        if let Rank::Nn(t) = rank {
+            let target = t.as_float().expect("checked at construction");
             let gap = local.iter().map(|x| (x - target).abs()).fold(f64::INFINITY, f64::min);
             if gap.is_finite() {
                 range = range.max(2.0 * gap + r_width);
@@ -169,18 +161,18 @@ impl SimilarityEngine {
         range = range.max(f64::EPSILON);
 
         // --- Lines 4–7: initial window via Keys() ------------------------
-        let (mut fr, mut to) = match &rank {
+        let (mut fr, mut to) = match rank {
             Rank::Max => {
                 let v = local_hi + range + 1.0; // line 5
-                keys_window(range, &rank, v, v)
+                keys_window(range, rank, v, v)
             }
             Rank::Min => {
                 let v = local_lo - range - 1.0; // mirror of line 5
-                keys_window(range, &rank, v, v)
+                keys_window(range, rank, v, v)
             }
             Rank::Nn(t) => {
-                let v = t.as_float().expect("checked above");
-                keys_window(range, &rank, v, v)
+                let v = t.as_float().expect("checked at construction");
+                keys_window(range, rank, v, v)
             }
         };
 
@@ -252,48 +244,34 @@ impl SimilarityEngine {
                 Some(TopNItem { oid, value, score, object })
             })
             .collect();
-
-        let mut stats = self.finish_query(&snap);
-        stats.rounds = rounds;
-        stats.matches = items.len();
-        TopNResult { items, stats }
-    }
-
-    /// Top-N nearest neighbors of a **string** under edit distance:
-    /// expanding distance shells over `Similar`. `attr = None` ranks
-    /// attribute *names* (schema level), as in the paper's
-    /// `ORDER BY ?a NN 'dlrid'` example.
-    pub fn top_n_similar(
-        &mut self,
-        attr: Option<&str>,
-        n: usize,
-        target: &str,
-        d_max: usize,
-        from: PeerId,
-        strategy: Strategy,
-    ) -> TopNResult {
-        let mut task = TopNTask::nearest(attr, n, target, d_max, from, strategy);
-        let stats = self.run_task(&mut task);
-        TopNResult { items: task.take_items(), stats }
+        (items, rounds)
     }
 }
 
-/// String top-N as a resumable task: each expanding distance shell is a
-/// child [`SimilarTask`](crate::similar::SimilarTask) (all shells share the initiator's object cache),
-/// stepped one event at a time.
+/// Top-N as a resumable task. Numeric top-N runs Algorithm 4 as one
+/// charged step — a bounded number of range rounds. String top-N steps one
+/// event at a time: each expanding distance shell is a child
+/// [`SimilarTask`](crate::similar::SimilarTask), and all shells share the
+/// initiator's object cache.
 pub struct TopNTask {
-    attr: Option<String>,
+    kind: TopNKind,
     n: usize,
-    target: String,
-    d_max: usize,
     from: PeerId,
-    strategy: Strategy,
     state: NState,
     stats: QueryStats,
     cache: FxHashMap<String, ObjectPostings>,
     best: FxHashMap<(String, String, String), (usize, Object)>,
     rounds: usize,
     items: Vec<TopNItem>,
+}
+
+/// What a [`TopNTask`] ranks.
+enum TopNKind {
+    /// The values of a numeric attribute, under MIN, MAX or numeric NN.
+    Numeric { attr: String, rank: Rank },
+    /// The strings nearest `target`, up to distance `d_max`; `attr = None`
+    /// ranks attribute *names* (schema level).
+    Nearest { attr: Option<String>, target: String, d_max: usize, strategy: Strategy },
 }
 
 enum NState {
@@ -303,6 +281,22 @@ enum NState {
 }
 
 impl TopNTask {
+    /// Top-N over a **numeric** attribute (Algorithm 4).
+    ///
+    /// # Panics
+    /// Panics if `n == 0`, or if a `Rank::Nn` target is not a number.
+    pub fn numeric(attr: &str, n: usize, rank: Rank, from: PeerId) -> Self {
+        if let Rank::Nn(target) = &rank {
+            assert!(target.as_float().is_some(), "numeric top-N requires a numeric NN target");
+        }
+        Self::new(TopNKind::Numeric { attr: attr.to_string(), rank }, n, from)
+    }
+
+    /// Top-N nearest neighbors of a **string** under edit distance:
+    /// expanding distance shells over `Similar`. `attr = None` ranks
+    /// attribute *names* (schema level), as in the paper's
+    /// `ORDER BY ?a NN 'dlrid'` example.
+    ///
     /// # Panics
     /// Panics if `n == 0`.
     pub fn nearest(
@@ -313,14 +307,21 @@ impl TopNTask {
         from: PeerId,
         strategy: Strategy,
     ) -> Self {
-        assert!(n >= 1, "top-0 is trivial");
-        Self {
+        let kind = TopNKind::Nearest {
             attr: attr.map(str::to_string),
-            n,
             target: target.to_string(),
             d_max,
-            from,
             strategy,
+        };
+        Self::new(kind, n, from)
+    }
+
+    fn new(kind: TopNKind, n: usize, from: PeerId) -> Self {
+        assert!(n >= 1, "top-0 is trivial");
+        Self {
+            kind,
+            n,
+            from,
             state: NState::Init,
             stats: QueryStats::default(),
             cache: FxHashMap::default(),
@@ -335,14 +336,28 @@ impl TopNTask {
         std::mem::take(&mut self.items)
     }
 
+    /// The string ranking's distance cap (0 for a numeric ranking).
+    fn d_max(&self) -> usize {
+        match self.kind {
+            TopNKind::Nearest { d_max, .. } => d_max,
+            TopNKind::Numeric { .. } => 0,
+        }
+    }
+
     fn shell(&self, d: usize) -> Box<crate::similar::SimilarTask> {
-        Box::new(crate::similar::SimilarTask::new(
-            &self.target,
-            self.attr.as_deref(),
-            d,
-            self.from,
-            self.strategy,
-        ))
+        let TopNKind::Nearest { attr, target, strategy, .. } = &self.kind else {
+            unreachable!("numeric top-N runs no distance shells")
+        };
+        Box::new(crate::similar::SimilarTask::new(target, attr.as_deref(), d, self.from, *strategy))
+    }
+
+    /// Keep the ranked items and close the task's stats.
+    fn finish(&mut self, items: Vec<TopNItem>) -> StepOutcome {
+        self.stats.matches = items.len();
+        finalize_stats(&mut self.stats);
+        self.items = items;
+        self.state = NState::Finished;
+        StepOutcome::Done(self.stats)
     }
 }
 
@@ -351,7 +366,15 @@ impl ExecStep for TopNTask {
         loop {
             match std::mem::replace(&mut self.state, NState::Finished) {
                 NState::Init => {
-                    let d = 1usize.min(self.d_max);
+                    if let TopNKind::Numeric { attr, rank } = &self.kind {
+                        let (n, from) = (self.n, self.from);
+                        let ((items, rounds), _) = engine.charged(&mut self.stats, at_us, |e| {
+                            e.numeric_top_n(attr, n, rank, from)
+                        });
+                        self.stats.rounds = rounds;
+                        return self.finish(items);
+                    }
+                    let d = 1usize.min(self.d_max());
                     let child = self.shell(d);
                     self.state = NState::Shell { d, child, resume_at: at_us };
                     continue;
@@ -372,7 +395,7 @@ impl ExecStep for TopNTask {
                                     .entry((m.oid, m.attr.as_str().to_string(), m.matched))
                                     .or_insert((m.distance, m.object));
                             }
-                            if self.best.len() >= self.n || d >= self.d_max {
+                            if self.best.len() >= self.n || d >= self.d_max() {
                                 let mut ranked: Vec<TopNItem> = std::mem::take(&mut self.best)
                                     .into_iter()
                                     .map(|((oid, _attr, matched), (dist, object))| TopNItem {
@@ -390,13 +413,9 @@ impl ExecStep for TopNTask {
                                 });
                                 ranked.truncate(self.n);
                                 self.stats.rounds = self.rounds;
-                                self.stats.matches = ranked.len();
-                                finalize_stats(&mut self.stats);
-                                self.items = ranked;
-                                self.state = NState::Finished;
-                                return StepOutcome::Done(self.stats);
+                                return self.finish(ranked);
                             }
-                            let next_d = (d + 2).min(self.d_max);
+                            let next_d = (d + 2).min(self.d_max());
                             let child = self.shell(next_d);
                             self.state = NState::Shell { d: next_d, child, resume_at: end };
                             return StepOutcome::Yield { at_us: end };
@@ -471,6 +490,12 @@ mod tests {
     use crate::engine::EngineBuilder;
     use sqo_storage::triple::Row;
 
+    /// Run `task` to completion: its ranked items and stats.
+    fn run(e: &mut SimilarityEngine, mut task: TopNTask) -> (Vec<TopNItem>, QueryStats) {
+        let stats = e.run_task(&mut task);
+        (task.take_items(), stats)
+    }
+
     fn car_rows(n: usize) -> Vec<Row> {
         (0..n)
             .map(|i| {
@@ -491,9 +516,9 @@ mod tests {
         let rows = car_rows(120);
         let mut e = EngineBuilder::new().peers(64).seed(30).build_with_rows(&rows);
         let from = e.random_peer();
-        let res = e.top_n_numeric("hp", 5, Rank::Max, from);
-        assert_eq!(res.items.len(), 5);
-        let got: Vec<i64> = res.items.iter().map(|i| i.value.as_int().unwrap()).collect();
+        let (items, _) = run(&mut e, TopNTask::numeric("hp", 5, Rank::Max, from));
+        assert_eq!(items.len(), 5);
+        let got: Vec<i64> = items.iter().map(|i| i.value.as_int().unwrap()).collect();
         let mut all: Vec<i64> =
             rows.iter().map(|r| r.get("hp").unwrap().as_int().unwrap()).collect();
         all.sort_unstable_by(|a, b| b.cmp(a));
@@ -505,8 +530,8 @@ mod tests {
         let rows = car_rows(80);
         let mut e = EngineBuilder::new().peers(32).seed(31).build_with_rows(&rows);
         let from = e.random_peer();
-        let res = e.top_n_numeric("price", 3, Rank::Min, from);
-        let got: Vec<f64> = res.items.iter().map(|i| i.value.as_float().unwrap()).collect();
+        let (items, _) = run(&mut e, TopNTask::numeric("price", 3, Rank::Min, from));
+        let got: Vec<f64> = items.iter().map(|i| i.value.as_float().unwrap()).collect();
         assert_eq!(got, vec![10_000.0, 10_137.5, 10_275.0]);
     }
 
@@ -515,13 +540,13 @@ mod tests {
         let rows = car_rows(100);
         let mut e = EngineBuilder::new().peers(48).seed(32).build_with_rows(&rows);
         let from = e.random_peer();
-        let res = e.top_n_numeric("hp", 4, Rank::Nn(Value::Int(200)), from);
-        assert_eq!(res.items.len(), 4);
+        let (items, _) = run(&mut e, TopNTask::numeric("hp", 4, Rank::Nn(Value::Int(200)), from));
+        assert_eq!(items.len(), 4);
         // Oracle: closest hp values to 200.
         let mut all: Vec<i64> =
             rows.iter().map(|r| r.get("hp").unwrap().as_int().unwrap()).collect();
         all.sort_by_key(|v| (v - 200).abs());
-        let got: Vec<i64> = res.items.iter().map(|i| i.value.as_int().unwrap()).collect();
+        let got: Vec<i64> = items.iter().map(|i| i.value.as_int().unwrap()).collect();
         let worst_got = got.iter().map(|v| (v - 200).abs()).max().unwrap();
         let best_excluded = all[4..].iter().map(|v| (v - 200).abs()).min().unwrap();
         assert!(worst_got <= best_excluded, "returned a farther neighbor than an excluded one");
@@ -532,12 +557,12 @@ mod tests {
         let rows = car_rows(200);
         let mut e = EngineBuilder::new().peers(64).seed(33).build_with_rows(&rows);
         let from = e.random_peer();
-        let res = e.top_n_numeric("hp", 10, Rank::Max, from);
-        assert_eq!(res.items.len(), 10);
+        let (items, stats) = run(&mut e, TopNTask::numeric("hp", 10, Rank::Max, from));
+        assert_eq!(items.len(), 10);
         assert!(
-            res.stats.rounds <= 6,
+            stats.rounds <= 6,
             "density estimate should converge quickly, took {} rounds",
-            res.stats.rounds
+            stats.rounds
         );
     }
 
@@ -546,8 +571,8 @@ mod tests {
         let rows = car_rows(7);
         let mut e = EngineBuilder::new().peers(8).seed(34).build_with_rows(&rows);
         let from = e.random_peer();
-        let res = e.top_n_numeric("hp", 50, Rank::Max, from);
-        assert_eq!(res.items.len(), 7);
+        let (items, _) = run(&mut e, TopNTask::numeric("hp", 50, Rank::Max, from));
+        assert_eq!(items.len(), 7);
     }
 
     #[test]
@@ -555,8 +580,8 @@ mod tests {
         let rows = car_rows(10);
         let mut e = EngineBuilder::new().peers(8).seed(35).build_with_rows(&rows);
         let from = e.random_peer();
-        let res = e.top_n_numeric("nonexistent", 3, Rank::Max, from);
-        assert!(res.items.is_empty());
+        let (items, _) = run(&mut e, TopNTask::numeric("nonexistent", 3, Rank::Max, from));
+        assert!(items.is_empty());
     }
 
     #[test]
@@ -569,12 +594,13 @@ mod tests {
             .collect();
         let mut e = EngineBuilder::new().peers(32).seed(36).q(2).build_with_rows(&rows);
         let from = e.random_peer();
-        let res = e.top_n_similar(Some("word"), 3, "house", 5, from, Strategy::QGrams);
-        assert_eq!(res.items.len(), 3);
-        assert_eq!(res.items[0].value.as_str(), Some("house"));
-        assert_eq!(res.items[0].score, 0.0);
+        let (items, _) =
+            run(&mut e, TopNTask::nearest(Some("word"), 3, "house", 5, from, Strategy::QGrams));
+        assert_eq!(items.len(), 3);
+        assert_eq!(items[0].value.as_str(), Some("house"));
+        assert_eq!(items[0].score, 0.0);
         // hause (d=1) and horse/mouse (d=1) compete for the remaining slots.
-        assert!(res.items[1..].iter().all(|i| i.score <= 1.0));
+        assert!(items[1..].iter().all(|i| i.score <= 1.0));
     }
 
     #[test]
@@ -582,8 +608,9 @@ mod tests {
         let rows = vec![Row::new("w:0", [("word", Value::from("completelyother"))])];
         let mut e = EngineBuilder::new().peers(8).seed(37).build_with_rows(&rows);
         let from = e.random_peer();
-        let res = e.top_n_similar(Some("word"), 5, "zzzzz", 2, from, Strategy::QGrams);
-        assert!(res.items.is_empty(), "nothing within d_max must mean empty result");
+        let (items, _) =
+            run(&mut e, TopNTask::nearest(Some("word"), 5, "zzzzz", 2, from, Strategy::QGrams));
+        assert!(items.is_empty(), "nothing within d_max must mean empty result");
     }
 
     #[test]
@@ -592,6 +619,6 @@ mod tests {
         let rows = car_rows(5);
         let mut e = EngineBuilder::new().peers(8).build_with_rows(&rows);
         let from = e.random_peer();
-        e.top_n_numeric("hp", 1, Rank::Nn(Value::from("oops")), from);
+        TopNTask::numeric("hp", 1, Rank::Nn(Value::from("oops")), from);
     }
 }

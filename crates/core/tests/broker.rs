@@ -2,8 +2,31 @@
 //! engine): identical results with every service combination, traffic
 //! savings on repeats, and churn-epoch invalidation.
 
-use sqo_core::{BrokerConfig, EngineBuilder, JoinWindow, SimilarityEngine, Strategy};
+use sqo_core::{
+    BrokerConfig, EngineBuilder, JoinTask, JoinWindow, QueryStats, SelectHit, SelectTask,
+    SimilarMatch, SimilarTask, SimilarityEngine, Strategy,
+};
+use sqo_overlay::PeerId;
 use sqo_storage::triple::{Row, Value};
+
+/// What a finished task answered.
+struct Answer<T> {
+    rows: Vec<T>,
+    stats: QueryStats,
+}
+
+/// `Similar(s, word, 1)` by q-grams from `from`.
+fn similar(e: &mut SimilarityEngine, s: &str, from: PeerId) -> Answer<SimilarMatch> {
+    let mut task = SimilarTask::new(s, Some("word"), 1, from, Strategy::QGrams);
+    let stats = e.run_task(&mut task);
+    Answer { rows: task.take_matches(), stats }
+}
+
+/// Run a selection from its task to completion.
+fn select(e: &mut SimilarityEngine, mut task: SelectTask) -> Answer<SelectHit> {
+    let stats = e.run_task(&mut task);
+    Answer { rows: task.take_hits(), stats }
+}
 
 fn word_rows(n: usize) -> Vec<Row> {
     // Overlapping grams across rows, so caches have something to share.
@@ -25,9 +48,9 @@ fn engine(cfg: BrokerConfig, seed: u64) -> SimilarityEngine {
 
 fn results_of(e: &mut SimilarityEngine, s: &str) -> Vec<(String, String, usize)> {
     let from = sqo_overlay::PeerId(0);
-    let res = e.similar(s, Some("word"), 1, from, Strategy::QGrams);
+    let res = similar(e, s, from);
     let mut out: Vec<(String, String, usize)> =
-        res.matches.into_iter().map(|m| (m.oid, m.matched, m.distance)).collect();
+        res.rows.into_iter().map(|m| (m.oid, m.matched, m.distance)).collect();
     out.sort();
     out
 }
@@ -64,11 +87,11 @@ fn every_service_combination_returns_identical_results() {
 fn repeated_probes_hit_the_cache_and_save_messages() {
     let mut e = engine(BrokerConfig::cache_only(), 13);
     let from = sqo_overlay::PeerId(3);
-    let first = e.similar("pattern012word", Some("word"), 1, from, Strategy::QGrams);
+    let first = similar(&mut e, "pattern012word", from);
     assert_eq!(first.stats.cache_hits, 0, "cold cache cannot hit");
     assert!(first.stats.cache_misses > 0);
 
-    let second = e.similar("pattern012word", Some("word"), 1, from, Strategy::QGrams);
+    let second = similar(&mut e, "pattern012word", from);
     assert_eq!(
         second.stats.cache_misses, 0,
         "an identical repeat must be fully served from the cache"
@@ -82,7 +105,7 @@ fn repeated_probes_hit_the_cache_and_save_messages() {
     );
 
     // A different query sharing grams still gets partial hits.
-    let third = e.similar("pattern012wore", Some("word"), 1, from, Strategy::QGrams);
+    let third = similar(&mut e, "pattern012wore", from);
     assert!(third.stats.cache_hits > 0, "shared grams must hit");
 
     let counters = e.broker_counters().expect("broker installed");
@@ -98,8 +121,8 @@ fn caches_are_per_initiator() {
     let mut e = engine(BrokerConfig::cache_only(), 17);
     let a = sqo_overlay::PeerId(1);
     let b = sqo_overlay::PeerId(2);
-    e.similar("pattern020word", Some("word"), 1, a, Strategy::QGrams);
-    let other = e.similar("pattern020word", Some("word"), 1, b, Strategy::QGrams);
+    similar(&mut e, "pattern020word", a);
+    let other = similar(&mut e, "pattern020word", b);
     assert_eq!(other.stats.cache_hits, 0, "initiator b must not see a's cache");
 }
 
@@ -107,15 +130,15 @@ fn caches_are_per_initiator() {
 fn churn_epoch_invalidates_cached_lists() {
     let mut e = engine(BrokerConfig::cache_only(), 19);
     let from = sqo_overlay::PeerId(5);
-    e.similar("pattern030word", Some("word"), 1, from, Strategy::QGrams);
-    let warm = e.similar("pattern030word", Some("word"), 1, from, Strategy::QGrams);
+    similar(&mut e, "pattern030word", from);
+    let warm = similar(&mut e, "pattern030word", from);
     assert!(warm.stats.cache_hits > 0);
 
     // Any membership change bumps the epoch; nothing cached before it may
     // be served after it.
     let victim = sqo_overlay::PeerId(40);
     e.network_mut().fail_peer(victim);
-    let after = e.similar("pattern030word", Some("word"), 1, from, Strategy::QGrams);
+    let after = similar(&mut e, "pattern030word", from);
     assert_eq!(after.stats.cache_hits, 0, "stale epoch must be a full miss");
     assert!(after.stats.cache_misses > 0);
     assert_eq!(
@@ -137,17 +160,14 @@ fn publication_invalidates_cached_lists() {
     // so pre-publish lists are never served post-publish.
     let mut e = engine(BrokerConfig::cache_only(), 31);
     let from = sqo_overlay::PeerId(4);
-    e.similar("pattern005word", Some("word"), 1, from, Strategy::QGrams);
-    let warm = e.similar("pattern005word", Some("word"), 1, from, Strategy::QGrams);
+    similar(&mut e, "pattern005word", from);
+    let warm = similar(&mut e, "pattern005word", from);
     assert!(warm.stats.cache_hits > 0, "repeat must be cached before the publish");
 
     e.publish_rows(&[Row::new("w:new", [("word", Value::from("pattern005word"))])]);
-    let res = e.similar("pattern005word", Some("word"), 1, from, Strategy::QGrams);
+    let res = similar(&mut e, "pattern005word", from);
     assert_eq!(res.stats.cache_hits, 0, "publication must invalidate the cache");
-    assert!(
-        res.matches.iter().any(|m| m.oid == "w:new"),
-        "the freshly published row must be found"
-    );
+    assert!(res.rows.iter().any(|m| m.oid == "w:new"), "the freshly published row must be found");
 }
 
 #[test]
@@ -164,7 +184,7 @@ fn route_failures_are_not_negative_cached() {
         .build_with_rows(&rows);
     let from = sqo_overlay::PeerId(0);
     let target = Value::Int(13);
-    let baseline = e.select_exact("hp", &target, from).hits.len();
+    let baseline = select(&mut e, SelectTask::exact("hp", target.clone(), from)).rows.len();
     assert_eq!(baseline, 1, "sanity: the row exists");
 
     let my_part = e.network().peer_partition(from);
@@ -175,16 +195,16 @@ fn route_failures_are_not_negative_cached() {
     for &v in &victims {
         e.network_mut().fail_peer(v);
     }
-    let during = e.select_exact("hp", &target, from);
+    let during = select(&mut e, SelectTask::exact("hp", target.clone(), from));
     for &v in &victims {
         e.network_mut().revive_peer(v);
     }
-    let after = e.select_exact("hp", &target, from);
+    let after = select(&mut e, SelectTask::exact("hp", target.clone(), from));
     assert_eq!(
-        after.hits.len(),
+        after.rows.len(),
         1,
         "a transient route failure (found {} during churn) must not stick as a cached empty list",
-        during.hits.len()
+        during.rows.len()
     );
 }
 
@@ -201,11 +221,12 @@ fn batch_window_coalesces_a_joins_probes() {
             left_limit: Some(8),
             window: JoinWindow::Fixed(8),
         };
-        let res = e.sim_join("word", Some("word"), 1, from, &opts);
+        let mut task = JoinTask::new("word", Some("word"), 1, from, &opts);
+        let stats = e.run_task(&mut task);
         let mut pairs: Vec<(String, String)> =
-            res.pairs.into_iter().map(|p| (p.left_value, p.right.matched)).collect();
+            task.take_pairs().into_iter().map(|p| (p.left_value, p.right.matched)).collect();
         pairs.sort();
-        (pairs, res.stats)
+        (pairs, stats)
     };
     let (pairs_off, stats_off) = run(BrokerConfig::default());
     let (pairs_on, stats_on) = run(BrokerConfig::enabled());
@@ -241,19 +262,19 @@ fn select_exact_and_keyword_use_the_cache() {
         .map(sqo_overlay::PeerId)
         .find(|p| e.network().peer_partition(*p) != index)
         .expect("a peer elsewhere");
-    let cold = e.select_exact("hp", &Value::Int(117), from);
+    let cold = select(&mut e, SelectTask::exact("hp", Value::Int(117), from));
     assert_eq!(cold.stats.cache_misses, 1);
-    let warm = e.select_exact("hp", &Value::Int(117), from);
+    let warm = select(&mut e, SelectTask::exact("hp", Value::Int(117), from));
     assert_eq!(warm.stats.cache_hits, 1);
-    assert_eq!(warm.hits.len(), cold.hits.len());
-    assert_eq!(warm.hits[0].oid, "c:17");
+    assert_eq!(warm.rows.len(), cold.rows.len());
+    assert_eq!(warm.rows[0].oid, "c:17");
     assert!(
         warm.stats.traffic.messages < cold.stats.traffic.messages,
         "cached exact select must skip the index retrieve"
     );
 
-    let kw_cold = e.select_keyword(&Value::Int(123), from);
-    let kw_warm = e.select_keyword(&Value::Int(123), from);
+    let kw_cold = select(&mut e, SelectTask::keyword(Value::Int(123), from));
+    let kw_warm = select(&mut e, SelectTask::keyword(Value::Int(123), from));
     assert_eq!(kw_warm.stats.cache_hits, 1);
-    assert_eq!(kw_cold.hits.len(), kw_warm.hits.len());
+    assert_eq!(kw_cold.rows.len(), kw_warm.rows.len());
 }

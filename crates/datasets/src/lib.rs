@@ -5,19 +5,17 @@
 //! synthetic equivalents matched to the published count/length statistics
 //! (substitutions documented in DESIGN.md §2). [`cars`] generates the §3
 //! car-market example database (with schema typos) used by the VQL examples,
-//! and [`workload`] reproduces the §6 query mix. [`zipf`] supports the
-//! skewed-workload ablations.
+//! and [`zipf`] draws the skewed search strings of the ablations. The crate
+//! generates data and runs no query: the §6 query mix lives in `sqo-bench`.
 
 pub mod cars;
 pub mod titles;
 pub mod words;
-pub mod workload;
 pub mod zipf;
 
 pub use cars::{car_market, car_rows, dealer_rows, CarMarketConfig};
 pub use titles::{painting_titles, MAX_TITLE_LEN, PAINTING_TITLE_COUNT};
 pub use words::{bible_words, length_stats, BIBLE_WORD_COUNT};
-pub use workload::{run_workload, WorkloadReport, WorkloadSpec};
 pub use zipf::ZipfSampler;
 
 use sqo_storage::triple::{Row, Value};

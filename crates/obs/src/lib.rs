@@ -39,6 +39,7 @@
 //! use sqo_core::{EngineBuilder, Strategy};
 //! use sqo_datasets::{bible_words, string_rows};
 //! use sqo_obs::TraceCollector;
+//! use sqo_plan::{Query, Session};
 //!
 //! let words = bible_words(120, 3);
 //! let rows = string_rows("word", &words, "w");
@@ -47,14 +48,15 @@
 //! engine.network_mut().set_trace_sink(TraceCollector::as_sink(&collector));
 //!
 //! let from = engine.random_peer();
-//! engine.similar(&words[0], Some("word"), 1, from, Strategy::QGrams);
+//! let q = Query::similar(words[0].as_str(), Some("word"), 1).strategy(Strategy::QGrams);
+//! Session::new(&mut engine, from).run(&q).unwrap();
 //! assert!(!collector.borrow().is_empty(), "the query produced trace events");
 //! let jsonl = collector.borrow().to_jsonl();
 //! assert!(jsonl.contains("\"cat\":\"query\""));
 //! ```
 //!
-//! `sqo-datasets` above is a dev-dependency of this crate only; in an
-//! application any engine works the same way. Tracing is strictly
+//! `sqo-datasets` and `sqo-plan` above are dev-dependencies of this crate
+//! only; in an application any engine works the same way. Tracing is strictly
 //! observational: with no sink installed every emission site is a single
 //! branch, and installing one never changes results or counters (pinned
 //! byte-identical by the `obs_smoke` tests in `sqo-sim`).

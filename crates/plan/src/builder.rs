@@ -175,11 +175,6 @@ impl Query {
         self.filter(RowPredicate::ValueCmp { attr: attr.into(), op, value })
     }
 
-    /// Keep rows whose operator score is `<= bound`.
-    pub fn filter_score_le(self, bound: f64) -> Self {
-        self.filter(RowPredicate::ScoreLe(bound))
-    }
-
     /// Keep rows satisfying an arbitrary [`RowPredicate`].
     pub fn filter(self, pred: RowPredicate) -> Self {
         Self { root: PlanNode::Filter { input: Box::new(self.root), pred } }
@@ -254,12 +249,7 @@ impl Query {
         &self.root
     }
 
-    /// Consume the builder, yielding the tree.
-    pub fn into_plan(self) -> PlanNode {
-        self.root
-    }
-
-    /// Wrap an existing tree (e.g. one produced by VQL lowering).
+    /// Wrap an existing tree (e.g. one the VQL planner built).
     pub fn from_plan(root: PlanNode) -> Self {
         Self { root }
     }

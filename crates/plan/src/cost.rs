@@ -161,7 +161,8 @@ mod tests {
         let probe = keys::instance_gram_key("big", "bi");
         let cold = e.estimate_key_cardinality(from, &probe);
         // Warm the cache by actually running the similarity query.
-        e.similar("bigval001", Some("big"), 1, from, Strategy::QGrams);
+        let q = crate::Query::similar("bigval001", Some("big"), 1).strategy(Strategy::QGrams);
+        crate::Session::new(&mut e, from).run(&q).expect("plannable");
         let warm = e.estimate_key_cardinality(from, &probe);
         if cold.source == CardSource::LocalExact {
             // Unlucky draw: the random initiator owns the partition, the

@@ -6,9 +6,10 @@
 //! Leaf stages construct the corresponding stepped `sqo-core` operator task
 //! and multiplex its steps through the plan task's queue slot — a
 //! single-leaf plan therefore executes the *identical* step sequence (and
-//! produces byte-identical results and charges) as the legacy entry point
-//! it shims. Composite stages are local row transforms evaluated between
-//! leaf completions: a pipeline `SimJoin` seeds
+//! produces byte-identical results and charges) as its operator task run
+//! on its own. An oid lookup is the one leaf without a task: a single
+//! charged fetch. Composite stages are local row transforms evaluated
+//! between leaf completions: a pipeline `SimJoin` seeds
 //! [`sqo_core::simjoin::JoinTask::with_left`] from the upstream rows,
 //! `TopN`/`Filter`/`Limit` are pure initiator-side post-processing (free of
 //! messages, like every operator's own merge phase).
@@ -67,18 +68,16 @@ pub struct PlanResult {
 /// available); transform stages run inline between leaf completions.
 #[derive(Debug, Clone)]
 pub(crate) enum Stage {
-    /// Direct oid lookup leaf → one monolithic charged fetch
-    /// ([`SimilarityEngine::lookup_object`]).
+    /// Direct oid lookup leaf → one charged fetch
+    /// ([`SimilarityEngine::fetch_objects`]).
     Lookup(String),
     /// `Similar` leaf → [`SimilarTask`].
     Similar(SimilarSpec),
     /// `Select` leaf → [`SelectTask`].
     Select(SelectSpec),
-    /// Numeric top-N leaf → one monolithic charged chunk
-    /// ([`SimilarityEngine::top_n_numeric`] has no stepped form; it is a
-    /// bounded number of range rounds).
+    /// Numeric top-N leaf → [`TopNTask::numeric`].
     TopNNumeric(TopNNumericSpec),
-    /// String top-N leaf → [`TopNTask`].
+    /// String top-N leaf → [`TopNTask::nearest`].
     TopNString(TopNStringSpec),
     /// Conjunction leaf → [`MultiTask`].
     Multi(MultiSpec),
@@ -273,7 +272,7 @@ enum Active {
     Select(Box<SelectTask>),
     Join(Box<JoinTask>),
     Multi(Box<MultiTask>),
-    TopNString(Box<TopNTask>),
+    TopN(Box<TopNTask>),
 }
 
 /// A prepared plan as one resumable task (see the [module docs](self)).
@@ -393,7 +392,10 @@ impl PlanTask {
                 s.strategy.expect("resolved plan"),
             )))),
             Stage::Select(s) => Some(Active::Select(Box::new(select_task(s, from)))),
-            Stage::TopNString(s) => Some(Active::TopNString(Box::new(TopNTask::nearest(
+            Stage::TopNNumeric(s) => {
+                Some(Active::TopN(Box::new(TopNTask::numeric(&s.attr, s.n, s.rank.clone(), from))))
+            }
+            Stage::TopNString(s) => Some(Active::TopN(Box::new(TopNTask::nearest(
                 s.attr.as_deref(),
                 s.n,
                 &s.target,
@@ -441,11 +443,7 @@ impl PlanTask {
                     &join_options(s),
                 ))))
             }
-            Stage::Lookup(_)
-            | Stage::TopNNumeric(_)
-            | Stage::TopN(_)
-            | Stage::Filter(_)
-            | Stage::Limit(_) => None,
+            Stage::Lookup(_) | Stage::TopN(_) | Stage::Filter(_) | Stage::Limit(_) => None,
         }
     }
 }
@@ -540,7 +538,7 @@ impl ExecStep for PlanTask {
                     Active::Select(t) => t.step(engine, at),
                     Active::Join(t) => t.step(engine, at),
                     Active::Multi(t) => t.step(engine, at),
-                    Active::TopNString(t) => t.step(engine, at),
+                    Active::TopN(t) => t.step(engine, at),
                 };
                 match outcome {
                     StepOutcome::Yield { at_us } => return StepOutcome::Yield { at_us },
@@ -608,7 +606,7 @@ impl ExecStep for PlanTask {
                                     bindings: m.bindings,
                                 })
                                 .collect(),
-                            Active::TopNString(mut t) => rows_from_items(t.take_items()),
+                            Active::TopN(mut t) => rows_from_items(t.take_items()),
                         };
                         self.close_stage(engine, at, window_trace);
                         self.idx += 1;
@@ -620,16 +618,17 @@ impl ExecStep for PlanTask {
             // ---- Start the next stage -----------------------------------
             match &self.stages[self.idx] {
                 Stage::Lookup(oid) => {
-                    // One routed fetch, one charged chunk (mirrors the VQL
-                    // executor's constant-subject path).
+                    // One routed fetch, one charged chunk; an oid nothing
+                    // is stored under yields no row.
                     self.open = Some(StageOpen::of(&self.stats, at));
                     let oid = oid.clone();
                     let from = self.from;
-                    let mut acc = self.stats;
-                    let ((obj, _inner), end) =
-                        engine.charged(&mut acc, at, |e| e.lookup_object(from, &oid));
-                    self.stats = acc;
-                    self.rows = obj
+                    let oids = [oid.clone()].into_iter().collect();
+                    let (mut objects, end) =
+                        engine.charged(&mut self.stats, at, |e| e.fetch_objects(from, &oids));
+                    self.rows = objects
+                        .remove(&oid)
+                        .filter(|o| !o.fields.is_empty())
                         .map(|object| {
                             vec![PlanRow {
                                 oid: oid.clone(),
@@ -642,24 +641,6 @@ impl ExecStep for PlanTask {
                             }]
                         })
                         .unwrap_or_default();
-                    at = end;
-                    self.close_stage(engine, at, None);
-                    self.idx += 1;
-                    continue;
-                }
-                Stage::TopNNumeric(spec) => {
-                    // Monolithic charged chunk (a bounded number of range
-                    // rounds); matches/rounds come from the inner window.
-                    self.open = Some(StageOpen::of(&self.stats, at));
-                    let spec = spec.clone();
-                    let from = self.from;
-                    let mut acc = self.stats;
-                    let (res, end) = engine.charged(&mut acc, at, |e| {
-                        e.top_n_numeric(&spec.attr, spec.n, spec.rank.clone(), from)
-                    });
-                    self.stats = acc;
-                    self.stats.rounds += res.stats.rounds;
-                    self.rows = rows_from_items(res.items);
                     at = end;
                     self.close_stage(engine, at, None);
                     self.idx += 1;

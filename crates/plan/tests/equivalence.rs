@@ -1,21 +1,23 @@
-//! The shim contract: a single-operator plan executes the *identical*
-//! stepped task the legacy `SimilarityEngine` entry point drives, so
-//! results **and cost accounting** are byte-identical through either
-//! surface.
+//! A query runs two ways — through `Session`, or as its operator's
+//! `ExecStep` task on the engine — and a single-operator plan executes the
+//! *identical* stepped task, so results **and cost accounting** are
+//! byte-identical either way.
 //!
 //! Methodology: two engines built identically (same seed, data,
-//! replication, cache services) are in identical RNG states; the legacy
-//! entry point runs on one, the plan on the other, from the same initiator
-//! — so even routing draws coincide and the full `QueryStats` (messages,
-//! bytes, probes, candidates, comparisons, cache counters) must match
-//! exactly, not just the result rows. Each query runs twice per engine so
-//! the cache-on configurations also pin the hot (cache-hit) path.
+//! replication, cache services) are in identical RNG states; the operator
+//! task runs on one, the plan on the other, from the same initiator — so
+//! even routing draws coincide and the full `QueryStats` (messages, bytes,
+//! probes, candidates, comparisons, cache counters) must match exactly,
+//! not just the result rows. Each query runs twice per engine so the
+//! cache-on configurations also pin the hot (cache-hit) path.
 
 use proptest::prelude::*;
 use sqo_core::{
-    AttrPredicate, BrokerConfig, EngineBuilder, JoinOptions, MultiStrategy, QueryStats, Rank,
-    SimilarityEngine, Strategy,
+    AttrPredicate, BrokerConfig, EngineBuilder, ExecStep, JoinOptions, JoinTask, MultiStrategy,
+    MultiTask, QueryStats, Rank, SelectTask, SimilarTask, SimilarityEngine, Strategy, TopNItem,
+    TopNTask,
 };
+use sqo_overlay::PeerId;
 use sqo_plan::{PlanResult, PlanRow, Query, Session};
 use sqo_storage::{Row, Value};
 
@@ -48,29 +50,50 @@ fn stats_repr(s: &QueryStats) -> String {
     format!("{s:?}")
 }
 
-/// A boxed legacy selection entry point, for the table-driven select test.
-type LegacySelect = Box<
-    dyn Fn(&mut SimilarityEngine, sqo_overlay::PeerId) -> (Vec<sqo_core::SelectHit>, QueryStats),
->;
+/// Run `task` on `e` to completion: its rows, as `take` maps them, and
+/// its stats.
+fn run<T: ExecStep>(
+    e: &mut SimilarityEngine,
+    mut task: T,
+    take: impl FnOnce(&mut T) -> Vec<PlanRow>,
+) -> (Vec<PlanRow>, QueryStats) {
+    let stats = e.run_task(&mut task);
+    (take(&mut task), stats)
+}
 
-/// Run the plan twice on `plan_engine` and the legacy closure twice on
-/// `legacy_engine`, asserting rows and stats match run for run.
+/// Run the plan twice on `plan_engine` and the task closure twice on
+/// `task_engine`, asserting rows and stats match run for run.
 fn assert_equivalent(
-    legacy_engine: &mut SimilarityEngine,
+    task_engine: &mut SimilarityEngine,
     plan_engine: &mut SimilarityEngine,
     q: &Query,
-    legacy: impl Fn(&mut SimilarityEngine, sqo_overlay::PeerId) -> (Vec<PlanRow>, QueryStats),
+    task: impl Fn(&mut SimilarityEngine, PeerId) -> (Vec<PlanRow>, QueryStats),
 ) {
-    let from_l = legacy_engine.random_peer();
+    let from_t = task_engine.random_peer();
     let from_p = plan_engine.random_peer();
-    assert_eq!(from_l, from_p, "identical engines draw identical initiators");
+    assert_eq!(from_t, from_p, "identical engines draw identical initiators");
     for round in 0..2 {
-        let (expected_rows, expected_stats) = legacy(legacy_engine, from_l);
+        let (expected_rows, expected_stats) = task(task_engine, from_t);
         let mut session = Session::new(plan_engine, from_p);
         let PlanResult { rows, stats } = session.run(q).expect("plannable");
         assert_eq!(&rows, &expected_rows, "rows differ (round {round})");
         assert_eq!(stats_repr(&stats), stats_repr(&expected_stats), "stats differ (round {round})");
     }
+}
+
+fn rows_from_items(items: Vec<TopNItem>) -> Vec<PlanRow> {
+    items
+        .into_iter()
+        .map(|i| PlanRow {
+            oid: i.oid,
+            attr: None,
+            value: i.value,
+            score: Some(i.score),
+            object: i.object,
+            left: None,
+            bindings: Vec::new(),
+        })
+        .collect()
 }
 
 fn rows_from_similar(matches: Vec<sqo_core::SimilarMatch>) -> Vec<PlanRow> {
@@ -91,7 +114,7 @@ fn rows_from_similar(matches: Vec<sqo_core::SimilarMatch>) -> Vec<PlanRow> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// `similar` (every strategy) through the plan == the legacy call.
+    /// `Similar` (every strategy) through the plan == its task.
     #[test]
     fn similar_equivalence(
         words in prop::collection::hash_set("[a-d]{2,9}", 2..24),
@@ -103,17 +126,17 @@ proptest! {
     ) {
         let words: Vec<String> = { let mut v: Vec<_> = words.into_iter().collect(); v.sort(); v };
         let strategy = Strategy::ALL[strat];
-        let mut le = build(&words, replication, cache, 11);
+        let mut te = build(&words, replication, cache, 11);
         let mut pe = build(&words, replication, cache, 11);
         let q = Query::similar(query.clone(), Some("word"), d).strategy(strategy);
-        assert_equivalent(&mut le, &mut pe, &q, |e, from| {
-            let r = e.similar(&query, Some("word"), d, from, strategy);
-            (rows_from_similar(r.matches), r.stats)
+        assert_equivalent(&mut te, &mut pe, &q, |e, from| {
+            let task = SimilarTask::new(&query, Some("word"), d, from, strategy);
+            run(e, task, |t| rows_from_similar(t.take_matches()))
         });
     }
 
     /// Exact / keyword / full-scan / range selections through the plan ==
-    /// the legacy calls.
+    /// their tasks.
     #[test]
     fn select_equivalence(
         words in prop::collection::hash_set("[a-c]{2,6}", 2..20),
@@ -123,49 +146,31 @@ proptest! {
         cache in any::<bool>(),
     ) {
         let words: Vec<String> = { let mut v: Vec<_> = words.into_iter().collect(); v.sort(); v };
-        let target = words[pick % words.len()].clone();
-        let mut le = build(&words, replication, cache, 13);
+        let target = Value::from(words[pick % words.len()].clone());
+        let mut te = build(&words, replication, cache, 13);
         let mut pe = build(&words, replication, cache, 13);
-        let (q, legacy): (Query, LegacySelect) = match kind {
-            0 => (
-                Query::select_exact("word", Value::from(target.clone())),
-                Box::new({ let t = target.clone(); move |e, from| {
-                    let r = e.select_exact("word", &Value::from(t.clone()), from);
-                    (r.hits, r.stats)
-                }}),
-            ),
-            1 => (
-                Query::select_keyword(Value::from(target.clone())),
-                Box::new({ let t = target.clone(); move |e, from| {
-                    let r = e.select_keyword(&Value::from(t.clone()), from);
-                    (r.hits, r.stats)
-                }}),
-            ),
-            2 => (
-                Query::select_all("word"),
-                Box::new(move |e, from| { let r = e.select_all("word", from); (r.hits, r.stats) }),
-            ),
-            _ => (
-                Query::select_range("len", Value::Int(2), Value::Int(5)),
-                Box::new(move |e, from| {
-                    let r = e.select_range("len", &Value::Int(2), &Value::Int(5), from);
-                    (r.hits, r.stats)
-                }),
-            ),
+        let (q, attr) = match kind {
+            0 => (Query::select_exact("word", target.clone()), Some("word")),
+            1 => (Query::select_keyword(target.clone()), None),
+            2 => (Query::select_all("word"), Some("word")),
+            _ => (Query::select_range("len", Value::Int(2), Value::Int(5)), Some("len")),
         };
-        let attr = match kind { 1 => None, 3 => Some("len".to_string()), _ => Some("word".to_string()) };
-        assert_equivalent(&mut le, &mut pe, &q, move |e, from| {
-            let (hits, stats) = legacy(e, from);
-            let rows = hits.into_iter().map(|h| PlanRow {
-                oid: h.oid, attr: attr.clone(), value: h.value, score: None,
+        assert_equivalent(&mut te, &mut pe, &q, |e, from| {
+            let task = match kind {
+                0 => SelectTask::exact("word", target.clone(), from),
+                1 => SelectTask::keyword(target.clone(), from),
+                2 => SelectTask::full_scan("word", from),
+                _ => SelectTask::range("len", Value::Int(2), Value::Int(5), from),
+            };
+            run(e, task, |t| t.take_hits().into_iter().map(|h| PlanRow {
+                oid: h.oid, attr: attr.map(str::to_string), value: h.value, score: None,
                 object: h.object, left: None, bindings: Vec::new(),
-            }).collect();
-            (rows, stats)
+            }).collect())
         });
     }
 
-    /// Scan-left similarity join through the plan == the legacy call,
-    /// across windows and left limits.
+    /// Scan-left similarity join through the plan == its task, across
+    /// windows and left limits.
     #[test]
     fn join_equivalence(
         words in prop::collection::hash_set("[a-c]{3,6}", 2..14),
@@ -176,25 +181,24 @@ proptest! {
         cache in any::<bool>(),
     ) {
         let words: Vec<String> = { let mut v: Vec<_> = words.into_iter().collect(); v.sort(); v };
-        let mut le = build(&words, replication, cache, 17);
+        let mut te = build(&words, replication, cache, 17);
         let mut pe = build(&words, replication, cache, 17);
         let q = Query::join_scan("word", Some("word"), d)
             .strategy(Strategy::QGrams)
             .window(window)
             .left_limit(left_limit);
-        assert_equivalent(&mut le, &mut pe, &q, |e, from| {
+        assert_equivalent(&mut te, &mut pe, &q, |e, from| {
             let opts = JoinOptions { strategy: Strategy::QGrams, left_limit, window: sqo_core::JoinWindow::Fixed(window) };
-            let r = e.sim_join("word", Some("word"), d, from, &opts);
-            let rows = r.pairs.into_iter().map(|p| {
+            let task = JoinTask::new("word", Some("word"), d, from, &opts);
+            run(e, task, |t| t.take_pairs().into_iter().map(|p| {
                 let mut row = rows_from_similar(vec![p.right]).pop().expect("one");
                 row.left = Some((p.left_oid, p.left_value));
                 row
-            }).collect();
-            (rows, r.stats)
+            }).collect())
         });
     }
 
-    /// String top-N through the plan == the legacy call.
+    /// String top-N through the plan == its task.
     #[test]
     fn topn_string_equivalence(
         words in prop::collection::hash_set("[a-c]{3,7}", 2..16),
@@ -205,21 +209,17 @@ proptest! {
         cache in any::<bool>(),
     ) {
         let words: Vec<String> = { let mut v: Vec<_> = words.into_iter().collect(); v.sort(); v };
-        let mut le = build(&words, replication, cache, 19);
+        let mut te = build(&words, replication, cache, 19);
         let mut pe = build(&words, replication, cache, 19);
         let q = Query::top_n_similar(Some("word"), n, target.clone(), d_max)
             .strategy(Strategy::QGrams);
-        assert_equivalent(&mut le, &mut pe, &q, |e, from| {
-            let r = e.top_n_similar(Some("word"), n, &target, d_max, from, Strategy::QGrams);
-            let rows = r.items.into_iter().map(|i| PlanRow {
-                oid: i.oid, attr: None, value: i.value, score: Some(i.score),
-                object: i.object, left: None, bindings: Vec::new(),
-            }).collect();
-            (rows, r.stats)
+        assert_equivalent(&mut te, &mut pe, &q, |e, from| {
+            let task = TopNTask::nearest(Some("word"), n, &target, d_max, from, Strategy::QGrams);
+            run(e, task, |t| rows_from_items(t.take_items()))
         });
     }
 
-    /// Numeric top-N through the plan == the legacy call (all rankings).
+    /// Numeric top-N through the plan == its task (all rankings).
     #[test]
     fn topn_numeric_equivalence(
         words in prop::collection::hash_set("[a-c]{2,8}", 3..20),
@@ -233,21 +233,17 @@ proptest! {
             1 => Rank::Max,
             _ => Rank::Nn(Value::Int(4)),
         };
-        let mut le = build(&words, replication, false, 23);
+        let mut te = build(&words, replication, false, 23);
         let mut pe = build(&words, replication, false, 23);
         let q = Query::top_n_numeric("len", n, rank.clone());
-        assert_equivalent(&mut le, &mut pe, &q, |e, from| {
-            let r = e.top_n_numeric("len", n, rank.clone(), from);
-            let rows = r.items.into_iter().map(|i| PlanRow {
-                oid: i.oid, attr: None, value: i.value, score: Some(i.score),
-                object: i.object, left: None, bindings: Vec::new(),
-            }).collect();
-            (rows, r.stats)
+        assert_equivalent(&mut te, &mut pe, &q, |e, from| {
+            let task = TopNTask::numeric("len", n, rank.clone(), from);
+            run(e, task, |t| rows_from_items(t.take_items()))
         });
     }
 
-    /// Multi-attribute conjunctions through the plan == the legacy call,
-    /// both conjunction strategies.
+    /// Multi-attribute conjunctions through the plan == their task, both
+    /// conjunction strategies.
     #[test]
     fn multi_equivalence(
         words in prop::collection::hash_set("[a-b]{3,6}", 2..12),
@@ -263,17 +259,16 @@ proptest! {
             AttrPredicate::new("word", q1.clone(), 1),
             AttrPredicate::new("rev", q2.clone(), 1),
         ];
-        let mut le = build(&words, replication, cache, 29);
+        let mut te = build(&words, replication, cache, 29);
         let mut pe = build(&words, replication, cache, 29);
         let q = Query::similar_multi(preds.clone(), Some(multi)).strategy(Strategy::QGrams);
-        assert_equivalent(&mut le, &mut pe, &q, |e, from| {
-            let r = e.similar_multi(&preds, from, Strategy::QGrams, multi);
-            let rows = r.matches.into_iter().map(|m| PlanRow {
+        assert_equivalent(&mut te, &mut pe, &q, |e, from| {
+            let task = MultiTask::new(preds.clone(), from, Strategy::QGrams, multi);
+            run(e, task, |t| t.take_matches().into_iter().map(|m| PlanRow {
                 value: Value::Str(m.oid.clone()),
                 oid: m.oid, attr: None, score: None,
                 object: m.object, left: None, bindings: m.bindings,
-            }).collect();
-            (rows, r.stats)
+            }).collect())
         });
     }
 }

@@ -5,9 +5,10 @@
 //! strategy choice) and the tree shape — so any planner change that moves
 //! an access path or annotation shows up as a reviewable diff here.
 
-use sqo_core::{AttrPredicate, EngineBuilder, JoinWindow, QueryDefaults};
+use sqo_core::{AttrPredicate, EngineBuilder, JoinWindow, QueryDefaults, Rank};
 use sqo_overlay::PeerId;
 use sqo_plan::{CmpOp, PlanError, PlannerEnv, PreparedQuery, Query, Session};
+use sqo_sim::{LatencyModel, SimConfig};
 use sqo_storage::{Row, Value};
 
 fn env_plain() -> PlannerEnv {
@@ -183,14 +184,57 @@ fn invalid_plans_are_rejected_not_panicked() {
     assert!(PreparedQuery::with_env(&bad_nn, &env_plain(), PeerId(0)).is_err());
 }
 
+/// Twenty cars with `hp` 100 … 119 on 16 peers.
+fn hp_engine() -> sqo_core::SimilarityEngine {
+    let rows: Vec<Row> =
+        (0..20).map(|i| Row::new(format!("c:{i}"), [("hp", Value::Int(100 + i))])).collect();
+    EngineBuilder::new().peers(16).seed(3).build_with_rows(&rows)
+}
+
+/// Numeric top-N (Algorithm 4) run once on a constant-latency simulation:
+/// the answer, and the rows, messages, enlargement rounds and virtual time
+/// its stage observed, for a MAX and an NN ranking.
+#[test]
+fn numeric_topn_analyze_golden() {
+    let mut engine = hp_engine();
+    sqo_sim::install(
+        &mut engine,
+        SimConfig { latency: LatencyModel::Constant { us: 1_000 }, ..SimConfig::default() },
+    );
+    let mut session = Session::new(&mut engine, PeerId(0));
+    let mut analyze = |q: &Query| {
+        let prepared = session.prepare(q).expect("plannable");
+        let (result, rendered) = session.explain_analyze_prepared(&prepared);
+        let answer: Vec<String> =
+            result.rows.iter().map(|r| format!("{}={}", r.oid, r.value)).collect();
+        (answer, rendered)
+    };
+    let (answer, rendered) = analyze(&Query::top_n_numeric("hp", 3, Rank::Max));
+    assert_eq!(answer, ["c:19=119", "c:18=118", "c:17=117"]);
+    assert_eq!(
+        rendered,
+        "TopNNumeric attr=hp n=3 rank=MAX [density-estimated range enlargement]\n\
+         ~ rows=3 time=4254us msgs=4 bytes=296 probes=0 rounds=1 queue=0us service=254us \
+         blame[link=4000us queue=0us service=254us stall=0us]\n\
+         -- observed: rows=3 msgs=4 bytes=296 probes=0 time=4254us"
+    );
+    let (answer, rendered) = analyze(&Query::top_n_numeric("hp", 4, Rank::Nn(Value::Int(107))));
+    assert_eq!(answer, ["c:7=107", "c:6=106", "c:8=108", "c:5=105"]);
+    assert_eq!(
+        rendered,
+        "TopNNumeric attr=hp n=4 rank=NN 107 [density-estimated range enlargement]\n\
+         ~ rows=4 time=4284us msgs=4 bytes=650 probes=0 rounds=1 queue=0us service=284us \
+         blame[link=4000us queue=0us service=284us stall=0us]\n\
+         -- observed: rows=4 msgs=4 bytes=650 probes=0 time=4284us"
+    );
+}
+
 /// A numeric similarity whose `eps` is NaN, infinite or negative is refused
 /// by `Session::run` as an invalid plan — it used to panic inside the
 /// selection — and one with a finite, non-negative `eps` runs.
 #[test]
 fn a_numeric_similarity_with_a_bad_eps_is_refused_by_session_run() {
-    let rows: Vec<Row> =
-        (0..20).map(|i| Row::new(format!("c:{i}"), [("hp", Value::Int(100 + i))])).collect();
-    let mut engine = EngineBuilder::new().peers(16).seed(3).build_with_rows(&rows);
+    let mut engine = hp_engine();
     let from = engine.random_peer();
     let mut session = Session::new(&mut engine, from);
     for eps in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, -f64::MIN_POSITIVE] {

@@ -59,6 +59,7 @@
 //! ```
 //! use sqo_core::{EngineBuilder, Strategy};
 //! use sqo_datasets::{bible_words, string_rows};
+//! use sqo_plan::{Query, Session};
 //! use sqo_sim::{install, SimConfig};
 //!
 //! let words = bible_words(200, 3);
@@ -67,7 +68,8 @@
 //! install(&mut engine, SimConfig::default());
 //!
 //! let from = engine.random_peer();
-//! let res = engine.similar(&words[0], Some("word"), 1, from, Strategy::QGrams);
+//! let q = Query::similar(words[0].as_str(), Some("word"), 1).strategy(Strategy::QGrams);
+//! let res = Session::new(&mut engine, from).run(&q).unwrap();
 //! let sim = res.stats.sim.expect("sink installed");
 //! assert!(sim.elapsed_us > 0, "a remote query takes virtual time");
 //! ```

@@ -12,6 +12,7 @@
 
 use sqo_core::{EngineBuilder, JoinOptions, JoinTask, JoinWindow, SimilarityEngine, Strategy};
 use sqo_datasets::{bible_words, string_rows};
+use sqo_plan::{Query, Session};
 use sqo_sim::{install, run_driver, Arrival, DriverConfig, LatencyModel, QueryKind, SimConfig};
 
 fn engine(words: &[String], peers: usize, seed: u64) -> SimilarityEngine {
@@ -113,12 +114,18 @@ fn adaptivity_never_changes_join_results() {
         let mut e = engine(&words, 48, 3);
         install(&mut e, sim_cfg());
         let from = e.random_peer();
-        let opts = JoinOptions { strategy: Strategy::QGrams, left_limit: Some(10), window };
-        let res = e.sim_join("word", Some("word"), 1, from, &opts);
+        let join = Query::join_scan("word", Some("word"), 1)
+            .strategy(Strategy::QGrams)
+            .left_limit(Some(10))
+            .window_mode(window);
+        let res = Session::new(&mut e, from).run(&join).expect("a self-join plans");
         let mut pairs: Vec<(String, String, String)> = res
-            .pairs
-            .iter()
-            .map(|p| (p.left_oid.clone(), p.left_value.clone(), p.right.matched.clone()))
+            .rows
+            .into_iter()
+            .map(|p| {
+                let (left_oid, left_value) = p.left.expect("a join row");
+                (left_oid, left_value, p.value.to_string())
+            })
             .collect();
         pairs.sort_unstable();
         pairs

@@ -12,13 +12,24 @@
 //! change here, which is exactly the regime the epoch rule makes exact.
 
 use proptest::prelude::*;
-use sqo_core::{
-    BrokerConfig, EngineBuilder, JoinOptions, JoinWindow, Rank, SimilarityEngine, Strategy,
-};
+use sqo_core::{BrokerConfig, EngineBuilder, Rank, SimilarityEngine, Strategy};
 use sqo_datasets::{bible_words, string_rows};
 use sqo_overlay::PeerId;
+use sqo_plan::{PlanRow, Query, Session};
 use sqo_sim::{install, SimConfig};
 use sqo_storage::triple::Value;
+
+/// Run `q` from `from` to completion: its rows.
+fn run(e: &mut SimilarityEngine, from: PeerId, q: &Query) -> Vec<PlanRow> {
+    Session::new(e, from).run(q).expect("plannable").rows
+}
+
+/// The oids of `q`'s rows, sorted.
+fn oids(e: &mut SimilarityEngine, from: PeerId, q: &Query) -> Vec<String> {
+    let mut oids: Vec<String> = run(e, from, q).into_iter().map(|r| r.oid).collect();
+    oids.sort();
+    oids
+}
 
 fn build(words: &[String], replication: usize, seed: u64, cache: BrokerConfig) -> SimilarityEngine {
     let rows = string_rows("word", words, "w");
@@ -39,54 +50,31 @@ fn build(words: &[String], replication: usize, seed: u64, cache: BrokerConfig) -
 fn battery(e: &mut SimilarityEngine, words: &[String], strategy: Strategy, from: PeerId) -> String {
     let mut out = String::new();
     for s in [&words[0], &words[7], &words[13]] {
-        let mut m: Vec<(String, String, usize)> = e
-            .similar(s, Some("word"), 1, from, strategy)
-            .matches
+        let q = Query::similar(s, Some("word"), 1).strategy(strategy);
+        let mut m: Vec<(String, String, usize)> = run(e, from, &q)
             .into_iter()
-            .map(|m| (m.oid, m.matched, m.distance))
+            .map(|m| (m.oid, m.value.to_string(), m.score.expect("a distance") as usize))
             .collect();
         m.sort();
         out.push_str(&format!("similar {s}: {m:?}\n"));
     }
-    let opts = JoinOptions { strategy, left_limit: Some(6), window: JoinWindow::Fixed(4) };
-    let mut pairs: Vec<(String, String)> = e
-        .sim_join("word", Some("word"), 1, from, &opts)
-        .pairs
+    let join =
+        Query::join_scan("word", Some("word"), 1).strategy(strategy).left_limit(Some(6)).window(4);
+    let mut pairs: Vec<(String, String)> = run(e, from, &join)
         .into_iter()
-        .map(|p| (p.left_value, p.right.matched))
+        .map(|p| (p.left.expect("a join row").1, p.value.to_string()))
         .collect();
     pairs.sort();
     out.push_str(&format!("join: {pairs:?}\n"));
-    let top: Vec<(String, f64)> = e
-        .top_n_similar(Some("word"), 3, &words[3], 3, from, strategy)
-        .items
-        .into_iter()
-        .map(|i| (i.oid, i.score))
-        .collect();
+    let q = Query::top_n_similar(Some("word"), 3, words[3].as_str(), 3).strategy(strategy);
+    let top: Vec<(String, f64)> =
+        run(e, from, &q).into_iter().map(|i| (i.oid, i.score.expect("a score"))).collect();
     out.push_str(&format!("topn: {top:?}\n"));
-    let mut sel: Vec<String> = e
-        .select_exact("word", &Value::from(words[5].as_str()), from)
-        .hits
-        .into_iter()
-        .map(|h| h.oid)
-        .collect();
-    sel.sort();
+    let sel = oids(e, from, &Query::select_exact("word", Value::from(words[5].as_str())));
     out.push_str(&format!("select: {sel:?}\n"));
-    let mut kw: Vec<String> = e
-        .select_keyword(&Value::from(words[9].as_str()), from)
-        .hits
-        .into_iter()
-        .map(|h| h.oid)
-        .collect();
-    kw.sort();
+    let kw = oids(e, from, &Query::select_keyword(Value::from(words[9].as_str())));
     out.push_str(&format!("keyword: {kw:?}\n"));
-    let mut rng: Vec<String> = e
-        .select_range("word", &Value::from("a"), &Value::from("m"), from)
-        .hits
-        .into_iter()
-        .map(|h| h.oid)
-        .collect();
-    rng.sort();
+    let rng = oids(e, from, &Query::select_range("word", Value::from("a"), Value::from("m")));
     out.push_str(&format!("range: {rng:?}\n"));
     out
 }
@@ -154,8 +142,8 @@ fn numeric_topn_unaffected_by_broker() {
             EngineBuilder::new().peers(32).seed(4).cache_config(cache).build_with_rows(&rows);
         install(&mut e, SimConfig::default());
         let from = PeerId(2);
-        let res = e.top_n_numeric("hp", 5, Rank::Nn(Value::Int(150)), from);
-        res.items.into_iter().map(|i| (i.oid, i.score as i64)).collect::<Vec<_>>()
+        let res = run(&mut e, from, &Query::top_n_numeric("hp", 5, Rank::Nn(Value::Int(150))));
+        res.into_iter().map(|i| (i.oid, i.score.expect("a score") as i64)).collect::<Vec<_>>()
     };
     assert_eq!(run(BrokerConfig::default()), run(BrokerConfig::enabled()));
 }

@@ -3,8 +3,9 @@
 //! joins (bounded outstanding-request window), deterministic interleaving,
 //! and load-aware reference selection.
 
-use sqo_core::{EngineBuilder, JoinOptions, JoinWindow, SimilarityEngine};
+use sqo_core::{EngineBuilder, JoinWindow, SimilarityEngine, Strategy};
 use sqo_datasets::{bible_words, string_rows};
+use sqo_plan::{Query, Session};
 use sqo_sim::{
     install, run_driver, Arrival, DriverConfig, DriverReport, LatencyModel, QueryKind, SimConfig,
 };
@@ -117,10 +118,16 @@ fn join_window_reduces_p50_without_changing_pairs() {
         let mut e = engine(&words, 48, 1);
         install(&mut e, sim_cfg());
         let from = e.random_peer();
-        let opts = JoinOptions { left_limit: Some(8), window, ..Default::default() };
-        let res = e.sim_join("word", Some("word"), 1, from, &opts);
-        let mut pairs: Vec<(String, String)> =
-            res.pairs.iter().map(|p| (p.left_value.clone(), p.right.matched.clone())).collect();
+        let q = Query::join_scan("word", Some("word"), 1)
+            .strategy(Strategy::QGrams)
+            .left_limit(Some(8))
+            .window_mode(window);
+        let res = Session::new(&mut e, from).run(&q).expect("a self-join plans");
+        let mut pairs: Vec<(String, String)> = res
+            .rows
+            .into_iter()
+            .map(|p| (p.left.expect("a join row").1, p.value.to_string()))
+            .collect();
         pairs.sort_unstable();
         (pairs, res.stats.sim.expect("sink installed"))
     };

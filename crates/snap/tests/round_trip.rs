@@ -7,6 +7,7 @@ use sqo_cache::BrokerConfig;
 use sqo_core::{EngineBuilder, EngineConfig, SimilarityEngine};
 use sqo_datasets::{bible_words, string_rows};
 use sqo_overlay::{Key, Network, NetworkState, PartitionStore, PeerId, SortedStore};
+use sqo_plan::{Query, Session};
 use sqo_sim::driver::EvSnap;
 use sqo_sim::scale::{resume_serial, resume_sharded, run_serial, run_serial_until, ScalePhase};
 use sqo_sim::{
@@ -620,7 +621,8 @@ fn a_fork_is_isolated_from_its_source() {
     extra.push(Row::new("w:0", [("note", "added later")]));
     let with_note = |engine: &mut SimilarityEngine| {
         let from = engine.random_peer();
-        let object = engine.lookup_object(from, "w:0").0.expect("w:0 is stored");
+        let found = Session::new(engine, from).run(&Query::lookup("w:0")).expect("a lookup plans");
+        let object = &found.rows.first().expect("w:0 is stored").object;
         object.fields.iter().any(|(attr, _)| attr.as_str() == "note")
     };
 

@@ -1,8 +1,8 @@
 //! VQL execution over the similarity engine.
 //!
 //! Execution is materialize-then-join at the initiating peer: every subject
-//! plan is **lowered onto the shared logical-plan IR** ([`crate::lower`])
-//! and materialized through the `sqo-plan` physical compiler — the same
+//! plan's leaf (a node of the shared logical-plan IR, see [`mod@crate::plan`])
+//! is materialized through the `sqo-plan` physical compiler — the same
 //! planner and stepped tasks the builder API runs on — each sub-plan
 //! paying its overlay messages; the resulting binding sets are hash-joined
 //! locally on shared variables, join-spanning `dist` predicates and
@@ -12,12 +12,11 @@
 
 use crate::ast::{CmpOp, Filter, Operand, OrderBy, Query, Term};
 use crate::error::{Result, VqlError};
-use crate::lower::{binds_matched_attr, lower_access_path};
 use crate::plan::{plan, Plan, SubjectPlan};
 use rustc_hash::FxHashMap;
 use sqo_core::{finalize_stats, ExecStep, QueryStats, SimilarityEngine, StepOutcome, Strategy};
 use sqo_overlay::peer::PeerId;
-use sqo_plan::{PlanTask, PlannerEnv, PreparedQuery};
+use sqo_plan::{PlanNode, PlanTask, PlannerEnv, PreparedQuery, SimilarSpec};
 use sqo_storage::posting::Object;
 use sqo_storage::triple::Value;
 use sqo_strsim::edit::levenshtein;
@@ -102,11 +101,11 @@ enum VState {
     Finished,
 }
 
-/// One subject's materialization: its access path lowered onto the shared
-/// plan IR and compiled into a stepped plan task.
+/// One subject's materialization: its plan leaf compiled into a stepped
+/// plan task.
 struct SubjectChild {
     task: Box<PlanTask>,
-    /// The lowered path binds the matched attribute (schema level).
+    /// The leaf binds the matched attribute (schema level).
     schema: bool,
 }
 
@@ -136,20 +135,20 @@ impl VqlTask {
         self.output.take()
     }
 
-    /// Lower subject `idx`'s access path onto the shared plan IR and
-    /// compile it against the engine's planner environment. The VQL-level
-    /// gram strategy (from [`ExecOptions`]) is pinned on every
-    /// similarity-bearing node, exactly as the pre-IR executor did.
+    /// Compile subject `idx`'s plan leaf against the engine's planner
+    /// environment. The VQL-level gram strategy (from [`ExecOptions`]) is
+    /// pinned on every similarity-bearing node.
     fn child_for(&mut self, idx: usize, engine: &SimilarityEngine) -> Result<SubjectChild> {
         if self.env.is_none() {
             self.env = Some(PlannerEnv::of(engine));
         }
         let env = self.env.as_ref().expect("filled above");
         let path = &self.plan.subjects[idx].path;
-        let q = sqo_plan::Query::from_plan(lower_access_path(path)).strategy(self.strategy);
+        let schema = matches!(path, PlanNode::Similar(SimilarSpec { attr: None, .. }));
+        let q = sqo_plan::Query::from_plan(path.clone()).strategy(self.strategy);
         let prepared = PreparedQuery::with_env(&q, env, self.from)
             .map_err(|e| VqlError::Semantic(e.to_string()))?;
-        Ok(SubjectChild { task: Box::new(prepared.task()), schema: binds_matched_attr(path) })
+        Ok(SubjectChild { task: Box::new(prepared.task()), schema })
     }
 
     /// Bind a finished subject's sources into rows and store them.

@@ -8,8 +8,9 @@
 //! three example queries; this crate makes it executable:
 //!
 //! * [`lexer`] / [`parser`] / [`ast`] — text → AST (round-trip printable);
-//! * [`mod@plan`] — AST → per-subject access paths (exact / range / numeric- or
-//!   string-similarity / schema-similarity / scans) plus join predicates;
+//! * [`mod@plan`] — AST → one `sqo-plan` leaf per subject (lookup / exact /
+//!   range / numeric- or string-similarity / schema-similarity / scan) plus
+//!   join predicates;
 //! * [`exec`] — materialize-and-join execution over the `sqo-core`
 //!   operators, with full message accounting.
 //!
@@ -37,13 +38,11 @@ pub mod ast;
 pub mod error;
 pub mod exec;
 pub mod lexer;
-pub mod lower;
 pub mod parser;
 pub mod plan;
 
 pub use ast::{CmpOp, Filter, Operand, OrderBy, Query, Term, TriplePattern};
 pub use error::{Result, VqlError};
 pub use exec::{execute, run, ExecOptions, QueryOutput, VqlTask};
-pub use lower::{binds_matched_attr, lower_access_path};
 pub use parser::parse;
-pub use plan::{plan, AccessPath, Plan, SubjectPlan};
+pub use plan::{plan, Plan, SubjectPlan};

@@ -1,19 +1,21 @@
-//! Query planning: from the parsed AST to per-subject access paths.
+//! Query planning: from the parsed AST to one plan leaf per subject.
 //!
 //! The vertical scheme has no tables, so the planner's unit is the *subject
 //! variable*: all patterns sharing a subject describe one object to be
 //! materialized. For every subject the planner picks the most selective
-//! access path it can justify from the patterns and filters:
+//! access path it can justify from the patterns and filters, as a leaf of
+//! the shared plan IR (`sqo-plan`'s [`PlanNode`]) — the same leaves the
+//! builder API compiles, in this order of preference:
 //!
-//! | path | source |
+//! | leaf | source |
 //! |------|--------|
-//! | `ByOid` | constant subject |
-//! | `Exact` | `?v = lit` on a constant-attribute pattern |
-//! | `NumericSimilar` | `dist(?v, num) < eps` |
-//! | `Range` | `?v < lit` etc. |
-//! | `StringSimilar` | `dist(?v, 'str') < d` (instance level, Alg. 2) |
-//! | `SchemaSimilar` | `dist(?a, 'str') < d` on an attribute variable |
-//! | `FullScan` | fallback: any constant attribute of the subject |
+//! | `Lookup` | constant subject |
+//! | `Select(Exact)` | `?v = lit` on a constant-attribute pattern |
+//! | `Select(NumericSimilar)` | `dist(?v, num) < eps` |
+//! | `Select(Range)` | `?v < lit` etc. (an open end gets its domain's bound) |
+//! | `Similar` on an attribute | `dist(?v, 'str') < d` (instance level, Alg. 2) |
+//! | `Similar` on names | `dist(?a, 'str') < d` on an attribute variable |
+//! | `Select(All)` | fallback: any constant attribute of the subject |
 //!
 //! Filters spanning several subjects (e.g. the paper's
 //! `FILTER (dist(?id,?cid) < 2)`) become *join predicates*, evaluated when
@@ -26,33 +28,28 @@
 use crate::ast::{CmpOp, Filter, Operand, OrderBy, Query, Term, TriplePattern};
 use crate::error::{Result, VqlError};
 use rustc_hash::{FxHashMap, FxHashSet};
+use sqo_plan::{open_range_bounds, PlanNode, SelectSpec, SimilarSpec};
 use sqo_storage::triple::Value;
 
-/// How a subject's candidate objects are located in the overlay.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AccessPath {
-    ByOid { oid: String },
-    Exact { attr: String, value: Value },
-    NumericSimilar { attr: String, center: Value, eps: f64 },
-    Range { attr: String, lo: Option<Value>, hi: Option<Value> },
-    StringSimilar { attr: String, query: String, d: usize },
-    SchemaSimilar { query: String, d: usize },
-    FullScan { attr: String },
+/// Planner preference of a subject's leaf, lower = more selective: lookup,
+/// exact, numeric similarity, range, instance similarity, schema
+/// similarity, full scan.
+fn rank(leaf: &PlanNode) -> u8 {
+    match leaf {
+        PlanNode::Lookup { .. } => 0,
+        PlanNode::Select(SelectSpec::Exact { .. }) => 1,
+        PlanNode::Select(SelectSpec::NumericSimilar { .. }) => 2,
+        PlanNode::Select(SelectSpec::Range { .. }) => 3,
+        PlanNode::Similar(SimilarSpec { attr: Some(_), .. }) => 4,
+        PlanNode::Similar(SimilarSpec { attr: None, .. }) => 5,
+        _ => 6,
+    }
 }
 
-impl AccessPath {
-    /// Lower = more selective (planner preference).
-    fn rank(&self) -> u8 {
-        match self {
-            AccessPath::ByOid { .. } => 0,
-            AccessPath::Exact { .. } => 1,
-            AccessPath::NumericSimilar { .. } => 2,
-            AccessPath::Range { .. } => 3,
-            AccessPath::StringSimilar { .. } => 4,
-            AccessPath::SchemaSimilar { .. } => 5,
-            AccessPath::FullScan { .. } => 6,
-        }
-    }
+/// A `Similar` leaf on `attr`'s values, or on attribute names for `None`.
+/// The gram strategy is left to the executor, which pins its own.
+fn similar(s: &str, attr: Option<String>, d: usize) -> PlanNode {
+    PlanNode::Similar(SimilarSpec { s: s.to_string(), attr, d, strategy: None })
 }
 
 /// Materialization plan for one subject variable.
@@ -60,7 +57,8 @@ impl AccessPath {
 pub struct SubjectPlan {
     /// The subject variable (synthetic `$oid` name for constant subjects).
     pub var: String,
-    pub path: AccessPath,
+    /// The plan leaf that locates the subject's candidate objects.
+    pub path: PlanNode,
     /// All patterns with this subject.
     pub patterns: Vec<TriplePattern>,
     /// Variables bound by this subject (subject var + attr vars + value
@@ -199,7 +197,7 @@ pub fn plan(query: &Query) -> Result<Plan> {
     let mut residual: Vec<Filter> = Vec::new();
     let mut cross_filters: Vec<Filter> = Vec::new();
     // Per subject: candidate access paths from absorbable filters.
-    let mut candidates: FxHashMap<String, Vec<AccessPath>> = FxHashMap::default();
+    let mut candidates: FxHashMap<String, Vec<PlanNode>> = FxHashMap::default();
 
     for f in &query.filters {
         let vars = filter_vars(f);
@@ -224,10 +222,8 @@ pub fn plan(query: &Query) -> Result<Plan> {
             let is_attr_var = patterns.iter().any(|p| p.p.as_var() == Some(var.as_str()));
             if is_attr_var {
                 if let Value::Str(s) = &lit {
-                    candidates
-                        .entry(owner.clone())
-                        .or_default()
-                        .push(AccessPath::SchemaSimilar { query: s.clone(), d: eps as usize });
+                    let leaf = similar(s, None, eps as usize);
+                    candidates.entry(owner.clone()).or_default().push(leaf);
                 }
                 continue;
             }
@@ -239,10 +235,12 @@ pub fn plan(query: &Query) -> Result<Plan> {
             });
             if let Some(attr) = attr {
                 let path = match &lit {
-                    Value::Str(s) => {
-                        AccessPath::StringSimilar { attr, query: s.clone(), d: eps as usize }
-                    }
-                    num => AccessPath::NumericSimilar { attr, center: num.clone(), eps },
+                    Value::Str(s) => similar(s, Some(attr), eps as usize),
+                    num => PlanNode::Select(SelectSpec::NumericSimilar {
+                        attr,
+                        center: num.clone(),
+                        eps,
+                    }),
                 };
                 candidates.entry(owner.clone()).or_default().push(path);
             }
@@ -270,34 +268,43 @@ pub fn plan(query: &Query) -> Result<Plan> {
                 .flatten()
         });
         let Some(attr) = attr else { continue };
-        let path = match op {
-            CmpOp::Eq => AccessPath::Exact { attr, value: lit },
-            CmpOp::Lt | CmpOp::Le => AccessPath::Range { attr, lo: None, hi: Some(lit) },
-            CmpOp::Gt | CmpOp::Ge => AccessPath::Range { attr, lo: Some(lit), hi: None },
+        let spec = match op {
+            CmpOp::Eq => SelectSpec::Exact { attr, value: lit },
+            CmpOp::Lt | CmpOp::Le => {
+                let (lo, hi) = open_range_bounds(None, Some(lit));
+                SelectSpec::Range { attr, lo, hi }
+            }
+            CmpOp::Gt | CmpOp::Ge => {
+                let (lo, hi) = open_range_bounds(Some(lit), None);
+                SelectSpec::Range { attr, lo, hi }
+            }
             CmpOp::Ne => continue,
         };
-        candidates.entry(owner.clone()).or_default().push(path);
+        candidates.entry(owner.clone()).or_default().push(PlanNode::Select(spec));
     }
 
     // ---- Pick a path per subject --------------------------------------
     let mut subjects = Vec::with_capacity(order_of_subjects.len());
     for subj in order_of_subjects {
         let patterns = groups[&subj].clone();
-        let mut best: Option<AccessPath> =
-            const_subjects.get(&subj).map(|oid| AccessPath::ByOid { oid: oid.clone() });
+        let mut best: Option<PlanNode> =
+            const_subjects.get(&subj).map(|oid| PlanNode::Lookup { oid: oid.clone() });
         if best.is_none() {
             // Exact-match from a constant object value on a constant attr.
             for p in &patterns {
                 if let (Some(attr), Some(v)) =
                     (p.p.as_const().and_then(Value::as_str), p.o.as_const())
                 {
-                    best = Some(AccessPath::Exact { attr: attr.to_string(), value: v.clone() });
+                    best = Some(PlanNode::Select(SelectSpec::Exact {
+                        attr: attr.to_string(),
+                        value: v.clone(),
+                    }));
                     break;
                 }
             }
         }
         for cand in candidates.remove(&subj).unwrap_or_default() {
-            if best.as_ref().is_none_or(|b| cand.rank() < b.rank()) {
+            if best.as_ref().is_none_or(|b| rank(&cand) < rank(b)) {
                 best = Some(cand);
             }
         }
@@ -306,7 +313,7 @@ pub fn plan(query: &Query) -> Result<Plan> {
             best = patterns.iter().find_map(|p| {
                 p.p.as_const()
                     .and_then(Value::as_str)
-                    .map(|a| AccessPath::FullScan { attr: a.to_string() })
+                    .map(|a| PlanNode::Select(SelectSpec::All { attr: a.to_string() }))
             });
         }
         let Some(path) = best else {
@@ -345,7 +352,11 @@ mod tests {
         assert_eq!(plan.subjects.len(), 1);
         assert_eq!(
             plan.subjects[0].path,
-            AccessPath::Range { attr: "price".into(), lo: None, hi: Some(Value::Int(50000)) }
+            PlanNode::Select(SelectSpec::Range {
+                attr: "price".into(),
+                lo: Value::Int(i64::MIN),
+                hi: Value::Int(50000)
+            })
         );
         assert_eq!(plan.residual.len(), 1);
     }
@@ -358,9 +369,9 @@ mod tests {
         )
         .unwrap();
         let plan = plan(&q).unwrap();
-        // Range(2) is more selective than StringSimilar(4) by rank — the
-        // planner prefers the numeric range.
-        assert!(matches!(plan.subjects[0].path, AccessPath::Range { .. }));
+        // A range (3) is more selective than an instance similarity (4) by
+        // rank — the planner prefers the numeric range.
+        assert!(matches!(plan.subjects[0].path, PlanNode::Select(SelectSpec::Range { .. })));
         assert_eq!(plan.residual.len(), 2, "both filters re-verified locally");
     }
 
@@ -370,10 +381,7 @@ mod tests {
             parse("SELECT ?a WHERE { (?d,?a,?id) (?d,name,?dn) FILTER (dist(?a,'dlrid') < 3) }")
                 .unwrap();
         let plan = plan(&q).unwrap();
-        assert_eq!(
-            plan.subjects[0].path,
-            AccessPath::SchemaSimilar { query: "dlrid".into(), d: 2 }
-        );
+        assert_eq!(plan.subjects[0].path, similar("dlrid", None, 2));
     }
 
     #[test]
@@ -393,7 +401,7 @@ mod tests {
     fn const_subject_uses_oid_path() {
         let q = parse("SELECT ?n WHERE { ('car:7',name,?n) }").unwrap();
         let plan = plan(&q).unwrap();
-        assert_eq!(plan.subjects[0].path, AccessPath::ByOid { oid: "car:7".into() });
+        assert_eq!(plan.subjects[0].path, PlanNode::Lookup { oid: "car:7".into() });
     }
 
     #[test]
@@ -402,7 +410,10 @@ mod tests {
         let plan = plan(&q).unwrap();
         assert_eq!(
             plan.subjects[0].path,
-            AccessPath::Exact { attr: "color".into(), value: Value::from("blue") }
+            PlanNode::Select(SelectSpec::Exact {
+                attr: "color".into(),
+                value: Value::from("blue")
+            })
         );
     }
 
@@ -422,9 +433,52 @@ mod tests {
     fn dist_lt_on_strings_tightens_to_d_minus_one() {
         let q = parse("SELECT ?n WHERE { (?x,name,?n) FILTER (dist(?n,'BMW') < 2) }").unwrap();
         let plan = plan(&q).unwrap();
+        assert_eq!(plan.subjects[0].path, similar("BMW", Some("name".into()), 1));
+    }
+
+    #[test]
+    fn similarity_paths_lower_to_similar_leaves() {
+        let q = parse("SELECT ?n WHERE { (?x,name,?n) FILTER (dist(?n,'BMW') <= 1) }").unwrap();
+        let PlanNode::Similar(s) = &plan(&q).unwrap().subjects[0].path else {
+            panic!("similar leaf")
+        };
+        assert_eq!(s.attr.as_deref(), Some("name"));
+        assert_eq!((s.s.as_str(), s.d, s.strategy), ("BMW", 1, None));
+        let q =
+            parse("SELECT ?a WHERE { (?d,?a,?id) (?d,name,?dn) FILTER (dist(?a,'dlrid') < 3) }")
+                .unwrap();
+        let PlanNode::Similar(s) = &plan(&q).unwrap().subjects[0].path else {
+            panic!("similar leaf")
+        };
+        assert_eq!(s.attr, None, "an attribute variable plans a schema-level leaf");
+    }
+
+    #[test]
+    fn oid_and_scan_paths_lower_to_lookup_and_select() {
+        let q = parse("SELECT ?n WHERE { ('car:7',name,?n) }").unwrap();
+        assert_eq!(plan(&q).unwrap().subjects[0].path, PlanNode::Lookup { oid: "car:7".into() });
+        let q = parse("SELECT ?h WHERE { (?x,hp,?h) }").unwrap();
         assert_eq!(
-            plan.subjects[0].path,
-            AccessPath::StringSimilar { attr: "name".into(), query: "BMW".into(), d: 1 }
+            plan(&q).unwrap().subjects[0].path,
+            PlanNode::Select(SelectSpec::All { attr: "hp".into() })
         );
+    }
+
+    #[test]
+    fn half_open_range_gets_domain_sentinels() {
+        let q = parse("SELECT ?p WHERE { (?x,price,?p) FILTER (?p <= 9) }").unwrap();
+        let PlanNode::Select(SelectSpec::Range { lo, hi, .. }) =
+            &plan(&q).unwrap().subjects[0].path
+        else {
+            panic!("range leaf")
+        };
+        assert_eq!((lo, hi), (&Value::Int(i64::MIN), &Value::Int(9)));
+        let q = parse("SELECT ?p WHERE { (?x,price,?p) FILTER (?p > 2.5) }").unwrap();
+        let PlanNode::Select(SelectSpec::Range { lo, hi, .. }) =
+            &plan(&q).unwrap().subjects[0].path
+        else {
+            panic!("range leaf")
+        };
+        assert_eq!((lo, hi), (&Value::Float(2.5), &Value::Float(f64::MAX)));
     }
 }

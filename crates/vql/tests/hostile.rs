@@ -2,12 +2,12 @@
 //! way the snapshot decoder's mutation loop mutates an artifact — a bit
 //! flipped, the tail cut off, a stretch overwritten with another stretch of
 //! the same text or with noise — and read back as UTF-8, lossily. Each
-//! mutant is parsed, planned and lowered, then run on a 64-peer engine: the
+//! mutant is parsed and planned, then run on a 64-peer engine: the
 //! outcome is an answer or an error, never a panic.
 
 use sqo_core::EngineBuilder;
 use sqo_storage::triple::{Row, Value};
-use sqo_vql::{lower_access_path, parse, plan, run, ExecOptions, VqlError};
+use sqo_vql::{parse, plan, run, ExecOptions, VqlError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The worlds of the other VQL tests in one: a car market with its
@@ -91,17 +91,15 @@ fn texts() -> Vec<String> {
     texts
 }
 
-/// Parse, plan and lower `text`, then run it: the error of the first step
-/// that refuses it, or the run's outcome.
+/// Parse and plan `text` — a plan leaf per subject, range ends and all —
+/// then run it: the error of the first step that refuses it, or the run's
+/// outcome.
 fn each_step(
     engine: &mut sqo_core::SimilarityEngine,
     from: sqo_overlay::PeerId,
     text: &str,
 ) -> Result<(), VqlError> {
-    let query = parse(text)?;
-    for subject in plan(&query)?.subjects {
-        lower_access_path(&subject.path);
-    }
+    plan(&parse(text)?)?;
     run(engine, from, text, &ExecOptions::default()).map(|_| ())
 }
 

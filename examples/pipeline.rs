@@ -1,7 +1,7 @@
 //! The unified plan API end to end: prepare → explain → run, a
-//! multi-operator pipeline (select → sim_join → top_n) that has no legacy
-//! entry point, and the same prepared plan scheduled as one resumable task
-//! on the event-driven simulator.
+//! multi-operator pipeline (select → sim_join → top_n) compiled into one
+//! plan, and the same prepared plan scheduled as one resumable task on the
+//! event-driven simulator.
 //!
 //! ```text
 //! cargo run --example pipeline

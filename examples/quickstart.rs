@@ -6,6 +6,7 @@
 //! ```
 
 use sqo::core::{EngineBuilder, Rank, Strategy};
+use sqo::plan::{Query, Session};
 use sqo::storage::{Row, Value};
 
 fn main() {
@@ -30,11 +31,14 @@ fn main() {
     // 1. Instance-level similarity: find names within edit distance 2 of
     //    "BMW 320d" — catches the transposed "BWM 320d" (two substitutions)
     //    via shared q-grams.
+    //    Every query runs through a `Session` opened at an access peer.
     let from = engine.random_peer();
-    let res = engine.similar("BMW 320d", Some("name"), 2, from, Strategy::QGrams);
+    let q = Query::similar("BMW 320d", Some("name"), 2).strategy(Strategy::QGrams);
+    let res = Session::new(&mut engine, from).run(&q).expect("valid query");
     println!("similar(name ~ 'BMW 320d', d=2) from {from}:");
-    for m in &res.matches {
-        println!("  {} -> {:?} (distance {})", m.oid, m.matched, m.distance);
+    for m in &res.rows {
+        let distance = m.score.expect("a similarity row has a distance");
+        println!("  {} -> {:?} (distance {distance})", m.oid, m.value.to_string());
     }
     println!(
         "  cost: {} messages, {} bytes, {} candidates\n",
@@ -44,9 +48,10 @@ fn main() {
     // 2. Top-N: the 3 most powerful cars (Algorithm 4, MAX ranking, range
     //    queries with density estimation).
     let from = engine.random_peer();
-    let top = engine.top_n_numeric("hp", 3, Rank::Max, from);
+    let q = Query::top_n_numeric("hp", 3, Rank::Max);
+    let top = Session::new(&mut engine, from).run(&q).expect("valid query");
     println!("top-3 by hp:");
-    for item in &top.items {
+    for item in &top.rows {
         println!("  {} hp={} ({:?})", item.oid, item.value, item.object.get("name").unwrap());
     }
     println!(

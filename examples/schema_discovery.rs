@@ -11,7 +11,8 @@
 //! cargo run --example schema_discovery
 //! ```
 
-use sqo::core::{BrokerConfig, EngineBuilder, JoinOptions, Strategy};
+use sqo::core::{BrokerConfig, EngineBuilder, Strategy};
+use sqo::plan::{Query, Session};
 use sqo::storage::{Row, Value};
 
 fn main() {
@@ -60,13 +61,18 @@ fn main() {
     // One access point for the whole session — the initiator-side posting
     // cache accumulates its working set here.
     let from = engine.random_peer();
+    let mut session = Session::new(&mut engine, from);
 
     // --- 1. Which attribute names are ≈ 'dlrid'? (schema-level Similar) ---
     println!("attribute names within edit distance d of 'dlrid':");
     for d in 1..=4 {
-        let res = engine.similar("dlrid", None, d, from, Strategy::QGrams);
-        let mut names: Vec<(String, usize)> =
-            res.matches.iter().map(|m| (m.attr.as_str().to_string(), m.distance)).collect();
+        let q = Query::similar("dlrid", None, d).strategy(Strategy::QGrams);
+        let res = session.run(&q).expect("valid query");
+        let mut names: Vec<(String, usize)> = res
+            .rows
+            .iter()
+            .map(|m| (m.attr.clone().unwrap_or_default(), m.score.unwrap_or_default() as usize))
+            .collect();
         names.sort();
         names.dedup();
         let shown: Vec<String> = names.iter().map(|(n, dist)| format!("{n} (d={dist})")).collect();
@@ -80,27 +86,25 @@ fn main() {
 
     // --- 2. Schema-level similarity join (Algorithm 3 with rn empty) -----
     // Join the canonical name from the config row against attribute names.
-    let res = engine.sim_join(
-        "wanted",
-        None, // schema level
-        3,
-        from,
-        &JoinOptions { strategy: Strategy::QGrams, left_limit: None, ..Default::default() },
-    );
+    let join = Query::join_scan("wanted", None, 3) // schema level
+        .strategy(Strategy::QGrams)
+        .left_limit(None)
+        .window(1);
+    let res = session.run(&join).expect("valid query");
     println!("\nschema join 'wanted' ~ attribute names (d<=3):");
     let mut seen = std::collections::BTreeSet::new();
-    for p in &res.pairs {
-        if seen.insert(p.right.attr.as_str().to_string()) {
-            println!(
-                "  {} ≈ {} (distance {}) e.g. object {}",
-                p.left_value, p.right.attr, p.right.distance, p.right.oid
-            );
+    for p in &res.rows {
+        let attr = p.attr.clone().unwrap_or_default();
+        if seen.insert(attr.clone()) {
+            let (_, left_value) = p.left.as_ref().expect("a join row");
+            let distance = p.score.unwrap_or_default();
+            println!("  {left_value} ≈ {attr} (distance {distance}) e.g. object {}", p.oid);
         }
     }
     println!(
         "  [{} msgs total, {} pairs before dedup]",
         res.stats.traffic.messages,
-        res.pairs.len()
+        res.rows.len()
     );
 
     // --- 3. Count coverage: how many dealers are reachable once we accept
@@ -108,13 +112,12 @@ fn main() {
     let aliases: Vec<String> = seen.into_iter().collect();
     let mut total = 0;
     for alias in &aliases {
-        let hits = engine.select_all(alias, from);
-        total += hits.hits.len();
+        total += session.run(&Query::select_all(alias)).expect("valid query").rows.len();
     }
     println!("\ncoverage: {total} dealer ids reachable via aliases {aliases:?} (28 published)");
 
     // --- 4. What did the hot-path services save? -------------------------
-    let c = engine.broker_counters().expect("caching enabled above");
+    let c = session.engine().broker_counters().expect("caching enabled above");
     println!(
         "\nsqo-cache: hit rate {:.1}% ({} hits / {} misses), {} probes coalesced, \
          ~{} overlay messages saved",

@@ -9,6 +9,7 @@
 
 use sqo::core::{EngineBuilder, Strategy};
 use sqo::datasets::{bible_words, string_rows};
+use sqo::plan::{Query, Session};
 
 fn main() {
     let words = bible_words(5_000, 1);
@@ -27,11 +28,12 @@ fn main() {
             let mut found = 0usize;
             for q in &queries {
                 let from = engine.random_peer();
-                let res = engine.top_n_similar(Some("word"), 5, q, 3, from, strategy);
+                let top = Query::top_n_similar(Some("word"), 5, *q, 3).strategy(strategy);
+                let res = Session::new(&mut engine, from).run(&top).expect("valid query");
                 msgs += res.stats.traffic.messages;
                 kib += res.stats.traffic.bytes as f64 / 1024.0;
                 cmp += res.stats.edit_comparisons;
-                found += res.items.len();
+                found += res.rows.len();
             }
             let n = queries.len() as f64;
             println!(

@@ -19,7 +19,8 @@
 //!   rewrites, `explain()`, and the `Session`/`PreparedQuery` lifecycle,
 //! * [`vql`] — the Vertical Query Language: parser, planner, executor
 //!   (lowered onto the shared plan IR),
-//! * [`datasets`] — synthetic datasets and the paper's evaluation workload,
+//! * [`datasets`] — synthetic datasets (the paper's §6 query mix runs in
+//!   `sqo-bench`),
 //! * [`obs`] — observability: virtual-time tracing (JSONL + Chrome
 //!   `trace_event` exports), log-bucketed latency histograms, and the
 //!   unified metrics registry,
@@ -35,6 +36,7 @@
 //!
 //! ```
 //! use sqo::core::{EngineBuilder, Strategy};
+//! use sqo::plan::{Query, Session};
 //! use sqo::storage::Row;
 //!
 //! let rows = vec![
@@ -44,8 +46,9 @@
 //! ];
 //! let mut engine = EngineBuilder::new().peers(32).seed(7).build_with_rows(&rows);
 //! let initiator = engine.random_peer();
-//! let res = engine.similar("BMW 320x", Some("name"), 1, initiator, Strategy::QGrams);
-//! assert_eq!(res.matches.len(), 2);
+//! let mut session = Session::new(&mut engine, initiator);
+//! let q = Query::similar("BMW 320x", Some("name"), 1).strategy(Strategy::QGrams);
+//! assert_eq!(session.run(&q).unwrap().rows.len(), 2);
 //! ```
 
 pub use sqo_cache as cache;

@@ -3,10 +3,20 @@
 //! (§2: "the algorithm always terminates successfully, if … at least one
 //! peer in each partition is reachable").
 
-use sqo::core::{EngineBuilder, Strategy};
+use sqo::core::{EngineBuilder, SimilarityEngine, Strategy};
 use sqo::datasets::{bible_words, string_rows};
 use sqo::overlay::{Key, Network, PeerId, ReplicationPolicy};
+use sqo::plan::{Query, Session};
 use sqo::storage::{postings_for_rows, Posting};
+
+/// The strings `Similar(query, word, d)` by q-grams matches from a random
+/// peer.
+fn similar(e: &mut SimilarityEngine, query: &str, d: usize) -> Vec<String> {
+    let from = e.random_peer();
+    let q = Query::similar(query, Some("word"), d).strategy(Strategy::QGrams);
+    let res = Session::new(e, from).run(&q).expect("a similarity query plans");
+    res.rows.into_iter().map(|r| r.value.to_string()).collect()
+}
 
 #[test]
 fn similarity_queries_survive_moderate_churn() {
@@ -24,9 +34,7 @@ fn similarity_queries_survive_moderate_churn() {
     let queries: Vec<&String> = words.iter().step_by(83).collect();
     let mut baseline = Vec::new();
     for q in &queries {
-        let from = e.random_peer();
-        let res = e.similar(q, Some("word"), 1, from, Strategy::QGrams);
-        let mut m: Vec<String> = res.matches.into_iter().map(|m| m.matched).collect();
+        let mut m = similar(&mut e, q, 1);
         m.sort_unstable();
         baseline.push(m);
     }
@@ -36,9 +44,7 @@ fn similarity_queries_survive_moderate_churn() {
 
     let mut complete = 0usize;
     for (q, base) in queries.iter().zip(&baseline) {
-        let from = e.random_peer();
-        let res = e.similar(q, Some("word"), 1, from, Strategy::QGrams);
-        let mut m: Vec<String> = res.matches.into_iter().map(|m| m.matched).collect();
+        let mut m = similar(&mut e, q, 1);
         m.sort_unstable();
         if &m == base {
             complete += 1;
@@ -66,9 +72,7 @@ fn no_replication_means_data_loss_under_churn() {
     let mut lost = 0usize;
     let queries: Vec<&String> = words.iter().step_by(29).collect();
     for q in &queries {
-        let from = e.random_peer();
-        let res = e.similar(q, Some("word"), 0, from, Strategy::QGrams);
-        if !res.matches.iter().any(|m| &m.matched == *q) {
+        if !similar(&mut e, q, 0).iter().any(|m| m == *q) {
             lost += 1;
         }
     }
@@ -94,8 +98,7 @@ fn failed_routes_are_accounted() {
     e.network_mut().fail_random_fraction(0.5);
     e.network_mut().reset_metrics();
     for q in words.iter().step_by(17) {
-        let from = e.random_peer();
-        let _ = e.similar(q, Some("word"), 1, from, Strategy::QGrams);
+        similar(&mut e, q, 1);
     }
     assert!(
         e.network().metrics().failed_routes > 0,

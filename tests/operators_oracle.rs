@@ -9,9 +9,34 @@
 //! is tested as such.
 
 use proptest::prelude::*;
-use sqo::core::{EngineBuilder, JoinOptions, Rank, Strategy};
+use sqo::core::{EngineBuilder, Rank, SimilarityEngine, Strategy};
+use sqo::overlay::PeerId;
+use sqo::plan::{PlanRow, Query, Session};
 use sqo::storage::{Row, Value};
 use sqo::strsim::edit::levenshtein;
+
+/// `Similar(query, word, d)` from `from` with `strategy`: each match's
+/// string and distance.
+fn similar(
+    e: &mut SimilarityEngine,
+    query: &str,
+    d: usize,
+    from: PeerId,
+    strategy: Strategy,
+) -> Vec<(String, usize)> {
+    let q = Query::similar(query, Some("word"), d).strategy(strategy);
+    run(e, from, &q).iter().map(|r| (matched(r), r.score.expect("a distance") as usize)).collect()
+}
+
+/// Run `q` from `from` to completion: its rows.
+fn run(e: &mut SimilarityEngine, from: PeerId, q: &Query) -> Vec<PlanRow> {
+    Session::new(e, from).run(q).expect("plannable").rows
+}
+
+/// The string a similarity or join row matched.
+fn matched(row: &PlanRow) -> String {
+    row.value.as_str().expect("a string match").to_string()
+}
 
 fn word_rows(words: &[String]) -> Vec<Row> {
     words
@@ -39,8 +64,8 @@ proptest! {
             .seed(1)
             .build_with_rows(&word_rows(&words));
         let from = e.random_peer();
-        let res = e.similar(&query, Some("word"), d, from, Strategy::Naive);
-        let mut got: Vec<String> = res.matches.iter().map(|m| m.matched.clone()).collect();
+        let res = similar(&mut e, &query, d, from, Strategy::Naive);
+        let mut got: Vec<String> = res.into_iter().map(|(m, _)| m).collect();
         got.sort_unstable();
         got.dedup();
         let mut expect: Vec<String> =
@@ -66,16 +91,15 @@ proptest! {
             .build_with_rows(&word_rows(&words));
         let from = e.random_peer();
         for strategy in [Strategy::QGrams, Strategy::QSamples] {
-            let res = e.similar(&query, Some("word"), d, from, strategy);
+            let res = similar(&mut e, &query, d, from, strategy);
             // Soundness: every match is a true match at its stated distance.
-            for m in &res.matches {
-                prop_assert_eq!(levenshtein(&query, &m.matched), m.distance);
-                prop_assert!(m.distance <= d);
+            for (m, distance) in &res {
+                prop_assert_eq!(levenshtein(&query, m), *distance);
+                prop_assert!(*distance <= d);
             }
             // Completeness in the guaranteed regime.
             if query.chars().count() >= q * (d + 1) {
-                let mut got: Vec<&String> =
-                    res.matches.iter().map(|m| &m.matched).collect();
+                let mut got: Vec<&String> = res.iter().map(|(m, _)| m).collect();
                 got.sort_unstable();
                 got.dedup();
                 let mut expect: Vec<&String> =
@@ -106,7 +130,7 @@ proptest! {
             1 => Rank::Max,
             _ => Rank::Nn(Value::Int(0)),
         };
-        let res = e.top_n_numeric("x", n, rank.clone(), from);
+        let res = run(&mut e, from, &Query::top_n_numeric("x", n, rank.clone()));
         let mut oracle: Vec<i64> = values.clone();
         match mode {
             0 => oracle.sort_unstable(),
@@ -114,7 +138,7 @@ proptest! {
             _ => oracle.sort_by_key(|v| v.abs()),
         }
         oracle.truncate(n);
-        let got: Vec<i64> = res.items.iter().map(|i| i.value.as_int().unwrap()).collect();
+        let got: Vec<i64> = res.iter().map(|r| r.value.as_int().unwrap()).collect();
         prop_assert_eq!(got.len(), oracle.len());
         // Scores must match the oracle's (values may tie in any order).
         for (g, o) in got.iter().zip(&oracle) {
@@ -138,17 +162,13 @@ proptest! {
             .seed(3)
             .build_with_rows(&word_rows(&words));
         let from = e.random_peer();
-        let res = e.sim_join(
-            "word",
-            Some("word"),
-            d,
-            from,
-            &JoinOptions { strategy: Strategy::Naive, left_limit: None, ..Default::default() },
-        );
-        let mut got: Vec<(String, String)> = res
-            .pairs
+        let join = Query::join_scan("word", Some("word"), d)
+            .strategy(Strategy::Naive)
+            .left_limit(None)
+            .window(1);
+        let mut got: Vec<(String, String)> = run(&mut e, from, &join)
             .iter()
-            .map(|p| (p.left_value.clone(), p.right.matched.clone()))
+            .map(|r| (r.left.clone().expect("a join row").1, matched(r)))
             .collect();
         got.sort_unstable();
         let mut expect: Vec<(String, String)> = Vec::new();
@@ -179,17 +199,17 @@ fn strategies_consistent_on_fixed_corpus() {
     for d in 0..=2 {
         for query in ["overlay", "network", "paint", "sprint"] {
             let from = e.random_peer();
-            let naive = e.similar(query, Some("word"), d, from, Strategy::Naive);
+            let naive = similar(&mut e, query, d, from, Strategy::Naive);
             let brute: Vec<&String> = words.iter().filter(|w| levenshtein(query, w) <= d).collect();
-            assert_eq!(naive.matches.len(), brute.len(), "naive {query} d={d}");
+            assert_eq!(naive.len(), brute.len(), "naive {query} d={d}");
             // Gram strategies are subsets of brute force (sound), and in the
             // guaranteed regime equal it.
             for strategy in [Strategy::QGrams, Strategy::QSamples] {
-                let res = e.similar(query, Some("word"), d, from, strategy);
-                assert!(res.matches.len() <= brute.len());
+                let res = similar(&mut e, query, d, from, strategy);
+                assert!(res.len() <= brute.len());
                 if query.chars().count() >= 2 * (d + 1) {
                     assert_eq!(
-                        res.matches.len(),
+                        res.len(),
                         brute.len(),
                         "{strategy:?} {query} d={d} incomplete in guaranteed regime"
                     );

@@ -4,7 +4,15 @@
 
 use sqo::core::{EngineBuilder, SimilarityEngine, Strategy};
 use sqo::datasets::{bible_words, string_rows};
+use sqo::plan::{PlanResult, Query, Session};
 use sqo::strsim::filters::FilterConfig;
+
+/// `Similar(query, word, d)` by `strategy` from a random peer.
+fn similar(e: &mut SimilarityEngine, query: &str, d: usize, strategy: Strategy) -> PlanResult {
+    let from = e.random_peer();
+    let q = Query::similar(query, Some("word"), d).strategy(strategy);
+    Session::new(e, from).run(&q).expect("a similarity query plans")
+}
 
 fn build(delegation: bool, filters: FilterConfig, seed: u64) -> (SimilarityEngine, Vec<String>) {
     let words = bible_words(1_200, 77);
@@ -24,11 +32,10 @@ fn run_queries(engine: &mut SimilarityEngine, words: &[String]) -> (Vec<String>,
     let mut messages = 0;
     for (i, strategy) in [Strategy::QGrams, Strategy::QSamples].iter().enumerate() {
         for query in words.iter().step_by(191 + i) {
-            let from = engine.random_peer();
-            let res = engine.similar(query, Some("word"), 2, from, *strategy);
+            let res = similar(engine, query, 2, *strategy);
             messages += res.stats.traffic.messages;
-            for m in res.matches {
-                all_matches.push(format!("{}:{}:{}", strategy.label(), query, m.matched));
+            for m in res.rows {
+                all_matches.push(format!("{}:{}:{}", strategy.label(), query, m.value));
             }
         }
     }
@@ -56,12 +63,10 @@ fn filters_change_cost_not_results() {
     let mut candidates_with = 0usize;
     let mut candidates_without = 0usize;
     for query in words.iter().step_by(149) {
-        let from = with.random_peer();
-        let a = with.similar(query, Some("word"), 1, from, Strategy::QGrams);
-        let from = without.random_peer();
-        let b = without.similar(query, Some("word"), 1, from, Strategy::QGrams);
-        let mut ma: Vec<&String> = a.matches.iter().map(|m| &m.matched).collect();
-        let mut mb: Vec<&String> = b.matches.iter().map(|m| &m.matched).collect();
+        let a = similar(&mut with, query, 1, Strategy::QGrams);
+        let b = similar(&mut without, query, 1, Strategy::QGrams);
+        let mut ma: Vec<String> = a.rows.iter().map(|m| m.value.to_string()).collect();
+        let mut mb: Vec<String> = b.rows.iter().map(|m| m.value.to_string()).collect();
         ma.sort_unstable();
         mb.sort_unstable();
         assert_eq!(ma, mb, "filters dropped a true match for {query}");
@@ -87,10 +92,8 @@ fn replication_changes_cost_not_results() {
             .build_with_rows(&rows);
         let mut matches = Vec::new();
         for query in words.iter().step_by(101) {
-            let from = e.random_peer();
-            let res = e.similar(query, Some("word"), 1, from, Strategy::QGrams);
-            for m in res.matches {
-                matches.push(format!("{query}->{}", m.matched));
+            for m in similar(&mut e, query, 1, Strategy::QGrams).rows {
+                matches.push(format!("{query}->{}", m.value));
             }
         }
         matches.sort_unstable();

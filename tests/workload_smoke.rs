@@ -3,7 +3,8 @@
 //! living in the test suite so a break in any layer surfaces here.
 
 use sqo::core::Strategy;
-use sqo::datasets::{bible_words, painting_titles, run_workload, string_rows, WorkloadSpec};
+use sqo::datasets::{bible_words, painting_titles, string_rows};
+use sqo_bench::workload::{run_workload, WorkloadSpec};
 
 #[test]
 fn words_workload_shapes() {
