@@ -1,12 +1,13 @@
-//! A minimal JSON validator and value parser.
+//! A minimal JSON value parser, and the validator that is that parse.
 //!
 //! The vendored `serde_json` stand-in is serialize-only, so tests that
 //! assert the exporters emit *well-formed* JSON need a checker, and the
 //! acceptance pins need to *read* the committed `BENCH_*.json` artifacts.
-//! Both are strict recursive descent over RFC 8259: [`validate_json`]
-//! accepts exactly valid JSON texts and reports the byte offset of the
-//! first violation; [`parse_json`] additionally builds a [`Json`] value
-//! tree.
+//! One strict recursive descent over RFC 8259 serves both: [`parse_json`]
+//! builds a [`Json`] value tree or reports the byte offset of the first
+//! violation, and [`validate_json`] is the same parse with the tree
+//! dropped. Nesting deeper than 128 arrays and objects is refused, so a
+//! hostile text cannot overflow the stack.
 
 use std::collections::BTreeMap;
 
@@ -86,22 +87,19 @@ impl Json {
 /// Validate that `s` is one complete JSON value. Returns the byte offset
 /// and a description of the first error.
 pub fn validate_json(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut pos = skip_ws(b, 0);
-    pos = value(b, pos)?;
-    pos = skip_ws(b, pos);
-    if pos != b.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
+    parse_json(s).map(|_| ())
 }
 
-/// Parse `s` into a [`Json`] value tree (same strictness as
-/// [`validate_json`]).
+/// Arrays and objects nest at most this deep. The committed artifacts nest
+/// a handful of levels; the bound keeps a hostile text's recursion off the
+/// end of the stack.
+const MAX_DEPTH: usize = 128;
+
+/// Parse `s` into a [`Json`] value tree.
 pub fn parse_json(s: &str) -> Result<Json, String> {
     let b = s.as_bytes();
     let pos = skip_ws(b, 0);
-    let (v, pos) = parse_value(b, pos)?;
+    let (v, pos) = parse_value(b, pos, 0)?;
     let pos = skip_ws(b, pos);
     if pos != b.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -109,10 +107,12 @@ pub fn parse_json(s: &str) -> Result<Json, String> {
     Ok(v)
 }
 
-fn parse_value(b: &[u8], pos: usize) -> Result<(Json, usize), String> {
+/// A value at nesting `depth` (the number of arrays and objects around it).
+fn parse_value(b: &[u8], pos: usize, depth: usize) -> Result<(Json, usize), String> {
     match b.get(pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(err(pos, "nesting too deep")),
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => {
             let (s, p) = parse_string(b, pos)?;
             Ok((Json::Str(s), p))
@@ -131,7 +131,7 @@ fn parse_value(b: &[u8], pos: usize) -> Result<(Json, usize), String> {
     }
 }
 
-fn parse_object(b: &[u8], mut pos: usize) -> Result<(Json, usize), String> {
+fn parse_object(b: &[u8], mut pos: usize, depth: usize) -> Result<(Json, usize), String> {
     let mut m = BTreeMap::new();
     pos = skip_ws(b, pos + 1); // past '{'
     if b.get(pos) == Some(&b'}') {
@@ -147,7 +147,7 @@ fn parse_object(b: &[u8], mut pos: usize) -> Result<(Json, usize), String> {
             return Err(err(pos, "expected ':'"));
         }
         pos = skip_ws(b, pos + 1);
-        let (v, p) = parse_value(b, pos)?;
+        let (v, p) = parse_value(b, pos, depth)?;
         m.insert(key, v);
         pos = skip_ws(b, p);
         match b.get(pos) {
@@ -158,14 +158,14 @@ fn parse_object(b: &[u8], mut pos: usize) -> Result<(Json, usize), String> {
     }
 }
 
-fn parse_array(b: &[u8], mut pos: usize) -> Result<(Json, usize), String> {
+fn parse_array(b: &[u8], mut pos: usize, depth: usize) -> Result<(Json, usize), String> {
     let mut v = Vec::new();
     pos = skip_ws(b, pos + 1); // past '['
     if b.get(pos) == Some(&b']') {
         return Ok((Json::Arr(v), pos + 1));
     }
     loop {
-        let (item, p) = parse_value(b, pos)?;
+        let (item, p) = parse_value(b, pos, depth)?;
         v.push(item);
         pos = skip_ws(b, p);
         match b.get(pos) {
@@ -176,7 +176,7 @@ fn parse_array(b: &[u8], mut pos: usize) -> Result<(Json, usize), String> {
     }
 }
 
-/// Parse a string, decoding the escapes the validator accepts.
+/// Parse a string, decoding its escapes.
 fn parse_string(b: &[u8], mut pos: usize) -> Result<(String, usize), String> {
     let mut out = String::new();
     pos += 1; // past opening quote
@@ -239,89 +239,12 @@ fn skip_ws(b: &[u8], mut pos: usize) -> usize {
     pos
 }
 
-fn value(b: &[u8], pos: usize) -> Result<usize, String> {
-    match b.get(pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
-        Some(b'"') => string(b, pos),
-        Some(b't') => literal(b, pos, b"true"),
-        Some(b'f') => literal(b, pos, b"false"),
-        Some(b'n') => literal(b, pos, b"null"),
-        Some(c) if *c == b'-' || c.is_ascii_digit() => number(b, pos),
-        Some(_) => Err(err(pos, "unexpected character")),
-        None => Err(err(pos, "unexpected end of input")),
-    }
-}
-
 fn literal(b: &[u8], pos: usize, lit: &[u8]) -> Result<usize, String> {
     if b.len() >= pos + lit.len() && &b[pos..pos + lit.len()] == lit {
         Ok(pos + lit.len())
     } else {
         Err(err(pos, "invalid literal"))
     }
-}
-
-fn object(b: &[u8], mut pos: usize) -> Result<usize, String> {
-    pos = skip_ws(b, pos + 1); // past '{'
-    if b.get(pos) == Some(&b'}') {
-        return Ok(pos + 1);
-    }
-    loop {
-        if b.get(pos) != Some(&b'"') {
-            return Err(err(pos, "expected object key"));
-        }
-        pos = string(b, pos)?;
-        pos = skip_ws(b, pos);
-        if b.get(pos) != Some(&b':') {
-            return Err(err(pos, "expected ':'"));
-        }
-        pos = skip_ws(b, pos + 1);
-        pos = value(b, pos)?;
-        pos = skip_ws(b, pos);
-        match b.get(pos) {
-            Some(b',') => pos = skip_ws(b, pos + 1),
-            Some(b'}') => return Ok(pos + 1),
-            _ => return Err(err(pos, "expected ',' or '}'")),
-        }
-    }
-}
-
-fn array(b: &[u8], mut pos: usize) -> Result<usize, String> {
-    pos = skip_ws(b, pos + 1); // past '['
-    if b.get(pos) == Some(&b']') {
-        return Ok(pos + 1);
-    }
-    loop {
-        pos = value(b, pos)?;
-        pos = skip_ws(b, pos);
-        match b.get(pos) {
-            Some(b',') => pos = skip_ws(b, pos + 1),
-            Some(b']') => return Ok(pos + 1),
-            _ => return Err(err(pos, "expected ',' or ']'")),
-        }
-    }
-}
-
-fn string(b: &[u8], mut pos: usize) -> Result<usize, String> {
-    pos += 1; // past opening quote
-    while let Some(&c) = b.get(pos) {
-        match c {
-            b'"' => return Ok(pos + 1),
-            b'\\' => match b.get(pos + 1) {
-                Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => pos += 2,
-                Some(b'u') => {
-                    if b.len() < pos + 6 || !b[pos + 2..pos + 6].iter().all(u8::is_ascii_hexdigit) {
-                        return Err(err(pos, "invalid \\u escape"));
-                    }
-                    pos += 6;
-                }
-                _ => return Err(err(pos, "invalid escape")),
-            },
-            0x00..=0x1f => return Err(err(pos, "unescaped control character")),
-            _ => pos += 1,
-        }
-    }
-    Err(err(pos, "unterminated string"))
 }
 
 fn number(b: &[u8], mut pos: usize) -> Result<usize, String> {
@@ -393,6 +316,18 @@ mod tests {
         assert_eq!(parse_json("42").unwrap().as_u64(), Some(42));
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("{} x").is_err());
+    }
+
+    /// Nesting past the bound is an error, not a stack overflow; nesting
+    /// up to it parses.
+    #[test]
+    fn refuses_nesting_past_the_bound() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&deep(MAX_DEPTH)).is_ok());
+        let err = parse_json(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.starts_with("nesting too deep"), "{err}");
+        assert!(validate_json(&"[".repeat(100_000)).is_err());
+        assert!(validate_json(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -40,7 +40,6 @@ use sqo_obs::{LogHistogram, MetricsRegistry};
 use sqo_overlay::{PeerId, ReplicationPolicy, SimLatency, TraceEvent, TraceTrack};
 use sqo_plan::{PlannerEnv, PreparedQuery};
 use sqo_storage::Value;
-use std::collections::BTreeMap;
 
 /// How clients space their queries.
 #[derive(Debug, Clone, PartialEq)]
@@ -340,7 +339,8 @@ struct LoopState {
     q: EventQueue<Ev>,
     flights: Vec<Option<InFlight>>,
     free_slots: Vec<usize>,
-    by_operator: BTreeMap<&'static str, (LogHistogram, QueryStats)>,
+    /// Ascending by label.
+    by_operator: Vec<(&'static str, LogHistogram, QueryStats)>,
     all_latencies: LogHistogram,
     total: QueryStats,
     queries_run: usize,
@@ -396,7 +396,7 @@ impl LoopState {
             q,
             flights: Vec::new(),
             free_slots: Vec::new(),
-            by_operator: BTreeMap::new(),
+            by_operator: Vec::new(),
             all_latencies: LogHistogram::new(),
             total: QueryStats::default(),
             queries_run: 0,
@@ -409,49 +409,28 @@ impl LoopState {
         }
     }
 
-    /// Rebuild the loop from a checkpoint image (see [`resume_driver`]).
+    /// Rebuild the loop from a checkpoint image (see [`resume_driver`]):
+    /// the image holds the loop's own values, so only the queue's events
+    /// are translated.
     fn restore(cfg: &DriverConfig, ckpt: DriverCheckpoint) -> Self {
         assert_eq!(ckpt.client_rngs.len(), cfg.clients, "checkpoint has a different client count");
-        let entries = ckpt
-            .queue
-            .entries
-            .into_iter()
-            .map(|(at, seq, ev)| {
-                let ev = match ev {
-                    EvSnap::Arrive { client } => Ev::Arrive { client: client as usize },
-                    EvSnap::Churn { idx } => Ev::Churn { idx: idx as usize },
-                    EvSnap::Fault { idx } => Ev::Fault { idx: idx as usize },
-                    EvSnap::FaultClear { idx } => Ev::FaultClear { idx: idx as usize },
-                };
-                (at, seq, ev)
-            })
-            .collect();
-        let queue = QueueState { seq: ckpt.queue.seq, now_us: ckpt.queue.now_us, entries };
-        let by_operator = ckpt
-            .by_operator
-            .into_iter()
-            .map(|(op, (c, s, mn, mx, buckets), stats)| {
-                (op, (LogHistogram::from_parts(c, s, mn, mx, buckets), stats))
-            })
-            .collect();
-        let (c, s, mn, mx, buckets) = ckpt.all_latencies;
-        let hist =
-            |(c, s, mn, mx, buckets): HistParts| LogHistogram::from_parts(c, s, mn, mx, buckets);
+        let QueueState { seq, now_us, entries } = ckpt.queue;
+        let entries = entries.into_iter().map(|(at, seq, ev)| (at, seq, ev.into())).collect();
         Self {
-            client_rngs: ckpt.client_rngs.into_iter().map(StdRng::from_state_words).collect(),
-            issued: ckpt.issued.into_iter().map(|n| n as usize).collect(),
+            client_rngs: ckpt.client_rngs,
+            issued: ckpt.issued,
             initiators: ckpt.initiators,
-            q: EventQueue::from_state(queue),
+            q: EventQueue::from_state(QueueState { seq, now_us, entries }),
             flights: Vec::new(),
             free_slots: Vec::new(),
-            by_operator,
-            all_latencies: LogHistogram::from_parts(c, s, mn, mx, buckets),
+            by_operator: ckpt.by_operator,
+            all_latencies: ckpt.all_latencies,
             total: ckpt.total,
-            queries_run: ckpt.queries_run as usize,
+            queries_run: ckpt.queries_run,
             first_start: ckpt.first_start,
             last_end: ckpt.last_end,
-            early: (hist(ckpt.early.0), ckpt.early.1),
-            late: (hist(ckpt.late.0), ckpt.late.1),
+            early: ckpt.early,
+            late: ckpt.late,
             repair: ckpt.repair,
             diagnostics: ckpt.diagnostics,
         }
@@ -461,47 +440,53 @@ impl LoopState {
     /// quiesce boundary: every flight slot must be empty, so the queue
     /// holds no `Step` events (the one variant that cannot be serialized —
     /// it indexes a live `Box<dyn ExecStep>` state machine).
-    fn checkpoint(&self, engine: &mut SimilarityEngine) -> DriverCheckpoint {
+    fn checkpoint(self, engine: &mut SimilarityEngine) -> DriverCheckpoint {
         assert!(
             self.flights.iter().all(Option::is_none),
             "checkpoint requires an empty in-flight table"
         );
-        let qs = self.q.export_state();
-        let entries = qs
-            .entries
-            .into_iter()
-            .map(|(at, seq, ev)| {
-                let ev = match ev {
-                    Ev::Arrive { client } => EvSnap::Arrive { client: client as u32 },
-                    Ev::Churn { idx } => EvSnap::Churn { idx: idx as u32 },
-                    Ev::Fault { idx } => EvSnap::Fault { idx: idx as u32 },
-                    Ev::FaultClear { idx } => EvSnap::FaultClear { idx: idx as u32 },
-                    Ev::Step { .. } => unreachable!("no steps pending at a quiesce boundary"),
-                };
-                (at, seq, ev)
-            })
-            .collect();
+        let QueueState { seq, now_us, entries } = self.q.export_state();
+        let entries = entries.into_iter().map(|(at, seq, ev)| (at, seq, ev.into())).collect();
         DriverCheckpoint {
-            queue: QueueState { seq: qs.seq, now_us: qs.now_us, entries },
-            issued: self.issued.iter().map(|&n| n as u64).collect(),
-            initiators: self.initiators.clone(),
-            client_rngs: self.client_rngs.iter().map(StdRng::state_words).collect(),
-            by_operator: self
-                .by_operator
-                .iter()
-                .map(|(&op, (lats, stats))| (op, lats.export_parts(), *stats))
-                .collect(),
-            all_latencies: self.all_latencies.export_parts(),
+            queue: QueueState { seq, now_us, entries },
+            issued: self.issued,
+            initiators: self.initiators,
+            client_rngs: self.client_rngs,
+            by_operator: self.by_operator,
+            all_latencies: self.all_latencies,
             total: self.total,
-            queries_run: self.queries_run as u64,
+            queries_run: self.queries_run,
             first_start: self.first_start,
             last_end: self.last_end,
-            early: (self.early.0.export_parts(), self.early.1),
-            late: (self.late.0.export_parts(), self.late.1),
+            early: self.early,
+            late: self.late,
             repair: self.repair,
-            diagnostics: self.diagnostics.clone(),
+            diagnostics: self.diagnostics,
             netsim: crate::netsim::export_installed(engine)
                 .expect("the driver installed a NetSim on this engine"),
+        }
+    }
+}
+
+impl From<Ev> for EvSnap {
+    fn from(ev: Ev) -> Self {
+        match ev {
+            Ev::Arrive { client } => EvSnap::Arrive { client: client as u32 },
+            Ev::Churn { idx } => EvSnap::Churn { idx: idx as u32 },
+            Ev::Fault { idx } => EvSnap::Fault { idx: idx as u32 },
+            Ev::FaultClear { idx } => EvSnap::FaultClear { idx: idx as u32 },
+            Ev::Step { .. } => unreachable!("no steps pending at a quiesce boundary"),
+        }
+    }
+}
+
+impl From<EvSnap> for Ev {
+    fn from(ev: EvSnap) -> Self {
+        match ev {
+            EvSnap::Arrive { client } => Ev::Arrive { client: client as usize },
+            EvSnap::Churn { idx } => Ev::Churn { idx: idx as usize },
+            EvSnap::Fault { idx } => Ev::Fault { idx: idx as usize },
+            EvSnap::FaultClear { idx } => Ev::FaultClear { idx: idx as usize },
         }
     }
 }
@@ -517,32 +502,32 @@ pub enum EvSnap {
 }
 
 /// The owned image of a paused driver run: pending arrivals/churn with
-/// their queue positions, every per-client RNG stream, the accumulated
-/// histograms and stats, and the virtual-time charger's state. Static
-/// inputs (the [`DriverConfig`], attribute, string pool, and the engine's
-/// world state) are *not* carried here — [`resume_driver`] takes them
-/// again, and `sqo-snap`'s artifact bundles the world alongside.
+/// their queue positions, and the loop's own values — every per-client RNG
+/// stream, the accumulated histograms and stats — plus the virtual-time
+/// charger's state. Static inputs (the [`DriverConfig`], attribute, string
+/// pool, and the engine's world state) are *not* carried here —
+/// [`resume_driver`] takes them again, and `sqo-snap`'s artifact bundles
+/// the world alongside.
 #[derive(Debug, Clone)]
 pub struct DriverCheckpoint {
     pub queue: QueueState<EvSnap>,
     /// Queries issued so far, per client.
-    pub issued: Vec<u64>,
+    pub issued: Vec<usize>,
     /// Sticky initiator peers (when [`DriverConfig::sticky_initiators`]).
     pub initiators: Option<Vec<PeerId>>,
-    /// xoshiro256++ state words of each client stream.
-    pub client_rngs: Vec<[u64; 4]>,
-    /// Per-operator accumulators: label (one of [`QueryKind::LABELS`]),
-    /// latency-histogram parts ([`LogHistogram::export_parts`]), absorbed
-    /// stats.
-    pub by_operator: Vec<(&'static str, HistParts, QueryStats)>,
-    pub all_latencies: HistParts,
+    /// Each client's stream.
+    pub client_rngs: Vec<StdRng>,
+    /// Per-operator accumulators, ascending by label (one of
+    /// [`QueryKind::LABELS`]): latency histogram, absorbed stats.
+    pub by_operator: Vec<(&'static str, LogHistogram, QueryStats)>,
+    pub all_latencies: LogHistogram,
     pub total: QueryStats,
-    pub queries_run: u64,
+    pub queries_run: usize,
     pub first_start: u64,
     pub last_end: u64,
     /// Early/late completion-half accumulators (see [`PhaseReport`]).
-    pub early: (HistParts, QueryStats),
-    pub late: (HistParts, QueryStats),
+    pub early: (LogHistogram, QueryStats),
+    pub late: (LogHistogram, QueryStats),
     /// Self-healing totals so far.
     pub repair: RepairTotals,
     /// Anomalies recorded so far.
@@ -550,9 +535,6 @@ pub struct DriverCheckpoint {
     /// The installed [`NetSim`](crate::NetSim)'s image.
     pub netsim: crate::netsim::NetSimState,
 }
-
-/// `(count, sum, min, max, buckets)` — see [`LogHistogram::export_parts`].
-pub type HistParts = (u64, u64, u64, u64, Vec<(u32, u64)>);
 
 /// Outcome of [`run_driver_until`]: either the workload drained before the
 /// stop bound mattered, or the run paused at the first quiesce boundary at
@@ -652,8 +634,8 @@ pub fn resume_driver(
             set_installed_loss(engine, loss);
         }
     }
-    let mut st = LoopState::restore(cfg, ckpt);
-    match run_loop(engine, attr, strings, cfg, &mut st, None) {
+    let st = LoopState::restore(cfg, ckpt);
+    match run_loop(engine, attr, strings, cfg, st, None) {
         DriverPhase::Done(report) => report,
         DriverPhase::Paused(_) => unreachable!("no stop bound was given"),
     }
@@ -680,8 +662,8 @@ fn drive(
     } else {
         engine.clear_broker();
     }
-    let mut st = LoopState::fresh(engine, cfg);
-    run_loop(engine, attr, strings, cfg, &mut st, stop_us)
+    let st = LoopState::fresh(engine, cfg);
+    run_loop(engine, attr, strings, cfg, st, stop_us)
 }
 
 /// The event loop plus report assembly: pops arrivals, task steps and
@@ -692,7 +674,7 @@ fn run_loop(
     attr: &str,
     strings: &[String],
     cfg: &DriverConfig,
-    st: &mut LoopState,
+    mut st: LoopState,
     stop_us: Option<u64>,
 ) -> DriverPhase {
     // The planner environment is invariant for the run (defaults and
@@ -718,7 +700,7 @@ fn run_loop(
         late,
         repair,
         diagnostics,
-    } = st;
+    } = &mut st;
 
     // Completion-count split point of the early/late phase view.
     let half = (cfg.clients * cfg.queries_per_client) / 2;
@@ -841,24 +823,15 @@ fn run_loop(
                         "client {client} query {}: no alive initiator at t={t}us; skipped",
                         issued[client]
                     ));
-                    match &cfg.arrival {
-                        Arrival::Poisson { mean_interarrival_us } => {
-                            if issued[client] < cfg.queries_per_client {
-                                let next =
-                                    t + exp_sample(&mut client_rngs[client], *mean_interarrival_us);
-                                q.push(next, Ev::Arrive { client });
+                    if issued[client] < cfg.queries_per_client {
+                        let next = match &cfg.arrival {
+                            Arrival::Poisson { mean_interarrival_us } => {
+                                t + exp_sample(&mut client_rngs[client], *mean_interarrival_us)
                             }
-                        }
-                        Arrival::Closed { think_us } => {
-                            if issued[client] < cfg.queries_per_client {
-                                q.push(t + (*think_us).max(1), Ev::Arrive { client });
-                            }
-                        }
-                        Arrival::Explicit { .. } => {
-                            if issued[client] < cfg.queries_per_client {
-                                q.push(t + 1, Ev::Arrive { client });
-                            }
-                        }
+                            Arrival::Closed { think_us } => t + (*think_us).max(1),
+                            Arrival::Explicit { .. } => t + 1,
+                        };
+                        q.push(next, Ev::Arrive { client });
                     }
                     continue;
                 };
@@ -939,7 +912,13 @@ fn run_loop(
                                 .arg("parts_answered", stats.partitions_answered)
                             });
                         }
-                        let (lats, op_stats) = by_operator.entry(flight.label).or_default();
+                        let (label, at) =
+                            (flight.label, by_operator.partition_point(|a| a.0 < flight.label));
+                        if by_operator.get(at).is_none_or(|a| a.0 != label) {
+                            by_operator
+                                .insert(at, (label, LogHistogram::new(), Default::default()));
+                        }
+                        let (_, lats, op_stats) = &mut by_operator[at];
                         lats.record(sim.elapsed_us);
                         op_stats.absorb(&stats);
                         all_latencies.record(sim.elapsed_us);
@@ -982,13 +961,13 @@ fn run_loop(
     let mut metrics = MetricsRegistry::new();
     metrics.absorb_query_stats(&st.total);
     metrics.histogram_merge("latency.query_us", &st.all_latencies);
-    for (op, (lats, _)) in &st.by_operator {
+    for (op, lats, _) in &st.by_operator {
         metrics.histogram_merge(format!("latency.{op}_us"), lats);
     }
 
     let per_operator: Vec<OperatorLatency> = std::mem::take(&mut st.by_operator)
         .into_iter()
-        .map(|(op, (lats, op_stats))| OperatorLatency {
+        .map(|(op, lats, op_stats)| OperatorLatency {
             operator: op.to_string(),
             summary: LatencySummary::of_histogram(&lats),
             messages: op_stats.traffic.messages,

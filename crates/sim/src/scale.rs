@@ -593,17 +593,33 @@ pub fn run_serial_until(topo: &Topology, cfg: &ScaleConfig, stop_us: u64) -> Sca
 }
 
 /// Resume a paused run on the serial engine. `topo` and `cfg` must equal
-/// the original run's (the stateless draws replay from them).
+/// the original run's (the stateless draws replay from them); a checkpoint
+/// that does not fit them is an error.
 pub fn resume_serial(
     topo: &Topology,
     cfg: &ScaleConfig,
     ckpt: &ScaleCheckpoint,
-) -> (ScaleOutcome, ScaleRun) {
-    assert_eq!(ckpt.busy.len(), topo.peer_count(), "checkpoint from a different topology");
-    assert_eq!(ckpt.qstate.len(), cfg.queries, "checkpoint from a different workload");
+) -> Result<(ScaleOutcome, ScaleRun), &'static str> {
+    check_fits(topo, cfg, ckpt)?;
     let ctx = build_ctx(topo, cfg);
     let st = GlobalState { busy: ckpt.busy.clone(), qstate: ckpt.qstate.clone() };
-    serial_core(&ctx, st, ckpt.pending.iter().copied(), ckpt.events, None).done()
+    Ok(serial_core(&ctx, st, ckpt.pending.iter().copied(), ckpt.events, None).done())
+}
+
+/// Whether `ckpt` fits the run it resumes: one `busy_until` per peer, one
+/// progress slot per query, and every pending event at a peer and for a
+/// query of the run — the handler indexes by both. The artifact does not
+/// carry the topology, so decoding a checkpoint cannot check this.
+fn check_fits(
+    topo: &Topology,
+    cfg: &ScaleConfig,
+    ck: &ScaleCheckpoint,
+) -> Result<(), &'static str> {
+    let (peers, queries) = (topo.peer_count(), cfg.queries);
+    let within = |ev: &Ev| (ev.peer as usize) < peers && (ev.qid as usize) < queries;
+    let fits =
+        ck.busy.len() == peers && ck.qstate.len() == queries && ck.pending.iter().all(within);
+    fits.then_some(()).ok_or("checkpoint from a different topology or workload")
 }
 
 // ----------------------------------------------------------------------
@@ -781,15 +797,15 @@ pub fn run_sharded(topo: &Topology, cfg: &ScaleConfig) -> (ScaleOutcome, ScaleRu
 /// bit for bit. The checkpoint's global state is
 /// strided back onto the shards (`busy_until` of peer `p` to shard
 /// `p % shards`); per-query progress is replicated to every shard and
-/// collected, as always, from the initiator's.
+/// collected, as always, from the initiator's. A checkpoint that does not
+/// fit `topo` and `cfg` is an error.
 pub fn resume_sharded(
     topo: &Topology,
     cfg: &ScaleConfig,
     ckpt: &ScaleCheckpoint,
-) -> (ScaleOutcome, ScaleRun) {
-    assert_eq!(ckpt.busy.len(), topo.peer_count(), "checkpoint from a different topology");
-    assert_eq!(ckpt.qstate.len(), cfg.queries, "checkpoint from a different workload");
-    sharded_core(topo, cfg, Some(ckpt))
+) -> Result<(ScaleOutcome, ScaleRun), &'static str> {
+    check_fits(topo, cfg, ckpt)?;
+    Ok(sharded_core(topo, cfg, Some(ckpt)))
 }
 
 fn sharded_core(
@@ -1001,14 +1017,42 @@ mod tests {
         assert!(!ckpt.pending.is_empty(), "mid-run checkpoint has pending events");
         assert!(ckpt.events > 0 && ckpt.events < full.events);
 
-        let (resumed, _) = resume_serial(&topo, &cfg, &ckpt);
+        let (resumed, _) = resume_serial(&topo, &cfg, &ckpt).expect("the checkpoint fits");
         assert_eq!(resumed, full, "serial resume diverged");
 
         for shards in [1usize, 2, 4] {
-            let (out, run) = resume_sharded(&topo, &ScaleConfig { shards, ..cfg }, &ckpt);
+            let (out, run) = resume_sharded(&topo, &ScaleConfig { shards, ..cfg }, &ckpt)
+                .expect("the checkpoint fits");
             assert_eq!(out, full, "shards={shards} resume diverged");
             assert_eq!(run.events_per_shard.iter().sum::<u64>(), run.events - ckpt.events);
         }
+    }
+
+    /// A checkpoint that does not fit the run it is resumed into — a busy
+    /// slot short, a pending event at a peer or for a query the run does
+    /// not have — is refused by both engines instead of indexing out of
+    /// range.
+    #[test]
+    fn a_foreign_checkpoint_is_an_error_not_a_panic() {
+        let net = small_net();
+        let topo = Topology::of_network(&net);
+        let cfg = ScaleConfig { queries: 64, arrival_spread_us: 5_000, ..Default::default() };
+        let ckpt = match run_serial_until(&topo, &cfg, 2_500) {
+            ScalePhase::Paused(ck) => ck,
+            ScalePhase::Done(..) => panic!("2.5ms cut should land mid-run"),
+        };
+        let mut short = ckpt.clone();
+        short.busy.pop();
+        let mut far_peer = ckpt.clone();
+        far_peer.pending[0].peer = topo.peer_count() as u32;
+        let mut far_query = ckpt.clone();
+        far_query.pending[0].qid = u32::MAX;
+        for (what, foreign) in [("busy", short), ("peer", far_peer), ("query", far_query)] {
+            assert!(resume_serial(&topo, &cfg, &foreign).is_err(), "serial, {what}");
+            let sharded = ScaleConfig { shards: 2, ..cfg };
+            assert!(resume_sharded(&topo, &sharded, &foreign).is_err(), "sharded, {what}");
+        }
+        assert!(resume_serial(&topo, &ScaleConfig { queries: 63, ..cfg }, &ckpt).is_err());
     }
 
     /// A cut past the last event is just the whole run.

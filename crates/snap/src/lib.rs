@@ -28,13 +28,15 @@
 //!
 //! ## Artifact format
 //!
-//! A `b"SQSN"` magic, a little-endian `u32` [`SCHEMA_VERSION`], then the
-//! world/driver/scale sections in the explicit layout of [`wire`] (the
-//! vendored serde stand-in cannot deserialize, so the codec is
-//! hand-rolled — and therefore versionable byte by byte).
-//! [`Snapshot::from_bytes`] refuses anything else: wrong magic is
+//! A `b"SQSN"` magic, a little-endian `u32` [`SCHEMA_VERSION`], the triple
+//! table, then the world/driver/scale sections in the explicit layout of
+//! [`wire`] (the vendored serde stand-in cannot deserialize, so the codec is
+//! hand-rolled — and therefore versionable byte by byte). Each record's
+//! layout is one field list there, from which both its encoder and its
+//! decoder follow ([`wire::Wire`]); a check runs where the record is
+//! decoded. [`Snapshot::from_bytes`] refuses anything else: wrong magic is
 //! [`SnapError::BadMagic`], a version skew is
-//! [`SnapError::SchemaMismatch`], every decoder is bounds-checked, and the
+//! [`SnapError::SchemaMismatch`], every read is bounds-checked, and the
 //! network image is built through [`NetworkState::new`], which runs the
 //! check a live network runs on itself — so corrupt input fails with an
 //! error, never a huge allocation, a panic, or an image that panics later
@@ -248,20 +250,14 @@ impl Snapshot {
 
     /// Serialize to the versioned artifact format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut e = wire::Enc::new();
+        let mut e = wire::Enc::default();
         e.buf.extend_from_slice(&MAGIC);
-        e.u32(SCHEMA_VERSION);
+        e.put(&SCHEMA_VERSION);
         // The triple table spans the whole artifact (network runs and
         // broker-cached lists share triples): it is collected up front and
         // written before anything that references it.
-        let triples = wire::TripleTable::collect(&self.world.net, self.world.broker.as_ref());
-        triples.encode(&mut e);
-        wire::network_state(&mut e, &triples, &self.world.net);
-        wire::publish_stats(&mut e, &self.world.publish);
-        e.u64(self.world.edit_comparisons);
-        e.opt(self.world.broker.as_ref(), |e, b| wire::broker_state(e, &triples, b));
-        e.opt(self.driver.as_ref(), wire::driver_checkpoint);
-        e.opt(self.scale.as_ref(), wire::scale_checkpoint);
+        e.triples(wire::TripleTable::collect(&self.world.net, self.world.broker.as_ref()));
+        e.put(self);
         e.buf
     }
 
@@ -271,20 +267,15 @@ impl Snapshot {
             return Err(SnapError::BadMagic);
         }
         let mut d = wire::Dec::new(&bytes[MAGIC.len()..]);
-        let found = d.u32()?;
+        let found = d.get()?;
         if found != SCHEMA_VERSION {
             return Err(SnapError::SchemaMismatch { found, expected: SCHEMA_VERSION });
         }
-        let mut table = wire::decode_triple_table(&mut d)?;
-        let net = wire::de_network_state(&mut d, &mut table)?;
-        let publish = wire::de_publish_stats(&mut d)?;
-        let edit_comparisons = d.u64()?;
-        let broker = d.opt(|d| wire::de_broker_state(d, &mut table))?;
-        let driver = d.opt(wire::de_driver_checkpoint)?;
-        let scale = d.opt(wire::de_scale_checkpoint)?;
+        d.triples()?;
+        let snap = d.get()?;
         if !d.is_empty() {
             return Err(SnapError::Corrupt("trailing bytes after snapshot"));
         }
-        Ok(Snapshot { world: WorldState { net, publish, edit_comparisons, broker }, driver, scale })
+        Ok(snap)
     }
 }

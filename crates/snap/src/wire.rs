@@ -3,117 +3,122 @@
 //! The workspace's vendored `serde` stand-in serializes but does not
 //! deserialize, so the snapshot artifact has its own explicit codec. That
 //! is a feature, not a workaround: every byte of the artifact is written
-//! by a function in this file, the layout is stable under refactors of
-//! the source structs, and the version envelope (`MAGIC` +
+//! by this file, the layout is stable under refactors of the source
+//! structs, and the version envelope (`MAGIC` +
 //! [`SCHEMA_VERSION`](crate::SCHEMA_VERSION)) is checked before a single
 //! field is decoded.
+//!
+//! Each layout is stated **once**, as an implementation of [`Wire`]: `put`
+//! appends a value, `get` reads it back. Primitives and containers are
+//! implemented once each; a plain record is one field list given to
+//! `record!`, which derives both halves from it (and runs the record's own
+//! check after decoding, where it names one). Only the records whose
+//! decoding goes through a check between fields keep a hand-written `get`
+//! beside their `put`: the network image ([`NetworkState::new`]), a run
+//! ([`SortedStore::from_parts`]), a posting (against the triple table), the
+//! driver's queue and checkpoint (sequence numbers, clock, clients,
+//! operator labels) and every enum tag.
 //!
 //! Layout conventions:
 //!
 //! * all integers little-endian; `usize` travels as `u64`,
 //! * `f64` travels as its IEEE-754 bit pattern (`to_bits`), so restored
 //!   floats are bit-identical,
-//! * sequences are a `u64` length followed by the elements,
+//! * sequences are a `u64` length followed by the elements (bytes and
+//!   strings: the raw bytes),
 //! * options are a `u8` tag (0 = none, 1 = some),
-//! * enums are a `u8` discriminant followed by the variant's fields.
+//! * enums are a `u8` discriminant followed by the variant's fields,
+//! * records and tuples are their fields in order, with nothing between.
 //!
 //! Triples are numbered: in the live engine a triple is a record of its
 //! batch's [`TripleSlab`], which backs its base posting and every gram
 //! posting cut from it, and the codec writes each stored triple once, in
-//! the order the walk of the runs first meets it, into a table up front.
-//! Postings reference the table by index. The decoder builds **one slab**
-//! straight from that table and every decoded posting is a handle on it,
-//! so a restored world allocates nothing per triple. Names are spelled out
-//! per triple and gram texts per posting; the slab holds each name once,
-//! and a gram is found where it lies in its value (or name) and becomes a
-//! span of the slab's text — how `postings_for_rows` lays out a built world.
+//! the order the walk of the runs first meets it, into a table up front
+//! ([`Enc::triples`]). Postings reference the table by index. The decoder
+//! builds **one slab** straight from that table ([`Dec::triples`]) and
+//! every decoded posting is a handle on it, so a restored world allocates
+//! nothing per triple. Names are spelled out per triple and gram texts per
+//! posting; the slab holds each name once, and a gram is found where it
+//! lies in its value (or name) and becomes a span of the slab's text — how
+//! `postings_for_rows` lays out a built world.
 //!
 //! The stores are written run by run, each as the arrays it is: its keys'
 //! packed bytes, their bit lengths, their end offsets and its postings.
 //! The decoder hands each run's arrays to [`SortedStore::from_parts`], the
 //! one constructor that checks them, so a run that decodes is a run.
 
-use crate::SnapError;
+use crate::{SnapError, Snapshot, WorldState};
+use rand::rngs::StdRng;
 use rustc_hash::FxHashMap;
 use sqo_cache::{
     BrokerConfig, BrokerCounters, BrokerState, ChannelPoolState, LruEntryState, LruState,
     PartitionChannel, SketchState,
 };
+use sqo_core::QueryStats;
+use sqo_obs::LogHistogram;
 use sqo_overlay::{
     Key, KeyRef, Metrics, NetworkConfig, NetworkState, PartitionStore, PeerId, PeerLoad,
     RoutingArena, SimLatency, SortedStore, Topology,
 };
-use sqo_sim::driver::{DriverCheckpoint, EvSnap, HistParts, RepairTotals};
+use sqo_sim::driver::{DriverCheckpoint, EvSnap, RepairTotals};
 use sqo_sim::scale::{Ev, EvKind, QState, ScaleCheckpoint};
 use sqo_sim::{NetSimState, QueryKind, QueueState};
 use sqo_storage::{
-    BaseKind, GramInterner, Posting, PostingKind, SlabBuilder, TripleRef, TripleSlab, ValueRef,
+    BaseKind, GramInterner, Posting, PostingKind, PublishStats, SlabBuilder, TripleRef, TripleSlab,
+    ValueRef,
 };
 use std::sync::Arc;
 
-use sqo_core::QueryStats;
+type R<T> = Result<T, SnapError>;
+
+/// A value's wire layout: `put` appends it, `get` reads it back. `'a` is
+/// the input a decoded value may borrow from (a string, a key's bytes).
+pub trait Wire<'a>: Sized {
+    fn put(&self, e: &mut Enc<'_>);
+    fn get(d: &mut Dec<'a>) -> R<Self>;
+
+    /// A sequence of values: its length, then each. `u8` overrides the
+    /// pair to copy its bytes at once.
+    fn put_seq(items: &[Self], e: &mut Enc<'_>) {
+        items.len().put(e);
+        items.iter().for_each(|it| it.put(e));
+    }
+    fn get_seq(d: &mut Dec<'a>) -> R<Vec<Self>> {
+        d.seq(Self::get)
+    }
+}
 
 // ---------------------------------------------------------------------
-// Primitives
+// Encoder and decoder
 // ---------------------------------------------------------------------
 
 /// Append-only encoder over a byte buffer.
-pub struct Enc {
+#[derive(Default)]
+pub struct Enc<'t> {
     pub buf: Vec<u8>,
+    /// The artifact's triple table: a posting is written as its index.
+    triples: TripleTable<'t>,
 }
 
-impl Enc {
-    pub fn new() -> Self {
-        Enc { buf: Vec::new() }
+impl<'t> Enc<'t> {
+    pub fn put<'a>(&mut self, v: &impl Wire<'a>) {
+        v.put(self);
     }
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    pub fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    pub fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.usize(v.len());
-        self.buf.extend_from_slice(v);
-    }
-    pub fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-    pub fn seq<T>(&mut self, items: &[T], mut f: impl FnMut(&mut Self, &T)) {
-        self.usize(items.len());
-        for it in items {
-            f(self, it);
-        }
-    }
-    pub fn opt<T>(&mut self, v: Option<&T>, f: impl FnOnce(&mut Self, &T)) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                f(self, x);
-            }
-        }
-    }
-}
 
-impl Default for Enc {
-    fn default() -> Self {
-        Self::new()
+    /// A slice as a sequence, the layout of a `Vec` of its elements.
+    pub fn seq<'a, T: Wire<'a>>(&mut self, items: &[T]) {
+        T::put_seq(items, self);
+    }
+
+    /// Write the triple table; every posting written after it refers to
+    /// its triple by its index in `table`.
+    pub fn triples(&mut self, table: TripleTable<'t>) {
+        self.put(&table.order.len());
+        for t in &table.order {
+            let triple: WireTriple = (t.oid(), t.attr().as_str(), t.value());
+            self.put(&triple);
+        }
+        self.triples = table;
     }
 }
 
@@ -122,13 +127,16 @@ impl Default for Enc {
 pub struct Dec<'a> {
     b: &'a [u8],
     pos: usize,
+    /// The decoded triple table (empty until [`Dec::triples`] reads one):
+    /// every decoded posting is a handle on its slab.
+    slab: Arc<TripleSlab>,
+    /// One span of the slab's text per distinct gram met so far.
+    grams: GramInterner<'a>,
 }
-
-type R<T> = Result<T, SnapError>;
 
 impl<'a> Dec<'a> {
     pub fn new(b: &'a [u8]) -> Self {
-        Dec { b, pos: 0 }
+        Dec { b, pos: 0, slab: TripleSlab::of([]), grams: GramInterner::default() }
     }
     pub fn remaining(&self) -> usize {
         self.b.len() - self.pos
@@ -144,51 +152,20 @@ impl<'a> Dec<'a> {
         self.pos += n;
         Ok(s)
     }
-    pub fn u8(&mut self) -> R<u8> {
-        Ok(self.take(1)?[0])
-    }
-    pub fn u32(&mut self) -> R<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-    pub fn u64(&mut self) -> R<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-    pub fn usize(&mut self) -> R<usize> {
-        usize::try_from(self.u64()?).map_err(|_| SnapError::Corrupt("usize overflow"))
-    }
-    pub fn i64(&mut self) -> R<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-    pub fn f64(&mut self) -> R<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    pub fn bool(&mut self) -> R<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapError::Corrupt("bool tag out of range")),
-        }
-    }
-    pub fn bytes(&mut self) -> R<&'a [u8]> {
-        let n = self.usize()?;
-        self.take(n)
-    }
-    pub fn str(&mut self) -> R<&'a str> {
-        std::str::from_utf8(self.bytes()?).map_err(|_| SnapError::Corrupt("invalid utf-8"))
-    }
-    pub fn string(&mut self) -> R<String> {
-        self.str().map(str::to_string)
+    pub fn get<T: Wire<'a>>(&mut self) -> R<T> {
+        T::get(self)
     }
     /// Sequence length with a sanity bound: a sequence of `len` elements
     /// needs at least `len` bytes of input, so a corrupt length can never
     /// trigger a huge allocation.
-    pub fn seq_len(&mut self) -> R<usize> {
-        let n = self.usize()?;
+    fn seq_len(&mut self) -> R<usize> {
+        let n: usize = self.get()?;
         if n > self.remaining() {
             return Err(SnapError::Corrupt("sequence length exceeds input"));
         }
         Ok(n)
     }
+    /// A sequence whose elements `f` reads (and checks) one by one.
     pub fn seq<T>(&mut self, mut f: impl FnMut(&mut Self) -> R<T>) -> R<Vec<T>> {
         let n = self.seq_len()?;
         let mut v = Vec::with_capacity(n);
@@ -197,17 +174,300 @@ impl<'a> Dec<'a> {
         }
         Ok(v)
     }
-    pub fn opt<T>(&mut self, f: impl FnOnce(&mut Self) -> R<T>) -> R<Option<T>> {
-        match self.u8()? {
+
+    /// Read the triple table [`Enc::triples`] wrote into one slab, which
+    /// every posting decoded afterwards is checked against and refers to.
+    pub fn triples(&mut self) -> R<()> {
+        const FULL: SnapError = SnapError::Corrupt("triple table exceeds 4 GiB of text");
+        let n = self.seq_len()?;
+        let mut slab = SlabBuilder::with_capacity(n, 0, 0);
+        for _ in 0..n {
+            let (oid, attr, value): WireTriple = self.get()?;
+            slab.push(oid, attr, value).map_err(|_| FULL)?;
+        }
+        self.slab = slab.finish().map_err(|_| FULL)?;
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------
+// Primitives and containers
+// ---------------------------------------------------------------------
+
+macro_rules! little_endian {
+    ($($t:ty),+) => {$(
+        impl<'a> Wire<'a> for $t {
+            fn put(&self, e: &mut Enc<'_>) {
+                e.buf.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(d: &mut Dec<'a>) -> R<Self> {
+                let bytes = d.take(std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(bytes.try_into().expect("sized by the take")))
+            }
+        }
+    )+};
+}
+
+little_endian!(u32, u64, i64);
+
+impl<'a> Wire<'a> for u8 {
+    fn put(&self, e: &mut Enc<'_>) {
+        e.buf.push(*self);
+    }
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        Ok(d.take(1)?[0])
+    }
+    fn put_seq(items: &[u8], e: &mut Enc<'_>) {
+        items.len().put(e);
+        e.buf.extend_from_slice(items);
+    }
+    fn get_seq(d: &mut Dec<'a>) -> R<Vec<u8>> {
+        <&[u8]>::get(d).map(<[u8]>::to_vec)
+    }
+}
+
+/// Bytes where they lie in the input.
+impl<'a> Wire<'a> for &'a [u8] {
+    fn put(&self, e: &mut Enc<'_>) {
+        u8::put_seq(self, e);
+    }
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        let n = d.get()?;
+        d.take(n)
+    }
+}
+
+impl<'a> Wire<'a> for usize {
+    fn put(&self, e: &mut Enc<'_>) {
+        (*self as u64).put(e);
+    }
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        usize::try_from(u64::get(d)?).map_err(|_| SnapError::Corrupt("usize overflow"))
+    }
+}
+
+impl<'a> Wire<'a> for f64 {
+    fn put(&self, e: &mut Enc<'_>) {
+        self.to_bits().put(e);
+    }
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        u64::get(d).map(f64::from_bits)
+    }
+}
+
+impl<'a> Wire<'a> for bool {
+    fn put(&self, e: &mut Enc<'_>) {
+        (*self as u8).put(e);
+    }
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        match u8::get(d)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(SnapError::Corrupt("bool tag out of range")),
+        }
+    }
+}
+
+impl<'a> Wire<'a> for &'a str {
+    fn put(&self, e: &mut Enc<'_>) {
+        self.as_bytes().put(e);
+    }
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        std::str::from_utf8(d.get()?).map_err(|_| SnapError::Corrupt("invalid utf-8"))
+    }
+}
+
+impl<'a> Wire<'a> for String {
+    fn put(&self, e: &mut Enc<'_>) {
+        self.as_str().put(e);
+    }
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        <&str>::get(d).map(str::to_string)
+    }
+}
+
+impl<'a, T: Wire<'a>> Wire<'a> for Vec<T> {
+    fn put(&self, e: &mut Enc<'_>) {
+        T::put_seq(self, e);
+    }
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        T::get_seq(d)
+    }
+}
+
+impl<'a, T: Wire<'a>> Wire<'a> for Option<T> {
+    fn put(&self, e: &mut Enc<'_>) {
+        match self {
+            None => 0u8.put(e),
+            Some(x) => {
+                1u8.put(e);
+                x.put(e);
+            }
+        }
+    }
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        match u8::get(d)? {
             0 => Ok(None),
-            1 => Ok(Some(f(self)?)),
+            1 => Ok(Some(d.get()?)),
             _ => Err(SnapError::Corrupt("option tag out of range")),
         }
     }
 }
 
+impl<'a, T: Wire<'a> + Copy + Default, const N: usize> Wire<'a> for [T; N] {
+    fn put(&self, e: &mut Enc<'_>) {
+        self.iter().for_each(|x| x.put(e));
+    }
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        let mut out = [T::default(); N];
+        for x in &mut out {
+            *x = d.get()?;
+        }
+        Ok(out)
+    }
+}
+
+macro_rules! tuple {
+    ($($t:ident),+) => {
+        impl<'a, $($t: Wire<'a>),+> Wire<'a> for ($($t,)+) {
+            #[allow(non_snake_case)]
+            fn put(&self, e: &mut Enc<'_>) {
+                let ($($t,)+) = self;
+                $($t.put(e);)+
+            }
+            fn get(d: &mut Dec<'a>) -> R<Self> {
+                Ok(($(d.get::<$t>()?,)+))
+            }
+        }
+    };
+}
+
+tuple!(A, B);
+tuple!(A, B, C);
+tuple!(A, B, C, D);
+tuple!(A, B, C, D, E);
+
 // ---------------------------------------------------------------------
-// Triple numbering
+// Records: one field list each
+// ---------------------------------------------------------------------
+
+/// `record!(Type { field, … } [check path];)` writes a record as its fields
+/// in the order listed and reads them back in that order; a named check
+/// (`fn(&Type) -> Result<(), &'static str>`) runs on the decoded record.
+macro_rules! record {
+    ($($ty:ty { $($field:ident),+ $(,)? } $(check $check:path)?;)+) => {$(
+        impl<'a> Wire<'a> for $ty {
+            fn put(&self, e: &mut Enc<'_>) {
+                $(self.$field.put(e);)+
+            }
+            fn get(d: &mut Dec<'a>) -> R<Self> {
+                let record = Self { $($field: d.get()?,)+ };
+                $($check(&record).map_err(SnapError::Corrupt)?;)?
+                Ok(record)
+            }
+        }
+    )+};
+}
+
+type CacheEntry = LruEntryState<(PeerId, Key), Vec<Posting>>;
+type Cache = LruState<(PeerId, Key), Vec<Posting>>;
+
+record! {
+    Snapshot { world, driver, scale };
+    WorldState { net, publish, edit_comparisons, broker };
+    PublishStats {
+        rows, triples, base_postings, instance_gram_postings, schema_gram_postings,
+        short_postings, total_bytes,
+    };
+    NetworkConfig { peers, replication, refs_per_level, msg_header_bytes, seed };
+    RoutingArena { refs, slice_off, peer_off };
+    Metrics {
+        messages, bytes, route_hops, forward_msgs, result_msgs, result_bytes, failed_routes,
+        local_items_scanned,
+    };
+    PeerLoad { msgs_sent, msgs_recv, bytes_sent, bytes_recv };
+    SimLatency {
+        start_us, end_us, elapsed_us, net_us, queue_us, service_us, route_us, forward_us,
+        result_us, timed_messages, retransmissions, crit_net_us, crit_queue_us,
+        crit_service_us, crit_stall_us,
+    };
+    BrokerState { cfg, counters, cache, channels };
+    BrokerConfig { cache, cache_capacity, cache_ttl_us, admission, batch, batch_window_us };
+    BrokerCounters {
+        cache_hits, cache_misses, probes_coalesced, channels_opened, admission_rejects,
+        messages_saved,
+    };
+    Cache { capacity, ttl_us, tick, rejected, entries, sketch } check Cache::check;
+    CacheEntry { key, value, epoch, inserted_us, last_used };
+    SketchState { table, slots, doorkeeper, recorded, reset_at };
+    ChannelPoolState { window_us, channels, opened, rides };
+    PartitionChannel { owner, opened_us, route_hops, epoch };
+    QueryStats {
+        traffic, sim, probes, candidates, edit_comparisons, matches, rounds, cache_hits,
+        cache_misses, probes_coalesced, join_window_peak, join_window_shrinks,
+        partitions_addressed, partitions_answered, retries, gave_up,
+    };
+    RepairTotals { passes, recruited, bytes_copied, lost_partitions, unfilled_deficits };
+    NetSimState { rng, frontier_us, clock_us, busy_until_us, blame, totals };
+    ScaleCheckpoint { stop_us, pending, busy, qstate, events };
+    Ev { at_us, qid, step, peer, kind };
+    QState { expected, got, done_us };
+}
+
+impl<'a> Wire<'a> for PeerId {
+    fn put(&self, e: &mut Enc<'_>) {
+        self.0.put(e);
+    }
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        u32::get(d).map(PeerId)
+    }
+}
+
+/// A key where it lies in the input: its bytes, then its bit length.
+impl<'a> Wire<'a> for KeyRef<'a> {
+    fn put(&self, e: &mut Enc<'_>) {
+        self.as_bytes().put(e);
+        self.len().put(e);
+    }
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        let bytes = d.get()?;
+        KeyRef::new(bytes, d.get()?)
+            .ok_or(SnapError::Corrupt("key bytes do not match bit length, or padding bits are set"))
+    }
+}
+
+impl<'a> Wire<'a> for Key {
+    fn put(&self, e: &mut Enc<'_>) {
+        self.as_ref().put(e);
+    }
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        KeyRef::get(d).map(KeyRef::to_key)
+    }
+}
+
+impl<'a> Wire<'a> for StdRng {
+    fn put(&self, e: &mut Enc<'_>) {
+        self.state_words().put(e);
+    }
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        d.get().map(StdRng::from_state_words)
+    }
+}
+
+/// `(count, sum, min, max, (bucket, count) pairs)` — see
+/// [`LogHistogram::export_parts`].
+impl<'a> Wire<'a> for LogHistogram {
+    fn put(&self, e: &mut Enc<'_>) {
+        self.export_parts().put(e);
+    }
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        let (count, sum, min, max, buckets) = d.get()?;
+        Ok(LogHistogram::from_parts(count, sum, min, max, buckets))
+    }
+}
+
+// ---------------------------------------------------------------------
+// Triples and postings
 // ---------------------------------------------------------------------
 
 /// Encode-side triple table: the distinct stored triples of the world
@@ -247,692 +507,286 @@ impl<'a> TripleTable<'a> {
         let (slab, index) = p.triple_id();
         self.remap[&Arc::as_ptr(slab)][index as usize]
     }
+}
 
-    pub fn encode(&self, e: &mut Enc) {
-        e.seq(&self.order, |e, t| triple(e, *t));
+/// A triple of the table: oid, attribute name, value.
+type WireTriple<'a> = (&'a str, &'a str, ValueRef<'a>);
+
+impl<'a> Wire<'a> for ValueRef<'a> {
+    fn put(&self, e: &mut Enc<'_>) {
+        match *self {
+            ValueRef::Str(s) => (0u8, s).put(e),
+            ValueRef::Int(i) => (1u8, i).put(e),
+            ValueRef::Float(f) => (2u8, f).put(e),
+        }
     }
-}
-
-/// Decode-side twin of [`TripleTable`]: the one slab the triple table
-/// became, and one span of its text per distinct gram met so far.
-pub struct DecodedTriples<'a> {
-    slab: Arc<TripleSlab>,
-    grams: GramInterner<'a>,
-}
-
-pub fn decode_triple_table<'a>(d: &mut Dec<'a>) -> R<DecodedTriples<'a>> {
-    const FULL: SnapError = SnapError::Corrupt("triple table exceeds 4 GiB of text");
-    let n = d.seq_len()?;
-    let mut slab = SlabBuilder::with_capacity(n, 0, 0);
-    for _ in 0..n {
-        let (oid, attr) = (d.str()?, d.str()?);
-        let value = match d.u8()? {
-            0 => ValueRef::Str(d.str()?),
-            1 => ValueRef::Int(d.i64()?),
-            2 => ValueRef::Float(d.f64()?),
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        Ok(match u8::get(d)? {
+            0 => ValueRef::Str(d.get()?),
+            1 => ValueRef::Int(d.get()?),
+            2 => ValueRef::Float(d.get()?),
             _ => return Err(SnapError::Corrupt("value tag out of range")),
+        })
+    }
+}
+
+impl<'a> Wire<'a> for BaseKind {
+    fn put(&self, e: &mut Enc<'_>) {
+        let tag: u8 = match self {
+            BaseKind::Oid => 0,
+            BaseKind::AttrValue => 1,
+            BaseKind::Value => 2,
         };
-        slab.push(oid, attr, value).map_err(|_| FULL)?;
+        tag.put(e);
     }
-    Ok(DecodedTriples { slab: slab.finish().map_err(|_| FULL)?, grams: GramInterner::default() })
-}
-
-fn triple(e: &mut Enc, t: TripleRef<'_>) {
-    e.str(t.oid());
-    e.str(t.attr().as_str());
-    match t.value() {
-        ValueRef::Str(s) => {
-            e.u8(0);
-            e.str(s);
-        }
-        ValueRef::Int(i) => {
-            e.u8(1);
-            e.i64(i);
-        }
-        ValueRef::Float(f) => {
-            e.u8(2);
-            e.f64(f);
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        match u8::get(d)? {
+            0 => Ok(BaseKind::Oid),
+            1 => Ok(BaseKind::AttrValue),
+            2 => Ok(BaseKind::Value),
+            _ => Err(SnapError::Corrupt("base-kind tag out of range")),
         }
     }
 }
 
-fn posting(e: &mut Enc, t: &TripleTable<'_>, p: &Posting) {
-    let kind = p.kind();
-    e.u8(match kind {
-        PostingKind::Base(_) => 0,
-        PostingKind::InstanceGram { .. } => 1,
-        PostingKind::SchemaGram => 2,
-        PostingKind::ShortValue => 3,
-        PostingKind::ShortAttr => 4,
-    });
-    e.u32(t.index_of(p));
-    match kind {
-        PostingKind::Base(BaseKind::Oid) => e.u8(0),
-        PostingKind::Base(BaseKind::AttrValue) => e.u8(1),
-        PostingKind::Base(BaseKind::Value) => e.u8(2),
-        PostingKind::InstanceGram { .. } | PostingKind::SchemaGram => {
-            e.str(p.gram());
-            e.u32(p.pos());
-            if let PostingKind::InstanceGram { carries_value } = kind {
-                e.bool(carries_value);
+/// Kind tag, triple index, then the kind's payload: a base posting's base
+/// kind; a gram posting's gram text and position (and, for an instance
+/// gram, whether it carries its value); nothing for a short posting.
+impl<'a> Wire<'a> for Posting {
+    fn put(&self, e: &mut Enc<'_>) {
+        let kind = self.kind();
+        let tag: u8 = match kind {
+            PostingKind::Base(_) => 0,
+            PostingKind::InstanceGram { .. } => 1,
+            PostingKind::SchemaGram => 2,
+            PostingKind::ShortValue => 3,
+            PostingKind::ShortAttr => 4,
+        };
+        let index = e.triples.index_of(self);
+        (tag, index).put(e);
+        match kind {
+            PostingKind::Base(base) => base.put(e),
+            PostingKind::InstanceGram { carries_value } => {
+                (self.gram(), self.pos(), carries_value).put(e)
             }
+            PostingKind::SchemaGram => (self.gram(), self.pos()).put(e),
+            PostingKind::ShortValue | PostingKind::ShortAttr => {}
         }
-        PostingKind::ShortValue | PostingKind::ShortAttr => {}
     }
-}
-
-fn de_posting<'a>(d: &mut Dec<'a>, table: &mut DecodedTriples<'a>) -> R<Posting> {
-    const STRAY: SnapError = SnapError::Corrupt("gram is not in its source at its position");
-    let (tag, index) = (d.u8()?, d.u32()?);
-    let DecodedTriples { slab, grams } = table;
-    let (kind, gram) = match tag {
-        0 => {
-            let kind = match d.u8()? {
-                0 => BaseKind::Oid,
-                1 => BaseKind::AttrValue,
-                2 => BaseKind::Value,
-                _ => return Err(SnapError::Corrupt("base-kind tag out of range")),
-            };
-            (PostingKind::Base(kind), None)
-        }
-        1 | 2 => {
-            let (text, pos) = (d.str()?, d.u32()?);
-            let (kind, span) = if tag == 1 {
-                let kind = PostingKind::InstanceGram { carries_value: d.bool()? };
-                (kind, grams.share(text, || slab.value_gram(index, pos, text)))
-            } else {
-                (PostingKind::SchemaGram, grams.share(text, || slab.name_gram(index, pos, text)))
-            };
-            (kind, Some((span.ok_or(STRAY)?, pos)))
-        }
-        3 => (PostingKind::ShortValue, None),
-        4 => (PostingKind::ShortAttr, None),
-        _ => return Err(SnapError::Corrupt("posting tag out of range")),
-    };
-    Posting::new(kind, slab, index, gram).ok_or(SnapError::Corrupt("triple index out of range"))
-}
-
-// ---------------------------------------------------------------------
-// Small overlay pieces
-// ---------------------------------------------------------------------
-
-fn key(e: &mut Enc, k: KeyRef<'_>) {
-    e.bytes(k.as_bytes());
-    e.usize(k.len());
-}
-
-/// A key where it lies in the artifact.
-fn de_key_ref<'a>(d: &mut Dec<'a>) -> R<KeyRef<'a>> {
-    let bytes = d.bytes()?;
-    KeyRef::new(bytes, d.usize()?)
-        .ok_or(SnapError::Corrupt("key bytes do not match bit length, or padding bits are set"))
-}
-
-fn de_key(d: &mut Dec<'_>) -> R<Key> {
-    de_key_ref(d).map(KeyRef::to_key)
-}
-
-fn metrics(e: &mut Enc, m: &Metrics) {
-    for v in [
-        m.messages,
-        m.bytes,
-        m.route_hops,
-        m.forward_msgs,
-        m.result_msgs,
-        m.result_bytes,
-        m.failed_routes,
-        m.local_items_scanned,
-    ] {
-        e.u64(v);
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        const STRAY: SnapError = SnapError::Corrupt("gram is not in its source at its position");
+        let (tag, index): (u8, u32) = d.get()?;
+        let (kind, gram) = match tag {
+            0 => (PostingKind::Base(d.get()?), None),
+            1 | 2 => {
+                let (text, pos): (&str, u32) = d.get()?;
+                let kind = match tag {
+                    1 => PostingKind::InstanceGram { carries_value: d.get()? },
+                    _ => PostingKind::SchemaGram,
+                };
+                let slab = &d.slab;
+                let span = d.grams.share(text, || match tag {
+                    1 => slab.value_gram(index, pos, text),
+                    _ => slab.name_gram(index, pos, text),
+                });
+                (kind, Some((span.ok_or(STRAY)?, pos)))
+            }
+            3 => (PostingKind::ShortValue, None),
+            4 => (PostingKind::ShortAttr, None),
+            _ => return Err(SnapError::Corrupt("posting tag out of range")),
+        };
+        Posting::new(kind, &d.slab, index, gram)
+            .ok_or(SnapError::Corrupt("triple index out of range"))
     }
-}
-
-fn de_metrics(d: &mut Dec<'_>) -> R<Metrics> {
-    Ok(Metrics {
-        messages: d.u64()?,
-        bytes: d.u64()?,
-        route_hops: d.u64()?,
-        forward_msgs: d.u64()?,
-        result_msgs: d.u64()?,
-        result_bytes: d.u64()?,
-        failed_routes: d.u64()?,
-        local_items_scanned: d.u64()?,
-    })
-}
-
-fn sim_latency(e: &mut Enc, s: &SimLatency) {
-    for v in [
-        s.start_us,
-        s.end_us,
-        s.elapsed_us,
-        s.net_us,
-        s.queue_us,
-        s.service_us,
-        s.route_us,
-        s.forward_us,
-        s.result_us,
-        s.timed_messages,
-        s.retransmissions,
-        s.crit_net_us,
-        s.crit_queue_us,
-        s.crit_service_us,
-        s.crit_stall_us,
-    ] {
-        e.u64(v);
-    }
-}
-
-fn de_sim_latency(d: &mut Dec<'_>) -> R<SimLatency> {
-    Ok(SimLatency {
-        start_us: d.u64()?,
-        end_us: d.u64()?,
-        elapsed_us: d.u64()?,
-        net_us: d.u64()?,
-        queue_us: d.u64()?,
-        service_us: d.u64()?,
-        route_us: d.u64()?,
-        forward_us: d.u64()?,
-        result_us: d.u64()?,
-        timed_messages: d.u64()?,
-        retransmissions: d.u64()?,
-        crit_net_us: d.u64()?,
-        crit_queue_us: d.u64()?,
-        crit_service_us: d.u64()?,
-        crit_stall_us: d.u64()?,
-    })
-}
-
-fn rng_words(e: &mut Enc, w: &[u64; 4]) {
-    for v in w {
-        e.u64(*v);
-    }
-}
-
-fn de_rng_words(d: &mut Dec<'_>) -> R<[u64; 4]> {
-    Ok([d.u64()?, d.u64()?, d.u64()?, d.u64()?])
 }
 
 // ---------------------------------------------------------------------
 // Network image
 // ---------------------------------------------------------------------
 
-/// The network image; `t` is collected from it and written before it.
-pub fn network_state(e: &mut Enc, t: &TripleTable<'_>, s: &NetworkState<Posting>) {
-    let (c, Topology { paths, part_peers, part_of, routing, .. }) = (s.config(), s.topology());
-    e.usize(c.peers);
-    e.usize(c.replication);
-    e.usize(c.refs_per_level);
-    e.usize(c.msg_header_bytes);
-    e.u64(c.seed);
-    e.seq(paths, |e, k| key(e, k.as_ref()));
-    e.seq(part_peers, |e, ps| e.seq(ps, |e, p| e.u32(p.0)));
-    e.seq(part_of, |e, v| e.u32(*v));
-    e.seq(s.alive(), |e, v| e.bool(*v));
-    e.seq(&routing.refs, |e, p| e.u32(p.0));
-    e.seq(&routing.slice_off, |e, v| e.u32(*v));
-    e.seq(&routing.peer_off, |e, v| e.u32(*v));
-    e.seq(s.stores(), |e, run| {
-        e.bytes(run.key_bytes());
-        e.usize(run.len());
-        for k in run.keys() {
-            e.u32(k.len() as u32);
-        }
-        e.seq(run.ends(), |e, end| e.u32(*end));
-        e.seq(run.items(), |e, p| posting(e, t, p));
-    });
-    metrics(e, s.metrics());
-    e.seq(s.peer_loads(), |e, p| {
-        for v in [p.msgs_sent, p.msgs_recv, p.bytes_sent, p.bytes_recv] {
-            e.u64(v);
-        }
-    });
-    e.u64(s.next_trace_query());
-    e.u64(s.cache_epoch());
-    rng_words(e, &s.rng_words());
-}
-
-pub fn de_network_state<'a>(
-    d: &mut Dec<'a>,
-    table: &mut DecodedTriples<'a>,
-) -> R<NetworkState<Posting>> {
-    let cfg = NetworkConfig {
-        peers: d.usize()?,
-        replication: d.usize()?,
-        refs_per_level: d.usize()?,
-        msg_header_bytes: d.usize()?,
-        seed: d.u64()?,
-    };
-    let paths = d.seq(de_key)?;
-    let part_peers = d.seq(|d| d.seq(|d| Ok(PeerId(d.u32()?))))?;
-    let part_of = d.seq(|d| d.u32())?;
-    let alive = d.seq(|d| d.bool())?;
-    let routing = RoutingArena {
-        refs: d.seq(|d| Ok(PeerId(d.u32()?)))?,
-        slice_off: d.seq(|d| d.u32())?,
-        peer_off: d.seq(|d| d.u32())?,
-    };
-    let stores = d.seq(|d| {
-        let bytes = d.bytes()?.to_vec();
-        let (bits, ends) = (d.seq(|d| d.u32())?, d.seq(|d| d.u32())?);
-        let postings = d.seq(|d| de_posting(d, table))?;
+/// A run as its arrays: key bytes, each key's bit length, end offsets,
+/// postings — decoded through the one constructor that checks them.
+impl<'a> Wire<'a> for PartitionStore<Posting> {
+    fn put(&self, e: &mut Enc<'_>) {
+        e.seq(self.key_bytes());
+        e.put(&self.len());
+        self.keys().for_each(|k| (k.len() as u32).put(e));
+        e.seq(self.ends());
+        e.seq(self.items());
+    }
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        let (bytes, bits, ends, postings): (_, Vec<u32>, _, _) = d.get()?;
         SortedStore::from_parts(bytes, &bits, ends, postings)
             .map(PartitionStore::from_store)
             .ok_or(SnapError::Corrupt("a run's keys do not ascend or its arrays disagree"))
-    })?;
-    let metrics = de_metrics(d)?;
-    let peer_load = d.seq(|d| {
-        Ok(PeerLoad {
-            msgs_sent: d.u64()?,
-            msgs_recv: d.u64()?,
-            bytes_sent: d.u64()?,
-            bytes_recv: d.u64()?,
-        })
-    })?;
-    let (next_query, epoch, rng) = (d.u64()?, d.u64()?, de_rng_words(d)?);
-    // The image's one constructor checks the tables against each other —
-    // what a live network checks of itself — so an image that decodes is
-    // one that restores and routes.
-    let topo = Topology::new(paths, part_peers, part_of, routing);
-    NetworkState::new(cfg, topo, alive, stores, metrics, peer_load, next_query, epoch, rng)
-        .map_err(SnapError::Corrupt)
-}
-
-// ---------------------------------------------------------------------
-// Broker image
-// ---------------------------------------------------------------------
-
-pub fn broker_state(e: &mut Enc, t: &TripleTable<'_>, b: &BrokerState) {
-    let c = &b.cfg;
-    e.bool(c.cache);
-    e.usize(c.cache_capacity);
-    e.u64(c.cache_ttl_us);
-    e.bool(c.admission);
-    e.bool(c.batch);
-    e.u64(c.batch_window_us);
-    let k = &b.counters;
-    for v in [
-        k.cache_hits,
-        k.cache_misses,
-        k.probes_coalesced,
-        k.channels_opened,
-        k.admission_rejects,
-        k.messages_saved,
-    ] {
-        e.u64(v);
     }
-    let l = &b.cache;
-    e.u64(l.capacity);
-    e.u64(l.ttl_us);
-    e.u64(l.tick);
-    e.u64(l.rejected);
-    e.seq(&l.entries, |e, ent| {
-        e.u32(ent.key.0 .0);
-        key(e, ent.key.1.as_ref());
-        e.seq(&ent.value, |e, p| posting(e, t, p));
-        e.u64(ent.epoch);
-        e.u64(ent.inserted_us);
-        e.u64(ent.last_used);
-    });
-    e.opt(l.sketch.as_ref(), |e, s| {
-        e.bytes(&s.table);
-        e.u64(s.slots);
-        e.seq(&s.doorkeeper, |e, v| e.u64(*v));
-        e.u64(s.recorded);
-        e.u64(s.reset_at);
-    });
-    let ch = &b.channels;
-    e.u64(ch.window_us);
-    e.seq(&ch.channels, |e, (part, c)| {
-        e.u64(*part);
-        e.u32(c.owner.0);
-        e.u64(c.opened_us);
-        e.u64(c.route_hops);
-        e.u64(c.epoch);
-    });
-    e.u64(ch.opened);
-    e.u64(ch.rides);
 }
 
-pub fn de_broker_state<'a>(d: &mut Dec<'a>, table: &mut DecodedTriples<'a>) -> R<BrokerState> {
-    let cfg = BrokerConfig {
-        cache: d.bool()?,
-        cache_capacity: d.usize()?,
-        cache_ttl_us: d.u64()?,
-        admission: d.bool()?,
-        batch: d.bool()?,
-        batch_window_us: d.u64()?,
-    };
-    let counters = BrokerCounters {
-        cache_hits: d.u64()?,
-        cache_misses: d.u64()?,
-        probes_coalesced: d.u64()?,
-        channels_opened: d.u64()?,
-        admission_rejects: d.u64()?,
-        messages_saved: d.u64()?,
-    };
-    let capacity = d.u64()?;
-    let ttl_us = d.u64()?;
-    let tick = d.u64()?;
-    let rejected = d.u64()?;
-    let entries = d.seq(|d| {
-        Ok(LruEntryState {
-            key: (PeerId(d.u32()?), de_key(d)?),
-            value: d.seq(|d| de_posting(d, table))?,
-            epoch: d.u64()?,
-            inserted_us: d.u64()?,
-            last_used: d.u64()?,
-        })
-    })?;
-    let sketch = d.opt(|d| {
-        Ok(SketchState {
-            table: d.bytes()?.to_vec(),
-            slots: d.u64()?,
-            doorkeeper: d.seq(|d| d.u64())?,
-            recorded: d.u64()?,
-            reset_at: d.u64()?,
-        })
-    })?;
-    let cache = LruState { capacity, ttl_us, tick, rejected, entries, sketch };
-    cache.check().map_err(SnapError::Corrupt)?;
-    let channels = ChannelPoolState {
-        window_us: d.u64()?,
-        channels: d.seq(|d| {
-            Ok((
-                d.u64()?,
-                PartitionChannel {
-                    owner: PeerId(d.u32()?),
-                    opened_us: d.u64()?,
-                    route_hops: d.u64()?,
-                    epoch: d.u64()?,
-                },
-            ))
-        })?,
-        opened: d.u64()?,
-        rides: d.u64()?,
-    };
-    Ok(BrokerState { cfg, counters, cache, channels })
+/// Config, the topology's tables (with the alive flags between membership
+/// and routing), the runs, the counters, the RNG — decoded through
+/// [`NetworkState::new`], which checks the tables against each other as a
+/// live network checks itself, so an image that decodes is one that
+/// restores and routes.
+impl<'a> Wire<'a> for NetworkState<Posting> {
+    fn put(&self, e: &mut Enc<'_>) {
+        let Topology { paths, part_peers, part_of, routing, .. } = self.topology();
+        e.put(self.config());
+        e.put(paths);
+        e.put(part_peers);
+        e.put(part_of);
+        e.seq(self.alive());
+        e.put(routing);
+        e.seq(self.stores());
+        e.put(self.metrics());
+        e.seq(self.peer_loads());
+        e.put(&(self.next_trace_query(), self.cache_epoch(), self.rng_words()));
+    }
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        let (cfg, paths, part_peers, part_of) = d.get()?;
+        let (alive, routing, stores, metrics, peer_load) = d.get()?;
+        let (next_query, epoch, rng) = d.get()?;
+        let topo = Topology::new(paths, part_peers, part_of, routing);
+        NetworkState::new(cfg, topo, alive, stores, metrics, peer_load, next_query, epoch, rng)
+            .map_err(SnapError::Corrupt)
+    }
 }
 
 // ---------------------------------------------------------------------
 // Driver checkpoint
 // ---------------------------------------------------------------------
 
-fn query_stats(e: &mut Enc, s: &QueryStats) {
-    metrics(e, &s.traffic);
-    e.opt(s.sim.as_ref(), sim_latency);
-    e.usize(s.probes);
-    e.usize(s.candidates);
-    e.u64(s.edit_comparisons);
-    e.usize(s.matches);
-    e.usize(s.rounds);
-    e.u64(s.cache_hits);
-    e.u64(s.cache_misses);
-    e.u64(s.probes_coalesced);
-    e.usize(s.join_window_peak);
-    e.u64(s.join_window_shrinks);
-    e.u64(s.partitions_addressed);
-    e.u64(s.partitions_answered);
-    e.u64(s.retries);
-    e.u64(s.gave_up);
-}
-
-fn de_query_stats(d: &mut Dec<'_>) -> R<QueryStats> {
-    Ok(QueryStats {
-        traffic: de_metrics(d)?,
-        sim: d.opt(de_sim_latency)?,
-        probes: d.usize()?,
-        candidates: d.usize()?,
-        edit_comparisons: d.u64()?,
-        matches: d.usize()?,
-        rounds: d.usize()?,
-        cache_hits: d.u64()?,
-        cache_misses: d.u64()?,
-        probes_coalesced: d.u64()?,
-        join_window_peak: d.usize()?,
-        join_window_shrinks: d.u64()?,
-        partitions_addressed: d.u64()?,
-        partitions_answered: d.u64()?,
-        retries: d.u64()?,
-        gave_up: d.u64()?,
-    })
-}
-
-fn hist(e: &mut Enc, h: &HistParts) {
-    let (count, sum, min, max, buckets) = h;
-    e.u64(*count);
-    e.u64(*sum);
-    e.u64(*min);
-    e.u64(*max);
-    e.seq(buckets, |e, (b, n)| {
-        e.u32(*b);
-        e.u64(*n);
-    });
-}
-
-fn de_hist(d: &mut Dec<'_>) -> R<HistParts> {
-    Ok((d.u64()?, d.u64()?, d.u64()?, d.u64()?, d.seq(|d| Ok((d.u32()?, d.u64()?)))?))
-}
-
-fn repair_totals(e: &mut Enc, r: &RepairTotals) {
-    for v in [r.passes, r.recruited, r.bytes_copied, r.lost_partitions, r.unfilled_deficits] {
-        e.u64(v);
+impl<'a> Wire<'a> for EvSnap {
+    fn put(&self, e: &mut Enc<'_>) {
+        match *self {
+            EvSnap::Arrive { client } => (0u8, client).put(e),
+            EvSnap::Churn { idx } => (1u8, idx).put(e),
+            EvSnap::Fault { idx } => (2u8, idx).put(e),
+            EvSnap::FaultClear { idx } => (3u8, idx).put(e),
+        }
     }
-}
-
-fn de_repair_totals(d: &mut Dec<'_>) -> R<RepairTotals> {
-    Ok(RepairTotals {
-        passes: d.u64()?,
-        recruited: d.u64()?,
-        bytes_copied: d.u64()?,
-        lost_partitions: d.u64()?,
-        unfilled_deficits: d.u64()?,
-    })
-}
-
-fn netsim_state(e: &mut Enc, s: &NetSimState) {
-    rng_words(e, &s.rng);
-    e.u64(s.frontier_us);
-    e.u64(s.clock_us);
-    e.seq(&s.busy_until_us, |e, v| e.u64(*v));
-    for v in s.blame {
-        e.u64(v);
-    }
-    sim_latency(e, &s.totals);
-}
-
-fn de_netsim_state(d: &mut Dec<'_>) -> R<NetSimState> {
-    Ok(NetSimState {
-        rng: de_rng_words(d)?,
-        frontier_us: d.u64()?,
-        clock_us: d.u64()?,
-        busy_until_us: d.seq(|d| d.u64())?,
-        blame: [d.u64()?, d.u64()?, d.u64()?, d.u64()?],
-        totals: de_sim_latency(d)?,
-    })
-}
-
-pub fn driver_checkpoint(e: &mut Enc, c: &DriverCheckpoint) {
-    let q = &c.queue;
-    e.u64(q.seq);
-    e.u64(q.now_us);
-    e.seq(&q.entries, |e, (at, seq, ev)| {
-        e.u64(*at);
-        e.u64(*seq);
-        match ev {
-            EvSnap::Arrive { client } => {
-                e.u8(0);
-                e.u32(*client);
-            }
-            EvSnap::Churn { idx } => {
-                e.u8(1);
-                e.u32(*idx);
-            }
-            EvSnap::Fault { idx } => {
-                e.u8(2);
-                e.u32(*idx);
-            }
-            EvSnap::FaultClear { idx } => {
-                e.u8(3);
-                e.u32(*idx);
-            }
-        }
-    });
-    e.seq(&c.issued, |e, v| e.u64(*v));
-    e.opt(c.initiators.as_ref(), |e, ps| e.seq(ps, |e, p| e.u32(p.0)));
-    e.seq(&c.client_rngs, rng_words);
-    e.seq(&c.by_operator, |e, (label, h, s)| {
-        e.str(label);
-        hist(e, h);
-        query_stats(e, s);
-    });
-    hist(e, &c.all_latencies);
-    query_stats(e, &c.total);
-    e.u64(c.queries_run);
-    e.u64(c.first_start);
-    e.u64(c.last_end);
-    hist(e, &c.early.0);
-    query_stats(e, &c.early.1);
-    hist(e, &c.late.0);
-    query_stats(e, &c.late.1);
-    repair_totals(e, &c.repair);
-    e.seq(&c.diagnostics, |e, s| e.str(s));
-    netsim_state(e, &c.netsim);
-}
-
-pub fn de_driver_checkpoint(d: &mut Dec<'_>) -> R<DriverCheckpoint> {
-    let seq = d.u64()?;
-    let now_us = d.u64()?;
-    // `EventQueue::from_state` asserts these two invariants; a damaged
-    // artifact must fail here, not panic inside `resume_driver`.
-    let entries = d.seq(|d| {
-        let (at, entry_seq) = (d.u64()?, d.u64()?);
-        if entry_seq >= seq {
-            return Err(SnapError::Corrupt("pending event seq at or past the queue counter"));
-        }
-        if at < now_us {
-            return Err(SnapError::Corrupt("pending event earlier than the queue clock"));
-        }
-        let ev = match d.u8()? {
-            0 => EvSnap::Arrive { client: d.u32()? },
-            1 => EvSnap::Churn { idx: d.u32()? },
-            2 => EvSnap::Fault { idx: d.u32()? },
-            3 => EvSnap::FaultClear { idx: d.u32()? },
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        Ok(match u8::get(d)? {
+            0 => EvSnap::Arrive { client: d.get()? },
+            1 => EvSnap::Churn { idx: d.get()? },
+            2 => EvSnap::Fault { idx: d.get()? },
+            3 => EvSnap::FaultClear { idx: d.get()? },
             _ => return Err(SnapError::Corrupt("event tag out of range")),
-        };
-        Ok((at, entry_seq, ev))
-    })?;
-    let issued = d.seq(|d| d.u64())?;
-    let initiators = d.opt(|d| d.seq(|d| Ok(PeerId(d.u32()?))))?;
-    let client_rngs = d.seq(|d| de_rng_words(d))?;
-    let clients = client_rngs.len();
-    if entries
-        .iter()
-        .any(|(_, _, ev)| matches!(ev, EvSnap::Arrive { client } if *client as usize >= clients))
-    {
-        return Err(SnapError::Corrupt("arrival for a client the checkpoint has no stream for"));
+        })
     }
-    Ok(DriverCheckpoint {
-        queue: QueueState { seq, now_us, entries },
-        issued,
-        initiators,
-        client_rngs,
-        by_operator: d.seq(|d| {
+}
+
+/// Counter, clock, then `(at, seq, event)` entries. `EventQueue::from_state`
+/// asserts that every entry lies below the counter and at or after the
+/// clock; a damaged artifact fails here instead, entry by entry.
+impl<'a, E: Wire<'a>> Wire<'a> for QueueState<E> {
+    fn put(&self, e: &mut Enc<'_>) {
+        e.put(&(self.seq, self.now_us));
+        e.put(&self.entries);
+    }
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        let (seq, now_us) = d.get()?;
+        let entries = d.seq(|d| {
+            let (at, entry_seq) = d.get()?;
+            if entry_seq >= seq {
+                return Err(SnapError::Corrupt("pending event seq at or past the queue counter"));
+            }
+            if at < now_us {
+                return Err(SnapError::Corrupt("pending event earlier than the queue clock"));
+            }
+            Ok((at, entry_seq, d.get()?))
+        })?;
+        Ok(QueueState { seq, now_us, entries })
+    }
+}
+
+/// The fields in declaration order. Decoding checks that every pending
+/// arrival has a client stream, and that the per-operator accumulators
+/// are under the driver's labels, ascending, as the loop keeps them.
+impl<'a> Wire<'a> for DriverCheckpoint {
+    fn put(&self, e: &mut Enc<'_>) {
+        e.put(&self.queue);
+        e.put(&self.issued);
+        e.put(&self.initiators);
+        e.put(&self.client_rngs);
+        e.put(&self.by_operator);
+        e.put(&self.all_latencies);
+        e.put(&self.total);
+        e.put(&(self.queries_run, self.first_start, self.last_end));
+        e.put(&self.early);
+        e.put(&self.late);
+        e.put(&self.repair);
+        e.put(&self.diagnostics);
+        e.put(&self.netsim);
+    }
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        let queue: QueueState<EvSnap> = d.get()?;
+        let (issued, initiators, client_rngs): (_, _, Vec<StdRng>) = d.get()?;
+        let clients = client_rngs.len();
+        if queue.entries.iter().any(
+            |(_, _, ev)| matches!(ev, EvSnap::Arrive { client } if *client as usize >= clients),
+        ) {
+            return Err(SnapError::Corrupt(
+                "arrival for a client the checkpoint has no stream for",
+            ));
+        }
+        let mut last = None;
+        let by_operator = d.seq(|d| {
             // The driver keys its accumulators by the static label set; a
             // foreign label has no accumulator to restore into.
-            let label = d.str()?;
+            let label = <&str>::get(d)?;
             let label = QueryKind::LABELS
                 .into_iter()
                 .find(|l| *l == label)
                 .ok_or(SnapError::Corrupt("unknown operator label"))?;
-            Ok((label, de_hist(d)?, de_query_stats(d)?))
-        })?,
-        all_latencies: de_hist(d)?,
-        total: de_query_stats(d)?,
-        queries_run: d.u64()?,
-        first_start: d.u64()?,
-        last_end: d.u64()?,
-        early: (de_hist(d)?, de_query_stats(d)?),
-        late: (de_hist(d)?, de_query_stats(d)?),
-        repair: de_repair_totals(d)?,
-        diagnostics: d.seq(|d| d.string())?,
-        netsim: de_netsim_state(d)?,
-    })
+            if last.is_some_and(|prev| prev >= label) {
+                return Err(SnapError::Corrupt("operator labels do not ascend"));
+            }
+            last = Some(label);
+            let (lats, stats) = d.get()?;
+            Ok((label, lats, stats))
+        })?;
+        let (all_latencies, total, (queries_run, first_start, last_end)) = d.get()?;
+        let (early, late, repair, diagnostics, netsim) = d.get()?;
+        Ok(DriverCheckpoint {
+            queue,
+            issued,
+            initiators,
+            client_rngs,
+            by_operator,
+            all_latencies,
+            total,
+            queries_run,
+            first_start,
+            last_end,
+            early,
+            late,
+            repair,
+            diagnostics,
+            netsim,
+        })
+    }
 }
 
 // ---------------------------------------------------------------------
 // Scale checkpoint
 // ---------------------------------------------------------------------
 
-pub fn scale_checkpoint(e: &mut Enc, c: &ScaleCheckpoint) {
-    e.u64(c.stop_us);
-    e.seq(&c.pending, |e, ev| {
-        e.u64(ev.at_us);
-        e.u32(ev.qid);
-        e.u32(ev.step);
-        e.u32(ev.peer);
-        // Kind tag, then the `of` payload (zero unless a `Result`).
-        let (kind, of) = match ev.kind {
+/// Kind tag, then the `of` payload — zero unless a `Result`.
+impl<'a> Wire<'a> for EvKind {
+    fn put(&self, e: &mut Enc<'_>) {
+        let (kind, of): (u8, u32) = match *self {
             EvKind::Query => (0, 0),
             EvKind::Forward => (1, 0),
             EvKind::Result { of } => (2, of),
         };
-        e.u8(kind);
-        e.u32(of);
-    });
-    e.seq(&c.busy, |e, v| e.u64(*v));
-    e.seq(&c.qstate, |e, q| {
-        e.u32(q.expected);
-        e.u32(q.got);
-        e.u64(q.done_us);
-    });
-    e.u64(c.events);
-}
-
-pub fn de_scale_checkpoint(d: &mut Dec<'_>) -> R<ScaleCheckpoint> {
-    Ok(ScaleCheckpoint {
-        stop_us: d.u64()?,
-        pending: d.seq(|d| {
-            Ok(Ev {
-                at_us: d.u64()?,
-                qid: d.u32()?,
-                step: d.u32()?,
-                peer: d.u32()?,
-                kind: match (d.u8()?, d.u32()?) {
-                    (0, 0) => EvKind::Query,
-                    (1, 0) => EvKind::Forward,
-                    (2, of) => EvKind::Result { of },
-                    _ => return Err(SnapError::Corrupt("scale event kind out of range")),
-                },
-            })
-        })?,
-        busy: d.seq(|d| d.u64())?,
-        qstate: d.seq(|d| Ok(QState { expected: d.u32()?, got: d.u32()?, done_us: d.u64()? }))?,
-        events: d.u64()?,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Publish stats
-// ---------------------------------------------------------------------
-
-pub fn publish_stats(e: &mut Enc, s: &sqo_storage::PublishStats) {
-    e.usize(s.rows);
-    e.usize(s.triples);
-    e.usize(s.base_postings);
-    e.usize(s.instance_gram_postings);
-    e.usize(s.schema_gram_postings);
-    e.usize(s.short_postings);
-    e.u64(s.total_bytes);
-}
-
-pub fn de_publish_stats(d: &mut Dec<'_>) -> R<sqo_storage::PublishStats> {
-    Ok(sqo_storage::PublishStats {
-        rows: d.usize()?,
-        triples: d.usize()?,
-        base_postings: d.usize()?,
-        instance_gram_postings: d.usize()?,
-        schema_gram_postings: d.usize()?,
-        short_postings: d.usize()?,
-        total_bytes: d.u64()?,
-    })
+        (kind, of).put(e);
+    }
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        match d.get::<(u8, u32)>()? {
+            (0, 0) => Ok(EvKind::Query),
+            (1, 0) => Ok(EvKind::Forward),
+            (2, of) => Ok(EvKind::Result { of }),
+            _ => Err(SnapError::Corrupt("scale event kind out of range")),
+        }
+    }
 }

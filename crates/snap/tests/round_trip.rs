@@ -213,15 +213,18 @@ fn scale_checkpoint_rides_the_artifact_and_resumes_exactly() {
         ScalePhase::Done(..) => panic!("a 2ms cut must land mid-run"),
     };
     let bytes = Snapshot::capture(&engine).with_scale(ckpt).to_bytes();
+    // The scale section's wire pin, measured before the codec stated each
+    // record once; re-measure only with a `SCHEMA_VERSION` bump.
+    assert_eq!(fnv1a(&bytes), 0xf2be_3ea8_bf97_03c2, "scale artifact {:#018x}", fnv1a(&bytes));
     let snap = Snapshot::from_bytes(&bytes).expect("artifact decodes");
     let ckpt = snap.scale.as_ref().expect("scale image rides along");
 
     let thawed = snap.restore_engine(engine.config());
     let topo2 = Topology::of_network(thawed.network());
-    let (serial, _) = resume_serial(&topo2, &cfg, ckpt);
+    let (serial, _) = resume_serial(&topo2, &cfg, ckpt).expect("the checkpoint fits");
     assert_eq!(serial, full, "serial resume diverged");
     let sharded_cfg = ScaleConfig { shards: 2, ..cfg };
-    let (sharded, _) = resume_sharded(&topo2, &sharded_cfg, ckpt);
+    let (sharded, _) = resume_sharded(&topo2, &sharded_cfg, ckpt).expect("it fits");
     assert_eq!(sharded, full, "sharded resume diverged");
 
     // A pending event whose kind tag names no `EvKind` is refused at
@@ -479,6 +482,18 @@ fn a_whole_artifact() -> (Vec<u8>, EngineConfig) {
     let snap = Snapshot::capture_paused(&engine, ckpt);
     assert!(snap.world.broker.as_ref().is_some_and(|b| !b.cache.entries.is_empty()));
     (snap.to_bytes(), engine.config().clone())
+}
+
+/// The broker and paused-driver sections' wire pin: the whole artifact —
+/// cached posting lists, sketch, channels, pending events, client streams,
+/// histograms, the virtual-time image — is the bytes it was before the
+/// codec stated each record once. Re-measure only with a `SCHEMA_VERSION`
+/// bump.
+#[test]
+fn a_whole_artifact_reaches_the_bytes_it_reached_before() {
+    let (bytes, _) = a_whole_artifact();
+    assert_eq!(SCHEMA_VERSION, 4);
+    assert_eq!(fnv1a(&bytes), 0x5bc9_69d8_353e_d9dc, "whole artifact {:#018x}", fnv1a(&bytes));
 }
 
 /// The decoder is total: whatever is done to an artifact — a bit flipped,

@@ -87,10 +87,11 @@ fn pause_then_resume_equals_the_uninterrupted_run() {
     let ckpt = paused(topo);
     assert!(ckpt.events > 0 && ckpt.events < full.events, "the cut lands mid-run");
 
-    let (serial, _) = resume_serial(topo, &cfg, &ckpt);
+    let (serial, _) = resume_serial(topo, &cfg, &ckpt).expect("the checkpoint fits");
     assert_eq!(serial, full, "serial resume diverged");
     for shards in [1, 2, 4] {
-        let (sharded, run) = resume_sharded(topo, &ScaleConfig { shards, ..cfg }, &ckpt);
+        let (sharded, run) =
+            resume_sharded(topo, &ScaleConfig { shards, ..cfg }, &ckpt).expect("it fits");
         assert_eq!(sharded, full, "shards={shards} resume diverged");
         assert_eq!(run.events_per_shard.iter().sum::<u64>(), run.events - ckpt.events);
     }
@@ -105,11 +106,13 @@ fn every_engine_agrees(topo: &Topology, cfg: &ScaleConfig, stop_us: u64) {
         ScalePhase::Paused(ck) => ck,
         ScalePhase::Done(..) => panic!("the cut must land mid-run"),
     };
-    assert_eq!(resume_serial(topo, cfg, &ckpt).0, serial, "serial resume diverged");
+    let fits = "the checkpoint fits";
+    assert_eq!(resume_serial(topo, cfg, &ckpt).expect(fits).0, serial, "serial resume diverged");
     for shards in [1, 2, 4] {
         let cfg = ScaleConfig { shards, ..*cfg };
         assert_eq!(run_sharded(topo, &cfg).0, serial, "shards={shards} diverged");
-        assert_eq!(resume_sharded(topo, &cfg, &ckpt).0, serial, "shards={shards} resume diverged");
+        let resumed = resume_sharded(topo, &cfg, &ckpt).expect(fits).0;
+        assert_eq!(resumed, serial, "shards={shards} resume diverged");
     }
 }
 
