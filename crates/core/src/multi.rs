@@ -101,16 +101,17 @@ enum MState {
 }
 
 impl MultiTask {
-    /// # Panics
-    /// Panics if `preds` is empty.
+    /// A conjunction of `preds`; `Err` when there is none.
     pub fn new(
         preds: Vec<AttrPredicate>,
         from: PeerId,
         strategy: Strategy,
         multi: MultiStrategy,
-    ) -> Self {
-        assert!(!preds.is_empty(), "need at least one predicate");
-        Self {
+    ) -> Result<Self, &'static str> {
+        if preds.is_empty() {
+            return Err("conjunction needs at least one predicate");
+        }
+        Ok(Self {
             preds,
             from,
             strategy,
@@ -121,17 +122,15 @@ impl MultiTask {
             pinned_lead: None,
             alive: None,
             matches: Vec::new(),
-        }
+        })
     }
 
     /// Pin the `Pipelined` lead sub-query to predicate `idx`, overriding
     /// the built-in length heuristic — how the cost-based planner makes
     /// its cheapest-first ordering effective (it orders `preds` by
     /// estimated candidate volume and pins the lead to 0). Out-of-range
-    /// indices are ignored. `Intersect` already runs predicates in order.
-    ///
-    /// # Panics
-    /// Never; invalid indices fall back to the heuristic.
+    /// indices fall back to the heuristic. `Intersect` already runs
+    /// predicates in order.
     pub fn with_pinned_lead(mut self, idx: usize) -> Self {
         if idx < self.preds.len() {
             self.pinned_lead = Some(idx);
@@ -338,7 +337,8 @@ mod tests {
         strategy: Strategy,
         multi: MultiStrategy,
     ) -> Answer {
-        let mut task = MultiTask::new(preds.to_vec(), from, strategy, multi);
+        let mut task =
+            MultiTask::new(preds.to_vec(), from, strategy, multi).expect("a predicate at least");
         let stats = e.run_task(&mut task);
         Answer { matches: task.take_matches(), stats }
     }
@@ -457,10 +457,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one predicate")]
-    fn empty_predicates_panic() {
+    fn empty_predicates_are_an_error() {
         let mut e = EngineBuilder::new().peers(8).build_with_rows(&contact_rows());
         let from = e.random_peer();
-        similar_multi(&mut e, &[], from, Strategy::QGrams, MultiStrategy::Intersect);
+        for multi in [MultiStrategy::Intersect, MultiStrategy::Pipelined] {
+            let got = MultiTask::new(Vec::new(), from, Strategy::QGrams, multi);
+            assert_eq!(got.err(), Some("conjunction needs at least one predicate"));
+        }
     }
 }

@@ -36,7 +36,8 @@ impl SimilarityEngine {
     /// One branch of the naive broadcast: forward into partition `part`
     /// (unless it is the routing entry's own partition), compare the query
     /// string — prepared once per query in `verifier` — against everything
-    /// stored there, and reply with the matching triples. Returns `None`
+    /// stored there, and reply with the matching triples, as handles on the
+    /// postings they were found through. Returns `None`
     /// when the partition has no alive member — the branch silently drops,
     /// exactly like a dead responder would.
     ///
@@ -64,7 +65,7 @@ impl SimilarityEngine {
         };
         self.legs_answered += 1;
         // Local comparison at the data peer, over the stored postings where
-        // they lie: only matches are copied out.
+        // they lie: only a match is taken out, as a handle on its posting.
         let mut local_matches: Vec<Candidate> = Vec::new();
         let mut payload = 0usize;
         let mut comparisons = 0u64;
@@ -75,7 +76,7 @@ impl SimilarityEngine {
         let mut queried = AttrGuard::new(attr.unwrap_or_default());
         for p in self.net.local_prefix_run(responder, prefix) {
             match (attr, p.kind()) {
-                (Some(a), PostingKind::Base(_) | PostingKind::ShortValue) => {
+                (Some(_), PostingKind::Base(_) | PostingKind::ShortValue) => {
                     // Guard, string, window: the posting alone answers.
                     if !queried.admits(p) {
                         continue;
@@ -89,7 +90,7 @@ impl SimilarityEngine {
                     let Some(text) = triple.value_str() else { continue };
                     if verifier.distance_of(text, chars).is_some() {
                         payload += triple.repr_len();
-                        local_matches.push(Candidate::new(triple.oid(), a, text, chars));
+                        local_matches.push(Candidate::new(p.clone(), chars, false));
                     }
                 }
                 (None, PostingKind::Base(_) | PostingKind::ShortAttr) => {
@@ -108,7 +109,7 @@ impl SimilarityEngine {
                     };
                     if matched {
                         payload += triple.repr_len();
-                        local_matches.push(Candidate::new(triple.oid(), name, name, chars));
+                        local_matches.push(Candidate::new(p.clone(), chars, true));
                     }
                 }
                 _ => {}

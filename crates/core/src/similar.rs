@@ -15,6 +15,19 @@
 //!   part of the compared string space; peers compare locally (the
 //!   baseline whose messages grow linearly with the network).
 //!
+//! ## Stage 1.5 works on stored triples
+//!
+//! The probed gram postings are grouped by the stored triple they were cut
+//! from — its slab's address and record index — not by its strings, and
+//! the count filter runs per triple. That is the per-string bound of
+//! Gravano et al. \[7\], so a true match always passes; only a world that
+//! stores one (oid, attribute, text) in two records can tell the difference,
+//! and there the records are counted apart, so a candidate whose records
+//! pass only together is not fetched to be rejected. A `Candidate` is a
+//! handle on the triple's posting: its oid, attribute and text are read
+//! through it, candidates sort on the oid's first eight bytes before any
+//! string, and strings are copied only into a verified [`SimilarMatch`].
+//!
 //! ## Completeness note (documented deviation)
 //!
 //! The paper claims both gram variants are "guaranteed to find matching
@@ -42,6 +55,7 @@ use sqo_strsim::edit::BoundedLevenshtein;
 use sqo_strsim::filters::{char_len, count_filter_threshold, length_filter};
 use sqo_strsim::qgram::{qgrams, PositionalQGram};
 use sqo_strsim::qsample::qsamples;
+use std::sync::Arc;
 
 /// Evaluation strategy for string similarity (the three curves of Fig. 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -78,31 +92,101 @@ pub struct SimilarMatch {
     pub object: Object,
 }
 
-/// A stage-1 candidate: a concrete string occurrence on a concrete object.
-///
-/// 72 bytes, as it was with three `String`s: the boxed text makes room for
-/// the count. At 80 bytes the benchmark's `ingest-checkpoint` peak RSS read
-/// +21 % in most runs (the allocator laid the snapshot buffers out anew;
-/// measured, not modelled), so the aggregation map's entry keeps its 56
-/// bytes the same way.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// A stage-1 candidate: a handle on one stored string occurrence — a value
+/// at instance level, an attribute name at schema level — on a concrete
+/// object. It holds the posting it was found through (one refcount step),
+/// and its oid, attribute and text are read through that; strings are
+/// copied only into a [`SimilarMatch`], at Verify.
 pub(crate) struct Candidate {
-    pub oid: String,
-    pub attr: String,
-    pub text: Box<str>,
-    /// `text`'s length in chars, as stored beside it: what the verifier's
-    /// length gate reads.
-    pub chars: usize,
+    posting: Posting,
+    /// The oid's first eight bytes ([`oid_head`]): most comparisons of the
+    /// candidate sort end on it, without reading the oid.
+    head: u64,
+    /// The text's length in chars, as stored: what the verifier's length
+    /// gate reads.
+    chars: u32,
+    /// Schema level: the text is the attribute name, not the value.
+    schema: bool,
 }
 
-const _: () = assert!(std::mem::size_of::<Candidate>() == 72);
-
 impl Candidate {
-    /// The one place candidate strings are copied out of stored postings —
-    /// call it for survivors, not for everything scanned.
-    pub(crate) fn new(oid: &str, attr: &str, text: &str, chars: usize) -> Self {
-        Self { oid: oid.to_string(), attr: attr.to_string(), text: text.into(), chars }
+    /// A candidate read through `posting`, whose text has `chars` chars.
+    pub(crate) fn new(posting: Posting, chars: usize, schema: bool) -> Self {
+        let head = oid_head(posting.oid());
+        Self { posting, head, chars: chars as u32, schema }
     }
+
+    pub(crate) fn oid(&self) -> &str {
+        self.posting.oid()
+    }
+
+    pub(crate) fn attr(&self) -> &AttrName {
+        self.posting.triple().attr()
+    }
+
+    /// The compared string: the value, or at schema level the name.
+    pub(crate) fn text(&self) -> &str {
+        let t = self.posting.triple();
+        if self.schema {
+            t.attr().as_str()
+        } else {
+            t.value_str().unwrap_or_default()
+        }
+    }
+
+    pub(crate) fn chars(&self) -> usize {
+        self.chars as usize
+    }
+
+    /// What a candidate is, as a caller sees it: two stored records of one
+    /// (oid, attribute, text) are one candidate.
+    fn strings(&self) -> (&str, &str, &str) {
+        (self.oid(), self.attr().as_str(), self.text())
+    }
+
+    /// Sort by oid, attribute and text — the head first, so only oids that
+    /// share eight bytes are read — and keep one of each.
+    pub(crate) fn sort_dedup(candidates: &mut Vec<Candidate>) {
+        candidates.sort_unstable_by(|a, b| {
+            a.head.cmp(&b.head).then_with(|| a.strings().cmp(&b.strings()))
+        });
+        candidates.dedup_by(|a, b| a.head == b.head && a.strings() == b.strings());
+    }
+}
+
+/// The first eight bytes of `oid` as a big-endian integer, zero-padded:
+/// wherever two heads differ they order like the strings, and equal heads
+/// leave the decision to the strings.
+pub(crate) fn oid_head(oid: &str) -> u64 {
+    let mut head = [0u8; 8];
+    let n = oid.len().min(8);
+    head[..n].copy_from_slice(&oid.as_bytes()[..n]);
+    u64::from_be_bytes(head)
+}
+
+/// Stage 1.5's grouping: the probed gram postings of each stored triple,
+/// as (shared-gram count, the triple's first posting). A triple is its
+/// slab's address and its record index ([`Posting::triple_id`]), so
+/// counting hashes two words and reads no string.
+///
+/// Counting is per *posting* (one per gram occurrence in the candidate),
+/// not per distinct gram string: the count-filter bound is on the bag
+/// intersection of the two gram multisets, and counting distinct grams
+/// would under-count candidates whose grams repeat ("aaaa") — an unsound
+/// prune. Counting per triple is the per-string bound of Gravano et al.
+/// itself: where one (oid, attribute, text) is stored in two records, each
+/// is counted on its own, so a true match still passes.
+///
+/// The groups come in no fixed order (slab addresses differ from run to
+/// run); the caller sorts the candidates it makes of them.
+fn group_by_triple(postings: &[Posting]) -> Vec<(u32, &Posting)> {
+    let mut shared: FxHashMap<(usize, u32), (u32, u32)> =
+        FxHashMap::with_capacity_and_hasher(postings.len(), Default::default());
+    for (i, p) in postings.iter().enumerate() {
+        let (slab, index) = p.triple_id();
+        shared.entry((Arc::as_ptr(slab) as usize, index)).or_insert((0, i as u32)).0 += 1;
+    }
+    shared.into_values().map(|(count, first)| (count, &postings[first as usize])).collect()
 }
 
 /// The basic similarity operator as a resumable task: issue-probe →
@@ -140,7 +224,14 @@ pub struct SimilarTask {
     /// forfeited, counted as addressed-but-unanswered, and the query
     /// returns what it has with `gave_up = 1`.
     deadline_at: Option<u64>,
+    /// The grouping stage 1.5 runs, and the candidates the task planned to
+    /// fetch: what the differential tests set and read.
+    #[cfg(test)]
+    probe: tests::Probe,
 }
+
+/// How stage 1.5 groups the probed postings ([`group_by_triple`]).
+type Grouping = for<'p> fn(&'p [Posting]) -> Vec<(u32, &'p Posting)>;
 
 /// Continuation states of a [`SimilarTask`].
 enum SimState {
@@ -168,8 +259,8 @@ enum SimState {
         entry_part: usize,
         fan: FanOut<usize>,
     },
-    /// Gram merge: candidate aggregation, count filter, short-string
-    /// supplement, pre-verification (stage 1.5).
+    /// Gram merge: candidate aggregation per stored triple, count filter,
+    /// short-string supplement, pre-verification (stage 1.5).
     Aggregate {
         at_us: u64,
     },
@@ -207,7 +298,17 @@ impl SimilarTask {
             partitions_contacted: 0,
             matches: Vec::new(),
             deadline_at: None,
+            #[cfg(test)]
+            probe: tests::Probe::default(),
         }
+    }
+
+    fn grouping(&self) -> Grouping {
+        #[cfg(test)]
+        let grouping = self.probe.grouping;
+        #[cfg(not(test))]
+        let grouping: Grouping = group_by_triple;
+        grouping
     }
 
     /// True once virtual time `at_us` passed the query deadline.
@@ -431,50 +532,27 @@ impl SimilarTask {
                         engine.config().publish.grams_carry_value && self.attr.is_some();
                     let (attr, s_len, d, strategy, from) =
                         (&self.attr, self.s_len, self.d, self.strategy, self.from);
+                    let (schema, group) = (attr.is_none(), self.grouping());
                     let verifier = &mut self.verifier;
                     let mut acc = self.stats;
                     let ((candidates, n_candidates), end) = engine.charged(&mut acc, at, |e| {
                         // ---- Stage 1.5: aggregation + count filter -------
-                        // Shared-gram counting is per *posting* (one per gram
-                        // occurrence in the candidate), not per distinct gram
-                        // string: the count-filter bound is on the bag
-                        // intersection of the two gram multisets, and
-                        // counting distinct grams would under-count
-                        // candidates whose grams repeat ("aaaa") — an
-                        // unsound prune.
-                        // The map is keyed by strings borrowed from the
-                        // postings; its value is the shared-gram count and
-                        // the string's stored char count, as `u32`s (see
-                        // `Candidate`). Only count-filter survivors become
-                        // owned `Candidate`s.
-                        let mut shared_grams: FxHashMap<(&str, &str, &str), (u32, u32)> =
-                            FxHashMap::with_capacity_and_hasher(postings.len(), Default::default());
-                        for p in &postings {
-                            let t = p.triple();
-                            let cand = match (attr, p.kind()) {
-                                (Some(a), PostingKind::InstanceGram { .. }) => {
-                                    (t.oid(), a.as_str(), t.value_str().unwrap_or_default())
-                                }
-                                (None, PostingKind::SchemaGram) => {
-                                    (t.oid(), t.attr().as_str(), t.attr().as_str())
-                                }
-                                _ => continue,
-                            };
-                            let chars = p.source_len().unwrap_or_default() as u32;
-                            shared_grams.entry(cand).or_insert((0, chars)).0 += 1;
-                        }
+                        // Every probed posting passed the probe filter, so it
+                        // is a gram of the query's level whose source is a
+                        // string. They are counted per stored triple, and a
+                        // count-filter survivor becomes a handle on its
+                        // triple's first posting: no string is hashed or
+                        // copied here.
                         // Count filter — meaningful only when all grams were
                         // probed.
                         let count_filter = filters.count && strategy == Strategy::QGrams;
-                        let mut candidates: Vec<Candidate> = shared_grams
+                        let mut candidates: Vec<Candidate> = group(&postings)
                             .into_iter()
-                            .filter(|(_, (shared, chars))| {
-                                !count_filter
-                                    || *shared as i64
-                                        >= count_filter_threshold(s_len, *chars as usize, q, d)
-                            })
-                            .map(|((oid, attr, text), (_, chars))| {
-                                Candidate::new(oid, attr, text, chars as usize)
+                            .filter_map(|(shared, p)| {
+                                let chars = p.source_len().unwrap_or_default();
+                                let kept = !count_filter
+                                    || shared as i64 >= count_filter_threshold(s_len, chars, q, d);
+                                kept.then(|| Candidate::new(p.clone(), chars, schema))
                             })
                             .collect();
 
@@ -490,35 +568,25 @@ impl SimilarTask {
                             let lists = e.scan_prefix(from, &prefix);
                             let mut queried = AttrGuard::new(attr.as_deref().unwrap_or_default());
                             for p in lists.iter().flat_map(|l| l.iter()) {
-                                let t = p.triple();
-                                let (text, chars) = match (attr, p.kind()) {
+                                let chars = match (attr, p.kind()) {
                                     (Some(_), PostingKind::ShortValue) => {
                                         if !queried.admits(p) {
                                             continue;
                                         }
-                                        let Some(text) = t.value_str() else { continue };
-                                        (text, p.char_len().unwrap_or_default())
+                                        // `None`: a number.
+                                        let Some(chars) = p.char_len() else { continue };
+                                        chars
                                     }
-                                    (None, PostingKind::ShortAttr) => {
-                                        (t.attr().as_str(), t.attr_char_len())
-                                    }
+                                    (None, PostingKind::ShortAttr) => p.triple().attr_char_len(),
                                     _ => continue,
                                 };
                                 if filters.length && !length_filter(chars, s_len, d) {
                                     continue;
                                 }
-                                candidates.push(Candidate::new(
-                                    t.oid(),
-                                    t.attr().as_str(),
-                                    text,
-                                    chars,
-                                ));
+                                candidates.push(Candidate::new(p.clone(), chars, schema));
                             }
                         }
-                        candidates.sort_by(|a, b| {
-                            (&a.oid, &a.attr, &a.text).cmp(&(&b.oid, &b.attr, &b.text))
-                        });
-                        candidates.dedup();
+                        Candidate::sort_dedup(&mut candidates);
                         let n_candidates = candidates.len();
 
                         // ---- Pre-verification (value-carrying postings) --
@@ -532,7 +600,7 @@ impl SimilarTask {
                             let mut surviving = Vec::with_capacity(candidates.len());
                             for cand in candidates {
                                 e.count_comparison();
-                                if verifier.distance_of(&cand.text, cand.chars).is_some() {
+                                if verifier.distance_of(cand.text(), cand.chars()).is_some() {
                                     surviving.push(cand);
                                 }
                             }
@@ -551,17 +619,19 @@ impl SimilarTask {
                     if self.is_naive {
                         // The peers already verified; count the contacted
                         // partitions and dedup before assembly.
-                        self.candidates.sort_by(|a, b| {
-                            (&a.oid, &a.attr, &a.text).cmp(&(&b.oid, &b.attr, &b.text))
-                        });
-                        self.candidates.dedup();
+                        Candidate::sort_dedup(&mut self.candidates);
                         self.stats.candidates = self.candidates.len();
                         self.stats.probes = self.partitions_contacted;
                     }
+                    #[cfg(test)]
+                    self.probe.candidates.extend(self.candidates.iter().map(|c| {
+                        let (oid, attr, text) = c.strings();
+                        (oid.to_string(), attr.to_string(), text.to_string())
+                    }));
                     let mut missing: Vec<&str> = self
                         .candidates
                         .iter()
-                        .map(|c| c.oid.as_str())
+                        .map(Candidate::oid)
                         .filter(|oid| !cache.contains_key(*oid))
                         .collect();
                     missing.sort_unstable();
@@ -603,17 +673,17 @@ impl SimilarTask {
                     let mut acc = self.stats;
                     let (matches, _end) = engine.charged(&mut acc, at, |e| {
                         let mut matches = Vec::new();
-                        for cand in candidates {
-                            let Some(object) = cache.get(&cand.oid) else { continue };
+                        for cand in &candidates {
+                            let Some(object) = cache.get(cand.oid()) else { continue };
                             e.count_comparison();
-                            if let Some(distance) = verifier.distance_of(&cand.text, cand.chars) {
-                                let object = object.materialize(&cand.oid);
+                            if let Some(distance) = verifier.distance_of(cand.text(), cand.chars())
+                            {
                                 matches.push(SimilarMatch {
-                                    oid: cand.oid,
-                                    attr: AttrName::new(cand.attr),
-                                    matched: cand.text.into(),
+                                    oid: cand.oid().to_string(),
+                                    attr: cand.attr().clone(),
+                                    matched: cand.text().to_string(),
                                     distance,
-                                    object,
+                                    object: object.materialize(cand.oid()),
                                 });
                             }
                         }
@@ -646,12 +716,215 @@ impl ExecStep for SimilarTask {
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use super::{SimilarMatch, SimilarTask};
+    use super::{group_by_triple, Grouping, SimilarMatch, SimilarTask};
     use crate::engine::{EngineBuilder, SimilarityEngine};
     use crate::similar::Strategy;
     use crate::stats::QueryStats;
+    use proptest::prelude::*;
+    use rustc_hash::FxHashMap;
     use sqo_overlay::peer::PeerId;
+    use sqo_storage::posting::{Posting, PostingKind};
+    use sqo_storage::publish::PublishConfig;
     use sqo_storage::triple::{Row, Value};
+
+    /// What the differential tests set on a task and read back.
+    pub(crate) struct Probe {
+        pub grouping: Grouping,
+        /// (oid, attribute, text) of every candidate the task planned to
+        /// fetch, in order.
+        pub candidates: Vec<(String, String, String)>,
+    }
+
+    impl Default for Probe {
+        fn default() -> Self {
+            Self { grouping: group_by_triple, candidates: Vec::new() }
+        }
+    }
+
+    /// The reference: stage 1.5's aggregation before it counted per triple.
+    /// One group per (oid, attribute, text), its strings borrowed from the
+    /// postings and hashed, whichever records hold them — so where one
+    /// (oid, attribute, text) is stored in two records, their counts add.
+    fn group_by_strings(postings: &[Posting]) -> Vec<(u32, &Posting)> {
+        let mut shared: FxHashMap<(&str, &str, &str), (u32, u32)> = FxHashMap::default();
+        for (i, p) in postings.iter().enumerate() {
+            let t = p.triple();
+            let text = match p.kind() {
+                PostingKind::SchemaGram => t.attr().as_str(),
+                _ => t.value_str().unwrap_or_default(),
+            };
+            shared.entry((t.oid(), t.attr().as_str(), text)).or_insert((0, i as u32)).0 += 1;
+        }
+        shared.into_values().map(|(count, first)| (count, &postings[first as usize])).collect()
+    }
+
+    /// What one query showed of itself.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        candidates: Vec<(String, String, String)>,
+        n_candidates: usize,
+        messages: u64,
+        matches: Vec<SimilarMatch>,
+    }
+
+    fn outcome(
+        e: &mut SimilarityEngine,
+        (s, attr, d): (&str, Option<&str>, usize),
+        strategy: Strategy,
+        grouping: Grouping,
+    ) -> Outcome {
+        let from = e.random_peer();
+        let mut task = SimilarTask::new(s, attr, d, from, strategy);
+        task.probe.grouping = grouping;
+        let stats = e.run_task(&mut task);
+        Outcome {
+            candidates: std::mem::take(&mut task.probe.candidates),
+            n_candidates: stats.candidates,
+            messages: stats.traffic.messages,
+            matches: task.take_matches(),
+        }
+    }
+
+    /// `s` with the char at `k mod |s|` replaced by one of `abc`, or `s`
+    /// itself when `k` says so: queries near the stored strings.
+    fn edited(s: &str, k: usize) -> String {
+        let chars: Vec<char> = s.chars().collect();
+        if chars.is_empty() || k.is_multiple_of(4) {
+            return s.to_string();
+        }
+        let at = k % chars.len();
+        let with = ['a', 'b', 'c'][k / chars.len() % 3];
+        chars.iter().enumerate().map(|(i, c)| if i == at { with } else { *c }).collect()
+    }
+
+    /// Run every query — instance level on each attribute and schema level,
+    /// d = 0…3, all three strategies — on two twin engines, one grouping
+    /// per triple and one by strings, and hand each pair of outcomes to
+    /// `check`.
+    fn differential(
+        rows: &[Row],
+        second_batch: &[Row],
+        q: usize,
+        carry: bool,
+        picks: &[usize],
+        check: impl Fn(&Outcome, &Outcome, &str),
+    ) {
+        let build = || {
+            let publish = PublishConfig { grams_carry_value: carry, ..PublishConfig::default() };
+            let mut e = EngineBuilder::new()
+                .peers(24)
+                .seed(q as u64)
+                .publish_config(publish)
+                .q(q)
+                .build_with_rows(rows);
+            e.publish_rows(second_batch);
+            e
+        };
+        let (mut by_triple, mut by_strings) = (build(), build());
+        let fields: Vec<(&str, &str)> = rows
+            .iter()
+            .chain(second_batch)
+            .flat_map(|r| r.fields.iter())
+            .filter_map(|(a, v)| Some((a.as_str(), v.as_str()?)))
+            .collect();
+        for (n, &k) in picks.iter().enumerate() {
+            let (attr, value) = fields[k % fields.len()];
+            let queries = [(edited(value, k / 7), Some(attr)), (edited(attr, k / 5), None)];
+            for (s, attr) in &queries {
+                let d = n % 4;
+                for strategy in Strategy::ALL {
+                    let query = (s.as_str(), *attr, d);
+                    let got = outcome(&mut by_triple, query, strategy, group_by_triple);
+                    let want = outcome(&mut by_strings, query, strategy, group_by_strings);
+                    check(&got, &want, &format!("{query:?} {strategy:?} q={q}"));
+                }
+            }
+        }
+    }
+
+    /// Words (`[abc]{1,8}`) or titles (two to four of them) under a few
+    /// attribute names, short ones (below q) included; `id` keeps oids
+    /// apart.
+    fn world(id: usize, values: &[String], titles: bool) -> Vec<Row> {
+        const NAMES: [&str; 5] = ["word", "wort", "ward", "words", "wo"];
+        values
+            .chunks(if titles { 3 } else { 1 })
+            .enumerate()
+            .map(|(i, vs)| {
+                let value = vs.join(" ");
+                let name = NAMES[(i + id) % NAMES.len()];
+                Row::new(format!("o:{id}:{i}"), [(name, Value::from(value))])
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+        /// Stage 1.5 counts per stored triple, and on a world that stores
+        /// every (oid, attribute, text) once it plans the candidates, counts
+        /// them, spends the messages and answers the matches the
+        /// string-keyed aggregation did. Where an object stores one value
+        /// twice (two batches) or holds two values under one attribute
+        /// (one name, twice, at schema level), the matches are the same
+        /// and the candidates a subset.
+        #[test]
+        fn counting_per_triple_is_the_string_keyed_aggregation(
+            values in prop::collection::vec("[abc]{1,8}", 6..30),
+            titles in any::<bool>(),
+            carry in any::<bool>(),
+            picks in prop::collection::vec(0usize..10_000, 4),
+        ) {
+            let rows = world(0, &values, titles);
+            for q in [2, 3] {
+                differential(&rows, &[], q, carry, &picks, |got, want, case| {
+                    assert_eq!(got, want, "{case}");
+                });
+                // One object stores a value again in a second batch; another
+                // holds two values under one attribute.
+                let again = &rows[picks[0] % rows.len()];
+                let mut twice = rows.clone();
+                let (name, value) = &rows[picks[1] % rows.len()].fields[0];
+                twice.push(Row::new(
+                    "o:two",
+                    [(name.as_str(), value.clone()), (name.as_str(), Value::from("abcabc"))],
+                ));
+                differential(&twice, std::slice::from_ref(again), q, carry, &picks, |got, want, case| {
+                    assert_eq!(got.matches, want.matches, "{case}");
+                    assert!(
+                        got.candidates.iter().all(|c| want.candidates.contains(c)),
+                        "{case}: {:?} ⊄ {:?}", got.candidates, want.candidates
+                    );
+                    assert!(got.n_candidates <= want.n_candidates, "{case}");
+                });
+            }
+        }
+    }
+
+    /// Where one object holds two values under the attribute `abcdef`, the
+    /// string-keyed sum counted each of the name's grams twice: "abcxyz"
+    /// shares `ab` and `bc` with it, 2 + 2 = 4 passed the bound of 3 at
+    /// q = 2, d = 1, and the object was fetched to be rejected. Counted per
+    /// triple it shares 2, below the bound, and is never fetched.
+    #[test]
+    fn a_name_held_twice_no_longer_passes_the_count_filter_on_its_sum() {
+        let rows = vec![
+            Row::new("o:1", [("abcdef", Value::from(1)), ("abcdef", Value::from(2))]),
+            Row::new("o:2", [("abcxyw", Value::from(3))]),
+        ];
+        let build = || EngineBuilder::new().peers(16).seed(5).q(2).build_with_rows(&rows);
+        let (mut by_triple, mut by_strings) = (build(), build());
+        let query = ("abcxyz", None, 1);
+        let got = outcome(&mut by_triple, query, Strategy::QGrams, group_by_triple);
+        let want = outcome(&mut by_strings, query, Strategy::QGrams, group_by_strings);
+        let one = |oid: &str, name: &str| (oid.to_string(), name.to_string(), name.to_string());
+        assert_eq!(want.candidates, [one("o:1", "abcdef"), one("o:2", "abcxyw")]);
+        assert_eq!(got.candidates, [one("o:2", "abcxyw")]);
+        assert_eq!((got.n_candidates, want.n_candidates), (1, 2));
+        let matched: Vec<&str> = got.matches.iter().map(|m| m.oid.as_str()).collect();
+        assert_eq!(matched, ["o:2"]);
+        assert_eq!(got.matches, want.matches);
+    }
 
     /// What a finished [`SimilarTask`] answered.
     pub(crate) struct Answer {

@@ -33,7 +33,7 @@
 
 use crate::adaptive::{AimdWindow, JoinWindow};
 use crate::engine::{finalize_stats, ExecStep, SimilarityEngine, StepOutcome};
-use crate::similar::{SimilarMatch, SimilarTask, Strategy};
+use crate::similar::{oid_head, SimilarMatch, SimilarTask, Strategy};
 use crate::stats::QueryStats;
 use rustc_hash::FxHashMap;
 use sqo_overlay::peer::PeerId;
@@ -385,16 +385,6 @@ fn trace_window_change(engine: &SimilarityEngine, at_us: u64, before: usize, aft
             });
         }
     }
-}
-
-/// The first eight bytes of `oid` as a big-endian integer, zero-padded:
-/// wherever two heads differ they order like the strings, and equal heads
-/// leave the decision to the strings.
-fn oid_head(oid: &str) -> u64 {
-    let mut head = [0u8; 8];
-    let n = oid.len().min(8);
-    head[..n].copy_from_slice(&oid.as_bytes()[..n]);
-    u64::from_be_bytes(head)
 }
 
 /// Every k-th element so samples spread across the key-ordered input.

@@ -281,13 +281,13 @@ enum NState {
 }
 
 impl TopNTask {
-    /// Top-N over a **numeric** attribute (Algorithm 4).
-    ///
-    /// # Panics
-    /// Panics if `n == 0`, or if a `Rank::Nn` target is not a number.
-    pub fn numeric(attr: &str, n: usize, rank: Rank, from: PeerId) -> Self {
+    /// Top-N over a **numeric** attribute (Algorithm 4). `Err` for `n = 0`
+    /// and for a `Rank::Nn` target that is not a number.
+    pub fn numeric(attr: &str, n: usize, rank: Rank, from: PeerId) -> Result<Self, &'static str> {
         if let Rank::Nn(target) = &rank {
-            assert!(target.as_float().is_some(), "numeric top-N requires a numeric NN target");
+            if target.as_float().is_none() {
+                return Err("numeric top-N requires a numeric NN target");
+            }
         }
         Self::new(TopNKind::Numeric { attr: attr.to_string(), rank }, n, from)
     }
@@ -295,10 +295,7 @@ impl TopNTask {
     /// Top-N nearest neighbors of a **string** under edit distance:
     /// expanding distance shells over `Similar`. `attr = None` ranks
     /// attribute *names* (schema level), as in the paper's
-    /// `ORDER BY ?a NN 'dlrid'` example.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
+    /// `ORDER BY ?a NN 'dlrid'` example. `Err` for `n = 0`.
     pub fn nearest(
         attr: Option<&str>,
         n: usize,
@@ -306,7 +303,7 @@ impl TopNTask {
         d_max: usize,
         from: PeerId,
         strategy: Strategy,
-    ) -> Self {
+    ) -> Result<Self, &'static str> {
         let kind = TopNKind::Nearest {
             attr: attr.map(str::to_string),
             target: target.to_string(),
@@ -316,9 +313,11 @@ impl TopNTask {
         Self::new(kind, n, from)
     }
 
-    fn new(kind: TopNKind, n: usize, from: PeerId) -> Self {
-        assert!(n >= 1, "top-0 is trivial");
-        Self {
+    fn new(kind: TopNKind, n: usize, from: PeerId) -> Result<Self, &'static str> {
+        if n == 0 {
+            return Err("top-0 is trivial");
+        }
+        Ok(Self {
             kind,
             n,
             from,
@@ -328,7 +327,7 @@ impl TopNTask {
             best: FxHashMap::default(),
             rounds: 0,
             items: Vec::new(),
-        }
+        })
     }
 
     /// The ranked items, once the task is done.
@@ -491,7 +490,11 @@ mod tests {
     use sqo_storage::triple::Row;
 
     /// Run `task` to completion: its ranked items and stats.
-    fn run(e: &mut SimilarityEngine, mut task: TopNTask) -> (Vec<TopNItem>, QueryStats) {
+    fn run(
+        e: &mut SimilarityEngine,
+        task: Result<TopNTask, &'static str>,
+    ) -> (Vec<TopNItem>, QueryStats) {
+        let mut task = task.expect("a ranking with an answer");
         let stats = e.run_task(&mut task);
         (task.take_items(), stats)
     }
@@ -614,11 +617,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "numeric top-N requires a numeric NN target")]
-    fn numeric_nn_with_string_target_panics() {
+    fn numeric_nn_with_string_target_is_an_error() {
         let rows = car_rows(5);
         let mut e = EngineBuilder::new().peers(8).build_with_rows(&rows);
         let from = e.random_peer();
-        TopNTask::numeric("hp", 1, Rank::Nn(Value::from("oops")), from);
+        let got = TopNTask::numeric("hp", 1, Rank::Nn(Value::from("oops")), from);
+        assert_eq!(got.err(), Some("numeric top-N requires a numeric NN target"));
+    }
+
+    #[test]
+    fn top_0_is_an_error() {
+        let from = EngineBuilder::new().peers(8).build_with_rows(&car_rows(5)).random_peer();
+        let numeric = TopNTask::numeric("hp", 0, Rank::Max, from);
+        let nearest = TopNTask::nearest(Some("name"), 0, "model", 2, from, Strategy::QGrams);
+        assert_eq!(numeric.err(), Some("top-0 is trivial"));
+        assert_eq!(nearest.err(), Some("top-0 is trivial"));
     }
 }

@@ -15,7 +15,7 @@
 //! messages, like every operator's own merge phase).
 
 use crate::ir::{
-    CmpOp, JoinSpec, MultiSpec, PlanNode, RankBy, RowPredicate, SelectSpec, SimilarSpec,
+    CmpOp, JoinSpec, MultiSpec, PlanError, PlanNode, RankBy, RowPredicate, SelectSpec, SimilarSpec,
     TopNNumericSpec, TopNSpec, TopNStringSpec,
 };
 use sqo_core::{
@@ -382,70 +382,96 @@ impl PlanTask {
     /// Start the physical task of the leaf stage at `idx` (transform
     /// stages return `None`; they are evaluated inline by `step`).
     fn start_stage(&mut self, idx: usize) -> Option<Active> {
-        let from = self.from;
-        match &self.stages[idx] {
-            Stage::Similar(s) => Some(Active::Similar(Box::new(SimilarTask::new(
-                &s.s,
-                s.attr.as_deref(),
-                s.d,
-                from,
-                s.strategy.expect("resolved plan"),
-            )))),
-            Stage::Select(s) => Some(Active::Select(Box::new(select_task(s, from)))),
-            Stage::TopNNumeric(s) => {
-                Some(Active::TopN(Box::new(TopNTask::numeric(&s.attr, s.n, s.rank.clone(), from))))
+        leaf_task(&self.stages[idx], &self.rows, self.from)
+            .expect("a prepared plan's leaves are checked when it is prepared")
+    }
+}
+
+/// Refuse a resolved plan whose leaf tasks would refuse their specs: a
+/// task constructor's `Err` is the plan's [`PlanError`]. A plan is checked
+/// once, when it is prepared, so its task can start every leaf it reaches.
+pub(crate) fn check_leaves(node: &PlanNode, from: PeerId) -> Result<(), PlanError> {
+    match node {
+        PlanNode::TopNNumeric(s) => topn_numeric_task(s, from).map(drop),
+        PlanNode::TopNString(s) => topn_string_task(s, from).map(drop),
+        PlanNode::Multi(s) => multi_task(s, from).map(drop),
+        PlanNode::SimJoin { input: Some(input), .. }
+        | PlanNode::TopN { input, .. }
+        | PlanNode::Filter { input, .. }
+        | PlanNode::Limit { input, .. } => check_leaves(input, from),
+        PlanNode::Lookup { .. }
+        | PlanNode::Similar(_)
+        | PlanNode::Select(_)
+        | PlanNode::SimJoin { input: None, .. } => Ok(()),
+    }
+}
+
+fn refused(e: &str) -> PlanError {
+    PlanError::Invalid(e.to_string())
+}
+
+fn topn_numeric_task(s: &TopNNumericSpec, from: PeerId) -> Result<TopNTask, PlanError> {
+    TopNTask::numeric(&s.attr, s.n, s.rank.clone(), from).map_err(refused)
+}
+
+fn topn_string_task(s: &TopNStringSpec, from: PeerId) -> Result<TopNTask, PlanError> {
+    let strategy = s.strategy.expect("resolved plan");
+    TopNTask::nearest(s.attr.as_deref(), s.n, &s.target, s.d_max, from, strategy).map_err(refused)
+}
+
+fn multi_task(s: &MultiSpec, from: PeerId) -> Result<MultiTask, PlanError> {
+    let (strategy, multi) = (s.strategy.expect("resolved plan"), s.multi.expect("resolved plan"));
+    let task = MultiTask::new(s.preds.clone(), from, strategy, multi).map_err(refused)?;
+    // Cost-ordered conjunctions pin the pipelined lead to the cheapest leg
+    // (index 0 after the planner's ordering).
+    Ok(if s.cost_ordered { task.with_pinned_lead(0) } else { task })
+}
+
+/// The physical task of a leaf stage, fed `rows` when the leaf consumes
+/// its input; `None` for a transform stage.
+fn leaf_task(stage: &Stage, rows: &[PlanRow], from: PeerId) -> Result<Option<Active>, PlanError> {
+    Ok(match stage {
+        Stage::Similar(s) => Some(Active::Similar(Box::new(SimilarTask::new(
+            &s.s,
+            s.attr.as_deref(),
+            s.d,
+            from,
+            s.strategy.expect("resolved plan"),
+        )))),
+        Stage::Select(s) => Some(Active::Select(Box::new(select_task(s, from)))),
+        Stage::TopNNumeric(s) => Some(Active::TopN(Box::new(topn_numeric_task(s, from)?))),
+        Stage::TopNString(s) => Some(Active::TopN(Box::new(topn_string_task(s, from)?))),
+        Stage::Multi(s) => Some(Active::Multi(Box::new(multi_task(s, from)?))),
+        Stage::JoinScan(s) => Some(Active::Join(Box::new(JoinTask::new(
+            &s.ln,
+            s.rn.as_deref(),
+            s.d,
+            from,
+            &join_options(s),
+        )))),
+        Stage::JoinOver(s) => {
+            // The upstream rows' objects provide the left pairs: every
+            // string value of attribute `ln` on a materialized object.
+            let mut pairs: Vec<(String, String)> = Vec::new();
+            for row in rows {
+                for (attr, value) in &row.object.fields {
+                    if attr.as_str() == s.ln {
+                        if let Some(v) = value.as_str() {
+                            pairs.push((row.oid.clone(), v.to_string()));
+                        }
+                    }
+                }
             }
-            Stage::TopNString(s) => Some(Active::TopN(Box::new(TopNTask::nearest(
-                s.attr.as_deref(),
-                s.n,
-                &s.target,
-                s.d_max,
-                from,
-                s.strategy.expect("resolved plan"),
-            )))),
-            Stage::Multi(s) => {
-                let task = MultiTask::new(
-                    s.preds.clone(),
-                    from,
-                    s.strategy.expect("resolved plan"),
-                    s.multi.expect("resolved plan"),
-                );
-                // Cost-ordered conjunctions pin the pipelined lead to the
-                // cheapest leg (index 0 after the planner's ordering).
-                let task = if s.cost_ordered { task.with_pinned_lead(0) } else { task };
-                Some(Active::Multi(Box::new(task)))
-            }
-            Stage::JoinScan(s) => Some(Active::Join(Box::new(JoinTask::new(
-                &s.ln,
+            Some(Active::Join(Box::new(JoinTask::with_left(
+                pairs,
                 s.rn.as_deref(),
                 s.d,
                 from,
                 &join_options(s),
-            )))),
-            Stage::JoinOver(s) => {
-                // The upstream rows' objects provide the left pairs: every
-                // string value of attribute `ln` on a materialized object.
-                let mut pairs: Vec<(String, String)> = Vec::new();
-                for row in &self.rows {
-                    for (attr, value) in &row.object.fields {
-                        if attr.as_str() == s.ln {
-                            if let Some(v) = value.as_str() {
-                                pairs.push((row.oid.clone(), v.to_string()));
-                            }
-                        }
-                    }
-                }
-                Some(Active::Join(Box::new(JoinTask::with_left(
-                    pairs,
-                    s.rn.as_deref(),
-                    s.d,
-                    from,
-                    &join_options(s),
-                ))))
-            }
-            Stage::Lookup(_) | Stage::TopN(_) | Stage::Filter(_) | Stage::Limit(_) => None,
+            ))))
         }
-    }
+        Stage::Lookup(_) | Stage::TopN(_) | Stage::Filter(_) | Stage::Limit(_) => None,
+    })
 }
 
 fn select_task(spec: &SelectSpec, from: PeerId) -> SelectTask {

@@ -15,7 +15,10 @@
 //!    a **broker-aware** choice (Intersect when the posting cache is
 //!    active — its repeated sub-queries share cached gram lists — else
 //!    Pipelined, the single-network-pass shape). Shapes that the physical
-//!    operators would panic on are rejected here as [`PlanError`]s.
+//!    operators cannot run are rejected here as [`PlanError`]s; a leaf
+//!    whose task constructor refuses its spec (top-0, a non-numeric NN
+//!    target, an empty conjunction) is refused by that constructor, which
+//!    the executor calls when the plan is prepared.
 //! 3. **Predicate pushdown** — a `Filter` directly over a full attribute
 //!    scan is absorbed into the access path (`=` → exact key lookup, `<=` /
 //!    `<` / `>=` / `>` → order-preserving range). The filter node is kept
@@ -26,7 +29,7 @@
 
 use crate::cost::CostModel;
 use crate::ir::{CmpOp, PlanError, PlanNode, RowPredicate, SelectSpec};
-use sqo_core::{MultiStrategy, QueryDefaults, Rank};
+use sqo_core::{MultiStrategy, QueryDefaults};
 use sqo_storage::triple::Value;
 
 /// What the planner knows about the engine at prepare time.
@@ -209,30 +212,12 @@ fn fill_defaults(
             }
             PlanNode::Select(spec)
         }
-        PlanNode::TopNNumeric(spec) => {
-            if spec.n == 0 {
-                return Err(PlanError::Invalid("top-0 is trivial".into()));
-            }
-            if let Rank::Nn(target) = &spec.rank {
-                if target.as_float().is_none() {
-                    return Err(PlanError::Invalid(
-                        "numeric top-N requires a numeric NN target".into(),
-                    ));
-                }
-            }
-            PlanNode::TopNNumeric(spec)
-        }
+        PlanNode::TopNNumeric(spec) => PlanNode::TopNNumeric(spec),
         PlanNode::TopNString(mut spec) => {
-            if spec.n == 0 {
-                return Err(PlanError::Invalid("top-0 is trivial".into()));
-            }
             spec.strategy.get_or_insert(d.strategy);
             PlanNode::TopNString(spec)
         }
         PlanNode::Multi(mut spec) => {
-            if spec.preds.is_empty() {
-                return Err(PlanError::Invalid("conjunction needs at least one predicate".into()));
-            }
             spec.strategy.get_or_insert(d.strategy);
             if spec.multi.is_none() {
                 let choice = if env.cache_active {
@@ -374,7 +359,9 @@ fn fuse_limits(node: PlanNode, notes: &mut Vec<String>) -> PlanNode {
                     notes.push(format!("limit fusion: LIMIT {n} tightened top-N to n={}", spec.n));
                     PlanNode::TopN { input, spec }
                 }
-                PlanNode::TopNString(mut spec) => {
+                // A leaf top-N ranks one row at least, so `LIMIT 0` over it
+                // stays a limit.
+                PlanNode::TopNString(mut spec) if n > 0 => {
                     spec.n = spec.n.min(n);
                     notes.push(format!(
                         "limit fusion: LIMIT {n} tightened string top-N to n={}",
@@ -382,7 +369,7 @@ fn fuse_limits(node: PlanNode, notes: &mut Vec<String>) -> PlanNode {
                     ));
                     PlanNode::TopNString(spec)
                 }
-                PlanNode::TopNNumeric(mut spec) => {
+                PlanNode::TopNNumeric(mut spec) if n > 0 => {
                     spec.n = spec.n.min(n);
                     notes.push(format!(
                         "limit fusion: LIMIT {n} tightened numeric top-N to n={}",

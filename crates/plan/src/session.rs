@@ -23,7 +23,7 @@
 
 use crate::builder::Query;
 use crate::cost::CostModel;
-use crate::exec::{compile, PlanResult, PlanTask, Stage};
+use crate::exec::{check_leaves, compile, PlanResult, PlanTask, Stage};
 use crate::ir::{PlanError, PlanNode};
 use crate::rewrite::{resolve, PlannerEnv};
 use sqo_core::SimilarityEngine;
@@ -143,6 +143,7 @@ impl PreparedQuery {
     ) -> Result<PreparedQuery, PlanError> {
         let mut notes = Vec::new();
         let root = resolve(q.plan().clone(), env, cost, &mut notes)?;
+        check_leaves(&root, from)?;
         Ok(PreparedQuery { root, env: env.clone(), notes, from })
     }
 

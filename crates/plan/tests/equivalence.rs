@@ -214,7 +214,8 @@ proptest! {
         let q = Query::top_n_similar(Some("word"), n, target.clone(), d_max)
             .strategy(Strategy::QGrams);
         assert_equivalent(&mut te, &mut pe, &q, |e, from| {
-            let task = TopNTask::nearest(Some("word"), n, &target, d_max, from, Strategy::QGrams);
+            let task = TopNTask::nearest(Some("word"), n, &target, d_max, from, Strategy::QGrams)
+                .expect("n >= 1");
             run(e, task, |t| rows_from_items(t.take_items()))
         });
     }
@@ -237,7 +238,7 @@ proptest! {
         let mut pe = build(&words, replication, false, 23);
         let q = Query::top_n_numeric("len", n, rank.clone());
         assert_equivalent(&mut te, &mut pe, &q, |e, from| {
-            let task = TopNTask::numeric("len", n, rank.clone(), from);
+            let task = TopNTask::numeric("len", n, rank.clone(), from).expect("n >= 1");
             run(e, task, |t| rows_from_items(t.take_items()))
         });
     }
@@ -263,7 +264,8 @@ proptest! {
         let mut pe = build(&words, replication, cache, 29);
         let q = Query::similar_multi(preds.clone(), Some(multi)).strategy(Strategy::QGrams);
         assert_equivalent(&mut te, &mut pe, &q, |e, from| {
-            let task = MultiTask::new(preds.clone(), from, Strategy::QGrams, multi);
+            let task =
+                MultiTask::new(preds.clone(), from, Strategy::QGrams, multi).expect("two predicates");
             run(e, task, |t| t.take_matches().into_iter().map(|m| PlanRow {
                 value: Value::Str(m.oid.clone()),
                 oid: m.oid, attr: None, score: None,

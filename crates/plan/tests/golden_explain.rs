@@ -184,6 +184,37 @@ fn invalid_plans_are_rejected_not_panicked() {
     assert!(PreparedQuery::with_env(&bad_nn, &env_plain(), PeerId(0)).is_err());
 }
 
+/// The three refusals above are the leaf tasks' own: `TopNTask` and
+/// `MultiTask` return `Err` for a spec they cannot run, and preparing the
+/// plan maps it to `PlanError::Invalid`. A `LIMIT 0` over a leaf top-N is
+/// no top-0: it stays a limit and answers nothing, where fusing it into the
+/// leaf made a task that panicked when it started.
+#[test]
+fn leaf_refusals_are_plan_errors_and_limit_0_answers_nothing() {
+    let refusal = |q: Query| match PreparedQuery::with_env(&q, &env_plain(), PeerId(0)) {
+        Err(PlanError::Invalid(m)) => m,
+        Ok(_) => panic!("{q:?} was planned"),
+    };
+    assert_eq!(refusal(Query::top_n_similar(Some("w"), 0, "x", 2)), "top-0 is trivial");
+    assert_eq!(refusal(Query::top_n_numeric("hp", 0, Rank::Max)), "top-0 is trivial");
+    assert_eq!(
+        refusal(Query::similar_multi(Vec::new(), None)),
+        "conjunction needs at least one predicate"
+    );
+    assert_eq!(
+        refusal(Query::top_n_numeric("hp", 3, Rank::Nn(Value::from("x")))),
+        "numeric top-N requires a numeric NN target"
+    );
+    let mut engine = hp_engine();
+    let mut session = Session::new(&mut engine, PeerId(0));
+    for q in [
+        Query::top_n_numeric("hp", 3, Rank::Max).limit(0),
+        Query::top_n_similar(Some("hp"), 2, "x", 1).limit(0),
+    ] {
+        assert!(session.run(&q).expect("plannable").rows.is_empty(), "{q:?}");
+    }
+}
+
 /// Twenty cars with `hp` 100 … 119 on 16 peers.
 fn hp_engine() -> sqo_core::SimilarityEngine {
     let rows: Vec<Row> =

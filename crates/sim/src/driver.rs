@@ -412,8 +412,7 @@ impl LoopState {
     /// Rebuild the loop from a checkpoint image (see [`resume_driver`]):
     /// the image holds the loop's own values, so only the queue's events
     /// are translated.
-    fn restore(cfg: &DriverConfig, ckpt: DriverCheckpoint) -> Self {
-        assert_eq!(ckpt.client_rngs.len(), cfg.clients, "checkpoint has a different client count");
+    fn restore(ckpt: DriverCheckpoint) -> Self {
         let QueueState { seq, now_us, entries } = ckpt.queue;
         let entries = entries.into_iter().map(|(at, seq, ev)| (at, seq, ev.into())).collect();
         Self {
@@ -594,16 +593,25 @@ pub fn run_driver_until(
 /// restored.
 ///
 /// Running the remainder produces a report byte-identical to the
-/// uninterrupted run's.
+/// uninterrupted run's. A checkpoint of another client count, an empty
+/// string pool and an empty mix are errors, returned before the engine is
+/// touched.
 pub fn resume_driver(
     engine: &mut SimilarityEngine,
     attr: &str,
     strings: &[String],
     cfg: &DriverConfig,
     ckpt: DriverCheckpoint,
-) -> DriverReport {
-    assert!(!strings.is_empty(), "driver needs a non-empty string pool");
-    assert!(!cfg.mix.is_empty(), "empty query mix");
+) -> Result<DriverReport, &'static str> {
+    if ckpt.client_rngs.len() != cfg.clients || ckpt.issued.len() != cfg.clients {
+        return Err("checkpoint has a different client count");
+    }
+    if strings.is_empty() {
+        return Err("driver needs a non-empty string pool");
+    }
+    if cfg.mix.is_empty() {
+        return Err("empty query mix");
+    }
     crate::netsim::install_restored(engine, cfg.sim, ckpt.netsim.clone());
     // A pending `FaultClear` whose `Fault` is no longer pending means its
     // loss spike fired before the checkpoint and has not ended: the
@@ -634,9 +642,9 @@ pub fn resume_driver(
             set_installed_loss(engine, loss);
         }
     }
-    let st = LoopState::restore(cfg, ckpt);
+    let st = LoopState::restore(ckpt);
     match run_loop(engine, attr, strings, cfg, st, None) {
-        DriverPhase::Done(report) => report,
+        DriverPhase::Done(report) => Ok(report),
         DriverPhase::Paused(_) => unreachable!("no stop bound was given"),
     }
 }

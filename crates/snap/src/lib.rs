@@ -48,7 +48,9 @@
 //! `DriverConfig`/`ScaleConfig`) the original run used — configs are
 //! code-adjacent inputs, snapshots carry only the dynamic state derived
 //! from them. [`Snapshot::restore_engine`] cross-checks the network
-//! config embedded in the world image and panics on a mismatched world.
+//! config embedded in the world image and panics on a mismatched world;
+//! [`sqo_sim::resume_driver`] returns `Err` for a driver image that does not
+//! fit the `DriverConfig` it is resumed under.
 //!
 //! ```
 //! use sqo_core::EngineBuilder;

@@ -8,7 +8,7 @@ use sqo_core::{EngineBuilder, EngineConfig, SimilarityEngine};
 use sqo_datasets::{bible_words, string_rows};
 use sqo_overlay::{Key, Network, NetworkState, PartitionStore, PeerId, SortedStore};
 use sqo_plan::{Query, Session};
-use sqo_sim::driver::EvSnap;
+use sqo_sim::driver::{DriverCheckpoint, EvSnap};
 use sqo_sim::scale::{resume_serial, resume_sharded, run_serial, run_serial_until, ScalePhase};
 use sqo_sim::{
     resume_driver, run_driver, run_driver_until, seed, Arrival, ChurnEvent, DriverConfig,
@@ -91,7 +91,8 @@ fn paused_run_resumes_to_a_byte_identical_report() {
             &words,
             &cfg,
             snap.driver.clone().expect("driver image rides along"),
-        );
+        )
+        .expect("the checkpoint fits its workload");
         assert_eq!(
             json(&resumed),
             baseline,
@@ -162,8 +163,58 @@ fn checkpoint_mid_fault_plan_resumes_byte_identically() {
         &words,
         &cfg,
         snap.driver.clone().expect("driver image rides along"),
-    );
+    )
+    .expect("the checkpoint fits its workload");
     assert_eq!(json(&resumed), baseline, "mid-fault-plan resume diverged");
+}
+
+/// A run of `workload(..)` paused at its first quiesce boundary after 1 s,
+/// and the engine it paused on.
+fn paused_run(words: &[String]) -> (SimilarityEngine, DriverCheckpoint) {
+    let mut engine = build(words);
+    let cfg = workload(BrokerConfig::default());
+    match run_driver_until(&mut engine, "word", words, &cfg, 1_000_000) {
+        DriverPhase::Paused(ck) => (engine, ck),
+        DriverPhase::Done(_) => panic!("a cut at 1s must land mid-run"),
+    }
+}
+
+/// The artifact does not carry the `DriverConfig`, so `resume_driver`
+/// checks what its checkpoint was cut under: a client count other than
+/// the config's is an `Err`, not a panic in the loop. The refusal leaves
+/// the engine as it was: the right config still resumes it to the end.
+#[test]
+fn resume_refuses_a_checkpoint_of_another_client_count() {
+    let words = words();
+    let (mut engine, ckpt) = paused_run(&words);
+    let cfg = workload(BrokerConfig::default());
+    for clients in [cfg.clients - 1, cfg.clients + 1] {
+        let other = DriverConfig { clients, ..cfg.clone() };
+        let got = resume_driver(&mut engine, "word", &words, &other, ckpt.clone());
+        assert_eq!(got.err(), Some("checkpoint has a different client count"), "{clients}");
+    }
+    let report = resume_driver(&mut engine, "word", &words, &cfg, ckpt).expect("it fits");
+    assert_eq!(report.queries_run, cfg.clients * cfg.queries_per_client);
+}
+
+/// An empty string pool has nothing to draw a query from: `Err`.
+#[test]
+fn resume_refuses_an_empty_string_pool() {
+    let words = words();
+    let (mut engine, ckpt) = paused_run(&words);
+    let cfg = workload(BrokerConfig::default());
+    let got = resume_driver(&mut engine, "word", &[], &cfg, ckpt);
+    assert_eq!(got.err(), Some("driver needs a non-empty string pool"));
+}
+
+/// An empty mix has no query template to assign: `Err`.
+#[test]
+fn resume_refuses_an_empty_mix() {
+    let words = words();
+    let (mut engine, ckpt) = paused_run(&words);
+    let cfg = DriverConfig { mix: Vec::new(), ..workload(BrokerConfig::default()) };
+    let got = resume_driver(&mut engine, "word", &words, &cfg, ckpt);
+    assert_eq!(got.err(), Some("empty query mix"));
 }
 
 /// Warm one world, fork N runs off it: same-config forks are mutually

@@ -62,7 +62,8 @@ fn main() {
     // Thaw in a brand-new engine and resume to the end.
     let snap = Snapshot::from_bytes(&bytes).expect("artifact decodes");
     let mut thawed = snap.restore_engine(paused.config());
-    let resumed = resume_driver(&mut thawed, "word", &words, &cfg, snap.driver.clone().unwrap());
+    let resumed = resume_driver(&mut thawed, "word", &words, &cfg, snap.driver.clone().unwrap())
+        .expect("the checkpoint fits the workload it was cut from");
     assert_eq!(
         serde_json::to_string(&resumed).unwrap(),
         baseline_json,
