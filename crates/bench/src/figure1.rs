@@ -225,7 +225,8 @@ pub fn render_tables(points: &[SeriesPoint]) -> String {
     s
 }
 
-/// CSV rendering (machine-readable companion for EXPERIMENTS.md).
+/// CSV rendering: the machine-readable companion of [`render_tables`], one
+/// row per series point (`figure1 --csv PATH` writes it).
 pub fn render_csv(points: &[SeriesPoint]) -> String {
     let mut s = String::from(
         "dataset,peers,partitions,strategy,queries,messages_per_query,volume_kib_per_query,edit_comparisons_per_query,candidates_per_query,matches_total\n",

@@ -9,7 +9,7 @@
 //! set of all strings) of each query randomly and started each of the three
 //! methods successively."*
 //!
-//! One calibration note (expanded in EXPERIMENTS.md): the paper's total
+//! One calibration note: the paper's total
 //! message counts (≈10³–10⁴ for the whole 240-query mix) are inconsistent
 //! with joining a 10⁵-row column in full — a single full self-join would
 //! dwarf them. The joins here therefore run over a bounded stratified left

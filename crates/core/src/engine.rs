@@ -702,7 +702,7 @@ impl SimilarityEngine {
                         self.legs_addressed += lists.len() as u64 + failed;
                         self.legs_answered += lists.len() as u64;
                         for list in &lists {
-                            out.extend(filter.survivors(list.iter()).cloned());
+                            out.extend(filter.survivors(list).cloned());
                         }
                     }
                     Err(_) => self.legs_addressed += 1,
@@ -732,7 +732,7 @@ impl SimilarityEngine {
     ) {
         let mut payload = 0usize;
         for k in keys {
-            for p in filter.survivors(self.net.local_prefix_run(owner, k).iter()) {
+            for p in filter.survivors(self.net.local_prefix_run(owner, k)) {
                 payload += p.size_bytes();
                 out.push(p.clone());
             }
@@ -787,7 +787,7 @@ impl SimilarityEngine {
                 match broker.cache_get(from, k, at_us, epoch) {
                     Some(list) => {
                         acc.cache_hits += 1;
-                        postings.extend(filter.survivors(list.iter()).cloned());
+                        postings.extend(filter.survivors(list).cloned());
                     }
                     None => {
                         acc.cache_misses += 1;
@@ -894,7 +894,7 @@ impl SimilarityEngine {
         postings: &mut Vec<Posting>,
     ) {
         for (k, list) in lists {
-            postings.extend(filter.survivors(list.iter()).cloned());
+            postings.extend(filter.survivors(&list).cloned());
             let broker = self.broker.as_mut().expect("full lists only travel to fill a cache");
             broker.cache_put(from, &k, list, now_us, epoch);
         }
@@ -1324,13 +1324,7 @@ mod tests {
     fn probe_keys_batched_vs_unbatched_same_results_fewer_messages() {
         let rows = cars();
         let (gram_positions, keys) = probe_plan("BMW 320", "name", 3);
-        let filter = ProbeFilter {
-            attr: Some("name"),
-            gram_positions: &gram_positions,
-            s_len: 7,
-            d: 1,
-            filters: FilterConfig::none(),
-        };
+        let filter = ProbeFilter::new(Some("name"), &gram_positions, 7, 1, FilterConfig::none());
 
         let run = |delegation: bool| {
             let mut e = EngineBuilder::new()
@@ -1374,13 +1368,7 @@ mod tests {
             })
             .collect();
         let (gram_positions, keys) = probe_plan("bananara", "word", 3);
-        let filter = ProbeFilter {
-            attr: Some("word"),
-            gram_positions: &gram_positions,
-            s_len: 8,
-            d: 1,
-            filters: FilterConfig::default(),
-        };
+        let filter = ProbeFilter::new(Some("word"), &gram_positions, 8, 1, FilterConfig::default());
         let digest = |mut got: Vec<Posting>| {
             let mut rows: Vec<String> = got
                 .drain(..)

@@ -399,13 +399,13 @@ impl SimilarTask {
                     // cache-filling replies carry the full lists and the
                     // same filter runs at the initiator instead — identical
                     // results either way (see crate::broker).
-                    let filter = ProbeFilter {
-                        attr: self.attr.as_deref(),
-                        gram_positions: &self.gram_positions,
-                        s_len: self.s_len,
-                        d: self.d,
-                        filters: engine.config().query.filters,
-                    };
+                    let filter = ProbeFilter::new(
+                        self.attr.as_deref(),
+                        &self.gram_positions,
+                        self.s_len,
+                        self.d,
+                        engine.config().query.filters,
+                    );
                     let mut acc = self.stats;
                     let (got, end) = engine.probe_issue(
                         &mut acc,

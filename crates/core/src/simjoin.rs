@@ -25,11 +25,12 @@
 //! probes into one routed multi-key exchange (see [`crate::broker`]). Both
 //! are pure traffic savings: join results are byte-identical either way.
 //!
-//! `left_limit` bounds the left side (deterministic stratified sample).
-//! The §6 workload joins *self-join columns over the full dataset*; at
-//! simulation scale a full 10⁵×10⁵ self-join is neither feasible nor what
-//! the paper's message counts (≈10³–10⁴ total for a 240-query mix) imply
-//! they ran — see EXPERIMENTS.md for the calibration discussion.
+//! `left_limit` bounds the left side: a deterministic stratified sample
+//! of its `(oid, value)` pairs in ascending order. The §6 workload joins
+//! *self-join columns over the full dataset*; at simulation scale a full
+//! 10⁵×10⁵ self-join is neither feasible nor what the paper's message
+//! counts (≈10³–10⁴ total for a 240-query mix) imply they ran — see the
+//! calibration note of `sqo_bench::workload`.
 
 use crate::adaptive::{AimdWindow, JoinWindow};
 use crate::engine::{finalize_stats, ExecStep, SimilarityEngine, StepOutcome};
@@ -53,8 +54,9 @@ pub struct JoinPair {
 #[derive(Debug, Clone)]
 pub struct JoinOptions {
     pub strategy: Strategy,
-    /// Cap on the number of left-side values (stratified deterministic
-    /// sample over the key-ordered left side); `None` joins everything.
+    /// Cap on the number of left-side values (a stratified deterministic
+    /// sample of the left side's `(oid, value)` pairs in ascending order);
+    /// `None` joins everything.
     pub left_limit: Option<usize>,
     /// Client-side pipelining: how many per-left similarity selections the
     /// initiator keeps in flight concurrently. `Fixed(1)` is the paper's
@@ -387,7 +389,8 @@ fn trace_window_change(engine: &SimilarityEngine, at_us: u64, before: usize, aft
     }
 }
 
-/// Every k-th element so samples spread across the key-ordered input.
+/// Every k-th element, so that samples spread across the input — the
+/// left side's `(oid, value)` pairs, ascending.
 fn stratified_sample<T>(items: Vec<T>, limit: usize) -> Vec<T> {
     if items.len() <= limit || limit == 0 {
         return items;

@@ -106,7 +106,8 @@ pub fn bible_words(count: usize, seed: u64) -> Vec<String> {
     words
 }
 
-/// (min, max, mean) character lengths — used by tests and EXPERIMENTS.md.
+/// (min, max, mean) character lengths — the datasets' tests check the
+/// generators' length distributions with it.
 pub fn length_stats(words: &[String]) -> (usize, usize, f64) {
     let mut min = usize::MAX;
     let mut max = 0;

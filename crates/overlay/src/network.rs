@@ -314,10 +314,10 @@ impl<T: Item> Network<T> {
         unstored
     }
 
-    /// Publish a batch of `(key, item)` pairs: stable-sorted by key
-    /// (publications under one key keep their order), grouped into a run,
-    /// and handed to [`Self::insert_groups`], whose count of unstored items
-    /// it returns.
+    /// Publish a batch of `(key, item)` pairs: stable-sorted by key and,
+    /// under one key, by rank (publications of one key and rank keep their
+    /// order), grouped into a run, and handed to [`Self::insert_groups`],
+    /// whose count of unstored items it returns.
     pub fn insert_batch(&mut self, batch: Vec<(Key, T)>) -> usize {
         self.insert_groups(SortedStore::from_pairs(batch))
     }
@@ -423,8 +423,8 @@ impl<T: Item> Network<T> {
     /// the routing offsets stay inside their tables and every ρ(p, l) names
     /// peers of the complementary subtree at level `l`; and every run
     /// ascends strictly, its ends increase strictly to its item count (no
-    /// entry is empty), and it holds only keys prefix-related to its
-    /// partition's path.
+    /// entry is empty), each entry's items ascend by [`Item::rank`], and it
+    /// holds only keys prefix-related to its partition's path.
     pub fn check_invariants(&self) -> Result<(), &'static str> {
         self.image.check()
     }

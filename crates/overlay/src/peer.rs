@@ -28,4 +28,12 @@ impl std::fmt::Display for PeerId {
 pub trait Item: Clone {
     /// Serialized size in bytes, as charged to result messages.
     fn size_bytes(&self) -> usize;
+
+    /// Where the item stands among the items of its key: a run keeps each
+    /// key's items in ascending rank, items of equal rank in publication
+    /// order. By default every item ties, so a key's items stay in
+    /// publication order.
+    fn rank(&self) -> u64 {
+        0
+    }
 }

@@ -64,7 +64,7 @@ pub struct NetworkState<T> {
     pub(crate) rng: StdRng,
 }
 
-impl<T> NetworkState<T> {
+impl<T: Item> NetworkState<T> {
     /// An image from its parts (`rng` as xoshiro256++ state words), or the
     /// first invariant the parts break — [`Network::check_invariants`]
     /// lists them.
@@ -112,8 +112,9 @@ impl<T> NetworkState<T> {
 
     /// The per-partition part of [`Self::check`], and what a write can
     /// break: the run of `part` ascends strictly, its ends increase
-    /// strictly to its item count, and it holds only keys prefix-related to
-    /// the partition's path.
+    /// strictly to its item count, each entry's items ascend by rank
+    /// ([`crate::SortedStore::ranked`]), and it holds only keys
+    /// prefix-related to the partition's path.
     pub(crate) fn check_store(&self, part: usize) -> Result<(), &'static str> {
         // Stored keys are compared where they lie: the walk allocates
         // nothing, so debug builds keep the release build's allocation counts.
@@ -128,6 +129,9 @@ impl<T> NetworkState<T> {
         let rising = ends.iter().zip(std::iter::once(&0).chain(ends)).all(|(end, was)| end > was);
         if !rising || ends.last().map_or(0, |end| *end as usize) != store.item_count() {
             return Err("a run's ends do not increase strictly to its item count");
+        }
+        if !store.ranked() {
+            return Err("a run's entry does not ascend by rank");
         }
         Ok(())
     }

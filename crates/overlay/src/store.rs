@@ -10,7 +10,8 @@
 //!   *partition*, held as four flat arrays: every key's packed bytes back
 //!   to back in one buffer, one `(byte offset, bit length)` span per key,
 //!   one end offset per key, and **one** array of items in key order
-//!   (publication order within a key). A lookup bisects the spans and
+//!   (within a key, ascending by the items' [`Item::rank`], equal ranks in
+//!   publication order). A lookup bisects the spans and
 //!   compares [`KeyRef`] views into the buffer, so what a search touches
 //!   is dense arrays whose layout does not depend on the order the keys
 //!   were allocated in — a run built by a bulk load, one grown a publish
@@ -32,8 +33,9 @@
 //! Scan semantics (prefix, inclusive range, exact) and the reported
 //! `touched` counts are bit-compatible with the seed's `BTreeMap` walk:
 //! the run is sorted by the same total [`Key`] order, a "map entry" is one
-//! run entry — a scan is charged its entries, not its items — and within a
-//! key items keep insertion order.
+//! run entry — a scan is charged its entries, not its items. Within a key
+//! the items ascend by rank and tie in insertion order; for an item type
+//! that leaves every rank equal, that is the seed's insertion order.
 
 use crate::gallop;
 use crate::key::{Key, KeyRef};
@@ -72,7 +74,7 @@ impl Span {
 pub struct Stretch<'a, T> {
     /// The entries (distinct keys) hit: what the scan is charged.
     pub entries: usize,
-    /// Their items, in key order and publication order within a key.
+    /// Their items, in key order and rank order within a key.
     pub items: &'a [T],
 }
 
@@ -90,8 +92,9 @@ impl<T> Stretch<'_, T> {
 /// order without gaps, the keys they delimit are strictly ascending (no
 /// duplicates), and the ends increase strictly up to `items.len()` — every
 /// entry holds at least one item, entry `i` holding
-/// `items[ends[i - 1]..ends[i]]` in publication order, which matches the
-/// seed's `BTreeMap<Key, Vec<T>>` semantics entry for entry.
+/// `items[ends[i - 1]..ends[i]]` — and each entry's items ascend by
+/// [`Item::rank`], equal ranks in publication order. With every rank equal
+/// that is the seed's `BTreeMap<Key, Vec<T>>` semantics entry for entry.
 #[derive(Clone)]
 pub struct SortedStore<T> {
     bytes: Vec<u8>,
@@ -119,6 +122,8 @@ impl<T> SortedStore<T> {
     /// `items`. `None` — nothing is trusted — when the keys do not tile
     /// `bytes` or set a padding bit, do not ascend strictly, or the ends do
     /// not increase strictly from above 0 to `items.len()`, one per key.
+    /// The order of each entry's items is the caller's to keep: a batch
+    /// builds it, and an image checks it ([`Self::ranked`]).
     pub fn from_parts(bytes: Vec<u8>, bits: &[u32], ends: Vec<u32>, items: Vec<T>) -> Option<Self> {
         let mut last_end = 0;
         for &end in &ends {
@@ -143,25 +148,6 @@ impl<T> SortedStore<T> {
             off = end;
         }
         (off == bytes.len()).then_some(Self { bytes, spans, ends, items })
-    }
-
-    /// The run of `pairs`: stable-sorted by key — the items of one key keep
-    /// their order — one entry per distinct key.
-    pub fn from_pairs(mut pairs: Vec<(Key, T)>) -> Self {
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut run = Self { items: Vec::with_capacity(pairs.len()), ..Self::default() };
-        for (key, item) in pairs {
-            run.items.push(item);
-            let end = word(run.items.len());
-            if run.spans.last().is_some_and(|s| run.view(*s) == key.as_ref()) {
-                *run.ends.last_mut().expect("an end per span") = end;
-            } else {
-                run.spans.push(Span::at(run.bytes.len(), key.as_ref()));
-                run.bytes.extend_from_slice(key.as_bytes());
-                run.ends.push(end);
-            }
-        }
-        run
     }
 
     /// Number of entries (distinct keys).
@@ -310,12 +296,66 @@ impl<T> SortedStore<T> {
         }
     }
 
+    /// Close an entry: `key`, which sorts behind every key of the run, and
+    /// the items appended since the last entry ended.
+    fn push_key(&mut self, key: KeyRef<'_>) {
+        self.spans.push(Span::at(self.bytes.len(), key));
+        self.bytes.extend_from_slice(key.as_bytes());
+        self.ends.push(word(self.items.len()));
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
+        self.spans.shrink_to_fit();
+        self.ends.shrink_to_fit();
+        self.items.shrink_to_fit();
+    }
+}
+
+impl<T: Item> SortedStore<T> {
+    /// The run of `pairs`: stable-sorted by key and, within a key, by rank —
+    /// the items of one key and rank keep their order — one entry per
+    /// distinct key. Each item's rank is taken once.
+    pub fn from_pairs(pairs: Vec<(Key, T)>) -> Self {
+        let mut ranked: Vec<(Key, u64, T)> =
+            pairs.into_iter().map(|(key, item)| (key, item.rank(), item)).collect();
+        ranked.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut run = Self { items: Vec::with_capacity(ranked.len()), ..Self::default() };
+        for (key, _, item) in ranked {
+            run.items.push(item);
+            let end = word(run.items.len());
+            if run.spans.last().is_some_and(|s| run.view(*s) == key.as_ref()) {
+                *run.ends.last_mut().expect("an end per span") = end;
+            } else {
+                run.spans.push(Span::at(run.bytes.len(), key.as_ref()));
+                run.bytes.extend_from_slice(key.as_bytes());
+                run.ends.push(end);
+            }
+        }
+        run
+    }
+
+    /// Whether every entry's items ascend by rank — the order a run keeps,
+    /// checked with each item's rank taken once (an entry of one item is
+    /// not asked).
+    pub fn ranked(&self) -> bool {
+        let mut start = 0;
+        self.ends.iter().all(|&end| {
+            let entry = &self.items[start..end as usize];
+            start = end as usize;
+            entry.len() < 2 || entry.iter().map(Item::rank).is_sorted()
+        })
+    }
+
     /// Fold `batch` into the run — the one way a run changes. A key the
     /// run lacks enters with the batch's items; a key it has gets them
-    /// appended behind its own. One forward pass over both runs writes the
-    /// result into arrays reserved at their final size (exactly, for the
-    /// items), moving every key and every item once; a batch into the empty
-    /// run is taken as it is.
+    /// merged into its own by rank, a stored item ahead of a new one of
+    /// equal rank, so each entry still ascends by rank and ties stay in
+    /// publication order. Each new item's place among the stored ones is
+    /// galloped to from the previous one's. One forward pass over both
+    /// runs writes the result into arrays reserved at their final size
+    /// (exactly, for the items), moving every key and every item once; a
+    /// batch into the empty run is taken as it is.
     pub fn merge(&mut self, mut batch: Self) {
         if self.is_empty() {
             *self = batch;
@@ -337,37 +377,28 @@ impl<T> SortedStore<T> {
             let key = batch.key(j);
             let before = at + gallop(&old.spans[at..], |s| old.view(*s) < key);
             for i in at..before {
-                self.push(old.key(i), old_items.by_ref().take(old.count(i)));
+                self.items.extend(old_items.by_ref().take(old.count(i)));
+                self.push_key(old.key(i));
             }
             at = before;
-            let stored = if old.key_at(at) == Some(key) { old.count(at) } else { 0 };
+            let mut stored = if old.key_at(at) == Some(key) { old.count(at) } else { 0 };
             at += usize::from(stored > 0);
-            let items =
-                old_items.by_ref().take(stored).chain(new_items.by_ref().take(batch.count(j)));
-            self.push(key, items);
+            for item in new_items.by_ref().take(batch.count(j)) {
+                let rank = item.rank();
+                let ahead = gallop(&old_items.as_slice()[..stored], |o| o.rank() <= rank);
+                self.items.extend(old_items.by_ref().take(ahead));
+                stored -= ahead;
+                self.items.push(item);
+            }
+            self.items.extend(old_items.by_ref().take(stored));
+            self.push_key(key);
         }
         for i in at..old.len() {
-            self.push(old.key(i), old_items.by_ref().take(old.count(i)));
+            self.items.extend(old_items.by_ref().take(old.count(i)));
+            self.push_key(old.key(i));
         }
     }
 
-    /// Append an entry whose key sorts behind every key of the run.
-    fn push(&mut self, key: KeyRef<'_>, items: impl Iterator<Item = T>) {
-        self.spans.push(Span::at(self.bytes.len(), key));
-        self.bytes.extend_from_slice(key.as_bytes());
-        self.items.extend(items);
-        self.ends.push(word(self.items.len()));
-    }
-
-    fn shrink_to_fit(&mut self) {
-        self.bytes.shrink_to_fit();
-        self.spans.shrink_to_fit();
-        self.ends.shrink_to_fit();
-        self.items.shrink_to_fit();
-    }
-}
-
-impl<T: Item> SortedStore<T> {
     /// Total payload bytes, for storage-overhead accounting.
     pub fn stored_bytes(&self) -> u64 {
         self.items.iter().map(|i| i.size_bytes() as u64).sum()

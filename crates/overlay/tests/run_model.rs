@@ -5,11 +5,14 @@
 //! must leave each run its map entry for entry, and every scan must lend
 //! exactly the map's items and count exactly its entries. The one
 //! constructor from arrays, `SortedStore::from_parts`, must accept exactly
-//! the arrays that are a run.
+//! the arrays that are a run. Within a key a run keeps its items in rank
+//! order, older items first among equal ranks — through merges, from
+//! arrays, and on every write path of a network.
 
 use proptest::prelude::*;
 use sqo_overlay::key::Key;
 use sqo_overlay::peer::Item;
+use sqo_overlay::{Network, NetworkConfig, ReplicationPolicy};
 use sqo_overlay::{PartitionStore, SortedStore, Stretch};
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -23,6 +26,27 @@ impl Item for S {
 }
 
 type Model = BTreeMap<Key, Vec<S>>;
+
+/// A numbered item with a rank of its own: ranks of a few values, so that
+/// the items of a key both tie and differ.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct R(u32, u8);
+impl Item for R {
+    fn size_bytes(&self) -> usize {
+        4
+    }
+    fn rank(&self) -> u64 {
+        u64::from(self.1)
+    }
+}
+
+/// Publish `item` under `key` in the model of a ranked run: behind every
+/// item of the key whose rank is not greater.
+fn publish(model: &mut BTreeMap<Key, Vec<R>>, key: &Key, item: R) {
+    let items = model.entry(key.clone()).or_default();
+    let at = items.partition_point(|held| held.1 <= item.1);
+    items.insert(at, item);
+}
 
 /// Keys of 0 to 9 bits: prefixes of one another, of different lengths, and
 /// short of the paths below.
@@ -238,5 +262,114 @@ proptest! {
             }
             prop_assert_eq!(made.items(), &items[..]);
         }
+    }
+
+    /// Items whose ranks tie and differ, merged batch after batch (each
+    /// batch a run, by `from_pairs`): each key's items ascend by rank, an
+    /// older item ahead of a newer one of equal rank — the model inserts
+    /// each publication behind every item of its key whose rank is not
+    /// greater. A batch split anywhere and merged as its two halves is the
+    /// same merge. The run's arrays make the run again; with two
+    /// neighbours of one entry and different ranks swapped they still make
+    /// a run, and `ranked` — what an image's check asks of every run —
+    /// says it is out of order.
+    #[test]
+    fn merges_keep_each_key_in_rank_order_older_items_first_on_ties(
+        batches in prop::collection::vec(prop::collection::vec((key(), 0u8..3), 0..12), 1..6),
+        split in any::<usize>(),
+        swap in any::<usize>(),
+    ) {
+        let mut run: SortedStore<R> = SortedStore::default();
+        let mut model: BTreeMap<Key, Vec<R>> = BTreeMap::new();
+        let mut next = 0u32;
+        for batch in batches {
+            let mut pairs = Vec::new();
+            for (k, rank) in batch {
+                publish(&mut model, &k, R(next, rank));
+                pairs.push((k, R(next, rank)));
+                next += 1;
+            }
+            let sub = SortedStore::from_pairs(pairs);
+            let mut halves = run.clone();
+            let (mut head, at) = (sub.clone(), split % (sub.len() + 1));
+            let tail = head.split_off(at);
+            halves.merge(head);
+            halves.merge(tail);
+            run.merge(sub);
+            prop_assert_eq!(format!("{halves:?}"), format!("{run:?}"));
+            let entries: Vec<(Key, Vec<R>)> =
+                run.iter().map(|(k, items)| (k.to_key(), items.to_vec())).collect();
+            let reference: Vec<(Key, Vec<R>)> =
+                model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+            prop_assert_eq!(entries, reference);
+            prop_assert!(run.ranked());
+        }
+        let bits: Vec<u32> = run.keys().map(|k| k.len() as u32).collect();
+        let (bytes, ends, items) = (run.key_bytes().to_vec(), run.ends().to_vec(), run.items().to_vec());
+        let copy = SortedStore::from_parts(bytes.clone(), &bits, ends.clone(), items.clone());
+        prop_assert_eq!(format!("{copy:?}"), format!("Some({run:?})"));
+        // Two neighbours of one entry whose ranks differ, if there are any.
+        let starts: Vec<u32> = std::iter::once(0).chain(ends.iter().copied()).collect();
+        let neighbours: Vec<usize> = (1..items.len())
+            .filter(|i| !starts.contains(&(*i as u32)) && items[i - 1].1 != items[*i].1)
+            .collect();
+        if !neighbours.is_empty() {
+            let at = neighbours[swap % neighbours.len()];
+            let mut swapped = items;
+            swapped.swap(at - 1, at);
+            let made = SortedStore::from_parts(bytes, &bits, ends, swapped).expect("the arrays fit");
+            prop_assert!(!made.ranked());
+        }
+    }
+
+    /// Every write path of a network keeps the order: a batch, the same
+    /// publications one at a time and a build on all of them store the
+    /// same ordered lists; a publication into a gap recruits a member,
+    /// whose run starts as a copy of the covering keys as they lie; and a
+    /// repair, which moves members and never items, leaves every run as it
+    /// was — each network passing its invariant check, rank order included.
+    #[test]
+    fn every_write_path_keeps_rank_order(
+        base in prop::collection::vec((key(), 0u8..3), 0..40),
+        batch in prop::collection::vec((key(), 0u8..3), 0..40),
+        partitions in 1usize..10,
+        replication in 2usize..4,
+        seed in 0u64..50,
+    ) {
+        let numbered = |pubs: &[(Key, u8)], first: usize| -> Vec<(Key, R)> {
+            pubs.iter().enumerate().map(|(i, (k, r))| (k.clone(), R((first + i) as u32, *r))).collect()
+        };
+        let (base, batch) = (numbered(&base, 0), numbered(&batch, base.len()));
+        let cfg = NetworkConfig { peers: partitions * replication, replication, seed, ..Default::default() };
+        let all = [base.clone(), batch.clone()].concat();
+        let built = Network::build(cfg.clone(), all.clone());
+        let grown = || Network::build_with_paths(cfg.clone(), built.paths().to_vec(), base.clone());
+        let mut batched = grown();
+        batched.insert_batch(batch.clone());
+        let mut one_by_one = grown();
+        for (k, item) in batch {
+            one_by_one.insert_item(k, item);
+        }
+        let runs = |net: &Network<R>| format!("{:?}", net.export_state().stores());
+        for net in [&batched, &one_by_one] {
+            prop_assert_eq!(runs(net), runs(&built));
+        }
+        let mut model: BTreeMap<Key, Vec<R>> = BTreeMap::new();
+        for (k, item) in &all {
+            publish(&mut model, k, item.clone());
+        }
+        for net in [&built, &batched, &one_by_one] {
+            prop_assert_eq!(net.check_invariants(), Ok(()));
+            for part in 0..net.partition_count() {
+                for (k, items) in net.partition_store(part).iter() {
+                    prop_assert_eq!(Some(items), model.get(&k.to_key()).map(Vec::as_slice));
+                }
+            }
+        }
+        let before = runs(&batched);
+        batched.fail_random_fraction(0.4);
+        batched.repair_epoch(&ReplicationPolicy::at_least(replication));
+        prop_assert_eq!(batched.check_invariants(), Ok(()));
+        prop_assert_eq!(runs(&batched), before);
     }
 }

@@ -610,6 +610,14 @@ pub fn resume_serial(
 /// progress slot per query, and every pending event at a peer and for a
 /// query of the run — the handler indexes by both. The artifact does not
 /// carry the topology, so decoding a checkpoint cannot check this.
+///
+/// Its numbers must also be ones the run can reach, or the handler's
+/// arithmetic overflows and the sharded core sizes its ring from them:
+/// no more processed events than a run of this topology and workload has
+/// ([`max_events`]); every clock — pending arrival or `busy_until` — at
+/// most `arrival_spread_us` plus one maximal handler step
+/// ([`max_delta_us`]) per processed event, since a step moves the latest
+/// clock by no more; and every pending step below [`STEP_LIMIT`].
 fn check_fits(
     topo: &Topology,
     cfg: &ScaleConfig,
@@ -619,7 +627,47 @@ fn check_fits(
     let within = |ev: &Ev| (ev.peer as usize) < peers && (ev.qid as usize) < queries;
     let fits =
         ck.busy.len() == peers && ck.qstate.len() == queries && ck.pending.iter().all(within);
-    fits.then_some(()).ok_or("checkpoint from a different topology or workload")
+    if !fits {
+        return Err("checkpoint from a different topology or workload");
+    }
+    if ck.events > max_events(topo, cfg) {
+        return Err("checkpoint has processed more events than the run has");
+    }
+    let reach = ck
+        .events
+        .checked_mul(max_delta_us(topo, cfg))
+        .and_then(|steps| steps.checked_add(cfg.arrival_spread_us));
+    let clocks = ck.pending.iter().map(|ev| ev.at_us).chain(ck.busy.iter().copied());
+    if reach.is_none_or(|reach| clocks.max().is_some_and(|clock| clock > reach)) {
+        return Err("checkpoint clock beyond what its processed events reach");
+    }
+    if ck.pending.iter().any(|ev| ev.step >= STEP_LIMIT) {
+        return Err("checkpoint step beyond what a query takes");
+    }
+    Ok(())
+}
+
+/// A pending step must lie below this. The handler adds at most one route
+/// hop per path bit, a shower's fan-out (below [`REPLY_STEP_SHIFT`]) and
+/// [`REPLY_STEP_SHIFT`] to a query's steps, which therefore stay far below
+/// it — and so does every step the handler derives from one that is.
+const STEP_LIMIT: u32 = 1 << 31;
+
+/// The most a handler step moves the latest clock of a run: service, the
+/// longest local scan and the slowest link.
+fn max_delta_us(topo: &Topology, cfg: &ScaleConfig) -> u64 {
+    let max_scan_us =
+        topo.items_per_part.iter().copied().max().unwrap_or(0) as u64 * cfg.scan_us_per_item;
+    cfg.service_us + max_scan_us + cfg.link_min_us.max(1) + cfg.link_jitter_us
+}
+
+/// The most events a run of `cfg.queries` queries on `topo` processes: per
+/// query, its arrival, a route hop per path bit, the owner's reply and a
+/// forward and a reply per other partition of a shower.
+fn max_events(topo: &Topology, cfg: &ScaleConfig) -> u64 {
+    let depth = topo.overlay.paths().iter().map(Key::len).max().unwrap_or(0) as u64;
+    let per_query = 2 + depth + 2 * topo.partition_count() as u64;
+    (cfg.queries as u64).saturating_mul(per_query)
 }
 
 // ----------------------------------------------------------------------
@@ -827,9 +875,7 @@ fn sharded_core(
     // Ring horizon: no pending event is ever further ahead of the cursor
     // than the initial arrival spread or one maximal handler emission
     // (service + longest local scan + max link latency).
-    let max_scan_us =
-        topo.items_per_part.iter().copied().max().unwrap_or(0) as u64 * cfg.scan_us_per_item;
-    let max_delta_us = cfg.service_us + max_scan_us + cfg.link_min_us.max(1) + cfg.link_jitter_us;
+    let max_delta_us = max_delta_us(topo, cfg);
     // Resuming: replay the pending event set instead of fresh arrivals,
     // stride the checkpointed `busy_until` back onto the shards, replicate
     // per-query progress (each query is only ever touched — and collected —
@@ -1053,6 +1099,41 @@ mod tests {
             assert!(resume_sharded(&topo, &sharded, &foreign).is_err(), "sharded, {what}");
         }
         assert!(resume_serial(&topo, &ScaleConfig { queries: 63, ..cfg }, &ckpt).is_err());
+    }
+
+    /// A checkpoint whose pending clock or step, busy horizon or event
+    /// count lies near the top of its integer range — or beyond what the
+    /// run's own processed events could have reached — is an error:
+    /// resumed, the handler's arithmetic would overflow, or the sharded
+    /// core would size its ring from the clock.
+    #[test]
+    fn a_checkpoint_near_the_integer_limits_is_an_error_not_a_panic() {
+        let net = small_net();
+        let topo = Topology::of_network(&net);
+        let cfg = ScaleConfig { queries: 64, arrival_spread_us: 5_000, ..Default::default() };
+        let ckpt = match run_serial_until(&topo, &cfg, 2_500) {
+            ScalePhase::Paused(ck) => ck,
+            ScalePhase::Done(..) => panic!("2.5ms cut should land mid-run"),
+        };
+        let edit = |change: &dyn Fn(&mut ScaleCheckpoint)| {
+            let mut ck = ckpt.clone();
+            change(&mut ck);
+            ck
+        };
+        let last = ckpt.pending.len() - 1;
+        for (what, hostile) in [
+            ("a pending clock", edit(&|ck| ck.pending[last].at_us = u64::MAX - 1)),
+            ("a pending step", edit(&|ck| ck.pending[0].step = u32::MAX)),
+            ("a busy horizon", edit(&|ck| ck.busy[0] = u64::MAX)),
+            ("the event count", edit(&|ck| ck.events = u64::MAX)),
+            ("a clock out of reach", edit(&|ck| ck.pending[last].at_us = 1 << 50)),
+            ("a horizon out of reach", edit(&|ck| ck.busy[0] = 1 << 50)),
+        ] {
+            assert!(resume_serial(&topo, &cfg, &hostile).is_err(), "serial, {what}");
+            let sharded = ScaleConfig { shards: 2, ..cfg };
+            assert!(resume_sharded(&topo, &sharded, &hostile).is_err(), "sharded, {what}");
+        }
+        assert!(resume_sharded(&topo, &ScaleConfig { shards: 2, ..cfg }, &ckpt).is_ok());
     }
 
     /// A cut past the last event is just the whole run.

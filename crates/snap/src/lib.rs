@@ -106,7 +106,11 @@ use std::fmt;
 /// v4: a run travels as its arrays — key bytes, bit lengths, end offsets,
 /// postings — in place of the key table, the list table and the
 /// `(key, list)` index pairs; the triple table is numbered in run order.
-pub const SCHEMA_VERSION: u32 = 4;
+///
+/// v5: the layout is v4's, but the postings of a gram key ascend by
+/// (source length, position) — the order a run now keeps and a decoder
+/// checks — so a v4 artifact's runs need not be runs of v5.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// Artifact magic: "SQO SNapshot".
 pub const MAGIC: [u8; 4] = *b"SQSN";

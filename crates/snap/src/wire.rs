@@ -57,12 +57,13 @@ use sqo_cache::{
 use sqo_core::QueryStats;
 use sqo_obs::LogHistogram;
 use sqo_overlay::{
-    Key, KeyRef, Metrics, NetworkConfig, NetworkState, PartitionStore, PeerId, PeerLoad,
+    Item, Key, KeyRef, Metrics, NetworkConfig, NetworkState, PartitionStore, PeerId, PeerLoad,
     RoutingArena, SimLatency, SortedStore, Topology,
 };
 use sqo_sim::driver::{DriverCheckpoint, EvSnap, RepairTotals};
 use sqo_sim::scale::{Ev, EvKind, QState, ScaleCheckpoint};
 use sqo_sim::{NetSimState, QueryKind, QueueState};
+use sqo_storage::keys::one_gram_entry;
 use sqo_storage::{
     BaseKind, GramInterner, Posting, PostingKind, PublishStats, SlabBuilder, TripleRef, TripleSlab,
     ValueRef,
@@ -398,7 +399,7 @@ record! {
         messages_saved,
     };
     Cache { capacity, ttl_us, tick, rejected, entries, sketch } check Cache::check;
-    CacheEntry { key, value, epoch, inserted_us, last_used };
+    CacheEntry { key, value, epoch, inserted_us, last_used } check ranked_if_one_entry;
     SketchState { table, slots, doorkeeper, recorded, reset_at };
     ChannelPoolState { window_us, channels, opened, rides };
     PartitionChannel { owner, opened_us, route_hops, epoch };
@@ -412,6 +413,18 @@ record! {
     ScaleCheckpoint { stop_us, pending, busy, qstate, events };
     Ev { at_us, qid, step, peer, kind };
     QState { expected, got, done_us };
+}
+
+/// A cached list is a scan's reply, which a probe filters by bisection when
+/// it is one gram key's ([`one_gram_entry`]): such a list must ascend by
+/// rank, as the run it was copied from did, or a probe served from it could
+/// miss survivors.
+fn ranked_if_one_entry(entry: &CacheEntry) -> Result<(), &'static str> {
+    let list = &entry.value;
+    if one_gram_entry(list) && !list.iter().map(Item::rank).is_sorted() {
+        return Err("a cached gram list does not ascend by rank");
+    }
+    Ok(())
 }
 
 impl<'a> Wire<'a> for PeerId {

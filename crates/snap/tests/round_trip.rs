@@ -6,7 +6,7 @@
 use sqo_cache::BrokerConfig;
 use sqo_core::{EngineBuilder, EngineConfig, SimilarityEngine};
 use sqo_datasets::{bible_words, string_rows};
-use sqo_overlay::{Key, Network, NetworkState, PartitionStore, PeerId, SortedStore};
+use sqo_overlay::{Item, Key, Network, NetworkState, PartitionStore, PeerId, SortedStore};
 use sqo_plan::{Query, Session};
 use sqo_sim::driver::{DriverCheckpoint, EvSnap};
 use sqo_sim::scale::{resume_serial, resume_sharded, run_serial, run_serial_until, ScalePhase};
@@ -16,6 +16,7 @@ use sqo_sim::{
     ScaleConfig, SimConfig, Topology,
 };
 use sqo_snap::{SnapError, Snapshot, SCHEMA_VERSION};
+use sqo_storage::keys::one_gram_entry;
 use sqo_storage::{Posting, PostingKind, Row};
 
 fn words() -> Vec<String> {
@@ -265,8 +266,9 @@ fn scale_checkpoint_rides_the_artifact_and_resumes_exactly() {
     };
     let bytes = Snapshot::capture(&engine).with_scale(ckpt).to_bytes();
     // The scale section's wire pin, measured before the codec stated each
-    // record once; re-measure only with a `SCHEMA_VERSION` bump.
-    assert_eq!(fnv1a(&bytes), 0xf2be_3ea8_bf97_03c2, "scale artifact {:#018x}", fnv1a(&bytes));
+    // record once and re-measured at v5, when gram lists began to ascend by
+    // (length, position); re-measure only with a `SCHEMA_VERSION` bump.
+    assert_eq!(fnv1a(&bytes), 0x0a5a_e59a_33ff_6233, "scale artifact {:#018x}", fnv1a(&bytes));
     let snap = Snapshot::from_bytes(&bytes).expect("artifact decodes");
     let ckpt = snap.scale.as_ref().expect("scale image rides along");
 
@@ -320,7 +322,7 @@ fn envelope_is_versioned_and_decode_is_total() {
         skewed[4..8].copy_from_slice(&u32::to_le_bytes(old));
         assert_eq!(
             Snapshot::from_bytes(&skewed).unwrap_err(),
-            SnapError::SchemaMismatch { found: old, expected: 4 }
+            SnapError::SchemaMismatch { found: old, expected: SCHEMA_VERSION }
         );
     }
 
@@ -441,6 +443,131 @@ fn a_store_entry_out_of_range_or_out_of_order_is_corrupt_not_a_restore_panic() {
     }
 }
 
+/// A v4 artifact is refused by its header: its layout is v5's, but its
+/// gram lists were written in publication order, which v5 runs do not
+/// keep, so decoding it as v5 could refuse it half-way or — worse — accept
+/// a run whose windows miss survivors.
+#[test]
+fn a_v4_header_is_refused_as_a_schema_mismatch() {
+    let mut bytes = Snapshot::capture(&build(&words())).to_bytes();
+    assert_eq!(SCHEMA_VERSION, 5);
+    bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
+    let err = Snapshot::from_bytes(&bytes).map(|_| ()).unwrap_err();
+    assert_eq!(err, SnapError::SchemaMismatch { found: 4, expected: 5 });
+    assert_eq!(err.exit_code(), 3);
+}
+
+/// The postings of one posting sequence as the codec spells them: kind
+/// tag, triple index, then a base kind byte, or a gram (length-prefixed),
+/// its position and — for an instance gram — the carries-value flag. The
+/// byte range of each of `count` postings from `at`.
+fn posting_spans(bytes: &[u8], mut at: usize, count: usize) -> Vec<std::ops::Range<usize>> {
+    let mut spans = Vec::with_capacity(count);
+    for _ in 0..count {
+        let start = at;
+        let tag = bytes[at];
+        at += 1 + 4;
+        let gram = |at: usize| {
+            let len = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+            8 + len + 4
+        };
+        at += match tag {
+            0 => 1,
+            1 => gram(at) + 1,
+            2 => gram(at),
+            _ => 0,
+        };
+        spans.push(start..at);
+    }
+    spans
+}
+
+/// A gram entry whose postings are out of (length, position) order is
+/// `Corrupt` at decode time — the image's check (`NetworkState::new`, the
+/// one a live network runs on itself) checks the order of every run — so
+/// no restored owner ever bisects a list that is not sorted and answers
+/// short. The damage is two neighbouring postings of one entry, of
+/// different rank, swapped byte for byte: every posting still fits its
+/// triple, every array still agrees with the others.
+#[test]
+fn a_gram_entry_with_two_postings_swapped_is_corrupt() {
+    let engine = build(&words());
+    let snap = Snapshot::capture(&engine);
+    let bytes = snap.to_bytes();
+    let stores = snap.world.net.stores();
+    // The first run with an entry holding two neighbours of different rank.
+    let (run, i) = stores
+        .iter()
+        .find_map(|run| {
+            let items = run.items();
+            let mut start = 0;
+            run.ends().iter().find_map(|&end| {
+                let entry = start..end as usize;
+                start = end as usize;
+                let differ = |i: &usize| items[*i].rank() != items[*i + 1].rank();
+                (entry.start..entry.end - 1).find(differ).map(|i| (run, i))
+            })
+        })
+        .expect("a gram entry of two lengths");
+    assert!(matches!(run.items()[i].kind(), PostingKind::InstanceGram { .. }));
+    let n = (run.len() as u64).to_le_bytes();
+    let words =
+        |of: &mut dyn Iterator<Item = u32>| of.flat_map(u32::to_le_bytes).collect::<Vec<_>>();
+    let bits = words(&mut run.keys().map(|k| k.len() as u32));
+    let ends = words(&mut run.ends().iter().copied());
+    let count = (run.item_count() as u64).to_le_bytes();
+    let arrays = [run.key_bytes(), &n[..], &bits[..], &n[..], &ends[..], &count[..]].concat();
+    let at = bytes.windows(arrays.len()).position(|w| w == arrays).expect("the run's arrays");
+    let spans = posting_spans(&bytes, at + arrays.len(), run.item_count());
+    let (a, b) = (spans[i].clone(), spans[i + 1].clone());
+    assert_ne!(bytes[a.clone()], bytes[b.clone()]);
+
+    let mut swapped = bytes.clone();
+    swapped[a.start..b.end].copy_from_slice(&[&bytes[b], &bytes[a]].concat());
+    let err = std::panic::catch_unwind(|| Snapshot::from_bytes(&swapped).map(|_| ()))
+        .expect("the decoder does not panic")
+        .unwrap_err();
+    assert_eq!(err, SnapError::Corrupt("a run's entry does not ascend by rank"));
+    assert_eq!(err.exit_code(), 2);
+    assert!(Snapshot::from_bytes(&bytes).is_ok(), "the same bytes in order decode");
+}
+
+/// A cached list that is one gram key's is a copy of a run's entry, and a
+/// probe served from the cache bisects it like one: out of rank order it is
+/// `Corrupt` at decode time, checked beside the cache entry's other fields.
+#[test]
+fn a_cached_gram_list_out_of_rank_order_is_corrupt() {
+    let (bytes, _) = a_whole_artifact();
+    let snap = Snapshot::from_bytes(&bytes).expect("decodes");
+    let entries = &snap.world.broker.as_ref().expect("a broker").cache.entries;
+    let (entry, i) = entries
+        .iter()
+        .find_map(|e| {
+            let list = &e.value;
+            let differ = |i: &usize| list[i - 1].rank() != list[*i].rank();
+            (1..list.len()).find(differ).filter(|_| one_gram_entry(list)).map(|i| (e, i))
+        })
+        .expect("a cached gram list of two ranks");
+    // The entry as the codec spells it: the peer, the key's bytes
+    // (length-prefixed) and bit length, then the list, counted.
+    let (peer, key) = &entry.key;
+    let head = [
+        &peer.0.to_le_bytes()[..],
+        &(key.as_bytes().len() as u64).to_le_bytes(),
+        key.as_bytes(),
+        &(key.len() as u64).to_le_bytes(),
+        &(entry.value.len() as u64).to_le_bytes(),
+    ]
+    .concat();
+    let at = bytes.windows(head.len()).position(|w| w == head).expect("the entry") + head.len();
+    let spans = posting_spans(&bytes, at, entry.value.len());
+    let (a, b) = (spans[i - 1].clone(), spans[i].clone());
+    let mut swapped = bytes.clone();
+    swapped[a.start..b.end].copy_from_slice(&[&bytes[b], &bytes[a]].concat());
+    let err = Snapshot::from_bytes(&swapped).map(|_| ()).unwrap_err();
+    assert_eq!(err, SnapError::Corrupt("a cached gram list does not ascend by rank"));
+}
+
 /// An image whose tables disagree with one another fails at decode time,
 /// by the check a live network runs on itself: there is no image for
 /// `restore_engine` to index out of, and none for `route` to walk in
@@ -538,13 +665,15 @@ fn a_whole_artifact() -> (Vec<u8>, EngineConfig) {
 /// The broker and paused-driver sections' wire pin: the whole artifact —
 /// cached posting lists, sketch, channels, pending events, client streams,
 /// histograms, the virtual-time image — is the bytes it was before the
-/// codec stated each record once. Re-measure only with a `SCHEMA_VERSION`
-/// bump.
+/// codec stated each record once, re-measured at v5: a gram key's postings
+/// moved into (length, position) order, so the runs, the triple table
+/// numbered in run order and the cached lists copied from the runs moved
+/// with them. Re-measure only with a `SCHEMA_VERSION` bump.
 #[test]
 fn a_whole_artifact_reaches_the_bytes_it_reached_before() {
     let (bytes, _) = a_whole_artifact();
-    assert_eq!(SCHEMA_VERSION, 4);
-    assert_eq!(fnv1a(&bytes), 0x5bc9_69d8_353e_d9dc, "whole artifact {:#018x}", fnv1a(&bytes));
+    assert_eq!(SCHEMA_VERSION, 5);
+    assert_eq!(fnv1a(&bytes), 0xfc4b_d4e8_abd0_410d, "whole artifact {:#018x}", fnv1a(&bytes));
 }
 
 /// The decoder is total: whatever is done to an artifact — a bit flipped,
@@ -797,14 +926,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// digests this same test body printed on the parent commit (4e80e82,
 /// schema v3), with delegation on and off, re-measured once when peers
 /// went where the data is — a new dealing, new routing tables and shorter
-/// publication routes, in the same wire format — and once more at schema
-/// v4, when a run began to travel as its own arrays instead of through
-/// network-wide key and list tables. Otherwise re-measure them only
+/// publication routes, in the same wire format — once more at schema v4,
+/// when a run began to travel as its own arrays instead of through
+/// network-wide key and list tables, and at v5, when a gram key's postings
+/// began to ascend by (length, position). Otherwise re-measure them only
 /// together with a `sqo_snap::SCHEMA_VERSION` bump.
 #[test]
 fn a_world_grown_by_publishes_reaches_the_bytes_the_per_posting_path_wrote() {
     let rows = string_rows("word", &bible_words(420, 7), "w");
-    for (delegation, digest) in [(true, 0xd6fb_b8a3_f111_45b9), (false, 0x00b7_6aae_df29_7485)] {
+    for (delegation, digest) in [(true, 0x141b_604f_9602_9d30), (false, 0xf661_c2fd_728f_0aa0)] {
         let mut engine = EngineBuilder::new()
             .peers(64)
             .replication(2)
@@ -818,7 +948,7 @@ fn a_world_grown_by_publishes_reaches_the_bytes_the_per_posting_path_wrote() {
         let from = engine.random_peer();
         engine.publish_rows_traced(&rows[380..], from);
         let bytes = Snapshot::capture(&engine).to_bytes();
-        assert_eq!(SCHEMA_VERSION, 4);
+        assert_eq!(SCHEMA_VERSION, 5);
         assert_eq!(
             fnv1a(&bytes),
             digest,

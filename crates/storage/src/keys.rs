@@ -23,6 +23,7 @@
 //! the query's match-length window dips below `q` (completeness — see
 //! `sqo-core::similar`).
 
+use crate::posting::{Posting, PostingKind};
 use crate::triple::{Value, ValueRef};
 use sqo_overlay::hash::{order_bits_f64, order_bits_i64, MAX_STRING_KEY_BITS};
 use sqo_overlay::key::Key;
@@ -233,6 +234,35 @@ pub fn schema_gram_key(gram: &str) -> Key {
 
 pub(crate) fn schema_gram_parts(gram: &str) -> Parts<'_, 2> {
     [&[IndexFamily::SchemaGram as u8], str_bytes(gram)]
+}
+
+/// Whether a gram key spells `gram` out whole and apart from the attribute
+/// in front of it: no longer than a key keeps of a string, and without a
+/// `0x00` byte. Two gram postings under one key whose grams are both spelled
+/// out so carry the same gram — attribute and gram would have to share a
+/// separator byte, or a truncated tail, for one key to hold two.
+pub fn gram_spelled_whole(gram: &str) -> bool {
+    str_bytes(gram).len() == gram.len() && !gram.as_bytes().contains(&0)
+}
+
+/// Whether `list` — a prefix scan's postings, in key order — is one gram
+/// key's: its first and last postings are both instance grams with the
+/// same attribute and gram, or both schema grams with the same gram, each
+/// compared as far as a key keeps it. Equal parts make equal keys, and a
+/// list in key order whose ends share a key is that key's, so `true` is
+/// certain; `false` is not (a `0x00` in a name can make different parts
+/// spell one key), and holds for the empty list.
+pub fn one_gram_entry(list: &[Posting]) -> bool {
+    let (Some(a), Some(b)) = (list.first(), list.last()) else { return false };
+    let same_gram = str_bytes(a.gram()) == str_bytes(b.gram());
+    match (a.kind(), b.kind()) {
+        (PostingKind::InstanceGram { .. }, PostingKind::InstanceGram { .. }) => {
+            same_gram
+                && str_bytes(a.triple().attr().as_str()) == str_bytes(b.triple().attr().as_str())
+        }
+        (PostingKind::SchemaGram, PostingKind::SchemaGram) => same_gram,
+        _ => false,
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -2,12 +2,13 @@
 //!
 //! A posting is a fixed-width record of 24 bytes: the `Arc` of its batch's
 //! [`TripleSlab`] (8), the index of its triple there (4), two words that
-//! depend on its kind (4 + 4), a gram length (2) and its [`PostingKind`]:
+//! depend on its kind (4 + 4), a gram length (2), its [`PostingKind`] as one
+//! byte and a source length (1):
 //!
-//! | kind | first word | second word | gram length |
-//! |---|---|---|---|
-//! | `InstanceGram`, `SchemaGram` | the gram's position | the gram's arena offset | the gram's bytes |
-//! | `Base(_)`, `ShortValue`, `ShortAttr` | the value's length in chars, or none | the attribute's id | 0 |
+//! | kind | first word | second word | gram length | source length |
+//! |---|---|---|---|---|
+//! | `InstanceGram`, `SchemaGram` | the gram's position | the gram's arena offset | the gram's bytes | chars of the value (the name, at schema level) below 255, else 255 |
+//! | `Base(_)`, `ShortValue`, `ShortAttr` | the value's length in chars, or none | the attribute's id | 0 | 0 |
 //!
 //! A q-gram posting's gram is a span of the slab's text arena. A posting
 //! without a gram keeps inline what a scan over it asks first — is the
@@ -17,6 +18,18 @@
 //! window. Both words are copies of the record's, filled where the
 //! publication pipeline holds it ([`Posting::new`] reads it for any other
 //! caller, the snapshot decoder among them; the codec writes neither).
+//! So is a gram posting's source length: a gram's rank and Algorithm 2's
+//! length filter ask it of every posting they look at, and a source of
+//! fewer than 255 chars answers without its record.
+//!
+//! A gram posting ranks ([`Item::rank`], see [`gram_rank`]) by the length
+//! in chars of the string its gram was cut from, then by the gram's
+//! position — the two numbers Algorithm 2's length and position filters
+//! test — and a run keeps the postings of each key in rank order, ties in
+//! publication order. A probe's filter therefore bisects a gram list to
+//! the few windows that can hold a survivor instead of reading it whole
+//! (`sqo_core::ProbeFilter`). Every other posting ranks 0: its key keeps
+//! publication order.
 //!
 //! A posting owns nothing else, so a clone or a drop is one reference-count
 //! step, on a counter every posting of the batch shares, and a posting taken
@@ -68,6 +81,36 @@ impl PostingKind {
     fn has_gram(self) -> bool {
         matches!(self, PostingKind::InstanceGram { .. } | PostingKind::SchemaGram)
     }
+
+    /// The kind in the one byte a posting keeps it in (the enum itself
+    /// takes two).
+    fn code(self) -> u8 {
+        match self {
+            PostingKind::Base(BaseKind::Oid) => 0,
+            PostingKind::Base(BaseKind::AttrValue) => 1,
+            PostingKind::Base(BaseKind::Value) => 2,
+            PostingKind::InstanceGram { carries_value: false } => 3,
+            PostingKind::InstanceGram { carries_value: true } => 4,
+            PostingKind::SchemaGram => 5,
+            PostingKind::ShortValue => 6,
+            PostingKind::ShortAttr => 7,
+        }
+    }
+
+    /// The kind [`Self::code`] gave `code`.
+    fn of_code(code: u8) -> Self {
+        match code {
+            0 => PostingKind::Base(BaseKind::Oid),
+            1 => PostingKind::Base(BaseKind::AttrValue),
+            2 => PostingKind::Base(BaseKind::Value),
+            3 => PostingKind::InstanceGram { carries_value: false },
+            4 => PostingKind::InstanceGram { carries_value: true },
+            5 => PostingKind::SchemaGram,
+            6 => PostingKind::ShortValue,
+            // 7: no other code is ever made.
+            _ => PostingKind::ShortAttr,
+        }
+    }
 }
 
 /// One stored index entry. See the [module docs](self) for the layout.
@@ -83,8 +126,17 @@ pub struct Posting {
     gram_off_or_attr: u32,
     /// With a gram: its length in bytes. Without: 0.
     gram_len: u16,
-    kind: PostingKind,
+    /// [`PostingKind::code`].
+    kind: u8,
+    /// With a gram: the length in chars of the string it was cut from when
+    /// that is below [`LONG_SOURCE`], else `LONG_SOURCE` and the record
+    /// answers (a value that is no string has none). Without: 0.
+    source: u8,
 }
+
+/// A gram posting's `source` for a source this long or longer, or for a
+/// value that is no string: ask the record.
+const LONG_SOURCE: u8 = u8::MAX;
 
 const _: () = assert!(std::mem::size_of::<Posting>() == 24);
 
@@ -103,7 +155,11 @@ impl Posting {
         match gram {
             Some((gram, pos)) if kind.has_gram() => {
                 slab.gram_text(gram)?;
-                Some(Posting::with_gram(kind, slab, index, gram, pos))
+                let source = match kind {
+                    PostingKind::SchemaGram => Some(t.attr_char_len()),
+                    _ => t.char_len(),
+                };
+                Some(Posting::with_gram(kind, slab, index, gram, pos, source))
             }
             None if !kind.has_gram() => {
                 Some(Posting::without_gram(kind, slab, index, t.char_len(), t.attr_id()))
@@ -112,25 +168,31 @@ impl Posting {
         }
     }
 
-    /// [`Posting::new`] for a gram kind, for a caller that read `index`
-    /// and `gram` off `slab` itself.
+    /// [`Posting::new`] for a gram kind, for a caller that read `index`,
+    /// `gram` and the length in chars of the gram's source (the value, or
+    /// at schema level the name) off `slab` itself.
     pub(crate) fn with_gram(
         kind: PostingKind,
         slab: &Arc<TripleSlab>,
         index: u32,
         gram: GramSpan,
         pos: u32,
+        source: Option<usize>,
     ) -> Posting {
         debug_assert!(kind.has_gram());
         debug_assert!(slab.get(index).is_some() && slab.gram_text(gram).is_some());
-        Posting {
+        let short = source.and_then(|len| u8::try_from(len).ok()).filter(|len| *len < LONG_SOURCE);
+        let posting = Posting {
             slab: Arc::clone(slab),
             index,
             pos_or_chars: pos,
             gram_off_or_attr: gram.off,
             gram_len: gram.len,
-            kind,
-        }
+            kind: kind.code(),
+            source: short.unwrap_or(LONG_SOURCE),
+        };
+        debug_assert_eq!(posting.source_len(), source, "the source's length is its record's");
+        posting
     }
 
     /// [`Posting::new`] for a kind without a gram, for a caller that read
@@ -153,20 +215,22 @@ impl Posting {
             pos_or_chars: chars.map_or(NO_CHARS, |c| c as u32),
             gram_off_or_attr: attr,
             gram_len: 0,
-            kind,
+            kind: kind.code(),
+            source: 0,
         }
     }
 
     fn gram_span(&self) -> GramSpan {
-        if self.kind.has_gram() {
+        if self.kind().has_gram() {
             GramSpan { off: self.gram_off_or_attr, len: self.gram_len }
         } else {
             GramSpan::default()
         }
     }
 
+    #[inline]
     pub fn kind(&self) -> PostingKind {
-        self.kind
+        PostingKind::of_code(self.kind)
     }
 
     /// The underlying triple.
@@ -193,7 +257,7 @@ impl Posting {
     /// Character offset of the gram in the string it was cut from; 0
     /// without a gram.
     pub fn pos(&self) -> u32 {
-        if self.kind.has_gram() {
+        if self.kind().has_gram() {
             self.pos_or_chars
         } else {
             0
@@ -201,14 +265,15 @@ impl Posting {
     }
 
     /// Length in characters of the triple's value; `None` for a number. A
-    /// posting without a gram answers from itself, a gram posting from
-    /// its record — no text is read either way.
+    /// posting without a gram answers from itself, an instance gram as
+    /// [`Self::source_len`], a schema gram from its record — no text is
+    /// read either way.
     #[inline]
     pub fn char_len(&self) -> Option<usize> {
-        if self.kind.has_gram() {
-            self.triple().char_len()
-        } else {
-            (self.pos_or_chars != NO_CHARS).then_some(self.pos_or_chars as usize)
+        match self.kind() {
+            PostingKind::InstanceGram { .. } => self.source_len(),
+            PostingKind::SchemaGram => self.triple().char_len(),
+            _ => (self.pos_or_chars != NO_CHARS).then_some(self.pos_or_chars as usize),
         }
     }
 
@@ -216,7 +281,7 @@ impl Posting {
     /// in a posting without a gram, its record's for a gram posting.
     #[inline]
     pub fn attr_id(&self) -> u32 {
-        if self.kind.has_gram() {
+        if self.kind().has_gram() {
             self.triple().attr_id()
         } else {
             self.gram_off_or_attr
@@ -232,10 +297,15 @@ impl Posting {
 
     /// Length in characters of the string this posting's gram was drawn
     /// from (the `l(q')` of Algorithm 2's length filter): the value for
-    /// instance grams, the attribute name for schema grams. Stored — no
-    /// text is read.
+    /// instance grams, the attribute name for schema grams. Inline for a
+    /// source shorter than 255 chars, the record's otherwise — no text is
+    /// read.
+    #[inline]
     pub fn source_len(&self) -> Option<usize> {
-        match self.kind {
+        if self.kind().has_gram() && self.source != LONG_SOURCE {
+            return Some(self.source as usize);
+        }
+        match self.kind() {
             PostingKind::InstanceGram { .. } => self.triple().char_len(),
             PostingKind::SchemaGram => Some(self.triple().attr_char_len()),
             _ => None,
@@ -244,14 +314,42 @@ impl Posting {
 
     /// Convenience: the base triple if this is a base posting.
     pub fn as_base(&self) -> Option<TripleRef<'_>> {
-        matches!(self.kind, PostingKind::Base(_)).then(|| self.triple())
+        matches!(self.kind(), PostingKind::Base(_)).then(|| self.triple())
     }
 }
 
+/// The rank of a gram posting whose source is `len` chars long and whose
+/// gram starts at char `pos`: by length, then position.
+#[inline]
+pub fn gram_rank(len: u32, pos: u32) -> u64 {
+    (u64::from(len) << 32) | u64::from(pos)
+}
+
+/// The inverse of [`gram_rank`]: a rank's (source length, position).
+#[inline]
+pub fn rank_parts(rank: u64) -> (u32, u32) {
+    ((rank >> 32) as u32, rank as u32)
+}
+
 impl Item for Posting {
+    /// A gram posting ranks by the length in chars of the string its gram
+    /// was cut from, then by the gram's position there — the two numbers
+    /// Algorithm 2's length and position filters test — so a gram key's
+    /// list is a sequence of windows, one per length, each ascending by
+    /// position. An instance gram of a value that is no string has no
+    /// source length and ranks behind every one that has. Every other
+    /// posting ranks 0: its key keeps publication order.
+    fn rank(&self) -> u64 {
+        if !self.kind().has_gram() {
+            return 0;
+        }
+        let len = self.source_len().map_or(NO_CHARS, |len| len as u32);
+        gram_rank(len, self.pos_or_chars)
+    }
+
     fn size_bytes(&self) -> usize {
         let t = self.triple();
-        match self.kind {
+        match self.kind() {
             PostingKind::Base(_) | PostingKind::ShortValue | PostingKind::ShortAttr => t.repr_len(),
             // (oid, A, q) + pos [+ the full value when carried]
             PostingKind::InstanceGram { carries_value } => {
@@ -284,7 +382,7 @@ impl PartialEq for Posting {
 impl fmt::Debug for Posting {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut s = f.debug_struct("Posting");
-        s.field("kind", &self.kind).field("triple", &self.triple());
+        s.field("kind", &self.kind()).field("triple", &self.triple());
         if !self.gram().is_empty() {
             s.field("gram", &self.gram()).field("pos", &self.pos());
         }

@@ -38,7 +38,7 @@
 //! time gives ([`postings_for_triple`] is a batch of one).
 
 use crate::keys::{self, AttrPrefixes, ValueParts};
-use crate::posting::{BaseKind, Posting, PostingKind};
+use crate::posting::{rank_parts, BaseKind, Posting, PostingKind};
 use crate::slab::{GramInterner, GramSpan, SlabBuilder, TripleSlab};
 use crate::triple::{Row, Triple, ValueRef};
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -173,13 +173,16 @@ impl PostingBatch {
     }
 
     /// The batch as the overlay stores it: a run of one entry per key that
-    /// still has postings, keys ascending, the postings of a key in
-    /// generation order. `order` is [`Self::key_order`] of this batch,
-    /// taken before or after a [`Self::retain`]; a caller that has no use
-    /// for the order itself takes [`Self::into_sorted_groups`]. A counting
-    /// pass: each key's postings start where the keys before it end, and
-    /// every posting moves once, straight into its place in the run's one
-    /// posting array.
+    /// still has postings, keys ascending, the postings of a key in rank
+    /// order ([`Posting`]'s `Item::rank`: a gram's by source length, then
+    /// position), equal ranks in generation order. `order` is
+    /// [`Self::key_order`] of this batch, taken before or after a
+    /// [`Self::retain`]; a caller that has no use for the order itself takes
+    /// [`Self::into_sorted_groups`]. A counting pass: each key's postings
+    /// start where the keys before it end, and every posting moves once,
+    /// straight into its place in the run's one posting array; a key whose
+    /// postings did not arrive in rank order is then sorted, each rank
+    /// taken once.
     ///
     /// # Panics
     /// If `order` leaves out the id of a key that has postings, or is not
@@ -207,6 +210,15 @@ impl PostingBatch {
             slots[*at as usize] = Some(posting);
             *at += 1;
         }
+        let mut scratch = RankScratch::default();
+        let mut start = 0;
+        for &end in &ends {
+            let key = &mut slots[start..end as usize];
+            start = end as usize;
+            if key.len() > 1 {
+                rank_order(key, &mut scratch);
+            }
+        }
         let postings = slots.into_iter().map(|p| p.expect("order names every key")).collect();
         SortedStore::from_parts(bytes, &bits, ends, postings).expect("`order` sorts the keys")
     }
@@ -216,6 +228,61 @@ impl PostingBatch {
         let order = self.key_order();
         self.into_groups(&order)
     }
+}
+
+/// Put one key's postings into rank order, equal ranks in the order they
+/// came. Each rank is taken once and packed with the posting's place into
+/// one word; no two places are equal, so one unstable sort of the words is
+/// stable by rank, and the postings then follow the words' places. A word
+/// is a `u64` — source length and position in 16 bits each, the place in
+/// 32 — while every rank of the key fits that, and a `u128` — the whole
+/// rank above the place — once one does not: the narrow words sort
+/// faster (`docs/PERFORMANCE.md`, the twelfth rule).
+fn rank_order(key: &mut [Option<Posting>], scratch: &mut RankScratch) {
+    let rank = |p: &Option<Posting>| p.as_ref().map_or(0, Item::rank);
+    let mut wide = false;
+    scratch.narrow.clear();
+    scratch.narrow.extend(key.iter().zip(0u32..).map(|(p, at)| {
+        let (len, pos) = rank_parts(rank(p));
+        wide |= (len | pos) >> 16 != 0;
+        u64::from(len) << 48 | u64::from(pos) << 32 | u64::from(at)
+    }));
+    if !wide {
+        follow(key, &mut scratch.narrow, &mut scratch.taken);
+    } else {
+        let words =
+            key.iter().zip(0u32..).map(|(p, at)| u128::from(rank(p)) << 32 | u128::from(at));
+        scratch.wide.clear();
+        scratch.wide.extend(words);
+        follow(key, &mut scratch.wide, &mut scratch.taken);
+    }
+}
+
+/// Sort `words` and move each posting of `key` to the place of its word,
+/// whose low 32 bits name where the posting stands now.
+fn follow<W: Ord + Copy + Into<u128>>(
+    key: &mut [Option<Posting>],
+    words: &mut [W],
+    taken: &mut Vec<Option<Posting>>,
+) {
+    if words.is_sorted() {
+        return;
+    }
+    words.sort_unstable();
+    taken.clear();
+    taken.extend(key.iter_mut().map(Option::take));
+    for (slot, &word) in key.iter_mut().zip(words.iter()) {
+        *slot = taken[word.into() as u32 as usize].take();
+    }
+}
+
+/// What [`rank_order`] works in, reused from key to key.
+#[derive(Default)]
+struct RankScratch {
+    narrow: Vec<u64>,
+    wide: Vec<u128>,
+    /// The key's postings, taken out while they are put back in order.
+    taken: Vec<Option<Posting>>,
 }
 
 /// An id per distinct key of a batch being generated, handed out at first
@@ -329,14 +396,14 @@ fn push_postings<'s>(
                 let gram = &s[bytes.clone()];
                 let span = span_of(gram, tr.value_offset(), bytes);
                 let key = ids.gram_id(Some(attr), span, &under.instance_gram(gram));
-                push(key, Posting::with_gram(kind, slab, index, span, pos));
+                push(key, Posting::with_gram(kind, slab, index, span, pos, chars));
             }
         }
     }
 
     // Schema-level grams of the attribute name (§4).
     if cfg.schema_grams {
-        let name = tr.attr().as_str();
+        let (name, name_chars) = (tr.attr().as_str(), Some(tr.attr_char_len()));
         let mut spans = qgram_spans(name, cfg.q).peekable();
         if spans.peek().is_none() {
             push(ids.id(&keys::short_attr_parts(name)), plain(PostingKind::ShortAttr));
@@ -345,7 +412,9 @@ fn push_postings<'s>(
             let gram = &name[bytes.clone()];
             let span = span_of(gram, tr.attr_offset(), bytes);
             let key = ids.gram_id(None, span, &keys::schema_gram_parts(gram));
-            push(key, Posting::with_gram(PostingKind::SchemaGram, slab, index, span, pos));
+            let posting =
+                Posting::with_gram(PostingKind::SchemaGram, slab, index, span, pos, name_chars);
+            push(key, posting);
         }
     }
 }
@@ -543,5 +612,36 @@ mod tests {
         let p4 = mk(4);
         let p8 = mk(8);
         assert_eq!(p4 - p2, (p8 - p4) / 2, "per-column posting count is constant");
+    }
+
+    /// A key's postings leave `into_groups` in rank order, ties in
+    /// generation order — what a stable sort of the flat batch by (key,
+    /// rank) gives — for short keys, long keys, keys whose every rank ties,
+    /// and a key one of whose sources is longer than 64 Ki chars.
+    #[test]
+    fn every_key_leaves_in_rank_order_whatever_its_size() {
+        let value = |i: usize| format!("{}abc{}", "x".repeat(i % 17), "y".repeat(i * 7 % 13));
+        for (n, long) in [(20, false), (300, false), (300, true)] {
+            let mut rows: Vec<Row> = (0..n)
+                .map(|i| Row::new(format!("o:{i}"), [("name", Value::from(value(i)))]))
+                .collect();
+            if long {
+                let source = format!("{}abc", "z".repeat(70_000));
+                rows.push(Row::new("o:long", [("name", Value::from(source))]));
+            }
+            let (batch, _) = batch_for_rows(&rows, &cfg());
+            let mut flat = batch_for_rows(&rows, &cfg()).0.flatten();
+            flat.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.rank().cmp(&b.1.rank())));
+            let run = batch.into_sorted_groups();
+            let grouped: Vec<(Key, Posting)> = run
+                .iter()
+                .flat_map(|(k, items)| items.iter().map(move |p| (k.to_key(), p.clone())))
+                .collect();
+            assert!(grouped == flat, "{n} rows, a long source: {long}");
+            let abc = keys::instance_gram_key("name", "abc");
+            let list = run.exact_entry(&abc).expect("the shared gram's key");
+            assert_eq!(list.len(), n + usize::from(long));
+            assert!(list.windows(2).any(|w| w[0].triple_id().1 > w[1].triple_id().1), "reordered");
+        }
     }
 }

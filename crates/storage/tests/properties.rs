@@ -82,6 +82,58 @@ fn inline_counts_and_ids_agree_with_the_record_in_every_world() {
     }
 }
 
+/// A gram key's postings ascend by (source length, position), ties in
+/// publication order, however the world was published: built on all rows,
+/// grown by traced batches, grown a row at a time, and decoded from an
+/// artifact all hold every run entry for entry in the same order — the
+/// order a stable sort of each entry's postings by rank gives — and pass
+/// the network's invariant check, which checks it.
+#[test]
+fn gram_lists_are_in_rank_order_on_every_publication_path() {
+    use sqo_core::EngineBuilder;
+    use sqo_snap::Snapshot;
+    let builder = || EngineBuilder::new().peers(32).replication(2).q(3).seed(5);
+    let rows = layout_rows(0, 90);
+    let built = builder().build_with_rows(&rows);
+    let mut batched = builder().build_with_rows(&rows[..30]);
+    for rows in [&rows[30..70], &rows[70..]] {
+        let from = batched.random_peer();
+        batched.publish_rows_traced(rows, from);
+    }
+    let mut singly = builder().build_with_rows(&rows[..30]);
+    for row in &rows[30..] {
+        singly.publish_rows(std::slice::from_ref(row));
+    }
+    let bytes = Snapshot::capture(&singly).to_bytes();
+    let decoded = Snapshot::from_bytes(&bytes).expect("decodes").restore_engine(singly.config());
+
+    let runs = |engine: &sqo_core::SimilarityEngine| {
+        let state = engine.network().export_state();
+        state
+            .stores()
+            .iter()
+            .map(|run| run.iter().map(|(k, items)| (k.to_key(), items.to_vec())).collect())
+            .collect::<Vec<Vec<(Key, Vec<Posting>)>>>()
+    };
+    let want = runs(&built);
+    let (mut grams, mut reordered) = (0, 0);
+    for entry in want.iter().flatten().map(|(_, items)| items) {
+        let mut sorted = entry.clone();
+        sorted.sort_by_key(Posting::rank);
+        assert_eq!(&sorted, entry, "an entry in rank order");
+        grams += entry.iter().filter(|p| p.rank() > 0).count();
+        reordered += usize::from(entry.windows(2).any(|w| w[0].triple_id().1 > w[1].triple_id().1));
+    }
+    assert!(
+        grams > 1_000 && reordered > 10,
+        "{grams} gram postings, {reordered} entries reordered"
+    );
+    for (what, engine) in [("batched", &batched), ("singly", &singly), ("decoded", &decoded)] {
+        assert_eq!(engine.network().check_invariants(), Ok(()), "{what}");
+        assert_eq!(runs(engine), want, "{what}");
+    }
+}
+
 /// Object assembly as it was before an object was gathered as handles
 /// (`Object::from_postings`): owned fields, each checked against those
 /// kept so far.
@@ -282,7 +334,7 @@ proptest! {
     /// and attribute names that share their 32-byte truncated key (one key,
     /// which must not get two ids). Its keys are pairwise distinct as
     /// bytes, ids count up in generation order, and its groups are the
-    /// flat batch stable-sorted by key.
+    /// flat batch stable-sorted by key and, within a key, by rank.
     #[test]
     fn a_batch_equals_its_triples_published_one_by_one(
         rows in prop::collection::vec(
@@ -339,8 +391,10 @@ proptest! {
                 .flat_map(|(k, items)| items.iter().map(move |p| (k.to_key(), p.clone())))
                 .collect()
         };
+        let by_key_and_rank =
+            |a: &(Key, Posting), b: &(Key, Posting)| a.0.cmp(&b.0).then(a.1.rank().cmp(&b.1.rank()));
         let mut sorted = batch.clone();
-        sorted.sort_by(|a, b| a.0.cmp(&b.0));
+        sorted.sort_by(by_key_and_rank);
         prop_assert_eq!(flattened(batch_for_rows(&rows, &cfg).0.into_groups(&order)), sorted);
         // Dropping postings drops them from their groups, and a key left
         // without postings has no group.
@@ -352,7 +406,7 @@ proptest! {
         });
         let mut kept: Vec<(Key, Posting)> =
             batch.iter().skip(2).step_by(3).cloned().collect();
-        kept.sort_by(|a, b| a.0.cmp(&b.0));
+        kept.sort_by(by_key_and_rank);
         prop_assert_eq!(flattened(thinned.into_groups(&order)), kept);
         prop_assert_eq!(grouped.flatten(), batch.clone());
         let single: Vec<(Key, Posting)> = rows
