@@ -39,15 +39,11 @@ pub struct PartitionChannel {
 pub struct ChannelPool {
     window_us: u64,
     channels: FxHashMap<usize, PartitionChannel>,
-    /// Lifetime count of channels opened (routed exchanges).
-    pub opened: u64,
-    /// Lifetime count of probe submissions that rode an open channel.
-    pub rides: u64,
 }
 
 impl ChannelPool {
     pub fn new(window_us: u64) -> Self {
-        Self { window_us, channels: FxHashMap::default(), opened: 0, rides: 0 }
+        Self { window_us, channels: FxHashMap::default() }
     }
 
     pub fn window_us(&self) -> u64 {
@@ -59,7 +55,6 @@ impl ChannelPool {
     pub fn lookup(&mut self, part: usize, now_us: u64, epoch: u64) -> Option<PartitionChannel> {
         match self.channels.get(&part) {
             Some(c) if c.epoch == epoch && now_us.saturating_sub(c.opened_us) <= self.window_us => {
-                self.rides += 1;
                 Some(*c)
             }
             Some(_) => {
@@ -72,7 +67,6 @@ impl ChannelPool {
 
     /// Record a freshly routed exchange as `part`'s open channel.
     pub fn record(&mut self, part: usize, owner: PeerId, route_hops: u64, now_us: u64, epoch: u64) {
-        self.opened += 1;
         self.channels
             .insert(part, PartitionChannel { owner, opened_us: now_us, route_hops, epoch });
     }
@@ -83,12 +77,7 @@ impl ChannelPool {
         let mut channels: Vec<(u64, PartitionChannel)> =
             self.channels.iter().map(|(&p, &c)| (p as u64, c)).collect();
         channels.sort_unstable_by_key(|&(p, _)| p);
-        ChannelPoolState {
-            window_us: self.window_us,
-            channels,
-            opened: self.opened,
-            rides: self.rides,
-        }
+        ChannelPoolState { window_us: self.window_us, channels }
     }
 
     /// Rebuild a pool from an exported image.
@@ -96,8 +85,6 @@ impl ChannelPool {
         Self {
             window_us: state.window_us,
             channels: state.channels.into_iter().map(|(p, c)| (p as usize, c)).collect(),
-            opened: state.opened,
-            rides: state.rides,
         }
     }
 }
@@ -108,8 +95,6 @@ pub struct ChannelPoolState {
     pub window_us: u64,
     /// Open channels as `(partition, channel)`, sorted by partition.
     pub channels: Vec<(u64, PartitionChannel)>,
-    pub opened: u64,
-    pub rides: u64,
 }
 
 #[cfg(test)]
@@ -125,8 +110,6 @@ mod tests {
         assert_eq!(c.owner, PeerId(9));
         assert_eq!(c.route_hops, 4);
         assert!(p.lookup(7, 1_300, 0).is_some(), "window boundary is inclusive");
-        assert_eq!(p.rides, 2);
-        assert_eq!(p.opened, 1);
     }
 
     #[test]
@@ -157,7 +140,6 @@ mod tests {
         assert!(state.channels[0].0 < state.channels[1].0, "sorted by partition");
         let mut r = ChannelPool::from_state(state);
         assert_eq!(r.window_us(), 300);
-        assert_eq!((r.opened, r.rides), (2, 1));
         let c = r.lookup(7, 1_200, 2).expect("channel survived the round trip");
         assert_eq!((c.owner, c.route_hops), (PeerId(9), 4));
         assert!(r.lookup(3, 1_200, 2).is_some());

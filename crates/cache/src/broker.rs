@@ -132,7 +132,6 @@ impl CacheBatchBroker {
 
     pub fn counters(&self) -> BrokerCounters {
         let mut c = self.counters;
-        c.channels_opened = self.channels.opened;
         c.admission_rejects = self.cache.admission_rejects();
         c
     }
@@ -225,6 +224,7 @@ impl CacheBatchBroker {
         epoch: u64,
     ) {
         if self.cfg.batch {
+            self.counters.channels_opened += 1;
             self.channels.record(part, owner, route_hops, now_us, epoch);
         }
     }
@@ -265,8 +265,8 @@ impl CacheBatchBroker {
 #[derive(Debug, Clone)]
 pub struct BrokerState {
     pub cfg: BrokerConfig,
-    /// Raw lifetime counters (`channels_opened`/`admission_rejects` are
-    /// derived on read and live in the pool/cache states).
+    /// Raw lifetime counters (`admission_rejects` is derived on read and
+    /// lives in the cache state).
     pub counters: BrokerCounters,
     pub cache: LruState<(PeerId, Key), Vec<Posting>>,
     pub channels: ChannelPoolState,
@@ -337,15 +337,25 @@ mod tests {
         b.cache_put(PeerId(1), &k, Vec::new(), 0, 0);
         b.channel_record(4, PeerId(7), 3, 5, 0);
         b.channel_lookup(4, 10, 0, 2);
+        b.channel_record(9, PeerId(2), 4, 12, 0);
         b.count_messages_saved(2);
+        assert_eq!(b.counters().channels_opened, 2, "one per recorded exchange");
         let mut r = CacheBatchBroker::from_state(b.export_state());
         assert_eq!(r.counters(), b.counters());
+        assert_eq!(r.counters().channels_opened, 2, "the count survives the image");
         // Both continue identically.
         assert!(b.cache_get(PeerId(1), &k, 20, 0).is_some());
         assert!(r.cache_get(PeerId(1), &k, 20, 0).is_some());
         assert!(b.channel_lookup(4, 20, 0, 1).is_some());
         assert!(r.channel_lookup(4, 20, 0, 1).is_some());
+        b.channel_record(5, PeerId(3), 2, 25, 0);
+        r.channel_record(5, PeerId(3), 2, 25, 0);
         assert_eq!(r.counters(), b.counters());
+        assert_eq!(r.counters().channels_opened, 3);
+        // Without batching no channel opens, and none is counted.
+        let mut off = CacheBatchBroker::new(BrokerConfig::cache_only());
+        off.channel_record(4, PeerId(7), 3, 5, 0);
+        assert_eq!(off.counters().channels_opened, 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use sqo_storage::keys;
 use sqo_storage::posting::{Object, ObjectPostings, Posting, PostingKind};
 use sqo_storage::slab::AttrGuard;
 use sqo_storage::triple::{Value, ValueRef};
-use sqo_strsim::numeric::NumericInterval;
+use sqo_strsim::numeric::interval_around;
 use std::borrow::Cow;
 
 /// A selection hit: the value that satisfied the predicate plus its object.
@@ -117,8 +117,7 @@ impl SelectTask {
             SelectKind::Range { attr, lo, hi } => Self::range_scan(attr, lo, hi, from, e),
             SelectKind::NumericSimilar { attr, center, eps } => {
                 let c = center.as_float().expect("checked at construction");
-                let iv = NumericInterval::around_float(c, *eps);
-                let NumericInterval::Float { lo, hi } = iv else { unreachable!() };
+                let (lo, hi) = interval_around(c, *eps);
                 let (vlo, vhi) = match center {
                     Value::Int(_) => (Value::Int(lo.floor() as i64), Value::Int(hi.ceil() as i64)),
                     _ => (Value::Float(lo), Value::Float(hi)),

@@ -1,7 +1,7 @@
 //! `MetricsRegistry` — one named-metric schema for the whole workspace.
 //!
 //! Five PRs grew five counter surfaces: `QueryStats`, overlay
-//! [`Metrics`]/`PeerLoad`, `BrokerCounters`, the AIMD `window_trace()`, and
+//! [`Metrics`], `BrokerCounters`, the AIMD `window_trace()`, and
 //! the driver's ad-hoc latency vectors. The registry absorbs them all
 //! behind three primitive kinds — **counters** (monotone sums), **gauges**
 //! (last-written values), and **histograms** ([`LogHistogram`]) — keyed by

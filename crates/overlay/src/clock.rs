@@ -52,9 +52,9 @@ impl MsgKind {
 ///
 /// All fields are microseconds of virtual time except the two counters.
 /// For a single query `elapsed_us == end_us - start_us` is the critical
-/// path; the per-category fields (`net_us`, `queue_us`, `service_us`,
-/// `route_us`, `forward_us`, `result_us`) are summed over *all* messages,
-/// so with parallel fan-out their total may exceed the critical path.
+/// path; the per-category fields (`net_us`, `queue_us`, `service_us`) are
+/// summed over *all* messages, so with parallel fan-out their total may
+/// exceed the critical path.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SimLatency {
     /// Virtual time when the query began.
@@ -69,12 +69,6 @@ pub struct SimLatency {
     pub queue_us: u64,
     /// Receiver CPU occupancy (per-message + per-byte service, local scans).
     pub service_us: u64,
-    /// Frontier time spent in routing hops.
-    pub route_us: u64,
-    /// Frontier time spent in shower forwards.
-    pub forward_us: u64,
-    /// Frontier time spent in result transfers.
-    pub result_us: u64,
     /// Messages that passed through the sink.
     pub timed_messages: u64,
     /// Retransmissions caused by simulated message loss.
@@ -120,9 +114,6 @@ impl SimLatency {
         self.net_us += other.net_us;
         self.queue_us += other.queue_us;
         self.service_us += other.service_us;
-        self.route_us += other.route_us;
-        self.forward_us += other.forward_us;
-        self.result_us += other.result_us;
         self.timed_messages += other.timed_messages;
         self.retransmissions += other.retransmissions;
         self.crit_net_us += other.crit_net_us;
@@ -145,11 +136,20 @@ pub trait EventSink {
 
     /// A message of `bytes` travels `from → to`; advances the frontier by
     /// link latency (plus loss retries) and the receiver's service time.
-    fn deliver(&mut self, from: PeerId, to: PeerId, bytes: usize, kind: MsgKind);
+    /// `tracer` is the network's trace sink at the time of the call, which
+    /// receives the receiver's per-peer spans.
+    fn deliver(
+        &mut self,
+        from: PeerId,
+        to: PeerId,
+        bytes: usize,
+        kind: MsgKind,
+        tracer: Option<&SharedTraceSink>,
+    );
 
     /// Local scan work at `peer` over `items` stored entries; occupies the
-    /// peer and advances the frontier.
-    fn local_work(&mut self, peer: PeerId, items: u64);
+    /// peer and advances the frontier. `tracer` as for [`Self::deliver`].
+    fn local_work(&mut self, peer: PeerId, items: u64, tracer: Option<&SharedTraceSink>);
 
     /// Open a parallel fan-out at the current frontier.
     fn fork(&mut self);
@@ -305,10 +305,12 @@ impl TraceEvent {
 ///
 /// Installed via
 /// [`Network::set_trace_sink`](crate::network::Network::set_trace_sink) as a
-/// shared handle ([`SharedTraceSink`]) so the network and the event sink can
-/// both emit into one stream. Tracing is zero-cost when no sink is
-/// installed: emission sites are a single `Option` check and never construct
-/// events, and no emission site mutates query-visible state.
+/// shared handle ([`SharedTraceSink`]): the network emits into it and lends
+/// it to the event sink on each [`EventSink::deliver`] /
+/// [`EventSink::local_work`], so both write one stream. Tracing is
+/// zero-cost when no sink is installed: emission sites are a single
+/// `Option` check and never construct events, and no emission site mutates
+/// query-visible state.
 pub trait TraceSink {
     fn record(&mut self, ev: TraceEvent);
 }

@@ -53,7 +53,7 @@ pub use clock::{
     EventSink, MsgKind, SharedTraceSink, SimLatency, TraceEvent, TraceSink, TraceTrack, TraceValue,
 };
 pub use key::{Key, KeyRef};
-pub use metrics::{Metrics, PeerLoad};
+pub use metrics::Metrics;
 pub use network::{Network, NetworkConfig, RepairReport, ReplicationPolicy, RouteError};
 pub use peer::{Item, PeerId};
 pub use snapshot::NetworkState;

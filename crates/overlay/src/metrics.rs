@@ -30,35 +30,6 @@ pub struct Metrics {
     pub local_items_scanned: u64,
 }
 
-/// Per-peer traffic counters (who sent/received how much), kept by the
-/// network alongside the global [`Metrics`]. This is what exposes hotspots:
-/// the global counters cannot show that one replica serializes half the
-/// workload's result traffic.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct PeerLoad {
-    pub msgs_sent: u64,
-    pub msgs_recv: u64,
-    pub bytes_sent: u64,
-    pub bytes_recv: u64,
-}
-
-impl PeerLoad {
-    pub(crate) fn count_sent(&mut self, bytes: u64) {
-        self.msgs_sent += 1;
-        self.bytes_sent += bytes;
-    }
-
-    pub(crate) fn count_recv(&mut self, bytes: u64) {
-        self.msgs_recv += 1;
-        self.bytes_recv += bytes;
-    }
-
-    /// Total messages touching this peer (sent + received).
-    pub fn msgs_total(&self) -> u64 {
-        self.msgs_sent + self.msgs_recv
-    }
-}
-
 impl Metrics {
     /// Counter state at a point in time; subtract snapshots to get a window.
     pub fn snapshot(&self) -> Metrics {

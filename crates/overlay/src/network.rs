@@ -31,7 +31,7 @@
 
 use crate::clock::{EventSink, MsgKind, SharedTraceSink, SimLatency, TraceEvent, TraceTrack};
 use crate::key::{Key, KeyRef};
-use crate::metrics::{Metrics, PeerLoad};
+use crate::metrics::Metrics;
 use crate::peer::{Item, PeerId};
 use crate::snapshot::NetworkState;
 use crate::store::{PartitionStore, SortedStore};
@@ -168,8 +168,8 @@ pub struct Network<T> {
     /// message counter with zero behavior change.
     pub(crate) sink: Option<Box<dyn EventSink>>,
     /// Optional structured-trace recorder, threaded alongside the event
-    /// sink (see [`crate::clock::TraceSink`]). Shared so the event sink can
-    /// hold a clone and emit per-peer occupancy spans into the same stream.
+    /// sink (see [`crate::clock::TraceSink`]), and lent to it on every
+    /// charge so its per-peer occupancy spans go into the same stream.
     /// `None` keeps every emission site a single branch with zero behavior
     /// change.
     pub(crate) tracer: Option<SharedTraceSink>,
@@ -245,7 +245,6 @@ impl<T: Item> Network<T> {
         topo.wire_routing(cfg.refs_per_level, &mut rng);
         Self::on(NetworkState {
             alive: vec![true; cfg.peers],
-            peer_load: vec![PeerLoad::default(); cfg.peers],
             cfg,
             topo,
             stores,
@@ -475,20 +474,9 @@ impl<T: Item> Network<T> {
         &self.image.metrics
     }
 
-    /// Reset the global and per-peer traffic counters.
+    /// Reset the traffic counters.
     pub fn reset_metrics(&mut self) {
         self.image.metrics = Metrics::default();
-        self.image.peer_load = vec![PeerLoad::default(); self.image.alive.len()];
-    }
-
-    /// Traffic counters of one peer.
-    pub fn peer_load(&self, id: PeerId) -> PeerLoad {
-        self.image.peer_load[id.index()]
-    }
-
-    /// Traffic counters of every peer, indexed by [`PeerId`].
-    pub fn peer_loads(&self) -> &[PeerLoad] {
-        &self.image.peer_load
     }
 
     // ------------------------------------------------------------------
@@ -561,16 +549,14 @@ impl<T: Item> Network<T> {
     // ------------------------------------------------------------------
 
     /// Install a trace sink; subsequent wire interactions of traced queries
-    /// emit structured events into it. Replaces any previous sink. Sinks
-    /// only *observe* — installing one never changes query results or
-    /// counters.
+    /// emit structured events into it. Replaces any previous sink. The
+    /// network hands the sink to the installed event sink with every
+    /// message and scan it charges, so the clock's per-peer spans follow
+    /// the sink whenever it is set — before or after the clock is
+    /// installed. Sinks only *observe* — installing one never changes
+    /// query results or counters.
     pub fn set_trace_sink(&mut self, tracer: SharedTraceSink) {
         self.tracer = Some(tracer);
-    }
-
-    /// A clone of the installed trace-sink handle, if any.
-    pub fn trace_sink(&self) -> Option<SharedTraceSink> {
-        self.tracer.clone()
     }
 
     pub fn has_trace_sink(&self) -> bool {
@@ -605,12 +591,12 @@ impl<T: Item> Network<T> {
     }
 
     // ------------------------------------------------------------------
-    // Charge helpers: metrics + per-peer load + virtual time, together
+    // Charge helpers: metrics + virtual time, together
     // ------------------------------------------------------------------
 
-    /// One message `from → to` of the given kind: global metrics, per-peer
-    /// load accounts and virtual time all charged together. `payload` is
-    /// nonzero only for result-bearing messages.
+    /// One message `from → to` of the given kind: global metrics and
+    /// virtual time charged together. `payload` is nonzero only for
+    /// result-bearing messages.
     fn charge(&mut self, kind: MsgKind, from: PeerId, to: PeerId, payload: usize) {
         let hb = self.image.cfg.msg_header_bytes;
         match kind {
@@ -619,10 +605,8 @@ impl<T: Item> Network<T> {
             MsgKind::Result => self.image.metrics.count_result(hb, payload),
         }
         let bytes = hb + payload;
-        self.image.peer_load[from.index()].count_sent(bytes as u64);
-        self.image.peer_load[to.index()].count_recv(bytes as u64);
         if let Some(s) = &mut self.sink {
-            s.deliver(from, to, bytes, kind);
+            s.deliver(from, to, bytes, kind, self.tracer.as_ref());
         }
         if self.tracer.is_some() {
             if let Some(q) = self.trace_query {
@@ -640,18 +624,19 @@ impl<T: Item> Network<T> {
         }
     }
 
-    /// Local scan work at `peer`. Takes the two fields it charges instead
-    /// of `&mut self`, so a scan can be charged while its run is still
+    /// Local scan work at `peer`. Takes the fields it charges instead of
+    /// `&mut self`, so a scan can be charged while its run is still
     /// borrowed from the stores.
     fn charge_scan(
         metrics: &mut Metrics,
         sink: &mut Option<Box<dyn EventSink>>,
+        tracer: &Option<SharedTraceSink>,
         peer: PeerId,
-        touched: u64,
+        touched: usize,
     ) {
-        metrics.local_items_scanned += touched;
+        metrics.local_items_scanned += touched as u64;
         if let Some(s) = sink {
-            s.local_work(peer, touched);
+            s.local_work(peer, touched as u64, tracer.as_ref());
         }
     }
 
@@ -803,7 +788,7 @@ impl<T: Item> Network<T> {
     /// replicas — a recruit holds the partition's run from then on — and
     /// charges the copy as real wire traffic (one result-class
     /// transfer of the partition payload per recruit, visible to metrics,
-    /// per-peer load, the virtual clock and — blame-tagged
+    /// the virtual clock and — blame-tagged
     /// `cause:"repair"` — the trace stream).
     ///
     /// Donor and recruit selection are deterministic (largest alive
@@ -1130,8 +1115,8 @@ impl<T: Item> Network<T> {
             self.sim_branch();
             let Some(responder) = self.shower_into(part, entry) else { continue };
             let run = self.image.stores[part].range_entries(lo, hi);
-            let touched = run.entries as u64;
-            Self::charge_scan(&mut self.image.metrics, &mut self.sink, responder, touched);
+            let (sink, tracer) = (&mut self.sink, &self.tracer);
+            Self::charge_scan(&mut self.image.metrics, sink, tracer, responder, run.entries);
             let payload: usize = run.items.iter().map(Item::size_bytes).sum();
             out.extend_from_slice(run.items);
             if responder != from {
@@ -1148,7 +1133,7 @@ impl<T: Item> Network<T> {
 
     /// A direct message of `payload_bytes` between two known peers
     /// (delegation step or result return). One message, charged to the
-    /// sender/receiver load accounts and to the virtual clock.
+    /// traffic counters and to the virtual clock.
     pub fn send_direct(&mut self, from: PeerId, to: PeerId, payload_bytes: usize) {
         self.charge(MsgKind::Result, from, to, payload_bytes);
     }
@@ -1186,7 +1171,7 @@ impl<T: Item> Network<T> {
     /// survivors.
     pub fn local_prefix_run(&mut self, peer: PeerId, key: &Key) -> &[T] {
         let run = self.image.stores[self.image.topo.partition_of(peer)].prefix_entries(key);
-        Self::charge_scan(&mut self.image.metrics, &mut self.sink, peer, run.entries as u64);
+        Self::charge_scan(&mut self.image.metrics, &mut self.sink, &self.tracer, peer, run.entries);
         run.items
     }
 
@@ -1197,7 +1182,7 @@ impl<T: Item> Network<T> {
     pub fn local_prefix_run_from(&mut self, peer: PeerId, key: &Key, cursor: &mut usize) -> &[T] {
         let store = &self.image.stores[self.image.topo.partition_of(peer)];
         let run = store.prefix_entries_from(key, cursor);
-        Self::charge_scan(&mut self.image.metrics, &mut self.sink, peer, run.entries as u64);
+        Self::charge_scan(&mut self.image.metrics, &mut self.sink, &self.tracer, peer, run.entries);
         run.items
     }
 
@@ -1441,30 +1426,6 @@ mod tests {
     }
 
     #[test]
-    fn per_peer_load_balances_against_global_metrics() {
-        let (mut net, words) = word_net(64, 300);
-        net.reset_metrics();
-        for w in words.iter().step_by(11) {
-            let from = net.random_peer();
-            net.retrieve_list(from, &hash_str(w)).unwrap();
-        }
-        let m = *net.metrics();
-        assert!(m.messages > 0);
-        // Every message has exactly one sender and one receiver, so both
-        // per-peer sums must equal the global counters.
-        let sent_msgs: u64 = net.peer_loads().iter().map(|l| l.msgs_sent).sum();
-        let recv_msgs: u64 = net.peer_loads().iter().map(|l| l.msgs_recv).sum();
-        let sent_bytes: u64 = net.peer_loads().iter().map(|l| l.bytes_sent).sum();
-        assert_eq!(sent_msgs, m.messages);
-        assert_eq!(recv_msgs, m.messages);
-        assert_eq!(sent_bytes, m.bytes);
-        // Load is spread over more than one peer (this is what the global
-        // counters cannot show).
-        let loaded = net.peer_loads().iter().filter(|l| l.msgs_total() > 0).count();
-        assert!(loaded > 1, "traffic concentrated on {loaded} peer(s)");
-    }
-
-    #[test]
     fn churn_and_inserts_bump_the_epoch() {
         let (mut net, _) = word_net(16, 50);
         let e0 = net.cache_epoch();
@@ -1642,20 +1603,47 @@ mod tests {
 
     #[test]
     fn send_direct_charges_both_endpoints() {
+        /// Logs the endpoints and size of every delivered message.
+        struct Deliveries(std::rc::Rc<std::cell::RefCell<Vec<(PeerId, PeerId, usize)>>>);
+        impl EventSink for Deliveries {
+            fn begin_query(&mut self) {}
+            fn end_query(&mut self) -> SimLatency {
+                SimLatency::default()
+            }
+            fn deliver(
+                &mut self,
+                from: PeerId,
+                to: PeerId,
+                bytes: usize,
+                _: MsgKind,
+                _: Option<&SharedTraceSink>,
+            ) {
+                self.0.borrow_mut().push((from, to, bytes));
+            }
+            fn local_work(&mut self, _: PeerId, _: u64, _: Option<&SharedTraceSink>) {}
+            fn fork(&mut self) {}
+            fn branch(&mut self) {}
+            fn join(&mut self) {}
+            fn now_us(&self) -> u64 {
+                0
+            }
+            fn reset_to_us(&mut self, _: u64) {}
+        }
         let (mut net, _) = word_net(8, 40);
+        let log = std::rc::Rc::default();
+        net.set_event_sink(Box::new(Deliveries(std::rc::Rc::clone(&log))));
         net.reset_metrics();
-        let a = PeerId(1);
-        let b = PeerId(5);
+        let (a, b) = (PeerId(1), PeerId(5));
         net.send_direct(a, b, 500);
-        let hb = net.config().msg_header_bytes as u64;
-        assert_eq!(net.peer_load(a).msgs_sent, 1);
-        assert_eq!(net.peer_load(a).bytes_sent, hb + 500);
-        assert_eq!(net.peer_load(b).msgs_recv, 1);
-        assert_eq!(net.peer_load(b).bytes_recv, hb + 500);
-        assert_eq!(net.peer_load(b).msgs_sent, 0);
-        assert_eq!(net.metrics().result_msgs, 1);
+        let hb = net.config().msg_header_bytes;
+        assert_eq!(*log.borrow(), [(a, b, hb + 500)]);
+        let m = *net.metrics();
+        assert_eq!(
+            (m.messages, m.result_msgs, m.bytes, m.result_bytes),
+            (1, 1, hb as u64 + 500, 500)
+        );
         net.reset_metrics();
-        assert_eq!(net.peer_load(a).msgs_sent, 0, "reset clears per-peer load");
+        assert_eq!(*net.metrics(), Metrics::default(), "reset clears the counters");
     }
 
     #[test]

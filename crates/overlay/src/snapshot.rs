@@ -29,7 +29,7 @@
 //! with their own capture surfaces (the simulator snapshots its `NetSim`
 //! separately and re-installs it after import).
 
-use crate::metrics::{Metrics, PeerLoad};
+use crate::metrics::Metrics;
 use crate::network::{Network, NetworkConfig};
 use crate::peer::Item;
 use crate::store::PartitionStore;
@@ -50,8 +50,6 @@ pub struct NetworkState<T> {
     /// partition without members keeps the empty run.
     pub(crate) stores: Vec<PartitionStore<T>>,
     pub(crate) metrics: Metrics,
-    /// Per-peer sent/received traffic (reset together with `metrics`).
-    pub(crate) peer_load: Vec<PeerLoad>,
     /// Monotone allocator backing [`Network::next_trace_query_id`].
     pub(crate) next_trace_query: u64,
     /// Monotone invalidation counter: bumped by every event that can make
@@ -75,23 +73,12 @@ impl<T: Item> NetworkState<T> {
         alive: Vec<bool>,
         stores: Vec<PartitionStore<T>>,
         metrics: Metrics,
-        peer_load: Vec<PeerLoad>,
         next_trace_query: u64,
         cache_epoch: u64,
         rng: [u64; 4],
     ) -> Result<Self, &'static str> {
         let rng = StdRng::from_state_words(rng);
-        let state = Self {
-            cfg,
-            topo,
-            alive,
-            stores,
-            metrics,
-            peer_load,
-            next_trace_query,
-            cache_epoch,
-            rng,
-        };
+        let state = Self { cfg, topo, alive, stores, metrics, next_trace_query, cache_epoch, rng };
         state.check().map(|()| state)
     }
 
@@ -100,7 +87,7 @@ impl<T: Item> NetworkState<T> {
     pub(crate) fn check(&self) -> Result<(), &'static str> {
         self.cfg.check()?;
         let peers = self.cfg.peers;
-        if [self.alive.len(), self.peer_load.len(), self.topo.peer_count()] != [peers; 3] {
+        if [self.alive.len(), self.topo.peer_count()] != [peers; 2] {
             return Err("the per-peer tables are not one entry per configured peer");
         }
         if self.stores.len() != self.topo.partition_count() {
@@ -151,11 +138,6 @@ impl<T: Item> NetworkState<T> {
 
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Per-peer traffic counters, by peer id.
-    pub fn peer_loads(&self) -> &[PeerLoad] {
-        &self.peer_load
     }
 
     pub fn next_trace_query(&self) -> u64 {
@@ -231,7 +213,6 @@ mod tests {
         assert_eq!(restored.paths(), net.paths());
         assert_eq!(restored.metrics(), net.metrics());
         assert_eq!(restored.cache_epoch(), net.cache_epoch());
-        assert_eq!(restored.peer_loads(), net.peer_loads());
         assert_eq!(restored.total_stored_items(), net.total_stored_items());
         for p in 0..net.peer_count() as u32 {
             let id = PeerId(p);

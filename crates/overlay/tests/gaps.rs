@@ -67,7 +67,6 @@ fn decoded(net: &Network<S>) -> Result<NetworkState<S>, &'static str> {
         state.alive().to_vec(),
         stores.collect(),
         *state.metrics(),
-        state.peer_loads().to_vec(),
         state.next_trace_query(),
         state.cache_epoch(),
         state.rng_words(),
@@ -204,7 +203,6 @@ proptest! {
             state.alive().to_vec(),
             stores.collect(),
             *state.metrics(),
-            state.peer_loads().to_vec(),
             state.next_trace_query(),
             state.cache_epoch(),
             state.rng_words(),

@@ -7,7 +7,7 @@ use sqo_overlay::key::{Key, KeyRef};
 use sqo_overlay::network::{Network, NetworkConfig};
 use sqo_overlay::peer::{Item, PeerId};
 use sqo_overlay::trie::{build_partitions, find_partition, find_partition_from, is_complete_cover};
-use sqo_overlay::{EventSink, MsgKind, SimLatency};
+use sqo_overlay::{EventSink, MsgKind, SharedTraceSink, SimLatency};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -30,10 +30,10 @@ impl EventSink for ChargeLog {
     fn end_query(&mut self) -> SimLatency {
         SimLatency::default()
     }
-    fn deliver(&mut self, _from: PeerId, _to: PeerId, _bytes: usize, _kind: MsgKind) {
+    fn deliver(&mut self, _: PeerId, _: PeerId, _: usize, _: MsgKind, _: Option<&SharedTraceSink>) {
         *self.messages.borrow_mut() += 1;
     }
-    fn local_work(&mut self, peer: PeerId, items: u64) {
+    fn local_work(&mut self, peer: PeerId, items: u64, _: Option<&SharedTraceSink>) {
         self.local_work.borrow_mut().push((peer, items));
     }
     fn fork(&mut self) {}

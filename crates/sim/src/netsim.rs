@@ -99,8 +99,6 @@ pub struct NetSim {
     rng: StdRng,
     /// Virtual time at the query's point of control.
     frontier_us: u64,
-    /// High-water mark over everything ever simulated (monotone).
-    clock_us: u64,
     busy_until_us: Vec<u64>,
     forks: Vec<Fork>,
     /// Open query windows, innermost last. Operators nest windows (a join
@@ -112,12 +110,6 @@ pub struct NetSim {
     windows: Vec<(SimLatency, usize, Blame)>,
     /// Critical-path blame accumulator (see [`Blame`]).
     blame: Blame,
-    /// Lifetime totals across all top-level queries (never reset).
-    totals: SimLatency,
-    /// Optional structured-trace recorder (a clone of the network's):
-    /// per-peer `wait`/service/`scan` spans render each peer's serial
-    /// queue as a timeline. `None` costs one branch per event.
-    tracer: Option<SharedTraceSink>,
 }
 
 impl NetSim {
@@ -127,26 +119,11 @@ impl NetSim {
             rng: StdRng::seed_from_u64(cfg.seed),
             cfg,
             frontier_us: 0,
-            clock_us: 0,
             busy_until_us: vec![0; n_peers],
             forks: Vec::new(),
             windows: Vec::new(),
             blame: Blame::default(),
-            totals: SimLatency::default(),
-            tracer: None,
         }
-    }
-
-    /// Attach a trace sink; subsequent deliveries and local scans emit
-    /// per-peer occupancy spans into it. [`install`] wires the network's
-    /// sink automatically.
-    pub fn set_trace_sink(&mut self, tracer: SharedTraceSink) {
-        self.tracer = Some(tracer);
-    }
-
-    /// Monotone high-water virtual time.
-    pub fn clock_us(&self) -> u64 {
-        self.clock_us
     }
 
     /// Swap the loss model mid-run (fault injection: transient loss
@@ -155,11 +132,6 @@ impl NetSim {
     /// perturbs only the traffic inside its window.
     pub fn set_loss_model(&mut self, loss: LossModel) {
         self.cfg.loss = loss;
-    }
-
-    /// Lifetime totals across every query charged to this sink.
-    pub fn totals(&self) -> &SimLatency {
-        &self.totals
     }
 
     fn service_us(&self, bytes: usize) -> u64 {
@@ -178,7 +150,6 @@ impl NetSim {
         NetSimState {
             rng: self.rng.state_words(),
             frontier_us: self.frontier_us,
-            clock_us: self.clock_us,
             busy_until_us: self.busy_until_us.clone(),
             blame: [
                 self.blame.net_us,
@@ -186,7 +157,6 @@ impl NetSim {
                 self.blame.service_us,
                 self.blame.stall_us,
             ],
-            totals: self.totals,
         }
     }
 
@@ -199,7 +169,6 @@ impl NetSim {
             rng: StdRng::from_state_words(state.rng),
             cfg,
             frontier_us: state.frontier_us,
-            clock_us: state.clock_us,
             busy_until_us: state.busy_until_us,
             forks: Vec::new(),
             windows: Vec::new(),
@@ -209,26 +178,22 @@ impl NetSim {
                 service_us: state.blame[2],
                 stall_us: state.blame[3],
             },
-            totals: state.totals,
-            tracer: None,
         }
     }
 }
 
 /// The owned image of a [`NetSim`] at a quiesce boundary: the sampling
-/// stream's position, both clocks, every peer's serial-queue backlog, and
-/// the lifetime accumulators. Window/fork stacks are empty by construction
+/// stream's position, the frontier, every peer's serial-queue backlog, and
+/// the blame accumulator. Window/fork stacks are empty by construction
 /// (see [`NetSim::export_state`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetSimState {
     /// xoshiro256++ state words of the jitter/loss stream.
     pub rng: [u64; 4],
     pub frontier_us: u64,
-    pub clock_us: u64,
     pub busy_until_us: Vec<u64>,
     /// Critical-path blame accumulator as `[net, queue, service, stall]`.
     pub blame: [u64; 4],
-    pub totals: SimLatency,
 }
 
 impl EventSink for NetSim {
@@ -258,27 +223,28 @@ impl EventSink for NetSim {
         cur.crit_queue_us = self.blame.queue_us.saturating_sub(open_blame.queue_us);
         cur.crit_service_us = self.blame.service_us.saturating_sub(open_blame.service_us);
         cur.crit_stall_us = self.blame.stall_us.saturating_sub(open_blame.stall_us);
-        match self.windows.last_mut() {
-            // Fold the inner window's sums (not its wall-clock span, which
-            // the parent's own start/end already covers) into the parent.
-            // The `crit_*` deltas are not folded: the parent's own
-            // accumulator delta already includes the inner activity.
-            Some((parent, _, _)) => {
-                parent.net_us += cur.net_us;
-                parent.queue_us += cur.queue_us;
-                parent.service_us += cur.service_us;
-                parent.route_us += cur.route_us;
-                parent.forward_us += cur.forward_us;
-                parent.result_us += cur.result_us;
-                parent.timed_messages += cur.timed_messages;
-                parent.retransmissions += cur.retransmissions;
-            }
-            None => self.totals.absorb(&cur),
+        // Fold the inner window's sums (not its wall-clock span, which the
+        // parent's own start/end already covers) into the parent. The
+        // `crit_*` deltas are not folded: the parent's own accumulator delta
+        // already includes the inner activity.
+        if let Some((parent, _, _)) = self.windows.last_mut() {
+            parent.net_us += cur.net_us;
+            parent.queue_us += cur.queue_us;
+            parent.service_us += cur.service_us;
+            parent.timed_messages += cur.timed_messages;
+            parent.retransmissions += cur.retransmissions;
         }
         cur
     }
 
-    fn deliver(&mut self, from: PeerId, to: PeerId, bytes: usize, kind: MsgKind) {
+    fn deliver(
+        &mut self,
+        from: PeerId,
+        to: PeerId,
+        bytes: usize,
+        kind: MsgKind,
+        tracer: Option<&SharedTraceSink>,
+    ) {
         let depart = self.frontier_us;
         let (loss_us, retx) = self.cfg.loss.sample(&mut self.rng);
         let link = self.cfg.latency.sample(from, to, &mut self.rng);
@@ -288,13 +254,12 @@ impl EventSink for NetSim {
         let done = start + service;
         self.busy_until_us[to.index()] = done;
         self.frontier_us = done;
-        self.clock_us = self.clock_us.max(done);
 
         self.blame.net_us += loss_us + link;
         self.blame.queue_us += start - arrive;
         self.blame.service_us += service;
 
-        if let Some(t) = &self.tracer {
+        if let Some(t) = tracer {
             let mut tr = t.borrow_mut();
             if start > arrive {
                 // Queueing behind the receiver's serial service queue.
@@ -317,16 +282,10 @@ impl EventSink for NetSim {
             cur.service_us += service;
             cur.timed_messages += 1;
             cur.retransmissions += retx as u64;
-            let span = done - depart;
-            match kind {
-                MsgKind::Route => cur.route_us += span,
-                MsgKind::Forward => cur.forward_us += span,
-                MsgKind::Result => cur.result_us += span,
-            }
         }
     }
 
-    fn local_work(&mut self, peer: PeerId, items: u64) {
+    fn local_work(&mut self, peer: PeerId, items: u64, tracer: Option<&SharedTraceSink>) {
         let cost = self.cfg.scan_us_per_item * items;
         if cost == 0 {
             return;
@@ -335,7 +294,7 @@ impl EventSink for NetSim {
         let done = start + cost;
         self.blame.queue_us += start - self.frontier_us;
         self.blame.service_us += cost;
-        if let Some(t) = &self.tracer {
+        if let Some(t) = tracer {
             t.borrow_mut().record(
                 TraceEvent::span(start, cost, TraceTrack::Peer(peer), "scan", "net")
                     .arg("items", items),
@@ -347,7 +306,6 @@ impl EventSink for NetSim {
         }
         self.busy_until_us[peer.index()] = done;
         self.frontier_us = done;
-        self.clock_us = self.clock_us.max(done);
     }
 
     fn fork(&mut self) {
@@ -385,8 +343,7 @@ impl EventSink for NetSim {
 
     fn reset_to_us(&mut self, t_us: u64) {
         // May rewind relative to a previously *simulated* query — that is
-        // how overlapping arrivals are expressed — but never rewinds the
-        // global high-water clock. A *forward* jump while a window is open
+        // how overlapping arrivals are expressed. A *forward* jump while a window is open
         // is waiting on the driver clock (a scheduling gap inside the
         // window): charge it to stall so the blame sum keeps covering the
         // frontier advance. Backward jumps leave the accumulator alone —
@@ -395,7 +352,6 @@ impl EventSink for NetSim {
             self.blame.stall_us += t_us - self.frontier_us;
         }
         self.frontier_us = t_us;
-        self.clock_us = self.clock_us.max(t_us);
     }
 
     fn busy_until_us(&self, peer: PeerId) -> u64 {
@@ -415,11 +371,7 @@ impl EventSink for NetSim {
 /// `QueryStats::sim`.
 pub fn install(engine: &mut sqo_core::SimilarityEngine, cfg: SimConfig) {
     let n = engine.network().peer_count();
-    let mut sim = NetSim::new(cfg, n);
-    if let Some(t) = engine.network().trace_sink() {
-        sim.set_trace_sink(t);
-    }
-    engine.network_mut().set_event_sink(Box::new(sim));
+    engine.network_mut().set_event_sink(Box::new(NetSim::new(cfg, n)));
 }
 
 /// Install a [`NetSim`] restored from a checkpoint image on the engine's
@@ -436,11 +388,7 @@ pub fn install_restored(
         engine.network().peer_count(),
         "checkpoint was taken on a network with a different peer count"
     );
-    let mut sim = NetSim::from_state(cfg, state);
-    if let Some(t) = engine.network().trace_sink() {
-        sim.set_trace_sink(t);
-    }
-    engine.network_mut().set_event_sink(Box::new(sim));
+    engine.network_mut().set_event_sink(Box::new(NetSim::from_state(cfg, state)));
 }
 
 /// Export the state of the `NetSim` installed on the engine's network, if
@@ -483,12 +431,11 @@ mod tests {
     fn sequential_hops_add_up() {
         let mut s = sim(100);
         s.begin_query();
-        s.deliver(PeerId(0), PeerId(1), 48, MsgKind::Route);
-        s.deliver(PeerId(1), PeerId(2), 48, MsgKind::Route);
+        s.deliver(PeerId(0), PeerId(1), 48, MsgKind::Route, None);
+        s.deliver(PeerId(1), PeerId(2), 48, MsgKind::Route, None);
         let lat = s.end_query();
         assert_eq!(lat.elapsed_us, 2 * (100 + 10));
         assert_eq!(lat.timed_messages, 2);
-        assert_eq!(lat.route_us, 220);
         assert_eq!(lat.queue_us, 0);
     }
 
@@ -499,10 +446,10 @@ mod tests {
         s.fork();
         // Branch 1: one hop (110 us). Branch 2: two hops (220 us).
         s.branch();
-        s.deliver(PeerId(0), PeerId(1), 0, MsgKind::Forward);
+        s.deliver(PeerId(0), PeerId(1), 0, MsgKind::Forward, None);
         s.branch();
-        s.deliver(PeerId(0), PeerId(2), 0, MsgKind::Forward);
-        s.deliver(PeerId(2), PeerId(3), 0, MsgKind::Result);
+        s.deliver(PeerId(0), PeerId(2), 0, MsgKind::Forward, None);
+        s.deliver(PeerId(2), PeerId(3), 0, MsgKind::Result, None);
         s.join();
         let lat = s.end_query();
         assert_eq!(lat.elapsed_us, 220, "join must take the max branch, not 330");
@@ -514,14 +461,14 @@ mod tests {
         let mut s = sim(100);
         // Query A occupies peer 5 until t = 110.
         s.begin_query();
-        s.deliver(PeerId(0), PeerId(5), 0, MsgKind::Route);
+        s.deliver(PeerId(0), PeerId(5), 0, MsgKind::Route, None);
         let a = s.end_query();
         assert_eq!(a.end_us, 110);
         // Query B arrives at t = 0 too; its message reaches peer 5 at 100
         // but must wait for A's service to finish at 110.
         s.reset_to_us(0);
         s.begin_query();
-        s.deliver(PeerId(1), PeerId(5), 0, MsgKind::Route);
+        s.deliver(PeerId(1), PeerId(5), 0, MsgKind::Route, None);
         let b = s.end_query();
         assert_eq!(b.queue_us, 10);
         assert_eq!(b.end_us, 120);
@@ -531,7 +478,7 @@ mod tests {
     fn local_work_occupies_the_peer() {
         let mut s = sim(100);
         s.begin_query();
-        s.local_work(PeerId(3), 50);
+        s.local_work(PeerId(3), 50, None);
         let lat = s.end_query();
         assert_eq!(lat.elapsed_us, 50);
         assert_eq!(lat.service_us, 50);
@@ -541,9 +488,9 @@ mod tests {
     fn nested_windows_fold_into_the_parent() {
         let mut s = sim(100);
         s.begin_query(); // outer (a join)
-        s.deliver(PeerId(0), PeerId(1), 0, MsgKind::Route);
+        s.deliver(PeerId(0), PeerId(1), 0, MsgKind::Route, None);
         s.begin_query(); // inner (per-left selection)
-        s.deliver(PeerId(1), PeerId(2), 0, MsgKind::Route);
+        s.deliver(PeerId(1), PeerId(2), 0, MsgKind::Route, None);
         let inner = s.end_query();
         assert_eq!(inner.timed_messages, 1);
         assert_eq!(inner.elapsed_us, 110);
@@ -551,8 +498,6 @@ mod tests {
         assert_eq!(outer.timed_messages, 2, "outer window includes inner activity");
         assert_eq!(outer.elapsed_us, 220);
         assert_eq!(outer.start_us, 0);
-        // Lifetime totals count the top-level query once, not twice.
-        assert_eq!(s.totals().timed_messages, 2);
     }
 
     #[test]
@@ -560,19 +505,19 @@ mod tests {
         let mut s = sim(100);
         // Warm up the queue on peer 5 so the second query sees queue wait.
         s.begin_query();
-        s.deliver(PeerId(0), PeerId(5), 0, MsgKind::Route);
+        s.deliver(PeerId(0), PeerId(5), 0, MsgKind::Route, None);
         s.end_query();
         s.reset_to_us(0);
         s.begin_query();
-        s.deliver(PeerId(1), PeerId(5), 0, MsgKind::Route);
+        s.deliver(PeerId(1), PeerId(5), 0, MsgKind::Route, None);
         s.fork();
         s.branch();
-        s.deliver(PeerId(5), PeerId(1), 0, MsgKind::Forward);
+        s.deliver(PeerId(5), PeerId(1), 0, MsgKind::Forward, None);
         s.branch();
-        s.deliver(PeerId(5), PeerId(2), 0, MsgKind::Forward);
-        s.deliver(PeerId(2), PeerId(3), 0, MsgKind::Result);
+        s.deliver(PeerId(5), PeerId(2), 0, MsgKind::Forward, None);
+        s.deliver(PeerId(2), PeerId(3), 0, MsgKind::Result, None);
         s.join();
-        s.local_work(PeerId(3), 7);
+        s.local_work(PeerId(3), 7, None);
         let lat = s.end_query();
         assert_eq!(
             lat.crit_net_us + lat.crit_queue_us + lat.crit_service_us + lat.crit_stall_us,
@@ -588,9 +533,9 @@ mod tests {
     fn forward_reset_inside_a_window_counts_as_stall() {
         let mut s = sim(100);
         s.begin_query();
-        s.deliver(PeerId(0), PeerId(1), 0, MsgKind::Route);
+        s.deliver(PeerId(0), PeerId(1), 0, MsgKind::Route, None);
         s.reset_to_us(1_000); // driver jumps the clock mid-window
-        s.deliver(PeerId(1), PeerId(2), 0, MsgKind::Route);
+        s.deliver(PeerId(1), PeerId(2), 0, MsgKind::Route, None);
         let lat = s.end_query();
         assert_eq!(lat.crit_stall_us, 1_000 - 110);
         assert_eq!(
@@ -611,9 +556,9 @@ mod tests {
         // Warm up: some queries, including queue contention and a rewind.
         for i in 0..5u32 {
             a.begin_query();
-            a.deliver(PeerId(0), PeerId(1 + (i % 3)), 256, MsgKind::Route);
-            a.deliver(PeerId(1), PeerId(5), 0, MsgKind::Forward);
-            a.local_work(PeerId(5), 20);
+            a.deliver(PeerId(0), PeerId(1 + (i % 3)), 256, MsgKind::Route, None);
+            a.deliver(PeerId(1), PeerId(5), 0, MsgKind::Forward, None);
+            a.local_work(PeerId(5), 20, None);
             a.end_query();
             a.reset_to_us(100 * u64::from(i));
         }
@@ -627,12 +572,12 @@ mod tests {
             let mut lats = Vec::new();
             for i in 0..4u32 {
                 s.begin_query();
-                s.deliver(PeerId(2), PeerId(6), 1024, MsgKind::Route);
+                s.deliver(PeerId(2), PeerId(6), 1024, MsgKind::Route, None);
                 s.fork();
                 s.branch();
-                s.deliver(PeerId(6), PeerId(7), 64, MsgKind::Forward);
+                s.deliver(PeerId(6), PeerId(7), 64, MsgKind::Forward, None);
                 s.branch();
-                s.deliver(PeerId(6), PeerId(3), 64, MsgKind::Forward);
+                s.deliver(PeerId(6), PeerId(3), 64, MsgKind::Forward, None);
                 s.join();
                 lats.push(s.end_query());
                 s.reset_to_us(50 * u64::from(i));
@@ -649,17 +594,5 @@ mod tests {
         let mut s = sim(100);
         s.begin_query();
         let _ = s.export_state();
-    }
-
-    #[test]
-    fn clock_high_water_is_monotone_under_rewinds() {
-        let mut s = sim(100);
-        s.begin_query();
-        s.deliver(PeerId(0), PeerId(1), 0, MsgKind::Route);
-        s.end_query();
-        let high = s.clock_us();
-        s.reset_to_us(0);
-        assert_eq!(s.now_us(), 0);
-        assert!(s.clock_us() >= high, "high-water clock must not rewind");
     }
 }

@@ -6,8 +6,10 @@
 use sqo_core::{BrokerConfig, EngineBuilder, JoinWindow, SimilarityEngine};
 use sqo_datasets::{bible_words, string_rows};
 use sqo_obs::{validate_json, BlameProfiler, FanoutSink, SloMonitor, SloSpec, TraceCollector};
+use sqo_overlay::TraceTrack;
+use sqo_plan::{Query, Session};
 use sqo_sim::{
-    run_driver, Arrival, DriverConfig, DriverReport, LatencyModel, QueryKind, SimConfig,
+    install, run_driver, Arrival, DriverConfig, DriverReport, LatencyModel, QueryKind, SimConfig,
 };
 
 fn engine(words: &[String]) -> SimilarityEngine {
@@ -79,6 +81,37 @@ fn tracing_leaves_the_driver_report_byte_identical() {
         serde_json::to_string(&plain).unwrap(),
         "a trace sink must not perturb results, stats, or metrics"
     );
+}
+
+/// One similarity query on a simulated clock, with the trace sink set
+/// before the clock is installed or after it; the collector's JSONL.
+fn one_query_trace(sink_first: bool) -> String {
+    let words = bible_words(120, 5);
+    let mut e = engine(&words);
+    let collector = TraceCollector::shared();
+    if sink_first {
+        e.network_mut().set_trace_sink(TraceCollector::as_sink(&collector));
+    }
+    install(&mut e, cfg().sim);
+    if !sink_first {
+        e.network_mut().set_trace_sink(TraceCollector::as_sink(&collector));
+    }
+    let from = e.random_peer();
+    Session::new(&mut e, from).run(&Query::similar(words[3].as_str(), Some("word"), 1)).unwrap();
+    let c = collector.borrow();
+    assert!(
+        c.events().iter().any(|ev| matches!(ev.track, TraceTrack::Peer(_))),
+        "the clock's per-peer spans reach the sink (set {} the clock)",
+        if sink_first { "before" } else { "after" }
+    );
+    c.to_jsonl()
+}
+
+/// A sink set after the clock is installed receives the clock's per-peer
+/// spans, and the stream is the one a sink set before it receives.
+#[test]
+fn a_sink_set_after_install_receives_the_per_peer_spans() {
+    assert_eq!(one_query_trace(false), one_query_trace(true));
 }
 
 /// A mix covering every operator kind the driver can issue.

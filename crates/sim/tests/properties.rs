@@ -63,13 +63,13 @@ proptest! {
         let mut peer = 0u32;
         let mut next_peer = || { peer = (peer + 1) % peers; PeerId(peer) };
         for _ in 0..pre_hops {
-            s.deliver(PeerId(0), next_peer(), 48, MsgKind::Route);
+            s.deliver(PeerId(0), next_peer(), 48, MsgKind::Route, None);
         }
         s.fork();
         for hops in &branch_hops {
             s.branch();
             for _ in 0..*hops {
-                s.deliver(PeerId(1), next_peer(), 48, MsgKind::Forward);
+                s.deliver(PeerId(1), next_peer(), 48, MsgKind::Forward, None);
             }
         }
         s.join();
@@ -103,7 +103,7 @@ proptest! {
             let mut s = NetSim::new(cfg, 8);
             s.begin_query();
             for i in 0..20u32 {
-                s.deliver(PeerId(i % 8), PeerId((i + 3) % 8), 100, MsgKind::Route);
+                s.deliver(PeerId(i % 8), PeerId((i + 3) % 8), 100, MsgKind::Route, None);
             }
             s.end_query()
         };

@@ -110,7 +110,12 @@ use std::fmt;
 /// v5: the layout is v4's, but the postings of a gram key ascend by
 /// (source length, position) — the order a run now keeps and a decoder
 /// checks — so a v4 artifact's runs need not be runs of v5.
-pub const SCHEMA_VERSION: u32 = 5;
+///
+/// v6: the meters nothing read are gone — the network image's per-peer
+/// load table, a latency profile's per-kind frontier sums, the clock's
+/// high-water time and lifetime totals, the channel pool's open and ride
+/// counts — and the broker's counters store the channels it opened.
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// Artifact magic: "SQO SNapshot".
 pub const MAGIC: [u8; 4] = *b"SQSN";

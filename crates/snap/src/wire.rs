@@ -57,8 +57,8 @@ use sqo_cache::{
 use sqo_core::QueryStats;
 use sqo_obs::LogHistogram;
 use sqo_overlay::{
-    Item, Key, KeyRef, Metrics, NetworkConfig, NetworkState, PartitionStore, PeerId, PeerLoad,
-    RoutingArena, SimLatency, SortedStore, Topology,
+    Item, Key, KeyRef, Metrics, NetworkConfig, NetworkState, PartitionStore, PeerId, RoutingArena,
+    SimLatency, SortedStore, Topology,
 };
 use sqo_sim::driver::{DriverCheckpoint, EvSnap, RepairTotals};
 use sqo_sim::scale::{Ev, EvKind, QState, ScaleCheckpoint};
@@ -386,11 +386,9 @@ record! {
         messages, bytes, route_hops, forward_msgs, result_msgs, result_bytes, failed_routes,
         local_items_scanned,
     };
-    PeerLoad { msgs_sent, msgs_recv, bytes_sent, bytes_recv };
     SimLatency {
-        start_us, end_us, elapsed_us, net_us, queue_us, service_us, route_us, forward_us,
-        result_us, timed_messages, retransmissions, crit_net_us, crit_queue_us,
-        crit_service_us, crit_stall_us,
+        start_us, end_us, elapsed_us, net_us, queue_us, service_us, timed_messages,
+        retransmissions, crit_net_us, crit_queue_us, crit_service_us, crit_stall_us,
     };
     BrokerState { cfg, counters, cache, channels };
     BrokerConfig { cache, cache_capacity, cache_ttl_us, admission, batch, batch_window_us };
@@ -401,7 +399,7 @@ record! {
     Cache { capacity, ttl_us, tick, rejected, entries, sketch } check Cache::check;
     CacheEntry { key, value, epoch, inserted_us, last_used } check ranked_if_one_entry;
     SketchState { table, slots, doorkeeper, recorded, reset_at };
-    ChannelPoolState { window_us, channels, opened, rides };
+    ChannelPoolState { window_us, channels };
     PartitionChannel { owner, opened_us, route_hops, epoch };
     QueryStats {
         traffic, sim, probes, candidates, edit_comparisons, matches, rounds, cache_hits,
@@ -409,7 +407,7 @@ record! {
         partitions_addressed, partitions_answered, retries, gave_up,
     };
     RepairTotals { passes, recruited, bytes_copied, lost_partitions, unfilled_deficits };
-    NetSimState { rng, frontier_us, clock_us, busy_until_us, blame, totals };
+    NetSimState { rng, frontier_us, busy_until_us, blame };
     ScaleCheckpoint { stop_us, pending, busy, qstate, events };
     Ev { at_us, qid, step, peer, kind };
     QState { expected, got, done_us };
@@ -651,15 +649,14 @@ impl<'a> Wire<'a> for NetworkState<Posting> {
         e.put(routing);
         e.seq(self.stores());
         e.put(self.metrics());
-        e.seq(self.peer_loads());
         e.put(&(self.next_trace_query(), self.cache_epoch(), self.rng_words()));
     }
     fn get(d: &mut Dec<'a>) -> R<Self> {
         let (cfg, paths, part_peers, part_of) = d.get()?;
-        let (alive, routing, stores, metrics, peer_load) = d.get()?;
+        let (alive, routing, stores, metrics) = d.get()?;
         let (next_query, epoch, rng) = d.get()?;
         let topo = Topology::new(paths, part_peers, part_of, routing);
-        NetworkState::new(cfg, topo, alive, stores, metrics, peer_load, next_query, epoch, rng)
+        NetworkState::new(cfg, topo, alive, stores, metrics, next_query, epoch, rng)
             .map_err(SnapError::Corrupt)
     }
 }

@@ -267,8 +267,9 @@ fn scale_checkpoint_rides_the_artifact_and_resumes_exactly() {
     let bytes = Snapshot::capture(&engine).with_scale(ckpt).to_bytes();
     // The scale section's wire pin, measured before the codec stated each
     // record once and re-measured at v5, when gram lists began to ascend by
-    // (length, position); re-measure only with a `SCHEMA_VERSION` bump.
-    assert_eq!(fnv1a(&bytes), 0x0a5a_e59a_33ff_6233, "scale artifact {:#018x}", fnv1a(&bytes));
+    // (length, position), and at v6, when the network image lost its
+    // per-peer load table; re-measure only with a `SCHEMA_VERSION` bump.
+    assert_eq!(fnv1a(&bytes), 0xfccb_162a_8332_d0a4, "scale artifact {:#018x}", fnv1a(&bytes));
     let snap = Snapshot::from_bytes(&bytes).expect("artifact decodes");
     let ckpt = snap.scale.as_ref().expect("scale image rides along");
 
@@ -444,16 +445,29 @@ fn a_store_entry_out_of_range_or_out_of_order_is_corrupt_not_a_restore_panic() {
 }
 
 /// A v4 artifact is refused by its header: its layout is v5's, but its
-/// gram lists were written in publication order, which v5 runs do not
-/// keep, so decoding it as v5 could refuse it half-way or — worse — accept
+/// gram lists were written in publication order, which runs since v5 do
+/// not keep, so decoding it could refuse it half-way or — worse — accept
 /// a run whose windows miss survivors.
 #[test]
 fn a_v4_header_is_refused_as_a_schema_mismatch() {
     let mut bytes = Snapshot::capture(&build(&words())).to_bytes();
-    assert_eq!(SCHEMA_VERSION, 5);
     bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
     let err = Snapshot::from_bytes(&bytes).map(|_| ()).unwrap_err();
-    assert_eq!(err, SnapError::SchemaMismatch { found: 4, expected: 5 });
+    assert_eq!(err, SnapError::SchemaMismatch { found: 4, expected: SCHEMA_VERSION });
+    assert_eq!(err.exit_code(), 3);
+}
+
+/// A v5 artifact is refused by its header: it carries the per-peer load
+/// table, the latency profiles' per-kind sums, the clock's high-water time
+/// and lifetime totals and the channel pool's counts, which v6 dropped, so
+/// a v6 decoder would read them as the fields that follow.
+#[test]
+fn a_v5_header_is_refused_as_a_schema_mismatch() {
+    let mut bytes = Snapshot::capture(&build(&words())).to_bytes();
+    assert_eq!(SCHEMA_VERSION, 6);
+    bytes[4..8].copy_from_slice(&5u32.to_le_bytes());
+    let err = Snapshot::from_bytes(&bytes).map(|_| ()).unwrap_err();
+    assert_eq!(err, SnapError::SchemaMismatch { found: 5, expected: 6 });
     assert_eq!(err.exit_code(), 3);
 }
 
@@ -668,12 +682,15 @@ fn a_whole_artifact() -> (Vec<u8>, EngineConfig) {
 /// codec stated each record once, re-measured at v5: a gram key's postings
 /// moved into (length, position) order, so the runs, the triple table
 /// numbered in run order and the cached lists copied from the runs moved
-/// with them. Re-measure only with a `SCHEMA_VERSION` bump.
+/// with them — and at v6, when the network image, the latency profiles,
+/// the clock's image and the channel pool lost the meters nothing read and
+/// the broker's counters began to store the channels opened. Re-measure
+/// only with a `SCHEMA_VERSION` bump.
 #[test]
 fn a_whole_artifact_reaches_the_bytes_it_reached_before() {
     let (bytes, _) = a_whole_artifact();
-    assert_eq!(SCHEMA_VERSION, 5);
-    assert_eq!(fnv1a(&bytes), 0xfc4b_d4e8_abd0_410d, "whole artifact {:#018x}", fnv1a(&bytes));
+    assert_eq!(SCHEMA_VERSION, 6);
+    assert_eq!(fnv1a(&bytes), 0xfa3d_8b06_8867_7a1e, "whole artifact {:#018x}", fnv1a(&bytes));
 }
 
 /// The decoder is total: whatever is done to an artifact — a bit flipped,
@@ -928,13 +945,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// went where the data is — a new dealing, new routing tables and shorter
 /// publication routes, in the same wire format — once more at schema v4,
 /// when a run began to travel as its own arrays instead of through
-/// network-wide key and list tables, and at v5, when a gram key's postings
-/// began to ascend by (length, position). Otherwise re-measure them only
-/// together with a `sqo_snap::SCHEMA_VERSION` bump.
+/// network-wide key and list tables, at v5, when a gram key's postings
+/// began to ascend by (length, position), and at v6, when the image lost
+/// its per-peer load table. Otherwise re-measure them only together with a
+/// `sqo_snap::SCHEMA_VERSION` bump.
 #[test]
 fn a_world_grown_by_publishes_reaches_the_bytes_the_per_posting_path_wrote() {
     let rows = string_rows("word", &bible_words(420, 7), "w");
-    for (delegation, digest) in [(true, 0x141b_604f_9602_9d30), (false, 0xf661_c2fd_728f_0aa0)] {
+    for (delegation, digest) in [(true, 0x2881_af47_b142_e885), (false, 0x8b8a_8e33_e9ef_7068)] {
         let mut engine = EngineBuilder::new()
             .peers(64)
             .replication(2)
@@ -948,7 +966,7 @@ fn a_world_grown_by_publishes_reaches_the_bytes_the_per_posting_path_wrote() {
         let from = engine.random_peer();
         engine.publish_rows_traced(&rows[380..], from);
         let bytes = Snapshot::capture(&engine).to_bytes();
-        assert_eq!(SCHEMA_VERSION, 5);
+        assert_eq!(SCHEMA_VERSION, 6);
         assert_eq!(
             fnv1a(&bytes),
             digest,
@@ -1024,7 +1042,6 @@ fn a_run_that_lacks_a_short_key_its_siblings_hold_round_trips() {
         state.alive().to_vec(),
         stores,
         *state.metrics(),
-        state.peer_loads().to_vec(),
         state.next_trace_query(),
         state.cache_epoch(),
         state.rng_words(),

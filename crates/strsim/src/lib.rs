@@ -38,6 +38,6 @@ pub mod qsample;
 
 pub use edit::{levenshtein, levenshtein_bounded, within_distance, BoundedLevenshtein};
 pub use filters::{char_len, count_filter_threshold, length_filter, position_filter, FilterConfig};
-pub use numeric::NumericInterval;
+pub use numeric::interval_around;
 pub use qgram::{padded_qgrams, qgram_slices, qgram_spans, qgrams, PositionalQGram};
 pub use qsample::{qsamples, MIN_SAMPLABLE_FACTOR};

@@ -6,57 +6,13 @@
 //! dimension is `|a - b|`, so similarity `dist(x, v) <= eps` becomes the key
 //! range `[v - eps, v + eps]`.
 
-/// A closed interval on a numeric domain, produced from a similarity
-/// predicate and consumed by the overlay's range-query operator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum NumericInterval {
-    Int { lo: i64, hi: i64 },
-    Float { lo: f64, hi: f64 },
-}
-
-impl NumericInterval {
-    /// Interval of integers within distance `eps` of `v` (saturating at the
-    /// domain bounds).
-    pub fn around_int(v: i64, eps: u64) -> Self {
-        let eps = eps.min(i64::MAX as u64) as i64;
-        NumericInterval::Int { lo: v.saturating_sub(eps), hi: v.saturating_add(eps) }
-    }
-
-    /// Interval of floats within distance `eps` of `v`.
-    ///
-    /// `eps` must be finite and non-negative.
-    pub fn around_float(v: f64, eps: f64) -> Self {
-        assert!(eps.is_finite() && eps >= 0.0, "eps must be finite and non-negative");
-        NumericInterval::Float { lo: v - eps, hi: v + eps }
-    }
-
-    /// Containment test, used by the result verification step.
-    pub fn contains_int(&self, x: i64) -> bool {
-        match *self {
-            NumericInterval::Int { lo, hi } => lo <= x && x <= hi,
-            NumericInterval::Float { lo, hi } => lo <= x as f64 && x as f64 <= hi,
-        }
-    }
-
-    /// Containment test for floats.
-    pub fn contains_float(&self, x: f64) -> bool {
-        match *self {
-            NumericInterval::Int { lo, hi } => lo as f64 <= x && x <= hi as f64,
-            NumericInterval::Float { lo, hi } => lo <= x && x <= hi,
-        }
-    }
-}
-
-/// One-dimensional Euclidean distance for integers, saturating.
-#[inline]
-pub fn int_distance(a: i64, b: i64) -> u64 {
-    a.abs_diff(b)
-}
-
-/// One-dimensional Euclidean distance for floats.
-#[inline]
-pub fn float_distance(a: f64, b: f64) -> f64 {
-    (a - b).abs()
+/// The closed interval `(lo, hi)` of floats within distance `eps` of `v`,
+/// which the overlay's range-query operator scans.
+///
+/// `eps` must be finite and non-negative.
+pub fn interval_around(v: f64, eps: f64) -> (f64, f64) {
+    assert!(eps.is_finite() && eps >= 0.0, "eps must be finite and non-negative");
+    (v - eps, v + eps)
 }
 
 #[cfg(test)]
@@ -64,68 +20,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn int_interval_roundtrip() {
-        let iv = NumericInterval::around_int(100, 5);
-        assert_eq!(iv, NumericInterval::Int { lo: 95, hi: 105 });
-        assert!(iv.contains_int(95));
-        assert!(iv.contains_int(105));
-        assert!(!iv.contains_int(106));
-    }
-
-    #[test]
-    fn int_interval_saturates() {
-        let iv = NumericInterval::around_int(i64::MIN + 1, 10);
-        if let NumericInterval::Int { lo, .. } = iv {
-            assert_eq!(lo, i64::MIN);
-        } else {
-            panic!("wrong variant");
-        }
-        let iv = NumericInterval::around_int(i64::MAX - 1, u64::MAX);
-        if let NumericInterval::Int { lo, hi } = iv {
-            assert_eq!(hi, i64::MAX);
-            assert!(lo < 0);
-        } else {
-            panic!("wrong variant");
-        }
-    }
-
-    #[test]
     fn float_interval() {
-        let iv = NumericInterval::around_float(1.5, 0.25);
-        assert!(iv.contains_float(1.25));
-        assert!(iv.contains_float(1.75));
-        assert!(!iv.contains_float(1.7500001));
+        let (lo, hi) = interval_around(1.5, 0.25);
+        let contains = |x: f64| lo <= x && x <= hi;
+        assert!(contains(1.25));
+        assert!(contains(1.75));
+        assert!(!contains(1.7500001));
     }
 
     #[test]
     fn zero_eps_is_point() {
-        let iv = NumericInterval::around_int(7, 0);
-        assert!(iv.contains_int(7));
-        assert!(!iv.contains_int(8));
-        assert!(!iv.contains_int(6));
+        assert_eq!(interval_around(7.0, 0.0), (7.0, 7.0));
+    }
+
+    #[test]
+    fn mixed_containment() {
+        // An integer centre is widened as a float.
+        let (lo, hi) = interval_around(10.0, 2.0);
+        let contains = |x: i64| lo <= x as f64 && x as f64 <= hi;
+        assert!(contains(12));
+        assert!(!contains(13));
     }
 
     #[test]
     #[should_panic(expected = "finite and non-negative")]
     fn negative_eps_panics() {
-        NumericInterval::around_float(0.0, -1.0);
+        interval_around(0.0, -1.0);
     }
 
     #[test]
-    fn distances() {
-        assert_eq!(int_distance(3, 10), 7);
-        assert_eq!(int_distance(10, 3), 7);
-        assert_eq!(int_distance(i64::MIN, i64::MAX), u64::MAX);
-        assert!((float_distance(2.5, -1.0) - 3.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mixed_containment() {
-        let iv = NumericInterval::around_int(10, 2);
-        assert!(iv.contains_float(9.5));
-        assert!(!iv.contains_float(12.5));
-        let fv = NumericInterval::around_float(10.0, 2.0);
-        assert!(fv.contains_int(12));
-        assert!(!fv.contains_int(13));
+    #[should_panic(expected = "finite and non-negative")]
+    fn infinite_eps_panics() {
+        interval_around(0.0, f64::INFINITY);
     }
 }
