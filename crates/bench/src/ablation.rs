@@ -61,11 +61,7 @@ impl Fixture {
         carry: bool,
     ) -> SimilarityEngine {
         let rows = string_rows("word", &self.words, "w");
-        let publish = sqo_storage::publish::PublishConfig {
-            q,
-            grams_carry_value: carry,
-            ..Default::default()
-        };
+        let publish = sqo_storage::publish::PublishConfig { q, grams_carry_value: carry };
         EngineBuilder::new()
             .peers(self.peers)
             .publish_config(publish)

@@ -228,7 +228,6 @@ pub fn run_latency_sweep(cfg: &LatencyBenchConfig) -> LatencySweep {
                     ],
                     strategy: cfg.strategy,
                     sim: SimConfig { latency: *model, ..SimConfig::default() },
-                    churn: Vec::new(),
                     faults: sqo_sim::FaultPlan::default(),
                     repair: None,
                     cache: combo.cache,

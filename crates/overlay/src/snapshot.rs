@@ -77,6 +77,9 @@ impl<T: Item> NetworkState<T> {
         cache_epoch: u64,
         rng: [u64; 4],
     ) -> Result<Self, &'static str> {
+        if rng == [0; 4] {
+            return Err("the network's RNG state is all zero");
+        }
         let rng = StdRng::from_state_words(rng);
         let state = Self { cfg, topo, alive, stores, metrics, next_trace_query, cache_epoch, rng };
         state.check().map(|()| state)

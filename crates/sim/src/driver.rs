@@ -1,11 +1,12 @@
 //! The concurrent-workload driver: replays the paper's §6 query mix as `N`
 //! concurrent clients against a simulated network, under a configurable
-//! latency model, arrival process and churn schedule — and reports
-//! throughput plus p50/p95/p99 latency per operator.
+//! latency model, arrival process and fault script ([`FaultPlan`]: crash
+//! waves, partition wipes, revivals, loss spikes) — and reports throughput
+//! plus p50/p95/p99 latency per operator.
 //!
 //! Queries execute as **interleaved steps on the event queue**: every query
 //! is a resumable [`ExecStep`] task (`sqo-core`'s stepped operators), and
-//! the driver pops task steps, arrivals and churn events off one
+//! the driver pops task steps, arrivals and fault events off one
 //! [`EventQueue`] in virtual-time order. A step is one bounded chunk
 //! of operator work — typically a single routed sub-request (a probe
 //! branch, an object-fetch branch, one hop sequence) — charged against the
@@ -25,7 +26,7 @@
 
 use crate::events::{EventQueue, QueueState};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::netsim::{install, set_installed_loss, SimConfig};
+use crate::netsim::{install, install_restored, set_installed_loss, SimConfig};
 use crate::report::{LatencySummary, OperatorLatency};
 use crate::seed;
 use rand::rngs::StdRng;
@@ -57,28 +58,6 @@ pub enum Arrival {
     /// This is how the symmetry tests control exactly which queries
     /// overlap.
     Explicit { offsets_us: Vec<u64> },
-}
-
-/// A scheduled churn step: at `at_us`, kill `fail_fraction` of all peers,
-/// then revive `revive_fraction` of the (now) dead ones — the paper's
-/// join/leave churn in one event. `revive_fraction: 0.0` is the historical
-/// kill-only wave and consumes no extra randomness, so old schedules
-/// reproduce bit-exactly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChurnEvent {
-    pub at_us: u64,
-    pub fail_fraction: f64,
-    /// Fraction of **all** peers to revive from the dead set right after
-    /// the kill wave (capped by the number of dead peers).
-    pub revive_fraction: f64,
-}
-
-impl ChurnEvent {
-    /// A kill-only wave — the pre-revival constructor every existing
-    /// schedule used.
-    pub fn kill(at_us: u64, fail_fraction: f64) -> Self {
-        Self { at_us, fail_fraction, revive_fraction: 0.0 }
-    }
 }
 
 /// One query template of the workload mix.
@@ -130,17 +109,15 @@ pub struct DriverConfig {
     pub strategy: Strategy,
     /// Virtual-time model installed on the network for the run.
     pub sim: SimConfig,
-    /// Churn schedule (peers die mid-workload; queries must still
-    /// terminate).
-    pub churn: Vec<ChurnEvent>,
     /// Deterministic fault script replayed on the event queue alongside
-    /// arrivals and churn: crash waves, targeted partition wipes, revivals,
-    /// transient loss spikes. The default empty plan injects nothing and
-    /// changes nothing.
+    /// arrivals: crash waves, targeted partition wipes, revivals, transient
+    /// loss spikes — the one way a run changes membership or loss (peers
+    /// die mid-workload; queries must still terminate). The default empty
+    /// plan injects nothing and changes nothing.
     pub faults: FaultPlan,
     /// Self-healing: when set, the driver runs one
     /// [`repair_epoch`](sqo_overlay::Network::repair_epoch) pass after
-    /// every churn and membership-fault event, recruiting alive peers into
+    /// every membership-fault event, recruiting alive peers into
     /// under-replicated partitions (charged as real traffic). `None`
     /// (default) leaves the overlay to decay.
     pub repair: Option<ReplicationPolicy>,
@@ -174,7 +151,6 @@ impl Default for DriverConfig {
             ],
             strategy: Strategy::QGrams,
             sim: SimConfig::default(),
-            churn: Vec::new(),
             faults: FaultPlan::default(),
             repair: None,
             cache: BrokerConfig::default(),
@@ -222,7 +198,7 @@ impl From<BrokerCounters> for CacheReport {
 /// [`DriverConfig::repair`] is `None`).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Serialize)]
 pub struct RepairTotals {
-    /// Repair passes executed (one per churn/fault membership event).
+    /// Repair passes executed (one per membership fault).
     pub passes: u64,
     /// Peers recruited into under-replicated partitions, summed over all
     /// passes.
@@ -304,9 +280,6 @@ enum Ev {
     Step {
         slot: usize,
     },
-    Churn {
-        idx: usize,
-    },
     /// Apply `cfg.faults.events[idx]`.
     Fault {
         idx: usize,
@@ -337,6 +310,9 @@ struct LoopState {
     issued: Vec<usize>,
     initiators: Option<Vec<PeerId>>,
     q: EventQueue<Ev>,
+    /// Fault index of the loss spike last applied, until a `FaultClear`
+    /// restores the baseline loss model.
+    in_force: Option<u32>,
     flights: Vec<Option<InFlight>>,
     free_slots: Vec<usize>,
     /// Ascending by label.
@@ -368,9 +344,6 @@ impl LoopState {
             cfg.sticky_initiators.then(|| (0..cfg.clients).map(|_| engine.random_peer()).collect());
 
         let mut q: EventQueue<Ev> = EventQueue::new();
-        for (idx, ev) in cfg.churn.iter().enumerate() {
-            q.push(ev.at_us, Ev::Churn { idx });
-        }
         // Fault script: each event at its time; a loss spike additionally
         // schedules the restore of the baseline model.
         for (idx, ev) in cfg.faults.events.iter().enumerate() {
@@ -394,6 +367,7 @@ impl LoopState {
             issued: vec![0usize; cfg.clients],
             initiators,
             q,
+            in_force: None,
             flights: Vec::new(),
             free_slots: Vec::new(),
             by_operator: Vec::new(),
@@ -420,6 +394,7 @@ impl LoopState {
             issued: ckpt.issued,
             initiators: ckpt.initiators,
             q: EventQueue::from_state(QueueState { seq, now_us, entries }),
+            in_force: ckpt.in_force,
             flights: Vec::new(),
             free_slots: Vec::new(),
             by_operator: ckpt.by_operator,
@@ -448,6 +423,7 @@ impl LoopState {
         let entries = entries.into_iter().map(|(at, seq, ev)| (at, seq, ev.into())).collect();
         DriverCheckpoint {
             queue: QueueState { seq, now_us, entries },
+            in_force: self.in_force,
             issued: self.issued,
             initiators: self.initiators,
             client_rngs: self.client_rngs,
@@ -471,7 +447,6 @@ impl From<Ev> for EvSnap {
     fn from(ev: Ev) -> Self {
         match ev {
             Ev::Arrive { client } => EvSnap::Arrive { client: client as u32 },
-            Ev::Churn { idx } => EvSnap::Churn { idx: idx as u32 },
             Ev::Fault { idx } => EvSnap::Fault { idx: idx as u32 },
             Ev::FaultClear { idx } => EvSnap::FaultClear { idx: idx as u32 },
             Ev::Step { .. } => unreachable!("no steps pending at a quiesce boundary"),
@@ -483,7 +458,6 @@ impl From<EvSnap> for Ev {
     fn from(ev: EvSnap) -> Self {
         match ev {
             EvSnap::Arrive { client } => Ev::Arrive { client: client as usize },
-            EvSnap::Churn { idx } => Ev::Churn { idx: idx as usize },
             EvSnap::Fault { idx } => Ev::Fault { idx: idx as usize },
             EvSnap::FaultClear { idx } => Ev::FaultClear { idx: idx as usize },
         }
@@ -495,21 +469,24 @@ impl From<EvSnap> for Ev {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvSnap {
     Arrive { client: u32 },
-    Churn { idx: u32 },
     Fault { idx: u32 },
     FaultClear { idx: u32 },
 }
 
-/// The owned image of a paused driver run: pending arrivals/churn with
+/// The owned image of a paused driver run: pending arrivals and faults with
 /// their queue positions, and the loop's own values — every per-client RNG
-/// stream, the accumulated histograms and stats — plus the virtual-time
-/// charger's state. Static inputs (the [`DriverConfig`], attribute, string
-/// pool, and the engine's world state) are *not* carried here —
-/// [`resume_driver`] takes them again, and `sqo-snap`'s artifact bundles
-/// the world alongside.
+/// stream, the accumulated histograms and stats, the loss spike in force —
+/// plus the virtual-time charger's state. Static inputs (the
+/// [`DriverConfig`], attribute, string pool, and the engine's world state)
+/// are *not* carried here — [`resume_driver`] takes them again, and
+/// `sqo-snap`'s artifact bundles the world alongside.
 #[derive(Debug, Clone)]
 pub struct DriverCheckpoint {
     pub queue: QueueState<EvSnap>,
+    /// Fault index of the [`FaultKind::LossSpike`] in force at the pause
+    /// (`None`: the baseline loss model); [`resume_driver`] installs the
+    /// restored `NetSim` under this spike's loss.
+    pub in_force: Option<u32>,
     /// Queries issued so far, per client.
     pub issued: Vec<usize>,
     /// Sticky initiator peers (when [`DriverConfig::sticky_initiators`]).
@@ -550,7 +527,7 @@ pub enum DriverPhase {
 /// sink already on the network). Two identical invocations on **freshly
 /// built engines** yield identical reports; re-driving the *same* engine
 /// is not a reproduction — the first run advances the network's RNG and,
-/// under a churn schedule, permanently kills peers.
+/// under a fault script, permanently kills peers.
 pub fn run_driver(
     engine: &mut SimilarityEngine,
     attr: &str,
@@ -593,9 +570,10 @@ pub fn run_driver_until(
 /// restored.
 ///
 /// Running the remainder produces a report byte-identical to the
-/// uninterrupted run's. A checkpoint of another client count, an empty
-/// string pool and an empty mix are errors, returned before the engine is
-/// touched.
+/// uninterrupted run's. A checkpoint of another client count or peer
+/// count, one whose pending faults or loss spike in force the plan does
+/// not hold, an empty string pool and an empty mix are errors, returned
+/// before the engine is touched.
 pub fn resume_driver(
     engine: &mut SimilarityEngine,
     attr: &str,
@@ -612,36 +590,21 @@ pub fn resume_driver(
     if cfg.mix.is_empty() {
         return Err("empty query mix");
     }
-    crate::netsim::install_restored(engine, cfg.sim, ckpt.netsim.clone());
-    // A pending `FaultClear` whose `Fault` is no longer pending means its
-    // loss spike fired before the checkpoint and has not ended: the
-    // restored NetSim carries the baseline config, so re-arm the spike's
-    // model. With overlapping spikes the latest-applied one is in force.
-    let still_scheduled: Vec<usize> = ckpt
-        .queue
-        .entries
-        .iter()
-        .filter_map(|(_, _, ev)| match ev {
-            EvSnap::Fault { idx } => Some(*idx as usize),
-            _ => None,
-        })
-        .collect();
-    let active_spike = ckpt
-        .queue
-        .entries
-        .iter()
-        .filter_map(|(_, _, ev)| match ev {
-            EvSnap::FaultClear { idx } if !still_scheduled.contains(&(*idx as usize)) => {
-                Some(*idx as usize)
-            }
-            _ => None,
-        })
-        .max_by_key(|&i| cfg.faults.events[i].at_us);
-    if let Some(i) = active_spike {
-        if let FaultKind::LossSpike { loss, .. } = cfg.faults.events[i].kind {
-            set_installed_loss(engine, loss);
-        }
+    let faults = &cfg.faults.events;
+    let unknown_fault = ckpt.queue.entries.iter().any(|(_, _, ev)| match *ev {
+        EvSnap::Fault { idx } | EvSnap::FaultClear { idx } => idx as usize >= faults.len(),
+        EvSnap::Arrive { .. } => false,
+    });
+    if unknown_fault {
+        return Err("checkpoint has a pending fault its plan does not hold");
     }
+    // The restored NetSim runs under the loss model in force at the pause.
+    let loss = match ckpt.in_force.map(|idx| faults.get(idx as usize).map(|f| f.kind)) {
+        None => cfg.sim.loss,
+        Some(Some(FaultKind::LossSpike { loss, .. })) => loss,
+        Some(_) => return Err("checkpoint's loss spike in force is not one its plan holds"),
+    };
+    install_restored(engine, SimConfig { loss, ..cfg.sim }, ckpt.netsim.clone())?;
     let st = LoopState::restore(ckpt);
     match run_loop(engine, attr, strings, cfg, st, None) {
         DriverPhase::Done(report) => Ok(report),
@@ -675,7 +638,7 @@ fn drive(
 }
 
 /// The event loop plus report assembly: pops arrivals, task steps and
-/// churn in global virtual-time order until the queue drains (or, with a
+/// faults in global virtual-time order until the queue drains (or, with a
 /// stop bound, until the first quiesce boundary at or after it).
 fn run_loop(
     engine: &mut SimilarityEngine,
@@ -696,6 +659,7 @@ fn run_loop(
         issued,
         initiators,
         q,
+        in_force,
         flights,
         free_slots,
         by_operator,
@@ -724,27 +688,6 @@ fn run_loop(
         }
         let Some((t, ev)) = q.pop() else { break false };
         match ev {
-            Ev::Churn { idx } => {
-                engine.network_mut().fail_random_fraction(cfg.churn[idx].fail_fraction);
-                let fail_permille = (cfg.churn[idx].fail_fraction * 1000.0) as u64;
-                // The revival branch is skipped entirely at 0.0 — no RNG
-                // draw, no extra trace arg — so kill-only schedules stay
-                // bit-exact with their pre-revival behavior.
-                let revive = cfg.churn[idx].revive_fraction;
-                if revive > 0.0 {
-                    engine.network_mut().revive_random_fraction(revive);
-                }
-                engine.network().trace_with(|| {
-                    let ev = TraceEvent::instant(t, TraceTrack::Control, "churn", "run")
-                        .arg("fail_permille", fail_permille);
-                    if revive > 0.0 {
-                        ev.arg("revive_permille", (revive * 1000.0) as u64)
-                    } else {
-                        ev
-                    }
-                });
-                run_repair(engine, cfg, t, repair);
-            }
             Ev::Fault { idx } => {
                 let fault = cfg.faults.events[idx];
                 let membership = match fault.kind {
@@ -762,6 +705,7 @@ fn run_loop(
                     }
                     FaultKind::LossSpike { loss, .. } => {
                         set_installed_loss(engine, loss);
+                        *in_force = Some(idx as u32);
                         false
                     }
                 };
@@ -778,6 +722,7 @@ fn run_loop(
             }
             Ev::FaultClear { idx } => {
                 set_installed_loss(engine, cfg.sim.loss);
+                *in_force = None;
                 engine.network().trace_with(|| {
                     TraceEvent::instant(t, TraceTrack::Control, "fault-clear", "run")
                         .arg("kind", cfg.faults.events[idx].kind.label())

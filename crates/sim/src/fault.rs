@@ -10,8 +10,8 @@
 //! be a golden file.
 //!
 //! Plans compose with the driver's repair hook
-//! ([`DriverConfig::repair`](crate::DriverConfig)): after every churn and
-//! fault event the driver runs one
+//! ([`DriverConfig::repair`](crate::DriverConfig)): after every
+//! membership fault the driver runs one
 //! [`Network::repair_epoch`](sqo_overlay::Network::repair_epoch) pass when
 //! a [`ReplicationPolicy`](sqo_overlay::ReplicationPolicy) is configured,
 //! so the same script measures both the unrepaired decay and the

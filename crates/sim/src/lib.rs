@@ -16,8 +16,8 @@
 //!   implementation: critical-path fork/join accounting and per-peer serial
 //!   queues.
 //! * [`driver`] — the concurrent-workload driver: N clients, Poisson /
-//!   closed-loop / explicit arrivals, churn schedules, per-operator
-//!   p50/p95/p99. Queries run as **interleaved steps on the event queue**
+//!   closed-loop / explicit arrivals, a [`FaultPlan`] script (crash waves,
+//!   partition wipes, revivals, loss spikes), per-operator p50/p95/p99. Queries run as **interleaved steps on the event queue**
 //!   (`sqo-core`'s resumable operator tasks), so contention between
 //!   in-flight queries is symmetric at step granularity.
 //! * [`scale`] — `ScaleSim`, the sharded event core: retrieval decomposed
@@ -84,9 +84,8 @@ pub mod scale;
 pub mod seed;
 
 pub use driver::{
-    resume_driver, run_driver, run_driver_until, Arrival, CacheReport, ChurnEvent,
-    DriverCheckpoint, DriverConfig, DriverPhase, DriverReport, PhaseReport, PhaseSummary,
-    QueryKind, RepairTotals,
+    resume_driver, run_driver, run_driver_until, Arrival, CacheReport, DriverCheckpoint,
+    DriverConfig, DriverPhase, DriverReport, PhaseReport, PhaseSummary, QueryKind, RepairTotals,
 };
 pub use events::{EventQueue, QueueState};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};

@@ -148,7 +148,7 @@ impl NetSim {
         assert!(self.windows.is_empty(), "cannot checkpoint inside an open query window");
         assert!(self.forks.is_empty(), "cannot checkpoint inside an open fork");
         NetSimState {
-            rng: self.rng.state_words(),
+            rng: self.rng.clone(),
             frontier_us: self.frontier_us,
             busy_until_us: self.busy_until_us.clone(),
             blame: [
@@ -166,7 +166,7 @@ impl NetSim {
     /// diverges by design).
     pub fn from_state(cfg: SimConfig, state: NetSimState) -> Self {
         Self {
-            rng: StdRng::from_state_words(state.rng),
+            rng: state.rng,
             cfg,
             frontier_us: state.frontier_us,
             busy_until_us: state.busy_until_us,
@@ -188,8 +188,8 @@ impl NetSim {
 /// (see [`NetSim::export_state`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetSimState {
-    /// xoshiro256++ state words of the jitter/loss stream.
-    pub rng: [u64; 4],
+    /// The jitter/loss stream.
+    pub rng: StdRng,
     pub frontier_us: u64,
     pub busy_until_us: Vec<u64>,
     /// Critical-path blame accumulator as `[net, queue, service, stall]`.
@@ -377,18 +377,18 @@ pub fn install(engine: &mut sqo_core::SimilarityEngine, cfg: SimConfig) {
 /// Install a [`NetSim`] restored from a checkpoint image on the engine's
 /// network — the resume-side counterpart of [`install`]. The restored sink
 /// continues the sampling stream, serial queues and clocks exactly where
-/// the exported one stopped.
+/// the exported one stopped. An image of another peer count is an `Err`,
+/// and the engine is left as it was.
 pub fn install_restored(
     engine: &mut sqo_core::SimilarityEngine,
     cfg: SimConfig,
     state: NetSimState,
-) {
-    assert_eq!(
-        state.busy_until_us.len(),
-        engine.network().peer_count(),
-        "checkpoint was taken on a network with a different peer count"
-    );
+) -> Result<(), &'static str> {
+    if state.busy_until_us.len() != engine.network().peer_count() {
+        return Err("checkpoint was taken on a network with a different peer count");
+    }
     engine.network_mut().set_event_sink(Box::new(NetSim::from_state(cfg, state)));
+    Ok(())
 }
 
 /// Export the state of the `NetSim` installed on the engine's network, if

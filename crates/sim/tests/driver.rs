@@ -4,7 +4,8 @@
 use sqo_core::EngineBuilder;
 use sqo_datasets::{bible_words, string_rows};
 use sqo_sim::{
-    run_driver, Arrival, ChurnEvent, DriverConfig, DriverReport, LatencyModel, QueryKind, SimConfig,
+    run_driver, Arrival, DriverConfig, DriverReport, FaultEvent, FaultKind, FaultPlan,
+    LatencyModel, QueryKind, SimConfig,
 };
 
 fn engine(words: &[String], peers: usize, replication: usize) -> sqo_core::SimilarityEngine {
@@ -106,7 +107,12 @@ fn churn_mid_workload_terminates_deterministically() {
             clients: 5,
             queries_per_client: 4,
             arrival: Arrival::Poisson { mean_interarrival_us: 5_000 },
-            churn: vec![ChurnEvent::kill(8_000, 0.15), ChurnEvent::kill(20_000, 0.15)],
+            faults: FaultPlan {
+                events: vec![
+                    FaultEvent { at_us: 8_000, kind: FaultKind::Crash { fraction: 0.15 } },
+                    FaultEvent { at_us: 20_000, kind: FaultKind::Crash { fraction: 0.15 } },
+                ],
+            },
             ..DriverConfig::default()
         };
         run_driver(&mut e, "word", &words, &cfg)

@@ -115,7 +115,12 @@ use std::fmt;
 /// load table, a latency profile's per-kind frontier sums, the clock's
 /// high-water time and lifetime totals, the channel pool's open and ride
 /// counts — and the broker's counters store the channels it opened.
-pub const SCHEMA_VERSION: u32 = 6;
+///
+/// v7: the driver queue has no churn event (the fault script is the one
+/// way a run changes membership; event tags are 0 arrival, 1 fault, 2
+/// fault-clear), and the driver image carries the fault index of the loss
+/// spike in force right after its queue.
+pub const SCHEMA_VERSION: u32 = 7;
 
 /// Artifact magic: "SQO SNapshot".
 pub const MAGIC: [u8; 4] = *b"SQSN";

@@ -461,7 +461,12 @@ impl<'a> Wire<'a> for StdRng {
         self.state_words().put(e);
     }
     fn get(d: &mut Dec<'a>) -> R<Self> {
-        d.get().map(StdRng::from_state_words)
+        // Xoshiro cannot leave the all-zero state, and
+        // `StdRng::from_state_words` refuses it.
+        match d.get::<[u64; 4]>()? {
+            [0, 0, 0, 0] => Err(SnapError::Corrupt("an RNG state is all zero")),
+            words => Ok(StdRng::from_state_words(words)),
+        }
     }
 }
 
@@ -669,17 +674,15 @@ impl<'a> Wire<'a> for EvSnap {
     fn put(&self, e: &mut Enc<'_>) {
         match *self {
             EvSnap::Arrive { client } => (0u8, client).put(e),
-            EvSnap::Churn { idx } => (1u8, idx).put(e),
-            EvSnap::Fault { idx } => (2u8, idx).put(e),
-            EvSnap::FaultClear { idx } => (3u8, idx).put(e),
+            EvSnap::Fault { idx } => (1u8, idx).put(e),
+            EvSnap::FaultClear { idx } => (2u8, idx).put(e),
         }
     }
     fn get(d: &mut Dec<'a>) -> R<Self> {
         Ok(match u8::get(d)? {
             0 => EvSnap::Arrive { client: d.get()? },
-            1 => EvSnap::Churn { idx: d.get()? },
-            2 => EvSnap::Fault { idx: d.get()? },
-            3 => EvSnap::FaultClear { idx: d.get()? },
+            1 => EvSnap::Fault { idx: d.get()? },
+            2 => EvSnap::FaultClear { idx: d.get()? },
             _ => return Err(SnapError::Corrupt("event tag out of range")),
         })
     }
@@ -715,6 +718,7 @@ impl<'a, E: Wire<'a>> Wire<'a> for QueueState<E> {
 impl<'a> Wire<'a> for DriverCheckpoint {
     fn put(&self, e: &mut Enc<'_>) {
         e.put(&self.queue);
+        e.put(&self.in_force);
         e.put(&self.issued);
         e.put(&self.initiators);
         e.put(&self.client_rngs);
@@ -729,7 +733,7 @@ impl<'a> Wire<'a> for DriverCheckpoint {
         e.put(&self.netsim);
     }
     fn get(d: &mut Dec<'a>) -> R<Self> {
-        let queue: QueueState<EvSnap> = d.get()?;
+        let (queue, in_force): (QueueState<EvSnap>, _) = d.get()?;
         let (issued, initiators, client_rngs): (_, _, Vec<StdRng>) = d.get()?;
         let clients = client_rngs.len();
         if queue.entries.iter().any(
@@ -759,6 +763,7 @@ impl<'a> Wire<'a> for DriverCheckpoint {
         let (early, late, repair, diagnostics, netsim) = d.get()?;
         Ok(DriverCheckpoint {
             queue,
+            in_force,
             issued,
             initiators,
             client_rngs,

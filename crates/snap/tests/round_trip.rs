@@ -11,9 +11,9 @@ use sqo_plan::{Query, Session};
 use sqo_sim::driver::{DriverCheckpoint, EvSnap};
 use sqo_sim::scale::{resume_serial, resume_sharded, run_serial, run_serial_until, ScalePhase};
 use sqo_sim::{
-    resume_driver, run_driver, run_driver_until, seed, Arrival, ChurnEvent, DriverConfig,
-    DriverPhase, DriverReport, FaultEvent, FaultKind, FaultPlan, LatencyModel, LossModel,
-    ScaleConfig, SimConfig, Topology,
+    resume_driver, run_driver, run_driver_until, seed, Arrival, DriverConfig, DriverPhase,
+    DriverReport, FaultEvent, FaultKind, FaultPlan, LatencyModel, LossModel, ScaleConfig,
+    SimConfig, Topology,
 };
 use sqo_snap::{SnapError, Snapshot, SCHEMA_VERSION};
 use sqo_storage::keys::one_gram_entry;
@@ -41,11 +41,16 @@ fn workload(cache: BrokerConfig) -> DriverConfig {
             latency: LatencyModel::Uniform { min_us: 500, max_us: 2_000 },
             ..SimConfig::default()
         },
-        // One mid-workload churn wave (epochs and dead peers must survive
+        // One mid-workload crash wave (epochs and dead peers must survive
         // the round trip) plus a far-future one: the latter keeps the
         // queue non-empty until every query has completed, so a quiesce
         // boundary at `stop_us` is guaranteed to exist.
-        churn: vec![ChurnEvent::kill(150_000, 0.05), ChurnEvent::kill(10_000_000, 0.01)],
+        faults: FaultPlan {
+            events: vec![
+                FaultEvent { at_us: 150_000, kind: FaultKind::Crash { fraction: 0.05 } },
+                FaultEvent { at_us: 10_000_000, kind: FaultKind::Crash { fraction: 0.01 } },
+            ],
+        },
         cache,
         sticky_initiators: true,
         seed: 7,
@@ -109,26 +114,25 @@ fn paused_run_resumes_to_a_byte_identical_report() {
 /// enabled — and the resumed run must still be byte-identical to the
 /// uninterrupted one. This exercises the fault/fault-clear event images,
 /// the repair/phase/diagnostic checkpoint fields, and the resume-side
-/// re-arming of an active loss spike.
+/// re-arming of the loss spike the image names as in force.
 #[test]
 fn checkpoint_mid_fault_plan_resumes_byte_identically() {
     let words = words();
     let mut cfg = workload(BrokerConfig::default());
     cfg.repair = Some(sqo_overlay::ReplicationPolicy::default());
-    cfg.faults = FaultPlan {
-        events: vec![
-            FaultEvent { at_us: 80_000, kind: FaultKind::Crash { fraction: 0.1 } },
-            FaultEvent { at_us: 120_000, kind: FaultKind::WipePartition { part: 3 } },
-            FaultEvent {
-                at_us: 400_000,
-                kind: FaultKind::LossSpike {
-                    loss: LossModel { p: 0.1, timeout_us: 30_000, max_retries: 2 },
-                    duration_us: 1_500_000,
-                },
+    // Extends the workload's crash waves, which stay first in the script.
+    cfg.faults.events.extend([
+        FaultEvent { at_us: 80_000, kind: FaultKind::Crash { fraction: 0.1 } },
+        FaultEvent { at_us: 120_000, kind: FaultKind::WipePartition { part: 3 } },
+        FaultEvent {
+            at_us: 400_000,
+            kind: FaultKind::LossSpike {
+                loss: LossModel { p: 0.1, timeout_us: 30_000, max_retries: 2 },
+                duration_us: 1_500_000,
             },
-            FaultEvent { at_us: 900_000, kind: FaultKind::Revive { fraction: 0.5 } },
-        ],
-    };
+        },
+        FaultEvent { at_us: 900_000, kind: FaultKind::Revive { fraction: 0.5 } },
+    ]);
 
     let mut uninterrupted = build(&words);
     let report = run_driver(&mut uninterrupted, "word", &words, &cfg);
@@ -146,6 +150,7 @@ fn checkpoint_mid_fault_plan_resumes_byte_identically() {
     let pending_clear =
         ckpt.queue.entries.iter().any(|(_, _, ev)| matches!(ev, EvSnap::FaultClear { .. }));
     assert!(pending_clear, "the cut landed inside the loss spike");
+    assert_eq!(ckpt.in_force, Some(4), "the image names the spike in force");
     assert!(
         !ckpt
             .queue
@@ -193,6 +198,56 @@ fn resume_refuses_a_checkpoint_of_another_client_count() {
         let other = DriverConfig { clients, ..cfg.clone() };
         let got = resume_driver(&mut engine, "word", &words, &other, ckpt.clone());
         assert_eq!(got.err(), Some("checkpoint has a different client count"), "{clients}");
+    }
+    let report = resume_driver(&mut engine, "word", &words, &cfg, ckpt).expect("it fits");
+    assert_eq!(report.queries_run, cfg.clients * cfg.queries_per_client);
+}
+
+/// A checkpoint cut on 64 peers does not fit a world of 32: its clock
+/// holds a serial queue per peer. `Err`, and the engine is left as it was.
+#[test]
+fn resume_refuses_a_checkpoint_of_another_peer_count() {
+    let words = words();
+    let (_, ckpt) = paused_run(&words);
+    let rows = string_rows("word", &words, "w");
+    let mut other = EngineBuilder::new().peers(32).q(2).seed(3).build_with_rows(&rows);
+    let cfg = workload(BrokerConfig::default());
+    let got = resume_driver(&mut other, "word", &words, &cfg, ckpt);
+    assert_eq!(got.err(), Some("checkpoint was taken on a network with a different peer count"));
+    assert!(other.network_mut().event_sink_mut().is_none(), "the refusal installed no clock");
+}
+
+/// A pending fault names its event by index into the config's plan: a plan
+/// that does not hold it — here one that lost its far-future crash wave,
+/// still pending at the cut — is an `Err`, not an index panic in the loop.
+#[test]
+fn resume_refuses_a_pending_fault_its_plan_does_not_hold() {
+    let words = words();
+    let (mut engine, ckpt) = paused_run(&words);
+    let mut cfg = workload(BrokerConfig::default());
+    assert!(ckpt.queue.entries.iter().any(|(_, _, ev)| *ev == EvSnap::Fault { idx: 1 }));
+    cfg.faults.events.truncate(1);
+    let got = resume_driver(&mut engine, "word", &words, &cfg, ckpt);
+    assert_eq!(got.err(), Some("checkpoint has a pending fault its plan does not hold"));
+}
+
+/// The loss spike in force must be a loss spike of the plan: an index past
+/// the plan, or one naming a crash wave, is an `Err`. The refusals leave
+/// the engine as it was: the image as cut still resumes it to the end.
+#[test]
+fn resume_refuses_a_spike_in_force_its_plan_does_not_hold() {
+    let words = words();
+    let (mut engine, ckpt) = paused_run(&words);
+    let cfg = workload(BrokerConfig::default());
+    assert_eq!(ckpt.in_force, None, "the workload has no loss spike");
+    for idx in [0, 2] {
+        let other = DriverCheckpoint { in_force: Some(idx), ..ckpt.clone() };
+        let got = resume_driver(&mut engine, "word", &words, &cfg, other);
+        assert_eq!(
+            got.err(),
+            Some("checkpoint's loss spike in force is not one its plan holds"),
+            "{idx}"
+        );
     }
     let report = resume_driver(&mut engine, "word", &words, &cfg, ckpt).expect("it fits");
     assert_eq!(report.queries_run, cfg.clients * cfg.queries_per_client);
@@ -267,9 +322,10 @@ fn scale_checkpoint_rides_the_artifact_and_resumes_exactly() {
     let bytes = Snapshot::capture(&engine).with_scale(ckpt).to_bytes();
     // The scale section's wire pin, measured before the codec stated each
     // record once and re-measured at v5, when gram lists began to ascend by
-    // (length, position), and at v6, when the network image lost its
-    // per-peer load table; re-measure only with a `SCHEMA_VERSION` bump.
-    assert_eq!(fnv1a(&bytes), 0xfccb_162a_8332_d0a4, "scale artifact {:#018x}", fnv1a(&bytes));
+    // (length, position), at v6, when the network image lost its per-peer
+    // load table, and at v7, for its header alone; re-measure only with a
+    // `SCHEMA_VERSION` bump.
+    assert_eq!(fnv1a(&bytes), 0xdadb_f8a3_550a_b355, "scale artifact {:#018x}", fnv1a(&bytes));
     let snap = Snapshot::from_bytes(&bytes).expect("artifact decodes");
     let ckpt = snap.scale.as_ref().expect("scale image rides along");
 
@@ -317,9 +373,12 @@ fn envelope_is_versioned_and_decode_is_total() {
     );
     assert_eq!(err.exit_code(), 3, "a version skew is a mismatch, not damage");
     // An artifact written before the lane and uniform-selection bytes left
-    // the wire (v2), or while runs travelled as key and list tables (v3), is
+    // the wire (v2), while runs travelled as key and list tables (v3), or
+    // while the driver had a churn event (tag 1, a fault to v7) and no spike
+    // in force (v6: the issued counts would be read from its byte), is
     // refused by its header, never mis-decoded.
-    for old in [2, 3] {
+    assert_eq!(SCHEMA_VERSION, 7);
+    for old in [2, 3, 6] {
         skewed[4..8].copy_from_slice(&u32::to_le_bytes(old));
         assert_eq!(
             Snapshot::from_bytes(&skewed).unwrap_err(),
@@ -340,8 +399,10 @@ fn envelope_is_versioned_and_decode_is_total() {
 /// cleanly and tripping `EventQueue::from_state`'s asserts inside
 /// `resume_driver`: a pending entry whose sequence number is not below the
 /// counter, one scheduled before the queue clock, an arrival for a client
-/// the checkpoint carries no RNG stream for, and a per-operator
-/// accumulator under a label no `QueryKind` has are all `Corrupt`.
+/// the checkpoint carries no RNG stream for, a spike-in-force tag that is
+/// neither `None` nor `Some`, a client stream in the all-zero state (which
+/// `StdRng::from_state_words` panics on), and a per-operator accumulator
+/// under a label no `QueryKind` has are all `Corrupt`.
 #[test]
 fn damaged_driver_queue_is_corrupt_not_a_resume_panic() {
     let words = words();
@@ -358,16 +419,24 @@ fn damaged_driver_queue_is_corrupt_not_a_resume_panic() {
         .position(|(_, _, ev)| matches!(ev, EvSnap::Arrive { .. }))
         .expect("a mid-run cut leaves arrivals pending");
     let label = ckpt.by_operator.first().expect("a query completed before the cut").0;
+    let pending = ckpt.queue.entries.len();
+    let stream: Vec<u8> =
+        ckpt.client_rngs[0].state_words().iter().flat_map(|w| w.to_le_bytes()).collect();
     // The driver image follows the world: a driver-less artifact of the
     // same world ends in two `None` tags, so its length locates the
     // driver's `Some` tag. Then: seq u64, now_us u64, entry count u64,
-    // and 21-byte entries (at u64, seq u64, tag u8, index u32).
+    // 21-byte entries (at u64, seq u64, tag u8, index u32), and the spike
+    // in force's option tag.
     let tag = Snapshot::capture(&paused).to_bytes().len() - 2;
     let bytes = Snapshot::capture_paused(&paused, ckpt).to_bytes();
     assert_eq!(bytes[tag], 1, "driver image present");
     assert!(Snapshot::from_bytes(&bytes).is_ok());
     let (seq_at, now_at) = (tag + 1, tag + 9);
     let client_at = tag + 25 + arrive * 21 + 17;
+    let in_force_at = tag + 25 + pending * 21;
+    assert_eq!(bytes[in_force_at], 0, "no spike in force");
+    let stream_at =
+        tag + bytes[tag..].windows(32).position(|w| w == stream).expect("client 0's stream");
     // Labels travel length-prefixed; the first one in the driver image.
     let prefixed = [&(label.len() as u64).to_le_bytes()[..], label.as_bytes()].concat();
     let label_at = tag
@@ -383,6 +452,8 @@ fn damaged_driver_queue_is_corrupt_not_a_resume_panic() {
         ("seq counter below its entries", patched(seq_at, &0u64.to_le_bytes())),
         ("clock past its entries", patched(now_at, &u64::MAX.to_le_bytes())),
         ("arrival for an unknown client", patched(client_at, &u32::MAX.to_le_bytes())),
+        ("spike in force tag out of range", patched(in_force_at, &[2])),
+        ("a client stream in the all-zero state", patched(stream_at, &[0; 32])),
         ("operator label outside the driver's set", patched(label_at, b"?")),
     ] {
         assert!(matches!(err, SnapError::Corrupt(_)), "{what}: got {err:?}");
@@ -464,10 +535,9 @@ fn a_v4_header_is_refused_as_a_schema_mismatch() {
 #[test]
 fn a_v5_header_is_refused_as_a_schema_mismatch() {
     let mut bytes = Snapshot::capture(&build(&words())).to_bytes();
-    assert_eq!(SCHEMA_VERSION, 6);
     bytes[4..8].copy_from_slice(&5u32.to_le_bytes());
     let err = Snapshot::from_bytes(&bytes).map(|_| ()).unwrap_err();
-    assert_eq!(err, SnapError::SchemaMismatch { found: 5, expected: 6 });
+    assert_eq!(err, SnapError::SchemaMismatch { found: 5, expected: SCHEMA_VERSION });
     assert_eq!(err.exit_code(), 3);
 }
 
@@ -585,11 +655,13 @@ fn a_cached_gram_list_out_of_rank_order_is_corrupt() {
 /// An image whose tables disagree with one another fails at decode time,
 /// by the check a live network runs on itself: there is no image for
 /// `restore_engine` to index out of, and none for `route` to walk in
-/// circles on.
+/// circles on. So does an image whose RNG words are all zero, the one
+/// state `StdRng::from_state_words` panics on.
 #[test]
 fn an_image_whose_tables_disagree_is_corrupt_not_a_restore_or_routing_panic() {
     let engine = build(&words());
-    let bytes = Snapshot::capture(&engine).to_bytes();
+    let snap = Snapshot::capture(&engine);
+    let bytes = snap.to_bytes();
     // The structural tables as the codec spells them, one behind the other:
     // members per partition, partition per peer, alive flags, then the
     // routing arena's references and its two offset tables.
@@ -611,6 +683,9 @@ fn an_image_whose_tables_disagree_is_corrupt_not_a_restore_or_routing_panic() {
     // starts empties it, over a subtree that has members.
     let offs = &topo.routing.slice_off;
     let filled = (0..levels - 1).find(|l| offs[l + 1] > offs[*l]).expect("a level with references");
+    // The network's RNG words close its image, after the two counters.
+    let rng: Vec<u8> = snap.world.net.rng_words().iter().flat_map(|w| w.to_le_bytes()).collect();
+    let rng_at = bytes.windows(32).position(|w| w == rng).expect("the network's RNG words");
 
     let patched = |at: usize, with: &[u8]| {
         let mut b = bytes.clone();
@@ -640,6 +715,7 @@ fn an_image_whose_tables_disagree_is_corrupt_not_a_restore_or_routing_panic() {
             "an empty routing level over a peered subtree",
             patched(slice_off_at + 8 + 4 * (filled + 1), &offs[filled].to_le_bytes()),
         ),
+        ("a network RNG in the all-zero state", patched(rng_at, &[0; 32])),
     ] {
         let err = Snapshot::from_bytes(&mutant).map(|_| ()).unwrap_err();
         assert!(matches!(err, SnapError::Corrupt(_)), "{what}: got {err:?}");
@@ -684,13 +760,15 @@ fn a_whole_artifact() -> (Vec<u8>, EngineConfig) {
 /// numbered in run order and the cached lists copied from the runs moved
 /// with them — and at v6, when the network image, the latency profiles,
 /// the clock's image and the channel pool lost the meters nothing read and
-/// the broker's counters began to store the channels opened. Re-measure
+/// the broker's counters began to store the channels opened — and at v7,
+/// when the driver queue lost its churn tag (a fault's tag is 1 now) and
+/// the driver image began to carry the loss spike in force. Re-measure
 /// only with a `SCHEMA_VERSION` bump.
 #[test]
 fn a_whole_artifact_reaches_the_bytes_it_reached_before() {
     let (bytes, _) = a_whole_artifact();
-    assert_eq!(SCHEMA_VERSION, 6);
-    assert_eq!(fnv1a(&bytes), 0xfa3d_8b06_8867_7a1e, "whole artifact {:#018x}", fnv1a(&bytes));
+    assert_eq!(SCHEMA_VERSION, 7);
+    assert_eq!(fnv1a(&bytes), 0xd586_a8c4_0b34_45cb, "whole artifact {:#018x}", fnv1a(&bytes));
 }
 
 /// The decoder is total: whatever is done to an artifact — a bit flipped,
@@ -946,13 +1024,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// publication routes, in the same wire format — once more at schema v4,
 /// when a run began to travel as its own arrays instead of through
 /// network-wide key and list tables, at v5, when a gram key's postings
-/// began to ascend by (length, position), and at v6, when the image lost
-/// its per-peer load table. Otherwise re-measure them only together with a
-/// `sqo_snap::SCHEMA_VERSION` bump.
+/// began to ascend by (length, position), at v6, when the image lost its
+/// per-peer load table, and at v7, whose header is the only byte that moved
+/// here (the churn tag and the spike in force are in the driver image,
+/// which this world has none of). Otherwise re-measure them only together
+/// with a `sqo_snap::SCHEMA_VERSION` bump.
 #[test]
 fn a_world_grown_by_publishes_reaches_the_bytes_the_per_posting_path_wrote() {
     let rows = string_rows("word", &bible_words(420, 7), "w");
-    for (delegation, digest) in [(true, 0x2881_af47_b142_e885), (false, 0x8b8a_8e33_e9ef_7068)] {
+    for (delegation, digest) in [(true, 0x31ed_0b2b_e356_c69c), (false, 0x1210_dccd_1b46_9191)] {
         let mut engine = EngineBuilder::new()
             .peers(64)
             .replication(2)
@@ -966,7 +1046,7 @@ fn a_world_grown_by_publishes_reaches_the_bytes_the_per_posting_path_wrote() {
         let from = engine.random_peer();
         engine.publish_rows_traced(&rows[380..], from);
         let bytes = Snapshot::capture(&engine).to_bytes();
-        assert_eq!(SCHEMA_VERSION, 6);
+        assert_eq!(SCHEMA_VERSION, 7);
         assert_eq!(
             fnv1a(&bytes),
             digest,

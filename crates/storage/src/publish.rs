@@ -55,13 +55,6 @@ use std::sync::Arc;
 pub struct PublishConfig {
     /// q-gram length (the paper's experiments use small q; default 3).
     pub q: usize,
-    /// Maintain the keyword index `key(v)` (family 3). The similarity
-    /// operators do not need it; it serves "any attribute = v" queries.
-    pub keyword_index: bool,
-    /// Maintain instance-level gram postings (family 4 + short-value 6).
-    pub instance_grams: bool,
-    /// Maintain schema-level gram postings (family 5 + short-attr 7).
-    pub schema_grams: bool,
     /// Ship the complete value inside every instance-gram posting (§4's
     /// closing optimization suggestion): larger postings, but `Similar` can
     /// verify candidates before fetching any object.
@@ -70,13 +63,7 @@ pub struct PublishConfig {
 
 impl Default for PublishConfig {
     fn default() -> Self {
-        Self {
-            q: 3,
-            keyword_index: true,
-            instance_grams: true,
-            schema_grams: true,
-            grams_carry_value: false,
-        }
+        Self { q: 3, grams_carry_value: false }
     }
 }
 
@@ -378,44 +365,38 @@ fn push_postings<'s>(
     push(ids.id(&keys::oid_parts(tr.oid())), plain(PostingKind::Base(BaseKind::Oid)));
     let v = ValueParts::of(value);
     push(ids.id(&under.attr_value(&v)), plain(PostingKind::Base(BaseKind::AttrValue)));
-    if cfg.keyword_index {
-        push(ids.id(&keys::value_parts(&v)), plain(PostingKind::Base(BaseKind::Value)));
-    }
+    push(ids.id(&keys::value_parts(&v)), plain(PostingKind::Base(BaseKind::Value)));
 
     // Instance-level grams for string values (§4).
-    if cfg.instance_grams {
-        if let ValueRef::Str(s) = value {
-            let mut spans = qgram_spans(s, cfg.q).peekable();
-            if spans.peek().is_none() {
-                // |v| < q: the gram index cannot see it; the short-value
-                // family keeps similarity search complete.
-                push(ids.id(&under.short_value(s)), plain(PostingKind::ShortValue));
-            }
-            let kind = PostingKind::InstanceGram { carries_value: cfg.grams_carry_value };
-            for (bytes, pos) in spans {
-                let gram = &s[bytes.clone()];
-                let span = span_of(gram, tr.value_offset(), bytes);
-                let key = ids.gram_id(Some(attr), span, &under.instance_gram(gram));
-                push(key, Posting::with_gram(kind, slab, index, span, pos, chars));
-            }
+    if let ValueRef::Str(s) = value {
+        let mut spans = qgram_spans(s, cfg.q).peekable();
+        if spans.peek().is_none() {
+            // |v| < q: the gram index cannot see it; the short-value
+            // family keeps similarity search complete.
+            push(ids.id(&under.short_value(s)), plain(PostingKind::ShortValue));
+        }
+        let kind = PostingKind::InstanceGram { carries_value: cfg.grams_carry_value };
+        for (bytes, pos) in spans {
+            let gram = &s[bytes.clone()];
+            let span = span_of(gram, tr.value_offset(), bytes);
+            let key = ids.gram_id(Some(attr), span, &under.instance_gram(gram));
+            push(key, Posting::with_gram(kind, slab, index, span, pos, chars));
         }
     }
 
     // Schema-level grams of the attribute name (§4).
-    if cfg.schema_grams {
-        let (name, name_chars) = (tr.attr().as_str(), Some(tr.attr_char_len()));
-        let mut spans = qgram_spans(name, cfg.q).peekable();
-        if spans.peek().is_none() {
-            push(ids.id(&keys::short_attr_parts(name)), plain(PostingKind::ShortAttr));
-        }
-        for (bytes, pos) in spans {
-            let gram = &name[bytes.clone()];
-            let span = span_of(gram, tr.attr_offset(), bytes);
-            let key = ids.gram_id(None, span, &keys::schema_gram_parts(gram));
-            let posting =
-                Posting::with_gram(PostingKind::SchemaGram, slab, index, span, pos, name_chars);
-            push(key, posting);
-        }
+    let (name, name_chars) = (tr.attr().as_str(), Some(tr.attr_char_len()));
+    let mut spans = qgram_spans(name, cfg.q).peekable();
+    if spans.peek().is_none() {
+        push(ids.id(&keys::short_attr_parts(name)), plain(PostingKind::ShortAttr));
+    }
+    for (bytes, pos) in spans {
+        let gram = &name[bytes.clone()];
+        let span = span_of(gram, tr.attr_offset(), bytes);
+        let key = ids.gram_id(None, span, &keys::schema_gram_parts(gram));
+        let posting =
+            Posting::with_gram(PostingKind::SchemaGram, slab, index, span, pos, name_chars);
+        push(key, posting);
     }
 }
 
@@ -570,19 +551,6 @@ mod tests {
         let t = Triple::new("o", "hp", 10); // |A| = 2 < q = 3
         let ps = postings_for_triple(&t, &cfg());
         assert_eq!((count(&ps, SHORT_ATTR), count(&ps, SCHEMA_GRAM)), (1, 0));
-    }
-
-    #[test]
-    fn disabling_families_removes_their_postings() {
-        let t = Triple::new("o", "name", "abcdef");
-        let c = PublishConfig {
-            keyword_index: false,
-            instance_grams: false,
-            schema_grams: false,
-            ..cfg()
-        };
-        let ps = postings_for_triple(&t, &c);
-        assert_eq!(ps.len(), 2, "only oid + attr-value base postings remain");
     }
 
     #[test]

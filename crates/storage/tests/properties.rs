@@ -292,24 +292,22 @@ proptest! {
         }
     }
 
-    /// Posting counts follow the closed-form inventory: 3 base postings
-    /// (2 without the keyword index), one instance gram per value q-gram,
-    /// one schema gram per attr-name q-gram, short-family fallbacks
-    /// otherwise.
+    /// Posting counts follow the closed-form inventory: 3 base postings,
+    /// one instance gram per value q-gram, one schema gram per attr-name
+    /// q-gram, short-family fallbacks otherwise.
     #[test]
     fn posting_inventory_formula(
         oid in "[a-z]{1,6}",
         attr in "[a-z]{1,9}",
         s in "[a-z]{0,15}",
         q in 2usize..4,
-        keyword in any::<bool>(),
     ) {
         let t = Triple::new(oid, attr.clone(), Value::from(s.clone()));
-        let cfg = PublishConfig { q, keyword_index: keyword, ..PublishConfig::default() };
+        let cfg = PublishConfig { q, ..PublishConfig::default() };
         let ps = postings_for_triple(&t, &cfg);
         let count = |of: fn(PostingKind) -> bool| ps.iter().filter(|(_, p)| of(p.kind())).count();
         let base = count(|k| matches!(k, PostingKind::Base(_)));
-        prop_assert_eq!(base, if keyword { 3 } else { 2 });
+        prop_assert_eq!(base, 3);
         let igrams = count(|k| matches!(k, PostingKind::InstanceGram { .. }));
         let shorts = count(|k| k == PostingKind::ShortValue);
         let n = s.chars().count();
@@ -359,11 +357,10 @@ proptest! {
             0..8,
         ),
         q in 1usize..4,
-        keyword_index in any::<bool>(),
         grams_carry_value in any::<bool>(),
         first_row_twice in any::<bool>(),
     ) {
-        let cfg = PublishConfig { q, keyword_index, grams_carry_value, ..PublishConfig::default() };
+        let cfg = PublishConfig { q, grams_carry_value };
         let mut rows: Vec<Row> =
             rows.into_iter().map(|(oid, fields)| Row::new(oid, fields)).collect();
         if first_row_twice {

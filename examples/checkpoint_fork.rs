@@ -13,8 +13,8 @@
 use sqo::core::EngineBuilder;
 use sqo::datasets::{bible_words, string_rows};
 use sqo::sim::{
-    resume_driver, run_driver, run_driver_until, seed, Arrival, ChurnEvent, DriverConfig,
-    DriverPhase, LatencyModel, SimConfig,
+    resume_driver, run_driver, run_driver_until, seed, Arrival, DriverConfig, DriverPhase,
+    FaultEvent, FaultKind, FaultPlan, LatencyModel, SimConfig,
 };
 use sqo::snap::Snapshot;
 
@@ -33,7 +33,9 @@ fn main() {
             latency: LatencyModel::Uniform { min_us: 500, max_us: 2_500 },
             ..SimConfig::default()
         },
-        churn: vec![ChurnEvent::kill(150_000, 0.05)],
+        faults: FaultPlan {
+            events: vec![FaultEvent { at_us: 150_000, kind: FaultKind::Crash { fraction: 0.05 } }],
+        },
         seed: 42,
         ..DriverConfig::default()
     };

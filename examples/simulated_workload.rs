@@ -7,7 +7,9 @@
 
 use sqo::core::EngineBuilder;
 use sqo::datasets::{bible_words, string_rows};
-use sqo::sim::{run_driver, Arrival, ChurnEvent, DriverConfig, LatencyModel, SimConfig};
+use sqo::sim::{
+    run_driver, Arrival, DriverConfig, FaultEvent, FaultKind, FaultPlan, LatencyModel, SimConfig,
+};
 
 fn main() {
     let words = bible_words(2_000, 9);
@@ -22,7 +24,9 @@ fn main() {
             latency: LatencyModel::LogNormal { median_us: 1_500.0, sigma: 0.8 },
             ..SimConfig::default()
         },
-        churn: vec![ChurnEvent::kill(50_000, 0.1)],
+        faults: FaultPlan {
+            events: vec![FaultEvent { at_us: 50_000, kind: FaultKind::Crash { fraction: 0.1 } }],
+        },
         ..DriverConfig::default()
     };
     let report = run_driver(&mut engine, "word", &words, &cfg);
