@@ -14,7 +14,6 @@
 //!   improve performance even more") — bigger postings, but candidates
 //!   verify before any object fetch.
 
-use serde::Serialize;
 use sqo_core::{EngineBuilder, SimilarityEngine, Strategy};
 use sqo_datasets::{bible_words, string_rows};
 use sqo_plan::{Query, Session};
@@ -22,7 +21,7 @@ use sqo_storage::triple::Value;
 use sqo_strsim::filters::FilterConfig;
 
 /// One ablation measurement.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AblationPoint {
     pub experiment: &'static str,
     pub variant: String,

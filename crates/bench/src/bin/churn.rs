@@ -12,6 +12,7 @@
 //! the repair payoff the file shows.
 
 use sqo_bench::churn::{artifact, render, run_churn_bench, ChurnBenchConfig};
+use sqo_bench::meta::write_or_exit;
 
 fn usage() -> ! {
     eprintln!("usage: churn [--out PATH]");
@@ -46,6 +47,6 @@ fn main() {
     let points = run_churn_bench(&cfg);
     print!("{}", render(&points));
 
-    std::fs::write(&out, artifact(&cfg, &points)).expect("write output");
+    write_or_exit("churn", &out, &artifact(&cfg, &points));
     eprintln!("wrote {} points to {out}", points.len());
 }

@@ -10,6 +10,8 @@
 //! Default is a scaled-down run (minutes); `--full` is paper scale (hours).
 
 use sqo_bench::figure1::{render_csv, render_tables, run_figure1, Dataset, Figure1Config};
+use sqo_bench::meta::write_or_exit;
+use sqo_obs::to_json_pretty;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -80,12 +82,11 @@ fn main() {
 
     println!("{}", render_tables(&points));
     if let Some(path) = csv_out {
-        std::fs::write(&path, render_csv(&points)).expect("write csv");
+        write_or_exit("figure1", &path, &render_csv(&points));
         eprintln!("wrote {path}");
     }
     if let Some(path) = json_out {
-        std::fs::write(&path, serde_json::to_string_pretty(&points).expect("serialize"))
-            .expect("write json");
+        write_or_exit("figure1", &path, &to_json_pretty(&points));
         eprintln!("wrote {path}");
     }
 }

@@ -19,6 +19,7 @@
 //! every sweep cell forks off that checkpoint.
 
 use sqo_bench::latency::{artifact, render, run_latency_sweep, LatencyBenchConfig};
+use sqo_bench::meta::write_or_exit;
 
 fn usage() -> ! {
     eprintln!("usage: latency [--out PATH] [--metrics PATH] [--trace PATH]");
@@ -59,16 +60,16 @@ fn main() {
 
     let sweep = run_latency_sweep(&cfg);
     print!("{}", render(&sweep.points));
-    std::fs::write(&out, artifact(&cfg, &sweep.points)).expect("write output");
+    write_or_exit("latency", &out, &artifact(&cfg, &sweep.points));
     eprintln!("wrote {} points to {out}", sweep.points.len());
     if let Some(path) = metrics_out {
-        std::fs::write(&path, sweep.metrics.to_json()).expect("write metrics");
+        write_or_exit("latency", &path, &sqo_obs::to_json(&sweep.metrics));
         eprintln!("wrote metrics registry to {path}");
     }
     if let Some(path) = trace_out {
         match &sweep.slowest_trace {
             Some(chrome) => {
-                std::fs::write(&path, chrome).expect("write trace");
+                write_or_exit("latency", &path, chrome);
                 eprintln!("wrote slowest-query exemplar trace to {path}");
             }
             None => eprintln!("no exemplar retained; {path} not written"),

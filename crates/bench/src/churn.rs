@@ -15,9 +15,9 @@
 //! pins the claims the file makes.
 
 use crate::meta::GenMeta;
-use serde::Serialize;
 use sqo_core::{DegradePolicy, EngineBuilder, JoinWindow, SimilarityEngine, Strategy};
 use sqo_datasets::{bible_words, string_rows};
+use sqo_obs::to_json_pretty;
 use sqo_overlay::ReplicationPolicy;
 use sqo_sim::{
     run_driver, Arrival, DriverConfig, DriverReport, FaultPlan, LatencyModel, PhaseSummary,
@@ -86,7 +86,7 @@ impl Default for ChurnBenchConfig {
 }
 
 /// One (churn level × repair mode) measurement.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChurnPoint {
     /// Per-wave crash fraction in permille (0 = fault-free control).
     pub churn_permille: u64,
@@ -119,6 +119,15 @@ pub struct ChurnPoint {
     pub messages: u64,
     /// Arrivals that found no alive initiator and were skipped.
     pub skipped_arrivals: u64,
+}
+
+sqo_obs::json_record! {
+    ChurnPoint {
+        churn_permille, repair, model, early_p50_us, early_p99_us, late_p50_us, late_p99_us,
+        early_completeness, early_completeness_milli, late_completeness, late_completeness_milli,
+        retries, gave_up, repair_passes, recruited, repair_bytes, lost_partitions,
+        unfilled_deficits, messages, skipped_arrivals,
+    };
 }
 
 fn fresh_engine(cfg: &ChurnBenchConfig, words: &[String]) -> SimilarityEngine {
@@ -222,11 +231,11 @@ pub fn run_churn_bench(cfg: &ChurnBenchConfig) -> Vec<ChurnPoint> {
 /// arguments — the same configuration yields the same bytes on any host
 /// and in any build profile.
 pub fn artifact(cfg: &ChurnBenchConfig, points: &[ChurnPoint]) -> String {
-    #[derive(Serialize)]
-    struct Artifact {
+    struct Artifact<'a> {
         generated: GenMeta,
-        churn_grid: Vec<ChurnPoint>,
+        churn_grid: &'a [ChurnPoint],
     }
+    sqo_obs::json_record! { Artifact<'a> { generated, churn_grid }; }
     let queries = cfg.crash_permilles.len() * 2 * cfg.clients * cfg.queries_per_client;
     let generated = GenMeta::new(cfg.seed, cfg.peers, queries)
         .workload("words", cfg.words as u64)
@@ -237,8 +246,7 @@ pub fn artifact(cfg: &ChurnBenchConfig, points: &[ChurnPoint]) -> String {
         .workload("period_us", cfg.period_us)
         .workload("horizon_us", cfg.horizon_us)
         .workload("min_alive", cfg.min_alive as u64);
-    serde_json::to_string_pretty(&Artifact { generated, churn_grid: points.to_vec() })
-        .expect("serialize")
+    to_json_pretty(&Artifact { generated, churn_grid: points })
 }
 
 /// Human-readable table of a sweep.

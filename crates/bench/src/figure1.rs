@@ -15,15 +15,25 @@
 //! initiations, up to 131,072 peers).
 
 use crate::workload::{run_workload, WorkloadReport, WorkloadSpec};
-use serde::Serialize;
 use sqo_core::{EngineBuilder, SimilarityEngine, Strategy};
 use sqo_datasets::{bible_words, painting_titles, string_rows};
+use sqo_obs::ToJson;
 
 /// Which of the paper's two datasets a run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dataset {
     Words,
     Titles,
+}
+
+/// A dataset writes as its variant name.
+impl ToJson for Dataset {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(match self {
+            Dataset::Words => "\"Words\"",
+            Dataset::Titles => "\"Titles\"",
+        });
+    }
 }
 
 impl Dataset {
@@ -104,7 +114,7 @@ impl Figure1Config {
 }
 
 /// One (dataset, peers, strategy) measurement — a point of a Figure 1 curve.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SeriesPoint {
     pub dataset: Dataset,
     pub peers: usize,
@@ -119,6 +129,13 @@ pub struct SeriesPoint {
     pub edit_comparisons_per_query: f64,
     pub candidates_per_query: f64,
     pub matches_total: usize,
+}
+
+sqo_obs::json_record! {
+    SeriesPoint {
+        dataset, peers, partitions, strategy, queries, messages_per_query, volume_kib_per_query,
+        edit_comparisons_per_query, candidates_per_query, matches_total,
+    };
 }
 
 fn build_engine(

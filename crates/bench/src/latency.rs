@@ -12,10 +12,9 @@
 //! pins the claims the file makes.
 
 use crate::meta::GenMeta;
-use serde::Serialize;
 use sqo_core::{BrokerConfig, EngineBuilder, JoinWindow, Strategy};
 use sqo_datasets::{bible_words, string_rows};
-use sqo_obs::MetricsRegistry;
+use sqo_obs::{to_json_pretty, MetricsRegistry};
 use sqo_sim::{
     run_driver, Arrival, DriverConfig, DriverReport, LatencyModel, QueryKind, SimConfig,
 };
@@ -107,7 +106,7 @@ impl Default for LatencyBenchConfig {
 }
 
 /// One (model, clients, combo, operator) measurement.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyPoint {
     pub model: String,
     pub clients: usize,
@@ -142,6 +141,14 @@ pub struct LatencyPoint {
     pub cache_hit_rate: f64,
     /// Workload-wide overlay messages the coalesced flushes avoided.
     pub messages_saved: u64,
+}
+
+sqo_obs::json_record! {
+    LatencyPoint {
+        model, clients, cache, window, operator, count, mean_us, p50_us, p95_us, p99_us, max_us,
+        messages, queue_us, cache_hits, probes_coalesced, window_peak, window_shrinks,
+        throughput_qps, cache_hit_rate, messages_saved,
+    };
 }
 
 fn points_of(
@@ -260,11 +267,11 @@ pub fn run_latency_sweep(cfg: &LatencyBenchConfig) -> LatencySweep {
 /// its arguments — the same configuration yields the same bytes on any
 /// host and in any build profile.
 pub fn artifact(cfg: &LatencyBenchConfig, points: &[LatencyPoint]) -> String {
-    #[derive(Serialize)]
-    struct Artifact {
+    struct Artifact<'a> {
         generated: GenMeta,
-        points: Vec<LatencyPoint>,
+        points: &'a [LatencyPoint],
     }
+    sqo_obs::json_record! { Artifact<'a> { generated, points }; }
     let queries = cfg.models.len()
         * cfg.combos.len()
         * cfg.queries_per_client
@@ -275,8 +282,7 @@ pub fn artifact(cfg: &LatencyBenchConfig, points: &[LatencyPoint]) -> String {
         .workload("clients_max", cfg.client_counts.iter().copied().max().unwrap_or(0) as u64)
         .workload("combos", cfg.combos.len() as u64)
         .workload("models", cfg.models.len() as u64);
-    serde_json::to_string_pretty(&Artifact { generated, points: points.to_vec() })
-        .expect("serialize")
+    to_json_pretty(&Artifact { generated, points })
 }
 
 /// Human-readable table of a sweep.
@@ -354,11 +360,7 @@ mod tests {
             "per-operator queue attribution must differ across operators: {queue:?}"
         );
         let b = run_latency_sweep(&cfg).points;
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap(),
-            "bench sweep must be deterministic"
-        );
+        assert_eq!(sqo_obs::to_json(&a), sqo_obs::to_json(&b), "bench sweep must be deterministic");
         assert!(!render(&a).is_empty());
     }
 }

@@ -1,5 +1,5 @@
-//! What the two committed artifacts share: the `generated` block and the
-//! golden-file check.
+//! What the two committed artifacts share: the `generated` block, the
+//! golden-file check, and how the bins write them.
 //!
 //! `BENCH_latency.json` and `BENCH_churn.json` are exact functions of the
 //! code — message counts and virtual time, no wall clock, nothing read
@@ -8,12 +8,10 @@
 //! bytes ([`golden_mismatch`]). The `generated` block records the
 //! configuration a reader needs to interpret the points.
 
-use serde::Serialize;
-
 /// Generation metadata embedded in a `BENCH_*.json` artifact. The fields
 /// that vary per bench (clients, words, items…) live in `workload`, a
 /// flat name→value map — one struct serves both artifacts.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct GenMeta {
     pub seed: u64,
     /// Overlay size the sweep ran against.
@@ -24,6 +22,8 @@ pub struct GenMeta {
     pub workload: std::collections::BTreeMap<&'static str, u64>,
 }
 
+sqo_obs::json_record! { GenMeta { seed, peers, queries, workload }; }
+
 impl GenMeta {
     pub fn new(seed: u64, peers: usize, queries: usize) -> Self {
         Self { seed, peers, queries, workload: std::collections::BTreeMap::new() }
@@ -32,6 +32,15 @@ impl GenMeta {
     pub fn workload(mut self, name: &'static str, value: u64) -> Self {
         self.workload.insert(name, value);
         self
+    }
+}
+
+/// Write `text` to `path`, or print `<bin>: <path>: <error>` and exit 2,
+/// the bins' usage-error status, instead of panicking after a whole run.
+pub fn write_or_exit(bin: &str, path: &str, text: &str) {
+    if let Err(e) = std::fs::write(path, text) {
+        eprintln!("{bin}: {path}: {e}");
+        std::process::exit(2);
     }
 }
 
@@ -68,7 +77,7 @@ mod tests {
     #[test]
     fn gen_meta_serializes_with_workload() {
         let m = GenMeta::new(73, 256, 288).workload("words", 2000).workload("clients_max", 16);
-        let s = serde_json::to_string(&m).expect("serialize");
+        let s = sqo_obs::to_json(&m);
         assert!(s.contains("\"seed\":73") && s.contains("\"words\":2000"), "{s}");
     }
 

@@ -5,13 +5,12 @@
 //! routing hops per lookup across network sizes and reports the ratio to
 //! log₂(partitions).
 
-use serde::Serialize;
 use sqo_core::EngineBuilder;
 use sqo_datasets::{bible_words, string_rows};
 use sqo_storage::keys;
 
 /// One row of the routing-cost table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RoutingPoint {
     pub peers: usize,
     pub partitions: usize,

@@ -5,13 +5,12 @@
 //! the number of attribute columns"* — measured here as postings and bytes
 //! per row while the number of attributes grows, split by index family.
 
-use serde::Serialize;
 use sqo_datasets::words::bible_words;
 use sqo_storage::publish::{batch_for_rows, PublishConfig};
 use sqo_storage::triple::{Row, Value};
 
 /// One row of the overhead table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct OverheadPoint {
     pub attributes: usize,
     pub rows: usize,
@@ -69,7 +68,7 @@ pub fn run_storage_overhead(
 
 /// One row of the publication-cost table (E6b): overlay messages paid to
 /// publish a row, as the attribute count grows.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PublishCostPoint {
     pub attributes: usize,
     pub peers: usize,

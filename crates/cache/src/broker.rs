@@ -3,7 +3,6 @@
 
 use crate::batch::{ChannelPool, ChannelPoolState, PartitionChannel};
 use crate::lru::{LruCache, LruState};
-use serde::Serialize;
 use sqo_overlay::key::Key;
 use sqo_overlay::peer::PeerId;
 use sqo_storage::posting::Posting;
@@ -74,7 +73,7 @@ impl BrokerConfig {
 
 /// Lifetime service counters (the bench's hit-rate and messages-saved
 /// lines come from here; per-query attribution lives in `QueryStats`).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BrokerCounters {
     pub cache_hits: u64,
     pub cache_misses: u64,

@@ -5,11 +5,10 @@
 //! enlargement rounds. The Figure-1 benches read `traffic.messages` and
 //! `traffic.result_bytes`; the ablations read the rest.
 
-use serde::Serialize;
 use sqo_overlay::{Metrics, SimLatency};
 
 /// Cost profile of one operator invocation.
-#[derive(Debug, Default, Clone, Copy, Serialize)]
+#[derive(Debug, Default, Clone, Copy)]
 pub struct QueryStats {
     /// Network traffic attributable to this query (snapshot delta).
     pub traffic: Metrics,

@@ -27,7 +27,6 @@
 //!
 //! [`percentile_us`]: https://docs.rs/sqo-sim
 
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Sub-bucket resolution: values `< 2^SUB_BITS` are exact; beyond that the
@@ -52,7 +51,7 @@ const SUB_BITS: u32 = 11;
 /// h.merge(&other);
 /// assert_eq!(h.min(), 7);
 /// ```
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct LogHistogram {
     count: u64,
     sum: u64,
@@ -61,6 +60,8 @@ pub struct LogHistogram {
     /// Occupied buckets only: index → sample count.
     buckets: BTreeMap<u32, u64>,
 }
+
+crate::json_record! { LogHistogram { count, sum, min, max, buckets }; }
 
 impl LogHistogram {
     pub fn new() -> Self {

@@ -1,15 +1,235 @@
-//! A minimal JSON value parser, and the validator that is that parse.
+//! The workspace's one JSON module: a writer and a strict reader.
 //!
-//! The vendored `serde_json` stand-in is serialize-only, so tests that
-//! assert the exporters emit *well-formed* JSON need a checker, and the
-//! acceptance pins need to *read* the committed `BENCH_*.json` artifacts.
-//! One strict recursive descent over RFC 8259 serves both: [`parse_json`]
-//! builds a [`Json`] value tree or reports the byte offset of the first
-//! violation, and [`validate_json`] is the same parse with the tree
-//! dropped. Nesting deeper than 128 arrays and objects is refused, so a
-//! hostile text cannot overflow the stack.
+//! **Writing.** [`to_json`] returns a value's compact text, [`to_json_pretty`]
+//! the same re-indented (`BENCH_*.json`, `figure1 --json`); neither can
+//! fail. A record implements [`ToJson`] through one field list in a
+//! [`json_record!`](crate::json_record) block, keys in the listed order.
+//!
+//! **Reading.** Tests that assert the exporters emit *well-formed* JSON
+//! need a checker, and the acceptance pins need to *read* the committed
+//! `BENCH_*.json` artifacts. One strict recursive descent over RFC 8259
+//! serves both: [`parse_json`] builds a [`Json`] value tree or reports the
+//! byte offset of the first violation, and [`validate_json`] is the same
+//! parse with the tree dropped. Nesting deeper than 128 arrays and objects
+//! is refused, so a hostile text cannot overflow the stack.
 
+use sqo_core::QueryStats;
+use sqo_overlay::{Metrics, SimLatency};
 use std::collections::BTreeMap;
+use std::fmt::{Display, Write as _};
+
+/// A value that appends its compact JSON text to a buffer.
+pub trait ToJson {
+    fn write_json(&self, out: &mut String);
+}
+
+/// The compact JSON text of `value`.
+pub fn to_json<T: ToJson + ?Sized>(value: &T) -> String {
+    let mut out = String::new();
+    value.write_json(&mut out);
+    out
+}
+
+/// [`to_json`], re-indented: every non-empty array and object opens a
+/// level of two spaces, each element goes on its own line, and a key is
+/// followed by `": "`. Empty `[]` and `{}` stay on one line.
+pub fn to_json_pretty<T: ToJson + ?Sized>(value: &T) -> String {
+    let compact = to_json(value);
+    let mut out = String::with_capacity(compact.len() * 2);
+    let newline = |out: &mut String, depth: usize| {
+        out.push('\n');
+        (0..depth).for_each(|_| out.push_str("  "));
+    };
+    let (mut depth, mut in_string, mut escaped) = (0usize, false, false);
+    let mut chars = compact.chars().peekable();
+    while let Some(c) = chars.next() {
+        if in_string {
+            // A string literal is copied verbatim; `\"` does not end it.
+            out.push(c);
+            (in_string, escaped) = (escaped || c != '"', !escaped && c == '\\');
+            continue;
+        }
+        if matches!(c, '}' | ']') {
+            depth = depth.saturating_sub(1);
+            newline(&mut out, depth);
+        }
+        out.push(c);
+        match c {
+            '"' => in_string = true,
+            // Empty containers stay on one line.
+            '{' | '[' => match chars.next_if(|&n| n == '}' || n == ']') {
+                Some(close) => out.push(close),
+                None => {
+                    depth += 1;
+                    newline(&mut out, depth);
+                }
+            },
+            ',' => newline(&mut out, depth),
+            ':' => out.push(' '),
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Append `s` as a JSON string literal. A quote or a backslash gets a
+/// backslash in front, `\n`, `\r` and `\t` are written by name, every
+/// other character below U+0020 as `\u00xx`, and everything else (U+2028
+/// included) as itself.
+pub fn write_json_string(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+macro_rules! display_json {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+display_json!(u32, u64, usize);
+
+/// Rust's shortest round-trip form; NaN and ±∞, which JSON lacks, `null`.
+impl ToJson for f64 {
+    fn write_json(&self, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{self}");
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+macro_rules! string_json {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn write_json(&self, out: &mut String) {
+                write_json_string(self, out);
+            }
+        }
+    )*};
+}
+string_json!(str, String);
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            v.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
+    }
+}
+
+/// An object keyed by each key's `Display` text, in the map's order.
+impl<K: Display, V: ToJson> ToJson for BTreeMap<K, V> {
+    fn write_json(&self, out: &mut String) {
+        out.push('{');
+        for (i, (k, v)) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_json_string(&k.to_string(), out);
+            out.push(':');
+            v.write_json(out);
+        }
+        out.push('}');
+    }
+}
+
+/// `json_record! { Type { field, … }; … }` writes each `Type` as a JSON
+/// object of its fields, keyed by field name, in the order listed.
+///
+/// The impl destructures the whole record (`let Type { field, … } = self;`
+/// with no `..`), so a field added to a struct but not to its list is a
+/// compile error: no field leaves an artifact unnoticed. Invoke it where
+/// the fields are visible, with `Type` in scope as a plain name; a type
+/// that borrows names its one lifetime (`Type<'a> { … }`).
+///
+/// ```
+/// struct Point { x: u64, label: String }
+/// sqo_obs::json_record! { Point { x, label }; }
+/// let p = Point { x: 3, label: "a".into() };
+/// assert_eq!(sqo_obs::to_json(&p), r#"{"x":3,"label":"a"}"#);
+/// ```
+#[macro_export]
+macro_rules! json_record {
+    ($($ty:ident $(<$lt:lifetime>)? { $first:ident $(, $field:ident)* $(,)? };)+) => {$(
+        impl<$($lt)?> $crate::ToJson for $ty<$($lt)?> {
+            fn write_json(&self, out: &mut String) {
+                let $ty { $first, $($field),* } = self;
+                out.push_str(concat!("{\"", stringify!($first), "\":"));
+                $crate::ToJson::write_json($first, out);
+                $(
+                    out.push_str(concat!(",\"", stringify!($field), "\":"));
+                    $crate::ToJson::write_json($field, out);
+                )*
+                out.push('}');
+            }
+        }
+    )+};
+}
+
+// The records of the crates below this one that a report carries.
+json_record! {
+    QueryStats {
+        traffic, sim, probes, candidates, edit_comparisons, matches, rounds, cache_hits,
+        cache_misses, probes_coalesced, join_window_peak, join_window_shrinks,
+        partitions_addressed, partitions_answered, retries, gave_up,
+    };
+    Metrics {
+        messages, bytes, route_hops, forward_msgs, result_msgs, result_bytes, failed_routes,
+        local_items_scanned,
+    };
+    SimLatency {
+        start_us, end_us, elapsed_us, net_us, queue_us, service_us, timed_messages,
+        retransmissions, crit_net_us, crit_queue_us, crit_service_us, crit_stall_us,
+    };
+}
+
+// ---------------------------------------------------------------------
+// Reading
+// ---------------------------------------------------------------------
 
 /// A parsed JSON value.
 ///
@@ -288,6 +508,101 @@ fn number(b: &[u8], mut pos: usize) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The characters a string literal must get right: both escapes by
+    /// backslash, every control character, the first non-ASCII code
+    /// points of each UTF-8 width, and U+2028, which JSON allows raw.
+    const HARD: [char; 12] =
+        ['"', '\\', '/', '\u{0}', '\u{1f}', '\n', '\r', '\t', 'é', '\u{2028}', '漢', '🦀'];
+
+    proptest! {
+        #[test]
+        fn strings_read_back_as_written(picks in prop::collection::vec(0usize..38, 0..24)) {
+            // Half the draws are hard characters, the rest plain letters.
+            let s: String = picks
+                .iter()
+                .map(|&i| match HARD.get(i) {
+                    Some(&c) => c,
+                    None => char::from(b'a' + (i - HARD.len()) as u8),
+                })
+                .collect();
+            let text = to_json(&s);
+            prop_assert_eq!(parse_json(&text), Ok(Json::Str(s.clone())), "{}", text);
+            prop_assert_eq!(parse_json(&to_json_pretty(&s)), Ok(Json::Str(s)));
+        }
+
+        #[test]
+        fn finite_floats_read_back_exactly(bits in any::<u64>()) {
+            let x = f64::from_bits(bits);
+            prop_assume!(x.is_finite());
+            prop_assert_eq!(parse_json(&to_json(&x)), Ok(Json::Num(x)));
+        }
+    }
+
+    #[test]
+    fn every_control_character_is_escaped() {
+        for c in (0u32..0x20).filter_map(char::from_u32) {
+            let text = to_json(&c.to_string());
+            assert!(text.chars().all(|t| t >= ' '), "{text:?}");
+            assert_eq!(parse_json(&text), Ok(Json::Str(c.to_string())));
+        }
+        assert_eq!(to_json("a\"b\\c\u{1}"), r#""a\"b\\c\u0001""#);
+    }
+
+    #[test]
+    fn numbers_and_absent_values() {
+        assert_eq!(to_json(&f64::NAN), "null");
+        assert_eq!(to_json(&f64::INFINITY), "null");
+        assert_eq!(to_json(&f64::NEG_INFINITY), "null");
+        assert_eq!(to_json(&Some(f64::NAN)), "null");
+        assert_eq!(to_json(&None::<u64>), "null");
+        assert_eq!(to_json(&1.0f64), "1");
+        assert_eq!(to_json(&0.1f64), "0.1");
+        assert_eq!(to_json(&u64::MAX), "18446744073709551615");
+        assert_eq!(to_json(&u32::MAX), "4294967295");
+        assert_eq!(to_json(&vec![1u32, 2]), "[1,2]");
+        let map: BTreeMap<&str, Option<u64>> = [("b", Some(2)), ("a", None)].into();
+        assert_eq!(to_json(&map), r#"{"a":null,"b":2}"#);
+    }
+
+    struct Row {
+        name: String,
+        values: Vec<u64>,
+        none: Vec<u64>,
+        empty: BTreeMap<u32, u64>,
+        tags: BTreeMap<u32, String>,
+        ratio: f64,
+    }
+    json_record! { Row { name, values, none, empty, tags, ratio }; }
+
+    /// The pretty form is the compact one re-indented: same value, keys in
+    /// field order, empty containers on one line.
+    #[test]
+    fn pretty_is_the_compact_value_reindented() {
+        let row = Row {
+            name: "x{}[],:\"".into(),
+            values: vec![1, 2],
+            none: vec![],
+            empty: BTreeMap::new(),
+            tags: [(7, "a, b".to_string())].into(),
+            ratio: 0.25,
+        };
+        let compact = to_json(&row);
+        assert_eq!(
+            compact,
+            r#"{"name":"x{}[],:\"","values":[1,2],"none":[],"empty":{},"tags":{"7":"a, b"},"ratio":0.25}"#
+        );
+        let pretty = to_json_pretty(&row);
+        assert_eq!(
+            pretty,
+            "{\n  \"name\": \"x{}[],:\\\"\",\n  \"values\": [\n    1,\n    2\n  ],\n  \
+             \"none\": [],\n  \"empty\": {},\n  \"tags\": {\n    \"7\": \"a, b\"\n  },\n  \
+             \"ratio\": 0.25\n}"
+        );
+        assert_eq!(parse_json(&pretty), parse_json(&compact));
+        assert_eq!(to_json_pretty(&Vec::<u64>::new()), "[]");
+    }
 
     #[test]
     fn accepts_valid_json() {

@@ -25,9 +25,9 @@
 //!   on every ok → violating edge, a rendered [`SloReport`] verdict.
 //! * [`FanoutSink`] — attach several sinks (collector + profiler +
 //!   watchdog) to one network.
-//! * [`validate_json`] / [`parse_json`] — a strict JSON checker and a small
-//!   DOM parser (the vendored `serde_json` is serialize-only), used by the
-//!   export tests and the pins on the committed bench artifacts.
+//! * [`to_json`] / [`to_json_pretty`] and [`parse_json`] / [`validate_json`]
+//!   — the workspace's one JSON writer (an artifact type implements
+//!   [`ToJson`] through a [`json_record!`] field list) and its strict reader.
 //!
 //! See `docs/TRACING.md` for the event schema, the cause-tag vocabulary,
 //! blame-tree semantics, and the SLO spec format.
@@ -70,7 +70,9 @@ pub mod trace;
 
 pub use blame::{BlameProfiler, Exemplar, OperatorBlame, QueryBlame};
 pub use hist::LogHistogram;
-pub use json::{parse_json, validate_json, Json};
+pub use json::{
+    parse_json, to_json, to_json_pretty, validate_json, write_json_string, Json, ToJson,
+};
 pub use metrics::MetricsRegistry;
 pub use slo::{SloMonitor, SloReport, SloSpec, SloVerdict};
 pub use sqo_overlay::{SharedTraceSink, TraceEvent, TraceSink, TraceTrack, TraceValue};

@@ -12,31 +12,22 @@
 //!
 //! ## Schema
 //!
-//! | prefix | source | examples |
-//! |--------|--------|----------|
-//! | `traffic.*` | [`Metrics`] via [`QueryStats`] | `traffic.messages`, `traffic.bytes`, `traffic.route_hops` |
-//! | `query.*` | [`QueryStats`] | `query.probes`, `query.cache_hits`, `query.rounds` |
-//! | `sim.*` | `QueryStats::sim` | `sim.queue_us`, `sim.service_us`, `sim.retransmissions` |
-//! | `join.*` | AIMD fields of [`QueryStats`] | `join.window_shrinks`, gauge `join.window_peak` |
-//! | `cache.*` | [`BrokerCounters`] (broker lifetime) | `cache.hits`, `cache.messages_saved`, gauge `cache.hit_rate` |
-//! | `latency.*` | driver histograms | `latency.query_us`, `latency.simjoin_us` |
-//! | `run.*` | the workload driver | `run.queries`, gauge `run.throughput_qps` |
-//!
-//! `query.cache_*` (per-query sums) and `cache.*` (broker lifetime) are
-//! deliberately distinct names: they coincide on a fresh broker but diverge
-//! once a broker outlives a report window.
+//! Every name the driver emits, with its kind and source — `traffic.*`,
+//! `query.*`, `join.*`, `sim.*`, `cache.*`, `latency.*`, `op.<op>.*`,
+//! `run.*`, `repair.*` — is listed once, in the "Metric names" section of
+//! `docs/TRACING.md`; `sqo-sim`'s `obs_smoke` test holds the driver's
+//! output to that list in both directions.
 //!
 //! [`Metrics`]: sqo_overlay::Metrics
 
 use crate::hist::LogHistogram;
-use serde::Serialize;
 use sqo_core::{BrokerCounters, QueryStats};
 use std::collections::BTreeMap;
 
 /// A named bag of counters, gauges and histograms.
 ///
-/// Serializes (via the workspace `serde` stand-in) as three name-sorted
-/// JSON maps — deterministic for a deterministic run.
+/// Writes ([`ToJson`](crate::ToJson)) as three name-sorted JSON maps —
+/// deterministic for a deterministic run.
 ///
 /// ```
 /// use sqo_obs::MetricsRegistry;
@@ -49,15 +40,17 @@ use std::collections::BTreeMap;
 /// assert_eq!(m.counter("traffic.messages"), 50);
 /// assert_eq!(m.gauge("cache.hit_rate"), Some(0.75));
 /// assert_eq!(m.histogram("latency.query_us").unwrap().count(), 1);
-/// let json = m.to_json();
+/// let json = sqo_obs::to_json(&m);
 /// assert!(json.contains("\"traffic.messages\":50"));
 /// ```
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, LogHistogram>,
 }
+
+crate::json_record! { MetricsRegistry { counters, gauges, histograms }; }
 
 impl MetricsRegistry {
     pub fn new() -> Self {
@@ -183,18 +176,12 @@ impl MetricsRegistry {
         self.counter_add("cache.messages_saved", c.messages_saved);
         self.gauge_set("cache.hit_rate", c.hit_rate());
     }
-
-    /// Compact JSON rendering (the schema the driver and bench emit).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.serialize_json(&mut out);
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::to_json;
 
     #[test]
     fn absorbing_stats_and_counters_builds_the_schema() {
@@ -238,12 +225,12 @@ mod tests {
         m.counter_add("c", 5);
         m.gauge_set("g", 2.5);
         m.record("h", 40);
-        let before = m.to_json();
+        let before = to_json(&m);
         m.merge(&MetricsRegistry::new());
-        assert_eq!(m.to_json(), before, "merging an empty registry changes nothing");
+        assert_eq!(to_json(&m), before, "merging an empty registry changes nothing");
         let mut empty = MetricsRegistry::new();
         empty.merge(&m);
-        assert_eq!(empty.to_json(), before, "merging into an empty registry copies");
+        assert_eq!(to_json(&empty), before, "merging into an empty registry copies");
     }
 
     #[test]
@@ -275,8 +262,8 @@ mod tests {
         let mut m = MetricsRegistry::new();
         m.counter_add("b.second", 2);
         m.counter_add("a.first", 1);
-        let json = m.to_json();
+        let json = to_json(&m);
         assert!(json.find("a.first").unwrap() < json.find("b.second").unwrap());
-        assert_eq!(json, m.clone().to_json());
+        assert_eq!(json, to_json(&m.clone()));
     }
 }

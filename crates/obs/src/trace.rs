@@ -18,11 +18,13 @@
 //! * process 2 `queries` — one thread per in-flight query: the query span,
 //!   its operator/stage and `step` spans, message instants, and the AIMD
 //!   `join_window` counter;
-//! * process 3 `control` — run-level instants (churn waves).
+//! * process 3 `control` — run-level instants: `fault`, `fault-clear`,
+//!   `repair` and `slo_burn` (`docs/TRACING.md`, "Metric names").
 //!
 //! Timestamps are virtual microseconds, which is exactly the unit the
 //! format expects.
 
+use crate::json::write_json_string;
 use sqo_overlay::{SharedTraceSink, TraceEvent, TraceSink, TraceTrack, TraceValue};
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -232,7 +234,7 @@ fn write_args_object(out: &mut String, args: &[(&'static str, TraceValue)]) {
             TraceValue::U64(n) => {
                 let _ = write!(out, "{n}");
             }
-            TraceValue::Str(s) => serde::write_json_string(s, out),
+            TraceValue::Str(s) => write_json_string(s, out),
         }
     }
     out.push('}');

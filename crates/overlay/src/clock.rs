@@ -22,7 +22,6 @@
 //! completion — critical-path accounting, not summed hop counts.
 
 use crate::peer::PeerId;
-use serde::Serialize;
 
 /// What role a delivered message plays (mirrors the [`Metrics`] breakdown).
 ///
@@ -55,7 +54,7 @@ impl MsgKind {
 /// path; the per-category fields (`net_us`, `queue_us`, `service_us`) are
 /// summed over *all* messages, so with parallel fan-out their total may
 /// exceed the critical path.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SimLatency {
     /// Virtual time when the query began.
     pub start_us: u64,
@@ -194,8 +193,8 @@ pub trait EventSink {
 /// The exporters map tracks to Chrome `trace_event` threads: every peer is
 /// one row (so `busy_until` occupancy and queueing render as per-peer
 /// timelines), every in-flight query is one row (its operator/step spans and
-/// message instants), and run-level events (churn waves) share one control
-/// row.
+/// message instants), and run-level events (`fault`, `fault-clear`,
+/// `repair` and `slo_burn` instants) share one control row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TraceTrack {
     /// A peer's serial service queue.
@@ -255,7 +254,8 @@ pub struct TraceEvent {
     /// Coarse category: `"net"` (peer-queue occupancy), `"msg"` (per-message
     /// instants), `"exec"` (charged `ExecStep` chunks), `"stage"` (plan
     /// nodes), `"query"` (whole queries), `"counter"` (sampled values, e.g.
-    /// the AIMD join window), `"run"` (churn and other control events).
+    /// the AIMD join window), `"run"` (faults, repairs and SLO burns on the
+    /// control track).
     pub cat: &'static str,
     pub args: Vec<(&'static str, TraceValue)>,
 }

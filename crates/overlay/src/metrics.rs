@@ -6,10 +6,8 @@
 //! [`Metrics`], which additionally keeps a breakdown by message role so the
 //! ablation benches can attribute cost.
 
-use serde::Serialize;
-
 /// Cumulative traffic counters for a network (or a window of its activity).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Metrics {
     /// Total messages of any kind.
     pub messages: u64,

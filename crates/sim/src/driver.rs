@@ -31,7 +31,6 @@ use crate::report::{LatencySummary, OperatorLatency};
 use crate::seed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 use sqo_core::{
     BrokerConfig, BrokerCounters, CacheBatchBroker, ExecStep, JoinWindow, QueryStats,
     SimilarityEngine, StepOutcome, Strategy,
@@ -162,7 +161,7 @@ impl Default for DriverConfig {
 }
 
 /// Hot-path service usage over one driven run (all zeros without a broker).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct CacheReport {
     pub cache_hits: u64,
     pub cache_misses: u64,
@@ -196,7 +195,7 @@ impl From<BrokerCounters> for CacheReport {
 
 /// Accumulated self-healing activity over a driven run (all zeros when
 /// [`DriverConfig::repair`] is `None`).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct RepairTotals {
     /// Repair passes executed (one per membership fault).
     pub passes: u64,
@@ -213,7 +212,7 @@ pub struct RepairTotals {
 }
 
 /// One phase's latency and degradation profile (see [`PhaseReport`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct PhaseSummary {
     pub summary: LatencySummary,
     /// Answered / addressed partition legs over the phase's queries — 1.0
@@ -228,7 +227,7 @@ pub struct PhaseSummary {
 /// the comparison is the stationarity check — with repair on, `late`
 /// should look like `early`; without it, completeness decays and tails
 /// grow as replicas die off.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct PhaseReport {
     pub early: PhaseSummary,
     pub late: PhaseSummary,
@@ -241,7 +240,7 @@ pub struct PhaseReport {
 /// under the unified dotted-name schema (`traffic.*`, `cache.*`,
 /// `latency.*` — see [`MetricsRegistry`]) so every serializer emits one
 /// shape.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DriverReport {
     /// Per-operator-family latency summaries, sorted by operator name.
     pub per_operator: Vec<OperatorLatency>,
@@ -269,6 +268,20 @@ pub struct DriverReport {
     /// Human-readable anomalies the run survived (e.g. an arrival that
     /// found no alive initiator). Empty on a healthy run.
     pub diagnostics: Vec<String>,
+}
+
+sqo_obs::json_record! {
+    CacheReport {
+        cache_hits, cache_misses, hit_rate, probes_coalesced, channels_opened, messages_saved,
+        admission_rejects,
+    };
+    RepairTotals { passes, recruited, bytes_copied, lost_partitions, unfilled_deficits };
+    PhaseSummary { summary, completeness, retries, gave_up };
+    PhaseReport { early, late };
+    DriverReport {
+        per_operator, overall, total, cache, metrics, queries_run, virtual_span_us,
+        throughput_qps, phases, repair, diagnostics,
+    };
 }
 
 #[derive(Clone, Copy)]

@@ -1,6 +1,5 @@
 //! Latency summaries: percentiles, per-operator breakdowns, JSON-ready.
 
-use serde::Serialize;
 use sqo_obs::LogHistogram;
 
 /// Nearest-rank percentile of a **sorted** slice of microsecond latencies.
@@ -15,7 +14,7 @@ pub fn percentile_us(sorted: &[u64], p: f64) -> u64 {
 }
 
 /// Distribution summary of a set of query latencies.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
     pub count: usize,
     pub mean_us: u64,
@@ -69,7 +68,7 @@ impl LatencySummary {
 /// overlay traffic next to the percentiles — optimizations that trade
 /// messages for latency (caching, batching) are visible per operator in
 /// the bench artifact, not only in the workload totals.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatorLatency {
     pub operator: String,
     pub summary: LatencySummary,
@@ -98,6 +97,14 @@ pub struct OperatorLatency {
     pub retries: u64,
     /// Queries of this operator that returned a knowingly partial result.
     pub gave_up: u64,
+}
+
+sqo_obs::json_record! {
+    LatencySummary { count, mean_us, p50_us, p95_us, p99_us, max_us };
+    OperatorLatency {
+        operator, summary, messages, queue_us, cache_hits, probes_coalesced, window_peak,
+        window_shrinks, completeness, retries, gave_up,
+    };
 }
 
 #[cfg(test)]

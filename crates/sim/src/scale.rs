@@ -54,7 +54,6 @@
 //! (`order_window`).
 
 use crate::seed::mix;
-use serde::Serialize;
 use sqo_overlay::peer::Item;
 use sqo_overlay::{Key, Network, PeerId};
 
@@ -97,7 +96,7 @@ impl Topology {
 // ----------------------------------------------------------------------
 
 /// Workload + timing model of a `ScaleSim` run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleConfig {
     /// Number of retrieve queries to drive (the simulated client load).
     pub queries: usize,
@@ -352,7 +351,7 @@ impl RunCtx<'_> {
 
 /// The deterministic half of a run: bit-identical for the serial baseline
 /// and every shard count — the invariant the determinism tests pin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScaleOutcome {
     /// Queries that saw all their expected results.
     pub queries_done: u64,
@@ -371,7 +370,7 @@ pub struct ScaleOutcome {
 /// empty window. None of it feeds back into the simulation —
 /// [`ScaleOutcome`] stays bit-identical. (Wall-clock speed is measured by
 /// the `scale-core` workload of `benchmark/`, around the call.)
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScaleRun {
     pub shards: usize,
     pub events: u64,

@@ -5,12 +5,17 @@
 
 use sqo_core::{BrokerConfig, EngineBuilder, JoinWindow, SimilarityEngine};
 use sqo_datasets::{bible_words, string_rows};
-use sqo_obs::{validate_json, BlameProfiler, FanoutSink, SloMonitor, SloSpec, TraceCollector};
-use sqo_overlay::TraceTrack;
+use sqo_obs::{
+    parse_json, to_json, to_json_pretty, validate_json, BlameProfiler, FanoutSink, SloMonitor,
+    SloSpec, TraceCollector,
+};
+use sqo_overlay::{ReplicationPolicy, TraceTrack};
 use sqo_plan::{Query, Session};
 use sqo_sim::{
-    install, run_driver, Arrival, DriverConfig, DriverReport, LatencyModel, QueryKind, SimConfig,
+    install, run_driver, Arrival, DriverConfig, DriverReport, FaultEvent, FaultKind, FaultPlan,
+    LatencyModel, LossModel, QueryKind, SimConfig,
 };
+use std::collections::BTreeSet;
 
 fn engine(words: &[String]) -> SimilarityEngine {
     let rows = string_rows("word", words, "w");
@@ -77,8 +82,8 @@ fn tracing_leaves_the_driver_report_byte_identical() {
     let mut plain_engine = engine(&words);
     let plain = run_driver(&mut plain_engine, "word", &words, &cfg());
     assert_eq!(
-        serde_json::to_string(&traced).unwrap(),
-        serde_json::to_string(&plain).unwrap(),
+        to_json(&traced),
+        to_json(&plain),
         "a trace sink must not perturb results, stats, or metrics"
     );
 }
@@ -193,8 +198,8 @@ fn blame_and_slo_sinks_leave_the_driver_report_byte_identical() {
     e.network_mut().set_trace_sink(fan);
     let observed = run_driver(&mut e, "word", &words, &cfg());
     assert_eq!(
-        serde_json::to_string(&observed).unwrap(),
-        serde_json::to_string(&plain).unwrap(),
+        to_json(&observed),
+        to_json(&plain),
         "blame profiling and SLO monitoring must not perturb the report"
     );
     assert!(!profiler.borrow().queries().is_empty(), "the profiler saw the workload");
@@ -259,7 +264,7 @@ fn registry_reflects_the_workload() {
         assert_eq!(oh.count() as usize, op.summary.count);
     }
     // The registry's JSON rendering is valid JSON.
-    sqo_obs::validate_json(&m.to_json()).expect("registry JSON");
+    validate_json(&to_json(m)).expect("registry JSON");
 }
 
 #[test]
@@ -274,4 +279,115 @@ fn flame_view_renders_per_query() {
     assert!(!qids.is_empty(), "driver attributes trace queries");
     let flame = c.flame(qids[0]);
     assert!(flame.contains("query"), "flame view roots at the query span:\n{flame}");
+}
+
+/// A report's pretty JSON (the `BENCH_*.json` form) reads back as the
+/// same value as its compact JSON, and its empty containers stay `[]`.
+#[test]
+fn pretty_report_reads_back_as_the_compact_one() {
+    let words = bible_words(250, 5);
+    let mut e = engine(&words);
+    let report = run_driver(&mut e, "word", &words, &cfg());
+    let (compact, pretty) = (to_json(&report), to_json_pretty(&report));
+    assert!(pretty.lines().count() > 100, "one value per line");
+    assert_eq!(parse_json(&pretty).unwrap(), parse_json(&compact).unwrap());
+    assert!(report.diagnostics.is_empty() && pretty.contains("\"diagnostics\": []"));
+}
+
+/// The "Metric names" section of `docs/TRACING.md`: its registry rows as
+/// (name, kind) and its Control-track instant names.
+fn documented_names() -> (BTreeSet<(String, String)>, BTreeSet<String>) {
+    let doc = include_str!("../../../docs/TRACING.md");
+    let section = doc.split("\n## Metric names\n").nth(1).expect("a Metric names section");
+    let section = section.split("\n## ").next().unwrap_or(section);
+    let (registry, control) =
+        section.split_once("\n### Control-track instants\n").expect("a Control-track table");
+    // A table row starts with its name in backticks; the next cell follows.
+    let rows = |table: &str| -> Vec<(String, String)> {
+        table
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `")?.split_once('`'))
+            .map(|(name, rest)| {
+                (name.to_string(), rest.split('|').nth(1).unwrap_or("").trim().to_string())
+            })
+            .collect()
+    };
+    let registry: BTreeSet<_> = rows(registry).into_iter().collect();
+    let control = rows(control).into_iter().map(|(name, _)| name).collect();
+    (registry, control)
+}
+
+/// A registry name with its operator label replaced by `<op>`, as the
+/// doc writes it.
+fn op_template(name: &str) -> String {
+    for op in QueryKind::LABELS {
+        if let Some(rest) = name.strip_prefix(&format!("op.{op}.")) {
+            return format!("op.<op>.{rest}");
+        }
+        if name == format!("latency.{op}_us") {
+            return "latency.<op>_us".to_string();
+        }
+    }
+    name.to_string()
+}
+
+/// The metric-name schema: a run that reaches every emitter
+/// — a simulated clock, a broker, repair after a crash, a loss spike that
+/// clears, adaptive joins, every operator, an SLO that burns — emits
+/// exactly the registry names and Control-track instants the doc lists.
+#[test]
+fn emitted_names_are_the_documented_names() {
+    let words = bible_words(250, 5);
+    let rows = string_rows("word", &words, "w");
+    let mut e = EngineBuilder::new().peers(48).replication(4).q(2).seed(11).build_with_rows(&rows);
+    let collector = TraceCollector::shared();
+    let monitor = std::rc::Rc::new(std::cell::RefCell::new(
+        SloMonitor::new(vec![SloSpec::operator("similar").p99_max_us(1)], 100_000)
+            .with_inner(TraceCollector::as_sink(&collector)),
+    ));
+    e.network_mut().set_trace_sink(SloMonitor::as_sink(&monitor));
+    let spike = LossModel { p: 0.2, timeout_us: 1_000, max_retries: 4 };
+    let cfg = DriverConfig {
+        faults: FaultPlan {
+            events: vec![
+                FaultEvent { at_us: 20_000, kind: FaultKind::Crash { fraction: 0.2 } },
+                FaultEvent {
+                    at_us: 30_000,
+                    kind: FaultKind::LossSpike { loss: spike, duration_us: 10_000 },
+                },
+            ],
+        },
+        // The crash leaves 10 to 17 alive members in each of the world's
+        // three loaded partitions, so a target of 12 recruits.
+        repair: Some(ReplicationPolicy { min_alive: 12 }),
+        ..all_operators_cfg(4)
+    };
+    let report = run_driver(&mut e, "word", &words, &cfg);
+    let m = &report.metrics;
+
+    let kinds = [
+        m.counters().map(|(n, _)| (n, "counter")).collect::<Vec<_>>(),
+        m.gauges().map(|(n, _)| (n, "gauge")).collect(),
+        m.histograms().map(|(n, _)| (n, "histogram")).collect(),
+    ];
+    let emitted: BTreeSet<(String, String)> =
+        kinds.concat().into_iter().map(|(n, k)| (op_template(n), k.to_string())).collect();
+    let emitted_control: BTreeSet<String> = collector
+        .borrow()
+        .events()
+        .iter()
+        .filter(|ev| ev.track == TraceTrack::Control)
+        .map(|ev| ev.name.to_string())
+        .collect();
+
+    let (documented, documented_control) = documented_names();
+    let missing: Vec<_> = documented.difference(&emitted).collect();
+    let undocumented: Vec<_> = emitted.difference(&documented).collect();
+    assert!(missing.is_empty(), "documented but not emitted: {missing:?}");
+    assert!(undocumented.is_empty(), "emitted but not documented: {undocumented:?}");
+    assert_eq!(emitted_control, documented_control, "Control-track instants");
+    // `<op>` stands for every label: each operator ran and was measured.
+    for op in QueryKind::LABELS {
+        assert!(m.histogram(&format!("latency.{op}_us")).is_some(), "{op} did not run");
+    }
 }

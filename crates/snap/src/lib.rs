@@ -30,8 +30,8 @@
 //!
 //! A `b"SQSN"` magic, a little-endian `u32` [`SCHEMA_VERSION`], the triple
 //! table, then the world/driver/scale sections in the explicit layout of
-//! [`wire`] (the vendored serde stand-in cannot deserialize, so the codec is
-//! hand-rolled — and therefore versionable byte by byte). Each record's
+//! [`wire`] (a binary codec of its own, written by hand — and therefore
+//! versionable byte by byte). Each record's
 //! layout is one field list there, from which both its encoder and its
 //! decoder follow ([`wire::Wire`]); a check runs where the record is
 //! decoded. [`Snapshot::from_bytes`] refuses anything else: wrong magic is
@@ -74,8 +74,8 @@
 //! let ra = run_driver(&mut a, "word", &words, &cfg);
 //! let rb = run_driver(&mut b, "word", &words, &cfg);
 //! assert_eq!(
-//!     serde_json::to_string(&ra).unwrap(),
-//!     serde_json::to_string(&rb).unwrap(),
+//!     sqo_obs::to_json(&ra),
+//!     sqo_obs::to_json(&rb),
 //!     "same-config forks are byte-identical"
 //! );
 //! ```

@@ -1,10 +1,9 @@
 //! The snapshot wire format: a hand-rolled little-endian binary codec.
 //!
-//! The workspace's vendored `serde` stand-in serializes but does not
-//! deserialize, so the snapshot artifact has its own explicit codec. That
-//! is a feature, not a workaround: every byte of the artifact is written
-//! by this file, the layout is stable under refactors of the source
-//! structs, and the version envelope (`MAGIC` +
+//! The snapshot artifact has its own explicit codec, apart from the
+//! workspace's JSON writer (`sqo_obs::to_json`): every byte of the artifact
+//! is written by this file, the layout is stable under refactors of the
+//! source structs, and the version envelope (`MAGIC` +
 //! [`SCHEMA_VERSION`](crate::SCHEMA_VERSION)) is checked before a single
 //! field is decoded.
 //!

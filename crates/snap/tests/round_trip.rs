@@ -59,7 +59,7 @@ fn workload(cache: BrokerConfig) -> DriverConfig {
 }
 
 fn json(r: &DriverReport) -> String {
-    serde_json::to_string(r).expect("report serializes")
+    sqo_obs::to_json(r)
 }
 
 /// The tentpole pin: pause at a quiesce boundary, freeze the whole world

@@ -12,6 +12,7 @@
 
 use sqo::core::EngineBuilder;
 use sqo::datasets::{bible_words, string_rows};
+use sqo::obs::to_json;
 use sqo::sim::{
     resume_driver, run_driver, run_driver_until, seed, Arrival, DriverConfig, DriverPhase,
     FaultEvent, FaultKind, FaultPlan, LatencyModel, SimConfig,
@@ -43,7 +44,7 @@ fn main() {
     // The reference: one uninterrupted run.
     let mut reference = build();
     let baseline = run_driver(&mut reference, "word", &words, &cfg);
-    let baseline_json = serde_json::to_string(&baseline).unwrap();
+    let baseline_json = to_json(&baseline);
 
     // Pause an identical run a third of the way into the measured span
     // and freeze the world to bytes.
@@ -67,7 +68,7 @@ fn main() {
     let resumed = resume_driver(&mut thawed, "word", &words, &cfg, snap.driver.clone().unwrap())
         .expect("the checkpoint fits the workload it was cut from");
     assert_eq!(
-        serde_json::to_string(&resumed).unwrap(),
+        to_json(&resumed),
         baseline_json,
         "resume must be byte-identical to the uninterrupted run"
     );

@@ -7,6 +7,7 @@
 
 use sqo_core::{DegradePolicy, EngineBuilder, SimilarityEngine};
 use sqo_datasets::{bible_words, string_rows};
+use sqo_obs::to_json;
 use sqo_overlay::ReplicationPolicy;
 use sqo_sim::{
     run_driver, Arrival, DriverConfig, DriverReport, FaultEvent, FaultKind, FaultPlan,
@@ -57,8 +58,8 @@ fn same_seed_fault_runs_replay_byte_identically() {
         };
         run_driver(&mut e, "word", &words, &cfg)
     };
-    let a = serde_json::to_string(&run()).unwrap();
-    let b = serde_json::to_string(&run()).unwrap();
+    let a = to_json(&run());
+    let b = to_json(&run());
     assert_eq!(a, b, "same plan + same seed must serialize byte-identically");
 }
 
@@ -80,10 +81,10 @@ fn empty_fault_plan_with_repair_installed_changes_nothing() {
     // Every measured surface of the two runs is identical.
     let view = |r: &DriverReport| {
         (
-            serde_json::to_string(&r.overall).unwrap(),
-            serde_json::to_string(&r.per_operator).unwrap(),
-            serde_json::to_string(&r.total).unwrap(),
-            serde_json::to_string(&r.phases).unwrap(),
+            to_json(&r.overall),
+            to_json(&r.per_operator),
+            to_json(&r.total),
+            to_json(&r.phases),
             r.queries_run,
             r.virtual_span_us,
             r.diagnostics.clone(),
