@@ -18,11 +18,12 @@
 //! posting of the `A#v` family carries its attribute's id and its value's
 //! char count inline, so the attribute guard, "is it a string" and the
 //! length window are answered by the 24-byte posting alone; the record and
-//! the text are read only for a candidate inside the window, which then
-//! runs the band DP. Every string of the queried attribute counts as one
-//! comparison, the window's rejects included. At schema level each distinct
-//! local attribute name is one comparison and is verified once, on its
-//! stored char count; the postings that share it reuse the verdict.
+//! the text are read only for a candidate inside the window, which is then
+//! streamed through the verifier's bit-parallel kernel (a banded DP for a
+//! query over 64 chars). Every string of the queried attribute counts as
+//! one comparison, the window's rejects included. At schema level each
+//! distinct local attribute name is one comparison and is verified once, on
+//! its stored char count; the postings that share it reuse the verdict.
 
 use crate::engine::SimilarityEngine;
 use crate::similar::Candidate;

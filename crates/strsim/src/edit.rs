@@ -7,30 +7,38 @@
 //!   `Similar` operator (Algorithm 2, line 23 of the paper) and of the naive
 //!   baseline's "compare the queried string to the data available locally".
 //!   Both compare **one** query against many stored strings with a small
-//!   bound (the paper's workload uses `d ≤ 5`), so everything that depends
-//!   only on `(query, d)` is prepared once: the query's char length, whether
-//!   it is ASCII, its decoded form, and the DP row and decode scratch, which
-//!   the verifier owns. A comparison then allocates nothing per candidate.
-//!   It fills only the diagonal band of width `2d + 1` and gives up once
-//!   the distance provably exceeds `d`.
+//!   bound (the paper's workload uses `d ≤ 5`), so what depends only on
+//!   `(query, d)` is prepared once — the query's char length and match
+//!   table — and a comparison allocates nothing per candidate.
 //! * [`levenshtein_bounded`] / [`within_distance`] — one-shot wrappers over
 //!   a throw-away verifier, for callers with a single pair.
 //!
 //! **What a comparison costs.** [`BoundedLevenshtein::distance_of`] takes
 //! the candidate with its length in chars, which the store keeps beside
 //! every value: the length gate (`|len(s) − len(c)| > d` ⇒ no match, what
-//! [`BoundedLevenshtein::admits_len`] answers for a scan that has only the
-//! count) costs two loads and reads no text; for a survivor,
-//! `chars == len()` says the candidate is ASCII, and its bytes are read
-//! once, by the DP rows the band fills before it gives up. On the
-//! titles-scan corpus the gate rejects 86–94 % of candidates at `d = 1…3`
-//! and a survivor needs 2–5 rows. [`BoundedLevenshtein::distance`] is the
-//! same for a bare `&str`: one pass to count its chars first.
+//! [`BoundedLevenshtein::admits_len`] answers from the count alone) reads
+//! no text. A survivor is read once, one char per column of Myers'
+//! bit-vector algorithm (J. ACM 46(3), 1999) in Hyyrö's edit-distance form
+//! (2003): a column of the DP matrix is two `u64`s of +1 and −1 steps, and
+//! a char moves it by a dozen word operations.
 //!
-//! Distances are computed over Unicode scalar values, not bytes, so that a
-//! multi-byte character counts as a single edit. Two ASCII strings have one
-//! byte per scalar value, so that (common) case runs on the bytes as they
-//! lie.
+//! **The match table** (bit `i` of a char's mask: the query's char `i` is
+//! that char) is built by the first comparison: a 128-entry array for ASCII
+//! chars and a short `(char, mask)` list for the others. The candidate is
+//! streamed as masks — its bytes when `chars == len()`, else its chars —
+//! and never decoded into a buffer.
+//!
+//! **The diagonal exit.** The cell on the *end diagonal*, the one through
+//! `D[m][n]`, is kept from one bit of each column. A diagonal never
+//! decreases, so the kernel gives up once that cell exceeds `d` — never
+//! later than a band of width `2d + 1` would, since the cell lies in it.
+//!
+//! **The fallback.** A query of more than 64 chars (or none) fills that
+//! band of the scalar DP, on bytes for two ASCII strings and on decoded
+//! chars otherwise, and gives up once a whole row exceeds `d`.
+//!
+//! Distances count Unicode scalar values, not bytes: a multi-byte character
+//! is a single edit.
 
 use crate::filters::char_len;
 use std::borrow::Cow;
@@ -88,17 +96,42 @@ fn levenshtein_chars(a: &[char], b: &[char]) -> usize {
 pub struct BoundedLevenshtein<'q> {
     query: Cow<'q, str>,
     d: usize,
-    /// Length of the query in chars (= bytes when `ascii`).
+    /// Length of the query in chars.
     len: usize,
-    ascii: bool,
-    /// The query decoded to scalar values, filled by the first comparison
-    /// that cannot run on bytes.
-    chars: Vec<char>,
-    /// Decode scratch for such a comparison's candidate.
+    /// A query of 1 to 64 chars: its match table, built on first use.
+    table: Option<Box<MatchTable>>,
+    /// A longer query's chars, then the candidate's, when either is not
+    /// ASCII; and the banded DP's row. Both sized by first use.
     scratch: Vec<char>,
-    /// The DP row, one cell per query position, sized by the first
-    /// comparison that reaches the DP.
     row: Vec<usize>,
+}
+
+/// Bit `i` of a char's mask is set iff the query's char `i` is that char.
+#[derive(Debug, Clone)]
+struct MatchTable {
+    ascii: [u64; 128],
+    /// One entry per position of a non-ASCII char.
+    wide: Vec<(char, u64)>,
+}
+
+impl MatchTable {
+    fn new(query: &str) -> Box<Self> {
+        let mut table = Box::new(Self { ascii: [0; 128], wide: Vec::new() });
+        for (i, c) in query.chars().enumerate() {
+            match c.is_ascii() {
+                true => table.ascii[c as usize] |= 1 << i,
+                false => table.wide.push((c, 1 << i)),
+            }
+        }
+        table
+    }
+
+    fn mask(&self, c: char) -> u64 {
+        match c.is_ascii() {
+            true => self.ascii[c as usize & 0x7f],
+            false => self.wide.iter().filter(|e| e.0 == c).fold(0, |mask, e| mask | e.1),
+        }
+    }
 }
 
 impl<'q> BoundedLevenshtein<'q> {
@@ -107,8 +140,7 @@ impl<'q> BoundedLevenshtein<'q> {
     pub fn new(query: impl Into<Cow<'q, str>>, d: usize) -> Self {
         let query = query.into();
         let len = char_len(&query);
-        let ascii = len == query.len();
-        Self { query, d, len, ascii, chars: Vec::new(), scratch: Vec::new(), row: Vec::new() }
+        Self { query, d, len, table: None, scratch: Vec::new(), row: Vec::new() }
     }
 
     /// The query this verifier was prepared for.
@@ -139,11 +171,11 @@ impl<'q> BoundedLevenshtein<'q> {
     /// [`Self::distance`] for a candidate whose length in chars is already
     /// known — stored beside it, as a posting and a triple record keep it.
     /// The length gate reads `chars` alone; `chars == candidate.len()`
-    /// means the candidate is ASCII, so the byte path needs no `is_ascii`
-    /// pass; and the candidate's bytes are read only inside the band DP.
+    /// means the candidate is ASCII, so it is streamed as bytes with no
+    /// `is_ascii` pass; and its text is read only after the gate.
     ///
-    /// Runs in `O(d · |candidate|)` time: any cell `(i, j)` with
-    /// `|i - j| > d` cannot lie on a path of cost `≤ d`.
+    /// Costs `O(|candidate|)` word operations for a query of up to 64
+    /// chars, `O(d · |candidate|)` cell updates for a longer one.
     pub fn distance_of(&mut self, candidate: &str, chars: usize) -> Option<usize> {
         debug_assert_eq!(chars, char_len(candidate), "the char count of {candidate:?}");
         // The distance is at least the length difference…
@@ -152,20 +184,66 @@ impl<'q> BoundedLevenshtein<'q> {
         }
         // …and at most the longer length, so a larger bound buys nothing;
         // clamping it keeps `i + d` below from overflowing.
-        let d = self.d.min(self.len.max(chars));
+        let (m, d) = (self.len, self.d.min(self.len.max(chars)));
         if d == 0 {
             return (*self.query == *candidate).then_some(0);
         }
-        if self.ascii && chars == candidate.len() {
+        if (1..=64).contains(&m) {
+            let table = self.table.get_or_insert_with(|| MatchTable::new(&self.query));
+            if chars == candidate.len() {
+                let masks = candidate.bytes().map(|b| table.ascii[usize::from(b & 0x7f)]);
+                return myers(masks, m, chars, d);
+            }
+            return myers(candidate.chars().map(|c| table.mask(c)), m, chars, d);
+        }
+        if m == self.query.len() && chars == candidate.len() {
             return banded(self.query.as_bytes(), candidate.as_bytes(), d, &mut self.row);
         }
-        if self.chars.is_empty() {
-            self.chars.extend(self.query.chars());
+        if self.scratch.len() < m {
+            self.scratch.extend(self.query.chars());
         }
-        self.scratch.clear();
+        self.scratch.truncate(m);
         self.scratch.extend(candidate.chars());
-        banded(&self.chars, &self.scratch, d, &mut self.row)
+        let (query, cand) = self.scratch.split_at(m);
+        banded(query, cand, d, &mut self.row)
     }
+}
+
+/// Myers' bit-vector edit distance in Hyyrö's global form: a query of `m`
+/// chars, `1 <= m <= 64`, down the rows, and a candidate of `n` chars,
+/// given as their match masks, along the columns; `|m − n| <= d`. `vp` /
+/// `vn` hold the +1 / −1 steps `D[i+1][j] − D[i][j]` of the current column
+/// at bit `i`; no bit at or above `m` is read.
+fn myers(mut masks: impl Iterator<Item = u64>, m: usize, n: usize, d: usize) -> Option<usize> {
+    // Column 0 is `D[i][0] = i`: every step +1.
+    let (mut vp, mut vn) = (!0u64, 0u64);
+    let mut column = |eq: u64| {
+        let xv = eq | vn;
+        let xh = ((eq & vp).wrapping_add(vp) ^ vp) | eq;
+        // The horizontal steps, shifted to row `i` at bit `i`; row 0 is
+        // `D[0][j] = j`, a +1 step in every column.
+        let hp = ((vn | !(xh | vp)) << 1) | 1;
+        let hn = (vp & xh) << 1;
+        vp = hn | !(xv | hp);
+        vn = hp & xv;
+        xv | hn
+    };
+    // The end diagonal enters at row 0 of column `n − m` or at row `m − n`
+    // of column 0; the columns before it only move the vectors.
+    for eq in masks.by_ref().take(n.saturating_sub(m)) {
+        column(eq);
+    }
+    let mut cell = m.abs_diff(n);
+    // A diagonal step `D[k + 1][j] − D[k][j − 1]` is 0 or 1, and 0 exactly
+    // when bit `k` of `xv | hn` is set: the chars match, or the step down
+    // column `j − 1` or along row `k` was −1. At column `n`, `k = m − 1`.
+    for (k, eq) in (m.saturating_sub(n)..).zip(masks) {
+        cell += (!column(eq) >> k) as usize & 1;
+        if cell > d {
+            return None;
+        }
+    }
+    (cell <= d).then_some(cell)
 }
 
 /// The banded DP over `query` (columns) and `cand` (rows), for
@@ -331,6 +409,93 @@ mod tests {
     #[should_panic(expected = "the char count")]
     fn a_wrong_char_count_is_caught_in_debug_builds() {
         BoundedLevenshtein::new("café", 1).distance_of("cafë", 5);
+    }
+
+    /// `distance` and `distance_of` of a fresh verifier, each against the
+    /// reference clipped at `d`.
+    fn check(query: &str, candidate: &str, d: usize) {
+        let exact = levenshtein(query, candidate);
+        let want = (exact <= d).then_some(exact);
+        let mut v = BoundedLevenshtein::new(query, d);
+        assert_eq!(v.distance(candidate), want, "{query:?} vs {candidate:?} d={d}");
+        let chars = candidate.chars().count();
+        assert_eq!(v.distance_of(candidate, chars), want, "{query:?} vs {candidate:?} d={d}");
+    }
+
+    #[test]
+    fn a_query_of_64_chars_fills_the_word() {
+        // The query's last char sits at bit 63, the score's bit; a char
+        // held 64 times has the all-ones mask.
+        let abc: String = (b'a'..=b'z').cycle().take(64).map(char::from).collect();
+        let a64 = "a".repeat(64);
+        for q in [&abc, &a64] {
+            let head = &q[..63];
+            let candidates = [
+                q.clone(),
+                format!("{head}Z"),
+                head.to_string(),
+                format!("{q}Z"),
+                format!("Z{}", &q[1..]),
+                q[1..].to_string(),
+                format!("{}ZZ", &q[..62]),
+                "Z".repeat(64),
+            ];
+            for c in &candidates {
+                for d in 0..=3 {
+                    check(q, c, d);
+                }
+            }
+        }
+        // One char more falls back to the banded DP.
+        check(&format!("{abc}Z"), &abc, 1);
+        check(&format!("{abc}Z"), &format!("{abc}Y"), 1);
+    }
+
+    #[test]
+    fn a_query_of_one_char() {
+        for c in ["", "a", "b", "ab", "ba", "bb", "bab", "xyz"] {
+            for d in 0..=3 {
+                check("a", c, d);
+            }
+        }
+    }
+
+    #[test]
+    fn a_longer_candidate_enters_the_diagonal_at_column_n_minus_m() {
+        for c in ["xxabcdef", "abcdefxx", "axbcdxef", "xxabcdeg", "xyzabcdef"] {
+            for d in 0..=4 {
+                check("abcdef", c, d);
+            }
+        }
+    }
+
+    #[test]
+    fn a_shorter_candidate_starts_the_diagonal_at_row_m_minus_n() {
+        for c in ["cdef", "abcd", "acef", "bdf", "xdef", ""] {
+            for d in 0..=6 {
+                check("abcdef", c, d);
+            }
+        }
+    }
+
+    #[test]
+    fn identical_strings_are_at_distance_zero() {
+        for s in ["a", "kitten", "café", "日本語", &"ab".repeat(40)] {
+            for d in [0, 1, 5, usize::MAX] {
+                check(s, s, d);
+            }
+        }
+    }
+
+    #[test]
+    fn non_ascii_against_ascii_both_ways() {
+        for (a, b) in [("café", "cafe"), ("日本語", "abc"), ("naïve", "naive"), ("𝄞ab", "ab")]
+        {
+            for d in 0..=4 {
+                check(a, b, d);
+                check(b, a, d);
+            }
+        }
     }
 
     #[test]

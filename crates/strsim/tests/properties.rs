@@ -16,6 +16,24 @@ fn word() -> impl Strategy<Value = String> {
     "[a-f]{0,16}"
 }
 
+/// A small deterministic generator for the edit scripts of one case.
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (self.0 >> 33) as usize % n
+    }
+
+    fn string(&mut self, alphabet: &[char], len: usize) -> String {
+        (0..len).map(|_| alphabet[self.below(alphabet.len())]).collect()
+    }
+}
+
+/// ASCII, non-ASCII (two- and three-byte chars and one above U+FFFF) and
+/// mixed.
+const ALPHABETS: [&[char]; 3] = [&['a', 'b', 'c'], &['é', '日', '𝄞'], &['a', 'b', 'é', '日', '𝄞']];
+
 fn shared_qgram_count(a: &str, b: &str, q: usize) -> usize {
     let mut bag: HashMap<String, usize> = HashMap::new();
     for g in qgrams(a, q) {
@@ -46,7 +64,7 @@ proptest! {
         prop_assert!(ab <= ac + cb, "triangle violated: d({},{})={} > {}+{}", a, b, ab, ac, cb);
     }
 
-    /// The banded computation agrees with the exact one for every bound.
+    /// The bounded verifier agrees with the exact distance for every bound.
     #[test]
     fn bounded_matches_exact(a in word(), b in word(), d in 0usize..20) {
         let exact = levenshtein(&a, &b);
@@ -183,5 +201,62 @@ proptest! {
             prop_assert!(all.contains(&(g.gram.clone(), g.pos)));
         }
         prop_assert!(qsamples(&a, q, d).len() <= d + 1);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// The verifier at its edges is the reference clipped at `d`, through
+    /// `distance` and `distance_of`: queries of 0, 1, 63, 64 and 65 chars
+    /// and of random lengths up to 130, so the 64-char fallback edge is
+    /// crossed both ways; ASCII, non-ASCII and mixed alphabets, a candidate
+    /// drawn from any of them; `d` from 0 to 5 and unbounded. Candidates
+    /// are the query after 0 to `d + 2` random edits — near misses, which
+    /// reach the diagonal exit — random strings, and random strings longer
+    /// or shorter than the query by up to `d + 1` chars.
+    #[test]
+    fn the_kernel_is_the_reference_at_its_edges(
+        len in prop_oneof![Just(0usize), Just(1usize), Just(63usize), Just(64usize), Just(65usize), 0usize..131],
+        alphabet in 0usize..3,
+        d in prop_oneof![0usize..6, Just(usize::MAX)],
+        seed in any::<u64>(),
+    ) {
+        let mut rng = Lcg(seed);
+        let query = rng.string(ALPHABETS[alphabet], len);
+        let reach = d.min(5);
+        let mut candidates = Vec::new();
+        for edits in 0..=reach + 2 {
+            let mut c: Vec<char> = query.chars().collect();
+            for _ in 0..edits {
+                let pick = ALPHABETS[rng.below(3)];
+                let ch = pick[rng.below(pick.len())];
+                let at = rng.below(c.len() + 1);
+                match rng.below(3) {
+                    0 if at < c.len() => c[at] = ch,
+                    1 if at < c.len() => {
+                        c.remove(at);
+                    }
+                    _ => c.insert(at, ch),
+                }
+            }
+            candidates.push(c.into_iter().collect::<String>());
+        }
+        for _ in 0..2 {
+            let pick = ALPHABETS[rng.below(3)];
+            let shift = 1 + rng.below(reach + 1);
+            let random_len = rng.below(131);
+            candidates.push(rng.string(pick, random_len));
+            candidates.push(rng.string(pick, len + shift));
+            candidates.push(rng.string(pick, len.saturating_sub(shift)));
+        }
+        let mut verifier = BoundedLevenshtein::new(query.as_str(), d);
+        for c in &candidates {
+            let exact = levenshtein(&query, c);
+            let want = (exact <= d).then_some(exact);
+            prop_assert_eq!(verifier.distance(c), want, "query={:?} c={:?} d={}", query, c, d);
+            let chars = c.chars().count();
+            prop_assert_eq!(verifier.distance_of(c, chars), want, "query={:?} c={:?} d={}", query, c, d);
+        }
     }
 }
