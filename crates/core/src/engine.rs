@@ -1070,7 +1070,8 @@ impl SimilarityEngine {
 
     /// Execute `f` as one atomic chunk of a stepped task: position the
     /// virtual clock at `at_us`, open a stats window around the chunk, and
-    /// fold its charges (traffic, comparisons, latency profile) into `acc`.
+    /// fold its charges (traffic, comparisons, legs, latency profile) into
+    /// `acc` with [`QueryStats::absorb`].
     /// Returns `f`'s result and the virtual time the chunk completed at.
     ///
     /// Every wire interaction inside the chunk observes the per-peer
@@ -1108,17 +1109,7 @@ impl SimilarityEngine {
                 });
             }
         }
-        acc.traffic.add(&step.traffic);
-        acc.edit_comparisons += step.edit_comparisons;
-        acc.partitions_addressed += step.partitions_addressed;
-        acc.partitions_answered += step.partitions_answered;
-        acc.retries += step.retries;
-        if let Some(s) = step.sim {
-            match &mut acc.sim {
-                Some(mine) => mine.absorb(&s),
-                None => acc.sim = Some(s),
-            }
-        }
+        acc.absorb(&step);
         (r, end)
     }
 

@@ -240,8 +240,7 @@ impl ExecStep for MultiTask {
                         .iter()
                         .map(|p| BoundedLevenshtein::new(p.query.as_str(), p.d))
                         .collect();
-                    let mut acc = self.stats;
-                    let (matches, _end) = engine.charged(&mut acc, at, |e| {
+                    let (matches, _end) = engine.charged(&mut self.stats, at, |e| {
                         let mut matches: Vec<MultiMatch> = Vec::new();
                         let mut seen = rustc_hash::FxHashSet::default();
                         for m in lead {
@@ -287,7 +286,6 @@ impl ExecStep for MultiTask {
                         }
                         matches
                     });
-                    self.stats = acc;
                     self.matches = matches;
                     self.state = MState::Finalize;
                     continue;

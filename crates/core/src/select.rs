@@ -196,12 +196,10 @@ impl ExecStep for SelectTask {
             match std::mem::replace(&mut self.state, SelState::Finished) {
                 SelState::Scan => {
                     let (kind, from) = (&self.kind, self.from);
-                    let mut acc = self.stats;
                     let ((mut matched, hits, misses), end) =
-                        engine.charged(&mut acc, at_us, |e| Self::scan(kind, from, e));
-                    acc.cache_hits += hits;
-                    acc.cache_misses += misses;
-                    self.stats = acc;
+                        engine.charged(&mut self.stats, at_us, |e| Self::scan(kind, from, e));
+                    self.stats.cache_hits += hits;
+                    self.stats.cache_misses += misses;
                     sort_matches(&mut matched);
                     matched.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
                     // Sorted by oid already: deduplicated, they ascend.
@@ -223,10 +221,8 @@ impl ExecStep for SelectTask {
                         continue;
                     };
                     let from = self.from;
-                    let mut acc = self.stats;
-                    let (got, end) =
-                        engine.charged(&mut acc, fan.fork_us, |e| e.fetch_branch(from, oids));
-                    self.stats = acc;
+                    let (got, end) = engine
+                        .charged(&mut self.stats, fan.fork_us, |e| e.fetch_branch(from, oids));
                     self.objects.extend(got);
                     fan.record_end(end);
                     let next_at = if fan.is_done() { fan.max_end_us } else { fan.fork_us };

@@ -406,16 +406,14 @@ impl SimilarTask {
                         self.d,
                         engine.config().query.filters,
                     );
-                    let mut acc = self.stats;
                     let (got, end) = engine.probe_issue(
-                        &mut acc,
+                        &mut self.stats,
                         self.from,
                         part,
                         &branch_keys,
                         &filter,
                         fan.fork_us,
                     );
-                    self.stats = acc;
                     self.postings.extend(got);
                     fan.record_end(end);
                     let next_at = if fan.is_done() { fan.max_end_us } else { fan.fork_us };
@@ -455,11 +453,9 @@ impl SimilarTask {
                     // per-partition branches verify in parallel and the
                     // initiator is done when the slowest responder replies.
                     let from = self.from;
-                    let mut acc = self.stats;
-                    let (routed, end) = engine.charged(&mut acc, at, |e| {
+                    let (routed, end) = engine.charged(&mut self.stats, at, |e| {
                         e.with_leg_retry(|e| e.net.route(from, &prefix)).ok()
                     });
-                    self.stats = acc;
                     match routed {
                         Some(entry) => {
                             let entry_part = engine.net.peer_partition(entry);
@@ -500,8 +496,7 @@ impl SimilarTask {
                         continue;
                     };
                     let (verifier, attr, from) = (&mut self.verifier, &self.attr, self.from);
-                    let mut acc = self.stats;
-                    let (got, end) = engine.charged(&mut acc, fan.fork_us, |e| {
+                    let (got, end) = engine.charged(&mut self.stats, fan.fork_us, |e| {
                         e.naive_branch(
                             verifier,
                             attr.as_deref(),
@@ -512,7 +507,6 @@ impl SimilarTask {
                             &prefix,
                         )
                     });
-                    self.stats = acc;
                     if let Some(local) = got {
                         self.partitions_contacted += 1;
                         self.candidates.extend(local);
@@ -534,81 +528,84 @@ impl SimilarTask {
                         (&self.attr, self.s_len, self.d, self.strategy, self.from);
                     let (schema, group) = (attr.is_none(), self.grouping());
                     let verifier = &mut self.verifier;
-                    let mut acc = self.stats;
-                    let ((candidates, n_candidates), end) = engine.charged(&mut acc, at, |e| {
-                        // ---- Stage 1.5: aggregation + count filter -------
-                        // Every probed posting passed the probe filter, so it
-                        // is a gram of the query's level whose source is a
-                        // string. They are counted per stored triple, and a
-                        // count-filter survivor becomes a handle on its
-                        // triple's first posting: no string is hashed or
-                        // copied here.
-                        // Count filter — meaningful only when all grams were
-                        // probed.
-                        let count_filter = filters.count && strategy == Strategy::QGrams;
-                        let mut candidates: Vec<Candidate> = group(&postings)
-                            .into_iter()
-                            .filter_map(|(shared, p)| {
-                                let chars = p.source_len().unwrap_or_default();
-                                let kept = !count_filter
-                                    || shared as i64 >= count_filter_threshold(s_len, chars, q, d);
-                                kept.then(|| Candidate::new(p.clone(), chars, schema))
-                            })
-                            .collect();
+                    let ((candidates, n_candidates), end) =
+                        engine.charged(&mut self.stats, at, |e| {
+                            // ---- Stage 1.5: aggregation + count filter -------
+                            // Every probed posting passed the probe filter, so it
+                            // is a gram of the query's level whose source is a
+                            // string. They are counted per stored triple, and a
+                            // count-filter survivor becomes a handle on its
+                            // triple's first posting: no string is hashed or
+                            // copied here.
+                            // Count filter — meaningful only when all grams were
+                            // probed.
+                            let count_filter = filters.count && strategy == Strategy::QGrams;
+                            let mut candidates: Vec<Candidate> = group(&postings)
+                                .into_iter()
+                                .filter_map(|(shared, p)| {
+                                    let chars = p.source_len().unwrap_or_default();
+                                    let kept = !count_filter
+                                        || shared as i64
+                                            >= count_filter_threshold(s_len, chars, q, d);
+                                    kept.then(|| Candidate::new(p.clone(), chars, schema))
+                                })
+                                .collect();
 
-                        // ---- Short-string supplement ---------------------
-                        // Data strings with |t| < q live in the side
-                        // families; they can only match when the length
-                        // window reaches below q.
-                        if s_len.saturating_sub(d) < q {
-                            let prefix = match attr {
-                                Some(a) => keys::short_value_prefix(a),
-                                None => keys::short_attr_prefix(),
-                            };
-                            let lists = e.scan_prefix(from, &prefix);
-                            let mut queried = AttrGuard::new(attr.as_deref().unwrap_or_default());
-                            for p in lists.iter().flat_map(|l| l.iter()) {
-                                let chars = match (attr, p.kind()) {
-                                    (Some(_), PostingKind::ShortValue) => {
-                                        if !queried.admits(p) {
-                                            continue;
-                                        }
-                                        // `None`: a number.
-                                        let Some(chars) = p.char_len() else { continue };
-                                        chars
-                                    }
-                                    (None, PostingKind::ShortAttr) => p.triple().attr_char_len(),
-                                    _ => continue,
+                            // ---- Short-string supplement ---------------------
+                            // Data strings with |t| < q live in the side
+                            // families; they can only match when the length
+                            // window reaches below q.
+                            if s_len.saturating_sub(d) < q {
+                                let prefix = match attr {
+                                    Some(a) => keys::short_value_prefix(a),
+                                    None => keys::short_attr_prefix(),
                                 };
-                                if filters.length && !length_filter(chars, s_len, d) {
-                                    continue;
+                                let lists = e.scan_prefix(from, &prefix);
+                                let mut queried =
+                                    AttrGuard::new(attr.as_deref().unwrap_or_default());
+                                for p in lists.iter().flat_map(|l| l.iter()) {
+                                    let chars = match (attr, p.kind()) {
+                                        (Some(_), PostingKind::ShortValue) => {
+                                            if !queried.admits(p) {
+                                                continue;
+                                            }
+                                            // `None`: a number.
+                                            let Some(chars) = p.char_len() else { continue };
+                                            chars
+                                        }
+                                        (None, PostingKind::ShortAttr) => {
+                                            p.triple().attr_char_len()
+                                        }
+                                        _ => continue,
+                                    };
+                                    if filters.length && !length_filter(chars, s_len, d) {
+                                        continue;
+                                    }
+                                    candidates.push(Candidate::new(p.clone(), chars, schema));
                                 }
-                                candidates.push(Candidate::new(p.clone(), chars, schema));
                             }
-                        }
-                        Candidate::sort_dedup(&mut candidates);
-                        let n_candidates = candidates.len();
+                            Candidate::sort_dedup(&mut candidates);
+                            let n_candidates = candidates.len();
 
-                        // ---- Pre-verification (value-carrying postings) --
-                        // When instance-gram postings ship the complete value
-                        // (§4's closing optimization,
-                        // `PublishConfig::grams_carry_value`), the initiator
-                        // already holds every candidate's string and can run
-                        // the edit-distance check *before* stage 2 — objects
-                        // are then fetched only for true matches.
-                        if grams_carry {
-                            let mut surviving = Vec::with_capacity(candidates.len());
-                            for cand in candidates {
-                                e.count_comparison();
-                                if verifier.distance_of(cand.text(), cand.chars()).is_some() {
-                                    surviving.push(cand);
+                            // ---- Pre-verification (value-carrying postings) --
+                            // When instance-gram postings ship the complete value
+                            // (§4's closing optimization,
+                            // `PublishConfig::grams_carry_value`), the initiator
+                            // already holds every candidate's string and can run
+                            // the edit-distance check *before* stage 2 — objects
+                            // are then fetched only for true matches.
+                            if grams_carry {
+                                let mut surviving = Vec::with_capacity(candidates.len());
+                                for cand in candidates {
+                                    e.count_comparison();
+                                    if verifier.distance_of(cand.text(), cand.chars()).is_some() {
+                                        surviving.push(cand);
+                                    }
                                 }
+                                candidates = surviving;
                             }
-                            candidates = surviving;
-                        }
-                        (candidates, n_candidates)
-                    });
-                    self.stats = acc;
+                            (candidates, n_candidates)
+                        });
                     self.stats.candidates = n_candidates;
                     self.candidates = candidates;
                     self.state = SimState::PlanFetch { at_us: end };
@@ -656,10 +653,8 @@ impl SimilarTask {
                         continue;
                     };
                     let from = self.from;
-                    let mut acc = self.stats;
-                    let (got, end) =
-                        engine.charged(&mut acc, fan.fork_us, |e| e.fetch_branch(from, oids));
-                    self.stats = acc;
+                    let (got, end) = engine
+                        .charged(&mut self.stats, fan.fork_us, |e| e.fetch_branch(from, oids));
                     cache.extend(got);
                     fan.record_end(end);
                     let next_at = if fan.is_done() { fan.max_end_us } else { fan.fork_us };
@@ -670,8 +665,7 @@ impl SimilarTask {
                 SimState::Verify { at_us: at } => {
                     let candidates = std::mem::take(&mut self.candidates);
                     let verifier = &mut self.verifier;
-                    let mut acc = self.stats;
-                    let (matches, _end) = engine.charged(&mut acc, at, |e| {
+                    let (matches, _end) = engine.charged(&mut self.stats, at, |e| {
                         let mut matches = Vec::new();
                         for cand in &candidates {
                             let Some(object) = cache.get(cand.oid()) else { continue };
@@ -689,7 +683,6 @@ impl SimilarTask {
                         }
                         matches
                     });
-                    self.stats = acc;
                     self.stats.matches = matches.len();
                     finalize_stats(&mut self.stats);
                     self.matches = matches;

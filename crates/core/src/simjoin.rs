@@ -220,13 +220,11 @@ impl ExecStep for JoinTask {
                     // left attribute, via prefix fan-out (plus the
                     // short-value side family).
                     let (ln, from) = (&self.ln, self.from);
-                    let mut acc = self.stats;
-                    let (lists, end) = engine.charged(&mut acc, at_us, |e| {
+                    let (lists, end) = engine.charged(&mut self.stats, at_us, |e| {
                         let mut lists = e.scan_prefix(from, &keys::attr_scan_prefix(ln));
                         lists.extend(e.scan_prefix(from, &keys::short_value_prefix(ln)));
                         lists
                     });
-                    self.stats = acc;
                     // Sort, dedup and sample the replies where they lie;
                     // only the pairs that will be joined are copied out.
                     // Each pair carries its oid's head inline, which settles

@@ -144,13 +144,14 @@ pub(crate) fn compile(node: &PlanNode, out: &mut Vec<Stage>) {
 }
 
 /// Observed execution profile of **one plan stage**, recorded by
-/// [`PlanTask`] as the stage closes. Collected unconditionally (one
-/// snapshot copy per stage — charging is unaffected), so
-/// `explain_analyze` works with or without a trace sink installed.
+/// [`PlanTask`] as the stage closes. Collected unconditionally (the
+/// stage's charges are gathered in its own [`QueryStats`] and folded into
+/// the plan's with [`QueryStats::absorb`]), so `explain_analyze` works with
+/// or without a trace sink installed.
 ///
 /// Entries follow **stage order** (input first); the renderer maps them
 /// back onto the top-down plan tree.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct NodeObs {
     /// Stable stage label (`"similar"`, `"sim_join"`, `"filter"`, …).
     pub label: &'static str,
@@ -161,109 +162,13 @@ pub struct NodeObs {
     /// Virtual time from stage start to its last charge (0 for free local
     /// transforms and when no sink is installed).
     pub elapsed_us: u64,
-    /// Overlay messages charged while this stage ran.
-    pub messages: u64,
-    /// Overlay bytes charged while this stage ran.
-    pub bytes: u64,
-    /// Index probes issued by this stage.
-    pub probes: usize,
-    /// Probe keys served from the posting cache.
-    pub cache_hits: u64,
-    /// Probe keys that went to the overlay.
-    pub cache_misses: u64,
-    /// Probe keys that rode a coalesced multi-key exchange.
-    pub probes_coalesced: u64,
-    /// Edit-distance candidate verifications.
-    pub edit_comparisons: u64,
-    /// Protocol rounds consumed.
-    pub rounds: usize,
-    /// Virtual time this stage's messages spent queued behind busy
-    /// receivers.
-    pub queue_us: u64,
-    /// Receiver CPU occupancy charged to this stage.
-    pub service_us: u64,
-    /// Critical-path blame: link latency on the frontier-advancing path
-    /// while this stage ran. Unlike `queue_us`/`service_us` (which sum
-    /// over *all* messages, including overlapped ones), the four `crit_*`
-    /// fields decompose the stage's wall advance itself — they sum to the
-    /// virtual time the clock moved.
-    pub crit_net_us: u64,
-    /// Critical-path blame: queue wait behind busy receivers.
-    pub crit_queue_us: u64,
-    /// Critical-path blame: receiver service / local scan time.
-    pub crit_service_us: u64,
-    /// Critical-path blame: externally imposed stalls (join-window holds,
-    /// forward clock repositioning).
-    pub crit_stall_us: u64,
+    /// What this stage charged: its leaf task's stats plus any fetch it ran
+    /// itself (all zero for a local transform). [`PlanResult::stats`] is
+    /// these absorbed in stage order.
+    pub stats: QueryStats,
     /// Adaptive join window trajectory (joins with an adaptive window
     /// only): the window size after each AIMD adjustment.
     pub window_trace: Option<Vec<usize>>,
-    /// Graceful-degradation activity: routing legs re-sent under the
-    /// engine's [`DegradePolicy`](sqo_core::DegradePolicy) while this
-    /// stage ran.
-    pub retries: u64,
-    /// Legs abandoned after exhausting their retry budget.
-    pub gave_up: u64,
-    /// Partitions this stage addressed / heard back from. Equal on a
-    /// healthy run; a shortfall is the per-stage completeness loss.
-    pub partitions_addressed: u64,
-    pub partitions_answered: u64,
-}
-
-/// Counter snapshot taken when a stage begins; the closing [`NodeObs`] is
-/// the delta against it.
-#[derive(Debug, Clone, Copy)]
-struct StageOpen {
-    start_us: u64,
-    messages: u64,
-    bytes: u64,
-    probes: usize,
-    cache_hits: u64,
-    cache_misses: u64,
-    probes_coalesced: u64,
-    edit_comparisons: u64,
-    rounds: usize,
-    queue_us: u64,
-    service_us: u64,
-    crit: [u64; 4],
-    retries: u64,
-    gave_up: u64,
-    partitions_addressed: u64,
-    partitions_answered: u64,
-}
-
-/// The four critical-path blame counters of a stats snapshot, in
-/// net/queue/service/stall order.
-fn crit_of(stats: &QueryStats) -> [u64; 4] {
-    stats
-        .sim
-        .map(|s| [s.crit_net_us, s.crit_queue_us, s.crit_service_us, s.crit_stall_us])
-        .unwrap_or([0; 4])
-}
-
-impl StageOpen {
-    fn of(stats: &QueryStats, at_us: u64) -> Self {
-        let (queue_us, service_us) =
-            stats.sim.map(|s| (s.queue_us, s.service_us)).unwrap_or((0, 0));
-        Self {
-            start_us: at_us,
-            messages: stats.traffic.messages,
-            bytes: stats.traffic.bytes,
-            probes: stats.probes,
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
-            probes_coalesced: stats.probes_coalesced,
-            edit_comparisons: stats.edit_comparisons,
-            rounds: stats.rounds,
-            queue_us,
-            service_us,
-            crit: crit_of(stats),
-            retries: stats.retries,
-            gave_up: stats.gave_up,
-            partitions_addressed: stats.partitions_addressed,
-            partitions_answered: stats.partitions_answered,
-        }
-    }
 }
 
 /// The in-flight physical task of one leaf stage.
@@ -288,7 +193,10 @@ pub struct PlanTask {
     rows: Vec<PlanRow>,
     stats: QueryStats,
     obs: Vec<NodeObs>,
-    open: Option<StageOpen>,
+    /// Virtual time the open stage began.
+    stage_start_us: u64,
+    /// The open stage's charges, folded into `stats` as it closes.
+    stage: QueryStats,
     done: bool,
 }
 
@@ -302,7 +210,8 @@ impl PlanTask {
             rows: Vec::new(),
             stats: QueryStats::default(),
             obs: Vec::new(),
-            open: None,
+            stage_start_us: 0,
+            stage: QueryStats::default(),
             done: false,
         }
     }
@@ -319,46 +228,29 @@ impl PlanTask {
         &self.obs
     }
 
-    /// Close the stage at `self.idx`: record its [`NodeObs`] delta and —
-    /// when a trace sink is attributed to this query — emit the stage span.
+    /// Close the stage at `self.idx`: fold its charges into the plan's,
+    /// record its [`NodeObs`] and — when a trace sink is attributed to this
+    /// query — emit the stage span.
     fn close_stage(
         &mut self,
         engine: &SimilarityEngine,
         end_us: u64,
         window_trace: Option<Vec<usize>>,
     ) {
-        let Some(open) = self.open.take() else { return };
-        let (queue_us, service_us) =
-            self.stats.sim.map(|s| (s.queue_us, s.service_us)).unwrap_or((0, 0));
-        let crit = crit_of(&self.stats);
+        let stats = std::mem::take(&mut self.stage);
+        self.stats.absorb(&stats);
         let o = NodeObs {
             label: self.stages[self.idx].label(),
             rows_out: self.rows.len(),
-            start_us: open.start_us,
-            elapsed_us: end_us.saturating_sub(open.start_us),
-            messages: self.stats.traffic.messages - open.messages,
-            bytes: self.stats.traffic.bytes - open.bytes,
-            probes: self.stats.probes - open.probes,
-            cache_hits: self.stats.cache_hits - open.cache_hits,
-            cache_misses: self.stats.cache_misses - open.cache_misses,
-            probes_coalesced: self.stats.probes_coalesced - open.probes_coalesced,
-            edit_comparisons: self.stats.edit_comparisons - open.edit_comparisons,
-            rounds: self.stats.rounds - open.rounds,
-            queue_us: queue_us - open.queue_us,
-            service_us: service_us - open.service_us,
-            crit_net_us: crit[0] - open.crit[0],
-            crit_queue_us: crit[1] - open.crit[1],
-            crit_service_us: crit[2] - open.crit[2],
-            crit_stall_us: crit[3] - open.crit[3],
+            start_us: self.stage_start_us,
+            elapsed_us: end_us.saturating_sub(self.stage_start_us),
+            stats,
             window_trace,
-            retries: self.stats.retries - open.retries,
-            gave_up: self.stats.gave_up - open.gave_up,
-            partitions_addressed: self.stats.partitions_addressed - open.partitions_addressed,
-            partitions_answered: self.stats.partitions_answered - open.partitions_answered,
         };
         if engine.network().has_trace_sink() {
             if let Some(q) = engine.network().trace_query() {
                 engine.network().trace_with(|| {
+                    let b = o.stats.sim.unwrap_or_default();
                     TraceEvent::span(
                         o.start_us,
                         o.elapsed_us,
@@ -367,12 +259,12 @@ impl PlanTask {
                         "stage",
                     )
                     .arg("rows_out", o.rows_out)
-                    .arg("messages", o.messages)
-                    .arg("probes", o.probes)
-                    .arg("net", o.crit_net_us)
-                    .arg("queue", o.crit_queue_us)
-                    .arg("service", o.crit_service_us)
-                    .arg("stall", o.crit_stall_us)
+                    .arg("messages", o.stats.traffic.messages)
+                    .arg("probes", o.stats.probes)
+                    .arg("net", b.crit_net_us)
+                    .arg("queue", b.crit_queue_us)
+                    .arg("service", b.crit_service_us)
+                    .arg("stall", b.crit_stall_us)
                 });
             }
         }
@@ -512,17 +404,12 @@ fn transpose_swapped_join(
     at: u64,
     stats: &mut QueryStats,
 ) -> (Vec<PlanRow>, u64) {
-    let mut end = at;
-    let mut objects: rustc_hash::FxHashMap<String, sqo_storage::posting::Object> =
-        rustc_hash::FxHashMap::default();
     let oids: rustc_hash::FxHashSet<String> = pairs.iter().map(|p| p.left_oid.clone()).collect();
-    if !oids.is_empty() {
-        let mut acc = *stats;
-        let (got, fetch_end) = engine.charged(&mut acc, at, |e| e.fetch_objects(from, &oids));
-        *stats = acc;
-        objects = got;
-        end = fetch_end;
-    }
+    let (objects, end) = if oids.is_empty() {
+        (Default::default(), at)
+    } else {
+        engine.charged(stats, at, |e| e.fetch_objects(from, &oids))
+    };
     let scanned_attr = spec.ln.clone();
     let mut rows: Vec<PlanRow> = pairs
         .into_iter()
@@ -569,7 +456,7 @@ impl ExecStep for PlanTask {
                 match outcome {
                     StepOutcome::Yield { at_us } => return StepOutcome::Yield { at_us },
                     StepOutcome::Done(child_stats) => {
-                        self.stats.absorb(&child_stats);
+                        self.stage.absorb(&child_stats);
                         at = child_stats.sim.map(|s| s.end_us).unwrap_or(at);
                         let window_trace = match &self.active {
                             Some(Active::Join(t)) => t.window_trace().map(<[usize]>::to_vec),
@@ -580,7 +467,9 @@ impl ExecStep for PlanTask {
                             _ => None,
                         };
                         self.rows = match self.active.take().expect("checked above") {
-                            Active::Similar(mut t) => rows_from_similar(t.take_matches()),
+                            Active::Similar(mut t) => {
+                                t.take_matches().into_iter().map(row_from_match).collect()
+                            }
                             Active::Select(mut t) => t
                                 .take_hits()
                                 .into_iter()
@@ -604,7 +493,7 @@ impl ExecStep for PlanTask {
                                             s,
                                             pairs,
                                             at,
-                                            &mut self.stats,
+                                            &mut self.stage,
                                         );
                                         at = end;
                                         rows
@@ -642,16 +531,16 @@ impl ExecStep for PlanTask {
             }
 
             // ---- Start the next stage -----------------------------------
+            self.stage_start_us = at;
             match &self.stages[self.idx] {
                 Stage::Lookup(oid) => {
                     // One routed fetch, one charged chunk; an oid nothing
                     // is stored under yields no row.
-                    self.open = Some(StageOpen::of(&self.stats, at));
                     let oid = oid.clone();
                     let from = self.from;
                     let oids = [oid.clone()].into_iter().collect();
                     let (mut objects, end) =
-                        engine.charged(&mut self.stats, at, |e| e.fetch_objects(from, &oids));
+                        engine.charged(&mut self.stage, at, |e| e.fetch_objects(from, &oids));
                     self.rows = objects
                         .remove(&oid)
                         .filter(|o| !o.fields.is_empty())
@@ -673,7 +562,6 @@ impl ExecStep for PlanTask {
                     continue;
                 }
                 Stage::TopN(spec) => {
-                    self.open = Some(StageOpen::of(&self.stats, at));
                     rank_rows(&mut self.rows, spec.by);
                     self.rows.truncate(spec.n);
                     self.close_stage(engine, at, None);
@@ -681,7 +569,6 @@ impl ExecStep for PlanTask {
                     continue;
                 }
                 Stage::Filter(pred) => {
-                    self.open = Some(StageOpen::of(&self.stats, at));
                     let pred = pred.clone();
                     self.rows.retain(|r| eval_predicate(&pred, r));
                     self.close_stage(engine, at, None);
@@ -689,14 +576,12 @@ impl ExecStep for PlanTask {
                     continue;
                 }
                 Stage::Limit(n) => {
-                    self.open = Some(StageOpen::of(&self.stats, at));
                     self.rows.truncate(*n);
                     self.close_stage(engine, at, None);
                     self.idx += 1;
                     continue;
                 }
                 _ => {
-                    self.open = Some(StageOpen::of(&self.stats, at));
                     self.active = self.start_stage(self.idx);
                     debug_assert!(self.active.is_some(), "leaf stages start a task");
                     continue;
@@ -704,10 +589,6 @@ impl ExecStep for PlanTask {
             }
         }
     }
-}
-
-fn rows_from_similar(matches: Vec<sqo_core::SimilarMatch>) -> Vec<PlanRow> {
-    matches.into_iter().map(row_from_match).collect()
 }
 
 fn row_from_match(m: sqo_core::SimilarMatch) -> PlanRow {

@@ -158,34 +158,35 @@ pub(crate) fn render(root: &PlanNode, env: &PlannerEnv, notes: &[String]) -> Str
 }
 
 /// One observed-execution annotation line (under its node in
-/// `explain_analyze` output). Always shows rows/time/traffic/probes;
-/// optional counters appear only when nonzero, the adaptive-window
-/// trajectory only when the stage had one.
+/// `explain_analyze` output), read off the stage's own [`QueryStats`].
+/// Always shows rows/time/traffic/probes; optional counters appear only
+/// when nonzero, the adaptive-window trajectory only when the stage had one.
 fn obs_line(o: &NodeObs) -> String {
+    let st = &o.stats;
     let mut s = format!(
         "~ rows={} time={}us msgs={} bytes={} probes={}",
-        o.rows_out, o.elapsed_us, o.messages, o.bytes, o.probes
+        o.rows_out, o.elapsed_us, st.traffic.messages, st.traffic.bytes, st.probes
     );
-    if o.cache_hits + o.cache_misses > 0 {
-        s.push_str(&format!(" cache_hits={}/{}", o.cache_hits, o.cache_hits + o.cache_misses));
+    if st.cache_hits + st.cache_misses > 0 {
+        s.push_str(&format!(" cache_hits={}/{}", st.cache_hits, st.cache_hits + st.cache_misses));
     }
-    if o.probes_coalesced > 0 {
-        s.push_str(&format!(" coalesced={}", o.probes_coalesced));
+    if st.probes_coalesced > 0 {
+        s.push_str(&format!(" coalesced={}", st.probes_coalesced));
     }
-    if o.edit_comparisons > 0 {
-        s.push_str(&format!(" cmp={}", o.edit_comparisons));
+    if st.edit_comparisons > 0 {
+        s.push_str(&format!(" cmp={}", st.edit_comparisons));
     }
-    if o.rounds > 0 {
-        s.push_str(&format!(" rounds={}", o.rounds));
+    if st.rounds > 0 {
+        s.push_str(&format!(" rounds={}", st.rounds));
     }
-    if o.queue_us + o.service_us > 0 {
-        s.push_str(&format!(" queue={}us service={}us", o.queue_us, o.service_us));
+    let b = st.sim.unwrap_or_default();
+    if b.queue_us + b.service_us > 0 {
+        s.push_str(&format!(" queue={}us service={}us", b.queue_us, b.service_us));
     }
-    let crit = o.crit_net_us + o.crit_queue_us + o.crit_service_us + o.crit_stall_us;
-    if crit > 0 {
+    if b.crit_net_us + b.crit_queue_us + b.crit_service_us + b.crit_stall_us > 0 {
         s.push_str(&format!(
             " blame[link={}us queue={}us service={}us stall={}us]",
-            o.crit_net_us, o.crit_queue_us, o.crit_service_us, o.crit_stall_us
+            b.crit_net_us, b.crit_queue_us, b.crit_service_us, b.crit_stall_us
         ));
     }
     if let Some(w) = &o.window_trace {
@@ -194,14 +195,14 @@ fn obs_line(o: &NodeObs) -> String {
     }
     // Degradation annotations: silent on a healthy run, so fault-free
     // explain output is unchanged.
-    if o.retries > 0 {
-        s.push_str(&format!(" retries={}", o.retries));
+    if st.retries > 0 {
+        s.push_str(&format!(" retries={}", st.retries));
     }
-    if o.gave_up > 0 {
-        s.push_str(&format!(" gave_up={}", o.gave_up));
+    if st.gave_up > 0 {
+        s.push_str(&format!(" gave_up={}", st.gave_up));
     }
-    if o.partitions_answered < o.partitions_addressed {
-        s.push_str(&format!(" partial={}/{}", o.partitions_answered, o.partitions_addressed));
+    if st.partitions_answered < st.partitions_addressed {
+        s.push_str(&format!(" partial={}/{}", st.partitions_answered, st.partitions_addressed));
     }
     s
 }

@@ -5,7 +5,7 @@
 //! strategy choice) and the tree shape — so any planner change that moves
 //! an access path or annotation shows up as a reviewable diff here.
 
-use sqo_core::{AttrPredicate, EngineBuilder, JoinWindow, QueryDefaults, Rank};
+use sqo_core::{AttrPredicate, EngineBuilder, JoinWindow, QueryDefaults, QueryStats, Rank};
 use sqo_overlay::PeerId;
 use sqo_plan::{CmpOp, PlanError, PlannerEnv, PreparedQuery, Query, Session};
 use sqo_sim::{LatencyModel, SimConfig};
@@ -235,6 +235,7 @@ fn numeric_topn_analyze_golden() {
     let mut session = Session::new(&mut engine, PeerId(0));
     let mut analyze = |q: &Query| {
         let prepared = session.prepare(q).expect("plannable");
+        assert_stage_costs_add_up(&mut session, &prepared);
         let (result, rendered) = session.explain_analyze_prepared(&prepared);
         let answer: Vec<String> =
             result.rows.iter().map(|r| format!("{}={}", r.oid, r.value)).collect();
@@ -258,6 +259,88 @@ fn numeric_topn_analyze_golden() {
          blame[link=4000us queue=0us service=284us stall=0us]\n\
          -- observed: rows=4 msgs=4 bytes=650 probes=0 time=4284us"
     );
+}
+
+/// The counters a plan's stats and its stages' observations both sum.
+fn summed(s: &QueryStats) -> [(&'static str, u64); 9] {
+    [
+        ("messages", s.traffic.messages),
+        ("bytes", s.traffic.bytes),
+        ("probes", s.probes as u64),
+        ("edit_comparisons", s.edit_comparisons),
+        ("cache_hits", s.cache_hits),
+        ("cache_misses", s.cache_misses),
+        ("retries", s.retries),
+        ("partitions_addressed", s.partitions_addressed),
+        ("partitions_answered", s.partitions_answered),
+    ]
+}
+
+/// Run `prepared` once as a task: the summed counters of its stages'
+/// observations add up to the plan's own.
+fn assert_stage_costs_add_up(session: &mut Session, prepared: &PreparedQuery) {
+    let mut task = prepared.task();
+    let total = session.engine().run_task(&mut task);
+    let mut stages = summed(&QueryStats::default());
+    for o in task.observations() {
+        for (sum, (_, n)) in stages.iter_mut().zip(summed(&o.stats)) {
+            sum.1 += n;
+        }
+    }
+    assert_eq!(stages, summed(&total), "stages of\n{}", prepared.explain());
+}
+
+/// Stage costs add up on plans of several stages: a pipeline into a join
+/// and a local top-N, a filtered and limited selection, an oid lookup, and
+/// a build-side-swapped join whose transposing fetch its stage charges.
+#[test]
+fn stage_costs_add_up_to_the_plans() {
+    let mut rows = Vec::new();
+    for i in 0..60 {
+        rows.push(Row::new(
+            format!("c:{i}"),
+            [
+                ("name", Value::from(format!("carname{i:03}"))),
+                ("price", Value::Int(1_000 * i)),
+                ("dealer", Value::from(format!("dealer{}", i % 4))),
+            ],
+        ));
+    }
+    // Dealers named like a car too: the swapped join has pairs to fetch.
+    for i in 0..3 {
+        rows.push(Row::new(format!("d:{i}"), [("dlrname", Value::from(format!("dealer{i}")))]));
+        rows.push(Row::new(
+            format!("e:{i}"),
+            [("dlrname", Value::from(format!("carname{i:03}x")))],
+        ));
+    }
+    let mut engine = EngineBuilder::new().peers(128).q(2).seed(41).build_with_rows(&rows);
+    sqo_sim::install(
+        &mut engine,
+        SimConfig { latency: LatencyModel::Constant { us: 1_000 }, ..SimConfig::default() },
+    );
+    // From the popular attribute's partition the join swaps its build side
+    // (see `costed_join_swap_golden`).
+    let part = engine.network().partition_of(&sqo_storage::keys::attr_scan_prefix("name"));
+    let from = engine.network_mut().partition_member(part).expect("alive member");
+    let mut session = Session::new(&mut engine, from);
+    let swapped = session.prepare(&Query::join_scan("name", Some("dlrname"), 1)).expect("plans");
+    assert!(swapped.explain().contains("build side swapped"), "{}", swapped.explain());
+    let plans = [
+        Query::select_range("price", Value::Int(0), Value::Int(20_000))
+            .sim_join("dealer", Some("dlrname"), 1)
+            .top_n(3),
+        Query::similar("carname010", Some("name"), 1)
+            .filter_value("price", CmpOp::Le, Value::Int(30_000))
+            .limit(2),
+        Query::lookup("c:7"),
+    ];
+    for q in &plans {
+        let prepared = session.prepare(q).expect("plans");
+        assert_stage_costs_add_up(&mut session, &prepared);
+    }
+    assert_eq!(session.run_prepared(&swapped).rows.len(), 3, "the swapped join pairs");
+    assert_stage_costs_add_up(&mut session, &swapped);
 }
 
 /// A numeric similarity whose `eps` is NaN, infinite or negative is refused

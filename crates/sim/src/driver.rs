@@ -315,32 +315,49 @@ struct InFlight {
     trace: Option<u64>,
 }
 
-/// The driver's mutable loop state, separated from the engine so a run can
-/// pause at a quiesce boundary, walk itself into a [`DriverCheckpoint`],
-/// and later be rebuilt to continue.
-struct LoopState {
-    client_rngs: Vec<StdRng>,
-    issued: Vec<usize>,
-    initiators: Option<Vec<PeerId>>,
-    q: EventQueue<Ev>,
-    /// Fault index of the loss spike last applied, until a `FaultClear`
-    /// restores the baseline loss model.
-    in_force: Option<u32>,
-    flights: Vec<Option<InFlight>>,
-    free_slots: Vec<usize>,
-    /// Ascending by label.
-    by_operator: Vec<(&'static str, LogHistogram, QueryStats)>,
-    all_latencies: LogHistogram,
-    total: QueryStats,
-    queries_run: usize,
-    first_start: u64,
-    last_end: u64,
+/// What a paused run keeps of its loop: every per-client RNG stream, the
+/// accumulated histograms and stats, the loss spike in force. The loop
+/// runs on it and a [`DriverCheckpoint`] carries it whole.
+#[derive(Debug, Clone)]
+pub struct RunState {
+    /// Fault index of the [`FaultKind::LossSpike`] in force (`None`: the
+    /// baseline loss model), until a `FaultClear` restores the baseline;
+    /// [`resume_driver`] installs the restored `NetSim` under this spike's
+    /// loss.
+    pub in_force: Option<u32>,
+    /// Queries issued so far, per client.
+    pub issued: Vec<usize>,
+    /// Sticky initiator peers (when [`DriverConfig::sticky_initiators`]).
+    pub initiators: Option<Vec<PeerId>>,
+    /// Each client's stream.
+    pub client_rngs: Vec<StdRng>,
+    /// Per-operator accumulators, ascending by label (one of
+    /// [`QueryKind::LABELS`]): latency histogram, absorbed stats.
+    pub by_operator: Vec<(&'static str, LogHistogram, QueryStats)>,
+    pub all_latencies: LogHistogram,
+    pub total: QueryStats,
+    pub queries_run: usize,
+    pub first_start: u64,
+    pub last_end: u64,
     /// First / second half of completions (latencies + absorbed stats) —
     /// the stationarity split of [`PhaseReport`].
-    early: (LogHistogram, QueryStats),
-    late: (LogHistogram, QueryStats),
-    repair: RepairTotals,
-    diagnostics: Vec<String>,
+    pub early: (LogHistogram, QueryStats),
+    pub late: (LogHistogram, QueryStats),
+    /// Self-healing totals so far.
+    pub repair: RepairTotals,
+    /// Anomalies recorded so far.
+    pub diagnostics: Vec<String>,
+}
+
+/// The driver's mutable loop state, separated from the engine so a run can
+/// pause at a quiesce boundary, walk itself into a [`DriverCheckpoint`],
+/// and later be rebuilt to continue: the [`RunState`] plus the live event
+/// queue and in-flight tasks.
+struct LoopState {
+    run: RunState,
+    q: EventQueue<Ev>,
+    flights: Vec<Option<InFlight>>,
+    free_slots: Vec<usize>,
 }
 
 impl LoopState {
@@ -375,14 +392,11 @@ impl LoopState {
             q.push(t, Ev::Arrive { client: c });
         }
 
-        Self {
-            client_rngs,
+        let run = RunState {
+            in_force: None,
             issued: vec![0usize; cfg.clients],
             initiators,
-            q,
-            in_force: None,
-            flights: Vec::new(),
-            free_slots: Vec::new(),
+            client_rngs,
             by_operator: Vec::new(),
             all_latencies: LogHistogram::new(),
             total: QueryStats::default(),
@@ -393,7 +407,8 @@ impl LoopState {
             late: (LogHistogram::new(), QueryStats::default()),
             repair: RepairTotals::default(),
             diagnostics: Vec::new(),
-        }
+        };
+        Self { run, q, flights: Vec::new(), free_slots: Vec::new() }
     }
 
     /// Rebuild the loop from a checkpoint image (see [`resume_driver`]):
@@ -403,23 +418,10 @@ impl LoopState {
         let QueueState { seq, now_us, entries } = ckpt.queue;
         let entries = entries.into_iter().map(|(at, seq, ev)| (at, seq, ev.into())).collect();
         Self {
-            client_rngs: ckpt.client_rngs,
-            issued: ckpt.issued,
-            initiators: ckpt.initiators,
+            run: ckpt.run,
             q: EventQueue::from_state(QueueState { seq, now_us, entries }),
-            in_force: ckpt.in_force,
             flights: Vec::new(),
             free_slots: Vec::new(),
-            by_operator: ckpt.by_operator,
-            all_latencies: ckpt.all_latencies,
-            total: ckpt.total,
-            queries_run: ckpt.queries_run,
-            first_start: ckpt.first_start,
-            last_end: ckpt.last_end,
-            early: ckpt.early,
-            late: ckpt.late,
-            repair: ckpt.repair,
-            diagnostics: ckpt.diagnostics,
         }
     }
 
@@ -436,20 +438,7 @@ impl LoopState {
         let entries = entries.into_iter().map(|(at, seq, ev)| (at, seq, ev.into())).collect();
         DriverCheckpoint {
             queue: QueueState { seq, now_us, entries },
-            in_force: self.in_force,
-            issued: self.issued,
-            initiators: self.initiators,
-            client_rngs: self.client_rngs,
-            by_operator: self.by_operator,
-            all_latencies: self.all_latencies,
-            total: self.total,
-            queries_run: self.queries_run,
-            first_start: self.first_start,
-            last_end: self.last_end,
-            early: self.early,
-            late: self.late,
-            repair: self.repair,
-            diagnostics: self.diagnostics,
+            run: self.run,
             netsim: crate::netsim::export_installed(engine)
                 .expect("the driver installed a NetSim on this engine"),
         }
@@ -487,40 +476,15 @@ pub enum EvSnap {
 }
 
 /// The owned image of a paused driver run: pending arrivals and faults with
-/// their queue positions, and the loop's own values — every per-client RNG
-/// stream, the accumulated histograms and stats, the loss spike in force —
-/// plus the virtual-time charger's state. Static inputs (the
-/// [`DriverConfig`], attribute, string pool, and the engine's world state)
-/// are *not* carried here — [`resume_driver`] takes them again, and
-/// `sqo-snap`'s artifact bundles the world alongside.
+/// their queue positions, the loop's [`RunState`], and the virtual-time
+/// charger's state. Static inputs (the [`DriverConfig`], attribute, string
+/// pool, and the engine's world state) are *not* carried here —
+/// [`resume_driver`] takes them again, and `sqo-snap`'s artifact bundles
+/// the world alongside.
 #[derive(Debug, Clone)]
 pub struct DriverCheckpoint {
     pub queue: QueueState<EvSnap>,
-    /// Fault index of the [`FaultKind::LossSpike`] in force at the pause
-    /// (`None`: the baseline loss model); [`resume_driver`] installs the
-    /// restored `NetSim` under this spike's loss.
-    pub in_force: Option<u32>,
-    /// Queries issued so far, per client.
-    pub issued: Vec<usize>,
-    /// Sticky initiator peers (when [`DriverConfig::sticky_initiators`]).
-    pub initiators: Option<Vec<PeerId>>,
-    /// Each client's stream.
-    pub client_rngs: Vec<StdRng>,
-    /// Per-operator accumulators, ascending by label (one of
-    /// [`QueryKind::LABELS`]): latency histogram, absorbed stats.
-    pub by_operator: Vec<(&'static str, LogHistogram, QueryStats)>,
-    pub all_latencies: LogHistogram,
-    pub total: QueryStats,
-    pub queries_run: usize,
-    pub first_start: u64,
-    pub last_end: u64,
-    /// Early/late completion-half accumulators (see [`PhaseReport`]).
-    pub early: (LogHistogram, QueryStats),
-    pub late: (LogHistogram, QueryStats),
-    /// Self-healing totals so far.
-    pub repair: RepairTotals,
-    /// Anomalies recorded so far.
-    pub diagnostics: Vec<String>,
+    pub run: RunState,
     /// The installed [`NetSim`](crate::NetSim)'s image.
     pub netsim: crate::netsim::NetSimState,
 }
@@ -541,6 +505,9 @@ pub enum DriverPhase {
 /// built engines** yield identical reports; re-driving the *same* engine
 /// is not a reproduction — the first run advances the network's RNG and,
 /// under a fault script, permanently kills peers.
+///
+/// Panics, before the engine is touched, on inputs no run can drive (see
+/// [`run_driver_until`]).
 pub fn run_driver(
     engine: &mut SimilarityEngine,
     attr: &str,
@@ -548,8 +515,9 @@ pub fn run_driver(
     cfg: &DriverConfig,
 ) -> DriverReport {
     match drive(engine, attr, strings, cfg, None) {
-        DriverPhase::Done(report) => report,
-        DriverPhase::Paused(_) => unreachable!("no stop bound was given"),
+        Ok(DriverPhase::Done(report)) => report,
+        Ok(DriverPhase::Paused(_)) => unreachable!("no stop bound was given"),
+        Err(e) => panic!("{e}"),
     }
 }
 
@@ -564,13 +532,18 @@ pub fn run_driver(
 /// On [`DriverPhase::Paused`] the engine is left live at the boundary —
 /// network, broker and installed `NetSim` all reflect the paused run —
 /// ready for `sqo-snap` to walk into an artifact.
+///
+/// Inputs no run can drive are an `Err`, returned before the engine is
+/// touched: an empty string pool, workload or mix, explicit arrivals
+/// without an offset, and a fault plan that wipes a partition the network
+/// does not have or crashes / revives a fraction outside `[0, 1]`.
 pub fn run_driver_until(
     engine: &mut SimilarityEngine,
     attr: &str,
     strings: &[String],
     cfg: &DriverConfig,
     stop_us: u64,
-) -> DriverPhase {
+) -> Result<DriverPhase, &'static str> {
     drive(engine, attr, strings, cfg, Some(stop_us))
 }
 
@@ -585,8 +558,8 @@ pub fn run_driver_until(
 /// Running the remainder produces a report byte-identical to the
 /// uninterrupted run's. A checkpoint of another client count or peer
 /// count, one whose pending faults or loss spike in force the plan does
-/// not hold, an empty string pool and an empty mix are errors, returned
-/// before the engine is touched.
+/// not hold, and the inputs [`run_driver_until`] refuses are errors,
+/// returned before the engine is touched.
 pub fn resume_driver(
     engine: &mut SimilarityEngine,
     attr: &str,
@@ -594,15 +567,11 @@ pub fn resume_driver(
     cfg: &DriverConfig,
     ckpt: DriverCheckpoint,
 ) -> Result<DriverReport, &'static str> {
-    if ckpt.client_rngs.len() != cfg.clients || ckpt.issued.len() != cfg.clients {
+    let run = &ckpt.run;
+    if run.client_rngs.len() != cfg.clients || run.issued.len() != cfg.clients {
         return Err("checkpoint has a different client count");
     }
-    if strings.is_empty() {
-        return Err("driver needs a non-empty string pool");
-    }
-    if cfg.mix.is_empty() {
-        return Err("empty query mix");
-    }
+    check_inputs(engine, strings, cfg)?;
     let faults = &cfg.faults.events;
     let unknown_fault = ckpt.queue.entries.iter().any(|(_, _, ev)| match *ev {
         EvSnap::Fault { idx } | EvSnap::FaultClear { idx } => idx as usize >= faults.len(),
@@ -612,7 +581,7 @@ pub fn resume_driver(
         return Err("checkpoint has a pending fault its plan does not hold");
     }
     // The restored NetSim runs under the loss model in force at the pause.
-    let loss = match ckpt.in_force.map(|idx| faults.get(idx as usize).map(|f| f.kind)) {
+    let loss = match run.in_force.map(|idx| faults.get(idx as usize).map(|f| f.kind)) {
         None => cfg.sim.loss,
         Some(Some(FaultKind::LossSpike { loss, .. })) => loss,
         Some(_) => return Err("checkpoint's loss spike in force is not one its plan holds"),
@@ -631,13 +600,8 @@ fn drive(
     strings: &[String],
     cfg: &DriverConfig,
     stop_us: Option<u64>,
-) -> DriverPhase {
-    assert!(!strings.is_empty(), "driver needs a non-empty string pool");
-    assert!(cfg.clients >= 1 && cfg.queries_per_client >= 1, "empty workload");
-    assert!(!cfg.mix.is_empty(), "empty query mix");
-    if let Arrival::Explicit { offsets_us } = &cfg.arrival {
-        assert!(!offsets_us.is_empty(), "explicit arrivals need at least one offset");
-    }
+) -> Result<DriverPhase, &'static str> {
+    check_inputs(engine, strings, cfg)?;
     install(engine, cfg.sim);
     // The driver owns the run's broker: fresh state per run, stale brokers
     // from a previous run removed.
@@ -647,7 +611,43 @@ fn drive(
         engine.clear_broker();
     }
     let st = LoopState::fresh(engine, cfg);
-    run_loop(engine, attr, strings, cfg, st, stop_us)
+    Ok(run_loop(engine, attr, strings, cfg, st, stop_us))
+}
+
+/// The one check of a run's inputs (listed at [`run_driver_until`]), shared
+/// by a fresh and a resumed run.
+fn check_inputs(
+    engine: &SimilarityEngine,
+    strings: &[String],
+    cfg: &DriverConfig,
+) -> Result<(), &'static str> {
+    if strings.is_empty() {
+        return Err("driver needs a non-empty string pool");
+    }
+    if cfg.clients == 0 || cfg.queries_per_client == 0 {
+        return Err("empty workload");
+    }
+    if cfg.mix.is_empty() {
+        return Err("empty query mix");
+    }
+    if matches!(&cfg.arrival, Arrival::Explicit { offsets_us } if offsets_us.is_empty()) {
+        return Err("explicit arrivals need at least one offset");
+    }
+    let parts = engine.network().partition_count();
+    for fault in &cfg.faults.events {
+        match fault.kind {
+            FaultKind::WipePartition { part } if part >= parts => {
+                return Err("fault plan wipes a partition the network does not have");
+            }
+            FaultKind::Crash { fraction } | FaultKind::Revive { fraction }
+                if !(0.0..=1.0).contains(&fraction) =>
+            {
+                return Err("fault plan crashes or revives a fraction outside [0, 1]");
+            }
+            _ => {}
+        }
+    }
+    Ok(())
 }
 
 /// The event loop plus report assembly: pops arrivals, task steps and
@@ -667,14 +667,12 @@ fn run_loop(
     let planner_env = PlannerEnv::of(engine);
     let zipf = (cfg.zipf_s > 0.0).then(|| ZipfSampler::new(strings.len(), cfg.zipf_s));
 
-    let LoopState {
-        client_rngs,
+    let LoopState { run, q, flights, free_slots } = &mut st;
+    let RunState {
+        in_force,
         issued,
         initiators,
-        q,
-        in_force,
-        flights,
-        free_slots,
+        client_rngs,
         by_operator,
         all_latencies,
         total,
@@ -685,7 +683,7 @@ fn run_loop(
         late,
         repair,
         diagnostics,
-    } = &mut st;
+    } = run;
 
     // Completion-count split point of the early/late phase view.
     let half = (cfg.clients * cfg.queries_per_client) / 2;
@@ -920,18 +918,20 @@ fn run_loop(
     if paused {
         return DriverPhase::Paused(st.checkpoint(engine));
     }
+    let run = st.run;
 
     // The unified metric schema: counters and gauges folded from the run
     // totals, the latency distributions as histograms. The typed report
     // fields below stay as views over the same numbers.
     let mut metrics = MetricsRegistry::new();
-    metrics.absorb_query_stats(&st.total);
-    metrics.histogram_merge("latency.query_us", &st.all_latencies);
-    for (op, lats, _) in &st.by_operator {
+    metrics.absorb_query_stats(&run.total);
+    metrics.histogram_merge("latency.query_us", &run.all_latencies);
+    for (op, lats, _) in &run.by_operator {
         metrics.histogram_merge(format!("latency.{op}_us"), lats);
     }
 
-    let per_operator: Vec<OperatorLatency> = std::mem::take(&mut st.by_operator)
+    let per_operator: Vec<OperatorLatency> = run
+        .by_operator
         .into_iter()
         .map(|(op, lats, op_stats)| OperatorLatency {
             operator: op.to_string(),
@@ -950,27 +950,27 @@ fn run_loop(
             gave_up: op_stats.gave_up,
         })
         .collect();
-    let virtual_span_us = st.last_end.saturating_sub(st.first_start.min(st.last_end));
+    let virtual_span_us = run.last_end.saturating_sub(run.first_start.min(run.last_end));
     let throughput_qps = if virtual_span_us > 0 {
-        st.queries_run as f64 / (virtual_span_us as f64 / 1_000_000.0)
+        run.queries_run as f64 / (virtual_span_us as f64 / 1_000_000.0)
     } else {
         0.0
     };
-    let overall = LatencySummary::of_histogram(&st.all_latencies);
+    let overall = LatencySummary::of_histogram(&run.all_latencies);
     let cache = engine.broker_counters().map(CacheReport::from).unwrap_or_default();
     if let Some(c) = engine.broker_counters() {
         metrics.absorb_broker_counters(&c);
     }
-    metrics.counter_add("run.queries", st.queries_run as u64);
+    metrics.counter_add("run.queries", run.queries_run as u64);
     metrics.gauge_set("run.throughput_qps", throughput_qps);
     // Self-healing visibility — emitted only when repair is configured, so
     // a repair-free run's registry is untouched.
     if cfg.repair.is_some() {
-        metrics.counter_add("repair.passes", st.repair.passes);
-        metrics.counter_add("repair.recruited", st.repair.recruited);
-        metrics.counter_add("repair.bytes_copied", st.repair.bytes_copied);
-        metrics.gauge_set("repair.lost_partitions", st.repair.lost_partitions as f64);
-        metrics.gauge_set("repair.unfilled_deficits", st.repair.unfilled_deficits as f64);
+        metrics.counter_add("repair.passes", run.repair.passes);
+        metrics.counter_add("repair.recruited", run.repair.recruited);
+        metrics.counter_add("repair.bytes_copied", run.repair.bytes_copied);
+        metrics.gauge_set("repair.lost_partitions", run.repair.lost_partitions as f64);
+        metrics.gauge_set("repair.unfilled_deficits", run.repair.unfilled_deficits as f64);
     }
     // Per-operator attribution under `op.<name>.*` — most notably the
     // per-operator queue time, which used to live only in the typed
@@ -996,15 +996,15 @@ fn run_loop(
     DriverPhase::Done(DriverReport {
         per_operator,
         overall,
-        total: st.total,
+        total: run.total,
         cache,
         metrics,
-        queries_run: st.queries_run,
+        queries_run: run.queries_run,
         virtual_span_us,
         throughput_qps,
-        phases: PhaseReport { early: phase_summary(&st.early), late: phase_summary(&st.late) },
-        repair: cfg.repair.map(|_| st.repair),
-        diagnostics: std::mem::take(&mut st.diagnostics),
+        phases: PhaseReport { early: phase_summary(&run.early), late: phase_summary(&run.late) },
+        repair: cfg.repair.map(|_| run.repair),
+        diagnostics: run.diagnostics,
     })
 }
 

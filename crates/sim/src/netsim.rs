@@ -77,12 +77,13 @@ impl Default for SimConfig {
 /// query window's critical-path blame is the delta of this accumulator
 /// across the window. Branch rewinds restore the fork-point value, which
 /// keeps the accumulator in lockstep with the frontier through fan-outs.
-#[derive(Debug, Default, Clone, Copy)]
-struct Blame {
-    net_us: u64,
-    queue_us: u64,
-    service_us: u64,
-    stall_us: u64,
+/// It is part of the sink's image ([`NetSimState::blame`]).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Blame {
+    pub net_us: u64,
+    pub queue_us: u64,
+    pub service_us: u64,
+    pub stall_us: u64,
 }
 
 struct Fork {
@@ -96,10 +97,8 @@ struct Fork {
 /// [`install`] or `Network::set_event_sink`.
 pub struct NetSim {
     cfg: SimConfig,
-    rng: StdRng,
-    /// Virtual time at the query's point of control.
-    frontier_us: u64,
-    busy_until_us: Vec<u64>,
+    /// Everything a checkpoint keeps (see [`NetSimState`]).
+    state: NetSimState,
     forks: Vec<Fork>,
     /// Open query windows, innermost last. Operators nest windows (a join
     /// opens one, then its per-left-item selections open their own); an
@@ -108,22 +107,18 @@ pub struct NetSim {
     /// semantics as the traffic-snapshot deltas. The [`Blame`] is the
     /// accumulator snapshot at window open; closing takes the delta.
     windows: Vec<(SimLatency, usize, Blame)>,
-    /// Critical-path blame accumulator (see [`Blame`]).
-    blame: Blame,
 }
 
 impl NetSim {
     /// `n_peers` sizes the per-peer service queues.
     pub fn new(cfg: SimConfig, n_peers: usize) -> Self {
-        Self {
+        let state = NetSimState {
             rng: StdRng::seed_from_u64(cfg.seed),
-            cfg,
             frontier_us: 0,
             busy_until_us: vec![0; n_peers],
-            forks: Vec::new(),
-            windows: Vec::new(),
             blame: Blame::default(),
-        }
+        };
+        Self::from_state(cfg, state)
     }
 
     /// Swap the loss model mid-run (fault injection: transient loss
@@ -138,7 +133,7 @@ impl NetSim {
         self.cfg.service_us_per_msg + self.cfg.service_us_per_kib * (bytes as u64 / 1024)
     }
 
-    /// Walk the sink into an owned [`NetSimState`] (checkpointing).
+    /// Copy the sink's [`NetSimState`] out (checkpointing).
     ///
     /// Only legal at a **quiesce boundary**: no open query window and no
     /// open fork — the window stack holds borrow-like references into task
@@ -147,61 +142,40 @@ impl NetSim {
     pub fn export_state(&self) -> NetSimState {
         assert!(self.windows.is_empty(), "cannot checkpoint inside an open query window");
         assert!(self.forks.is_empty(), "cannot checkpoint inside an open fork");
-        NetSimState {
-            rng: self.rng.clone(),
-            frontier_us: self.frontier_us,
-            busy_until_us: self.busy_until_us.clone(),
-            blame: [
-                self.blame.net_us,
-                self.blame.queue_us,
-                self.blame.service_us,
-                self.blame.stall_us,
-            ],
-        }
+        self.state.clone()
     }
 
-    /// Rebuild a sink from an exported image. `cfg` is supplied by the
+    /// Rebuild a sink around an exported image. `cfg` is supplied by the
     /// caller (the snapshot artifact carries dynamic state only; resuming
     /// against a different latency model is a different experiment and
     /// diverges by design).
     pub fn from_state(cfg: SimConfig, state: NetSimState) -> Self {
-        Self {
-            rng: state.rng,
-            cfg,
-            frontier_us: state.frontier_us,
-            busy_until_us: state.busy_until_us,
-            forks: Vec::new(),
-            windows: Vec::new(),
-            blame: Blame {
-                net_us: state.blame[0],
-                queue_us: state.blame[1],
-                service_us: state.blame[2],
-                stall_us: state.blame[3],
-            },
-        }
+        Self { cfg, state, forks: Vec::new(), windows: Vec::new() }
     }
 }
 
-/// The owned image of a [`NetSim`] at a quiesce boundary: the sampling
-/// stream's position, the frontier, every peer's serial-queue backlog, and
-/// the blame accumulator. Window/fork stacks are empty by construction
-/// (see [`NetSim::export_state`]).
+/// The owned image of a [`NetSim`] — the sink's state outside its open
+/// windows and forks: the sampling stream's position, the frontier, every
+/// peer's serial-queue backlog, and the blame accumulator. A checkpoint
+/// copies it at a quiesce boundary, where those stacks are empty (see
+/// [`NetSim::export_state`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetSimState {
     /// The jitter/loss stream.
     pub rng: StdRng,
+    /// Virtual time at the query's point of control.
     pub frontier_us: u64,
     pub busy_until_us: Vec<u64>,
-    /// Critical-path blame accumulator as `[net, queue, service, stall]`.
-    pub blame: [u64; 4],
+    /// Critical-path blame accumulator (see [`Blame`]).
+    pub blame: Blame,
 }
 
 impl EventSink for NetSim {
     fn begin_query(&mut self) {
         self.windows.push((
-            SimLatency { start_us: self.frontier_us, ..SimLatency::default() },
+            SimLatency { start_us: self.state.frontier_us, ..SimLatency::default() },
             self.forks.len(),
-            self.blame,
+            self.state.blame,
         ));
     }
 
@@ -214,15 +188,15 @@ impl EventSink for NetSim {
         // fork point — drop the leaked forks so corruption cannot outlive
         // the query that caused it.
         self.forks.truncate(fork_depth);
-        cur.end_us = self.frontier_us;
+        cur.end_us = self.state.frontier_us;
         cur.elapsed_us = cur.end_us.saturating_sub(cur.start_us);
         // Critical-path blame: the accumulator delta across the window
         // decomposes the frontier advance itself, so the four shares sum to
         // `elapsed_us` exactly (losing fan-out branches contribute nothing).
-        cur.crit_net_us = self.blame.net_us.saturating_sub(open_blame.net_us);
-        cur.crit_queue_us = self.blame.queue_us.saturating_sub(open_blame.queue_us);
-        cur.crit_service_us = self.blame.service_us.saturating_sub(open_blame.service_us);
-        cur.crit_stall_us = self.blame.stall_us.saturating_sub(open_blame.stall_us);
+        cur.crit_net_us = self.state.blame.net_us.saturating_sub(open_blame.net_us);
+        cur.crit_queue_us = self.state.blame.queue_us.saturating_sub(open_blame.queue_us);
+        cur.crit_service_us = self.state.blame.service_us.saturating_sub(open_blame.service_us);
+        cur.crit_stall_us = self.state.blame.stall_us.saturating_sub(open_blame.stall_us);
         // Fold the inner window's sums (not its wall-clock span, which the
         // parent's own start/end already covers) into the parent. The
         // `crit_*` deltas are not folded: the parent's own accumulator delta
@@ -245,19 +219,19 @@ impl EventSink for NetSim {
         kind: MsgKind,
         tracer: Option<&SharedTraceSink>,
     ) {
-        let depart = self.frontier_us;
-        let (loss_us, retx) = self.cfg.loss.sample(&mut self.rng);
-        let link = self.cfg.latency.sample(from, to, &mut self.rng);
+        let depart = self.state.frontier_us;
+        let (loss_us, retx) = self.cfg.loss.sample(&mut self.state.rng);
+        let link = self.cfg.latency.sample(from, to, &mut self.state.rng);
         let arrive = depart + loss_us + link;
-        let start = arrive.max(self.busy_until_us[to.index()]);
+        let start = arrive.max(self.state.busy_until_us[to.index()]);
         let service = self.service_us(bytes);
         let done = start + service;
-        self.busy_until_us[to.index()] = done;
-        self.frontier_us = done;
+        self.state.busy_until_us[to.index()] = done;
+        self.state.frontier_us = done;
 
-        self.blame.net_us += loss_us + link;
-        self.blame.queue_us += start - arrive;
-        self.blame.service_us += service;
+        self.state.blame.net_us += loss_us + link;
+        self.state.blame.queue_us += start - arrive;
+        self.state.blame.service_us += service;
 
         if let Some(t) = tracer {
             let mut tr = t.borrow_mut();
@@ -290,10 +264,10 @@ impl EventSink for NetSim {
         if cost == 0 {
             return;
         }
-        let start = self.frontier_us.max(self.busy_until_us[peer.index()]);
+        let start = self.state.frontier_us.max(self.state.busy_until_us[peer.index()]);
         let done = start + cost;
-        self.blame.queue_us += start - self.frontier_us;
-        self.blame.service_us += cost;
+        self.state.blame.queue_us += start - self.state.frontier_us;
+        self.state.blame.service_us += cost;
         if let Some(t) = tracer {
             t.borrow_mut().record(
                 TraceEvent::span(start, cost, TraceTrack::Peer(peer), "scan", "net")
@@ -301,44 +275,44 @@ impl EventSink for NetSim {
             );
         }
         if let Some((cur, _, _)) = self.windows.last_mut() {
-            cur.queue_us += start - self.frontier_us;
+            cur.queue_us += start - self.state.frontier_us;
             cur.service_us += cost;
         }
-        self.busy_until_us[peer.index()] = done;
-        self.frontier_us = done;
+        self.state.busy_until_us[peer.index()] = done;
+        self.state.frontier_us = done;
     }
 
     fn fork(&mut self) {
         self.forks.push(Fork {
-            start_us: self.frontier_us,
-            max_end_us: self.frontier_us,
-            start_blame: self.blame,
-            max_end_blame: self.blame,
+            start_us: self.state.frontier_us,
+            max_end_us: self.state.frontier_us,
+            start_blame: self.state.blame,
+            max_end_blame: self.state.blame,
         });
     }
 
     fn branch(&mut self) {
         let f = self.forks.last_mut().expect("branch outside a fork");
-        if self.frontier_us > f.max_end_us {
-            f.max_end_us = self.frontier_us;
-            f.max_end_blame = self.blame;
+        if self.state.frontier_us > f.max_end_us {
+            f.max_end_us = self.state.frontier_us;
+            f.max_end_blame = self.state.blame;
         }
-        self.frontier_us = f.start_us;
-        self.blame = f.start_blame;
+        self.state.frontier_us = f.start_us;
+        self.state.blame = f.start_blame;
     }
 
     fn join(&mut self) {
         let f = self.forks.pop().expect("join outside a fork");
-        if f.max_end_us > self.frontier_us {
+        if f.max_end_us > self.state.frontier_us {
             // A previous branch wins the critical path: its blame
             // decomposition travels with its frontier.
-            self.frontier_us = f.max_end_us;
-            self.blame = f.max_end_blame;
+            self.state.frontier_us = f.max_end_us;
+            self.state.blame = f.max_end_blame;
         }
     }
 
     fn now_us(&self) -> u64 {
-        self.frontier_us
+        self.state.frontier_us
     }
 
     fn reset_to_us(&mut self, t_us: u64) {
@@ -348,14 +322,14 @@ impl EventSink for NetSim {
         // window): charge it to stall so the blame sum keeps covering the
         // frontier advance. Backward jumps leave the accumulator alone —
         // they only ever happen between windows.
-        if t_us > self.frontier_us && !self.windows.is_empty() {
-            self.blame.stall_us += t_us - self.frontier_us;
+        if t_us > self.state.frontier_us && !self.windows.is_empty() {
+            self.state.blame.stall_us += t_us - self.state.frontier_us;
         }
-        self.frontier_us = t_us;
+        self.state.frontier_us = t_us;
     }
 
     fn busy_until_us(&self, peer: PeerId) -> u64 {
-        self.busy_until_us[peer.index()]
+        self.state.busy_until_us[peer.index()]
     }
 
     /// Checkpointing downcast hook: lets the driver reach the concrete

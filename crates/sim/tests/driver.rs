@@ -4,8 +4,8 @@
 use sqo_core::EngineBuilder;
 use sqo_datasets::{bible_words, string_rows};
 use sqo_sim::{
-    run_driver, Arrival, DriverConfig, DriverReport, FaultEvent, FaultKind, FaultPlan,
-    LatencyModel, QueryKind, SimConfig,
+    run_driver, run_driver_until, Arrival, DriverConfig, DriverReport, FaultEvent, FaultKind,
+    FaultPlan, LatencyModel, QueryKind, SimConfig,
 };
 
 fn engine(words: &[String], peers: usize, replication: usize) -> sqo_core::SimilarityEngine {
@@ -122,4 +122,101 @@ fn churn_mid_workload_terminates_deterministically() {
     assert!(reports_equal(&a, &b), "churn runs must stay deterministic");
     assert_eq!(a.queries_run, 20, "every query must terminate under churn");
     assert!(a.overall.max_us < 60_000_000, "no runaway virtual time");
+}
+
+/// The message `run_driver_until` refuses `cfg` over `strings` with, on a
+/// fresh engine it must leave untouched: no clock installed.
+fn refusal(strings: &[String], cfg: &DriverConfig) -> &'static str {
+    let mut e = engine(&bible_words(200, 3), 16, 1);
+    let got = run_driver_until(&mut e, "word", strings, cfg, u64::MAX).err();
+    assert!(e.network_mut().event_sink_mut().is_none(), "the refusal installed no clock");
+    got.expect("the inputs are refused")
+}
+
+/// One fault at 10 ms into the default workload, which is still running.
+fn faulting(kind: FaultKind) -> DriverConfig {
+    DriverConfig {
+        faults: FaultPlan { events: vec![FaultEvent { at_us: 10_000, kind }] },
+        ..DriverConfig::default()
+    }
+}
+
+#[test]
+fn an_empty_string_pool_is_refused() {
+    assert_eq!(refusal(&[], &DriverConfig::default()), "driver needs a non-empty string pool");
+}
+
+#[test]
+fn an_empty_workload_is_refused() {
+    let words = bible_words(200, 3);
+    for cfg in [
+        DriverConfig { clients: 0, ..DriverConfig::default() },
+        DriverConfig { queries_per_client: 0, ..DriverConfig::default() },
+    ] {
+        assert_eq!(refusal(&words, &cfg), "empty workload");
+    }
+}
+
+#[test]
+fn an_empty_mix_is_refused() {
+    let cfg = DriverConfig { mix: Vec::new(), ..DriverConfig::default() };
+    assert_eq!(refusal(&bible_words(200, 3), &cfg), "empty query mix");
+}
+
+#[test]
+fn explicit_arrivals_without_an_offset_are_refused() {
+    let cfg = DriverConfig {
+        arrival: Arrival::Explicit { offsets_us: Vec::new() },
+        ..DriverConfig::default()
+    };
+    assert_eq!(refusal(&bible_words(200, 3), &cfg), "explicit arrivals need at least one offset");
+}
+
+/// A wipe of a partition past the network's count used to index out of
+/// bounds when the fault fired, mid-run.
+#[test]
+fn a_wipe_of_a_partition_the_network_lacks_is_refused() {
+    let words = bible_words(200, 3);
+    let parts = engine(&words, 16, 1).network().partition_count();
+    let cfg = faulting(FaultKind::WipePartition { part: parts });
+    assert_eq!(refusal(&words, &cfg), "fault plan wipes a partition the network does not have");
+}
+
+/// A crash fraction outside `[0, 1]`, or NaN, used to fail an assert in
+/// the network when the wave fired, mid-run.
+#[test]
+fn a_crash_fraction_outside_the_unit_interval_is_refused() {
+    let words = bible_words(200, 3);
+    for fraction in [1.5, -0.1, f64::NAN] {
+        let cfg = faulting(FaultKind::Crash { fraction });
+        assert_eq!(
+            refusal(&words, &cfg),
+            "fault plan crashes or revives a fraction outside [0, 1]",
+            "{fraction}"
+        );
+    }
+}
+
+#[test]
+fn a_revive_fraction_outside_the_unit_interval_is_refused() {
+    let words = bible_words(200, 3);
+    for fraction in [2.0, f64::NAN] {
+        let cfg = faulting(FaultKind::Revive { fraction });
+        assert_eq!(
+            refusal(&words, &cfg),
+            "fault plan crashes or revives a fraction outside [0, 1]",
+            "{fraction}"
+        );
+    }
+}
+
+/// `run_driver` keeps its signature: it panics with the check's message
+/// before the run starts.
+#[test]
+#[should_panic(expected = "fault plan wipes a partition the network does not have")]
+fn run_driver_panics_with_the_refusal() {
+    let words = bible_words(200, 3);
+    let mut e = engine(&words, 16, 1);
+    let cfg = faulting(FaultKind::WipePartition { part: usize::MAX });
+    run_driver(&mut e, "word", &words, &cfg);
 }

@@ -15,7 +15,7 @@
 //! decoding goes through a check between fields keep a hand-written `get`
 //! beside their `put`: the network image ([`NetworkState::new`]), a run
 //! ([`SortedStore::from_parts`]), a posting (against the triple table), the
-//! driver's queue and checkpoint (sequence numbers, clock, clients,
+//! driver's queue, run state and checkpoint (sequence numbers, clock, clients,
 //! operator labels) and every enum tag.
 //!
 //! Layout conventions:
@@ -59,7 +59,8 @@ use sqo_overlay::{
     Item, Key, KeyRef, Metrics, NetworkConfig, NetworkState, PartitionStore, PeerId, RoutingArena,
     SimLatency, SortedStore, Topology,
 };
-use sqo_sim::driver::{DriverCheckpoint, EvSnap, RepairTotals};
+use sqo_sim::driver::{DriverCheckpoint, EvSnap, RepairTotals, RunState};
+use sqo_sim::netsim::Blame;
 use sqo_sim::scale::{Ev, EvKind, QState, ScaleCheckpoint};
 use sqo_sim::{NetSimState, QueryKind, QueueState};
 use sqo_storage::keys::one_gram_entry;
@@ -407,6 +408,7 @@ record! {
     };
     RepairTotals { passes, recruited, bytes_copied, lost_partitions, unfilled_deficits };
     NetSimState { rng, frontier_us, busy_until_us, blame };
+    Blame { net_us, queue_us, service_us, stall_us };
     ScaleCheckpoint { stop_us, pending, busy, qstate, events };
     Ev { at_us, qid, step, peer, kind };
     QState { expected, got, done_us };
@@ -711,12 +713,11 @@ impl<'a, E: Wire<'a>> Wire<'a> for QueueState<E> {
     }
 }
 
-/// The fields in declaration order. Decoding checks that every pending
-/// arrival has a client stream, and that the per-operator accumulators
-/// are under the driver's labels, ascending, as the loop keeps them.
-impl<'a> Wire<'a> for DriverCheckpoint {
+/// The fields in declaration order. Decoding checks that the per-operator
+/// accumulators are under the driver's labels, ascending, as the loop
+/// keeps them.
+impl<'a> Wire<'a> for RunState {
     fn put(&self, e: &mut Enc<'_>) {
-        e.put(&self.queue);
         e.put(&self.in_force);
         e.put(&self.issued);
         e.put(&self.initiators);
@@ -729,19 +730,9 @@ impl<'a> Wire<'a> for DriverCheckpoint {
         e.put(&self.late);
         e.put(&self.repair);
         e.put(&self.diagnostics);
-        e.put(&self.netsim);
     }
     fn get(d: &mut Dec<'a>) -> R<Self> {
-        let (queue, in_force): (QueueState<EvSnap>, _) = d.get()?;
-        let (issued, initiators, client_rngs): (_, _, Vec<StdRng>) = d.get()?;
-        let clients = client_rngs.len();
-        if queue.entries.iter().any(
-            |(_, _, ev)| matches!(ev, EvSnap::Arrive { client } if *client as usize >= clients),
-        ) {
-            return Err(SnapError::Corrupt(
-                "arrival for a client the checkpoint has no stream for",
-            ));
-        }
+        let (in_force, issued, initiators, client_rngs) = d.get()?;
         let mut last = None;
         let by_operator = d.seq(|d| {
             // The driver keys its accumulators by the static label set; a
@@ -759,9 +750,8 @@ impl<'a> Wire<'a> for DriverCheckpoint {
             Ok((label, lats, stats))
         })?;
         let (all_latencies, total, (queries_run, first_start, last_end)) = d.get()?;
-        let (early, late, repair, diagnostics, netsim) = d.get()?;
-        Ok(DriverCheckpoint {
-            queue,
+        let (early, late, repair, diagnostics) = d.get()?;
+        Ok(RunState {
             in_force,
             issued,
             initiators,
@@ -776,8 +766,29 @@ impl<'a> Wire<'a> for DriverCheckpoint {
             late,
             repair,
             diagnostics,
-            netsim,
         })
+    }
+}
+
+/// Queue, run, `NetSim` image. Decoding checks that every pending arrival
+/// has a client stream.
+impl<'a> Wire<'a> for DriverCheckpoint {
+    fn put(&self, e: &mut Enc<'_>) {
+        e.put(&self.queue);
+        e.put(&self.run);
+        e.put(&self.netsim);
+    }
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        let (queue, run): (QueueState<EvSnap>, RunState) = d.get()?;
+        let clients = run.client_rngs.len();
+        if queue.entries.iter().any(
+            |(_, _, ev)| matches!(ev, EvSnap::Arrive { client } if *client as usize >= clients),
+        ) {
+            return Err(SnapError::Corrupt(
+                "arrival for a client the checkpoint has no stream for",
+            ));
+        }
+        Ok(DriverCheckpoint { queue, run, netsim: d.get()? })
     }
 }
 

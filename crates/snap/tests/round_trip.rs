@@ -13,7 +13,7 @@ use sqo_sim::scale::{resume_serial, resume_sharded, run_serial, run_serial_until
 use sqo_sim::{
     resume_driver, run_driver, run_driver_until, seed, Arrival, DriverConfig, DriverPhase,
     DriverReport, FaultEvent, FaultKind, FaultPlan, LatencyModel, LossModel, ScaleConfig,
-    SimConfig, Topology,
+    SimConfig, Topology, TraceCollector,
 };
 use sqo_snap::{SnapError, Snapshot, SCHEMA_VERSION};
 use sqo_storage::keys::one_gram_entry;
@@ -81,12 +81,14 @@ fn paused_run_resumes_to_a_byte_identical_report() {
         let baseline = json(&report);
 
         let mut paused = build(&words);
-        let ckpt = match run_driver_until(&mut paused, "word", &words, &cfg, stop) {
+        let ckpt = match run_driver_until(&mut paused, "word", &words, &cfg, stop)
+            .expect("a drivable workload")
+        {
             DriverPhase::Paused(ck) => ck,
             DriverPhase::Done(_) => panic!("a cut at span/3 must land mid-run"),
         };
-        assert!(ckpt.queries_run < 12, "the pause split the workload");
-        assert!(ckpt.queries_run > 0, "some queries completed before the cut");
+        assert!(ckpt.run.queries_run < 12, "the pause split the workload");
+        assert!(ckpt.run.queries_run > 0, "some queries completed before the cut");
 
         let bytes = Snapshot::capture_paused(&paused, ckpt).to_bytes();
         let snap = Snapshot::from_bytes(&bytes).expect("artifact decodes");
@@ -104,6 +106,50 @@ fn paused_run_resumes_to_a_byte_identical_report() {
             baseline,
             "cache={:?}: resume diverged from the uninterrupted run",
             cache.any_enabled()
+        );
+    }
+}
+
+/// A paused-and-resumed traced run exports the same trace as the run that
+/// never stopped: one collector traces the paused run, stays on through
+/// the artifact round trip, is set on the thawed network and traces the
+/// rest — its JSONL and Chrome exports equal the uninterrupted run's.
+#[test]
+fn paused_traced_run_exports_the_uninterrupted_trace() {
+    let words = words();
+    for cache in [BrokerConfig::default(), BrokerConfig::enabled()] {
+        let cfg = workload(cache);
+
+        let whole = TraceCollector::shared();
+        let mut uninterrupted = build(&words);
+        uninterrupted.network_mut().set_trace_sink(TraceCollector::as_sink(&whole));
+        let report = run_driver(&mut uninterrupted, "word", &words, &cfg);
+        let stop = report.virtual_span_us / 3;
+
+        let halves = TraceCollector::shared();
+        let mut paused = build(&words);
+        paused.network_mut().set_trace_sink(TraceCollector::as_sink(&halves));
+        let ckpt = match run_driver_until(&mut paused, "word", &words, &cfg, stop)
+            .expect("a drivable workload")
+        {
+            DriverPhase::Paused(ck) => ck,
+            DriverPhase::Done(_) => panic!("a cut at span/3 must land mid-run"),
+        };
+        let bytes = Snapshot::capture_paused(&paused, ckpt).to_bytes();
+        let snap = Snapshot::from_bytes(&bytes).expect("artifact decodes");
+        let mut thawed = snap.restore_engine(paused.config());
+        thawed.network_mut().set_trace_sink(TraceCollector::as_sink(&halves));
+        let ckpt = snap.driver.clone().expect("driver image rides along");
+        resume_driver(&mut thawed, "word", &words, &cfg, ckpt).expect("it fits");
+
+        let (whole, halves) = (whole.borrow(), halves.borrow());
+        let on = cache.any_enabled();
+        assert!(whole.to_jsonl().contains("\"stage\""), "the run traced its plan stages");
+        assert_eq!(halves.to_jsonl(), whole.to_jsonl(), "cache={on}: JSONL diverged");
+        assert_eq!(
+            halves.to_chrome_trace(),
+            whole.to_chrome_trace(),
+            "cache={on}: Chrome diverged"
         );
     }
 }
@@ -143,14 +189,16 @@ fn checkpoint_mid_fault_plan_resumes_byte_identically() {
     // must carry the pending fault-clear and the resume must re-install
     // the spike's loss model, not the baseline.
     let mut paused = build(&words);
-    let ckpt = match run_driver_until(&mut paused, "word", &words, &cfg, 1_000_000) {
+    let ckpt = match run_driver_until(&mut paused, "word", &words, &cfg, 1_000_000)
+        .expect("a drivable workload")
+    {
         DriverPhase::Paused(ck) => ck,
         DriverPhase::Done(_) => panic!("a cut at 1s must land mid-run"),
     };
     let pending_clear =
         ckpt.queue.entries.iter().any(|(_, _, ev)| matches!(ev, EvSnap::FaultClear { .. }));
     assert!(pending_clear, "the cut landed inside the loss spike");
-    assert_eq!(ckpt.in_force, Some(4), "the image names the spike in force");
+    assert_eq!(ckpt.run.in_force, Some(4), "the image names the spike in force");
     assert!(
         !ckpt
             .queue
@@ -179,7 +227,9 @@ fn checkpoint_mid_fault_plan_resumes_byte_identically() {
 fn paused_run(words: &[String]) -> (SimilarityEngine, DriverCheckpoint) {
     let mut engine = build(words);
     let cfg = workload(BrokerConfig::default());
-    match run_driver_until(&mut engine, "word", words, &cfg, 1_000_000) {
+    match run_driver_until(&mut engine, "word", words, &cfg, 1_000_000)
+        .expect("a drivable workload")
+    {
         DriverPhase::Paused(ck) => (engine, ck),
         DriverPhase::Done(_) => panic!("a cut at 1s must land mid-run"),
     }
@@ -239,9 +289,10 @@ fn resume_refuses_a_spike_in_force_its_plan_does_not_hold() {
     let words = words();
     let (mut engine, ckpt) = paused_run(&words);
     let cfg = workload(BrokerConfig::default());
-    assert_eq!(ckpt.in_force, None, "the workload has no loss spike");
+    assert_eq!(ckpt.run.in_force, None, "the workload has no loss spike");
     for idx in [0, 2] {
-        let other = DriverCheckpoint { in_force: Some(idx), ..ckpt.clone() };
+        let mut other = ckpt.clone();
+        other.run.in_force = Some(idx);
         let got = resume_driver(&mut engine, "word", &words, &cfg, other);
         assert_eq!(
             got.err(),
@@ -408,7 +459,9 @@ fn damaged_driver_queue_is_corrupt_not_a_resume_panic() {
     let words = words();
     let cfg = workload(BrokerConfig::default());
     let mut paused = build(&words);
-    let ckpt = match run_driver_until(&mut paused, "word", &words, &cfg, 1_000_000) {
+    let ckpt = match run_driver_until(&mut paused, "word", &words, &cfg, 1_000_000)
+        .expect("a drivable workload")
+    {
         DriverPhase::Paused(ck) => ck,
         DriverPhase::Done(_) => panic!("a cut at 1s must land mid-run"),
     };
@@ -418,10 +471,10 @@ fn damaged_driver_queue_is_corrupt_not_a_resume_panic() {
         .iter()
         .position(|(_, _, ev)| matches!(ev, EvSnap::Arrive { .. }))
         .expect("a mid-run cut leaves arrivals pending");
-    let label = ckpt.by_operator.first().expect("a query completed before the cut").0;
+    let label = ckpt.run.by_operator.first().expect("a query completed before the cut").0;
     let pending = ckpt.queue.entries.len();
     let stream: Vec<u8> =
-        ckpt.client_rngs[0].state_words().iter().flat_map(|w| w.to_le_bytes()).collect();
+        ckpt.run.client_rngs[0].state_words().iter().flat_map(|w| w.to_le_bytes()).collect();
     // The driver image follows the world: a driver-less artifact of the
     // same world ends in two `None` tags, so its length locates the
     // driver's `Some` tag. Then: seq u64, now_us u64, entry count u64,
@@ -743,7 +796,9 @@ fn a_whole_artifact() -> (Vec<u8>, EngineConfig) {
     let cfg = workload(BrokerConfig::enabled());
     let mut engine =
         EngineBuilder::new().peers(16).q(2).seed(3).cache_config(cfg.cache).build_with_rows(&rows);
-    let ckpt = match run_driver_until(&mut engine, "word", &words, &cfg, 1_000_000) {
+    let ckpt = match run_driver_until(&mut engine, "word", &words, &cfg, 1_000_000)
+        .expect("a drivable workload")
+    {
         DriverPhase::Paused(ck) => ck,
         DriverPhase::Done(_) => panic!("a cut at 1s must land mid-run"),
     };

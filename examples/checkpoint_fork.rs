@@ -50,13 +50,15 @@ fn main() {
     // and freeze the world to bytes.
     let mut paused = build();
     let stop = baseline.virtual_span_us / 3;
-    let ckpt = match run_driver_until(&mut paused, "word", &words, &cfg, stop) {
+    let ckpt = match run_driver_until(&mut paused, "word", &words, &cfg, stop)
+        .expect("a drivable workload")
+    {
         DriverPhase::Paused(ck) => ck,
         DriverPhase::Done(_) => panic!("the cut should land mid-run"),
     };
     println!(
         "paused at a quiesce boundary: {} of {} queries done",
-        ckpt.queries_run,
+        ckpt.run.queries_run,
         cfg.clients * cfg.queries_per_client
     );
     let bytes = Snapshot::capture_paused(&paused, ckpt).to_bytes();
