@@ -8,7 +8,7 @@ use crate::stats::QueryStats;
 use rustc_hash::{FxHashMap, FxHashSet};
 use sqo_cache::{BrokerConfig, BrokerCounters, CacheBatchBroker};
 use sqo_overlay::key::Key;
-use sqo_overlay::network::{KeyedItems, Network, NetworkConfig};
+use sqo_overlay::network::{ItemRun, KeyedItems, Network, NetworkConfig};
 use sqo_overlay::peer::{Item, PeerId};
 use sqo_overlay::trie::find_partition_from;
 use sqo_overlay::{Metrics, TraceEvent, TraceTrack};
@@ -694,15 +694,15 @@ impl SimilarityEngine {
                 let mut failed0 = 0u64;
                 let got = self.with_leg_retry(|e| {
                     failed0 = e.net.metrics().failed_routes;
-                    e.net.retrieve_lists(from, k)
+                    e.net.retrieve_runs(from, k)
                 });
                 match got {
-                    Ok(lists) => {
+                    Ok(runs) => {
                         let failed = self.net.metrics().failed_routes - failed0;
-                        self.legs_addressed += lists.len() as u64 + failed;
-                        self.legs_answered += lists.len() as u64;
-                        for list in &lists {
-                            out.extend(filter.survivors(list).cloned());
+                        self.legs_addressed += runs.len() as u64 + failed;
+                        self.legs_answered += runs.len() as u64;
+                        for run in &runs {
+                            out.extend(filter.survivors(self.net.run_items(run)).cloned());
                         }
                     }
                     Err(_) => self.legs_addressed += 1,
@@ -902,23 +902,26 @@ impl SimilarityEngine {
 
     /// A single-key retrieve answered from the initiator's posting cache
     /// when possible (exact-match and keyword selections): `read` gets the
-    /// postings where they lie — in the cache on a hit, in the reply on a
-    /// miss, which then fills the cache — and its answer is returned with
+    /// postings where they lie, as one or more lists — the stored runs the
+    /// replies lent without a cache, the cached list on a hit, the reply on
+    /// a miss, which then fills the cache — and its answer is returned with
     /// the (hits, misses) counter delta; the caller runs inside a charged
     /// window and folds them into its stats afterwards.
     pub(crate) fn cached_retrieve<R>(
         &mut self,
         from: PeerId,
         key: &Key,
-        read: impl FnOnce(&[Posting]) -> R,
+        read: impl FnOnce(&[&[Posting]]) -> R,
     ) -> (R, u64, u64) {
         let cache_on = self.broker.as_ref().is_some_and(|b| b.cache_enabled());
         if !cache_on {
             self.legs_addressed += 1;
-            return match self.with_leg_retry(|e| e.net.retrieve_list(from, key)) {
-                Ok(list) => {
+            return match self.with_leg_retry(|e| e.net.retrieve_runs(from, key)) {
+                Ok(runs) => {
                     self.legs_answered += 1;
-                    (read(&list), 0, 0)
+                    let lists: Vec<&[Posting]> =
+                        runs.iter().map(|r| self.net.run_items(r)).collect();
+                    (read(&lists), 0, 0)
                 }
                 Err(_) => (read(&[]), 0, 0),
             };
@@ -927,7 +930,7 @@ impl SimilarityEngine {
         let now_us = self.net.sim_now_us().unwrap_or(0);
         let broker = self.broker.as_mut().expect("cache_on implies a broker");
         if let Some(list) = broker.cache_get(from, key, now_us, epoch) {
-            return (read(list), 1, 0);
+            return (read(&[list]), 1, 0);
         }
         // A routing failure (churn) is transient — the next draw may pick a
         // live replica — so it must not be negative-cached as an empty list.
@@ -936,7 +939,7 @@ impl SimilarityEngine {
             return (read(&[]), 0, 1);
         };
         self.legs_answered += 1;
-        let answer = read(&list);
+        let answer = read(&[&list]);
         let now_us = self.net.sim_now_us().unwrap_or(0);
         let broker = self.broker.as_mut().expect("cache_on implies a broker");
         broker.cache_put(from, key, list, now_us, epoch);
@@ -984,9 +987,11 @@ impl SimilarityEngine {
         if !self.cfg.query.delegation {
             for (oid, key) in oids {
                 self.legs_addressed += 1;
-                if let Ok(postings) = self.with_leg_retry(|e| e.net.retrieve_list(from, &key)) {
+                if let Ok(runs) = self.with_leg_retry(|e| e.net.retrieve_runs(from, &key)) {
                     self.legs_answered += 1;
-                    let obj = ObjectPostings::gather(&oid, postings.iter());
+                    let net = &self.net;
+                    let obj =
+                        ObjectPostings::gather(&oid, runs.iter().flat_map(|r| net.run_items(r)));
                     out.push((oid, obj));
                 }
             }
@@ -1040,22 +1045,23 @@ impl SimilarityEngine {
     }
 
     /// Distributed prefix scan (shower fan-out), e.g. "all values of
-    /// attribute A": the items each answering partition shipped. Thin
-    /// wrapper over `Network::retrieve_lists`, with per-partition leg
-    /// accounting: silenced shower siblings surface as
-    /// addressed-but-unanswered legs instead of vanishing.
-    pub(crate) fn scan_prefix(&mut self, from: PeerId, prefix: &Key) -> Vec<Vec<Posting>> {
+    /// attribute A": where the items each answering partition shipped lie
+    /// (read them with `Network::run_items`). Thin wrapper over
+    /// `Network::retrieve_runs`, with per-partition leg accounting:
+    /// silenced shower siblings surface as addressed-but-unanswered legs
+    /// instead of vanishing.
+    pub(crate) fn scan_prefix(&mut self, from: PeerId, prefix: &Key) -> Vec<ItemRun> {
         let mut failed0 = 0u64;
         let got = self.with_leg_retry(|e| {
             failed0 = e.net.metrics().failed_routes;
-            e.net.retrieve_lists(from, prefix)
+            e.net.retrieve_runs(from, prefix)
         });
         match got {
-            Ok(lists) => {
+            Ok(runs) => {
                 let failed = self.net.metrics().failed_routes - failed0;
-                self.legs_addressed += lists.len() as u64 + failed;
-                self.legs_answered += lists.len() as u64;
-                lists
+                self.legs_addressed += runs.len() as u64 + failed;
+                self.legs_answered += runs.len() as u64;
+                runs
             }
             Err(_) => {
                 self.legs_addressed += 1;

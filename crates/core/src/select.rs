@@ -103,9 +103,10 @@ impl SelectTask {
         let matched = match kind {
             SelectKind::Exact { attr, v } => {
                 let key = keys::attr_value_key(attr, v);
-                let (matched, h, m) = e.cached_retrieve(from, &key, |postings| {
-                    postings
+                let (matched, h, m) = e.cached_retrieve(from, &key, |lists| {
+                    lists
                         .iter()
+                        .flat_map(|l| l.iter())
                         .filter_map(Posting::as_base)
                         .filter(|t| t.attr().as_str() == attr && t.value() == *v)
                         .map(|t| (t.oid().to_string(), t.value().to_value()))
@@ -126,9 +127,10 @@ impl SelectTask {
             }
             SelectKind::Keyword { v } => {
                 let key = keys::value_key(v);
-                let (matched, h, m) = e.cached_retrieve(from, &key, |postings| {
-                    postings
+                let (matched, h, m) = e.cached_retrieve(from, &key, |lists| {
+                    lists
                         .iter()
+                        .flat_map(|l| l.iter())
                         .filter_map(Posting::as_base)
                         .filter(|t| t.value() == *v)
                         .map(|t| (t.oid().to_string(), t.value().to_value()))
@@ -140,9 +142,9 @@ impl SelectTask {
             SelectKind::All { attr } => {
                 let mut matched = Vec::new();
                 for prefix in [keys::attr_scan_prefix(attr), keys::short_value_prefix(attr)] {
-                    let lists = e.scan_prefix(from, &prefix);
+                    let runs = e.scan_prefix(from, &prefix);
                     let mut queried = AttrGuard::new(attr);
-                    for p in lists.iter().flat_map(|l| l.iter()) {
+                    for p in runs.iter().flat_map(|r| e.net.run_items(r)) {
                         if matches!(p.kind(), PostingKind::Base(_) | PostingKind::ShortValue)
                             && queried.admits(p)
                         {

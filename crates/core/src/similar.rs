@@ -560,10 +560,10 @@ impl SimilarTask {
                                     Some(a) => keys::short_value_prefix(a),
                                     None => keys::short_attr_prefix(),
                                 };
-                                let lists = e.scan_prefix(from, &prefix);
+                                let runs = e.scan_prefix(from, &prefix);
                                 let mut queried =
                                     AttrGuard::new(attr.as_deref().unwrap_or_default());
-                                for p in lists.iter().flat_map(|l| l.iter()) {
+                                for p in runs.iter().flat_map(|r| e.net.run_items(r)) {
                                     let chars = match (attr, p.kind()) {
                                         (Some(_), PostingKind::ShortValue) => {
                                             if !queried.admits(p) {

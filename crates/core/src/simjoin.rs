@@ -25,8 +25,14 @@
 //! probes into one routed multi-key exchange (see [`crate::broker`]). Both
 //! are pure traffic savings: join results are byte-identical either way.
 //!
-//! `left_limit` bounds the left side: a deterministic stratified sample
-//! of its `(oid, value)` pairs in ascending order. The §6 workload joins
+//! The left scan answers one `(oid, value)` pair more than once in three
+//! ways: a `Row` that repeats a field publishes identical triples; a
+//! 1-char value sits under both its attribute's value key and the
+//! short-value family; and a key shorter than the trie is stored by — and
+//! answered from — every partition covering it. The left side is the
+//! distinct pairs, in ascending order. `left_limit` bounds it: a
+//! deterministic stratified sample of those pairs, picked by selection
+//! rather than by sorting them all. The §6 workload joins
 //! *self-join columns over the full dataset*; at simulation scale a full
 //! 10⁵×10⁵ self-join is neither feasible nor what the paper's message
 //! counts (≈10³–10⁴ total for a 240-query mix) imply they ran — see the
@@ -36,7 +42,7 @@ use crate::adaptive::{AimdWindow, JoinWindow};
 use crate::engine::{finalize_stats, ExecStep, SimilarityEngine, StepOutcome};
 use crate::similar::{oid_head, SimilarMatch, SimilarTask, Strategy};
 use crate::stats::QueryStats;
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHashSet};
 use sqo_overlay::peer::PeerId;
 use sqo_storage::keys;
 use sqo_storage::posting::{ObjectPostings, PostingKind};
@@ -151,8 +157,8 @@ impl JoinTask {
     /// is how a plan pipeline composes `select → sim_join`: the selection's
     /// rows become the join's left pairs without a second scan.
     ///
-    /// `pairs` are `(left oid, left value)`; they are sorted, deduped and
-    /// `left_limit`-sampled exactly like a scanned left side.
+    /// `pairs` are `(left oid, left value)`; they are deduplicated, ordered
+    /// and `left_limit`-sampled exactly like a scanned left side.
     pub fn with_left(
         pairs: Vec<(String, String)>,
         rn: Option<&str>,
@@ -161,12 +167,7 @@ impl JoinTask {
         opts: &JoinOptions,
     ) -> Self {
         let mut task = Self::new("", rn, d, from, opts);
-        let mut left = pairs;
-        left.sort_unstable();
-        left.dedup();
-        if let Some(limit) = task.left_limit {
-            left = stratified_sample(left, limit);
-        }
+        let left = left_side(pairs, |p| &p.0, task.left_limit);
         task.left_size = left.len();
         task.left = left;
         task.state = JState::Seeded;
@@ -220,37 +221,29 @@ impl ExecStep for JoinTask {
                     // left attribute, via prefix fan-out (plus the
                     // short-value side family).
                     let (ln, from) = (&self.ln, self.from);
-                    let (lists, end) = engine.charged(&mut self.stats, at_us, |e| {
-                        let mut lists = e.scan_prefix(from, &keys::attr_scan_prefix(ln));
-                        lists.extend(e.scan_prefix(from, &keys::short_value_prefix(ln)));
-                        lists
+                    let (runs, end) = engine.charged(&mut self.stats, at_us, |e| {
+                        let mut runs = e.scan_prefix(from, &keys::attr_scan_prefix(ln));
+                        runs.extend(e.scan_prefix(from, &keys::short_value_prefix(ln)));
+                        runs
                     });
-                    // Sort, dedup and sample the replies where they lie;
-                    // only the pairs that will be joined are copied out.
-                    // Each pair carries its oid's head inline, which settles
-                    // nearly every comparison of the sort without reading
-                    // either heap string; the order is that of the pairs.
+                    // The replies are read where they lie in the stored
+                    // runs; only the pairs that will be joined are copied
+                    // out.
+                    let net = engine.network();
                     let mut queried = AttrGuard::new(ln);
-                    let mut left: Vec<(u64, (&str, &str))> = lists
-                        .iter()
-                        .flat_map(|l| l.iter())
-                        .filter(|p| {
-                            matches!(p.kind(), PostingKind::Base(_) | PostingKind::ShortValue)
-                                && queried.admits(p)
-                        })
-                        .filter_map(|p| {
-                            let oid = p.oid();
-                            p.triple().value_str().map(|s| (oid_head(oid), (oid, s)))
-                        })
-                        .collect();
-                    left.sort_unstable();
-                    left.dedup();
-                    if let Some(limit) = self.left_limit {
-                        left = stratified_sample(left, limit);
-                    }
-                    let left: Vec<(String, String)> = left
+                    let mut pairs = Vec::with_capacity(runs.iter().map(|r| r.items.len()).sum());
+                    pairs.extend(
+                        runs.iter()
+                            .flat_map(|r| net.run_items(r))
+                            .filter(|p| {
+                                matches!(p.kind(), PostingKind::Base(_) | PostingKind::ShortValue)
+                                    && queried.admits(p)
+                            })
+                            .filter_map(|p| p.triple().value_str().map(|s| (p.oid(), s))),
+                    );
+                    let left: Vec<(String, String)> = left_side(pairs, |p| p.0, self.left_limit)
                         .into_iter()
-                        .map(|(_, (oid, v))| (oid.to_string(), v.to_string()))
+                        .map(|(oid, v)| (oid.to_string(), v.to_string()))
                         .collect();
                     self.left_size = left.len();
                     self.left = left;
@@ -387,8 +380,100 @@ fn trace_window_change(engine: &SimilarityEngine, at_us: u64, before: usize, aft
     }
 }
 
+/// The left side as the join runs it: `pairs` deduplicated and in
+/// ascending order, and with a `limit` below their count only the
+/// stratified sample of every `count / limit`-th rank — `stride`, summed
+/// in `f64` from rank 0, each pick the first rank at or past the sum.
+/// `limit` 0 keeps every pair.
+///
+/// Each pair is ordered by a 16-byte key: its oid's head ([`oid_head`]),
+/// which orders like the pair wherever two heads differ, above a tiebreak
+/// index. Pairs whose head no other pair shares are distinct, so
+/// deduplication compares strings only among pairs that share a head; it
+/// sorts those, and their tiebreaks follow that order. The sample is then
+/// picked by selection ([`place`]), so only the picks are ever put in
+/// order, never the whole side.
+fn left_side<T: Ord + Default>(
+    mut pairs: Vec<T>,
+    oid: impl Fn(&T) -> &str,
+    limit: Option<usize>,
+) -> Vec<T> {
+    let n = pairs.len();
+    // A pair of its own head breaks no tie and keeps its index as the
+    // tiebreak; the pairs sharing a head are numbered from `n` up in their
+    // sorted order.
+    let key = |head: u64, tiebreak: usize| u128::from(head) << 64 | tiebreak as u128;
+    let head = |key: &u128| (key >> 64) as u64;
+    let tiebreak = |key: &u128| *key as u64 as usize;
+    let mut keys: Vec<u128> =
+        pairs.iter().enumerate().map(|(i, p)| key(oid_head(oid(p)), i)).collect();
+    let mut seen: FxHashSet<u64> = FxHashSet::with_capacity_and_hasher(n, Default::default());
+    let shared: FxHashSet<u64> =
+        keys.iter().map(|k| spread(head(k))).filter(|h| !seen.insert(*h)).collect();
+    drop(seen);
+    let mut again: Vec<u128> = Vec::new();
+    if !shared.is_empty() {
+        again = keys.extract_if(.., |k| shared.contains(&spread(head(k)))).collect();
+        again.sort_unstable_by(|a, b| pairs[tiebreak(a)].cmp(&pairs[tiebreak(b)]));
+        again.dedup_by(|a, b| pairs[tiebreak(a)] == pairs[tiebreak(b)]);
+        keys.extend(again.iter().enumerate().map(|(at, k)| key(head(k), n + at)));
+    }
+
+    let count = keys.len();
+    let mut take = |key: &u128| {
+        let at = tiebreak(key);
+        std::mem::take(&mut pairs[if at < n { at } else { tiebreak(&again[at - n]) }])
+    };
+    let limit = match limit {
+        Some(limit) if limit > 0 && limit < count => limit,
+        _ => {
+            keys.sort_unstable();
+            return keys.iter().map(take).collect();
+        }
+    };
+    let stride = count as f64 / limit as f64;
+    let mut next = 0.0f64;
+    let mut ranks = Vec::with_capacity(limit);
+    while ranks.len() < limit {
+        // The first rank at or past the sum. The stride exceeds 1, so it
+        // lies past the pick before, where the reference's scan finds it.
+        let rank = next.ceil() as usize;
+        if rank >= count {
+            break;
+        }
+        ranks.push(rank);
+        next += stride;
+    }
+    place(&mut keys, 0, &ranks);
+    ranks.iter().map(|r| take(&keys[*r])).collect()
+}
+
+/// Put the key of each of `ranks` — ascending, each below `offset +
+/// keys.len()` and at or past `offset` — at index `rank - offset` of
+/// `keys`, which holds ranks `offset..` of distinct keys: the middle rank
+/// by one `select_nth_unstable`, then the ranks below it in the part below
+/// and those above it in the part above.
+fn place(keys: &mut [u128], offset: usize, ranks: &[usize]) {
+    let half = ranks.len() / 2;
+    let Some(&mid) = ranks.get(half) else { return };
+    let (below, _, above) = keys.select_nth_unstable(mid - offset);
+    place(below, offset, &ranks[..half]);
+    place(above, mid + 1, &ranks[half + 1..]);
+}
+
+/// `head` with every bit of it reaching the low bits (SplitMix64's
+/// finalizer, a bijection). An oid head is big-endian and zero-padded, so
+/// its own low bits barely vary — and a hash table indexes by low bits.
+fn spread(head: u64) -> u64 {
+    let mut x = head;
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 /// Every k-th element, so that samples spread across the input — the
-/// left side's `(oid, value)` pairs, ascending.
+/// reference [`left_side`] is held to, after a sort and a dedup.
+#[cfg(test)]
 fn stratified_sample<T>(items: Vec<T>, limit: usize) -> Vec<T> {
     if items.len() <= limit || limit == 0 {
         return items;
@@ -501,6 +586,146 @@ mod tests {
         let mut attrs: Vec<&str> = res.pairs.iter().map(|p| p.right.attr.as_str()).collect();
         attrs.sort_unstable();
         assert_eq!(attrs, vec!["price", "prize"]);
+    }
+
+    /// What `left_side` stands in for: a sort, a dedup, then
+    /// `stratified_sample`.
+    fn reference<T: Ord>(mut pairs: Vec<T>, limit: Option<usize>) -> Vec<T> {
+        pairs.sort_unstable();
+        pairs.dedup();
+        match limit {
+            Some(limit) => stratified_sample(pairs, limit),
+            None => pairs,
+        }
+    }
+
+    /// Oids whose heads tie or decide: a shared 8-byte prefix, zero padding
+    /// against a real NUL, oids shorter than a head, multi-byte chars.
+    const OIDS: [&str; 12] = [
+        "",
+        "a",
+        "a\0",
+        "a\0\0",
+        "longer-t",
+        "longer-than-a-head",
+        "longer-than-a-heae",
+        "longer-t\0",
+        "é",
+        "éé",
+        "w:1",
+        "w:10",
+    ];
+    const VALUES: [&str; 5] = ["", "x", "y", "\0", "ü"];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config { cases: 512, ..Default::default() })]
+
+        /// `left_side` is the sort, dedup and stratified sample it replaced:
+        /// the same pairs in the same order, for sides full of duplicate
+        /// pairs, of oids that share their head or pad it, of non-ASCII
+        /// oids and values, and for every limit that decides — none, 0, 1,
+        /// one below the distinct count, the count, past it — plus one at
+        /// random.
+        #[test]
+        fn the_left_side_is_the_sorted_deduped_sample(
+            picked in proptest::collection::vec((0usize..OIDS.len(), 0usize..VALUES.len()), 0..60),
+            drawn in proptest::collection::vec(("[aé\0-]{0,10}", "[xü\0]{0,2}"), 0..40),
+            random in 0usize..70,
+        ) {
+            let mut pairs: Vec<(&str, &str)> =
+                picked.iter().map(|&(o, v)| (OIDS[o], VALUES[v])).collect();
+            pairs.extend(drawn.iter().map(|(o, v)| (o.as_str(), v.as_str())));
+            let n = reference(pairs.clone(), None).len();
+            let limits =
+                [None, Some(0), Some(1), Some(n.saturating_sub(1)), Some(n), Some(n + 3), Some(random)];
+            for limit in limits {
+                let want = reference(pairs.clone(), limit);
+                proptest::prop_assert_eq!(left_side(pairs.clone(), |p| p.0, limit), want.clone());
+                let owned: Vec<(String, String)> =
+                    pairs.iter().map(|(o, v)| (o.to_string(), v.to_string())).collect();
+                let got = left_side(owned, |p| &p.0, limit);
+                proptest::prop_assert!(got.iter().map(|(o, v)| (o.as_str(), v.as_str())).eq(want));
+            }
+        }
+    }
+
+    /// The picks of a long side: the stride summed over thousands of ranks
+    /// and limits that do not divide the count land where the reference's
+    /// do.
+    #[test]
+    fn long_sides_sample_the_reference_ranks() {
+        let oids: Vec<String> = (0..5_003).map(|i| format!("w:{}", i * 7_919 % 5_003)).collect();
+        let pairs: Vec<(&str, &str)> = oids.iter().map(|o| (o.as_str(), "v")).collect();
+        for limit in [1, 2, 3, 7, 8, 9, 64, 999, 2_501, 5_002] {
+            let want = reference(pairs.clone(), Some(limit));
+            assert_eq!(left_side(pairs.clone(), |p| p.0, Some(limit)), want, "limit {limit}");
+        }
+    }
+
+    /// A left side holding every way a scan answers one `(oid, value)` pair
+    /// twice: a row that repeats a field, a 1-char value (under its
+    /// attribute's value key and in the short-value family), and a value
+    /// whose key is shorter than the trie (stored by, and answered from,
+    /// every partition covering it). The join's left side is that scan
+    /// deduplicated and sampled like the reference, and so is a caller's.
+    #[test]
+    fn a_scanned_left_side_with_every_duplicate_source_is_the_reference() {
+        // With q = 3 a value of one or two chars posts no gram: the
+        // attribute's values and its short-value family each hold a
+        // quarter of the load, and "x" is the key every other short key
+        // extends. Reaching it costs the trie a gap per shared bit, so it
+        // takes 512 peers to split below it in both families.
+        let mut rows = vec![
+            Row::new("r:twin", [("col", Value::from("twin")), ("col", Value::from("twin"))]),
+            Row::new("r:c", [("col", Value::from("c"))]),
+            Row::new("r:short", [("col", Value::from("x"))]),
+        ];
+        rows.extend((0..300).map(|i| {
+            let value = format!("x{}", char::from(b'a' + (i % 26) as u8));
+            Row::new(format!("r:{i}"), [("col", Value::from(value))])
+        }));
+        let mut e = EngineBuilder::new().peers(512).seed(45).q(3).build_with_rows(&rows);
+        let from = e.random_peer();
+
+        let mut scanned: Vec<(String, String)> = Vec::new();
+        for prefix in [keys::attr_scan_prefix("col"), keys::short_value_prefix("col")] {
+            let list = e.network_mut().retrieve_list(from, &prefix).expect("nobody is dead");
+            scanned.extend(
+                list.iter()
+                    .filter(|p| matches!(p.kind(), PostingKind::Base(_) | PostingKind::ShortValue))
+                    .filter_map(|p| {
+                        Some((p.oid().to_string(), p.triple().value_str()?.to_string()))
+                    }),
+            );
+        }
+        let times = |oid: &str| scanned.iter().filter(|p| p.0 == oid).count();
+        assert_eq!(times("r:twin"), 2, "two identical triples");
+        assert_eq!(times("r:c"), 2, "the attribute's value key and the short-value family");
+        assert!(times("r:short") > 2, "every covering partition answers the short key");
+
+        let distinct = reference(scanned.clone(), None);
+        for limit in [None, Some(1), Some(8), Some(distinct.len() - 1), Some(distinct.len())] {
+            let want = reference(scanned.clone(), limit);
+            let opts = JoinOptions {
+                left_limit: limit,
+                window: JoinWindow::Fixed(8),
+                ..Default::default()
+            };
+            let joined = sim_join(&mut e, "col", Some("col"), 0, from, &opts);
+            let mut task = JoinTask::with_left(scanned.clone(), Some("col"), 0, from, &opts);
+            e.run_task(&mut task);
+            let seeded = Joined { pairs: task.take_pairs(), left_size: task.left_size() };
+            for res in [joined, seeded] {
+                assert_eq!(res.left_size, want.len(), "limit {limit:?}");
+                // At distance 0 every left value joins itself (and only
+                // values equal to it).
+                let mut lefts: Vec<(String, String)> =
+                    res.pairs.iter().map(|p| (p.left_oid.clone(), p.left_value.clone())).collect();
+                lefts.sort_unstable();
+                lefts.dedup();
+                assert_eq!(lefts, want, "limit {limit:?}");
+            }
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use clock::{
 };
 pub use key::{Key, KeyRef};
 pub use metrics::Metrics;
-pub use network::{Network, NetworkConfig, RepairReport, ReplicationPolicy, RouteError};
+pub use network::{ItemRun, Network, NetworkConfig, RepairReport, ReplicationPolicy, RouteError};
 pub use peer::{Item, PeerId};
 pub use snapshot::NetworkState;
 pub use store::{PartitionStore, SortedStore, Stretch};

@@ -158,6 +158,16 @@ impl RepairReport {
 /// items stored under it.
 pub type KeyedItems<T> = Vec<(Key, Vec<T>)>;
 
+/// What one reply of [`Network::retrieve_runs`] lends instead of copying:
+/// the answering partition, and where the items it shipped lie in that
+/// partition's run. Read it with [`Network::run_items`] before the network
+/// is written to again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ItemRun {
+    pub part: usize,
+    pub items: Range<usize>,
+}
+
 /// The simulated P-Grid network holding items of type `T`: its data (the
 /// [`NetworkState`] a snapshot freezes) and its observers.
 pub struct Network<T> {
@@ -1012,18 +1022,27 @@ impl<T: Item> Network<T> {
     /// Items stored redundantly (keys shorter than the trie depth) may be
     /// returned once per covering partition; callers that care deduplicate
     /// by object identity.
+    ///
+    /// This is [`Self::retrieve_runs`] with the lent items copied out; a
+    /// caller that only reads them calls that instead.
     pub fn retrieve_list(&mut self, from: PeerId, key: &Key) -> Result<Vec<T>, RouteError> {
-        let mut lists = self.retrieve_lists(from, key)?;
-        Ok(if lists.len() == 1 { lists.swap_remove(0) } else { lists.concat() })
+        let runs = self.retrieve_runs(from, key)?;
+        let mut out = Vec::with_capacity(runs.iter().map(|r| r.items.len()).sum());
+        for run in &runs {
+            out.extend_from_slice(self.run_items(run));
+        }
+        Ok(out)
     }
 
-    /// [`Self::retrieve_list`] answer by answer: the items of each answering
-    /// partition, as its reply shipped them (identical messages, payload
-    /// accounting and item order).
-    pub fn retrieve_lists(&mut self, from: PeerId, key: &Key) -> Result<Vec<Vec<T>>, RouteError> {
+    /// The retrieve every prefix retrieval is charged through: the route,
+    /// one forward per shower sibling, each responder's scan, and one reply
+    /// per answering partition carrying its items' payload bytes — but the
+    /// answer lends the items where they lie, one [`ItemRun`] per reply in
+    /// partition order, instead of copying them.
+    pub fn retrieve_runs(&mut self, from: PeerId, key: &Key) -> Result<Vec<ItemRun>, RouteError> {
         let entry = self.route(from, key)?;
         let (s, e) = self.image.topo.subtree_of(key);
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.image.topo.peered_in(s, e).len());
         // The shower branches run in parallel in a deployment: each starts
         // from the moment the query reached `entry` and the initiator is
         // done when the *last* result arrives. Gaps get no branch.
@@ -1032,14 +1051,27 @@ impl<T: Item> Network<T> {
             let part = self.image.topo.peered_in(s, e)[i] as usize;
             self.sim_branch();
             let Some(responder) = self.shower_into(part, entry) else { continue };
-            for (_key, items) in
-                self.scan_keys_and_reply_lists(responder, from, std::slice::from_ref(key))
-            {
-                out.push(items);
+            let store = &self.image.stores[part];
+            let (entries, items) = store.prefix_item_range(key);
+            let payload: usize = store.items()[items.clone()].iter().map(Item::size_bytes).sum();
+            let (sink, tracer) = (&mut self.sink, &self.tracer);
+            Self::charge_scan(&mut self.image.metrics, sink, tracer, responder, entries);
+            if responder != from {
+                self.send_direct(responder, from, payload);
             }
+            out.push(ItemRun { part, items });
         }
         self.sim_join();
         Ok(out)
+    }
+
+    /// The items one reply of [`Self::retrieve_runs`] lent, where they lie.
+    ///
+    /// # Panics
+    /// Panics when the run no longer fits its partition's items (the
+    /// network was written to since the retrieve).
+    pub fn run_items(&self, run: &ItemRun) -> &[T] {
+        &self.image.stores[run.part].items()[run.items.clone()]
     }
 
     /// Who answers for the peered partition `part` in a shower that entered
@@ -1061,9 +1093,8 @@ impl<T: Item> Network<T> {
     /// The owner-side half of every multi-key retrieve shape: prefix-scan
     /// each key at `responder` (charging local work per key), then send the
     /// combined per-key lists to `from` as **one** reply message carrying
-    /// the summed payload. [`Self::retrieve_lists`]'s shower branches call
-    /// it with a single key per responder; [`Self::retrieve_multi_lists`]
-    /// with the whole coalesced batch at one owner; an operator that already
+    /// the summed payload. [`Self::retrieve_multi_lists`] calls it with the
+    /// whole coalesced batch at one owner; an operator that already
     /// knows the owner (a probe riding an open channel) calls it directly.
     /// A reply copies the items it ships.
     pub fn scan_keys_and_reply_lists(
@@ -1197,12 +1228,141 @@ impl<T: Item> Network<T> {
 mod tests {
     use super::*;
     use crate::hash::hash_str;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
     struct W(String);
     impl Item for W {
         fn size_bytes(&self) -> usize {
             self.0.len()
+        }
+    }
+
+    impl<T: Item> Network<T> {
+        /// The copying retrieve [`Network::retrieve_runs`] replaced, as it
+        /// was: each shower branch's responder scans and replies through
+        /// `scan_keys_and_reply_lists`, which copies the items it ships.
+        fn copied_retrieve_lists(
+            &mut self,
+            from: PeerId,
+            key: &Key,
+        ) -> Result<Vec<Vec<T>>, RouteError> {
+            let entry = self.route(from, key)?;
+            let (s, e) = self.image.topo.subtree_of(key);
+            let mut out = Vec::new();
+            self.sim_fork();
+            for i in 0..self.image.topo.peered_in(s, e).len() {
+                let part = self.image.topo.peered_in(s, e)[i] as usize;
+                self.sim_branch();
+                let Some(responder) = self.shower_into(part, entry) else { continue };
+                for (_key, items) in
+                    self.scan_keys_and_reply_lists(responder, from, std::slice::from_ref(key))
+                {
+                    out.push(items);
+                }
+            }
+            self.sim_join();
+            Ok(out)
+        }
+    }
+
+    /// One call a network made on its clock.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Event {
+        Deliver(PeerId, PeerId, usize, MsgKind),
+        Work(PeerId, u64),
+        Fork,
+        Branch,
+        Join,
+    }
+
+    /// A clock that only writes down what it is told.
+    struct EventLog(Rc<RefCell<Vec<Event>>>);
+    impl EventSink for EventLog {
+        fn begin_query(&mut self) {}
+        fn end_query(&mut self) -> SimLatency {
+            SimLatency::default()
+        }
+        fn deliver(
+            &mut self,
+            from: PeerId,
+            to: PeerId,
+            bytes: usize,
+            kind: MsgKind,
+            _: Option<&SharedTraceSink>,
+        ) {
+            self.0.borrow_mut().push(Event::Deliver(from, to, bytes, kind));
+        }
+        fn local_work(&mut self, peer: PeerId, items: u64, _: Option<&SharedTraceSink>) {
+            self.0.borrow_mut().push(Event::Work(peer, items));
+        }
+        fn fork(&mut self) {
+            self.0.borrow_mut().push(Event::Fork);
+        }
+        fn branch(&mut self) {
+            self.0.borrow_mut().push(Event::Branch);
+        }
+        fn join(&mut self) {
+            self.0.borrow_mut().push(Event::Join);
+        }
+        fn now_us(&self) -> u64 {
+            0
+        }
+        fn reset_to_us(&mut self, _: u64) {}
+    }
+
+    /// The lending retrieve is the copying one without the copy: on twin
+    /// networks — the same build, the same seed, the same calls, with
+    /// every peer alive and with a partition wiped — it answers the same
+    /// items, leaves the same metrics (messages, bytes, route hops, failed
+    /// routes) and tells the clock the same events, for exact keys and for
+    /// prefixes that shower, over keys shorter than the trie.
+    #[test]
+    fn the_lending_retrieve_charges_what_the_copying_one_did() {
+        let logged_net = |seed: u64| {
+            let mut data: Vec<(Key, W)> =
+                (0..300).map(|i| format!("w{i:03}")).map(|w| (hash_str(&w), W(w))).collect();
+            for short in ["0", "01", "1", "110"] {
+                data.push((Key::parse(short), W(format!("short {short}"))));
+            }
+            let cfg = NetworkConfig { peers: 64, replication: 2, seed, ..Default::default() };
+            let mut net = Network::build(cfg, data);
+            let log = Rc::default();
+            net.set_event_sink(Box::new(EventLog(Rc::clone(&log))));
+            (net, log)
+        };
+        let keys: Vec<Key> = ["", "0", "1", "01", "110", "0110", "10101"]
+            .into_iter()
+            .map(Key::parse)
+            .chain((0..300).step_by(37).map(|i| hash_str(&format!("w{i:03}"))))
+            .collect();
+        for seed in 0..4 {
+            for wipe in [false, true] {
+                let (mut copied, copied_log) = logged_net(seed);
+                let (mut lent, lent_log) = logged_net(seed);
+                // The partition of one of the words asked for.
+                let wiped = wipe.then(|| copied.partition_of(&keys[7 + seed as usize]));
+                if let Some(part) = wiped {
+                    assert_eq!(copied.fail_partition(part), lent.fail_partition(part));
+                }
+                for key in &keys {
+                    for _ in 0..3 {
+                        let from = copied.random_peer();
+                        assert_eq!(lent.random_peer(), from);
+                        let want = copied.copied_retrieve_lists(from, key);
+                        let got = lent.retrieve_runs(from, key).map(|runs| {
+                            runs.iter().map(|r| lent.run_items(r).to_vec()).collect::<Vec<_>>()
+                        });
+                        assert_eq!(got, want, "seed {seed}, wiped {wiped:?}, key {key}");
+                    }
+                }
+                assert_eq!(lent.metrics(), copied.metrics(), "seed {seed}, wiped {wiped:?}");
+                assert_eq!(*lent_log.borrow(), *copied_log.borrow(), "seed {seed}, {wiped:?}");
+                let m = *copied.metrics();
+                assert!(m.messages > 0 && m.route_hops > 0 && !copied_log.borrow().is_empty());
+                assert_eq!(wiped.is_some(), m.failed_routes > 0, "seed {seed}");
+            }
         }
     }
 

@@ -214,10 +214,14 @@ impl<T> SortedStore<T> {
         self.ends[i] as usize - self.start(i)
     }
 
+    /// The positions in [`Self::items`] of entries `entries`' items.
+    fn item_range(&self, entries: Range<usize>) -> Range<usize> {
+        self.start(entries.start)..self.start(entries.end)
+    }
+
     /// Entries `entries`, as a scan lends them.
     fn stretch(&self, entries: Range<usize>) -> Stretch<'_, T> {
-        let items = &self.items[self.start(entries.start)..self.start(entries.end)];
-        Stretch { entries: entries.len(), items }
+        Stretch { entries: entries.len(), items: &self.items[self.item_range(entries)] }
     }
 
     /// Index of the first entry whose key is `>= key`.
@@ -232,7 +236,16 @@ impl<T> SortedStore<T> {
     /// of the run.
     pub fn prefix_entries(&self, key: &Key) -> Stretch<'_, T> {
         let key = key.as_ref();
-        self.prefix_run_at(self.lower_bound(key), key)
+        self.stretch(self.prefix_run_at(self.lower_bound(key), key))
+    }
+
+    /// [`Self::prefix_entries`] by position: how many entries it hits, and
+    /// where their items lie in [`Self::items`] — what a reply that lends
+    /// the run's items instead of copying them keeps.
+    pub fn prefix_item_range(&self, key: &Key) -> (usize, Range<usize>) {
+        let key = key.as_ref();
+        let entries = self.prefix_run_at(self.lower_bound(key), key);
+        (entries.len(), self.item_range(entries))
     }
 
     /// [`Self::prefix_entries`] for a key whose entries start at `*cursor`
@@ -251,14 +264,13 @@ impl<T> SortedStore<T> {
             "the cursor lies past the entries of {key}"
         );
         *cursor += gallop(&self.spans[*cursor..], |span| self.view(*span) < key);
-        self.prefix_run_at(*cursor, key)
+        self.stretch(self.prefix_run_at(*cursor, key))
     }
 
     /// The entries from `s`, the first `>= key`, whose key has `key` as a
     /// prefix.
-    fn prefix_run_at(&self, s: usize, key: KeyRef<'_>) -> Stretch<'_, T> {
-        let e = s + gallop(&self.spans[s..], |span| key.is_prefix_of(self.view(*span)));
-        self.stretch(s..e)
+    fn prefix_run_at(&self, s: usize, key: KeyRef<'_>) -> Range<usize> {
+        s..s + gallop(&self.spans[s..], |span| key.is_prefix_of(self.view(*span)))
     }
 
     /// The entries with `lo <= key <= hi` (both inclusive).

@@ -45,6 +45,11 @@
 //! `sim_join` from 710 to 670, q-gram `similar` from 79 to 78 and the
 //! naive scan from 36 to 34.
 //!
+//! The join's left scan reads the stored runs where they lie: no reply is
+//! copied to be read, the pairs are gathered into one buffer sized up
+//! front, and the sample is picked by selection, so `sim_join` fell from
+//! 670 to 661, and its budget is that count.
+//!
 //! The write path has budgets too. A batch is generated grouped: its
 //! distinct keys, each made once, and its postings with the ids of their
 //! keys. `postings_for_rows` flattens that — on 100 rows (1 133 postings
@@ -149,7 +154,7 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
 
 const SIMILAR_BUDGET: u64 = 175;
 const NAIVE_BUDGET: u64 = 65;
-const SIM_JOIN_BUDGET: u64 = 770;
+const SIM_JOIN_BUDGET: u64 = 661;
 const SELECT_RANGE_BUDGET: u64 = 4_550;
 const TOP_N_BUDGET: u64 = 965;
 const MULTI_BUDGET: u64 = 175;
