@@ -262,9 +262,10 @@ impl Topology {
     /// `part` at level `l`: the partitions whose path agrees with the
     /// part's in exactly its first `l` bits — those sharing `l` bits less
     /// those sharing `l + 1`, on the side bit `l` does not take: two
-    /// bisections on that side, where four would do both sides. Routing
-    /// tables are wired and checked by this, once per peered partition and
-    /// level.
+    /// bisections on that side, where four would do both sides. A recruit
+    /// wires its own levels by this; the wiring and the check of a whole
+    /// topology sweep the cover instead (`Complements`), and are held to
+    /// this.
     pub fn complement_of(&self, part: usize, l: usize) -> (usize, usize) {
         let path = self.paths[part].as_ref();
         let shares = |p: &Key, bits: usize| p.as_ref().common_prefix_len(path) >= bits;
@@ -296,7 +297,8 @@ impl Topology {
     /// Rebuild the routing arena from the current membership: for every
     /// peer and level, up to `refs_per_level` distinct random members of
     /// the peered partitions of the complementary subtree — none when it
-    /// is all gaps.
+    /// is all gaps. The subtrees come from one sweep of the cover
+    /// (`Complements`), not from a search per partition and level.
     pub(crate) fn wire_routing(&mut self, refs_per_level: usize, rng: &mut StdRng) {
         self.reindex();
         let complements = Complements::of(self);
@@ -400,7 +402,8 @@ impl Topology {
     /// the complementary subtree agrees with the key in one more bit than
     /// the peer holding it, which is why routing ends; and a level has no
     /// reference exactly when that subtree has no member, which is why an
-    /// empty level may answer "nothing here".
+    /// empty level may answer "nothing here". The cover and the gap index
+    /// are checked before the complementary subtrees are swept from them.
     pub(crate) fn check(&self) -> Result<(), &'static str> {
         let peers = self.part_of.len();
         if !self.paths.windows(2).all(|w| w[0] < w[1]) || !is_complete_cover(&self.paths) {
@@ -464,33 +467,116 @@ impl Topology {
 /// partition with members, as ranges into [`Topology::peered_in`]'s index:
 /// all members of a partition route by the same levels, so the wiring and
 /// the check, which read them once per peer and level, find them once per
-/// partition.
+/// partition — all of them in one sweep of the cover ([`Self::sweep`]).
 struct Complements {
     /// Where each partition's levels start in `ranges` (a gap has none).
-    first: Vec<usize>,
+    first: Vec<u32>,
     ranges: Vec<(u32, u32)>,
 }
 
+/// A boundary between two neighbouring partitions, as the sweep's stack
+/// holds it: one more than the bits the two paths share — 0 for an end of
+/// the cover, which shares nothing with anything — and the index of the
+/// partition right of it.
+type Boundary = (u32, u32);
+
 impl Complements {
     fn of(topo: &Topology) -> Self {
-        let mut first = Vec::with_capacity(topo.paths.len() + 1);
-        let mut ranges = Vec::new();
-        for part in 0..topo.paths.len() {
-            first.push(ranges.len());
-            if !topo.is_gap(part) {
-                ranges.extend((0..topo.paths[part].len()).map(|l| {
-                    let (s, e) = topo.complement_of(part, l);
-                    (topo.peered_before[s], topo.peered_before[e])
-                }));
+        let complements =
+            Self::sweep(&topo.paths, |part| !topo.is_gap(part), |part| topo.peered_before[part]);
+        debug_assert!((0..topo.paths.len()).filter(|p| !topo.is_gap(*p)).all(|part| {
+            complements.levels(part).iter().enumerate().all(|(l, range)| {
+                let (s, e) = topo.complement_of(part, l);
+                *range == (topo.peered_before[s], topo.peered_before[e])
+            })
+        }));
+        complements
+    }
+
+    /// Every level's complementary subtree of each partition of the sorted
+    /// complete cover `paths` that `keep` takes, its two ends mapped through
+    /// `at`. The partitions sharing the first `b` bits of a path are a run
+    /// around it, and the run ends where a neighbouring pair shares fewer
+    /// than `b` bits; so the common prefix of each neighbouring pair is
+    /// computed once, and a monotonic stack of those pairs — the nearest
+    /// pair sharing fewer bits than all pairs closer in — is swept once in
+    /// each direction. Going right, the stack gives `L_b`, where the run of
+    /// `b` shared bits starts, for every `b`; going left, `R_b`, where it
+    /// ends. Level `l`'s complement is `[L_l, L_{l+1})` when bit `l` is 1,
+    /// and `[R_{l+1}, R_l)` when it is 0: the work is one step per level,
+    /// with no key compared.
+    fn sweep(paths: &[Key], keep: impl Fn(usize) -> bool, at: impl Fn(usize) -> u32) -> Self {
+        let n = paths.len();
+        // `depth[i]`: the depth of the boundary before partition `i` (a
+        // `Boundary`'s first field); `depth[0]` is never read.
+        let depth: Vec<u32> = std::iter::once(0)
+            .chain(paths.windows(2).map(|w| w[0].common_prefix_len(&w[1]) as u32 + 1))
+            .collect();
+        let mut first = Vec::with_capacity(n + 1);
+        let mut levels = 0;
+        for (part, path) in paths.iter().enumerate() {
+            first.push(levels);
+            if keep(part) {
+                levels += u32::try_from(path.len()).expect("a path stays under 2^32 bits");
             }
         }
-        first.push(ranges.len());
+        first.push(levels);
+        let mut ranges = vec![(0, 0); levels as usize];
+        let mut stack: Vec<Boundary> = Vec::new();
+        let mut fill = |part: usize, stack: &mut Vec<Boundary>, bit: bool| {
+            let out = &mut ranges[first[part] as usize..first[part + 1] as usize];
+            if out.is_empty() {
+                return;
+            }
+            // The run of `b` shared bits ends at the top-most boundary that
+            // shares fewer; `b` only falls, so the walk only goes down.
+            let mut top = stack.len();
+            let mut end = |b: usize| {
+                while stack[top - 1].0 as usize > b {
+                    top -= 1;
+                }
+                stack[top - 1].1 as usize
+            };
+            let path = &paths[part];
+            let mut inner = end(path.len());
+            for l in (0..path.len()).rev() {
+                let outer = end(l);
+                if path.bit(l) == bit {
+                    let (s, e) = (inner.min(outer), inner.max(outer));
+                    out[l] = (at(s), at(e));
+                }
+                inner = outer;
+            }
+        };
+        let push = |stack: &mut Vec<Boundary>, boundary: Boundary| {
+            while stack.last().is_some_and(|top| top.0 >= boundary.0) {
+                stack.pop();
+            }
+            stack.push(boundary);
+        };
+        // Rightward: the levels whose bit is 1, complemented on the left.
+        stack.push((0, 0));
+        for (part, &before) in depth.iter().enumerate() {
+            if part > 0 {
+                push(&mut stack, (before, part as u32));
+            }
+            fill(part, &mut stack, true);
+        }
+        // Leftward: the levels whose bit is 0, complemented on the right.
+        stack.clear();
+        stack.push((0, n as u32));
+        for part in (0..n).rev() {
+            if let Some(&after) = depth.get(part + 1) {
+                push(&mut stack, (after, part as u32 + 1));
+            }
+            fill(part, &mut stack, false);
+        }
         Complements { first, ranges }
     }
 
     /// The levels of the peered partition `part`, by level.
     fn levels(&self, part: usize) -> &[(u32, u32)] {
-        &self.ranges[self.first[part]..self.first[part + 1]]
+        &self.ranges[self.first[part] as usize..self.first[part + 1] as usize]
     }
 }
 
@@ -519,6 +605,70 @@ mod tests {
                     subtree_range(&paths, path.complement_at(l).as_ref()),
                     "{path} at level {l}"
                 );
+            }
+        }
+    }
+
+    /// A complete cover of one of four shapes: the root alone, its two
+    /// children, a trie grown by splitting the leaf each choice names, and
+    /// a spine of 64 to 103 levels turning as `turns` says, with the same
+    /// splits hung on it.
+    fn shaped_cover(shape: usize, choices: &[usize], turns: u64) -> Vec<Key> {
+        let mut leaves = match shape % 4 {
+            0 => return vec![Key::empty()],
+            1 => return vec![Key::parse("0"), Key::parse("1")],
+            2 => vec![Key::empty()],
+            _ => {
+                let (mut leaves, mut node) = (vec![], Key::empty());
+                for l in 0..64 + turns as usize % 40 {
+                    let turn = turns.rotate_right(l as u32) & 1 == 1;
+                    leaves.push(node.child(!turn));
+                    node = node.child(turn);
+                }
+                leaves.push(node);
+                leaves
+            }
+        };
+        for c in choices {
+            let leaf = leaves.swap_remove(c % leaves.len());
+            leaves.extend([leaf.child(false), leaf.child(true)]);
+        }
+        leaves.sort_unstable();
+        leaves
+    }
+
+    proptest::proptest! {
+        /// The sweep is the search it replaced: for every partition of a
+        /// cover and every level, the swept range is `complement_of`'s —
+        /// by partition over the whole cover, and through the gap index
+        /// with the gaps left out.
+        #[test]
+        fn the_swept_complements_are_the_searched_ones(
+            shape in 0usize..4,
+            choices in proptest::collection::vec(proptest::prelude::any::<usize>(), 0..40),
+            turns in proptest::prelude::any::<u64>(),
+            gaps in proptest::collection::vec(proptest::prelude::any::<bool>(), 1..8),
+        ) {
+            let paths = shaped_cover(shape, &choices, turns);
+            let part_peers: Vec<Vec<PeerId>> = (0..paths.len())
+                .map(|p| if gaps[p % gaps.len()] { vec![] } else { vec![PeerId(p as u32)] })
+                .collect();
+            let topo = Topology::new(paths.clone(), part_peers, vec![], RoutingArena::default());
+            let every = Complements::sweep(&paths, |_| true, |part| part as u32);
+            let peered = Complements::of(&topo);
+            for (part, path) in paths.iter().enumerate() {
+                proptest::prop_assert_eq!(every.levels(part).len(), path.len());
+                for (l, range) in every.levels(part).iter().enumerate() {
+                    let (s, e) = topo.complement_of(part, l);
+                    proptest::prop_assert_eq!(*range, (s as u32, e as u32), "{} at {}", path, l);
+                }
+                let mapped: Vec<(u32, u32)> = if topo.is_gap(part) {
+                    vec![]
+                } else {
+                    let at = |p: u32| topo.peered_before[p as usize];
+                    every.levels(part).iter().map(|(s, e)| (at(*s), at(*e))).collect()
+                };
+                proptest::prop_assert_eq!(peered.levels(part), mapped.as_slice());
             }
         }
     }

@@ -78,7 +78,7 @@ pub enum PostingKind {
 
 impl PostingKind {
     /// Whether a posting of this kind carries a q-gram.
-    fn has_gram(self) -> bool {
+    pub(crate) fn has_gram(self) -> bool {
         matches!(self, PostingKind::InstanceGram { .. } | PostingKind::SchemaGram)
     }
 
@@ -220,7 +220,7 @@ impl Posting {
         }
     }
 
-    fn gram_span(&self) -> GramSpan {
+    pub(crate) fn gram_span(&self) -> GramSpan {
         if self.kind().has_gram() {
             GramSpan { off: self.gram_off_or_attr, len: self.gram_len }
         } else {

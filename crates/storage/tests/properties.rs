@@ -431,9 +431,20 @@ proptest! {
             expected.total_bytes += single_posting.size_bytes() as u64;
         }
         prop_assert_eq!(stats, expected);
-        // One slab, and in it one span per distinct gram.
+        // One slab, and in it one span per distinct gram: two gram postings
+        // read their gram from one place of the slab's text exactly when
+        // they carry the same text — at either level, under any attribute.
         for (_, a) in &batch {
             prop_assert!(std::sync::Arc::ptr_eq(a.triple_id().0, batch[0].1.triple_id().0));
+        }
+        let mut place_of = std::collections::HashMap::new();
+        let mut text_at = std::collections::HashMap::new();
+        for (_, p) in &batch {
+            if matches!(p.kind(), PostingKind::InstanceGram { .. } | PostingKind::SchemaGram) {
+                let (text, place) = (p.gram(), p.gram().as_ptr());
+                prop_assert_eq!(*place_of.entry(text).or_insert(place), place, "{:?}", text);
+                prop_assert_eq!(*text_at.entry(place).or_insert(text), text);
+            }
         }
     }
 

@@ -159,9 +159,9 @@ const SELECT_RANGE_BUDGET: u64 = 4_550;
 const TOP_N_BUDGET: u64 = 965;
 const MULTI_BUDGET: u64 = 175;
 const VQL_BUDGET: u64 = 225;
-const POSTINGS_BUDGET: u64 = 1_400;
-const PUBLISH_BUDGET: u64 = 800;
-const TITLES_BUDGET: u64 = 1_300;
+const POSTINGS_BUDGET: u64 = 1_179;
+const PUBLISH_BUDGET: u64 = 688;
+const TITLES_BUDGET: u64 = 1_080;
 const CHECKPOINT_BUDGET: u64 = 370;
 const DECODE_BUDGET: u64 = 1_000;
 
