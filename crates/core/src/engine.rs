@@ -16,6 +16,9 @@ use sqo_storage::posting::{Object, ObjectPostings, Posting};
 use sqo_storage::publish::{batch_for_rows, PublishConfig, PublishStats};
 use sqo_storage::triple::Row;
 use sqo_strsim::filters::FilterConfig;
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
 /// Per-query execution defaults, grouped so higher layers (the `sqo-plan`
 /// planner, workload drivers) inherit one coherent block instead of poking
@@ -237,9 +240,52 @@ pub struct SimilarityEngine {
     pub(crate) leg_retries: u64,
 }
 
-/// One object-fetch branch: the oids of one partition, ascending, each with
-/// its `key(oid)` (made once, at planning).
-pub(crate) type FetchBranch = Vec<(String, Key)>;
+/// One object-fetch branch: a stretch of the planned oids — all of one
+/// partition with delegation, one oid without — as a range of the list
+/// the plan was made from. No oid is copied into a branch, and no key is
+/// kept: planning and each branch make `key(oid)` in one buffer they reuse
+/// ([`sqo_storage::keys::oid_key_into`]).
+pub(crate) type FetchBranch = Range<usize>;
+
+/// An oid read through a stored posting of its object — one refcount step,
+/// no copy. The operators' object caches are keyed by handles and their
+/// fetch plans carry them; `Hash`, `Eq` and `Borrow<str>` are those of the
+/// oid, so a cache is looked up with a `&str`.
+#[derive(Clone)]
+pub(crate) struct OidHandle(Posting);
+
+impl OidHandle {
+    pub(crate) fn new(posting: Posting) -> Self {
+        Self(posting)
+    }
+
+    pub(crate) fn as_str(&self) -> &str {
+        self.0.oid()
+    }
+}
+
+impl Borrow<str> for OidHandle {
+    fn borrow(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for OidHandle {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for OidHandle {}
+
+impl Hash for OidHandle {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+/// An operator's object cache: each fetched object's postings, by oid.
+pub(crate) type ObjectCache = FxHashMap<OidHandle, ObjectPostings>;
 
 /// Counter snapshot opening a stats window (see
 /// [`SimilarityEngine::begin_query`]).
@@ -679,14 +725,15 @@ impl SimilarityEngine {
     /// sublinear). Without delegation, a full independent `Retrieve` per
     /// key: the whole posting list is charged to the wire and filtered at
     /// the initiator. Either way the filter reads the stored postings in
-    /// place and only survivors are copied.
+    /// place and only survivors are copied, onto the end of `out` — the
+    /// task's own buffer, so a branch allocates none of its own.
     pub(crate) fn probe_branch(
         &mut self,
         from: PeerId,
         keys: &[Key],
         filter: &ProbeFilter<'_>,
-    ) -> Vec<Posting> {
-        let mut out = Vec::new();
+        out: &mut Vec<Posting>,
+    ) {
         if !self.cfg.query.delegation {
             for k in keys {
                 // `failed0` is re-snapshotted per attempt, so the shower
@@ -708,14 +755,13 @@ impl SimilarityEngine {
                     Err(_) => self.legs_addressed += 1,
                 }
             }
-            return out;
+            return;
         }
         self.legs_addressed += 1;
         if let Ok(owner) = self.with_leg_retry(|e| e.net.route(from, &keys[0])) {
             self.legs_answered += 1;
-            self.scan_filter_reply(owner, from, keys, filter, &mut out);
+            self.scan_filter_reply(owner, from, keys, filter, out);
         }
-        out
     }
 
     /// The owner-side half of a delegated probe: prefix-scan every key at
@@ -746,8 +792,9 @@ impl SimilarityEngine {
     // Brokered probes (the sqo-cache hot path; see crate::broker)
     // ------------------------------------------------------------------
 
-    /// Issue one probe branch through the broker at virtual time `at_us`,
-    /// returning the filtered postings and the completion time.
+    /// Issue one probe branch — the keys of one partition — through the
+    /// broker at virtual time `at_us`: the filtered postings go onto the
+    /// end of `postings`, and the completion time is returned.
     ///
     /// Without a broker this is exactly the legacy delegated branch (filter
     /// at the owner, survivors travel), charged to `acc`. With one, probe
@@ -761,11 +808,11 @@ impl SimilarityEngine {
         &mut self,
         acc: &mut QueryStats,
         from: PeerId,
-        part: usize,
-        keys: &[Key],
+        (part, keys): (usize, &[Key]),
         filter: &ProbeFilter<'_>,
         at_us: u64,
-    ) -> (Vec<Posting>, u64) {
+        postings: &mut Vec<Posting>,
+    ) -> u64 {
         // The broker rides on the §4 delegated pipeline; with delegation
         // off every probe is an independent full-list retrieve (the A/B
         // baseline), and the hot-path services must not quietly re-enable
@@ -775,11 +822,10 @@ impl SimilarityEngine {
             _ => (false, false),
         };
         if !cache_on && !batch_on {
-            return self.charged(acc, at_us, |e| e.probe_branch(from, keys, filter));
+            return self.charged(acc, at_us, |e| e.probe_branch(from, keys, filter, postings)).1;
         }
 
         let epoch = self.net.cache_epoch();
-        let mut postings: Vec<Posting> = Vec::new();
         let mut missing: Vec<Key> = Vec::new();
         if cache_on {
             let broker = self.broker.as_mut().expect("cache_on implies a broker");
@@ -800,7 +846,7 @@ impl SimilarityEngine {
         }
         if missing.is_empty() {
             // Every key served from the cache: no wire activity at all.
-            return (postings, at_us);
+            return at_us;
         }
 
         let channel = if batch_on {
@@ -837,12 +883,12 @@ impl SimilarityEngine {
                     if cache_on {
                         e.net.scan_keys_and_reply_lists(owner, from, &missing)
                     } else {
-                        e.scan_filter_reply(owner, from, &missing, filter, &mut postings);
+                        e.scan_filter_reply(owner, from, &missing, filter, postings);
                         Vec::new()
                     }
                 });
-                self.absorb_full_lists(from, filter, lists, end, epoch, &mut postings);
-                (postings, end)
+                self.absorb_full_lists(from, filter, lists, end, epoch, postings);
+                end
             }
             None => {
                 let ((got, hops), end) = self.charged(acc, at_us, |e| {
@@ -859,7 +905,7 @@ impl SimilarityEngine {
                         e.with_leg_retry(|e| e.net.retrieve_multi_lists(from, &missing)).ok()
                     } else {
                         e.with_leg_retry(|e| e.net.route(from, &missing[0])).ok().map(|owner| {
-                            e.scan_filter_reply(owner, from, &missing, filter, &mut postings);
+                            e.scan_filter_reply(owner, from, &missing, filter, postings);
                             (owner, Vec::new())
                         })
                     };
@@ -874,9 +920,9 @@ impl SimilarityEngine {
                         let broker = self.broker.as_mut().expect("batch_on implies a broker");
                         broker.channel_record(part, owner, hops, end, epoch);
                     }
-                    self.absorb_full_lists(from, filter, lists, end, epoch, &mut postings);
+                    self.absorb_full_lists(from, filter, lists, end, epoch, postings);
                 }
-                (postings, end)
+                end
             }
         }
     }
@@ -951,24 +997,27 @@ impl SimilarityEngine {
     /// (sorted and deduplicated): their keys — the family byte and the
     /// oid's first bytes — then ascend too (a truncated key can repeat), so
     /// do their partitions, and a partition's branch is one stretch of
-    /// them. Each oid's key is made once, and its partition galloped to
-    /// from the previous one's. Branches come in partition order, the oids
-    /// of each in input order.
-    pub(crate) fn plan_fetch_branches(&self, oids: &[&str]) -> Vec<FetchBranch> {
-        debug_assert!(oids.windows(2).all(|w| w[0] < w[1]), "oids ascend strictly");
-        let keyed = oids.iter().map(|o| (o.to_string(), sqo_storage::keys::oid_key(o)));
+    /// them. Each oid's key is made in one reused buffer, and its partition
+    /// galloped to from the previous one's. Branches come in partition
+    /// order, each a range of `oids`.
+    pub(crate) fn plan_fetch_branches<T: Borrow<str>>(&self, oids: &[T]) -> Vec<FetchBranch> {
+        debug_assert!(
+            oids.windows(2).all(|w| w[0].borrow() < w[1].borrow()),
+            "oids ascend strictly"
+        );
         if !self.cfg.query.delegation {
-            return keyed.map(|ok| vec![ok]).collect();
+            return (0..oids.len()).map(|i| i..i + 1).collect();
         }
         let mut branches: Vec<FetchBranch> = Vec::new();
-        let mut part = None;
-        for (oid, key) in keyed {
+        let (mut part, mut key) = (None, Key::empty());
+        for (i, oid) in oids.iter().enumerate() {
+            sqo_storage::keys::oid_key_into(oid.borrow(), &mut key);
             let at = find_partition_from(self.net.paths(), &key, part.unwrap_or(0));
-            if part != Some(at) {
-                part = Some(at);
-                branches.push(Vec::new());
+            match branches.last_mut() {
+                Some(branch) if part == Some(at) => branch.end = i + 1,
+                _ => branches.push(i..i + 1),
             }
-            branches.last_mut().expect("a branch is open").push((oid, key));
+            part = Some(at);
         }
         branches
     }
@@ -977,43 +1026,46 @@ impl SimilarityEngine {
     /// object's postings where they lie — the branch's keys ascend, so
     /// each lookup in the owner's run gallops from the one before — and
     /// send one reply, charged the objects' [`Object::repr_len`]. Ships
-    /// handles: the caller materializes only the objects it keeps.
-    pub(crate) fn fetch_branch(
+    /// handles, each to `keep` with its oid: the caller materializes only
+    /// the objects it keeps. The branch makes every oid's key in one
+    /// buffer, and collects nothing of its own.
+    pub(crate) fn fetch_branch<T: Borrow<str>>(
         &mut self,
         from: PeerId,
-        oids: FetchBranch,
-    ) -> Vec<(String, ObjectPostings)> {
-        let mut out = Vec::with_capacity(oids.len());
+        oids: &[T],
+        mut keep: impl FnMut(&T, ObjectPostings),
+    ) {
+        let mut key = Key::empty();
         if !self.cfg.query.delegation {
-            for (oid, key) in oids {
+            for oid in oids {
+                sqo_storage::keys::oid_key_into(oid.borrow(), &mut key);
                 self.legs_addressed += 1;
                 if let Ok(runs) = self.with_leg_retry(|e| e.net.retrieve_runs(from, &key)) {
                     self.legs_answered += 1;
-                    let net = &self.net;
-                    let obj =
-                        ObjectPostings::gather(&oid, runs.iter().flat_map(|r| net.run_items(r)));
-                    out.push((oid, obj));
+                    let items = runs.iter().flat_map(|r| self.net.run_items(r));
+                    keep(oid, ObjectPostings::gather(oid.borrow(), items));
                 }
             }
-            return out;
+            return;
         }
         self.legs_addressed += 1;
-        let Ok(owner) = self.with_leg_retry(|e| e.net.route(from, &oids[0].1)) else {
-            return out;
+        sqo_storage::keys::oid_key_into(oids[0].borrow(), &mut key);
+        let Ok(owner) = self.with_leg_retry(|e| e.net.route(from, &key)) else {
+            return;
         };
         self.legs_answered += 1;
         let mut payload = 0usize;
         let mut cursor = 0;
-        for (oid, key) in oids {
+        for oid in oids {
+            sqo_storage::keys::oid_key_into(oid.borrow(), &mut key);
             let run = self.net.local_prefix_run_from(owner, &key, &mut cursor);
-            let obj = ObjectPostings::gather(&oid, run);
-            payload += obj.repr_len(&oid);
-            out.push((oid, obj));
+            let obj = ObjectPostings::gather(oid.borrow(), run);
+            payload += obj.repr_len(oid.borrow());
+            keep(oid, obj);
         }
         if owner != from {
             self.net.send_direct(owner, from, payload);
         }
-        out
     }
 
     /// Fetch the complete objects for a set of oids (Algorithm 2's
@@ -1033,12 +1085,11 @@ impl SimilarityEngine {
         let branches = self.plan_fetch_branches(&sorted);
         let mut result: FxHashMap<String, Object> = FxHashMap::default();
         self.net.sim_fork();
-        for oids in branches {
+        for branch in branches {
             self.net.sim_branch();
-            for (oid, obj) in self.fetch_branch(from, oids) {
-                let object = obj.materialize(&oid);
-                result.insert(oid, object);
-            }
+            self.fetch_branch(from, &sorted[branch], |oid, obj| {
+                result.insert(oid.to_string(), obj.materialize(oid));
+            });
         }
         self.net.sim_join();
         result
@@ -1299,7 +1350,7 @@ mod tests {
     ) -> Vec<Posting> {
         let mut out = Vec::new();
         for (_part, branch) in e.plan_probe_parts(keys) {
-            out.extend(e.probe_branch(from, &branch, filter));
+            e.probe_branch(from, &branch, filter, &mut out);
         }
         out
     }
@@ -1404,7 +1455,7 @@ mod tests {
             for _ in 0..rounds {
                 let mut got = Vec::new();
                 for (part, branch) in e.plan_probe_parts(&keys) {
-                    got.extend(e.probe_issue(&mut acc, from, part, &branch, &filter, 0).0);
+                    e.probe_issue(&mut acc, from, (part, &branch), &filter, 0, &mut got);
                 }
                 answers.push(digest(got));
             }
@@ -1454,28 +1505,32 @@ mod tests {
         assert_eq!(objs["car:2"].get("hp"), Some(&Value::from(150)));
     }
 
+    /// A fetch branch as it was planned: each oid with its key.
+    type KeyedBranch = Vec<(String, Key)>;
+
     /// `plan_fetch_branches` as it was: one hash-map group per partition,
-    /// the groups sorted by partition.
-    fn hashed_fetch_plan(e: &SimilarityEngine, oids: &[&str]) -> Vec<FetchBranch> {
+    /// the groups sorted by partition, each oid's key made and kept.
+    fn hashed_fetch_plan(e: &SimilarityEngine, oids: &[&str]) -> Vec<KeyedBranch> {
         let keyed = oids.iter().map(|o| (o.to_string(), sqo_storage::keys::oid_key(o)));
         if !e.cfg.query.delegation {
             return keyed.map(|ok| vec![ok]).collect();
         }
-        let mut by_part: FxHashMap<usize, FetchBranch> = FxHashMap::default();
+        let mut by_part: FxHashMap<usize, KeyedBranch> = FxHashMap::default();
         for (oid, key) in keyed {
             by_part.entry(e.net.partition_of(&key)).or_default().push((oid, key));
         }
-        let mut parts: Vec<(usize, FetchBranch)> = by_part.into_iter().collect();
+        let mut parts: Vec<(usize, KeyedBranch)> = by_part.into_iter().collect();
         parts.sort_by_key(|(p, _)| *p);
         parts.into_iter().map(|(_, os)| os).collect()
     }
 
-    /// `fetch_branch` as it was: every key looked up in the owner's run
-    /// afresh, every object assembled owned and charged its `repr_len`.
+    /// `fetch_branch` as it was: every key the plan's, looked up in the
+    /// owner's run afresh, every object assembled owned and charged its
+    /// `repr_len`.
     fn owned_fetch(
         e: &mut SimilarityEngine,
         from: PeerId,
-        oids: FetchBranch,
+        oids: KeyedBranch,
     ) -> Vec<(String, Object)> {
         let mut out = Vec::new();
         if !e.cfg.query.delegation {
@@ -1511,10 +1566,12 @@ mod tests {
         #![proptest_config(proptest::test_runner::Config { cases: 32, ..Default::default() })]
 
         /// Sorted oids planned by merging — each partition galloped to
-        /// from the one before — make the branches the hash-map grouping
-        /// made, and a branch fetched by merging through the owner's run
-        /// ships handles that materialize to the objects fetched afresh,
-        /// at the same legs, messages, bytes and scanned items. Oids share
+        /// from the one before, each key made in one reused buffer — make
+        /// the branches the hash-map grouping of kept keys made, and a
+        /// branch fetched by merging through the owner's run, its keys
+        /// remade in one buffer, ships handles that materialize to the
+        /// objects fetched afresh by the plan's keys, at the same legs,
+        /// messages, bytes and scanned items. Oids share
         /// prefixes ("w:1", "w:10", …: keys shorter than the trie there),
         /// some share their first 32 bytes (a key repeats), some are not
         /// stored; delegation on and off.
@@ -1548,19 +1605,19 @@ mod tests {
             let oids: Vec<&str> = oids.iter().map(String::as_str).collect();
 
             let branches = merged.plan_fetch_branches(&oids);
-            proptest::prop_assert_eq!(&branches, &hashed_fetch_plan(&fresh, &oids));
+            let keyed = hashed_fetch_plan(&fresh, &oids);
+            let planned: Vec<Vec<&str>> =
+                keyed.iter().map(|b| b.iter().map(|(oid, _)| oid.as_str()).collect()).collect();
+            let stretches: Vec<&[&str]> = branches.iter().map(|b| &oids[b.clone()]).collect();
+            proptest::prop_assert_eq!(stretches, planned);
             let from = merged.random_peer();
             proptest::prop_assert_eq!(fresh.random_peer(), from);
-            for branch in branches {
-                let got = merged.fetch_branch(from, branch.clone());
-                let want = owned_fetch(&mut fresh, from, branch);
-                let got: Vec<(String, Object)> = got
-                    .into_iter()
-                    .map(|(oid, obj)| {
-                        let object = obj.materialize(&oid);
-                        (oid, object)
-                    })
-                    .collect();
+            for (branch, keyed) in branches.into_iter().zip(keyed) {
+                let mut got: Vec<(String, Object)> = Vec::new();
+                merged.fetch_branch(from, &oids[branch], |oid, obj| {
+                    got.push((oid.to_string(), obj.materialize(oid)));
+                });
+                let want = owned_fetch(&mut fresh, from, keyed);
                 proptest::prop_assert_eq!(got, want);
             }
             proptest::prop_assert_eq!(merged.net.metrics(), fresh.net.metrics());

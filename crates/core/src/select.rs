@@ -2,16 +2,18 @@
 //! the similarity operators compose with (already present in the paper's
 //! prior work \[10\]; VQL needs them for its non-similarity predicates).
 
-use crate::engine::{finalize_stats, ExecStep, FanOut, FetchBranch, SimilarityEngine, StepOutcome};
+use crate::engine::{
+    finalize_stats, ExecStep, FanOut, FetchBranch, ObjectCache, OidHandle, SimilarityEngine,
+    StepOutcome,
+};
 use crate::stats::QueryStats;
-use rustc_hash::FxHashMap;
 use sqo_overlay::peer::PeerId;
 use sqo_storage::keys;
-use sqo_storage::posting::{Object, ObjectPostings, Posting, PostingKind};
-use sqo_storage::slab::AttrGuard;
+use sqo_storage::posting::{Object, Posting, PostingKind};
+use sqo_storage::slab::{AttrGuard, TripleRef};
 use sqo_storage::triple::{Value, ValueRef};
 use sqo_strsim::numeric::interval_around;
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 
 /// A selection hit: the value that satisfied the predicate plus its object.
 #[derive(Debug, Clone)]
@@ -28,8 +30,10 @@ pub struct SelectTask {
     from: PeerId,
     state: SelState,
     stats: QueryStats,
-    matched: Vec<(String, Value)>,
-    objects: FxHashMap<String, ObjectPostings>,
+    /// (oid, value) of every row that satisfied the predicate, the oid a
+    /// handle on the row's posting.
+    matched: Vec<(OidHandle, Value)>,
+    objects: ObjectCache,
     hits: Vec<SelectHit>,
 }
 
@@ -43,7 +47,11 @@ enum SelectKind {
 
 enum SelState {
     Scan,
-    Fetch { fan: FanOut<FetchBranch> },
+    /// One object-fetch branch per step: a stretch of `oids`.
+    Fetch {
+        oids: Vec<OidHandle>,
+        fan: FanOut<FetchBranch>,
+    },
     Assemble,
     Finished,
 }
@@ -77,7 +85,7 @@ impl SelectTask {
             state: SelState::Scan,
             stats: QueryStats::default(),
             matched: Vec::new(),
-            objects: FxHashMap::default(),
+            objects: ObjectCache::default(),
             hits: Vec::new(),
         }
     }
@@ -97,20 +105,15 @@ impl SelectTask {
         kind: &SelectKind,
         from: PeerId,
         e: &mut SimilarityEngine,
-    ) -> (Vec<(String, Value)>, u64, u64) {
+    ) -> (Vec<(OidHandle, Value)>, u64, u64) {
         let mut hits = 0;
         let mut misses = 0;
         let matched = match kind {
             SelectKind::Exact { attr, v } => {
                 let key = keys::attr_value_key(attr, v);
                 let (matched, h, m) = e.cached_retrieve(from, &key, |lists| {
-                    lists
-                        .iter()
-                        .flat_map(|l| l.iter())
-                        .filter_map(Posting::as_base)
-                        .filter(|t| t.attr().as_str() == attr && t.value() == *v)
-                        .map(|t| (t.oid().to_string(), t.value().to_value()))
-                        .collect()
+                    let hit = |t: TripleRef<'_>| t.attr().as_str() == attr && t.value() == *v;
+                    lists.iter().flat_map(|l| l.iter()).filter_map(|p| matched(p, hit)).collect()
                 });
                 (hits, misses) = (h, m);
                 matched
@@ -128,13 +131,8 @@ impl SelectTask {
             SelectKind::Keyword { v } => {
                 let key = keys::value_key(v);
                 let (matched, h, m) = e.cached_retrieve(from, &key, |lists| {
-                    lists
-                        .iter()
-                        .flat_map(|l| l.iter())
-                        .filter_map(Posting::as_base)
-                        .filter(|t| t.value() == *v)
-                        .map(|t| (t.oid().to_string(), t.value().to_value()))
-                        .collect()
+                    let hit = |t: TripleRef<'_>| t.value() == *v;
+                    lists.iter().flat_map(|l| l.iter()).filter_map(|p| matched(p, hit)).collect()
                 });
                 (hits, misses) = (h, m);
                 matched
@@ -148,8 +146,8 @@ impl SelectTask {
                         if matches!(p.kind(), PostingKind::Base(_) | PostingKind::ShortValue)
                             && queried.admits(p)
                         {
-                            let t = p.triple();
-                            matched.push((t.oid().to_string(), t.value().to_value()));
+                            matched
+                                .push((OidHandle::new(p.clone()), p.triple().value().to_value()));
                         }
                     }
                 }
@@ -165,7 +163,7 @@ impl SelectTask {
         hi: &Value,
         from: PeerId,
         e: &mut SimilarityEngine,
-    ) -> Vec<(String, Value)> {
+    ) -> Vec<(OidHandle, Value)> {
         let (klo, khi) = keys::attr_value_range(attr, lo, hi);
         let postings = if klo <= khi {
             e.net.range_query(from, &klo, &khi).unwrap_or_default()
@@ -185,11 +183,16 @@ impl SelectTask {
         postings
             .iter()
             .filter(|p| queried.admits(p))
-            .filter_map(Posting::as_base)
-            .filter(|t| in_bounds(t.value()))
-            .map(|t| (t.oid().to_string(), t.value().to_value()))
+            .filter_map(|p| matched(p, |t| in_bounds(t.value())))
             .collect()
     }
+}
+
+/// The (oid, value) row of a base posting whose triple satisfies `hit`,
+/// the oid read through the posting.
+fn matched(p: &Posting, hit: impl Fn(TripleRef<'_>) -> bool) -> Option<(OidHandle, Value)> {
+    let t = p.as_base().filter(|t| hit(*t))?;
+    Some((OidHandle::new(p.clone()), t.value().to_value()))
 }
 
 impl ExecStep for SelectTask {
@@ -205,7 +208,7 @@ impl ExecStep for SelectTask {
                     sort_matches(&mut matched);
                     matched.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
                     // Sorted by oid already: deduplicated, they ascend.
-                    let mut oids: Vec<&str> = matched.iter().map(|(o, _)| o.as_str()).collect();
+                    let mut oids: Vec<OidHandle> = matched.iter().map(|(o, _)| o.clone()).collect();
                     oids.dedup();
                     let branches = engine.plan_fetch_branches(&oids);
                     self.matched = matched;
@@ -213,22 +216,24 @@ impl ExecStep for SelectTask {
                         self.state = SelState::Assemble;
                         continue;
                     }
-                    self.state = SelState::Fetch { fan: FanOut::new(branches, end) };
+                    self.state = SelState::Fetch { oids, fan: FanOut::new(branches, end) };
                     return StepOutcome::Yield { at_us: end };
                 }
 
-                SelState::Fetch { mut fan } => {
-                    let Some(oids) = fan.pop() else {
+                SelState::Fetch { oids, mut fan } => {
+                    let Some(branch) = fan.pop() else {
                         self.state = SelState::Assemble;
                         continue;
                     };
-                    let from = self.from;
-                    let (got, end) = engine
-                        .charged(&mut self.stats, fan.fork_us, |e| e.fetch_branch(from, oids));
-                    self.objects.extend(got);
+                    let (from, objects) = (self.from, &mut self.objects);
+                    let ((), end) = engine.charged(&mut self.stats, fan.fork_us, |e| {
+                        e.fetch_branch(from, &oids[branch], |oid, obj| {
+                            objects.insert(oid.clone(), obj);
+                        })
+                    });
                     fan.record_end(end);
                     let next_at = if fan.is_done() { fan.max_end_us } else { fan.fork_us };
-                    self.state = SelState::Fetch { fan };
+                    self.state = SelState::Fetch { oids, fan };
                     return StepOutcome::Yield { at_us: next_at };
                 }
 
@@ -237,8 +242,9 @@ impl ExecStep for SelectTask {
                     let mut hits: Vec<SelectHit> = matched
                         .into_iter()
                         .filter_map(|(oid, value)| {
-                            let object = self.objects.get(&oid)?.materialize(&oid);
-                            Some(SelectHit { oid, value, object })
+                            let oid = oid.as_str();
+                            let object = self.objects.get(oid)?.materialize(oid);
+                            Some(SelectHit { oid: oid.to_string(), value, object })
                         })
                         .collect();
                     // Tighten numeric similarity to the exact Euclidean ball
@@ -267,14 +273,16 @@ impl ExecStep for SelectTask {
 /// stably. Both compare where they lie: a string is its print, and a number
 /// is printed only when its oid ties — a sort of distinct objects prints
 /// and copies nothing.
-fn sort_matches(matched: &mut [(String, Value)]) {
+fn sort_matches<O: Borrow<str>>(matched: &mut [(O, Value)]) {
     fn printed(v: &Value) -> Cow<'_, str> {
         match v {
             Value::Str(s) => Cow::Borrowed(s),
             number => Cow::Owned(number.to_string()),
         }
     }
-    matched.sort_by(|(a, v), (b, w)| a.cmp(b).then_with(|| printed(v).cmp(&printed(w))));
+    matched.sort_by(|(a, v), (b, w)| {
+        a.borrow().cmp(b.borrow()).then_with(|| printed(v).cmp(&printed(w)))
+    });
 }
 
 #[cfg(test)]

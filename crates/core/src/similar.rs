@@ -42,13 +42,16 @@
 //! harness records achieved recall per run.
 
 use crate::broker::ProbeFilter;
-use crate::engine::{finalize_stats, ExecStep, FanOut, FetchBranch, SimilarityEngine, StepOutcome};
+use crate::engine::{
+    finalize_stats, ExecStep, FanOut, FetchBranch, ObjectCache, OidHandle, SimilarityEngine,
+    StepOutcome,
+};
 use crate::stats::QueryStats;
 use rustc_hash::FxHashMap;
 use sqo_overlay::key::Key;
 use sqo_overlay::peer::PeerId;
 use sqo_storage::keys;
-use sqo_storage::posting::{Object, ObjectPostings, Posting, PostingKind};
+use sqo_storage::posting::{Object, Posting, PostingKind};
 use sqo_storage::slab::AttrGuard;
 use sqo_storage::triple::AttrName;
 use sqo_strsim::edit::BoundedLevenshtein;
@@ -118,6 +121,11 @@ impl Candidate {
 
     pub(crate) fn oid(&self) -> &str {
         self.posting.oid()
+    }
+
+    /// The oid as a handle on the candidate's posting: no copy.
+    fn oid_handle(&self) -> OidHandle {
+        OidHandle::new(self.posting.clone())
     }
 
     pub(crate) fn attr(&self) -> &AttrName {
@@ -206,7 +214,7 @@ pub struct SimilarTask {
     /// Object cache — fetched objects as their postings — used when the
     /// task runs standalone; iterative parents (joins, top-N shells) pass
     /// their own via [`Self::step_with`].
-    cache: FxHashMap<String, ObjectPostings>,
+    cache: ObjectCache,
     s_len: usize,
     /// True when executing the naive broadcast path (strategy or short-`s`
     /// fallback); switches the meaning of `stats.probes` to "partitions
@@ -268,8 +276,9 @@ enum SimState {
     PlanFetch {
         at_us: u64,
     },
-    /// One object-fetch branch per step (stage 2a).
+    /// One object-fetch branch per step (stage 2a): a stretch of `oids`.
     Fetch {
+        oids: Vec<OidHandle>,
         fan: FanOut<FetchBranch>,
     },
     /// Final edit-distance verification at the initiator (stage 2b).
@@ -334,7 +343,7 @@ impl SimilarTask {
     pub(crate) fn step_with(
         &mut self,
         engine: &mut SimilarityEngine,
-        cache: &mut FxHashMap<String, ObjectPostings>,
+        cache: &mut ObjectCache,
         at_us: u64,
     ) -> StepOutcome {
         loop {
@@ -406,15 +415,14 @@ impl SimilarTask {
                         self.d,
                         engine.config().query.filters,
                     );
-                    let (got, end) = engine.probe_issue(
+                    let end = engine.probe_issue(
                         &mut self.stats,
                         self.from,
-                        part,
-                        &branch_keys,
+                        (part, &branch_keys),
                         &filter,
                         fan.fork_us,
+                        &mut self.postings,
                     );
-                    self.postings.extend(got);
                     fan.record_end(end);
                     let next_at = if fan.is_done() { fan.max_end_us } else { fan.fork_us };
                     self.state = SimState::Probe { fan };
@@ -625,40 +633,49 @@ impl SimilarTask {
                         let (oid, attr, text) = c.strings();
                         (oid.to_string(), attr.to_string(), text.to_string())
                     }));
-                    let mut missing: Vec<&str> = self
-                        .candidates
-                        .iter()
-                        .map(Candidate::oid)
-                        .filter(|oid| !cache.contains_key(*oid))
-                        .collect();
-                    missing.sort_unstable();
-                    missing.dedup();
+                    // `sort_dedup` left the candidates ascending by oid, so
+                    // the oids still to fetch ascend once repeats go (which
+                    // `plan_fetch_branches` asserts).
+                    let mut missing: Vec<OidHandle> = Vec::new();
+                    for cand in &self.candidates {
+                        let oid = cand.oid();
+                        if missing.last().is_none_or(|m| m.as_str() != oid)
+                            && !cache.contains_key(oid)
+                        {
+                            missing.push(cand.oid_handle());
+                        }
+                    }
                     if missing.is_empty() {
                         self.state = SimState::Verify { at_us: at };
                         continue;
                     }
+                    cache.reserve(missing.len());
+                    #[cfg(test)]
+                    self.probe.fetched.extend(missing.iter().map(|o| o.as_str().to_string()));
                     let branches = engine.plan_fetch_branches(&missing);
-                    self.state = SimState::Fetch { fan: FanOut::new(branches, at) };
+                    self.state = SimState::Fetch { oids: missing, fan: FanOut::new(branches, at) };
                     continue;
                 }
 
-                SimState::Fetch { mut fan } => {
+                SimState::Fetch { oids, mut fan } => {
                     if !fan.is_done() && self.past_deadline(fan.fork_us) {
                         self.drop_legs(fan.len());
                         self.state = SimState::Verify { at_us: fan.max_end_us };
                         continue;
                     }
-                    let Some(oids) = fan.pop() else {
+                    let Some(branch) = fan.pop() else {
                         self.state = SimState::Verify { at_us: fan.max_end_us };
                         continue;
                     };
                     let from = self.from;
-                    let (got, end) = engine
-                        .charged(&mut self.stats, fan.fork_us, |e| e.fetch_branch(from, oids));
-                    cache.extend(got);
+                    let ((), end) = engine.charged(&mut self.stats, fan.fork_us, |e| {
+                        e.fetch_branch(from, &oids[branch], |oid, obj| {
+                            cache.insert(oid.clone(), obj);
+                        })
+                    });
                     fan.record_end(end);
                     let next_at = if fan.is_done() { fan.max_end_us } else { fan.fork_us };
-                    self.state = SimState::Fetch { fan };
+                    self.state = SimState::Fetch { oids, fan };
                     return StepOutcome::Yield { at_us: next_at };
                 }
 
@@ -726,11 +743,13 @@ pub(crate) mod tests {
         /// (oid, attribute, text) of every candidate the task planned to
         /// fetch, in order.
         pub candidates: Vec<(String, String, String)>,
+        /// The oids the task planned to fetch, in the order it passed them.
+        pub fetched: Vec<String>,
     }
 
     impl Default for Probe {
         fn default() -> Self {
-            Self { grouping: group_by_triple, candidates: Vec::new() }
+            Self { grouping: group_by_triple, candidates: Vec::new(), fetched: Vec::new() }
         }
     }
 
@@ -945,6 +964,40 @@ pub(crate) mod tests {
             .enumerate()
             .map(|(i, w)| Row::new(format!("w:{i}"), [("word", Value::from(*w))]))
             .collect()
+    }
+
+    /// The oids a task fetches need no sort: `sort_dedup` leaves the
+    /// candidates ascending by oid, so once repeats go they ascend
+    /// strictly — checked here, since release builds skip the
+    /// `debug_assert!`. Oids share their first eight bytes or end inside
+    /// them, objects have several fields that match, and every strategy
+    /// and level runs at d = 0…3.
+    #[test]
+    fn the_oids_to_fetch_ascend_without_a_sort() {
+        let oids = ["objectid", "objectid\0", "objectid-b", "objectid-a", "objectida", "objec"];
+        let oids = oids.iter().chain(&["objectid-é", "objectid-a0", "o", "objectid\u{7f}"]);
+        let rows: Vec<Row> = oids
+            .enumerate()
+            .map(|(i, oid)| {
+                let v = ["paintings", "painting", "paintingz", "xainting"][i % 4];
+                Row::new(*oid, [("word", Value::from(v)), ("wort", Value::from("painting"))])
+            })
+            .collect();
+        let mut e = EngineBuilder::new().peers(16).seed(4).q(2).build_with_rows(&rows);
+        let mut fetched = 0;
+        for d in 0..4 {
+            for (s, attr) in [("painting", Some("word")), ("word", None), ("pa", Some("wort"))] {
+                for strategy in Strategy::ALL {
+                    let from = e.random_peer();
+                    let mut task = SimilarTask::new(s, attr, d, from, strategy);
+                    e.run_task(&mut task);
+                    let oids = &task.probe.fetched;
+                    assert!(oids.windows(2).all(|w| w[0] < w[1]), "{s} {d} {strategy:?}: {oids:?}");
+                    fetched += oids.len();
+                }
+            }
+        }
+        assert!(fetched > 100, "the queries fetch ({fetched} oids)");
     }
 
     #[test]

@@ -39,13 +39,13 @@
 //! calibration note of `sqo_bench::workload`.
 
 use crate::adaptive::{AimdWindow, JoinWindow};
-use crate::engine::{finalize_stats, ExecStep, SimilarityEngine, StepOutcome};
+use crate::engine::{finalize_stats, ExecStep, ObjectCache, SimilarityEngine, StepOutcome};
 use crate::similar::{oid_head, SimilarMatch, SimilarTask, Strategy};
 use crate::stats::QueryStats;
 use rustc_hash::{FxHashMap, FxHashSet};
 use sqo_overlay::peer::PeerId;
 use sqo_storage::keys;
-use sqo_storage::posting::{ObjectPostings, PostingKind};
+use sqo_storage::posting::PostingKind;
 use sqo_storage::slab::AttrGuard;
 
 /// One joined pair.
@@ -100,7 +100,7 @@ pub struct JoinTask {
     aimd: Option<AimdWindow>,
     state: JState,
     stats: QueryStats,
-    cache: FxHashMap<String, ObjectPostings>,
+    cache: ObjectCache,
     left: Vec<(String, String)>,
     next_left: usize,
     left_size: usize,

@@ -23,14 +23,14 @@
 //! with a probe broker installed (see [`crate::broker`]) every shell after
 //! the first is served almost entirely from the initiator's posting cache.
 
-use crate::engine::{finalize_stats, ExecStep, SimilarityEngine, StepOutcome};
+use crate::engine::{finalize_stats, ExecStep, ObjectCache, SimilarityEngine, StepOutcome};
 use crate::ranking::Rank;
 use crate::similar::Strategy;
 use crate::stats::QueryStats;
 use rustc_hash::{FxHashMap, FxHashSet};
 use sqo_overlay::peer::PeerId;
 use sqo_storage::keys;
-use sqo_storage::posting::{Object, ObjectPostings};
+use sqo_storage::posting::Object;
 use sqo_storage::triple::Value;
 
 /// One ranked result.
@@ -259,7 +259,7 @@ pub struct TopNTask {
     from: PeerId,
     state: NState,
     stats: QueryStats,
-    cache: FxHashMap<String, ObjectPostings>,
+    cache: ObjectCache,
     best: FxHashMap<(String, String, String), (usize, Object)>,
     rounds: usize,
     items: Vec<TopNItem>,

@@ -42,6 +42,17 @@ impl Key {
         Self { bytes: bytes.to_vec(), len: bytes.len() * 8 }
     }
 
+    /// Overwrite this key with the whole bytes of `parts`, one after the
+    /// other (8 bits each, MSB first), in its own buffer: a key remade for
+    /// each of many strings allocates once, not once per string.
+    pub fn set_from_parts(&mut self, parts: &[&[u8]]) {
+        self.bytes.clear();
+        for part in parts {
+            self.bytes.extend_from_slice(part);
+        }
+        self.len = self.bytes.len() * 8;
+    }
+
     /// Key from individual bits.
     pub fn from_bits<I: IntoIterator<Item = bool>>(bits: I) -> Self {
         let mut k = Self::empty();

@@ -912,55 +912,35 @@ impl<T: Item> Network<T> {
         unreachable!("a hop made no progress towards the key");
     }
 
-    /// Choose among equally-good candidates: smallest service backlog when
-    /// load-aware selection is active (random among ties), uniform random
-    /// otherwise.
-    fn pick_among(&mut self, cands: &[PeerId]) -> PeerId {
-        debug_assert!(!cands.is_empty());
-        let Some(sink) = self.sink.as_ref() else {
-            return cands[self.image.rng.gen_range(0..cands.len())];
-        };
-        let backlogs: Vec<u64> = cands.iter().map(|p| sink.busy_until_us(*p)).collect();
-        let min = *backlogs.iter().min().expect("non-empty");
-        let tied: Vec<PeerId> =
-            cands.iter().zip(&backlogs).filter(|(_, b)| **b == min).map(|(p, _)| *p).collect();
-        tied[self.image.rng.gen_range(0..tied.len())]
-    }
-
     /// Select an alive reference of `peer` at level `l`, falling back to
     /// alive structural replicas of the referenced partitions. Uniform
     /// random by default; shortest-backlog when a virtual-time sink is
-    /// installed.
+    /// installed. Allocates nothing: see [`pick_among`].
     fn pick_alive_ref(&mut self, peer: PeerId, l: usize) -> Option<PeerId> {
-        // Arena lookups are by (peer, level, index) — no slice borrow held
-        // across the RNG draws, so nothing needs cloning.
         let n = self.image.topo.refs(peer, l).len();
         debug_assert!(n > 0, "a level towards a gap is not picked from");
-        if self.sink.is_some() {
+        let (topo, alive) = (&self.image.topo, &self.image.alive);
+        if let Some(sink) = self.sink.as_deref() {
             // All alive references — and, for dead ones, the alive
             // structural replicas that make identical routing progress —
-            // are equivalent next hops; prefer the least-loaded.
-            let mut cands: Vec<PeerId> = Vec::new();
-            for i in 0..n {
-                let cand = self.image.topo.refs(peer, l)[i];
-                if self.image.alive[cand.index()] {
-                    if !cands.contains(&cand) {
-                        cands.push(cand);
-                    }
-                    continue;
-                }
-                let part = self.image.topo.partition_of(cand);
-                for &rep in &self.image.topo.part_peers[part] {
-                    if self.image.alive[rep.index()] && !cands.contains(&rep) {
-                        cands.push(rep);
-                    }
-                }
-            }
-            if cands.is_empty() {
-                return None;
-            }
-            return Some(self.pick_among(&cands));
+            // are equivalent next hops; prefer the least-loaded. Each peer
+            // counts once, where it first appears.
+            let seen = move || {
+                topo.refs(peer, l).iter().flat_map(move |c| {
+                    let reps = if alive[c.index()] {
+                        std::slice::from_ref(c)
+                    } else {
+                        topo.members(topo.partition_of(*c))
+                    };
+                    reps.iter().copied().filter(|r| alive[r.index()])
+                })
+            };
+            let cands =
+                move || seen().enumerate().filter(move |&(i, p)| !seen().take(i).any(|q| q == p));
+            return pick_among(Some(sink), &mut self.image.rng, || cands().map(|(_, p)| p));
         }
+        // Arena lookups are by (peer, level, index) — no slice borrow held
+        // across the RNG draws, so nothing needs cloning.
         let start = self.image.rng.gen_range(0..n);
         for i in 0..n {
             let cand = self.image.topo.refs(peer, l)[(start + i) % n];
@@ -981,14 +961,10 @@ impl<T: Item> Network<T> {
     /// with the shortest backlog when load-aware selection is active. For
     /// shower fan-out, here and planned by operators.
     pub fn partition_member(&mut self, part: usize) -> Option<PeerId> {
-        let members = &self.image.topo.part_peers[part];
-        let alive: Vec<PeerId> =
-            members.iter().copied().filter(|p| self.image.alive[p.index()]).collect();
-        if alive.is_empty() {
-            None
-        } else {
-            Some(self.pick_among(&alive))
-        }
+        let (members, alive) = (self.image.topo.members(part), &self.image.alive);
+        pick_among(self.sink.as_deref(), &mut self.image.rng, || {
+            members.iter().copied().filter(|p| alive[p.index()])
+        })
     }
 
     /// Index of the partition responsible for `key`.
@@ -1224,6 +1200,35 @@ impl<T: Item> Network<T> {
     }
 }
 
+/// Choose among equally-good candidates, `cands()` listing each once:
+/// the smallest service backlog when a virtual-time sink is installed
+/// (uniform random among its ties), uniform random otherwise; `None` when
+/// there is none. Counts instead of collecting: one pass finds the least
+/// backlog and how many candidates tie on it, one `gen_range(0..ties)`
+/// draws — the draw a list of the ties would have taken — and a second
+/// pass walks to the drawn tie. No buffer, so a hop allocates nothing.
+fn pick_among<I: Iterator<Item = PeerId>>(
+    sink: Option<&dyn EventSink>,
+    rng: &mut StdRng,
+    cands: impl Fn() -> I,
+) -> Option<PeerId> {
+    let backlog = |p: PeerId| sink.map_or(0, |s| s.busy_until_us(p));
+    let (mut least, mut ties) = (u64::MAX, 0usize);
+    for p in cands() {
+        let b = backlog(p);
+        if b < least {
+            (least, ties) = (b, 1);
+        } else if b == least {
+            ties += 1;
+        }
+    }
+    if ties == 0 {
+        return None;
+    }
+    let k = rng.gen_range(0..ties);
+    cands().filter(|&p| backlog(p) == least).nth(k)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1310,6 +1315,192 @@ mod tests {
             0
         }
         fn reset_to_us(&mut self, _: u64) {}
+    }
+
+    impl<T: Item> Network<T> {
+        /// The pick [`pick_among`] replaced, as it was: the backlogs and
+        /// the ties collected into lists, one draw among the ties.
+        fn collected_pick_among(&mut self, cands: &[PeerId]) -> PeerId {
+            debug_assert!(!cands.is_empty());
+            let Some(sink) = self.sink.as_ref() else {
+                return cands[self.image.rng.gen_range(0..cands.len())];
+            };
+            let backlogs: Vec<u64> = cands.iter().map(|p| sink.busy_until_us(*p)).collect();
+            let min = *backlogs.iter().min().expect("non-empty");
+            let tied: Vec<PeerId> =
+                cands.iter().zip(&backlogs).filter(|(_, b)| **b == min).map(|(p, _)| *p).collect();
+            tied[self.image.rng.gen_range(0..tied.len())]
+        }
+
+        /// `pick_alive_ref` as it was: the candidates collected first.
+        fn collected_pick_alive_ref(&mut self, peer: PeerId, l: usize) -> Option<PeerId> {
+            let n = self.image.topo.refs(peer, l).len();
+            if self.sink.is_some() {
+                let mut cands: Vec<PeerId> = Vec::new();
+                for i in 0..n {
+                    let cand = self.image.topo.refs(peer, l)[i];
+                    if self.image.alive[cand.index()] {
+                        if !cands.contains(&cand) {
+                            cands.push(cand);
+                        }
+                        continue;
+                    }
+                    let part = self.image.topo.partition_of(cand);
+                    for &rep in &self.image.topo.part_peers[part] {
+                        if self.image.alive[rep.index()] && !cands.contains(&rep) {
+                            cands.push(rep);
+                        }
+                    }
+                }
+                if cands.is_empty() {
+                    return None;
+                }
+                return Some(self.collected_pick_among(&cands));
+            }
+            let start = self.image.rng.gen_range(0..n);
+            for i in 0..n {
+                let cand = self.image.topo.refs(peer, l)[(start + i) % n];
+                if self.image.alive[cand.index()] {
+                    return Some(cand);
+                }
+                let part = self.image.topo.partition_of(cand);
+                if let Some(rep) = self.collected_partition_member(part) {
+                    return Some(rep);
+                }
+            }
+            None
+        }
+
+        /// `partition_member` as it was: the alive members collected first.
+        fn collected_partition_member(&mut self, part: usize) -> Option<PeerId> {
+            let members = &self.image.topo.part_peers[part];
+            let alive: Vec<PeerId> =
+                members.iter().copied().filter(|p| self.image.alive[p.index()]).collect();
+            if alive.is_empty() {
+                None
+            } else {
+                Some(self.collected_pick_among(&alive))
+            }
+        }
+    }
+
+    /// A clock that only answers backlogs, read from a table.
+    struct Backlogs(Vec<u64>);
+    impl EventSink for Backlogs {
+        fn begin_query(&mut self) {}
+        fn end_query(&mut self) -> SimLatency {
+            SimLatency::default()
+        }
+        fn deliver(
+            &mut self,
+            _: PeerId,
+            _: PeerId,
+            _: usize,
+            _: MsgKind,
+            _: Option<&SharedTraceSink>,
+        ) {
+        }
+        fn local_work(&mut self, _: PeerId, _: u64, _: Option<&SharedTraceSink>) {}
+        fn fork(&mut self) {}
+        fn branch(&mut self) {}
+        fn join(&mut self) {}
+        fn now_us(&self) -> u64 {
+            0
+        }
+        fn reset_to_us(&mut self, _: u64) {}
+        fn busy_until_us(&self, peer: PeerId) -> u64 {
+            self.0[peer.index()]
+        }
+    }
+
+    /// `pick` run twice from the same RNG state — the counting pick, then
+    /// its collecting reference — answers the same peer and leaves the
+    /// same RNG state.
+    fn same_pick<T: Item>(
+        net: &mut Network<T>,
+        counted: impl Fn(&mut Network<T>) -> Option<PeerId>,
+        collected: impl Fn(&mut Network<T>) -> Option<PeerId>,
+    ) -> Result<(), String> {
+        let before = net.image.rng.clone();
+        let got = counted(net);
+        let after = std::mem::replace(&mut net.image.rng, before);
+        let want = collected(net);
+        if got != want {
+            return Err(format!("picked {got:?}, the reference {want:?}"));
+        }
+        if after != net.image.rng {
+            return Err(format!("{got:?} left another RNG state"));
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config { cases: 512, ..Default::default() })]
+        /// The counting picks are the collecting ones they replaced, on
+        /// random reference tables: one level per peer whose references
+        /// repeat and share partitions, replica sets that overlap, dead
+        /// references whose replicas live, and — with a clock — backlogs
+        /// from three values, so ties are the rule. Every peer's pick and
+        /// every partition's member agree in peer and RNG state.
+        #[test]
+        fn the_counted_pick_is_the_collected_one(
+            seed in proptest::prelude::any::<u64>(),
+            peers in 1usize..24,
+            parts in 1usize..8,
+            refs in proptest::collection::vec(0usize..1_000, 1..64),
+            shared in proptest::collection::vec((0usize..1_000, 0usize..1_000), 0..8),
+            alive in proptest::collection::vec(proptest::prelude::any::<bool>(), 1..24),
+            backlogs in proptest::option::of(proptest::collection::vec(0u64..3, 1..24)),
+        ) {
+            let data: Vec<(Key, W)> = vec![(hash_str("w"), W("w".into()))];
+            let cfg = NetworkConfig { peers, replication: 1, seed, ..Default::default() };
+            let mut net = Network::build(cfg, data);
+            // Peer `p` is in partition `p % parts`; a `shared` pair lists
+            // a peer among another partition's members too.
+            let part_of: Vec<u32> = (0..peers).map(|p| (p % parts) as u32).collect();
+            let mut part_peers: Vec<Vec<PeerId>> = vec![Vec::new(); parts];
+            for p in 0..peers {
+                part_peers[p % parts].push(PeerId(p as u32));
+            }
+            for (p, part) in shared {
+                part_peers[part % parts].push(PeerId((p % peers) as u32));
+            }
+            // One level per peer, with one to eight references each.
+            let mut routing = crate::topology::RoutingArena::default();
+            let mut r = refs.iter().cycle();
+            for p in 0..peers {
+                routing.peer_off.push(p as u32);
+                routing.slice_off.push(routing.refs.len() as u32);
+                let n = 1 + r.next().expect("cycled") % 8;
+                for _ in 0..n {
+                    routing.refs.push(PeerId((r.next().expect("cycled") % peers) as u32));
+                }
+            }
+            routing.slice_off.push(routing.refs.len() as u32);
+            let paths = vec![Key::empty(); parts];
+            net.image.topo = Topology::new(paths, part_peers, part_of, routing);
+            net.image.alive = (0..peers).map(|p| alive[p % alive.len()]).collect();
+            if let Some(b) = backlogs {
+                net.set_event_sink(Box::new(Backlogs((0..peers).map(|p| b[p % b.len()]).collect())));
+            }
+            for p in 0..peers {
+                let p = PeerId(p as u32);
+                let checked = same_pick(
+                    &mut net,
+                    |n| n.pick_alive_ref(p, 0),
+                    |n| n.collected_pick_alive_ref(p, 0),
+                );
+                proptest::prop_assert_eq!(checked, Ok(()), "peer {}", p.index());
+            }
+            for part in 0..parts {
+                let checked = same_pick(
+                    &mut net,
+                    |n| n.partition_member(part),
+                    |n| n.collected_partition_member(part),
+                );
+                proptest::prop_assert_eq!(checked, Ok(()), "partition {}", part);
+            }
+        }
     }
 
     /// The lending retrieve is the copying one without the copy: on twin

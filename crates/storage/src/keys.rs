@@ -158,6 +158,13 @@ pub fn oid_key(oid: &str) -> Key {
     key_of(&oid_parts(oid))
 }
 
+/// `key(oid)`, written over `key` in its own buffer
+/// ([`Key::set_from_parts`]): what a fetch that looks up many oids makes
+/// each key with.
+pub fn oid_key_into(oid: &str, key: &mut Key) {
+    key.set_from_parts(&oid_parts(oid));
+}
+
 pub(crate) fn oid_parts(oid: &str) -> Parts<'_, 2> {
     [&[IndexFamily::Oid as u8], str_bytes(oid)]
 }
@@ -323,6 +330,16 @@ mod tests {
                     assert!(!a.is_prefix_of(b), "family {i} key is prefix of family {j} key");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_reused_oid_key_is_the_made_one() {
+        let long = "an-object-id-of-more-than-thirty-two-bytes";
+        let mut key = Key::parse("1011");
+        for oid in [long, "w:1", "", "日本語", long, "w:10"] {
+            oid_key_into(oid, &mut key);
+            assert_eq!(key, oid_key(oid), "{oid:?}");
         }
     }
 

@@ -416,9 +416,42 @@ impl Object {
 /// field, no text copied. What an object fetch ships and an operator's
 /// object cache keeps; the owned [`Object`] is built, by
 /// [`Self::materialize`], only for a row the caller keeps. The oid is the
-/// caller's: every cache keys its handles by it.
+/// caller's: every cache keys its handles by it. An object of one field —
+/// every object of a one-attribute world — holds its handle inline, so
+/// gathering it allocates nothing; two fields or more are a list.
 #[derive(Debug, Clone)]
-pub struct ObjectPostings(Vec<Posting>);
+pub struct ObjectPostings(Fields);
+
+/// The fields of an [`ObjectPostings`], in order.
+#[derive(Debug, Clone)]
+enum Fields {
+    /// Exactly one field, inline.
+    One(Posting),
+    /// No field, or two and more.
+    Many(Vec<Posting>),
+}
+
+impl Fields {
+    fn as_slice(&self) -> &[Posting] {
+        match self {
+            Fields::One(p) => std::slice::from_ref(p),
+            Fields::Many(ps) => ps,
+        }
+    }
+
+    /// Append `p`: the first field stays inline, a second moves both into
+    /// a list.
+    fn push(&mut self, p: Posting) {
+        *self = match std::mem::replace(self, Fields::Many(Vec::new())) {
+            Fields::Many(ps) if ps.is_empty() => Fields::One(p),
+            Fields::One(first) => Fields::Many(vec![first, p]),
+            Fields::Many(mut ps) => {
+                ps.push(p);
+                Fields::Many(ps)
+            }
+        };
+    }
+}
 
 impl ObjectPostings {
     /// The fields of `oid` among `postings`, borrowed — a stored run is
@@ -427,24 +460,26 @@ impl ObjectPostings {
     /// collapse to the first; the fields are ordered by attribute name,
     /// equal names in arrival order.
     pub fn gather<'a>(oid: &str, postings: impl IntoIterator<Item = &'a Posting>) -> Self {
-        let mut fields: Vec<Posting> = Vec::new();
+        let mut fields = Fields::Many(Vec::new());
         for p in postings {
             let Some(t) = p.as_base() else { continue };
             let seen = |f: &Posting| {
                 let f = f.triple();
                 f.attr() == t.attr() && f.value() == t.value()
             };
-            if t.oid() == oid && !fields.iter().any(seen) {
+            if t.oid() == oid && !fields.as_slice().iter().any(seen) {
                 fields.push(p.clone());
             }
         }
-        fields.sort_by(|a, b| a.triple().attr().cmp(b.triple().attr()));
+        if let Fields::Many(ps) = &mut fields {
+            ps.sort_by(|a, b| a.triple().attr().cmp(b.triple().attr()));
+        }
         Self(fields)
     }
 
     /// The fields in order, lent.
     fn fields(&self) -> impl Iterator<Item = (&AttrName, ValueRef<'_>)> {
-        self.0.iter().map(|p| {
+        self.0.as_slice().iter().map(|p| {
             let t = p.triple();
             (t.attr(), t.value())
         })

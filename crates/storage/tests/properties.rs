@@ -148,6 +148,45 @@ fn owned_assembly(oid: &str, postings: &[Posting]) -> Object {
     Object { oid: oid.to_string(), fields }
 }
 
+/// `ObjectPostings` as it was before a one-field object was held inline:
+/// every field in a list, gathered, ordered, materialized and measured as
+/// the list form still is.
+mod listed {
+    use super::*;
+
+    pub fn gather(oid: &str, postings: &[Posting]) -> Vec<Posting> {
+        let mut fields: Vec<Posting> = Vec::new();
+        for p in postings {
+            let Some(t) = p.as_base() else { continue };
+            let seen = |f: &Posting| {
+                let f = f.triple();
+                f.attr() == t.attr() && f.value() == t.value()
+            };
+            if t.oid() == oid && !fields.iter().any(seen) {
+                fields.push(p.clone());
+            }
+        }
+        fields.sort_by(|a, b| a.triple().attr().cmp(b.triple().attr()));
+        fields
+    }
+
+    pub fn materialize(oid: &str, fields: &[Posting]) -> Object {
+        let fields = fields
+            .iter()
+            .map(|p| (p.triple().attr().clone(), p.triple().value().to_value()))
+            .collect();
+        Object { oid: oid.to_string(), fields }
+    }
+
+    pub fn repr_len(oid: &str, fields: &[Posting]) -> usize {
+        let field = |p: &Posting| {
+            let t = p.triple();
+            t.attr().as_str().len() + t.value().repr_len() + 8
+        };
+        oid.len() + fields.iter().map(field).sum::<usize>()
+    }
+}
+
 fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
         "[a-z ]{0,12}".prop_map(Value::from),
@@ -514,6 +553,50 @@ proptest! {
             let handles = ObjectPostings::gather(oid, &postings);
             prop_assert_eq!(format!("{:?}", handles.materialize(oid)), format!("{reference:?}"));
             prop_assert_eq!(handles.repr_len(oid), reference.repr_len());
+        }
+    }
+
+    /// One object, two forms: gathered with one field it holds the handle
+    /// inline, with none or several a list, and against the list form for
+    /// every field count it materializes the same object — fields, order,
+    /// values — and is charged the same `repr_len`. Objects of no field,
+    /// one and several; each field's posting returned up to three times
+    /// (replicas), equal (attr, value) pairs under other records, equal
+    /// attribute names with other values, a NaN that equals nothing, and
+    /// another oid's fields beside.
+    #[test]
+    fn inline_and_listed_fields_are_one_object(
+        fields in prop::collection::vec((0usize..3, 0usize..4, 1usize..4), 0..6),
+        other in prop::collection::vec((0usize..3, 0usize..4), 0..3),
+    ) {
+        let values = [Value::from("x"), Value::from(""), Value::Int(7), Value::Float(f64::NAN)];
+        let attrs = ["name", "hp", "ab"];
+        let mut triples: Vec<Triple> = Vec::new();
+        let mut copies = Vec::new();
+        for (a, v, n) in &fields {
+            copies.push(*n);
+            triples.push(Triple::new("o:1", attrs[*a], values[*v].clone()));
+        }
+        for (a, v) in &other {
+            copies.push(1);
+            triples.push(Triple::new("o:10", attrs[*a], values[*v].clone()));
+        }
+        let slab = TripleSlab::of(&triples);
+        let postings: Vec<Posting> = copies
+            .iter()
+            .enumerate()
+            .flat_map(|(i, n)| std::iter::repeat_n(i as u32, *n))
+            .map(|i| Posting::new(PostingKind::Base(BaseKind::Oid), &slab, i, None).expect("a triple"))
+            .collect();
+        for oid in ["o:1", "o:10", "o:2"] {
+            let list = listed::gather(oid, &postings);
+            let gathered = ObjectPostings::gather(oid, &postings);
+            prop_assert_eq!(
+                format!("{:?}", gathered.materialize(oid)),
+                format!("{:?}", listed::materialize(oid, &list)),
+                "{} fields", list.len()
+            );
+            prop_assert_eq!(gathered.repr_len(oid), listed::repr_len(oid, &list));
         }
     }
 

@@ -50,6 +50,19 @@
 //! front, and the sample is picked by selection, so `sim_join` fell from
 //! 670 to 661, and its budget is that count.
 //!
+//! The message and fetch path allocates nothing per hop and nothing per
+//! fetched object. A hop under virtual time picks the least backlogged of
+//! its next peers by counting the ties, where it collected three lists (so
+//! did every shower member's pick); a probe branch filters its survivors
+//! into the task's own buffer; a fetch branch is a range of the planned
+//! oids, each oid a handle on a candidate's posting rather than a copied
+//! string, its key made in one buffer per branch, and an object of one
+//! field holds its handle inline. Routing 200 keys with virtual time
+//! installed now allocates nothing — the budget is 0 — and the operator
+//! rows fell to their counts: q-gram `similar` 78 → 64, naive 34 → 31,
+//! `sim_join` 661 → 510, `select_range` 3 941 → 2 640, top-N 841 → 237,
+//! `similar_multi` 142 → 128 and the VQL plan 180 → 166.
+//!
 //! The write path has budgets too. A batch is generated grouped: its
 //! distinct keys, each made once, and its postings with the ids of their
 //! keys. `postings_for_rows` flattens that — on 100 rows (1 133 postings
@@ -98,9 +111,10 @@
 
 use sqo::core::{AttrPredicate, EngineBuilder, Strategy};
 use sqo::datasets::{bible_words, painting_titles, string_rows};
+use sqo::overlay::Key;
 use sqo::plan::{Query, Session};
 use sqo::snap::Snapshot;
-use sqo::storage::{postings_for_rows, Value};
+use sqo::storage::{keys, postings_for_rows, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -152,18 +166,19 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (r, ALLOCATIONS.with(Cell::get) - before)
 }
 
-const SIMILAR_BUDGET: u64 = 175;
-const NAIVE_BUDGET: u64 = 65;
-const SIM_JOIN_BUDGET: u64 = 661;
-const SELECT_RANGE_BUDGET: u64 = 4_550;
-const TOP_N_BUDGET: u64 = 965;
-const MULTI_BUDGET: u64 = 175;
-const VQL_BUDGET: u64 = 225;
+const SIMILAR_BUDGET: u64 = 64;
+const NAIVE_BUDGET: u64 = 31;
+const SIM_JOIN_BUDGET: u64 = 510;
+const SELECT_RANGE_BUDGET: u64 = 2_640;
+const TOP_N_BUDGET: u64 = 237;
+const MULTI_BUDGET: u64 = 128;
+const VQL_BUDGET: u64 = 166;
 const POSTINGS_BUDGET: u64 = 1_179;
 const PUBLISH_BUDGET: u64 = 688;
 const TITLES_BUDGET: u64 = 1_080;
 const CHECKPOINT_BUDGET: u64 = 370;
 const DECODE_BUDGET: u64 = 1_000;
+const ROUTE_BUDGET: u64 = 0;
 
 #[test]
 fn similar_and_sim_join_stay_within_their_allocation_budgets() {
@@ -241,6 +256,18 @@ fn similar_and_sim_join_stay_within_their_allocation_budgets() {
     let (stats, n) = allocations(|| engine.publish_rows_traced(&titles, from));
     assert_eq!(stats.matches, 8_763, "postings published, several times the distinct keys");
     measured.push(("publish_rows_traced, 200 titles", n, TITLES_BUDGET));
+
+    // Virtual time installed: every hop picks the least backlogged of its
+    // equivalent next peers, and so does every shower member.
+    sqo::sim::install(&mut engine, sqo::sim::SimConfig::default());
+    let keys: Vec<Key> = (0..200).map(|i| keys::oid_key(&format!("w:{i}"))).collect();
+    let hops_before = engine.network().metrics().route_hops;
+    let net = engine.network_mut();
+    let (routed, n) = allocations(|| keys.iter().filter(|k| net.route(from, k).is_ok()).count());
+    let hops = engine.network().metrics().route_hops - hops_before;
+    assert_eq!(routed, keys.len(), "every key routes");
+    assert!(hops > keys.len() as u64, "most keys take hops ({hops} for {routed})");
+    measured.push(("route 200 keys with virtual time installed", n, ROUTE_BUDGET));
 
     let table: Vec<String> = measured
         .iter()
