@@ -4,6 +4,7 @@
 
 use crate::adaptive::JoinWindow;
 use crate::broker::ProbeFilter;
+use crate::simjoin::ScannedLeft;
 use crate::stats::QueryStats;
 use rustc_hash::{FxHashMap, FxHashSet};
 use sqo_cache::{BrokerConfig, BrokerCounters, CacheBatchBroker};
@@ -215,6 +216,7 @@ impl EngineBuilder {
             legs_addressed: 0,
             legs_answered: 0,
             leg_retries: 0,
+            scanned_left: None,
         }
     }
 }
@@ -238,6 +240,10 @@ pub struct SimilarityEngine {
     pub(crate) legs_addressed: u64,
     pub(crate) legs_answered: u64,
     pub(crate) leg_retries: u64,
+    /// The last left side a join scanned, keyed by what it was computed
+    /// from ([`ScannedLeft`]). Not part of a checkpoint: a restored engine
+    /// starts without one.
+    pub(crate) scanned_left: Option<ScannedLeft>,
 }
 
 /// One object-fetch branch: a stretch of the planned oids — all of one
@@ -453,6 +459,7 @@ impl SimilarityEngine {
             legs_addressed: 0,
             legs_answered: 0,
             leg_retries: 0,
+            scanned_left: None,
         }
     }
 

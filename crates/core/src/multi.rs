@@ -95,7 +95,7 @@ pub struct MultiTask {
 enum MState {
     Init,
     Child { idx: usize, child: Box<SimilarTask>, resume_at: u64 },
-    PipeVerify { lead: Vec<crate::similar::SimilarMatch>, at_us: u64 },
+    PipeVerify { lead: Box<SimilarTask>, at_us: u64 },
     Finalize,
     Finished,
 }
@@ -185,16 +185,15 @@ impl ExecStep for MultiTask {
                         StepOutcome::Done(child_stats) => {
                             self.stats.absorb(&child_stats);
                             let end = child_stats.sim.map(|s| s.end_us).unwrap_or(resume_at);
-                            let matches = child.take_matches();
                             match self.multi {
                                 MultiStrategy::Pipelined => {
-                                    self.state = MState::PipeVerify { lead: matches, at_us: end };
+                                    self.state = MState::PipeVerify { lead: child, at_us: end };
                                     continue;
                                 }
                                 MultiStrategy::Intersect => {
                                     let p = &self.preds[idx];
                                     let mut this: Alive = FxHashMap::default();
-                                    for m in matches {
+                                    for m in child.take_matches() {
                                         this.entry(m.oid.clone())
                                             .or_insert_with(|| (m.object.clone(), Vec::new()))
                                             .1
@@ -231,7 +230,7 @@ impl ExecStep for MultiTask {
                     }
                 }
 
-                MState::PipeVerify { lead, at_us: at } => {
+                MState::PipeVerify { mut lead, at_us: at } => {
                     // The lead's objects are fully materialized: verify the
                     // remaining predicates locally at the initiator.
                     let (preds, lead_idx) = (&self.preds, self.lead_idx);
@@ -243,7 +242,7 @@ impl ExecStep for MultiTask {
                     let (matches, _end) = engine.charged(&mut self.stats, at, |e| {
                         let mut matches: Vec<MultiMatch> = Vec::new();
                         let mut seen = rustc_hash::FxHashSet::default();
-                        for m in lead {
+                        for m in lead.take_matches() {
                             if !seen.insert(m.oid.clone()) {
                                 continue; // multivalued lead attr: verify once
                             }

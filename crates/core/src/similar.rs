@@ -58,6 +58,7 @@ use sqo_strsim::edit::BoundedLevenshtein;
 use sqo_strsim::filters::{char_len, count_filter_threshold, length_filter};
 use sqo_strsim::qgram::{qgrams, PositionalQGram};
 use sqo_strsim::qsample::qsamples;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Evaluation strategy for string similarity (the three curves of Fig. 1).
@@ -146,6 +147,14 @@ impl Candidate {
         self.chars as usize
     }
 
+    /// The match this candidate is at `distance`, its object assembled
+    /// from `cache`; `None` when its object was not fetched.
+    fn matched(self, distance: usize, cache: &ObjectCache) -> Option<SimilarMatch> {
+        let object = cache.get(self.oid())?.materialize(self.oid());
+        let (oid, matched) = (self.oid().to_string(), self.text().to_string());
+        Some(SimilarMatch { oid, attr: self.attr().clone(), matched, distance, object })
+    }
+
     /// What a candidate is, as a caller sees it: two stored records of one
     /// (oid, attribute, text) are one candidate.
     fn strings(&self) -> (&str, &str, &str) {
@@ -158,7 +167,22 @@ impl Candidate {
         candidates.sort_unstable_by(|a, b| {
             a.head.cmp(&b.head).then_with(|| a.strings().cmp(&b.strings()))
         });
-        candidates.dedup_by(|a, b| a.head == b.head && a.strings() == b.strings());
+        candidates.dedup_by(|a, b| a == b);
+    }
+}
+
+/// Two candidates are one when their (oid, attribute, text) are.
+impl PartialEq for Candidate {
+    fn eq(&self, other: &Self) -> bool {
+        self.head == other.head && self.strings() == other.strings()
+    }
+}
+
+impl Eq for Candidate {}
+
+impl Hash for Candidate {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.strings().hash(state);
     }
 }
 
@@ -225,7 +249,9 @@ pub struct SimilarTask {
     postings: Vec<Posting>,
     candidates: Vec<Candidate>,
     partitions_contacted: usize,
-    matches: Vec<SimilarMatch>,
+    /// The verified candidates and their distances: handles until a caller
+    /// takes them as matches.
+    verified: Vec<(Candidate, usize)>,
     /// Virtual-time deadline (`arrival + degrade.deadline_us`), fixed on
     /// the first step; `None` runs to completion. Once virtual time passes
     /// it, no new remote legs are issued: queued fan-out branches are
@@ -305,7 +331,7 @@ impl SimilarTask {
             postings: Vec::new(),
             candidates: Vec::new(),
             partitions_contacted: 0,
-            matches: Vec::new(),
+            verified: Vec::new(),
             deadline_at: None,
             #[cfg(test)]
             probe: tests::Probe::default(),
@@ -333,9 +359,27 @@ impl SimilarTask {
         self.stats.gave_up = 1;
     }
 
-    /// The verified matches, once the task is done.
-    pub fn take_matches(&mut self) -> Vec<SimilarMatch> {
-        std::mem::take(&mut self.matches)
+    /// The verified matches, once the task is done, each assembled as it
+    /// is read.
+    pub fn take_matches(&mut self) -> impl Iterator<Item = SimilarMatch> {
+        let cache = std::mem::take(&mut self.cache);
+        std::mem::take(&mut self.verified)
+            .into_iter()
+            .filter_map(move |(c, d)| c.matched(d, &cache))
+    }
+
+    /// [`Self::take_matches`] of a task stepped with a parent's `cache`
+    /// ([`Self::step_with`]).
+    pub(crate) fn take_matches_in<'c>(
+        &mut self,
+        cache: &'c ObjectCache,
+    ) -> impl Iterator<Item = SimilarMatch> + 'c {
+        std::mem::take(&mut self.verified).into_iter().filter_map(|(c, d)| c.matched(d, cache))
+    }
+
+    /// The verified candidates and their distances, as handles.
+    pub(crate) fn take_verified(&mut self) -> Vec<(Candidate, usize)> {
+        std::mem::take(&mut self.verified)
     }
 
     /// Advance one step, resolving object fetches against `cache` (the
@@ -682,27 +726,23 @@ impl SimilarTask {
                 SimState::Verify { at_us: at } => {
                     let candidates = std::mem::take(&mut self.candidates);
                     let verifier = &mut self.verifier;
-                    let (matches, _end) = engine.charged(&mut self.stats, at, |e| {
-                        let mut matches = Vec::new();
-                        for cand in &candidates {
-                            let Some(object) = cache.get(cand.oid()) else { continue };
+                    let (verified, _end) = engine.charged(&mut self.stats, at, |e| {
+                        let mut verified = Vec::new();
+                        for cand in candidates {
+                            if !cache.contains_key(cand.oid()) {
+                                continue;
+                            }
                             e.count_comparison();
                             if let Some(distance) = verifier.distance_of(cand.text(), cand.chars())
                             {
-                                matches.push(SimilarMatch {
-                                    oid: cand.oid().to_string(),
-                                    attr: cand.attr().clone(),
-                                    matched: cand.text().to_string(),
-                                    distance,
-                                    object: object.materialize(cand.oid()),
-                                });
+                                verified.push((cand, distance));
                             }
                         }
-                        matches
+                        verified
                     });
-                    self.stats.matches = matches.len();
+                    self.stats.matches = verified.len();
                     finalize_stats(&mut self.stats);
-                    self.matches = matches;
+                    self.verified = verified;
                     self.state = SimState::Finished;
                     return StepOutcome::Done(self.stats);
                 }
@@ -793,7 +833,7 @@ pub(crate) mod tests {
             candidates: std::mem::take(&mut task.probe.candidates),
             n_candidates: stats.candidates,
             messages: stats.traffic.messages,
-            matches: task.take_matches(),
+            matches: task.take_matches().collect(),
         }
     }
 
@@ -955,7 +995,7 @@ pub(crate) mod tests {
     ) -> Answer {
         let mut task = SimilarTask::new(s, attr, d, from, strategy);
         let stats = e.run_task(&mut task);
-        Answer { matches: task.take_matches(), stats }
+        Answer { matches: task.take_matches().collect(), stats }
     }
 
     fn word_rows(words: &[&str]) -> Vec<Row> {

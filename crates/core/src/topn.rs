@@ -25,7 +25,7 @@
 
 use crate::engine::{finalize_stats, ExecStep, ObjectCache, SimilarityEngine, StepOutcome};
 use crate::ranking::Rank;
-use crate::similar::Strategy;
+use crate::similar::{Candidate, Strategy};
 use crate::stats::QueryStats;
 use rustc_hash::{FxHashMap, FxHashSet};
 use sqo_overlay::peer::PeerId;
@@ -260,7 +260,9 @@ pub struct TopNTask {
     state: NState,
     stats: QueryStats,
     cache: ObjectCache,
-    best: FxHashMap<(String, String, String), (usize, Object)>,
+    /// The string ranking's matches so far, each (oid, attribute, text)
+    /// once with its distance; only the kept `n` become items.
+    best: FxHashMap<Candidate, usize>,
     rounds: usize,
     items: Vec<TopNItem>,
 }
@@ -389,30 +391,36 @@ impl ExecStep for TopNTask {
                             self.rounds += 1;
                             self.stats.absorb(&child_stats);
                             let end = child_stats.sim.map(|s| s.end_us).unwrap_or(resume_at);
-                            for m in child.take_matches() {
-                                self.best
-                                    .entry((m.oid, m.attr.as_str().to_string(), m.matched))
-                                    .or_insert((m.distance, m.object));
+                            for (cand, distance) in child.take_verified() {
+                                self.best.entry(cand).or_insert(distance);
                             }
                             if self.best.len() >= self.n || d >= self.d_max() {
-                                let mut ranked: Vec<TopNItem> = std::mem::take(&mut self.best)
-                                    .into_iter()
-                                    .map(|((oid, _attr, matched), (dist, object))| TopNItem {
-                                        oid,
-                                        value: Value::Str(matched),
-                                        score: dist as f64,
-                                        object,
-                                    })
-                                    .collect();
-                                ranked.sort_by(|a, b| {
-                                    a.score
-                                        .total_cmp(&b.score)
-                                        .then_with(|| a.value.as_str().cmp(&b.value.as_str()))
-                                        .then_with(|| a.oid.cmp(&b.oid))
+                                // Best distance, then text, then oid: a total
+                                // order, as the level fixes the attribute (the
+                                // queried one, or the text itself).
+                                let mut ranked: Vec<(Candidate, usize)> =
+                                    std::mem::take(&mut self.best).into_iter().collect();
+                                ranked.sort_unstable_by(|(a, da), (b, db)| {
+                                    da.cmp(db)
+                                        .then_with(|| a.text().cmp(b.text()))
+                                        .then_with(|| a.oid().cmp(b.oid()))
                                 });
                                 ranked.truncate(self.n);
+                                let cache = &self.cache;
+                                let items = ranked
+                                    .into_iter()
+                                    .filter_map(|(cand, distance)| {
+                                        let oid = cand.oid();
+                                        Some(TopNItem {
+                                            object: cache.get(oid)?.materialize(oid),
+                                            oid: oid.to_string(),
+                                            value: Value::Str(cand.text().to_string()),
+                                            score: distance as f64,
+                                        })
+                                    })
+                                    .collect();
                                 self.stats.rounds = self.rounds;
-                                return self.finish(ranked);
+                                return self.finish(items);
                             }
                             let next_d = (d + 2).min(self.d_max());
                             let child = self.shell(next_d);
@@ -604,6 +612,82 @@ mod tests {
         assert_eq!(items[0].score, 0.0);
         // hause (d=1) and horse/mouse (d=1) compete for the remaining slots.
         assert!(items[1..].iter().all(|i| i.score <= 1.0));
+    }
+
+    /// The string ranking as it was before its matches stayed handles:
+    /// every shell's matches assembled, kept by (oid, attribute, text) with
+    /// their first distance and object, all of them sorted by (distance,
+    /// text, oid) and cut to `n`.
+    fn assembled_reference(
+        e: &mut SimilarityEngine,
+        (attr, target): (Option<&str>, &str),
+        n: usize,
+        d_max: usize,
+        from: PeerId,
+    ) -> Vec<String> {
+        let mut best: FxHashMap<(String, String, String), (usize, Object)> = FxHashMap::default();
+        let mut d = 1usize.min(d_max);
+        loop {
+            let mut shell =
+                crate::similar::SimilarTask::new(target, attr, d, from, Strategy::QGrams);
+            e.run_task(&mut shell);
+            for m in shell.take_matches() {
+                let key = (m.oid, m.attr.as_str().to_string(), m.matched);
+                best.entry(key).or_insert((m.distance, m.object));
+            }
+            if best.len() >= n || d >= d_max {
+                break;
+            }
+            d = (d + 2).min(d_max);
+        }
+        let mut ranked: Vec<_> = best.into_iter().collect();
+        ranked.sort_by(|((oa, _, ta), (da, _)), ((ob, _, tb), (db, _))| {
+            da.cmp(db).then_with(|| ta.cmp(tb)).then_with(|| oa.cmp(ob))
+        });
+        ranked.truncate(n);
+        ranked
+            .into_iter()
+            .map(|((oid, _, text), (d, object))| format!("{oid} {text} {d} {object:?}"))
+            .collect()
+    }
+
+    /// String top-N keeps its matches as handles and assembles the `n` it
+    /// returns: the same items, in the same order, as assembling every
+    /// match of every shell — on values that many objects share (ties on
+    /// distance and text, broken by oid), on two attributes, and on
+    /// attribute names.
+    #[test]
+    fn the_kept_handles_rank_as_the_assembled_matches() {
+        let words = ["house", "horse", "mouse", "hause", "haus", "houses", "hose", "louse"];
+        let rows: Vec<Row> = (0..90)
+            .map(|i| {
+                Row::new(
+                    format!("w:{}", (i * 37) % 90),
+                    [
+                        (words[i % words.len()], Value::from(words[(i / 3) % words.len()])),
+                        ("other", Value::from(words[(i + 1) % words.len()])),
+                    ],
+                )
+            })
+            .collect();
+        let build = || EngineBuilder::new().peers(32).seed(38).q(2).build_with_rows(&rows);
+        let (mut e, mut reference) = (build(), build());
+        let from = e.random_peer();
+        for (attr, target) in [(Some("house"), "house"), (Some("other"), "mouse"), (None, "hose")] {
+            for (n, d_max) in [(1, 3), (4, 1), (7, 3), (25, 5), (200, 3), (3, 0)] {
+                let task = TopNTask::nearest(attr, n, target, d_max, from, Strategy::QGrams);
+                let (items, _) = run(&mut e, task);
+                let got: Vec<String> = items
+                    .iter()
+                    .map(|i| {
+                        let text = i.value.as_str().expect("a string ranking");
+                        format!("{} {text} {} {:?}", i.oid, i.score, i.object)
+                    })
+                    .collect();
+                let want = assembled_reference(&mut reference, (attr, target), n, d_max, from);
+                assert_eq!(got, want, "{attr:?} {target} n {n} d_max {d_max}");
+            }
+        }
     }
 
     #[test]

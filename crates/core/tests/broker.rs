@@ -19,7 +19,7 @@ struct Answer<T> {
 fn similar(e: &mut SimilarityEngine, s: &str, from: PeerId) -> Answer<SimilarMatch> {
     let mut task = SimilarTask::new(s, Some("word"), 1, from, Strategy::QGrams);
     let stats = e.run_task(&mut task);
-    Answer { rows: task.take_matches(), stats }
+    Answer { rows: task.take_matches().collect(), stats }
 }
 
 /// Run a selection from its task to completion.

@@ -57,7 +57,10 @@ pub struct NetworkState<T> {
     /// [`Network::revive_peer`], [`Network::fail_random_fraction`]) *and*
     /// data insertion ([`Network::insert_groups`], i.e. publications).
     /// Caches layered above the overlay key their entries by this epoch so
-    /// nothing fetched before such an event is ever served after it.
+    /// nothing fetched before such an event is ever served after it: the
+    /// probe broker's posting cache (`sqo-cache`), and the left side a
+    /// similarity join keeps between scans (`sqo-core`'s `simjoin`), which
+    /// also keys it by the runs the scans answered.
     pub(crate) cache_epoch: u64,
     pub(crate) rng: StdRng,
 }

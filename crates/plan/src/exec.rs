@@ -468,7 +468,7 @@ impl ExecStep for PlanTask {
                         };
                         self.rows = match self.active.take().expect("checked above") {
                             Active::Similar(mut t) => {
-                                t.take_matches().into_iter().map(row_from_match).collect()
+                                t.take_matches().map(row_from_match).collect()
                             }
                             Active::Select(mut t) => t
                                 .take_hits()

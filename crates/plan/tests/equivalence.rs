@@ -131,7 +131,7 @@ proptest! {
         let q = Query::similar(query.clone(), Some("word"), d).strategy(strategy);
         assert_equivalent(&mut te, &mut pe, &q, |e, from| {
             let task = SimilarTask::new(&query, Some("word"), d, from, strategy);
-            run(e, task, |t| rows_from_similar(t.take_matches()))
+            run(e, task, |t| rows_from_similar(t.take_matches().collect()))
         });
     }
 

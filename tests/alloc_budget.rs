@@ -63,6 +63,17 @@
 //! `sim_join` 661 → 510, `select_range` 3 941 → 2 640, top-N 841 → 237,
 //! `similar_multi` 142 → 128 and the VQL plan 180 → 166.
 //!
+//! A join's left side is computed once per store state: the engine keeps
+//! the last one, keyed by the attribute, the limit, the network's cache
+//! epoch and the runs the scans answered, and the join's children read
+//! their pairs from it by index where each copied its pair. The cold join
+//! fell from 510 to 495; the same join again on the same engine scans as
+//! much and takes 472, the sample's keys, sets and copies not made. Top-N
+//! keeps its matches as handles on their postings, one per (oid,
+//! attribute, text), and assembles only the `n` it returns, where every
+//! shell built a `SimilarMatch` — strings and object — for every match:
+//! 237 → 162.
+//!
 //! The write path has budgets too. A batch is generated grouped: its
 //! distinct keys, each made once, and its postings with the ids of their
 //! keys. `postings_for_rows` flattens that — on 100 rows (1 133 postings
@@ -168,9 +179,10 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
 
 const SIMILAR_BUDGET: u64 = 64;
 const NAIVE_BUDGET: u64 = 31;
-const SIM_JOIN_BUDGET: u64 = 510;
+const SIM_JOIN_BUDGET: u64 = 495;
+const SIM_JOIN_AGAIN_BUDGET: u64 = 472;
 const SELECT_RANGE_BUDGET: u64 = 2_640;
-const TOP_N_BUDGET: u64 = 237;
+const TOP_N_BUDGET: u64 = 162;
 const MULTI_BUDGET: u64 = 128;
 const VQL_BUDGET: u64 = 166;
 const POSTINGS_BUDGET: u64 = 1_179;
@@ -205,6 +217,9 @@ fn similar_and_sim_join_stay_within_their_allocation_budgets() {
     let (res, n) = allocations(|| session.run(&join).expect("a valid plan"));
     assert!(res.rows.len() >= 8, "every left value joins at least itself");
     measured.push(("sim_join d=1, 8 lefts, window 8", n, SIM_JOIN_BUDGET));
+    let (again, n) = allocations(|| session.run(&join).expect("a valid plan"));
+    assert_eq!(again.rows.len(), res.rows.len(), "the same join answers the same pairs");
+    measured.push(("sim_join repeated on one engine", n, SIM_JOIN_AGAIN_BUDGET));
 
     let range = Query::select_range("word", Value::from("s"), Value::from("t"));
     let (res, n) = allocations(|| session.run(&range).expect("a valid plan"));
