@@ -12,7 +12,7 @@ use sqo_overlay::key::Key;
 use sqo_overlay::network::{ItemRun, KeyedItems, Network, NetworkConfig};
 use sqo_overlay::peer::{Item, PeerId};
 use sqo_overlay::trie::find_partition_from;
-use sqo_overlay::{Metrics, TraceEvent, TraceTrack};
+use sqo_overlay::{Metrics, PartitionStore, TraceEvent, TraceTrack};
 use sqo_storage::posting::{Object, ObjectPostings, Posting};
 use sqo_storage::publish::{batch_for_rows, PublishConfig, PublishStats};
 use sqo_storage::triple::Row;
@@ -292,6 +292,107 @@ impl Hash for OidHandle {
 
 /// An operator's object cache: each fetched object's postings, by oid.
 pub(crate) type ObjectCache = FxHashMap<OidHandle, ObjectPostings>;
+
+/// Where a probed key's postings lay when its leg answered: the run it was
+/// read from — a handle, so what later publications merge into the
+/// partition is not in it — and the key's place among the probe keys.
+pub(crate) type Lent = (PartitionStore<Posting>, usize);
+
+/// Where a probe's answered lists go. Every probe path — a delegated
+/// branch, a per-key retrieve, a cache hit, a coalesced or a cache-filling
+/// reply — hands each answered key's postings to one sink, which either
+/// filters them or, when the query knows what each key replies, only notes
+/// where they lie.
+pub(crate) struct ProbeSink<'a> {
+    /// The query's probe keys, ascending; branches are ranges of them, and
+    /// a key's place here indexes its payload.
+    keys: &'a [Key],
+    filter: &'a ProbeFilter<'a>,
+    mode: SinkMode<'a>,
+}
+
+enum SinkMode<'a> {
+    /// Filter each list: survivors onto `out` and, where `payloads` has an
+    /// entry for the key, their bytes onto it.
+    Collect { out: &'a mut Vec<Posting>, payloads: &'a mut [usize] },
+    /// Every key's owner-side payload is known: nothing is filtered or
+    /// collected, and where each answered key's postings lie goes onto
+    /// `lent`.
+    Replay { payloads: &'a [usize], lent: &'a mut Vec<Lent> },
+}
+
+impl<'a> ProbeSink<'a> {
+    /// A sink that filters every list into `out` and adds each key's
+    /// survivor bytes to its entry of `payloads` (empty: to none).
+    pub(crate) fn collect(
+        keys: &'a [Key],
+        filter: &'a ProbeFilter<'a>,
+        out: &'a mut Vec<Posting>,
+        payloads: &'a mut [usize],
+    ) -> Self {
+        debug_assert!(payloads.is_empty() || payloads.len() == keys.len());
+        Self { keys, filter, mode: SinkMode::Collect { out, payloads } }
+    }
+
+    /// A sink that knows each key's owner-side `payloads` and notes where
+    /// the answered keys' postings lie onto `lent`.
+    pub(crate) fn replay(
+        keys: &'a [Key],
+        filter: &'a ProbeFilter<'a>,
+        payloads: &'a [usize],
+        lent: &'a mut Vec<Lent>,
+    ) -> Self {
+        debug_assert_eq!(payloads.len(), keys.len());
+        Self { keys, filter, mode: SinkMode::Replay { payloads, lent } }
+    }
+
+    fn replays(&self) -> bool {
+        matches!(self.mode, SinkMode::Replay { .. })
+    }
+
+    /// Filter `list`, the postings of the key at `i`, where it lies: the
+    /// survivors go onto the sink's buffer, and their bytes — the key's
+    /// owner-side payload — are returned.
+    fn filter_in(&mut self, i: usize, list: &[Posting]) -> usize {
+        let SinkMode::Collect { out, payloads } = &mut self.mode else {
+            unreachable!("a replaying sink filters nothing")
+        };
+        let mut bytes = 0;
+        for p in self.filter.survivors(list) {
+            bytes += p.size_bytes();
+            out.push(p.clone());
+        }
+        if let Some(payload) = payloads.get_mut(i) {
+            *payload += bytes;
+        }
+        bytes
+    }
+
+    /// The key at `i` was answered out of `store`: note it, and return the
+    /// key's known payload.
+    fn lend(&mut self, i: usize, store: &PartitionStore<Posting>) -> usize {
+        let SinkMode::Replay { payloads, lent } = &mut self.mode else {
+            unreachable!("a collecting sink lends nothing")
+        };
+        lent.push((store.clone(), i));
+        payloads[i]
+    }
+
+    /// The key at `i` answered `list`, which lies in the run `lies` gives:
+    /// collected or lent, by the sink's mode.
+    fn take<'s>(
+        &mut self,
+        i: usize,
+        list: &[Posting],
+        lies: impl FnOnce() -> &'s PartitionStore<Posting>,
+    ) {
+        if self.replays() {
+            self.lend(i, lies());
+        } else {
+            self.filter_in(i, list);
+        }
+    }
+}
 
 /// Counter snapshot opening a stats window (see
 /// [`SimilarityEngine::begin_query`]).
@@ -705,50 +806,48 @@ impl SimilarityEngine {
     // Batched index probes & object fetches (the §4 optimizations)
     // ------------------------------------------------------------------
 
-    /// Group probe keys into fan-out branches tagged with their destination
-    /// partition: one branch per responsible partition with delegation on
-    /// (contact-once batching), one branch per key with delegation off.
-    /// Branch order is deterministic (partition index / input order).
-    pub(crate) fn plan_probe_parts(&self, keys: &[Key]) -> Vec<(usize, Vec<Key>)> {
-        if !self.cfg.query.delegation {
-            return keys.iter().map(|k| (self.net.partition_of(k), vec![k.clone()])).collect();
+    /// Group probe keys — ascending — into fan-out branches tagged with
+    /// their destination partition: one branch per responsible partition
+    /// with delegation on (contact-once batching), one branch per key with
+    /// delegation off. A branch is a range of `keys`: ascending keys lie in
+    /// ascending partitions ([`find_partition_from`]), so a partition's
+    /// keys are one stretch of them, and branches come in partition order.
+    pub(crate) fn plan_probe_parts(&self, keys: &[Key]) -> Vec<(usize, Range<usize>)> {
+        debug_assert!(keys.is_sorted(), "probe keys ascend");
+        let mut branches: Vec<(usize, Range<usize>)> = Vec::new();
+        let mut part = 0;
+        for (i, k) in keys.iter().enumerate() {
+            part = find_partition_from(self.net.paths(), k, part);
+            match branches.last_mut() {
+                Some((p, branch)) if *p == part && self.cfg.query.delegation => branch.end = i + 1,
+                _ => branches.push((part, i..i + 1)),
+            }
         }
-        let mut by_part: FxHashMap<usize, Vec<Key>> = FxHashMap::default();
-        for k in keys {
-            by_part.entry(self.net.partition_of(k)).or_default().push(k.clone());
-        }
-        let mut parts: Vec<(usize, Vec<Key>)> = by_part.into_iter().collect();
-        parts.sort_by_key(|(p, _)| *p); // determinism
-        parts
+        branches
     }
 
-    /// One probe branch: with delegation, one routed query chain to the
-    /// keys' partition — each partition contacted exactly once ("we collect
-    /// the calls to Retrieve() and contact peers only once", §4) — local
-    /// scans, and **the filter run at the owning peer**: the delegated query
+    /// One probe branch — the keys at `keys` of the sink's — answered into
+    /// `sink`. With delegation, one routed query chain to the keys'
+    /// partition — each partition contacted exactly once ("we collect the
+    /// calls to Retrieve() and contact peers only once", §4) — local scans,
+    /// and **the filter run at the owning peer**: the delegated query
     /// carries the search string and distance, so the owner prunes by
     /// length/position locally and one combined reply carries only the
     /// survivors (this is what makes the q-gram methods' data volume
     /// sublinear). Without delegation, a full independent `Retrieve` per
     /// key: the whole posting list is charged to the wire and filtered at
-    /// the initiator. Either way the filter reads the stored postings in
-    /// place and only survivors are copied, onto the end of `out` — the
-    /// task's own buffer, so a branch allocates none of its own.
-    pub(crate) fn probe_branch(
-        &mut self,
-        from: PeerId,
-        keys: &[Key],
-        filter: &ProbeFilter<'_>,
-        out: &mut Vec<Posting>,
-    ) {
+    /// the initiator. Either way the lists are read where they lie
+    /// ([`ProbeSink::take`]).
+    pub(crate) fn probe_branch(&mut self, from: PeerId, keys: Range<usize>, sink: &mut ProbeSink) {
+        let all = sink.keys;
         if !self.cfg.query.delegation {
-            for k in keys {
+            for i in keys {
                 // `failed0` is re-snapshotted per attempt, so the shower
                 // accounting below reflects only the attempt that answered.
                 let mut failed0 = 0u64;
                 let got = self.with_leg_retry(|e| {
                     failed0 = e.net.metrics().failed_routes;
-                    e.net.retrieve_runs(from, k)
+                    e.net.retrieve_runs(from, &all[i])
                 });
                 match got {
                     Ok(runs) => {
@@ -756,7 +855,8 @@ impl SimilarityEngine {
                         self.legs_addressed += runs.len() as u64 + failed;
                         self.legs_answered += runs.len() as u64;
                         for run in &runs {
-                            out.extend(filter.survivors(self.net.run_items(run)).cloned());
+                            let lies = || self.net.partition_store(run.part);
+                            sink.take(i, self.net.run_items(run), lies);
                         }
                     }
                     Err(_) => self.legs_addressed += 1,
@@ -765,30 +865,32 @@ impl SimilarityEngine {
             return;
         }
         self.legs_addressed += 1;
-        if let Ok(owner) = self.with_leg_retry(|e| e.net.route(from, &keys[0])) {
+        if let Ok(owner) = self.with_leg_retry(|e| e.net.route(from, &all[keys.start])) {
             self.legs_answered += 1;
-            self.scan_filter_reply(owner, from, keys, filter, out);
+            self.scan_filter_reply(owner, from, keys, sink);
         }
     }
 
     /// The owner-side half of a delegated probe: prefix-scan every key at
-    /// `owner`, run the query's filter over the stored postings where they
-    /// lie, and send `from` one combined reply carrying — and copying into
-    /// `out` — only the survivors.
+    /// `owner`, hand what each scan lends to `sink` — which filters it
+    /// where it lies, or knows its payload — and send `from` one combined
+    /// reply carrying the survivors' bytes.
     fn scan_filter_reply(
         &mut self,
         owner: PeerId,
         from: PeerId,
-        keys: &[Key],
-        filter: &ProbeFilter<'_>,
-        out: &mut Vec<Posting>,
+        keys: impl IntoIterator<Item = usize>,
+        sink: &mut ProbeSink,
     ) {
+        let all = sink.keys;
         let mut payload = 0usize;
-        for k in keys {
-            for p in filter.survivors(self.net.local_prefix_run(owner, k)) {
-                payload += p.size_bytes();
-                out.push(p.clone());
-            }
+        for i in keys {
+            let run = self.net.local_prefix_run(owner, &all[i]);
+            payload += if sink.replays() {
+                sink.lend(i, self.net.partition_store(self.net.peer_partition(owner)))
+            } else {
+                sink.filter_in(i, run)
+            };
         }
         if owner != from {
             self.net.send_direct(owner, from, payload);
@@ -799,9 +901,9 @@ impl SimilarityEngine {
     // Brokered probes (the sqo-cache hot path; see crate::broker)
     // ------------------------------------------------------------------
 
-    /// Issue one probe branch — the keys of one partition — through the
-    /// broker at virtual time `at_us`: the filtered postings go onto the
-    /// end of `postings`, and the completion time is returned.
+    /// Issue one probe branch — the keys at `keys` of the sink's, all of
+    /// partition `part` — through the broker at virtual time `at_us`: the
+    /// answered lists go to `sink`, and the completion time is returned.
     ///
     /// Without a broker this is exactly the legacy delegated branch (filter
     /// at the owner, survivors travel), charged to `acc`. With one, probe
@@ -815,10 +917,9 @@ impl SimilarityEngine {
         &mut self,
         acc: &mut QueryStats,
         from: PeerId,
-        (part, keys): (usize, &[Key]),
-        filter: &ProbeFilter<'_>,
+        (part, keys): (usize, Range<usize>),
         at_us: u64,
-        postings: &mut Vec<Posting>,
+        sink: &mut ProbeSink,
     ) -> u64 {
         // The broker rides on the §4 delegated pipeline; with delegation
         // off every probe is an independent full-list retrieve (the A/B
@@ -829,32 +930,40 @@ impl SimilarityEngine {
             _ => (false, false),
         };
         if !cache_on && !batch_on {
-            return self.charged(acc, at_us, |e| e.probe_branch(from, keys, filter, postings)).1;
+            return self.charged(acc, at_us, |e| e.probe_branch(from, keys, sink)).1;
         }
 
+        let all = sink.keys;
         let epoch = self.net.cache_epoch();
-        let mut missing: Vec<Key> = Vec::new();
+        let mut missing: Vec<usize> = Vec::new();
         if cache_on {
             let broker = self.broker.as_mut().expect("cache_on implies a broker");
-            for k in keys {
-                match broker.cache_get(from, k, at_us, epoch) {
+            for i in keys {
+                match broker.cache_get(from, &all[i], at_us, epoch) {
                     Some(list) => {
                         acc.cache_hits += 1;
-                        postings.extend(filter.survivors(list).cloned());
+                        let lies = || self.net.partition_store(self.net.partition_of(&all[i]));
+                        sink.take(i, list, lies);
                     }
                     None => {
                         acc.cache_misses += 1;
-                        missing.push(k.clone());
+                        missing.push(i);
                     }
                 }
             }
         } else {
-            missing.extend(keys.iter().cloned());
+            missing.extend(keys);
         }
         if missing.is_empty() {
             // Every key served from the cache: no wire activity at all.
             return at_us;
         }
+        // Cache on: the reply carries the **full** per-key lists so the
+        // initiator can filter locally and fill its cache — the price of
+        // making every later probe of these keys free. Cache off: the owner
+        // filters and only survivors travel, byte-for-byte the legacy
+        // delegated payload.
+        let missing_keys = || missing.iter().map(|&i| all[i].clone()).collect::<Vec<Key>>();
 
         let channel = if batch_on {
             let n_keys = missing.len() as u64;
@@ -881,20 +990,14 @@ impl SimilarityEngine {
                     if owner != from {
                         e.net.send_direct(from, owner, 0);
                     }
-                    // Cache on: the reply carries the **full** per-key lists
-                    // so the initiator can filter locally and fill its
-                    // cache — the price of making every later probe of
-                    // these keys free. Cache
-                    // off: the owner filters and only survivors travel,
-                    // byte-for-byte the legacy delegated payload.
                     if cache_on {
-                        e.net.scan_keys_and_reply_lists(owner, from, &missing)
+                        e.net.scan_keys_and_reply_lists(owner, from, &missing_keys())
                     } else {
-                        e.scan_filter_reply(owner, from, &missing, filter, postings);
+                        e.scan_filter_reply(owner, from, missing.iter().copied(), sink);
                         Vec::new()
                     }
                 });
-                self.absorb_full_lists(from, filter, lists, end, epoch, postings);
+                self.absorb_full_lists(from, owner, &missing, lists, end, sink);
                 end
             }
             None => {
@@ -909,12 +1012,15 @@ impl SimilarityEngine {
                     // as an addressed-but-unanswered leg.
                     e.legs_addressed += 1;
                     let got = if cache_on {
-                        e.with_leg_retry(|e| e.net.retrieve_multi_lists(from, &missing)).ok()
+                        let keys = missing_keys();
+                        e.with_leg_retry(|e| e.net.retrieve_multi_lists(from, &keys)).ok()
                     } else {
-                        e.with_leg_retry(|e| e.net.route(from, &missing[0])).ok().map(|owner| {
-                            e.scan_filter_reply(owner, from, &missing, filter, postings);
-                            (owner, Vec::new())
-                        })
+                        e.with_leg_retry(|e| e.net.route(from, &all[missing[0]])).ok().map(
+                            |owner| {
+                                e.scan_filter_reply(owner, from, missing.iter().copied(), sink);
+                                (owner, Vec::new())
+                            },
+                        )
                     };
                     if got.is_some() {
                         e.legs_answered += 1;
@@ -927,27 +1033,29 @@ impl SimilarityEngine {
                         let broker = self.broker.as_mut().expect("batch_on implies a broker");
                         broker.channel_record(part, owner, hops, end, epoch);
                     }
-                    self.absorb_full_lists(from, filter, lists, end, epoch, postings);
+                    self.absorb_full_lists(from, owner, &missing, lists, end, sink);
                 }
                 end
             }
         }
     }
 
-    /// Fold a cache-filling reply into the caller: filter every full list
-    /// into `postings` and move the list, as the reply shipped it, into the
-    /// initiator's cache.
+    /// Fold a cache-filling reply from `owner` into the caller: hand every
+    /// full list — the one of the key at `missing`'s same place — to
+    /// `sink`, and move it, as the reply shipped it, into the initiator's
+    /// cache at the current epoch.
     fn absorb_full_lists(
         &mut self,
         from: PeerId,
-        filter: &ProbeFilter<'_>,
+        owner: PeerId,
+        missing: &[usize],
         lists: KeyedItems<Posting>,
         now_us: u64,
-        epoch: u64,
-        postings: &mut Vec<Posting>,
+        sink: &mut ProbeSink,
     ) {
-        for (k, list) in lists {
-            postings.extend(filter.survivors(&list).cloned());
+        let epoch = self.net.cache_epoch();
+        for (&i, (k, list)) in missing.iter().zip(lists) {
+            sink.take(i, &list, || self.net.partition_store(self.net.peer_partition(owner)));
             let broker = self.broker.as_mut().expect("full lists only travel to fill a cache");
             broker.cache_put(from, &k, list, now_us, epoch);
         }
@@ -1356,8 +1464,9 @@ mod tests {
         filter: &ProbeFilter<'_>,
     ) -> Vec<Posting> {
         let mut out = Vec::new();
+        let mut sink = ProbeSink::collect(keys, filter, &mut out, &mut []);
         for (_part, branch) in e.plan_probe_parts(keys) {
-            e.probe_branch(from, &branch, filter, &mut out);
+            e.probe_branch(from, branch, &mut sink);
         }
         out
     }
@@ -1461,8 +1570,9 @@ mod tests {
             let mut answers = Vec::new();
             for _ in 0..rounds {
                 let mut got = Vec::new();
-                for (part, branch) in e.plan_probe_parts(&keys) {
-                    e.probe_issue(&mut acc, from, (part, &branch), &filter, 0, &mut got);
+                let mut sink = ProbeSink::collect(&keys, &filter, &mut got, &mut []);
+                for branch in e.plan_probe_parts(&keys) {
+                    e.probe_issue(&mut acc, from, branch, 0, &mut sink);
                 }
                 answers.push(digest(got));
             }

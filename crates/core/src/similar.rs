@@ -43,9 +43,10 @@
 
 use crate::broker::ProbeFilter;
 use crate::engine::{
-    finalize_stats, ExecStep, FanOut, FetchBranch, ObjectCache, OidHandle, SimilarityEngine,
-    StepOutcome,
+    finalize_stats, ExecStep, FanOut, FetchBranch, Lent, ObjectCache, OidHandle, ProbeSink,
+    SimilarityEngine, StepOutcome,
 };
+use crate::simjoin::{JoinSlot, ProbeOutcome};
 use crate::stats::QueryStats;
 use rustc_hash::FxHashMap;
 use sqo_overlay::key::Key;
@@ -59,6 +60,8 @@ use sqo_strsim::filters::{char_len, count_filter_threshold, length_filter};
 use sqo_strsim::qgram::{qgrams, PositionalQGram};
 use sqo_strsim::qsample::qsamples;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Evaluation strategy for string similarity (the three curves of Fig. 1).
@@ -101,6 +104,7 @@ pub struct SimilarMatch {
 /// object. It holds the posting it was found through (one refcount step),
 /// and its oid, attribute and text are read through that; strings are
 /// copied only into a [`SimilarMatch`], at Verify.
+#[derive(Clone)]
 pub(crate) struct Candidate {
     posting: Posting,
     /// The oid's first eight bytes ([`oid_head`]): most comparisons of the
@@ -246,6 +250,9 @@ pub struct SimilarTask {
     is_naive: bool,
     /// Positions of each distinct probed gram in `s` (position filter).
     gram_positions: FxHashMap<String, Vec<u32>>,
+    /// The distinct probe keys, ascending: every probe branch is a range
+    /// of them.
+    probe_keys: Vec<Key>,
     postings: Vec<Posting>,
     candidates: Vec<Candidate>,
     partitions_contacted: usize,
@@ -258,6 +265,10 @@ pub struct SimilarTask {
     /// forfeited, counted as addressed-but-unanswered, and the query
     /// returns what it has with `gave_up = 1`.
     deadline_at: Option<u64>,
+    /// A join child's place in its join's left side, which its probe
+    /// outcome is kept beside; `None` for any other selection.
+    pub(crate) join_slot: Option<JoinSlot>,
+    reuse: Reuse,
     /// The grouping stage 1.5 runs, and the candidates the task planned to
     /// fetch: what the differential tests set and read.
     #[cfg(test)]
@@ -266,6 +277,46 @@ pub struct SimilarTask {
 
 /// How stage 1.5 groups the probed postings ([`group_by_triple`]).
 type Grouping = for<'p> fn(&'p [Posting]) -> Vec<(u32, &'p Posting)>;
+
+/// What a join child does with the probe outcome kept beside its join's
+/// stored left side ([`ProbeOutcome`]).
+pub(crate) enum Reuse {
+    /// None is kept or can be: probe and filter as any selection does.
+    Off,
+    /// None is kept yet: filter, and add up each key's owner-side payload
+    /// (in probe key order), so that the outcome can be kept once every leg
+    /// has answered.
+    Record { payloads: Vec<usize> },
+    /// One was kept at `epoch`: a leg at that epoch replays its payloads,
+    /// filters nothing and notes where its keys' postings lie (`lent`); a
+    /// leg at a later epoch filters as usual and sets `collected`.
+    Replay { outcome: Rc<ProbeOutcome>, epoch: u64, lent: Vec<Lent>, collected: bool },
+}
+
+impl Reuse {
+    /// Where the answers of a leg issued at `epoch` go: a kept outcome
+    /// replays while the epoch it was kept at holds; any other leg filters
+    /// into `out`.
+    fn sink<'a>(
+        &'a mut self,
+        keys: &'a [Key],
+        filter: &'a ProbeFilter<'a>,
+        out: &'a mut Vec<Posting>,
+        epoch: u64,
+    ) -> ProbeSink<'a> {
+        match self {
+            Reuse::Replay { outcome, epoch: kept, lent, .. } if *kept == epoch => {
+                ProbeSink::replay(keys, filter, &outcome.payloads, lent)
+            }
+            Reuse::Replay { collected, .. } => {
+                *collected = true;
+                ProbeSink::collect(keys, filter, out, &mut [])
+            }
+            Reuse::Record { payloads } => ProbeSink::collect(keys, filter, out, payloads),
+            Reuse::Off => ProbeSink::collect(keys, filter, out, &mut []),
+        }
+    }
+}
 
 /// Continuation states of a [`SimilarTask`].
 enum SimState {
@@ -276,7 +327,7 @@ enum SimState {
     /// locally for free, misses ride the partition's open coalescing
     /// channel or route normally (see `crate::broker`).
     Probe {
-        fan: FanOut<(usize, Vec<Key>)>,
+        fan: FanOut<(usize, Range<usize>)>,
     },
     /// Naive path: route into the subtree of `prefixes[idx]`.
     NaiveRoute {
@@ -328,11 +379,14 @@ impl SimilarTask {
             s_len: 0,
             is_naive: false,
             gram_positions: FxHashMap::default(),
+            probe_keys: Vec::new(),
             postings: Vec::new(),
             candidates: Vec::new(),
             partitions_contacted: 0,
             verified: Vec::new(),
             deadline_at: None,
+            join_slot: None,
+            reuse: Reuse::Off,
             #[cfg(test)]
             probe: tests::Probe::default(),
         }
@@ -431,6 +485,12 @@ impl SimilarTask {
                     probe_keys.sort_unstable(); // determinism of batching
                     self.stats.probes = probe_keys.len();
                     let branches = engine.plan_probe_parts(&probe_keys);
+                    if let Some(slot) = &self.join_slot {
+                        let (attr, d) = (self.attr.as_deref(), self.d);
+                        self.reuse =
+                            engine.probe_reuse(slot, attr, d, self.strategy, probe_keys.len());
+                    }
+                    self.probe_keys = probe_keys;
                     self.state = SimState::Probe { fan: FanOut::new(branches, at_us) };
                     continue;
                 }
@@ -441,7 +501,7 @@ impl SimilarTask {
                         self.state = SimState::Aggregate { at_us: fan.max_end_us };
                         continue;
                     }
-                    let Some((part, branch_keys)) = fan.pop() else {
+                    let Some((part, keys)) = fan.pop() else {
                         self.state = SimState::Aggregate { at_us: fan.max_end_us };
                         continue;
                     };
@@ -459,13 +519,15 @@ impl SimilarTask {
                         self.d,
                         engine.config().query.filters,
                     );
+                    let epoch = engine.net.cache_epoch();
+                    let mut sink =
+                        self.reuse.sink(&self.probe_keys, &filter, &mut self.postings, epoch);
                     let end = engine.probe_issue(
                         &mut self.stats,
                         self.from,
-                        (part, &branch_keys),
-                        &filter,
+                        (part, keys),
                         fan.fork_us,
-                        &mut self.postings,
+                        &mut sink,
                     );
                     fan.record_end(end);
                     let next_at = if fan.is_done() { fan.max_end_us } else { fan.fork_us };
@@ -571,14 +633,53 @@ impl SimilarTask {
                 }
 
                 SimState::Aggregate { at_us: at } => {
-                    let postings = std::mem::take(&mut self.postings);
+                    let mut postings = std::mem::take(&mut self.postings);
                     let q = engine.q();
                     let filters = engine.config().query.filters;
+                    // Every leg the probe addressed answered: a kept outcome
+                    // is what they answered, and one of them can be kept.
+                    let answered = self.stats.partitions_answered
+                        == self.stats.partitions_addressed
+                        && self.stats.gave_up == 0;
+                    let mut record = None;
+                    let stored = match std::mem::replace(&mut self.reuse, Reuse::Off) {
+                        Reuse::Replay { outcome, collected: false, .. } if answered => {
+                            Some(outcome)
+                        }
+                        Reuse::Replay { lent, .. } => {
+                            // Not every leg answered, or not all at the kept
+                            // epoch: the survivors of those that replayed
+                            // are read again, uncharged, where they lay.
+                            let filter = ProbeFilter::new(
+                                self.attr.as_deref(),
+                                &self.gram_positions,
+                                self.s_len,
+                                self.d,
+                                filters,
+                            );
+                            for (run, i) in &lent {
+                                let items = run.prefix_entries(&self.probe_keys[*i]).items;
+                                postings.extend(filter.survivors(items).cloned());
+                            }
+                            None
+                        }
+                        Reuse::Record { payloads } if answered => {
+                            record = Some(payloads);
+                            None
+                        }
+                        Reuse::Record { .. } | Reuse::Off => None,
+                    };
+                    #[cfg(test)]
+                    if stored.is_some() {
+                        if let Some(side) = &mut engine.scanned_left {
+                            side.served += 1;
+                        }
+                    }
                     let grams_carry =
                         engine.config().publish.grams_carry_value && self.attr.is_some();
                     let (attr, s_len, d, strategy, from) =
                         (&self.attr, self.s_len, self.d, self.strategy, self.from);
-                    let (schema, group) = (attr.is_none(), self.grouping());
+                    let (schema, group, slot) = (attr.is_none(), self.grouping(), &self.join_slot);
                     let verifier = &mut self.verifier;
                     let ((candidates, n_candidates), end) =
                         engine.charged(&mut self.stats, at, |e| {
@@ -588,20 +689,39 @@ impl SimilarTask {
                             // string. They are counted per stored triple, and a
                             // count-filter survivor becomes a handle on its
                             // triple's first posting: no string is hashed or
-                            // copied here.
+                            // copied here. A kept outcome holds those
+                            // candidates already.
                             // Count filter — meaningful only when all grams were
                             // probed.
                             let count_filter = filters.count && strategy == Strategy::QGrams;
-                            let mut candidates: Vec<Candidate> = group(&postings)
-                                .into_iter()
-                                .filter_map(|(shared, p)| {
-                                    let chars = p.source_len().unwrap_or_default();
-                                    let kept = !count_filter
-                                        || shared as i64
-                                            >= count_filter_threshold(s_len, chars, q, d);
-                                    kept.then(|| Candidate::new(p.clone(), chars, schema))
-                                })
-                                .collect();
+                            let mut candidates: Vec<Candidate> = match &stored {
+                                Some(outcome) => outcome.candidates.clone(),
+                                None => {
+                                    let mut candidates: Vec<Candidate> = group(&postings)
+                                        .into_iter()
+                                        .filter_map(|(shared, p)| {
+                                            let chars = p.source_len().unwrap_or_default();
+                                            let kept = !count_filter
+                                                || shared as i64
+                                                    >= count_filter_threshold(s_len, chars, q, d);
+                                            kept.then(|| Candidate::new(p.clone(), chars, schema))
+                                        })
+                                        .collect();
+                                    Candidate::sort_dedup(&mut candidates);
+                                    candidates
+                                }
+                            };
+                            if let (Some(payloads), Some(slot)) = (record, slot) {
+                                e.keep_probe_outcome(
+                                    slot,
+                                    attr.as_deref(),
+                                    d,
+                                    strategy,
+                                    payloads,
+                                    &candidates,
+                                );
+                            }
+                            let grams = candidates.len();
 
                             // ---- Short-string supplement ---------------------
                             // Data strings with |t| < q live in the side
@@ -636,7 +756,9 @@ impl SimilarTask {
                                     candidates.push(Candidate::new(p.clone(), chars, schema));
                                 }
                             }
-                            Candidate::sort_dedup(&mut candidates);
+                            if candidates.len() > grams {
+                                Candidate::sort_dedup(&mut candidates);
+                            }
                             let n_candidates = candidates.len();
 
                             // ---- Pre-verification (value-carrying postings) --

@@ -37,7 +37,24 @@
 //! its CPU is spent once per store state: the engine keeps the last side
 //! it computed (`ScannedLeft`, keyed by the attribute, the limit, the
 //! network's cache epoch and the runs the scans answered) and a join whose
-//! scans find that key takes it. The §6 workload joins
+//! scans find that key takes it.
+//!
+//! The per-left selections over a stored side repeat too: the same left
+//! value, `rn`, `d` and strategy at the same epoch probe the same runs.
+//! Beside the side the engine keeps, per (`rn`, `d`, strategy) and per
+//! left index, the child's *probe outcome* (`ProbeOutcome`): the
+//! owner-side reply payload of each probe key and the count-filtered,
+//! sorted and deduplicated gram candidates, recorded by a child whose legs
+//! all answered. The same child of a later join still plans, routes,
+//! retries, scans and replies on every leg — with the kept payloads — so
+//! messages, bytes, legs, backlogs, the clock and the trace are what they
+//! were; it skips the probe filter, the survivor copies and stage 1.5's
+//! grouping. A leg at a later epoch filters as usual, and a child whose
+//! legs did not all answer at the kept epoch reads the survivors of those
+//! that did again, uncharged, from the runs they lay in when they answered
+//! (`engine::Lent`). A join that replaces the side drops its
+//! outcomes; a join seeded with its left side ([`JoinTask::with_left`])
+//! keeps none. The §6 workload joins
 //! *self-join columns over the full dataset*; at simulation scale a full
 //! 10⁵×10⁵ self-join is neither feasible nor what the paper's message
 //! counts (≈10³–10⁴ total for a 240-query mix) imply they ran — see the
@@ -45,7 +62,7 @@
 
 use crate::adaptive::{AimdWindow, JoinWindow};
 use crate::engine::{finalize_stats, ExecStep, ObjectCache, SimilarityEngine, StepOutcome};
-use crate::similar::{oid_head, SimilarMatch, SimilarTask, Strategy};
+use crate::similar::{oid_head, Candidate, Reuse, SimilarMatch, SimilarTask, Strategy};
 use crate::stats::QueryStats;
 use rustc_hash::{FxHashMap, FxHashSet};
 use sqo_overlay::network::ItemRun;
@@ -215,8 +232,11 @@ impl JoinTask {
     fn spawn_child(&mut self, at_us: u64) {
         let left = self.next_left;
         self.next_left += 1;
-        let value = &self.left.as_deref().unwrap_or_default()[left].1;
-        let task = SimilarTask::new(value, self.rn.as_deref(), self.d, self.from, self.strategy);
+        let side = self.left.as_ref().expect("children are spawned once the side is set");
+        let value = &side[left].1;
+        let mut task =
+            SimilarTask::new(value, self.rn.as_deref(), self.d, self.from, self.strategy);
+        task.join_slot = Some(JoinSlot { side: Rc::clone(side), index: left });
         self.children.push(JoinChild { task, resume_at: at_us, left });
     }
 }
@@ -355,6 +375,46 @@ pub(crate) struct ScannedLeft {
     epoch: u64,
     runs: Vec<ItemRun>,
     side: Rc<[(String, String)]>,
+    /// The probe outcomes of the joins that read the side, one set per
+    /// (`rn`, `d`, strategy): they go when the side does.
+    probes: Vec<ProbeSlots>,
+    /// How many join children took their candidates from a kept outcome.
+    #[cfg(test)]
+    pub(crate) served: usize,
+}
+
+/// The probe outcomes of the selections of one (`rn`, `d`, strategy) over
+/// a stored left side, one slot per left index.
+struct ProbeSlots {
+    rn: Option<String>,
+    d: usize,
+    strategy: Strategy,
+    slots: Vec<Option<Rc<ProbeOutcome>>>,
+}
+
+impl ProbeSlots {
+    fn of(&self, rn: Option<&str>, d: usize, strategy: Strategy) -> bool {
+        self.d == d && self.strategy == strategy && self.rn.as_deref() == rn
+    }
+}
+
+/// What one join child's probes answered at the stored side's epoch, all
+/// of its legs answering: the owner-side reply payload of each probe key,
+/// in bytes and in the child's ascending key order, and its count-filtered,
+/// sorted and deduplicated gram candidates — before the short-string
+/// supplement. Both are functions of the left value, `rn`, `d`, the
+/// strategy and the stores, so a child of a later join over the same side
+/// replays its legs with these payloads — every route, scan and reply
+/// still charged — and skips the filter and the grouping.
+pub(crate) struct ProbeOutcome {
+    pub(crate) payloads: Vec<usize>,
+    pub(crate) candidates: Vec<Candidate>,
+}
+
+/// A join child's place in its join's left side: which side, which pair.
+pub(crate) struct JoinSlot {
+    side: Rc<[(String, String)]>,
+    index: usize,
 }
 
 impl SimilarityEngine {
@@ -391,9 +451,82 @@ impl SimilarityEngine {
             .into_iter()
             .map(|(oid, v)| (oid.to_string(), v.to_string()))
             .collect();
-        let stored = ScannedLeft { ln: ln.to_string(), limit, epoch, runs, side: Rc::clone(&side) };
+        let stored = ScannedLeft {
+            ln: ln.to_string(),
+            limit,
+            epoch,
+            runs,
+            side: Rc::clone(&side),
+            probes: Vec::new(),
+            #[cfg(test)]
+            served: 0,
+        };
         self.scanned_left = Some(stored);
         side
+    }
+
+    /// The stored side `slot` indexes, while it is stored and its epoch
+    /// holds.
+    fn stored_side(&self, slot: &JoinSlot) -> Option<&ScannedLeft> {
+        let s = self.scanned_left.as_ref()?;
+        (Rc::ptr_eq(&s.side, &slot.side) && s.epoch == self.net.cache_epoch()).then_some(s)
+    }
+
+    /// What the join child at `slot` — a selection of `rn` within `d` by
+    /// `strategy`, probing `n_keys` keys — does with its probe outcome:
+    /// replays the one kept for it, records one to keep, or, its side no
+    /// longer stored at this epoch, neither.
+    pub(crate) fn probe_reuse(
+        &self,
+        slot: &JoinSlot,
+        rn: Option<&str>,
+        d: usize,
+        strategy: Strategy,
+        n_keys: usize,
+    ) -> Reuse {
+        let Some(s) = self.stored_side(slot) else { return Reuse::Off };
+        let kept = s
+            .probes
+            .iter()
+            .find(|p| p.of(rn, d, strategy))
+            .and_then(|p| p.slots[slot.index].clone());
+        match kept {
+            Some(outcome) => {
+                let lent = Vec::with_capacity(n_keys);
+                Reuse::Replay { outcome, epoch: s.epoch, lent, collected: false }
+            }
+            None => Reuse::Record { payloads: vec![0; n_keys] },
+        }
+    }
+
+    /// Keep the probe outcome of the join child at `slot` — recorded with
+    /// every leg answering — while its side is stored at the epoch the legs
+    /// ran at, unless one is kept already.
+    pub(crate) fn keep_probe_outcome(
+        &mut self,
+        slot: &JoinSlot,
+        rn: Option<&str>,
+        d: usize,
+        strategy: Strategy,
+        payloads: Vec<usize>,
+        candidates: &[Candidate],
+    ) {
+        if self.stored_side(slot).is_none() {
+            return;
+        }
+        let s = self.scanned_left.as_mut().expect("the side is stored");
+        let at = match s.probes.iter().position(|p| p.of(rn, d, strategy)) {
+            Some(at) => at,
+            None => {
+                let slots = vec![None; s.side.len()];
+                s.probes.push(ProbeSlots { rn: rn.map(str::to_string), d, strategy, slots });
+                s.probes.len() - 1
+            }
+        };
+        let kept = &mut s.probes[at].slots[slot.index];
+        if kept.is_none() {
+            *kept = Some(Rc::new(ProbeOutcome { payloads, candidates: candidates.to_vec() }));
+        }
     }
 }
 
@@ -544,7 +677,10 @@ fn stratified_sample<T>(items: Vec<T>, limit: usize) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineBuilder;
+    use crate::engine::{DegradePolicy, EngineBuilder};
+    use sqo_cache::BrokerConfig;
+    use sqo_overlay::clock::{EventSink, MsgKind, SimLatency};
+    use sqo_overlay::SharedTraceSink;
     use sqo_storage::triple::{Row, Value};
 
     /// What a finished [`JoinTask`] answered.
@@ -803,6 +939,61 @@ mod tests {
         assert_eq!(keyed.into_iter().map(|(_, p)| p).collect::<Vec<_>>(), plain);
     }
 
+    /// A virtual clock for the deadline test: a message takes 1 ms, a
+    /// scanned entry 10 µs; a fork's branches start together and it ends
+    /// with the last.
+    #[derive(Default)]
+    struct Clock {
+        now: u64,
+        start: u64,
+        /// Each open fork's start and its latest branch end.
+        forks: Vec<(u64, u64)>,
+    }
+
+    impl EventSink for Clock {
+        fn begin_query(&mut self) {
+            self.start = self.now;
+        }
+        fn end_query(&mut self) -> SimLatency {
+            let (start_us, end_us) = (self.start, self.now);
+            let elapsed_us = end_us.saturating_sub(start_us);
+            SimLatency { start_us, end_us, elapsed_us, ..Default::default() }
+        }
+        fn deliver(
+            &mut self,
+            _: PeerId,
+            _: PeerId,
+            _: usize,
+            _: MsgKind,
+            _: Option<&SharedTraceSink>,
+        ) {
+            self.now += 1_000;
+        }
+        fn local_work(&mut self, _: PeerId, items: u64, _: Option<&SharedTraceSink>) {
+            self.now += 10 * items;
+        }
+        fn fork(&mut self) {
+            self.forks.push((self.now, self.now));
+        }
+        fn branch(&mut self) {
+            if let Some((at, end)) = self.forks.last_mut() {
+                *end = (*end).max(self.now);
+                self.now = *at;
+            }
+        }
+        fn join(&mut self) {
+            if let Some((_, end)) = self.forks.pop() {
+                self.now = self.now.max(end);
+            }
+        }
+        fn now_us(&self) -> u64 {
+            self.now
+        }
+        fn reset_to_us(&mut self, t_us: u64) {
+            self.now = t_us;
+        }
+    }
+
     /// Every trace event a network emitted, in order.
     #[derive(Default)]
     struct Recorded(Vec<sqo_overlay::TraceEvent>);
@@ -814,13 +1005,28 @@ mod tests {
     }
 
     /// Two engines built alike and put through the same calls. `warm`
-    /// keeps the left side its last join scanned; `cold` has it dropped
-    /// before every join, so it computes each side as a freshly built
-    /// engine does.
+    /// keeps the left side its last join scanned and the probe outcomes of
+    /// that side's joins; `cold` has `forget` run before every join — the
+    /// side dropped, so it computes each side as a freshly built engine
+    /// does, or only the outcomes, so each child filters and groups its
+    /// probes again.
     struct Twins {
         warm: SimilarityEngine,
         cold: SimilarityEngine,
         traces: [std::rc::Rc<std::cell::RefCell<Recorded>>; 2],
+        forget: fn(&mut SimilarityEngine),
+        /// What the last join answered: its `QueryStats` and pair count.
+        last: (QueryStats, usize),
+    }
+
+    fn forget_side(e: &mut SimilarityEngine) {
+        e.scanned_left = None;
+    }
+
+    fn forget_outcomes(e: &mut SimilarityEngine) {
+        if let Some(s) = &mut e.scanned_left {
+            s.probes.clear();
+        }
     }
 
     /// What the cache-soundness tests put in the twins: an attribute to
@@ -839,16 +1045,61 @@ mod tests {
             .collect()
     }
 
+    /// One join the twins run: `SimJoin(ln, rn, d)` by `strategy` over at
+    /// most `limit` left pairs.
+    #[derive(Clone, Copy, Debug)]
+    struct Spec<'a> {
+        ln: &'a str,
+        rn: Option<&'a str>,
+        d: usize,
+        strategy: Strategy,
+        limit: Option<usize>,
+    }
+
+    impl<'a> Spec<'a> {
+        fn of(ln: &'a str, limit: Option<usize>) -> Self {
+            Self { ln, rn: Some("word"), d: 1, strategy: Strategy::QGrams, limit }
+        }
+    }
+
+    /// A join that runs `hook` on the engine before its `at`-th step: an
+    /// event in the middle of it.
+    struct Hooked<'h> {
+        task: JoinTask,
+        steps: usize,
+        at: usize,
+        hook: &'h dyn Fn(&mut SimilarityEngine),
+    }
+
+    impl ExecStep for Hooked<'_> {
+        fn step(&mut self, engine: &mut SimilarityEngine, at_us: u64) -> StepOutcome {
+            if self.steps == self.at {
+                (self.hook)(engine);
+            }
+            self.steps += 1;
+            self.task.step(engine, at_us)
+        }
+    }
+
     impl Twins {
         fn new() -> Self {
+            Self::built(|b| b, forget_side)
+        }
+
+        /// Twins of 64 peers holding [`twin_rows`], built by `tune` from
+        /// the plain builder.
+        fn built(
+            tune: impl Fn(EngineBuilder) -> EngineBuilder,
+            forget: fn(&mut SimilarityEngine),
+        ) -> Self {
             let rows = twin_rows(0, 160);
-            let build = || EngineBuilder::new().peers(64).seed(46).build_with_rows(&rows);
+            let build = || tune(EngineBuilder::new().peers(64).seed(46)).build_with_rows(&rows);
             let (mut warm, mut cold) = (build(), build());
             let traces =
                 [(); 2].map(|()| std::rc::Rc::new(std::cell::RefCell::new(Recorded::default())));
             warm.network_mut().set_trace_sink(traces[0].clone());
             cold.network_mut().set_trace_sink(traces[1].clone());
-            Self { warm, cold, traces }
+            Self { warm, cold, traces, forget, last: (QueryStats::default(), 0) }
         }
 
         /// `f` on both engines, which must answer alike.
@@ -865,22 +1116,40 @@ mod tests {
         /// served the side it had stored. Both must answer the same pairs,
         /// `QueryStats` and trace.
         fn join(&mut self, ln: &str, from: PeerId, left_limit: Option<usize>) -> bool {
+            self.run(Spec::of(ln, left_limit), from, usize::MAX, &|_| {})
+        }
+
+        /// [`Self::join`] of `spec`, with `hook` run on each engine before
+        /// the join's `at`-th step.
+        fn run(
+            &mut self,
+            spec: Spec<'_>,
+            from: PeerId,
+            at: usize,
+            hook: &dyn Fn(&mut SimilarityEngine),
+        ) -> bool {
             let stored = self.warm.scanned_left.as_ref().map(|s| Rc::clone(&s.side));
-            self.cold.scanned_left = None;
-            let opts =
-                JoinOptions { left_limit, window: JoinWindow::Fixed(4), ..Default::default() };
-            let [warm, cold] = [&mut self.warm, &mut self.cold].map(|e| {
-                let mut task = JoinTask::new(ln, Some("word"), 1, from, &opts);
-                let stats = e.run_task(&mut task);
-                format!("{:?} {} {stats:?}", task.take_pairs(), task.left_size())
+            (self.forget)(&mut self.cold);
+            let opts = JoinOptions {
+                strategy: spec.strategy,
+                left_limit: spec.limit,
+                window: JoinWindow::Fixed(4),
+            };
+            let [(warm, last), (cold, _)] = [&mut self.warm, &mut self.cold].map(|e| {
+                let task = JoinTask::new(spec.ln, spec.rn, spec.d, from, &opts);
+                let mut hooked = Hooked { task, steps: 0, at, hook };
+                let stats = e.run_task(&mut hooked);
+                let (pairs, left_size) = (hooked.task.take_pairs(), hooked.task.left_size());
+                (format!("{pairs:?} {left_size} {stats:?}"), (stats, pairs.len()))
             });
+            self.last = last;
             let [warm_trace, cold_trace] = self
                 .traces
                 .each_ref()
                 .map(|t| format!("{:?}", std::mem::take(&mut t.borrow_mut().0)));
             assert!(!cold_trace.is_empty(), "the join is traced");
-            assert_eq!(warm_trace, cold_trace, "{ln} from {from:?}, limit {left_limit:?}");
-            assert_eq!(warm, cold, "{ln} from {from:?}, limit {left_limit:?}");
+            assert_eq!(warm_trace, cold_trace, "{spec:?} from {from:?}");
+            assert_eq!(warm, cold, "{spec:?} from {from:?}");
             let side = &self.warm.scanned_left.as_ref().expect("a join stores its side").side;
             stored.is_some_and(|s| Rc::ptr_eq(&s, side))
         }
@@ -888,6 +1157,16 @@ mod tests {
         /// The runs the warm engine's stored side was computed from.
         fn stored_runs(&self) -> Vec<ItemRun> {
             self.warm.scanned_left.as_ref().expect("a join stores its side").runs.clone()
+        }
+
+        /// How many of the warm engine's join children served a kept
+        /// outcome since its side was stored, and how many outcomes it
+        /// keeps.
+        fn served_kept(&self) -> (usize, usize) {
+            self.warm.scanned_left.as_ref().map_or((0, 0), |s| {
+                let kept = s.probes.iter().flat_map(|p| &p.slots).filter(|o| o.is_some());
+                (s.served, kept.count())
+            })
         }
     }
 
@@ -1004,6 +1283,197 @@ mod tests {
         assert!(!t.join(&right, from, None), "an attribute sharing the key's 32 bytes");
         assert_eq!(t.stored_runs(), runs, "both scans answered the same runs");
         assert_eq!(size(&t), Some(20));
+    }
+
+    /// A child of a join over a stored side replays the probe outcome the
+    /// same child of an earlier join kept: every route, scan and reply
+    /// charged alike — the same pairs, `QueryStats` and trace as a twin
+    /// that filters and groups every child's probes again — for any
+    /// initiator, for the sample and for the whole side.
+    #[test]
+    fn a_warm_join_replays_what_its_children_probed() {
+        let mut t = Twins::built(|b| b, forget_outcomes);
+        let from = t.both(|e| e.random_peer());
+        for (limit, lefts) in [(Some(6), 6), (None, 160)] {
+            assert!(!t.join("word", from, limit));
+            assert_eq!(t.served_kept(), (0, lefts), "the first join keeps every child's outcome");
+            assert!(t.join("word", from, limit));
+            assert_eq!(t.served_kept(), (lefts, lefts), "the second replays them all");
+            let other = t.both(|e| e.random_peer());
+            assert!(t.join("word", other, limit));
+            assert_eq!(t.served_kept(), (2 * lefts, lefts), "and so does another initiator's");
+        }
+    }
+
+    /// Outcomes are kept per `rn`, `d` and strategy: a join over the same
+    /// side with another of them keeps its own instead of replaying one
+    /// kept for the others, and each is replayed by the next join alike.
+    #[test]
+    fn another_rn_d_or_strategy_keeps_its_own_outcomes() {
+        let mut t = Twins::built(|b| b, forget_outcomes);
+        let from = t.both(|e| e.random_peer());
+        let base = Spec::of("word", Some(6));
+        let specs = [
+            base,
+            Spec { d: 2, ..base },
+            Spec { d: 0, ..base },
+            Spec { rn: Some("name"), ..base },
+            Spec { strategy: Strategy::QSamples, ..base },
+        ];
+        t.run(base, from, usize::MAX, &|_| {});
+        for (n, spec) in specs.iter().enumerate().skip(1) {
+            assert!(t.run(*spec, from, usize::MAX, &|_| {}), "{spec:?} reads the stored side");
+            assert_eq!(t.served_kept(), (0, 6 * (n + 1)), "{spec:?} keeps outcomes of its own");
+        }
+        for (n, spec) in specs.iter().enumerate() {
+            t.run(*spec, from, usize::MAX, &|_| {});
+            assert_eq!(t.served_kept(), (6 * (n + 1), 6 * specs.len()), "{spec:?} replays its own");
+        }
+    }
+
+    /// A join whose side is replaced — here by a publication into the
+    /// joined attribute, which moves the sample — drops the outcomes kept
+    /// beside the old side: the children of the new one filter again.
+    #[test]
+    fn a_replaced_side_drops_its_outcomes() {
+        let mut t = Twins::built(|b| b, forget_outcomes);
+        let from = t.both(|e| e.random_peer());
+        t.join("word", from, Some(6));
+        assert!(t.join("word", from, Some(6)));
+        assert_eq!(t.served_kept(), (6, 6));
+        t.both(|e| e.publish_rows(&twin_rows(160, 230)));
+        assert!(!t.join("word", from, Some(6)));
+        assert_eq!(t.served_kept(), (0, 6), "the new side's children kept outcomes anew");
+        assert!(t.join("word", from, Some(6)));
+        assert_eq!(t.served_kept(), (6, 6));
+    }
+
+    /// A publication in the middle of a join that replays kept outcomes:
+    /// its legs before the publication replay, those after it filter, and
+    /// the children that replayed read their survivors again where they
+    /// lay when their legs answered — not the runs the publication grew —
+    /// so the join answers what a twin that filtered every leg does.
+    #[test]
+    fn a_publication_mid_join_re_reads_the_runs_its_legs_read() {
+        let mut t = Twins::built(|b| b, forget_outcomes);
+        let from = t.both(|e| e.random_peer());
+        // At distance 0 a candidate shares every gram: one key's postings
+        // read from the grown runs would make a candidate of a new object.
+        let exact = Spec { d: 0, ..Spec::of("word", Some(8)) };
+        t.run(exact, from, usize::MAX, &|_| {});
+        assert_eq!(t.served_kept(), (0, 8));
+        // The same words again under new oids: every probed gram key
+        // grows by postings that pass the probe filter.
+        let again = twin_rows(0, 160);
+        let again: Vec<Row> = again
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| Row { oid: format!("again:{i}"), ..r })
+            .collect();
+        let publish = |e: &mut SimilarityEngine| {
+            e.publish_rows(&again);
+        };
+        assert!(t.run(exact, from, 6, &publish));
+        let (served, _) = t.served_kept();
+        assert!(served < 8, "{served} children replayed their outcome whole");
+    }
+
+    /// A churn wave in the middle of a join that replays kept outcomes:
+    /// legs after it do not all answer, so the children that replayed fall
+    /// back to the survivors of the legs that did, read again where they
+    /// lay, and the join answers what a twin that filtered every leg does.
+    #[test]
+    fn a_churn_wave_mid_join_falls_back_to_the_legs_that_answered() {
+        let mut t = Twins::built(|b| b, forget_outcomes);
+        let from = t.both(|e| e.random_peer());
+        // At distance 0 a candidate shares every gram: a silenced leg
+        // loses it.
+        let exact = Spec { d: 0, ..Spec::of("word", None) };
+        t.run(exact, from, usize::MAX, &|_| {});
+        let whole = t.last.1;
+        assert_eq!(t.served_kept(), (0, 160));
+        let wave = |e: &mut SimilarityEngine| {
+            e.network_mut().fail_random_fraction(0.5);
+        };
+        let before = t.served_kept().0;
+        assert!(t.run(exact, from, 20, &wave));
+        let served = t.served_kept().0 - before;
+        assert!(0 < served && served < 160, "{served} children replayed their outcome whole");
+        let (stats, pairs) = t.last;
+        let (answered, addressed) = (stats.partitions_answered, stats.partitions_addressed);
+        assert!(answered < addressed, "the wave silenced legs ({answered} of {addressed})");
+        assert!(pairs < whole, "the wave lost pairs ({pairs} of {whole})");
+    }
+
+    /// Legs that fail at the epoch their outcome was kept at fall back to
+    /// the survivors of the legs that answered. Routes that reach dead
+    /// peers from some initiators and not from others make such legs; here
+    /// the partition that holds the grams of `wor` is wiped and the stored
+    /// sides are kept at the epoch after it, so that the next join's scan
+    /// answers the runs it did and its children replay legs that fail.
+    #[test]
+    fn a_replayed_leg_that_fails_at_the_kept_epoch_falls_back() {
+        let mut t = Twins::built(|b| b, forget_outcomes);
+        let from = t.both(|e| e.random_peer());
+        // At distance 0 a candidate shares every gram: one unanswered leg
+        // loses it.
+        let exact = Spec { d: 0, ..Spec::of("word", None) };
+        t.run(exact, from, usize::MAX, &|_| {});
+        let whole = t.last.1;
+        let grams = t.warm.network().partition_of(&keys::instance_gram_key("word", "wor"));
+        let home = t.warm.network().peer_partition(from);
+        assert!(grams != home && t.stored_runs().iter().all(|r| r.part != grams));
+        t.both(|e| {
+            e.network_mut().fail_partition(grams);
+            let epoch = e.network().cache_epoch();
+            e.scanned_left.as_mut().expect("a join stores its side").epoch = epoch;
+        });
+        assert!(t.run(exact, from, usize::MAX, &|_| {}));
+        let (served, kept) = t.served_kept();
+        assert!(served < kept, "{served} of {kept} children replayed their outcome whole");
+        let (stats, pairs) = t.last;
+        assert!(stats.partitions_answered < stats.partitions_addressed);
+        assert!(pairs < whole, "the wiped partition lost pairs ({pairs} of {whole})");
+    }
+
+    /// Joins with a query deadline, on a virtual clock whose fetch legs
+    /// pass it, answer alike with outcomes kept and without.
+    #[test]
+    fn joins_that_drop_legs_at_their_deadline_answer_alike() {
+        let policy = DegradePolicy { retries: 0, backoff_us: 0, deadline_us: Some(1_500) };
+        let mut t = Twins::built(|b| b.degrade(policy), forget_outcomes);
+        t.both(|e| e.network_mut().set_event_sink(Box::<Clock>::default()));
+        let from = t.both(|e| e.random_peer());
+        t.join("word", from, Some(8));
+        let kept = t.served_kept().1;
+        assert!(kept > 0);
+        assert!(t.join("word", from, Some(8)));
+        assert_eq!(t.served_kept(), (kept, kept));
+        assert!(t.last.0.gave_up > 0, "the deadline dropped legs");
+    }
+
+    /// With the probe broker on — cache hits, channel rides, cache-filling
+    /// replies — and with delegation off — a full retrieve per key — the
+    /// children replay kept outcomes and answer what a twin that filters
+    /// every list does.
+    #[test]
+    fn outcomes_replay_with_the_broker_on_and_with_delegation_off() {
+        for (broker, delegation) in [(true, true), (false, false)] {
+            let cache = if broker { BrokerConfig::enabled() } else { BrokerConfig::default() };
+            let tune = |b: EngineBuilder| b.cache_config(cache).delegation(delegation);
+            let mut t = Twins::built(tune, forget_outcomes);
+            let from = t.both(|e| e.random_peer());
+            for limit in [Some(8), None] {
+                t.join("word", from, limit);
+                let kept = t.served_kept().1;
+                assert!(kept > 0, "broker {broker}, delegation {delegation}");
+                for _ in 0..2 {
+                    let other = t.both(|e| e.random_peer());
+                    assert!(t.join("word", other, limit));
+                }
+                assert_eq!(t.served_kept(), (2 * kept, kept), "broker {broker}");
+            }
+        }
     }
 
     #[test]

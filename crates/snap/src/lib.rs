@@ -47,8 +47,10 @@
 //! that restores a snapshot supplies the same [`EngineConfig`] (and
 //! `DriverConfig`/`ScaleConfig`) the original run used — configs are
 //! code-adjacent inputs, snapshots carry only the dynamic state derived
-//! from them. [`Snapshot::restore_engine`] cross-checks the network
-//! config embedded in the world image and panics on a mismatched world;
+//! from them. [`Snapshot::try_restore_engine`] cross-checks the network
+//! config embedded in the world image and returns
+//! [`SnapError::ConfigMismatch`] for a mismatched world
+//! ([`Snapshot::restore_engine`] panics with it);
 //! [`sqo_sim::resume_driver`] returns `Err` for a driver image that does not
 //! fit the `DriverConfig` it is resumed under.
 //!
@@ -125,8 +127,8 @@ pub const SCHEMA_VERSION: u32 = 7;
 /// Artifact magic: "SQO SNapshot".
 pub const MAGIC: [u8; 4] = *b"SQSN";
 
-/// Decode failure. Restores either succeed completely or fail with one of
-/// these — a half-decoded snapshot is never handed back.
+/// Decode or restore failure. Restores either succeed completely or fail
+/// with one of these — a half-decoded snapshot is never handed back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapError {
     /// The input does not start with [`MAGIC`] — not a snapshot at all.
@@ -137,6 +139,9 @@ pub enum SnapError {
     Truncated,
     /// A tag, index, or length was out of range.
     Corrupt(&'static str),
+    /// The engine config a restore was asked for holds another network
+    /// config than the one the world was captured under.
+    ConfigMismatch,
 }
 
 impl fmt::Display for SnapError {
@@ -148,6 +153,9 @@ impl fmt::Display for SnapError {
             }
             SnapError::Truncated => write!(f, "snapshot truncated mid-field"),
             SnapError::Corrupt(what) => write!(f, "corrupt snapshot: {what}"),
+            SnapError::ConfigMismatch => {
+                write!(f, "restore config does not match the captured world")
+            }
         }
     }
 }
@@ -155,12 +163,12 @@ impl fmt::Display for SnapError {
 impl std::error::Error for SnapError {}
 
 impl SnapError {
-    /// Process exit code for CLI consumers: a schema/format mismatch
-    /// exits `3` so CI can tell "incompatible artifact" from "damaged
-    /// artifact" (`2`).
+    /// Process exit code for CLI consumers: a schema/format mismatch, or
+    /// a world restored under another network config, exits `3` so CI can
+    /// tell "incompatible artifact" from "damaged artifact" (`2`).
     pub fn exit_code(&self) -> i32 {
         match self {
-            SnapError::SchemaMismatch { .. } | SnapError::BadMagic => 3,
+            SnapError::SchemaMismatch { .. } | SnapError::BadMagic | SnapError::ConfigMismatch => 3,
             SnapError::Truncated | SnapError::Corrupt(_) => 2,
         }
     }
@@ -230,27 +238,32 @@ impl Snapshot {
 
     /// Rebuild a live engine from the world image. `cfg` must be the
     /// original build's config — the embedded network config is
-    /// cross-checked, and publish/query defaults come from the caller
-    /// (static configuration is not part of the artifact). The engine takes
-    /// handles onto the snapshot's runs, O(partitions + peers), and copies
-    /// a run when it first writes to it.
-    ///
-    /// # Panics
-    /// Panics if `cfg.network` differs from the network config the world
-    /// was captured under.
-    pub fn restore_engine(&self, cfg: &EngineConfig) -> SimilarityEngine {
-        assert_eq!(
-            &cfg.network,
-            self.world.net.config(),
-            "restore config does not match the captured world"
-        );
-        SimilarityEngine::from_parts(
+    /// cross-checked, [`SnapError::ConfigMismatch`] where it differs, and
+    /// publish/query defaults come from the caller (static configuration
+    /// is not part of the artifact). The engine takes handles onto the
+    /// snapshot's runs, O(partitions + peers), and copies a run when it
+    /// first writes to it.
+    pub fn try_restore_engine(&self, cfg: &EngineConfig) -> Result<SimilarityEngine, SnapError> {
+        if &cfg.network != self.world.net.config() {
+            return Err(SnapError::ConfigMismatch);
+        }
+        Ok(SimilarityEngine::from_parts(
             cfg.clone(),
             Network::import_state(&self.world.net),
             self.world.publish,
             self.world.edit_comparisons,
             self.world.broker.clone().map(CacheBatchBroker::from_state),
-        )
+        ))
+    }
+
+    /// [`Self::try_restore_engine`] for a caller that restores under the
+    /// config it captured with.
+    ///
+    /// # Panics
+    /// Panics with [`SnapError::ConfigMismatch`] if `cfg.network` differs
+    /// from the network config the world was captured under.
+    pub fn restore_engine(&self, cfg: &EngineConfig) -> SimilarityEngine {
+        self.try_restore_engine(cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Branch `n` independent engines off one warm world. Each fork is a

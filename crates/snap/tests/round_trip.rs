@@ -6,7 +6,9 @@
 use sqo_cache::BrokerConfig;
 use sqo_core::{EngineBuilder, EngineConfig, SimilarityEngine};
 use sqo_datasets::{bible_words, string_rows};
-use sqo_overlay::{Item, Key, Network, NetworkState, PartitionStore, PeerId, SortedStore};
+use sqo_overlay::{
+    Item, Key, Network, NetworkConfig, NetworkState, PartitionStore, PeerId, SortedStore,
+};
 use sqo_plan::{Query, Session};
 use sqo_sim::driver::{DriverCheckpoint, EvSnap};
 use sqo_sim::scale::{resume_serial, resume_sharded, run_serial, run_serial_until, ScalePhase};
@@ -398,6 +400,37 @@ fn scale_checkpoint_rides_the_artifact_and_resumes_exactly() {
     damaged[kind_at] = 3;
     let err = Snapshot::from_bytes(&damaged).map(|_| ()).unwrap_err();
     assert!(matches!(err, SnapError::Corrupt(_)), "kind 3: got {err:?}");
+}
+
+/// A world restored under another network config is refused with a typed
+/// error — every field of the network config counts — and restored under
+/// its own it is the world captured.
+#[test]
+fn a_restore_under_another_network_config_is_a_config_mismatch() {
+    let words = words();
+    let engine = build(&words);
+    let snap = Snapshot::from_bytes(&Snapshot::capture(&engine).to_bytes()).expect("decodes");
+    let network = engine.config().network.clone();
+    for other in [
+        NetworkConfig { seed: network.seed + 1, ..network.clone() },
+        NetworkConfig { peers: network.peers + 1, ..network.clone() },
+        NetworkConfig { replication: network.replication + 1, ..network.clone() },
+        NetworkConfig { msg_header_bytes: network.msg_header_bytes + 1, ..network.clone() },
+    ] {
+        let cfg = EngineConfig { network: other, ..engine.config().clone() };
+        let err = snap.try_restore_engine(&cfg).err().expect("another network config");
+        assert_eq!(err, SnapError::ConfigMismatch);
+        assert_eq!(err.exit_code(), 3);
+        let panicked = std::panic::catch_unwind(|| snap.restore_engine(&cfg)).err();
+        let message = panicked.and_then(|p| p.downcast::<String>().ok()).expect("it panics");
+        assert_eq!(*message, SnapError::ConfigMismatch.to_string());
+    }
+    let restored = snap.try_restore_engine(engine.config()).expect("its own config");
+    assert_eq!(
+        Snapshot::capture(&restored).to_bytes(),
+        Snapshot::capture(&engine).to_bytes(),
+        "restored under its own config, the world is the captured one"
+    );
 }
 
 /// The artifact is a fixed point of decode→encode, and the envelope
