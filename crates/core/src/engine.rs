@@ -4,6 +4,7 @@
 
 use crate::adaptive::JoinWindow;
 use crate::broker::ProbeFilter;
+use crate::naive::ScanViews;
 use crate::simjoin::ScannedLeft;
 use crate::stats::QueryStats;
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -217,6 +218,7 @@ impl EngineBuilder {
             legs_answered: 0,
             leg_retries: 0,
             scanned_left: None,
+            scan_views: ScanViews::default(),
         }
     }
 }
@@ -244,6 +246,10 @@ pub struct SimilarityEngine {
     /// from ([`ScannedLeft`]). Not part of a checkpoint: a restored engine
     /// starts without one.
     pub(crate) scanned_left: Option<ScannedLeft>,
+    /// The length-ordered views of the strings naive branches verify, all
+    /// at one cache epoch ([`ScanViews`]). Not part of a checkpoint: a
+    /// restored engine starts without any.
+    pub(crate) scan_views: ScanViews,
 }
 
 /// One object-fetch branch: a stretch of the planned oids — all of one
@@ -561,6 +567,7 @@ impl SimilarityEngine {
             legs_answered: 0,
             leg_retries: 0,
             scanned_left: None,
+            scan_views: ScanViews::default(),
         }
     }
 

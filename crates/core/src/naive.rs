@@ -14,31 +14,136 @@
 //! effort incurred by comparing the strings at the peers locally" the paper
 //! remarks on. Only matching triples travel back.
 //!
-//! A peer's comparison is gated on what is stored. At instance level a
-//! posting of the `A#v` family carries its attribute's id and its value's
-//! char count inline, so the attribute guard, "is it a string" and the
-//! length window are answered by the 24-byte posting alone; the record and
-//! the text are read only for a candidate inside the window, which is then
+//! **Instance level reads only the length window.** Every string of the
+//! queried attribute in the responder's run counts as one comparison, but
+//! only those whose char count lies in `|s| ∓ d` can match. The engine
+//! keeps, per (scan prefix, attribute) and per store state, a
+//! length-ordered view of those strings (`ScanViews`): for every peered
+//! partition under the prefix, the index in its run of each posting that
+//! passes the attribute guard and holds a string, ordered by the char
+//! count the posting stores — all partitions' stretches in one array,
+//! behind a table of where each partition's ends. It is built at the first
+//! naive branch of a cache epoch — the whole side at once, reading the
+//! runs where they lie and charging nothing — and dropped when the epoch
+//! moves, so a publication, a membership event or a repair is never served
+//! a stale view. A branch still routes, forwards, scans its run (charged
+//! one unit per entry) and replies exactly as before; it adds its
+//! partition's stretch length to the comparisons, bisects the stretch to
+//! the window on the postings' stored counts and reads the record and text
+//! of only the postings inside it,
 //! streamed through the verifier's bit-parallel kernel (a banded DP for a
-//! query over 64 chars). Every string of the queried attribute counts as
-//! one comparison, the window's rejects included. At schema level each
-//! distinct local attribute name is one comparison and is verified once, on
-//! its stored char count; the postings that share it reuse the verdict.
+//! query over 64 chars). Matches go straight onto the task's candidate
+//! buffer.
+//!
+//! At schema level each distinct local attribute name is one comparison and
+//! is verified once, on its stored char count; the postings that share it
+//! reuse the verdict.
 
 use crate::engine::SimilarityEngine;
 use crate::similar::Candidate;
 use sqo_overlay::key::Key;
+use sqo_overlay::network::Network;
 use sqo_overlay::peer::PeerId;
-use sqo_storage::posting::PostingKind;
+use sqo_storage::posting::{Posting, PostingKind};
 use sqo_storage::slab::AttrGuard;
 use sqo_strsim::edit::BoundedLevenshtein;
+
+/// The length-ordered views of the strings naive branches verify, all
+/// computed at one cache epoch: the network's epoch advances on every
+/// publication, membership event and repair, so a view is a function of
+/// the runs it was read from for as long as its epoch holds. Not part of
+/// a checkpoint: a restored engine starts without any.
+#[derive(Default)]
+pub(crate) struct ScanViews {
+    epoch: u64,
+    sides: Vec<ScanView>,
+    /// Verify by reading every posting of the run, as the scan did before
+    /// it had views: the reference the differential tests run beside them.
+    #[cfg(test)]
+    pub(crate) reference: bool,
+}
+
+/// One scan prefix's strings of one attribute, in all its partitions.
+struct ScanView {
+    prefix: Key,
+    attr: String,
+    /// How many partitions under the prefix were peered: `n`.
+    parts: usize,
+    /// One array: the `n` peered partitions, ascending; the end of each
+    /// one's stretch; then the stretches — for each partition, the index in
+    /// its run's prefix stretch of every posting that is the attribute's
+    /// and holds a string, ordered by (chars, index). Indices fit: a run's
+    /// end offsets are `u32`.
+    entries: Vec<u32>,
+}
+
+impl ScanViews {
+    /// Drop every view.
+    #[cfg(test)]
+    pub(crate) fn clear(&mut self) {
+        self.sides.clear();
+    }
+
+    /// The stretch of partition `part` in the view of `attr`'s strings
+    /// under `prefix`, built over every peered partition of the prefix if
+    /// none is kept at the network's epoch. A partition that was not
+    /// peered when the view was built at this epoch holds none of them.
+    fn stretch(&mut self, net: &Network<Posting>, prefix: &Key, attr: &str, part: usize) -> &[u32] {
+        let epoch = net.cache_epoch();
+        if self.epoch != epoch {
+            self.sides.clear();
+            self.epoch = epoch;
+        }
+        let at = match self.sides.iter().position(|v| v.attr == attr && v.prefix == *prefix) {
+            Some(at) => at,
+            None => {
+                self.sides.push(ScanView::build(net, prefix, attr));
+                self.sides.len() - 1
+            }
+        };
+        let (n, entries) = (self.sides[at].parts, &self.sides[at].entries);
+        let Ok(k) = entries[..n].binary_search(&(part as u32)) else { return &[] };
+        let start = if k == 0 { 0 } else { entries[n + k - 1] as usize };
+        &entries[2 * n + start..2 * n + entries[n + k] as usize]
+    }
+}
+
+impl ScanView {
+    fn build(net: &Network<Posting>, prefix: &Key, attr: &str) -> Self {
+        let (ps, pe) = net.subtree_of(prefix);
+        let peered = net.topology().peered_in(ps, pe);
+        let n = peered.len();
+        let run = |part: u32| net.partition_store(part as usize).prefix_entries(prefix).items;
+        let mut entries =
+            Vec::with_capacity(2 * n + peered.iter().map(|&p| run(p).len()).sum::<usize>());
+        entries.extend_from_slice(peered);
+        entries.resize(2 * n, 0);
+        // Keys truncate, so the prefix may hold another attribute's
+        // postings too.
+        let mut queried = AttrGuard::new(attr);
+        for (k, &part) in peered.iter().enumerate() {
+            let items = run(part);
+            let start = entries.len();
+            entries.extend((0..items.len() as u32).filter(|&i| {
+                let p = &items[i as usize];
+                matches!(p.kind(), PostingKind::Base(_) | PostingKind::ShortValue)
+                    && queried.admits(p)
+                    // `None`: a number.
+                    && p.char_len().is_some()
+            }));
+            entries[start..].sort_unstable_by_key(|&i| (items[i as usize].char_len(), i));
+            entries[n + k] = (entries.len() - 2 * n) as u32;
+        }
+        ScanView { prefix: prefix.clone(), attr: attr.to_string(), parts: n, entries }
+    }
+}
 
 impl SimilarityEngine {
     /// One branch of the naive broadcast: forward into partition `part`
     /// (unless it is the routing entry's own partition), compare the query
-    /// string — prepared once per query in `verifier` — against everything
-    /// stored there, and reply with the matching triples, as handles on the
-    /// postings they were found through. Returns `None`
+    /// string — prepared once per query in `verifier` — against what is
+    /// stored there, and reply with the matching triples, pushed onto `out`
+    /// as handles on the postings they were found through. Returns false
     /// when the partition has no alive member — the branch silently drops,
     /// exactly like a dead responder would.
     ///
@@ -55,82 +160,159 @@ impl SimilarityEngine {
         entry_part: usize,
         part: usize,
         prefix: &Key,
-    ) -> Option<Vec<Candidate>> {
+        out: &mut Vec<Candidate>,
+    ) -> bool {
         self.legs_addressed += 1;
         let responder = if part == entry_part {
             entry
         } else {
-            let p = self.net.partition_member(part)?;
+            let Some(p) = self.net.partition_member(part) else { return false };
             self.net.forward_to(entry, p);
             p
         };
         self.legs_answered += 1;
-        // Local comparison at the data peer, over the stored postings where
-        // they lie: only a match is taken out, as a handle on its posting.
-        let mut local_matches: Vec<Candidate> = Vec::new();
-        let mut payload = 0usize;
+        let before = out.len();
+        let payload = match attr {
+            #[cfg(test)]
+            Some(attr) if self.scan_views.reference => {
+                tests::read_every_posting(self, verifier, attr, responder, prefix, out)
+            }
+            Some(attr) => self.verify_window(verifier, attr, responder, prefix, out),
+            None => self.verify_names(verifier, responder, prefix, out),
+        };
+        if responder != from && out.len() > before {
+            self.net.send_direct(responder, from, payload);
+        }
+        true
+    }
+
+    /// Instance level at `responder`: scan its run under `prefix` (charged
+    /// as a scan of every entry), count every string of `attr` there as a
+    /// comparison, and verify those inside the length window — read from
+    /// the partition's stretch of the view. Returns the matches' payload.
+    fn verify_window(
+        &mut self,
+        verifier: &mut BoundedLevenshtein<'_>,
+        attr: &str,
+        responder: PeerId,
+        prefix: &Key,
+        out: &mut Vec<Candidate>,
+    ) -> usize {
+        // The run the scan reads is that of the responder's partition.
+        let part = self.net.peer_partition(responder);
+        let stretch = self.scan_views.stretch(&self.net, prefix, attr, part);
+        self.edit_comparisons += stretch.len() as u64;
+        let items = self.net.local_prefix_run(responder, prefix);
+        let chars_of = |i: u32| items[i as usize].char_len().unwrap_or_default();
+        let window = verifier.len_window();
+        let start = stretch.partition_point(|&i| chars_of(i) < *window.start());
+        let end = stretch.partition_point(|&i| chars_of(i) <= *window.end());
+        let mut payload = 0;
+        for &i in &stretch[start..end] {
+            let (p, chars) = (&items[i as usize], chars_of(i));
+            let triple = p.triple();
+            let Some(text) = triple.value_str() else { continue };
+            if verifier.distance_of(text, chars).is_some() {
+                payload += triple.repr_len();
+                out.push(Candidate::new(p.clone(), chars, false));
+            }
+        }
+        payload
+    }
+
+    /// Schema level at `responder`: every attribute-value posting under
+    /// `prefix`, each distinct local attribute name verified once. Returns
+    /// the matches' payload.
+    fn verify_names(
+        &mut self,
+        verifier: &mut BoundedLevenshtein<'_>,
+        responder: PeerId,
+        prefix: &Key,
+        out: &mut Vec<Candidate>,
+    ) -> usize {
+        let mut payload = 0;
         let mut comparisons = 0u64;
         // Each distinct local attribute name with its verdict.
         let mut seen_attr_names: Vec<(&str, bool)> = Vec::new();
-        // Keys truncate, so the scanned prefix may hold another attribute's
-        // postings too.
-        let mut queried = AttrGuard::new(attr.unwrap_or_default());
         for p in self.net.local_prefix_run(responder, prefix) {
-            match (attr, p.kind()) {
-                (Some(_), PostingKind::Base(_) | PostingKind::ShortValue) => {
-                    // Guard, string, window: the posting alone answers.
-                    if !queried.admits(p) {
-                        continue;
-                    }
-                    let Some(chars) = p.char_len() else { continue };
+            if !matches!(p.kind(), PostingKind::Base(_) | PostingKind::ShortAttr) {
+                continue;
+            }
+            let triple = p.triple();
+            let (name, chars) = (triple.attr().as_str(), triple.attr_char_len());
+            // One comparison per distinct local name, the way an
+            // implementation would actually do it.
+            let matched = match seen_attr_names.iter().find(|(seen, _)| *seen == name) {
+                Some(&(_, matched)) => matched,
+                None => {
                     comparisons += 1;
-                    if !verifier.admits_len(chars) {
-                        continue;
-                    }
-                    let triple = p.triple();
-                    let Some(text) = triple.value_str() else { continue };
-                    if verifier.distance_of(text, chars).is_some() {
-                        payload += triple.repr_len();
-                        local_matches.push(Candidate::new(p.clone(), chars, false));
-                    }
+                    let matched = verifier.distance_of(name, chars).is_some();
+                    seen_attr_names.push((name, matched));
+                    matched
                 }
-                (None, PostingKind::Base(_) | PostingKind::ShortAttr) => {
-                    let triple = p.triple();
-                    let (name, chars) = (triple.attr().as_str(), triple.attr_char_len());
-                    // One comparison per distinct local name, the way an
-                    // implementation would actually do it.
-                    let matched = match seen_attr_names.iter().find(|(seen, _)| *seen == name) {
-                        Some(&(_, matched)) => matched,
-                        None => {
-                            comparisons += 1;
-                            let matched = verifier.distance_of(name, chars).is_some();
-                            seen_attr_names.push((name, matched));
-                            matched
-                        }
-                    };
-                    if matched {
-                        payload += triple.repr_len();
-                        local_matches.push(Candidate::new(p.clone(), chars, true));
-                    }
-                }
-                _ => {}
+            };
+            if matched {
+                payload += triple.repr_len();
+                out.push(Candidate::new(p.clone(), chars, true));
             }
         }
         self.edit_comparisons += comparisons;
-        if responder != from && !local_matches.is_empty() {
-            self.net.send_direct(responder, from, payload);
-        }
-        Some(local_matches)
+        payload
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use crate::engine::EngineBuilder;
+pub(crate) mod tests {
+    use super::*;
+    use crate::adaptive::JoinWindow;
+    use crate::engine::{EngineBuilder, ExecStep, StepOutcome};
     use crate::similar::tests::similar;
-    use crate::similar::Strategy;
+    use crate::similar::{SimilarTask, Strategy};
+    use crate::simjoin::tests::Recorded;
+    use crate::simjoin::{JoinOptions, JoinTask};
+    use crate::stats::QueryStats;
+    use sqo_overlay::network::ReplicationPolicy;
+    use sqo_storage::keys;
     use sqo_storage::triple::{Row, Value};
     use sqo_strsim::levenshtein;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// The instance-level scan before it had views, kept as the reference:
+    /// every posting of the run read, guarded, counted and gated on its
+    /// char count one by one.
+    pub(crate) fn read_every_posting(
+        e: &mut SimilarityEngine,
+        verifier: &mut BoundedLevenshtein<'_>,
+        attr: &str,
+        responder: PeerId,
+        prefix: &Key,
+        out: &mut Vec<Candidate>,
+    ) -> usize {
+        let mut payload = 0;
+        let mut comparisons = 0u64;
+        let mut queried = AttrGuard::new(attr);
+        for p in e.net.local_prefix_run(responder, prefix) {
+            if !matches!(p.kind(), PostingKind::Base(_) | PostingKind::ShortValue)
+                || !queried.admits(p)
+            {
+                continue;
+            }
+            let Some(chars) = p.char_len() else { continue };
+            comparisons += 1;
+            if !verifier.admits_len(chars) {
+                continue;
+            }
+            let triple = p.triple();
+            let Some(text) = triple.value_str() else { continue };
+            if verifier.distance_of(text, chars).is_some() {
+                payload += triple.repr_len();
+                out.push(Candidate::new(p.clone(), chars, false));
+            }
+        }
+        e.edit_comparisons += comparisons;
+        payload
+    }
 
     fn rows() -> Vec<Row> {
         ["painting", "paintxng", "sculpture", "mural", "paint"]
@@ -282,5 +464,284 @@ mod tests {
         let mut attrs: Vec<&str> = res.matches.iter().map(|m| m.attr.as_str()).collect();
         attrs.sort_unstable();
         assert_eq!(attrs, vec!["dealer", "dealerx"]);
+    }
+
+    /// Two attribute names that share their first 32 bytes: one key family,
+    /// told apart by the attribute guard only.
+    fn twin_names() -> (String, String) {
+        let stem = "an_attribute_name_32_bytes_long__";
+        (format!("{stem}left"), format!("{stem}right"))
+    }
+
+    /// Strings `k` edits from "painting" at `k` chars fewer and `k` more
+    /// for k = 0…4 — a match at each end of every window — non-ASCII ones
+    /// (chars ≠ bytes), values shorter than q = 3, numbers and a long
+    /// title: under `title`, with filler that spreads its family over
+    /// several partitions, and under both [`twin_names`], `batch` 1 in the
+    /// other field order so that the names' ids differ between two slabs.
+    fn length_world(batch: usize) -> Vec<Row> {
+        let (left, right) = twin_names();
+        let mut values: Vec<Value> = Vec::new();
+        for k in 0..=4 {
+            values.push(Value::from(&"painting"[..8 - k]));
+            values.push(Value::from(format!("painting{}", "s".repeat(k))));
+        }
+        for v in ["päinting", "päintingś", "日本語の絵画", "pa", "p", "", "a painting at dusk, oil"]
+        {
+            values.push(Value::from(v));
+        }
+        values.extend([Value::Int(7), Value::Float(2.5)]);
+        let twins = values.iter().enumerate().map(|(i, v)| {
+            let mut fields = [(left.as_str(), v.clone()), (right.as_str(), v.clone())];
+            if batch == 1 {
+                fields.reverse();
+            }
+            Row::new(format!("o:{batch}:{i:03}"), fields)
+        });
+        let filler = (0..240).map(|i| Value::from(format!("{}{i:03}", ["f", "pa", "pai"][i % 3])));
+        let titles = values
+            .iter()
+            .cloned()
+            .chain(filler)
+            .enumerate()
+            .map(|(i, v)| Row::new(format!("t:{batch}:{i:03}"), [("title", v)]));
+        twins.chain(titles).collect()
+    }
+
+    const KEPT: usize = 0;
+    const DROPPED: usize = 1;
+    const REFERENCE: usize = 2;
+
+    /// Three engines built alike and put through the same calls: [`KEPT`]
+    /// keeps its views, [`DROPPED`] drops them before every step of every
+    /// task, and [`REFERENCE`] verifies by reading every posting.
+    struct Trio {
+        engines: [SimilarityEngine; 3],
+        traces: [Rc<RefCell<Recorded>>; 3],
+    }
+
+    /// A task that runs `hook` on the engine before each step, given the
+    /// step's number, and first drops the engine's views if `forget`.
+    struct Hooked<'h, T> {
+        task: T,
+        steps: usize,
+        forget: bool,
+        hook: &'h dyn Fn(&mut SimilarityEngine, usize),
+    }
+
+    impl<T: ExecStep> ExecStep for Hooked<'_, T> {
+        fn step(&mut self, engine: &mut SimilarityEngine, at_us: u64) -> StepOutcome {
+            if self.forget {
+                engine.scan_views.clear();
+            }
+            (self.hook)(engine, self.steps);
+            self.steps += 1;
+            self.task.step(engine, at_us)
+        }
+    }
+
+    fn no_hook(_: &mut SimilarityEngine, _: usize) {}
+
+    /// 256 partitions: enough for `title`'s family to span several.
+    fn engine(rows: &[Row]) -> SimilarityEngine {
+        EngineBuilder::new().peers(512).replication(2).seed(45).q(3).build_with_rows(rows)
+    }
+
+    impl Trio {
+        fn new(rows: &[Row]) -> Self {
+            let mut engines = [(); 3].map(|()| engine(rows));
+            engines[REFERENCE].scan_views.reference = true;
+            let traces = [(); 3].map(|()| Rc::new(RefCell::new(Recorded::default())));
+            for (e, t) in engines.iter_mut().zip(&traces) {
+                e.network_mut().set_trace_sink(t.clone());
+            }
+            Self { engines, traces }
+        }
+
+        /// `f` on all three engines, which must answer alike.
+        fn all<R: PartialEq + std::fmt::Debug>(
+            &mut self,
+            mut f: impl FnMut(&mut SimilarityEngine) -> R,
+        ) -> R {
+            let [kept, dropped, reference] = &mut self.engines;
+            let r = f(reference);
+            assert_eq!(f(kept), r, "kept views");
+            assert_eq!(f(dropped), r, "views dropped");
+            r
+        }
+
+        /// Run the task `make` builds on all three engines, with `hook`
+        /// before each step. All three must answer the same rows
+        /// (`answer`), `QueryStats` and trace; returns the stats.
+        fn run<T: ExecStep>(
+            &mut self,
+            make: impl Fn() -> T,
+            answer: impl Fn(&mut T) -> String,
+            hook: &dyn Fn(&mut SimilarityEngine, usize),
+        ) -> QueryStats {
+            let outs: Vec<(String, QueryStats)> = (0..3)
+                .map(|i| {
+                    let mut hooked = Hooked { task: make(), steps: 0, forget: i == DROPPED, hook };
+                    let stats = self.engines[i].run_task(&mut hooked);
+                    (format!("{} {stats:?}", answer(&mut hooked.task)), stats)
+                })
+                .collect();
+            let traces: Vec<String> = self
+                .traces
+                .iter()
+                .map(|t| format!("{:?}", std::mem::take(&mut t.borrow_mut().0)))
+                .collect();
+            assert!(!traces[REFERENCE].is_empty(), "the query is traced");
+            for (i, which) in [(KEPT, "kept views"), (DROPPED, "views dropped")] {
+                assert_eq!(outs[i].0, outs[REFERENCE].0, "{which}: rows and stats");
+                assert_eq!(traces[i], traces[REFERENCE], "{which}: trace");
+            }
+            outs[REFERENCE].1
+        }
+
+        /// A naive `Similar(s, attr, d)` from `from` on all three engines.
+        fn similar(
+            &mut self,
+            (s, attr, d): (&str, Option<&str>, usize),
+            from: PeerId,
+            hook: &dyn Fn(&mut SimilarityEngine, usize),
+        ) -> QueryStats {
+            let make = || SimilarTask::new(s, attr, d, from, Strategy::Naive);
+            let answer =
+                |t: &mut SimilarTask| format!("{:?}", t.take_matches().collect::<Vec<_>>());
+            self.run(make, answer, hook)
+        }
+    }
+
+    /// Every partition's stretch of a view is what the reference reads
+    /// in that partition's run: the `(chars, index)` of each posting of
+    /// the attribute that holds a string, ordered by chars — in runs that
+    /// hold a second attribute under the same truncated key and postings
+    /// of two slabs.
+    #[test]
+    fn a_stretch_is_its_runs_strings_of_the_attribute_by_length() {
+        let (left, right) = twin_names();
+        let mut e = engine(&length_world(0));
+        e.publish_rows(&length_world(1));
+        let mut stretches = 0;
+        for attr in ["title", &left, &right] {
+            for prefix in [keys::attr_scan_prefix(attr), keys::short_value_prefix(attr)] {
+                let (ps, pe) = e.net.subtree_of(&prefix);
+                for &part in e.net.topology().peered_in(ps, pe).to_vec().iter() {
+                    let items = e.net.partition_store(part as usize).prefix_entries(&prefix).items;
+                    let mut queried = AttrGuard::new(attr);
+                    let mut want: Vec<(usize, u32)> = (0..items.len())
+                        .filter(|&i| {
+                            let p = &items[i];
+                            matches!(p.kind(), PostingKind::Base(_) | PostingKind::ShortValue)
+                                && queried.admits(p)
+                        })
+                        .filter_map(|i| Some((items[i].char_len()?, i as u32)))
+                        .collect();
+                    want.sort_unstable();
+                    let want: Vec<u32> = want.into_iter().map(|(_, i)| i).collect();
+                    let got = e.scan_views.stretch(&e.net, &prefix, attr, part as usize);
+                    assert_eq!(got, want, "{attr} under {prefix:?}, partition {part}");
+                    stretches += usize::from(!got.is_empty());
+                }
+            }
+        }
+        assert!(stretches >= 6, "every family holds strings, `title`'s in several runs");
+    }
+
+    /// Naive scans over the views answer the rows, `QueryStats` and trace
+    /// of the reference that reads every posting, with views kept and
+    /// with views dropped before every step: d = 0…3 and beyond every
+    /// string's length, a family over several partitions, both twin names,
+    /// a non-ASCII query, a query shorter than q, and schema level.
+    #[test]
+    fn views_answer_what_reading_every_posting_answers() {
+        let (left, right) = twin_names();
+        let mut t = Trio::new(&length_world(0));
+        let (ps, pe) = t.engines[KEPT].net.subtree_of(&keys::attr_scan_prefix("title"));
+        let spans = t.engines[KEPT].net.topology().peered_in(ps, pe).len();
+        assert!(spans >= 2, "the family spans {spans} partitions");
+        let mut queries: Vec<(&str, Option<&str>, usize)> =
+            (0..=3).chain([100]).map(|d| ("painting", Some("title"), d)).collect();
+        queries.extend([
+            ("painting", Some(left.as_str()), 1),
+            ("painting", Some(right.as_str()), 2),
+            ("päinting", Some("title"), 1),
+            ("pa", Some("title"), 1),
+            ("pa", Some(left.as_str()), 2),
+            ("titel", None, 2),
+        ]);
+        for query in queries {
+            for from in [PeerId(0), PeerId(77), PeerId(511)] {
+                let stats = t.similar(query, from, &no_hook);
+                assert!(stats.matches > 0, "{query:?}");
+                if query.1.is_some() && query.2 < 100 {
+                    let compared = stats.edit_comparisons as usize;
+                    assert!(compared > 2 * stats.matches, "{query:?}: {compared} comparisons");
+                }
+            }
+        }
+    }
+
+    /// A publication between two queries moves the epoch: the kept views
+    /// go, and the next scan reads the runs as they now are — two slabs
+    /// each, with the names' ids swapped in the second.
+    #[test]
+    fn a_publication_between_two_queries_drops_the_views() {
+        let (left, _) = twin_names();
+        let mut t = Trio::new(&length_world(0));
+        let queries = [("painting", Some("title"), 2), ("painting", Some(left.as_str()), 2)];
+        let before = queries.map(|query| t.similar(query, PeerId(5), &no_hook));
+        let epoch = t.all(|e| {
+            e.publish_rows(&length_world(1));
+            e.net.cache_epoch()
+        });
+        assert!(t.engines[KEPT].scan_views.epoch < epoch, "the views were built before");
+        let after = queries.map(|query| t.similar(query, PeerId(5), &no_hook));
+        assert_eq!(t.engines[KEPT].scan_views.epoch, epoch, "and again after");
+        for (before, after) in before.iter().zip(&after) {
+            assert!(after.matches > before.matches, "{} then {}", before.matches, after.matches);
+            assert!(after.edit_comparisons > before.edit_comparisons);
+        }
+    }
+
+    /// Peers fail and a repair moves members while a scan's branches are
+    /// out: each move is a new epoch, so the views are built again in the
+    /// middle of the scan, for the partitions as they then are.
+    #[test]
+    fn churn_in_the_middle_of_a_scan_rebuilds_the_views() {
+        let (left, _) = twin_names();
+        let mut t = Trio::new(&length_world(0));
+        let churn = |e: &mut SimilarityEngine, step: usize| {
+            if step == 3 || step == 7 {
+                e.net.fail_random_fraction(0.2);
+                e.net.repair_epoch(&ReplicationPolicy::default());
+            }
+        };
+        let mut dropped = 0;
+        for d in 0..=3 {
+            let stats = t.similar(("painting", Some(left.as_str()), d), PeerId(9), &churn);
+            dropped += stats.partitions_addressed - stats.partitions_answered;
+        }
+        assert!(dropped > 0, "the failures silenced branches");
+    }
+
+    /// A join whose children scan naively answers alike, cold and again
+    /// over its stored left side.
+    #[test]
+    fn naive_join_children_answer_alike() {
+        let (left, right) = twin_names();
+        let mut t = Trio::new(&length_world(0));
+        let opts = JoinOptions {
+            strategy: Strategy::Naive,
+            left_limit: Some(6),
+            window: JoinWindow::Fixed(3),
+        };
+        for from in [PeerId(2), PeerId(2), PeerId(20)] {
+            let make = || JoinTask::new(&left, Some(&right), 1, from, &opts);
+            let answer = |j: &mut JoinTask| format!("{:?} {}", j.take_pairs(), j.left_size());
+            let stats = t.run(make, answer, &no_hook);
+            assert!(stats.matches > 0 || stats.edit_comparisons > 0);
+        }
     }
 }

@@ -263,7 +263,10 @@ pub struct SimilarTask {
     /// the first step; `None` runs to completion. Once virtual time passes
     /// it, no new remote legs are issued: queued fan-out branches are
     /// forfeited, counted as addressed-but-unanswered, and the query
-    /// returns what it has with `gave_up = 1`.
+    /// returns what it has with `gave_up = 1`. Every probe leg leaves at
+    /// the probe fan's fork, which is the arrival this deadline counts
+    /// from, so probe legs are never forfeited: only Fetch legs and naive
+    /// legs (routed first, then forked) can be.
     deadline_at: Option<u64>,
     /// A join child's place in its join's left side, which its probe
     /// outcome is kept beside; `None` for any other selection.
@@ -331,15 +334,15 @@ enum SimState {
     },
     /// Naive path: route into the subtree of `prefixes[idx]`.
     NaiveRoute {
-        prefixes: Vec<Key>,
+        prefixes: [Key; 2],
         idx: usize,
         at_us: u64,
     },
-    /// Naive path: one per-partition compare-locally branch per step.
+    /// Naive path: one per-partition compare-locally branch per step,
+    /// under `prefixes[idx]`.
     NaiveFan {
-        prefixes: Vec<Key>,
+        prefixes: [Key; 2],
         idx: usize,
-        prefix: Key,
         entry: PeerId,
         entry_part: usize,
         fan: FanOut<usize>,
@@ -455,11 +458,9 @@ impl SimilarTask {
                     // fall back to the naive scan (see module docs).
                     if self.strategy == Strategy::Naive || self.s_len < q {
                         self.is_naive = true;
-                        let prefixes: Vec<Key> = match &self.attr {
-                            Some(a) => vec![keys::attr_scan_prefix(a), keys::short_value_prefix(a)],
-                            None => {
-                                vec![keys::attr_value_family_prefix(), keys::short_attr_prefix()]
-                            }
+                        let prefixes = match &self.attr {
+                            Some(a) => [keys::attr_scan_prefix(a), keys::short_value_prefix(a)],
+                            None => [keys::attr_value_family_prefix(), keys::short_attr_prefix()],
                         };
                         self.state = SimState::NaiveRoute { prefixes, idx: 0, at_us };
                         continue;
@@ -496,11 +497,6 @@ impl SimilarTask {
                 }
 
                 SimState::Probe { mut fan } => {
-                    if !fan.is_done() && self.past_deadline(fan.fork_us) {
-                        self.drop_legs(fan.len());
-                        self.state = SimState::Aggregate { at_us: fan.max_end_us };
-                        continue;
-                    }
                     let Some((part, keys)) = fan.pop() else {
                         self.state = SimState::Aggregate { at_us: fan.max_end_us };
                         continue;
@@ -556,8 +552,8 @@ impl SimilarTask {
                             continue;
                         }
                     }
-                    let prefix = prefixes[idx].clone();
-                    let (ps, pe) = engine.net.subtree_of(&prefix);
+                    let prefix = &prefixes[idx];
+                    let (ps, pe) = engine.net.subtree_of(prefix);
                     if engine.net.topology().peered_in(ps, pe).is_empty() {
                         // Nobody holds a part of these strings.
                         self.state = SimState::NaiveRoute { prefixes, idx: idx + 1, at_us: at };
@@ -568,7 +564,7 @@ impl SimilarTask {
                     // initiator is done when the slowest responder replies.
                     let from = self.from;
                     let (routed, end) = engine.charged(&mut self.stats, at, |e| {
-                        e.with_leg_retry(|e| e.net.route(from, &prefix)).ok()
+                        e.with_leg_retry(|e| e.net.route(from, prefix)).ok()
                     });
                     match routed {
                         Some(entry) => {
@@ -576,7 +572,6 @@ impl SimilarTask {
                             self.state = SimState::NaiveFan {
                                 prefixes,
                                 idx,
-                                prefix,
                                 entry,
                                 entry_part,
                                 fan: FanOut::new(
@@ -597,7 +592,7 @@ impl SimilarTask {
                     return StepOutcome::Yield { at_us: end };
                 }
 
-                SimState::NaiveFan { prefixes, idx, prefix, entry, entry_part, mut fan } => {
+                SimState::NaiveFan { prefixes, idx, entry, entry_part, mut fan } => {
                     if !fan.is_done() && self.past_deadline(fan.fork_us) {
                         self.drop_legs(fan.len());
                         self.state =
@@ -610,7 +605,8 @@ impl SimilarTask {
                         continue;
                     };
                     let (verifier, attr, from) = (&mut self.verifier, &self.attr, self.from);
-                    let (got, end) = engine.charged(&mut self.stats, fan.fork_us, |e| {
+                    let out = &mut self.candidates;
+                    let (answered, end) = engine.charged(&mut self.stats, fan.fork_us, |e| {
                         e.naive_branch(
                             verifier,
                             attr.as_deref(),
@@ -618,17 +614,16 @@ impl SimilarTask {
                             entry,
                             entry_part,
                             part,
-                            &prefix,
+                            &prefixes[idx],
+                            out,
                         )
                     });
-                    if let Some(local) = got {
+                    if answered {
                         self.partitions_contacted += 1;
-                        self.candidates.extend(local);
                     }
                     fan.record_end(end);
                     let next_at = if fan.is_done() { fan.max_end_us } else { fan.fork_us };
-                    self.state =
-                        SimState::NaiveFan { prefixes, idx, prefix, entry, entry_part, fan };
+                    self.state = SimState::NaiveFan { prefixes, idx, entry, entry_part, fan };
                     return StepOutcome::Yield { at_us: next_at };
                 }
 
@@ -1381,6 +1376,42 @@ pub(crate) mod tests {
         }
         let res0 = similar(&mut e0, "similar", Some("word"), 1, from0, Strategy::QGrams);
         assert_eq!(res0.stats.retries, 0);
+    }
+
+    /// Every probe leg leaves at the probe fan's fork, the instant the
+    /// deadline counts from, so even a 0 µs deadline answers each of them;
+    /// the fetch legs, forked once the probes have answered, are all
+    /// forfeited.
+    #[test]
+    fn a_zero_deadline_answers_every_probe_leg_and_forfeits_the_fetch() {
+        use crate::engine::DegradePolicy;
+        use crate::simjoin::tests::Clock;
+        let rows = word_rows(&["similar", "simular", "similer", "distinct", "wording"]);
+        let build = |deadline_us| {
+            let policy = DegradePolicy { retries: 0, backoff_us: 0, deadline_us };
+            // One leg per gram key.
+            let builder = EngineBuilder::new().peers(64).seed(31).delegation(false).degrade(policy);
+            let mut e = builder.build_with_rows(&rows);
+            e.network_mut().set_event_sink(Box::<Clock>::default());
+            e
+        };
+        let from = PeerId(40);
+        let run = |deadline_us| {
+            similar(&mut build(deadline_us), "similar", Some("word"), 1, from, Strategy::QGrams)
+        };
+        let (open, cut) = (run(None), run(Some(0)));
+        assert_eq!(open.matches.len(), 3);
+        assert_eq!((open.stats.gave_up, open.stats.completeness()), (0, 1.0));
+        // Every probe leg answered: the same candidates, found by messages.
+        assert!(cut.stats.traffic.messages > 0);
+        assert_eq!(cut.stats.partitions_answered as usize, cut.stats.probes, "a leg per key");
+        assert_eq!(cut.stats.candidates, open.stats.candidates);
+        assert_eq!(cut.stats.partitions_addressed, open.stats.partitions_addressed);
+        // No fetch leg left: nothing to verify.
+        assert!(cut.matches.is_empty());
+        assert_eq!(cut.stats.gave_up, 1);
+        assert!(cut.stats.completeness() < 1.0);
+        assert!(cut.stats.partitions_answered < open.stats.partitions_answered);
     }
 
     #[test]

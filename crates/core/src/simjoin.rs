@@ -675,7 +675,7 @@ fn stratified_sample<T>(items: Vec<T>, limit: usize) -> Vec<T> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::engine::{DegradePolicy, EngineBuilder};
     use sqo_cache::BrokerConfig;
@@ -939,11 +939,11 @@ mod tests {
         assert_eq!(keyed.into_iter().map(|(_, p)| p).collect::<Vec<_>>(), plain);
     }
 
-    /// A virtual clock for the deadline test: a message takes 1 ms, a
+    /// A virtual clock for the deadline tests: a message takes 1 ms, a
     /// scanned entry 10 µs; a fork's branches start together and it ends
     /// with the last.
     #[derive(Default)]
-    struct Clock {
+    pub(crate) struct Clock {
         now: u64,
         start: u64,
         /// Each open fork's start and its latest branch end.
@@ -996,7 +996,7 @@ mod tests {
 
     /// Every trace event a network emitted, in order.
     #[derive(Default)]
-    struct Recorded(Vec<sqo_overlay::TraceEvent>);
+    pub(crate) struct Recorded(pub(crate) Vec<sqo_overlay::TraceEvent>);
 
     impl sqo_overlay::TraceSink for Recorded {
         fn record(&mut self, ev: sqo_overlay::TraceEvent) {

@@ -42,6 +42,7 @@
 
 use crate::filters::char_len;
 use std::borrow::Cow;
+use std::ops::RangeInclusive;
 
 /// Exact Levenshtein distance between `a` and `b`.
 ///
@@ -166,6 +167,14 @@ impl<'q> BoundedLevenshtein<'q> {
     #[inline]
     pub fn admits_len(&self, chars: usize) -> bool {
         self.len.abs_diff(chars) <= self.d
+    }
+
+    /// The char counts [`Self::admits_len`] admits, as one range:
+    /// `len(query) ∓ d`, clamped to `usize`. A scan over candidates ordered
+    /// by their count bisects to it instead of gating each one.
+    #[inline]
+    pub fn len_window(&self) -> RangeInclusive<usize> {
+        self.len.saturating_sub(self.d)..=self.len.saturating_add(self.d)
     }
 
     /// [`Self::distance`] for a candidate whose length in chars is already

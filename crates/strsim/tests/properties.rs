@@ -105,7 +105,7 @@ proptest! {
     /// The verifier on a stored char count is the verifier on the bare
     /// string is the reference clipped at `d` — ASCII, non-ASCII, mixed
     /// and empty strings, `d` from 0 to 5 and unbounded — and the count
-    /// gate admits exactly the length window.
+    /// gate admits exactly the length window, which `len_window` is.
     #[test]
     fn a_stored_char_count_changes_no_answer(
         query in prop_oneof!["[a-c]{0,12}", "[äb日]{0,12}", "[ab é]{0,12}", Just(String::new())],
@@ -128,6 +128,10 @@ proptest! {
         }
         for n in 0..len + 8 {
             prop_assert_eq!(verifier.admits_len(n), len.abs_diff(n) <= d, "len={} n={} d={}", len, n, d);
+            prop_assert_eq!(verifier.len_window().contains(&n), verifier.admits_len(n), "len={} n={} d={}", len, n, d);
+        }
+        for n in [usize::MAX - 1, usize::MAX] {
+            prop_assert_eq!(verifier.len_window().contains(&n), verifier.admits_len(n), "n={} d={}", n, d);
         }
     }
 

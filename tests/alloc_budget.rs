@@ -86,6 +86,16 @@
 //! with the probe broker on — cache hits and cache-filling replies
 //! replayed alike — takes 376.
 //!
+//! A naive branch reads only the length window of its partition's
+//! strings: the engine keeps a length-ordered view of them per (scan
+//! prefix, attribute) and store state, one array per view, built at the
+//! first naive branch of a cache epoch; a branch pushes its matches onto
+//! the task's candidate buffer, where each matching branch collected them
+//! in a vector of its own; and the task holds its two scan prefixes in an
+//! array, not a vector, and no longer copies one into each fan's state.
+//! The cold naive query builds its two views — seven allocations — and
+//! stays at 31; the same query again on the same engine takes 27.
+//!
 //! The write path has budgets too. A batch is generated grouped: its
 //! distinct keys, each made once, and its postings with the ids of their
 //! keys. `postings_for_rows` flattens that — on 100 rows (1 133 postings
@@ -191,6 +201,7 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
 
 const SIMILAR_BUDGET: u64 = 53;
 const NAIVE_BUDGET: u64 = 31;
+const NAIVE_AGAIN_BUDGET: u64 = 27;
 const SIM_JOIN_BUDGET: u64 = 445;
 const SIM_JOIN_AGAIN_BUDGET: u64 = 337;
 const SIM_JOIN_BROKER_AGAIN_BUDGET: u64 = 376;
@@ -225,6 +236,9 @@ fn similar_and_sim_join_stay_within_their_allocation_budgets() {
     let (res, n) = allocations(|| session.run(&naive).expect("a valid plan"));
     assert!(!res.rows.is_empty(), "the query string itself is stored");
     measured.push(("similar d=1, naive", n, NAIVE_BUDGET));
+    let (again, n) = allocations(|| session.run(&naive).expect("a valid plan"));
+    assert_eq!(again.rows.len(), res.rows.len(), "the same scan answers the same rows");
+    measured.push(("similar d=1, naive repeated on one engine", n, NAIVE_AGAIN_BUDGET));
 
     let join = Query::join_scan("word", Some("word"), 1).left_limit(Some(8)).window(8);
     let (res, n) = allocations(|| session.run(&join).expect("a valid plan"));
