@@ -6,6 +6,7 @@
 //! per row while the number of attributes grows, split by index family.
 
 use sqo_datasets::words::bible_words;
+use sqo_storage::objects::UNNUMBERED;
 use sqo_storage::publish::{batch_for_rows, PublishConfig};
 use sqo_storage::triple::{Row, Value};
 
@@ -49,7 +50,7 @@ pub fn run_storage_overhead(
                     Row::new(format!("row:{r}"), fields)
                 })
                 .collect();
-            let (_, stats) = batch_for_rows(&rows, &cfg);
+            let (_, stats) = batch_for_rows(&rows, &cfg, |_| UNNUMBERED);
             OverheadPoint {
                 attributes: n_attrs,
                 rows: stats.rows,

@@ -14,13 +14,14 @@ use sqo_overlay::network::{ItemRun, KeyedItems, Network, NetworkConfig};
 use sqo_overlay::peer::{Item, PeerId};
 use sqo_overlay::trie::find_partition_from;
 use sqo_overlay::{Metrics, PartitionStore, TraceEvent, TraceTrack};
+use sqo_storage::keys::{oid_key_in, oid_key_into};
+use sqo_storage::objects::{Fetch, Fetched, Objects};
 use sqo_storage::posting::{Object, ObjectPostings, Posting};
 use sqo_storage::publish::{batch_for_rows, PublishConfig, PublishStats};
 use sqo_storage::triple::Row;
 use sqo_strsim::filters::FilterConfig;
-use std::borrow::Borrow;
-use std::hash::{Hash, Hasher};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Per-query execution defaults, grouped so higher layers (the `sqo-plan`
 /// planner, workload drivers) inherit one coherent block instead of poking
@@ -204,8 +205,11 @@ impl EngineBuilder {
 
     /// Build the network and publish `rows` into it.
     pub fn build_with_rows(self, rows: &[Row]) -> SimilarityEngine {
-        let (batch, publish_stats) = batch_for_rows(rows, &self.cfg.publish);
+        let mut objects = Objects::default();
+        let (batch, publish_stats) =
+            batch_for_rows(rows, &self.cfg.publish, |oid| objects.number(oid));
         let net = Network::build_groups(self.cfg.network.clone(), batch.into_sorted_groups());
+        objects.place_network(&net);
         let broker =
             self.cfg.query.cache.any_enabled().then(|| CacheBatchBroker::new(self.cfg.query.cache));
         SimilarityEngine {
@@ -219,6 +223,7 @@ impl EngineBuilder {
             leg_retries: 0,
             scanned_left: None,
             scan_views: ScanViews::default(),
+            objects: Arc::new(objects),
         }
     }
 }
@@ -250,54 +255,16 @@ pub struct SimilarityEngine {
     /// at one cache epoch ([`ScanViews`]). Not part of a checkpoint: a
     /// restored engine starts without any.
     pub(crate) scan_views: ScanViews,
+    /// Object numbers and fetch spots, shared with a restore's snapshot.
+    pub(crate) objects: Arc<Objects>,
 }
 
-/// One object-fetch branch: a stretch of the planned oids — all of one
-/// partition with delegation, one oid without — as a range of the list
-/// the plan was made from. No oid is copied into a branch, and no key is
-/// kept: planning and each branch make `key(oid)` in one buffer they reuse
-/// ([`sqo_storage::keys::oid_key_into`]).
+/// One object-fetch branch: a range of the planned objects — those of one
+/// partition with delegation, one object without.
 pub(crate) type FetchBranch = Range<usize>;
 
-/// An oid read through a stored posting of its object — one refcount step,
-/// no copy. The operators' object caches are keyed by handles and their
-/// fetch plans carry them; `Hash`, `Eq` and `Borrow<str>` are those of the
-/// oid, so a cache is looked up with a `&str`.
-#[derive(Clone)]
-pub(crate) struct OidHandle(Posting);
-
-impl OidHandle {
-    pub(crate) fn new(posting: Posting) -> Self {
-        Self(posting)
-    }
-
-    pub(crate) fn as_str(&self) -> &str {
-        self.0.oid()
-    }
-}
-
-impl Borrow<str> for OidHandle {
-    fn borrow(&self) -> &str {
-        self.as_str()
-    }
-}
-
-impl PartialEq for OidHandle {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_str() == other.as_str()
-    }
-}
-
-impl Eq for OidHandle {}
-
-impl Hash for OidHandle {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_str().hash(state);
-    }
-}
-
-/// An operator's object cache: each fetched object's postings, by oid.
-pub(crate) type ObjectCache = FxHashMap<OidHandle, ObjectPostings>;
+/// An operator's object cache: each fetched object, by number.
+pub(crate) type ObjectCache = FxHashMap<u32, Fetched>;
 
 /// Where a probed key's postings lay when its leg answered: the run it was
 /// read from — a handle, so what later publications merge into the
@@ -532,6 +499,11 @@ impl SimilarityEngine {
     // Checkpointing (`sqo-snap`)
     // ------------------------------------------------------------------
 
+    /// The numbers and fetch spots of the stored objects (in no wire record).
+    pub fn objects(&self) -> &Arc<Objects> {
+        &self.objects
+    }
+
     /// Lifetime edit-distance comparison count (part of the checkpoint
     /// image; stats windows report deltas against it).
     pub fn edit_comparisons(&self) -> u64 {
@@ -545,7 +517,7 @@ impl SimilarityEngine {
 
     /// Reassemble an engine from checkpointed parts: a restored network
     /// (see `sqo_overlay::Network::import_state`), the original config and
-    /// counters, and optionally a restored broker. The engine
+    /// counters, optionally a restored broker, and [`Self::objects`]. The engine
     /// behaves identically to the one the parts were exported from —
     /// `sqo-snap`'s round-trip suite pins report byte-identity on top.
     pub fn from_parts(
@@ -554,10 +526,12 @@ impl SimilarityEngine {
         publish_stats: PublishStats,
         edit_comparisons: u64,
         broker: Option<CacheBatchBroker>,
+        objects: Arc<Objects>,
     ) -> Self {
         // Leg counters restart at zero: stats windows only ever read
         // deltas, and checkpoints cut at quiesce (no open windows).
         SimilarityEngine {
+            objects,
             net,
             cfg,
             publish_stats,
@@ -635,9 +609,12 @@ impl SimilarityEngine {
     /// peerless gap partition, see [`Network::insert_groups`]): 0 on any
     /// network whose every partition has a member.
     pub fn publish_rows(&mut self, rows: &[Row]) -> usize {
-        let (batch, stats) = batch_for_rows(rows, &self.cfg.publish);
+        let objects = Arc::make_mut(&mut self.objects);
+        let (batch, stats) = batch_for_rows(rows, &self.cfg.publish, |oid| objects.number(oid));
         self.absorb_publish_stats(&stats);
-        self.net.insert_groups(batch.into_sorted_groups())
+        let unstored = self.net.insert_groups(batch.into_sorted_groups());
+        Arc::make_mut(&mut self.objects).stored(&self.net, rows.iter().map(|r| r.oid.as_str()));
+        unstored
     }
 
     /// Publish rows *from a peer*, paying overlay messages for every index
@@ -658,7 +635,8 @@ impl SimilarityEngine {
     /// ([`Self::publish_rows`]).
     pub fn publish_rows_traced(&mut self, rows: &[Row], from: PeerId) -> QueryStats {
         let snap = self.begin_query();
-        let (mut batch, stats) = batch_for_rows(rows, &self.cfg.publish);
+        let objects = Arc::make_mut(&mut self.objects);
+        let (mut batch, stats) = batch_for_rows(rows, &self.cfg.publish, |oid| objects.number(oid));
         self.absorb_publish_stats(&stats);
         // The one comparison sort: over the batch's distinct keys.
         let order = batch.key_order();
@@ -668,11 +646,11 @@ impl SimilarityEngine {
             // keys are one stretch, and the stretches come in partition
             // order — walk the sorted partition cover beside them.
             let keys = batch.keys();
+            const LOST: usize = usize::MAX; // a payload whose stretch failed to route
             let mut payload = vec![0usize; keys.len()];
             for (id, posting) in batch.entries() {
                 payload[*id as usize] += posting.size_bytes();
             }
-            let mut lost = vec![false; keys.len()];
             let mut rest = order.as_slice();
             while let Some(&first) = rest.first() {
                 let part = self.net.partition_of(&keys[first as usize]);
@@ -696,11 +674,11 @@ impl SimilarityEngine {
                         self.net.send_direct(from, owner, bytes);
                     }
                 } else {
-                    stretch.iter().for_each(|id| lost[*id as usize] = true);
+                    stretch.iter().for_each(|id| payload[*id as usize] = LOST);
                 }
             }
-            if lost.contains(&true) {
-                batch.retain(|id, _, _| !lost[id as usize]);
+            if payload.contains(&LOST) {
+                batch.retain(|id, _, _| payload[id as usize] != LOST);
             }
         } else {
             // Routed and charged one by one, in generation order.
@@ -718,6 +696,7 @@ impl SimilarityEngine {
         self.net.sim_join();
         let arrived = batch.entries().len();
         let stored = arrived - self.net.insert_groups(batch.into_groups(&order));
+        Arc::make_mut(&mut self.objects).stored(&self.net, rows.iter().map(|r| r.oid.as_str()));
         let mut out = self.finish_query(&snap);
         out.matches = stored;
         out
@@ -824,7 +803,7 @@ impl SimilarityEngine {
         let mut branches: Vec<(usize, Range<usize>)> = Vec::new();
         let mut part = 0;
         for (i, k) in keys.iter().enumerate() {
-            part = find_partition_from(self.net.paths(), k, part);
+            part = find_partition_from(self.net.paths(), k.as_ref(), part);
             match branches.last_mut() {
                 Some((p, branch)) if *p == part && self.cfg.query.delegation => branch.end = i + 1,
                 _ => branches.push((part, i..i + 1)),
@@ -1114,27 +1093,25 @@ impl SimilarityEngine {
         (answer, 0, 1)
     }
 
-    /// Group object fetches into fan-out branches: per owning partition
-    /// with delegation, per oid without. `oids` must ascend strictly
-    /// (sorted and deduplicated): their keys — the family byte and the
-    /// oid's first bytes — then ascend too (a truncated key can repeat), so
-    /// do their partitions, and a partition's branch is one stretch of
-    /// them. Each oid's key is made in one reused buffer, and its partition
-    /// galloped to from the previous one's. Branches come in partition
-    /// order, each a range of `oids`.
-    pub(crate) fn plan_fetch_branches<T: Borrow<str>>(&self, oids: &[T]) -> Vec<FetchBranch> {
-        debug_assert!(
-            oids.windows(2).all(|w| w[0].borrow() < w[1].borrow()),
-            "oids ascend strictly"
-        );
+    /// Group object fetches into fan-out branches, ranges of `objects` (by
+    /// ascending oid, so their keys and partitions ascend) in partition
+    /// order: per owning partition with delegation, per object without. An
+    /// object's partition is its spot's, or its key's galloped to.
+    pub(crate) fn plan_fetch_branches<T: Fetch>(&self, objects: &[T]) -> Vec<FetchBranch> {
+        debug_assert!(objects.windows(2).all(|w| w[0].oid() < w[1].oid()), "oids ascend strictly");
         if !self.cfg.query.delegation {
-            return (0..oids.len()).map(|i| i..i + 1).collect();
+            return (0..objects.len()).map(|i| i..i + 1).collect();
         }
         let mut branches: Vec<FetchBranch> = Vec::new();
-        let (mut part, mut key) = (None, Key::empty());
-        for (i, oid) in oids.iter().enumerate() {
-            sqo_storage::keys::oid_key_into(oid.borrow(), &mut key);
-            let at = find_partition_from(self.net.paths(), &key, part.unwrap_or(0));
+        let (mut part, mut buf) = (None, [0; _]);
+        for (i, o) in objects.iter().enumerate() {
+            let at = match o.spot(&self.objects) {
+                Some(spot) => spot.part as usize,
+                None => {
+                    let key = oid_key_in(o.oid(), &mut buf);
+                    find_partition_from(self.net.paths(), key, part.unwrap_or(0))
+                }
+            };
             match branches.last_mut() {
                 Some(branch) if part == Some(at) => branch.end = i + 1,
                 _ => branches.push(i..i + 1),
@@ -1144,59 +1121,77 @@ impl SimilarityEngine {
         branches
     }
 
-    /// One object-fetch branch: route to the oids' partition, gather each
-    /// object's postings where they lie — the branch's keys ascend, so
-    /// each lookup in the owner's run gallops from the one before — and
-    /// send one reply, charged the objects' [`Object::repr_len`]. Ships
-    /// handles, each to `keep` with its oid: the caller materializes only
-    /// the objects it keeps. The branch makes every oid's key in one
-    /// buffer, and collects nothing of its own.
-    pub(crate) fn fetch_branch<T: Borrow<str>>(
+    /// One object-fetch branch: route by the first object's key, charge the
+    /// owner the prefix scan of each object's key, and reply once with the
+    /// objects' [`Object::repr_len`]: a spot's payload, and one entry for a
+    /// leaf key, no key looked up; else the key galloped to in the owner's
+    /// run. `keep` gets each object as a handle on that run.
+    pub(crate) fn fetch_branch<T: Fetch>(
         &mut self,
         from: PeerId,
-        oids: &[T],
-        mut keep: impl FnMut(&T, ObjectPostings),
+        objects: &[T],
+        mut keep: impl FnMut(&T, Fetched),
     ) {
+        #[cfg(test)]
+        if tests::REFERENCE_FETCH.get() {
+            return tests::reference_fetch_branch(self, from, objects, keep);
+        }
         let mut key = Key::empty();
         if !self.cfg.query.delegation {
-            for oid in oids {
-                sqo_storage::keys::oid_key_into(oid.borrow(), &mut key);
+            for o in objects {
+                oid_key_into(o.oid(), &mut key);
                 self.legs_addressed += 1;
                 if let Ok(runs) = self.with_leg_retry(|e| e.net.retrieve_runs(from, &key)) {
                     self.legs_answered += 1;
                     let items = runs.iter().flat_map(|r| self.net.run_items(r));
-                    keep(oid, ObjectPostings::gather(oid.borrow(), items));
+                    keep(o, Fetched::Gathered(ObjectPostings::gather(o.oid(), items)));
                 }
             }
             return;
         }
         self.legs_addressed += 1;
-        sqo_storage::keys::oid_key_into(oids[0].borrow(), &mut key);
+        oid_key_into(objects[0].oid(), &mut key);
         let Ok(owner) = self.with_leg_retry(|e| e.net.route(from, &key)) else {
             return;
         };
         self.legs_answered += 1;
-        let mut payload = 0usize;
-        let mut cursor = 0;
-        for oid in oids {
-            sqo_storage::keys::oid_key_into(oid.borrow(), &mut key);
-            let run = self.net.local_prefix_run_from(owner, &key, &mut cursor);
-            let obj = ObjectPostings::gather(oid.borrow(), run);
-            payload += obj.repr_len(oid.borrow());
-            keep(oid, obj);
+        let part = self.net.peer_partition(owner);
+        let run = self.net.partition_store(part).clone();
+        let (mut payload, mut cursor) = (0usize, 0);
+        for o in objects {
+            let spot = o.spot(&self.objects).filter(|s| s.part as usize == part);
+            let bytes = match spot {
+                Some(s) if s.leaf => {
+                    self.net.charge_local_scan(owner, 1);
+                    s.payload as usize
+                }
+                _ => {
+                    oid_key_into(o.oid(), &mut key);
+                    let items = self.net.local_prefix_run_from(owner, &key, &mut cursor);
+                    spot.map_or_else(
+                        || ObjectPostings::payload(o.oid(), items),
+                        |s| s.payload as usize,
+                    )
+                }
+            };
+            debug_assert!(spot.is_none_or(|s| {
+                oid_key_into(o.oid(), &mut key);
+                let scan = run.prefix_entries(&key);
+                (!s.leaf || scan.entries == 1)
+                    && ObjectPostings::payload(o.oid(), scan.items) == bytes
+            }));
+            payload += bytes;
+            keep(o, Fetched::At(run.clone()));
         }
         if owner != from {
             self.net.send_direct(owner, from, payload);
         }
     }
 
-    /// Fetch the complete objects for a set of oids (Algorithm 2's
-    /// "build complete object o from T′" step), batched per partition when
-    /// delegation is on. Returns oid → assembled object; an oid nothing is
-    /// stored under maps to an object without fields. Synchronous form of
-    /// the same branches the stepped operators schedule one at a time (the
-    /// plan executor uses it for a lookup by oid, and to materialize the
-    /// scanned side of a build-side-swapped join).
+    /// Fetch the complete objects for a set of oids (Algorithm 2's "build
+    /// complete object o from T′"): oid → object, one without fields for an
+    /// oid nothing is stored under. The stepped operators' branches, run
+    /// back to back (a plan's lookup by oid, a swapped join's scanned side).
     pub fn fetch_objects(
         &mut self,
         from: PeerId,
@@ -1438,6 +1433,53 @@ mod tests {
             Row::new("car:2", [("name", Value::from("Audi A4")), ("hp", Value::from(150))]),
             Row::new("car:3", [("name", Value::from("BMW 330i")), ("hp", Value::from(258))]),
         ]
+    }
+
+    thread_local! {
+        /// Puts every engine of the thread on [`reference_fetch_branch`].
+        pub(crate) static REFERENCE_FETCH: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// `fetch_branch` before objects had numbers: every object's key made
+    /// and looked up in the owner's run, each lookup galloping from the one
+    /// before, every object gathered where it lay at fetch time and charged
+    /// its `repr_len`.
+    pub(crate) fn reference_fetch_branch<T: Fetch>(
+        e: &mut SimilarityEngine,
+        from: PeerId,
+        objects: &[T],
+        mut keep: impl FnMut(&T, Fetched),
+    ) {
+        let mut key = Key::empty();
+        if !e.cfg.query.delegation {
+            for o in objects {
+                oid_key_into(o.oid(), &mut key);
+                e.legs_addressed += 1;
+                if let Ok(runs) = e.with_leg_retry(|e| e.net.retrieve_runs(from, &key)) {
+                    e.legs_answered += 1;
+                    let items = runs.iter().flat_map(|r| e.net.run_items(r));
+                    keep(o, Fetched::Gathered(ObjectPostings::gather(o.oid(), items)));
+                }
+            }
+            return;
+        }
+        e.legs_addressed += 1;
+        oid_key_into(objects[0].oid(), &mut key);
+        let Ok(owner) = e.with_leg_retry(|e| e.net.route(from, &key)) else {
+            return;
+        };
+        e.legs_answered += 1;
+        let (mut payload, mut cursor) = (0, 0);
+        for o in objects {
+            oid_key_into(o.oid(), &mut key);
+            let run = e.net.local_prefix_run_from(owner, &key, &mut cursor);
+            let obj = ObjectPostings::gather(o.oid(), run);
+            payload += obj.repr_len(o.oid());
+            keep(o, Fetched::Gathered(obj));
+        }
+        if owner != from {
+            e.net.send_direct(owner, from, payload);
+        }
     }
 
     /// Fetch one object by oid: `None` when nothing is stored under it.
@@ -1966,5 +2008,393 @@ mod tests {
         let e = EngineBuilder::new().peers(8).q(2).replication(2).build_with_rows(&rows);
         assert_eq!(e.q(), 2);
         assert_eq!(e.network().peer_count(), 8);
+    }
+
+    mod numbered {
+        //! Objects by number against the reference fetch.
+        //!
+        //! Twin engines run the same calls: one plans, fetches and verifies by
+        //! object number — spots charged without a lookup, objects gathered from
+        //! the run handle held since the fetch when they are materialized — and
+        //! one fetches as before numbers existed, every key looked up and every
+        //! object gathered at fetch time ([`super::reference_fetch_branch`]).
+        //! They must answer the same rows, `QueryStats` and trace events.
+
+        use crate::engine::{
+            DegradePolicy, EngineBuilder, ExecStep, SimilarityEngine, StepOutcome,
+        };
+        use crate::multi::{AttrPredicate, MultiStrategy, MultiTask};
+        use crate::select::SelectTask;
+        use crate::similar::{SimilarTask, Strategy};
+        use crate::simjoin::tests::Recorded;
+        use crate::simjoin::{JoinOptions, JoinTask};
+        use crate::topn::TopNTask;
+        use crate::JoinWindow;
+        use rustc_hash::FxHashSet;
+        use sqo_cache::BrokerConfig;
+        use sqo_overlay::hash::MAX_STRING_KEY_BITS;
+        use sqo_overlay::peer::PeerId;
+        use sqo_storage::triple::{Row, Value};
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        /// A task the twins run, with what it answered printed.
+        trait Answering: ExecStep {
+            fn answer(&mut self) -> String;
+        }
+
+        impl Answering for SimilarTask {
+            fn answer(&mut self) -> String {
+                format!("{:?}", self.take_matches().collect::<Vec<_>>())
+            }
+        }
+
+        impl Answering for TopNTask {
+            fn answer(&mut self) -> String {
+                format!("{:?}", self.take_items())
+            }
+        }
+
+        impl Answering for JoinTask {
+            fn answer(&mut self) -> String {
+                format!("{:?}", self.take_pairs())
+            }
+        }
+
+        impl Answering for MultiTask {
+            fn answer(&mut self) -> String {
+                format!("{:?}", self.take_matches())
+            }
+        }
+
+        impl Answering for SelectTask {
+            fn answer(&mut self) -> String {
+                format!("{:?}", self.take_hits())
+            }
+        }
+
+        /// A task that runs `hook` on the engine before its `at`-th step.
+        struct Hooked<'h> {
+            task: Box<dyn Answering>,
+            steps: usize,
+            at: usize,
+            hook: &'h dyn Fn(&mut SimilarityEngine),
+        }
+
+        impl ExecStep for Hooked<'_> {
+            fn step(&mut self, engine: &mut SimilarityEngine, at_us: u64) -> StepOutcome {
+                if self.steps == self.at {
+                    (self.hook)(engine);
+                }
+                self.steps += 1;
+                self.task.step(engine, at_us)
+            }
+        }
+
+        /// Rows whose oids prefix one another — `w:1`, `w:10`…`w:19`, `w:100`,
+        /// … — on two attributes, values many objects share.
+        fn rows(n: usize) -> Vec<Row> {
+            let words =
+                ["house", "horse", "mouse", "hause", "haus", "houses", "hose", "louse", "mousse"];
+            (0..n)
+                .map(|i| {
+                    Row::new(
+                        format!("w:{i}"),
+                        [
+                            ("word", Value::from(words[i % words.len()])),
+                            (
+                                "name",
+                                Value::from(format!("{}{}", words[(i / 3) % words.len()], i % 7)),
+                            ),
+                        ],
+                    )
+                })
+                .collect()
+        }
+
+        /// `f` on `e`, on the reference fetch when `reference`.
+        fn on<R>(
+            reference: bool,
+            e: &mut SimilarityEngine,
+            f: impl FnOnce(&mut SimilarityEngine) -> R,
+        ) -> R {
+            super::REFERENCE_FETCH.set(reference);
+            let r = f(e);
+            super::REFERENCE_FETCH.set(false);
+            r
+        }
+
+        /// The twins: built alike by `tune`, the second run on the reference
+        /// fetch, each with a trace sink.
+        struct Twins {
+            engines: [SimilarityEngine; 2],
+            traces: [Rc<RefCell<Recorded>>; 2],
+        }
+
+        impl Twins {
+            fn new(peers: usize, tune: &dyn Fn(EngineBuilder) -> EngineBuilder) -> Self {
+                let rows = rows(160);
+                let build =
+                    || tune(EngineBuilder::new().peers(peers).seed(47).q(2)).build_with_rows(&rows);
+                let mut engines = [build(), build()];
+                let traces = [(); 2].map(|()| Rc::new(RefCell::new(Recorded::default())));
+                for (e, t) in engines.iter_mut().zip(&traces) {
+                    e.network_mut().set_trace_sink(t.clone());
+                }
+                Self { engines, traces }
+            }
+
+            /// `make`'s task on both engines from `from`, `hook` run before its
+            /// `at`-th step: the same rows, `QueryStats` and trace. Returns the
+            /// number of steps the task took.
+            fn run(
+                &mut self,
+                make: &dyn Fn(PeerId) -> Box<dyn Answering>,
+                from: PeerId,
+                at: usize,
+                hook: &dyn Fn(&mut SimilarityEngine),
+            ) -> usize {
+                let [fast, reference] = [0, 1].map(|i| {
+                    on(i == 1, &mut self.engines[i], |e| {
+                        let mut hooked = Hooked { task: make(from), steps: 0, at, hook };
+                        let stats = e.run_task(&mut hooked);
+                        (format!("{} {stats:?}", hooked.task.answer()), hooked.steps)
+                    })
+                });
+                let [fast_trace, reference_trace] = self
+                    .traces
+                    .each_ref()
+                    .map(|t| format!("{:?}", std::mem::take(&mut t.borrow_mut().0)));
+                assert!(!reference_trace.is_empty(), "the task is traced");
+                assert_eq!(fast_trace, reference_trace, "the trace, hooked at step {at}");
+                assert_eq!(fast, reference, "hooked at step {at}");
+                fast.1
+            }
+
+            /// [`Self::run`] with the hook before every step in turn, each on
+            /// fresh twins built by `tune`.
+            fn every_step(
+                peers: usize,
+                tune: &dyn Fn(EngineBuilder) -> EngineBuilder,
+                make: &dyn Fn(PeerId) -> Box<dyn Answering>,
+                hook: &dyn Fn(&mut SimilarityEngine),
+            ) {
+                let from = Twins::new(peers, tune).engines[0].random_peer();
+                let steps = Twins::new(peers, tune).run(make, from, usize::MAX, &|_| {});
+                for at in 0..steps {
+                    Twins::new(peers, tune).run(make, from, at, hook);
+                }
+            }
+        }
+
+        fn top_n(strategy: Strategy) -> impl Fn(PeerId) -> Box<dyn Answering> {
+            move |from| {
+                let task = TopNTask::nearest(Some("word"), 4, "hoose", 5, from, strategy);
+                Box::new(task.expect("n > 0"))
+            }
+        }
+
+        /// A publication that gives every object another field — those the
+        /// first shells fetched among them — and adds an object under a key
+        /// an earlier one prefixes.
+        fn publish_more(e: &mut SimilarityEngine) {
+            let more: Vec<Row> = (0..160)
+                .map(|i| Row::new(format!("w:{i}"), [("extra", Value::from(format!("more{i}")))]))
+                .chain([Row::new("w:1000", [("word", Value::from("hoose"))])])
+                .collect();
+            e.publish_rows(&more);
+        }
+
+        /// String top-N over expanding shells — q-grams and q-samples; broker
+        /// off, on, and delegation off — answers as the reference fetch does,
+        /// with a publication before any one of its steps: an object fetched by
+        /// an earlier shell is materialized as it was fetched.
+        #[test]
+        fn top_n_by_number_is_the_reference_fetch_with_a_publication_between_shells() {
+            let brokered = |b: EngineBuilder| b.cache_config(BrokerConfig::enabled());
+            let undelegated = |b: EngineBuilder| b.delegation(false);
+            let tunes: [&dyn Fn(EngineBuilder) -> EngineBuilder; 3] =
+                [&|b| b, &brokered, &undelegated];
+            for tune in tunes {
+                for strategy in [Strategy::QGrams, Strategy::QSamples] {
+                    Twins::every_step(24, tune, &top_n(strategy), &publish_more);
+                }
+            }
+        }
+
+        /// Top-N whose fetch legs fail — a third of the peers die before a step —
+        /// with and without leg retries, answers as the reference fetch does.
+        #[test]
+        fn top_n_by_number_is_the_reference_fetch_when_fetch_legs_fail() {
+            let retrying =
+                |b: EngineBuilder| b.degrade(DegradePolicy { retries: 2, ..Default::default() });
+            let tunes: [&dyn Fn(EngineBuilder) -> EngineBuilder; 2] = [&|b| b, &retrying];
+            let churn = |e: &mut SimilarityEngine| {
+                e.network_mut().fail_random_fraction(0.35);
+            };
+            for tune in tunes {
+                Twins::every_step(48, tune, &top_n(Strategy::QGrams), &churn);
+            }
+        }
+
+        /// A selection, a join, a conjunction and the selections VQL lowers to
+        /// answer as the reference fetch does, on a publication or a churn wave
+        /// before any one of their steps.
+        #[test]
+        fn every_operator_by_number_is_the_reference_fetch() {
+            let similar = |from| -> Box<dyn Answering> {
+                Box::new(SimilarTask::new("hoose", Some("word"), 2, from, Strategy::QGrams))
+            };
+            let join = |from| -> Box<dyn Answering> {
+                let opts = JoinOptions {
+                    strategy: Strategy::QGrams,
+                    left_limit: Some(6),
+                    window: JoinWindow::Fixed(3),
+                };
+                Box::new(JoinTask::new("name", Some("word"), 1, from, &opts))
+            };
+            let multi = |from| -> Box<dyn Answering> {
+                let preds = vec![
+                    AttrPredicate::new("word", "mouse", 1),
+                    AttrPredicate::new("name", "house3", 2),
+                ];
+                Box::new(
+                    MultiTask::new(preds, from, Strategy::QGrams, MultiStrategy::Pipelined)
+                        .expect("preds"),
+                )
+            };
+            let range = |from| -> Box<dyn Answering> {
+                Box::new(SelectTask::range("word", Value::from("ho"), Value::from("mo"), from))
+            };
+            let makes: [&dyn Fn(PeerId) -> Box<dyn Answering>; 4] =
+                [&similar, &join, &multi, &range];
+            let churn = |e: &mut SimilarityEngine| {
+                e.network_mut().fail_random_fraction(0.3);
+            };
+            for make in makes {
+                for hook in [&publish_more as &dyn Fn(&mut SimilarityEngine), &churn] {
+                    Twins::every_step(32, &|b| b, make, hook);
+                }
+            }
+        }
+
+        /// The oids a fetch finds hard: oids that prefix one another, so the
+        /// owner's scan of `key(w:1)` hits every entry under it; two oids longer
+        /// than a key holds, which truncate to one key; and objects published in
+        /// two batches. Every fetch — each oid alone and all of them in one plan —
+        /// charges the scanned entries and payload bytes the reference fetch
+        /// does and materializes the same object; delegation on and off, and on
+        /// tries shallow and deep.
+        #[test]
+        fn hard_oids_fetch_as_the_reference_fetch() {
+            let long = "l".repeat(MAX_STRING_KEY_BITS / 8 + 3);
+            let oids: Vec<String> = ["w:1", "w:10", "w:11", "w:15", "w:19", "w:100", "w:2"]
+                .iter()
+                .map(|s| s.to_string())
+                .chain([format!("{long}a"), format!("{long}b")])
+                .collect();
+            let first: Vec<Row> = oids
+                .iter()
+                .enumerate()
+                .map(|(i, oid)| Row::new(oid.clone(), [("word", Value::from(format!("v{i}")))]))
+                .collect();
+            let second: Vec<Row> = [&oids[0], &oids[5], &oids[7]]
+                .iter()
+                .map(|oid| {
+                    Row::new(
+                        oid.to_string(),
+                        [("tag", Value::from("again")), ("word", Value::from("v0"))],
+                    )
+                })
+                .collect();
+            for (peers, delegation) in [(4, true), (64, true), (256, true), (16, false)] {
+                let build = || {
+                    let mut e = EngineBuilder::new()
+                        .peers(peers)
+                        .seed(3)
+                        .delegation(delegation)
+                        .build_with_rows(&first);
+                    e.publish_rows(&second);
+                    e
+                };
+                let mut engines = [build(), build()];
+                let from = engines[0].random_peer();
+                engines[1].random_peer();
+                let each = oids.iter().map(|oid| vec![oid.clone()]);
+                for asked in each.chain([oids.clone()]) {
+                    let asked: FxHashSet<String> = asked.into_iter().collect();
+                    let [fast, reference] = [0, 1].map(|i| {
+                        on(i == 1, &mut engines[i], |e| {
+                            let before = *e.network().metrics();
+                            let objects = e.fetch_objects(from, &asked);
+                            let mut objects: Vec<_> = objects.into_iter().collect();
+                            objects.sort_by(|a, b| a.0.cmp(&b.0));
+                            let m = e.network().metrics().delta(&before);
+                            (m.local_items_scanned, m.bytes, m.messages, objects)
+                        })
+                    });
+                    assert_eq!(fast, reference, "{peers} peers, {asked:?}");
+                }
+            }
+        }
+
+        /// Objects are numbered in publication order, first sight, whatever their
+        /// oids hash to, and an object published again keeps its number. Every
+        /// spot stays what a lookup in its run finds — its
+        /// payload the gathered object's `repr_len`, its leaf that one entry
+        /// has its key as a prefix — across publications, plain and traced,
+        /// that give objects fields and add keys under theirs, on 6, 32 and
+        /// 200 peers.
+        #[test]
+        fn numbers_follow_publication_order_and_spots_follow_publications() {
+            let rows = rows(120);
+            for peers in [6, 32, 200] {
+                let mut e = EngineBuilder::new().peers(peers).seed(5).build_with_rows(&rows);
+                for (i, row) in rows.iter().enumerate() {
+                    assert_eq!(e.objects.get(&row.oid), Some(i as u32), "{}", row.oid);
+                }
+                let from = e.random_peer();
+                let mut oids: FxHashSet<String> = rows.iter().map(|r| r.oid.clone()).collect();
+                let check = |e: &SimilarityEngine, oids: &FxHashSet<String>, when: &str| {
+                    let mut placed = 0;
+                    for oid in oids {
+                        let Some(s) = e.objects.spot(e.objects.get(oid).expect("numbered")) else {
+                            continue;
+                        };
+                        let key = sqo_storage::keys::oid_key(oid);
+                        let net = e.network();
+                        assert!(net.paths()[s.part as usize].is_prefix_of(&key), "{oid} {when}");
+                        let scan = net.partition_store(s.part as usize).prefix_entries(&key);
+                        let bytes = super::ObjectPostings::gather(oid, scan.items).repr_len(oid);
+                        assert_eq!(
+                            (s.leaf, s.payload as usize),
+                            (scan.entries == 1, bytes),
+                            "{oid} {when}"
+                        );
+                        placed += 1;
+                    }
+                    placed
+                };
+                for batch in 0..4u32 {
+                    e.fetch_objects(from, &oids);
+                    assert!(check(&e, &oids, "after a fetch") > oids.len() / 2, "{peers} peers");
+                    let more: Vec<Row> = (0..30)
+                        .map(|i| i * 7 + batch)
+                        .map(|i| {
+                            Row::new(format!("w:{i}{batch}"), [("tag", Value::from(i as i64))])
+                        })
+                        .chain([Row::new("w:7", [("extra", Value::from(batch as i64))])])
+                        .collect();
+                    if batch % 2 == 0 {
+                        e.publish_rows(&more);
+                    } else {
+                        e.publish_rows_traced(&more, from);
+                    }
+                    oids.extend(more.iter().map(|r| r.oid.clone()));
+                    assert_eq!(e.objects.get("w:7"), Some(7));
+                    check(&e, &oids, "after a publication");
+                }
+            }
+        }
     }
 }

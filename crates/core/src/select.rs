@@ -3,17 +3,17 @@
 //! prior work \[10\]; VQL needs them for its non-similarity predicates).
 
 use crate::engine::{
-    finalize_stats, ExecStep, FanOut, FetchBranch, ObjectCache, OidHandle, SimilarityEngine,
-    StepOutcome,
+    finalize_stats, ExecStep, FanOut, FetchBranch, ObjectCache, SimilarityEngine, StepOutcome,
 };
 use crate::stats::QueryStats;
 use sqo_overlay::peer::PeerId;
 use sqo_storage::keys;
+use sqo_storage::objects::Fetch;
 use sqo_storage::posting::{Object, Posting, PostingKind};
 use sqo_storage::slab::{AttrGuard, TripleRef};
 use sqo_storage::triple::{Value, ValueRef};
 use sqo_strsim::numeric::interval_around;
-use std::borrow::{Borrow, Cow};
+use std::borrow::Cow;
 
 /// A selection hit: the value that satisfied the predicate plus its object.
 #[derive(Debug, Clone)]
@@ -30,9 +30,9 @@ pub struct SelectTask {
     from: PeerId,
     state: SelState,
     stats: QueryStats,
-    /// (oid, value) of every row that satisfied the predicate, the oid a
-    /// handle on the row's posting.
-    matched: Vec<(OidHandle, Value)>,
+    /// (oid, value) of every row that satisfied the predicate, the oid
+    /// read through the row's posting.
+    matched: Vec<(Posting, Value)>,
     objects: ObjectCache,
     hits: Vec<SelectHit>,
 }
@@ -47,9 +47,9 @@ enum SelectKind {
 
 enum SelState {
     Scan,
-    /// One object-fetch branch per step: a stretch of `oids`.
+    /// One object-fetch branch per step: a stretch of `objects`.
     Fetch {
-        oids: Vec<OidHandle>,
+        objects: Vec<Posting>,
         fan: FanOut<FetchBranch>,
     },
     Assemble,
@@ -105,7 +105,7 @@ impl SelectTask {
         kind: &SelectKind,
         from: PeerId,
         e: &mut SimilarityEngine,
-    ) -> (Vec<(OidHandle, Value)>, u64, u64) {
+    ) -> (Vec<(Posting, Value)>, u64, u64) {
         let mut hits = 0;
         let mut misses = 0;
         let matched = match kind {
@@ -146,8 +146,7 @@ impl SelectTask {
                         if matches!(p.kind(), PostingKind::Base(_) | PostingKind::ShortValue)
                             && queried.admits(p)
                         {
-                            matched
-                                .push((OidHandle::new(p.clone()), p.triple().value().to_value()));
+                            matched.push((p.clone(), p.triple().value().to_value()));
                         }
                     }
                 }
@@ -163,7 +162,7 @@ impl SelectTask {
         hi: &Value,
         from: PeerId,
         e: &mut SimilarityEngine,
-    ) -> Vec<(OidHandle, Value)> {
+    ) -> Vec<(Posting, Value)> {
         let (klo, khi) = keys::attr_value_range(attr, lo, hi);
         let postings = if klo <= khi {
             e.net.range_query(from, &klo, &khi).unwrap_or_default()
@@ -190,9 +189,9 @@ impl SelectTask {
 
 /// The (oid, value) row of a base posting whose triple satisfies `hit`,
 /// the oid read through the posting.
-fn matched(p: &Posting, hit: impl Fn(TripleRef<'_>) -> bool) -> Option<(OidHandle, Value)> {
+fn matched(p: &Posting, hit: impl Fn(TripleRef<'_>) -> bool) -> Option<(Posting, Value)> {
     let t = p.as_base().filter(|t| hit(*t))?;
-    Some((OidHandle::new(p.clone()), t.value().to_value()))
+    Some((p.clone(), t.value().to_value()))
 }
 
 impl ExecStep for SelectTask {
@@ -206,34 +205,34 @@ impl ExecStep for SelectTask {
                     self.stats.cache_hits += hits;
                     self.stats.cache_misses += misses;
                     sort_matches(&mut matched);
-                    matched.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
+                    matched.dedup_by(|a, b| a.0.object() == b.0.object() && a.1 == b.1);
                     // Sorted by oid already: deduplicated, they ascend.
-                    let mut oids: Vec<OidHandle> = matched.iter().map(|(o, _)| o.clone()).collect();
-                    oids.dedup();
-                    let branches = engine.plan_fetch_branches(&oids);
+                    let mut objects: Vec<_> = matched.iter().map(|(p, _)| p.clone()).collect();
+                    objects.dedup_by_key(|p| p.object());
+                    let branches = engine.plan_fetch_branches(&objects);
                     self.matched = matched;
                     if branches.is_empty() {
                         self.state = SelState::Assemble;
                         continue;
                     }
-                    self.state = SelState::Fetch { oids, fan: FanOut::new(branches, end) };
+                    self.state = SelState::Fetch { objects, fan: FanOut::new(branches, end) };
                     return StepOutcome::Yield { at_us: end };
                 }
 
-                SelState::Fetch { oids, mut fan } => {
+                SelState::Fetch { objects, mut fan } => {
                     let Some(branch) = fan.pop() else {
                         self.state = SelState::Assemble;
                         continue;
                     };
-                    let (from, objects) = (self.from, &mut self.objects);
+                    let (from, cache) = (self.from, &mut self.objects);
                     let ((), end) = engine.charged(&mut self.stats, fan.fork_us, |e| {
-                        e.fetch_branch(from, &oids[branch], |oid, obj| {
-                            objects.insert(oid.clone(), obj);
+                        e.fetch_branch(from, &objects[branch], |p, fetched| {
+                            cache.insert(p.object(), fetched);
                         })
                     });
                     fan.record_end(end);
                     let next_at = if fan.is_done() { fan.max_end_us } else { fan.fork_us };
-                    self.state = SelState::Fetch { oids, fan };
+                    self.state = SelState::Fetch { objects, fan };
                     return StepOutcome::Yield { at_us: next_at };
                 }
 
@@ -241,9 +240,9 @@ impl ExecStep for SelectTask {
                     let matched = std::mem::take(&mut self.matched);
                     let mut hits: Vec<SelectHit> = matched
                         .into_iter()
-                        .filter_map(|(oid, value)| {
-                            let oid = oid.as_str();
-                            let object = self.objects.get(oid)?.materialize(oid);
+                        .filter_map(|(p, value)| {
+                            let oid = p.oid();
+                            let object = self.objects.get(&p.object())?.materialize(oid);
                             Some(SelectHit { oid: oid.to_string(), value, object })
                         })
                         .collect();
@@ -273,16 +272,15 @@ impl ExecStep for SelectTask {
 /// stably. Both compare where they lie: a string is its print, and a number
 /// is printed only when its oid ties — a sort of distinct objects prints
 /// and copies nothing.
-fn sort_matches<O: Borrow<str>>(matched: &mut [(O, Value)]) {
+fn sort_matches<O: Fetch>(matched: &mut [(O, Value)]) {
     fn printed(v: &Value) -> Cow<'_, str> {
         match v {
             Value::Str(s) => Cow::Borrowed(s),
             number => Cow::Owned(number.to_string()),
         }
     }
-    matched.sort_by(|(a, v), (b, w)| {
-        a.borrow().cmp(b.borrow()).then_with(|| printed(v).cmp(&printed(w)))
-    });
+    matched
+        .sort_by(|(a, v), (b, w)| a.oid().cmp(b.oid()).then_with(|| printed(v).cmp(&printed(w))));
 }
 
 #[cfg(test)]
@@ -299,7 +297,7 @@ mod tests {
 
     #[test]
     fn matches_sort_by_oid_then_by_printed_value_and_stay_stable() {
-        let m = |oid: &str, v: Value| (oid.to_string(), v);
+        let m = |oid: &'static str, v: Value| (oid, v);
         let mut matched = vec![
             m("b:2", Value::from("pear")),
             m("a:1", Value::Int(9)),

@@ -43,8 +43,8 @@
 
 use crate::broker::ProbeFilter;
 use crate::engine::{
-    finalize_stats, ExecStep, FanOut, FetchBranch, Lent, ObjectCache, OidHandle, ProbeSink,
-    SimilarityEngine, StepOutcome,
+    finalize_stats, ExecStep, FanOut, FetchBranch, Lent, ObjectCache, ProbeSink, SimilarityEngine,
+    StepOutcome,
 };
 use crate::simjoin::{JoinSlot, ProbeOutcome};
 use crate::stats::QueryStats;
@@ -128,9 +128,9 @@ impl Candidate {
         self.posting.oid()
     }
 
-    /// The oid as a handle on the candidate's posting: no copy.
-    fn oid_handle(&self) -> OidHandle {
-        OidHandle::new(self.posting.clone())
+    /// The object's number, read off the candidate's record.
+    pub(crate) fn object(&self) -> u32 {
+        self.posting.object()
     }
 
     pub(crate) fn attr(&self) -> &AttrName {
@@ -154,7 +154,7 @@ impl Candidate {
     /// The match this candidate is at `distance`, its object assembled
     /// from `cache`; `None` when its object was not fetched.
     fn matched(self, distance: usize, cache: &ObjectCache) -> Option<SimilarMatch> {
-        let object = cache.get(self.oid())?.materialize(self.oid());
+        let object = cache.get(&self.object())?.materialize(self.oid());
         let (oid, matched) = (self.oid().to_string(), self.text().to_string());
         Some(SimilarMatch { oid, attr: self.attr().clone(), matched, distance, object })
     }
@@ -175,10 +175,11 @@ impl Candidate {
     }
 }
 
-/// Two candidates are one when their (oid, attribute, text) are.
+/// Two candidates are one when their (object, attribute, text) are.
 impl PartialEq for Candidate {
     fn eq(&self, other: &Self) -> bool {
-        self.head == other.head && self.strings() == other.strings()
+        self.object() == other.object()
+            && (self.attr(), self.text()) == (other.attr(), other.text())
     }
 }
 
@@ -186,7 +187,7 @@ impl Eq for Candidate {}
 
 impl Hash for Candidate {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.strings().hash(state);
+        (self.object(), self.chars).hash(state);
     }
 }
 
@@ -356,9 +357,9 @@ enum SimState {
     PlanFetch {
         at_us: u64,
     },
-    /// One object-fetch branch per step (stage 2a): a stretch of `oids`.
+    /// One object-fetch branch per step (stage 2a): a stretch of `objects`.
     Fetch {
-        oids: Vec<OidHandle>,
+        objects: Vec<Posting>,
         fan: FanOut<FetchBranch>,
     },
     /// Final edit-distance verification at the initiator (stage 2b).
@@ -795,15 +796,15 @@ impl SimilarTask {
                         (oid.to_string(), attr.to_string(), text.to_string())
                     }));
                     // `sort_dedup` left the candidates ascending by oid, so
-                    // the oids still to fetch ascend once repeats go (which
-                    // `plan_fetch_branches` asserts).
-                    let mut missing: Vec<OidHandle> = Vec::new();
+                    // the objects still to fetch ascend once repeats go
+                    // (which `plan_fetch_branches` asserts).
+                    let mut missing: Vec<Posting> = Vec::new();
                     for cand in &self.candidates {
-                        let oid = cand.oid();
-                        if missing.last().is_none_or(|m| m.as_str() != oid)
-                            && !cache.contains_key(oid)
+                        let object = cand.object();
+                        if missing.last().is_none_or(|m| m.object() != object)
+                            && !cache.contains_key(&object)
                         {
-                            missing.push(cand.oid_handle());
+                            missing.push(cand.posting.clone());
                         }
                     }
                     if missing.is_empty() {
@@ -812,13 +813,14 @@ impl SimilarTask {
                     }
                     cache.reserve(missing.len());
                     #[cfg(test)]
-                    self.probe.fetched.extend(missing.iter().map(|o| o.as_str().to_string()));
+                    self.probe.fetched.extend(missing.iter().map(|p| p.oid().to_string()));
                     let branches = engine.plan_fetch_branches(&missing);
-                    self.state = SimState::Fetch { oids: missing, fan: FanOut::new(branches, at) };
+                    self.state =
+                        SimState::Fetch { objects: missing, fan: FanOut::new(branches, at) };
                     continue;
                 }
 
-                SimState::Fetch { oids, mut fan } => {
+                SimState::Fetch { objects, mut fan } => {
                     if !fan.is_done() && self.past_deadline(fan.fork_us) {
                         self.drop_legs(fan.len());
                         self.state = SimState::Verify { at_us: fan.max_end_us };
@@ -830,13 +832,13 @@ impl SimilarTask {
                     };
                     let from = self.from;
                     let ((), end) = engine.charged(&mut self.stats, fan.fork_us, |e| {
-                        e.fetch_branch(from, &oids[branch], |oid, obj| {
-                            cache.insert(oid.clone(), obj);
+                        e.fetch_branch(from, &objects[branch], |p, fetched| {
+                            cache.insert(p.object(), fetched);
                         })
                     });
                     fan.record_end(end);
                     let next_at = if fan.is_done() { fan.max_end_us } else { fan.fork_us };
-                    self.state = SimState::Fetch { oids, fan };
+                    self.state = SimState::Fetch { objects, fan };
                     return StepOutcome::Yield { at_us: next_at };
                 }
 
@@ -846,7 +848,7 @@ impl SimilarTask {
                     let (verified, _end) = engine.charged(&mut self.stats, at, |e| {
                         let mut verified = Vec::new();
                         for cand in candidates {
-                            if !cache.contains_key(cand.oid()) {
+                            if !cache.contains_key(&cand.object()) {
                                 continue;
                             }
                             e.count_comparison();

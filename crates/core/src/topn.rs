@@ -20,8 +20,10 @@
 //! `d = 1, 3, 5, …` up to `d_max`, reusing the initiator's object cache
 //! across shells, until `N` matches are known. Successive shells probe the
 //! *same* gram keys (the search string never changes — only `d` grows), so
-//! with a probe broker installed (see [`crate::broker`]) every shell after
-//! the first is served almost entirely from the initiator's posting cache.
+//! with a probe broker installed (see [`crate::broker`]) a later shell's
+//! probes are answered from the initiator's posting cache. Without one
+//! (`words-mix`) every shell probes afresh, and at q = 2 the wide shell's
+//! count filter passes nearly all of its window (`docs/PERFORMANCE.md`).
 
 use crate::engine::{finalize_stats, ExecStep, ObjectCache, SimilarityEngine, StepOutcome};
 use crate::ranking::Rank;
@@ -412,7 +414,7 @@ impl ExecStep for TopNTask {
                                     .filter_map(|(cand, distance)| {
                                         let oid = cand.oid();
                                         Some(TopNItem {
-                                            object: cache.get(oid)?.materialize(oid),
+                                            object: cache.get(&cand.object())?.materialize(oid),
                                             oid: oid.to_string(),
                                             value: Value::Str(cand.text().to_string()),
                                             score: distance as f64,

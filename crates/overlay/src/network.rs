@@ -1193,6 +1193,13 @@ impl<T: Item> Network<T> {
         run.items
     }
 
+    /// Charge `peer` the local scan of `entries` entries that
+    /// [`Self::local_prefix_run`] charges, for a caller that knows the
+    /// scan's hits without making it.
+    pub fn charge_local_scan(&mut self, peer: PeerId, entries: usize) {
+        Self::charge_scan(&mut self.image.metrics, &mut self.sink, &self.tracer, peer, entries);
+    }
+
     /// Charge one forward message `from → to` (operator-driven shower
     /// step).
     pub fn forward_to(&mut self, from: PeerId, to: PeerId) {

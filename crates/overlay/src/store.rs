@@ -280,6 +280,28 @@ impl<T> SortedStore<T> {
         self.stretch(s..e)
     }
 
+    /// The index of the entry whose key is `key`, if one is.
+    pub fn entry_index(&self, key: KeyRef<'_>) -> Option<usize> {
+        let at = self.lower_bound(key);
+        (self.key_at(at) == Some(key)).then_some(at)
+    }
+
+    /// Entry `at` as an object fetch reads it: its key, how many entries
+    /// have that key as a prefix — what a scan of it is charged — and the
+    /// items stored under exactly that key.
+    ///
+    /// # Panics
+    /// Panics when `at` is out of range.
+    pub fn entry(&self, at: usize) -> (KeyRef<'_>, usize, &[T]) {
+        let key = self.key(at);
+        (key, self.prefix_run_at(at, key).len(), self.stretch(at..at + 1).items)
+    }
+
+    /// The indices of the entries whose key has `prefix` as a prefix.
+    pub fn entries_under(&self, prefix: KeyRef<'_>) -> Range<usize> {
+        self.prefix_run_at(self.lower_bound(prefix), prefix)
+    }
+
     /// The items stored under exactly `key`, if any.
     pub fn exact_entry(&self, key: &Key) -> Option<&[T]> {
         let at = self.lower_bound(key.as_ref());

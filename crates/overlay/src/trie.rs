@@ -220,8 +220,7 @@ pub fn find_partition(paths: &[Key], key: &Key) -> usize {
 /// # Panics
 /// Panics when `lo` is out of range. Debug builds check the answer against
 /// [`find_partition`], which a `lo` past the key's partition fails.
-pub fn find_partition_from(paths: &[Key], key: &Key, lo: usize) -> usize {
-    let key = key.as_ref();
+pub fn find_partition_from(paths: &[Key], key: KeyRef<'_>, lo: usize) -> usize {
     let at = lo + gallop(&paths[lo..], |p| p.as_ref() <= key);
     // The last path at or before the key; `paths[lo]` when even that one
     // lies after it (the previous key was shorter than the trie).

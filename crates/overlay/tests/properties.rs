@@ -67,7 +67,7 @@ fn assert_galloped_lookups(paths: &[Key], keys: &[Key]) {
     prop_assert!(is_complete_cover(paths));
     let mut part = 0;
     for key in keys {
-        part = find_partition_from(paths, key, part);
+        part = find_partition_from(paths, key.as_ref(), part);
         prop_assert_eq!(part, find_partition(paths, key), "key {}", key);
     }
 }

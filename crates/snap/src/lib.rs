@@ -89,8 +89,9 @@ use sqo_core::{EngineConfig, SimilarityEngine};
 use sqo_overlay::{Network, NetworkState};
 use sqo_sim::driver::DriverCheckpoint;
 use sqo_sim::scale::ScaleCheckpoint;
-use sqo_storage::{Posting, PublishStats};
+use sqo_storage::{Objects, Posting, PublishStats};
 use std::fmt;
+use std::sync::Arc;
 
 /// Version of the artifact layout. Bump on any wire-format change;
 /// [`Snapshot::from_bytes`] refuses other versions outright.
@@ -188,6 +189,12 @@ pub struct WorldState {
     /// The installed probe broker's image (posting cache + channel
     /// pool), when one is installed.
     pub broker: Option<BrokerState>,
+    /// The numbers and fetch spots of the world's objects: host-side, in
+    /// no wire record; a decoded world numbers its records by first sight
+    /// in the triple table and places their spots on its runs. A capture
+    /// copies the engine's, and an engine restored from it shares them
+    /// until it publishes.
+    pub objects: Arc<Objects>,
 }
 
 /// One frozen simulation: the world, plus whichever mid-run images apply.
@@ -213,6 +220,7 @@ impl Snapshot {
                 publish: *engine.publish_stats(),
                 edit_comparisons: engine.edit_comparisons(),
                 broker: engine.broker_state(),
+                objects: Arc::new(Objects::clone(engine.objects())),
             },
             driver: None,
             scale: None,
@@ -253,6 +261,7 @@ impl Snapshot {
             self.world.publish,
             self.world.edit_comparisons,
             self.world.broker.clone().map(CacheBatchBroker::from_state),
+            Arc::clone(&self.world.objects),
         ))
     }
 

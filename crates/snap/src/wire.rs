@@ -65,8 +65,8 @@ use sqo_sim::scale::{Ev, EvKind, QState, ScaleCheckpoint};
 use sqo_sim::{NetSimState, QueryKind, QueueState};
 use sqo_storage::keys::one_gram_entry;
 use sqo_storage::{
-    BaseKind, GramInterner, Posting, PostingKind, PublishStats, SlabBuilder, TripleRef, TripleSlab,
-    ValueRef,
+    BaseKind, GramInterner, Objects, Posting, PostingKind, PublishStats, SlabBuilder, TripleRef,
+    TripleSlab, ValueRef,
 };
 use std::sync::Arc;
 
@@ -131,13 +131,17 @@ pub struct Dec<'a> {
     /// The decoded triple table (empty until [`Dec::triples`] reads one):
     /// every decoded posting is a handle on its slab.
     slab: Arc<TripleSlab>,
+    /// The numbers of the slab's objects, by first sight in the table.
+    objects: Objects,
     /// One span of the slab's text per distinct gram met so far.
     grams: GramInterner<'a>,
 }
 
 impl<'a> Dec<'a> {
     pub fn new(b: &'a [u8]) -> Self {
-        Dec { b, pos: 0, slab: TripleSlab::of([]), grams: GramInterner::default() }
+        let (slab, objects, grams) =
+            (TripleSlab::of([]), Objects::default(), GramInterner::default());
+        Dec { b, pos: 0, slab, objects, grams }
     }
     pub fn remaining(&self) -> usize {
         self.b.len() - self.pos
@@ -178,13 +182,19 @@ impl<'a> Dec<'a> {
 
     /// Read the triple table [`Enc::triples`] wrote into one slab, which
     /// every posting decoded afterwards is checked against and refers to.
+    /// Its objects are numbered by first sight in the table: the numbers
+    /// travel in no record.
     pub fn triples(&mut self) -> R<()> {
         const FULL: SnapError = SnapError::Corrupt("triple table exceeds 4 GiB of text");
         let n = self.seq_len()?;
         let mut slab = SlabBuilder::with_capacity(n, 0, 0);
+        let mut last = ("", 0);
         for _ in 0..n {
             let (oid, attr, value): WireTriple = self.get()?;
-            slab.push(oid, attr, value).map_err(|_| FULL)?;
+            if oid != last.0 {
+                last = (oid, self.objects.number(oid));
+            }
+            slab.push(oid, attr, value, last.1).map_err(|_| FULL)?;
         }
         self.slab = slab.finish().map_err(|_| FULL)?;
         Ok(())
@@ -370,12 +380,31 @@ macro_rules! record {
     )+};
 }
 
+/// A world's objects travel in no record: the decoder numbered its records
+/// by first sight in the triple table, and their spots are placed on the
+/// decoded runs.
+impl<'a> Wire<'a> for WorldState {
+    fn put(&self, e: &mut Enc<'_>) {
+        self.net.put(e);
+        self.publish.put(e);
+        self.edit_comparisons.put(e);
+        self.broker.put(e);
+    }
+
+    fn get(d: &mut Dec<'a>) -> R<Self> {
+        let net: NetworkState<Posting> = d.get()?;
+        let (publish, edit_comparisons, broker) = (d.get()?, d.get()?, d.get()?);
+        let mut objects = std::mem::take(&mut d.objects);
+        objects.place_all(net.topology().paths(), net.stores().iter().map(|s| &**s));
+        Ok(WorldState { net, publish, edit_comparisons, broker, objects: Arc::new(objects) })
+    }
+}
+
 type CacheEntry = LruEntryState<(PeerId, Key), Vec<Posting>>;
 type Cache = LruState<(PeerId, Key), Vec<Posting>>;
 
 record! {
     Snapshot { world, driver, scale };
-    WorldState { net, publish, edit_comparisons, broker };
     PublishStats {
         rows, triples, base_postings, instance_gram_postings, schema_gram_postings,
         short_postings, total_bytes,

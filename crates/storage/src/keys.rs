@@ -26,7 +26,7 @@
 use crate::posting::{Posting, PostingKind};
 use crate::triple::{Value, ValueRef};
 use sqo_overlay::hash::{order_bits_f64, order_bits_i64, MAX_STRING_KEY_BITS};
-use sqo_overlay::key::Key;
+use sqo_overlay::key::{Key, KeyRef};
 
 /// Index-family tags (first byte of every key).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,6 +163,17 @@ pub fn oid_key(oid: &str) -> Key {
 /// each key with.
 pub fn oid_key_into(oid: &str, key: &mut Key) {
     key.set_from_parts(&oid_parts(oid));
+}
+
+/// A buffer [`oid_key_in`] writes a key in.
+pub type OidKeyBuf = [u8; 1 + MAX_STRING_KEY_BITS / 8];
+
+/// `key(oid)`, written into `buf` and viewed there: nothing is allocated.
+pub fn oid_key_in<'b>(oid: &str, buf: &'b mut OidKeyBuf) -> KeyRef<'b> {
+    let bytes = str_bytes(oid);
+    buf[0] = IndexFamily::Oid as u8;
+    buf[1..=bytes.len()].copy_from_slice(bytes);
+    KeyRef::new(&buf[..=bytes.len()], (bytes.len() + 1) * 8).expect("whole bytes")
 }
 
 pub(crate) fn oid_parts(oid: &str) -> Parts<'_, 2> {

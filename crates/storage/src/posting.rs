@@ -249,6 +249,12 @@ impl Posting {
         self.triple().oid()
     }
 
+    /// The number of the triple's object ([`crate::objects`]): read off
+    /// its record, no oid is.
+    pub fn object(&self) -> u32 {
+        self.triple().object()
+    }
+
     /// The gram's text; empty for a posting without one.
     pub fn gram(&self) -> &str {
         self.slab.gram_text(self.gram_span()).expect("checked when the posting was made")
@@ -489,6 +495,20 @@ impl ObjectPostings {
     /// carrying it is charged — without materializing it.
     pub fn repr_len(&self, oid: &str) -> usize {
         oid.len() + self.fields().map(|(a, v)| a.as_str().len() + v.repr_len() + 8).sum::<usize>()
+    }
+
+    /// [`Self::repr_len`] of what [`Self::gather`] makes of `items`,
+    /// without gathering it: nothing is allocated. A field counts unless
+    /// an earlier one of `oid` has its attribute and value.
+    pub fn payload(oid: &str, items: &[Posting]) -> usize {
+        let field = |i: usize| items[i].as_base().filter(|t| t.oid() == oid);
+        let fields = (0..items.len()).filter_map(|i| {
+            let t = field(i)?;
+            let mut earlier = (0..i).filter_map(field);
+            (!earlier.any(|f| f.attr() == t.attr() && f.value() == t.value())).then_some(t)
+        });
+        oid.len()
+            + fields.map(|t| t.attr().as_str().len() + t.value().repr_len() + 8).sum::<usize>()
     }
 
     /// The owned object: the oid and a copy of every field.

@@ -42,6 +42,7 @@
 //! time gives ([`postings_for_triple`] is a batch of one).
 
 use crate::keys::{self, AttrPrefixes, ValueParts};
+use crate::objects::UNNUMBERED;
 use crate::posting::{rank_parts, BaseKind, Posting, PostingKind};
 use crate::slab::{GramInterner, GramSpan, SlabBuilder, TripleSlab};
 use crate::triple::{Row, Triple, ValueRef};
@@ -428,14 +429,18 @@ fn push_postings<'s>(
 /// order the `A#v` family stores them in, so an attribute scan reads
 /// records and text front to back — and, per triple in row order, its
 /// index there. The sort is stable: equal pairs keep row order, as the
-/// postings of one key do.
-fn slab_of_rows(rows: &[Row]) -> (Arc<TripleSlab>, Vec<u32>) {
+/// postings of one key do. Each row's object is numbered by `number`, in
+/// row order.
+fn slab_of_rows(rows: &[Row], mut number: impl FnMut(&str) -> u32) -> (Arc<TripleSlab>, Vec<u32>) {
     // Equal names become one `&str`, the first seen, so the sort compares
     // names in a few hot bytes instead of in every row's own allocation.
     let mut names: FxHashSet<&str> = FxHashSet::default();
-    let triples: Vec<(&str, ValueRef<'_>, &Row)> = rows
+    let triples: Vec<(&str, ValueRef<'_>, (&Row, u32))> = rows
         .iter()
-        .flat_map(|row| row.fields.iter().map(move |(attr, value)| (row, attr, value)))
+        .flat_map(|row| {
+            let row = (row, number(&row.oid));
+            row.0.fields.iter().map(move |(attr, value)| (row, attr, value))
+        })
         .map(|(row, attr, value)| {
             let name = match names.get(attr.as_str()) {
                 Some(name) => *name,
@@ -455,15 +460,15 @@ fn slab_of_rows(rows: &[Row]) -> (Arc<TripleSlab>, Vec<u32>) {
         name_a.cmp(name_b).then_with(|| key_order(value_a, value_b))
     });
 
-    let (value_bytes, oid_bytes) = triples.iter().fold((0, 0), |(v, o), (_, value, row)| {
+    let (value_bytes, oid_bytes) = triples.iter().fold((0, 0), |(v, o), (_, value, (row, _))| {
         (v + value.as_str().map_or(0, str::len), o + row.oid.len())
     });
     let mut slab = SlabBuilder::with_capacity(triples.len(), value_bytes, oid_bytes);
     let mut index_of = vec![0; triples.len()];
     for at in order {
-        let (name, value, row) = triples[at as usize];
+        let (name, value, (row, object)) = triples[at as usize];
         index_of[at as usize] =
-            slab.push(&row.oid, name, value).expect("a batch stays under 4 GiB of text");
+            slab.push(&row.oid, name, value, object).expect("a batch stays under 4 GiB of text");
     }
     (slab.finish().expect("a batch stays under 4 GiB of text"), index_of)
 }
@@ -486,10 +491,16 @@ fn key_order(a: ValueRef<'_>, b: ValueRef<'_>) -> Ordering {
 
 /// The grouped batch of `rows`, with accounting. The batch's triples are
 /// one slab, which every posting holds a handle on; per triple the pipeline
-/// allocates nothing, per distinct key its bytes.
-pub fn batch_for_rows(rows: &[Row], cfg: &PublishConfig) -> (PostingBatch, PublishStats) {
+/// allocates nothing, per distinct key its bytes. `number` numbers each
+/// row's object ([`crate::objects`]): an engine's interner, or
+/// `|_| UNNUMBERED` for a batch no engine publishes.
+pub fn batch_for_rows(
+    rows: &[Row],
+    cfg: &PublishConfig,
+    number: impl FnMut(&str) -> u32,
+) -> (PostingBatch, PublishStats) {
     let mut stats = PublishStats { rows: rows.len(), ..Default::default() };
-    let (slab, index_of) = slab_of_rows(rows);
+    let (slab, index_of) = slab_of_rows(rows, number);
     let prefixes: Vec<AttrPrefixes> = slab.names().map(|n| AttrPrefixes::new(n.as_str())).collect();
     let mut ids = KeyIds::for_triples(slab.len());
     // Typical fan-out: 3 base + ~len grams per string triple.
@@ -521,7 +532,7 @@ pub fn batch_for_rows(rows: &[Row], cfg: &PublishConfig) -> (PostingBatch, Publi
 /// the one non-test caller left, which a change that claims a speed-up
 /// may not edit.
 pub fn postings_for_rows(rows: &[Row], cfg: &PublishConfig) -> (Vec<(Key, Posting)>, PublishStats) {
-    let (batch, stats) = batch_for_rows(rows, cfg);
+    let (batch, stats) = batch_for_rows(rows, cfg, |_| UNNUMBERED);
     (batch.flatten(), stats)
 }
 
@@ -619,7 +630,7 @@ mod tests {
             Row::new("o:3", [("名前", Value::from("title")), ("name", Value::from("née 名前"))]),
         ];
         for q in 1..4 {
-            let (batch, _) = batch_for_rows(&rows, &PublishConfig { q, ..cfg() });
+            let (batch, _) = batch_for_rows(&rows, &PublishConfig { q, ..cfg() }, |_| UNNUMBERED);
             let grams = batch.entries().iter().map(|(_, p)| p).filter(|p| p.kind().has_gram());
             let mut span_of: FxHashMap<&str, GramSpan> = FxHashMap::default();
             let mut text_of: FxHashMap<GramSpan, &str> = FxHashMap::default();
@@ -663,8 +674,8 @@ mod tests {
                 let source = format!("{}abc", "z".repeat(70_000));
                 rows.push(Row::new("o:long", [("name", Value::from(source))]));
             }
-            let (batch, _) = batch_for_rows(&rows, &cfg());
-            let mut flat = batch_for_rows(&rows, &cfg()).0.flatten();
+            let (batch, _) = batch_for_rows(&rows, &cfg(), |_| UNNUMBERED);
+            let mut flat = batch_for_rows(&rows, &cfg(), |_| UNNUMBERED).0.flatten();
             flat.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.rank().cmp(&b.1.rank())));
             let run = batch.into_sorted_groups();
             let grouped: Vec<(Key, Posting)> = run

@@ -9,7 +9,7 @@
 //!
 //! * a dense array of fixed-width records (32 bytes: the oid's span, the
 //!   attribute's id, the value as a tag and a number or a span, the value's
-//!   length in characters, the triple's serialized size),
+//!   length in characters, the object's number — see [`crate::objects`]),
 //! * one text arena: every string value back to back in record order, then
 //!   every oid, then each distinct attribute name once,
 //! * a table of the distinct attribute names, with their character lengths.
@@ -28,6 +28,7 @@
 //! Offsets are `u32` behind checked conversions ([`SlabFull`]): a slab
 //! holds under 4 GiB of text.
 
+use crate::objects::Objects;
 use crate::posting::Posting;
 use crate::triple::{AttrName, Triple, ValueRef};
 use rustc_hash::FxHashMap;
@@ -77,8 +78,8 @@ struct Record {
     attr: u32,
     /// Length of a string value in characters; 0 for numbers.
     value_chars: u32,
-    /// [`Triple::repr_len`] of the triple.
-    repr_len: u32,
+    /// The object's number ([`crate::objects`]).
+    object: u32,
     tag: Tag,
 }
 
@@ -122,14 +123,16 @@ impl fmt::Debug for TripleSlab {
 }
 
 impl TripleSlab {
-    /// A slab of `triples`, in the order given.
+    /// A slab of `triples`, in the order given, its objects numbered by
+    /// first sight.
     ///
     /// # Panics
     /// Panics past 4 GiB of text.
     pub fn of<'a>(triples: impl IntoIterator<Item = &'a Triple>) -> Arc<TripleSlab> {
-        let mut b = SlabBuilder::default();
+        let (mut b, mut objects) = (SlabBuilder::default(), Objects::default());
         for t in triples {
-            b.push(&t.oid, t.attr.as_str(), t.value.as_ref()).expect("under 4 GiB of text");
+            let object = objects.number(&t.oid);
+            b.push(&t.oid, t.attr.as_str(), t.value.as_ref(), object).expect("under 4 GiB of text");
         }
         b.finish().expect("under 4 GiB of text")
     }
@@ -275,8 +278,14 @@ impl SlabBuilder {
         }
     }
 
-    /// Append a triple; returns its index.
-    pub fn push(&mut self, oid: &str, attr: &str, value: ValueRef<'_>) -> Result<u32, SlabFull> {
+    /// Append a triple of the object numbered `object`; returns its index.
+    pub fn push(
+        &mut self,
+        oid: &str,
+        attr: &str,
+        value: ValueRef<'_>,
+        object: u32,
+    ) -> Result<u32, SlabFull> {
         let index = word(self.records.len())?;
         let attr_id = self.name_id(attr)?;
         let oid_span = Span { off: word(self.oids.len())?, len: word(oid.len())? };
@@ -300,7 +309,7 @@ impl SlabBuilder {
             value: value_words,
             attr: attr_id,
             value_chars,
-            repr_len: word(oid.len() + attr.len() + value.repr_len() + 12)?,
+            object,
             tag,
         });
         Ok(index)
@@ -391,9 +400,11 @@ impl<'a> TripleRef<'a> {
         self.slab.names[self.rec.attr as usize].chars as usize
     }
 
-    /// Serialized size estimate (oid + attr + value + framing), stored.
+    /// Serialized size estimate (oid + attr + value + framing), from the
+    /// record's lengths and the name's: no text is read.
     pub fn repr_len(self) -> usize {
-        self.rec.repr_len as usize
+        let name = self.slab.names[self.rec.attr as usize].span.len;
+        self.oid_len() + name as usize + self.value_repr_len() + 12
     }
 
     /// Serialized size of the value alone.
@@ -402,6 +413,11 @@ impl<'a> TripleRef<'a> {
             Tag::Str => self.rec.value_span().len as usize,
             Tag::Int | Tag::Float => 8,
         }
+    }
+
+    /// The object's number ([`crate::objects`]).
+    pub fn object(self) -> u32 {
+        self.rec.object
     }
 
     /// Length of the oid in bytes.

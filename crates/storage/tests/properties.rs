@@ -6,6 +6,7 @@ use sqo_overlay::hash::{hash_f64, hash_i64, hash_str};
 use sqo_overlay::peer::Item;
 use sqo_overlay::Key;
 use sqo_storage::keys;
+use sqo_storage::objects::UNNUMBERED;
 use sqo_storage::posting::{BaseKind, Object, ObjectPostings, Posting, PostingKind};
 use sqo_storage::publish::{
     batch_for_rows, postings_for_rows, postings_for_triple, PublishConfig, PublishStats,
@@ -405,7 +406,7 @@ proptest! {
         if first_row_twice {
             rows.extend(rows.first().cloned());
         }
-        let (grouped, stats) = batch_for_rows(&rows, &cfg);
+        let (grouped, stats) = batch_for_rows(&rows, &cfg, |_| UNNUMBERED);
         let keys = grouped.keys();
         let distinct: std::collections::HashSet<&[u8]> = keys.iter().map(Key::as_bytes).collect();
         prop_assert_eq!(distinct.len(), keys.len(), "a key under two ids");
@@ -431,10 +432,10 @@ proptest! {
             |a: &(Key, Posting), b: &(Key, Posting)| a.0.cmp(&b.0).then(a.1.rank().cmp(&b.1.rank()));
         let mut sorted = batch.clone();
         sorted.sort_by(by_key_and_rank);
-        prop_assert_eq!(flattened(batch_for_rows(&rows, &cfg).0.into_groups(&order)), sorted);
+        prop_assert_eq!(flattened(batch_for_rows(&rows, &cfg, |_| UNNUMBERED).0.into_groups(&order)), sorted);
         // Dropping postings drops them from their groups, and a key left
         // without postings has no group.
-        let (mut thinned, _) = batch_for_rows(&rows, &cfg);
+        let (mut thinned, _) = batch_for_rows(&rows, &cfg, |_| UNNUMBERED);
         let mut nth = 0;
         thinned.retain(|id, key, _| {
             nth += 1;
