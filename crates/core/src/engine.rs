@@ -16,7 +16,7 @@ use sqo_overlay::trie::find_partition_from;
 use sqo_overlay::{Metrics, PartitionStore, TraceEvent, TraceTrack};
 use sqo_storage::keys::{oid_key_in, oid_key_into};
 use sqo_storage::objects::{Fetch, Fetched, Objects};
-use sqo_storage::posting::{Object, ObjectPostings, Posting};
+use sqo_storage::posting::{ObjectPostings, Posting};
 use sqo_storage::publish::{batch_for_rows, PublishConfig, PublishStats};
 use sqo_storage::triple::Row;
 use sqo_strsim::filters::FilterConfig;
@@ -1123,9 +1123,10 @@ impl SimilarityEngine {
 
     /// One object-fetch branch: route by the first object's key, charge the
     /// owner the prefix scan of each object's key, and reply once with the
-    /// objects' [`Object::repr_len`]: a spot's payload, and one entry for a
-    /// leaf key, no key looked up; else the key galloped to in the owner's
-    /// run. `keep` gets each object as a handle on that run.
+    /// objects' [`Object::repr_len`](sqo_storage::posting::Object::repr_len):
+    /// a spot's payload, and one entry for a leaf key, no key looked up;
+    /// else the key galloped to in the owner's run. `keep` gets each object
+    /// as a handle on that run.
     pub(crate) fn fetch_branch<T: Fetch>(
         &mut self,
         from: PeerId,
@@ -1189,23 +1190,24 @@ impl SimilarityEngine {
     }
 
     /// Fetch the complete objects for a set of oids (Algorithm 2's "build
-    /// complete object o from T′"): oid → object, one without fields for an
-    /// oid nothing is stored under. The stepped operators' branches, run
-    /// back to back (a plan's lookup by oid, a swapped join's scanned side).
+    /// complete object o from T′"): oid → the object as fetched, one
+    /// without fields ([`Fetched::is_empty`]) for an oid nothing is stored
+    /// under. The stepped operators' branches, run back to back (a plan's
+    /// lookup by oid, a swapped join's scanned side).
     pub fn fetch_objects(
         &mut self,
         from: PeerId,
         oids: &FxHashSet<String>,
-    ) -> FxHashMap<String, Object> {
+    ) -> FxHashMap<String, Fetched> {
         let mut sorted: Vec<&str> = oids.iter().map(String::as_str).collect();
         sorted.sort_unstable(); // the plan merges ascending oids
         let branches = self.plan_fetch_branches(&sorted);
-        let mut result: FxHashMap<String, Object> = FxHashMap::default();
+        let mut result: FxHashMap<String, Fetched> = FxHashMap::default();
         self.net.sim_fork();
         for branch in branches {
             self.net.sim_branch();
-            self.fetch_branch(from, &sorted[branch], |oid, obj| {
-                result.insert(oid.to_string(), obj.materialize(oid));
+            self.fetch_branch(from, &sorted[branch], |oid, fetched| {
+                result.insert(oid.to_string(), fetched);
             });
         }
         self.net.sim_join();
@@ -1424,7 +1426,7 @@ impl<B> FanOut<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqo_storage::posting::PostingKind;
+    use sqo_storage::posting::{Object, PostingKind};
     use sqo_storage::triple::Value;
 
     fn cars() -> Vec<Row> {
@@ -1484,8 +1486,8 @@ mod tests {
 
     /// Fetch one object by oid: `None` when nothing is stored under it.
     fn lookup(e: &mut SimilarityEngine, from: PeerId, oid: &str) -> Option<Object> {
-        let mut objects = e.fetch_objects(from, &[oid.to_string()].into_iter().collect());
-        objects.remove(oid).filter(|o| !o.fields.is_empty())
+        let objects = e.fetch_objects(from, &[oid.to_string()].into_iter().collect());
+        objects.get(oid).filter(|o| !o.is_empty(oid)).map(|o| o.materialize(oid))
     }
 
     #[test]
@@ -1668,7 +1670,7 @@ mod tests {
             ["car:1", "car:2", "car:3"].iter().map(|s| s.to_string()).collect();
         let objs = e.fetch_objects(from, &oids);
         assert_eq!(objs.len(), 3);
-        assert_eq!(objs["car:2"].get("hp"), Some(&Value::from(150)));
+        assert_eq!(objs["car:2"].materialize("car:2").get("hp"), Some(&Value::from(150)));
     }
 
     /// A fetch branch as it was planned: each oid with its key.
@@ -1704,7 +1706,8 @@ mod tests {
                 e.legs_addressed += 1;
                 if let Ok(postings) = e.with_leg_retry(|e| e.net.retrieve_list(from, &key)) {
                     e.legs_answered += 1;
-                    let obj = ObjectPostings::gather(&oid, postings.iter()).materialize(&oid);
+                    let obj = Fetched::Gathered(ObjectPostings::gather(&oid, postings.iter()))
+                        .materialize(&oid);
                     out.push((oid, obj));
                 }
             }
@@ -1718,7 +1721,7 @@ mod tests {
         let mut payload = 0;
         for (oid, key) in oids {
             let run = e.net.local_prefix_run(owner, &key);
-            let obj = ObjectPostings::gather(&oid, run).materialize(&oid);
+            let obj = Fetched::Gathered(ObjectPostings::gather(&oid, run)).materialize(&oid);
             payload += obj.repr_len();
             out.push((oid, obj));
         }
@@ -2327,8 +2330,9 @@ mod tests {
                         on(i == 1, &mut engines[i], |e| {
                             let before = *e.network().metrics();
                             let objects = e.fetch_objects(from, &asked);
-                            let mut objects: Vec<_> = objects.into_iter().collect();
-                            objects.sort_by(|a, b| a.0.cmp(&b.0));
+                            let mut objects: Vec<_> =
+                                objects.iter().map(|(oid, o)| o.materialize(oid)).collect();
+                            objects.sort_by(|a, b| a.oid.cmp(&b.oid));
                             let m = e.network().metrics().delta(&before);
                             (m.local_items_scanned, m.bytes, m.messages, objects)
                         })

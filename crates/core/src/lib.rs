@@ -18,6 +18,33 @@
 //!   batching) when one is installed, filtered by a [`ProbeFilter`];
 //! * [`stats`] — per-query message/bandwidth/work accounting.
 
+/// The object accessor and `Debug` of a result row — an operator's or a
+/// plan's — that carries its object as a fetched handle (`handle`) beside
+/// its `oid`: `object()` builds it, and `Debug` shows it built, as the
+/// field `object` between the fields listed before and after the `;`.
+#[macro_export]
+macro_rules! built_object {
+    ($row:ident { $($before:ident),* ; $($after:ident),* }) => {
+        impl $row {
+            /// The complete object ("build complete object o from T′"),
+            /// built from the handle.
+            pub fn object(&self) -> sqo_storage::posting::Object {
+                self.handle.materialize(&self.oid)
+            }
+        }
+
+        impl std::fmt::Debug for $row {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                let mut s = f.debug_struct(stringify!($row));
+                $(s.field(stringify!($before), &self.$before);)*
+                s.field("object", &self.object());
+                $(s.field(stringify!($after), &self.$after);)*
+                s.finish()
+            }
+        }
+    };
+}
+
 pub mod adaptive;
 pub mod broker;
 pub mod engine;

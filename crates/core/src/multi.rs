@@ -27,11 +27,11 @@
 //! repeated sub-queries benefit most from the shared posting cache.
 
 use crate::engine::{finalize_stats, ExecStep, SimilarityEngine, StepOutcome};
-use crate::similar::{SimilarTask, Strategy};
+use crate::similar::{SimilarMatch, SimilarTask, Strategy};
 use crate::stats::QueryStats;
 use rustc_hash::FxHashMap;
 use sqo_overlay::peer::PeerId;
-use sqo_storage::posting::Object;
+use sqo_storage::objects::Fetched;
 use sqo_strsim::edit::BoundedLevenshtein;
 use sqo_strsim::filters::char_len;
 
@@ -55,23 +55,26 @@ pub enum MultiStrategy {
     /// Separate sub-queries, intersected at the initiator.
     Intersect,
     /// Most selective sub-query over the network, rest verified locally on
-    /// the materialized objects.
+    /// the fetched objects.
     Pipelined,
 }
 
 /// An object satisfying every predicate, with the matched value and
-/// distance per attribute.
-#[derive(Debug, Clone)]
+/// distance per attribute; its object a handle, as
+/// [`SelectHit`](crate::SelectHit)'s is.
+#[derive(Clone)]
 pub struct MultiMatch {
     pub oid: String,
-    pub object: Object,
+    pub handle: Fetched,
     /// `(attr, matched value, distance)` per predicate, in predicate order.
     pub bindings: Vec<(String, String, usize)>,
 }
 
+built_object!(MultiMatch { oid; bindings });
+
 /// oid → (object, bindings found so far); an oid must appear in every
 /// sub-query's result to survive the intersection.
-type Alive = FxHashMap<String, (Object, Vec<(String, String, usize)>)>;
+type Alive = FxHashMap<String, (Fetched, Vec<(String, String, usize)>)>;
 
 /// A multi-attribute conjunction as a resumable task: one child
 /// [`SimilarTask`] per predicate (all of them for `Intersect`, only the
@@ -194,10 +197,11 @@ impl ExecStep for MultiTask {
                                     let p = &self.preds[idx];
                                     let mut this: Alive = FxHashMap::default();
                                     for m in child.take_matches() {
-                                        this.entry(m.oid.clone())
-                                            .or_insert_with(|| (m.object.clone(), Vec::new()))
+                                        let SimilarMatch { oid, matched, distance, handle, .. } = m;
+                                        this.entry(oid)
+                                            .or_insert_with(|| (handle, Vec::new()))
                                             .1
-                                            .push((p.attr.clone(), m.matched, m.distance));
+                                            .push((p.attr.clone(), matched, distance));
                                     }
                                     self.alive = Some(match self.alive.take() {
                                         None => this,
@@ -231,8 +235,9 @@ impl ExecStep for MultiTask {
                 }
 
                 MState::PipeVerify { mut lead, at_us: at } => {
-                    // The lead's objects are fully materialized: verify the
-                    // remaining predicates locally at the initiator.
+                    // The lead's objects carry every field: verify the
+                    // remaining predicates locally at the initiator, each
+                    // value read where the fetch left it.
                     let (preds, lead_idx) = (&self.preds, self.lead_idx);
                     // One prepared check per predicate, not one per value.
                     let mut verifiers: Vec<BoundedLevenshtein<'_>> = preds
@@ -254,14 +259,9 @@ impl ExecStep for MultiTask {
                                     continue;
                                 }
                                 let mut found: Option<(String, usize)> = None;
-                                for (attr, value) in &m.object.fields {
-                                    if attr.as_str() != p.attr {
-                                        continue;
-                                    }
+                                for value in m.handle.values(&m.oid, &p.attr) {
                                     let Some(text) = value.as_str() else { continue };
                                     e.count_comparison();
-                                    // An assembled object's values are owned
-                                    // copies: the count is taken here.
                                     let chars = char_len(text);
                                     if let Some(dist) = verifiers[i].distance_of(text, chars) {
                                         if found.as_ref().is_none_or(|(_, best)| dist < *best) {
@@ -280,7 +280,8 @@ impl ExecStep for MultiTask {
                                 }
                             }
                             if ok {
-                                matches.push(MultiMatch { oid: m.oid, object: m.object, bindings });
+                                let SimilarMatch { oid, handle, .. } = m;
+                                matches.push(MultiMatch { oid, handle, bindings });
                             }
                         }
                         matches
@@ -297,7 +298,7 @@ impl ExecStep for MultiTask {
                             .take()
                             .unwrap_or_default()
                             .into_iter()
-                            .map(|(oid, (object, bindings))| MultiMatch { oid, object, bindings })
+                            .map(|(oid, (handle, bindings))| MultiMatch { oid, handle, bindings })
                             .collect();
                     }
                     self.matches.sort_by(|a, b| a.oid.cmp(&b.oid));

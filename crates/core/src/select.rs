@@ -8,20 +8,27 @@ use crate::engine::{
 use crate::stats::QueryStats;
 use sqo_overlay::peer::PeerId;
 use sqo_storage::keys;
-use sqo_storage::objects::Fetch;
-use sqo_storage::posting::{Object, Posting, PostingKind};
+use sqo_storage::objects::{Fetch, Fetched};
+use sqo_storage::posting::{Posting, PostingKind};
 use sqo_storage::slab::{AttrGuard, TripleRef};
 use sqo_storage::triple::{Value, ValueRef};
 use sqo_strsim::numeric::interval_around;
 use std::borrow::Cow;
 
-/// A selection hit: the value that satisfied the predicate plus its object.
-#[derive(Debug, Clone)]
+/// A selection hit: the value that satisfied the predicate plus its object
+/// as fetched, a handle [`Self::object`] builds the owned object from when
+/// a caller reads it. The handle is the run the object was fetched from, so
+/// a later publication does not reach it; a hit kept across a publication
+/// into that partition makes its next merge copy the run. `Debug` shows the
+/// built object.
+#[derive(Clone)]
 pub struct SelectHit {
     pub oid: String,
     pub value: Value,
-    pub object: Object,
+    pub handle: Fetched,
 }
+
+built_object!(SelectHit { oid, value; });
 
 /// A selection as a resumable task: scan (retrieve / range fan-out) →
 /// per-partition object fetches → assemble, one step each.
@@ -241,9 +248,8 @@ impl ExecStep for SelectTask {
                     let mut hits: Vec<SelectHit> = matched
                         .into_iter()
                         .filter_map(|(p, value)| {
-                            let oid = p.oid();
-                            let object = self.objects.get(&p.object())?.materialize(oid);
-                            Some(SelectHit { oid: oid.to_string(), value, object })
+                            let handle = self.objects.get(&p.object())?.clone();
+                            Some(SelectHit { oid: p.oid().to_string(), value, handle })
                         })
                         .collect();
                     // Tighten numeric similarity to the exact Euclidean ball
@@ -285,8 +291,10 @@ fn sort_matches<O: Fetch>(matched: &mut [(O, Value)]) {
 
 #[cfg(test)]
 mod tests {
-    use super::{sort_matches, SelectHit, SelectTask};
+    use super::{sort_matches, Fetched, SelectHit, SelectTask};
     use crate::engine::{EngineBuilder, SimilarityEngine};
+    use crate::{Rank, TopNTask};
+    use sqo_storage::posting::Object;
     use sqo_storage::triple::{Row, Value};
 
     /// Run `task` to completion: its hits.
@@ -403,6 +411,41 @@ mod tests {
         let mut oids: Vec<&str> = hits.iter().map(|h| h.oid.as_str()).collect();
         oids.sort_unstable();
         assert_eq!(oids, vec!["a:1", "a:2"]);
+    }
+
+    /// A selection hit and a top-N item read after a publication that gives
+    /// their objects a new field still show the objects fetched: a handle on
+    /// the owner's run with delegation, gathered postings without.
+    #[test]
+    fn rows_read_after_a_publication_show_the_objects_fetched() {
+        for delegation in [true, false] {
+            let build = EngineBuilder::new().peers(16).seed(56).delegation(delegation);
+            let mut e = build.build_with_rows(&rows());
+            let from = e.random_peer();
+            let hits = run(&mut e, SelectTask::exact("hp", Value::Int(150), from));
+            let mut top = TopNTask::numeric("hp", 2, Rank::Max, from).expect("n > 0");
+            e.run_task(&mut top);
+            let items = top.take_items();
+            for handle in [&hits[0].handle, &items[0].handle] {
+                assert_eq!(matches!(handle, Fetched::At(_)), delegation);
+            }
+            let more: Vec<Row> = ["car:5", "car:29"]
+                .map(|oid| Row::new(oid, [("extra", Value::from("later"))]))
+                .to_vec();
+            e.publish_rows(&more);
+            for (shown, object, i) in [
+                (format!("{:?}", hits[0]), hits[0].object(), 5),
+                (format!("{:?}", items[0]), items[0].object(), 29),
+            ] {
+                let Row { oid, mut fields } = rows().swap_remove(i);
+                fields.sort_by(|a, b| a.0.cmp(&b.0));
+                let fetched = Object { oid, fields };
+                assert_eq!(object, fetched, "delegation {delegation}");
+                assert!(shown.ends_with(&format!("object: {fetched:?} }}")), "{shown}");
+            }
+            let again = run(&mut e, SelectTask::exact("hp", Value::Int(150), from));
+            assert_eq!(again[0].object().get("extra"), Some(&Value::from("later")));
+        }
     }
 
     #[test]

@@ -52,7 +52,8 @@ use rustc_hash::FxHashMap;
 use sqo_overlay::key::Key;
 use sqo_overlay::peer::PeerId;
 use sqo_storage::keys;
-use sqo_storage::posting::{Object, Posting, PostingKind};
+use sqo_storage::objects::Fetched;
+use sqo_storage::posting::{Posting, PostingKind};
 use sqo_storage::slab::AttrGuard;
 use sqo_storage::triple::AttrName;
 use sqo_strsim::edit::BoundedLevenshtein;
@@ -84,8 +85,9 @@ impl Strategy {
     }
 }
 
-/// One verified similarity match.
-#[derive(Debug, Clone, PartialEq)]
+/// One verified similarity match, its object a handle, as
+/// [`SelectHit`](crate::SelectHit)'s is.
+#[derive(Clone)]
 pub struct SimilarMatch {
     pub oid: String,
     /// Instance level: the queried attribute. Schema level: the attribute
@@ -95,9 +97,11 @@ pub struct SimilarMatch {
     /// schema level).
     pub matched: String,
     pub distance: usize,
-    /// The complete reassembled object ("build complete object o from T′").
-    pub object: Object,
+    /// The object as fetched.
+    pub handle: Fetched,
 }
+
+built_object!(SimilarMatch { oid, attr, matched, distance; });
 
 /// A stage-1 candidate: a handle on one stored string occurrence — a value
 /// at instance level, an attribute name at schema level — on a concrete
@@ -151,12 +155,12 @@ impl Candidate {
         self.chars as usize
     }
 
-    /// The match this candidate is at `distance`, its object assembled
-    /// from `cache`; `None` when its object was not fetched.
+    /// The match this candidate is at `distance`, its object's handle
+    /// taken from `cache`; `None` when its object was not fetched.
     fn matched(self, distance: usize, cache: &ObjectCache) -> Option<SimilarMatch> {
-        let object = cache.get(&self.object())?.materialize(self.oid());
+        let handle = cache.get(&self.object())?.clone();
         let (oid, matched) = (self.oid().to_string(), self.text().to_string());
-        Some(SimilarMatch { oid, attr: self.attr().clone(), matched, distance, object })
+        Some(SimilarMatch { oid, attr: self.attr().clone(), matched, distance, handle })
     }
 
     /// What a candidate is, as a caller sees it: two stored records of one
@@ -929,13 +933,13 @@ pub(crate) mod tests {
         shared.into_values().map(|(count, first)| (count, &postings[first as usize])).collect()
     }
 
-    /// What one query showed of itself.
+    /// What one query showed of itself, its matches printed.
     #[derive(Debug, PartialEq)]
     struct Outcome {
         candidates: Vec<(String, String, String)>,
         n_candidates: usize,
         messages: u64,
-        matches: Vec<SimilarMatch>,
+        matches: Vec<String>,
     }
 
     fn outcome(
@@ -952,7 +956,7 @@ pub(crate) mod tests {
             candidates: std::mem::take(&mut task.probe.candidates),
             n_candidates: stats.candidates,
             messages: stats.traffic.messages,
-            matches: task.take_matches().collect(),
+            matches: task.take_matches().map(|m| format!("{m:?}")).collect(),
         }
     }
 
@@ -1092,8 +1096,8 @@ pub(crate) mod tests {
         assert_eq!(want.candidates, [one("o:1", "abcdef"), one("o:2", "abcxyw")]);
         assert_eq!(got.candidates, [one("o:2", "abcxyw")]);
         assert_eq!((got.n_candidates, want.n_candidates), (1, 2));
-        let matched: Vec<&str> = got.matches.iter().map(|m| m.oid.as_str()).collect();
-        assert_eq!(matched, ["o:2"]);
+        assert_eq!(got.matches.len(), 1);
+        assert!(got.matches[0].starts_with(r#"SimilarMatch { oid: "o:2""#), "{:?}", got.matches);
         assert_eq!(got.matches, want.matches);
     }
 
@@ -1309,7 +1313,7 @@ pub(crate) mod tests {
         let from = e.random_peer();
         let res = similar(&mut e, "BMW 320d", Some("name"), 1, from, Strategy::QGrams);
         assert_eq!(res.matches.len(), 1);
-        let obj = &res.matches[0].object;
+        let obj = &res.matches[0].object();
         assert_eq!(obj.get("hp"), Some(&Value::from(190)));
         assert_eq!(obj.get("name"), Some(&Value::from("BMW 320d")));
     }

@@ -32,11 +32,12 @@ use crate::stats::QueryStats;
 use rustc_hash::{FxHashMap, FxHashSet};
 use sqo_overlay::peer::PeerId;
 use sqo_storage::keys;
-use sqo_storage::posting::Object;
+use sqo_storage::objects::Fetched;
 use sqo_storage::triple::Value;
 
-/// One ranked result.
-#[derive(Debug, Clone)]
+/// One ranked result, its object a handle, as
+/// [`SelectHit`](crate::SelectHit)'s is.
+#[derive(Clone)]
 pub struct TopNItem {
     pub oid: String,
     /// The ranked value (numeric path) or matched string (string path).
@@ -44,8 +45,10 @@ pub struct TopNItem {
     /// Ranking score — smaller is better (distance for NN, the value itself
     /// for MIN, its negation for MAX).
     pub score: f64,
-    pub object: Object,
+    pub handle: Fetched,
 }
+
+built_object!(TopNItem { oid, value, score; });
 
 /// Iteration cap for the enlargement loop — a safety net; the loop normally
 /// exits after one or two rounds (that is the point of density estimation).
@@ -242,8 +245,8 @@ impl SimilarityEngine {
         let items: Vec<TopNItem> = ranked
             .into_iter()
             .filter_map(|(oid, value, score)| {
-                let object = objects.get(&oid)?.clone();
-                Some(TopNItem { oid, value, score, object })
+                let handle = objects.get(&oid)?.clone();
+                Some(TopNItem { oid, value, score, handle })
             })
             .collect();
         (items, rounds)
@@ -412,10 +415,9 @@ impl ExecStep for TopNTask {
                                 let items = ranked
                                     .into_iter()
                                     .filter_map(|(cand, distance)| {
-                                        let oid = cand.oid();
                                         Some(TopNItem {
-                                            object: cache.get(&cand.object())?.materialize(oid),
-                                            oid: oid.to_string(),
+                                            handle: cache.get(&cand.object())?.clone(),
+                                            oid: cand.oid().to_string(),
                                             value: Value::Str(cand.text().to_string()),
                                             score: distance as f64,
                                         })
@@ -627,15 +629,17 @@ mod tests {
         d_max: usize,
         from: PeerId,
     ) -> Vec<String> {
-        let mut best: FxHashMap<(String, String, String), (usize, Object)> = FxHashMap::default();
+        let mut best: FxHashMap<(String, String, String), (usize, sqo_storage::posting::Object)> =
+            FxHashMap::default();
         let mut d = 1usize.min(d_max);
         loop {
             let mut shell =
                 crate::similar::SimilarTask::new(target, attr, d, from, Strategy::QGrams);
             e.run_task(&mut shell);
             for m in shell.take_matches() {
+                let object = m.object();
                 let key = (m.oid, m.attr.as_str().to_string(), m.matched);
-                best.entry(key).or_insert((m.distance, m.object));
+                best.entry(key).or_insert((m.distance, object));
             }
             if best.len() >= n || d >= d_max {
                 break;
@@ -683,7 +687,7 @@ mod tests {
                     .iter()
                     .map(|i| {
                         let text = i.value.as_str().expect("a string ranking");
-                        format!("{} {text} {} {:?}", i.oid, i.score, i.object)
+                        format!("{} {text} {} {:?}", i.oid, i.score, i.object())
                     })
                     .collect();
                 let want = assembled_reference(&mut reference, (attr, target), n, d_max, from);

@@ -24,12 +24,20 @@ use sqo_core::{
 };
 use sqo_overlay::peer::PeerId;
 use sqo_overlay::{TraceEvent, TraceTrack};
-use sqo_storage::posting::Object;
-use sqo_storage::triple::Value;
+use sqo_storage::objects::Fetched;
+use sqo_storage::triple::{Value, ValueRef};
 
 /// One result row of a plan execution — the uniform shape every operator's
 /// output maps into so that composites can consume any input.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A row carries its object as fetched, a handle: [`Self::object`] builds
+/// the owned object when a caller reads it, and a stage that needs one
+/// attribute reads it through the handle. The handle is the run the
+/// object was fetched from, so a publication after the query does not
+/// reach the row; a row kept across a publication into that partition
+/// makes its next merge copy the run. `Debug` and `PartialEq` show and
+/// compare the built object.
+#[derive(Clone)]
 pub struct PlanRow {
     /// Object id.
     pub oid: String,
@@ -43,14 +51,24 @@ pub struct PlanRow {
     /// and join rows, the ranking score for top-N rows, `None` for plain
     /// selections.
     pub score: Option<f64>,
-    /// The complete reassembled object.
-    pub object: Object,
+    /// The object as fetched.
+    pub handle: Fetched,
     /// Join provenance: `(left oid, left value)` for rows produced by a
     /// `SimJoin`.
     pub left: Option<(String, String)>,
     /// Per-predicate `(attr, matched value, distance)` bindings of a
     /// `Multi` conjunction row.
     pub bindings: Vec<(String, String, usize)>,
+}
+
+sqo_core::built_object!(PlanRow { oid, attr, value, score; left, bindings });
+
+impl PartialEq for PlanRow {
+    fn eq(&self, o: &Self) -> bool {
+        (&self.oid, &self.attr, &self.value, self.score, &self.left, &self.bindings)
+            == (&o.oid, &o.attr, &o.value, o.score, &o.left, &o.bindings)
+            && self.object() == o.object()
+    }
 }
 
 /// Result of running a prepared plan: the rows plus the usual per-query
@@ -343,15 +361,11 @@ fn leaf_task(stage: &Stage, rows: &[PlanRow], from: PeerId) -> Result<Option<Act
         )))),
         Stage::JoinOver(s) => {
             // The upstream rows' objects provide the left pairs: every
-            // string value of attribute `ln` on a materialized object.
+            // string value of attribute `ln`, read through the row's handle.
             let mut pairs: Vec<(String, String)> = Vec::new();
             for row in rows {
-                for (attr, value) in &row.object.fields {
-                    if attr.as_str() == s.ln {
-                        if let Some(v) = value.as_str() {
-                            pairs.push((row.oid.clone(), v.to_string()));
-                        }
-                    }
+                for v in row.handle.values(&row.oid, &s.ln).filter_map(ValueRef::as_str) {
+                    pairs.push((row.oid.clone(), v.to_string()));
                 }
             }
             Some(Active::Join(Box::new(JoinTask::with_left(
@@ -391,8 +405,8 @@ fn join_options(s: &JoinSpec) -> sqo_core::JoinOptions {
 /// attribute (`spec.ln` post-swap) and probed the authored left
 /// (`spec.rn`), so each pair's per-left match *is* the authored left side
 /// — complete with object — while the authored right side is the scanned
-/// `(oid, value)` pair, whose objects were never materialized. One charged
-/// per-partition fetch assembles exactly the matched scanned-side objects
+/// `(oid, value)` pair, whose objects were never fetched. One charged
+/// per-partition fetch fetches exactly the matched scanned-side objects
 /// (edit distance is symmetric, so the pair set itself is orientation-
 /// invariant); rows whose object vanished under churn are dropped, like
 /// any unfetchable candidate. Rows come out deterministically sorted.
@@ -414,13 +428,13 @@ fn transpose_swapped_join(
     let mut rows: Vec<PlanRow> = pairs
         .into_iter()
         .filter_map(|p| {
-            let object = objects.get(&p.left_oid).filter(|o| !o.fields.is_empty())?.clone();
+            let handle = objects.get(&p.left_oid).filter(|o| !o.is_empty(&p.left_oid))?.clone();
             Some(PlanRow {
                 oid: p.left_oid,
                 attr: Some(scanned_attr.clone()),
                 value: Value::Str(p.left_value),
                 score: Some(p.right.distance as f64),
-                object,
+                handle,
                 left: Some((p.right.oid, p.right.matched)),
                 bindings: Vec::new(),
             })
@@ -478,7 +492,7 @@ impl ExecStep for PlanTask {
                                     attr: spec_attr.clone(),
                                     value: h.value,
                                     score: None,
-                                    object: h.object,
+                                    handle: h.handle,
                                     left: None,
                                     bindings: Vec::new(),
                                 })
@@ -516,7 +530,7 @@ impl ExecStep for PlanTask {
                                     oid: m.oid,
                                     attr: None,
                                     score: None,
-                                    object: m.object,
+                                    handle: m.handle,
                                     left: None,
                                     bindings: m.bindings,
                                 })
@@ -543,14 +557,14 @@ impl ExecStep for PlanTask {
                         engine.charged(&mut self.stage, at, |e| e.fetch_objects(from, &oids));
                     self.rows = objects
                         .remove(&oid)
-                        .filter(|o| !o.fields.is_empty())
-                        .map(|object| {
+                        .filter(|o| !o.is_empty(&oid))
+                        .map(|handle| {
                             vec![PlanRow {
                                 oid: oid.clone(),
                                 attr: None,
                                 value: Value::Str(oid.clone()),
                                 score: None,
-                                object,
+                                handle,
                                 left: None,
                                 bindings: Vec::new(),
                             }]
@@ -597,7 +611,7 @@ fn row_from_match(m: sqo_core::SimilarMatch) -> PlanRow {
         attr: Some(m.attr.as_str().to_string()),
         value: Value::Str(m.matched),
         score: Some(m.distance as f64),
-        object: m.object,
+        handle: m.handle,
         left: None,
         bindings: Vec::new(),
     }
@@ -611,7 +625,7 @@ fn rows_from_items(items: Vec<sqo_core::TopNItem>) -> Vec<PlanRow> {
             attr: None,
             value: i.value,
             score: Some(i.score),
-            object: i.object,
+            handle: i.handle,
             left: None,
             bindings: Vec::new(),
         })
@@ -647,8 +661,8 @@ fn cmp_values(a: &Value, b: &Value) -> std::cmp::Ordering {
 
 /// Evaluate a [`RowPredicate`] on one row. `ValueCmp` tests the row's own
 /// value when the row was produced under the same attribute, otherwise any
-/// value of that attribute on the row's object (a row without the
-/// attribute fails) — which is what makes pushing an equality/range
+/// value of that attribute on the row's object, read through its handle (a
+/// row without the attribute fails) — which is what makes pushing an equality/range
 /// predicate into the access path row-equivalent, not only object-
 /// equivalent.
 fn eval_predicate(pred: &RowPredicate, row: &PlanRow) -> bool {
@@ -656,21 +670,18 @@ fn eval_predicate(pred: &RowPredicate, row: &PlanRow) -> bool {
         RowPredicate::ScoreLe(bound) => row.score.is_some_and(|s| s <= *bound),
         RowPredicate::ValueCmp { attr, op, value } => {
             if row.attr.as_deref() == Some(attr.as_str()) {
-                return cmp_holds(&row.value, *op, value);
+                return cmp_holds(row.value.as_ref(), *op, value);
             }
-            row.object
-                .fields
-                .iter()
-                .any(|(a, v)| a.as_str() == attr.as_str() && cmp_holds(v, *op, value))
+            row.handle.values(&row.oid, attr).any(|v| cmp_holds(v, *op, value))
         }
     }
 }
 
-fn cmp_holds(v: &Value, op: CmpOp, lit: &Value) -> bool {
+fn cmp_holds(v: ValueRef<'_>, op: CmpOp, lit: &Value) -> bool {
     let ord = match (v.as_float(), lit.as_float()) {
         (Some(x), Some(y)) => x.partial_cmp(&y),
         _ => match (v, lit) {
-            (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
+            (ValueRef::Str(a), Value::Str(b)) => Some(a.cmp(b.as_str())),
             _ => None,
         },
     };

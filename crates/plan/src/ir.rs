@@ -197,8 +197,8 @@ pub struct MultiSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinSpec {
     /// Left attribute. With an input node, the left pairs are the string
-    /// values of this attribute on the input rows' (already materialized)
-    /// objects; without one, the attribute is scanned from the overlay.
+    /// values of this attribute on the input rows' objects, read through
+    /// their handles; without one, the attribute is scanned from the overlay.
     pub ln: String,
     /// Right attribute (`None` joins against attribute *names*, schema
     /// level).
@@ -282,7 +282,8 @@ impl CmpOp {
 }
 
 /// A local row predicate of a [`PlanNode::Filter`] node. Evaluated at the
-/// initiator against materialized rows; absorbable shapes are additionally
+/// initiator on the rows, an object's values read through the row's
+/// handle; absorbable shapes are additionally
 /// pushed into the input's access path by the planner.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RowPredicate {

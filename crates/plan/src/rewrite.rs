@@ -198,6 +198,19 @@ fn fill_defaults(
             PlanNode::Similar(spec)
         }
         PlanNode::Select(spec) => {
+            // A NaN has no place in the ordered key space the selection
+            // looks its values up in.
+            let values = match &spec {
+                SelectSpec::Exact { value, .. } | SelectSpec::Keyword { value } => {
+                    [Some(value), None]
+                }
+                SelectSpec::Range { lo, hi, .. } => [Some(lo), Some(hi)],
+                SelectSpec::NumericSimilar { center, .. } => [Some(center), None],
+                SelectSpec::All { .. } => [None, None],
+            };
+            if values.into_iter().flatten().any(|v| v.as_float().is_some_and(f64::is_nan)) {
+                return Err(PlanError::Invalid("a selection cannot look up NaN".into()));
+            }
             if let SelectSpec::NumericSimilar { center, eps, .. } = &spec {
                 if center.as_float().is_none() {
                     return Err(PlanError::Invalid(

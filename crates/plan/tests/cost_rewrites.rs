@@ -161,7 +161,7 @@ fn join_build_side_swap_scans_smaller_side_and_transposes_back() {
     for row in &result.rows {
         assert!(row.oid.starts_with("s:"), "row side is the authored right: {}", row.oid);
         assert_eq!(
-            row.object.get("smallside"),
+            row.object().get("smallside"),
             Some(&row.value),
             "transposed rows carry the scanned side's full object"
         );

@@ -89,7 +89,7 @@ fn rows_from_items(items: Vec<TopNItem>) -> Vec<PlanRow> {
             attr: None,
             value: i.value,
             score: Some(i.score),
-            object: i.object,
+            handle: i.handle,
             left: None,
             bindings: Vec::new(),
         })
@@ -104,7 +104,7 @@ fn rows_from_similar(matches: Vec<sqo_core::SimilarMatch>) -> Vec<PlanRow> {
             attr: Some(m.attr.as_str().to_string()),
             value: Value::Str(m.matched),
             score: Some(m.distance as f64),
-            object: m.object,
+            handle: m.handle,
             left: None,
             bindings: Vec::new(),
         })
@@ -164,7 +164,7 @@ proptest! {
             };
             run(e, task, |t| t.take_hits().into_iter().map(|h| PlanRow {
                 oid: h.oid, attr: attr.map(str::to_string), value: h.value, score: None,
-                object: h.object, left: None, bindings: Vec::new(),
+                handle: h.handle, left: None, bindings: Vec::new(),
             }).collect())
         });
     }
@@ -269,7 +269,7 @@ proptest! {
             run(e, task, |t| t.take_matches().into_iter().map(|m| PlanRow {
                 value: Value::Str(m.oid.clone()),
                 oid: m.oid, attr: None, score: None,
-                object: m.object, left: None, bindings: m.bindings,
+                handle: m.handle, left: None, bindings: m.bindings,
             }).collect())
         });
     }

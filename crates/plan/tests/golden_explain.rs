@@ -343,6 +343,39 @@ fn stage_costs_add_up_to_the_plans() {
     assert_stage_costs_add_up(&mut session, &swapped);
 }
 
+/// `q`, a selection that would look NaN up, is refused by `Session::run` as
+/// an invalid plan; each such selection used to panic hashing NaN into the
+/// ordered key space.
+fn refuses_nan(q: Query) {
+    let mut engine = hp_engine();
+    let from = engine.random_peer();
+    match Session::new(&mut engine, from).run(&q) {
+        Err(PlanError::Invalid(m)) => assert!(m.contains("NaN"), "{q:?}: {m}"),
+        other => panic!("{q:?}: {:?}", other.map(|r| r.rows.len())),
+    }
+}
+
+#[test]
+fn an_exact_selection_of_nan_is_refused() {
+    refuses_nan(Query::select_exact("hp", Value::Float(f64::NAN)));
+}
+
+#[test]
+fn a_range_with_a_nan_bound_is_refused() {
+    refuses_nan(Query::select_range("hp", Value::Float(f64::NAN), Value::Int(200)));
+    refuses_nan(Query::select_range("hp", Value::Int(0), Value::Float(f64::NAN)));
+}
+
+#[test]
+fn a_numeric_similarity_around_nan_is_refused() {
+    refuses_nan(Query::select_numeric_similar("hp", Value::Float(f64::NAN), 2.0));
+}
+
+#[test]
+fn a_keyword_selection_of_nan_is_refused() {
+    refuses_nan(Query::select_keyword(Value::Float(f64::NAN)));
+}
+
 /// A numeric similarity whose `eps` is NaN, infinite or negative is refused
 /// by `Session::run` as an invalid plan — it used to panic inside the
 /// selection — and one with a finite, non-negative `eps` runs.

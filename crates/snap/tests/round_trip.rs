@@ -1000,7 +1000,7 @@ fn a_fork_is_isolated_from_its_source() {
     let with_note = |engine: &mut SimilarityEngine| {
         let from = engine.random_peer();
         let found = Session::new(engine, from).run(&Query::lookup("w:0")).expect("a lookup plans");
-        let object = &found.rows.first().expect("w:0 is stored").object;
+        let object = &found.rows.first().expect("w:0 is stored").object();
         object.fields.iter().any(|(attr, _)| attr.as_str() == "note")
     };
 

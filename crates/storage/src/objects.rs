@@ -15,7 +15,8 @@
 //! triple table.
 
 use crate::keys::{self, OidKeyBuf};
-use crate::posting::{Object, ObjectPostings, Posting};
+use crate::posting::{fields_of, Object, ObjectPostings, Posting};
+use crate::triple::ValueRef;
 use rustc_hash::{FxHashMap, FxHasher};
 use sqo_overlay::key::{Key, KeyRef};
 use sqo_overlay::trie::subtree_range;
@@ -203,26 +204,53 @@ impl Fetch for &str {
     }
 }
 
-/// A fetched object as an operator's cache keeps it: the run its owner
-/// answered from — a handle, so a later publication into the partition is
-/// not in it — or, fetched by a retrieve of its own, its postings. Its
-/// fields are gathered when it is materialized.
+/// A fetched object as an operator's cache keeps it and a result row
+/// carries it: the run its owner answered from — a handle, so a later
+/// publication into the partition is not in it — or, fetched by a retrieve
+/// of its own, its postings. A clone is a refcount step (a list copy for a
+/// gathered object of several fields). Its fields are read where they lie;
+/// [`Self::materialize`] is the one place they become owned values.
+#[derive(Clone)]
 pub enum Fetched {
     At(PartitionStore<Posting>),
     Gathered(ObjectPostings),
 }
 
 impl Fetched {
-    /// The object of `oid` as it was fetched.
-    pub fn materialize(&self, oid: &str) -> Object {
+    /// The postings the object of `oid` is read from: its key's entry in
+    /// the run, or its gathered fields.
+    fn items(&self, oid: &str) -> &[Posting] {
         match self {
             Fetched::At(run) => {
                 let mut buf: OidKeyBuf = [0; _];
                 let key = keys::oid_key_in(oid, &mut buf);
-                let items = run.entry_index(key).map_or(&[][..], |at| run.entry(at).2);
-                ObjectPostings::gather(oid, items).materialize(oid)
+                run.entry_index(key).map_or(&[][..], |at| run.entry(at).2)
             }
-            Fetched::Gathered(postings) => postings.materialize(oid),
+            Fetched::Gathered(postings) => postings.postings(),
         }
+    }
+
+    /// The values of `oid`'s attribute `attr` as fetched, lent, in the
+    /// order [`Self::materialize`] lists them.
+    pub fn values<'a>(&'a self, oid: &'a str, attr: &'a str) -> impl Iterator<Item = ValueRef<'a>> {
+        fields_of(oid, self.items(oid))
+            .filter(move |t| t.attr().as_str() == attr)
+            .map(|t| t.value())
+    }
+
+    /// True when the object of `oid` was fetched without a field (nothing
+    /// is stored under its oid).
+    pub fn is_empty(&self, oid: &str) -> bool {
+        fields_of(oid, self.items(oid)).next().is_none()
+    }
+
+    /// The object of `oid` as it was fetched: the oid and a copy of every
+    /// field, ordered by attribute name, equal names in arrival order.
+    pub fn materialize(&self, oid: &str) -> Object {
+        let fields =
+            fields_of(oid, self.items(oid)).map(|t| (t.attr().clone(), t.value().to_value()));
+        let mut fields: Vec<_> = fields.collect();
+        fields.sort_by(|a, b| a.0.cmp(&b.0));
+        Object { oid: oid.to_string(), fields }
     }
 }

@@ -41,7 +41,7 @@
 //! in component 2, the full value retained).
 
 use crate::slab::{GramSpan, TripleRef, TripleSlab, NO_CHARS};
-use crate::triple::{AttrName, Value, ValueRef};
+use crate::triple::{AttrName, Value};
 use sqo_overlay::peer::Item;
 use std::fmt;
 use std::sync::Arc;
@@ -421,7 +421,8 @@ impl Object {
 /// An object as its oid's base postings make it up: one 24-byte handle per
 /// field, no text copied. What an object fetch ships and an operator's
 /// object cache keeps; the owned [`Object`] is built, by
-/// [`Self::materialize`], only for a row the caller keeps. The oid is the
+/// [`Fetched::materialize`](crate::objects::Fetched::materialize), only
+/// when a caller reads a row. The oid is the
 /// caller's: every cache keys its handles by it. An object of one field —
 /// every object of a one-attribute world — holds its handle inline, so
 /// gathering it allocates nothing; two fields or more are a list.
@@ -483,44 +484,45 @@ impl ObjectPostings {
         Self(fields)
     }
 
-    /// The fields in order, lent.
-    fn fields(&self) -> impl Iterator<Item = (&AttrName, ValueRef<'_>)> {
-        self.0.as_slice().iter().map(|p| {
-            let t = p.triple();
-            (t.attr(), t.value())
-        })
+    /// The fields, in order.
+    pub(crate) fn postings(&self) -> &[Posting] {
+        self.0.as_slice()
     }
 
     /// [`Object::repr_len`] of the materialized object — what a reply
     /// carrying it is charged — without materializing it.
     pub fn repr_len(&self, oid: &str) -> usize {
-        oid.len() + self.fields().map(|(a, v)| a.as_str().len() + v.repr_len() + 8).sum::<usize>()
+        Self::payload(oid, self.postings())
     }
 
     /// [`Self::repr_len`] of what [`Self::gather`] makes of `items`,
-    /// without gathering it: nothing is allocated. A field counts unless
-    /// an earlier one of `oid` has its attribute and value.
+    /// without gathering it: nothing is allocated.
     pub fn payload(oid: &str, items: &[Posting]) -> usize {
-        let field = |i: usize| items[i].as_base().filter(|t| t.oid() == oid);
-        let fields = (0..items.len()).filter_map(|i| {
-            let t = field(i)?;
-            let mut earlier = (0..i).filter_map(field);
-            (!earlier.any(|f| f.attr() == t.attr() && f.value() == t.value())).then_some(t)
-        });
+        let fields = fields_of(oid, items);
         oid.len()
             + fields.map(|t| t.attr().as_str().len() + t.value().repr_len() + 8).sum::<usize>()
     }
+}
 
-    /// The owned object: the oid and a copy of every field.
-    pub fn materialize(&self, oid: &str) -> Object {
-        let fields = self.fields().map(|(a, v)| (a.clone(), v.to_value())).collect();
-        Object { oid: oid.to_string(), fields }
-    }
+/// The fields of `oid` among `items`, lent, in arrival order: what
+/// [`ObjectPostings::gather`] keeps, before it orders them. A field counts
+/// unless an earlier one of `oid` has its attribute and value.
+pub(crate) fn fields_of<'a>(
+    oid: &'a str,
+    items: &'a [Posting],
+) -> impl Iterator<Item = TripleRef<'a>> + 'a {
+    let field = move |i: usize| items[i].as_base().filter(|t| t.oid() == oid);
+    (0..items.len()).filter_map(move |i| {
+        let t = field(i)?;
+        let mut earlier = (0..i).filter_map(field);
+        (!earlier.any(|f| f.attr() == t.attr() && f.value() == t.value())).then_some(t)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::objects::Fetched;
     use crate::triple::Triple;
 
     fn slab(oid: &str, attr: &str, v: impl Into<Value>) -> Arc<TripleSlab> {
@@ -622,7 +624,7 @@ mod tests {
             Triple::new("car:2", "name", "Audi"), // other oid
         ]);
         let ps: Vec<Posting> = (0..4).map(|i| base(&slab, i)).collect();
-        let o = ObjectPostings::gather("car:1", &ps).materialize("car:1");
+        let o = Fetched::Gathered(ObjectPostings::gather("car:1", &ps)).materialize("car:1");
         assert_eq!(o.fields.len(), 2);
         assert_eq!(o.get("name"), Some(&Value::from("BMW")));
         assert_eq!(o.get("hp"), Some(&Value::from(190)));
@@ -635,7 +637,7 @@ mod tests {
         let slab =
             TripleSlab::of(&[Triple::new("o", "tag", "red"), Triple::new("o", "tag", "fast")]);
         let ps = [base(&slab, 0), base(&slab, 1)];
-        let o = ObjectPostings::gather("o", &ps).materialize("o");
+        let o = Fetched::Gathered(ObjectPostings::gather("o", &ps)).materialize("o");
         assert_eq!(o.fields.len(), 2);
     }
 }

@@ -4,9 +4,9 @@
 use proptest::prelude::*;
 use sqo_overlay::hash::{hash_f64, hash_i64, hash_str};
 use sqo_overlay::peer::Item;
-use sqo_overlay::Key;
+use sqo_overlay::{Key, PartitionStore, SortedStore};
 use sqo_storage::keys;
-use sqo_storage::objects::UNNUMBERED;
+use sqo_storage::objects::{Fetched, UNNUMBERED};
 use sqo_storage::posting::{BaseKind, Object, ObjectPostings, Posting, PostingKind};
 use sqo_storage::publish::{
     batch_for_rows, postings_for_rows, postings_for_triple, PublishConfig, PublishStats,
@@ -147,6 +147,30 @@ fn owned_assembly(oid: &str, postings: &[Posting]) -> Object {
     }
     fields.sort_by(|(a, _), (b, _)| a.cmp(b));
     Object { oid: oid.to_string(), fields }
+}
+
+/// `postings` both ways a fetch hands an object of `oid` on: gathered, and
+/// as a run whose entry under `oid`'s key holds them all.
+fn fetched(oid: &str, postings: &[Posting]) -> [Fetched; 2] {
+    let entry = postings.iter().map(|p| (keys::oid_key(oid), p.clone())).collect();
+    let run = PartitionStore::from_store(SortedStore::from_pairs(entry));
+    [Fetched::Gathered(ObjectPostings::gather(oid, postings)), Fetched::At(run)]
+}
+
+/// What a fetched object lends — every attribute's values, and whether it
+/// has none — is what its materialized object holds.
+fn lends_its_object(oid: &str, fetched: &Fetched) -> bool {
+    let object = fetched.materialize(oid);
+    let lent = |attr: &str| {
+        let values: Vec<Value> = fetched.values(oid, attr).map(|v| v.to_value()).collect();
+        format!("{values:?}")
+    };
+    let held = |attr: &str| {
+        let values = object.fields.iter().filter(|(a, _)| a.as_str() == attr);
+        format!("{:?}", values.map(|(_, v)| v).collect::<Vec<_>>())
+    };
+    fetched.is_empty(oid) == object.fields.is_empty()
+        && object.fields.iter().all(|(a, _)| lent(a.as_str()) == held(a.as_str()))
 }
 
 /// `ObjectPostings` as it was before a one-field object was held inline:
@@ -503,7 +527,7 @@ proptest! {
             .filter(|(k, _)| keys::oid_key(&oid).is_prefix_of(k))
             .map(|(_, p)| p)
             .collect();
-        let obj = ObjectPostings::gather(&oid, &oid_postings).materialize(&oid);
+        let obj = Fetched::Gathered(ObjectPostings::gather(&oid, &oid_postings)).materialize(&oid);
         for (attr, value) in &fields {
             prop_assert!(
                 obj.fields.iter().any(|(a, v)| a.as_str() == attr && v == value),
@@ -516,12 +540,14 @@ proptest! {
         }
     }
 
-    /// An object's postings, gathered as handles, are the object the owned
+    /// An object's postings, gathered as handles or read in the run they
+    /// lie in, are the object the owned
     /// assembly built: the same fields in the same order — by attribute
     /// name, equal names in arrival order — each (attr, value) pair once
     /// however often replicas or duplicate triples return it (a NaN, equal
     /// to nothing, never collapses), other oids and other posting kinds
-    /// ignored, and the same `repr_len`.
+    /// ignored, and the same `repr_len`; each attribute's values lent are
+    /// the object's.
     #[test]
     fn gathered_handles_are_the_owned_assembly(
         triples in prop::collection::vec((0usize..3, 0usize..3, 0usize..5), 1..12),
@@ -552,8 +578,11 @@ proptest! {
         for oid in ["o:1", "o:10", "o:2", "o:3"] {
             let reference = owned_assembly(oid, &postings);
             let handles = ObjectPostings::gather(oid, &postings);
-            prop_assert_eq!(format!("{:?}", handles.materialize(oid)), format!("{reference:?}"));
             prop_assert_eq!(handles.repr_len(oid), reference.repr_len());
+            for fetched in fetched(oid, &postings) {
+                prop_assert_eq!(format!("{:?}", fetched.materialize(oid)), format!("{reference:?}"));
+                prop_assert!(lends_its_object(oid, &fetched));
+            }
         }
     }
 
@@ -592,11 +621,14 @@ proptest! {
         for oid in ["o:1", "o:10", "o:2"] {
             let list = listed::gather(oid, &postings);
             let gathered = ObjectPostings::gather(oid, &postings);
-            prop_assert_eq!(
-                format!("{:?}", gathered.materialize(oid)),
-                format!("{:?}", listed::materialize(oid, &list)),
-                "{} fields", list.len()
-            );
+            for fetched in fetched(oid, &postings) {
+                prop_assert_eq!(
+                    format!("{:?}", fetched.materialize(oid)),
+                    format!("{:?}", listed::materialize(oid, &list)),
+                    "{} fields", list.len()
+                );
+                prop_assert!(lends_its_object(oid, &fetched));
+            }
             prop_assert_eq!(gathered.repr_len(oid), listed::repr_len(oid, &list));
         }
     }

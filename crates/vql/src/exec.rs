@@ -273,10 +273,10 @@ impl ExecStep for VqlTask {
                                     // the pattern's attr var.
                                     let attr = row.attr.clone().unwrap_or_default();
                                     if seen.insert((row.oid.clone(), attr.clone())) {
-                                        sources.push((row.object, Some(attr)));
+                                        sources.push((row.object(), Some(attr)));
                                     }
                                 } else if seen.insert((row.oid.clone(), String::new())) {
-                                    sources.push((row.object, None));
+                                    sources.push((row.object(), None));
                                 }
                             }
                             self.bind_side(idx, sources);

@@ -52,7 +52,9 @@ fn main() {
     let top = Session::new(&mut engine, from).run(&q).expect("valid query");
     println!("top-3 by hp:");
     for item in &top.rows {
-        println!("  {} hp={} ({:?})", item.oid, item.value, item.object.get("name").unwrap());
+        // A row carries its object as a handle; `object()` builds it.
+        let object = item.object();
+        println!("  {} hp={} ({:?})", item.oid, item.value, object.get("name").unwrap());
     }
     println!(
         "  cost: {} messages in {} enlargement rounds\n",
