@@ -7,7 +7,8 @@
 //!     [--csv out.csv] [--json out.json]
 //! ```
 //!
-//! Default is a scaled-down run (minutes); `--full` is paper scale (hours).
+//! Default is a scaled-down run (about 14–18 s in a release build on two
+//! CPUs); `--full` is paper scale (about 11.5 min, run as four processes).
 
 use sqo_bench::figure1::{render_csv, render_tables, run_figure1, Dataset, Figure1Config};
 use sqo_bench::meta::write_or_exit;

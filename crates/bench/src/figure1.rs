@@ -9,10 +9,10 @@
 //! data volume. The peer axis is logarithmic from ~100 to ~100,000.
 //!
 //! The default configuration runs a scaled-down instance (smaller dataset,
-//! fewer initiations, peer counts up to 32k) that finishes in minutes and
-//! preserves every comparison the figure makes; `Figure1Config::full()`
-//! reproduces the paper-scale run (106,704 words / 66,349 titles, 40
-//! initiations, up to 131,072 peers).
+//! fewer initiations, peer counts up to 32k) that finishes in about 14–18 s
+//! (release build, two CPUs) and preserves every comparison the figure
+//! makes; `Figure1Config::full()` reproduces the paper-scale run (106,704
+//! words / 66,349 titles, 40 initiations, up to 131,072 peers).
 
 use crate::workload::{run_workload, WorkloadReport, WorkloadSpec};
 use sqo_core::{EngineBuilder, SimilarityEngine, Strategy};
@@ -89,7 +89,8 @@ impl Default for Figure1Config {
 }
 
 impl Figure1Config {
-    /// The paper-scale configuration (slow: hours, not minutes).
+    /// The paper-scale configuration: about 11.5 min in a release build on
+    /// two CPUs, its peer counts split over four processes.
     pub fn full() -> Self {
         Self {
             words_size: sqo_datasets::BIBLE_WORD_COUNT,

@@ -4,8 +4,7 @@
 
 use crate::adaptive::JoinWindow;
 use crate::broker::ProbeFilter;
-use crate::naive::ScanViews;
-use crate::simjoin::ScannedLeft;
+use crate::memo::{HostMemo, Reuse};
 use crate::stats::QueryStats;
 use rustc_hash::{FxHashMap, FxHashSet};
 use sqo_cache::{BrokerConfig, BrokerCounters, CacheBatchBroker};
@@ -212,19 +211,7 @@ impl EngineBuilder {
         objects.place_network(&net);
         let broker =
             self.cfg.query.cache.any_enabled().then(|| CacheBatchBroker::new(self.cfg.query.cache));
-        SimilarityEngine {
-            net,
-            cfg: self.cfg,
-            publish_stats,
-            edit_comparisons: 0,
-            broker,
-            legs_addressed: 0,
-            legs_answered: 0,
-            leg_retries: 0,
-            scanned_left: None,
-            scan_views: ScanViews::default(),
-            objects: Arc::new(objects),
-        }
+        SimilarityEngine::from_parts(self.cfg, net, publish_stats, 0, broker, Arc::new(objects))
     }
 }
 
@@ -247,14 +234,13 @@ pub struct SimilarityEngine {
     pub(crate) legs_addressed: u64,
     pub(crate) legs_answered: u64,
     pub(crate) leg_retries: u64,
-    /// The last left side a join scanned, keyed by what it was computed
-    /// from ([`ScannedLeft`]). Not part of a checkpoint: a restored engine
-    /// starts without one.
-    pub(crate) scanned_left: Option<ScannedLeft>,
-    /// The length-ordered views of the strings naive branches verify, all
-    /// at one cache epoch ([`ScanViews`]). Not part of a checkpoint: a
-    /// restored engine starts without any.
-    pub(crate) scan_views: ScanViews,
+    /// What the engine derived from the stores at one cache epoch.
+    pub(crate) memo: HostMemo,
+    /// Run the reference paths the differential tests hold the engine to:
+    /// the naive scan that reads every posting, the key-lookup fetch and
+    /// stage 1.5's string-keyed grouping.
+    #[cfg(test)]
+    pub(crate) reference: bool,
     /// Object numbers and fetch spots, shared with a restore's snapshot.
     pub(crate) objects: Arc<Objects>,
 }
@@ -274,81 +260,61 @@ pub(crate) type Lent = (PartitionStore<Posting>, usize);
 /// Where a probe's answered lists go. Every probe path — a delegated
 /// branch, a per-key retrieve, a cache hit, a coalesced or a cache-filling
 /// reply — hands each answered key's postings to one sink, which either
-/// filters them or, when the query knows what each key replies, only notes
-/// where they lie.
+/// filters them into `out` or, when the task replays a kept outcome
+/// ([`Reuse::Replay`]), only notes where they lie.
 pub(crate) struct ProbeSink<'a> {
     /// The query's probe keys, ascending; branches are ranges of them, and
     /// a key's place here indexes its payload.
     keys: &'a [Key],
     filter: &'a ProbeFilter<'a>,
-    mode: SinkMode<'a>,
-}
-
-enum SinkMode<'a> {
-    /// Filter each list: survivors onto `out` and, where `payloads` has an
-    /// entry for the key, their bytes onto it.
-    Collect { out: &'a mut Vec<Posting>, payloads: &'a mut [usize] },
-    /// Every key's owner-side payload is known: nothing is filtered or
-    /// collected, and where each answered key's postings lie goes onto
-    /// `lent`.
-    Replay { payloads: &'a [usize], lent: &'a mut Vec<Lent> },
+    out: &'a mut Vec<Posting>,
+    reuse: &'a mut Reuse,
 }
 
 impl<'a> ProbeSink<'a> {
-    /// A sink that filters every list into `out` and adds each key's
-    /// survivor bytes to its entry of `payloads` (empty: to none).
-    pub(crate) fn collect(
+    /// The sink of a leg issued at `epoch`: a kept outcome replays while
+    /// the epoch it was kept at holds; any other leg filters into `out`.
+    pub(crate) fn new(
         keys: &'a [Key],
         filter: &'a ProbeFilter<'a>,
         out: &'a mut Vec<Posting>,
-        payloads: &'a mut [usize],
+        reuse: &'a mut Reuse,
+        epoch: u64,
     ) -> Self {
-        debug_assert!(payloads.is_empty() || payloads.len() == keys.len());
-        Self { keys, filter, mode: SinkMode::Collect { out, payloads } }
-    }
-
-    /// A sink that knows each key's owner-side `payloads` and notes where
-    /// the answered keys' postings lie onto `lent`.
-    pub(crate) fn replay(
-        keys: &'a [Key],
-        filter: &'a ProbeFilter<'a>,
-        payloads: &'a [usize],
-        lent: &'a mut Vec<Lent>,
-    ) -> Self {
-        debug_assert_eq!(payloads.len(), keys.len());
-        Self { keys, filter, mode: SinkMode::Replay { payloads, lent } }
+        if let Reuse::Replay { epoch: kept, collected, .. } = reuse {
+            *collected |= *kept != epoch;
+        }
+        Self { keys, filter, out, reuse }
     }
 
     fn replays(&self) -> bool {
-        matches!(self.mode, SinkMode::Replay { .. })
+        matches!(self.reuse, Reuse::Replay { collected: false, .. })
     }
 
     /// Filter `list`, the postings of the key at `i`, where it lies: the
     /// survivors go onto the sink's buffer, and their bytes — the key's
-    /// owner-side payload — are returned.
+    /// owner-side payload, added to its entry when the task records — are
+    /// returned.
     fn filter_in(&mut self, i: usize, list: &[Posting]) -> usize {
-        let SinkMode::Collect { out, payloads } = &mut self.mode else {
-            unreachable!("a replaying sink filters nothing")
-        };
         let mut bytes = 0;
         for p in self.filter.survivors(list) {
             bytes += p.size_bytes();
-            out.push(p.clone());
+            self.out.push(p.clone());
         }
-        if let Some(payload) = payloads.get_mut(i) {
-            *payload += bytes;
+        if let Reuse::Record { payloads } = self.reuse {
+            payloads[i] += bytes;
         }
         bytes
     }
 
     /// The key at `i` was answered out of `store`: note it, and return the
-    /// key's known payload.
+    /// key's kept payload.
     fn lend(&mut self, i: usize, store: &PartitionStore<Posting>) -> usize {
-        let SinkMode::Replay { payloads, lent } = &mut self.mode else {
-            unreachable!("a collecting sink lends nothing")
+        let Reuse::Replay { outcome, lent, .. } = self.reuse else {
+            unreachable!("only a replaying sink lends")
         };
         lent.push((store.clone(), i));
-        payloads[i]
+        outcome.payloads[i]
     }
 
     /// The key at `i` answered `list`, which lies in the run `lies` gives:
@@ -540,8 +506,9 @@ impl SimilarityEngine {
             legs_addressed: 0,
             legs_answered: 0,
             leg_retries: 0,
-            scanned_left: None,
-            scan_views: ScanViews::default(),
+            memo: HostMemo::default(),
+            #[cfg(test)]
+            reference: false,
         }
     }
 
@@ -716,10 +683,6 @@ impl SimilarityEngine {
     // Stats plumbing
     // ------------------------------------------------------------------
 
-    pub(crate) fn traffic_snapshot(&self) -> Metrics {
-        *self.net.metrics()
-    }
-
     /// Open a fresh stats window: snapshot the monotone traffic and
     /// comparison counters and open a virtual-time window on the network's
     /// event sink (if one is installed). Windows nest: an inner window's
@@ -727,7 +690,7 @@ impl SimilarityEngine {
     pub(crate) fn begin_query(&mut self) -> StatsSnap {
         self.net.sim_begin_query();
         StatsSnap {
-            traffic: self.traffic_snapshot(),
+            traffic: *self.net.metrics(),
             comparisons: self.edit_comparisons,
             legs_addressed: self.legs_addressed,
             legs_answered: self.legs_answered,
@@ -745,11 +708,6 @@ impl SimilarityEngine {
             retries: self.leg_retries - snap.leg_retries,
             ..Default::default()
         }
-    }
-
-    /// Count one edit-distance verification.
-    pub(crate) fn count_comparison(&mut self) {
-        self.edit_comparisons += 1;
     }
 
     /// Run a remote leg with the configured degradation policy: on a
@@ -786,6 +744,18 @@ impl SimilarityEngine {
                 Err(last)
             }
         }
+    }
+
+    /// One remote leg under [`Self::with_leg_retry`]: counted as addressed,
+    /// and as answered when it routes.
+    pub(crate) fn leg<R>(
+        &mut self,
+        attempt: impl FnMut(&mut Self) -> Result<R, sqo_overlay::RouteError>,
+    ) -> Option<R> {
+        self.legs_addressed += 1;
+        let got = self.with_leg_retry(attempt).ok();
+        self.legs_answered += u64::from(got.is_some());
+        got
     }
 
     // ------------------------------------------------------------------
@@ -828,31 +798,14 @@ impl SimilarityEngine {
         let all = sink.keys;
         if !self.cfg.query.delegation {
             for i in keys {
-                // `failed0` is re-snapshotted per attempt, so the shower
-                // accounting below reflects only the attempt that answered.
-                let mut failed0 = 0u64;
-                let got = self.with_leg_retry(|e| {
-                    failed0 = e.net.metrics().failed_routes;
-                    e.net.retrieve_runs(from, &all[i])
-                });
-                match got {
-                    Ok(runs) => {
-                        let failed = self.net.metrics().failed_routes - failed0;
-                        self.legs_addressed += runs.len() as u64 + failed;
-                        self.legs_answered += runs.len() as u64;
-                        for run in &runs {
-                            let lies = || self.net.partition_store(run.part);
-                            sink.take(i, self.net.run_items(run), lies);
-                        }
-                    }
-                    Err(_) => self.legs_addressed += 1,
+                for run in &self.scan_prefix(from, &all[i]) {
+                    let lies = || self.net.partition_store(run.part);
+                    sink.take(i, self.net.run_items(run), lies);
                 }
             }
             return;
         }
-        self.legs_addressed += 1;
-        if let Ok(owner) = self.with_leg_retry(|e| e.net.route(from, &all[keys.start])) {
-            self.legs_answered += 1;
+        if let Some(owner) = self.leg(|e| e.net.route(from, &all[keys.start])) {
             self.scan_filter_reply(owner, from, keys, sink);
         }
     }
@@ -996,21 +949,15 @@ impl SimilarityEngine {
                     // the same empty outcome an unreachable probe produces
                     // — after the degradation policy's retries, and counted
                     // as an addressed-but-unanswered leg.
-                    e.legs_addressed += 1;
                     let got = if cache_on {
                         let keys = missing_keys();
-                        e.with_leg_retry(|e| e.net.retrieve_multi_lists(from, &keys)).ok()
+                        e.leg(|e| e.net.retrieve_multi_lists(from, &keys))
                     } else {
-                        e.with_leg_retry(|e| e.net.route(from, &all[missing[0]])).ok().map(
-                            |owner| {
-                                e.scan_filter_reply(owner, from, missing.iter().copied(), sink);
-                                (owner, Vec::new())
-                            },
-                        )
+                        e.leg(|e| e.net.route(from, &all[missing[0]])).map(|owner| {
+                            e.scan_filter_reply(owner, from, missing.iter().copied(), sink);
+                            (owner, Vec::new())
+                        })
                     };
-                    if got.is_some() {
-                        e.legs_answered += 1;
-                    }
                     let hops = e.net.metrics().route_hops - hops_before;
                     (got, hops)
                 });
@@ -1062,16 +1009,9 @@ impl SimilarityEngine {
     ) -> (R, u64, u64) {
         let cache_on = self.broker.as_ref().is_some_and(|b| b.cache_enabled());
         if !cache_on {
-            self.legs_addressed += 1;
-            return match self.with_leg_retry(|e| e.net.retrieve_runs(from, key)) {
-                Ok(runs) => {
-                    self.legs_answered += 1;
-                    let lists: Vec<&[Posting]> =
-                        runs.iter().map(|r| self.net.run_items(r)).collect();
-                    (read(&lists), 0, 0)
-                }
-                Err(_) => (read(&[]), 0, 0),
-            };
+            let runs = self.leg(|e| e.net.retrieve_runs(from, key)).unwrap_or_default();
+            let lists: Vec<&[Posting]> = runs.iter().map(|r| self.net.run_items(r)).collect();
+            return (read(&lists), 0, 0);
         }
         let epoch = self.net.cache_epoch();
         let now_us = self.net.sim_now_us().unwrap_or(0);
@@ -1081,11 +1021,9 @@ impl SimilarityEngine {
         }
         // A routing failure (churn) is transient — the next draw may pick a
         // live replica — so it must not be negative-cached as an empty list.
-        self.legs_addressed += 1;
-        let Ok(list) = self.with_leg_retry(|e| e.net.retrieve_list(from, key)) else {
+        let Some(list) = self.leg(|e| e.net.retrieve_list(from, key)) else {
             return (read(&[]), 0, 1);
         };
-        self.legs_answered += 1;
         let answer = read(&[&list]);
         let now_us = self.net.sim_now_us().unwrap_or(0);
         let broker = self.broker.as_mut().expect("cache_on implies a broker");
@@ -1134,28 +1072,22 @@ impl SimilarityEngine {
         mut keep: impl FnMut(&T, Fetched),
     ) {
         #[cfg(test)]
-        if tests::REFERENCE_FETCH.get() {
+        if self.reference {
             return tests::reference_fetch_branch(self, from, objects, keep);
         }
         let mut key = Key::empty();
         if !self.cfg.query.delegation {
             for o in objects {
                 oid_key_into(o.oid(), &mut key);
-                self.legs_addressed += 1;
-                if let Ok(runs) = self.with_leg_retry(|e| e.net.retrieve_runs(from, &key)) {
-                    self.legs_answered += 1;
+                if let Some(runs) = self.leg(|e| e.net.retrieve_runs(from, &key)) {
                     let items = runs.iter().flat_map(|r| self.net.run_items(r));
                     keep(o, Fetched::Gathered(ObjectPostings::gather(o.oid(), items)));
                 }
             }
             return;
         }
-        self.legs_addressed += 1;
         oid_key_into(objects[0].oid(), &mut key);
-        let Ok(owner) = self.with_leg_retry(|e| e.net.route(from, &key)) else {
-            return;
-        };
-        self.legs_answered += 1;
+        let Some(owner) = self.leg(|e| e.net.route(from, &key)) else { return };
         let part = self.net.peer_partition(owner);
         let run = self.net.partition_store(part).clone();
         let (mut payload, mut cursor) = (0usize, 0);
@@ -1221,6 +1153,8 @@ impl SimilarityEngine {
     /// silenced shower siblings surface as addressed-but-unanswered legs
     /// instead of vanishing.
     pub(crate) fn scan_prefix(&mut self, from: PeerId, prefix: &Key) -> Vec<ItemRun> {
+        // `failed0` is re-snapshotted per attempt, so the shower accounting
+        // below reflects only the attempt that answered.
         let mut failed0 = 0u64;
         let got = self.with_leg_retry(|e| {
             failed0 = e.net.metrics().failed_routes;
@@ -1437,11 +1371,6 @@ mod tests {
         ]
     }
 
-    thread_local! {
-        /// Puts every engine of the thread on [`reference_fetch_branch`].
-        pub(crate) static REFERENCE_FETCH: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-    }
-
     /// `fetch_branch` before objects had numbers: every object's key made
     /// and looked up in the owner's run, each lookup galloping from the one
     /// before, every object gathered where it lay at fetch time and charged
@@ -1514,8 +1443,8 @@ mod tests {
         keys: &[Key],
         filter: &ProbeFilter<'_>,
     ) -> Vec<Posting> {
-        let mut out = Vec::new();
-        let mut sink = ProbeSink::collect(keys, filter, &mut out, &mut []);
+        let (mut out, mut off) = (Vec::new(), Reuse::Off);
+        let mut sink = ProbeSink::new(keys, filter, &mut out, &mut off, 0);
         for (_part, branch) in e.plan_probe_parts(keys) {
             e.probe_branch(from, branch, &mut sink);
         }
@@ -1620,8 +1549,8 @@ mod tests {
             let mut acc = QueryStats::default();
             let mut answers = Vec::new();
             for _ in 0..rounds {
-                let mut got = Vec::new();
-                let mut sink = ProbeSink::collect(&keys, &filter, &mut got, &mut []);
+                let (mut got, mut off) = (Vec::new(), Reuse::Off);
+                let mut sink = ProbeSink::new(&keys, &filter, &mut got, &mut off, 0);
                 for branch in e.plan_probe_parts(&keys) {
                     e.probe_issue(&mut acc, from, branch, 0, &mut sink);
                 }
@@ -2016,20 +1945,19 @@ mod tests {
     mod numbered {
         //! Objects by number against the reference fetch.
         //!
-        //! Twin engines run the same calls: one plans, fetches and verifies by
-        //! object number — spots charged without a lookup, objects gathered from
-        //! the run handle held since the fetch when they are materialized — and
-        //! one fetches as before numbers existed, every key looked up and every
-        //! object gathered at fetch time ([`super::reference_fetch_branch`]).
-        //! They must answer the same rows, `QueryStats` and trace events.
+        //! The memo's trio runs the same calls: the kept and the dropped
+        //! engine plan, fetch and verify by object number — spots charged
+        //! without a lookup, objects gathered from the run handle held since
+        //! the fetch when they are materialized — and the reference fetches
+        //! as before numbers existed, every key looked up and every object
+        //! gathered at fetch time ([`super::reference_fetch_branch`]). They
+        //! must answer the same rows, `QueryStats` and trace events.
 
-        use crate::engine::{
-            DegradePolicy, EngineBuilder, ExecStep, SimilarityEngine, StepOutcome,
-        };
+        use crate::engine::{DegradePolicy, EngineBuilder, SimilarityEngine};
+        use crate::memo::tests::{Answering, Trio};
         use crate::multi::{AttrPredicate, MultiStrategy, MultiTask};
         use crate::select::SelectTask;
         use crate::similar::{SimilarTask, Strategy};
-        use crate::simjoin::tests::Recorded;
         use crate::simjoin::{JoinOptions, JoinTask};
         use crate::topn::TopNTask;
         use crate::JoinWindow;
@@ -2038,61 +1966,6 @@ mod tests {
         use sqo_overlay::hash::MAX_STRING_KEY_BITS;
         use sqo_overlay::peer::PeerId;
         use sqo_storage::triple::{Row, Value};
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        /// A task the twins run, with what it answered printed.
-        trait Answering: ExecStep {
-            fn answer(&mut self) -> String;
-        }
-
-        impl Answering for SimilarTask {
-            fn answer(&mut self) -> String {
-                format!("{:?}", self.take_matches().collect::<Vec<_>>())
-            }
-        }
-
-        impl Answering for TopNTask {
-            fn answer(&mut self) -> String {
-                format!("{:?}", self.take_items())
-            }
-        }
-
-        impl Answering for JoinTask {
-            fn answer(&mut self) -> String {
-                format!("{:?}", self.take_pairs())
-            }
-        }
-
-        impl Answering for MultiTask {
-            fn answer(&mut self) -> String {
-                format!("{:?}", self.take_matches())
-            }
-        }
-
-        impl Answering for SelectTask {
-            fn answer(&mut self) -> String {
-                format!("{:?}", self.take_hits())
-            }
-        }
-
-        /// A task that runs `hook` on the engine before its `at`-th step.
-        struct Hooked<'h> {
-            task: Box<dyn Answering>,
-            steps: usize,
-            at: usize,
-            hook: &'h dyn Fn(&mut SimilarityEngine),
-        }
-
-        impl ExecStep for Hooked<'_> {
-            fn step(&mut self, engine: &mut SimilarityEngine, at_us: u64) -> StepOutcome {
-                if self.steps == self.at {
-                    (self.hook)(engine);
-                }
-                self.steps += 1;
-                self.task.step(engine, at_us)
-            }
-        }
 
         /// Rows whose oids prefix one another — `w:1`, `w:10`…`w:19`, `w:100`,
         /// … — on two attributes, values many objects share.
@@ -2115,79 +1988,19 @@ mod tests {
                 .collect()
         }
 
-        /// `f` on `e`, on the reference fetch when `reference`.
-        fn on<R>(
-            reference: bool,
-            e: &mut SimilarityEngine,
-            f: impl FnOnce(&mut SimilarityEngine) -> R,
-        ) -> R {
-            super::REFERENCE_FETCH.set(reference);
-            let r = f(e);
-            super::REFERENCE_FETCH.set(false);
-            r
-        }
-
-        /// The twins: built alike by `tune`, the second run on the reference
-        /// fetch, each with a trace sink.
-        struct Twins {
-            engines: [SimilarityEngine; 2],
-            traces: [Rc<RefCell<Recorded>>; 2],
-        }
-
-        impl Twins {
-            fn new(peers: usize, tune: &dyn Fn(EngineBuilder) -> EngineBuilder) -> Self {
-                let rows = rows(160);
-                let build =
-                    || tune(EngineBuilder::new().peers(peers).seed(47).q(2)).build_with_rows(&rows);
-                let mut engines = [build(), build()];
-                let traces = [(); 2].map(|()| Rc::new(RefCell::new(Recorded::default())));
-                for (e, t) in engines.iter_mut().zip(&traces) {
-                    e.network_mut().set_trace_sink(t.clone());
-                }
-                Self { engines, traces }
-            }
-
-            /// `make`'s task on both engines from `from`, `hook` run before its
-            /// `at`-th step: the same rows, `QueryStats` and trace. Returns the
-            /// number of steps the task took.
-            fn run(
-                &mut self,
-                make: &dyn Fn(PeerId) -> Box<dyn Answering>,
-                from: PeerId,
-                at: usize,
-                hook: &dyn Fn(&mut SimilarityEngine),
-            ) -> usize {
-                let [fast, reference] = [0, 1].map(|i| {
-                    on(i == 1, &mut self.engines[i], |e| {
-                        let mut hooked = Hooked { task: make(from), steps: 0, at, hook };
-                        let stats = e.run_task(&mut hooked);
-                        (format!("{} {stats:?}", hooked.task.answer()), hooked.steps)
-                    })
-                });
-                let [fast_trace, reference_trace] = self
-                    .traces
-                    .each_ref()
-                    .map(|t| format!("{:?}", std::mem::take(&mut t.borrow_mut().0)));
-                assert!(!reference_trace.is_empty(), "the task is traced");
-                assert_eq!(fast_trace, reference_trace, "the trace, hooked at step {at}");
-                assert_eq!(fast, reference, "hooked at step {at}");
-                fast.1
-            }
-
-            /// [`Self::run`] with the hook before every step in turn, each on
-            /// fresh twins built by `tune`.
-            fn every_step(
-                peers: usize,
-                tune: &dyn Fn(EngineBuilder) -> EngineBuilder,
-                make: &dyn Fn(PeerId) -> Box<dyn Answering>,
-                hook: &dyn Fn(&mut SimilarityEngine),
-            ) {
-                let from = Twins::new(peers, tune).engines[0].random_peer();
-                let steps = Twins::new(peers, tune).run(make, from, usize::MAX, &|_| {});
-                for at in 0..steps {
-                    Twins::new(peers, tune).run(make, from, at, hook);
-                }
-            }
+        /// [`Trio::every_step`] of `make`'s task with `event` before each
+        /// step in turn, on engines of `peers` peers holding [`rows`] built
+        /// by `tune`.
+        fn every_step(
+            peers: usize,
+            tune: &dyn Fn(EngineBuilder) -> EngineBuilder,
+            make: &dyn Fn(PeerId) -> Box<dyn Answering>,
+            event: &dyn Fn(&mut SimilarityEngine),
+        ) {
+            let rows = rows(160);
+            let build =
+                || tune(EngineBuilder::new().peers(peers).seed(47).q(2)).build_with_rows(&rows);
+            Trio::every_step(&build, make, event);
         }
 
         fn top_n(strategy: Strategy) -> impl Fn(PeerId) -> Box<dyn Answering> {
@@ -2220,7 +2033,7 @@ mod tests {
                 [&|b| b, &brokered, &undelegated];
             for tune in tunes {
                 for strategy in [Strategy::QGrams, Strategy::QSamples] {
-                    Twins::every_step(24, tune, &top_n(strategy), &publish_more);
+                    every_step(24, tune, &top_n(strategy), &publish_more);
                 }
             }
         }
@@ -2236,7 +2049,7 @@ mod tests {
                 e.network_mut().fail_random_fraction(0.35);
             };
             for tune in tunes {
-                Twins::every_step(48, tune, &top_n(Strategy::QGrams), &churn);
+                every_step(48, tune, &top_n(Strategy::QGrams), &churn);
             }
         }
 
@@ -2276,7 +2089,7 @@ mod tests {
             };
             for make in makes {
                 for hook in [&publish_more as &dyn Fn(&mut SimilarityEngine), &churn] {
-                    Twins::every_step(32, &|b| b, make, hook);
+                    every_step(32, &|b| b, make, hook);
                 }
             }
         }
@@ -2320,24 +2133,20 @@ mod tests {
                     e.publish_rows(&second);
                     e
                 };
-                let mut engines = [build(), build()];
-                let from = engines[0].random_peer();
-                engines[1].random_peer();
+                let mut t = Trio::new(build);
+                let from = t.all(|e| e.random_peer());
                 let each = oids.iter().map(|oid| vec![oid.clone()]);
                 for asked in each.chain([oids.clone()]) {
                     let asked: FxHashSet<String> = asked.into_iter().collect();
-                    let [fast, reference] = [0, 1].map(|i| {
-                        on(i == 1, &mut engines[i], |e| {
-                            let before = *e.network().metrics();
-                            let objects = e.fetch_objects(from, &asked);
-                            let mut objects: Vec<_> =
-                                objects.iter().map(|(oid, o)| o.materialize(oid)).collect();
-                            objects.sort_by(|a, b| a.oid.cmp(&b.oid));
-                            let m = e.network().metrics().delta(&before);
-                            (m.local_items_scanned, m.bytes, m.messages, objects)
-                        })
+                    t.all(|e| {
+                        let before = *e.network().metrics();
+                        let objects = e.fetch_objects(from, &asked);
+                        let mut objects: Vec<_> =
+                            objects.iter().map(|(oid, o)| o.materialize(oid)).collect();
+                        objects.sort_by(|a, b| a.oid.cmp(&b.oid));
+                        let m = e.network().metrics().delta(&before);
+                        (m.local_items_scanned, m.bytes, m.messages, objects)
                     });
-                    assert_eq!(fast, reference, "{peers} peers, {asked:?}");
                 }
             }
         }

@@ -48,6 +48,7 @@ macro_rules! built_object {
 pub mod adaptive;
 pub mod broker;
 pub mod engine;
+mod memo;
 pub mod multi;
 pub mod naive;
 pub mod ranking;

@@ -261,7 +261,7 @@ impl ExecStep for MultiTask {
                                 let mut found: Option<(String, usize)> = None;
                                 for value in m.handle.values(&m.oid, &p.attr) {
                                     let Some(text) = value.as_str() else { continue };
-                                    e.count_comparison();
+                                    e.edit_comparisons += 1;
                                     let chars = char_len(text);
                                     if let Some(dist) = verifiers[i].distance_of(text, chars) {
                                         if found.as_ref().is_none_or(|(_, best)| dist < *best) {

@@ -16,24 +16,14 @@
 //!
 //! **Instance level reads only the length window.** Every string of the
 //! queried attribute in the responder's run counts as one comparison, but
-//! only those whose char count lies in `|s| ∓ d` can match. The engine
-//! keeps, per (scan prefix, attribute) and per store state, a
-//! length-ordered view of those strings (`ScanViews`): for every peered
-//! partition under the prefix, the index in its run of each posting that
-//! passes the attribute guard and holds a string, ordered by the char
-//! count the posting stores — all partitions' stretches in one array,
-//! behind a table of where each partition's ends. It is built at the first
-//! naive branch of a cache epoch — the whole side at once, reading the
-//! runs where they lie and charging nothing — and dropped when the epoch
-//! moves, so a publication, a membership event or a repair is never served
-//! a stale view. A branch still routes, forwards, scans its run (charged
-//! one unit per entry) and replies exactly as before; it adds its
-//! partition's stretch length to the comparisons, bisects the stretch to
-//! the window on the postings' stored counts and reads the record and text
-//! of only the postings inside it,
-//! streamed through the verifier's bit-parallel kernel (a banded DP for a
-//! query over 64 chars). Matches go straight onto the task's candidate
-//! buffer.
+//! only those whose char count lies in `|s| ∓ d` can match. A branch still
+//! routes, forwards, scans its run (charged one unit per entry) and replies
+//! exactly as before; it adds its partition's stretch of the length-ordered
+//! view the engine's memo keeps (`crate::memo`) to the comparisons, bisects
+//! the stretch to the window on the postings' stored counts and reads the
+//! record and text of only the postings inside it, streamed through the
+//! verifier's bit-parallel kernel (a banded DP for a query over 64 chars).
+//! Matches go straight onto the task's candidate buffer.
 //!
 //! At schema level each distinct local attribute name is one comparison and
 //! is verified once, on its stored char count; the postings that share it
@@ -42,101 +32,9 @@
 use crate::engine::SimilarityEngine;
 use crate::similar::Candidate;
 use sqo_overlay::key::Key;
-use sqo_overlay::network::Network;
 use sqo_overlay::peer::PeerId;
-use sqo_storage::posting::{Posting, PostingKind};
-use sqo_storage::slab::AttrGuard;
+use sqo_storage::posting::PostingKind;
 use sqo_strsim::edit::BoundedLevenshtein;
-
-/// The length-ordered views of the strings naive branches verify, all
-/// computed at one cache epoch: the network's epoch advances on every
-/// publication, membership event and repair, so a view is a function of
-/// the runs it was read from for as long as its epoch holds. Not part of
-/// a checkpoint: a restored engine starts without any.
-#[derive(Default)]
-pub(crate) struct ScanViews {
-    epoch: u64,
-    sides: Vec<ScanView>,
-    /// Verify by reading every posting of the run, as the scan did before
-    /// it had views: the reference the differential tests run beside them.
-    #[cfg(test)]
-    pub(crate) reference: bool,
-}
-
-/// One scan prefix's strings of one attribute, in all its partitions.
-struct ScanView {
-    prefix: Key,
-    attr: String,
-    /// How many partitions under the prefix were peered: `n`.
-    parts: usize,
-    /// One array: the `n` peered partitions, ascending; the end of each
-    /// one's stretch; then the stretches — for each partition, the index in
-    /// its run's prefix stretch of every posting that is the attribute's
-    /// and holds a string, ordered by (chars, index). Indices fit: a run's
-    /// end offsets are `u32`.
-    entries: Vec<u32>,
-}
-
-impl ScanViews {
-    /// Drop every view.
-    #[cfg(test)]
-    pub(crate) fn clear(&mut self) {
-        self.sides.clear();
-    }
-
-    /// The stretch of partition `part` in the view of `attr`'s strings
-    /// under `prefix`, built over every peered partition of the prefix if
-    /// none is kept at the network's epoch. A partition that was not
-    /// peered when the view was built at this epoch holds none of them.
-    fn stretch(&mut self, net: &Network<Posting>, prefix: &Key, attr: &str, part: usize) -> &[u32] {
-        let epoch = net.cache_epoch();
-        if self.epoch != epoch {
-            self.sides.clear();
-            self.epoch = epoch;
-        }
-        let at = match self.sides.iter().position(|v| v.attr == attr && v.prefix == *prefix) {
-            Some(at) => at,
-            None => {
-                self.sides.push(ScanView::build(net, prefix, attr));
-                self.sides.len() - 1
-            }
-        };
-        let (n, entries) = (self.sides[at].parts, &self.sides[at].entries);
-        let Ok(k) = entries[..n].binary_search(&(part as u32)) else { return &[] };
-        let start = if k == 0 { 0 } else { entries[n + k - 1] as usize };
-        &entries[2 * n + start..2 * n + entries[n + k] as usize]
-    }
-}
-
-impl ScanView {
-    fn build(net: &Network<Posting>, prefix: &Key, attr: &str) -> Self {
-        let (ps, pe) = net.subtree_of(prefix);
-        let peered = net.topology().peered_in(ps, pe);
-        let n = peered.len();
-        let run = |part: u32| net.partition_store(part as usize).prefix_entries(prefix).items;
-        let mut entries =
-            Vec::with_capacity(2 * n + peered.iter().map(|&p| run(p).len()).sum::<usize>());
-        entries.extend_from_slice(peered);
-        entries.resize(2 * n, 0);
-        // Keys truncate, so the prefix may hold another attribute's
-        // postings too.
-        let mut queried = AttrGuard::new(attr);
-        for (k, &part) in peered.iter().enumerate() {
-            let items = run(part);
-            let start = entries.len();
-            entries.extend((0..items.len() as u32).filter(|&i| {
-                let p = &items[i as usize];
-                matches!(p.kind(), PostingKind::Base(_) | PostingKind::ShortValue)
-                    && queried.admits(p)
-                    // `None`: a number.
-                    && p.char_len().is_some()
-            }));
-            entries[start..].sort_unstable_by_key(|&i| (items[i as usize].char_len(), i));
-            entries[n + k] = (entries.len() - 2 * n) as u32;
-        }
-        ScanView { prefix: prefix.clone(), attr: attr.to_string(), parts: n, entries }
-    }
-}
 
 impl SimilarityEngine {
     /// One branch of the naive broadcast: forward into partition `part`
@@ -174,7 +72,7 @@ impl SimilarityEngine {
         let before = out.len();
         let payload = match attr {
             #[cfg(test)]
-            Some(attr) if self.scan_views.reference => {
+            Some(attr) if self.reference => {
                 tests::read_every_posting(self, verifier, attr, responder, prefix, out)
             }
             Some(attr) => self.verify_window(verifier, attr, responder, prefix, out),
@@ -200,7 +98,7 @@ impl SimilarityEngine {
     ) -> usize {
         // The run the scan reads is that of the responder's partition.
         let part = self.net.peer_partition(responder);
-        let stretch = self.scan_views.stretch(&self.net, prefix, attr, part);
+        let stretch = self.memo.stretch(&self.net, prefix, attr, part);
         self.edit_comparisons += stretch.len() as u64;
         let items = self.net.local_prefix_run(responder, prefix);
         let chars_of = |i: u32| items[i as usize].char_len().unwrap_or_default();
@@ -265,18 +163,17 @@ impl SimilarityEngine {
 pub(crate) mod tests {
     use super::*;
     use crate::adaptive::JoinWindow;
-    use crate::engine::{EngineBuilder, ExecStep, StepOutcome};
+    use crate::engine::EngineBuilder;
+    use crate::memo::tests::{no_hook, Hook, Trio, KEPT};
     use crate::similar::tests::similar;
     use crate::similar::{SimilarTask, Strategy};
-    use crate::simjoin::tests::Recorded;
     use crate::simjoin::{JoinOptions, JoinTask};
     use crate::stats::QueryStats;
     use sqo_overlay::network::ReplicationPolicy;
     use sqo_storage::keys;
+    use sqo_storage::slab::AttrGuard;
     use sqo_storage::triple::{Row, Value};
     use sqo_strsim::levenshtein;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     /// The instance-level scan before it had views, kept as the reference:
     /// every posting of the run read, guarded, counted and gated on its
@@ -508,109 +405,24 @@ pub(crate) mod tests {
         twins.chain(titles).collect()
     }
 
-    const KEPT: usize = 0;
-    const DROPPED: usize = 1;
-    const REFERENCE: usize = 2;
-
-    /// Three engines built alike and put through the same calls: [`KEPT`]
-    /// keeps its views, [`DROPPED`] drops them before every step of every
-    /// task, and [`REFERENCE`] verifies by reading every posting.
-    struct Trio {
-        engines: [SimilarityEngine; 3],
-        traces: [Rc<RefCell<Recorded>>; 3],
-    }
-
-    /// A task that runs `hook` on the engine before each step, given the
-    /// step's number, and first drops the engine's views if `forget`.
-    struct Hooked<'h, T> {
-        task: T,
-        steps: usize,
-        forget: bool,
-        hook: &'h dyn Fn(&mut SimilarityEngine, usize),
-    }
-
-    impl<T: ExecStep> ExecStep for Hooked<'_, T> {
-        fn step(&mut self, engine: &mut SimilarityEngine, at_us: u64) -> StepOutcome {
-            if self.forget {
-                engine.scan_views.clear();
-            }
-            (self.hook)(engine, self.steps);
-            self.steps += 1;
-            self.task.step(engine, at_us)
-        }
-    }
-
-    fn no_hook(_: &mut SimilarityEngine, _: usize) {}
-
     /// 256 partitions: enough for `title`'s family to span several.
     fn engine(rows: &[Row]) -> SimilarityEngine {
         EngineBuilder::new().peers(512).replication(2).seed(45).q(3).build_with_rows(rows)
     }
 
-    impl Trio {
-        fn new(rows: &[Row]) -> Self {
-            let mut engines = [(); 3].map(|()| engine(rows));
-            engines[REFERENCE].scan_views.reference = true;
-            let traces = [(); 3].map(|()| Rc::new(RefCell::new(Recorded::default())));
-            for (e, t) in engines.iter_mut().zip(&traces) {
-                e.network_mut().set_trace_sink(t.clone());
-            }
-            Self { engines, traces }
-        }
+    /// The trio of engines over `rows`.
+    fn trio(rows: &[Row]) -> Trio {
+        Trio::new(|| engine(rows))
+    }
 
-        /// `f` on all three engines, which must answer alike.
-        fn all<R: PartialEq + std::fmt::Debug>(
-            &mut self,
-            mut f: impl FnMut(&mut SimilarityEngine) -> R,
-        ) -> R {
-            let [kept, dropped, reference] = &mut self.engines;
-            let r = f(reference);
-            assert_eq!(f(kept), r, "kept views");
-            assert_eq!(f(dropped), r, "views dropped");
-            r
-        }
-
-        /// Run the task `make` builds on all three engines, with `hook`
-        /// before each step. All three must answer the same rows
-        /// (`answer`), `QueryStats` and trace; returns the stats.
-        fn run<T: ExecStep>(
-            &mut self,
-            make: impl Fn() -> T,
-            answer: impl Fn(&mut T) -> String,
-            hook: &dyn Fn(&mut SimilarityEngine, usize),
-        ) -> QueryStats {
-            let outs: Vec<(String, QueryStats)> = (0..3)
-                .map(|i| {
-                    let mut hooked = Hooked { task: make(), steps: 0, forget: i == DROPPED, hook };
-                    let stats = self.engines[i].run_task(&mut hooked);
-                    (format!("{} {stats:?}", answer(&mut hooked.task)), stats)
-                })
-                .collect();
-            let traces: Vec<String> = self
-                .traces
-                .iter()
-                .map(|t| format!("{:?}", std::mem::take(&mut t.borrow_mut().0)))
-                .collect();
-            assert!(!traces[REFERENCE].is_empty(), "the query is traced");
-            for (i, which) in [(KEPT, "kept views"), (DROPPED, "views dropped")] {
-                assert_eq!(outs[i].0, outs[REFERENCE].0, "{which}: rows and stats");
-                assert_eq!(traces[i], traces[REFERENCE], "{which}: trace");
-            }
-            outs[REFERENCE].1
-        }
-
-        /// A naive `Similar(s, attr, d)` from `from` on all three engines.
-        fn similar(
-            &mut self,
-            (s, attr, d): (&str, Option<&str>, usize),
-            from: PeerId,
-            hook: &dyn Fn(&mut SimilarityEngine, usize),
-        ) -> QueryStats {
-            let make = || SimilarTask::new(s, attr, d, from, Strategy::Naive);
-            let answer =
-                |t: &mut SimilarTask| format!("{:?}", t.take_matches().collect::<Vec<_>>());
-            self.run(make, answer, hook)
-        }
+    /// A naive `Similar(s, attr, d)` from `from` on the trio: its stats.
+    fn similar_on(
+        t: &mut Trio,
+        (s, attr, d): (&str, Option<&str>, usize),
+        from: PeerId,
+        hook: Hook<'_>,
+    ) -> QueryStats {
+        t.run(|| SimilarTask::new(s, attr, d, from, Strategy::Naive), hook).0
     }
 
     /// Every partition's stretch of a view is what the reference reads
@@ -640,7 +452,7 @@ pub(crate) mod tests {
                         .collect();
                     want.sort_unstable();
                     let want: Vec<u32> = want.into_iter().map(|(_, i)| i).collect();
-                    let got = e.scan_views.stretch(&e.net, &prefix, attr, part as usize);
+                    let got = e.memo.stretch(&e.net, &prefix, attr, part as usize);
                     assert_eq!(got, want, "{attr} under {prefix:?}, partition {part}");
                     stretches += usize::from(!got.is_empty());
                 }
@@ -657,7 +469,7 @@ pub(crate) mod tests {
     #[test]
     fn views_answer_what_reading_every_posting_answers() {
         let (left, right) = twin_names();
-        let mut t = Trio::new(&length_world(0));
+        let mut t = trio(&length_world(0));
         let (ps, pe) = t.engines[KEPT].net.subtree_of(&keys::attr_scan_prefix("title"));
         let spans = t.engines[KEPT].net.topology().peered_in(ps, pe).len();
         assert!(spans >= 2, "the family spans {spans} partitions");
@@ -673,7 +485,7 @@ pub(crate) mod tests {
         ]);
         for query in queries {
             for from in [PeerId(0), PeerId(77), PeerId(511)] {
-                let stats = t.similar(query, from, &no_hook);
+                let stats = similar_on(&mut t, query, from, &no_hook);
                 assert!(stats.matches > 0, "{query:?}");
                 if query.1.is_some() && query.2 < 100 {
                     let compared = stats.edit_comparisons as usize;
@@ -689,16 +501,16 @@ pub(crate) mod tests {
     #[test]
     fn a_publication_between_two_queries_drops_the_views() {
         let (left, _) = twin_names();
-        let mut t = Trio::new(&length_world(0));
+        let mut t = trio(&length_world(0));
         let queries = [("painting", Some("title"), 2), ("painting", Some(left.as_str()), 2)];
-        let before = queries.map(|query| t.similar(query, PeerId(5), &no_hook));
+        let before = queries.map(|query| similar_on(&mut t, query, PeerId(5), &no_hook));
         let epoch = t.all(|e| {
             e.publish_rows(&length_world(1));
             e.net.cache_epoch()
         });
-        assert!(t.engines[KEPT].scan_views.epoch < epoch, "the views were built before");
-        let after = queries.map(|query| t.similar(query, PeerId(5), &no_hook));
-        assert_eq!(t.engines[KEPT].scan_views.epoch, epoch, "and again after");
+        assert!(t.memo().epoch() < epoch, "the views were built before");
+        let after = queries.map(|query| similar_on(&mut t, query, PeerId(5), &no_hook));
+        assert_eq!(t.memo().epoch(), epoch, "and again after");
         for (before, after) in before.iter().zip(&after) {
             assert!(after.matches > before.matches, "{} then {}", before.matches, after.matches);
             assert!(after.edit_comparisons > before.edit_comparisons);
@@ -711,7 +523,7 @@ pub(crate) mod tests {
     #[test]
     fn churn_in_the_middle_of_a_scan_rebuilds_the_views() {
         let (left, _) = twin_names();
-        let mut t = Trio::new(&length_world(0));
+        let mut t = trio(&length_world(0));
         let churn = |e: &mut SimilarityEngine, step: usize| {
             if step == 3 || step == 7 {
                 e.net.fail_random_fraction(0.2);
@@ -720,7 +532,7 @@ pub(crate) mod tests {
         };
         let mut dropped = 0;
         for d in 0..=3 {
-            let stats = t.similar(("painting", Some(left.as_str()), d), PeerId(9), &churn);
+            let stats = similar_on(&mut t, ("painting", Some(left.as_str()), d), PeerId(9), &churn);
             dropped += stats.partitions_addressed - stats.partitions_answered;
         }
         assert!(dropped > 0, "the failures silenced branches");
@@ -731,16 +543,14 @@ pub(crate) mod tests {
     #[test]
     fn naive_join_children_answer_alike() {
         let (left, right) = twin_names();
-        let mut t = Trio::new(&length_world(0));
+        let mut t = trio(&length_world(0));
         let opts = JoinOptions {
             strategy: Strategy::Naive,
             left_limit: Some(6),
             window: JoinWindow::Fixed(3),
         };
         for from in [PeerId(2), PeerId(2), PeerId(20)] {
-            let make = || JoinTask::new(&left, Some(&right), 1, from, &opts);
-            let answer = |j: &mut JoinTask| format!("{:?} {}", j.take_pairs(), j.left_size());
-            let stats = t.run(make, answer, &no_hook);
+            let (stats, _) = t.run(|| JoinTask::new(&left, Some(&right), 1, from, &opts), &no_hook);
             assert!(stats.matches > 0 || stats.edit_comparisons > 0);
         }
     }

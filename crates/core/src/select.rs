@@ -171,11 +171,7 @@ impl SelectTask {
         e: &mut SimilarityEngine,
     ) -> Vec<(Posting, Value)> {
         let (klo, khi) = keys::attr_value_range(attr, lo, hi);
-        let postings = if klo <= khi {
-            e.net.range_query(from, &klo, &khi).unwrap_or_default()
-        } else {
-            Vec::new()
-        };
+        let postings = e.net.range_query(from, &klo, &khi).unwrap_or_default();
         let in_bounds = |v: ValueRef<'_>| match (lo.as_float(), hi.as_float()) {
             (Some(l), Some(h)) => v.as_float().map(|x| l <= x && x <= h).unwrap_or(false),
             _ => match (v, lo, hi) {

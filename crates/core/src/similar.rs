@@ -43,10 +43,10 @@
 
 use crate::broker::ProbeFilter;
 use crate::engine::{
-    finalize_stats, ExecStep, FanOut, FetchBranch, Lent, ObjectCache, ProbeSink, SimilarityEngine,
+    finalize_stats, ExecStep, FanOut, FetchBranch, ObjectCache, ProbeSink, SimilarityEngine,
     StepOutcome,
 };
-use crate::simjoin::{JoinSlot, ProbeOutcome};
+use crate::memo::{JoinSlot, Reuse};
 use crate::stats::QueryStats;
 use rustc_hash::FxHashMap;
 use sqo_overlay::key::Key;
@@ -62,7 +62,6 @@ use sqo_strsim::qgram::{qgrams, PositionalQGram};
 use sqo_strsim::qsample::qsamples;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// Evaluation strategy for string similarity (the three curves of Fig. 1).
@@ -277,53 +276,10 @@ pub struct SimilarTask {
     /// outcome is kept beside; `None` for any other selection.
     pub(crate) join_slot: Option<JoinSlot>,
     reuse: Reuse,
-    /// The grouping stage 1.5 runs, and the candidates the task planned to
-    /// fetch: what the differential tests set and read.
+    /// The candidates and objects the task planned to fetch: what the
+    /// differential tests read.
     #[cfg(test)]
     probe: tests::Probe,
-}
-
-/// How stage 1.5 groups the probed postings ([`group_by_triple`]).
-type Grouping = for<'p> fn(&'p [Posting]) -> Vec<(u32, &'p Posting)>;
-
-/// What a join child does with the probe outcome kept beside its join's
-/// stored left side ([`ProbeOutcome`]).
-pub(crate) enum Reuse {
-    /// None is kept or can be: probe and filter as any selection does.
-    Off,
-    /// None is kept yet: filter, and add up each key's owner-side payload
-    /// (in probe key order), so that the outcome can be kept once every leg
-    /// has answered.
-    Record { payloads: Vec<usize> },
-    /// One was kept at `epoch`: a leg at that epoch replays its payloads,
-    /// filters nothing and notes where its keys' postings lie (`lent`); a
-    /// leg at a later epoch filters as usual and sets `collected`.
-    Replay { outcome: Rc<ProbeOutcome>, epoch: u64, lent: Vec<Lent>, collected: bool },
-}
-
-impl Reuse {
-    /// Where the answers of a leg issued at `epoch` go: a kept outcome
-    /// replays while the epoch it was kept at holds; any other leg filters
-    /// into `out`.
-    fn sink<'a>(
-        &'a mut self,
-        keys: &'a [Key],
-        filter: &'a ProbeFilter<'a>,
-        out: &'a mut Vec<Posting>,
-        epoch: u64,
-    ) -> ProbeSink<'a> {
-        match self {
-            Reuse::Replay { outcome, epoch: kept, lent, .. } if *kept == epoch => {
-                ProbeSink::replay(keys, filter, &outcome.payloads, lent)
-            }
-            Reuse::Replay { collected, .. } => {
-                *collected = true;
-                ProbeSink::collect(keys, filter, out, &mut [])
-            }
-            Reuse::Record { payloads } => ProbeSink::collect(keys, filter, out, payloads),
-            Reuse::Off => ProbeSink::collect(keys, filter, out, &mut []),
-        }
-    }
 }
 
 /// Continuation states of a [`SimilarTask`].
@@ -398,14 +354,6 @@ impl SimilarTask {
             #[cfg(test)]
             probe: tests::Probe::default(),
         }
-    }
-
-    fn grouping(&self) -> Grouping {
-        #[cfg(test)]
-        let grouping = self.probe.grouping;
-        #[cfg(not(test))]
-        let grouping: Grouping = group_by_triple;
-        grouping
     }
 
     /// True once virtual time `at_us` passed the query deadline.
@@ -492,9 +440,9 @@ impl SimilarTask {
                     self.stats.probes = probe_keys.len();
                     let branches = engine.plan_probe_parts(&probe_keys);
                     if let Some(slot) = &self.join_slot {
-                        let (attr, d) = (self.attr.as_deref(), self.d);
-                        self.reuse =
-                            engine.probe_reuse(slot, attr, d, self.strategy, probe_keys.len());
+                        let selection = (self.attr.as_deref(), self.d, self.strategy);
+                        let n_keys = probe_keys.len();
+                        self.reuse = engine.memo.reuse(&engine.net, slot, selection, n_keys);
                     }
                     self.probe_keys = probe_keys;
                     self.state = SimState::Probe { fan: FanOut::new(branches, at_us) };
@@ -513,16 +461,12 @@ impl SimilarTask {
                     // cache-filling replies carry the full lists and the
                     // same filter runs at the initiator instead — identical
                     // results either way (see crate::broker).
-                    let filter = ProbeFilter::new(
-                        self.attr.as_deref(),
-                        &self.gram_positions,
-                        self.s_len,
-                        self.d,
-                        engine.config().query.filters,
-                    );
+                    let (attr, positions) = (self.attr.as_deref(), &self.gram_positions);
+                    let filters = engine.config().query.filters;
+                    let filter = ProbeFilter::new(attr, positions, self.s_len, self.d, filters);
+                    let (probe_keys, out) = (&self.probe_keys, &mut self.postings);
                     let epoch = engine.net.cache_epoch();
-                    let mut sink =
-                        self.reuse.sink(&self.probe_keys, &filter, &mut self.postings, epoch);
+                    let mut sink = ProbeSink::new(probe_keys, &filter, out, &mut self.reuse, epoch);
                     let end = engine.probe_issue(
                         &mut self.stats,
                         self.from,
@@ -641,45 +585,38 @@ impl SimilarTask {
                     let answered = self.stats.partitions_answered
                         == self.stats.partitions_addressed
                         && self.stats.gave_up == 0;
-                    let mut record = None;
-                    let stored = match std::mem::replace(&mut self.reuse, Reuse::Off) {
+                    let (mut record, mut stored) = (None, None);
+                    match std::mem::replace(&mut self.reuse, Reuse::Off) {
                         Reuse::Replay { outcome, collected: false, .. } if answered => {
-                            Some(outcome)
+                            #[cfg(test)]
+                            engine.memo.count_served();
+                            stored = Some(outcome);
                         }
                         Reuse::Replay { lent, .. } => {
                             // Not every leg answered, or not all at the kept
                             // epoch: the survivors of those that replayed
                             // are read again, uncharged, where they lay.
-                            let filter = ProbeFilter::new(
-                                self.attr.as_deref(),
-                                &self.gram_positions,
-                                self.s_len,
-                                self.d,
-                                filters,
-                            );
+                            let (attr, positions) = (self.attr.as_deref(), &self.gram_positions);
+                            let filter =
+                                ProbeFilter::new(attr, positions, self.s_len, self.d, filters);
                             for (run, i) in &lent {
                                 let items = run.prefix_entries(&self.probe_keys[*i]).items;
                                 postings.extend(filter.survivors(items).cloned());
                             }
-                            None
                         }
-                        Reuse::Record { payloads } if answered => {
-                            record = Some(payloads);
-                            None
-                        }
-                        Reuse::Record { .. } | Reuse::Off => None,
-                    };
-                    #[cfg(test)]
-                    if stored.is_some() {
-                        if let Some(side) = &mut engine.scanned_left {
-                            side.served += 1;
-                        }
+                        Reuse::Record { payloads } if answered => record = Some(payloads),
+                        Reuse::Record { .. } | Reuse::Off => {}
                     }
                     let grams_carry =
                         engine.config().publish.grams_carry_value && self.attr.is_some();
                     let (attr, s_len, d, strategy, from) =
                         (&self.attr, self.s_len, self.d, self.strategy, self.from);
-                    let (schema, group, slot) = (attr.is_none(), self.grouping(), &self.join_slot);
+                    #[cfg(test)]
+                    let group =
+                        if engine.reference { tests::group_by_strings } else { group_by_triple };
+                    #[cfg(not(test))]
+                    let group = group_by_triple;
+                    let (schema, slot) = (attr.is_none(), &self.join_slot);
                     let verifier = &mut self.verifier;
                     let ((candidates, n_candidates), end) =
                         engine.charged(&mut self.stats, at, |e| {
@@ -712,14 +649,8 @@ impl SimilarTask {
                                 }
                             };
                             if let (Some(payloads), Some(slot)) = (record, slot) {
-                                e.keep_probe_outcome(
-                                    slot,
-                                    attr.as_deref(),
-                                    d,
-                                    strategy,
-                                    payloads,
-                                    &candidates,
-                                );
+                                let selection = (attr.as_deref(), d, strategy);
+                                e.memo.keep(&e.net, slot, selection, payloads, &candidates);
                             }
                             let grams = candidates.len();
 
@@ -771,7 +702,7 @@ impl SimilarTask {
                             if grams_carry {
                                 let mut surviving = Vec::with_capacity(candidates.len());
                                 for cand in candidates {
-                                    e.count_comparison();
+                                    e.edit_comparisons += 1;
                                     if verifier.distance_of(cand.text(), cand.chars()).is_some() {
                                         surviving.push(cand);
                                     }
@@ -855,7 +786,7 @@ impl SimilarTask {
                             if !cache.contains_key(&cand.object()) {
                                 continue;
                             }
-                            e.count_comparison();
+                            e.edit_comparisons += 1;
                             if let Some(distance) = verifier.distance_of(cand.text(), cand.chars())
                             {
                                 verified.push((cand, distance));
@@ -889,7 +820,7 @@ impl ExecStep for SimilarTask {
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use super::{group_by_triple, Grouping, SimilarMatch, SimilarTask};
+    use super::{SimilarMatch, SimilarTask};
     use crate::engine::{EngineBuilder, SimilarityEngine};
     use crate::similar::Strategy;
     use crate::stats::QueryStats;
@@ -900,9 +831,9 @@ pub(crate) mod tests {
     use sqo_storage::publish::PublishConfig;
     use sqo_storage::triple::{Row, Value};
 
-    /// What the differential tests set on a task and read back.
+    /// What the differential tests read back from a task.
+    #[derive(Default)]
     pub(crate) struct Probe {
-        pub grouping: Grouping,
         /// (oid, attribute, text) of every candidate the task planned to
         /// fetch, in order.
         pub candidates: Vec<(String, String, String)>,
@@ -910,17 +841,12 @@ pub(crate) mod tests {
         pub fetched: Vec<String>,
     }
 
-    impl Default for Probe {
-        fn default() -> Self {
-            Self { grouping: group_by_triple, candidates: Vec::new(), fetched: Vec::new() }
-        }
-    }
-
-    /// The reference: stage 1.5's aggregation before it counted per triple.
+    /// The reference stage 1.5 runs on an engine set to `reference`: its
+    /// aggregation before it counted per triple.
     /// One group per (oid, attribute, text), its strings borrowed from the
     /// postings and hashed, whichever records hold them — so where one
     /// (oid, attribute, text) is stored in two records, their counts add.
-    fn group_by_strings(postings: &[Posting]) -> Vec<(u32, &Posting)> {
+    pub(crate) fn group_by_strings(postings: &[Posting]) -> Vec<(u32, &Posting)> {
         let mut shared: FxHashMap<(&str, &str, &str), (u32, u32)> = FxHashMap::default();
         for (i, p) in postings.iter().enumerate() {
             let t = p.triple();
@@ -946,11 +872,9 @@ pub(crate) mod tests {
         e: &mut SimilarityEngine,
         (s, attr, d): (&str, Option<&str>, usize),
         strategy: Strategy,
-        grouping: Grouping,
     ) -> Outcome {
         let from = e.random_peer();
         let mut task = SimilarTask::new(s, attr, d, from, strategy);
-        task.probe.grouping = grouping;
         let stats = e.run_task(&mut task);
         Outcome {
             candidates: std::mem::take(&mut task.probe.candidates),
@@ -996,6 +920,7 @@ pub(crate) mod tests {
             e
         };
         let (mut by_triple, mut by_strings) = (build(), build());
+        by_strings.reference = true;
         let fields: Vec<(&str, &str)> = rows
             .iter()
             .chain(second_batch)
@@ -1009,8 +934,8 @@ pub(crate) mod tests {
                 let d = n % 4;
                 for strategy in Strategy::ALL {
                     let query = (s.as_str(), *attr, d);
-                    let got = outcome(&mut by_triple, query, strategy, group_by_triple);
-                    let want = outcome(&mut by_strings, query, strategy, group_by_strings);
+                    let got = outcome(&mut by_triple, query, strategy);
+                    let want = outcome(&mut by_strings, query, strategy);
                     check(&got, &want, &format!("{query:?} {strategy:?} q={q}"));
                 }
             }
@@ -1089,9 +1014,10 @@ pub(crate) mod tests {
         ];
         let build = || EngineBuilder::new().peers(16).seed(5).q(2).build_with_rows(&rows);
         let (mut by_triple, mut by_strings) = (build(), build());
+        by_strings.reference = true;
         let query = ("abcxyz", None, 1);
-        let got = outcome(&mut by_triple, query, Strategy::QGrams, group_by_triple);
-        let want = outcome(&mut by_strings, query, Strategy::QGrams, group_by_strings);
+        let got = outcome(&mut by_triple, query, Strategy::QGrams);
+        let want = outcome(&mut by_strings, query, Strategy::QGrams);
         let one = |oid: &str, name: &str| (oid.to_string(), name.to_string(), name.to_string());
         assert_eq!(want.candidates, [one("o:1", "abcdef"), one("o:2", "abcxyw")]);
         assert_eq!(got.candidates, [one("o:2", "abcxyw")]);

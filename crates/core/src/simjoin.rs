@@ -34,27 +34,13 @@
 //! deterministic stratified sample of those pairs, picked by selection
 //! rather than by sorting them all. Line 1 is still charged per join —
 //! every join routes and showers its scans and ships their replies — but
-//! its CPU is spent once per store state: the engine keeps the last side
-//! it computed (`ScannedLeft`, keyed by the attribute, the limit, the
-//! network's cache epoch and the runs the scans answered) and a join whose
-//! scans find that key takes it.
-//!
-//! The per-left selections over a stored side repeat too: the same left
-//! value, `rn`, `d` and strategy at the same epoch probe the same runs.
-//! Beside the side the engine keeps, per (`rn`, `d`, strategy) and per
-//! left index, the child's *probe outcome* (`ProbeOutcome`): the
-//! owner-side reply payload of each probe key and the count-filtered,
-//! sorted and deduplicated gram candidates, recorded by a child whose legs
-//! all answered. The same child of a later join still plans, routes,
-//! retries, scans and replies on every leg — with the kept payloads — so
-//! messages, bytes, legs, backlogs, the clock and the trace are what they
-//! were; it skips the probe filter, the survivor copies and stage 1.5's
-//! grouping. A leg at a later epoch filters as usual, and a child whose
-//! legs did not all answer at the kept epoch reads the survivors of those
-//! that did again, uncharged, from the runs they lay in when they answered
-//! (`engine::Lent`). A join that replaces the side drops its
-//! outcomes; a join seeded with its left side ([`JoinTask::with_left`])
-//! keeps none. The §6 workload joins
+//! its CPU is spent once per store state, and so is each per-left
+//! selection's probe filter: the engine's memo (`crate::memo`) keeps the
+//! last side and its children's probe outcomes. A child that replays one
+//! still plans, routes, retries, scans and replies on every leg; a child
+//! whose legs did not all answer at the kept epoch reads the survivors of
+//! those that did again, uncharged, from the runs they lay in when they
+//! answered (`engine::Lent`). The §6 workload joins
 //! *self-join columns over the full dataset*; at simulation scale a full
 //! 10⁵×10⁵ self-join is neither feasible nor what the paper's message
 //! counts (≈10³–10⁴ total for a 240-query mix) imply they ran — see the
@@ -62,13 +48,14 @@
 
 use crate::adaptive::{AimdWindow, JoinWindow};
 use crate::engine::{finalize_stats, ExecStep, ObjectCache, SimilarityEngine, StepOutcome};
-use crate::similar::{oid_head, Candidate, Reuse, SimilarMatch, SimilarTask, Strategy};
+use crate::memo::{JoinSlot, Side};
+use crate::similar::{oid_head, SimilarMatch, SimilarTask, Strategy};
 use crate::stats::QueryStats;
 use rustc_hash::{FxHashMap, FxHashSet};
-use sqo_overlay::network::ItemRun;
+use sqo_overlay::network::{ItemRun, Network};
 use sqo_overlay::peer::PeerId;
 use sqo_storage::keys;
-use sqo_storage::posting::PostingKind;
+use sqo_storage::posting::{Posting, PostingKind};
 use sqo_storage::slab::AttrGuard;
 use std::rc::Rc;
 
@@ -125,11 +112,10 @@ pub struct JoinTask {
     state: JState,
     stats: QueryStats,
     cache: ObjectCache,
-    /// The left side, shared with the engine's `ScannedLeft` when
-    /// scanned; `None` until the scan or the seed sets it.
-    left: Option<Rc<[(String, String)]>>,
+    /// The left side, shared with the engine's memo when scanned; `None`
+    /// until the scan or the seed sets it.
+    left: Option<Side>,
     next_left: usize,
-    left_size: usize,
     children: Vec<JoinChild>,
     pairs: Vec<JoinPair>,
 }
@@ -170,7 +156,6 @@ impl JoinTask {
             cache: FxHashMap::default(),
             left: None,
             next_left: 0,
-            left_size: 0,
             children: Vec::new(),
             pairs: Vec::new(),
         }
@@ -194,7 +179,6 @@ impl JoinTask {
     ) -> Self {
         let mut task = Self::new("", rn, d, from, opts);
         let left = left_side(pairs, |p| &p.0, task.left_limit);
-        task.left_size = left.len();
         task.left = Some(left.into());
         task.state = JState::Seeded;
         task
@@ -207,7 +191,7 @@ impl JoinTask {
 
     /// Number of left-side values joined (after `left_limit`).
     pub fn left_size(&self) -> usize {
-        self.left_size
+        self.left.as_ref().map_or(0, |left| left.len())
     }
 
     /// The adaptive window trajectory — every value the AIMD controller
@@ -224,7 +208,7 @@ impl JoinTask {
     /// Fill every free window slot with a new per-left child starting at
     /// `at_us`.
     fn fill_window(&mut self, at_us: u64) {
-        while self.next_left < self.left_size && self.children.len() < self.cur_window() {
+        while self.next_left < self.left_size() && self.children.len() < self.cur_window() {
             self.spawn_child(at_us);
         }
     }
@@ -258,8 +242,7 @@ impl ExecStep for JoinTask {
                     // Every pair the scans read is a function of what they
                     // answered: an unchanged store answers the side the
                     // last join computed.
-                    let left = engine.scanned_left_side(&self.ln, self.left_limit, runs);
-                    self.left_size = left.len();
+                    let left = engine.memo.left_side(&engine.net, &self.ln, self.left_limit, runs);
                     self.left = Some(left);
                     // Lines 3–6: per-left similarity selections, up to
                     // `window` in flight from the moment the scan returns.
@@ -362,172 +345,30 @@ impl ExecStep for JoinTask {
     }
 }
 
-/// The last left side a join scanned, and what it was computed from: the
-/// left attribute, `left_limit`, the network's cache epoch and the
-/// `(part, items)` of every run the two scans answered. The side is a
-/// function of the items those runs lend, and the epoch advances on every
-/// publication and membership event, so nothing computed before such an
-/// event is served after it. The engine keeps one: a join that asks for
-/// anything else replaces it.
-pub(crate) struct ScannedLeft {
-    ln: String,
+/// The left side of scans of `ln` that answered `runs`: the `(oid, value)`
+/// of every admitted base or short-value posting the runs lend — read where
+/// they lie, only the kept pairs copied out — through [`left_side`].
+pub(crate) fn scanned_side(
+    net: &Network<Posting>,
+    ln: &str,
     limit: Option<usize>,
-    epoch: u64,
-    runs: Vec<ItemRun>,
-    side: Rc<[(String, String)]>,
-    /// The probe outcomes of the joins that read the side, one set per
-    /// (`rn`, `d`, strategy): they go when the side does.
-    probes: Vec<ProbeSlots>,
-    /// How many join children took their candidates from a kept outcome.
-    #[cfg(test)]
-    pub(crate) served: usize,
-}
-
-/// The probe outcomes of the selections of one (`rn`, `d`, strategy) over
-/// a stored left side, one slot per left index.
-struct ProbeSlots {
-    rn: Option<String>,
-    d: usize,
-    strategy: Strategy,
-    slots: Vec<Option<Rc<ProbeOutcome>>>,
-}
-
-impl ProbeSlots {
-    fn of(&self, rn: Option<&str>, d: usize, strategy: Strategy) -> bool {
-        self.d == d && self.strategy == strategy && self.rn.as_deref() == rn
-    }
-}
-
-/// What one join child's probes answered at the stored side's epoch, all
-/// of its legs answering: the owner-side reply payload of each probe key,
-/// in bytes and in the child's ascending key order, and its count-filtered,
-/// sorted and deduplicated gram candidates — before the short-string
-/// supplement. Both are functions of the left value, `rn`, `d`, the
-/// strategy and the stores, so a child of a later join over the same side
-/// replays its legs with these payloads — every route, scan and reply
-/// still charged — and skips the filter and the grouping.
-pub(crate) struct ProbeOutcome {
-    pub(crate) payloads: Vec<usize>,
-    pub(crate) candidates: Vec<Candidate>,
-}
-
-/// A join child's place in its join's left side: which side, which pair.
-pub(crate) struct JoinSlot {
-    side: Rc<[(String, String)]>,
-    index: usize,
-}
-
-impl SimilarityEngine {
-    /// The left side of a scan of `ln` that answered `runs`: the stored
-    /// [`ScannedLeft`] when its key is this one, else the `(oid, value)` of
-    /// every admitted base or short-value posting the runs lend — read
-    /// where they lie, only the kept pairs copied out — through
-    /// [`left_side`], stored in its place.
-    fn scanned_left_side(
-        &mut self,
-        ln: &str,
-        limit: Option<usize>,
-        runs: Vec<ItemRun>,
-    ) -> Rc<[(String, String)]> {
-        let epoch = self.net.cache_epoch();
-        if let Some(s) = &self.scanned_left {
-            if s.epoch == epoch && s.limit == limit && s.runs == runs && s.ln == ln {
-                return Rc::clone(&s.side);
-            }
-        }
-        let net = &self.net;
-        let mut queried = AttrGuard::new(ln);
-        let mut pairs = Vec::with_capacity(runs.iter().map(|r| r.items.len()).sum());
-        pairs.extend(
-            runs.iter()
-                .flat_map(|r| net.run_items(r))
-                .filter(|p| {
-                    matches!(p.kind(), PostingKind::Base(_) | PostingKind::ShortValue)
-                        && queried.admits(p)
-                })
-                .filter_map(|p| p.triple().value_str().map(|s| (p.oid(), s))),
-        );
-        let side: Rc<[(String, String)]> = left_side(pairs, |p| p.0, limit)
-            .into_iter()
-            .map(|(oid, v)| (oid.to_string(), v.to_string()))
-            .collect();
-        let stored = ScannedLeft {
-            ln: ln.to_string(),
-            limit,
-            epoch,
-            runs,
-            side: Rc::clone(&side),
-            probes: Vec::new(),
-            #[cfg(test)]
-            served: 0,
-        };
-        self.scanned_left = Some(stored);
-        side
-    }
-
-    /// The stored side `slot` indexes, while it is stored and its epoch
-    /// holds.
-    fn stored_side(&self, slot: &JoinSlot) -> Option<&ScannedLeft> {
-        let s = self.scanned_left.as_ref()?;
-        (Rc::ptr_eq(&s.side, &slot.side) && s.epoch == self.net.cache_epoch()).then_some(s)
-    }
-
-    /// What the join child at `slot` — a selection of `rn` within `d` by
-    /// `strategy`, probing `n_keys` keys — does with its probe outcome:
-    /// replays the one kept for it, records one to keep, or, its side no
-    /// longer stored at this epoch, neither.
-    pub(crate) fn probe_reuse(
-        &self,
-        slot: &JoinSlot,
-        rn: Option<&str>,
-        d: usize,
-        strategy: Strategy,
-        n_keys: usize,
-    ) -> Reuse {
-        let Some(s) = self.stored_side(slot) else { return Reuse::Off };
-        let kept = s
-            .probes
-            .iter()
-            .find(|p| p.of(rn, d, strategy))
-            .and_then(|p| p.slots[slot.index].clone());
-        match kept {
-            Some(outcome) => {
-                let lent = Vec::with_capacity(n_keys);
-                Reuse::Replay { outcome, epoch: s.epoch, lent, collected: false }
-            }
-            None => Reuse::Record { payloads: vec![0; n_keys] },
-        }
-    }
-
-    /// Keep the probe outcome of the join child at `slot` — recorded with
-    /// every leg answering — while its side is stored at the epoch the legs
-    /// ran at, unless one is kept already.
-    pub(crate) fn keep_probe_outcome(
-        &mut self,
-        slot: &JoinSlot,
-        rn: Option<&str>,
-        d: usize,
-        strategy: Strategy,
-        payloads: Vec<usize>,
-        candidates: &[Candidate],
-    ) {
-        if self.stored_side(slot).is_none() {
-            return;
-        }
-        let s = self.scanned_left.as_mut().expect("the side is stored");
-        let at = match s.probes.iter().position(|p| p.of(rn, d, strategy)) {
-            Some(at) => at,
-            None => {
-                let slots = vec![None; s.side.len()];
-                s.probes.push(ProbeSlots { rn: rn.map(str::to_string), d, strategy, slots });
-                s.probes.len() - 1
-            }
-        };
-        let kept = &mut s.probes[at].slots[slot.index];
-        if kept.is_none() {
-            *kept = Some(Rc::new(ProbeOutcome { payloads, candidates: candidates.to_vec() }));
-        }
-    }
+    runs: &[ItemRun],
+) -> Side {
+    let mut queried = AttrGuard::new(ln);
+    let mut pairs = Vec::with_capacity(runs.iter().map(|r| r.items.len()).sum());
+    pairs.extend(
+        runs.iter()
+            .flat_map(|r| net.run_items(r))
+            .filter(|p| {
+                matches!(p.kind(), PostingKind::Base(_) | PostingKind::ShortValue)
+                    && queried.admits(p)
+            })
+            .filter_map(|p| p.triple().value_str().map(|s| (p.oid(), s))),
+    );
+    left_side(pairs, |p| p.0, limit)
+        .into_iter()
+        .map(|(oid, v)| (oid.to_string(), v.to_string()))
+        .collect()
 }
 
 /// Emit a `join_window` counter sample when the AIMD controller moves the
@@ -655,29 +496,11 @@ fn spread(head: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Every k-th element, so that samples spread across the input — the
-/// reference [`left_side`] is held to, after a sort and a dedup.
-#[cfg(test)]
-fn stratified_sample<T>(items: Vec<T>, limit: usize) -> Vec<T> {
-    if items.len() <= limit || limit == 0 {
-        return items;
-    }
-    let stride = items.len() as f64 / limit as f64;
-    let mut picked = Vec::with_capacity(limit);
-    let mut next = 0.0f64;
-    for (i, item) in items.into_iter().enumerate() {
-        if picked.len() < limit && i as f64 >= next {
-            picked.push(item);
-            next += stride;
-        }
-    }
-    picked
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::engine::{DegradePolicy, EngineBuilder};
+    use crate::memo::tests::{before, no_hook, Hook, Trio, KEPT};
     use sqo_cache::BrokerConfig;
     use sqo_overlay::clock::{EventSink, MsgKind, SimLatency};
     use sqo_overlay::SharedTraceSink;
@@ -773,6 +596,24 @@ pub(crate) mod tests {
         let mut attrs: Vec<&str> = res.pairs.iter().map(|p| p.right.attr.as_str()).collect();
         attrs.sort_unstable();
         assert_eq!(attrs, vec!["price", "prize"]);
+    }
+
+    /// Every k-th element, so that samples spread across the input — the
+    /// reference [`left_side`] is held to, after a sort and a dedup.
+    fn stratified_sample<T>(items: Vec<T>, limit: usize) -> Vec<T> {
+        if items.len() <= limit || limit == 0 {
+            return items;
+        }
+        let stride = items.len() as f64 / limit as f64;
+        let mut picked = Vec::with_capacity(limit);
+        let mut next = 0.0f64;
+        for (i, item) in items.into_iter().enumerate() {
+            if picked.len() < limit && i as f64 >= next {
+                picked.push(item);
+                next += stride;
+            }
+        }
+        picked
     }
 
     /// What `left_side` stands in for: a sort, a dedup, then
@@ -994,42 +835,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// Every trace event a network emitted, in order.
-    #[derive(Default)]
-    pub(crate) struct Recorded(pub(crate) Vec<sqo_overlay::TraceEvent>);
-
-    impl sqo_overlay::TraceSink for Recorded {
-        fn record(&mut self, ev: sqo_overlay::TraceEvent) {
-            self.0.push(ev);
-        }
-    }
-
-    /// Two engines built alike and put through the same calls. `warm`
-    /// keeps the left side its last join scanned and the probe outcomes of
-    /// that side's joins; `cold` has `forget` run before every join — the
-    /// side dropped, so it computes each side as a freshly built engine
-    /// does, or only the outcomes, so each child filters and groups its
-    /// probes again.
-    struct Twins {
-        warm: SimilarityEngine,
-        cold: SimilarityEngine,
-        traces: [std::rc::Rc<std::cell::RefCell<Recorded>>; 2],
-        forget: fn(&mut SimilarityEngine),
-        /// What the last join answered: its `QueryStats` and pair count.
-        last: (QueryStats, usize),
-    }
-
-    fn forget_side(e: &mut SimilarityEngine) {
-        e.scanned_left = None;
-    }
-
-    fn forget_outcomes(e: &mut SimilarityEngine) {
-        if let Some(s) = &mut e.scanned_left {
-            s.probes.clear();
-        }
-    }
-
-    /// What the cache-soundness tests put in the twins: an attribute to
+    /// What the cache-soundness tests put in the trio: an attribute to
     /// join, and another one beside it.
     fn twin_rows(from: usize, to: usize) -> Vec<Row> {
         (from..to)
@@ -1045,7 +851,7 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// One join the twins run: `SimJoin(ln, rn, d)` by `strategy` over at
+    /// One join the trio runs: `SimJoin(ln, rn, d)` by `strategy` over at
     /// most `limit` left pairs.
     #[derive(Clone, Copy, Debug)]
     struct Spec<'a> {
@@ -1062,111 +868,91 @@ pub(crate) mod tests {
         }
     }
 
-    /// A join that runs `hook` on the engine before its `at`-th step: an
-    /// event in the middle of it.
-    struct Hooked<'h> {
-        task: JoinTask,
-        steps: usize,
-        at: usize,
-        hook: &'h dyn Fn(&mut SimilarityEngine),
+    /// Joins on the memo's [`Trio`] — the kept engine keeps the left side
+    /// its last join scanned and the probe outcomes of that side's joins —
+    /// what the last one answered: its `QueryStats` and pair count, and how
+    /// many children had replayed an outcome whole when the kept side was
+    /// computed.
+    struct Joins {
+        t: Trio,
+        last: (QueryStats, usize),
+        base: usize,
     }
 
-    impl ExecStep for Hooked<'_> {
-        fn step(&mut self, engine: &mut SimilarityEngine, at_us: u64) -> StepOutcome {
-            if self.steps == self.at {
-                (self.hook)(engine);
-            }
-            self.steps += 1;
-            self.task.step(engine, at_us)
-        }
-    }
-
-    impl Twins {
+    impl Joins {
         fn new() -> Self {
-            Self::built(|b| b, forget_side)
+            Self::built(|b| b)
         }
 
-        /// Twins of 64 peers holding [`twin_rows`], built by `tune` from
+        /// A trio of 64 peers holding [`twin_rows`], built by `tune` from
         /// the plain builder.
-        fn built(
-            tune: impl Fn(EngineBuilder) -> EngineBuilder,
-            forget: fn(&mut SimilarityEngine),
-        ) -> Self {
+        fn built(tune: impl Fn(EngineBuilder) -> EngineBuilder) -> Self {
             let rows = twin_rows(0, 160);
-            let build = || tune(EngineBuilder::new().peers(64).seed(46)).build_with_rows(&rows);
-            let (mut warm, mut cold) = (build(), build());
-            let traces =
-                [(); 2].map(|()| std::rc::Rc::new(std::cell::RefCell::new(Recorded::default())));
-            warm.network_mut().set_trace_sink(traces[0].clone());
-            cold.network_mut().set_trace_sink(traces[1].clone());
-            Self { warm, cold, traces, forget, last: (QueryStats::default(), 0) }
+            let t =
+                Trio::new(|| tune(EngineBuilder::new().peers(64).seed(46)).build_with_rows(&rows));
+            Self { t, last: (QueryStats::default(), 0), base: 0 }
         }
 
-        /// `f` on both engines, which must answer alike.
+        /// `f` on the three engines, which must answer alike.
         fn both<R: PartialEq + std::fmt::Debug>(
             &mut self,
-            mut f: impl FnMut(&mut SimilarityEngine) -> R,
+            f: impl FnMut(&mut SimilarityEngine) -> R,
         ) -> R {
-            let r = f(&mut self.warm);
-            assert_eq!(r, f(&mut self.cold));
-            r
+            self.t.all(f)
         }
 
-        /// Join on both engines from `from`, and whether the warm one
-        /// served the side it had stored. Both must answer the same pairs,
-        /// `QueryStats` and trace.
+        /// The engine that keeps its memo.
+        fn warm(&self) -> &SimilarityEngine {
+            &self.t.engines[KEPT]
+        }
+
+        /// Join on the trio from `from`, and whether the kept engine
+        /// served the side it had stored.
         fn join(&mut self, ln: &str, from: PeerId, left_limit: Option<usize>) -> bool {
-            self.run(Spec::of(ln, left_limit), from, usize::MAX, &|_| {})
+            self.run(Spec::of(ln, left_limit), from, &no_hook)
         }
 
         /// [`Self::join`] of `spec`, with `hook` run on each engine before
-        /// the join's `at`-th step.
-        fn run(
-            &mut self,
-            spec: Spec<'_>,
-            from: PeerId,
-            at: usize,
-            hook: &dyn Fn(&mut SimilarityEngine),
-        ) -> bool {
-            let stored = self.warm.scanned_left.as_ref().map(|s| Rc::clone(&s.side));
-            (self.forget)(&mut self.cold);
+        /// each of the join's steps.
+        fn run(&mut self, spec: Spec<'_>, from: PeerId, hook: Hook<'_>) -> bool {
+            let stored = self.t.memo().side().cloned();
+            // The side the kept engine's join took: the memo's before the
+            // join's first child steps (the kept engine runs first).
+            let taken = std::cell::RefCell::new(None);
+            let watch = |e: &mut SimilarityEngine, step: usize| {
+                if step == 1 && taken.borrow().is_none() {
+                    *taken.borrow_mut() = Some(e.memo.side().cloned());
+                }
+                hook(e, step);
+            };
             let opts = JoinOptions {
                 strategy: spec.strategy,
                 left_limit: spec.limit,
                 window: JoinWindow::Fixed(4),
             };
-            let [(warm, last), (cold, _)] = [&mut self.warm, &mut self.cold].map(|e| {
-                let task = JoinTask::new(spec.ln, spec.rn, spec.d, from, &opts);
-                let mut hooked = Hooked { task, steps: 0, at, hook };
-                let stats = e.run_task(&mut hooked);
-                let (pairs, left_size) = (hooked.task.take_pairs(), hooked.task.left_size());
-                (format!("{pairs:?} {left_size} {stats:?}"), (stats, pairs.len()))
-            });
-            self.last = last;
-            let [warm_trace, cold_trace] = self
-                .traces
-                .each_ref()
-                .map(|t| format!("{:?}", std::mem::take(&mut t.borrow_mut().0)));
-            assert!(!cold_trace.is_empty(), "the join is traced");
-            assert_eq!(warm_trace, cold_trace, "{spec:?} from {from:?}");
-            assert_eq!(warm, cold, "{spec:?} from {from:?}");
-            let side = &self.warm.scanned_left.as_ref().expect("a join stores its side").side;
-            stored.is_some_and(|s| Rc::ptr_eq(&s, side))
+            let (stats, _) =
+                self.t.run(|| JoinTask::new(spec.ln, spec.rn, spec.d, from, &opts), &watch);
+            self.last = (stats, stats.matches);
+            let taken = taken.into_inner().flatten();
+            let took = stored.zip(taken).is_some_and(|(s, t)| Rc::ptr_eq(&s, &t));
+            if !took {
+                // A join that computes its side finds no outcome to replay.
+                self.base = self.t.memo().served_kept().0;
+            }
+            took
         }
 
-        /// The runs the warm engine's stored side was computed from.
+        /// The runs the kept engine's stored side was computed from.
         fn stored_runs(&self) -> Vec<ItemRun> {
-            self.warm.scanned_left.as_ref().expect("a join stores its side").runs.clone()
+            self.t.memo().runs()
         }
 
-        /// How many of the warm engine's join children served a kept
+        /// How many of the kept engine's join children served a kept
         /// outcome since its side was stored, and how many outcomes it
         /// keeps.
         fn served_kept(&self) -> (usize, usize) {
-            self.warm.scanned_left.as_ref().map_or((0, 0), |s| {
-                let kept = s.probes.iter().flat_map(|p| &p.slots).filter(|o| o.is_some());
-                (s.served, kept.count())
-            })
+            let (served, kept) = self.t.memo().served_kept();
+            (served - self.base, kept)
         }
     }
 
@@ -1175,7 +961,7 @@ pub(crate) mod tests {
     /// side and for samples of it.
     #[test]
     fn a_warm_join_answers_what_a_cold_one_does() {
-        let mut t = Twins::new();
+        let mut t = Joins::new();
         let from = t.both(|e| e.random_peer());
         for limit in [Some(5), None] {
             assert!(!t.join("word", from, limit), "the first join with {limit:?} computes");
@@ -1193,7 +979,7 @@ pub(crate) mod tests {
     /// engine does.
     #[test]
     fn a_publication_or_membership_event_between_joins_misses() {
-        let mut t = Twins::new();
+        let mut t = Joins::new();
         let from = t.both(|e| e.random_peer());
         t.join("word", from, Some(6));
         assert!(t.join("word", from, Some(6)));
@@ -1211,7 +997,7 @@ pub(crate) mod tests {
         // A partition that holds none of the attribute: the scans answer
         // the same runs after it is wiped, and the epoch alone tells.
         let runs = t.stored_runs();
-        let outside = (0..t.warm.network().partition_count())
+        let outside = (0..t.warm().network().partition_count())
             .find(|p| !runs.iter().any(|r| r.part == *p))
             .expect("the attribute does not span the trie");
         t.both(|e| e.network_mut().fail_partition(outside));
@@ -1235,7 +1021,7 @@ pub(crate) mod tests {
     /// the join after it.
     #[test]
     fn a_scan_that_answers_other_runs_misses_at_an_unchanged_epoch() {
-        let mut t = Twins::new();
+        let mut t = Joins::new();
         let (alive, dead) = t.both(|e| {
             let dead = e.random_peer();
             e.network_mut().fail_peer(dead);
@@ -1243,12 +1029,12 @@ pub(crate) mod tests {
         });
         t.join("word", alive, Some(6));
         assert!(t.join("word", alive, Some(6)));
-        let epoch = t.warm.network().cache_epoch();
+        let epoch = t.warm().network().cache_epoch();
         assert!(!t.join("word", dead, Some(6)), "a dead initiator's scan answers no run");
         assert!(t.stored_runs().is_empty());
         assert!(!t.join("word", alive, Some(6)), "and the next scan answers them all again");
         assert!(!t.stored_runs().is_empty());
-        assert_eq!(t.warm.network().cache_epoch(), epoch, "no event between the joins");
+        assert_eq!(t.warm().network().cache_epoch(), epoch, "no event between the joins");
     }
 
     /// The stored side is one attribute's at one limit: another attribute
@@ -1258,7 +1044,7 @@ pub(crate) mod tests {
     /// apart.
     #[test]
     fn another_attribute_or_limit_misses() {
-        let mut t = Twins::new();
+        let mut t = Joins::new();
         let from = t.both(|e| e.random_peer());
         t.join("word", from, Some(6));
         assert!(!t.join("name", from, Some(6)), "another attribute");
@@ -1278,7 +1064,7 @@ pub(crate) mod tests {
         t.both(|e| e.publish_rows(&rows));
         t.join(&left, from, None);
         let runs = t.stored_runs();
-        let size = |t: &Twins| t.warm.scanned_left.as_ref().map(|s| s.side.len());
+        let size = |t: &Joins| t.t.memo().side().map(|s| s.len());
         assert_eq!(size(&t), Some(10));
         assert!(!t.join(&right, from, None), "an attribute sharing the key's 32 bytes");
         assert_eq!(t.stored_runs(), runs, "both scans answered the same runs");
@@ -1292,7 +1078,7 @@ pub(crate) mod tests {
     /// initiator, for the sample and for the whole side.
     #[test]
     fn a_warm_join_replays_what_its_children_probed() {
-        let mut t = Twins::built(|b| b, forget_outcomes);
+        let mut t = Joins::new();
         let from = t.both(|e| e.random_peer());
         for (limit, lefts) in [(Some(6), 6), (None, 160)] {
             assert!(!t.join("word", from, limit));
@@ -1310,7 +1096,7 @@ pub(crate) mod tests {
     /// kept for the others, and each is replayed by the next join alike.
     #[test]
     fn another_rn_d_or_strategy_keeps_its_own_outcomes() {
-        let mut t = Twins::built(|b| b, forget_outcomes);
+        let mut t = Joins::new();
         let from = t.both(|e| e.random_peer());
         let base = Spec::of("word", Some(6));
         let specs = [
@@ -1320,13 +1106,13 @@ pub(crate) mod tests {
             Spec { rn: Some("name"), ..base },
             Spec { strategy: Strategy::QSamples, ..base },
         ];
-        t.run(base, from, usize::MAX, &|_| {});
+        t.run(base, from, &no_hook);
         for (n, spec) in specs.iter().enumerate().skip(1) {
-            assert!(t.run(*spec, from, usize::MAX, &|_| {}), "{spec:?} reads the stored side");
+            assert!(t.run(*spec, from, &no_hook), "{spec:?} reads the stored side");
             assert_eq!(t.served_kept(), (0, 6 * (n + 1)), "{spec:?} keeps outcomes of its own");
         }
         for (n, spec) in specs.iter().enumerate() {
-            t.run(*spec, from, usize::MAX, &|_| {});
+            t.run(*spec, from, &no_hook);
             assert_eq!(t.served_kept(), (6 * (n + 1), 6 * specs.len()), "{spec:?} replays its own");
         }
     }
@@ -1336,7 +1122,7 @@ pub(crate) mod tests {
     /// beside the old side: the children of the new one filter again.
     #[test]
     fn a_replaced_side_drops_its_outcomes() {
-        let mut t = Twins::built(|b| b, forget_outcomes);
+        let mut t = Joins::new();
         let from = t.both(|e| e.random_peer());
         t.join("word", from, Some(6));
         assert!(t.join("word", from, Some(6)));
@@ -1355,12 +1141,12 @@ pub(crate) mod tests {
     /// so the join answers what a twin that filtered every leg does.
     #[test]
     fn a_publication_mid_join_re_reads_the_runs_its_legs_read() {
-        let mut t = Twins::built(|b| b, forget_outcomes);
+        let mut t = Joins::new();
         let from = t.both(|e| e.random_peer());
         // At distance 0 a candidate shares every gram: one key's postings
         // read from the grown runs would make a candidate of a new object.
         let exact = Spec { d: 0, ..Spec::of("word", Some(8)) };
-        t.run(exact, from, usize::MAX, &|_| {});
+        t.run(exact, from, &no_hook);
         assert_eq!(t.served_kept(), (0, 8));
         // The same words again under new oids: every probed gram key
         // grows by postings that pass the probe filter.
@@ -1373,7 +1159,7 @@ pub(crate) mod tests {
         let publish = |e: &mut SimilarityEngine| {
             e.publish_rows(&again);
         };
-        assert!(t.run(exact, from, 6, &publish));
+        assert!(t.run(exact, from, &before(6, publish)));
         let (served, _) = t.served_kept();
         assert!(served < 8, "{served} children replayed their outcome whole");
     }
@@ -1384,20 +1170,20 @@ pub(crate) mod tests {
     /// lay, and the join answers what a twin that filtered every leg does.
     #[test]
     fn a_churn_wave_mid_join_falls_back_to_the_legs_that_answered() {
-        let mut t = Twins::built(|b| b, forget_outcomes);
+        let mut t = Joins::new();
         let from = t.both(|e| e.random_peer());
         // At distance 0 a candidate shares every gram: a silenced leg
         // loses it.
         let exact = Spec { d: 0, ..Spec::of("word", None) };
-        t.run(exact, from, usize::MAX, &|_| {});
+        t.run(exact, from, &no_hook);
         let whole = t.last.1;
         assert_eq!(t.served_kept(), (0, 160));
         let wave = |e: &mut SimilarityEngine| {
             e.network_mut().fail_random_fraction(0.5);
         };
-        let before = t.served_kept().0;
-        assert!(t.run(exact, from, 20, &wave));
-        let served = t.served_kept().0 - before;
+        let earlier = t.served_kept().0;
+        assert!(t.run(exact, from, &before(20, wave)));
+        let served = t.served_kept().0 - earlier;
         assert!(0 < served && served < 160, "{served} children replayed their outcome whole");
         let (stats, pairs) = t.last;
         let (answered, addressed) = (stats.partitions_answered, stats.partitions_addressed);
@@ -1413,22 +1199,21 @@ pub(crate) mod tests {
     /// answers the runs it did and its children replay legs that fail.
     #[test]
     fn a_replayed_leg_that_fails_at_the_kept_epoch_falls_back() {
-        let mut t = Twins::built(|b| b, forget_outcomes);
+        let mut t = Joins::new();
         let from = t.both(|e| e.random_peer());
         // At distance 0 a candidate shares every gram: one unanswered leg
         // loses it.
         let exact = Spec { d: 0, ..Spec::of("word", None) };
-        t.run(exact, from, usize::MAX, &|_| {});
+        t.run(exact, from, &no_hook);
         let whole = t.last.1;
-        let grams = t.warm.network().partition_of(&keys::instance_gram_key("word", "wor"));
-        let home = t.warm.network().peer_partition(from);
+        let grams = t.warm().network().partition_of(&keys::instance_gram_key("word", "wor"));
+        let home = t.warm().network().peer_partition(from);
         assert!(grams != home && t.stored_runs().iter().all(|r| r.part != grams));
         t.both(|e| {
             e.network_mut().fail_partition(grams);
-            let epoch = e.network().cache_epoch();
-            e.scanned_left.as_mut().expect("a join stores its side").epoch = epoch;
+            e.memo.move_to(&e.net);
         });
-        assert!(t.run(exact, from, usize::MAX, &|_| {}));
+        assert!(t.run(exact, from, &no_hook));
         let (served, kept) = t.served_kept();
         assert!(served < kept, "{served} of {kept} children replayed their outcome whole");
         let (stats, pairs) = t.last;
@@ -1441,7 +1226,7 @@ pub(crate) mod tests {
     #[test]
     fn joins_that_drop_legs_at_their_deadline_answer_alike() {
         let policy = DegradePolicy { retries: 0, backoff_us: 0, deadline_us: Some(1_500) };
-        let mut t = Twins::built(|b| b.degrade(policy), forget_outcomes);
+        let mut t = Joins::built(|b| b.degrade(policy));
         t.both(|e| e.network_mut().set_event_sink(Box::<Clock>::default()));
         let from = t.both(|e| e.random_peer());
         t.join("word", from, Some(8));
@@ -1461,7 +1246,7 @@ pub(crate) mod tests {
         for (broker, delegation) in [(true, true), (false, false)] {
             let cache = if broker { BrokerConfig::enabled() } else { BrokerConfig::default() };
             let tune = |b: EngineBuilder| b.cache_config(cache).delegation(delegation);
-            let mut t = Twins::built(tune, forget_outcomes);
+            let mut t = Joins::built(tune);
             let from = t.both(|e| e.random_peer());
             for limit in [Some(8), None] {
                 t.join("word", from, limit);

@@ -1097,9 +1097,12 @@ impl<T: Item> Network<T> {
     /// intersecting the range; each responder replies directly to the
     /// initiator (Datta et al. \[6\]). The answer is the items the replies
     /// shipped, in partition and then key order; each reply is charged its
-    /// items' payload bytes.
+    /// items' payload bytes. An inverted range (`lo > hi`) holds nothing:
+    /// its answer is empty, and it routes and sends nothing.
     pub fn range_query(&mut self, from: PeerId, lo: &Key, hi: &Key) -> Result<Vec<T>, RouteError> {
-        assert!(lo <= hi, "empty range: lo > hi");
+        if lo > hi {
+            return Ok(Vec::new());
+        }
         // Partitions intersecting [lo, hi]: sup(path) >= lo and path <= hi.
         // A partition whose path *extends* hi also qualifies: it stores
         // items whose key is a prefix of its path — in particular an item
@@ -1675,12 +1678,19 @@ mod tests {
         assert!(got.is_empty());
     }
 
+    /// An inverted range answers empty and charges nothing — also where
+    /// the partitions extending `hi` lie past `lo`'s (`hi` a prefix of
+    /// `lo`).
     #[test]
-    #[should_panic(expected = "empty range")]
-    fn inverted_range_panics() {
+    fn inverted_range_is_empty_and_charges_nothing() {
         let (mut net, _) = word_net(8, 10);
+        net.reset_metrics();
         let from = net.random_peer();
-        let _ = net.range_query(from, &hash_str("b"), &hash_str("a"));
+        for (lo, hi) in [("b", "a"), ("word00005", "word0")] {
+            let got = net.range_query(from, &hash_str(lo), &hash_str(hi)).unwrap();
+            assert!(got.is_empty(), "{lo}..{hi}");
+        }
+        assert_eq!(*net.metrics(), Metrics::default(), "no route, no message, no scan");
     }
 
     #[test]
