@@ -228,7 +228,7 @@ mod tests {
     use sqo_storage::slab::TripleSlab;
     use sqo_storage::triple::{Row, Triple, Value};
     use sqo_strsim::qgram::qgram_slices;
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     /// Keys hold 32 bytes of an attribute name, so two names equal that far
     /// store their grams under the same keys and the owner's list mixes
@@ -282,7 +282,7 @@ mod tests {
     /// a string value's grams, and for a number a gram cut from the
     /// attribute's name, an instance gram of a value that is no string —
     /// at schema level every name's; ascending by rank, ties in slab order.
-    fn entry(slab: &Arc<TripleSlab>, attr: Option<&str>, gram: &str, q: usize) -> Vec<Posting> {
+    fn entry(slab: &Rc<TripleSlab>, attr: Option<&str>, gram: &str, q: usize) -> Vec<Posting> {
         let under = |name: &str| {
             let head = |s: &str| s.as_bytes()[..s.len().min(32)].to_vec();
             attr.is_some_and(|a| head(a) == head(name))

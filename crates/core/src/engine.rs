@@ -20,7 +20,7 @@ use sqo_storage::publish::{batch_for_rows, PublishConfig, PublishStats};
 use sqo_storage::triple::Row;
 use sqo_strsim::filters::FilterConfig;
 use std::ops::Range;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Per-query execution defaults, grouped so higher layers (the `sqo-plan`
 /// planner, workload drivers) inherit one coherent block instead of poking
@@ -211,7 +211,7 @@ impl EngineBuilder {
         objects.place_network(&net);
         let broker =
             self.cfg.query.cache.any_enabled().then(|| CacheBatchBroker::new(self.cfg.query.cache));
-        SimilarityEngine::from_parts(self.cfg, net, publish_stats, 0, broker, Arc::new(objects))
+        SimilarityEngine::from_parts(self.cfg, net, publish_stats, 0, broker, Rc::new(objects))
     }
 }
 
@@ -242,7 +242,7 @@ pub struct SimilarityEngine {
     #[cfg(test)]
     pub(crate) reference: bool,
     /// Object numbers and fetch spots, shared with a restore's snapshot.
-    pub(crate) objects: Arc<Objects>,
+    pub(crate) objects: Rc<Objects>,
 }
 
 /// One object-fetch branch: a range of the planned objects — those of one
@@ -466,7 +466,7 @@ impl SimilarityEngine {
     // ------------------------------------------------------------------
 
     /// The numbers and fetch spots of the stored objects (in no wire record).
-    pub fn objects(&self) -> &Arc<Objects> {
+    pub fn objects(&self) -> &Rc<Objects> {
         &self.objects
     }
 
@@ -492,7 +492,7 @@ impl SimilarityEngine {
         publish_stats: PublishStats,
         edit_comparisons: u64,
         broker: Option<CacheBatchBroker>,
-        objects: Arc<Objects>,
+        objects: Rc<Objects>,
     ) -> Self {
         // Leg counters restart at zero: stats windows only ever read
         // deltas, and checkpoints cut at quiesce (no open windows).
@@ -576,11 +576,11 @@ impl SimilarityEngine {
     /// peerless gap partition, see [`Network::insert_groups`]): 0 on any
     /// network whose every partition has a member.
     pub fn publish_rows(&mut self, rows: &[Row]) -> usize {
-        let objects = Arc::make_mut(&mut self.objects);
+        let objects = Rc::make_mut(&mut self.objects);
         let (batch, stats) = batch_for_rows(rows, &self.cfg.publish, |oid| objects.number(oid));
         self.absorb_publish_stats(&stats);
         let unstored = self.net.insert_groups(batch.into_sorted_groups());
-        Arc::make_mut(&mut self.objects).stored(&self.net, rows.iter().map(|r| r.oid.as_str()));
+        Rc::make_mut(&mut self.objects).stored(&self.net, rows.iter().map(|r| r.oid.as_str()));
         unstored
     }
 
@@ -602,7 +602,7 @@ impl SimilarityEngine {
     /// ([`Self::publish_rows`]).
     pub fn publish_rows_traced(&mut self, rows: &[Row], from: PeerId) -> QueryStats {
         let snap = self.begin_query();
-        let objects = Arc::make_mut(&mut self.objects);
+        let objects = Rc::make_mut(&mut self.objects);
         let (mut batch, stats) = batch_for_rows(rows, &self.cfg.publish, |oid| objects.number(oid));
         self.absorb_publish_stats(&stats);
         // The one comparison sort: over the batch's distinct keys.
@@ -663,7 +663,7 @@ impl SimilarityEngine {
         self.net.sim_join();
         let arrived = batch.entries().len();
         let stored = arrived - self.net.insert_groups(batch.into_groups(&order));
-        Arc::make_mut(&mut self.objects).stored(&self.net, rows.iter().map(|r| r.oid.as_str()));
+        Rc::make_mut(&mut self.objects).stored(&self.net, rows.iter().map(|r| r.oid.as_str()));
         let mut out = self.finish_query(&snap);
         out.matches = stored;
         out

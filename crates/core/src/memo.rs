@@ -21,7 +21,8 @@
 //!   none. They go with the side.
 //! * **Scan views** (the nineteenth rule): per (scan prefix, attribute),
 //!   the strings the naive branches verify, ordered by their stored length
-//!   ([`ScanView`]) and built whole at the first branch that asks.
+//!   ([`ScanView`]), with their char counts, and built whole at the first
+//!   branch that asks.
 
 use crate::engine::Lent;
 use crate::similar::{Candidate, Strategy};
@@ -105,9 +106,20 @@ struct ScanView {
     /// One array: the `n` peered partitions, ascending; the end of each
     /// one's stretch; then the stretches — for each partition, the index in
     /// its run's prefix stretch of every posting that is the attribute's
-    /// and holds a string, ordered by (chars, index). Indices fit: a run's
-    /// end offsets are `u32`.
+    /// and holds a string, ordered by (chars, index) — then each entry's
+    /// char count, its string's offset in `text`, and `text`'s length.
     entries: Vec<u32>,
+    /// The entries' strings back to back, in entry order.
+    text: String,
+}
+
+/// A partition's stretch of a [`ScanView`]: entry `k`'s posting index,
+/// char count, and string `text[offsets[k]..offsets[k + 1]]`.
+pub(crate) struct Strings<'v> {
+    pub(crate) index: &'v [u32],
+    pub(crate) chars: &'v [u32],
+    pub(crate) offsets: &'v [u32],
+    pub(crate) text: &'v str,
 }
 
 impl HostMemo {
@@ -202,15 +214,19 @@ impl HostMemo {
         prefix: &Key,
         attr: &str,
         part: usize,
-    ) -> &[u32] {
+    ) -> Strings<'_> {
         let views = &mut self.at(net).views;
         let is = |v: &ScanView| v.attr == attr && v.prefix == *prefix;
-        let ScanView { parts: n, entries, .. } =
+        let ScanView { parts: n, entries, text, .. } =
             find_or_push(views, is, || ScanView::build(net, prefix, attr));
-        let n = *n;
-        let Ok(k) = entries[..n].binary_search(&(part as u32)) else { return &[] };
-        let start = if k == 0 { 0 } else { entries[n + k - 1] as usize };
-        &entries[2 * n + start..2 * n + entries[n + k] as usize]
+        let (n, m) = (*n, (entries.len() - 2 * *n - 1) / 3);
+        let (parts, columns) = entries.split_at(2 * n);
+        let (s, e) = match parts[..n].binary_search(&(part as u32)) {
+            Ok(k) => (if k == 0 { 0 } else { parts[n + k - 1] as usize }, parts[n + k] as usize),
+            Err(_) => (0, 0),
+        };
+        let (index, chars) = (&columns[s..e], &columns[m + s..m + e]);
+        Strings { index, chars, offsets: &columns[2 * m + s..=2 * m + e], text }
     }
 }
 
@@ -234,26 +250,42 @@ impl ScanView {
         let n = peered.len();
         let run = |part: u32| net.partition_store(part as usize).prefix_entries(prefix).items;
         let mut entries =
-            Vec::with_capacity(2 * n + peered.iter().map(|&p| run(p).len()).sum::<usize>());
+            Vec::with_capacity(2 * n + 1 + 3 * peered.iter().map(|&p| run(p).len()).sum::<usize>());
         entries.extend_from_slice(peered);
         entries.resize(2 * n, 0);
         // Keys truncate, so the prefix may hold another attribute's
         // postings too.
         let mut queried = AttrGuard::new(attr);
+        let mut bytes = 0;
         for (k, &part) in peered.iter().enumerate() {
             let items = run(part);
             let start = entries.len();
             entries.extend((0..items.len() as u32).filter(|&i| {
                 let p = &items[i as usize];
-                matches!(p.kind(), PostingKind::Base(_) | PostingKind::ShortValue)
-                    && queried.admits(p)
-                    // `None`: a number.
-                    && p.char_len().is_some()
+                let string = matches!(p.kind(), PostingKind::Base(_) | PostingKind::ShortValue)
+                    && queried.admits(p);
+                // `None`: a number.
+                let len = string.then(|| p.triple().value_str().map(str::len)).flatten();
+                bytes += len.unwrap_or_default();
+                len.is_some()
             }));
             entries[start..].sort_unstable_by_key(|&i| (items[i as usize].char_len(), i));
             entries[n + k] = (entries.len() - 2 * n) as u32;
         }
-        ScanView { prefix: prefix.clone(), attr: attr.to_string(), parts: n, entries }
+        let m = entries.len() - 2 * n;
+        entries.resize(2 * n + 2 * m, 0);
+        let mut text = String::with_capacity(bytes);
+        for (k, &part) in peered.iter().enumerate() {
+            let (items, start) = (run(part), if k == 0 { 0 } else { entries[n + k - 1] });
+            for j in start as usize..entries[n + k] as usize {
+                let t = items[entries[2 * n + j] as usize].triple();
+                entries[2 * n + m + j] = t.char_len().unwrap_or_default() as u32;
+                entries.push(u32::try_from(text.len()).expect("under 4 GiB"));
+                text.push_str(t.value_str().unwrap_or_default());
+            }
+        }
+        entries.push(u32::try_from(text.len()).expect("under 4 GiB"));
+        ScanView { prefix: prefix.clone(), attr: attr.to_string(), parts: n, entries, text }
     }
 }
 

@@ -20,10 +20,11 @@
 //! routes, forwards, scans its run (charged one unit per entry) and replies
 //! exactly as before; it adds its partition's stretch of the length-ordered
 //! view the engine's memo keeps (`crate::memo`) to the comparisons, bisects
-//! the stretch to the window on the postings' stored counts and reads the
-//! record and text of only the postings inside it, streamed through the
+//! the stretch's column of char counts to the window and streams the
+//! window's strings — back to back in the view's text buffer — through the
 //! verifier's bit-parallel kernel (a banded DP for a query over 64 chars).
-//! Matches go straight onto the task's candidate buffer.
+//! A posting and its record are read only for a match: its reply payload
+//! and its candidate, which goes straight onto the task's buffer.
 //!
 //! At schema level each distinct local attribute name is one comparison and
 //! is verified once, on its stored char count; the postings that share it
@@ -98,20 +99,19 @@ impl SimilarityEngine {
     ) -> usize {
         // The run the scan reads is that of the responder's partition.
         let part = self.net.peer_partition(responder);
-        let stretch = self.memo.stretch(&self.net, prefix, attr, part);
-        self.edit_comparisons += stretch.len() as u64;
+        let strings = self.memo.stretch(&self.net, prefix, attr, part);
+        self.edit_comparisons += strings.index.len() as u64;
         let items = self.net.local_prefix_run(responder, prefix);
-        let chars_of = |i: u32| items[i as usize].char_len().unwrap_or_default();
         let window = verifier.len_window();
-        let start = stretch.partition_point(|&i| chars_of(i) < *window.start());
-        let end = stretch.partition_point(|&i| chars_of(i) <= *window.end());
+        let start = strings.chars.partition_point(|&c| (c as usize) < *window.start());
+        let end = strings.chars.partition_point(|&c| c as usize <= *window.end());
         let mut payload = 0;
-        for &i in &stretch[start..end] {
-            let (p, chars) = (&items[i as usize], chars_of(i));
-            let triple = p.triple();
-            let Some(text) = triple.value_str() else { continue };
+        for k in start..end {
+            let (at, chars) = (strings.offsets[k] as usize, strings.chars[k] as usize);
+            let text = &strings.text[at..strings.offsets[k + 1] as usize];
             if verifier.distance_of(text, chars).is_some() {
-                payload += triple.repr_len();
+                let p = &items[strings.index[k] as usize];
+                payload += p.triple().repr_len();
                 out.push(Candidate::new(p.clone(), chars, false));
             }
         }
@@ -427,9 +427,9 @@ pub(crate) mod tests {
 
     /// Every partition's stretch of a view is what the reference reads
     /// in that partition's run: the `(chars, index)` of each posting of
-    /// the attribute that holds a string, ordered by chars — in runs that
-    /// hold a second attribute under the same truncated key and postings
-    /// of two slabs.
+    /// the attribute that holds a string, ordered by chars, each entry with
+    /// its posting's char count and string — in runs that hold a second
+    /// attribute under the same truncated key and postings of two slabs.
     #[test]
     fn a_stretch_is_its_runs_strings_of_the_attribute_by_length() {
         let (left, right) = twin_names();
@@ -453,8 +453,16 @@ pub(crate) mod tests {
                     want.sort_unstable();
                     let want: Vec<u32> = want.into_iter().map(|(_, i)| i).collect();
                     let got = e.memo.stretch(&e.net, &prefix, attr, part as usize);
-                    assert_eq!(got, want, "{attr} under {prefix:?}, partition {part}");
-                    stretches += usize::from(!got.is_empty());
+                    assert_eq!(got.index, want, "{attr} under {prefix:?}, partition {part}");
+                    // Each entry's count and string are its posting's.
+                    assert_eq!(got.offsets.len(), want.len() + 1);
+                    for (k, &i) in want.iter().enumerate() {
+                        let t = items[i as usize].triple();
+                        let at = got.offsets[k] as usize..got.offsets[k + 1] as usize;
+                        assert_eq!(Some(&got.text[at]), t.value_str(), "{attr}, partition {part}");
+                        assert_eq!(Some(got.chars[k] as usize), t.char_len());
+                    }
+                    stretches += usize::from(!want.is_empty());
                 }
             }
         }
@@ -493,6 +501,48 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    /// Views carry their strings: non-ASCII titles (chars ≠ bytes), titles
+    /// over 64 chars (the verifier's banded path), d = 0, an attribute
+    /// holding only numbers (every stretch empty), and a publication that
+    /// gives an object's title a new string between two queries — all
+    /// answered as the reference that reads every posting answers them.
+    #[test]
+    fn views_carry_the_strings_they_verify() {
+        let long = "a painting of a harbour at dusk, in oil on canvas, by an unknown hand";
+        // One edit from `long`, and three.
+        let (near, far) = (long.replace("harbour", "harbor"), long.replace("dusk", "dawn"));
+        let titles = [long, &near, &far, &long[..65], "päinting", "päintings", "日本語の絵画"];
+        let mut rows = length_world(0);
+        rows.extend(titles.iter().enumerate().map(|(i, v)| {
+            Row::new(format!("l:{i}"), [("title", Value::from(*v)), ("year", Value::Int(1900))])
+        }));
+        let mut t = trio(&rows);
+        let from = PeerId(33);
+        let cases = [
+            (long, 0, 1),
+            (long, 2, 2),
+            (long, 3, 3),
+            (&long[..65], 1, 1),
+            (&long[..66], 1, 1),
+            ("päinting", 0, 2),
+            ("päinting", 1, 6),
+            ("日本語の絵画", 0, 2),
+            ("paintinq", 0, 0),
+        ];
+        for (s, d, matches) in cases {
+            let stats = similar_on(&mut t, (s, Some("title"), d), from, &no_hook);
+            assert_eq!(stats.matches, matches, "{s:?}, d = {d}");
+        }
+        let stats = similar_on(&mut t, ("1900", Some("year"), 1), from, &no_hook);
+        assert_eq!((stats.matches, stats.edit_comparisons), (0, 0), "no string, no comparison");
+        // `t:0:000` was "painting": it now holds "paintinq" too.
+        t.all(|e| {
+            e.publish_rows(&[Row::new("t:0:000", [("title", "paintinq")])]);
+        });
+        let stats = similar_on(&mut t, ("paintinq", Some("title"), 0), from, &no_hook);
+        assert_eq!(stats.matches, 1, "the new string is in the rebuilt view");
     }
 
     /// A publication between two queries moves the epoch: the kept views

@@ -171,7 +171,7 @@ impl SelectTask {
         e: &mut SimilarityEngine,
     ) -> Vec<(Posting, Value)> {
         let (klo, khi) = keys::attr_value_range(attr, lo, hi);
-        let postings = e.net.range_query(from, &klo, &khi).unwrap_or_default();
+        let runs = e.net.range_query(from, &klo, &khi).unwrap_or_default();
         let in_bounds = |v: ValueRef<'_>| match (lo.as_float(), hi.as_float()) {
             (Some(l), Some(h)) => v.as_float().map(|x| l <= x && x <= h).unwrap_or(false),
             _ => match (v, lo, hi) {
@@ -181,12 +181,19 @@ impl SelectTask {
                 _ => false,
             },
         };
+        #[cfg(test)]
+        if e.reference {
+            return tests::copy_every_reply(e, &runs, attr, |t| in_bounds(t.value()));
+        }
+        let mut hits = Vec::with_capacity(runs.iter().map(|r| r.items.len()).sum());
         let mut queried = AttrGuard::new(attr);
-        postings
-            .iter()
-            .filter(|p| queried.admits(p))
-            .filter_map(|p| matched(p, |t| in_bounds(t.value())))
-            .collect()
+        hits.extend(
+            runs.iter()
+                .flat_map(|r| e.net.run_items(r))
+                .filter(|p| queried.admits(p))
+                .filter_map(|p| matched(p, |t| in_bounds(t.value()))),
+        );
+        hits
     }
 }
 
@@ -287,11 +294,28 @@ fn sort_matches<O: Fetch>(matched: &mut [(O, Value)]) {
 
 #[cfg(test)]
 mod tests {
-    use super::{sort_matches, Fetched, SelectHit, SelectTask};
-    use crate::engine::{EngineBuilder, SimilarityEngine};
+    use super::*;
+    use crate::engine::EngineBuilder;
+    use crate::memo::tests::{before, no_hook, Trio};
     use crate::{Rank, TopNTask};
+    use sqo_overlay::network::ItemRun;
     use sqo_storage::posting::Object;
-    use sqo_storage::triple::{Row, Value};
+    use sqo_storage::triple::Row;
+
+    /// The range scan before it read the replies where they lie, kept as
+    /// the reference: every reply's items copied into one vector, then
+    /// guarded and matched.
+    pub(super) fn copy_every_reply(
+        e: &SimilarityEngine,
+        runs: &[ItemRun],
+        attr: &str,
+        hit: impl Fn(TripleRef<'_>) -> bool,
+    ) -> Vec<(Posting, Value)> {
+        let postings: Vec<Posting> =
+            runs.iter().flat_map(|r| e.net.run_items(r)).cloned().collect();
+        let mut queried = AttrGuard::new(attr);
+        postings.iter().filter(|p| queried.admits(p)).filter_map(|p| matched(p, &hit)).collect()
+    }
 
     /// Run `task` to completion: its hits.
     fn run(e: &mut SimilarityEngine, mut task: SelectTask) -> Vec<SelectHit> {
@@ -442,6 +466,81 @@ mod tests {
             let again = run(&mut e, SelectTask::exact("hp", Value::Int(150), from));
             assert_eq!(again[0].object().get("extra"), Some(&Value::from("later")));
         }
+    }
+
+    /// Two attribute names sharing their first 32 bytes — one key family,
+    /// told apart by the attribute guard only — on 40 objects, each with
+    /// the numbers 0…39; and 480 objects with an `hp` and a `name`, whose
+    /// family spans several partitions; over 512 peers with one member
+    /// each.
+    fn twin_world() -> (SimilarityEngine, String) {
+        let stem = "an_attribute_name_32_bytes_long__";
+        let (left, right) = (format!("{stem}left"), format!("{stem}right"));
+        let rows: Vec<Row> = (0..480)
+            .map(|i| {
+                let mut fields = vec![
+                    ("hp", Value::Int((i * 7) % 480)),
+                    ("name", Value::from(format!("v{:03}", (i * 7) % 480))),
+                ];
+                if i < 40 {
+                    fields.extend([(left.as_str(), Value::Int(i)), (&right, Value::Int(39 - i))]);
+                }
+                Row::new(format!("o:{i:03}"), fields)
+            })
+            .collect();
+        let e = EngineBuilder::new().peers(512).replication(1).seed(57).build_with_rows(&rows);
+        (e, left)
+    }
+
+    /// Range selection, numeric similarity and numeric top-N read the
+    /// lent runs and answer the rows, `QueryStats` and trace of the
+    /// reference that copies every reply — an inverted range among them —
+    /// and again with a churn wave that kills a responder before the scan,
+    /// and before each step in turn.
+    #[test]
+    fn lent_ranges_answer_what_copied_replies_answer() {
+        let (mut built, left) = twin_world();
+        let from = built.random_peer();
+        let build = || twin_world().0;
+        let mut t = Trio::new(build);
+        let ranges: [Box<dyn Fn(PeerId) -> SelectTask>; 4] = [
+            Box::new(|from| SelectTask::range(&left, Value::Int(10), Value::Int(30), from)),
+            Box::new(|from| SelectTask::range("name", "v10".into(), "v12".into(), from)),
+            Box::new(|from| SelectTask::numeric_similar(&left, Value::Int(30), 6.5, from)),
+            Box::new(|from| SelectTask::range("name", "v001".into(), "v470".into(), from)),
+        ];
+        for make in &ranges {
+            let (stats, _) = t.run(|| make(from), &no_hook);
+            assert!(stats.matches > 0 && stats.matches < 480, "{} rows", stats.matches);
+        }
+        let top = |from| TopNTask::numeric("hp", 5, Rank::Nn(Value::Int(200)), from).unwrap();
+        assert_eq!(t.run(|| top(from), &no_hook).0.matches, 5);
+        let twin = |from| TopNTask::numeric(&left, 5, Rank::Max, from).unwrap();
+        assert_eq!(t.run(|| twin(from), &no_hook).0.matches, 5);
+        // An inverted range: no row, no message.
+        let inverted = t.all(|e| {
+            let mut task = SelectTask::range(&left, Value::Int(30), Value::Int(10), from);
+            let stats = e.run_task(&mut task);
+            (task.take_hits().len(), stats.traffic.messages)
+        });
+        assert_eq!(inverted, (0, 0));
+        // A churn wave that kills every member of the last partition the
+        // family spans: its shower branch finds it dead.
+        let churn = |e: &mut SimilarityEngine| {
+            let (s, end) = e.net.subtree_of(&keys::attr_scan_prefix("name"));
+            let peered = e.net.topology().peered_in(s, end);
+            assert!(peered.len() > 2, "the family spans {} partitions", peered.len());
+            for p in e.net.partition_members(peered[peered.len() - 1] as usize).to_vec() {
+                e.net.fail_peer(p);
+            }
+        };
+        let wide = &ranges[3];
+        let (stats, _) = Trio::new(build).run(|| wide(from), &before(0, churn));
+        assert!(stats.traffic.failed_routes > 0, "a responder was dead");
+        for make in &ranges[2..] {
+            Trio::every_step(&build, &|from| make(from), &churn);
+        }
+        Trio::every_step(&build, &top, &churn);
     }
 
     #[test]

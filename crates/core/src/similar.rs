@@ -62,7 +62,7 @@ use sqo_strsim::qgram::{qgrams, PositionalQGram};
 use sqo_strsim::qsample::qsamples;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Evaluation strategy for string similarity (the three curves of Fig. 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -224,7 +224,7 @@ fn group_by_triple(postings: &[Posting]) -> Vec<(u32, &Posting)> {
         FxHashMap::with_capacity_and_hasher(postings.len(), Default::default());
     for (i, p) in postings.iter().enumerate() {
         let (slab, index) = p.triple_id();
-        shared.entry((Arc::as_ptr(slab) as usize, index)).or_insert((0, i as u32)).0 += 1;
+        shared.entry((Rc::as_ptr(slab) as usize, index)).or_insert((0, i as u32)).0 += 1;
     }
     shared.into_values().map(|(count, first)| (count, &postings[first as usize])).collect()
 }

@@ -192,8 +192,8 @@ impl SimilarityEngine {
             let dom = domain.unwrap_or(NumDomain::Int);
             let (klo, khi) = keys::attr_value_range(attr, &dom.value(fr), &dom.value(to));
             // Query both numeric subdomains when the type is still unknown.
-            let postings = self.net.range_query(from, &klo, &khi).unwrap_or_default();
-            for p in &postings {
+            let runs = self.net.range_query(from, &klo, &khi).unwrap_or_default();
+            for p in runs.iter().flat_map(|r| self.net.run_items(r)) {
                 let Some(t) = p.as_base() else { continue };
                 if t.attr().as_str() != attr {
                     continue;

@@ -1017,7 +1017,20 @@ impl<T: Item> Network<T> {
     /// partition order, instead of copying them.
     pub fn retrieve_runs(&mut self, from: PeerId, key: &Key) -> Result<Vec<ItemRun>, RouteError> {
         let entry = self.route(from, key)?;
-        let (s, e) = self.image.topo.subtree_of(key);
+        let parts = self.image.topo.subtree_of(key);
+        Ok(self.lend_runs(from, entry, parts, |store| store.prefix_item_range(key)))
+    }
+
+    /// The shower of a lending scan that entered at `entry`, over the
+    /// peered partitions of `[s, e)`: each responder's `scan` gives the
+    /// entries it is charged and the items its reply lends.
+    fn lend_runs(
+        &mut self,
+        from: PeerId,
+        entry: PeerId,
+        (s, e): (usize, usize),
+        scan: impl Fn(&SortedStore<T>) -> (usize, Range<usize>),
+    ) -> Vec<ItemRun> {
         let mut out = Vec::with_capacity(self.image.topo.peered_in(s, e).len());
         // The shower branches run in parallel in a deployment: each starts
         // from the moment the query reached `entry` and the initiator is
@@ -1028,7 +1041,7 @@ impl<T: Item> Network<T> {
             self.sim_branch();
             let Some(responder) = self.shower_into(part, entry) else { continue };
             let store = &self.image.stores[part];
-            let (entries, items) = store.prefix_item_range(key);
+            let (entries, items) = scan(store);
             let payload: usize = store.items()[items.clone()].iter().map(Item::size_bytes).sum();
             let (sink, tracer) = (&mut self.sink, &self.tracer);
             Self::charge_scan(&mut self.image.metrics, sink, tracer, responder, entries);
@@ -1038,10 +1051,11 @@ impl<T: Item> Network<T> {
             out.push(ItemRun { part, items });
         }
         self.sim_join();
-        Ok(out)
+        out
     }
 
-    /// The items one reply of [`Self::retrieve_runs`] lent, where they lie.
+    /// The items one reply of [`Self::retrieve_runs`] or
+    /// [`Self::range_query`] lent, where they lie.
     ///
     /// # Panics
     /// Panics when the run no longer fits its partition's items (the
@@ -1095,11 +1109,16 @@ impl<T: Item> Network<T> {
     /// Range query over `[lo, hi]` (both inclusive), shower-style: route to
     /// the partition containing `lo`, then forward across the partitions
     /// intersecting the range; each responder replies directly to the
-    /// initiator (Datta et al. \[6\]). The answer is the items the replies
-    /// shipped, in partition and then key order; each reply is charged its
-    /// items' payload bytes. An inverted range (`lo > hi`) holds nothing:
-    /// its answer is empty, and it routes and sends nothing.
-    pub fn range_query(&mut self, from: PeerId, lo: &Key, hi: &Key) -> Result<Vec<T>, RouteError> {
+    /// initiator (Datta et al. \[6\]), charged its items' payload bytes.
+    /// The answer lends them as [`Self::retrieve_runs`] does. An inverted
+    /// range (`lo > hi`) holds nothing: its answer is empty, and it routes
+    /// and sends nothing.
+    pub fn range_query(
+        &mut self,
+        from: PeerId,
+        lo: &Key,
+        hi: &Key,
+    ) -> Result<Vec<ItemRun>, RouteError> {
         if lo > hi {
             return Ok(Vec::new());
         }
@@ -1118,23 +1137,7 @@ impl<T: Item> Network<T> {
             return Ok(Vec::new());
         }
         let entry = self.route(from, lo)?;
-        let mut out = Vec::new();
-        self.sim_fork();
-        for i in 0..self.image.topo.peered_in(s, e).len() {
-            let part = self.image.topo.peered_in(s, e)[i] as usize;
-            self.sim_branch();
-            let Some(responder) = self.shower_into(part, entry) else { continue };
-            let run = self.image.stores[part].range_entries(lo, hi);
-            let (sink, tracer) = (&mut self.sink, &self.tracer);
-            Self::charge_scan(&mut self.image.metrics, sink, tracer, responder, run.entries);
-            let payload: usize = run.items.iter().map(Item::size_bytes).sum();
-            out.extend_from_slice(run.items);
-            if responder != from {
-                self.send_direct(responder, from, payload);
-            }
-        }
-        self.sim_join();
-        Ok(out)
+        Ok(self.lend_runs(from, entry, (s, e), |store| store.range_item_range(lo, hi)))
     }
 
     // ------------------------------------------------------------------
@@ -1652,8 +1655,9 @@ mod tests {
         let lo = hash_str("word00050");
         let hi = hash_str("word00149");
         let from = net.random_peer();
+        let runs = net.range_query(from, &lo, &hi).unwrap();
         let mut got: Vec<String> =
-            net.range_query(from, &lo, &hi).unwrap().into_iter().map(|w| w.0).collect();
+            runs.iter().flat_map(|r| net.run_items(r)).map(|w| w.0.clone()).collect();
         got.sort_unstable();
         let expect: Vec<String> = words
             .iter()
@@ -1675,7 +1679,7 @@ mod tests {
         let lo = hash_str("zzz");
         let hi = hash_str("zzzz");
         let got = net.range_query(from, &lo, &hi).unwrap();
-        assert!(got.is_empty());
+        assert!(got.iter().all(|run| run.items.is_empty()));
     }
 
     /// An inverted range answers empty and charges nothing — also where

@@ -24,7 +24,7 @@ impl std::fmt::Display for PeerId {
 }
 
 /// Anything storable in the overlay. The byte size feeds the data-volume
-/// accounting; items are cheap to clone (payloads are typically `Arc`ed).
+/// accounting; items are cheap to clone (payloads are typically behind an `Rc`).
 pub trait Item: Clone {
     /// Serialized size in bytes, as charged to result messages.
     fn size_bytes(&self) -> usize;

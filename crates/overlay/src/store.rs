@@ -22,10 +22,10 @@
 //!   way only: [`SortedStore::merge`] folds another run — a publication
 //!   batch is one — into it in a single pass.
 //! * [`PartitionStore`] — δ(p), the handle the network keeps per
-//!   *partition*: an `Arc<SortedStore>` that is the store of every
+//!   *partition*: an `Rc<SortedStore>` that is the store of every
 //!   structural replica of the partition, and that every snapshot taken of
 //!   the network holds a clone of ([`crate::snapshot`]). Mutation goes
-//!   through copy-on-write ([`Arc::make_mut`]): replication factor `k`
+//!   through copy-on-write ([`Rc::make_mut`]): replication factor `k`
 //!   costs one merge, and a write into a run a snapshot or a fork still
 //!   holds copies that run's arrays once and leaves the other holder's
 //!   untouched.
@@ -42,7 +42,7 @@ use crate::key::{Key, KeyRef};
 use crate::peer::Item;
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Where one key lies in its run's byte buffer.
 #[derive(Debug, Clone, Copy)]
@@ -273,11 +273,12 @@ impl<T> SortedStore<T> {
         s..s + gallop(&self.spans[s..], |span| key.is_prefix_of(self.view(*span)))
     }
 
-    /// The entries with `lo <= key <= hi` (both inclusive).
-    pub fn range_entries(&self, lo: &Key, hi: &Key) -> Stretch<'_, T> {
+    /// The entries with `lo <= key <= hi` (both inclusive), by position:
+    /// how many they are, and where their items lie in [`Self::items`].
+    pub fn range_item_range(&self, lo: &Key, hi: &Key) -> (usize, Range<usize>) {
         let s = self.lower_bound(lo.as_ref());
         let e = s + self.spans[s..].partition_point(|span| self.view(*span) <= hi.as_ref());
-        self.stretch(s..e)
+        (e - s, self.item_range(s..e))
     }
 
     /// The index of the entry whose key is `key`, if one is.
@@ -442,35 +443,35 @@ impl<T: Item> SortedStore<T> {
 /// A handle onto a partition's [`SortedStore`].
 ///
 /// The network holds one per partition — the store of all its structural
-/// replicas — and merges into the run in place (`Arc::make_mut` sees a
+/// replicas — and merges into the run in place (`Rc::make_mut` sees a
 /// unique reference). A snapshot of the network holds one more clone per
 /// partition; the first merge after it copies the run's arrays and goes on
 /// from there.
 #[derive(Debug)]
-pub struct PartitionStore<T>(Arc<SortedStore<T>>);
+pub struct PartitionStore<T>(Rc<SortedStore<T>>);
 
 impl<T> Default for PartitionStore<T> {
     fn default() -> Self {
-        Self(Arc::default())
+        Self(Rc::default())
     }
 }
 
 /// Another handle onto the same run (what snapshots and forks hold).
 impl<T> Clone for PartitionStore<T> {
     fn clone(&self) -> Self {
-        Self(Arc::clone(&self.0))
+        Self(Rc::clone(&self.0))
     }
 }
 
 impl<T> PartitionStore<T> {
     /// Wrap a freshly-built run (snapshot decoding).
     pub fn from_store(store: SortedStore<T>) -> Self {
-        Self(Arc::new(store))
+        Self(Rc::new(store))
     }
 
     /// True when both handles reference the same run (fork check).
     pub fn shares_with(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
+        Rc::ptr_eq(&self.0, &other.0)
     }
 }
 
@@ -478,7 +479,7 @@ impl<T: Item> PartitionStore<T> {
     /// Copy-on-write [`SortedStore::merge`]; in place when this is the
     /// only handle.
     pub fn merge(&mut self, batch: SortedStore<T>) {
-        Arc::make_mut(&mut self.0).merge(batch);
+        Rc::make_mut(&mut self.0).merge(batch);
     }
 }
 
@@ -673,9 +674,9 @@ mod tests {
     #[test]
     fn range_is_inclusive_and_exact_finds_single_keys() {
         let s = store();
-        let hits = s.range_entries(&hash_str("alpha"), &hash_str("beta"));
-        assert_eq!(names(hits.items), vec!["alpha", "alpine", "beta"]);
-        assert_eq!(hits.entries, 3);
+        let (entries, items) = s.range_item_range(&hash_str("alpha"), &hash_str("beta"));
+        assert_eq!(names(&s.items()[items]), vec!["alpha", "alpine", "beta"]);
+        assert_eq!(entries, 3);
         assert_eq!(s.exact_entry(&hash_str("beta")).unwrap().len(), 1);
         assert!(s.exact_entry(&hash_str("delta")).is_none());
     }
@@ -760,8 +761,8 @@ mod tests {
     #[test]
     fn range_scan_inclusive() {
         let p = handle();
-        let hits = p.range_entries(&hash_str("alpha"), &hash_str("beta"));
-        assert_eq!(names(hits.items), vec!["alpha", "alpine", "beta"]);
+        let (_, items) = p.range_item_range(&hash_str("alpha"), &hash_str("beta"));
+        assert_eq!(names(&p.items()[items]), vec!["alpha", "alpine", "beta"]);
     }
 
     #[test]

@@ -469,8 +469,9 @@ proptest! {
         let cfg = NetworkConfig { peers, ..Default::default() };
         let mut net = Network::build(cfg, data);
         let from = net.random_peer();
+        let runs = net.range_query(from, &klo, &khi).unwrap();
         let mut got: Vec<String> =
-            net.range_query(from, &klo, &khi).unwrap().into_iter().map(|s| s.0).collect();
+            runs.iter().flat_map(|r| net.run_items(r)).map(|s| s.0.clone()).collect();
         got.sort_unstable();
         got.dedup();
         let mut expect: Vec<String> = words

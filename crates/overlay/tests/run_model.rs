@@ -73,6 +73,12 @@ fn lent(run: Stretch<'_, S>) -> (usize, Vec<S>) {
     (run.entries, run.items.to_vec())
 }
 
+/// The same of `run`'s range `[lo, hi]`.
+fn in_range(run: &SortedStore<S>, lo: &Key, hi: &Key) -> (usize, Vec<S>) {
+    let (entries, items) = run.range_item_range(lo, hi);
+    (entries, run.items()[items].to_vec())
+}
+
 /// The same of the model's entries.
 fn want<'a>(entries: impl Iterator<Item = (&'a Key, &'a Vec<S>)>) -> (usize, Vec<S>) {
     entries.fold((0, Vec::new()), |(n, mut items), (_, more)| {
@@ -120,7 +126,7 @@ fn arrays(run: &SortedStore<S>) -> (Vec<u8>, Vec<u32>, Vec<u32>, Vec<S>) {
 
 /// Every scan of `run` against `model`, for every probe: `prefix_entries`,
 /// `prefix_entries_from` with one cursor carried through the probes in
-/// ascending order, `exact_entry`, and `range_entries` between each two.
+/// ascending order, `exact_entry`, and `range_item_range` between each two.
 fn scans_agree(run: &SortedStore<S>, model: &Model, probes: &[Key]) {
     let mut probes: Vec<Key> = probes.iter().chain(model.keys()).cloned().collect();
     probes.push(Key::empty());
@@ -133,7 +139,7 @@ fn scans_agree(run: &SortedStore<S>, model: &Model, probes: &[Key]) {
         prop_assert_eq!(run.exact_entry(p).map(<[S]>::to_vec), model.get(p).cloned());
         for q in probes.iter().filter(|q| p <= *q) {
             let within = want(model.range((Bound::Included(p), Bound::Included(q))));
-            prop_assert_eq!(lent(run.range_entries(p, q)), within, "range {}..={}", p, q);
+            prop_assert_eq!(in_range(run, p, q), within, "range {}..={}", p, q);
         }
     }
 }

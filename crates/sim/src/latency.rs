@@ -48,18 +48,29 @@ impl LatencyModel {
 
     /// Sample the link latency of one message.
     pub fn sample(&self, from: PeerId, to: PeerId, rng: &mut StdRng) -> u64 {
+        self.draw(from, to, rng, self.log_median())
+    }
+
+    /// The log-normal model's `ln(median)` (0 for another): computed once
+    /// per simulator, [`Self::sample`] is [`Self::draw`] given it.
+    pub(crate) fn log_median(&self) -> f64 {
+        let Self::LogNormal { median_us, .. } = *self else { return 0.0 };
+        median_us.max(1.0).ln()
+    }
+
+    pub(crate) fn draw(&self, from: PeerId, to: PeerId, rng: &mut StdRng, log_median: f64) -> u64 {
         match *self {
             LatencyModel::Constant { us } => us,
             LatencyModel::Uniform { min_us, max_us } => {
                 assert!(min_us <= max_us, "uniform latency: min > max");
                 rng.gen_range(min_us..=max_us)
             }
-            LatencyModel::LogNormal { median_us, sigma } => {
+            LatencyModel::LogNormal { sigma, .. } => {
                 // Box–Muller; ln(median) is the log-space mean.
                 let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
                 let u2: f64 = rng.gen();
                 let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-                let x = (median_us.max(1.0).ln() + sigma * z).exp();
+                let x = (log_median + sigma * z).exp();
                 x.clamp(1.0, 60_000_000.0) as u64 // cap at 60 s of virtual time
             }
             LatencyModel::PerLink { min_us, max_us, salt } => {
@@ -154,6 +165,29 @@ mod tests {
         // Right-skew: the mean exceeds the median for sigma > 0.
         let mean = xs.iter().sum::<u64>() / xs.len() as u64;
         assert!(mean > median);
+    }
+
+    /// A draw given the log-median computed once is the draw that
+    /// computed it per message, bit for bit, for the first 10 000 draws of
+    /// each model.
+    #[test]
+    fn a_hoisted_log_median_draws_what_the_per_message_one_drew() {
+        for sigma in [0.5, 0.8, 1.0] {
+            for median_us in [0.5, 1_500.0] {
+                let m = LatencyModel::LogNormal { median_us, sigma };
+                let (mut hoisted, mut inline) = (rng(), rng());
+                let log_median = m.log_median();
+                for k in 0..10_000 {
+                    let u1: f64 = inline.gen::<f64>().max(f64::MIN_POSITIVE);
+                    let u2: f64 = inline.gen();
+                    let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+                    let x = (median_us.max(1.0).ln() + sigma * z).exp();
+                    let want = x.clamp(1.0, 60_000_000.0) as u64;
+                    let got = m.draw(PeerId(0), PeerId(1), &mut hoisted, log_median);
+                    assert_eq!(got, want, "draw {k}, sigma {sigma}, median {median_us}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -97,6 +97,8 @@ struct Fork {
 /// [`install`] or `Network::set_event_sink`.
 pub struct NetSim {
     cfg: SimConfig,
+    /// `cfg.latency`'s [`LatencyModel::log_median`], which never changes.
+    log_median: f64,
     /// Everything a checkpoint keeps (see [`NetSimState`]).
     state: NetSimState,
     forks: Vec<Fork>,
@@ -150,7 +152,8 @@ impl NetSim {
     /// against a different latency model is a different experiment and
     /// diverges by design).
     pub fn from_state(cfg: SimConfig, state: NetSimState) -> Self {
-        Self { cfg, state, forks: Vec::new(), windows: Vec::new() }
+        let log_median = cfg.latency.log_median();
+        Self { cfg, log_median, state, forks: Vec::new(), windows: Vec::new() }
     }
 }
 
@@ -221,7 +224,7 @@ impl EventSink for NetSim {
     ) {
         let depart = self.state.frontier_us;
         let (loss_us, retx) = self.cfg.loss.sample(&mut self.state.rng);
-        let link = self.cfg.latency.sample(from, to, &mut self.state.rng);
+        let link = self.cfg.latency.draw(from, to, &mut self.state.rng, self.log_median);
         let arrive = depart + loss_us + link;
         let start = arrive.max(self.state.busy_until_us[to.index()]);
         let service = self.service_us(bytes);

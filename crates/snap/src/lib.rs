@@ -91,7 +91,7 @@ use sqo_sim::driver::DriverCheckpoint;
 use sqo_sim::scale::ScaleCheckpoint;
 use sqo_storage::{Objects, Posting, PublishStats};
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Version of the artifact layout. Bump on any wire-format change;
 /// [`Snapshot::from_bytes`] refuses other versions outright.
@@ -194,7 +194,7 @@ pub struct WorldState {
     /// in the triple table and places their spots on its runs. A capture
     /// copies the engine's, and an engine restored from it shares them
     /// until it publishes.
-    pub objects: Arc<Objects>,
+    pub objects: Rc<Objects>,
 }
 
 /// One frozen simulation: the world, plus whichever mid-run images apply.
@@ -220,7 +220,7 @@ impl Snapshot {
                 publish: *engine.publish_stats(),
                 edit_comparisons: engine.edit_comparisons(),
                 broker: engine.broker_state(),
-                objects: Arc::new(Objects::clone(engine.objects())),
+                objects: Rc::new(Objects::clone(engine.objects())),
             },
             driver: None,
             scale: None,
@@ -261,7 +261,7 @@ impl Snapshot {
             self.world.publish,
             self.world.edit_comparisons,
             self.world.broker.clone().map(CacheBatchBroker::from_state),
-            Arc::clone(&self.world.objects),
+            Rc::clone(&self.world.objects),
         ))
     }
 

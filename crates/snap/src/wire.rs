@@ -68,7 +68,7 @@ use sqo_storage::{
     BaseKind, GramInterner, Objects, Posting, PostingKind, PublishStats, SlabBuilder, TripleRef,
     TripleSlab, ValueRef,
 };
-use std::sync::Arc;
+use std::rc::Rc;
 
 type R<T> = Result<T, SnapError>;
 
@@ -130,7 +130,7 @@ pub struct Dec<'a> {
     pos: usize,
     /// The decoded triple table (empty until [`Dec::triples`] reads one):
     /// every decoded posting is a handle on its slab.
-    slab: Arc<TripleSlab>,
+    slab: Rc<TripleSlab>,
     /// The numbers of the slab's objects, by first sight in the table.
     objects: Objects,
     /// One span of the slab's text per distinct gram met so far.
@@ -396,7 +396,7 @@ impl<'a> Wire<'a> for WorldState {
         let (publish, edit_comparisons, broker) = (d.get()?, d.get()?, d.get()?);
         let mut objects = std::mem::take(&mut d.objects);
         objects.place_all(net.topology().paths(), net.stores().iter().map(|s| &**s));
-        Ok(WorldState { net, publish, edit_comparisons, broker, objects: Arc::new(objects) })
+        Ok(WorldState { net, publish, edit_comparisons, broker, objects: Rc::new(objects) })
     }
 }
 
@@ -538,7 +538,7 @@ impl<'a> TripleTable<'a> {
         for p in stored.chain(cached).flatten() {
             let (slab, index) = p.triple_id();
             let of_slab =
-                table.remap.entry(Arc::as_ptr(slab)).or_insert_with(|| vec![u32::MAX; slab.len()]);
+                table.remap.entry(Rc::as_ptr(slab)).or_insert_with(|| vec![u32::MAX; slab.len()]);
             let wire = &mut of_slab[index as usize];
             if *wire == u32::MAX {
                 *wire = table.order.len() as u32;
@@ -551,7 +551,7 @@ impl<'a> TripleTable<'a> {
     /// The index `p` refers to its triple by; `collect` met every posting.
     fn index_of(&self, p: &Posting) -> u32 {
         let (slab, index) = p.triple_id();
-        self.remap[&Arc::as_ptr(slab)][index as usize]
+        self.remap[&Rc::as_ptr(slab)][index as usize]
     }
 }
 

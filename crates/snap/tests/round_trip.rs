@@ -1222,7 +1222,7 @@ fn a_run_that_lacks_a_short_key_its_siblings_hold_round_trips() {
         *engine.publish_stats(),
         0,
         None,
-        std::sync::Arc::clone(engine.objects()),
+        std::rc::Rc::clone(engine.objects()),
     );
 
     let bytes = Snapshot::capture(&hostile).to_bytes();

@@ -1,6 +1,6 @@
 //! Index postings — what actually gets stored in the overlay.
 //!
-//! A posting is a fixed-width record of 24 bytes: the `Arc` of its batch's
+//! A posting is a fixed-width record of 24 bytes: the `Rc` of its batch's
 //! [`TripleSlab`] (8), the index of its triple there (4), two words that
 //! depend on its kind (4 + 4), a gram length (2), its [`PostingKind`] as one
 //! byte and a source length (1):
@@ -32,7 +32,9 @@
 //! publication order.
 //!
 //! A posting owns nothing else, so a clone or a drop is one reference-count
-//! step, on a counter every posting of the batch shares, and a posting taken
+//! step, on a counter every posting of the batch shares — a plain add, not
+//! a locked one: the simulator runs on one thread, so a posting is neither
+//! `Send` nor `Sync` — and a posting taken
 //! out of its list (a query reply, a cache entry, a free-standing
 //! `postings_for_rows` result) still reads everything it needs through
 //! itself. Size accounting follows the paper's wire format: an
@@ -44,7 +46,7 @@ use crate::slab::{GramSpan, TripleRef, TripleSlab, NO_CHARS};
 use crate::triple::{AttrName, Value};
 use sqo_overlay::peer::Item;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Which base index a base posting belongs to (useful for storage-overhead
 /// accounting; retrieval tells them apart by key family already).
@@ -116,7 +118,7 @@ impl PostingKind {
 /// One stored index entry. See the [module docs](self) for the layout.
 #[derive(Clone)]
 pub struct Posting {
-    pub(crate) slab: Arc<TripleSlab>,
+    pub(crate) slab: Rc<TripleSlab>,
     pub(crate) index: u32,
     /// With a gram: the gram's character offset in its source. Without:
     /// the value's length in characters, [`NO_CHARS`] for a number.
@@ -147,7 +149,7 @@ impl Posting {
     /// a stretch of this slab's text.
     pub fn new(
         kind: PostingKind,
-        slab: &Arc<TripleSlab>,
+        slab: &Rc<TripleSlab>,
         index: u32,
         gram: Option<(GramSpan, u32)>,
     ) -> Option<Posting> {
@@ -173,7 +175,7 @@ impl Posting {
     /// at schema level the name) off `slab` itself.
     pub(crate) fn with_gram(
         kind: PostingKind,
-        slab: &Arc<TripleSlab>,
+        slab: &Rc<TripleSlab>,
         index: u32,
         gram: GramSpan,
         pos: u32,
@@ -183,7 +185,7 @@ impl Posting {
         debug_assert!(slab.get(index).is_some() && slab.gram_text(gram).is_some());
         let short = source.and_then(|len| u8::try_from(len).ok()).filter(|len| *len < LONG_SOURCE);
         let posting = Posting {
-            slab: Arc::clone(slab),
+            slab: Rc::clone(slab),
             index,
             pos_or_chars: pos,
             gram_off_or_attr: gram.off,
@@ -199,7 +201,7 @@ impl Posting {
     /// the triple's char count and attribute id off its record itself.
     pub(crate) fn without_gram(
         kind: PostingKind,
-        slab: &Arc<TripleSlab>,
+        slab: &Rc<TripleSlab>,
         index: u32,
         chars: Option<usize>,
         attr: u32,
@@ -209,7 +211,7 @@ impl Posting {
             .get(index)
             .is_some_and(|t| (t.char_len(), t.attr_id()) == (chars, attr)));
         Posting {
-            slab: Arc::clone(slab),
+            slab: Rc::clone(slab),
             index,
             // The record's count, which is below `NO_CHARS`.
             pos_or_chars: chars.map_or(NO_CHARS, |c| c as u32),
@@ -240,7 +242,7 @@ impl Posting {
 
     /// The slab the triple lies in, and its index there: the identity of
     /// the stored triple, which postings cut from one triple share.
-    pub fn triple_id(&self) -> (&Arc<TripleSlab>, u32) {
+    pub fn triple_id(&self) -> (&Rc<TripleSlab>, u32) {
         (&self.slab, self.index)
     }
 
@@ -297,7 +299,7 @@ impl Posting {
     /// Whether `other` carries the same gram. Postings of one slab settle
     /// that on their spans; only across slabs is text compared.
     pub fn same_gram(&self, other: &Posting) -> bool {
-        (Arc::ptr_eq(&self.slab, &other.slab) && self.gram_span() == other.gram_span())
+        (Rc::ptr_eq(&self.slab, &other.slab) && self.gram_span() == other.gram_span())
             || self.gram() == other.gram()
     }
 
@@ -525,11 +527,11 @@ mod tests {
     use crate::objects::Fetched;
     use crate::triple::Triple;
 
-    fn slab(oid: &str, attr: &str, v: impl Into<Value>) -> Arc<TripleSlab> {
+    fn slab(oid: &str, attr: &str, v: impl Into<Value>) -> Rc<TripleSlab> {
         TripleSlab::of(&[Triple::new(oid, attr, v)])
     }
 
-    fn base(slab: &Arc<TripleSlab>, index: u32) -> Posting {
+    fn base(slab: &Rc<TripleSlab>, index: u32) -> Posting {
         Posting::new(PostingKind::Base(BaseKind::Oid), slab, index, None).expect("in range")
     }
 
@@ -602,7 +604,7 @@ mod tests {
     #[test]
     fn equality_reads_through_the_slab_and_sees_every_field() {
         let (a, b) = (slab("o", "name", "abcdef"), slab("o", "name", "abcdef"));
-        let instance = |slab: &Arc<TripleSlab>, pos: u32, gram: &str, carries_value: bool| {
+        let instance = |slab: &Rc<TripleSlab>, pos: u32, gram: &str, carries_value: bool| {
             let at = Some((slab.value_gram(0, pos, gram).unwrap(), pos));
             Posting::new(PostingKind::InstanceGram { carries_value }, slab, 0, at).unwrap()
         };

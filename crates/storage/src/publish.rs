@@ -53,7 +53,7 @@ use sqo_overlay::peer::Item;
 use sqo_overlay::SortedStore;
 use sqo_strsim::qgram::qgram_spans;
 use std::cmp::Ordering;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Indexing parameters.
 #[derive(Debug, Clone)]
@@ -373,7 +373,7 @@ pub fn postings_for_triple(triple: &Triple, cfg: &PublishConfig) -> Vec<(Key, Po
 fn push_postings<'s>(
     out: &mut Vec<(u32, Posting)>,
     ids: &mut KeyIds<'s>,
-    slab: &'s Arc<TripleSlab>,
+    slab: &'s Rc<TripleSlab>,
     index: u32,
     under: &AttrPrefixes,
     cfg: &PublishConfig,
@@ -431,7 +431,7 @@ fn push_postings<'s>(
 /// index there. The sort is stable: equal pairs keep row order, as the
 /// postings of one key do. Each row's object is numbered by `number`, in
 /// row order.
-fn slab_of_rows(rows: &[Row], mut number: impl FnMut(&str) -> u32) -> (Arc<TripleSlab>, Vec<u32>) {
+fn slab_of_rows(rows: &[Row], mut number: impl FnMut(&str) -> u32) -> (Rc<TripleSlab>, Vec<u32>) {
     // Equal names become one `&str`, the first seen, so the sort compares
     // names in a few hot bytes instead of in every row's own allocation.
     let mut names: FxHashSet<&str> = FxHashSet::default();

@@ -5,7 +5,7 @@
 //! range. A posting therefore must be small and what it points at must lie
 //! where the scan reads next. A [`TripleSlab`] holds the triples of one
 //! batch — one `postings_for_rows` call, or one decoded snapshot artifact —
-//! as three flat pieces behind one `Arc`:
+//! as three flat pieces behind one `Rc`:
 //!
 //! * a dense array of fixed-width records (32 bytes: the oid's span, the
 //!   attribute's id, the value as a tag and a number or a span, the value's
@@ -17,7 +17,7 @@
 //! The publication pipeline lays the records out in (attribute, value)
 //! order — the order the `A#v` family stores them in — so a prefix scan of
 //! an attribute walks records and value text front to back. Nothing is
-//! allocated per triple, a posting is the slab's `Arc` and an index, and
+//! allocated per triple, a posting is the slab's `Rc` and an index, and
 //! every clone or drop of a posting of the batch steps one counter.
 //!
 //! Q-grams need no table: a gram is a substring of a value or of a name,
@@ -35,7 +35,7 @@ use rustc_hash::FxHashMap;
 use sqo_strsim::filters::char_len;
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// The batch does not fit a slab: more than `u32::MAX` triples or bytes of
 /// text.
@@ -128,7 +128,7 @@ impl TripleSlab {
     ///
     /// # Panics
     /// Panics past 4 GiB of text.
-    pub fn of<'a>(triples: impl IntoIterator<Item = &'a Triple>) -> Arc<TripleSlab> {
+    pub fn of<'a>(triples: impl IntoIterator<Item = &'a Triple>) -> Rc<TripleSlab> {
         let (mut b, mut objects) = (SlabBuilder::default(), Objects::default());
         for t in triples {
             let object = objects.number(&t.oid);
@@ -263,7 +263,7 @@ pub struct SlabBuilder {
     values: String,
     oids: String,
     names: Vec<Name>,
-    name_ids: FxHashMap<Arc<str>, u32>,
+    name_ids: FxHashMap<Rc<str>, u32>,
 }
 
 impl SlabBuilder {
@@ -327,8 +327,8 @@ impl SlabBuilder {
             return Ok(*id);
         }
         let id = word(self.names.len())?;
-        let name: Arc<str> = attr.into();
-        self.name_ids.insert(Arc::clone(&name), id);
+        let name: Rc<str> = attr.into();
+        self.name_ids.insert(Rc::clone(&name), id);
         self.names.push(Name {
             name: AttrName::new(name),
             span: Span::default(),
@@ -338,7 +338,7 @@ impl SlabBuilder {
     }
 
     /// Seal the slab: one arena of values, oids, names.
-    pub fn finish(self) -> Result<Arc<TripleSlab>, SlabFull> {
+    pub fn finish(self) -> Result<Rc<TripleSlab>, SlabFull> {
         let Self { mut records, values: mut text, oids, mut names, .. } = self;
         let oid_base = text.len();
         let names_len: usize = names.iter().map(|n| n.name.as_str().len()).sum();
@@ -355,7 +355,7 @@ impl SlabBuilder {
         for r in &mut records {
             r.oid.off += oid_base as u32;
         }
-        Ok(Arc::new(TripleSlab { records, text, names }))
+        Ok(Rc::new(TripleSlab { records, text, names }))
     }
 }
 
@@ -501,7 +501,7 @@ mod tests {
     use super::*;
     use crate::triple::Value;
 
-    fn slab() -> Arc<TripleSlab> {
+    fn slab() -> Rc<TripleSlab> {
         TripleSlab::of(&[
             Triple::new("car:1", "name", "BMW 320d"),
             Triple::new("car:1", "hp", 190),
@@ -573,7 +573,7 @@ mod tests {
     fn the_guard_compares_ids_and_follows_the_scan_across_slabs() {
         use crate::posting::{BaseKind, PostingKind};
         let (a, b) = (slab(), TripleSlab::of(&[Triple::new("x", "hp", 1)]));
-        let base = |slab: &Arc<TripleSlab>| -> Vec<Posting> {
+        let base = |slab: &Rc<TripleSlab>| -> Vec<Posting> {
             let kind = PostingKind::Base(BaseKind::AttrValue);
             (0..slab.len() as u32).map(|i| Posting::new(kind, slab, i, None).unwrap()).collect()
         };

@@ -15,7 +15,7 @@
 //! as either side lends it.
 
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Attribute name, optionally namespace-qualified (`ns:name`).
 ///
@@ -23,10 +23,10 @@ use std::sync::Arc;
 /// the name is a shared string: a clone bumps a count, and a slab holds
 /// each of its names once, whatever the number of triples that carry it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct AttrName(Arc<str>);
+pub struct AttrName(Rc<str>);
 
 impl AttrName {
-    pub fn new(name: impl Into<Arc<str>>) -> Self {
+    pub fn new(name: impl Into<Rc<str>>) -> Self {
         Self(name.into())
     }
 

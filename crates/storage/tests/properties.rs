@@ -499,7 +499,7 @@ proptest! {
         // read their gram from one place of the slab's text exactly when
         // they carry the same text — at either level, under any attribute.
         for (_, a) in &batch {
-            prop_assert!(std::sync::Arc::ptr_eq(a.triple_id().0, batch[0].1.triple_id().0));
+            prop_assert!(std::rc::Rc::ptr_eq(a.triple_id().0, batch[0].1.triple_id().0));
         }
         let mut place_of = std::collections::HashMap::new();
         let mut text_at = std::collections::HashMap::new();

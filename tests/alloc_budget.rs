@@ -26,7 +26,7 @@
 //! rows where they lie, printing a number only when two oids tie.
 //! `Network::range_query` once flattened the answering lists into a vector
 //! and then handed the lists over themselves (5 679 → 5 671); a run is one
-//! array now, and its answer one copy of the items in range.
+//! array now, and its answer lends the items in range where they lie.
 //!
 //! An object fetch ships handles: each fetched oid is its deduplicated
 //! base postings, one buffer of 24-byte records, and the owned `Object` —
@@ -125,6 +125,16 @@
 //! a row), q-gram `similar` 52 → 49, naive 30 → 27 and 26 → 23, the joins
 //! 437 → 410, 329 → 302 and 368 → 341, top-N 138 → 123 and
 //! `similar_multi` 116 → 113.
+//!
+//! A naive view carries its strings: each entry's char count and the end
+//! of its string in one text buffer beside the view's array, sized before
+//! it is filled, so a branch streams its window's text and reads a posting
+//! and its record only for a match. The cold naive query builds one such
+//! buffer (the short-value view holds no string): 27 → 28; the same query
+//! again reuses it and stays at 23. `Network::range_query` lends each
+//! answering run where it lies, as a prefix retrieve does, and a range
+//! selection copies only its matches, into one buffer sized to the items
+//! the replies shipped: `select_range` 1 343 → 1 336.
 //!
 //! The write path has budgets too. A batch is generated grouped: its
 //! distinct keys, each made once, and its postings with the ids of their
@@ -230,12 +240,12 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
 }
 
 const SIMILAR_BUDGET: u64 = 49;
-const NAIVE_BUDGET: u64 = 27;
+const NAIVE_BUDGET: u64 = 28;
 const NAIVE_AGAIN_BUDGET: u64 = 23;
 const SIM_JOIN_BUDGET: u64 = 410;
 const SIM_JOIN_AGAIN_BUDGET: u64 = 302;
 const SIM_JOIN_BROKER_AGAIN_BUDGET: u64 = 341;
-const SELECT_RANGE_BUDGET: u64 = 1_343;
+const SELECT_RANGE_BUDGET: u64 = 1_336;
 const TOP_N_BUDGET: u64 = 123;
 const MULTI_BUDGET: u64 = 113;
 const VQL_BUDGET: u64 = 154;
