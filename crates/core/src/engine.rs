@@ -536,10 +536,11 @@ impl SimilarityEngine {
     pub fn estimate_key_cardinality(&self, from: PeerId, key: &Key) -> CardEstimate {
         let (ps, pe) = self.net.subtree_of(key);
         let peered = self.net.topology().peered_in(ps, pe).iter().map(|p| *p as usize);
-        let own = self.net.peer_partition(from);
+        // An id the network does not hold has no run to look at.
+        let own = (from.index() < self.net.peer_count()).then(|| self.net.peer_partition(from));
         let total = self.net.stored_items() as u64;
         let structural = |p: usize| total >> (self.net.partition_depth(p).min(63) as u32);
-        if (ps..pe).contains(&own) {
+        if let Some(own) = own.filter(|own| (ps..pe).contains(own)) {
             // Free local introspection: the peer's own run, no message.
             let rows = self.net.partition_store(own).prefix_entries(key).items.len() as u64;
             let local = CardEstimate { rows, source: CardSource::LocalExact };
@@ -614,10 +615,7 @@ impl SimilarityEngine {
             // order — walk the sorted partition cover beside them.
             let keys = batch.keys();
             const LOST: usize = usize::MAX; // a payload whose stretch failed to route
-            let mut payload = vec![0usize; keys.len()];
-            for (id, posting) in batch.entries() {
-                payload[*id as usize] += posting.size_bytes();
-            }
+            let mut payload = batch.payload().to_vec();
             let mut rest = order.as_slice();
             while let Some(&first) = rest.first() {
                 let part = self.net.partition_of(&keys[first as usize]);

@@ -650,9 +650,10 @@ impl<T: Item> Network<T> {
         }
     }
 
-    /// True when `id` is currently alive (not churned out).
+    /// True when `id` is a peer of the network and currently alive (not
+    /// churned out).
     pub fn peer_alive(&self, id: PeerId) -> bool {
-        self.image.alive[id.index()]
+        self.image.alive.get(id.index()).copied().unwrap_or(false)
     }
 
     /// A uniformly random alive peer, or `None` when every peer is dead.
@@ -888,7 +889,8 @@ impl<T: Item> Network<T> {
     /// reference: its subtree holds nothing, and that peer answers so (its
     /// own run holds nothing under `key` either). Each hop is one message.
     pub fn route(&mut self, from: PeerId, key: &Key) -> Result<PeerId, RouteError> {
-        if !self.image.alive[from.index()] {
+        // An id the network does not hold cannot ask either.
+        if !self.peer_alive(from) {
             return Err(RouteError::InitiatorDead);
         }
         let mut cur = from;

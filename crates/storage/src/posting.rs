@@ -356,22 +356,23 @@ impl Item for Posting {
     }
 
     fn size_bytes(&self) -> usize {
-        let t = self.triple();
-        match self.kind() {
-            PostingKind::Base(_) | PostingKind::ShortValue | PostingKind::ShortAttr => t.repr_len(),
-            // (oid, A, q) + pos [+ the full value when carried]
-            PostingKind::InstanceGram { carries_value } => {
-                let value = t.value_repr_len();
-                t.repr_len() - value
-                    + self.gram_len as usize
-                    + 4
-                    + if carries_value { value } else { 0 }
-            }
-            // (oid, q_A, v) + pos
-            PostingKind::SchemaGram => {
-                t.oid_len() + self.gram_len as usize + t.value_repr_len() + 4 + 12
-            }
+        wire_size(self.triple(), self.kind(), self.gram_len.into())
+    }
+}
+
+/// What a posting of `kind` cut from `t`, with a gram of `gram_len`
+/// bytes, ships: [`Item::size_bytes`], for a caller that holds the record
+/// but no posting yet (the publication pipeline).
+pub(crate) fn wire_size(t: TripleRef<'_>, kind: PostingKind, gram_len: usize) -> usize {
+    match kind {
+        PostingKind::Base(_) | PostingKind::ShortValue | PostingKind::ShortAttr => t.repr_len(),
+        // (oid, A, q) + pos [+ the full value when carried]
+        PostingKind::InstanceGram { carries_value } => {
+            let value = t.value_repr_len();
+            t.repr_len() - value + gram_len + 4 + if carries_value { value } else { 0 }
         }
+        // (oid, q_A, v) + pos
+        PostingKind::SchemaGram => t.oid_len() + gram_len + t.value_repr_len() + 4 + 12,
     }
 }
 

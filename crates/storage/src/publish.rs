@@ -18,21 +18,22 @@
 //!
 //! **Group before you sort.** A batch has far fewer keys than postings —
 //! 1 000 painting titles (corpus seed 2006) are 44 452 postings under
-//! 6 348 keys: every row repeats the grams of its attribute's name, and
-//! values share grams — so the pipeline's product is a [`PostingBatch`]:
-//! the batch's *distinct* keys, each made once, its postings in generation
-//! order, each with the id of its key, and the count of postings per key,
-//! kept as they are made. A gram posting finds its span and its key's id
-//! in one hash lookup, by (attribute, the gram's text), without a key
-//! being built. Only the first posting of a gram under an attribute misses
-//! it; that one takes the span from the [`GramInterner`], which gives equal
-//! grams of the batch one span whatever their attribute or level, and the
-//! id from the keys by bytes. A key is built at first sight only, into a
-//! scratch buffer, and entered by its bytes — two attribute names that
+//! 6 348 keys — so the pipeline's product is a [`PostingBatch`]: the
+//! batch's *distinct* keys, each made once, and its postings in generation
+//! order, each with the id of its key; per key, how many postings it has
+//! and the bytes they ship, counted as they are made, where the record is
+//! at hand. A gram posting finds its span and its key's id in one hash
+//! lookup by (attribute, the gram packed into one integer word), without a
+//! key being built or its text compared; only a gram of over 7 bytes is
+//! looked up by its text. Only the first posting of a gram under an
+//! attribute misses; it takes the span from the [`GramInterner`], which
+//! gives equal grams of the batch one span whatever their attribute or
+//! level, and the id from the keys by bytes — two attribute names that
 //! share their first 32 bytes truncate to the same key, and a batch must
 //! not hold one key under two ids. Ordering a batch is then a sort of its
-//! distinct keys ([`PostingBatch::key_order`]) and a counting pass that
-//! moves every posting straight into its place in one key-ordered array
+//! distinct keys by their first 16 bytes as one integer, whole only where
+//! those tie ([`PostingBatch::key_order`]), and a counting pass that moves
+//! every posting straight into its place in one key-ordered array
 //! ([`PostingBatch::into_groups`]) — the batch becomes a run, as the
 //! overlay stores it: no comparison ever looks at a posting. Per triple
 //! nothing is allocated; per distinct key, its bytes.
@@ -43,7 +44,7 @@
 
 use crate::keys::{self, AttrPrefixes, ValueParts};
 use crate::objects::UNNUMBERED;
-use crate::posting::{rank_parts, BaseKind, Posting, PostingKind};
+use crate::posting::{rank_parts, wire_size, BaseKind, Posting, PostingKind};
 use crate::slab::{GramInterner, GramSpan, SlabBuilder, TripleSlab};
 use crate::triple::{Row, Triple, ValueRef};
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -113,6 +114,8 @@ pub struct PostingBatch {
     entries: Vec<(u32, Posting)>,
     /// How many of `entries` each key has, by id.
     count: Vec<u32>,
+    /// What those entries ship ([`Item::size_bytes`]), by id.
+    payload: Vec<usize>,
 }
 
 impl PostingBatch {
@@ -126,13 +129,23 @@ impl PostingBatch {
         &self.entries
     }
 
+    /// The bytes each key's postings ship, by id: the sum of their
+    /// [`Item::size_bytes`], counted as they were made, less what
+    /// [`Self::retain`] dropped.
+    pub fn payload(&self) -> &[usize] {
+        &self.payload
+    }
+
     /// Drop the postings `keep` refuses; it is asked once per posting, in
     /// generation order, with the posting's key id and key. The keys stay.
     pub fn retain(&mut self, mut keep: impl FnMut(u32, &Key, &Posting) -> bool) {
-        let Self { keys, entries, count } = self;
+        let Self { keys, entries, count, payload } = self;
         entries.retain(|(id, posting)| {
             let kept = keep(*id, &keys[*id as usize], posting);
-            count[*id as usize] -= u32::from(!kept);
+            if !kept {
+                count[*id as usize] -= 1;
+                payload[*id as usize] -= posting.size_bytes();
+            }
             kept
         });
     }
@@ -141,7 +154,7 @@ impl PostingBatch {
     /// posting — the batch's own for the last posting under it, a clone for
     /// the others.
     pub fn flatten(self) -> Vec<(Key, Posting)> {
-        let Self { mut keys, entries, count: mut left } = self;
+        let Self { mut keys, entries, count: mut left, .. } = self;
         entries
             .into_iter()
             .map(|(id, posting)| {
@@ -153,10 +166,23 @@ impl PostingBatch {
     }
 
     /// The key ids in ascending order of their keys — the one comparison
-    /// sort a batch needs, over its distinct keys.
+    /// sort a batch needs, over its distinct keys. A key's first 16 bytes,
+    /// zero-padded, are one big-endian `u128`, its head: keys are whole
+    /// bytes, so of two keys whose heads differ the smaller head is the
+    /// smaller key, and only keys whose heads tie are compared whole.
     pub fn key_order(&self) -> Vec<u32> {
+        let head = |key: &Key| {
+            let (bytes, mut head) = (key.as_bytes(), [0; 16]);
+            let n = bytes.len().min(16);
+            head[..n].copy_from_slice(&bytes[..n]);
+            u128::from_be_bytes(head)
+        };
+        let heads: Vec<u128> = self.keys.iter().map(head).collect();
         let mut order: Vec<u32> = (0..self.keys.len() as u32).collect();
-        order.sort_unstable_by(|a, b| self.keys[*a as usize].cmp(&self.keys[*b as usize]));
+        order.sort_unstable_by(|&a, &b| {
+            let (a, b) = (a as usize, b as usize);
+            heads[a].cmp(&heads[b]).then_with(|| self.keys[a].cmp(&self.keys[b]))
+        });
         order
     }
 
@@ -176,7 +202,7 @@ impl PostingBatch {
     /// If `order` leaves out the id of a key that has postings, or is not
     /// the ascending order of the keys.
     pub fn into_groups(self, order: &[u32]) -> SortedStore<Posting> {
-        let Self { keys, entries, count } = self;
+        let Self { keys, entries, count, .. } = self;
         // A run counts its items in `u32`s, and so does `end` below.
         u32::try_from(entries.len()).expect("a batch stays under 2^32 postings");
         let (mut bytes, mut bits, mut ends) = (Vec::new(), Vec::new(), Vec::new());
@@ -273,8 +299,8 @@ struct RankScratch {
 }
 
 /// An id per distinct key of a batch being generated, handed out at first
-/// sight, and how many postings each key has so far: every lookup is for
-/// one posting.
+/// sight, and each key's postings so far — how many, and the bytes they
+/// ship: every lookup is for one posting.
 #[derive(Default)]
 struct KeyIds<'s> {
     /// Every key made so far, by its bytes: the authority on "same key".
@@ -282,17 +308,33 @@ struct KeyIds<'s> {
     /// key.
     by_bytes: FxHashMap<Box<[u8]>, u32>,
     /// The gram postings so far, by (attribute id, or `None` at schema
-    /// level; the gram's text): the gram's span and its key's id, in one
-    /// lookup that builds no key. It misses once per gram and attribute;
-    /// then `spans` gives the span, which equal grams share across
-    /// attributes and levels, and `by_bytes` the id.
-    grams: FxHashMap<(Option<u32>, &'s str), (GramSpan, u32)>,
-    /// One span per distinct gram of the batch, asked on a miss of `grams`.
+    /// level; the gram as one word, [`packed`]): the gram's span and its
+    /// key's id, in one lookup that builds no key and reads no text. It
+    /// misses once per gram and attribute; then `spans` gives the span,
+    /// which equal grams share across attributes and levels, and
+    /// `by_bytes` the id. A gram too long to pack is looked up in `long`
+    /// by its text.
+    packed: FxHashMap<(Option<u32>, u64), (GramSpan, u32)>,
+    long: FxHashMap<(Option<u32>, &'s str), (GramSpan, u32)>,
     spans: GramInterner<'s>,
-    /// Postings per key, by id.
+    /// Postings per key, by id, and the bytes they ship.
     count: Vec<u32>,
+    payload: Vec<usize>,
     /// Where a key is spelled out to be looked up.
     scratch: Vec<u8>,
+}
+
+/// A gram of at most 7 bytes as one word — its bytes from the low end up,
+/// its length in the top byte, so equal words are equal grams — stirred by
+/// an odd multiply and a rotation, both one-to-one: Fx hashing leaves the
+/// low bits it indexes by to the word's low bits, which would be the
+/// first byte or two of the gram alone.
+fn packed(gram: &str) -> Option<u64> {
+    let bytes = gram.as_bytes();
+    (bytes.len() < 8).then(|| {
+        let word = bytes.iter().rev().fold(0, |word, b| word << 8 | u64::from(*b));
+        (word | (bytes.len() as u64) << 56).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(32)
+    })
 }
 
 impl<'s> KeyIds<'s> {
@@ -302,11 +344,13 @@ impl<'s> KeyIds<'s> {
         let mut ids = Self::default();
         ids.by_bytes.reserve(3 * triples);
         ids.count.reserve(3 * triples);
+        ids.payload.reserve(3 * triples);
         ids
     }
 
-    /// The id of the key made of `parts`, for one more posting under it.
-    fn id(&mut self, parts: &[&[u8]]) -> u32 {
+    /// The id of the key made of `parts`, for one more posting under it,
+    /// of `size` bytes.
+    fn id(&mut self, parts: &[&[u8]], size: usize) -> u32 {
         self.scratch.clear();
         for part in parts {
             self.scratch.extend_from_slice(part);
@@ -317,41 +361,54 @@ impl<'s> KeyIds<'s> {
                 let id = u32::try_from(self.count.len()).expect("a batch stays under 2^32 keys");
                 self.by_bytes.insert(self.scratch.as_slice().into(), id);
                 self.count.push(0);
+                self.payload.push(0);
                 id
             }
         };
         self.count[id as usize] += 1;
+        self.payload[id as usize] += size;
         id
     }
 
     /// The span of `gram` and the id of its key under `attr`, for one more
-    /// posting under it: `locate` finds this occurrence of the gram if it
-    /// is the batch's first, and `parts` spells the key if it is new.
+    /// posting under it, of `size` bytes: `locate` finds this occurrence of
+    /// the gram if it is the batch's first, and `parts` spells the key if
+    /// it is new.
     fn gram(
         &mut self,
         attr: Option<u32>,
         gram: &'s str,
         locate: impl FnOnce() -> Option<GramSpan>,
         parts: &[&[u8]],
+        size: usize,
     ) -> (GramSpan, u32) {
-        if let Some(&(span, id)) = self.grams.get(&(attr, gram)) {
+        let word = packed(gram);
+        let seen = match word {
+            Some(word) => self.packed.get(&(attr, word)),
+            None => self.long.get(&(attr, gram)),
+        };
+        if let Some(&(span, id)) = seen {
             self.count[id as usize] += 1;
+            self.payload[id as usize] += size;
             return (span, id);
         }
         let span = self.spans.share(gram, locate).expect("a q-gram stays under 64 KiB");
-        let id = self.id(parts);
-        self.grams.insert((attr, gram), (span, id));
+        let id = self.id(parts, size);
+        match word {
+            Some(word) => self.packed.insert((attr, word), (span, id)),
+            None => self.long.insert((attr, gram), (span, id)),
+        };
         (span, id)
     }
 
-    /// The keys, by id, and their posting counts.
-    fn into_keys(self) -> (Vec<Key>, Vec<u32>) {
+    /// The batch of `entries`, whose keys these are.
+    fn into_batch(self, entries: Vec<(u32, Posting)>) -> PostingBatch {
         let mut keys = vec![Key::empty(); self.count.len()];
         for (bytes, id) in self.by_bytes {
             let bits = bytes.len() * 8;
             keys[id as usize] = Key::from_raw_parts(bytes.into_vec(), bits);
         }
-        (keys, self.count)
+        PostingBatch { keys, entries, count: self.count, payload: self.payload }
     }
 }
 
@@ -362,14 +419,14 @@ pub fn postings_for_triple(triple: &Triple, cfg: &PublishConfig) -> Vec<(Key, Po
     let mut ids = KeyIds::for_triples(1);
     let under = AttrPrefixes::new(triple.attr.as_str());
     push_postings(&mut entries, &mut ids, &slab, 0, &under, cfg);
-    let (keys, count) = ids.into_keys();
-    PostingBatch { keys, entries, count }.flatten()
+    ids.into_batch(entries).flatten()
 }
 
 /// Append the postings of triple `index` of `slab` to `out`, each with the
 /// id `ids` has for its key — and, for a gram, the span `ids` has for it,
 /// so equal grams of one batch are one span — taking the key prefixes of
-/// its attribute from `under`.
+/// its attribute from `under`. `ids` counts each posting and what it
+/// ships under its key, read off the record here.
 fn push_postings<'s>(
     out: &mut Vec<(u32, Posting)>,
     ids: &mut KeyIds<'s>,
@@ -381,16 +438,17 @@ fn push_postings<'s>(
     let tr = slab.triple(index);
     let value = tr.value();
     let mut push = |key: u32, posting: Posting| out.push((key, posting));
-    // What a posting without a gram keeps inline, read off the record here,
-    // once per triple.
-    let (chars, attr) = (tr.char_len(), tr.attr_id());
+    // What a posting without a gram keeps inline, and what it ships (the
+    // whole triple), read off the record here, once per triple.
+    let (chars, attr, whole) = (tr.char_len(), tr.attr_id(), tr.repr_len());
     let plain = |kind| Posting::without_gram(kind, slab, index, chars, attr);
 
     // The three base insertions of §3.
-    push(ids.id(&keys::oid_parts(tr.oid())), plain(PostingKind::Base(BaseKind::Oid)));
+    push(ids.id(&keys::oid_parts(tr.oid()), whole), plain(PostingKind::Base(BaseKind::Oid)));
     let v = ValueParts::of(value);
-    push(ids.id(&under.attr_value(&v)), plain(PostingKind::Base(BaseKind::AttrValue)));
-    push(ids.id(&keys::value_parts(&v)), plain(PostingKind::Base(BaseKind::Value)));
+    let kind = PostingKind::Base(BaseKind::AttrValue);
+    push(ids.id(&under.attr_value(&v), whole), plain(kind));
+    push(ids.id(&keys::value_parts(&v), whole), plain(PostingKind::Base(BaseKind::Value)));
 
     // Instance-level grams for string values (§4).
     if let ValueRef::Str(s) = value {
@@ -398,13 +456,14 @@ fn push_postings<'s>(
         if spans.peek().is_none() {
             // |v| < q: the gram index cannot see it; the short-value
             // family keeps similarity search complete.
-            push(ids.id(&under.short_value(s)), plain(PostingKind::ShortValue));
+            push(ids.id(&under.short_value(s), whole), plain(PostingKind::ShortValue));
         }
         let kind = PostingKind::InstanceGram { carries_value: cfg.grams_carry_value };
         for (bytes, pos) in spans {
             let gram = &s[bytes.clone()];
             let locate = || GramSpan::at(tr.value_offset(), bytes);
-            let (span, key) = ids.gram(Some(attr), gram, locate, &under.instance_gram(gram));
+            let size = wire_size(tr, kind, gram.len());
+            let (span, key) = ids.gram(Some(attr), gram, locate, &under.instance_gram(gram), size);
             push(key, Posting::with_gram(kind, slab, index, span, pos, chars));
         }
     }
@@ -413,15 +472,15 @@ fn push_postings<'s>(
     let (name, name_chars) = (tr.attr().as_str(), Some(tr.attr_char_len()));
     let mut spans = qgram_spans(name, cfg.q).peekable();
     if spans.peek().is_none() {
-        push(ids.id(&keys::short_attr_parts(name)), plain(PostingKind::ShortAttr));
+        push(ids.id(&keys::short_attr_parts(name), whole), plain(PostingKind::ShortAttr));
     }
+    let kind = PostingKind::SchemaGram;
     for (bytes, pos) in spans {
         let gram = &name[bytes.clone()];
         let locate = || GramSpan::at(tr.attr_offset(), bytes);
-        let (span, key) = ids.gram(None, gram, locate, &keys::schema_gram_parts(gram));
-        let posting =
-            Posting::with_gram(PostingKind::SchemaGram, slab, index, span, pos, name_chars);
-        push(key, posting);
+        let size = wire_size(tr, kind, gram.len());
+        let (span, key) = ids.gram(None, gram, locate, &keys::schema_gram_parts(gram), size);
+        push(key, Posting::with_gram(kind, slab, index, span, pos, name_chars));
     }
 }
 
@@ -517,11 +576,10 @@ pub fn batch_for_rows(
                 PostingKind::SchemaGram => stats.schema_gram_postings += 1,
                 PostingKind::ShortValue | PostingKind::ShortAttr => stats.short_postings += 1,
             }
-            stats.total_bytes += posting.size_bytes() as u64;
         }
     }
-    let (keys, count) = ids.into_keys();
-    (PostingBatch { keys, entries, count }, stats)
+    stats.total_bytes = ids.payload.iter().sum::<usize>() as u64;
+    (ids.into_batch(entries), stats)
 }
 
 /// Postings for a batch of rows as (key, posting) pairs in generation
@@ -688,5 +746,24 @@ mod tests {
             assert_eq!(list.len(), n + usize::from(long));
             assert!(list.windows(2).any(|w| w[0].triple_id().1 > w[1].triple_id().1), "reordered");
         }
+    }
+
+    /// A gram packs into one word while it has at most 7 bytes, and two
+    /// grams pack alike only when they are equal: a gram and the same gram
+    /// with NUL bytes after it differ by their length byte.
+    #[test]
+    fn a_packed_word_is_one_gram() {
+        let grams = [
+            "", "\0", "\0\0", "a", "a\0", "a\0\0", "\0a", "ab", "abcdefg", "abcdef\0", "é", "é\0",
+            "日",
+        ];
+        for (i, a) in grams.iter().enumerate() {
+            assert!(packed(a).is_some(), "{a:?}");
+            for b in &grams[..i] {
+                assert_ne!(packed(a), packed(b), "{a:?} and {b:?}");
+            }
+        }
+        assert_eq!(packed("abcdefgh"), None);
+        assert_eq!(packed("日本語"), None);
     }
 }

@@ -468,7 +468,18 @@ proptest! {
         let mut kept: Vec<(Key, Posting)> =
             batch.iter().skip(2).step_by(3).cloned().collect();
         kept.sort_by(by_key_and_rank);
+        let payload_of = |batch: &sqo_storage::publish::PostingBatch| {
+            let mut payload = vec![0; batch.keys().len()];
+            for (id, posting) in batch.entries() {
+                payload[*id as usize] += posting.size_bytes();
+            }
+            payload
+        };
+        let after_retain = payload_of(&thinned);
+        prop_assert_eq!(thinned.payload(), after_retain.as_slice(), "a payload after retain");
         prop_assert_eq!(flattened(thinned.into_groups(&order)), kept);
+        prop_assert_eq!(grouped.payload(), payload_of(&grouped).as_slice());
+        prop_assert_eq!(grouped.payload().iter().sum::<usize>() as u64, stats.total_bytes);
         prop_assert_eq!(grouped.flatten(), batch.clone());
         let single: Vec<(Key, Posting)> = rows
             .iter()
@@ -510,6 +521,95 @@ proptest! {
                 prop_assert_eq!(*text_at.entry(place).or_insert(text), text);
             }
         }
+    }
+
+    /// The keys of a batch are its postings' keys as the key builders spell
+    /// them out — the string-keyed reference of its packed gram lookup —
+    /// each under the id of its first sight, with the count and the payload
+    /// of its postings; on grams of over 7 bytes, NUL chars, one gram under
+    /// several attributes and at both levels, numbers and values shorter
+    /// than q.
+    #[test]
+    fn a_batch_keys_its_postings_as_the_key_builders_do(
+        rows in prop::collection::vec(
+            (
+                "[ab]{1,2}",
+                prop::collection::vec(
+                    (
+                        "[ab\0é日]{1,5}",
+                        prop_oneof![
+                            "[ab\0é日本]{0,9}".prop_map(Value::from),
+                            (-3i64..3).prop_map(Value::Int),
+                            (-2f64..2.0).prop_map(Value::Float),
+                        ],
+                    ),
+                    0..4,
+                ),
+            ),
+            0..8,
+        ),
+        q in 1usize..5,
+        grams_carry_value in any::<bool>(),
+    ) {
+        let cfg = PublishConfig { q, grams_carry_value };
+        let rows: Vec<Row> = rows.into_iter().map(|(oid, fields)| Row::new(oid, fields)).collect();
+        let (batch, _) = batch_for_rows(&rows, &cfg, |_| UNNUMBERED);
+        let mut ids: std::collections::HashMap<Key, u32> = std::collections::HashMap::new();
+        let (mut count, mut payload) = (Vec::new(), Vec::new());
+        for (id, p) in batch.entries() {
+            let (t, attr) = (p.triple(), p.triple().attr().as_str());
+            let value = t.value().to_value();
+            let key = match p.kind() {
+                PostingKind::Base(BaseKind::Oid) => keys::oid_key(t.oid()),
+                PostingKind::Base(BaseKind::AttrValue) => keys::attr_value_key(attr, &value),
+                PostingKind::Base(BaseKind::Value) => keys::value_key(&value),
+                PostingKind::InstanceGram { .. } => keys::instance_gram_key(attr, p.gram()),
+                PostingKind::SchemaGram => keys::schema_gram_key(p.gram()),
+                PostingKind::ShortValue => {
+                    keys::short_value_key(attr, t.value_str().expect("a string"))
+                }
+                PostingKind::ShortAttr => keys::short_attr_key(attr),
+            };
+            let next = ids.len() as u32;
+            let want = *ids.entry(key.clone()).or_insert(next);
+            prop_assert_eq!(*id, want, "{:?}", p);
+            prop_assert_eq!(&batch.keys()[*id as usize], &key);
+            count.resize(ids.len(), 0);
+            payload.resize(ids.len(), 0);
+            count[want as usize] += 1;
+            payload[want as usize] += p.size_bytes();
+        }
+        prop_assert_eq!(batch.keys().len(), ids.len());
+        prop_assert_eq!(batch.payload(), payload.as_slice());
+        let run = batch.into_sorted_groups();
+        let mut counted: Vec<(Key, usize)> =
+            ids.iter().map(|(key, id)| (key.clone(), count[*id as usize])).collect();
+        counted.sort();
+        let grouped: Vec<(Key, usize)> =
+            run.iter().map(|(k, items)| (k.to_key(), items.len())).collect();
+        prop_assert_eq!(grouped, counted);
+    }
+
+    /// A batch's key order is the order of its keys: its keys sorted by
+    /// `Key::cmp`, on keys of over 16 bytes that share their first 16,
+    /// keys that are prefixes of others, and keys that end in `0x00`.
+    #[test]
+    fn the_key_order_is_the_sort_of_the_keys(
+        rows in prop::collection::vec(
+            (
+                (0usize..20, "[a\0]{0,3}").prop_map(|(n, tail)| format!("{}{tail}", "o".repeat(n))),
+                prop::collection::vec(("[ab]{1,2}", "[a\0]{0,18}".prop_map(Value::from)), 0..3),
+            ),
+            0..12,
+        ),
+    ) {
+        let rows: Vec<Row> = rows.into_iter().map(|(oid, fields)| Row::new(oid, fields)).collect();
+        let cfg = PublishConfig { q: 20, grams_carry_value: false };
+        let (batch, _) = batch_for_rows(&rows, &cfg, |_| UNNUMBERED);
+        let keys = batch.keys();
+        let mut sorted: Vec<u32> = (0..keys.len() as u32).collect();
+        sorted.sort_unstable_by(|a, b| keys[*a as usize].cmp(&keys[*b as usize]));
+        prop_assert_eq!(batch.key_order(), sorted);
     }
 
     /// Object reassembly from oid postings is lossless for a row's fields

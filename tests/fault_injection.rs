@@ -3,12 +3,14 @@
 //! plan with a repair policy installed is indistinguishable from a run
 //! without any fault machinery, repair activity is visible in both the
 //! metric registry and the trace stream, sticky clients survive the death
-//! of their entry peer, and revivals restore crashed peers.
+//! of their entry peer, revivals restore crashed peers, and an initiator
+//! the network does not hold is answered as a crashed one.
 
 use sqo_core::{DegradePolicy, EngineBuilder, SimilarityEngine};
 use sqo_datasets::{bible_words, string_rows};
 use sqo_obs::to_json;
-use sqo_overlay::ReplicationPolicy;
+use sqo_overlay::{PeerId, ReplicationPolicy};
+use sqo_plan::{Query, Session};
 use sqo_sim::{
     run_driver, Arrival, DriverConfig, DriverReport, FaultEvent, FaultKind, FaultPlan,
     LatencyModel, RepairTotals, SimConfig, TraceCollector,
@@ -171,4 +173,64 @@ fn revive_events_restore_crashed_peers() {
         PEERS,
         "a full revival must bring every crashed peer back"
     );
+}
+
+/// A peer id past the network's last peer, and a peer of it that crashed.
+const OUTSIDE: PeerId = PeerId(PEERS as u32 + 35);
+const CRASHED: PeerId = PeerId(3);
+
+/// What `ask` answers from [`OUTSIDE`] on one engine and from [`CRASHED`]
+/// on its twin, printed: an id the network does not hold cannot ask, so
+/// it is answered as a crashed initiator is, where the route once indexed
+/// the peer table with it and panicked.
+fn from_outside_and_crashed(ask: impl Fn(&mut SimilarityEngine, PeerId) -> String) -> [String; 2] {
+    let words = bible_words(200, 17);
+    let mut outside = engine(&words);
+    let mut crashed = engine(&words);
+    crashed.network_mut().fail_peer(CRASHED);
+    [ask(&mut outside, OUTSIDE), ask(&mut crashed, CRASHED)]
+}
+
+fn run_plan(q: Query) -> [String; 2] {
+    from_outside_and_crashed(|e, from| format!("{:?}", Session::new(e, from).run(&q)))
+}
+
+#[test]
+fn a_similar_query_from_outside_the_network_is_a_dead_initiators() {
+    let [outside, crashed] = run_plan(Query::similar("lord", Some("word"), 1));
+    assert_eq!(outside, crashed);
+}
+
+#[test]
+fn a_top_n_query_from_outside_the_network_is_a_dead_initiators() {
+    let [outside, crashed] = run_plan(Query::top_n_similar(Some("word"), 3, "lord", 2));
+    assert_eq!(outside, crashed);
+}
+
+#[test]
+fn a_join_from_outside_the_network_is_a_dead_initiators() {
+    let [outside, crashed] =
+        run_plan(Query::join_scan("word", Some("word"), 1).left_limit(Some(4)));
+    assert_eq!(outside, crashed);
+}
+
+#[test]
+fn a_vql_query_from_outside_the_network_is_a_dead_initiators() {
+    let text = "SELECT ?o WHERE { (?o,word,?v) FILTER (dist(?v,'lord') < 2) }";
+    let options = sqo_vql::ExecOptions::default();
+    let [outside, crashed] = from_outside_and_crashed(|e, from| {
+        format!("{:?}", sqo_vql::run(e, from, text, &options).map(|out| (out.rows, out.stats)))
+    });
+    assert_eq!(outside, crashed);
+}
+
+#[test]
+fn a_traced_publication_from_outside_the_network_is_a_dead_initiators() {
+    let rows = string_rows("word", &bible_words(20, 5), "x");
+    let [outside, crashed] = from_outside_and_crashed(|e, from| {
+        let stats = e.publish_rows_traced(&rows, from);
+        format!("{stats:?} {}", e.network().total_stored_items())
+    });
+    assert_eq!(outside, crashed);
+    assert!(outside.contains("matches: 0"), "no posting is stored: {outside}");
 }
