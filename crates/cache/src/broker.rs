@@ -108,6 +108,9 @@ pub struct CacheBatchBroker {
     cache: LruCache<(PeerId, Key), Vec<Posting>>,
     channels: ChannelPool,
     counters: BrokerCounters,
+    /// The last lookup's cache key: the next lookup copies its own into
+    /// this buffer, so a lookup allocates nothing.
+    probe: (PeerId, Key),
 }
 
 impl CacheBatchBroker {
@@ -122,6 +125,7 @@ impl CacheBatchBroker {
             },
             channels: ChannelPool::new(cfg.batch_window_us),
             counters: BrokerCounters::default(),
+            probe: (PeerId(0), Key::empty()),
         }
     }
 
@@ -153,7 +157,9 @@ impl CacheBatchBroker {
         epoch: u64,
     ) -> Option<&[Posting]> {
         debug_assert!(self.cfg.cache);
-        match self.cache.get(&(from, key.clone()), now_us, epoch) {
+        self.probe.0 = from;
+        self.probe.1.clone_from(key);
+        match self.cache.get(&self.probe, now_us, epoch) {
             Some(list) => {
                 self.counters.cache_hits += 1;
                 Some(list)
@@ -167,17 +173,17 @@ impl CacheBatchBroker {
 
     /// Fill `from`'s cache with the full list fetched for `key` (subject
     /// to the admission gate when enabled): the reply's copy is kept as it
-    /// arrived.
+    /// arrived, under the key handed in.
     pub fn cache_put(
         &mut self,
         from: PeerId,
-        key: &Key,
+        key: Key,
         list: Vec<Posting>,
         now_us: u64,
         epoch: u64,
     ) {
         if self.cfg.cache {
-            self.cache.put((from, key.clone()), list, now_us, epoch);
+            self.cache.put((from, key), list, now_us, epoch);
         }
     }
 
@@ -256,6 +262,7 @@ impl CacheBatchBroker {
             cache: LruCache::from_state(state.cache),
             channels: ChannelPool::from_state(state.channels),
             counters: state.counters,
+            probe: (PeerId(0), Key::empty()),
         }
     }
 }
@@ -280,7 +287,7 @@ mod tests {
         let mut b = CacheBatchBroker::new(BrokerConfig::cache_only());
         let k = Key::from_bytes(b"k");
         assert!(b.cache_get(PeerId(1), &k, 0, 0).is_none());
-        b.cache_put(PeerId(1), &k, Vec::new(), 0, 0);
+        b.cache_put(PeerId(1), k.clone(), Vec::new(), 0, 0);
         assert!(b.cache_get(PeerId(1), &k, 10, 0).is_some());
         assert!(b.cache_get(PeerId(2), &k, 10, 0).is_none(), "caches are per initiator");
         let c = b.counters();
@@ -292,8 +299,7 @@ mod tests {
     #[test]
     fn disabled_cache_never_stores() {
         let mut b = CacheBatchBroker::new(BrokerConfig::batch_only());
-        let k = Key::from_bytes(b"k");
-        b.cache_put(PeerId(1), &k, Vec::new(), 0, 0);
+        b.cache_put(PeerId(1), Key::from_bytes(b"k"), Vec::new(), 0, 0);
         assert!(!b.cache_enabled());
         assert!(b.batch_enabled());
     }
@@ -304,13 +310,13 @@ mod tests {
         let mut b = CacheBatchBroker::new(BrokerConfig::cache_only());
         let k1 = Key::from_bytes(b"k1");
         let k2 = Key::from_bytes(b"k2");
-        b.cache_put(PeerId(1), &k1, Vec::new(), 0, 5);
+        b.cache_put(PeerId(1), k1.clone(), Vec::new(), 0, 5);
         let checkpoint = b.export_state();
 
         // A diverged branch resumes from it, churns (epoch 5 -> 6), and
         // caches a fresh entry under the new epoch.
         let mut diverged = CacheBatchBroker::from_state(checkpoint.clone());
-        diverged.cache_put(PeerId(1), &k2, Vec::new(), 10, 6);
+        diverged.cache_put(PeerId(1), k2.clone(), Vec::new(), 10, 6);
         assert!(diverged.cache_get(PeerId(1), &k2, 20, 6).is_some());
 
         // Restoring that branch's state and looking up under the original
@@ -333,7 +339,7 @@ mod tests {
         let mut b = CacheBatchBroker::new(BrokerConfig::enabled());
         let k = Key::from_bytes(b"k");
         b.cache_get(PeerId(1), &k, 0, 0); // miss
-        b.cache_put(PeerId(1), &k, Vec::new(), 0, 0);
+        b.cache_put(PeerId(1), k.clone(), Vec::new(), 0, 0);
         b.channel_record(4, PeerId(7), 3, 5, 0);
         b.channel_lookup(4, 10, 0, 2);
         b.channel_record(9, PeerId(2), 4, 12, 0);
@@ -361,7 +367,7 @@ mod tests {
     fn epoch_bump_is_a_miss() {
         let mut b = CacheBatchBroker::new(BrokerConfig::cache_only());
         let k = Key::from_bytes(b"k");
-        b.cache_put(PeerId(1), &k, Vec::new(), 0, 3);
+        b.cache_put(PeerId(1), k.clone(), Vec::new(), 0, 3);
         assert!(b.cache_get(PeerId(1), &k, 1, 3).is_some());
         assert!(b.cache_get(PeerId(1), &k, 2, 4).is_none(), "churn epoch invalidates");
     }

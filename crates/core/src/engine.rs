@@ -9,7 +9,7 @@ use crate::stats::QueryStats;
 use rustc_hash::{FxHashMap, FxHashSet};
 use sqo_cache::{BrokerConfig, BrokerCounters, CacheBatchBroker};
 use sqo_overlay::key::Key;
-use sqo_overlay::network::{ItemRun, KeyedItems, Network, NetworkConfig};
+use sqo_overlay::network::{ItemRun, Network, NetworkConfig};
 use sqo_overlay::peer::{Item, PeerId};
 use sqo_overlay::trie::find_partition_from;
 use sqo_overlay::{Metrics, PartitionStore, TraceEvent, TraceTrack};
@@ -292,13 +292,17 @@ impl<'a> ProbeSink<'a> {
     }
 
     /// Filter `list`, the postings of the key at `i`, where it lies: the
-    /// survivors go onto the sink's buffer, and their bytes — the key's
-    /// owner-side payload, added to its entry when the task records — are
-    /// returned.
-    fn filter_in(&mut self, i: usize, list: &[Posting]) -> usize {
+    /// survivors go onto the sink's buffer. Their bytes — the key's
+    /// owner-side payload — are summed only where they count: returned
+    /// when the reply that ships them is `charged`, and added to the key's
+    /// entry when the task records. Otherwise 0 is returned.
+    fn filter_in(&mut self, i: usize, list: &[Posting], charged: bool) -> usize {
+        let sum = charged || matches!(self.reuse, Reuse::Record { .. });
         let mut bytes = 0;
         for p in self.filter.survivors(list) {
-            bytes += p.size_bytes();
+            if sum {
+                bytes += p.size_bytes();
+            }
             self.out.push(p.clone());
         }
         if let Reuse::Record { payloads } = self.reuse {
@@ -328,7 +332,7 @@ impl<'a> ProbeSink<'a> {
         if self.replays() {
             self.lend(i, lies());
         } else {
-            self.filter_in(i, list);
+            self.filter_in(i, list, false);
         }
     }
 }
@@ -826,7 +830,7 @@ impl SimilarityEngine {
             payload += if sink.replays() {
                 sink.lend(i, self.net.partition_store(self.net.peer_partition(owner)))
             } else {
-                sink.filter_in(i, run)
+                sink.filter_in(i, run, true)
             };
         }
         if owner != from {
@@ -900,7 +904,7 @@ impl SimilarityEngine {
         // making every later probe of these keys free. Cache off: the owner
         // filters and only survivors travel, byte-for-byte the legacy
         // delegated payload.
-        let missing_keys = || missing.iter().map(|&i| all[i].clone()).collect::<Vec<Key>>();
+        let missing_keys = || missing.iter().map(|&i| &all[i]);
 
         let channel = if batch_on {
             let n_keys = missing.len() as u64;
@@ -928,7 +932,7 @@ impl SimilarityEngine {
                         e.net.send_direct(from, owner, 0);
                     }
                     if cache_on {
-                        e.net.scan_keys_and_reply_lists(owner, from, &missing_keys())
+                        e.net.scan_keys_and_reply_lists(owner, from, missing_keys())
                     } else {
                         e.scan_filter_reply(owner, from, missing.iter().copied(), sink);
                         Vec::new()
@@ -948,8 +952,7 @@ impl SimilarityEngine {
                     // — after the degradation policy's retries, and counted
                     // as an addressed-but-unanswered leg.
                     let got = if cache_on {
-                        let keys = missing_keys();
-                        e.leg(|e| e.net.retrieve_multi_lists(from, &keys))
+                        e.leg(|e| e.net.retrieve_multi_lists(from, missing_keys()))
                     } else {
                         e.leg(|e| e.net.route(from, &all[missing[0]])).map(|owner| {
                             e.scan_filter_reply(owner, from, missing.iter().copied(), sink);
@@ -974,21 +977,21 @@ impl SimilarityEngine {
     /// Fold a cache-filling reply from `owner` into the caller: hand every
     /// full list — the one of the key at `missing`'s same place — to
     /// `sink`, and move it, as the reply shipped it, into the initiator's
-    /// cache at the current epoch.
+    /// cache at the current epoch, under a copy of its key.
     fn absorb_full_lists(
         &mut self,
         from: PeerId,
         owner: PeerId,
         missing: &[usize],
-        lists: KeyedItems<Posting>,
+        lists: Vec<Vec<Posting>>,
         now_us: u64,
         sink: &mut ProbeSink,
     ) {
         let epoch = self.net.cache_epoch();
-        for (&i, (k, list)) in missing.iter().zip(lists) {
+        for (&i, list) in missing.iter().zip(lists) {
             sink.take(i, &list, || self.net.partition_store(self.net.peer_partition(owner)));
             let broker = self.broker.as_mut().expect("full lists only travel to fill a cache");
-            broker.cache_put(from, &k, list, now_us, epoch);
+            broker.cache_put(from, sink.keys[i].clone(), list, now_us, epoch);
         }
     }
 
@@ -1025,7 +1028,7 @@ impl SimilarityEngine {
         let answer = read(&[&list]);
         let now_us = self.net.sim_now_us().unwrap_or(0);
         let broker = self.broker.as_mut().expect("cache_on implies a broker");
-        broker.cache_put(from, key, list, now_us, epoch);
+        broker.cache_put(from, key.clone(), list, now_us, epoch);
         (answer, 0, 1)
     }
 

@@ -25,10 +25,25 @@ use std::fmt;
 /// Bits are packed MSB-first: bit `i` of the key lives in byte `i / 8` at
 /// bit position `7 - (i % 8)`. Unused trailing bits of the last byte are
 /// kept zero (an invariant relied on by `Ord` and `Hash`).
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+#[derive(PartialEq, Eq, Hash, Default)]
 pub struct Key {
     bytes: Vec<u8>,
     len: usize,
+}
+
+/// `clone_from` copies into the buffer the key already has: a key remade
+/// for each of many lookups allocates once.
+impl Clone for Key {
+    #[inline]
+    fn clone(&self) -> Self {
+        Self { bytes: self.bytes.clone(), len: self.len }
+    }
+
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        self.bytes.clone_from(&source.bytes);
+        self.len = source.len;
+    }
 }
 
 impl Key {

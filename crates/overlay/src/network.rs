@@ -154,10 +154,6 @@ impl RepairReport {
     }
 }
 
-/// What one reply ships: per key asked, in the order asked, a copy of the
-/// items stored under it.
-pub type KeyedItems<T> = Vec<(Key, Vec<T>)>;
-
 /// What one reply of [`Network::retrieve_runs`] lends instead of copying:
 /// the answering partition, and where the items it shipped lie in that
 /// partition's run. Read it with [`Network::run_items`] before the network
@@ -1020,18 +1016,19 @@ impl<T: Item> Network<T> {
     pub fn retrieve_runs(&mut self, from: PeerId, key: &Key) -> Result<Vec<ItemRun>, RouteError> {
         let entry = self.route(from, key)?;
         let parts = self.image.topo.subtree_of(key);
-        Ok(self.lend_runs(from, entry, parts, |store| store.prefix_item_range(key)))
+        Ok(self.lend_runs(from, entry, parts, |store| store.entries_under(key.as_ref())))
     }
 
     /// The shower of a lending scan that entered at `entry`, over the
     /// peered partitions of `[s, e)`: each responder's `scan` gives the
-    /// entries it is charged and the items its reply lends.
+    /// entries it hits — what it is charged, and whose items and payload
+    /// its reply lends.
     fn lend_runs(
         &mut self,
         from: PeerId,
         entry: PeerId,
         (s, e): (usize, usize),
-        scan: impl Fn(&SortedStore<T>) -> (usize, Range<usize>),
+        scan: impl Fn(&SortedStore<T>) -> Range<usize>,
     ) -> Vec<ItemRun> {
         let mut out = Vec::with_capacity(self.image.topo.peered_in(s, e).len());
         // The shower branches run in parallel in a deployment: each starts
@@ -1043,10 +1040,11 @@ impl<T: Item> Network<T> {
             self.sim_branch();
             let Some(responder) = self.shower_into(part, entry) else { continue };
             let store = &self.image.stores[part];
-            let (entries, items) = scan(store);
-            let payload: usize = store.items()[items.clone()].iter().map(Item::size_bytes).sum();
+            let entries = scan(store);
+            let (items, payload) =
+                (store.item_range(entries.clone()), store.payload(entries.clone()));
             let (sink, tracer) = (&mut self.sink, &self.tracer);
-            Self::charge_scan(&mut self.image.metrics, sink, tracer, responder, entries);
+            Self::charge_scan(&mut self.image.metrics, sink, tracer, responder, entries.len());
             if responder != from {
                 self.send_direct(responder, from, payload);
             }
@@ -1088,19 +1086,23 @@ impl<T: Item> Network<T> {
     /// the summed payload. [`Self::retrieve_multi_lists`] calls it with the
     /// whole coalesced batch at one owner; an operator that already
     /// knows the owner (a probe riding an open channel) calls it directly.
-    /// A reply copies the items it ships.
-    pub fn scan_keys_and_reply_lists(
+    /// A reply copies the items it ships: one list per key, in the order
+    /// the keys came.
+    pub fn scan_keys_and_reply_lists<'k>(
         &mut self,
         responder: PeerId,
         from: PeerId,
-        keys: &[Key],
-    ) -> KeyedItems<T> {
+        keys: impl ExactSizeIterator<Item = &'k Key>,
+    ) -> Vec<Vec<T>> {
+        let store = &self.image.stores[self.image.topo.partition_of(responder)];
         let mut out = Vec::with_capacity(keys.len());
         let mut payload = 0usize;
         for key in keys {
-            let items = self.local_prefix_run(responder, key).to_vec();
-            payload += items.iter().map(Item::size_bytes).sum::<usize>();
-            out.push((key.clone(), items));
+            let entries = store.entries_under(key.as_ref());
+            let (sink, tracer) = (&mut self.sink, &self.tracer);
+            Self::charge_scan(&mut self.image.metrics, sink, tracer, responder, entries.len());
+            payload += store.payload(entries.clone());
+            out.push(store.items()[store.item_range(entries)].to_vec());
         }
         if responder != from {
             self.send_direct(responder, from, payload);
@@ -1139,7 +1141,7 @@ impl<T: Item> Network<T> {
             return Ok(Vec::new());
         }
         let entry = self.route(from, lo)?;
-        Ok(self.lend_runs(from, entry, (s, e), |store| store.range_item_range(lo, hi)))
+        Ok(self.lend_runs(from, entry, (s, e), |store| store.range_entries(lo, hi)))
     }
 
     // ------------------------------------------------------------------
@@ -1160,21 +1162,22 @@ impl<T: Item> Network<T> {
     /// primitive behind
     /// cross-query probe coalescing: `n` probes to the same partition cost
     /// one route and one reply instead of `n` of each. Returns the answering
-    /// peer so callers can fan the payload onward.
+    /// peer so callers can fan the payload onward. No key asks nothing: the
+    /// answer is `from` with no list, and nothing is routed or sent.
     ///
     /// # Panics
-    /// Debug-asserts that every key lands in the partition of `keys[0]`.
-    pub fn retrieve_multi_lists(
+    /// Debug-asserts that every key lands in the partition of the first.
+    pub fn retrieve_multi_lists<'k>(
         &mut self,
         from: PeerId,
-        keys: &[Key],
-    ) -> Result<(PeerId, KeyedItems<T>), RouteError> {
-        assert!(!keys.is_empty(), "multi-key retrieve needs at least one key");
+        keys: impl ExactSizeIterator<Item = &'k Key> + Clone,
+    ) -> Result<(PeerId, Vec<Vec<T>>), RouteError> {
+        let Some(first) = keys.clone().next() else { return Ok((from, Vec::new())) };
         debug_assert!(
-            keys.iter().all(|k| self.partition_of(k) == self.partition_of(&keys[0])),
+            keys.clone().all(|k| self.partition_of(k) == self.partition_of(first)),
             "multi-key retrieve keys must share a partition"
         );
-        let owner = self.route(from, &keys[0])?;
+        let owner = self.route(from, first)?;
         let out = self.scan_keys_and_reply_lists(owner, from, keys);
         Ok((owner, out))
     }
@@ -1276,11 +1279,7 @@ mod tests {
                 let part = self.image.topo.peered_in(s, e)[i] as usize;
                 self.sim_branch();
                 let Some(responder) = self.shower_into(part, entry) else { continue };
-                for (_key, items) in
-                    self.scan_keys_and_reply_lists(responder, from, std::slice::from_ref(key))
-                {
-                    out.push(items);
-                }
+                out.extend(self.scan_keys_and_reply_lists(responder, from, [key].into_iter()));
             }
             self.sim_join();
             Ok(out)
@@ -1837,26 +1836,35 @@ mod tests {
             .unwrap();
 
         net.reset_metrics();
-        let (_owner, multi) = net.retrieve_multi_lists(from, &keys).expect("route");
+        let (_owner, multi) = net.retrieve_multi_lists(from, keys.iter()).expect("route");
         let multi_msgs = net.metrics().messages;
 
         net.reset_metrics();
         let mut singles = Vec::new();
         for k in &keys {
-            singles.push((k.clone(), net.retrieve_list(from, k).expect("route")));
+            singles.push(net.retrieve_list(from, k).expect("route"));
         }
         let single_msgs = net.metrics().messages;
 
-        for ((mk, mv), (sk, sv)) in multi.iter().zip(&singles) {
-            assert_eq!(mk, sk);
-            assert_eq!(mv, sv, "multi-key retrieve must return per-key lists verbatim");
-        }
+        assert_eq!(multi, singles, "multi-key retrieve must return per-key lists verbatim");
         assert!(
             multi_msgs < single_msgs,
             "one routed chain + one reply must beat {} separate retrieves \
              ({multi_msgs} vs {single_msgs})",
             keys.len()
         );
+    }
+
+    /// A multi-key retrieve of no key answers nothing and charges nothing,
+    /// as an inverted range does.
+    #[test]
+    fn a_multi_key_retrieve_of_no_key_is_empty_and_charges_nothing() {
+        let (mut net, _) = word_net(8, 10);
+        net.reset_metrics();
+        let from = net.random_peer();
+        let got = net.retrieve_multi_lists(from, std::iter::empty()).expect("nothing to route");
+        assert_eq!(got, (from, Vec::new()));
+        assert_eq!(*net.metrics(), Metrics::default(), "no route, no message, no scan");
     }
 
     #[test]

@@ -21,6 +21,13 @@
 //!   in one checked place, [`SortedStore::from_parts`], and changes in one
 //!   way only: [`SortedStore::merge`] folds another run — a publication
 //!   batch is one — into it in a single pass.
+//!   A run also has one derived column, built by the first reply that asks
+//!   for it and never written to a snapshot: each entry's cumulative
+//!   payload ([`Item::size_bytes`] summed in entry order), so a reply of
+//!   whole entries reads its bytes as one subtraction
+//!   ([`SortedStore::payload`]). `from_parts` and `from_pairs` start
+//!   without it, and `merge` and `split_off` drop it, so building,
+//!   publishing into and decoding a run do no more work than before.
 //! * [`PartitionStore`] — δ(p), the handle the network keeps per
 //!   *partition*: an `Rc<SortedStore>` that is the store of every
 //!   structural replica of the partition, and that every snapshot taken of
@@ -40,8 +47,10 @@
 use crate::gallop;
 use crate::key::{Key, KeyRef};
 use crate::peer::Item;
+use std::cell::OnceCell;
 use std::fmt;
 use std::ops::Range;
+use std::panic::RefUnwindSafe;
 use std::rc::Rc;
 
 /// Where one key lies in its run's byte buffer.
@@ -95,19 +104,27 @@ impl<T> Stretch<'_, T> {
 /// `items[ends[i - 1]..ends[i]]` — and each entry's items ascend by
 /// [`Item::rank`], equal ranks in publication order. With every rank equal
 /// that is the seed's `BTreeMap<Key, Vec<T>>` semantics entry for entry.
+/// `sums`, once built, holds `len() + 1` payloads: entry `i`'s items'
+/// [`Item::size_bytes`] and those of every entry before it at `i + 1`.
 #[derive(Clone)]
 pub struct SortedStore<T> {
     bytes: Vec<u8>,
     spans: Vec<Span>,
     ends: Vec<u32>,
     items: Vec<T>,
+    sums: OnceCell<Vec<usize>>,
 }
 
 impl<T> Default for SortedStore<T> {
     fn default() -> Self {
-        Self { bytes: Vec::new(), spans: Vec::new(), ends: Vec::new(), items: Vec::new() }
+        let (bytes, spans, ends, items) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        Self { bytes, spans, ends, items, sums: OnceCell::new() }
     }
 }
+
+/// A run read across a caught panic is whole: the payload column is set
+/// once and never changed, and a panic while it is built leaves it unset.
+impl<T: RefUnwindSafe> RefUnwindSafe for SortedStore<T> {}
 
 /// The run as the map it stands for: `{key: [items]}` in key order.
 impl<T: fmt::Debug> fmt::Debug for SortedStore<T> {
@@ -147,7 +164,7 @@ impl<T> SortedStore<T> {
             spans.push(Span { off: u32::try_from(off).ok()?, bits: len });
             off = end;
         }
-        (off == bytes.len()).then_some(Self { bytes, spans, ends, items })
+        (off == bytes.len()).then(|| Self { bytes, spans, ends, items, sums: OnceCell::new() })
     }
 
     /// Number of entries (distinct keys).
@@ -215,7 +232,7 @@ impl<T> SortedStore<T> {
     }
 
     /// The positions in [`Self::items`] of entries `entries`' items.
-    fn item_range(&self, entries: Range<usize>) -> Range<usize> {
+    pub fn item_range(&self, entries: Range<usize>) -> Range<usize> {
         self.start(entries.start)..self.start(entries.end)
     }
 
@@ -237,15 +254,6 @@ impl<T> SortedStore<T> {
     pub fn prefix_entries(&self, key: &Key) -> Stretch<'_, T> {
         let key = key.as_ref();
         self.stretch(self.prefix_run_at(self.lower_bound(key), key))
-    }
-
-    /// [`Self::prefix_entries`] by position: how many entries it hits, and
-    /// where their items lie in [`Self::items`] — what a reply that lends
-    /// the run's items instead of copying them keeps.
-    pub fn prefix_item_range(&self, key: &Key) -> (usize, Range<usize>) {
-        let key = key.as_ref();
-        let entries = self.prefix_run_at(self.lower_bound(key), key);
-        (entries.len(), self.item_range(entries))
     }
 
     /// [`Self::prefix_entries`] for a key whose entries start at `*cursor`
@@ -273,12 +281,10 @@ impl<T> SortedStore<T> {
         s..s + gallop(&self.spans[s..], |span| key.is_prefix_of(self.view(*span)))
     }
 
-    /// The entries with `lo <= key <= hi` (both inclusive), by position:
-    /// how many they are, and where their items lie in [`Self::items`].
-    pub fn range_item_range(&self, lo: &Key, hi: &Key) -> (usize, Range<usize>) {
+    /// The indices of the entries with `lo <= key <= hi` (both inclusive).
+    pub fn range_entries(&self, lo: &Key, hi: &Key) -> Range<usize> {
         let s = self.lower_bound(lo.as_ref());
-        let e = s + self.spans[s..].partition_point(|span| self.view(*span) <= hi.as_ref());
-        (e - s, self.item_range(s..e))
+        s..s + self.spans[s..].partition_point(|span| self.view(*span) <= hi.as_ref())
     }
 
     /// The index of the entry whose key is `key`, if one is.
@@ -311,7 +317,8 @@ impl<T> SortedStore<T> {
 
     /// Split the run at entry `at`: the run keeps the entries before it, and
     /// the entries from it on — their key bytes, spans, ends and items — move
-    /// into the run returned. Nothing is cloned.
+    /// into the run returned. Nothing is cloned, and the payload column is
+    /// dropped unless the whole run moves (`at == 0`).
     ///
     /// # Panics
     /// Panics when `at > len()`.
@@ -323,11 +330,13 @@ impl<T> SortedStore<T> {
         let item_at = self.start(at);
         let spans = self.spans.split_off(at);
         let ends = self.ends.split_off(at);
+        self.sums.take();
         Self {
             bytes: self.bytes.split_off(byte_at),
             spans: spans.into_iter().map(|s| Span { off: s.off - word(byte_at), ..s }).collect(),
             ends: ends.into_iter().map(|end| end - word(item_at)).collect(),
             items: self.items.split_off(item_at),
+            sums: OnceCell::new(),
         }
     }
 
@@ -434,9 +443,33 @@ impl<T: Item> SortedStore<T> {
         }
     }
 
+    /// The payload bytes of entries `entries`' items — what a reply of
+    /// whole entries ships: the difference of two cumulative sums, the
+    /// column built on the first call since the run last changed.
+    ///
+    /// # Panics
+    /// Panics when `entries` runs past [`Self::len`].
+    pub fn payload(&self, entries: Range<usize>) -> usize {
+        let sums = self.sums.get_or_init(|| {
+            let mut sums = Vec::with_capacity(self.len() + 1);
+            sums.push(0);
+            for i in 0..self.len() {
+                let entry = &self.items[self.item_range(i..i + 1)];
+                sums.push(sums[i] + entry.iter().map(Item::size_bytes).sum::<usize>());
+            }
+            sums
+        });
+        let bytes = sums[entries.end] - sums[entries.start];
+        debug_assert_eq!(
+            bytes,
+            self.items[self.item_range(entries)].iter().map(Item::size_bytes).sum::<usize>()
+        );
+        bytes
+    }
+
     /// Total payload bytes, for storage-overhead accounting.
     pub fn stored_bytes(&self) -> u64 {
-        self.items.iter().map(|i| i.size_bytes() as u64).sum()
+        self.payload(0..self.len()) as u64
     }
 }
 
@@ -674,9 +707,13 @@ mod tests {
     #[test]
     fn range_is_inclusive_and_exact_finds_single_keys() {
         let s = store();
-        let (entries, items) = s.range_item_range(&hash_str("alpha"), &hash_str("beta"));
-        assert_eq!(names(&s.items()[items]), vec!["alpha", "alpine", "beta"]);
-        assert_eq!(entries, 3);
+        let entries = s.range_entries(&hash_str("alpha"), &hash_str("beta"));
+        assert_eq!(
+            names(&s.items()[s.item_range(entries.clone())]),
+            vec!["alpha", "alpine", "beta"]
+        );
+        assert_eq!(entries.len(), 3);
+        assert_eq!(s.payload(entries), "alpha".len() + "alpine".len() + "beta".len());
         assert_eq!(s.exact_entry(&hash_str("beta")).unwrap().len(), 1);
         assert!(s.exact_entry(&hash_str("delta")).is_none());
     }
@@ -761,8 +798,8 @@ mod tests {
     #[test]
     fn range_scan_inclusive() {
         let p = handle();
-        let (_, items) = p.range_item_range(&hash_str("alpha"), &hash_str("beta"));
-        assert_eq!(names(&p.items()[items]), vec!["alpha", "alpine", "beta"]);
+        let entries = p.range_entries(&hash_str("alpha"), &hash_str("beta"));
+        assert_eq!(names(&p.items()[p.item_range(entries)]), vec!["alpha", "alpine", "beta"]);
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! constructor from arrays, `SortedStore::from_parts`, must accept exactly
 //! the arrays that are a run. Within a key a run keeps its items in rank
 //! order, older items first among equal ranks — through merges, from
-//! arrays, and on every write path of a network.
+//! arrays, and on every write path of a network. Every scan's payload —
+//! what a reply of its whole entries ships, one subtraction of the run's
+//! cumulative column — must be the model's items' sizes summed one by one,
+//! through merges, splits and `from_parts` round trips alike.
 
 use proptest::prelude::*;
 use sqo_overlay::key::Key;
@@ -17,12 +20,18 @@ use sqo_overlay::{PartitionStore, SortedStore, Stretch};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
+/// A numbered item of 1 to 7 bytes, so that payloads tell items apart.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct S(u32);
 impl Item for S {
     fn size_bytes(&self) -> usize {
-        4
+        1 + self.0 as usize % 7
     }
+}
+
+/// The model's payload: each item's size, summed one by one.
+fn bytes(items: &[S]) -> usize {
+    items.iter().map(Item::size_bytes).sum()
 }
 
 type Model = BTreeMap<Key, Vec<S>>;
@@ -75,8 +84,8 @@ fn lent(run: Stretch<'_, S>) -> (usize, Vec<S>) {
 
 /// The same of `run`'s range `[lo, hi]`.
 fn in_range(run: &SortedStore<S>, lo: &Key, hi: &Key) -> (usize, Vec<S>) {
-    let (entries, items) = run.range_item_range(lo, hi);
-    (entries, run.items()[items].to_vec())
+    let entries = run.range_entries(lo, hi);
+    (entries.len(), run.items()[run.item_range(entries)].to_vec())
 }
 
 /// The same of the model's entries.
@@ -126,7 +135,8 @@ fn arrays(run: &SortedStore<S>) -> (Vec<u8>, Vec<u32>, Vec<u32>, Vec<S>) {
 
 /// Every scan of `run` against `model`, for every probe: `prefix_entries`,
 /// `prefix_entries_from` with one cursor carried through the probes in
-/// ascending order, `exact_entry`, and `range_item_range` between each two.
+/// ascending order, `exact_entry`, and `range_entries` between each two —
+/// each with its payload — and the run's `stored_bytes`.
 fn scans_agree(run: &SortedStore<S>, model: &Model, probes: &[Key]) {
     let mut probes: Vec<Key> = probes.iter().chain(model.keys()).cloned().collect();
     probes.push(Key::empty());
@@ -134,14 +144,20 @@ fn scans_agree(run: &SortedStore<S>, model: &Model, probes: &[Key]) {
     let mut cursor = 0;
     for p in &probes {
         let under = want(model.iter().filter(|(k, _)| p.is_prefix_of(k)));
+        prop_assert_eq!(run.payload(run.entries_under(p.as_ref())), bytes(&under.1), "{}", p);
         prop_assert_eq!(lent(run.prefix_entries(p)), under.clone(), "prefix {}", p);
         prop_assert_eq!(lent(run.prefix_entries_from(p, &mut cursor)), under, "from {}", p);
         prop_assert_eq!(run.exact_entry(p).map(<[S]>::to_vec), model.get(p).cloned());
+        let exact = run.entry_index(p.as_ref()).map(|at| run.payload(at..at + 1));
+        prop_assert_eq!(exact, model.get(p).map(|items| bytes(items)), "exact {}", p);
         for q in probes.iter().filter(|q| p <= *q) {
             let within = want(model.range((Bound::Included(p), Bound::Included(q))));
+            let payload = run.payload(run.range_entries(p, q));
+            prop_assert_eq!(payload, bytes(&within.1), "range payload {}..={}", p, q);
             prop_assert_eq!(in_range(run, p, q), within, "range {}..={}", p, q);
         }
     }
+    prop_assert_eq!(run.stored_bytes(), bytes(&want(model.iter()).1) as u64);
 }
 
 proptest! {
@@ -150,9 +166,12 @@ proptest! {
     /// key — merged into the runs of a cover, a key going to every run
     /// whose path it is prefix-related to (so a key shorter than a path
     /// lands in several runs): each run is its model entry for entry, with
-    /// every scan lending the model's items and counting its entries. A
-    /// reader holding a run from before a merge keeps what it held, and a
-    /// batch split anywhere and merged as its two halves is the same merge.
+    /// every scan lending the model's items and counting its entries and
+    /// payloads. A reader holding a run from before a merge keeps what it
+    /// held, and a batch split anywhere and merged as its two halves is the
+    /// same merge. Each run, its payload column built, split anywhere is two
+    /// runs whose scans are the model's halves; made again from its arrays,
+    /// it is its model too.
     #[test]
     fn merges_into_several_runs_are_their_models(
         paths in cover(),
@@ -203,9 +222,17 @@ proptest! {
                 prop_assert_eq!((run.len(), run.items().to_vec()), want(model.iter()));
                 prop_assert_eq!(run.item_count(), run.items().len());
                 scans_agree(run, model, &probes);
-                let (bytes, bits, ends, items) = arrays(run);
-                let copy = SortedStore::from_parts(bytes, &bits, ends, items);
+                let (mut head, at) = (run.clone(), split % (run.len() + 1));
+                let tail = head.split_off(at);
+                let half = |r: std::ops::Range<usize>| -> Model {
+                    model.iter().take(r.end).skip(r.start).map(|(k, v)| (k.clone(), v.clone())).collect()
+                };
+                scans_agree(&head, &half(0..at), &probes);
+                scans_agree(&tail, &half(at..run.len()), &probes);
+                let (key_bytes, bits, ends, items) = arrays(run);
+                let copy = SortedStore::from_parts(key_bytes, &bits, ends, items);
                 prop_assert_eq!(format!("{copy:?}"), format!("Some({run:?})"));
+                scans_agree(&copy.expect("a run's own arrays"), model, &probes);
             }
         }
     }

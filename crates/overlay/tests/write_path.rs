@@ -78,8 +78,8 @@ fn lent(run: Stretch<'_, S>) -> (usize, Vec<S>) {
 
 /// The same of `run`'s range `[lo, hi]`.
 fn in_range(run: &SortedStore<S>, lo: &Key, hi: &Key) -> (usize, Vec<S>) {
-    let (entries, items) = run.range_item_range(lo, hi);
-    (entries, run.items()[items].to_vec())
+    let entries = run.range_entries(lo, hi);
+    (entries.len(), run.items()[run.item_range(entries)].to_vec())
 }
 
 /// The same of the reference's entries.
