@@ -14,10 +14,11 @@
 //!   improve performance even more") — bigger postings, but candidates
 //!   verify before any object fetch.
 
-use sqo_core::{EngineBuilder, SimilarityEngine, Strategy};
+use sqo_core::{EngineBuilder, QueryStats, SimilarityEngine, Strategy};
 use sqo_datasets::{bible_words, string_rows};
 use sqo_plan::{Query, Session};
-use sqo_storage::triple::Value;
+use sqo_storage::publish::PublishConfig;
+use sqo_storage::triple::{Row, Value};
 use sqo_strsim::filters::FilterConfig;
 
 /// One ablation measurement.
@@ -33,62 +34,42 @@ pub struct AblationPoint {
     pub recall: f64,
 }
 
-/// Shared fixture: a mid-sized word network and a fixed query batch.
+sqo_obs::json_record! {
+    AblationPoint {
+        experiment, variant, messages_per_query, volume_kib_per_query, candidates_per_query,
+        matches, recall,
+    };
+}
+
+/// Shared fixture: a mid-sized word network of 512 peers and a fixed
+/// batch of distance-1 selections.
 struct Fixture {
-    words: Vec<String>,
+    rows: Vec<Row>,
     queries: Vec<String>,
-    peers: usize,
-    d: usize,
 }
 
 impl Fixture {
     fn new(seed: u64) -> Self {
         let words = bible_words(4_000, seed);
-        let queries: Vec<String> = words.iter().step_by(173).take(24).cloned().collect();
-        Self { words, queries, peers: 512, d: 1 }
+        let queries = words.iter().step_by(173).take(24).cloned().collect();
+        Self { rows: string_rows("word", &words, "w"), queries }
     }
 
-    fn engine(&self, q: usize, delegation: bool, filters: FilterConfig) -> SimilarityEngine {
-        self.engine_carrying(q, delegation, filters, false)
+    fn engine(&self, q: usize, batched: bool, f: FilterConfig, carry: bool) -> SimilarityEngine {
+        let publish = PublishConfig { q, grams_carry_value: carry };
+        let builder = EngineBuilder::new().peers(512).publish_config(publish).seed(99);
+        builder.delegation(batched).filters(f).build_with_rows(&self.rows)
     }
 
-    fn engine_carrying(
-        &self,
-        q: usize,
-        delegation: bool,
-        filters: FilterConfig,
-        carry: bool,
-    ) -> SimilarityEngine {
-        let rows = string_rows("word", &self.words, "w");
-        let publish = sqo_storage::publish::PublishConfig { q, grams_carry_value: carry };
-        EngineBuilder::new()
-            .peers(self.peers)
-            .publish_config(publish)
-            .seed(99)
-            .delegation(delegation)
-            .filters(filters)
-            .build_with_rows(&rows)
-    }
-
-    /// Run the query batch; returns (point sans experiment/variant, match
-    /// multiset) for recall computation.
-    fn run(
-        &self,
-        engine: &mut SimilarityEngine,
-        strategy: Strategy,
-    ) -> (AblationPoint, Vec<(String, String)>) {
-        engine.network_mut().reset_metrics();
-        let mut candidates = 0usize;
-        let mut matches = Vec::new();
-        let mut total_msgs = 0u64;
-        let mut total_bytes = 0u64;
+    /// Run the query batch; returns the point sans experiment, variant
+    /// and recall, and the match multiset recall is computed from.
+    fn run(&self, engine: &mut SimilarityEngine, strategy: Strategy) -> Measured {
+        let (mut total, mut matches) = (QueryStats::default(), Vec::new());
         for query in &self.queries {
             let from = engine.random_peer();
-            let q = Query::similar(query.as_str(), Some("word"), self.d).strategy(strategy);
+            let q = Query::similar(query.as_str(), Some("word"), 1).strategy(strategy);
             let res = Session::new(engine, from).run(&q).expect("a similarity query plans");
-            candidates += res.stats.candidates;
-            total_msgs += res.stats.traffic.messages;
-            total_bytes += res.stats.traffic.bytes;
+            total.absorb(&res.stats);
             for row in res.rows {
                 if let Value::Str(matched) = row.value {
                     matches.push((query.clone(), matched));
@@ -100,9 +81,9 @@ impl Fixture {
             AblationPoint {
                 experiment: "",
                 variant: String::new(),
-                messages_per_query: total_msgs as f64 / nq,
-                volume_kib_per_query: total_bytes as f64 / nq / 1024.0,
-                candidates_per_query: candidates as f64 / nq,
+                messages_per_query: total.traffic.messages as f64 / nq,
+                volume_kib_per_query: total.traffic.bytes as f64 / nq / 1024.0,
+                candidates_per_query: total.candidates as f64 / nq,
                 matches: matches.len(),
                 recall: 0.0,
             },
@@ -110,6 +91,9 @@ impl Fixture {
         )
     }
 }
+
+/// A measured point and its matches.
+type Measured = (AblationPoint, Vec<(String, String)>);
 
 fn recall(found: &[(String, String)], oracle: &[(String, String)]) -> f64 {
     if oracle.is_empty() {
@@ -120,78 +104,54 @@ fn recall(found: &[(String, String)], oracle: &[(String, String)]) -> f64 {
     hit as f64 / oracle.len() as f64
 }
 
-/// Run all ablations; returns the table rows.
+/// Run all ablations; returns the table rows. A configuration two
+/// experiments share (q = 2, every filter, batching on, grams only) is
+/// built and measured once.
 pub fn run_ablations(seed: u64) -> Vec<AblationPoint> {
     let fx = Fixture::new(seed);
-    let mut out = Vec::new();
-
+    let all = FilterConfig::default();
     // Oracle: the naive method is exact by construction.
-    let mut oracle_engine = fx.engine(3, true, FilterConfig::default());
-    let (_, oracle) = fx.run(&mut oracle_engine, Strategy::Naive);
-
-    // ---- A1: q length --------------------------------------------------
-    for q in [2usize, 3, 4] {
-        let mut e = fx.engine(q, true, FilterConfig::default());
-        let (mut p, found) = fx.run(&mut e, Strategy::QGrams);
-        p.experiment = "A1-q-length";
-        p.variant = format!("q={q}");
+    let mut q3 = fx.engine(3, true, all, false);
+    let (_, oracle) = fx.run(&mut q3, Strategy::Naive);
+    let mut out = Vec::new();
+    let mut push = |experiment, variant: &str, (mut p, found): Measured| {
+        p.experiment = experiment;
+        p.variant = variant.to_string();
         p.recall = recall(&found, &oracle);
         out.push(p);
-    }
+    };
+    let mut base = fx.engine(2, true, all, false);
+    let grams = fx.run(&mut base, Strategy::QGrams);
+    let [samples, strings] = [Strategy::QSamples, Strategy::Naive].map(|s| fx.run(&mut base, s));
+    let variant = |q, delegation, filters, carry| {
+        fx.run(&mut fx.engine(q, delegation, filters, carry), Strategy::QGrams)
+    };
 
-    // ---- A2: filters ----------------------------------------------------
-    let variants: [(&str, FilterConfig); 4] = [
-        ("all", FilterConfig::default()),
-        ("no-position", FilterConfig { position: false, ..FilterConfig::default() }),
-        ("no-length", FilterConfig { length: false, ..FilterConfig::default() }),
-        ("none", FilterConfig::none()),
-    ];
-    for (name, filters) in variants {
-        let mut e = fx.engine(2, true, filters);
-        let (mut p, found) = fx.run(&mut e, Strategy::QGrams);
-        p.experiment = "A2-filters";
-        p.variant = name.to_string();
-        p.recall = recall(&found, &oracle);
-        out.push(p);
-    }
-
-    // ---- A3: delegation / batching ---------------------------------------
-    for delegation in [true, false] {
-        let mut e = fx.engine(2, delegation, FilterConfig::default());
-        let (mut p, found) = fx.run(&mut e, Strategy::QGrams);
-        p.experiment = "A3-delegation";
-        p.variant = if delegation { "batched (on)" } else { "per-key (off)" }.to_string();
-        p.recall = recall(&found, &oracle);
-        out.push(p);
-    }
-
-    // ---- A5: value-carrying gram postings ---------------------------------
-    for carry in [false, true] {
-        let mut e = fx.engine_carrying(2, true, FilterConfig::default(), carry);
-        let (mut p, found) = fx.run(&mut e, Strategy::QGrams);
-        p.experiment = "A5-carry-value";
-        p.variant = if carry { "grams+value" } else { "grams only" }.to_string();
-        p.recall = recall(&found, &oracle);
-        out.push(p);
-    }
-
-    // ---- A4: strategy recall ---------------------------------------------
-    for strategy in [Strategy::QGrams, Strategy::QSamples, Strategy::Naive] {
-        let mut e = fx.engine(2, true, FilterConfig::default());
-        let (mut p, found) = fx.run(&mut e, strategy);
-        p.experiment = "A4-strategy";
-        p.variant = strategy.label().to_string();
-        p.recall = recall(&found, &oracle);
-        out.push(p);
-    }
-
+    push("A1-q-length", "q=2", grams.clone());
+    push("A1-q-length", "q=3", fx.run(&mut q3, Strategy::QGrams));
+    push("A1-q-length", "q=4", variant(4, true, all, false));
+    push("A2-filters", "all", grams.clone());
+    push(
+        "A2-filters",
+        "no-position",
+        variant(2, true, FilterConfig { position: false, ..all }, false),
+    );
+    push("A2-filters", "no-length", variant(2, true, FilterConfig { length: false, ..all }, false));
+    push("A2-filters", "none", variant(2, true, FilterConfig::none(), false));
+    push("A3-delegation", "batched (on)", grams.clone());
+    push("A3-delegation", "per-key (off)", variant(2, false, all, false));
+    push("A5-carry-value", "grams only", grams.clone());
+    push("A5-carry-value", "grams+value", variant(2, true, all, true));
+    push("A4-strategy", "qgrams", grams);
+    push("A4-strategy", "qsamples", samples);
+    push("A4-strategy", "strings", strings);
     out
 }
 
 /// Render as an aligned table.
 pub fn render(points: &[AblationPoint]) -> String {
     let mut s = String::from(
-        "== Ablations (A1 q-length, A2 filters, A3 delegation, A4 strategy recall, A5 value-carrying grams) ==\n",
+        "\n== Ablations (A1 q-length, A2 filters, A3 delegation, A4 strategy recall, A5 value-carrying grams) ==\n",
     );
     s.push_str(&format!(
         "{:<16}{:<16}{:>12}{:>12}{:>12}{:>9}{:>8}\n",
@@ -214,37 +174,33 @@ pub fn render(points: &[AblationPoint]) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::figure1::committed::{num, rows};
+    use sqo_obs::Json;
 
+    /// The A1–A5 orderings, on the committed bytes.
     #[test]
     fn ablations_produce_consistent_trends() {
-        let points = run_ablations(5);
+        let points = rows("ablation");
         let find = |exp: &str, var: &str| {
-            points
-                .iter()
-                .find(|p| p.experiment == exp && p.variant == var)
-                .unwrap_or_else(|| panic!("missing {exp}/{var}"))
+            let is = |p: &Json, k, v| p.get(k).and_then(Json::as_str) == Some(v);
+            let p = points.iter().find(|p| is(p, "experiment", exp) && is(p, "variant", var));
+            p.unwrap_or_else(|| panic!("missing {exp}/{var}")).clone()
         };
-        // A2: disabling all filters can only increase candidates.
-        assert!(
-            find("A2-filters", "none").candidates_per_query
-                >= find("A2-filters", "all").candidates_per_query
-        );
+        let (all, none) = (find("A2-filters", "all"), find("A2-filters", "none"));
+        // A2: disabling all filters can only increase candidates, and
+        // filters never hurt recall (soundness).
+        assert!(num(&none, "candidates_per_query") >= num(&all, "candidates_per_query"));
+        assert_eq!(num(&all, "recall"), num(&none, "recall"));
         // A3: batching can only reduce messages.
-        assert!(
-            find("A3-delegation", "batched (on)").messages_per_query
-                <= find("A3-delegation", "per-key (off)").messages_per_query
-        );
+        let (on, off) =
+            (find("A3-delegation", "batched (on)"), find("A3-delegation", "per-key (off)"));
+        assert!(num(&on, "messages_per_query") <= num(&off, "messages_per_query"));
         // A4: naive recall is 1 by construction.
-        assert!((find("A4-strategy", "strings").recall - 1.0).abs() < 1e-9);
-        // Filters never hurt recall (soundness).
-        assert!(
-            (find("A2-filters", "all").recall - find("A2-filters", "none").recall).abs() < 1e-9
-        );
+        assert_eq!(num(&find("A4-strategy", "strings"), "recall"), 1.0);
         // A5: carrying values trades volume for fewer messages, same recall.
-        let plain = find("A5-carry-value", "grams only");
-        let carry = find("A5-carry-value", "grams+value");
-        assert!((plain.recall - carry.recall).abs() < 1e-9);
-        assert!(carry.messages_per_query <= plain.messages_per_query);
+        let (plain, carry) =
+            (find("A5-carry-value", "grams only"), find("A5-carry-value", "grams+value"));
+        assert_eq!(num(&plain, "recall"), num(&carry, "recall"));
+        assert!(num(&carry, "messages_per_query") <= num(&plain, "messages_per_query"));
     }
 }

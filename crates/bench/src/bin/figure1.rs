@@ -1,98 +1,58 @@
-//! Regenerates Figure 1 of the paper (all four panels).
+//! Regenerates the §6 evaluation: Figure 1 (all four panels, split by
+//! operator and leg kind, carried values off and on), the §2 routing cost,
+//! the §8 storage overhead and the A1–A5 ablations.
 //!
 //! ```text
-//! cargo run -p sqo-bench --release --bin figure1 -- [--full] [--smoke]
-//!     [--dataset words|titles|both] [--peers 128,512,...]
-//!     [--initiations N] [--words-size N] [--titles-size N]
-//!     [--csv out.csv] [--json out.json]
+//! figure1 [--full] [--out PATH]
 //! ```
 //!
-//! Default is a scaled-down run (about 14–18 s in a release build on two
-//! CPUs); `--full` is paper scale (about 11.5 min, run as four processes).
+//! Writes [`sqo_bench::figure1::artifact`] to `PATH` (default
+//! `BENCH_figure1.json`) and prints every table of it to stdout. The
+//! committed `BENCH_figure1.json` at the repository root is the default
+//! run's output, byte for byte; `tests/bench_figure1.rs` fails when it is
+//! not. `--full` is paper scale (`docs/FIGURE1.md`). The output file is
+//! created before the sweep runs, so an unwritable path fails at once.
 
-use sqo_bench::figure1::{render_csv, render_tables, run_figure1, Dataset, Figure1Config};
+use sqo_bench::figure1::{artifact, render, run_figure1, Figure1Config};
 use sqo_bench::meta::write_or_exit;
-use sqo_obs::to_json_pretty;
+
+fn usage() -> ! {
+    eprintln!("usage: figure1 [--full] [--out PATH]");
+    std::process::exit(2);
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = Figure1Config::default();
-    let mut csv_out: Option<String> = None;
-    let mut json_out: Option<String> = None;
-
+    let mut out = String::from("BENCH_figure1.json");
     let mut i = 0;
     while i < args.len() {
-        let arg = args[i].as_str();
-        let take_value = |i: &mut usize| -> String {
-            *i += 1;
-            args.get(*i).unwrap_or_else(|| die(&format!("{arg} needs a value"))).clone()
-        };
-        match arg {
+        match args[i].as_str() {
             "--full" => cfg = Figure1Config::full(),
-            "--smoke" => cfg = Figure1Config::smoke(),
-            "--dataset" => {
-                cfg.datasets = match take_value(&mut i).as_str() {
-                    "words" => vec![Dataset::Words],
-                    "titles" => vec![Dataset::Titles],
-                    "both" => vec![Dataset::Words, Dataset::Titles],
-                    other => die(&format!("unknown dataset {other:?}")),
-                }
+            "--out" => {
+                i += 1;
+                out = args.get(i).cloned().unwrap_or_else(|| usage());
             }
-            "--peers" => {
-                cfg.peer_counts = take_value(&mut i)
-                    .split(',')
-                    .map(|s| s.trim().parse().unwrap_or_else(|_| die("bad peer count")))
-                    .collect()
-            }
-            "--initiations" => {
-                cfg.spec.initiations =
-                    take_value(&mut i).parse().unwrap_or_else(|_| die("bad initiations"))
-            }
-            "--words-size" => {
-                cfg.words_size =
-                    take_value(&mut i).parse().unwrap_or_else(|_| die("bad words size"))
-            }
-            "--titles-size" => {
-                cfg.titles_size =
-                    take_value(&mut i).parse().unwrap_or_else(|_| die("bad titles size"))
-            }
-            "--csv" => csv_out = Some(take_value(&mut i)),
-            "--json" => json_out = Some(take_value(&mut i)),
             "--help" | "-h" => {
-                println!("see module docs: cargo doc -p sqo-bench --bin figure1");
+                println!("usage: figure1 [--full] [--out PATH]");
                 return;
             }
-            other => die(&format!("unknown argument {other:?}")),
+            other => {
+                eprintln!("figure1: unknown argument {other:?}");
+                usage();
+            }
         }
         i += 1;
     }
 
-    eprintln!(
-        "figure1: datasets {:?}, peers {:?}, {} initiations (mix of {} queries each)",
-        cfg.datasets,
-        cfg.peer_counts,
-        cfg.spec.initiations,
-        cfg.spec.top_n.len() + cfg.spec.join_distances.len()
-    );
-    let points = run_figure1(&cfg, |p| {
+    write_or_exit("figure1", &out, "");
+    let sweep = run_figure1(&cfg, |c| {
         eprintln!(
-            "  [{:?} n={:>6} {:<8}] {:>9.1} msgs/q {:>9.2} KiB/q",
-            p.dataset, p.peers, p.strategy, p.messages_per_query, p.volume_kib_per_query
+            "  [{:?} {} n={:>6} {:<8} {:<5}] {:>9.1} msgs/q {:>9.2} KiB/q",
+            c.dataset, c.carry, c.peers, c.strategy, c.operator, c.messages, c.kib
         );
     });
-
-    println!("{}", render_tables(&points));
-    if let Some(path) = csv_out {
-        write_or_exit("figure1", &path, &render_csv(&points));
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = json_out {
-        write_or_exit("figure1", &path, &to_json_pretty(&points));
-        eprintln!("wrote {path}");
-    }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("figure1: {msg}");
-    std::process::exit(2);
+    print!("{}", render(&sweep));
+    write_or_exit("figure1", &out, &artifact(&cfg, &sweep));
+    eprintln!("wrote {} cells to {out}", sweep.cells.len());
 }

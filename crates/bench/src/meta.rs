@@ -1,12 +1,12 @@
-//! What the two committed artifacts share: the `generated` block, the
+//! What the three committed artifacts share: the `generated` block, the
 //! golden-file check, and how the bins write them.
 //!
-//! `BENCH_latency.json` and `BENCH_churn.json` are exact functions of the
-//! code — message counts and virtual time, no wall clock, nothing read
-//! from the host — so the committed files are **golden files**: tier-1
-//! regenerates each from its default configuration and demands the same
-//! bytes ([`golden_mismatch`]). The `generated` block records the
-//! configuration a reader needs to interpret the points.
+//! `BENCH_figure1.json`, `BENCH_latency.json` and `BENCH_churn.json` are
+//! exact functions of the code — message counts and virtual time, no wall
+//! clock, nothing read from the host — so the committed files are **golden
+//! files**: tier-1 regenerates each from its default configuration and
+//! demands the same bytes ([`golden_mismatch`]). The `generated` block
+//! records the configuration a reader needs to interpret the points.
 
 /// Generation metadata embedded in a `BENCH_*.json` artifact. The fields
 /// that vary per bench (clients, words, items…) live in `workload`, a

@@ -1,12 +1,11 @@
 //! E5: the §2 routing-cost claim.
 //!
 //! *"the expected search cost remains logarithmic (0.5 logN), independently
-//! of how the P-Grid is structured."* This experiment measures average
-//! routing hops per lookup across network sizes and reports the ratio to
-//! log₂(partitions).
+//! of how the P-Grid is structured."* Average routing hops per object
+//! lookup, measured on the words engines of the Figure 1 sweep, one row
+//! per network size.
 
-use sqo_core::EngineBuilder;
-use sqo_datasets::{bible_words, string_rows};
+use sqo_core::SimilarityEngine;
 use sqo_storage::keys;
 
 /// One row of the routing-cost table.
@@ -15,48 +14,45 @@ pub struct RoutingPoint {
     pub peers: usize,
     pub partitions: usize,
     pub lookups: usize,
-    pub avg_hops: f64,
-    /// `avg_hops / log2(partitions)` — the paper predicts ≈ 0.5.
-    pub hops_over_log: f64,
+    pub route_hops: u64,
+    pub hops_per_lookup: f64,
 }
 
-/// Measure average lookup hops for each network size.
-pub fn run_routing_cost(
-    peer_counts: &[usize],
-    dataset_size: usize,
-    lookups: usize,
-    seed: u64,
-) -> Vec<RoutingPoint> {
-    let words = bible_words(dataset_size, seed);
-    let rows = string_rows("word", &words, "w");
-    peer_counts
-        .iter()
-        .map(|&peers| {
-            let mut engine = EngineBuilder::new().peers(peers).seed(seed).build_with_rows(&rows);
-            engine.network_mut().reset_metrics();
-            for i in 0..lookups {
-                let from = engine.random_peer();
-                let key = keys::oid_key(&format!("w:{}", (i * 7919) % dataset_size));
-                let _ = engine.network_mut().route(from, &key);
-            }
-            let m = engine.network().metrics();
-            let partitions = engine.network().partition_count();
-            let avg_hops = m.route_hops as f64 / lookups as f64;
-            let log_p = (partitions.max(2) as f64).log2();
-            RoutingPoint { peers, partitions, lookups, avg_hops, hops_over_log: avg_hops / log_p }
-        })
-        .collect()
+sqo_obs::json_record! { RoutingPoint { peers, partitions, lookups, route_hops, hops_per_lookup }; }
+
+/// Route `lookups` object keys (`s:<i>`, of `objects` objects) from
+/// random peers of `e` and count the hops.
+pub fn measure_routing(e: &mut SimilarityEngine, lookups: usize, objects: usize) -> RoutingPoint {
+    let before = e.network().metrics().route_hops;
+    for i in 0..lookups {
+        let from = e.random_peer();
+        let key = keys::oid_key(&format!("s:{}", (i * 7919) % objects));
+        let _ = e.network_mut().route(from, &key);
+    }
+    let route_hops = e.network().metrics().route_hops - before;
+    RoutingPoint {
+        peers: e.network().peer_count(),
+        partitions: e.network().partition_count(),
+        lookups,
+        route_hops,
+        hops_per_lookup: route_hops as f64 / lookups.max(1) as f64,
+    }
 }
 
 /// Render as an aligned table.
 pub fn render(points: &[RoutingPoint]) -> String {
     let mut s = String::from(
-        "== E5: routing cost (paper §2: expected 0.5·log2 N) ==\n     peers partitions   avg hops  hops/log2(P)\n",
+        "\n== E5: routing cost (paper §2: expected 0.5·log2 N) ==\n     peers partitions   \
+         avg hops  hops/log2(P)\n",
     );
     for p in points {
+        let log_p = (p.partitions.max(2) as f64).log2();
         s.push_str(&format!(
             "{:>10} {:>10} {:>10.2} {:>13.3}\n",
-            p.peers, p.partitions, p.avg_hops, p.hops_over_log
+            p.peers,
+            p.partitions,
+            p.hops_per_lookup,
+            p.hops_per_lookup / log_p
         ));
     }
     s
@@ -64,30 +60,24 @@ pub fn render(points: &[RoutingPoint]) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::figure1::committed::{fit, num, rows};
 
+    /// §2 on the committed bytes: hops grow as `a + b·log2 P` — a
+    /// least-squares fit over the peer counts with residuals under a third
+    /// of a hop, far closer than `a + b·P` — and per log2 P they approach
+    /// the paper's 0.5 at the largest network.
     #[test]
     fn hops_stay_logarithmic() {
-        let points = run_routing_cost(&[64, 512, 4096], 2_000, 150, 7);
-        for p in &points {
-            assert!(
-                p.hops_over_log < 1.05,
-                "routing cost {:.3}·log2(P) at {} peers exceeds logarithmic budget",
-                p.hops_over_log,
-                p.peers
-            );
-        }
-        // Hops grow with network size, but only logarithmically: the
-        // hops/log2(P) constant stays in a narrow band around the paper's
-        // 0.5 across a 64x size increase.
-        assert!(points[2].avg_hops > points[0].avg_hops);
-        for p in &points {
-            assert!(
-                p.hops_over_log > 0.2,
-                "implausibly cheap routing at {} peers: {:.3}·log2(P)",
-                p.peers,
-                p.hops_over_log
-            );
-        }
+        let points = rows("routing");
+        assert!(points.len() >= 3, "a fit needs three network sizes");
+        let at = |x: fn(f64) -> f64| -> Vec<(f64, f64)> {
+            points.iter().map(|p| (x(num(p, "partitions")), num(p, "hops_per_lookup"))).collect()
+        };
+        let (slope, intercept, worst) = fit(&at(f64::log2));
+        assert!((0.4..0.9).contains(&slope), "hops grow {slope:.3}·log2(P) + {intercept:.2}");
+        assert!(worst < 0.3, "a residual of {worst:.2} hops is not logarithmic growth");
+        assert!(worst * 2.0 < fit(&at(|p| p)).2, "hops fit a + b·P as well as a + b·log2 P");
+        let (log_p, hops) = at(f64::log2).pop().expect("a largest network");
+        assert!((0.4..0.55).contains(&(hops / log_p)), "{hops:.2} hops at log2(P) = {log_p:.1}");
     }
 }

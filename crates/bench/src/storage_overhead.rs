@@ -5,10 +5,11 @@
 //! the number of attribute columns"* — measured here as postings and bytes
 //! per row while the number of attributes grows, split by index family.
 
-use sqo_datasets::words::bible_words;
+use sqo_core::EngineBuilder;
+use sqo_datasets::{bible_words, string_rows};
 use sqo_storage::objects::UNNUMBERED;
 use sqo_storage::publish::{batch_for_rows, PublishConfig};
-use sqo_storage::triple::{Row, Value};
+use sqo_storage::triple::Row;
 
 /// One row of the overhead table.
 #[derive(Debug, Clone)]
@@ -25,34 +26,22 @@ pub struct OverheadPoint {
     pub postings_per_triple: f64,
 }
 
-/// Publish `rows_per_point` rows with 1..=`max_attrs` string attributes and
+/// Row `r` of `n` string attributes `attr00…`, its values drawn from `pool`.
+fn row(oid: String, n: usize, r: usize, pool: &[String]) -> Row {
+    Row::new(oid, (0..n).map(|a| (format!("attr{a:02}"), pool[(r * n + a) % pool.len()].as_str())))
+}
+
+/// Publish `rows` rows with 1..=`attrs` string attributes and
 /// account the posting inventory.
-pub fn run_storage_overhead(
-    max_attrs: usize,
-    rows_per_point: usize,
-    q: usize,
-    seed: u64,
-) -> Vec<OverheadPoint> {
-    let pool = bible_words(rows_per_point * max_attrs, seed);
+pub fn run_storage_overhead(attrs: usize, rows: usize, q: usize, seed: u64) -> Vec<OverheadPoint> {
+    let pool = bible_words(rows * attrs, seed);
     let cfg = PublishConfig { q, ..PublishConfig::default() };
-    (1..=max_attrs)
-        .map(|n_attrs| {
-            let rows: Vec<Row> = (0..rows_per_point)
-                .map(|r| {
-                    let fields: Vec<(String, Value)> = (0..n_attrs)
-                        .map(|a| {
-                            (
-                                format!("attr{a:02}"),
-                                Value::from(pool[(r * n_attrs + a) % pool.len()].clone()),
-                            )
-                        })
-                        .collect();
-                    Row::new(format!("row:{r}"), fields)
-                })
-                .collect();
-            let (_, stats) = batch_for_rows(&rows, &cfg, |_| UNNUMBERED);
+    (1..=attrs)
+        .map(|n| {
+            let batch: Vec<Row> = (0..rows).map(|r| row(format!("row:{r}"), n, r, &pool)).collect();
+            let (_, stats) = batch_for_rows(&batch, &cfg, |_| UNNUMBERED);
             OverheadPoint {
-                attributes: n_attrs,
+                attributes: n,
                 rows: stats.rows,
                 triples: stats.triples,
                 base_postings: stats.base_postings,
@@ -65,6 +54,16 @@ pub fn run_storage_overhead(
             }
         })
         .collect()
+}
+
+sqo_obs::json_record! {
+    OverheadPoint {
+        attributes, rows, triples, base_postings, instance_gram_postings, schema_gram_postings,
+        short_postings, total_postings, bytes_per_row, postings_per_triple,
+    };
+    PublishCostPoint {
+        attributes, peers, messages_per_row, messages_per_row_batched, bytes_per_row,
+    };
 }
 
 /// One row of the publication-cost table (E6b): overlay messages paid to
@@ -83,55 +82,34 @@ pub struct PublishCostPoint {
 
 /// Measure per-row publication messages on a live network (§8: "the
 /// additional number of messages is linear in the number of attribute
-/// columns"). Rows are published one by one from random peers.
-pub fn run_publish_cost(
-    max_attrs: usize,
-    rows_per_point: usize,
-    peers: usize,
-    seed: u64,
-) -> Vec<PublishCostPoint> {
-    use sqo_core::EngineBuilder;
-    use sqo_datasets::string_rows;
-
-    let words = bible_words(3_000, seed);
+/// columns"): `rows` rows of 1..=`attrs` attributes, published one by one
+/// from random peers into one engine per write path.
+pub fn run_publish_cost(attrs: usize, rows: usize, seed: u64) -> Vec<PublishCostPoint> {
+    let (words, peers) = (bible_words(3_000, seed), 256);
     let base = string_rows("word", &words, "w");
-    (1..=max_attrs)
-        .map(|n_attrs| {
-            let mut per_mode = [0.0f64; 2];
-            let mut bytes_per_row = 0.0;
-            for (mode, batched) in [(0usize, false), (1, true)] {
-                let mut engine = EngineBuilder::new()
-                    .peers(peers)
-                    .seed(seed)
-                    .delegation(batched)
-                    .build_with_rows(&base);
-                engine.network_mut().reset_metrics();
-                let mut messages = 0u64;
-                let mut bytes = 0u64;
-                for r in 0..rows_per_point {
-                    let fields: Vec<(String, Value)> = (0..n_attrs)
-                        .map(|a| {
-                            (
-                                format!("attr{a:02}"),
-                                Value::from(words[(r * n_attrs + a) % words.len()].clone()),
-                            )
-                        })
-                        .collect();
+    let mut engines = [false, true]
+        .map(|batched| EngineBuilder::new().peers(peers).seed(seed).delegation(batched))
+        .map(|b| b.build_with_rows(&base));
+    (1..=attrs)
+        .map(|n| {
+            let [(per_posting, _), (batched, bytes)] = engines.each_mut().map(|engine| {
+                let (mut messages, mut bytes) = (0, 0);
+                for r in 0..rows {
                     let from = engine.random_peer();
-                    let stats =
-                        engine.publish_rows_traced(&[Row::new(format!("p:{r}"), fields)], from);
+                    let published = [row(format!("p{n}:{r}"), n, r, &words)];
+                    let stats = engine.publish_rows_traced(&published, from);
                     messages += stats.traffic.messages;
                     bytes += stats.traffic.bytes;
                 }
-                per_mode[mode] = messages as f64 / rows_per_point as f64;
-                bytes_per_row = bytes as f64 / rows_per_point as f64;
-            }
+                let per_row = |n: u64| n as f64 / rows as f64;
+                (per_row(messages), per_row(bytes))
+            });
             PublishCostPoint {
-                attributes: n_attrs,
+                attributes: n,
                 peers,
-                messages_per_row: per_mode[0],
-                messages_per_row_batched: per_mode[1],
-                bytes_per_row,
+                messages_per_row: per_posting,
+                messages_per_row_batched: batched,
+                bytes_per_row: bytes,
             }
         })
         .collect()
@@ -154,7 +132,7 @@ pub fn render_publish(points: &[PublishCostPoint]) -> String {
 /// Render as an aligned table.
 pub fn render(points: &[OverheadPoint]) -> String {
     let mut s = String::from(
-        "== E6: storage overhead vs attribute count (paper §8: linear) ==\n attrs  triples     base  igram  sgram  short    total  bytes/row  postings/triple\n",
+        "\n== E6: storage overhead vs attribute count (paper §8: linear) ==\n attrs  triples     base  igram  sgram  short    total  bytes/row  postings/triple\n",
     );
     for p in points {
         s.push_str(&format!(
@@ -175,40 +153,47 @@ pub fn render(points: &[OverheadPoint]) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::figure1::committed::{num, rows};
 
+    /// §8 on the committed bytes: postings per triple stay put as the
+    /// attribute count grows — the blow-up is linear in the columns — at
+    /// the factor the triple + q-gram index costs on word-like data.
     #[test]
     fn overhead_is_linear_in_attributes() {
-        let points = run_storage_overhead(6, 50, 3, 11);
-        assert_eq!(points.len(), 6);
-        // Postings per triple stay roughly constant (that's linearity in
-        // the column count).
-        let first = points[0].postings_per_triple;
-        let last = points[5].postings_per_triple;
+        let points = rows("storage");
+        let factor: Vec<f64> = points.iter().map(|p| num(p, "postings_per_triple")).collect();
+        let (first, last) = (factor[0], factor[factor.len() - 1]);
         assert!(
             (first - last).abs() / first < 0.25,
             "postings/triple drifted: {first:.2} → {last:.2}"
         );
-        // Totals grow with attribute count.
-        assert!(points[5].total_postings > points[0].total_postings * 4);
+        assert!((11.0..12.0).contains(&first), "{first:.2} postings per triple");
+        let total = |p: &sqo_obs::Json| num(p, "total_postings");
+        assert!(total(&points[points.len() - 1]) > 4.0 * total(&points[0]));
+        for p in &points {
+            assert_eq!(num(p, "triples"), num(p, "rows") * num(p, "attributes"));
+        }
     }
 }
 
 #[cfg(test)]
 mod publish_cost_tests {
-    use super::*;
+    use crate::figure1::committed::{fit, num, rows};
 
+    /// Per-posting routing (the paper's model) costs messages per row
+    /// about linearly in the attribute count, and batching only helps.
     #[test]
     fn publication_messages_grow_linearly() {
-        let points = run_publish_cost(6, 8, 256, 3);
-        // Per-posting routing (the paper's model) is ~linear in attributes.
-        let m1 = points[0].messages_per_row;
-        let m6 = points[5].messages_per_row;
+        let points = rows("publish");
+        let per_row: Vec<(f64, f64)> =
+            points.iter().map(|p| (num(p, "attributes"), num(p, "messages_per_row"))).collect();
+        let (m1, m6) = (per_row[0].1, per_row[5].1);
         assert!(m6 > m1 * 3.0, "6 attributes should cost ≳ 3x one ({m1:.1} -> {m6:.1})");
         assert!(m6 < m1 * 12.0, "growth should stay near-linear ({m1:.1} -> {m6:.1})");
-        // Batching only helps.
+        let (slope, _, worst) = fit(&per_row);
+        assert!(slope > 0.0 && worst < 0.15 * m6, "a residual of {worst:.1} on {m6:.1} messages");
         for p in &points {
-            assert!(p.messages_per_row_batched <= p.messages_per_row);
+            assert!(num(p, "messages_per_row_batched") <= num(p, "messages_per_row"));
         }
     }
 }

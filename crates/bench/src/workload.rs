@@ -19,7 +19,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqo_core::{QueryStats, SimilarityEngine, Strategy};
-use sqo_datasets::ZipfSampler;
+use sqo_overlay::peer::PeerId;
 use sqo_plan::{Query, Session};
 
 /// The §6 query mix, parameterized.
@@ -35,9 +35,6 @@ pub struct WorkloadSpec {
     pub initiations: usize,
     /// Left-side cap per join (see module docs).
     pub join_left_limit: Option<usize>,
-    /// Zipf exponent for search-string popularity; 0.0 = uniform (the
-    /// paper's random choice), > 0 enables the skewed-workload ablation.
-    pub zipf_exponent: f64,
 }
 
 impl Default for WorkloadSpec {
@@ -48,48 +45,47 @@ impl Default for WorkloadSpec {
             join_distances: vec![1, 2, 3],
             initiations: 40,
             join_left_limit: Some(20),
-            zipf_exponent: 0.0,
         }
     }
 }
 
 impl WorkloadSpec {
-    /// A scaled-down mix for tests and smoke runs.
-    pub fn smoke() -> Self {
-        Self {
-            top_n: vec![3],
-            top_n_dmax: 2,
-            join_distances: vec![1],
-            initiations: 2,
-            join_left_limit: Some(4),
-            zipf_exponent: 0.0,
-        }
-    }
-
     /// Total number of query initiations in the mix.
     pub fn total_queries(&self) -> usize {
         (self.top_n.len() + self.join_distances.len()) * self.initiations
     }
 }
 
-/// Aggregated outcome of one workload run.
+/// One operator's share of a workload run: its queries' summed stats, the
+/// remote legs they addressed by [`sqo_core::Leg`] kind (indexed `kind as usize`)
+/// and the objects their fetch legs asked for.
 #[derive(Debug, Clone, Default)]
-pub struct WorkloadReport {
-    pub total: QueryStats,
-    pub queries_run: usize,
-    pub top_n_stats: QueryStats,
-    pub join_stats: QueryStats,
+pub struct OperatorTotals {
+    pub queries: usize,
+    pub stats: QueryStats,
+    pub legs: [u64; 5],
+    pub objects: u64,
 }
 
-impl WorkloadReport {
-    /// Messages per query, the y-axis of Figure 1 (a)/(c) divided by the
-    /// mix size.
-    pub fn messages_per_query(&self) -> f64 {
-        if self.queries_run == 0 {
-            return 0.0;
+impl OperatorTotals {
+    fn run(&mut self, engine: &mut SimilarityEngine, from: PeerId, q: &Query) {
+        let (legs, objects) = engine.legs();
+        let res = Session::new(engine, from).run(q).expect("a §6 query plans");
+        let (after, fetched) = engine.legs();
+        self.queries += 1;
+        self.stats.absorb(&res.stats);
+        for (sum, (now, then)) in self.legs.iter_mut().zip(after.iter().zip(legs)) {
+            *sum += now - then;
         }
-        self.total.traffic.messages as f64 / self.queries_run as f64
+        self.objects += fetched - objects;
     }
+}
+
+/// Aggregated outcome of one workload run, split by operator.
+#[derive(Debug, Clone, Default)]
+pub struct WorkloadReport {
+    pub top_n: OperatorTotals,
+    pub join: OperatorTotals,
 }
 
 /// Run the §6 mix against `engine` on string attribute `attr`, drawing
@@ -106,15 +102,7 @@ pub fn run_workload(
 ) -> WorkloadReport {
     assert!(!strings.is_empty(), "workload needs a non-empty string pool");
     let mut rng = StdRng::seed_from_u64(seed);
-    let zipf =
-        (spec.zipf_exponent > 0.0).then(|| ZipfSampler::new(strings.len(), spec.zipf_exponent));
-    let pick = |rng: &mut StdRng| -> &str {
-        let idx = match &zipf {
-            Some(z) => z.sample(rng),
-            None => rng.gen_range(0..strings.len()),
-        };
-        &strings[idx]
-    };
+    let pick = |rng: &mut StdRng| strings[rng.gen_range(0..strings.len())].as_str();
 
     let mut report = WorkloadReport::default();
     for _ in 0..spec.initiations {
@@ -122,10 +110,7 @@ pub fn run_workload(
             let s = pick(&mut rng).to_string();
             let from = engine.random_peer();
             let q = Query::top_n_similar(Some(attr), n, s, spec.top_n_dmax).strategy(strategy);
-            let res = Session::new(engine, from).run(&q).expect("a top-N of n >= 1 plans");
-            report.total.absorb(&res.stats);
-            report.top_n_stats.absorb(&res.stats);
-            report.queries_run += 1;
+            report.top_n.run(engine, from, &q);
         }
         for &d in &spec.join_distances {
             let from = engine.random_peer();
@@ -133,10 +118,7 @@ pub fn run_workload(
                 .strategy(strategy)
                 .window(1)
                 .left_limit(spec.join_left_limit);
-            let res = Session::new(engine, from).run(&q).expect("a self-join plans");
-            report.total.absorb(&res.stats);
-            report.join_stats.absorb(&res.stats);
-            report.queries_run += 1;
+            report.join.run(engine, from, &q);
         }
     }
     report
@@ -145,7 +127,7 @@ pub fn run_workload(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqo_core::EngineBuilder;
+    use sqo_core::{EngineBuilder, Leg};
     use sqo_storage::triple::{Row, Value};
 
     fn engine(words: &[String], peers: usize) -> SimilarityEngine {
@@ -157,24 +139,38 @@ mod tests {
         EngineBuilder::new().peers(peers).seed(60).q(2).build_with_rows(&rows)
     }
 
+    /// One top-N and one self-join, twice.
+    fn small() -> WorkloadSpec {
+        WorkloadSpec {
+            top_n: vec![3],
+            top_n_dmax: 2,
+            join_distances: vec![1],
+            initiations: 2,
+            join_left_limit: Some(4),
+        }
+    }
+
     #[test]
     fn smoke_mix_runs_and_counts() {
         let words = sqo_datasets::bible_words(300, 9);
         let mut e = engine(&words, 32);
-        let spec = WorkloadSpec::smoke();
-        let rep = run_workload(&mut e, "word", &words, &spec, Strategy::QGrams, 1);
-        assert_eq!(rep.queries_run, spec.total_queries());
-        assert!(rep.total.traffic.messages > 0);
-        assert!(rep.messages_per_query() > 0.0);
+        let rep = run_workload(&mut e, "word", &words, &small(), Strategy::QGrams, 1);
+        assert_eq!(rep.top_n.queries + rep.join.queries, small().total_queries());
+        for op in [&rep.top_n, &rep.join] {
+            assert!(op.stats.traffic.messages > 0);
+            assert_eq!(op.legs.iter().sum::<u64>(), op.stats.partitions_addressed);
+        }
+        assert!(rep.top_n.legs[Leg::Probe as usize] > 0);
+        assert!(rep.join.legs[Leg::JoinLeft as usize] > 0);
     }
 
     #[test]
     fn deterministic_given_seed() {
         let words = sqo_datasets::bible_words(200, 10);
-        let spec = WorkloadSpec::smoke();
         let run = || {
             let mut e = engine(&words, 16);
-            run_workload(&mut e, "word", &words, &spec, Strategy::QSamples, 5).total.traffic
+            let rep = run_workload(&mut e, "word", &words, &small(), Strategy::QSamples, 5);
+            (rep.top_n.stats.traffic, rep.join.stats.traffic, rep.top_n.legs, rep.join.objects)
         };
         assert_eq!(run(), run());
     }
@@ -182,17 +178,12 @@ mod tests {
     #[test]
     fn qsamples_probe_no_more_than_qgrams() {
         let words = sqo_datasets::bible_words(400, 11);
-        let spec = WorkloadSpec::smoke();
         let mut e1 = engine(&words, 64);
-        let g = run_workload(&mut e1, "word", &words, &spec, Strategy::QGrams, 3);
+        let g = run_workload(&mut e1, "word", &words, &small(), Strategy::QGrams, 3);
         let mut e2 = engine(&words, 64);
-        let s = run_workload(&mut e2, "word", &words, &spec, Strategy::QSamples, 3);
-        assert!(
-            s.total.probes <= g.total.probes,
-            "samples {0} vs grams {1}",
-            s.total.probes,
-            g.total.probes
-        );
+        let s = run_workload(&mut e2, "word", &words, &small(), Strategy::QSamples, 3);
+        let probes = |r: &WorkloadReport| r.top_n.stats.probes + r.join.stats.probes;
+        assert!(probes(&s) <= probes(&g), "samples {} vs grams {}", probes(&s), probes(&g));
     }
 
     #[test]

@@ -228,10 +228,11 @@ pub struct SimilarityEngine {
     /// probe pipeline on the broker-less delegated path.
     broker: Option<CacheBatchBroker>,
     /// Monotone remote-leg counters backing the degraded-answer signal
-    /// ([`QueryStats::completeness`]): legs addressed, legs that answered,
-    /// and retries spent. Snapshotted/delta'd per stats window exactly
-    /// like `edit_comparisons`.
-    pub(crate) legs_addressed: u64,
+    /// ([`QueryStats::completeness`]): legs addressed by [`Leg`] kind, legs
+    /// that answered and retries spent, snapshotted/delta'd per stats window
+    /// like `edit_comparisons`; and the objects fetch legs asked for.
+    pub(crate) legs_addressed: [u64; 5],
+    pub(crate) objects_fetched: u64,
     pub(crate) legs_answered: u64,
     pub(crate) leg_retries: u64,
     /// What the engine derived from the stores at one cache epoch.
@@ -243,6 +244,17 @@ pub struct SimilarityEngine {
     pub(crate) reference: bool,
     /// Object numbers and fetch spots, shared with a restore's snapshot.
     pub(crate) objects: Rc<Objects>,
+}
+
+/// A remote leg's kind: a probe, a fetch, or a scan — naive (or a selection of every
+/// value), a join's left side, the short-string supplement ([`SimilarityEngine::legs`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Leg {
+    Probe,
+    Fetch,
+    Naive,
+    JoinLeft,
+    Short,
 }
 
 /// One object-fetch branch: a range of the planned objects — those of one
@@ -474,6 +486,11 @@ impl SimilarityEngine {
         &self.objects
     }
 
+    /// Remote legs addressed since the build, by [`Leg`], and the objects fetch legs asked for.
+    pub fn legs(&self) -> ([u64; 5], u64) {
+        (self.legs_addressed, self.objects_fetched)
+    }
+
     /// Lifetime edit-distance comparison count (part of the checkpoint
     /// image; stats windows report deltas against it).
     pub fn edit_comparisons(&self) -> u64 {
@@ -507,7 +524,8 @@ impl SimilarityEngine {
             publish_stats,
             edit_comparisons,
             broker,
-            legs_addressed: 0,
+            legs_addressed: [0; 5],
+            objects_fetched: 0,
             legs_answered: 0,
             leg_retries: 0,
             memo: HostMemo::default(),
@@ -694,7 +712,7 @@ impl SimilarityEngine {
         StatsSnap {
             traffic: *self.net.metrics(),
             comparisons: self.edit_comparisons,
-            legs_addressed: self.legs_addressed,
+            legs_addressed: self.legs_addressed.iter().sum(),
             legs_answered: self.legs_answered,
             leg_retries: self.leg_retries,
         }
@@ -705,7 +723,7 @@ impl SimilarityEngine {
             traffic: self.net.metrics().delta(&snap.traffic),
             sim: self.net.sim_end_query(),
             edit_comparisons: self.edit_comparisons - snap.comparisons,
-            partitions_addressed: self.legs_addressed - snap.legs_addressed,
+            partitions_addressed: self.legs_addressed.iter().sum::<u64>() - snap.legs_addressed,
             partitions_answered: self.legs_answered - snap.legs_answered,
             retries: self.leg_retries - snap.leg_retries,
             ..Default::default()
@@ -752,9 +770,10 @@ impl SimilarityEngine {
     /// and as answered when it routes.
     pub(crate) fn leg<R>(
         &mut self,
+        kind: Leg,
         attempt: impl FnMut(&mut Self) -> Result<R, sqo_overlay::RouteError>,
     ) -> Option<R> {
-        self.legs_addressed += 1;
+        self.legs_addressed[kind as usize] += 1;
         let got = self.with_leg_retry(attempt).ok();
         self.legs_answered += u64::from(got.is_some());
         got
@@ -800,14 +819,14 @@ impl SimilarityEngine {
         let all = sink.keys;
         if !self.cfg.query.delegation {
             for i in keys {
-                for run in &self.scan_prefix(from, &all[i]) {
+                for run in &self.scan_prefix(Leg::Probe, from, &all[i]) {
                     let lies = || self.net.partition_store(run.part);
                     sink.take(i, self.net.run_items(run), lies);
                 }
             }
             return;
         }
-        if let Some(owner) = self.leg(|e| e.net.route(from, &all[keys.start])) {
+        if let Some(owner) = self.leg(Leg::Probe, |e| e.net.route(from, &all[keys.start])) {
             self.scan_filter_reply(owner, from, keys, sink);
         }
     }
@@ -926,7 +945,7 @@ impl SimilarityEngine {
                 broker.count_messages_saved(c.route_hops.saturating_sub(1));
                 let owner = c.owner;
                 let (lists, end) = self.charged(acc, at_us, |e| {
-                    e.legs_addressed += 1;
+                    e.legs_addressed[Leg::Probe as usize] += 1;
                     e.legs_answered += 1;
                     if owner != from {
                         e.net.send_direct(from, owner, 0);
@@ -952,9 +971,9 @@ impl SimilarityEngine {
                     // — after the degradation policy's retries, and counted
                     // as an addressed-but-unanswered leg.
                     let got = if cache_on {
-                        e.leg(|e| e.net.retrieve_multi_lists(from, missing_keys()))
+                        e.leg(Leg::Probe, |e| e.net.retrieve_multi_lists(from, missing_keys()))
                     } else {
-                        e.leg(|e| e.net.route(from, &all[missing[0]])).map(|owner| {
+                        e.leg(Leg::Probe, |e| e.net.route(from, &all[missing[0]])).map(|owner| {
                             e.scan_filter_reply(owner, from, missing.iter().copied(), sink);
                             (owner, Vec::new())
                         })
@@ -1010,7 +1029,7 @@ impl SimilarityEngine {
     ) -> (R, u64, u64) {
         let cache_on = self.broker.as_ref().is_some_and(|b| b.cache_enabled());
         if !cache_on {
-            let runs = self.leg(|e| e.net.retrieve_runs(from, key)).unwrap_or_default();
+            let runs = self.leg(Leg::Probe, |e| e.net.retrieve_runs(from, key)).unwrap_or_default();
             let lists: Vec<&[Posting]> = runs.iter().map(|r| self.net.run_items(r)).collect();
             return (read(&lists), 0, 0);
         }
@@ -1022,7 +1041,7 @@ impl SimilarityEngine {
         }
         // A routing failure (churn) is transient — the next draw may pick a
         // live replica — so it must not be negative-cached as an empty list.
-        let Some(list) = self.leg(|e| e.net.retrieve_list(from, key)) else {
+        let Some(list) = self.leg(Leg::Probe, |e| e.net.retrieve_list(from, key)) else {
             return (read(&[]), 0, 1);
         };
         let answer = read(&[&list]);
@@ -1072,6 +1091,7 @@ impl SimilarityEngine {
         objects: &[T],
         mut keep: impl FnMut(&T, Fetched),
     ) {
+        self.objects_fetched += objects.len() as u64;
         #[cfg(test)]
         if self.reference {
             return tests::reference_fetch_branch(self, from, objects, keep);
@@ -1080,7 +1100,7 @@ impl SimilarityEngine {
         if !self.cfg.query.delegation {
             for o in objects {
                 oid_key_into(o.oid(), &mut key);
-                if let Some(runs) = self.leg(|e| e.net.retrieve_runs(from, &key)) {
+                if let Some(runs) = self.leg(Leg::Fetch, |e| e.net.retrieve_runs(from, &key)) {
                     let items = runs.iter().flat_map(|r| self.net.run_items(r));
                     keep(o, Fetched::Gathered(ObjectPostings::gather(o.oid(), items)));
                 }
@@ -1088,7 +1108,7 @@ impl SimilarityEngine {
             return;
         }
         oid_key_into(objects[0].oid(), &mut key);
-        let Some(owner) = self.leg(|e| e.net.route(from, &key)) else { return };
+        let Some(owner) = self.leg(Leg::Fetch, |e| e.net.route(from, &key)) else { return };
         let part = self.net.peer_partition(owner);
         let run = self.net.partition_store(part).clone();
         let (mut payload, mut cursor) = (0usize, 0);
@@ -1153,7 +1173,7 @@ impl SimilarityEngine {
     /// `Network::retrieve_runs`, with per-partition leg accounting:
     /// silenced shower siblings surface as addressed-but-unanswered legs
     /// instead of vanishing.
-    pub(crate) fn scan_prefix(&mut self, from: PeerId, prefix: &Key) -> Vec<ItemRun> {
+    pub(crate) fn scan_prefix(&mut self, kind: Leg, from: PeerId, prefix: &Key) -> Vec<ItemRun> {
         // `failed0` is re-snapshotted per attempt, so the shower accounting
         // below reflects only the attempt that answered.
         let mut failed0 = 0u64;
@@ -1164,12 +1184,12 @@ impl SimilarityEngine {
         match got {
             Ok(runs) => {
                 let failed = self.net.metrics().failed_routes - failed0;
-                self.legs_addressed += runs.len() as u64 + failed;
+                self.legs_addressed[kind as usize] += runs.len() as u64 + failed;
                 self.legs_answered += runs.len() as u64;
                 runs
             }
             Err(_) => {
-                self.legs_addressed += 1;
+                self.legs_addressed[kind as usize] += 1;
                 Vec::new()
             }
         }
@@ -1364,6 +1384,26 @@ mod tests {
     use sqo_storage::posting::{Object, PostingKind};
     use sqo_storage::triple::Value;
 
+    /// No peer, no replica or no reference per level is refused with the
+    /// network check's message, not a division by zero on the way to it.
+    #[test]
+    fn an_unbuildable_network_is_refused_with_the_check_message() {
+        let rows = [Row::new("o:1", [("name", Value::from("x"))])];
+        for zero in [
+            EngineBuilder::new().peers(0),
+            EngineBuilder::new().replication(0),
+            EngineBuilder::new().refs_per_level(0),
+        ] {
+            let build = std::panic::AssertUnwindSafe(|| zero.build_with_rows(&rows));
+            let refused = std::panic::catch_unwind(build).err().expect("the build is refused");
+            let message = refused.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(
+                message,
+                Some("need at least one peer, one replica and one reference per level")
+            );
+        }
+    }
+
     fn cars() -> Vec<Row> {
         vec![
             Row::new("car:1", [("name", Value::from("BMW 320d")), ("hp", Value::from(190))]),
@@ -1386,7 +1426,7 @@ mod tests {
         if !e.cfg.query.delegation {
             for o in objects {
                 oid_key_into(o.oid(), &mut key);
-                e.legs_addressed += 1;
+                e.legs_addressed[Leg::Fetch as usize] += 1;
                 if let Ok(runs) = e.with_leg_retry(|e| e.net.retrieve_runs(from, &key)) {
                     e.legs_answered += 1;
                     let items = runs.iter().flat_map(|r| e.net.run_items(r));
@@ -1395,7 +1435,7 @@ mod tests {
             }
             return;
         }
-        e.legs_addressed += 1;
+        e.legs_addressed[Leg::Fetch as usize] += 1;
         oid_key_into(objects[0].oid(), &mut key);
         let Ok(owner) = e.with_leg_retry(|e| e.net.route(from, &key)) else {
             return;
@@ -1633,7 +1673,7 @@ mod tests {
         let mut out = Vec::new();
         if !e.cfg.query.delegation {
             for (oid, key) in oids {
-                e.legs_addressed += 1;
+                e.legs_addressed[Leg::Fetch as usize] += 1;
                 if let Ok(postings) = e.with_leg_retry(|e| e.net.retrieve_list(from, &key)) {
                     e.legs_answered += 1;
                     let obj = Fetched::Gathered(ObjectPostings::gather(&oid, postings.iter()))
@@ -1643,7 +1683,7 @@ mod tests {
             }
             return out;
         }
-        e.legs_addressed += 1;
+        e.legs_addressed[Leg::Fetch as usize] += 1;
         let Ok(owner) = e.with_leg_retry(|e| e.net.route(from, &oids[0].1)) else {
             return out;
         };
@@ -1721,8 +1761,8 @@ mod tests {
             }
             proptest::prop_assert_eq!(merged.net.metrics(), fresh.net.metrics());
             proptest::prop_assert_eq!(
-                (merged.legs_addressed, merged.legs_answered),
-                (fresh.legs_addressed, fresh.legs_answered)
+                (merged.legs().0, merged.legs_answered),
+                (fresh.legs().0, fresh.legs_answered)
             );
         }
     }

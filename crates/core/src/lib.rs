@@ -62,7 +62,7 @@ pub use adaptive::{AimdWindow, JoinWindow};
 pub use broker::ProbeFilter;
 pub use engine::{
     finalize_stats, CardEstimate, CardSource, DegradePolicy, EngineBuilder, EngineConfig, ExecStep,
-    QueryDefaults, SimilarityEngine, StepOutcome,
+    Leg, QueryDefaults, SimilarityEngine, StepOutcome,
 };
 pub use multi::{AttrPredicate, MultiMatch, MultiStrategy, MultiTask};
 pub use ranking::Rank;

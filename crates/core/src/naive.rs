@@ -30,7 +30,7 @@
 //! is verified once, on its stored char count; the postings that share it
 //! reuse the verdict.
 
-use crate::engine::SimilarityEngine;
+use crate::engine::{Leg, SimilarityEngine};
 use crate::similar::Candidate;
 use sqo_overlay::key::Key;
 use sqo_overlay::peer::PeerId;
@@ -61,7 +61,7 @@ impl SimilarityEngine {
         prefix: &Key,
         out: &mut Vec<Candidate>,
     ) -> bool {
-        self.legs_addressed += 1;
+        self.legs_addressed[Leg::Naive as usize] += 1;
         let responder = if part == entry_part {
             entry
         } else {

@@ -3,7 +3,7 @@
 //! prior work \[10\]; VQL needs them for its non-similarity predicates).
 
 use crate::engine::{
-    finalize_stats, ExecStep, FanOut, FetchBranch, ObjectCache, SimilarityEngine, StepOutcome,
+    finalize_stats, ExecStep, FanOut, FetchBranch, Leg, ObjectCache, SimilarityEngine, StepOutcome,
 };
 use crate::stats::QueryStats;
 use sqo_overlay::peer::PeerId;
@@ -147,7 +147,7 @@ impl SelectTask {
             SelectKind::All { attr } => {
                 let mut matched = Vec::new();
                 for prefix in [keys::attr_scan_prefix(attr), keys::short_value_prefix(attr)] {
-                    let runs = e.scan_prefix(from, &prefix);
+                    let runs = e.scan_prefix(Leg::Naive, from, &prefix);
                     let mut queried = AttrGuard::new(attr);
                     for p in runs.iter().flat_map(|r| e.net.run_items(r)) {
                         if matches!(p.kind(), PostingKind::Base(_) | PostingKind::ShortValue)

@@ -43,7 +43,7 @@
 
 use crate::broker::ProbeFilter;
 use crate::engine::{
-    finalize_stats, ExecStep, FanOut, FetchBranch, ObjectCache, ProbeSink, SimilarityEngine,
+    finalize_stats, ExecStep, FanOut, FetchBranch, Leg, ObjectCache, ProbeSink, SimilarityEngine,
     StepOutcome,
 };
 use crate::memo::{JoinSlot, Reuse};
@@ -663,7 +663,7 @@ impl SimilarTask {
                                     Some(a) => keys::short_value_prefix(a),
                                     None => keys::short_attr_prefix(),
                                 };
-                                let runs = e.scan_prefix(from, &prefix);
+                                let runs = e.scan_prefix(Leg::Short, from, &prefix);
                                 let mut queried =
                                     AttrGuard::new(attr.as_deref().unwrap_or_default());
                                 for p in runs.iter().flat_map(|r| e.net.run_items(r)) {

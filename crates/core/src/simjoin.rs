@@ -47,7 +47,7 @@
 //! calibration note of `sqo_bench::workload`.
 
 use crate::adaptive::{AimdWindow, JoinWindow};
-use crate::engine::{finalize_stats, ExecStep, ObjectCache, SimilarityEngine, StepOutcome};
+use crate::engine::{finalize_stats, ExecStep, Leg, ObjectCache, SimilarityEngine, StepOutcome};
 use crate::memo::{JoinSlot, Side};
 use crate::similar::{oid_head, SimilarMatch, SimilarTask, Strategy};
 use crate::stats::QueryStats;
@@ -235,8 +235,10 @@ impl ExecStep for JoinTask {
                     // short-value side family).
                     let (ln, from) = (&self.ln, self.from);
                     let (runs, end) = engine.charged(&mut self.stats, at_us, |e| {
-                        let mut runs = e.scan_prefix(from, &keys::attr_scan_prefix(ln));
-                        runs.extend(e.scan_prefix(from, &keys::short_value_prefix(ln)));
+                        let [attr, short] =
+                            [keys::attr_scan_prefix(ln), keys::short_value_prefix(ln)];
+                        let mut runs = e.scan_prefix(Leg::JoinLeft, from, &attr);
+                        runs.extend(e.scan_prefix(Leg::JoinLeft, from, &short));
                         runs
                     });
                     // Every pair the scans read is a function of what they

@@ -2,8 +2,7 @@
 //!
 //! The overlay's [`Metrics`] counts traffic; [`QueryStats`] adds the
 //! operator-level view: candidate-set sizes, verification work, and
-//! enlargement rounds. The Figure-1 benches read `traffic.messages` and
-//! `traffic.result_bytes`; the ablations read the rest.
+//! enlargement rounds.
 
 use sqo_overlay::{Metrics, SimLatency};
 

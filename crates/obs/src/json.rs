@@ -1,7 +1,7 @@
 //! The workspace's one JSON module: a writer and a strict reader.
 //!
 //! **Writing.** [`to_json`] returns a value's compact text, [`to_json_pretty`]
-//! the same re-indented (`BENCH_*.json`, `figure1 --json`); neither can
+//! the same re-indented (the `BENCH_*.json` artifacts); neither can
 //! fail. A record implements [`ToJson`] through one field list in a
 //! [`json_record!`](crate::json_record) block, keys in the listed order.
 //!

@@ -215,7 +215,8 @@ impl<T: Item> Network<T> {
     /// The empty network on the cover grown for `keys` — the distinct data
     /// keys ascending, each with its item count.
     fn on_partitions_for(cfg: NetworkConfig, keys: &[(KeyRef<'_>, usize)]) -> Self {
-        let target_partitions = (cfg.peers / cfg.replication).max(1);
+        // Checked before a replication of 0 divides; `on_paths` refuses it.
+        let target_partitions = cfg.check().map_or(1, |()| (cfg.peers / cfg.replication).max(1));
         let (paths, loads) = build_partitions(keys, target_partitions);
         Self::on_paths(cfg, paths, &loads)
     }

@@ -1,7 +1,7 @@
 //! # sqo-plan — the unified logical-plan layer
 //!
-//! Every query surface of the system — the fluent [`Query`] builder, the
-//! legacy `SimilarityEngine` operator entry points, parsed VQL — compiles
+//! Every query surface of the system — the fluent [`Query`] builder and
+//! parsed VQL — compiles
 //! into one composable operator-tree IR ([`PlanNode`]), planned by one
 //! planner (default inheritance from [`sqo_core::QueryDefaults`], cost-based
 //! rewrites fed by zero-message cardinality estimates ([`CostModel`]),
@@ -10,12 +10,12 @@
 //! into a single resumable task on the event-driven execution queue.
 //!
 //! The payoff is composability: pipelines like `select → sim_join → top_n`
-//! — inexpressible through the per-operator legacy entry points — are one
-//! builder chain, run interleaved with every other in-flight query, and
-//! print their plan via [`PreparedQuery::explain`]. Single-operator plans
-//! execute the *identical* stepped task the legacy entry points drive, so
-//! results and cost accounting are byte-identical through either surface
-//! (pinned by the equivalence tests).
+//! are one builder chain, run interleaved with every other in-flight
+//! query, and print their plan via [`PreparedQuery::explain`].
+//! Single-operator plans execute the *identical* stepped task an operator
+//! task (`SimilarTask`, `TopNTask`, …) drives on its own, so results and
+//! cost accounting are byte-identical either way (pinned by the
+//! equivalence tests).
 //!
 //! ## Surfaces
 //!

@@ -7,8 +7,8 @@
 //!
 //! The paper's §8 conclusion asserts the overhead is "negligible on modern
 //! computers" and "linear in the number of attribute columns" — the
-//! `storage_overhead` bench regenerates that accounting from
-//! [`PublishStats`].
+//! storage table of `BENCH_figure1.json` (`sqo-bench`) regenerates that
+//! accounting from [`PublishStats`].
 //!
 //! A batch is published in two passes. The first sorts the batch's triples
 //! by (attribute, value) — the order the `A#v` family stores them in — and
