@@ -5,6 +5,7 @@ use crate::batch::{ChannelPool, ChannelPoolState, PartitionChannel};
 use crate::lru::{LruCache, LruState};
 use sqo_overlay::key::Key;
 use sqo_overlay::peer::PeerId;
+use sqo_overlay::{HeldRun, PartitionStore, SortedStore};
 use sqo_storage::posting::Posting;
 
 /// Everything configurable about the hot-path services. Both services
@@ -103,9 +104,11 @@ impl BrokerCounters {
 
 /// The combined service: an initiator-keyed posting LRU plus the
 /// per-partition channel pool. Pure bookkeeping — see the crate docs.
+/// A cached list lends the runs its fill read, a [`HeldRun`] per answering
+/// partition, and [`Self::export_state`] copies it out.
 pub struct CacheBatchBroker {
     cfg: BrokerConfig,
-    cache: LruCache<(PeerId, Key), Vec<Posting>>,
+    cache: LruCache<(PeerId, Key), Vec<HeldRun<Posting>>>,
     channels: ChannelPool,
     counters: BrokerCounters,
     /// The last lookup's cache key: the next lookup copies its own into
@@ -147,15 +150,15 @@ impl CacheBatchBroker {
         self.cfg.batch
     }
 
-    /// Cache lookup for `from`'s copy of `key`'s posting list. Hits lend
-    /// the cached postings — no posting is copied on the cache fast path.
+    /// Cache lookup for `from`'s list of `key`: a hit lends the runs the
+    /// list lies in, one per partition that answered the fill.
     pub fn cache_get(
         &mut self,
         from: PeerId,
         key: &Key,
         now_us: u64,
         epoch: u64,
-    ) -> Option<&[Posting]> {
+    ) -> Option<&[HeldRun<Posting>]> {
         debug_assert!(self.cfg.cache);
         self.probe.0 = from;
         self.probe.1.clone_from(key);
@@ -172,22 +175,22 @@ impl CacheBatchBroker {
     }
 
     /// Fill `from`'s cache with the full list fetched for `key` (subject
-    /// to the admission gate when enabled): the reply's copy is kept as it
-    /// arrived, under the key handed in.
+    /// to the admission gate when enabled): the runs the replies lent are
+    /// kept as they arrived, under the key handed in.
     pub fn cache_put(
         &mut self,
         from: PeerId,
         key: Key,
-        list: Vec<Posting>,
+        runs: Vec<HeldRun<Posting>>,
         now_us: u64,
         epoch: u64,
     ) {
         if self.cfg.cache {
-            self.cache.put((from, key), list, now_us, epoch);
+            self.cache.put((from, key), runs, now_us, epoch);
         }
     }
 
-    /// Size of `from`'s valid cached copy of `key`'s list, side-effect
+    /// Size of `from`'s valid cached list of `key`, side-effect
     /// free (no counters, no LRU touch) — the cost model's exact-size
     /// source for lists the initiator already fetched.
     pub fn cache_peek_len(
@@ -200,7 +203,8 @@ impl CacheBatchBroker {
         if !self.cfg.cache {
             return None;
         }
-        self.cache.peek(&(from, key.clone()), now_us, epoch).map(|l| l.len())
+        let list = self.cache.peek(&(from, key.clone()), now_us, epoch)?;
+        Some(list.iter().map(|run| run.items.len()).sum())
     }
 
     /// The open channel for `part`, if any. `n_keys` is the number of probe
@@ -242,12 +246,14 @@ impl CacheBatchBroker {
 
     /// Walk the broker into an owned [`BrokerState`]: config, raw
     /// counters, the posting cache (with its admission sketch), and the
-    /// open channel pool. Cached posting lists are exported as copies.
+    /// open channel pool. Each cached list is exported as a copy.
     pub fn export_state(&self) -> BrokerState {
+        let copy =
+            |_: &_, runs: Vec<HeldRun<_>>| runs.iter().flat_map(HeldRun::items).cloned().collect();
         BrokerState {
             cfg: self.cfg,
             counters: self.counters,
-            cache: self.cache.export_state(),
+            cache: self.cache.export_state().map_values(copy),
             channels: self.channels.export_state(),
         }
     }
@@ -255,16 +261,25 @@ impl CacheBatchBroker {
     /// Rebuild a broker from an exported image. The restored broker makes
     /// exactly the hit/miss/coalesce decisions the original would have
     /// made next — including fencing entries whose churn epoch differs
-    /// from the lookup's (in either direction).
+    /// from the lookup's (in either direction) — and answers the same
+    /// lists: each is held in a run of one entry under its key.
     pub fn from_state(state: BrokerState) -> Self {
         Self {
             cfg: state.cfg,
-            cache: LruCache::from_state(state.cache),
+            cache: LruCache::from_state(state.cache.map_values(|(_, key), list| held(key, list))),
             channels: ChannelPool::from_state(state.channels),
             counters: state.counters,
             probe: (PeerId(0), Key::empty()),
         }
     }
+}
+
+/// `items`, a restored list of `key`, held in a run of one entry.
+fn held(key: &Key, items: Vec<Posting>) -> Vec<HeldRun<Posting>> {
+    let n = items.len();
+    let (bytes, bits, ends) = (key.as_bytes().to_vec(), [key.len() as u32], vec![n as u32]);
+    let store = SortedStore::from_parts(bytes, &bits, ends, items).map(PartitionStore::from_store);
+    store.map(|store| HeldRun { store, items: 0..n }).into_iter().collect()
 }
 
 /// The owned image of a [`CacheBatchBroker`] (checkpointing).

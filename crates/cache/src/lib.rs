@@ -14,7 +14,9 @@
 //!   across such an event. Because the cache stores
 //!   the *full* (unfiltered) list, any query's length/position filter can
 //!   run against it at the initiator — results are byte-identical to the
-//!   delegated filter-at-owner path.
+//!   delegated filter-at-owner path. An entry copies no posting: it holds
+//!   the runs its reply read ([`sqo_overlay::HeldRun`]), which a write
+//!   copies before it changes them and which the epoch then fences.
 //! * [`ChannelPool`] — cross-query probe coalescing. The first probe to a
 //!   partition routes normally (the overlay's
 //!   [`retrieve_multi_lists`](sqo_overlay::Network::retrieve_multi_lists) shape) and

@@ -1,7 +1,8 @@
 //! A bounded LRU map with virtual-time TTL, epoch invalidation, and an
 //! optional TinyLFU admission gate.
 //!
-//! Deliberately simple: a hash map plus a monotone use-tick, with
+//! Deliberately simple: a hash map from key to place in a vector of
+//! entries (so a lookup hashes once) plus a monotone use-tick, with
 //! eviction scanning for the least-recently-used entry. Capacities on the
 //! hot path are a few thousand entries, and the scan only runs when the
 //! cache is full — profile before reaching for an intrusive list.
@@ -29,12 +30,16 @@ struct Entry<V> {
 /// Bounded LRU with TTL + epoch validity. `get` misses (and evicts) expired
 /// and stale-epoch entries, so callers never see invalid data.
 pub struct LruCache<K, V> {
-    map: FxHashMap<K, Entry<V>>,
+    /// Each resident key's place in `entries`, whose empty places `free` lists.
+    map: FxHashMap<K, usize>,
+    entries: Vec<Option<Entry<V>>>,
+    free: Vec<usize>,
     capacity: usize,
     ttl_us: u64,
     tick: u64,
-    /// TinyLFU admission gate; `None` admits unconditionally.
-    sketch: Option<FrequencySketch>,
+    /// TinyLFU admission gate; `None` admits unconditionally. Boxed: most
+    /// caches run without one, and every engine holds its broker inline.
+    sketch: Option<Box<FrequencySketch>>,
     /// Inserts the admission gate turned away.
     rejected: u64,
 }
@@ -50,7 +55,8 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Panics if `capacity == 0` (use an `Option` instead of an empty cache).
     pub fn new(capacity: usize, ttl_us: u64) -> Self {
         assert!(capacity > 0, "zero-capacity cache");
-        Self { map: FxHashMap::default(), capacity, ttl_us, tick: 0, sketch: None, rejected: 0 }
+        let (map, entries, free) = (FxHashMap::default(), Vec::new(), Vec::new());
+        Self { map, entries, free, capacity, ttl_us, tick: 0, sketch: None, rejected: 0 }
     }
 
     /// Like [`LruCache::new`], with the TinyLFU admission gate enabled.
@@ -59,7 +65,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Panics if `capacity == 0`.
     pub fn with_admission(capacity: usize, ttl_us: u64) -> Self {
         let mut c = Self::new(capacity, ttl_us);
-        c.sketch = Some(FrequencySketch::for_capacity(capacity));
+        c.sketch = Some(Box::new(FrequencySketch::for_capacity(capacity)));
         c
     }
 
@@ -76,8 +82,19 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.rejected
     }
 
-    fn valid(&self, e: &Entry<V>, now_us: u64, epoch: u64) -> bool {
+    fn entry(&self, at: usize) -> &Entry<V> {
+        self.entries[at].as_ref().expect("a resident key's place holds its entry")
+    }
+
+    fn valid(&self, at: usize, now_us: u64, epoch: u64) -> bool {
+        let e = self.entry(at);
         e.epoch == epoch && now_us.saturating_sub(e.inserted_us) <= self.ttl_us
+    }
+
+    fn remove(&mut self, key: &K, at: usize) {
+        self.map.remove(key);
+        self.entries[at] = None;
+        self.free.push(at);
     }
 
     /// Look up `key` at virtual time `now_us` under churn epoch `epoch`.
@@ -86,28 +103,22 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         if let Some(s) = &mut self.sketch {
             s.record(key_hash(key));
         }
-        match self.map.get(key) {
-            Some(e) if self.valid(e, now_us, epoch) => {}
-            Some(_) => {
-                self.map.remove(key);
-                return None;
-            }
-            None => return None,
+        let &at = self.map.get(key)?;
+        if !self.valid(at, now_us, epoch) {
+            self.remove(key, at);
+            return None;
         }
         self.tick += 1;
-        let tick = self.tick;
-        let e = self.map.get_mut(key).expect("checked above");
-        e.last_used = tick;
+        let e = self.entries[at].as_mut()?;
+        e.last_used = self.tick;
         Some(&e.value)
     }
 
     /// Validity check without side effects: no LRU touch, no frequency
     /// record, no eviction. The cost model peeks cached list sizes here.
     pub fn peek(&self, key: &K, now_us: u64, epoch: u64) -> Option<&V> {
-        match self.map.get(key) {
-            Some(e) if self.valid(e, now_us, epoch) => Some(&e.value),
-            _ => None,
-        }
+        let &at = self.map.get(key)?;
+        self.valid(at, now_us, epoch).then(|| &self.entry(at).value)
     }
 
     /// Insert (or refresh) `key`, evicting the least-recently-used entry
@@ -128,9 +139,10 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             let victim = self
                 .map
                 .iter()
-                .min_by_key(|(_, e)| (self.valid(e, now_us, epoch), e.last_used))
-                .map(|(k, e)| (k.clone(), self.valid(e, now_us, epoch)));
-            if let Some((vk, victim_valid)) = victim {
+                .map(|(k, &at)| (k, at, self.valid(at, now_us, epoch)))
+                .min_by_key(|&(_, at, valid)| (valid, self.entry(at).last_used))
+                .map(|(k, at, valid)| (k.clone(), at, valid));
+            if let Some((vk, at, victim_valid)) = victim {
                 if victim_valid {
                     if let Some(s) = &self.sketch {
                         // The TinyLFU gate: keep the established entry
@@ -141,16 +153,17 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
                         }
                     }
                 }
-                self.map.remove(&vk);
+                self.remove(&vk, at);
             }
         }
-        self.map.insert(key, Entry { value, epoch, inserted_us: now_us, last_used: self.tick });
+        let entry = Some(Entry { value, epoch, inserted_us: now_us, last_used: self.tick });
+        let at =
+            *self.map.entry(key).or_insert_with(|| self.free.pop().unwrap_or(self.entries.len()));
+        match self.entries.get_mut(at) {
+            Some(slot) => *slot = entry,
+            None => self.entries.push(entry),
+        }
         true
-    }
-
-    /// Drop every entry (tests and explicit resets).
-    pub fn clear(&mut self) {
-        self.map.clear();
     }
 
     /// Rebuild a cache from an exported image.
@@ -162,26 +175,15 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         if let Err(breach) = state.check() {
             panic!("{breach}");
         }
-        let mut map = FxHashMap::default();
-        for e in state.entries {
-            map.insert(
-                e.key,
-                Entry {
-                    value: e.value,
-                    epoch: e.epoch,
-                    inserted_us: e.inserted_us,
-                    last_used: e.last_used,
-                },
-            );
+        let LruState { capacity, ttl_us, tick, rejected, entries, sketch } = state;
+        let mut c = Self::new(capacity as usize, ttl_us);
+        c.sketch = sketch.map(|s| Box::new(FrequencySketch::from_state(s)));
+        (c.tick, c.rejected) = (tick, rejected);
+        for LruEntryState { key, value, epoch, inserted_us, last_used } in entries {
+            c.map.insert(key, c.entries.len());
+            c.entries.push(Some(Entry { value, epoch, inserted_us, last_used }));
         }
-        Self {
-            map,
-            capacity: state.capacity as usize,
-            ttl_us: state.ttl_us,
-            tick: state.tick,
-            sketch: state.sketch.map(FrequencySketch::from_state),
-            rejected: state.rejected,
-        }
+        c
     }
 }
 
@@ -194,6 +196,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         let mut entries: Vec<LruEntryState<K, V>> = self
             .map
             .iter()
+            .map(|(k, &at)| (k, self.entry(at)))
             .map(|(k, e)| LruEntryState {
                 key: k.clone(),
                 value: e.value.clone(),
@@ -209,7 +212,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
             tick: self.tick,
             rejected: self.rejected,
             entries,
-            sketch: self.sketch.as_ref().map(FrequencySketch::export_state),
+            sketch: self.sketch.as_deref().map(FrequencySketch::export_state),
         }
     }
 }
@@ -243,6 +246,22 @@ pub struct LruState<K, V> {
 }
 
 impl<K, V> LruState<K, V> {
+    /// The same image with each value replaced by `f` of its key and it.
+    pub fn map_values<W>(self, mut f: impl FnMut(&K, V) -> W) -> LruState<K, W> {
+        let LruState { capacity, ttl_us, tick, rejected, entries, sketch } = self;
+        let entries = entries
+            .into_iter()
+            .map(|LruEntryState { key, value, epoch, inserted_us, last_used }| LruEntryState {
+                value: f(&key, value),
+                key,
+                epoch,
+                inserted_us,
+                last_used,
+            })
+            .collect();
+        LruState { capacity, ttl_us, tick, rejected, entries, sketch }
+    }
+
     /// What [`LruCache::from_state`] requires of an image, `Err` naming the
     /// first breach — for a decoder to refuse what a restore would die on.
     pub fn check(&self) -> Result<(), &'static str> {

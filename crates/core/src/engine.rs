@@ -12,7 +12,7 @@ use sqo_overlay::key::Key;
 use sqo_overlay::network::{ItemRun, Network, NetworkConfig};
 use sqo_overlay::peer::{Item, PeerId};
 use sqo_overlay::trie::find_partition_from;
-use sqo_overlay::{Metrics, PartitionStore, TraceEvent, TraceTrack};
+use sqo_overlay::{HeldRun, Metrics, PartitionStore, TraceEvent, TraceTrack};
 use sqo_storage::keys::{oid_key_in, oid_key_into};
 use sqo_storage::objects::{Fetch, Fetched, Objects};
 use sqo_storage::posting::{ObjectPostings, Posting};
@@ -333,18 +333,13 @@ impl<'a> ProbeSink<'a> {
         outcome.payloads[i]
     }
 
-    /// The key at `i` answered `list`, which lies in the run `lies` gives:
-    /// collected or lent, by the sink's mode.
-    fn take<'s>(
-        &mut self,
-        i: usize,
-        list: &[Posting],
-        lies: impl FnOnce() -> &'s PartitionStore<Posting>,
-    ) {
+    /// The key at `i` answered the items `run` holds: collected or lent,
+    /// by the sink's mode.
+    fn take(&mut self, i: usize, run: &HeldRun<Posting>) {
         if self.replays() {
-            self.lend(i, lies());
+            self.lend(i, &run.store);
         } else {
-            self.filter_in(i, list, false);
+            self.filter_in(i, run.items(), false);
         }
     }
 }
@@ -820,8 +815,7 @@ impl SimilarityEngine {
         if !self.cfg.query.delegation {
             for i in keys {
                 for run in &self.scan_prefix(Leg::Probe, from, &all[i]) {
-                    let lies = || self.net.partition_store(run.part);
-                    sink.take(i, self.net.run_items(run), lies);
+                    sink.take(i, &self.net.hold(run));
                 }
             }
             return;
@@ -900,10 +894,11 @@ impl SimilarityEngine {
             let broker = self.broker.as_mut().expect("cache_on implies a broker");
             for i in keys {
                 match broker.cache_get(from, &all[i], at_us, epoch) {
-                    Some(list) => {
+                    Some(runs) => {
                         acc.cache_hits += 1;
-                        let lies = || self.net.partition_store(self.net.partition_of(&all[i]));
-                        sink.take(i, list, lies);
+                        for run in runs {
+                            sink.take(i, run);
+                        }
                     }
                     None => {
                         acc.cache_misses += 1;
@@ -957,7 +952,7 @@ impl SimilarityEngine {
                         Vec::new()
                     }
                 });
-                self.absorb_full_lists(from, owner, &missing, lists, end, sink);
+                self.absorb_full_lists(from, &missing, lists, end, sink);
                 end
             }
             None => {
@@ -986,69 +981,67 @@ impl SimilarityEngine {
                         let broker = self.broker.as_mut().expect("batch_on implies a broker");
                         broker.channel_record(part, owner, hops, end, epoch);
                     }
-                    self.absorb_full_lists(from, owner, &missing, lists, end, sink);
+                    self.absorb_full_lists(from, &missing, lists, end, sink);
                 }
                 end
             }
         }
     }
 
-    /// Fold a cache-filling reply from `owner` into the caller: hand every
-    /// full list — the one of the key at `missing`'s same place — to
-    /// `sink`, and move it, as the reply shipped it, into the initiator's
-    /// cache at the current epoch, under a copy of its key.
+    /// Fold a cache-filling reply into the caller: hand every full list —
+    /// the one of the key at `missing`'s same place, where it lies in the
+    /// owner's run — to `sink`, and keep it, as the reply lent it, in the
+    /// initiator's cache at the current epoch, under a copy of its key.
     fn absorb_full_lists(
         &mut self,
         from: PeerId,
-        owner: PeerId,
         missing: &[usize],
-        lists: Vec<Vec<Posting>>,
+        lists: Vec<ItemRun>,
         now_us: u64,
         sink: &mut ProbeSink,
     ) {
         let epoch = self.net.cache_epoch();
-        for (&i, list) in missing.iter().zip(lists) {
-            sink.take(i, &list, || self.net.partition_store(self.net.peer_partition(owner)));
+        for (&i, list) in missing.iter().zip(&lists) {
+            let run = self.net.hold(list);
+            sink.take(i, &run);
             let broker = self.broker.as_mut().expect("full lists only travel to fill a cache");
-            broker.cache_put(from, sink.keys[i].clone(), list, now_us, epoch);
+            broker.cache_put(from, sink.keys[i].clone(), vec![run], now_us, epoch);
         }
     }
 
     /// A single-key retrieve answered from the initiator's posting cache
     /// when possible (exact-match and keyword selections): `read` gets the
-    /// postings where they lie, as one or more lists — the stored runs the
-    /// replies lent without a cache, the cached list on a hit, the reply on
-    /// a miss, which then fills the cache — and its answer is returned with
-    /// the (hits, misses) counter delta; the caller runs inside a charged
-    /// window and folds them into its stats afterwards.
+    /// postings where they lie, one held run per answering partition — the
+    /// runs the replies lent, or the cached list on a hit; a miss then
+    /// fills the cache with the runs it read — and its answer is returned
+    /// with the (hits, misses) counter delta; the caller runs inside a
+    /// charged window and folds them into its stats afterwards.
     pub(crate) fn cached_retrieve<R>(
         &mut self,
         from: PeerId,
         key: &Key,
-        read: impl FnOnce(&[&[Posting]]) -> R,
+        read: impl FnOnce(&[HeldRun<Posting>]) -> R,
     ) -> (R, u64, u64) {
         let cache_on = self.broker.as_ref().is_some_and(|b| b.cache_enabled());
-        if !cache_on {
-            let runs = self.leg(Leg::Probe, |e| e.net.retrieve_runs(from, key)).unwrap_or_default();
-            let lists: Vec<&[Posting]> = runs.iter().map(|r| self.net.run_items(r)).collect();
-            return (read(&lists), 0, 0);
-        }
         let epoch = self.net.cache_epoch();
-        let now_us = self.net.sim_now_us().unwrap_or(0);
-        let broker = self.broker.as_mut().expect("cache_on implies a broker");
-        if let Some(list) = broker.cache_get(from, key, now_us, epoch) {
-            return (read(&[list]), 1, 0);
+        if let Some(broker) = self.broker.as_mut().filter(|_| cache_on) {
+            let now_us = self.net.sim_now_us().unwrap_or(0);
+            if let Some(runs) = broker.cache_get(from, key, now_us, epoch) {
+                return (read(runs), 1, 0);
+            }
         }
         // A routing failure (churn) is transient — the next draw may pick a
         // live replica — so it must not be negative-cached as an empty list.
-        let Some(list) = self.leg(Leg::Probe, |e| e.net.retrieve_list(from, key)) else {
-            return (read(&[]), 0, 1);
+        let Some(runs) = self.leg(Leg::Probe, |e| e.net.retrieve_runs(from, key)) else {
+            return (read(&[]), 0, u64::from(cache_on));
         };
-        let answer = read(&[&list]);
-        let now_us = self.net.sim_now_us().unwrap_or(0);
-        let broker = self.broker.as_mut().expect("cache_on implies a broker");
-        broker.cache_put(from, key.clone(), list, now_us, epoch);
-        (answer, 0, 1)
+        let runs: Vec<HeldRun<Posting>> = runs.iter().map(|r| self.net.hold(r)).collect();
+        let answer = read(&runs);
+        if let Some(broker) = self.broker.as_mut().filter(|_| cache_on) {
+            let now_us = self.net.sim_now_us().unwrap_or(0);
+            broker.cache_put(from, key.clone(), runs, now_us, epoch);
+        }
+        (answer, 0, u64::from(cache_on))
     }
 
     /// Group object fetches into fan-out branches, ranges of `objects` (by
@@ -1630,6 +1623,88 @@ mod tests {
             assert_eq!(digest(got), pinned_postings);
             assert_eq!(e.finish_query(&snap).traffic, run(delegation, false, 1).1);
         }
+    }
+
+    /// Words of four syllables, one row each: many share their grams.
+    fn syllable_rows(n: u32) -> Vec<Row> {
+        let syl = ["an", "ba", "na", "ra", "ma", "ta", "in", "on"];
+        let word = |i: u32| (0..4).map(|k| syl[((i >> (3 * k)) & 7) as usize]).collect::<String>();
+        (0..n).map(|i| Row::new(format!("w:{i}"), [("word", Value::from(word(i)))])).collect()
+    }
+
+    /// The items `from`'s cache holds for `key` at `epoch`, copied out.
+    fn cached(
+        e: &mut SimilarityEngine,
+        from: PeerId,
+        key: &Key,
+        epoch: u64,
+    ) -> Option<Vec<Posting>> {
+        let runs = e.broker.as_mut()?.cache_get(from, key, 0, epoch)?;
+        Some(runs.iter().flat_map(HeldRun::items).cloned().collect())
+    }
+
+    /// A cache fill keeps what its reply shipped: a routed probe fill, the
+    /// probes that ride the channel it opened and a `cached_retrieve` miss
+    /// each leave under their key the items a `retrieve_list` of the key
+    /// answers at fill time — the last for a prefix that lies in several
+    /// partitions, one held run each.
+    #[test]
+    fn a_cache_fill_holds_what_its_reply_shipped() {
+        let cache = BrokerConfig::enabled();
+        let builder = EngineBuilder::new().peers(16).seed(11).cache_config(cache);
+        let mut e = builder.build_with_rows(&syllable_rows(600));
+        let from = e.random_peer();
+        let (gram_positions, keys) = probe_plan("bananara", "word", 3);
+        let filter = ProbeFilter::new(Some("word"), &gram_positions, 8, 1, FilterConfig::default());
+        let (part, branch) = e
+            .plan_probe_parts(&keys)
+            .into_iter()
+            .find(|(_, b)| b.len() > 1)
+            .expect("two probe keys share a partition");
+        let (mut got, mut off, mut acc) = (Vec::new(), Reuse::Off, QueryStats::default());
+        let mut sink = ProbeSink::new(&keys, &filter, &mut got, &mut off, 0);
+        e.probe_issue(&mut acc, from, (part, branch.start..branch.start + 1), 0, &mut sink);
+        e.probe_issue(&mut acc, from, (part, branch.start + 1..branch.end), 0, &mut sink);
+        assert_eq!(acc.probes_coalesced as usize, branch.len() - 1, "the rest rode the channel");
+        let prefix = Key::parse("0");
+        let (runs, hits, misses) = e.cached_retrieve(from, &prefix, <[_]>::len);
+        assert!(runs > 1 && (hits, misses) == (0, 1), "{runs} runs, {hits} hits, {misses} misses");
+        let epoch = e.net.cache_epoch();
+        for key in keys[branch].iter().chain([&prefix]) {
+            let shipped = e.net.retrieve_list(from, key).expect("every peer is alive");
+            assert_eq!(cached(&mut e, from, key, epoch), Some(shipped), "key {key}");
+        }
+    }
+
+    /// A publication into a partition after a fill leaves the entry's items
+    /// as its reply shipped them: the merge copies the run the entry holds
+    /// before it writes, the epoch it bumps fences the entry, and the live
+    /// run holds the new postings.
+    #[test]
+    fn a_publication_after_a_fill_leaves_the_entry_as_shipped() {
+        let cache = BrokerConfig::cache_only();
+        let builder = EngineBuilder::new().peers(16).seed(11).cache_config(cache);
+        let mut e = builder.build_with_rows(&syllable_rows(600));
+        let from = e.random_peer();
+        let (gram_positions, keys) = probe_plan("bananara", "word", 3);
+        let filter = ProbeFilter::new(Some("word"), &gram_positions, 8, 1, FilterConfig::default());
+        let (part, branch) = e.plan_probe_parts(&keys)[0].clone();
+        let (mut got, mut off, mut acc) = (Vec::new(), Reuse::Off, QueryStats::default());
+        let mut sink = ProbeSink::new(&keys, &filter, &mut got, &mut off, 0);
+        e.probe_issue(&mut acc, from, (part, branch.clone()), 0, &mut sink);
+        let key = &keys[branch.start];
+        let shipped = e.net.retrieve_list(from, key).expect("every peer is alive");
+        let epoch = e.net.cache_epoch();
+        e.publish_rows(&[Row::new("w:new", [("word", Value::from("bananara"))])]);
+        assert_ne!(e.net.cache_epoch(), epoch, "a publication bumps the epoch");
+        let live = e.net.retrieve_list(from, key).expect("every peer is alive");
+        assert!(live.len() > shipped.len(), "the live run holds the new postings");
+        let broker = e.broker.as_mut().expect("a broker");
+        let held = broker.cache_get(from, key, 0, epoch).expect("kept at the fill's epoch");
+        assert!(!held[0].store.shares_with(e.net.partition_store(part)), "the merge copied it");
+        assert_eq!(cached(&mut e, from, key, epoch), Some(shipped), "the entry is as shipped");
+        let now = e.net.cache_epoch();
+        assert_eq!(cached(&mut e, from, key, now), None, "fenced by the epoch");
     }
 
     #[test]

@@ -7,6 +7,7 @@ use crate::engine::{
 };
 use crate::stats::QueryStats;
 use sqo_overlay::peer::PeerId;
+use sqo_overlay::HeldRun;
 use sqo_storage::keys;
 use sqo_storage::objects::{Fetch, Fetched};
 use sqo_storage::posting::{Posting, PostingKind};
@@ -120,7 +121,7 @@ impl SelectTask {
                 let key = keys::attr_value_key(attr, v);
                 let (matched, h, m) = e.cached_retrieve(from, &key, |lists| {
                     let hit = |t: TripleRef<'_>| t.attr().as_str() == attr && t.value() == *v;
-                    lists.iter().flat_map(|l| l.iter()).filter_map(|p| matched(p, hit)).collect()
+                    lists.iter().flat_map(HeldRun::items).filter_map(|p| matched(p, hit)).collect()
                 });
                 (hits, misses) = (h, m);
                 matched
@@ -139,7 +140,7 @@ impl SelectTask {
                 let key = keys::value_key(v);
                 let (matched, h, m) = e.cached_retrieve(from, &key, |lists| {
                     let hit = |t: TripleRef<'_>| t.value() == *v;
-                    lists.iter().flat_map(|l| l.iter()).filter_map(|p| matched(p, hit)).collect()
+                    lists.iter().flat_map(HeldRun::items).filter_map(|p| matched(p, hit)).collect()
                 });
                 (hits, misses) = (h, m);
                 matched

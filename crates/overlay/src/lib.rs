@@ -57,7 +57,7 @@ pub use metrics::Metrics;
 pub use network::{ItemRun, Network, NetworkConfig, RepairReport, ReplicationPolicy, RouteError};
 pub use peer::{Item, PeerId};
 pub use snapshot::NetworkState;
-pub use store::{PartitionStore, SortedStore, Stretch};
+pub use store::{HeldRun, PartitionStore, SortedStore, Stretch};
 pub use topology::{RoutingArena, Topology};
 
 /// The partition point of `run` under `pred`, found by doubling from the

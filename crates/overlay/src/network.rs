@@ -34,7 +34,7 @@ use crate::key::{Key, KeyRef};
 use crate::metrics::Metrics;
 use crate::peer::{Item, PeerId};
 use crate::snapshot::NetworkState;
-use crate::store::{PartitionStore, SortedStore};
+use crate::store::{HeldRun, PartitionStore, SortedStore};
 use crate::topology::Topology;
 use crate::trie::{build_partitions, find_partition, partition_loads, subtree_range};
 use rand::rngs::StdRng;
@@ -1065,6 +1065,11 @@ impl<T: Item> Network<T> {
         &self.image.stores[run.part].items()[run.items.clone()]
     }
 
+    /// The items one reply lent, held where they lie past later writes.
+    pub fn hold(&self, run: &ItemRun) -> HeldRun<T> {
+        HeldRun { store: self.image.stores[run.part].clone(), items: run.items.clone() }
+    }
+
     /// Who answers for the peered partition `part` in a shower that entered
     /// at `entry`: `entry` in its own partition, in a sibling an alive
     /// member reached by one forward — or nobody, a failed route, when the
@@ -1087,15 +1092,16 @@ impl<T: Item> Network<T> {
     /// the summed payload. [`Self::retrieve_multi_lists`] calls it with the
     /// whole coalesced batch at one owner; an operator that already
     /// knows the owner (a probe riding an open channel) calls it directly.
-    /// A reply copies the items it ships: one list per key, in the order
-    /// the keys came.
+    /// A reply lends the items it ships where they lie in the responder's
+    /// run: one [`ItemRun`] per key, in the order the keys came.
     pub fn scan_keys_and_reply_lists<'k>(
         &mut self,
         responder: PeerId,
         from: PeerId,
         keys: impl ExactSizeIterator<Item = &'k Key>,
-    ) -> Vec<Vec<T>> {
-        let store = &self.image.stores[self.image.topo.partition_of(responder)];
+    ) -> Vec<ItemRun> {
+        let part = self.image.topo.partition_of(responder);
+        let store = &self.image.stores[part];
         let mut out = Vec::with_capacity(keys.len());
         let mut payload = 0usize;
         for key in keys {
@@ -1103,7 +1109,7 @@ impl<T: Item> Network<T> {
             let (sink, tracer) = (&mut self.sink, &self.tracer);
             Self::charge_scan(&mut self.image.metrics, sink, tracer, responder, entries.len());
             payload += store.payload(entries.clone());
-            out.push(store.items()[store.item_range(entries)].to_vec());
+            out.push(ItemRun { part, items: store.item_range(entries) });
         }
         if responder != from {
             self.send_direct(responder, from, payload);
@@ -1158,8 +1164,8 @@ impl<T: Item> Network<T> {
 
     /// Multi-key retrieve: one routed query chain carrying several exact
     /// keys that all map to the **same partition**, answered by one
-    /// combined reply with the per-key lists (prefix-extension semantics
-    /// per key, matching [`Self::retrieve_list`]). This is the wire
+    /// combined reply with the per-key lists, lent (prefix-extension
+    /// semantics per key, matching [`Self::retrieve_list`]). This is the wire
     /// primitive behind
     /// cross-query probe coalescing: `n` probes to the same partition cost
     /// one route and one reply instead of `n` of each. Returns the answering
@@ -1172,7 +1178,7 @@ impl<T: Item> Network<T> {
         &mut self,
         from: PeerId,
         keys: impl ExactSizeIterator<Item = &'k Key> + Clone,
-    ) -> Result<(PeerId, Vec<Vec<T>>), RouteError> {
+    ) -> Result<(PeerId, Vec<ItemRun>), RouteError> {
         let Some(first) = keys.clone().next() else { return Ok((from, Vec::new())) };
         debug_assert!(
             keys.clone().all(|k| self.partition_of(k) == self.partition_of(first)),
@@ -1266,7 +1272,7 @@ mod tests {
     impl<T: Item> Network<T> {
         /// The copying retrieve [`Network::retrieve_runs`] replaced, as it
         /// was: each shower branch's responder scans and replies through
-        /// `scan_keys_and_reply_lists`, which copies the items it ships.
+        /// `scan_keys_and_reply_lists`, and the items it ships are copied.
         fn copied_retrieve_lists(
             &mut self,
             from: PeerId,
@@ -1280,7 +1286,8 @@ mod tests {
                 let part = self.image.topo.peered_in(s, e)[i] as usize;
                 self.sim_branch();
                 let Some(responder) = self.shower_into(part, entry) else { continue };
-                out.extend(self.scan_keys_and_reply_lists(responder, from, [key].into_iter()));
+                let runs = self.scan_keys_and_reply_lists(responder, from, [key].into_iter());
+                out.extend(runs.iter().map(|r| self.run_items(r).to_vec()));
             }
             self.sim_join();
             Ok(out)
@@ -1837,8 +1844,9 @@ mod tests {
             .unwrap();
 
         net.reset_metrics();
-        let (_owner, multi) = net.retrieve_multi_lists(from, keys.iter()).expect("route");
+        let (_owner, runs) = net.retrieve_multi_lists(from, keys.iter()).expect("route");
         let multi_msgs = net.metrics().messages;
+        let multi: Vec<Vec<W>> = runs.iter().map(|r| net.run_items(r).to_vec()).collect();
 
         net.reset_metrics();
         let mut singles = Vec::new();

@@ -516,6 +516,20 @@ impl<T: Item> PartitionStore<T> {
     }
 }
 
+/// Items held where they lie ([`crate::Network::hold`]): a handle on their
+/// run, which a merge copies before it writes, and their range in it.
+#[derive(Debug, Clone)]
+pub struct HeldRun<T> {
+    pub store: PartitionStore<T>,
+    pub items: Range<usize>,
+}
+
+impl<T> HeldRun<T> {
+    pub fn items(&self) -> &[T] {
+        &self.store.items()[self.items.clone()]
+    }
+}
+
 impl<T> std::ops::Deref for PartitionStore<T> {
     type Target = SortedStore<T>;
     fn deref(&self) -> &SortedStore<T> {

@@ -1036,6 +1036,68 @@ fn a_fork_is_isolated_from_its_source() {
     );
 }
 
+/// A broker's cache lends runs and its image copies them: every exported
+/// list is the copy a `retrieve_list` of its key makes — what a fill once
+/// kept — a broker restored from the image, each list held in a run of one
+/// entry, encodes to the same bytes, and it answers the same lookups with
+/// the same lists and the same queries with the same rows and hits.
+#[test]
+fn a_broker_of_lent_lists_encodes_and_restores_as_copies() {
+    let words = words();
+    let rows = string_rows("word", &words, "w");
+    let builder = EngineBuilder::new().peers(64).q(2).seed(3);
+    let mut lent = builder.cache_config(BrokerConfig::cache_only()).build_with_rows(&rows);
+    let from = lent.random_peer();
+    let queries = [
+        Query::similar(words[5].clone(), Some("word"), 1),
+        Query::top_n_similar(Some("word"), 3, words[9].clone(), 2),
+        Query::select_exact("word", words[11].as_str().into()),
+        Query::select_keyword(words[13].as_str().into()),
+    ];
+    for q in &queries {
+        Session::new(&mut lent, from).run(q).expect("a valid plan");
+    }
+    let snap = Snapshot::capture(&lent);
+    let bytes = snap.to_bytes();
+    let entries = &snap.world.broker.as_ref().expect("a broker").cache.entries;
+    assert!(entries.len() > 10, "{} lists cached", entries.len());
+    let mut copier = snap.restore_engine(lent.config());
+    for e in entries {
+        let (peer, key) = &e.key;
+        let copy = copier.network_mut().retrieve_list(*peer, key).expect("every peer is alive");
+        assert_eq!(e.value, copy, "the list of {key}");
+    }
+
+    let mut restored =
+        Snapshot::from_bytes(&bytes).expect("an artifact").restore_engine(lent.config());
+    assert_eq!(
+        Snapshot::capture(&restored).to_bytes(),
+        bytes,
+        "one-entry runs encode as lent ones"
+    );
+    let (mut a, mut b) =
+        (lent.clear_broker().expect("a broker"), restored.clear_broker().expect("a broker"));
+    let epoch = lent.network().cache_epoch();
+    for e in entries {
+        let (peer, key) = &e.key;
+        let list = |b: &mut sqo_cache::CacheBatchBroker| {
+            let runs = b.cache_get(*peer, key, e.inserted_us, epoch).expect("a valid entry");
+            runs.iter().flat_map(|run| run.items()).cloned().collect::<Vec<Posting>>()
+        };
+        assert_eq!(list(&mut a), list(&mut b), "the list of {key}");
+    }
+    assert_eq!(a.counters(), b.counters());
+    lent.set_broker(a);
+    restored.set_broker(b);
+    for q in &queries {
+        let was = Session::new(&mut lent, from).run(q).expect("a valid plan");
+        let now = Session::new(&mut restored, from).run(q).expect("a valid plan");
+        assert_eq!(now.rows, was.rows);
+        assert_eq!(format!("{:?}", now.stats), format!("{:?}", was.stats));
+        assert!(was.stats.cache_hits > 0 && was.stats.cache_misses == 0, "{:?}", was.stats);
+    }
+}
+
 /// A restored world continues the original's RNG stream and counters: the
 /// next queries on both engines are identical, which is what makes warm
 /// templates equivalent to cold rebuilds.
